@@ -107,7 +107,7 @@ pub(crate) type FreshSuccessor<S, M, O> = (usize, Option<(GlobalState<S, M>, O)>
 pub(crate) fn insert_successor<S, M, O>(
     trivial: bool,
     symmetry: &dyn Symmetry<S, M, O>,
-    store: &mp_store::CanonicalStore<(GlobalState<S, M>, O)>,
+    store: &mp_store::StoreImpl<(GlobalState<S, M>, O)>,
     concrete: &(GlobalState<S, M>, O),
     trace: &TraceHandle,
 ) -> Option<FreshSuccessor<S, M, O>>
@@ -194,10 +194,9 @@ where
     let initial = spec.initial_state();
     let initial_observer = initial_observer.clone();
 
-    // Keys are pre-canonicalized by this engine (one canonicalization per
-    // successor, shared between the store key and the frontier entry), so
-    // the store's canonical wrapper runs in passthrough mode.
-    let store = config.store.build_canonical::<(GlobalState<S, M>, O)>(None);
+    // Keys are canonicalized by this engine (one canonicalization per
+    // successor, shared between the store key and the frontier entry).
+    let store = config.store.build::<(GlobalState<S, M>, O)>();
     let store_name = if trivial {
         store.name()
     } else {

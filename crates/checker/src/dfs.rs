@@ -95,9 +95,9 @@ where
         .trace
         .begin_run(spec.name(), &strategy, property.name());
 
-    // Keys are pre-canonicalized by this engine (the on-stack proviso needs
-    // them too), so the store wrapper stays in passthrough mode.
-    let store = config.store.build_canonical::<(GlobalState<S, M>, O)>(None);
+    // Keys are canonicalized by this engine (the on-stack proviso needs
+    // them too).
+    let store = config.store.build::<(GlobalState<S, M>, O)>();
     let store_label = |trivial: bool, name: &'static str| -> &'static str {
         if trivial {
             name

@@ -115,8 +115,7 @@ pub use stats::{ExplorationStats, StatsCounters};
 // Visited-state storage lives in the `mp-store` subsystem; the most-used
 // names are re-exported here so engine callers need only one import.
 pub use mp_store::{
-    CheckpointConfig, CheckpointError, Manifest, StateStore, StateStoreBackend, StoreConfig,
-    StoreStats,
+    CheckpointConfig, CheckpointError, Manifest, StateStoreBackend, StoreConfig, StoreStats,
 };
 // Observability lives in the `mp-trace` subsystem; the tracer and its
 // options are re-exported so harnesses can configure tracing without a

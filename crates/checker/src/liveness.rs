@@ -561,11 +561,9 @@ where
         .trace
         .begin_run(spec.name(), &strategy, property.name());
 
-    // Keys are pre-canonicalized by this engine (the on-stack map and the
-    // pending graph need them too), so the wrapper stays in passthrough.
-    let store = config
-        .store
-        .build_canonical::<(GlobalState<S, M>, O, bool)>(None);
+    // Keys are canonicalized by this engine (the on-stack map and the
+    // pending graph need them too).
+    let store = config.store.build::<(GlobalState<S, M>, O, bool)>();
     let store_label = |name: &'static str| -> &'static str {
         if trivial {
             name
@@ -597,7 +595,7 @@ where
             // This engine has no level structure, so memory gauges are
             // sampled once at the end (peak == final for a grow-only store).
             if trace.is_enabled() {
-                let bytes = store.approx_bytes() as u64;
+                let bytes = store.stats().approx_bytes as u64;
                 trace.sample_gauge(Gauge::StoreBytes, bytes);
                 trace.sample_gauge(Gauge::CanonicalCacheBytes, if trivial { 0 } else { bytes });
             }

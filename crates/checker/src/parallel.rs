@@ -268,7 +268,7 @@ impl<T> Drop for FinishOnDrop<'_, T> {
 fn insert_chunk_successors<S, M, O>(
     trivial: bool,
     symmetry: &dyn Symmetry<S, M, O>,
-    store: &mp_store::CanonicalStore<(GlobalState<S, M>, O)>,
+    store: &mp_store::StoreImpl<(GlobalState<S, M>, O)>,
     trace: &TraceHandle,
     pending: &mut Vec<(GlobalState<S, M>, O)>,
     block: &mut Vec<Entry<S, M, O>>,
@@ -384,13 +384,12 @@ where
     let initial = spec.initial_state();
     let initial_observer = initial_observer.clone();
 
-    // Like the sequential BFS, keys are pre-canonicalized (once per
-    // successor, inside the workers), so the canonical wrapper runs in
-    // passthrough mode on the lock-striped store.
+    // Like the sequential BFS, keys are canonicalized once per successor
+    // (inside the workers) before they reach the lock-striped store.
     let store = config
         .store
         .for_parallel()
-        .build_canonical::<(GlobalState<S, M>, O)>(None);
+        .build::<(GlobalState<S, M>, O)>();
     let store_name = if trivial {
         store.name()
     } else {

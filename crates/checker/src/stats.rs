@@ -65,6 +65,11 @@ pub struct ExplorationStats {
     /// Bytes the store wrote while merging its sorted runs at level
     /// boundaries (0 for the in-memory backends).
     pub store_merge_bytes: usize,
+    /// The store's estimate of the probability that at least one state was
+    /// wrongly treated as visited (`mp_store::StoreStats`): 0 for the exact
+    /// backends; for `fingerprint` and `runs` it qualifies a `Verified`
+    /// verdict and is printed wherever the verdict is.
+    pub store_omission_probability: f64,
     /// Name of the frontier backend the BFS engines drove ("mem", "disk";
     /// empty for the depth-first and stateless engines, which have no
     /// frontier).
@@ -160,6 +165,7 @@ impl ExplorationStats {
         self.store_bytes = store.approx_bytes;
         self.store_spilled_bytes = store.spilled_bytes;
         self.store_merge_bytes = store.merge_bytes;
+        self.store_omission_probability = store.omission_probability;
     }
 
     /// Copies the frontier's counters into this record (called by the BFS
@@ -188,11 +194,15 @@ impl fmt::Display for ExplorationStats {
         if !self.store_backend.is_empty() && self.store_backend != "none" {
             write!(
                 f,
-                " [{} store: ~{} KiB, {} hits]",
+                " [{} store: ~{} KiB, {} hits",
                 self.store_backend,
                 self.store_bytes / 1024,
                 self.store_hits
             )?;
+            if self.store_omission_probability > 0.0 {
+                write!(f, ", omission ≤ {:.1e}", self.store_omission_probability)?;
+            }
+            write!(f, "]")?;
         }
         if !self.frontier_backend.is_empty() {
             write!(
@@ -303,6 +313,7 @@ mod tests {
                 hits: 4,
                 misses: 10,
                 approx_bytes: 2048,
+                omission_probability: 1.2e-9,
                 ..Default::default()
             },
         );
@@ -310,6 +321,9 @@ mod tests {
         assert_eq!(s.store_bytes, 2048);
         let text = s.to_string();
         assert!(text.contains("fingerprint store"));
-        assert!(text.contains("4 hits"));
+        assert!(text.contains("4 hits, omission ≤ 1.2e-9]"), "{text}");
+        // An exact store omits nothing and says nothing.
+        s.record_store("exact", StoreStats::default());
+        assert!(!s.to_string().contains("omission"));
     }
 }

@@ -50,10 +50,11 @@ use mp_protocols::storage::{
 use mp_store::{FrontierConfig, StoreConfig};
 use mp_symmetry::RoleMap;
 
+use crate::report::omission_note;
 use crate::Budget;
 
 /// One cell of the fault sweep.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FaultCell {
     /// Protocol and setting, e.g. "Paxos (1,2,1)".
     pub protocol: String,
@@ -65,6 +66,9 @@ pub struct FaultCell {
     pub backend: String,
     /// Verdict string of the safety (invariant) run.
     pub verdict: String,
+    /// The safety run's store omission bound (0 for the exact backends);
+    /// the text table prints it beside the verdict.
+    pub omission_probability: f64,
     /// Verdict string of the liveness (termination) run under the same
     /// budget and strategy: `"verified"`, or a lasso description such as
     /// `"fair lasso (4 stem + 0 cycle steps)"`.
@@ -332,6 +336,7 @@ fn run_cells<S, M, O>(
                 strategy: if spor { "SPOR" } else { "unreduced" }.to_string(),
                 backend: store.to_string(),
                 verdict: report.verdict.to_string(),
+                omission_probability: report.stats.store_omission_probability,
                 liveness: liveness_plain.clone(),
                 states: report.stats.states,
                 transitions: report.stats.transitions_executed,
@@ -587,14 +592,14 @@ pub fn backend_disagreements(cells: &[FaultCell]) -> Vec<&FaultCell> {
 /// state counts and the orbit-collapse ratio per cell).
 pub fn render_fault_sweep(cells: &[FaultCell]) -> String {
     let mut out = String::from(
-        "protocol                  | budget              | strategy  | backend             |   states | sym stat | ratio | store KiB | front KiB | sym front | time     | verdict              | liveness\n",
+        "protocol                  | budget              | strategy  | backend             |   states | sym stat | ratio | store KiB | front KiB | sym front | time     | verdict                        | liveness\n",
     );
     out.push_str(
-        "--------------------------+---------------------+-----------+---------------------+----------+----------+-------+-----------+-----------+-----------+----------+----------------------+---------\n",
+        "--------------------------+---------------------+-----------+---------------------+----------+----------+-------+-----------+-----------+-----------+----------+--------------------------------+---------\n",
     );
     for c in cells {
         out.push_str(&format!(
-            "{:<25} | {:<19} | {:<9} | {:<19} | {:>8} | {:>8} | {:>5.2} | {:>9} | {:>9} | {:>9} | {:>8} | {:<20} | {}\n",
+            "{:<25} | {:<19} | {:<9} | {:<19} | {:>8} | {:>8} | {:>5.2} | {:>9} | {:>9} | {:>9} | {:>8} | {:<30} | {}\n",
             c.protocol,
             c.budget,
             c.strategy,
@@ -606,7 +611,7 @@ pub fn render_fault_sweep(cells: &[FaultCell]) -> String {
             c.frontier_bytes / 1024,
             c.sym_frontier_bytes / 1024,
             format!("{:.1?}", c.time),
-            c.verdict,
+            format!("{}{}", c.verdict, omission_note(c.omission_probability)),
             c.liveness
         ));
     }

@@ -74,6 +74,18 @@ impl fmt::Display for Measurement {
     }
 }
 
+/// What a verdict line appends when the run's visited store was
+/// probabilistic (`ExplorationStats::store_omission_probability`): nothing
+/// for the exact backends, the omission bound that qualifies `verified`
+/// for `fingerprint` and `runs`.
+pub fn omission_note(probability: f64) -> String {
+    if probability > 0.0 {
+        format!(" (omission ≤ {probability:.1e})")
+    } else {
+        String::new()
+    }
+}
+
 /// Renders measurements as an aligned text table grouped the way the paper's
 /// tables are: one line per protocol row, one column pair (states, time) per
 /// strategy.

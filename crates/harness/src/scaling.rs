@@ -18,6 +18,7 @@ use mp_protocols::paxos::{
 use mp_protocols::sweep::{collect_model, collect_soundness_property, CollectSetting};
 use mp_store::StoreConfig;
 
+use crate::report::omission_note;
 use crate::runner::run_cell;
 use crate::{Budget, CellStrategy, Measurement};
 
@@ -326,7 +327,7 @@ pub fn render_frontier_sweep(points: &[FrontierPoint]) -> String {
 }
 
 /// One row of the visited-store backend comparison.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StorePoint {
     /// Backend label ("exact", "sharded(64)", "fingerprint(48-bit)").
     pub backend: String,
@@ -336,6 +337,8 @@ pub struct StorePoint {
     pub store_bytes: usize,
     /// Verdict string of the run.
     pub verdict: String,
+    /// The store's omission bound (0 for the exact backends).
+    pub omission_probability: f64,
 }
 
 /// Verifies one quorum-scaling configuration of the collection protocol
@@ -369,6 +372,7 @@ pub fn store_backend_sweep(
             states: report.stats.states,
             store_bytes: report.stats.store_bytes,
             verdict: report.verdict.to_string(),
+            omission_probability: report.stats.store_omission_probability,
         }
     })
     .collect()
@@ -380,8 +384,12 @@ pub fn render_store_sweep(points: &[StorePoint]) -> String {
     out.push_str("---------------------+-----------+-------------+---------\n");
     for p in points {
         out.push_str(&format!(
-            "{:<20} | {:>9} | {:>11} | {}\n",
-            p.backend, p.states, p.store_bytes, p.verdict
+            "{:<20} | {:>9} | {:>11} | {}{}\n",
+            p.backend,
+            p.states,
+            p.store_bytes,
+            p.verdict,
+            omission_note(p.omission_probability)
         ));
     }
     out

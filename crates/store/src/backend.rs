@@ -8,7 +8,7 @@ use std::fmt;
 /// an [`StateStoreBackend::insert`] *or* a [`StateStoreBackend::contains`] —
 /// counts as a **hit** when the key was already present and as a **miss**
 /// otherwise. `hits + misses` therefore equals the total number of queries.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct StoreStats {
     /// Number of distinct entries currently stored.
     pub entries: usize,
@@ -16,9 +16,11 @@ pub struct StoreStats {
     pub hits: usize,
     /// Queries that did not find the key.
     pub misses: usize,
-    /// Approximate heap footprint of the stored entries, in bytes. This is
-    /// the number the engines report as "peak state-storage bytes"; it
-    /// covers the store's own tables, not frontier queues or DFS stacks.
+    /// Heap footprint of the store in bytes: everything its tables asked
+    /// the allocator for (slot arrays, arena chunk capacity, bloom front,
+    /// block indices). This is the number the engines report as "peak
+    /// state-storage bytes"; it covers the store's own tables, not frontier
+    /// queues or DFS stacks.
     pub approx_bytes: usize,
     /// Cumulative bytes of visited-set data written to disk as sorted runs
     /// (0 for the in-memory backends).
@@ -26,6 +28,22 @@ pub struct StoreStats {
     /// Cumulative bytes written while merging sorted runs during
     /// [`StateStoreBackend::maintain`] (0 for the in-memory backends).
     pub merge_bytes: usize,
+    /// Upper bound on the probability that at least one state was wrongly
+    /// treated as visited — `min(1, n² / 2^(w+1))` for the `n` entries at
+    /// the backend's fingerprint width `w`: 0 for the exact backends, the
+    /// price of a `Verified` verdict for the probabilistic ones.
+    pub omission_probability: f64,
+}
+
+/// Birthday bound on a collision among `entries` uniformly distributed
+/// `bits`-wide fingerprints (`bits ≤ 64`): the union bound over all pairs,
+/// `x = n² / 2^(bits+1)`, capped at 1. The familiar `1 − exp(−x)` estimate
+/// lies within `x²/2` below it, but `exp` would make every binary that
+/// links a store load `libm.so` (0.3 MB resident) for one verdict-line
+/// figure.
+pub(crate) fn birthday_bound(entries: usize, bits: u32) -> f64 {
+    let n = entries as f64;
+    (n * n / (1u128 << (bits + 1)) as f64).min(1.0)
 }
 
 impl StoreStats {
@@ -65,21 +83,16 @@ impl fmt::Display for StoreStats {
 /// uncontended lock per operation on the exact backend).
 pub trait StateStoreBackend<K> {
     /// Inserts a key; returns `true` if it was new. Counts a hit when the
-    /// key was already present, a miss otherwise.
-    fn insert(&self, key: K) -> bool;
-
-    /// Like [`StateStoreBackend::insert`], but borrows the key and only
-    /// clones it when it is actually new — the fast path for search
-    /// engines, where most generated edges lead to already-visited states
-    /// and protocol-state keys are expensive to clone. The fingerprint
-    /// backend never clones at all. Backends override the default (which
-    /// clones unconditionally) when they can do better.
-    fn insert_ref(&self, key: &K) -> bool
-    where
-        K: Clone,
-    {
-        self.insert(key.clone())
+    /// key was already present, a miss otherwise. No backend keeps the key
+    /// value itself (only its encoded bytes or their fingerprint), so this
+    /// is [`StateStoreBackend::insert_ref`] for callers that own the key.
+    fn insert(&self, key: K) -> bool {
+        self.insert_ref(&key)
     }
+
+    /// Inserts a borrowed key: one encode into the thread's scratch buffer,
+    /// one hash, one table probe. Never clones.
+    fn insert_ref(&self, key: &K) -> bool;
 
     /// Returns `true` if the key is present. Counts a hit when found, a
     /// miss otherwise — the same accounting as [`StateStoreBackend::insert`].
@@ -106,10 +119,17 @@ pub trait StateStoreBackend<K> {
     fn maintain(&self) {}
 }
 
-/// Approximate byte footprint of a hash table with `capacity` slots of
-/// `entry_size`-byte entries (hashbrown stores one control byte per slot).
-pub(crate) fn table_bytes(capacity: usize, entry_size: usize) -> usize {
-    capacity * (entry_size + 1) + std::mem::size_of::<std::collections::HashSet<u64>>()
+/// The reporting label of a backend whose keys are canonical orbit
+/// representatives. Single source of the `+canon` suffix convention for the
+/// engines, which canonicalize their keys before they reach the store.
+pub fn canonical_label(name: &'static str) -> &'static str {
+    match name {
+        "exact" => "exact+canon",
+        "sharded" => "sharded+canon",
+        "fingerprint" => "fingerprint+canon",
+        "runs" => "runs+canon",
+        _ => "canonical",
+    }
 }
 
 #[cfg(test)]
@@ -129,5 +149,17 @@ mod tests {
         assert!((s.hit_rate() - 0.25).abs() < 1e-12);
         assert!(s.to_string().contains("10 entries"));
         assert_eq!(StoreStats::default().hit_rate(), 0.0);
+    }
+
+    #[test]
+    fn birthday_bound_matches_the_documented_figures() {
+        assert_eq!(birthday_bound(0, 48), 0.0);
+        // The crate docs promise p < 1e-6 up to ~23 thousand states and
+        // < 2% up to ~3 million at the default 48 bits.
+        assert!(birthday_bound(23_000, 48) < 1.1e-6);
+        assert!(birthday_bound(3_000_000, 48) < 0.02);
+        assert_eq!(birthday_bound(4_096, 8), 1.0);
+        let p = birthday_bound(1_000_000, 64);
+        assert!((p / 2.710_505_4e-8 - 1.0).abs() < 1e-7, "p = {p}");
     }
 }

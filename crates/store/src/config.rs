@@ -1,11 +1,11 @@
 //! Backend selection.
 
 use std::fmt;
-use std::hash::Hash;
+
+use mp_model::Encode;
 
 use crate::{
-    ExactStore, FingerprintStore, RunStore, ShardedStore, StateStoreBackend, StoreStats,
-    DEFAULT_RUN_WATERMARK,
+    ByteStore, FingerprintStore, RunStore, StateStoreBackend, StoreStats, DEFAULT_RUN_WATERMARK,
 };
 
 /// Default stripe count of the sharded backends.
@@ -22,10 +22,11 @@ pub const DEFAULT_FINGERPRINT_BITS: u32 = 48;
 /// stay cheap to pass around.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StoreConfig {
-    /// Exact full-key storage behind a single lock (the default).
+    /// Exact storage of the encoded key bytes behind a single lock (the
+    /// default).
     #[default]
     Exact,
-    /// Exact full-key storage, lock-striped for concurrent inserts.
+    /// The same table, lock-striped for concurrent inserts.
     Sharded {
         /// Stripe count (rounded up to a power of two).
         shards: usize,
@@ -105,11 +106,13 @@ impl StoreConfig {
         )
     }
 
-    /// Builds the backend for key type `K`.
-    pub fn build<K: Eq + Hash>(&self) -> StoreImpl<K> {
+    /// Builds the backend for key type `K`. Every backend identifies a key
+    /// by its [`Encode`] bytes, so the encoding must be injective on the
+    /// key's `Eq` classes (the codec's round-trip contract gives that).
+    pub fn build<K: Encode>(&self) -> StoreImpl<K> {
         match *self {
-            StoreConfig::Exact => StoreImpl::Exact(ExactStore::new()),
-            StoreConfig::Sharded { shards } => StoreImpl::Sharded(ShardedStore::new(shards)),
+            StoreConfig::Exact => StoreImpl::Bytes(ByteStore::exact()),
+            StoreConfig::Sharded { shards } => StoreImpl::Bytes(ByteStore::sharded(shards)),
             StoreConfig::Fingerprint { bits, shards } => {
                 StoreImpl::Fingerprint(FingerprintStore::new(bits, shards))
             }
@@ -135,79 +138,46 @@ impl fmt::Display for StoreConfig {
 /// generic-friendly without trait objects).
 #[derive(Debug)]
 pub enum StoreImpl<K> {
-    /// See [`ExactStore`].
-    Exact(ExactStore<K>),
-    /// See [`ShardedStore`].
-    Sharded(ShardedStore<K>),
+    /// See [`ByteStore`] (the exact and sharded configurations).
+    Bytes(ByteStore<K>),
     /// See [`FingerprintStore`].
     Fingerprint(FingerprintStore<K>),
     /// See [`RunStore`].
     Runs(RunStore<K>),
 }
 
-impl<K: Eq + Hash> StateStoreBackend<K> for StoreImpl<K> {
-    fn insert(&self, key: K) -> bool {
-        match self {
-            StoreImpl::Exact(s) => s.insert(key),
-            StoreImpl::Sharded(s) => s.insert(key),
-            StoreImpl::Fingerprint(s) => s.insert(key),
-            StoreImpl::Runs(s) => s.insert(key),
+macro_rules! dispatch {
+    ($self:ident, $store:ident => $call:expr) => {
+        match $self {
+            StoreImpl::Bytes($store) => $call,
+            StoreImpl::Fingerprint($store) => $call,
+            StoreImpl::Runs($store) => $call,
         }
-    }
+    };
+}
 
-    fn insert_ref(&self, key: &K) -> bool
-    where
-        K: Clone,
-    {
-        match self {
-            StoreImpl::Exact(s) => s.insert_ref(key),
-            StoreImpl::Sharded(s) => s.insert_ref(key),
-            StoreImpl::Fingerprint(s) => s.insert_ref(key),
-            StoreImpl::Runs(s) => s.insert_ref(key),
-        }
+impl<K: Encode> StateStoreBackend<K> for StoreImpl<K> {
+    fn insert_ref(&self, key: &K) -> bool {
+        dispatch!(self, s => s.insert_ref(key))
     }
 
     fn contains(&self, key: &K) -> bool {
-        match self {
-            StoreImpl::Exact(s) => s.contains(key),
-            StoreImpl::Sharded(s) => s.contains(key),
-            StoreImpl::Fingerprint(s) => s.contains(key),
-            StoreImpl::Runs(s) => s.contains(key),
-        }
+        dispatch!(self, s => s.contains(key))
     }
 
     fn len(&self) -> usize {
-        match self {
-            StoreImpl::Exact(s) => StateStoreBackend::len(s),
-            StoreImpl::Sharded(s) => StateStoreBackend::len(s),
-            StoreImpl::Fingerprint(s) => StateStoreBackend::<K>::len(s),
-            StoreImpl::Runs(s) => StateStoreBackend::<K>::len(s),
-        }
+        dispatch!(self, s => s.len())
     }
 
     fn stats(&self) -> StoreStats {
-        match self {
-            StoreImpl::Exact(s) => s.stats(),
-            StoreImpl::Sharded(s) => s.stats(),
-            StoreImpl::Fingerprint(s) => StateStoreBackend::<K>::stats(s),
-            StoreImpl::Runs(s) => StateStoreBackend::<K>::stats(s),
-        }
+        dispatch!(self, s => s.stats())
     }
 
     fn maintain(&self) {
-        // Only the external-memory backend has level-boundary work (merging
-        // its sorted runs); the in-memory backends keep the default no-op.
-        if let StoreImpl::Runs(s) = self {
-            StateStoreBackend::<K>::maintain(s);
-        }
+        dispatch!(self, s => s.maintain())
     }
 
     fn name(&self) -> &'static str {
-        match self {
-            StoreImpl::Exact(s) => StateStoreBackend::name(s),
-            StoreImpl::Sharded(s) => StateStoreBackend::name(s),
-            StoreImpl::Fingerprint(s) => StateStoreBackend::<K>::name(s),
-            StoreImpl::Runs(s) => StateStoreBackend::<K>::name(s),
-        }
+        dispatch!(self, s => s.name())
     }
 }

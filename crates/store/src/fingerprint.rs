@@ -1,17 +1,17 @@
 //! The hash-compaction (fingerprint) backend.
 
 use std::collections::HashSet;
-use std::hash::Hash;
 use std::marker::PhantomData;
-use std::mem::size_of;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::backend::{table_bytes, StateStoreBackend, StoreStats};
-use crate::sharded::hash64;
+use mp_model::Encode;
 
-/// A visited-state set that stores only a w-bit fingerprint of each key's
-/// hash instead of the key itself.
+use crate::backend::{birthday_bound, StateStoreBackend, StoreStats};
+use crate::hash::{fingerprint, K0};
+
+/// A visited-state set that stores only the low w bits of each key's
+/// fingerprint ([`crate::hash_bytes`] of its encoding) instead of the key.
 ///
 /// Memory per visited state drops from the full key size to ~9 bytes
 /// regardless of how large the protocol state is, which is what makes the
@@ -22,8 +22,8 @@ use crate::sharded::hash64;
 /// ([`crate`]) for the exact soundness contract; in short, `Verified`
 /// becomes probabilistic while counterexamples stay exact.
 ///
-/// The store is lock-striped exactly like [`crate::ShardedStore`], so it is
-/// also safe (and fast) under the parallel engine.
+/// The store is lock-striped like the sharded [`crate::ByteStore`], so it
+/// is also safe (and fast) under the parallel engine.
 #[derive(Debug)]
 pub struct FingerprintStore<K> {
     shards: Vec<Mutex<HashSet<u64>>>,
@@ -35,7 +35,7 @@ pub struct FingerprintStore<K> {
     _key: PhantomData<fn(K) -> K>,
 }
 
-impl<K: Hash> FingerprintStore<K> {
+impl<K: Encode> FingerprintStore<K> {
     /// Creates a store keeping `bits`-bit fingerprints (clamped to
     /// `8..=64`) across `shards` stripes (rounded up to a power of two).
     pub fn new(bits: u32, shards: usize) -> Self {
@@ -61,17 +61,8 @@ impl<K: Hash> FingerprintStore<K> {
         self.bits
     }
 
-    /// Birthday-bound estimate of the probability that at least one state
-    /// was wrongly treated as visited, given the current number of stored
-    /// fingerprints: `1 − exp(−n² / 2^(w+1))`.
-    pub fn omission_probability(&self) -> f64 {
-        let n = self.len() as f64;
-        let space = 2f64.powi(self.bits as i32 + 1);
-        1.0 - (-(n * n) / space).exp()
-    }
-
     fn fingerprint_and_shard(&self, key: &K) -> (u64, &Mutex<HashSet<u64>>) {
-        let fp = hash64(key) & self.mask;
+        let fp = fingerprint(key) & self.mask;
         // The shard is derived from the fingerprint itself (Fibonacci
         // mixing of its bits), so equal fingerprints always land in the
         // same shard and membership is purely a function of the w-bit
@@ -79,7 +70,7 @@ impl<K: Hash> FingerprintStore<K> {
         let index = if self.shard_bits == 0 {
             0
         } else {
-            (fp.wrapping_mul(0x9e3779b97f4a7c15) >> (64 - self.shard_bits)) as usize
+            (fp.wrapping_mul(K0) >> (64 - self.shard_bits)) as usize
         };
         (fp, &self.shards[index])
     }
@@ -91,26 +82,14 @@ impl<K: Hash> FingerprintStore<K> {
             self.misses.fetch_add(1, Ordering::Relaxed);
         }
     }
+}
 
-    fn insert_ref_inner(&self, key: &K) -> bool {
+impl<K: Encode> StateStoreBackend<K> for FingerprintStore<K> {
+    fn insert_ref(&self, key: &K) -> bool {
         let (fp, shard) = self.fingerprint_and_shard(key);
         let new = shard.lock().expect("shard poisoned").insert(fp);
         self.record(!new);
         new
-    }
-}
-
-impl<K: Hash> StateStoreBackend<K> for FingerprintStore<K> {
-    fn insert(&self, key: K) -> bool {
-        self.insert_ref_inner(&key)
-    }
-
-    fn insert_ref(&self, key: &K) -> bool
-    where
-        K: Clone,
-    {
-        // Only the hash is stored — no clone, ever.
-        self.insert_ref_inner(key)
     }
 
     fn contains(&self, key: &K) -> bool {
@@ -133,13 +112,15 @@ impl<K: Hash> StateStoreBackend<K> for FingerprintStore<K> {
         for shard in &self.shards {
             let shard = shard.lock().expect("shard poisoned");
             entries += shard.len();
-            approx_bytes += table_bytes(shard.capacity(), size_of::<u64>());
+            // hashbrown: one control byte beside every 8-byte slot.
+            approx_bytes += shard.capacity() * (size_of::<u64>() + 1) + size_of::<HashSet<u64>>();
         }
         StoreStats {
             entries,
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             approx_bytes,
+            omission_probability: birthday_bound(entries, self.bits),
             ..Default::default()
         }
     }
@@ -162,35 +143,22 @@ mod tests {
 
     #[test]
     fn distinct_keys_with_distinct_fingerprints_are_distinct() {
-        let store = FingerprintStore::<&str>::new(64, 8);
-        assert!(store.insert("a"));
-        assert!(store.insert("b"));
-        assert!(!store.insert("a"));
-        assert!(store.contains(&"b"));
+        let store = FingerprintStore::<String>::new(64, 8);
+        assert!(store.insert("a".to_string()));
+        assert!(store.insert("b".to_string()));
+        assert!(!store.insert("a".to_string()));
+        assert!(store.contains(&"b".to_string()));
         assert_eq!(store.len(), 2);
-    }
-
-    #[test]
-    fn documented_default_width_bound_holds() {
-        // The docs promise p < 1e-6 up to ~23 thousand states at 48 bits;
-        // pin that claim to the formula so the two cannot drift apart.
-        let store = FingerprintStore::<u64>::new(48, 1);
-        for k in 0u64..23_000 {
-            store.insert(k);
-        }
-        assert_eq!(store.len(), 23_000, "no collisions expected at 48 bits");
-        let p = store.omission_probability();
-        assert!(p < 1.1e-6, "p = {p}");
     }
 
     #[test]
     fn omission_probability_is_zero_when_empty_and_grows() {
         let store = FingerprintStore::<u64>::new(16, 1);
-        assert_eq!(store.omission_probability(), 0.0);
+        assert_eq!(store.stats().omission_probability, 0.0);
         for k in 0u64..200 {
             store.insert(k);
         }
-        let p = store.omission_probability();
+        let p = store.stats().omission_probability;
         assert!(p > 0.0 && p < 1.0, "p = {p}");
     }
 }

@@ -5,26 +5,34 @@
 //! visited-state set the memory- and contention-critical data structure of
 //! the whole checker. This crate turns it into a first-class subsystem: the
 //! search engines of `mp-checker` program against the
-//! [`StateStoreBackend`] trait and a [`StoreConfig`] selects one of three
-//! backends at run time:
+//! [`StateStoreBackend`] trait and a [`StoreConfig`] selects a backend at
+//! run time. Every backend answers a query the same way up to the probe:
+//! the key is encoded **once** into a per-thread scratch buffer with the
+//! `mp-model` codec, the bytes are hashed **once** with [`hash_bytes`], and
+//! only then is a lock taken. What is kept per visited state differs:
 //!
-//! * [`ExactStore`] — a plain `HashSet` of full `(state, observer)` keys.
-//!   Sound and exact; the default for the sequential engines.
-//! * [`ShardedStore`] — the same exact semantics, but lock-striped across N
-//!   shards selected by the top bits of the key hash. Concurrent inserters
-//!   only contend when they land on the same shard, so the parallel BFS
-//!   engine scales without a global mutex on the visited set.
+//! * [`ByteStore`] (`StoreConfig::Exact`, `StoreConfig::Sharded`) — the
+//!   encoded bytes themselves, in an open-addressing table (a 16-bit tag
+//!   and an arena offset per slot, equality by `memcmp`). Sound and exact.
+//!   One shard is the default for the sequential engines; N shards,
+//!   selected by the fingerprint's top bits, let the parallel BFS engine
+//!   insert without a global mutex on the visited set.
 //! * [`FingerprintStore`] — **hash compaction** (Holzmann-style bitstate
-//!   cousin): instead of the full key only a w-bit fingerprint of its hash
-//!   is stored. Memory per visited state drops from the full key size
-//!   (hundreds of bytes for protocol states) to a few bytes, at the price
-//!   of a bounded *omission* probability (see below).
+//!   cousin): only the low w bits of the fingerprint are stored. Memory per
+//!   visited state drops from the encoded key size (a hundred bytes for
+//!   protocol states) to a few bytes, at the price of a bounded *omission*
+//!   probability (see below).
 //! * [`RunStore`] — **external-memory** hash compaction: full 64-bit
 //!   fingerprints, buffered in RAM up to a watermark and then spilled to
 //!   sorted on-disk runs fronted by a bloom filter, merged at BFS level
 //!   boundaries ([`StateStoreBackend::maintain`]). Resident memory stays
 //!   bounded by the watermark + bloom front however large the state space
 //!   grows; the omission probability is that of 64-bit fingerprints.
+//!
+//! Identifying a key by its encoding requires `a == b ⇔ encode(a) ==
+//! encode(b)`. The codec's round-trip contract gives `⇐`; `⇒` holds because
+//! every `Encode` impl writes exactly the fields `Eq` compares, in canonical
+//! (sorted-container) order.
 //!
 //! ## Soundness caveat of hash compaction
 //!
@@ -34,8 +42,8 @@
 //!
 //! * a **`Verified` verdict is probabilistic** — with `n` stored states and
 //!   w-bit fingerprints, the probability that at least one state was
-//!   wrongly omitted is approximately `1 − exp(−n² / 2^(w+1))`
-//!   (birthday bound; see [`FingerprintStore::omission_probability`]);
+//!   wrongly omitted is at most `n² / 2^(w+1)` (birthday bound; reported
+//!   as [`StoreStats::omission_probability`]);
 //! * a **counterexample remains exact** — every reported violation is a
 //!   real reachable state, because states on the path are re-executed from
 //!   the initial state and properties are evaluated on full states, never
@@ -44,8 +52,9 @@
 //! Pick the width against the expected state count: at the default of 48
 //! bits the bound stays below 1e-6 up to ~23 thousand stored states and
 //! below 2% up to ~3 million; beyond that it degrades quickly (at 23
-//! million states it is ~0.6, i.e. `Verified` means little). Check
-//! [`FingerprintStore::omission_probability`] after a run, widen toward 64
+//! million states it is ~0.9, i.e. `Verified` means little). Check
+//! [`StoreStats::omission_probability`] after a run (the engines carry it
+//! into their statistics and print it beside the verdict), widen toward 64
 //! bits for larger sweeps, and use an exact backend for certification
 //! runs.
 //!
@@ -97,30 +106,28 @@
 #![forbid(unsafe_code)]
 
 mod backend;
-mod canonical;
 mod checkpoint;
 mod config;
-mod exact;
 mod fingerprint;
 mod frontier;
+mod hash;
 mod runstore;
-mod sharded;
+mod table;
 
-pub use backend::{StateStoreBackend, StoreStats};
-pub use canonical::{canonical_label, CanonicalStore, KeyMapper};
+pub use backend::{canonical_label, StateStoreBackend, StoreStats};
 pub use checkpoint::{
     manifest_exists, CheckpointConfig, CheckpointError, CheckpointWriter, FileMeta, Manifest,
     CHECKPOINT_VERSION,
 };
 pub use config::{StoreConfig, StoreImpl, DEFAULT_FINGERPRINT_BITS, DEFAULT_SHARDS};
-pub use exact::{ExactStore, StateStore};
 pub use fingerprint::FingerprintStore;
 pub use frontier::{
     DiskFrontier, FrontierBackend, FrontierConfig, FrontierImpl, FrontierStats, ItemCodec,
     MemFrontier, PlainCodec, SpillLog, DEFAULT_FRONTIER_WATERMARK,
 };
+pub use hash::hash_bytes;
 pub use runstore::{RunStore, DEFAULT_RUN_WATERMARK};
-pub use sharded::ShardedStore;
+pub use table::ByteStore;
 
 #[cfg(test)]
 mod tests {
@@ -204,12 +211,12 @@ mod tests {
     fn fingerprint_store_uses_less_memory_than_exact() {
         // Keys are large (simulating protocol states); the fingerprint
         // store must report far fewer bytes.
-        let big_keys: Vec<[u64; 16]> = keys(2_000, 5).into_iter().map(|k| [k; 16]).collect();
-        let exact = StoreConfig::Exact.build::<[u64; 16]>();
-        let fp = StoreConfig::fingerprint(48).build::<[u64; 16]>();
+        let big_keys: Vec<Vec<u64>> = keys(2_000, 5).into_iter().map(|k| vec![k; 16]).collect();
+        let exact = StoreConfig::Exact.build::<Vec<u64>>();
+        let fp = StoreConfig::fingerprint(48).build::<Vec<u64>>();
         for k in &big_keys {
-            exact.insert(*k);
-            fp.insert(*k);
+            exact.insert_ref(k);
+            fp.insert_ref(k);
         }
         assert_eq!(exact.len(), 2_000);
         assert_eq!(fp.len(), 2_000, "48-bit fingerprints must not collide here");
@@ -229,14 +236,27 @@ mod tests {
             store.insert(k);
         }
         assert!(store.len() <= 256);
-        assert!(store.omission_probability() > 0.99);
+        assert!(store.stats().omission_probability > 0.99);
 
         let wide = FingerprintStore::<u64>::new(64, 4);
         for k in keys(4_096, 3) {
             wide.insert(k);
         }
         assert_eq!(wide.len(), 4_096);
-        assert!(wide.omission_probability() < 1e-6);
+        assert!(wide.stats().omission_probability < 1e-6);
+        // The exact backends omit nothing; the runs backend reports the
+        // bound of its 64-bit fingerprints.
+        let runs = RunStore::<u64>::new(64);
+        let exact = ByteStore::<u64>::exact();
+        for k in keys(4_096, 3) {
+            runs.insert(k);
+            exact.insert(k);
+        }
+        assert_eq!(
+            runs.stats().omission_probability,
+            wide.stats().omission_probability
+        );
+        assert_eq!(exact.stats().omission_probability, 0.0);
     }
 
     #[test]

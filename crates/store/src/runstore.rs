@@ -22,10 +22,10 @@
 //! resident memory stays bounded by the bloom front, the buffer and one
 //! block per run during the merge.
 //!
-//! Like [`crate::FingerprintStore`] at 64 bits, membership is decided on a
-//! 64-bit hash of the key: `Verified` verdicts become probabilistic (see
-//! the crate docs for the soundness contract), while counterexamples stay
-//! exact.
+//! Like [`crate::FingerprintStore`] at 64 bits, membership is decided on
+//! the key's 64-bit fingerprint ([`crate::hash_bytes`] of its encoding):
+//! `Verified` verdicts become probabilistic (see the crate docs for the
+//! soundness contract), while counterexamples stay exact.
 //!
 //! ```
 //! use mp_store::{RunStore, StateStoreBackend};
@@ -47,18 +47,17 @@
 
 use std::collections::BTreeSet;
 use std::fs::File;
-use std::hash::Hash;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::marker::PhantomData;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use mp_model::{read_varint, write_varint};
+use mp_model::{read_varint, write_varint, Encode};
 
-use crate::backend::{StateStoreBackend, StoreStats};
+use crate::backend::{birthday_bound, StateStoreBackend, StoreStats};
 use crate::frontier::{open_spill, spill_path};
-use crate::sharded::hash64;
+use crate::hash::fingerprint;
 
 /// Default run-flush watermark: fingerprints buffered in RAM before a
 /// sorted run is written out (~24 MiB of buffer at `BTreeSet` overheads).
@@ -343,7 +342,7 @@ pub struct RunStore<K> {
     _key: PhantomData<fn(K) -> K>,
 }
 
-impl<K: Hash> RunStore<K> {
+impl<K: Encode> RunStore<K> {
     /// Creates a store that flushes a sorted run every `watermark_entries`
     /// buffered fingerprints (minimum 1). The bloom front is sized at 64
     /// bits per watermark entry, rounded up to a power of two.
@@ -407,21 +406,13 @@ impl<K: Hash> RunStore<K> {
     }
 }
 
-impl<K: Hash> StateStoreBackend<K> for RunStore<K> {
-    fn insert(&self, key: K) -> bool {
-        self.insert_fp(hash64(&key))
-    }
-
-    fn insert_ref(&self, key: &K) -> bool
-    where
-        K: Clone,
-    {
-        // Only the hash is stored — no clone, ever.
-        self.insert_fp(hash64(key))
+impl<K: Encode> StateStoreBackend<K> for RunStore<K> {
+    fn insert_ref(&self, key: &K) -> bool {
+        self.insert_fp(fingerprint(key))
     }
 
     fn contains(&self, key: &K) -> bool {
-        let fp = hash64(key);
+        let fp = fingerprint(key);
         let mut inner = self.inner.lock().expect("run store poisoned");
         let present = inner.buffer.contains(&fp) || inner.spilled_contains(fp);
         drop(inner);
@@ -455,6 +446,7 @@ impl<K: Hash> StateStoreBackend<K> for RunStore<K> {
             approx_bytes,
             spilled_bytes: inner.spilled_bytes,
             merge_bytes: inner.merge_bytes,
+            omission_probability: birthday_bound(entries, 64),
         }
     }
 
