@@ -18,6 +18,7 @@ use std::time::{Duration, Instant};
 pub struct Group {
     name: String,
     samples: usize,
+    ops: u32,
     rows: Vec<(String, Duration, Duration, Duration)>,
 }
 
@@ -27,6 +28,7 @@ impl Group {
         Group {
             name: name.into(),
             samples: 10,
+            ops: 1,
             rows: Vec::new(),
         }
     }
@@ -34,6 +36,13 @@ impl Group {
     /// Sets how many timed samples each benchmark takes.
     pub fn sample_size(&mut self, samples: usize) -> &mut Self {
         self.samples = samples.max(1);
+        self
+    }
+
+    /// Declares that each following benchmark closure performs `ops`
+    /// operations; its row then reads time per operation.
+    pub fn per_op(&mut self, ops: usize) -> &mut Self {
+        self.ops = u32::try_from(ops.max(1)).expect("operation count fits u32");
         self
     }
 
@@ -48,7 +57,7 @@ impl Group {
         for _ in 0..self.samples {
             let start = Instant::now();
             std::hint::black_box(f());
-            let elapsed = start.elapsed();
+            let elapsed = start.elapsed() / self.ops;
             min = min.min(elapsed);
             max = max.max(elapsed);
             total += elapsed;

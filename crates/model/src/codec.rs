@@ -168,7 +168,7 @@ fn read_byte(input: &mut &[u8], context: &'static str) -> Result<u8, DecodeError
     Ok(byte)
 }
 
-fn read_len(input: &mut &[u8], context: &'static str) -> Result<usize, DecodeError> {
+pub(crate) fn read_len(input: &mut &[u8], context: &'static str) -> Result<usize, DecodeError> {
     let len = read_varint(input)?;
     // A sequence cannot be longer than the remaining input (every element
     // costs at least one byte) — reject early so corrupted lengths cannot

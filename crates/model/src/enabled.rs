@@ -15,9 +15,9 @@
 //! enumerating all admissible sender-set sizes and are subject to the
 //! [`EnumerationLimits`] safety valve.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::channel::Pending;
 use crate::{
     Envelope, GlobalState, InputSpec, Kind, LocalState, Message, ProcessId, ProtocolSpec,
     QuorumSpec, TransitionId, TransitionSpec,
@@ -134,8 +134,9 @@ pub fn enabled_instances_with_limits<S: LocalState, M: Message>(
     limits: EnumerationLimits,
 ) -> Vec<TransitionInstance<M>> {
     let mut out = Vec::new();
+    let mut scratch = QuorumScratch::default();
     for (id, _) in spec.transitions() {
-        enabled_instances_of_into(spec, state, id, limits, &mut out);
+        enabled_instances_of_into(spec, state, id, limits, &mut scratch, &mut out);
     }
     out
 }
@@ -152,6 +153,7 @@ pub fn enabled_instances_of<S: LocalState, M: Message>(
         state,
         transition,
         EnumerationLimits::default(),
+        &mut QuorumScratch::default(),
         &mut out,
     );
     out
@@ -167,21 +169,41 @@ pub fn is_enabled<S: LocalState, M: Message>(
     !enabled_instances_of(spec, state, transition).is_empty()
 }
 
-fn enabled_instances_of_into<S: LocalState, M: Message>(
+fn enabled_instances_of_into<'a, S: LocalState, M: Message>(
     spec: &ProtocolSpec<S, M>,
-    state: &GlobalState<S, M>,
+    state: &'a GlobalState<S, M>,
     transition: TransitionId,
     limits: EnumerationLimits,
+    scratch: &mut QuorumScratch<'a, M>,
     out: &mut Vec<TransitionInstance<M>>,
 ) {
     let t = spec.transition(transition);
+    let process = t.process();
+    // Most transitions of most states have an empty inbox: decide that from
+    // the channel slice before paying for the enable filter or the guard.
+    let pending: &'a [Pending<M>] = match t.input() {
+        InputSpec::Internal => &[],
+        InputSpec::Single { .. } | InputSpec::Quorum { .. } => {
+            let pending = state.channels.incoming(process);
+            if pending.is_empty() {
+                return;
+            }
+            pending
+        }
+    };
     if !spec.admits(state, t) {
         // A global enable filter (e.g. an exhausted fault budget in
         // `mp-faults`) vetoes the transition in this state.
         return;
     }
-    let process = t.process();
     let local = state.local(process);
+    // Entries the transition may consume: right kind, admissible sender. The
+    // slice is sorted by `(sender, payload)`, and so is everything below.
+    let consumable = |kind: Kind| {
+        pending
+            .iter()
+            .filter(move |e| e.payload.kind() == kind && t.may_receive_from(e.sender))
+    };
     match t.input() {
         InputSpec::Internal => {
             if t.guard_holds(local, &[]) {
@@ -189,76 +211,92 @@ fn enabled_instances_of_into<S: LocalState, M: Message>(
             }
         }
         InputSpec::Single { kind } => {
-            for env in pending_candidates(state, t, process, kind) {
+            for entry in consumable(kind) {
+                let env = Envelope::new(entry.sender, entry.payload.clone());
                 if t.guard_holds(local, std::slice::from_ref(&env)) {
                     out.push(TransitionInstance::new(transition, process, vec![env]));
                 }
             }
         }
         InputSpec::Quorum { kind, quorum } => {
-            enumerate_quorum_instances(state, t, transition, process, kind, *quorum, limits, out);
+            scratch.group_by_sender(consumable(kind));
+            scratch.enumerate(t, transition, local, *quorum, limits, out);
         }
     }
 }
 
-/// Pending single-message candidates of `kind` for a transition, respecting
-/// its sender restriction.
-fn pending_candidates<S: LocalState, M: Message>(
-    state: &GlobalState<S, M>,
-    t: &TransitionSpec<S, M>,
-    process: ProcessId,
-    kind: Kind,
-) -> Vec<Envelope<M>> {
-    state
-        .channels
-        .pending_of_kind(process, kind)
-        .into_iter()
-        .filter(|env| t.may_receive_from(env.sender))
-        .collect()
+/// Working storage of the quorum enumeration, allocated at most once per
+/// [`enabled_instances`] call and reused by every quorum transition of the
+/// state.
+struct QuorumScratch<'a, M> {
+    /// The consumable entries of the current transition, sender-major.
+    entries: Vec<&'a Pending<M>>,
+    /// One range of `entries` per distinct sender, in sender order.
+    groups: Vec<std::ops::Range<usize>>,
+    /// The current candidate: per chosen sender its index in `groups` and
+    /// the offset of the chosen payload inside that group.
+    chosen: Vec<(usize, usize)>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn enumerate_quorum_instances<S: LocalState, M: Message>(
-    state: &GlobalState<S, M>,
-    t: &TransitionSpec<S, M>,
-    transition: TransitionId,
-    process: ProcessId,
-    kind: Kind,
-    quorum: QuorumSpec,
-    limits: EnumerationLimits,
-    out: &mut Vec<TransitionInstance<M>>,
-) {
-    let local = state.local(process);
-    let by_sender: BTreeMap<ProcessId, Vec<M>> = state
-        .channels
-        .pending_by_sender(process, kind)
-        .into_iter()
-        .filter(|(sender, _)| t.may_receive_from(*sender))
-        .collect();
-    let senders: Vec<ProcessId> = by_sender.keys().copied().collect();
-    if senders.is_empty() {
-        return;
-    }
-
-    let max_size = quorum
-        .max_senders()
-        .unwrap_or(senders.len())
-        .min(senders.len());
-    let min_size = quorum.min_senders();
-    if min_size > senders.len() {
-        return;
-    }
-
-    let mut candidates_generated = 0usize;
-    for size in min_size..=max_size {
-        if !quorum.admits(size) {
-            continue;
+impl<M> Default for QuorumScratch<'_, M> {
+    fn default() -> Self {
+        QuorumScratch {
+            entries: Vec::new(),
+            groups: Vec::new(),
+            chosen: Vec::new(),
         }
-        for combo in combinations(&senders, size) {
-            // One message per chosen sender; if a sender has several distinct
-            // pending payloads of the right kind, every choice is a candidate.
-            let per_sender: Vec<&Vec<M>> = combo.iter().map(|s| &by_sender[s]).collect();
-            for selection in cartesian_product(&per_sender) {
+    }
+}
+
+impl<'a, M: Message> QuorumScratch<'a, M> {
+    fn group_by_sender(&mut self, consumable: impl Iterator<Item = &'a Pending<M>>) {
+        self.entries.clear();
+        self.groups.clear();
+        for entry in consumable {
+            let at = self.entries.len();
+            match self.groups.last_mut() {
+                Some(group) if self.entries[group.start].sender == entry.sender => {
+                    group.end = at + 1;
+                }
+                _ => self.groups.push(at..at + 1),
+            }
+            self.entries.push(entry);
+        }
+    }
+
+    /// Pushes every enabled instance of the quorum transition `t` over the
+    /// grouped entries: one message per chosen sender (Definition 2 of the
+    /// paper; multiplicities above one are irrelevant because a step
+    /// consumes at most one copy of a payload per sender), for every
+    /// admissible quorum size ascending, every sender combination in
+    /// lexicographic order and — where a sender has several distinct
+    /// payloads of the kind pending — every payload choice, the first
+    /// sender's choice most significant.
+    fn enumerate<S: LocalState>(
+        &mut self,
+        t: &TransitionSpec<S, M>,
+        transition: TransitionId,
+        local: &S,
+        quorum: QuorumSpec,
+        limits: EnumerationLimits,
+        out: &mut Vec<TransitionInstance<M>>,
+    ) {
+        let QuorumScratch {
+            entries,
+            groups,
+            chosen,
+        } = self;
+        let senders = groups.len();
+        let max_size = quorum.max_senders().unwrap_or(senders).min(senders);
+        let mut candidates_generated = 0usize;
+        // Validated specs never ask for an empty quorum.
+        for size in quorum.min_senders().max(1)..=max_size {
+            if !quorum.admits(size) {
+                continue;
+            }
+            chosen.clear();
+            chosen.extend((0..size).map(|group| (group, 0)));
+            loop {
                 candidates_generated += 1;
                 assert!(
                     candidates_generated <= limits.max_candidates_per_transition,
@@ -267,67 +305,41 @@ fn enumerate_quorum_instances<S: LocalState, M: Message>(
                     t.name(),
                     limits.max_candidates_per_transition
                 );
-                let envelopes: Vec<Envelope<M>> = combo
+                let envelopes: Vec<Envelope<M>> = chosen
                     .iter()
-                    .zip(selection.iter())
-                    .map(|(sender, payload)| Envelope::new(**sender, (*payload).clone()))
+                    .map(|&(group, offset)| {
+                        let entry = entries[groups[group].start + offset];
+                        Envelope::new(entry.sender, entry.payload.clone())
+                    })
                     .collect();
                 if t.guard_holds(local, &envelopes) {
-                    out.push(TransitionInstance::new(transition, process, envelopes));
+                    out.push(TransitionInstance::new(transition, t.process(), envelopes));
+                }
+                // Next payload choice (an odometer, last sender fastest) ...
+                let more_payloads = chosen.iter_mut().rev().any(|(group, offset)| {
+                    *offset += 1;
+                    if *offset < groups[*group].len() {
+                        return true;
+                    }
+                    *offset = 0;
+                    false
+                });
+                if more_payloads {
+                    continue;
+                }
+                // ... and once those wrapped, the next sender combination:
+                // advance the last position that is not yet at its final
+                // value and restart everything after it.
+                let Some(i) = (0..size).rfind(|&i| chosen[i].0 != i + senders - size) else {
+                    break;
+                };
+                let next = chosen[i].0 + 1;
+                for (k, slot) in chosen[i..].iter_mut().enumerate() {
+                    *slot = (next + k, 0);
                 }
             }
         }
     }
-}
-
-/// Enumerates all `size`-element combinations of `items`, preserving order.
-fn combinations<T>(items: &[T], size: usize) -> Vec<Vec<&T>> {
-    let mut out = Vec::new();
-    if size == 0 || size > items.len() {
-        if size == 0 {
-            out.push(Vec::new());
-        }
-        return out;
-    }
-    let mut indices: Vec<usize> = (0..size).collect();
-    loop {
-        out.push(indices.iter().map(|&i| &items[i]).collect());
-        // Advance the combination indices (standard odometer).
-        let mut i = size;
-        loop {
-            if i == 0 {
-                return out;
-            }
-            i -= 1;
-            if indices[i] != i + items.len() - size {
-                break;
-            }
-            if i == 0 {
-                return out;
-            }
-        }
-        indices[i] += 1;
-        for j in i + 1..size {
-            indices[j] = indices[j - 1] + 1;
-        }
-    }
-}
-
-/// Cartesian product over per-sender payload choices.
-fn cartesian_product<'a, T>(lists: &[&'a Vec<T>]) -> Vec<Vec<&'a T>> {
-    let mut out: Vec<Vec<&T>> = vec![Vec::new()];
-    for list in lists {
-        let mut next = Vec::with_capacity(out.len() * list.len());
-        for prefix in &out {
-            for item in list.iter() {
-                let mut extended = prefix.clone();
-                extended.push(item);
-                next.push(extended);
-            }
-        }
-        out = next;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -385,26 +397,109 @@ mod tests {
         s
     }
 
-    #[test]
-    fn combinations_enumeration() {
-        let items = [1, 2, 3, 4];
-        assert_eq!(combinations(&items, 2).len(), 6);
-        assert_eq!(combinations(&items, 4).len(), 1);
-        assert_eq!(combinations(&items, 5).len(), 0);
-        assert_eq!(combinations(&items, 0).len(), 1);
-        let singles = combinations(&items, 1);
-        assert_eq!(singles.len(), 4);
+    /// The `(sender, vote)` pairs an instance consumes, for golden lists.
+    fn votes(instance: &TransitionInstance<Msg>) -> Vec<(usize, u8)> {
+        instance
+            .envelopes
+            .iter()
+            .map(|e| match e.payload {
+                Msg::Vote(v) => (e.sender.index(), v),
+                Msg::Other => unreachable!("COLLECT consumes votes only"),
+            })
+            .collect()
     }
 
     #[test]
-    fn cartesian_product_counts() {
-        let a = vec![1, 2];
-        let b = vec![3];
-        let c = vec![4, 5, 6];
-        let prod = cartesian_product(&[&a, &b, &c]);
-        assert_eq!(prod.len(), 6);
-        let empty: Vec<&Vec<i32>> = Vec::new();
-        assert_eq!(cartesian_product(&empty).len(), 1);
+    fn combinations_enumeration() {
+        let state = state_with_votes(&[1, 2, 3]);
+        let count = |q| enabled_instances(&collector_protocol(QuorumSpec::Exact(q)), &state).len();
+        assert_eq!(count(1), 3);
+        assert_eq!(count(2), 3);
+        assert_eq!(count(3), 1);
+        // Sender combinations come out in lexicographic order.
+        let pairs: Vec<_> = enabled_instances(&collector_protocol(QuorumSpec::Exact(2)), &state)
+            .iter()
+            .map(votes)
+            .collect();
+        assert_eq!(
+            pairs,
+            vec![
+                vec![(1, 1), (2, 2)],
+                vec![(1, 1), (3, 3)],
+                vec![(2, 2), (3, 3)]
+            ]
+        );
+    }
+
+    #[test]
+    fn payload_choices_step_like_an_odometer() {
+        // 2 payloads from p1 × 1 from p2 × 3 from p3 (one of them twice: the
+        // multiplicity must not multiply the choices).
+        let mut s = state_with_votes(&[1, 2, 3]);
+        s.channels.send(p(1), p(0), Msg::Vote(9));
+        s.channels.send(p(3), p(0), Msg::Vote(7));
+        s.channels.send(p(3), p(0), Msg::Vote(8));
+        s.channels.send(p(3), p(0), Msg::Vote(8));
+        let triples: Vec<_> = enabled_instances(&collector_protocol(QuorumSpec::Exact(3)), &s)
+            .iter()
+            .map(votes)
+            .collect();
+        // The first sender's choice is the most significant digit.
+        assert_eq!(
+            triples,
+            vec![
+                vec![(1, 1), (2, 2), (3, 3)],
+                vec![(1, 1), (2, 2), (3, 7)],
+                vec![(1, 1), (2, 2), (3, 8)],
+                vec![(1, 9), (2, 2), (3, 3)],
+                vec![(1, 9), (2, 2), (3, 7)],
+                vec![(1, 9), (2, 2), (3, 8)],
+            ]
+        );
+    }
+
+    #[test]
+    fn unbounded_quorums_list_sizes_ascending() {
+        let mut s = state_with_votes(&[1, 3]);
+        s.channels.send(p(3), p(0), Msg::Vote(4));
+        s.channels.send(p(2), p(0), Msg::Other);
+        let listed = |quorum| -> Vec<_> {
+            enabled_instances(&collector_protocol(quorum), &s)
+                .iter()
+                .map(votes)
+                .collect()
+        };
+        let singles = vec![vec![(1, 1)], vec![(3, 3)], vec![(3, 4)]];
+        let pairs = vec![vec![(1, 1), (3, 3)], vec![(1, 1), (3, 4)]];
+        assert_eq!(
+            listed(QuorumSpec::AtLeast(1)),
+            [singles.clone(), pairs.clone()].concat()
+        );
+        assert_eq!(listed(QuorumSpec::Between { min: 2, max: 3 }), pairs);
+        assert_eq!(listed(QuorumSpec::Between { min: 1, max: 1 }), singles);
+        assert!(listed(QuorumSpec::AtLeast(3)).is_empty());
+    }
+
+    #[test]
+    fn enable_filter_is_not_consulted_for_an_empty_inbox() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        let calls = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&calls);
+        let proto = collector_protocol(QuorumSpec::Exact(2)).with_enable_filter(
+            move |_: &GlobalState<u32, Msg>, _: &TransitionSpec<u32, Msg>| {
+                seen.fetch_add(1, Ordering::Relaxed);
+                true
+            },
+        );
+        assert!(enabled_instances(&proto, &state_with_votes(&[])).is_empty());
+        // Only the internal NOOP reaches the filter: COLLECT has no mail.
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            enabled_instances(&proto, &state_with_votes(&[1, 2])).len(),
+            1
+        );
+        assert_eq!(calls.load(Ordering::Relaxed), 3);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! The crate provides:
 //!
 //! * the structural vocabulary — [`ProcessId`], [`Message`], [`Envelope`],
-//!   [`Multiset`], [`Channels`], [`GlobalState`];
+//!   [`Channels`], [`GlobalState`];
 //! * transition specifications — [`TransitionSpec`], [`InputSpec`],
 //!   [`QuorumSpec`], [`Outcome`], and the Table-IV style [`Annotations`]
 //!   consumed by the partial-order reduction in `mp-por`;
@@ -76,7 +76,6 @@ pub mod error;
 pub mod graph;
 pub mod ids;
 pub mod message;
-pub mod multiset;
 pub mod permute;
 pub mod protocol;
 pub mod semantics;
@@ -96,7 +95,6 @@ pub use error::ModelError;
 pub use graph::StateGraph;
 pub use ids::{ProcessId, TransitionId};
 pub use message::{Envelope, Kind, Message};
-pub use multiset::Multiset;
 pub use permute::{Permutable, Permutation};
 pub use protocol::{EnableFilter, ProtocolBuilder, ProtocolSpec};
 pub use semantics::{execute, execute_enabled, is_deadlock, successors};

@@ -152,7 +152,7 @@ impl<S: LocalState + fmt::Display, M: Message> fmt::Display for GlobalState<S, M
             writeln!(f, "  channels: (empty)")?;
         } else {
             writeln!(f, "  channels:")?;
-            for ((from, to), bag) in self.channels.iter() {
+            for ((from, to), bag) in self.channels.by_channel() {
                 writeln!(f, "    {from} -> {to}: {bag:?}")?;
             }
         }

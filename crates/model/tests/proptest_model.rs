@@ -1,32 +1,48 @@
 //! Property-based tests for the core data structures of `mp-model`.
 //!
 //! These check the invariants the explicit-state model checker relies on:
-//! multisets and channels are canonical (insertion-order independent),
-//! consuming what was sent restores the previous contents, and the
-//! enabled-instance enumeration matches a brute-force reference for exact
-//! quorum transitions.
+//! channels are canonical multisets (send-order independent, equal exactly
+//! when their encodings are equal), they behave like the obvious map of
+//! maps under any sequence of sends, consumes and permutations — down to the
+//! encoded bytes —, consuming what was sent restores the previous contents,
+//! and the enabled-instance enumeration matches a brute-force reference for
+//! exact quorum transitions.
 //!
 //! The cases are generated by a small deterministic PRNG instead of
 //! `proptest` (this build environment is offline); every run explores the
 //! same fixed set of pseudo-random cases, so failures reproduce exactly.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use mp_model::{
-    enabled_instances, Channels, Envelope, GlobalState, Message, Multiset, Outcome, ProcessId,
-    ProtocolSpec, QuorumSpec, TransitionSpec,
+    decode_from_slice, enabled_instances, encode_to_vec, Channels, Encode, Envelope, GlobalState,
+    Message, Outcome, Permutable, Permutation, ProcessId, ProtocolSpec, QuorumSpec, TransitionSpec,
 };
 
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 enum Msg {
     Vote(u8),
+    /// Embeds a process id, so permuting can reorder payloads of a channel.
+    Echo(ProcessId),
 }
 
-mp_model::codec!(enum Msg { 0 = Vote(v) });
+mp_model::codec!(enum Msg { 0 = Vote(v), 1 = Echo(origin) });
 
 impl Message for Msg {
     fn kind(&self) -> &'static str {
-        "VOTE"
+        match self {
+            Msg::Vote(_) => "VOTE",
+            Msg::Echo(_) => "ECHO",
+        }
+    }
+}
+
+impl Permutable for Msg {
+    fn permute(&self, perm: &Permutation) -> Self {
+        match self {
+            Msg::Vote(v) => Msg::Vote(*v),
+            Msg::Echo(origin) => Msg::Echo(perm.apply(*origin)),
+        }
     }
 }
 
@@ -53,24 +69,55 @@ impl Rng {
         let len = self.below(32);
         (0..len).map(|_| self.below(8) as u8).collect()
     }
+
+    fn shuffle<T>(&mut self, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            items.swap(i, self.below(i + 1));
+        }
+    }
+
+    /// A message between two of `N` processes, from a domain small enough
+    /// that duplicates and consumable messages are common.
+    fn message(&mut self) -> (ProcessId, ProcessId, Msg) {
+        let payload = match self.below(3) {
+            0 => Msg::Echo(ProcessId(self.below(N))),
+            _ => Msg::Vote(self.below(3) as u8),
+        };
+        (ProcessId(self.below(N)), ProcessId(self.below(N)), payload)
+    }
+
+    fn permutation(&mut self) -> Permutation {
+        let mut map: Vec<usize> = (0..N).collect();
+        self.shuffle(&mut map);
+        Permutation::from_map(map).expect("a shuffle is a bijection")
+    }
 }
 
 const CASES: usize = 64;
+const N: usize = 4;
+
+/// The channel `c` of the paper as a multiset over one `(sender, receiver)`
+/// pair: all of `elems` sent from p0 to p1.
+fn bag(elems: &[u8]) -> Channels<Msg> {
+    let mut ch = Channels::new(2);
+    for v in elems {
+        ch.send(ProcessId(0), ProcessId(1), Msg::Vote(*v));
+    }
+    ch
+}
 
 #[test]
 fn multiset_is_order_independent() {
     let mut rng = Rng(1);
     for _ in 0..CASES {
         let elems = rng.elems();
-        let forward: Multiset<u8> = elems.iter().copied().collect();
+        let forward = bag(&elems);
         let mut shuffled = elems.clone();
-        for i in (1..shuffled.len()).rev() {
-            let j = rng.below(i + 1);
-            shuffled.swap(i, j);
-        }
-        let backward: Multiset<u8> = shuffled.into_iter().collect();
+        rng.shuffle(&mut shuffled);
+        let backward = bag(&shuffled);
         assert_eq!(forward, backward);
-        assert_eq!(forward.len(), elems.len());
+        assert_eq!(encode_to_vec(&forward), encode_to_vec(&backward));
+        assert_eq!(forward.total_pending(), elems.len());
     }
 }
 
@@ -79,12 +126,13 @@ fn multiset_insert_remove_roundtrip() {
     let mut rng = Rng(2);
     for _ in 0..CASES {
         let elems = rng.elems();
-        let extra = rng.below(8) as u8;
-        let original: Multiset<u8> = elems.iter().copied().collect();
+        let extra = Envelope::new(ProcessId(0), Msg::Vote(rng.below(8) as u8));
+        let original = bag(&elems);
         let mut modified = original.clone();
-        modified.insert(extra);
-        assert_eq!(modified.len(), original.len() + 1);
-        assert!(modified.remove(&extra));
+        modified.send(extra.sender, ProcessId(1), extra.payload.clone());
+        assert_eq!(modified.total_pending(), original.total_pending() + 1);
+        assert_ne!(modified, original);
+        assert!(modified.consume(ProcessId(1), &extra));
         assert_eq!(modified, original);
     }
 }
@@ -94,14 +142,153 @@ fn multiset_inclusion() {
     let mut rng = Rng(3);
     for _ in 0..CASES {
         let elems = rng.elems();
-        let full: Multiset<u8> = elems.iter().copied().collect();
-        let half: Multiset<u8> = elems.iter().copied().take(elems.len() / 2).collect();
-        assert!(full.includes(&half));
-        assert!(full.includes(&full));
-        if half.len() < full.len() {
-            assert!(!half.includes(&full));
+        let (half, rest) = elems.split_at(elems.len() / 2);
+        // Everything in `half` can be taken out of the full bag, one copy
+        // per occurrence, and what is left is exactly `rest` ...
+        let mut full = bag(&elems);
+        for v in half {
+            assert!(full.consume(ProcessId(1), &Envelope::new(ProcessId(0), Msg::Vote(*v))));
+        }
+        assert_eq!(full, bag(rest));
+        // ... from which nothing more can be taken than it holds.
+        for v in 0..8 {
+            let env = Envelope::new(ProcessId(0), Msg::Vote(v));
+            let held = rest.iter().filter(|r| **r == v).count();
+            assert_eq!(full.pending_count(ProcessId(1), &env), held);
+            for _ in 0..held {
+                assert!(full.consume(ProcessId(1), &env));
+            }
+            assert!(!full.consume(ProcessId(1), &env));
+        }
+        assert!(full.is_empty());
+    }
+}
+
+/// What `Channels` replaced: a map of `(receiver, sender)` to a map of
+/// payload to multiplicity. Its generic codec impls *are* the pinned layout.
+type Reference = BTreeMap<(ProcessId, ProcessId), BTreeMap<Msg, usize>>;
+
+fn reference_bytes(reference: &Reference) -> Vec<u8> {
+    let mut out = Vec::new();
+    N.encode(&mut out);
+    reference.encode(&mut out);
+    out
+}
+
+fn assert_matches_reference(ch: &Channels<Msg>, reference: &Reference) {
+    let flat: Vec<_> = reference
+        .iter()
+        .flat_map(|((receiver, sender), bag)| {
+            bag.iter()
+                .map(move |(payload, count)| ((*sender, *receiver), payload, *count))
+        })
+        .collect();
+    assert_eq!(ch.iter().collect::<Vec<_>>(), flat, "iteration order");
+    assert_eq!(
+        ch.total_pending(),
+        flat.iter().map(|(_, _, count)| count).sum::<usize>()
+    );
+    assert_eq!(ch.is_empty(), flat.is_empty());
+    for receiver in (0..N).map(ProcessId) {
+        let expected: Vec<_> = flat
+            .iter()
+            .filter(|((_, to), _, _)| *to == receiver)
+            .flat_map(|((from, _), payload, count)| {
+                std::iter::repeat_n(Envelope::new(*from, (*payload).clone()), *count)
+            })
+            .collect();
+        assert_eq!(ch.pending_for(receiver).collect::<Vec<_>>(), expected);
+    }
+    let bytes = encode_to_vec(ch);
+    assert_eq!(bytes, reference_bytes(reference), "byte-identical layout");
+    assert_eq!(&decode_from_slice::<Channels<Msg>>(&bytes).unwrap(), ch);
+}
+
+#[test]
+fn channels_match_the_map_of_maps_reference() {
+    let mut rng = Rng(6);
+    for _ in 0..CASES {
+        let mut ch: Channels<Msg> = Channels::new(N);
+        let mut reference = Reference::new();
+        for _ in 0..48 {
+            match rng.below(8) {
+                0 => {
+                    let perm = rng.permutation();
+                    ch = ch.permute(&perm);
+                    let mut permuted = Reference::new();
+                    for ((receiver, sender), bag) in &reference {
+                        let slot: &mut BTreeMap<Msg, usize> = permuted
+                            .entry((perm.apply(*receiver), perm.apply(*sender)))
+                            .or_default();
+                        for (payload, count) in bag {
+                            slot.insert(payload.permute(&perm), *count);
+                        }
+                    }
+                    reference = permuted;
+                }
+                1..=3 => {
+                    // Mostly hits: the domain is small.
+                    let (sender, receiver, payload) = rng.message();
+                    let env = Envelope::new(sender, payload);
+                    let held = reference
+                        .get(&(receiver, sender))
+                        .and_then(|bag| bag.get(&env.payload))
+                        .copied()
+                        .unwrap_or(0);
+                    assert_eq!(ch.pending_count(receiver, &env), held);
+                    assert_eq!(ch.consume(receiver, &env), held > 0);
+                    if held > 0 {
+                        let bag = reference.get_mut(&(receiver, sender)).unwrap();
+                        if held > 1 {
+                            bag.insert(env.payload, held - 1);
+                        } else {
+                            bag.remove(&env.payload);
+                            if bag.is_empty() {
+                                reference.remove(&(receiver, sender));
+                            }
+                        }
+                    }
+                }
+                _ => {
+                    let (sender, receiver, payload) = rng.message();
+                    ch.send(sender, receiver, payload.clone());
+                    *reference
+                        .entry((receiver, sender))
+                        .or_default()
+                        .entry(payload)
+                        .or_insert(0) += 1;
+                }
+            }
+            assert_matches_reference(&ch, &reference);
         }
     }
+}
+
+#[test]
+fn channels_are_equal_exactly_when_their_encodings_are() {
+    let mut rng = Rng(7);
+    // Few messages from a small domain: equal pairs are common.
+    let samples: Vec<Channels<Msg>> = (0..96)
+        .map(|_| {
+            let mut ch = Channels::new(N);
+            for _ in 0..rng.below(3) {
+                let (sender, receiver, payload) = rng.message();
+                ch.send(sender, ProcessId(receiver.index() % 2), payload);
+            }
+            ch
+        })
+        .collect();
+    let mut equal_pairs = 0;
+    for a in &samples {
+        for b in &samples {
+            assert_eq!(a == b, encode_to_vec(a) == encode_to_vec(b));
+            equal_pairs += usize::from(a == b);
+        }
+    }
+    assert!(
+        equal_pairs > samples.len(),
+        "the sample must contain equal pairs"
+    );
 }
 
 #[test]

@@ -15,13 +15,14 @@
 
 use mp_model::{InputSpec, LocalState, Message, ProtocolSpec, TransitionId};
 
+use crate::bits::BitRows;
 use crate::independence::{can_communicate, may_emit_kind};
 
-/// Pre-computed can-enable relation: `enablers[t]` lists every transition
-/// that may turn `t` from disabled to enabled.
+/// Pre-computed can-enable relation: row `t` of `enablers` holds every
+/// transition that may turn `t` from disabled to enabled.
 #[derive(Clone, Debug)]
 pub struct CanEnable {
-    enablers: Vec<Vec<TransitionId>>,
+    enablers: BitRows,
     enabled_by: Vec<Vec<TransitionId>>,
 }
 
@@ -29,7 +30,7 @@ impl CanEnable {
     /// Computes the relation for `spec`.
     pub fn compute<S: LocalState, M: Message>(spec: &ProtocolSpec<S, M>) -> Self {
         let n = spec.num_transitions();
-        let mut enablers = vec![Vec::new(); n];
+        let mut enablers = BitRows::empty(n);
         let mut enabled_by = vec![Vec::new(); n];
         for (a_id, a) in spec.transitions() {
             for (b_id, b) in spec.transitions() {
@@ -59,7 +60,7 @@ impl CanEnable {
                     can_enable = true;
                 }
                 if can_enable {
-                    enablers[b_id.index()].push(a_id);
+                    enablers.insert(b_id, a_id);
                     enabled_by[a_id.index()].push(b_id);
                 }
             }
@@ -72,8 +73,13 @@ impl CanEnable {
 
     /// Returns the transitions that may enable `t` (its necessary enabling
     /// transitions).
-    pub fn enablers_of(&self, t: TransitionId) -> &[TransitionId] {
-        &self.enablers[t.index()]
+    pub fn enablers_of(&self, t: TransitionId) -> Vec<TransitionId> {
+        self.enablers.members(t).collect()
+    }
+
+    /// The set [`Self::enablers_of`] lists, as the words of a bitset.
+    pub(crate) fn enablers_row(&self, t: TransitionId) -> &[u64] {
+        self.enablers.row(t)
     }
 
     /// Returns the transitions that `t` may enable.
@@ -84,7 +90,7 @@ impl CanEnable {
     /// Returns the total number of `(enabler, enabled)` pairs — a summary
     /// statistic showing how refinement tightens the relation.
     pub fn num_pairs(&self) -> usize {
-        self.enablers.iter().map(Vec::len).sum()
+        self.enablers.len()
     }
 }
 

@@ -23,28 +23,31 @@
 
 use mp_model::{Kind, LocalState, Message, ProtocolSpec, TransitionId, TransitionSpec};
 
+use crate::bits::BitRows;
+
 /// Symmetric dependence relation over the transitions of a protocol,
 /// pre-computed once before the search starts.
 #[derive(Clone, Debug)]
 pub struct IndependenceRelation {
     num_transitions: usize,
-    /// Row-major boolean matrix: `dependent[i * n + j]`.
-    dependent: Vec<bool>,
+    /// Row `t`: the transitions dependent on `t` (including `t`).
+    dependent: BitRows,
 }
 
 impl IndependenceRelation {
     /// Computes the unconditional dependence relation of `spec`.
     pub fn compute<S: LocalState, M: Message>(spec: &ProtocolSpec<S, M>) -> Self {
         let n = spec.num_transitions();
-        let mut dependent = vec![false; n * n];
+        let mut dependent = BitRows::empty(n);
         for (a_id, a) in spec.transitions() {
             for (b_id, b) in spec.transitions() {
                 if a_id.index() > b_id.index() {
                     continue;
                 }
-                let dep = transitions_dependent(a, b);
-                dependent[a_id.index() * n + b_id.index()] = dep;
-                dependent[b_id.index() * n + a_id.index()] = dep;
+                if transitions_dependent(a, b) {
+                    dependent.insert(a_id, b_id);
+                    dependent.insert(b_id, a_id);
+                }
             }
         }
         IndependenceRelation {
@@ -60,7 +63,7 @@ impl IndependenceRelation {
 
     /// Returns `true` if the two transitions are (possibly) dependent.
     pub fn dependent(&self, a: TransitionId, b: TransitionId) -> bool {
-        self.dependent[a.index() * self.num_transitions + b.index()]
+        self.dependent.contains(a, b)
     }
 
     /// Returns `true` if the two transitions are (definitely) independent.
@@ -70,24 +73,26 @@ impl IndependenceRelation {
 
     /// Returns all transitions dependent on `t` (including `t` itself).
     pub fn dependents_of(&self, t: TransitionId) -> Vec<TransitionId> {
-        (0..self.num_transitions)
-            .filter(|&j| self.dependent[t.index() * self.num_transitions + j])
-            .map(TransitionId)
-            .collect()
+        self.dependent.members(t).collect()
+    }
+
+    /// The set [`Self::dependents_of`] lists, as the words of a bitset.
+    pub(crate) fn dependents_row(&self, t: TransitionId) -> &[u64] {
+        self.dependent.row(t)
     }
 
     /// Returns the number of dependent (unordered) pairs, a useful summary
     /// statistic when comparing refined against unrefined models.
     pub fn num_dependent_pairs(&self) -> usize {
-        let mut count = 0;
-        for i in 0..self.num_transitions {
-            for j in i..self.num_transitions {
-                if self.dependent[i * self.num_transitions + j] {
-                    count += 1;
-                }
-            }
-        }
-        count
+        (0..self.num_transitions)
+            .map(TransitionId)
+            .map(|t| {
+                self.dependent
+                    .members(t)
+                    .filter(|other| *other >= t)
+                    .count()
+            })
+            .sum()
     }
 }
 

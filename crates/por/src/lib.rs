@@ -60,6 +60,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod bits;
 pub mod canenable;
 pub mod dpor;
 pub mod heuristics;
@@ -67,6 +68,7 @@ pub mod independence;
 pub mod reducer;
 pub mod stubborn;
 
+pub use bits::TransitionSet;
 pub use canenable::{has_potential_enabler, CanEnable};
 pub use dpor::{
     happens_before, instances_dependent, latest_racing_step, step_dependent, ExecutedStep,

@@ -132,29 +132,23 @@ impl<S: LocalState, M: Message> Reducer<S, M> for SporReducer {
         _state: &GlobalState<S, M>,
         instances: Vec<TransitionInstance<M>>,
     ) -> Reduction<M> {
-        if instances.is_empty() {
-            return Reduction {
-                explore: instances,
-                pruned: Vec::new(),
-                reduced: false,
-            };
-        }
         let mut enabled: Vec<TransitionId> = instances.iter().map(|i| i.transition).collect();
         enabled.sort_unstable();
         enabled.dedup();
         match self.sets.compute(spec, &enabled) {
-            Some(result) => {
-                let (explore, pruned): (Vec<TransitionInstance<M>>, Vec<TransitionInstance<M>>) =
-                    instances
-                        .into_iter()
-                        .partition(|i| result.explore.contains(&i.transition));
+            Some(stubborn) if stubborn.reduced => {
+                let (explore, pruned) = instances
+                    .into_iter()
+                    .partition(|i| stubborn.explore.contains(i.transition));
                 Reduction {
-                    reduced: result.reduced,
                     explore,
                     pruned,
+                    reduced: true,
                 }
             }
-            None => Reduction {
+            // Nothing pruned (or nothing enabled): the instances go back as
+            // they came.
+            _ => Reduction {
                 explore: instances,
                 pruned: Vec::new(),
                 reduced: false,

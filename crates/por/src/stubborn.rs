@@ -32,10 +32,9 @@
 //! The computation works on transition *ids*; the checker maps the chosen
 //! ids back to the concrete [`TransitionInstance`](mp_model::TransitionInstance)s it enumerated.
 
-use std::collections::BTreeSet;
-
 use mp_model::{LocalState, Message, ProtocolSpec, TransitionId};
 
+use crate::bits::{self, TransitionSet};
 use crate::{CanEnable, IndependenceRelation, SeedHeuristic};
 
 /// Pre-computed data driving stubborn-set computation for one protocol.
@@ -43,7 +42,7 @@ use crate::{CanEnable, IndependenceRelation, SeedHeuristic};
 pub struct StubbornSets {
     independence: IndependenceRelation,
     can_enable: CanEnable,
-    visible: Vec<bool>,
+    visible: TransitionSet,
     heuristic: SeedHeuristic,
 }
 
@@ -51,7 +50,7 @@ pub struct StubbornSets {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StubbornSet {
     /// The enabled transitions that must be explored in this state.
-    pub explore: BTreeSet<TransitionId>,
+    pub explore: TransitionSet,
     /// `true` if `explore` is a strict subset of the enabled transitions.
     pub reduced: bool,
     /// The seed transition the closure started from.
@@ -71,10 +70,12 @@ impl StubbornSets {
     ) -> Self {
         let independence = IndependenceRelation::compute(spec);
         let can_enable = CanEnable::compute(spec);
-        let visible = spec
-            .transitions()
-            .map(|(_, t)| t.annotations().is_visible)
-            .collect();
+        let mut visible = TransitionSet::empty(spec.num_transitions());
+        for (id, t) in spec.transitions() {
+            if t.annotations().is_visible {
+                visible.insert(id);
+            }
+        }
         StubbornSets {
             independence,
             can_enable,
@@ -100,7 +101,7 @@ impl StubbornSets {
 
     /// Returns `true` if the transition is annotated visible.
     pub fn is_visible(&self, t: TransitionId) -> bool {
-        self.visible[t.index()]
+        self.visible.contains(t)
     }
 
     /// Computes a stubborn set for a state in which exactly the transitions
@@ -116,52 +117,82 @@ impl StubbornSets {
         if enabled.is_empty() {
             return None;
         }
-        let enabled_set: BTreeSet<TransitionId> = enabled.iter().copied().collect();
         let seed = self.heuristic.choose(spec, &self.independence, enabled);
 
-        let mut work: BTreeSet<TransitionId> = BTreeSet::new();
-        self.close(seed, &enabled_set, &mut work);
-
-        let mut explore: BTreeSet<TransitionId> = work
-            .iter()
-            .copied()
-            .filter(|t| enabled_set.contains(t))
-            .collect();
+        // One buffer, three sets side by side: `work` is the stubborn set
+        // under construction, `todo` its members whose closure rule has not
+        // been applied yet.
+        let words = bits::words_for(self.independence.num_transitions());
+        let mut buffer = vec![0u64; 3 * words];
+        let (work, rest) = buffer.split_at_mut(words);
+        let (enabled_set, todo) = rest.split_at_mut(words);
+        for t in enabled {
+            bits::insert(enabled_set, *t);
+        }
+        bits::insert(work, seed);
+        bits::insert(todo, seed);
+        self.close(enabled_set, work, todo);
 
         // Visibility condition: if we achieved a reduction but some enabled
         // visible transition would be postponed, add every enabled visible
         // transition (and its closure) so that property-relevant events are
         // never delayed past the reduction.
-        if explore.len() < enabled_set.len() {
-            let visible_enabled: Vec<TransitionId> = enabled_set
-                .iter()
-                .copied()
-                .filter(|t| self.visible[t.index()])
-                .collect();
-            if !visible_enabled.is_empty() && visible_enabled.iter().any(|t| !explore.contains(t)) {
-                for t in visible_enabled {
-                    self.close(t, &enabled_set, &mut work);
+        if !bits::is_subset(enabled_set, work) {
+            for &t in enabled {
+                if self.visible.contains(t) && !bits::contains(work, t) {
+                    bits::insert(work, t);
+                    bits::insert(todo, t);
                 }
-                explore = work
-                    .iter()
-                    .copied()
-                    .filter(|t| enabled_set.contains(t))
-                    .collect();
             }
+            self.close(enabled_set, work, todo);
         }
 
-        let reduced = explore.len() < enabled_set.len();
+        // The explore set is the enabled part of the stubborn set; it keeps
+        // the front of the buffer.
+        for (kept, enabled) in work.iter_mut().zip(enabled_set.iter()) {
+            *kept &= enabled;
+        }
+        let reduced = work != enabled_set;
+        buffer.truncate(words);
         Some(StubbornSet {
-            explore,
+            explore: TransitionSet::from_words(buffer),
             reduced,
             seed,
         })
     }
 
-    /// Closure step shared by the seed and the visibility repair: adds `start`
-    /// to `work` and saturates under the stubborn-set rules.
+    /// Saturates `work` under the stubborn-set rules, applying them to the
+    /// members in `todo` (a subset of `work`) and to everything they pull
+    /// in, until `todo` is empty.
+    fn close(&self, enabled: &[u64], work: &mut [u64], todo: &mut [u64]) {
+        while let Some(t) = bits::pop_first(todo) {
+            // Enabled member: every dependent transition must be in the set,
+            // otherwise a dependent interleaving could be missed. Disabled
+            // member: a necessary enabling set must be included so that
+            // paths which first enable `t` are represented.
+            let pulled_in = if bits::contains(enabled, t) {
+                self.independence.dependents_row(t)
+            } else {
+                self.can_enable.enablers_row(t)
+            };
+            bits::pull_in(work, pulled_in, todo);
+        }
+    }
+}
+
+/// The closure as it was before the bitsets: ordered sets, a work queue and
+/// the relations read through their list accessors. Kept as the reference
+/// the word-wise closure above is compared against.
+#[cfg(test)]
+fn reference_compute<S: LocalState, M: Message>(
+    sets: &StubbornSets,
+    spec: &ProtocolSpec<S, M>,
+    enabled: &[TransitionId],
+) -> Option<(std::collections::BTreeSet<TransitionId>, bool, TransitionId)> {
+    use std::collections::BTreeSet;
+
     fn close(
-        &self,
+        sets: &StubbornSets,
         start: TransitionId,
         enabled_set: &BTreeSet<TransitionId>,
         work: &mut BTreeSet<TransitionId>,
@@ -171,25 +202,42 @@ impl StubbornSets {
             queue.push(start);
         }
         while let Some(t) = queue.pop() {
-            if enabled_set.contains(&t) {
-                // Enabled member: every dependent transition must be in the
-                // set, otherwise a dependent interleaving could be missed.
-                for dep in self.independence.dependents_of(t) {
-                    if work.insert(dep) {
-                        queue.push(dep);
-                    }
-                }
+            let pulled_in = if enabled_set.contains(&t) {
+                sets.independence.dependents_of(t)
             } else {
-                // Disabled member: a necessary enabling set must be included
-                // so that paths which first enable `t` are represented.
-                for enabler in self.can_enable.enablers_of(t) {
-                    if work.insert(*enabler) {
-                        queue.push(*enabler);
-                    }
+                sets.can_enable.enablers_of(t)
+            };
+            for next in pulled_in {
+                if work.insert(next) {
+                    queue.push(next);
                 }
             }
         }
     }
+
+    if enabled.is_empty() {
+        return None;
+    }
+    let enabled_set: BTreeSet<TransitionId> = enabled.iter().copied().collect();
+    let seed = sets.heuristic.choose(spec, &sets.independence, enabled);
+    let mut work: BTreeSet<TransitionId> = BTreeSet::new();
+    close(sets, seed, &enabled_set, &mut work);
+    let mut explore: BTreeSet<TransitionId> = work.intersection(&enabled_set).copied().collect();
+    if explore.len() < enabled_set.len() {
+        let visible_enabled: Vec<TransitionId> = enabled_set
+            .iter()
+            .copied()
+            .filter(|t| sets.is_visible(*t))
+            .collect();
+        if visible_enabled.iter().any(|t| !explore.contains(t)) {
+            for t in visible_enabled {
+                close(sets, t, &enabled_set, &mut work);
+            }
+            explore = work.intersection(&enabled_set).copied().collect();
+        }
+    }
+    let reduced = explore.len() < enabled_set.len();
+    Some((explore, reduced, seed))
 }
 
 #[cfg(test)]
@@ -321,7 +369,7 @@ mod tests {
             .compute(&spec, &[TransitionId(0), TransitionId(5)])
             .unwrap();
         assert!(
-            result.explore.contains(&TransitionId(5)),
+            result.explore.contains(TransitionId(5)),
             "the visible transition must be in every stubborn set that reduces"
         );
     }
@@ -338,8 +386,8 @@ mod tests {
         let result = sets
             .compute(&spec, &[TransitionId(1), TransitionId(3)])
             .unwrap();
-        assert!(result.explore.contains(&TransitionId(1)));
-        assert!(!result.explore.contains(&TransitionId(3)));
+        assert!(result.explore.contains(TransitionId(1)));
+        assert!(!result.explore.contains(TransitionId(3)));
         assert!(result.reduced);
     }
 
@@ -349,9 +397,151 @@ mod tests {
         let sets = StubbornSets::new(&spec);
         let enabled = [TransitionId(0), TransitionId(1), TransitionId(3)];
         let result = sets.compute(&spec, &enabled).unwrap();
-        for t in &result.explore {
-            assert!(enabled.contains(t));
+        for t in result.explore.iter() {
+            assert!(enabled.contains(&t));
         }
         assert!(!result.explore.is_empty());
+    }
+
+    const HEURISTICS: [SeedHeuristic; 4] = [
+        SeedHeuristic::OppositeTransaction,
+        SeedHeuristic::Transaction,
+        SeedHeuristic::FirstEnabled,
+        SeedHeuristic::FewestDependents,
+    ];
+
+    fn assert_matches_reference<S: LocalState, M: Message>(
+        sets: &StubbornSets,
+        spec: &ProtocolSpec<S, M>,
+        enabled: &[TransitionId],
+    ) {
+        let expected = reference_compute(sets, spec, enabled);
+        let actual = sets.compute(spec, enabled).map(|stubborn| {
+            (
+                stubborn.explore.iter().collect(),
+                stubborn.reduced,
+                stubborn.seed,
+            )
+        });
+        assert_eq!(actual, expected, "enabled: {enabled:?}");
+    }
+
+    /// SplitMix64, as in the other deterministic property tests.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e3779b97f4a7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+        z ^ (z >> 31)
+    }
+
+    /// `count` random subsets of the transitions of `spec`, a mix of sparse
+    /// ones (what a state enables) and dense ones.
+    fn random_subsets<S: LocalState, M: Message>(
+        spec: &ProtocolSpec<S, M>,
+        seed: u64,
+        count: usize,
+    ) -> Vec<Vec<TransitionId>> {
+        let mut rng = seed;
+        (0..count)
+            .map(|_| {
+                let one_in = 2 + next(&mut rng) % 12;
+                spec.transition_ids()
+                    .filter(|_| next(&mut rng).is_multiple_of(one_in))
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bitmask_closure_matches_reference_on_every_subset_of_the_small_specs() {
+        let plain = two_pairs();
+        let mut transitions: Vec<_> = plain.transitions().map(|(_, t)| t.clone()).collect();
+        transitions[1].annotations_mut().is_visible = true;
+        transitions[5].annotations_mut().is_visible = true;
+        let with_visible = plain.with_transitions(transitions).unwrap();
+        for spec in [&plain, &with_visible] {
+            let n = spec.num_transitions();
+            for heuristic in HEURISTICS {
+                let sets = StubbornSets::with_heuristic(spec, heuristic);
+                for mask in 0u32..1 << n {
+                    let enabled: Vec<TransitionId> = (0..n)
+                        .filter(|t| mask & (1 << t) != 0)
+                        .map(TransitionId)
+                        .collect();
+                    assert_matches_reference(&sets, spec, &enabled);
+                }
+            }
+        }
+    }
+
+    /// A ring of 35 request/serve pairs: 70 transitions, so every set spans
+    /// two words, with each server visible at every fifth position.
+    fn ring() -> ProtocolSpec<u8, Msg> {
+        const PAIRS: usize = 35;
+        let mut builder = ProtocolSpec::builder("ring");
+        for i in 0..PAIRS {
+            builder = builder.process(format!("n{i}"), 0u8);
+        }
+        for i in 0..PAIRS {
+            let to = (i + 1) % PAIRS;
+            builder = builder.transition(
+                TransitionSpec::builder(format!("REQ_{i}"), p(i))
+                    .internal()
+                    .guard(|l, _| *l == 0)
+                    .sends(&["REQ"])
+                    .sends_to([p(to)])
+                    .priority((i % 7) as i32)
+                    .effect(move |_, _| Outcome::new(1).send(p(to), Msg::Req))
+                    .build(),
+            );
+            let mut serve = TransitionSpec::builder(format!("SERVE_{i}"), p(i))
+                .single_input("REQ")
+                .sends_nothing()
+                .effect(|_, _| Outcome::new(2));
+            if i % 5 == 0 {
+                serve = serve.visible();
+            }
+            builder = builder.transition(serve.build());
+        }
+        builder.build().unwrap()
+    }
+
+    #[test]
+    fn bitmask_closure_matches_reference_beyond_one_word() {
+        let spec = ring();
+        assert!(spec.num_transitions() > 64);
+        for heuristic in HEURISTICS {
+            let sets = StubbornSets::with_heuristic(&spec, heuristic);
+            for enabled in random_subsets(&spec, 11, 500) {
+                assert_matches_reference(&sets, &spec, &enabled);
+            }
+        }
+        // The relations themselves, bit for bit against the pairwise tests.
+        let sets = StubbornSets::new(&spec);
+        for (a_id, a) in spec.transitions() {
+            for (b_id, b) in spec.transitions() {
+                assert_eq!(
+                    sets.independence().dependent(a_id, b_id),
+                    crate::transitions_dependent(a, b)
+                );
+            }
+            assert_eq!(sets.is_visible(a_id), a.annotations().is_visible);
+        }
+    }
+
+    #[test]
+    fn bitmask_closure_matches_reference_on_fault_injected_paxos() {
+        use mp_faults::FaultBudget;
+        use mp_protocols::paxos::{faulty_quorum_model, PaxosSetting, PaxosVariant};
+        let spec = faulty_quorum_model(
+            PaxosSetting::new(2, 3, 1),
+            PaxosVariant::Correct,
+            FaultBudget::none().crashes(1).drops(1),
+        );
+        let sets = StubbornSets::new(&spec);
+        for enabled in random_subsets(&spec, 12, 4000) {
+            assert_matches_reference(&sets, &spec, &enabled);
+        }
     }
 }
