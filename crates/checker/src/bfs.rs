@@ -1,41 +1,68 @@
-//! Stateful breadth-first search over a pluggable, spillable frontier.
+//! Breadth-first search: one level-synchronous core for the sequential
+//! ([`SearchStrategy::StatefulBfs`](crate::SearchStrategy)) and the pooled
+//! ([`SearchStrategy::ParallelBfs`](crate::SearchStrategy)) strategy.
 //!
 //! Explores states level by level, which makes the first counterexample
 //! found a shortest one — convenient for the paper's debugging experiments
-//! ("finding the first bug ... requires little resources"). The engine keeps
-//! a parent pointer per stored state so counterexample paths can be rebuilt.
+//! ("finding the first bug ... requires little resources"). Every stored
+//! state gets one fixed-width record in `mp-store`'s [`ParentLog`] (parent
+//! index + the successor's ordinal in the parent's explore set); a
+//! counterexample is rebuilt by walking that chain and replaying the
+//! ordinals from the initial state through the same reducer.
 //!
-//! The level queues and the parent-pointer table are driven through
-//! `mp-store`'s [`FrontierBackend`] and [`SpillLog`]: with the default
-//! in-memory frontier the behaviour is the classic two-queue BFS; with
-//! [`FrontierConfig::Disk`](mp_store::FrontierConfig) selected
-//! (`CheckerConfig::frontier`, strategy suffix `+spill`) encoded states are
-//! spilled to watermark-sized segments and read back level by level, so the
-//! resident set stays bounded by the watermark while verdicts and state
-//! counts remain byte-identical (both frontiers are strictly FIFO).
+//! # One loop, `threads` workers
 //!
-//! With a non-trivial [`Symmetry`] the engine canonicalizes each successor
-//! **once** and uses the canonical pair `(ŝ, ô)` both as the visited-store
-//! key and as the frontier payload, alongside the group element δ that
-//! produced it. On dequeue the concrete state is recovered as
-//! `apply_element(δ⁻¹, ŝ)`, and the parent table records concrete
-//! transition instances — so frontier (and spill) bytes shrink with the
-//! orbit collapse while exploration, properties and counterexample paths
-//! all stay concrete.
+//! The calling thread owns the frontier, the parent log and the checkpoint
+//! writer, and is itself a worker. It cuts the current level into chunks
+//! of `CHUNK_ENTRIES` (64) entries and offers each to the bounded queue of
+//! `pool.rs`, which `threads − 1` helper threads — spawned once per run —
+//! serve. Whenever the queue is full the caller expands the chunk
+//! itself, so at most `2 × helpers` chunks wait, and with zero helpers
+//! (the sequential strategy, or `parallel_bfs(1)`) every chunk is expanded
+//! in place, in FIFO order: sequential BFS is this loop without helpers,
+//! not a second engine. One `expand_chunk` serves caller and helpers; it
+//! returns the chunk's first-visit successors and a plain tally, and only
+//! the caller `admit`s them — assigns the node index, appends the parent
+//! record, tees the checkpoint, pushes the frontier. A level ends when the
+//! frontier's current level is drained and every chunk has come back, so
+//! verdicts, counters and peak depth do not depend on the thread count;
+//! with helpers only the order *within* a level does.
 //!
-//! Note on soundness with POR: a breadth-first search has no stack, so the
-//! cycle proviso of the DFS engine does not apply. On cyclic state graphs
-//! the BFS engine therefore only applies the reducer when the protocol's
-//! state graph is known to be acyclic (all three protocols in the paper
-//! terminate); for safety it falls back to full expansion whenever it
-//! re-encounters a state that is still in the frontier of the same level.
+//! The pooled strategy upgrades a single-lock visited store to its
+//! lock-striped equivalent
+//! ([`StoreConfig::for_parallel`](mp_store::StoreConfig::for_parallel)), so
+//! there is no global mutex on the visited set.
+//!
+//! # Frontier, spill and symmetry
+//!
+//! The level queues are a `mp-store` [`FrontierBackend`]: with
+//! [`FrontierConfig::Disk`](mp_store::FrontierConfig) (strategy suffix
+//! `+spill`) encoded entries and the parent log spill past the watermark
+//! and are read back level by level, with byte-identical verdicts and
+//! counts (both frontiers are strictly FIFO). With a non-trivial
+//! [`Symmetry`] each successor is canonicalized **once**; the canonical
+//! pair `(ŝ, ô)` is both the visited-store key and the frontier payload,
+//! alongside the group element δ that produced it. On dequeue the concrete
+//! state is recovered as `apply_element(δ⁻¹, ŝ)`, so frontier (and spill)
+//! bytes shrink with the orbit collapse while exploration, properties and
+//! counterexample paths all stay concrete.
+//!
+//! # Partial-order reduction
+//!
+//! The reducer is applied to every expanded state, unconditionally. A
+//! breadth-first search has no stack, so the cycle proviso of the DFS
+//! engine does not apply here; that is sound on acyclic state graphs (all
+//! three protocols in the paper terminate), while on a cyclic one a
+//! reduced BFS can postpone a transition forever — check cyclic models
+//! with the DFS engine, whose proviso covers them.
 
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
 use mp_store::{
-    canonical_label, manifest_exists, CheckpointWriter, FrontierBackend, ItemCodec, Manifest,
-    PlainCodec, SpillLog, StateStoreBackend,
+    canonical_label, manifest_exists, CheckpointError, CheckpointWriter, FrontierBackend,
+    FrontierImpl, ItemCodec, Manifest, ParentLog, ParentRecord, StateStoreBackend, StoreImpl,
 };
 
 use mp_model::{
@@ -47,26 +74,30 @@ use mp_symmetry::Symmetry;
 use mp_trace::{Counter, Gauge, Histogram, Phase, TraceHandle};
 
 use crate::{
-    liveness::run_liveness_dfs, obs::LevelObserver, CheckerConfig, Counterexample,
-    ExplorationStats, Observer, Property, PropertyStatus, RunReport, Verdict,
+    liveness::run_liveness_dfs,
+    obs::LevelObserver,
+    pool::{Pool, StopOnDrop, CHUNK_ENTRIES},
+    CheckerConfig, Counterexample, ExplorationStats, Invariant, Observer, Property, PropertyStatus,
+    RunReport, Verdict,
 };
 
-/// A frontier entry of the BFS engines: `(parent-table index, δ, state,
-/// observer)`, where the state/observer pair is the canonical orbit
-/// representative and δ the group element that produced it (0 = identity,
-/// so symmetry-free runs carry the concrete state unchanged). The parallel
-/// engine reconstructs no paths and leaves the index at 0.
-pub(crate) type Entry<S, M, O> = (usize, usize, GlobalState<S, M>, O);
+/// A frontier entry: `(node index in the parent log, δ, state, observer)`,
+/// where the state/observer pair is the canonical orbit representative and
+/// δ the group element that produced it (0 = identity, so symmetry-free
+/// runs carry the concrete state unchanged).
+type Entry<S, M, O> = (usize, usize, GlobalState<S, M>, O);
 
-/// One parent-table record: `None` for the root, `Some((parent index,
-/// incoming instance))` for every other state.
-pub(crate) type PathEntry<M> = Option<(usize, TransitionInstance<M>)>;
+type Store<S, M, O> = StoreImpl<(GlobalState<S, M>, O)>;
 
-/// The frontier item codec of the BFS engines: plain data goes through the
-/// `mp-model` codec, the observer is rebuilt with the run's initial
-/// observer as the decode template (see [`Observer::decode_like`]).
-pub(crate) struct EntryCodec<O> {
-    pub(crate) template: O,
+/// A first-visit successor on its way to `admit`: `(parent's node index,
+/// ordinal in the parent's explore set, δ, state, observer)`.
+type Fresh<S, M, O> = (usize, usize, usize, GlobalState<S, M>, O);
+
+/// The frontier item codec: plain data goes through the `mp-model` codec,
+/// the observer is rebuilt with the run's initial observer as the decode
+/// template (see [`Observer::decode_like`]).
+struct EntryCodec<O> {
+    template: O,
 }
 
 impl<S, M, O> ItemCodec<Entry<S, M, O>> for EntryCodec<O>
@@ -92,77 +123,463 @@ where
     }
 }
 
-/// What [`insert_successor`] returns for a first-visit successor: the
-/// group element δ plus the canonical representative (`None` = the
-/// concrete pair itself is the representative, so callers can move it into
-/// the frontier entry without a clone).
-pub(crate) type FreshSuccessor<S, M, O> = (usize, Option<(GlobalState<S, M>, O)>);
+/// The first violation a chunk met, which ended it.
+struct Violation<S, M: Ord> {
+    /// The node being expanded.
+    node: usize,
+    /// The violating successor's ordinal; a deadlock has none — the
+    /// expanded state itself violates.
+    ordinal: Option<usize>,
+    reason: String,
+    state: GlobalState<S, M>,
+}
 
-/// Canonicalizes a freshly generated successor once and inserts its
-/// visited-store key — the canonical orbit representative under a
-/// non-trivial group (`trivial` is hoisted by the engines so hot loops skip
-/// the dyn call), the concrete pair itself otherwise.
-///
-/// Returns `None` when the key was already visited.
-pub(crate) fn insert_successor<S, M, O>(
+/// What expanding one chunk produced.
+struct Expanded<S, M: Ord, O> {
+    fresh: Vec<Fresh<S, M, O>>,
+    violation: Option<Violation<S, M>>,
+    expansions: usize,
+    transitions: usize,
+    reduced: usize,
+    revisits: usize,
+}
+
+/// The read-only half of a run, shared by the caller and the helpers.
+struct Expander<'a, S, M: Ord, O> {
+    spec: &'a ProtocolSpec<S, M>,
+    property: &'a Invariant<S, M, O>,
+    reducer: &'a dyn Reducer<S, M>,
+    symmetry: &'a dyn Symmetry<S, M, O>,
+    /// `symmetry.is_trivial()`, hoisted so the hot loop skips the dyn call.
     trivial: bool,
-    symmetry: &dyn Symmetry<S, M, O>,
-    store: &mp_store::StoreImpl<(GlobalState<S, M>, O)>,
-    concrete: &(GlobalState<S, M>, O),
-    trace: &TraceHandle,
-) -> Option<FreshSuccessor<S, M, O>>
+    store: &'a Store<S, M, O>,
+    check_deadlocks: bool,
+    pool: &'a Pool<Entry<S, M, O>, Expanded<S, M, O>>,
+    trace: TraceHandle,
+}
+
+impl<S, M, O> Expander<'_, S, M, O>
 where
     S: LocalState,
     M: Message,
     O: Observer<S, M>,
 {
-    let (canonical, delta) = if trivial {
-        (None, 0)
-    } else {
-        let (cs, co, e) = symmetry.canonicalize_traced(&concrete.0, &concrete.1, trace);
-        (Some((cs, co)), e)
-    };
-    let _lookup = trace.span(Phase::StoreLookup);
-    let inserted = match &canonical {
-        Some(key) => store.insert_ref(key),
-        None => store.insert_ref(concrete),
-    };
-    inserted.then_some((delta, canonical))
-}
+    /// Expands the entries of one chunk in order. Per successor: execute,
+    /// update the observer, canonicalize, insert the visited-store key,
+    /// and — on a first visit only — evaluate the property.
+    fn expand_chunk(&self, chunk: Vec<Entry<S, M, O>>) -> Expanded<S, M, O> {
+        let (spec, trace) = (self.spec, &self.trace);
+        let mut out = Expanded {
+            // At least one successor per entry is the common case.
+            fresh: Vec::with_capacity(chunk.len()),
+            violation: None,
+            expansions: 0,
+            transitions: 0,
+            reduced: 0,
+            revisits: 0,
+        };
+        for (node, delta, key_state, key_observer) in chunk {
+            if self.pool.stopped() {
+                break;
+            }
+            // δ⁻¹ maps the stored orbit representative back to the concrete
+            // state this entry was generated as.
+            let (state, observer) = if delta == 0 {
+                (key_state, key_observer)
+            } else {
+                let inverse = self.symmetry.inverse(delta);
+                self.symmetry
+                    .apply_element(inverse, &key_state, &key_observer)
+            };
+            out.expansions += 1;
+            let all = {
+                let _span = trace.span(Phase::Expansion);
+                enabled_instances(spec, &state)
+            };
+            if self.check_deadlocks && all.is_empty() {
+                out.violation = Some(Violation {
+                    node,
+                    ordinal: None,
+                    reason: "deadlock: no transition enabled".to_string(),
+                    state,
+                });
+                return out;
+            }
+            let reduction = self.reducer.reduce_traced(spec, &state, all, trace);
+            out.reduced += usize::from(reduction.reduced);
 
-/// Rebuilds the instance path from the root to node `at` out of the
-/// (possibly spilled) parent table.
-fn rebuild_path<M: Message>(
-    nodes: &mut SpillLog<PathEntry<M>, PlainCodec>,
-    mut at: usize,
-) -> Vec<TransitionInstance<M>> {
-    let mut path = Vec::new();
-    while let Some((parent, instance)) = nodes.get(at) {
-        path.push(instance);
-        at = parent;
+            for (ordinal, instance) in reduction.explore.into_iter().enumerate() {
+                let concrete = {
+                    let _span = trace.span(Phase::Expansion);
+                    let next_state = execute_enabled(spec, &state, &instance);
+                    let next_observer = observer.update(spec, &state, &instance, &next_state);
+                    (next_state, next_observer)
+                };
+                out.transitions += 1;
+                // `None` = the concrete pair is its own representative and
+                // moves into the entry without a clone.
+                let (delta, canonical) = if self.trivial {
+                    (0, None)
+                } else {
+                    let (cs, co, e) =
+                        self.symmetry
+                            .canonicalize_traced(&concrete.0, &concrete.1, trace);
+                    (e, Some((cs, co)))
+                };
+                let first_visit = {
+                    let _lookup = trace.span(Phase::StoreLookup);
+                    self.store
+                        .insert_ref(canonical.as_ref().unwrap_or(&concrete))
+                };
+                if !first_visit {
+                    out.revisits += 1;
+                    continue;
+                }
+                if let PropertyStatus::Violated(reason) =
+                    self.property.evaluate(&concrete.0, &concrete.1)
+                {
+                    out.violation = Some(Violation {
+                        node,
+                        ordinal: Some(ordinal),
+                        reason,
+                        state: concrete.0,
+                    });
+                    return out;
+                }
+                let (entry_state, entry_observer) = canonical.unwrap_or(concrete);
+                out.fresh
+                    .push((node, ordinal, delta, entry_state, entry_observer));
+            }
+        }
+        out
     }
-    path.reverse();
-    path
 }
 
-/// Runs a stateful breadth-first search and returns the report.
+/// Re-executes a parent-log path: step *k* takes the `ordinals[k]`-th
+/// member of the explore set the reducer selects in the state reached so
+/// far — the enumeration `expand_chunk` numbered the successors by — and
+/// the path must arrive at `end`. Anything else is a named failure, never
+/// a wrong path.
+fn replay<S: LocalState, M: Message>(
+    spec: &ProtocolSpec<S, M>,
+    reducer: &dyn Reducer<S, M>,
+    ordinals: &[usize],
+    end: &GlobalState<S, M>,
+) -> Result<Vec<TransitionInstance<M>>, String> {
+    let mut state = spec.initial_state();
+    let mut path = Vec::with_capacity(ordinals.len());
+    for (step, &ordinal) in ordinals.iter().enumerate() {
+        let explore = reducer
+            .reduce(spec, &state, enabled_instances(spec, &state))
+            .explore;
+        let available = explore.len();
+        let instance = explore.into_iter().nth(ordinal).ok_or_else(|| {
+            format!(
+                "parent-log replay: ordinal {ordinal} outside the explore set \
+                 ({available} instances) at step {step}"
+            )
+        })?;
+        state = execute_enabled(spec, &state, &instance);
+        path.push(instance);
+    }
+    if state != *end {
+        return Err("parent-log replay: the path does not end in the violating state".into());
+    }
+    Ok(path)
+}
+
+fn ckpt_ok<T>(result: Result<T, CheckpointError>) -> T {
+    result.unwrap_or_else(|e| panic!("checkpoint write failed: {e}"))
+}
+
+/// Why a run ended before the frontier ran dry.
+enum Stop {
+    Violated(Box<Counterexample>),
+    Limit(String),
+}
+
+/// The caller-owned half of a run: everything `admit` and the level loop
+/// write.
+struct Search<'a, S, M: Ord, O> {
+    spec: &'a ProtocolSpec<S, M>,
+    reducer: &'a dyn Reducer<S, M>,
+    property_name: &'a str,
+    config: &'a CheckerConfig,
+    start: Instant,
+    stats: ExplorationStats,
+    /// The last completed level.
+    depth: usize,
+    nodes: ParentLog,
+    frontier: FrontierImpl<Entry<S, M, O>, EntryCodec<O>>,
+    ckpt: Option<CheckpointWriter>,
+    codec: EntryCodec<O>,
+    scratch: Vec<u8>,
+    trace: TraceHandle,
+    /// What a checkpoint manifest pins besides the configuration: the
+    /// protocol structure and the full strategy label (strategy + thread
+    /// count + reducer + symmetry + spill), so a resume under anything
+    /// that would explore a different state space is refused.
+    spec_fp: u64,
+    strategy: String,
+    identity: String,
+}
+
+impl<S, M, O> Search<'_, S, M, O>
+where
+    S: LocalState,
+    M: Message,
+    O: Observer<S, M>,
+{
+    /// The one place a state enters the search: assigns its node index,
+    /// appends its parent record, tees both into the checkpoint and pushes
+    /// the frontier.
+    fn enqueue(
+        &mut self,
+        record: ParentRecord,
+        delta: usize,
+        state: GlobalState<S, M>,
+        observer: O,
+    ) {
+        let index = self.nodes.push(record).unwrap_or_else(|e| panic!("{e}"));
+        let entry = (index, delta, state, observer);
+        if let Some(writer) = self.ckpt.as_mut() {
+            let bytes = ParentLog::encode(record).expect("the log just took this record");
+            ckpt_ok(writer.push_parent(&bytes));
+            self.scratch.clear();
+            self.codec.encode_item(&entry, &mut self.scratch);
+            ckpt_ok(writer.push_entry(&self.scratch));
+        }
+        self.frontier.push(entry);
+        self.stats.states += 1;
+        self.trace.add(Counter::States, 1);
+    }
+
+    /// Folds one chunk's result into the search, in generation order.
+    fn admit(&mut self, out: Expanded<S, M, O>) -> Result<(), Stop> {
+        self.stats.expansions += out.expansions;
+        self.stats.transitions_executed += out.transitions;
+        self.stats.reduced_states += out.reduced;
+        self.stats.revisits += out.revisits;
+        self.trace.add(Counter::Expansions, out.expansions as u64);
+        self.trace.add(Counter::Transitions, out.transitions as u64);
+        self.trace.add(Counter::Revisits, out.revisits as u64);
+        for (parent, ordinal, delta, state, observer) in out.fresh {
+            if self.stats.states >= self.config.max_states {
+                let what = format!("state limit of {}", self.config.max_states);
+                return Err(Stop::Limit(what));
+            }
+            self.enqueue(Some((parent, ordinal)), delta, state, observer);
+        }
+        let Some(violation) = out.violation else {
+            return Ok(());
+        };
+        if violation.ordinal.is_some() {
+            // The violating successor was stored, though never enqueued.
+            self.stats.states += 1;
+            self.trace.add(Counter::States, 1);
+        }
+        let mut ordinals = self
+            .nodes
+            .ordinals_to(violation.node)
+            .unwrap_or_else(|e| panic!("{e}"));
+        ordinals.extend(violation.ordinal);
+        let Violation { reason, state, .. } = violation;
+        let path =
+            replay(self.spec, self.reducer, &ordinals, &state).unwrap_or_else(|e| panic!("{e}"));
+        let cx = Counterexample::new(self.spec, self.property_name, reason, &path, &state);
+        Err(Stop::Violated(Box::new(cx)))
+    }
+
+    /// Seals the checkpoint's open level file and, with `commit`, publishes
+    /// a manifest naming `self.depth` as the last complete level.
+    fn seal_level(&mut self, commit: bool) {
+        let Some(writer) = self.ckpt.as_mut() else {
+            return;
+        };
+        ckpt_ok(writer.seal_level());
+        if commit {
+            let stats = &self.stats;
+            let counters = [
+                ("states", stats.states as u64),
+                ("expansions", stats.expansions as u64),
+                ("transitions", stats.transitions_executed as u64),
+                ("revisits", stats.revisits as u64),
+                ("reduced_states", stats.reduced_states as u64),
+                ("proviso_expansions", stats.proviso_expansions as u64),
+                ("max_depth", stats.max_depth as u64),
+            ];
+            ckpt_ok(writer.commit(
+                self.depth,
+                self.spec_fp,
+                &self.strategy,
+                &self.identity,
+                &counters,
+            ));
+        }
+    }
+
+    /// Rebuilds the search from a committed checkpoint and returns the
+    /// store hits of the committed part (the rebuild inserts are all
+    /// misses, so the caller folds them back in at the end).
+    fn resume(&mut self, dir: &Path, manifest: &Manifest, store: &Store<S, M, O>) -> usize {
+        // Rebuild the visited set from every committed level; the last one
+        // also re-seeds the frontier, exactly as the original run left it.
+        for level in 0..=manifest.level {
+            let raws = manifest
+                .read_level(dir, level)
+                .unwrap_or_else(|e| panic!("checkpoint in {}: {e}", dir.display()));
+            let last = level == manifest.level;
+            for raw in raws {
+                let entry = self
+                    .codec
+                    .decode_item(&mut raw.as_slice())
+                    .unwrap_or_else(|e| panic!("corrupted checkpoint entry: {e}"));
+                if last {
+                    store.insert((entry.2.clone(), entry.3.clone()));
+                    self.frontier.push(entry);
+                } else {
+                    store.insert((entry.2, entry.3));
+                }
+            }
+        }
+        // Replay the parent log so node indices keep their meaning for
+        // counterexample reconstruction.
+        for raw in manifest
+            .read_parents(dir)
+            .unwrap_or_else(|e| panic!("checkpoint in {}: {e}", dir.display()))
+        {
+            ParentLog::decode(&raw)
+                .and_then(|record| self.nodes.push(record))
+                .unwrap_or_else(|e| panic!("corrupted checkpoint parent record: {e}"));
+        }
+        self.depth = manifest.level;
+        let stats = &mut self.stats;
+        stats.states = manifest.counter("states") as usize;
+        stats.expansions = manifest.counter("expansions") as usize;
+        stats.transitions_executed = manifest.counter("transitions") as usize;
+        stats.revisits = manifest.counter("revisits") as usize;
+        stats.reduced_states = manifest.counter("reduced_states") as usize;
+        stats.proviso_expansions = manifest.counter("proviso_expansions") as usize;
+        stats.max_depth = manifest.counter("max_depth") as usize;
+        self.ckpt = Some(
+            CheckpointWriter::resume(dir, manifest)
+                .unwrap_or_else(|e| panic!("cannot resume checkpoint in {}: {e}", dir.display())),
+        );
+        self.trace
+            .resume(self.depth as u64, self.stats.states as u64);
+        self.stats.revisits
+    }
+
+    /// The level loop: runs until the frontier is empty or a [`Stop`].
+    fn levels(&mut self, expander: &Expander<'_, S, M, O>) -> Result<(), Stop> {
+        let (store, pool, trace) = (expander.store, expander.pool, self.trace.clone());
+        let every = self
+            .config
+            .checkpoint
+            .as_ref()
+            .map_or(1, |c| c.every_levels.max(1));
+        let mut level_obs = LevelObserver::new(&trace);
+        if level_obs.enabled() {
+            level_obs.seed(store.len() as u64, store.stats().hits as u64);
+        }
+        loop {
+            let width = self.frontier.advance_level();
+            if width == 0 {
+                return Ok(());
+            }
+            trace.record(Histogram::LevelWidth, width as u64);
+            self.depth += 1;
+            self.stats.max_depth = self.stats.max_depth.max(self.depth);
+            trace.add(Counter::Depth, self.depth as u64);
+            level_obs.begin_level();
+            if let Some(writer) = self.ckpt.as_mut() {
+                ckpt_ok(writer.begin_level(self.depth));
+            }
+
+            loop {
+                let mut chunk = Vec::with_capacity(CHUNK_ENTRIES);
+                chunk.extend(std::iter::from_fn(|| self.frontier.pop()).take(CHUNK_ENTRIES));
+                // Block only once the level has nothing left to hand out;
+                // it is complete when nothing is outstanding either.
+                let finished = pool.collect(chunk.is_empty());
+                if chunk.is_empty() && finished.is_empty() {
+                    break;
+                }
+                for out in finished {
+                    self.admit(out)?;
+                }
+                if !chunk.is_empty() {
+                    trace.record(Histogram::BatchOccupancy, chunk.len() as u64);
+                    if let Err(chunk) = pool.submit(chunk) {
+                        self.admit(expander.expand_chunk(chunk))?;
+                    }
+                }
+                if let Some(limit) = self.config.time_limit {
+                    if self.start.elapsed() > limit {
+                        return Err(Stop::Limit(format!("time limit of {limit:?}")));
+                    }
+                }
+            }
+
+            // Level boundary: let the external-memory store merge its
+            // sorted runs (a no-op for the in-memory backends), then
+            // persist the completed level.
+            {
+                let _span = trace.span(Phase::RunMerge);
+                store.maintain();
+            }
+            self.seal_level(self.depth.is_multiple_of(every));
+
+            // Per-level time-series and memory gauges (the helpers are idle
+            // at a level boundary, so the cumulative store figures are
+            // stable); `enabled()` keeps every stats read off the untraced
+            // path.
+            if level_obs.enabled() {
+                let store_stats = store.stats();
+                let frontier_stats = self.frontier.stats();
+                let summary = level_obs.end_level(
+                    self.depth as u64,
+                    width as u64,
+                    store.len() as u64,
+                    store_stats.hits as u64,
+                    frontier_stats.peak_bytes as u64,
+                );
+                trace.level_summary(&summary);
+                trace.sample_gauge(Gauge::StoreBytes, store_stats.approx_bytes as u64);
+                trace.sample_gauge(Gauge::FrontierBytes, frontier_stats.peak_bytes as u64);
+                trace.sample_gauge(Gauge::ParentLogBytes, self.nodes.approx_bytes() as u64);
+                // With symmetry on, the visited store *is* the canonical-
+                // representative cache (keys are pre-canonicalized orbit
+                // reps).
+                let canon_bytes = if expander.trivial {
+                    0
+                } else {
+                    store_stats.approx_bytes
+                };
+                trace.sample_gauge(Gauge::CanonicalCacheBytes, canon_bytes as u64);
+            }
+        }
+    }
+}
+
+/// Runs a breadth-first search on `threads` threads and returns the
+/// report: `None` is the sequential strategy (label `stateful-bfs`, the
+/// configured store, one thread), `Some(n)` the pooled one (label
+/// `parallel-bfs(n)`, lock-striped store, `n` threads with 0 = available
+/// parallelism). See the module docs.
 ///
-/// Dispatches on the property class: safety properties run the level-by-level
-/// search below. Liveness properties need a cycle-capable search — a
-/// breadth-first frontier has no stack to detect lassos against — so they
-/// are routed to the fairness-aware liveness DFS of [`crate::liveness`]
-/// (the report's strategy label says so).
-///
-/// With a non-trivial [`Symmetry`], successors are canonicalized once and
-/// the canonical representatives keyed into the visited store *and* carried
-/// by the frontier (see the module docs); exploration and counterexample
-/// paths stay concrete.
-pub fn run_stateful_bfs<S, M, O>(
+/// Dispatches on the property class: safety properties run the level loop.
+/// Liveness properties need a cycle-capable search — a breadth-first
+/// frontier has no stack to detect lassos against — so they are routed to
+/// the fairness-aware liveness DFS of [`crate::liveness`] (the report's
+/// strategy label says so).
+pub fn run_bfs<S, M, O>(
     spec: &ProtocolSpec<S, M>,
     property: &Property<S, M, O>,
     initial_observer: &O,
     reducer: &dyn Reducer<S, M>,
     symmetry: &Arc<dyn Symmetry<S, M, O>>,
+    threads: Option<usize>,
     config: &CheckerConfig,
 ) -> RunReport
 where
@@ -178,8 +595,21 @@ where
         .expect("a non-liveness property is a safety invariant");
     let start = Instant::now();
     let mut stats = ExplorationStats::new();
+    let (mut strategy, threads, store_config) = match threads {
+        None => ("stateful-bfs".to_string(), 1, config.store),
+        Some(requested) => {
+            let threads = match requested {
+                0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+                n => n,
+            };
+            stats.worker_threads = threads;
+            let label = format!("parallel-bfs({threads})");
+            (label, threads, config.store.for_parallel())
+        }
+    };
     let trivial = symmetry.is_trivial();
-    let mut strategy = format!("stateful-bfs+{}", reducer.name());
+    strategy.push('+');
+    strategy.push_str(reducer.name());
     if !trivial {
         strategy.push('+');
         strategy.push_str(&symmetry.label());
@@ -191,378 +621,161 @@ where
         .trace
         .begin_run(spec.name(), &strategy, property.name());
 
-    let initial = spec.initial_state();
-    let initial_observer = initial_observer.clone();
-
-    // Keys are canonicalized by this engine (one canonicalization per
+    // Keys are canonicalized by `expand_chunk` (one canonicalization per
     // successor, shared between the store key and the frontier entry).
-    let store = config.store.build::<(GlobalState<S, M>, O)>();
+    let store = store_config.build::<(GlobalState<S, M>, O)>();
     let store_name = if trivial {
         store.name()
     } else {
         canonical_label(store.name())
     };
-    let mut nodes: SpillLog<PathEntry<M>, PlainCodec> = config.frontier.build_log(PlainCodec);
-    nodes.set_trace(trace.handle());
-    let mut frontier = config.frontier.build(EntryCodec {
-        template: initial_observer.clone(),
-    });
-    frontier.set_trace(trace.handle());
-
-    // Checkpoint identity: the manifest records the protocol structure, the
-    // full strategy label (engine + reducer + symmetry + spill) and the
-    // semantic configuration fields, so a resume under anything that would
-    // explore a different state space is refused.
-    let spec_fp = spec.structure_fingerprint();
-    let identity = format!(
-        "{} sym={}",
-        config.checkpoint_identity(),
-        if trivial {
-            "off".to_string()
-        } else {
-            symmetry.label()
-        }
-    );
-    let every = config
-        .checkpoint
-        .as_ref()
-        .map(|c| c.every_levels.max(1))
-        .unwrap_or(1);
-    let entry_codec = EntryCodec {
-        template: initial_observer.clone(),
+    let sym_label = if trivial {
+        "off".to_string()
+    } else {
+        symmetry.label()
     };
-    let mut ckpt: Option<CheckpointWriter> = None;
-    let mut scratch: Vec<u8> = Vec::new();
-    let mut store_hits_base = 0usize;
+    let mut search = Search {
+        spec,
+        reducer,
+        property_name: property.name(),
+        config,
+        start,
+        stats,
+        depth: 0,
+        nodes: ParentLog::new(config.frontier, trace.handle()),
+        frontier: config.frontier.build(EntryCodec {
+            template: initial_observer.clone(),
+        }),
+        ckpt: None,
+        codec: EntryCodec {
+            template: initial_observer.clone(),
+        },
+        scratch: Vec::new(),
+        trace: trace.handle(),
+        spec_fp: spec.structure_fingerprint(),
+        strategy,
+        identity: format!("{} sym={sym_label}", config.checkpoint_identity()),
+    };
+    search.frontier.set_trace(trace.handle());
 
-    macro_rules! finish_stats {
-        ($verdict:expr) => {
-            stats.elapsed = start.elapsed();
-            stats.record_store(store_name, store.stats());
-            stats.store_hits += store_hits_base;
-            stats.record_frontier(frontier.name(), frontier.stats(), nodes.spilled_bytes());
-            stats.phases = trace.phase_times();
-            trace.finish($verdict);
-        };
-    }
-    macro_rules! ckpt_write {
-        ($result:expr) => {
-            $result.unwrap_or_else(|e| panic!("checkpoint write failed: {e}"))
-        };
-    }
-    macro_rules! ckpt_counters {
-        () => {
-            [
-                ("states", stats.states as u64),
-                ("expansions", stats.expansions as u64),
-                ("transitions", stats.transitions_executed as u64),
-                ("revisits", stats.revisits as u64),
-                ("reduced_states", stats.reduced_states as u64),
-                ("proviso_expansions", stats.proviso_expansions as u64),
-                ("max_depth", stats.max_depth as u64),
-            ]
-        };
-    }
-
-    let resume_manifest = match &config.checkpoint {
+    let mut resumed_hits = 0;
+    let mut stop = None;
+    match &config.checkpoint {
         Some(c) if manifest_exists(&c.dir) => {
             let manifest = Manifest::load(&c.dir)
                 .unwrap_or_else(|e| panic!("checkpoint manifest in {}: {e}", c.dir.display()));
             manifest
-                .validate(spec_fp, &strategy, &identity)
+                .validate(search.spec_fp, &search.strategy, &search.identity)
                 .unwrap_or_else(|e| panic!("refusing to resume from {}: {e}", c.dir.display()));
-            Some(manifest)
+            resumed_hits = search.resume(&c.dir, &manifest, &store);
         }
-        _ => None,
-    };
-
-    let mut depth = 0usize;
-    if let Some(manifest) = &resume_manifest {
-        let dir = &config
-            .checkpoint
-            .as_ref()
-            .expect("a resume manifest implies a checkpoint config")
-            .dir;
-        // Rebuild the visited set from every committed level; the last one
-        // also re-seeds the frontier, exactly as the original run left it.
-        for level in 0..=manifest.level {
-            let raws = manifest
-                .read_level(dir, level)
-                .unwrap_or_else(|e| panic!("checkpoint in {}: {e}", dir.display()));
-            let last = level == manifest.level;
-            for raw in raws {
-                let mut input = raw.as_slice();
-                let entry = entry_codec
-                    .decode_item(&mut input)
-                    .unwrap_or_else(|e| panic!("corrupted checkpoint entry: {e}"));
-                if last {
-                    store.insert((entry.2.clone(), entry.3.clone()));
-                    frontier.push(entry);
-                } else {
-                    store.insert((entry.2, entry.3));
-                }
-            }
-        }
-        // Replay the parent log so node indices keep their meaning for
-        // counterexample reconstruction.
-        for raw in manifest
-            .read_parents(dir)
-            .unwrap_or_else(|e| panic!("checkpoint in {}: {e}", dir.display()))
-        {
-            let mut input = raw.as_slice();
-            let record: PathEntry<M> = mp_model::Decode::decode(&mut input)
-                .unwrap_or_else(|e| panic!("corrupted checkpoint parent record: {e}"));
-            nodes.push(record);
-        }
-        depth = manifest.level;
-        stats.states = manifest.counter("states") as usize;
-        stats.expansions = manifest.counter("expansions") as usize;
-        stats.transitions_executed = manifest.counter("transitions") as usize;
-        stats.revisits = manifest.counter("revisits") as usize;
-        stats.reduced_states = manifest.counter("reduced_states") as usize;
-        stats.proviso_expansions = manifest.counter("proviso_expansions") as usize;
-        stats.max_depth = manifest.counter("max_depth") as usize;
-        // The rebuild inserts are all store misses, so the final hit count
-        // needs the committed run's hits folded back in (hits == revisits
-        // for the stateful engines).
-        store_hits_base = stats.revisits;
-        ckpt = Some(
-            CheckpointWriter::resume(dir, manifest)
-                .unwrap_or_else(|e| panic!("cannot resume checkpoint in {}: {e}", dir.display())),
-        );
-        trace.resume(depth as u64, stats.states as u64);
-    } else {
-        if let PropertyStatus::Violated(reason) = property.evaluate(&initial, &initial_observer) {
-            stats.states = 1;
-            trace.add(Counter::States, 1);
-            finish_stats!("violated");
-            let cx = Counterexample::new(spec, property.name(), reason, &[], &initial);
-            return RunReport {
-                verdict: Verdict::Violated(Box::new(cx)),
-                stats,
-                strategy,
-            };
-        }
-
-        // Validated groups fix the initial state, so its canonical form is
-        // itself; canonicalize anyway so the key discipline has no exceptions
-        // (mirrors the DFS engine).
-        let (entry_state, entry_observer, initial_delta) = if trivial {
-            (initial, initial_observer, 0)
-        } else {
-            symmetry.canonicalize_traced(&initial, &initial_observer, &trace)
-        };
-        store.insert((entry_state.clone(), entry_observer.clone()));
-        let root = nodes.push(None);
-        let root_entry = (root, initial_delta, entry_state, entry_observer);
-        stats.states = 1;
-        trace.add(Counter::States, 1);
-        if let Some(c) = &config.checkpoint {
-            let mut writer = CheckpointWriter::new(&c.dir)
-                .unwrap_or_else(|e| panic!("cannot start checkpoint in {}: {e}", c.dir.display()));
-            ckpt_write!(writer.begin_level(0));
-            scratch.clear();
-            entry_codec.encode_item(&root_entry, &mut scratch);
-            ckpt_write!(writer.push_entry(&scratch));
-            scratch.clear();
-            let root_record: PathEntry<M> = None;
-            root_record.encode(&mut scratch);
-            ckpt_write!(writer.push_parent(&scratch));
-            ckpt_write!(writer.seal_level());
-            ckpt_write!(writer.commit(0, spec_fp, &strategy, &identity, &ckpt_counters!()));
-            ckpt = Some(writer);
-        }
-        frontier.push(root_entry);
-    }
-    let mut level_obs = LevelObserver::new(&trace);
-    if level_obs.enabled() {
-        level_obs.seed(store.len() as u64, store.stats().hits as u64);
-    }
-    loop {
-        let width = frontier.advance_level();
-        if width == 0 {
-            break;
-        }
-        trace.record(Histogram::LevelWidth, width as u64);
-        depth += 1;
-        stats.max_depth = stats.max_depth.max(depth);
-        trace.add(Counter::Depth, depth as u64);
-        level_obs.begin_level();
-        if let Some(writer) = ckpt.as_mut() {
-            ckpt_write!(writer.begin_level(depth));
-        }
-
-        while let Some((node_idx, delta, key_state, key_observer)) = frontier.pop() {
-            // δ⁻¹ maps the stored orbit representative back to the concrete
-            // state this entry was generated as.
-            let (state, observer) = if delta == 0 {
-                (key_state, key_observer)
-            } else {
-                symmetry.apply_element(symmetry.inverse(delta), &key_state, &key_observer)
-            };
-            stats.expansions += 1;
-            trace.add(Counter::Expansions, 1);
-
-            let all = {
-                let _span = trace.span(Phase::Expansion);
-                enabled_instances(spec, &state)
-            };
-            if config.check_deadlocks && all.is_empty() {
-                let path = rebuild_path(&mut nodes, node_idx);
-                finish_stats!("violated");
-                let cx = Counterexample::new(
-                    spec,
-                    property.name(),
-                    "deadlock: no transition enabled",
-                    &path,
-                    &state,
-                );
-                return RunReport {
-                    verdict: Verdict::Violated(Box::new(cx)),
-                    stats,
-                    strategy,
-                };
-            }
-            let reduction = reducer.reduce_traced(spec, &state, all, &trace);
-            if reduction.reduced {
-                stats.reduced_states += 1;
-            }
-
-            for instance in reduction.explore {
-                let concrete = {
-                    let _span = trace.span(Phase::Expansion);
-                    let next_state = execute_enabled(spec, &state, &instance);
-                    let next_observer = observer.update(spec, &state, &instance, &next_state);
-                    (next_state, next_observer)
-                };
-                stats.transitions_executed += 1;
-                trace.add(Counter::Transitions, 1);
-
-                let Some((delta, canonical)) =
-                    insert_successor(trivial, symmetry.as_ref(), &store, &concrete, &trace)
-                else {
-                    stats.revisits += 1;
-                    trace.add(Counter::Revisits, 1);
-                    continue;
-                };
-
-                if let PropertyStatus::Violated(reason) =
-                    property.evaluate(&concrete.0, &concrete.1)
-                {
-                    let mut path = rebuild_path(&mut nodes, node_idx);
-                    path.push(instance);
-                    stats.states += 1;
-                    trace.add(Counter::States, 1);
-                    finish_stats!("violated");
-                    let cx = Counterexample::new(spec, property.name(), reason, &path, &concrete.0);
-                    return RunReport {
-                        verdict: Verdict::Violated(Box::new(cx)),
-                        stats,
-                        strategy,
-                    };
-                }
-
-                if stats.states >= config.max_states {
-                    finish_stats!("limit");
-                    return RunReport {
-                        verdict: Verdict::LimitReached {
-                            what: format!("state limit of {}", config.max_states),
-                        },
-                        stats,
-                        strategy,
-                    };
-                }
-                if let Some(limit) = config.time_limit {
-                    if start.elapsed() > limit {
-                        finish_stats!("limit");
-                        return RunReport {
-                            verdict: Verdict::LimitReached {
-                                what: format!("time limit of {limit:?}"),
-                            },
-                            stats,
-                            strategy,
-                        };
-                    }
-                }
-
-                let record = Some((node_idx, instance));
-                if let Some(writer) = ckpt.as_mut() {
-                    scratch.clear();
-                    record.encode(&mut scratch);
-                    ckpt_write!(writer.push_parent(&scratch));
-                }
-                let new_index = nodes.push(record);
-                let (entry_state, entry_observer) = match canonical {
-                    Some(key) => key,
-                    None => concrete,
-                };
-                let entry = (new_index, delta, entry_state, entry_observer);
-                if let Some(writer) = ckpt.as_mut() {
-                    scratch.clear();
-                    entry_codec.encode_item(&entry, &mut scratch);
-                    ckpt_write!(writer.push_entry(&scratch));
-                }
-                frontier.push(entry);
-                stats.states += 1;
+        checkpoint => {
+            let initial = spec.initial_state();
+            let initial_observer = initial_observer.clone();
+            if let PropertyStatus::Violated(reason) = property.evaluate(&initial, &initial_observer)
+            {
+                search.stats.states = 1;
                 trace.add(Counter::States, 1);
+                let cx = Counterexample::new(spec, property.name(), reason, &[], &initial);
+                stop = Some(Stop::Violated(Box::new(cx)));
+            } else {
+                // Validated groups fix the initial state, so its canonical
+                // form is itself; canonicalize anyway so the key discipline
+                // has no exceptions (mirrors the DFS engine).
+                let (root_state, root_observer, root_delta) = if trivial {
+                    (initial, initial_observer, 0)
+                } else {
+                    symmetry.canonicalize_traced(&initial, &initial_observer, &trace)
+                };
+                store.insert((root_state.clone(), root_observer.clone()));
+                if let Some(c) = checkpoint {
+                    let mut writer = CheckpointWriter::new(&c.dir).unwrap_or_else(|e| {
+                        panic!("cannot start checkpoint in {}: {e}", c.dir.display())
+                    });
+                    ckpt_ok(writer.begin_level(0));
+                    search.ckpt = Some(writer);
+                }
+                search.enqueue(None, root_delta, root_state, root_observer);
+                search.seal_level(true);
             }
-        }
-
-        // Level boundary: let the external-memory store merge its sorted
-        // runs (a no-op for the in-memory backends), then persist the
-        // completed level.
-        {
-            let _span = trace.span(Phase::RunMerge);
-            store.maintain();
-        }
-        if let Some(writer) = ckpt.as_mut() {
-            ckpt_write!(writer.seal_level());
-            if depth.is_multiple_of(every) {
-                ckpt_write!(writer.commit(depth, spec_fp, &strategy, &identity, &ckpt_counters!()));
-            }
-        }
-
-        // Per-level time-series and memory gauges; `enabled()` keeps every
-        // stats read off the untraced path.
-        if level_obs.enabled() {
-            let store_stats = store.stats();
-            let frontier_stats = frontier.stats();
-            let summary = level_obs.end_level(
-                depth as u64,
-                width as u64,
-                store.len() as u64,
-                store_stats.hits as u64,
-                frontier_stats.peak_bytes as u64,
-            );
-            trace.level_summary(&summary);
-            trace.sample_gauge(Gauge::StoreBytes, store_stats.approx_bytes as u64);
-            trace.sample_gauge(Gauge::FrontierBytes, frontier_stats.peak_bytes as u64);
-            trace.sample_gauge(Gauge::ParentLogBytes, nodes.approx_bytes() as u64);
-            // With symmetry on, the visited store *is* the canonical-
-            // representative cache (keys are pre-canonicalized orbit reps).
-            let canon_bytes = if trivial { 0 } else { store_stats.approx_bytes };
-            trace.sample_gauge(Gauge::CanonicalCacheBytes, canon_bytes as u64);
         }
     }
 
-    finish_stats!("verified");
+    let pool = Pool::new(threads - 1);
+    let expander = Expander {
+        spec,
+        property,
+        reducer,
+        symmetry: symmetry.as_ref(),
+        trivial,
+        store: &store,
+        check_deadlocks: config.check_deadlocks,
+        pool: &pool,
+        trace: trace.handle(),
+    };
+    let stop = stop.or_else(|| {
+        std::thread::scope(|scope| {
+            // Releases the helpers on every way out, a panic included.
+            let _stop = StopOnDrop(&pool);
+            for id in 1..threads {
+                let expander = &expander;
+                let helper = move || {
+                    let mut busy_us = 0u64;
+                    expander.pool.serve(|chunk| {
+                        let started = expander.trace.is_enabled().then(Instant::now);
+                        let out = expander.expand_chunk(chunk);
+                        if let Some(started) = started {
+                            busy_us += started.elapsed().as_micros() as u64;
+                            expander.trace.sample_gauge(Gauge::WorkerBusyUs, busy_us);
+                        }
+                        out
+                    });
+                };
+                std::thread::Builder::new()
+                    .name(format!("mp-bfs-{id}"))
+                    .spawn_scoped(scope, helper)
+                    .unwrap_or_else(|e| panic!("failed to spawn BFS helper {id}: {e}"));
+                search.stats.worker_spawns += 1;
+            }
+            search.levels(&expander).err()
+        })
+    });
+
+    let Search {
+        mut stats,
+        nodes,
+        frontier,
+        strategy,
+        ..
+    } = search;
+    stats.elapsed = start.elapsed();
+    stats.record_store(store_name, store.stats());
+    stats.store_hits += resumed_hits;
+    stats.record_frontier(frontier.name(), frontier.stats(), nodes.spilled_bytes());
+    stats.phases = trace.phase_times();
+    let (label, verdict) = match stop {
+        None => ("verified", Verdict::Verified),
+        Some(Stop::Violated(cx)) => ("violated", Verdict::Violated(cx)),
+        Some(Stop::Limit(what)) => ("limit", Verdict::LimitReached { what }),
+    };
+    trace.finish(label);
     RunReport {
-        verdict: Verdict::Verified,
+        verdict,
         stats,
         strategy,
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::{Invariant, NullObserver};
+    use crate::{Checker, NullObserver};
     use mp_model::{Kind, Outcome, ProcessId, TransitionSpec};
-    use mp_por::{NoReduction, SporReducer};
+    use mp_por::NoReduction;
     use mp_store::FrontierConfig;
 
     #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-    struct Tok;
+    pub(crate) struct Tok;
     mp_model::codec!(struct Tok);
 
     impl Message for Tok {
@@ -571,22 +784,15 @@ mod tests {
         }
     }
 
-    fn p(i: usize) -> ProcessId {
-        ProcessId(i)
-    }
-
-    fn no_sym() -> Arc<dyn Symmetry<u8, Tok, NullObserver>> {
-        Arc::new(mp_symmetry::NoSymmetry)
-    }
-
-    fn independent(n: usize, steps: u8) -> ProtocolSpec<u8, Tok> {
+    /// `n` processes, each counting to `steps` on its own.
+    pub(crate) fn independent(n: usize, steps: u8) -> ProtocolSpec<u8, Tok> {
         let mut builder = ProtocolSpec::builder("independent");
         for i in 0..n {
             builder = builder.process(format!("w{i}"), 0u8);
         }
         for i in 0..n {
             builder = builder.transition(
-                TransitionSpec::builder(format!("step{i}"), p(i))
+                TransitionSpec::builder(format!("step{i}"), ProcessId(i))
                     .internal()
                     .guard(move |l, _| *l < steps)
                     .sends_nothing()
@@ -597,87 +803,65 @@ mod tests {
         builder.build().unwrap()
     }
 
+    /// Violated as soon as any counter reaches `limit`.
+    pub(crate) fn below(limit: u8) -> Invariant<u8, Tok, NullObserver> {
+        Invariant::new("below", move |s: &GlobalState<u8, Tok>, _| {
+            if s.locals.iter().any(|l| *l >= limit) {
+                Err(format!("reached {limit}"))
+            } else {
+                Ok(())
+            }
+        })
+    }
+
+    pub(crate) fn verify(spec: &ProtocolSpec<u8, Tok>, config: CheckerConfig) -> RunReport {
+        Checker::new(spec, Invariant::always_true("true"))
+            .config(config)
+            .run()
+    }
+
     #[test]
     fn bfs_and_dfs_agree_on_state_counts() {
-        let spec = independent(3, 2);
-        let bfs = run_stateful_bfs(
-            &spec,
-            &Invariant::always_true("true").into(),
-            &NullObserver,
-            &NoReduction,
-            &no_sym(),
-            &CheckerConfig::stateful_bfs(),
-        );
+        let bfs = verify(&independent(3, 2), CheckerConfig::stateful_bfs());
         assert!(bfs.verdict.is_verified());
         assert_eq!(bfs.stats.states, 27);
         assert_eq!(bfs.stats.frontier_backend, "mem");
+        assert_eq!((bfs.stats.worker_threads, bfs.stats.worker_spawns), (0, 0));
     }
 
     #[test]
     fn bfs_finds_shortest_counterexample() {
-        let spec = independent(2, 4);
-        let property: Invariant<u8, Tok, NullObserver> =
-            Invariant::new("below-2", |s: &GlobalState<u8, Tok>, _| {
-                if s.locals.iter().any(|l| *l >= 2) {
-                    Err("reached 2".into())
-                } else {
-                    Ok(())
-                }
-            });
-        let report = run_stateful_bfs(
-            &spec,
-            &property.into(),
-            &NullObserver,
-            &NoReduction,
-            &no_sym(),
-            &CheckerConfig::stateful_bfs(),
-        );
+        let report = Checker::new(&independent(2, 4), below(2))
+            .config(CheckerConfig::stateful_bfs())
+            .run();
         let cx = report.verdict.counterexample().unwrap();
         assert_eq!(cx.len(), 2, "BFS must find the 2-step shortest violation");
     }
 
     #[test]
     fn bfs_with_spor_still_verifies() {
-        let spec = independent(3, 2);
-        let reducer = SporReducer::new(&spec);
-        let report = run_stateful_bfs(
-            &spec,
-            &Invariant::always_true("true").into(),
-            &NullObserver,
-            &reducer,
-            &no_sym(),
-            &CheckerConfig::stateful_bfs(),
-        );
+        let report = Checker::new(&independent(3, 2), Invariant::always_true("true"))
+            .spor()
+            .config(CheckerConfig::stateful_bfs())
+            .run();
         assert!(report.verdict.is_verified());
         assert!(report.stats.states < 27);
     }
 
     #[test]
     fn bfs_state_limit() {
-        let spec = independent(3, 3);
-        let report = run_stateful_bfs(
-            &spec,
-            &Invariant::always_true("true").into(),
-            &NullObserver,
-            &NoReduction,
-            &no_sym(),
-            &CheckerConfig::stateful_bfs().with_max_states(4),
-        );
+        let config = CheckerConfig::stateful_bfs().with_max_states(4);
+        let report = verify(&independent(3, 3), config);
         assert!(matches!(report.verdict, Verdict::LimitReached { .. }));
+        assert_eq!(report.stats.states, 4);
     }
 
     #[test]
     fn bfs_deadlock_check() {
-        let spec = independent(1, 1);
-        let report = run_stateful_bfs(
-            &spec,
-            &Invariant::always_true("true").into(),
-            &NullObserver,
-            &NoReduction,
-            &no_sym(),
-            &CheckerConfig::stateful_bfs().with_deadlock_check(true),
-        );
-        assert!(report.verdict.is_violated());
+        let config = CheckerConfig::stateful_bfs().with_deadlock_check(true);
+        let report = verify(&independent(1, 1), config);
+        let cx = report.verdict.counterexample().expect("the end state");
+        assert_eq!(cx.len(), 1, "the path to the deadlocked state");
     }
 
     #[test]
@@ -685,25 +869,11 @@ mod tests {
         // A tiny watermark forces multi-segment spilling even on this small
         // model; verdict, state count and counterexample must be identical.
         let spec = independent(3, 3);
-        let run = |frontier: FrontierConfig| {
-            run_stateful_bfs(
-                &spec,
-                &Invariant::always_true("true").into(),
-                &NullObserver,
-                &NoReduction,
-                &no_sym(),
-                &CheckerConfig::stateful_bfs().with_frontier(frontier),
-            )
-        };
+        let run = |frontier| verify(&spec, CheckerConfig::stateful_bfs().with_frontier(frontier));
         let mem = run(FrontierConfig::Mem);
         let disk = run(FrontierConfig::disk_with_watermark(64));
         assert!(mem.verdict.is_verified() && disk.verdict.is_verified());
-        assert_eq!(mem.stats.states, disk.stats.states);
-        assert_eq!(
-            mem.stats.transitions_executed,
-            disk.stats.transitions_executed
-        );
-        assert_eq!(mem.stats.max_depth, disk.stats.max_depth);
+        assert_eq!(mem.stats.counters(), disk.stats.counters());
         assert_eq!(disk.stats.frontier_backend, "disk");
         assert!(
             disk.stats.frontier_spilled_bytes > 0,
@@ -716,30 +886,50 @@ mod tests {
     #[test]
     fn spilled_counterexample_path_is_identical() {
         let spec = independent(2, 4);
-        let property = || -> Invariant<u8, Tok, NullObserver> {
-            Invariant::new("below-3", |s: &GlobalState<u8, Tok>, _| {
-                if s.locals.iter().any(|l| *l >= 3) {
-                    Err("reached 3".into())
-                } else {
-                    Ok(())
-                }
-            })
-        };
-        let run = |frontier: FrontierConfig| {
-            run_stateful_bfs(
-                &spec,
-                &property().into(),
-                &NullObserver,
-                &NoReduction,
-                &no_sym(),
-                &CheckerConfig::stateful_bfs().with_frontier(frontier),
-            )
+        let run = |frontier| {
+            Checker::new(&spec, below(3))
+                .config(CheckerConfig::stateful_bfs().with_frontier(frontier))
+                .run()
         };
         let mem = run(FrontierConfig::Mem);
         let disk = run(FrontierConfig::disk_with_watermark(16));
         let mem_cx = mem.verdict.counterexample().unwrap();
         let disk_cx = disk.verdict.counterexample().unwrap();
-        assert_eq!(mem_cx.len(), disk_cx.len());
+        assert_eq!(mem_cx.len(), 3);
         assert_eq!(mem_cx.steps, disk_cx.steps, "identical concrete path");
+    }
+
+    #[test]
+    fn one_pooled_thread_is_the_sequential_search() {
+        let spec = independent(3, 3);
+        for property in [|| Invariant::always_true("true"), || below(3)] {
+            let run = |config| Checker::new(&spec, property()).config(config).run();
+            let sequential = run(CheckerConfig::stateful_bfs());
+            let pooled = run(CheckerConfig::parallel_bfs(1));
+            assert_eq!(pooled.stats.worker_threads, 1);
+            assert_eq!(pooled.stats.worker_spawns, 0, "the caller is the worker");
+            assert_eq!(pooled.verdict.to_string(), sequential.verdict.to_string());
+            assert_eq!(pooled.stats.counters(), sequential.stats.counters());
+            assert_eq!(
+                pooled.verdict.counterexample().map(|cx| &cx.steps),
+                sequential.verdict.counterexample().map(|cx| &cx.steps),
+            );
+        }
+    }
+
+    #[test]
+    fn replaying_an_ordinal_outside_the_explore_set_fails_by_name() {
+        let spec = independent(2, 1);
+        let mut end = spec.initial_state();
+        end.locals = vec![1, 1];
+        assert_eq!(replay(&spec, &NoReduction, &[1, 0], &end).unwrap().len(), 2);
+        // After `step1` only `step0` is left: ordinal 1 no longer exists.
+        let err = replay(&spec, &NoReduction, &[1, 1], &end).unwrap_err();
+        assert!(
+            err.contains("ordinal 1 outside the explore set (1 instances) at step 1"),
+            "{err}"
+        );
+        let err = replay(&spec, &NoReduction, &[1], &end).unwrap_err();
+        assert!(err.contains("does not end in the violating state"), "{err}");
     }
 }

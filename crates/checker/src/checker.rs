@@ -12,9 +12,8 @@ use mp_por::{NoReduction, Reducer, SeedHeuristic, SporReducer};
 use mp_symmetry::{NoSymmetry, OrbitReduction, RoleMap, Symmetry, SymmetryGroup};
 
 use crate::{
-    bfs::run_stateful_bfs, dfs::run_stateful_dfs, parallel::run_parallel_bfs,
-    stateless::run_stateless, CheckerConfig, NullObserver, Observer, Property, RunReport,
-    SearchStrategy,
+    bfs::run_bfs, dfs::run_stateful_dfs, stateless::run_stateless, CheckerConfig, NullObserver,
+    Observer, Property, RunReport, SearchStrategy,
 };
 
 /// A configured model-checking run.
@@ -177,6 +176,17 @@ where
 
     /// Runs the configured engine and returns its report.
     pub fn run(&self) -> RunReport {
+        let bfs = |threads| {
+            run_bfs(
+                self.spec,
+                &self.property,
+                &self.initial_observer,
+                self.reducer.as_ref(),
+                &self.symmetry,
+                threads,
+                &self.config,
+            )
+        };
         match self.config.strategy {
             SearchStrategy::StatefulDfs => run_stateful_dfs(
                 self.spec,
@@ -186,29 +196,14 @@ where
                 &self.symmetry,
                 &self.config,
             ),
-            SearchStrategy::StatefulBfs => run_stateful_bfs(
-                self.spec,
-                &self.property,
-                &self.initial_observer,
-                self.reducer.as_ref(),
-                &self.symmetry,
-                &self.config,
-            ),
+            SearchStrategy::StatefulBfs => bfs(None),
+            SearchStrategy::ParallelBfs { threads } => bfs(Some(threads)),
             SearchStrategy::Stateless { dpor } => run_stateless(
                 self.spec,
                 &self.property,
                 &self.initial_observer,
                 dpor,
                 &self.symmetry,
-                &self.config,
-            ),
-            SearchStrategy::ParallelBfs { threads } => run_parallel_bfs(
-                self.spec,
-                &self.property,
-                &self.initial_observer,
-                self.reducer.as_ref(),
-                &self.symmetry,
-                threads,
                 &self.config,
             ),
         }

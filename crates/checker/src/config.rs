@@ -12,8 +12,8 @@ use crate::{Counterexample, ExplorationStats};
 ///
 /// The paper's experiments use three engines: unreduced or SPOR-reduced
 /// *stateful* search (MP-Basset), and *stateless* search for DPOR (Basset);
-/// see the footnotes of Table I. The parallel engine is an extension of this
-/// reproduction.
+/// see the footnotes of Table I. The parallel strategy is an extension of
+/// this reproduction: the same breadth-first core with helper threads.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SearchStrategy {
     /// Depth-first search with a visited-state store (stateful search).
@@ -28,10 +28,12 @@ pub enum SearchStrategy {
         /// Enable Flanagan–Godefroid dynamic POR.
         dpor: bool,
     },
-    /// Level-synchronous parallel breadth-first search (extension; does not
-    /// reconstruct counterexample paths).
+    /// The breadth-first search of [`SearchStrategy::StatefulBfs`] on
+    /// several threads (extension): same verdicts, counters and shortest
+    /// counterexamples, over a lock-striped visited store.
     ParallelBfs {
-        /// Number of worker threads (0 = number of available CPUs).
+        /// Number of threads, the calling one included (0 = number of
+        /// available CPUs).
         threads: usize,
     },
 }
@@ -86,13 +88,6 @@ pub struct CheckerConfig {
     /// counts are byte-identical. The depth-first and stateless engines
     /// have no frontier and ignore this field.
     pub frontier: FrontierConfig,
-    /// How many frontier entries the parallel BFS engine feeds to the
-    /// worker pool per batch. `0` (the default) selects the engine's
-    /// historical automatic size, `threads * 64`. Larger batches amortise
-    /// coordinator round-trips; smaller ones bound the resident level size
-    /// when the disk frontier is spilling. The sequential engines ignore
-    /// this field.
-    pub batch_size: usize,
     /// Checkpoint/resume directory for the breadth-first engines
     /// (`mp-store`). When set, every completed BFS level is persisted
     /// (frontier entries, parent records, counters plus a versioned
@@ -123,7 +118,6 @@ impl Default for CheckerConfig {
             time_limit: None,
             store: StoreConfig::Exact,
             frontier: FrontierConfig::Mem,
-            batch_size: 0,
             checkpoint: None,
             trace: Tracer::disabled(),
         }
@@ -195,13 +189,6 @@ impl CheckerConfig {
     /// [`FrontierConfig::disk_with_watermark`] turn on spilling.
     pub fn with_frontier(mut self, frontier: FrontierConfig) -> Self {
         self.frontier = frontier;
-        self
-    }
-
-    /// Sets the parallel engine's batch size (builder style); `0` restores
-    /// the automatic `threads * 64` default.
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size;
         self
     }
 
@@ -312,7 +299,6 @@ mod tests {
         assert!(c.time_limit.is_none());
         assert_eq!(c.store, StoreConfig::Exact);
         assert_eq!(c.frontier, FrontierConfig::Mem);
-        assert_eq!(c.batch_size, 0, "0 = the automatic threads*64 batch");
     }
 
     #[test]
@@ -323,12 +309,10 @@ mod tests {
             .with_time_limit(Duration::from_secs(1))
             .with_deadlock_check(true)
             .with_store(StoreConfig::fingerprint(32))
-            .with_frontier(FrontierConfig::disk_with_watermark(1024))
-            .with_batch_size(256);
+            .with_frontier(FrontierConfig::disk_with_watermark(1024));
         assert_eq!(c.strategy, SearchStrategy::Stateless { dpor: true });
         assert_eq!(c.max_states, 10);
         assert_eq!(c.max_depth, 20);
-        assert_eq!(c.batch_size, 256);
         assert!(c.check_deadlocks);
         assert_eq!(c.time_limit, Some(Duration::from_secs(1)));
         assert_eq!(c.store, StoreConfig::fingerprint(32));

@@ -13,7 +13,9 @@
 //! * **stateless DFS** — no visited set, required by dynamic POR
 //!   (Flanagan–Godefroid), matching the way Basset runs DPOR in the paper;
 //! * **parallel BFS** — an extension exploiting the natural parallelism of
-//!   protocol-level models.
+//!   protocol-level models: the same level loop as the stateful BFS (see
+//!   [`bfs`]) with helper threads, same verdicts, counters and shortest
+//!   counterexamples.
 //!
 //! The stateful engines store visited `(state, observer)` pairs in a
 //! pluggable backend from the `mp-store` crate, selected by
@@ -98,7 +100,7 @@ pub mod dfs;
 pub mod liveness;
 mod obs;
 pub mod observer;
-pub mod parallel;
+mod pool;
 pub mod property;
 pub mod stateless;
 pub mod stats;
@@ -122,7 +124,109 @@ pub use mp_store::{
 // direct dependency.
 pub use mp_trace::{TraceOptions, Tracer};
 
-pub use bfs::run_stateful_bfs;
 pub use dfs::run_stateful_dfs;
-pub use parallel::run_parallel_bfs;
 pub use stateless::run_stateless;
+
+/// The pooled (`ParallelBfs`) strategy of the breadth-first core in [`bfs`]
+/// against its sequential one, on the fixtures of that module's tests.
+#[cfg(test)]
+mod parallel {
+    mod tests {
+        use crate::bfs::tests::{below, independent, verify};
+        use crate::{Checker, CheckerConfig, Invariant};
+        use mp_store::{FrontierConfig, StoreConfig};
+
+        #[test]
+        fn parallel_bfs_counts_the_same_states_as_sequential() {
+            let report = verify(&independent(3, 2), CheckerConfig::parallel_bfs(2));
+            assert!(report.verdict.is_verified());
+            assert_eq!(report.stats.states, 27);
+            // The exact default is upgraded to the lock-striped store.
+            assert_eq!(report.stats.store_backend, "sharded");
+            assert_eq!(report.stats.frontier_backend, "mem");
+        }
+
+        #[test]
+        fn parallel_bfs_detects_violations() {
+            let report = Checker::new(&independent(2, 3), below(3))
+                .config(CheckerConfig::parallel_bfs(2))
+                .run();
+            let cx = report.verdict.counterexample().expect("a violation");
+            assert_eq!(cx.len(), 3, "the shortest path, not an empty one");
+            assert_eq!(cx.reason, "reached 3");
+        }
+
+        #[test]
+        fn parallel_bfs_with_spor_reduces() {
+            let spec = independent(4, 1);
+            let unreduced = verify(&spec, CheckerConfig::parallel_bfs(2));
+            let reduced = Checker::new(&spec, Invariant::always_true("true"))
+                .spor()
+                .config(CheckerConfig::parallel_bfs(2))
+                .run();
+            assert!(unreduced.verdict.is_verified());
+            assert!(reduced.verdict.is_verified());
+            assert!(reduced.stats.states < unreduced.stats.states);
+        }
+
+        #[test]
+        fn zero_threads_means_auto() {
+            let report = verify(&independent(2, 1), CheckerConfig::parallel_bfs(0));
+            assert!(report.verdict.is_verified());
+            assert_eq!(report.stats.states, 4);
+            assert!(report.stats.worker_threads >= 1);
+        }
+
+        #[test]
+        fn pool_spawns_exactly_threads_workers_per_run() {
+            // Ten levels: a pool that spawned per level would start dozens
+            // of threads. The calling thread is one of the three workers.
+            let report = verify(&independent(3, 3), CheckerConfig::parallel_bfs(3));
+            assert!(report.verdict.is_verified());
+            assert_eq!(report.stats.states, 64);
+            assert_eq!(report.stats.worker_threads, 3);
+            assert_eq!(
+                report.stats.worker_spawns, 2,
+                "helpers are spawned once per run, and the caller is not spawned"
+            );
+        }
+
+        #[test]
+        fn fingerprint_store_agrees_and_uses_less_memory() {
+            let spec = independent(4, 2);
+            let exact = verify(&spec, CheckerConfig::parallel_bfs(2));
+            let fp = verify(
+                &spec,
+                CheckerConfig::parallel_bfs(2).with_store(StoreConfig::fingerprint(48)),
+            );
+            assert!(exact.verdict.is_verified());
+            assert!(fp.verdict.is_verified());
+            assert_eq!(fp.stats.states, exact.stats.states);
+            assert_eq!(fp.stats.store_backend, "fingerprint");
+            assert!(
+                fp.stats.store_bytes < exact.stats.store_bytes,
+                "fingerprints ({}) must be smaller than full keys ({})",
+                fp.stats.store_bytes,
+                exact.stats.store_bytes
+            );
+        }
+
+        #[test]
+        fn disk_frontier_agrees_with_mem_frontier() {
+            let spec = independent(3, 3);
+            let run = |frontier| {
+                verify(
+                    &spec,
+                    CheckerConfig::parallel_bfs(2).with_frontier(frontier),
+                )
+            };
+            let mem = run(FrontierConfig::Mem);
+            let disk = run(FrontierConfig::disk_with_watermark(64));
+            assert!(mem.verdict.is_verified() && disk.verdict.is_verified());
+            assert_eq!(mem.stats.counters(), disk.stats.counters());
+            assert_eq!(disk.stats.frontier_backend, "disk");
+            assert!(disk.stats.frontier_spilled_bytes > 0);
+            assert!(disk.strategy.ends_with("+spill"));
+        }
+    }
+}

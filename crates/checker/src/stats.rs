@@ -39,13 +39,16 @@ pub struct ExplorationStats {
     pub proviso_expansions: usize,
     /// Maximum search depth reached.
     pub max_depth: usize,
-    /// Size of the parallel engine's worker pool (0 for the sequential
-    /// engines). This is the `threads` column of the scaling benchmarks.
+    /// Threads of a `ParallelBfs` run, the calling one included (0 for
+    /// every other strategy). This is the `threads` column of the scaling
+    /// benchmarks.
     pub worker_threads: usize,
-    /// OS threads actually started over the whole run. The persistent pool
-    /// contract is `worker_spawns == worker_threads` no matter how many
-    /// levels or batches the search processed — a regression to
-    /// spawn-per-batch shows up here (and in the test that asserts it).
+    /// OS threads actually started over the whole run. The breadth-first
+    /// core spawns its helpers once, and the calling thread is a worker
+    /// itself, so the contract is `worker_spawns == worker_threads − 1`
+    /// (0 at one thread) however many levels or chunks the search
+    /// processed — a regression to spawn-per-level shows up here (and in
+    /// the test that asserts it).
     pub worker_spawns: usize,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,

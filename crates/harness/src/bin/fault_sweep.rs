@@ -7,14 +7,15 @@
 //! Usage: `cargo run --release -p mp-harness --bin fault_sweep
 //! [--full | --smoke] [--spill] [--spill-watermark BYTES]
 //! [--checkpoint-dir DIR] [--checkpoint-every K] [--json [PATH]]
-//! [--threads N] [--batch-size N] [--progress] [--trace PATH]` (run with
+//! [--threads N] [--progress] [--trace PATH]` (run with
 //! `--help` for the authoritative flag list — it is generated from the
 //! same table the parser uses)
 //!
-//! `--threads N` adds a parallel-engine agreement probe: the sweep's
-//! protocol cells are re-checked on the persistent worker pool at N
-//! threads and must reproduce the sequential BFS verdicts and counters
-//! exactly (exit non-zero otherwise, like the other agreement gates).
+//! `--threads N` adds a pooled-mode agreement probe: the sweep's protocol
+//! cells are re-checked with `parallel_bfs(N)` — under the sweep's own
+//! frontier, so with `--spill` on the disk frontier — and must reproduce
+//! the sequential BFS verdicts and counters exactly (exit non-zero
+//! otherwise, like the other agreement gates).
 //!
 //! `--smoke` runs a reduced budget matrix (no faults, one crash, one drop)
 //! under tight per-cell limits — the per-PR CI smoke test that uploads
@@ -38,7 +39,7 @@
 use std::time::Duration;
 
 use mp_faults::FaultBudget;
-use mp_harness::cli::{Cli, FlagSpec, BATCH_SIZE_FLAG, PROGRESS_FLAG, THREADS_FLAG, TRACE_FLAG};
+use mp_harness::cli::{Cli, FlagSpec, PROGRESS_FLAG, THREADS_FLAG, TRACE_FLAG};
 use mp_harness::fault_sweep::SWEEP_SPILL_WATERMARK;
 use mp_harness::fault_sweep::{
     backend_disagreements, fault_sweep, fault_sweep_grid, fault_sweep_json, frontier_disagreements,
@@ -77,7 +78,6 @@ const FLAGS: &[FlagSpec] = &[
         "destination of the sweep JSON (default BENCH_fault_sweep.json)",
     ),
     THREADS_FLAG,
-    BATCH_SIZE_FLAG,
     PROGRESS_FLAG,
     TRACE_FLAG,
 ];
@@ -122,9 +122,7 @@ fn main() {
             .with_checkpoint_dir(dir)
             .with_checkpoint_every(cli.usize_value("--checkpoint-every", 1));
     }
-    run_budget = run_budget
-        .with_batch_size(cli.usize_value(BATCH_SIZE_FLAG.name, 0))
-        .with_trace(cli.tracer());
+    run_budget = run_budget.with_trace(cli.tracer());
 
     println!("Generic fault injection: budget sweep over the evaluation protocols");
     println!("(crash-stop / message loss / duplication / Byzantine corruption)");
@@ -210,9 +208,9 @@ fn main() {
         std::process::exit(1);
     }
 
-    // With `--threads N`, additionally probe the parallel BFS engine's
-    // worker pool at N threads against the sequential reference on the
-    // sweep's protocol cells — same exit-nonzero convention as the other
+    // With `--threads N`, additionally probe the pooled mode of the BFS
+    // core at N threads against the sequential reference on the sweep's
+    // protocol cells — same exit-nonzero convention as the other
     // agreement gates.
     if cli.has(THREADS_FLAG.name) {
         let threads = cli.usize_value(THREADS_FLAG.name, 0);

@@ -1,24 +1,25 @@
-//! Thread-scaling benchmark of the parallel BFS engine's persistent
-//! worker pool.
+//! Thread-scaling benchmark of the pooled (`parallel_bfs`) mode of the
+//! breadth-first core.
 //!
 //! Usage: `cargo run --release -p mp-harness --bin parallel_scaling
-//! [--smoke] [--acceptors N] [--batch-size N] [--json [PATH]]
-//! [--progress] [--trace PATH]` (run with `--help` for the authoritative
-//! flag list — it is generated from the same table the parser uses)
+//! [--smoke] [--acceptors N] [--json [PATH]] [--progress] [--trace PATH]`
+//! (run with `--help` for the authoritative flag list — it is generated
+//! from the same table the parser uses)
 //!
-//! Sweeps the pooled engine over 1/2/4/8 worker threads on the Paxos and
-//! echo multicast quorum models (symmetry off and on), asserts that every
+//! Sweeps `parallel_bfs(N)` over 1/2/4/8 threads on the Paxos and echo
+//! multicast quorum models (symmetry off and on), asserts that every
 //! pooled run agrees with the sequential BFS reference, and always writes
 //! `BENCH_parallel_scaling.json` — each row carries its `threads` column,
-//! the wall-clock `speedup` vs the family's 1-thread run, and the
-//! producing machine's `cores`. The committed baseline of that file is
+//! the wall-clock `speedup` vs the family's 1-thread run (which expands
+//! every chunk on the calling thread, like the sequential strategy), and
+//! the producing machine's `cores`. The committed baseline of that file is
 //! what `bench_gate` guards: a 4-thread run whose speedup drops beyond
 //! the tolerance relative to the baseline fails CI.
 //!
 //! `--smoke` shrinks the Paxos cell to 2 acceptors and tightens the
 //! budget — the per-PR CI configuration.
 
-use mp_harness::cli::{Cli, FlagSpec, BATCH_SIZE_FLAG, PROGRESS_FLAG, TRACE_FLAG};
+use mp_harness::cli::{Cli, FlagSpec, PROGRESS_FLAG, TRACE_FLAG};
 use mp_harness::parallel_scaling::{
     bench_cells, parallel_scaling_sweep, render_parallel_json, render_parallel_sweep, smoke_cells,
     THREAD_GRID,
@@ -36,7 +37,6 @@ const FLAGS: &[FlagSpec] = &[
         "N",
         "acceptors of the Paxos scaling cell (default 3; ignored by --smoke)",
     ),
-    BATCH_SIZE_FLAG,
     FlagSpec::optional_value(
         "--json",
         "PATH",
@@ -73,7 +73,6 @@ fn main() {
     } else {
         Budget::default()
     }
-    .with_batch_size(cli.usize_value(BATCH_SIZE_FLAG.name, 0))
     .with_trace(cli.tracer());
 
     let cores = std::thread::available_parallelism()

@@ -2,9 +2,9 @@
 //! models are than quorum models, as a function of the quorum size.
 //!
 //! Usage: `cargo run --release -p mp-harness --bin quorum_scaling
-//! [--voters N] [--json [PATH]] [--threads N] [--batch-size N]
-//! [--progress] [--trace PATH]` (run with `--help` for the authoritative
-//! flag list — it is generated from the same table the parser uses)
+//! [--voters N] [--json [PATH]] [--threads N] [--progress]
+//! [--trace PATH]` (run with `--help` for the authoritative flag list —
+//! it is generated from the same table the parser uses)
 //!
 //! With `--json`, the Paxos acceptor sweep is additionally written as a
 //! JSON array (default path `BENCH_quorum_scaling.json`) so the bench
@@ -14,7 +14,7 @@
 //! those rows join the JSON.
 
 use mp_checker::NullObserver;
-use mp_harness::cli::{Cli, FlagSpec, BATCH_SIZE_FLAG, PROGRESS_FLAG, THREADS_FLAG, TRACE_FLAG};
+use mp_harness::cli::{Cli, FlagSpec, PROGRESS_FLAG, THREADS_FLAG, TRACE_FLAG};
 use mp_harness::runner::run_cell;
 use mp_harness::scaling::{
     collect_sweep, paxos_frontier_sweep, paxos_sweep, paxos_symmetry_sweep, render_frontier_sweep,
@@ -36,7 +36,6 @@ const FLAGS: &[FlagSpec] = &[
         "write the Paxos sweeps as a JSON array (default BENCH_quorum_scaling.json)",
     ),
     THREADS_FLAG,
-    BATCH_SIZE_FLAG,
     PROGRESS_FLAG,
     TRACE_FLAG,
 ];
@@ -52,9 +51,7 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(4usize);
     let json_path = cli.json_path("BENCH_quorum_scaling.json");
-    let budget = Budget::default()
-        .with_batch_size(cli.usize_value(BATCH_SIZE_FLAG.name, 0))
-        .with_trace(cli.tracer());
+    let budget = Budget::default().with_trace(cli.tracer());
 
     println!("Section II-C: state-space inflation of single-message models");
     println!();

@@ -87,13 +87,6 @@ pub const THREADS_FLAG: FlagSpec = FlagSpec::value(
     "worker threads for the parallel BFS engine (0 = available CPUs)",
 );
 
-/// The shared `--batch-size N` flag (parallel BFS pool batch size).
-pub const BATCH_SIZE_FLAG: FlagSpec = FlagSpec::value(
-    "--batch-size",
-    "N",
-    "frontier entries dealt to the worker pool per round (0 = automatic threads*64)",
-);
-
 /// Why parsing stopped without producing a [`Cli`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CliError {
@@ -225,8 +218,8 @@ impl Cli {
     }
 
     /// The value given with `name` parsed as a `usize`, or `default` when
-    /// the flag is absent or unparsable — the convention shared by
-    /// [`THREADS_FLAG`] and [`BATCH_SIZE_FLAG`].
+    /// the flag is absent or unparsable — the convention of every numeric
+    /// flag ([`THREADS_FLAG`], `--spill-watermark`, …).
     pub fn usize_value(&self, name: &str, default: usize) -> usize {
         self.value(name)
             .and_then(|v| v.parse().ok())

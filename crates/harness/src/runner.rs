@@ -28,10 +28,6 @@ pub struct Budget {
     /// encoded states past its watermark so paper-scale sweeps keep their
     /// level queues on disk next to a compact visited set.
     pub frontier: FrontierConfig,
-    /// Batch size fed to the parallel engine's worker pool per round
-    /// (`CheckerConfig::batch_size`); `0` keeps the engine's automatic
-    /// `threads * 64`. The sequential cells ignore it.
-    pub batch_size: usize,
     /// Observability sink (`mp-trace`) forwarded into every cell's
     /// [`CheckerConfig`]. The default disabled tracer keeps every
     /// instrumentation point a no-op; the binaries' `--progress` /
@@ -55,7 +51,6 @@ impl Default for Budget {
             time_limit: Some(Duration::from_secs(30)),
             store: StoreConfig::Exact,
             frontier: FrontierConfig::Mem,
-            batch_size: 0,
             trace: Tracer::disabled(),
             checkpoint_dir: None,
             checkpoint_every: 1,
@@ -94,13 +89,6 @@ impl Budget {
         self
     }
 
-    /// Sets the parallel engine's worker-pool batch size (builder style);
-    /// `0` keeps the automatic `threads * 64`.
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size;
-        self
-    }
-
     /// Installs an observability tracer (builder style); every cell run
     /// under this budget then emits heartbeat/NDJSON events and records its
     /// phase breakdown.
@@ -128,7 +116,6 @@ impl Budget {
         config.time_limit = self.time_limit;
         config.store = self.store;
         config.frontier = self.frontier;
-        config.batch_size = self.batch_size;
         config.trace = self.trace.clone();
         config
     }

@@ -60,9 +60,6 @@ fn run_summary_markdown(run: &RunSummary) -> String {
     out.push_str(&format!("| transitions | {} |\n", run.transitions));
     out.push_str(&format!("| elapsed | {} ms |\n", run.elapsed_ms));
     out.push_str(&format!("| peak depth | {} |\n", run.peak_depth));
-    if run.steals > 0 {
-        out.push_str(&format!("| steals | {} |\n", run.steals));
-    }
     out.push_str(&format!(
         "| throughput p50 / p90 / max | {} / {} / {} states/s |\n",
         run.throughput.p50, run.throughput.p90, run.throughput.max
@@ -368,20 +365,17 @@ mod tests {
     }
 
     #[test]
-    fn summary_reports_steals_and_worker_busy_for_pool_runs() {
+    fn summary_reports_worker_busy_for_pool_runs() {
         let buf = SharedBuffer::new();
         let tracer = Tracer::to_writer(false, Box::new(buf.clone()));
         let run = tracer.begin_run("paxos", "pool-bfs(4)", "agreement");
         run.add(Counter::States, 10);
-        run.add(mp_trace::Counter::Steals, 7);
         run.sample_gauge(Gauge::WorkerBusyUs, 1234);
         run.finish("verified");
         drop(run);
         let text = buf.contents();
         let runs = analyze_stream(text.lines()).unwrap();
-        assert_eq!(runs[0].steals, 7);
         let md = summary_markdown("t.ndjson", &runs);
-        assert!(md.contains("| steals | 7 |"), "{md}");
         assert!(md.contains("| worker_busy_us | 1234 µs |"), "{md}");
     }
 }

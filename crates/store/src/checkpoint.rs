@@ -13,7 +13,8 @@
 //!   frontier entries as `varint(len) payload` records (the payload bytes
 //!   are the engine's own entry encoding; this module never interprets
 //!   them);
-//! * `parents.log` — one append-only file of parent records in push order,
+//! * `parents.log` — one append-only file of parent records (the
+//!   [`ParentLog`](crate::ParentLog)'s fixed-width bytes) in push order,
 //!   framed the same way;
 //! * `MANIFEST` — a line-oriented text file carrying the format version,
 //!   the protocol's structure fingerprint, the engine/config identity
@@ -63,7 +64,7 @@ use mp_model::{read_varint, write_varint, Fnv64};
 /// The manifest format version this build writes and accepts. Bump it on
 /// any incompatible change to the manifest or data-file layouts; resume
 /// refuses other versions (see `docs/ON_DISK_FORMATS.md` for the policy).
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 const MANIFEST_NAME: &str = "MANIFEST";
 const PARENTS_NAME: &str = "parents.log";
@@ -727,16 +728,15 @@ mod tests {
         let manifest_path = dir.join(MANIFEST_NAME);
         let good = std::fs::read_to_string(&manifest_path).unwrap();
 
-        // A future format version is a mismatch, not a parse attempt.
-        std::fs::write(
-            &manifest_path,
-            good.replace("checkpoint v1", "checkpoint v99"),
-        )
-        .unwrap();
-        assert!(matches!(
-            Manifest::load(&dir).unwrap_err(),
-            CheckpointError::Mismatch(_)
-        ));
+        // Any other format version — the retired v1 as much as a future
+        // one — is a mismatch, not a parse attempt.
+        for other in ["checkpoint v1", "checkpoint v99"] {
+            std::fs::write(&manifest_path, good.replace("checkpoint v2", other)).unwrap();
+            assert!(matches!(
+                Manifest::load(&dir).unwrap_err(),
+                CheckpointError::Mismatch(_)
+            ));
+        }
 
         // A truncated manifest (no end marker) reads as corrupt — the
         // atomic rename makes this unreachable in practice, but the loader

@@ -1,4 +1,4 @@
-//! Spillable BFS frontiers and append-only spill logs.
+//! Spillable BFS frontiers.
 //!
 //! Breadth-first search keeps two level queues alive at once — the level
 //! being expanded and the level being generated — and on fault-augmented
@@ -19,11 +19,6 @@
 //! Both implement [`FrontierBackend`] and preserve strict FIFO order, so an
 //! engine driving either explores states in the identical order — spill on
 //! and spill off produce byte-identical verdicts and state counts.
-//!
-//! [`SpillLog`] is the companion structure for the BFS parent-pointer
-//! tables: an append-only, randomly-readable log of encoded records with
-//! the same watermark discipline, so counterexample paths stay
-//! reconstructible without keeping every transition instance in memory.
 //!
 //! Symmetry interaction is the engines' job: with orbit reduction active
 //! they enqueue the *canonical representative* plus the permutation index δ
@@ -121,19 +116,6 @@ impl FrontierConfig {
                 delta,
                 codec,
             ))),
-        }
-    }
-
-    /// Builds the append-only log companion for record type `T` (in-memory
-    /// vector, or encoded records spilled with the same watermark).
-    pub fn build_log<T: Clone, C: ItemCodec<T>>(&self, codec: C) -> SpillLog<T, C> {
-        match *self {
-            FrontierConfig::Mem => SpillLog::mem(codec),
-            // The log is randomly read back one record at a time, so delta
-            // chains would defeat it — records stay raw regardless.
-            FrontierConfig::Disk {
-                watermark_bytes, ..
-            } => SpillLog::disk(watermark_bytes, codec),
         }
     }
 }
@@ -352,22 +334,54 @@ impl<T> FrontierBackend<T> for MemFrontier<T> {
 /// Names spill files uniquely within the process.
 static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-pub(crate) fn spill_path(prefix: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "{prefix}-{}-{}.bin",
-        std::process::id(),
-        SPILL_COUNTER.fetch_add(1, Ordering::Relaxed)
-    ))
+/// A process-private scratch file under [`std::env::temp_dir`], deleted on
+/// drop. I/O errors panic: nothing else writes the file, so they mean a
+/// broken environment (disk full, `TMPDIR` gone).
+#[derive(Debug)]
+pub(crate) struct SpillFile {
+    file: File,
+    path: PathBuf,
 }
 
-pub(crate) fn open_spill(path: &PathBuf) -> File {
-    OpenOptions::new()
-        .create(true)
-        .truncate(true)
-        .read(true)
-        .write(true)
-        .open(path)
-        .unwrap_or_else(|e| panic!("cannot create spill file {}: {e}", path.display()))
+impl SpillFile {
+    pub(crate) fn create(prefix: &str) -> Self {
+        let path = std::env::temp_dir().join(format!(
+            "{prefix}-{}-{}.bin",
+            std::process::id(),
+            SPILL_COUNTER.fetch_add(1, Ordering::Relaxed)
+        ));
+        let file = OpenOptions::new()
+            .create(true)
+            .truncate(true)
+            .read(true)
+            .write(true)
+            .open(&path)
+            .unwrap_or_else(|e| panic!("cannot create spill file {}: {e}", path.display()));
+        SpillFile { file, path }
+    }
+
+    /// Writes `bytes` at `offset` (reads move the cursor, so every access
+    /// seeks).
+    pub(crate) fn write_at(&mut self, offset: u64, bytes: &[u8]) {
+        self.file
+            .seek(SeekFrom::Start(offset))
+            .and_then(|_| self.file.write_all(bytes))
+            .unwrap_or_else(|e| panic!("spill write to {}: {e}", self.path.display()));
+    }
+
+    /// Fills `buf` from `offset`.
+    pub(crate) fn read_at(&mut self, offset: u64, buf: &mut [u8]) {
+        self.file
+            .seek(SeekFrom::Start(offset))
+            .and_then(|_| self.file.read_exact(buf))
+            .unwrap_or_else(|e| panic!("spill read from {}: {e}", self.path.display()));
+    }
+}
+
+impl Drop for SpillFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.path);
+    }
 }
 
 /// One contiguous run of encoded records in the spill file.
@@ -401,8 +415,7 @@ pub struct DiskFrontier<T, C> {
     codec: C,
     /// The two alternating spill files; `files[write_file]` receives the
     /// next level's segments, the other one holds the current level's.
-    files: [File; 2],
-    paths: [PathBuf; 2],
+    files: [SpillFile; 2],
     write_file: usize,
     write_len: u64,
     watermark: usize,
@@ -446,12 +459,9 @@ impl<T, C: ItemCodec<T>> DiskFrontier<T, C> {
     /// Creates a disk frontier, optionally delta-compressing each record
     /// against its predecessor in the segment (`delta = true`).
     pub fn with_options(watermark: usize, delta: bool, codec: C) -> Self {
-        let paths = [spill_path("mp-frontier"), spill_path("mp-frontier")];
-        let files = [open_spill(&paths[0]), open_spill(&paths[1])];
         DiskFrontier {
             codec,
-            files,
-            paths,
+            files: [(); 2].map(|()| SpillFile::create("mp-frontier")),
             write_file: 0,
             write_len: 0,
             watermark: watermark.max(1),
@@ -485,15 +495,7 @@ impl<T, C: ItemCodec<T>> DiskFrontier<T, C> {
         let _io = self.trace.span(Phase::SpillIo);
         self.trace
             .record(Histogram::SpillSegmentBytes, self.next_buf.len() as u64);
-        let file = &mut self.files[self.write_file];
-        file.seek(SeekFrom::Start(self.write_len))
-            .and_then(|_| file.write_all(&self.next_buf))
-            .unwrap_or_else(|e| {
-                panic!(
-                    "frontier spill write to {}: {e}",
-                    self.paths[self.write_file].display()
-                )
-            });
+        self.files[self.write_file].write_at(self.write_len, &self.next_buf);
         self.next_segments.push(Segment {
             offset: self.write_len,
             len: self.next_buf.len(),
@@ -516,16 +518,7 @@ impl<T, C: ItemCodec<T>> DiskFrontier<T, C> {
         if let Some(segment) = self.cur_segments.pop_front() {
             let _io = self.trace.span(Phase::SpillIo);
             self.cur_chunk.resize(segment.len, 0);
-            let read_file = 1 - self.write_file;
-            let file = &mut self.files[read_file];
-            file.seek(SeekFrom::Start(segment.offset))
-                .and_then(|_| file.read_exact(&mut self.cur_chunk))
-                .unwrap_or_else(|e| {
-                    panic!(
-                        "frontier spill read from {}: {e}",
-                        self.paths[read_file].display()
-                    )
-                });
+            self.files[1 - self.write_file].read_at(segment.offset, &mut self.cur_chunk);
             self.cur_pos = 0;
             self.cur_chunk_items = segment.items;
             return true;
@@ -608,7 +601,7 @@ impl<T, C: ItemCodec<T>> FrontierBackend<T> for DiskFrontier<T, C> {
         // becomes the write side — disk stays bounded by two live levels.
         self.write_file = 1 - self.write_file;
         self.write_len = 0;
-        let _ = self.files[self.write_file].set_len(0);
+        let _ = self.files[self.write_file].file.set_len(0);
         self.cur_segments = std::mem::take(&mut self.next_segments).into();
         self.cur_tail = std::mem::take(&mut self.next_buf);
         self.cur_tail_items = self.next_buf_items;
@@ -635,210 +628,6 @@ impl<T, C: ItemCodec<T>> FrontierBackend<T> for DiskFrontier<T, C> {
 
     fn set_trace(&mut self, trace: TraceHandle) {
         self.trace = trace;
-    }
-}
-
-impl<T, C> Drop for DiskFrontier<T, C> {
-    fn drop(&mut self) {
-        for path in &self.paths {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
-/// An append-only log of encoded records with random read access, spilling
-/// past a watermark. The BFS engine stores its parent-pointer/transition
-/// table in one of these: entries are written once in index order and read
-/// back only while reconstructing a counterexample path, so the in-memory
-/// cost drops to one `(offset, len)` pair per state.
-#[derive(Debug)]
-pub enum SpillLog<T, C> {
-    /// Records kept in memory (the [`FrontierConfig::Mem`] companion).
-    Mem {
-        /// The records, by index.
-        items: Vec<T>,
-        /// The codec (unused in memory, kept so both arms build alike).
-        codec: C,
-    },
-    /// Encoded records, spilled past the watermark.
-    Disk {
-        /// The codec used for every record.
-        codec: C,
-        /// `(global offset, encoded length)` per record index.
-        offsets: Vec<(u64, u32)>,
-        /// Encoded records not yet written to the file.
-        buf: Vec<u8>,
-        /// Global offset of the first byte of `buf`.
-        buf_base: u64,
-        /// The spill file.
-        file: File,
-        /// Its path (removed on drop).
-        path: PathBuf,
-        /// Flush threshold for `buf`.
-        watermark: usize,
-        /// Total bytes written to the file.
-        spilled_bytes: usize,
-        /// Trace handle attributing spill I/O to [`Phase::SpillIo`].
-        trace: TraceHandle,
-    },
-}
-
-impl<T: Clone, C: ItemCodec<T>> SpillLog<T, C> {
-    /// Creates an in-memory log.
-    pub fn mem(codec: C) -> Self {
-        SpillLog::Mem {
-            items: Vec::new(),
-            codec,
-        }
-    }
-
-    /// Creates a disk-backed log spilling past `watermark` buffered bytes.
-    pub fn disk(watermark: usize, codec: C) -> Self {
-        let path = spill_path("mp-pathlog");
-        let file = open_spill(&path);
-        SpillLog::Disk {
-            codec,
-            offsets: Vec::new(),
-            buf: Vec::new(),
-            buf_base: 0,
-            file,
-            path,
-            watermark: watermark.max(1),
-            spilled_bytes: 0,
-            trace: TraceHandle::disabled(),
-        }
-    }
-
-    /// Installs a trace handle; spill writes and read-backs are then timed
-    /// under [`Phase::SpillIo`]. The in-memory log ignores it.
-    pub fn set_trace(&mut self, handle: TraceHandle) {
-        if let SpillLog::Disk { trace, .. } = self {
-            *trace = handle;
-        }
-    }
-
-    /// Appends a record and returns its index.
-    pub fn push(&mut self, item: T) -> usize {
-        match self {
-            SpillLog::Mem { items, .. } => {
-                items.push(item);
-                items.len() - 1
-            }
-            SpillLog::Disk {
-                codec,
-                offsets,
-                buf,
-                buf_base,
-                file,
-                path,
-                watermark,
-                spilled_bytes,
-                trace,
-            } => {
-                let start = buf.len();
-                codec.encode_item(&item, buf);
-                let len = (buf.len() - start) as u32;
-                offsets.push((*buf_base + start as u64, len));
-                if buf.len() >= *watermark {
-                    let _io = trace.span(Phase::SpillIo);
-                    trace.record(Histogram::SpillSegmentBytes, buf.len() as u64);
-                    file.seek(SeekFrom::Start(*buf_base))
-                        .and_then(|_| file.write_all(buf))
-                        .unwrap_or_else(|e| {
-                            panic!("path-log spill write to {}: {e}", path.display())
-                        });
-                    *spilled_bytes += buf.len();
-                    *buf_base += buf.len() as u64;
-                    buf.clear();
-                }
-                offsets.len() - 1
-            }
-        }
-    }
-
-    /// Reads the record at `index` back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` was never pushed, or on spill-file I/O or decode
-    /// failure (see [`DiskFrontier`] on why those are fatal).
-    pub fn get(&mut self, index: usize) -> T {
-        match self {
-            SpillLog::Mem { items, .. } => items[index].clone(),
-            SpillLog::Disk {
-                codec,
-                offsets,
-                buf,
-                buf_base,
-                file,
-                path,
-                trace,
-                ..
-            } => {
-                let (offset, len) = offsets[index];
-                let mut record;
-                let mut slice = if offset >= *buf_base {
-                    let start = (offset - *buf_base) as usize;
-                    &buf[start..start + len as usize]
-                } else {
-                    let _io = trace.span(Phase::SpillIo);
-                    record = vec![0u8; len as usize];
-                    file.seek(SeekFrom::Start(offset))
-                        .and_then(|_| file.read_exact(&mut record))
-                        .unwrap_or_else(|e| {
-                            panic!("path-log spill read from {}: {e}", path.display())
-                        });
-                    &record[..]
-                };
-                codec
-                    .decode_item(&mut slice)
-                    .unwrap_or_else(|e| panic!("corrupted path-log record: {e}"))
-            }
-        }
-    }
-
-    /// Number of records pushed so far.
-    pub fn len(&self) -> usize {
-        match self {
-            SpillLog::Mem { items, .. } => items.len(),
-            SpillLog::Disk { offsets, .. } => offsets.len(),
-        }
-    }
-
-    /// Returns `true` if nothing has been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total bytes written to the spill file (0 for the in-memory log).
-    pub fn spilled_bytes(&self) -> usize {
-        match self {
-            SpillLog::Mem { .. } => 0,
-            SpillLog::Disk { spilled_bytes, .. } => *spilled_bytes,
-        }
-    }
-
-    /// Approximate *resident* bytes of the log — what it costs in RAM, as
-    /// opposed to [`spilled_bytes`](Self::spilled_bytes) which counts what
-    /// already left for disk. `size_of`-based for the in-memory arm (heap
-    /// behind the records is invisible without a deep-size trait); the
-    /// offset table plus the unflushed buffer for the disk arm. Feeds the
-    /// `parent_log_bytes` memory gauge.
-    pub fn approx_bytes(&self) -> usize {
-        match self {
-            SpillLog::Mem { items, .. } => items.len() * std::mem::size_of::<T>(),
-            SpillLog::Disk { offsets, buf, .. } => {
-                offsets.len() * std::mem::size_of::<(u64, u32)>() + buf.len()
-            }
-        }
-    }
-}
-
-impl<T, C> Drop for SpillLog<T, C> {
-    fn drop(&mut self) {
-        if let SpillLog::Disk { path, .. } = self {
-            let _ = std::fs::remove_file(path);
-        }
     }
 }
 
@@ -940,9 +729,9 @@ mod tests {
             assert_eq!(disk.advance_level(), 50, "level {level}");
             while disk.pop().is_some() {}
             let resident: u64 = disk
-                .paths
+                .files
                 .iter()
-                .filter_map(|p| std::fs::metadata(p).ok())
+                .filter_map(|f| std::fs::metadata(&f.path).ok())
                 .map(|m| m.len())
                 .sum();
             resident_peak = resident_peak.max(resident);
@@ -1012,30 +801,6 @@ mod tests {
         mem.advance_level();
         mem.push(item(2));
         mem.advance_level(); // item 1 still queued
-    }
-
-    #[test]
-    fn spill_log_random_access_roundtrips() {
-        for config in [
-            FrontierConfig::Mem,
-            FrontierConfig::disk_with_watermark(100),
-        ] {
-            let mut log = config.build_log::<Item, _>(PlainCodec);
-            assert!(log.is_empty());
-            for i in 0..200 {
-                assert_eq!(log.push(item(i)), i);
-            }
-            assert_eq!(log.len(), 200);
-            // Read back out of order: spilled region and live buffer both.
-            for i in [199, 0, 57, 133, 1, 198] {
-                assert_eq!(log.get(i), item(i), "{config}");
-            }
-            if config.spills() {
-                assert!(log.spilled_bytes() > 0);
-            } else {
-                assert_eq!(log.spilled_bytes(), 0);
-            }
-        }
     }
 
     #[test]

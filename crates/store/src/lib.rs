@@ -75,9 +75,10 @@
 //! encoded states (`mp-model`'s `Encode`/`Decode` codec) to a temporary
 //! file in watermark-sized segments, reading them back level by level.
 //! Both preserve strict FIFO order, so spill-on and spill-off runs explore
-//! identically. [`SpillLog`] gives the BFS parent-pointer tables the same
-//! discipline so counterexample paths stay reconstructible. See the
-//! [`frontier`](self::FrontierBackend) module types for the details.
+//! identically. [`ParentLog`] keeps the BFS parent-pointer table as
+//! fixed-width records under the same watermark, so counterexample paths
+//! stay reconstructible. See the [`frontier`](self::FrontierBackend) module
+//! types for the details.
 //!
 //! ## Checkpoint/resume
 //!
@@ -111,6 +112,7 @@ mod config;
 mod fingerprint;
 mod frontier;
 mod hash;
+mod parent_log;
 mod runstore;
 mod table;
 
@@ -123,9 +125,10 @@ pub use config::{StoreConfig, StoreImpl, DEFAULT_FINGERPRINT_BITS, DEFAULT_SHARD
 pub use fingerprint::FingerprintStore;
 pub use frontier::{
     DiskFrontier, FrontierBackend, FrontierConfig, FrontierImpl, FrontierStats, ItemCodec,
-    MemFrontier, PlainCodec, SpillLog, DEFAULT_FRONTIER_WATERMARK,
+    MemFrontier, PlainCodec, DEFAULT_FRONTIER_WATERMARK,
 };
 pub use hash::hash_bytes;
+pub use parent_log::{ParentLog, ParentRecord};
 pub use runstore::{RunStore, DEFAULT_RUN_WATERMARK};
 pub use table::ByteStore;
 

@@ -1,0 +1,223 @@
+//! The BFS parent log: one fixed-width record per stored state.
+//!
+//! A breadth-first search rebuilds a counterexample by walking parent
+//! pointers from the violating state back to the root. The log keeps, for
+//! state *i*, the index of the state it was first generated from and the
+//! successor's **ordinal** in the parent's explore set — not the transition
+//! instance itself: the engine replays the ordinals from the initial state
+//! through the same reducer, so a record needs no codec and no heap.
+//!
+//! Records are [`ParentLog::WIDTH`] bytes, so record *i* lives at byte
+//! `WIDTH × i` and random access needs no offset table. In memory the log
+//! is one byte vector; under [`FrontierConfig::Disk`] the vector is only
+//! the unflushed tail — past the frontier's watermark it is appended to a
+//! scratch file (`temp_dir()`, deleted on drop) and read back by `seek`.
+
+use mp_trace::{Histogram, Phase, TraceHandle};
+
+use crate::frontier::{FrontierConfig, SpillFile};
+
+/// One parent-log record: `None` for the root, otherwise `(parent index,
+/// ordinal of the successor in the parent's explore set)`.
+pub type ParentRecord = Option<(usize, usize)>;
+
+/// The low bits of a record's word hold the parent index, the rest the
+/// ordinal. The all-ones word is the root, so a real parent index stays
+/// below the all-ones field.
+const PARENT_BITS: u32 = 40;
+const PARENT_MASK: u64 = (1 << PARENT_BITS) - 1;
+const ROOT: u64 = u64::MAX;
+
+/// The append-only, randomly readable parent table of a BFS run. See the
+/// module docs. An access that cannot be answered fails with a message
+/// naming the offending index, record or length; I/O errors on the scratch
+/// file panic, like the disk frontier's.
+pub struct ParentLog {
+    /// Every record in memory mode; the unflushed tail when spilling.
+    buf: Vec<u8>,
+    /// When spilling: the scratch file and the flush watermark.
+    spill: Option<(SpillFile, usize)>,
+    /// Records already written to the scratch file.
+    flushed: usize,
+    trace: TraceHandle,
+}
+
+impl ParentLog {
+    /// Bytes per record (one little-endian `u64`).
+    pub const WIDTH: usize = 8;
+
+    /// Creates the log that accompanies a frontier of this configuration:
+    /// resident for [`FrontierConfig::Mem`], spilling past the same
+    /// watermark for [`FrontierConfig::Disk`]. Spill writes and read-backs
+    /// are timed under `trace`'s [`Phase::SpillIo`].
+    pub fn new(config: FrontierConfig, trace: TraceHandle) -> Self {
+        let spill = match config {
+            FrontierConfig::Mem => None,
+            FrontierConfig::Disk {
+                watermark_bytes, ..
+            } => Some((SpillFile::create("mp-parents"), watermark_bytes.max(1))),
+        };
+        ParentLog {
+            buf: Vec::new(),
+            spill,
+            flushed: 0,
+            trace,
+        }
+    }
+
+    /// The bytes of `record`; fails on a parent index or ordinal too large
+    /// for its field.
+    pub fn encode(record: ParentRecord) -> Result<[u8; Self::WIDTH], String> {
+        let Some((parent, ordinal)) = record else {
+            return Ok(ROOT.to_le_bytes());
+        };
+        match (u64::try_from(parent), u64::try_from(ordinal)) {
+            (Ok(p), Ok(o)) if p < PARENT_MASK && o <= ROOT >> PARENT_BITS => {
+                Ok((o << PARENT_BITS | p).to_le_bytes())
+            }
+            _ => Err(format!(
+                "parent log: index {parent} or ordinal {ordinal} does not fit its field"
+            )),
+        }
+    }
+
+    /// The record stored in `bytes`; fails unless they are exactly one
+    /// record.
+    pub fn decode(bytes: &[u8]) -> Result<ParentRecord, String> {
+        let word = bytes.try_into().map(u64::from_le_bytes).map_err(|_| {
+            let (width, got) = (Self::WIDTH, bytes.len());
+            format!("parent log: a record is {width} bytes, got {got}")
+        })?;
+        if word == ROOT {
+            return Ok(None);
+        }
+        let fields = (word & PARENT_MASK, word >> PARENT_BITS);
+        match (usize::try_from(fields.0), usize::try_from(fields.1)) {
+            (Ok(parent), Ok(ordinal)) => Ok(Some((parent, ordinal))),
+            _ => Err(format!("parent log: record {fields:?} exceeds usize")),
+        }
+    }
+
+    /// Appends a record and returns its index; fails as
+    /// [`ParentLog::encode`] does.
+    pub fn push(&mut self, record: ParentRecord) -> Result<usize, String> {
+        self.buf.extend_from_slice(&Self::encode(record)?);
+        if let Some((file, watermark)) = &mut self.spill {
+            if self.buf.len() >= *watermark {
+                let _io = self.trace.span(Phase::SpillIo);
+                self.trace
+                    .record(Histogram::SpillSegmentBytes, self.buf.len() as u64);
+                file.write_at((self.flushed * Self::WIDTH) as u64, &self.buf);
+                self.flushed += self.buf.len() / Self::WIDTH;
+                self.buf.clear();
+            }
+        }
+        Ok(self.len() - 1)
+    }
+
+    /// Reads the record at `index` back; fails if it was never pushed.
+    fn get(&mut self, index: usize) -> Result<ParentRecord, String> {
+        let len = self.len();
+        if index >= len {
+            return Err(format!(
+                "parent log: index {index} out of range ({len} records)"
+            ));
+        }
+        if index >= self.flushed {
+            let start = (index - self.flushed) * Self::WIDTH;
+            return Self::decode(&self.buf[start..start + Self::WIDTH]);
+        }
+        let (file, _) = self.spill.as_mut().expect("flushed records imply a file");
+        let _io = self.trace.span(Phase::SpillIo);
+        let mut record = [0u8; Self::WIDTH];
+        file.read_at((index * Self::WIDTH) as u64, &mut record);
+        Self::decode(&record)
+    }
+
+    /// The ordinals along the parent chain from the root to `index`, in
+    /// execution order — what the engine replays into a counterexample.
+    /// Fails on an index out of range and on a record whose parent is not
+    /// an earlier record (a replayed checkpoint log is outside input).
+    pub fn ordinals_to(&mut self, index: usize) -> Result<Vec<usize>, String> {
+        let mut ordinals = Vec::new();
+        let mut at = index;
+        while let Some((parent, ordinal)) = self.get(at)? {
+            if parent >= at {
+                return Err(format!(
+                    "parent log: record {at} names parent {parent}, not an earlier record"
+                ));
+            }
+            ordinals.push(ordinal);
+            at = parent;
+        }
+        ordinals.reverse();
+        Ok(ordinals)
+    }
+
+    /// Number of records pushed so far.
+    fn len(&self) -> usize {
+        self.flushed + self.buf.len() / Self::WIDTH
+    }
+
+    /// Total bytes written to the scratch file (0 in memory mode).
+    pub fn spilled_bytes(&self) -> usize {
+        self.flushed * Self::WIDTH
+    }
+
+    /// Resident bytes of the log (feeds the `parent_log_bytes` gauge).
+    pub fn approx_bytes(&self) -> usize {
+        self.buf.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn record(i: usize) -> ParentRecord {
+        (i > 0).then_some((i / 2, i % 5))
+    }
+
+    #[test]
+    fn records_round_trip_in_memory_and_across_watermark_flushes() {
+        // 40 bytes = 5 records per flush, so 203 records leave 40 flushed
+        // segments and a 3-record unflushed tail.
+        for config in [FrontierConfig::Mem, FrontierConfig::disk_with_watermark(40)] {
+            let mut log = ParentLog::new(config, TraceHandle::disabled());
+            for i in 0..203 {
+                assert_eq!(log.push(record(i)), Ok(i));
+            }
+            for i in [202, 0, 57, 199, 133, 1, 200] {
+                assert_eq!(log.get(i), Ok(record(i)), "{config} record {i}");
+            }
+            // 202 → 101 → 50 → 25 → 12 → 6 → 3 → 1 → root.
+            assert_eq!(log.ordinals_to(202), Ok(vec![1, 3, 1, 2, 0, 0, 1, 2]));
+            let flushed = if config.spills() { 200 } else { 0 };
+            assert_eq!(log.spilled_bytes(), flushed * ParentLog::WIDTH);
+            assert_eq!(log.approx_bytes(), (203 - flushed) * ParentLog::WIDTH);
+        }
+    }
+
+    #[test]
+    fn out_of_range_and_malformed_accesses_fail_by_name() {
+        let mut log = ParentLog::new(FrontierConfig::Mem, TraceHandle::disabled());
+        log.push(None).unwrap();
+        let err = log.get(1).unwrap_err();
+        assert!(err.contains("index 1 out of range (1 records)"), "{err}");
+        assert!(log.ordinals_to(7).is_err());
+
+        let err = log.push(Some((usize::MAX, 0))).unwrap_err();
+        assert!(err.contains(&format!("index {}", usize::MAX)), "{err}");
+        let err = log.push(Some((0, 1 << 24))).unwrap_err();
+        assert!(err.contains("ordinal 16777216"), "{err}");
+        assert_eq!(log.len(), 1, "a refused record is not appended");
+
+        let err = ParentLog::decode(&[0; 7]).unwrap_err();
+        assert!(err.contains("8 bytes, got 7"), "{err}");
+        // A record naming itself as parent would never terminate the walk.
+        log.buf
+            .extend_from_slice(&ParentLog::encode(Some((1, 0))).unwrap());
+        let err = log.ordinals_to(1).unwrap_err();
+        assert!(err.contains("not an earlier record"), "{err}");
+    }
+}

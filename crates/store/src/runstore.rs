@@ -46,17 +46,14 @@
 //! ```
 
 use std::collections::BTreeSet;
-use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
 use std::marker::PhantomData;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use mp_model::{read_varint, write_varint, Encode};
 
 use crate::backend::{birthday_bound, StateStoreBackend, StoreStats};
-use crate::frontier::{open_spill, spill_path};
+use crate::frontier::SpillFile;
 use crate::hash::fingerprint;
 
 /// Default run-flush watermark: fingerprints buffered in RAM before a
@@ -82,8 +79,7 @@ struct Block {
 /// One sorted run on disk plus its in-memory block index.
 #[derive(Debug)]
 struct Run {
-    file: File,
-    path: PathBuf,
+    file: SpillFile,
     index: Vec<Block>,
     entries: usize,
 }
@@ -91,10 +87,7 @@ struct Run {
 impl Run {
     fn read_block(&mut self, block: Block) -> Vec<u64> {
         let mut raw = vec![0u8; block.len];
-        self.file
-            .seek(SeekFrom::Start(block.offset))
-            .and_then(|_| self.file.read_exact(&mut raw))
-            .unwrap_or_else(|e| panic!("run read from {}: {e}", self.path.display()));
+        self.file.read_at(block.offset, &mut raw);
         decode_block(&raw, block.count)
     }
 
@@ -107,12 +100,6 @@ impl Run {
         }
         let block = self.index[at - 1];
         self.read_block(block).binary_search(&fp).is_ok()
-    }
-}
-
-impl Drop for Run {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
     }
 }
 
@@ -134,8 +121,7 @@ fn decode_block(raw: &[u8], expected: usize) -> Vec<u64> {
 /// Streams sorted fingerprints into a new run file, block by block, so a
 /// merge never holds more than one output block in memory.
 struct RunWriter {
-    file: File,
-    path: PathBuf,
+    file: SpillFile,
     index: Vec<Block>,
     entries: usize,
     bytes: usize,
@@ -145,11 +131,8 @@ struct RunWriter {
 
 impl RunWriter {
     fn new() -> Self {
-        let path = spill_path("mp-runstore");
-        let file = open_spill(&path);
         RunWriter {
-            file,
-            path,
+            file: SpillFile::create("mp-runstore"),
             index: Vec::new(),
             entries: 0,
             bytes: 0,
@@ -177,9 +160,7 @@ impl RunWriter {
             write_varint(delta, &mut self.scratch);
             prev = *fp;
         }
-        self.file
-            .write_all(&self.scratch)
-            .unwrap_or_else(|e| panic!("run write to {}: {e}", self.path.display()));
+        self.file.write_at(self.bytes as u64, &self.scratch);
         self.index.push(Block {
             first_fp: self.block[0],
             offset: self.bytes as u64,
@@ -197,7 +178,6 @@ impl RunWriter {
         (
             Run {
                 file: self.file,
-                path: self.path,
                 index: self.index,
                 entries: self.entries,
             },

@@ -73,9 +73,6 @@ pub struct RunSummary {
     pub elapsed_ms: u64,
     /// Peak search depth / BFS level (from the last progress sample).
     pub peak_depth: u64,
-    /// Work-stealing events of the parallel BFS pool (from the last
-    /// progress sample; 0 for sequential engines and older streams).
-    pub steals: u64,
     /// Accumulated microseconds per phase, indexed like [`Phase::ALL`].
     pub phases_us: [u64; PHASE_COUNT],
     /// Reconstructed histograms, indexed like [`Histogram::ALL`].
@@ -285,7 +282,6 @@ where
                     .ok_or_else(|| format!("line {lineno}: progress outside a run"))?;
                 throughput_samples.push(get_int(&fields, "states_per_sec"));
                 run.peak_depth = run.peak_depth.max(get_int(&fields, "depth"));
-                run.steals = run.steals.max(get_int(&fields, "steals"));
                 for (i, gauge) in Gauge::ALL.iter().enumerate() {
                     run.gauges[i] = run.gauges[i].max(get_int(&fields, gauge.name()));
                 }

@@ -24,13 +24,10 @@ pub enum Counter {
     /// Search depth / BFS level — recorded as a **high-water mark**, not a
     /// sum: `add` folds the argument in with `max`.
     Depth,
-    /// Work-stealing events of the parallel BFS pool: one bump per batch a
-    /// worker took from a victim's deque instead of its own.
-    Steals,
 }
 
 /// Number of counters in [`Counter::ALL`].
-pub const COUNTER_COUNT: usize = 6;
+pub const COUNTER_COUNT: usize = 5;
 
 impl Counter {
     /// Every counter, in emission order.
@@ -40,7 +37,6 @@ impl Counter {
         Counter::Expansions,
         Counter::Revisits,
         Counter::Depth,
-        Counter::Steals,
     ];
 
     /// Stable snake_case name used in NDJSON progress events.
@@ -51,7 +47,6 @@ impl Counter {
             Counter::Expansions => "expansions",
             Counter::Revisits => "revisits",
             Counter::Depth => "depth",
-            Counter::Steals => "steals",
         }
     }
 
@@ -62,7 +57,6 @@ impl Counter {
             Counter::Expansions => 2,
             Counter::Revisits => 3,
             Counter::Depth => 4,
-            Counter::Steals => 5,
         }
     }
 }
@@ -78,7 +72,7 @@ pub enum Histogram {
     LevelWidth,
     /// Bytes per spilled frontier segment.
     SpillSegmentBytes,
-    /// States per parallel-BFS batch (how full each batch ran).
+    /// Frontier entries per BFS work chunk (how full each chunk ran).
     BatchOccupancy,
 }
 

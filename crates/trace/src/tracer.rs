@@ -278,7 +278,6 @@ impl RunInner {
         push_u64_field(&mut line, "states", states);
         push_u64_field(&mut line, "transitions", snap.counter(Counter::Transitions));
         push_u64_field(&mut line, "depth", snap.counter(Counter::Depth));
-        push_u64_field(&mut line, "steals", snap.counter(Counter::Steals));
         // Throughput from microseconds: the old `states*1000/elapsed_ms`
         // over-reported by up to 1000x on sub-millisecond runs.
         push_u64_field(

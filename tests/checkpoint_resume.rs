@@ -1,5 +1,6 @@
-//! Integration tests for checkpoint/resume on the breadth-first engines
-//! (`mp-store`'s `CheckpointConfig` driven through `CheckerConfig`):
+//! Integration tests for checkpoint/resume on the breadth-first core
+//! (`mp-store`'s `CheckpointConfig` driven through `CheckerConfig`), in its
+//! sequential (`stateful_bfs`) and pooled (`parallel_bfs(2)`) mode:
 //!
 //! * a run killed mid-search (simulated by a tight state limit, which
 //!   leaves the checkpoint directory exactly as a SIGKILL at that point
@@ -7,19 +8,22 @@
 //!   verdict and deterministic counters** as an uninterrupted run — across
 //!   the in-memory and disk frontiers and symmetry on/off,
 //! * a resumed violating run reports the byte-identical counterexample
-//!   path,
+//!   path (sequential) or one of the same, shortest length (pooled),
 //! * the external-memory `runs` visited store checkpoints and resumes like
 //!   the in-memory backends while spilling sorted runs to disk,
 //! * resuming a *completed* run is a no-op that reproduces the final
 //!   verdict and counters, and
 //! * resume **refuses** manifests from a different configuration, a
-//!   corrupted manifest, a tampered level file, and a future format
-//!   version (the versioning policy of `docs/ON_DISK_FORMATS.md`).
+//!   corrupted manifest, a tampered level file, and every other format
+//!   version, the retired v1 included (the versioning policy of
+//!   `docs/ON_DISK_FORMATS.md`).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use mp_basset::checker::{Checker, CheckerConfig, CheckpointConfig, RunReport, Verdict};
+use mp_basset::checker::{
+    Checker, CheckerConfig, CheckpointConfig, RunReport, SearchStrategy, Verdict,
+};
 use mp_basset::faults::FaultBudget;
 use mp_basset::protocols::paxos::{
     self, consensus_property, faulty_consensus_property, faulty_quorum_model as faulty_paxos,
@@ -37,9 +41,18 @@ fn temp_dir(tag: &str) -> PathBuf {
     ))
 }
 
-/// Runs the Paxos crash-cell safety check under SPOR with an optional
-/// checkpoint directory, state limit, store and symmetry setting.
+/// The two modes of the breadth-first core the kill/resume cases run in.
+fn modes() -> [CheckerConfig; 2] {
+    [
+        CheckerConfig::stateful_bfs(),
+        CheckerConfig::parallel_bfs(2),
+    ]
+}
+
+/// Runs the Paxos crash-cell safety check under SPOR in `mode` with an
+/// optional checkpoint directory, state limit, store and symmetry setting.
 fn run_crash_cell(
+    mode: &CheckerConfig,
     symmetry: bool,
     frontier: FrontierConfig,
     store: Option<StoreConfig>,
@@ -53,7 +66,7 @@ fn run_crash_cell(
         PaxosVariant::Correct,
         FaultBudget::none().crashes(1).drops(1),
     );
-    let mut config = CheckerConfig::stateful_bfs().with_frontier(frontier);
+    let mut config = mode.clone().with_frontier(frontier);
     if let Some(store) = store {
         config = config.with_store(store);
     }
@@ -80,13 +93,13 @@ fn run_crash_cell(
 
 #[test]
 fn killed_and_resumed_run_matches_uninterrupted() {
-    for symmetry in [false, true] {
+    for (mode, symmetry) in modes().iter().flat_map(|m| [(m, false), (m, true)]) {
         for (fname, frontier) in [
             ("mem", FrontierConfig::Mem),
             ("disk", FrontierConfig::disk_with_watermark(512)),
         ] {
-            let label = format!("sym={symmetry} frontier={fname}");
-            let uninterrupted = run_crash_cell(symmetry, frontier, None, None, None);
+            let label = format!("{} sym={symmetry} frontier={fname}", mode.strategy);
+            let uninterrupted = run_crash_cell(mode, symmetry, frontier, None, None, None);
             assert!(uninterrupted.verdict.is_verified(), "{label}");
 
             let dir = temp_dir("equiv");
@@ -94,6 +107,7 @@ fn killed_and_resumed_run_matches_uninterrupted() {
             // directory exactly as a kill at that point would: the
             // manifest still names the last *committed* level.
             let interrupted = run_crash_cell(
+                mode,
                 symmetry,
                 frontier,
                 None,
@@ -106,6 +120,7 @@ fn killed_and_resumed_run_matches_uninterrupted() {
             );
 
             let resumed = run_crash_cell(
+                mode,
                 symmetry,
                 frontier,
                 None,
@@ -134,48 +149,56 @@ fn killed_and_resumed_run_matches_uninterrupted() {
 #[test]
 fn resumed_run_reproduces_the_identical_counterexample() {
     // The paper's injected learner bug: the BFS finds the shortest
-    // violating path, and the resumed run must reconstruct the exact same
-    // one from the replayed parent log.
+    // violating path, and the resumed run must reconstruct it from the
+    // replayed parent log — the exact same path sequentially, one of the
+    // same length on the pool (which path of a level wins is a race).
     let setting = PaxosSetting::new(2, 3, 1);
     let spec = paxos_quorum(setting, PaxosVariant::FaultyLearner);
-    let run = |checkpoint: Option<CheckpointConfig>, max_states: Option<usize>| {
-        let mut config = CheckerConfig::stateful_bfs()
-            .with_frontier(FrontierConfig::disk_delta_with_watermark(512));
-        if let Some(checkpoint) = checkpoint {
-            config = config.with_checkpoint(checkpoint);
-        }
-        if let Some(max_states) = max_states {
-            config.max_states = max_states;
-        }
-        Checker::new(&spec, consensus_property(setting))
-            .spor()
-            .config(config)
-            .run()
-    };
-    let uninterrupted = run(None, None);
-    let full_cx = uninterrupted
-        .verdict
-        .counterexample()
-        .expect("the injected bug must be found");
+    for mode in modes() {
+        let run = |checkpoint: Option<CheckpointConfig>, max_states: Option<usize>| {
+            let mut config = mode
+                .clone()
+                .with_frontier(FrontierConfig::disk_delta_with_watermark(512));
+            if let Some(checkpoint) = checkpoint {
+                config = config.with_checkpoint(checkpoint);
+            }
+            if let Some(max_states) = max_states {
+                config.max_states = max_states;
+            }
+            Checker::new(&spec, consensus_property(setting))
+                .spor()
+                .config(config)
+                .run()
+        };
+        let uninterrupted = run(None, None);
+        let full_cx = uninterrupted
+            .verdict
+            .counterexample()
+            .expect("the injected bug must be found");
 
-    let dir = temp_dir("cx");
-    let interrupted = run(Some(CheckpointConfig::new(&dir)), Some(100));
-    assert!(
-        matches!(interrupted.verdict, Verdict::LimitReached { .. }),
-        "the limit must fire before the violating depth"
-    );
-    let resumed = run(Some(CheckpointConfig::new(&dir)), None);
-    let resumed_cx = resumed
-        .verdict
-        .counterexample()
-        .expect("the resumed run must find the bug");
-    assert_eq!(full_cx.steps, resumed_cx.steps, "counterexample paths");
-    assert_eq!(
-        uninterrupted.stats.counters(),
-        resumed.stats.counters(),
-        "deterministic counters"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir("cx");
+        let interrupted = run(Some(CheckpointConfig::new(&dir)), Some(100));
+        assert!(
+            matches!(interrupted.verdict, Verdict::LimitReached { .. }),
+            "the limit must fire before the violating depth"
+        );
+        let resumed = run(Some(CheckpointConfig::new(&dir)), None);
+        let resumed_cx = resumed
+            .verdict
+            .counterexample()
+            .expect("the resumed run must find the bug");
+        assert_eq!(full_cx.len(), resumed_cx.len(), "{}", mode.strategy);
+        assert!(!resumed_cx.is_empty(), "a real path, not just a state");
+        if mode.strategy == SearchStrategy::StatefulBfs {
+            assert_eq!(full_cx.steps, resumed_cx.steps, "counterexample paths");
+            assert_eq!(
+                uninterrupted.stats.counters(),
+                resumed.stats.counters(),
+                "deterministic counters"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -184,63 +207,53 @@ fn resumed_run_reproduces_the_identical_counterexample() {
 
 #[test]
 fn runs_store_checkpoints_and_resumes_with_spilled_runs() {
-    let store = StoreConfig::runs_with_watermark(64);
+    let store = Some(StoreConfig::runs_with_watermark(64));
     let frontier = FrontierConfig::disk_with_watermark(512);
-    let uninterrupted = run_crash_cell(false, frontier, Some(store), None, None);
-    assert!(uninterrupted.verdict.is_verified());
-    assert!(
-        uninterrupted.stats.store_spilled_bytes > 0,
-        "the tiny watermark must spill sorted runs"
-    );
+    for mode in &modes() {
+        let uninterrupted = run_crash_cell(mode, false, frontier, store, None, None);
+        assert!(uninterrupted.verdict.is_verified());
+        assert!(
+            uninterrupted.stats.store_spilled_bytes > 0,
+            "the tiny watermark must spill sorted runs"
+        );
 
-    let dir = temp_dir("runs");
-    let interrupted = run_crash_cell(
-        false,
-        frontier,
-        Some(store),
-        Some(CheckpointConfig::new(&dir)),
-        Some(30),
-    );
-    assert!(matches!(interrupted.verdict, Verdict::LimitReached { .. }));
-    let resumed = run_crash_cell(
-        false,
-        frontier,
-        Some(store),
-        Some(CheckpointConfig::new(&dir)),
-        None,
-    );
-    assert_eq!(
-        uninterrupted.verdict.to_string(),
-        resumed.verdict.to_string()
-    );
-    assert_eq!(uninterrupted.stats.counters(), resumed.stats.counters());
-    assert!(resumed.stats.store_spilled_bytes > 0);
-    let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir("runs");
+        let checkpoint = || Some(CheckpointConfig::new(&dir));
+        let interrupted = run_crash_cell(mode, false, frontier, store, checkpoint(), Some(30));
+        assert!(matches!(interrupted.verdict, Verdict::LimitReached { .. }));
+        let resumed = run_crash_cell(mode, false, frontier, store, checkpoint(), None);
+        assert_eq!(
+            uninterrupted.verdict.to_string(),
+            resumed.verdict.to_string()
+        );
+        assert_eq!(uninterrupted.stats.counters(), resumed.stats.counters());
+        assert!(resumed.stats.store_spilled_bytes > 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 // ---------------------------------------------------------------------------
 // (d) Resuming a completed run is a no-op with identical results.
 // ---------------------------------------------------------------------------
 
+/// The plain cell of (d) and (e): sequential, sym off, in-memory frontier.
+fn run_plain_cell(dir: &PathBuf, max_states: Option<usize>) -> RunReport {
+    run_crash_cell(
+        &CheckerConfig::stateful_bfs(),
+        false,
+        FrontierConfig::Mem,
+        None,
+        Some(CheckpointConfig::new(dir)),
+        max_states,
+    )
+}
+
 #[test]
 fn resuming_a_completed_run_reproduces_its_result() {
     let dir = temp_dir("done");
-    let frontier = FrontierConfig::Mem;
-    let first = run_crash_cell(
-        false,
-        frontier,
-        None,
-        Some(CheckpointConfig::new(&dir)),
-        None,
-    );
+    let first = run_plain_cell(&dir, None);
     assert!(first.verdict.is_verified());
-    let again = run_crash_cell(
-        false,
-        frontier,
-        None,
-        Some(CheckpointConfig::new(&dir)),
-        None,
-    );
+    let again = run_plain_cell(&dir, None);
     assert_eq!(first.verdict.to_string(), again.verdict.to_string());
     assert_eq!(first.stats.counters(), again.stats.counters());
     let _ = std::fs::remove_dir_all(&dir);
@@ -250,15 +263,9 @@ fn resuming_a_completed_run_reproduces_its_result() {
 // (e) Resume rejects anything it cannot prove equivalent.
 // ---------------------------------------------------------------------------
 
-/// Interrupts a plain (sym-off, mem-frontier) crash-cell run into `dir`.
+/// Interrupts a plain crash-cell run into `dir`.
 fn seed_checkpoint(dir: &PathBuf) {
-    let interrupted = run_crash_cell(
-        false,
-        FrontierConfig::Mem,
-        None,
-        Some(CheckpointConfig::new(dir)),
-        Some(30),
-    );
+    let interrupted = run_plain_cell(dir, Some(30));
     assert!(matches!(interrupted.verdict, Verdict::LimitReached { .. }));
 }
 
@@ -269,7 +276,24 @@ fn resume_under_a_different_configuration_is_refused() {
     seed_checkpoint(&dir);
     // Same protocol, but symmetry on: a different search identity.
     run_crash_cell(
+        &CheckerConfig::stateful_bfs(),
         true,
+        FrontierConfig::Mem,
+        None,
+        Some(CheckpointConfig::new(&dir)),
+        None,
+    );
+}
+
+#[test]
+#[should_panic(expected = "refusing to resume")]
+fn resume_under_a_different_thread_count_is_refused() {
+    let dir = temp_dir("threads");
+    seed_checkpoint(&dir);
+    // The strategy label, thread count included, is part of the identity.
+    run_crash_cell(
+        &CheckerConfig::parallel_bfs(1),
+        false,
         FrontierConfig::Mem,
         None,
         Some(CheckpointConfig::new(&dir)),
@@ -289,13 +313,7 @@ fn a_corrupted_manifest_is_refused() {
         text.replace("spec_fingerprint", "spec_fingerprnt"),
     )
     .unwrap();
-    run_crash_cell(
-        false,
-        FrontierConfig::Mem,
-        None,
-        Some(CheckpointConfig::new(&dir)),
-        None,
-    );
+    run_plain_cell(&dir, None);
 }
 
 #[test]
@@ -310,32 +328,38 @@ fn a_tampered_level_file_is_refused() {
     let last = bytes.len() - 1;
     bytes[last] ^= 0xff;
     std::fs::write(&level0, bytes).unwrap();
-    run_crash_cell(
-        false,
-        FrontierConfig::Mem,
-        None,
-        Some(CheckpointConfig::new(&dir)),
-        None,
-    );
+    run_plain_cell(&dir, None);
 }
 
-#[test]
-#[should_panic(expected = "checkpoint mismatch")]
-fn a_future_manifest_version_is_refused() {
-    let dir = temp_dir("version");
+/// Rewrites the version in the header of `dir`'s manifest and resumes.
+fn resume_under_manifest_version(tag: &str, version: u32) {
+    let dir = temp_dir(tag);
     seed_checkpoint(&dir);
     let manifest = dir.join("MANIFEST");
     let text = std::fs::read_to_string(&manifest).unwrap();
+    let header = format!(
+        "mp-basset-checkpoint v{}",
+        mp_basset::store::CHECKPOINT_VERSION
+    );
+    assert!(text.starts_with(&header), "{text}");
     std::fs::write(
         &manifest,
-        text.replace("mp-basset-checkpoint v1", "mp-basset-checkpoint v2"),
+        text.replace(&header, &format!("mp-basset-checkpoint v{version}")),
     )
     .unwrap();
-    run_crash_cell(
-        false,
-        FrontierConfig::Mem,
-        None,
-        Some(CheckpointConfig::new(&dir)),
-        None,
-    );
+    run_plain_cell(&dir, None);
+}
+
+#[test]
+#[should_panic(expected = "checkpoint mismatch: manifest version 3, this build reads 2")]
+fn a_future_manifest_version_is_refused() {
+    resume_under_manifest_version("version", 3);
+}
+
+#[test]
+#[should_panic(expected = "checkpoint mismatch: manifest version 1, this build reads 2")]
+fn a_version_1_manifest_is_refused() {
+    // v1 `parents.log` records held codec-encoded transition instances;
+    // they are not parent-log records, so the directory is refused whole.
+    resume_under_manifest_version("version-1", 1);
 }

@@ -10,18 +10,24 @@
 //!   reproduces the in-memory result bit for bit,
 //! * counterexamples found by a spilled run carry the same concrete path
 //!   as the in-memory run and replay step by step from the initial state,
-//!   and
+//! * pooled runs (`parallel_bfs`) of the three violated debugging cells
+//!   return counterexamples as short as the sequential run's, on either
+//!   frontier and with symmetry on or off, and
 //! * with symmetry on, the spilled frontier holds canonical orbit
 //!   representatives, so its peak bytes shrink with the orbit collapse
 //!   (≥ 1.4x on the Paxos crash cells).
 
-use mp_basset::checker::{Checker, CheckerConfig, Counterexample, PropertyStatus, RunReport};
+use mp_basset::checker::{
+    Checker, CheckerConfig, Counterexample, Invariant, NullObserver, Observer, PropertyStatus,
+    RunReport,
+};
 use mp_basset::faults::FaultBudget;
 use mp_basset::model::{
-    enabled_instances, execute_enabled, GlobalState, LocalState, Message, ProtocolSpec,
+    enabled_instances, execute_enabled, GlobalState, LocalState, Message, Permutable, ProtocolSpec,
 };
 use mp_basset::protocols::echo_multicast::{
-    self, faulty_agreement_property, faulty_quorum_model as faulty_multicast, MulticastSetting,
+    self, agreement_property, faulty_agreement_property, faulty_quorum_model as faulty_multicast,
+    quorum_model as multicast_quorum, MulticastSetting,
 };
 use mp_basset::protocols::paxos::{
     self, consensus_property, faulty_consensus_property, faulty_quorum_model as faulty_paxos,
@@ -29,9 +35,11 @@ use mp_basset::protocols::paxos::{
 };
 use mp_basset::protocols::storage::{
     self, faulty_quorum_model as faulty_storage, faulty_regularity_observer,
-    faulty_regularity_property, StorageSetting,
+    faulty_regularity_property, quorum_model as storage_quorum, wrong_regularity_property,
+    RegularityObserver, StorageSetting,
 };
 use mp_basset::store::FrontierConfig;
+use mp_basset::symmetry::RoleMap;
 
 /// Small enough that every grid cell writes several spill segments.
 const TINY_WATERMARK: usize = 512;
@@ -218,23 +226,44 @@ fn replay<S: LocalState, M: Message>(
     spec: &ProtocolSpec<S, M>,
     cx: &Counterexample,
 ) -> GlobalState<S, M> {
-    let mut state = spec.initial_state();
+    let mut ends = replay_observed(spec, cx, NullObserver);
+    ends.swap_remove(0).0
+}
+
+/// [`replay`], folding `observer` along the path. A step names the senders
+/// it consumed from but not the payloads, so several enabled instances can
+/// match it; every match is followed and every end point returned, first
+/// matches first.
+fn replay_observed<S: LocalState, M: Message, O: Observer<S, M>>(
+    spec: &ProtocolSpec<S, M>,
+    cx: &Counterexample,
+    observer: O,
+) -> Vec<(GlobalState<S, M>, O)> {
+    let mut ends = vec![(spec.initial_state(), observer)];
     for step in &cx.steps {
-        let matching: Vec<_> = enabled_instances(spec, &state)
-            .into_iter()
-            .filter(|i| {
-                spec.transition(i.transition).name() == step.transition
-                    && i.process == step.process
-                    && i.senders() == step.consumed_from
-            })
-            .collect();
+        let mut next = Vec::new();
+        for (state, observer) in &ends {
+            for instance in enabled_instances(spec, state) {
+                if spec.transition(instance.transition).name() == step.transition
+                    && instance.process == step.process
+                    && instance.senders() == step.consumed_from
+                {
+                    let post = execute_enabled(spec, state, &instance);
+                    let observed = observer.update(spec, state, &instance, &post);
+                    let end = (post, observed);
+                    if !next.contains(&end) {
+                        next.push(end);
+                    }
+                }
+            }
+        }
         assert!(
-            !matching.is_empty(),
+            !next.is_empty(),
             "step `{step}` has no matching enabled instance during replay"
         );
-        state = execute_enabled(spec, &state, &matching[0]);
+        ends = next;
     }
-    state
+    ends
 }
 
 #[test]
@@ -267,6 +296,101 @@ fn spilled_counterexample_replays_concretely() {
         property.evaluate(&violating, &mp_basset::checker::NullObserver),
         PropertyStatus::Violated(_)
     ));
+}
+
+/// One violated debugging cell through the sequential search and the pool
+/// at 1–3 threads, on both frontiers, symmetry off and on: every
+/// counterexample is as short as the sequential one and replays from the
+/// initial state to a state the property rejects; at one thread it *is* the
+/// sequential one.
+fn assert_pooled_counterexamples_are_shortest<S, M, O>(
+    label: &str,
+    spec: &ProtocolSpec<S, M>,
+    property: impl Fn() -> Invariant<S, M, O>,
+    observer: O,
+    roles: &RoleMap,
+) where
+    S: LocalState + Permutable,
+    M: Message + Permutable,
+    O: Observer<S, M> + Permutable + Ord,
+{
+    for frontier in [FrontierConfig::Mem, FrontierConfig::disk_with_watermark(64)] {
+        for symmetry in [false, true] {
+            let run = |config: CheckerConfig| {
+                let checker = Checker::with_observer(spec, property(), observer.clone())
+                    .spor()
+                    .config(config.with_frontier(frontier));
+                if symmetry {
+                    checker.with_role_symmetry(roles).run()
+                } else {
+                    checker.run()
+                }
+            };
+            let sequential = run(CheckerConfig::stateful_bfs());
+            let shortest = sequential
+                .verdict
+                .counterexample()
+                .unwrap_or_else(|| panic!("{label}: the bug must be found"));
+            assert!(!shortest.is_empty(), "{label}");
+            for threads in 1..=3 {
+                let tag = format!("{label} threads={threads} sym={symmetry} {frontier}");
+                let pooled = run(CheckerConfig::parallel_bfs(threads));
+                let cx = pooled
+                    .verdict
+                    .counterexample()
+                    .unwrap_or_else(|| panic!("{tag}: the bug must be found"));
+                assert_eq!(cx.len(), shortest.len(), "{tag}: not a shortest path");
+                // The end point the engine reported must be among the
+                // path's, and the property must reject it.
+                let rejected = replay_observed(spec, cx, observer.clone())
+                    .into_iter()
+                    .filter(|(end, _)| format!("{end:#?}") == cx.violating_state)
+                    .any(|(end, observed)| {
+                        matches!(
+                            property().evaluate(&end, &observed),
+                            PropertyStatus::Violated(_)
+                        )
+                    });
+                assert!(rejected, "{tag}: the path does not end in a violation");
+                if threads == 1 {
+                    assert_eq!(cx.steps, shortest.steps, "{tag}");
+                    assert_eq!(
+                        pooled.stats.counters(),
+                        sequential.stats.counters(),
+                        "{tag}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn pooled_counterexamples_are_shortest_paths_to_a_violation() {
+    let setting = PaxosSetting::new(2, 3, 1);
+    assert_pooled_counterexamples_are_shortest(
+        "faulty-learner Paxos",
+        &paxos_quorum(setting, PaxosVariant::FaultyLearner),
+        || consensus_property(setting),
+        NullObserver,
+        &paxos::symmetry_roles(setting),
+    );
+    let setting = StorageSetting::new(3, 2);
+    assert_pooled_counterexamples_are_shortest(
+        "wrong-regularity storage",
+        &storage_quorum(setting),
+        || wrong_regularity_property(setting),
+        RegularityObserver::new(setting),
+        &storage::symmetry_roles(setting),
+    );
+    let setting = MulticastSetting::new(2, 1, 2, 1);
+    assert_pooled_counterexamples_are_shortest(
+        "wrong-agreement multicast",
+        &multicast_quorum(setting),
+        || agreement_property(setting),
+        NullObserver,
+        &echo_multicast::symmetry_roles(setting),
+    );
 }
 
 // ---------------------------------------------------------------------------

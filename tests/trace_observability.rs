@@ -50,8 +50,9 @@ fn parallel_bfs_thread_contributions_sum_to_the_sequential_totals() {
     assert!(sequential.verdict.is_verified());
 
     for threads in [2, 4] {
-        // The parallel engine's workers all increment the same atomic
-        // trace counters; the verdict event carries their sum.
+        // The caller folds every chunk's tally — its own and the
+        // helpers' — into the trace counters; the verdict event carries
+        // their sum.
         let buf = SharedBuffer::new();
         let tracer = Tracer::to_writer(false, Box::new(buf.clone()));
         let parallel = run_paxos(CheckerConfig::parallel_bfs(threads), tracer);
@@ -65,8 +66,8 @@ fn parallel_bfs_thread_contributions_sum_to_the_sequential_totals() {
             "parallel-bfs({threads}) diverged from sequential BFS"
         );
 
-        // Trace-level exactness: the atomics the worker threads shared
-        // must sum to the same totals the engines report.
+        // Trace-level exactness: the trace counters must hold the same
+        // totals the report does.
         let ndjson = buf.contents();
         assert_eq!(
             last_event_int(&ndjson, "verdict", "states"),
