@@ -803,6 +803,32 @@ pub(crate) mod tests {
         builder.build().unwrap()
     }
 
+    /// A cyclic protocol: one process toggles its bit forever, the other
+    /// makes a single visible move.
+    pub(crate) fn toggler_and_mover() -> ProtocolSpec<u8, Tok> {
+        ProtocolSpec::builder("toggle+move")
+            .process("toggler", 0u8)
+            .process("mover", 0u8)
+            .transition(
+                TransitionSpec::builder("toggle", ProcessId(0))
+                    .internal()
+                    .sends_nothing()
+                    .effect(|l, _| Outcome::new(1 - *l))
+                    .build(),
+            )
+            .transition(
+                TransitionSpec::builder("move", ProcessId(1))
+                    .internal()
+                    .guard(|l, _| *l == 0)
+                    .sends_nothing()
+                    .visible()
+                    .effect(|_, _| Outcome::new(1))
+                    .build(),
+            )
+            .build()
+            .unwrap()
+    }
+
     /// Violated as soon as any counter reaches `limit`.
     pub(crate) fn below(limit: u8) -> Invariant<u8, Tok, NullObserver> {
         Invariant::new("below", move |s: &GlobalState<u8, Tok>, _| {

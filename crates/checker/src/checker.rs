@@ -213,36 +213,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bfs::tests::{independent, Tok};
     use crate::Invariant;
-    use mp_model::{GlobalState, Kind, Outcome, ProcessId, TransitionSpec};
-
-    #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-    struct Tok;
-    mp_model::codec!(struct Tok);
-
-    impl Message for Tok {
-        fn kind(&self) -> Kind {
-            "TOK"
-        }
-    }
-
-    fn independent(n: usize, steps: u8) -> ProtocolSpec<u8, Tok> {
-        let mut builder = ProtocolSpec::builder("independent");
-        for i in 0..n {
-            builder = builder.process(format!("w{i}"), 0u8);
-        }
-        for i in 0..n {
-            builder = builder.transition(
-                TransitionSpec::builder(format!("step{i}"), ProcessId(i))
-                    .internal()
-                    .guard(move |l, _| *l < steps)
-                    .sends_nothing()
-                    .effect(|l, _| Outcome::new(l + 1))
-                    .build(),
-            );
-        }
-        builder.build().unwrap()
-    }
+    use mp_model::GlobalState;
 
     #[test]
     fn all_strategies_agree_on_verification() {

@@ -63,13 +63,6 @@ pub struct CheckerConfig {
     /// Treat deadlock states (no enabled transition) as violations. Off by
     /// default because terminating protocols end in technical deadlocks.
     pub check_deadlocks: bool,
-    /// Apply the stack (cycle) proviso: if a reduced expansion closes a
-    /// cycle back into the DFS stack, re-expand the state fully. Needed for
-    /// soundness of invariant checking on cyclic state graphs. The liveness
-    /// search ([`crate::liveness`]) ignores this flag and applies the
-    /// proviso unconditionally — reduced cycles are exactly what would hide
-    /// a lasso.
-    pub cycle_proviso: bool,
     /// Optional wall-clock budget; the run stops with a limit verdict when
     /// it is exceeded.
     pub time_limit: Option<Duration>,
@@ -114,7 +107,6 @@ impl Default for CheckerConfig {
             max_states: 20_000_000,
             max_depth: 100_000,
             check_deadlocks: false,
-            cycle_proviso: true,
             time_limit: None,
             store: StoreConfig::Exact,
             frontier: FrontierConfig::Mem,
@@ -203,14 +195,16 @@ impl CheckerConfig {
 
     /// The configuration-identity string persisted in checkpoint manifests
     /// and re-validated on resume. It covers every field that changes what
-    /// the search explores (strategy, store, frontier, deadlock checking,
-    /// the cycle proviso) and deliberately omits run *budgets* (state,
-    /// depth and time limits) and observability settings — resuming with a
-    /// bigger budget or a different tracer is exactly the point.
+    /// the search explores (strategy, store, frontier, deadlock checking)
+    /// and deliberately omits run *budgets* (state, depth and time limits)
+    /// and observability settings — resuming with a bigger budget or a
+    /// different tracer is exactly the point. The trailing `proviso=true`
+    /// is a fixed literal of checkpoint format v2: the cycle proviso was a
+    /// field once, and no run ever wrote another value.
     pub fn checkpoint_identity(&self) -> String {
         format!(
-            "strategy={} store={} frontier={} deadlocks={} proviso={}",
-            self.strategy, self.store, self.frontier, self.check_deadlocks, self.cycle_proviso
+            "strategy={} store={} frontier={} deadlocks={} proviso=true",
+            self.strategy, self.store, self.frontier, self.check_deadlocks
         )
     }
 
@@ -294,7 +288,6 @@ mod tests {
     fn defaults_are_sensible() {
         let c = CheckerConfig::default();
         assert_eq!(c.strategy, SearchStrategy::StatefulDfs);
-        assert!(c.cycle_proviso);
         assert!(!c.check_deadlocks);
         assert!(c.time_limit.is_none());
         assert_eq!(c.store, StoreConfig::Exact);
@@ -329,6 +322,11 @@ mod tests {
     fn checkpoint_identity_covers_semantics_not_budgets() {
         let base = CheckerConfig::stateful_bfs();
         let id = base.checkpoint_identity();
+        // Byte for byte what earlier commits wrote into their manifests.
+        assert_eq!(
+            id,
+            "strategy=stateful-bfs store=exact frontier=mem deadlocks=false proviso=true"
+        );
         // Budgets and tracing may differ between the killed run and the
         // resumed one; the identity must not change.
         assert_eq!(

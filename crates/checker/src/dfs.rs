@@ -1,69 +1,468 @@
-//! Stateful depth-first search.
+//! The one stateful depth-first core.
 //!
 //! This is the workhorse engine of the reproduction (the analogue of
-//! MP-Basset's stateful search inside JPF). It stores every visited
-//! `(state, observer)` pair in the backend selected by
-//! [`CheckerConfig::store`], asks the configured [`Reducer`] which enabled
-//! instances to explore in each state, checks the invariant in every state,
-//! and applies the **stack (cycle) proviso**: if a reduced expansion produces
-//! a successor that is still on the DFS stack, the state is re-expanded fully
-//! so that no transition is ignored forever (the "ignoring problem" of
-//! partial-order reduction).
+//! MP-Basset's stateful search inside JPF). `search` is the only
+//! depth-first loop of the crate: it keeps one stack of `Frame`s, asks
+//! the configured [`Reducer`] which enabled instances to explore in each
+//! state and identifies every product state by **one** query of the backend
+//! selected by [`CheckerConfig::store`]. Each iteration pops an exhausted
+//! frame or executes the top frame's next instance, canonicalizes the
+//! successor, inserts it, and then the answer of that one insert decides:
 //!
-//! The `on_stack` set used by the proviso is always exact (it is bounded by
-//! the search depth), so with a fingerprint store only the *visited* set is
-//! probabilistic, never the proviso.
+//! * *seen and on the stack* — a **back edge**. The stack (cycle) proviso
+//!   fires unconditionally: a frame that was expanded with a reduced set is
+//!   re-expanded fully, so no enabled transition is ignored around a cycle
+//!   (the "ignoring problem" of partial-order reduction);
+//! * *seen, not on the stack* — a **cross edge**;
+//! * *new* — a **first visit**: limits are checked and a frame is pushed.
+//!
+//! What those three events and the end of the search *mean* is the only
+//! thing the property classes differ in, and they say it through a
+//! `Mode`: the invariant check ([`run_stateful_dfs`], below) evaluates the
+//! invariant at every first visit; the lasso detector of [`crate::liveness`]
+//! judges cycles at back edges, records cross edges and checks strongly
+//! connected components at the end.
+//!
+//! **Identity.** The store hands back the 64-bit fingerprint it computed
+//! for the insert ([`StateStoreBackend::insert_hashed`]); the stack is
+//! indexed by it (`FpIndex`) and a match is confirmed with `==` against
+//! the key the frame holds, so on-stack membership is exact under every
+//! backend — with a fingerprint store only the *visited* set is
+//! probabilistic, never the proviso or a reported cycle. No state is hashed
+//! or cloned a second time to find out where the search has met it before.
+//!
+//! **Symmetry.** With a non-trivial [`Symmetry`], exploration stays
+//! concrete but store and stack are keyed by canonical orbit
+//! representatives: a successor whose orbit was already visited is pruned
+//! (a symmetric sibling's subtree covers it), and one whose orbit is on the
+//! stack closes a cycle *in the quotient graph*. Counterexample paths remain
+//! fully concrete.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
-use mp_store::StateStoreBackend;
-
 use mp_model::{
-    enabled_instances, execute_enabled, GlobalState, LocalState, Message, ProtocolSpec,
+    enabled_instances, execute_enabled, Encode, GlobalState, LocalState, Message, ProtocolSpec,
     TransitionInstance,
 };
 use mp_por::Reducer;
-use mp_symmetry::Symmetry;
-use mp_trace::{Counter, Phase, TraceHandle};
+use mp_store::StateStoreBackend;
+use mp_symmetry::{NoSymmetry, Symmetry};
+use mp_trace::{Counter, Gauge, Phase, TraceHandle};
 
+use crate::fp_index::FpIndex;
 use crate::{
-    liveness::run_liveness_dfs, CheckerConfig, Counterexample, ExplorationStats, Observer,
-    Property, PropertyStatus, RunReport, Verdict,
+    liveness::run_liveness_dfs, CheckerConfig, Counterexample, ExplorationStats, Invariant,
+    Observer, Property, PropertyStatus, RunReport, Verdict,
 };
 
-struct Frame<S, M: Ord, O> {
-    state: GlobalState<S, M>,
-    observer: O,
-    /// The key this frame occupies in the `on_stack` set: the concrete
-    /// `(state, observer)` pair, or its canonical orbit representative when
-    /// symmetry reduction is active.
-    stack_key: (GlobalState<S, M>, O),
-    /// Instance that led into this state (None for the initial state).
-    incoming: Option<TransitionInstance<M>>,
+/// A product state: protocol state, observer and the mode's path-dependent
+/// tag. This is the visited-store key; with symmetry on, the stored key is
+/// the canonical representative of `(state, observer)` with the same tag.
+pub(crate) type Key<S, M, O, T> = (GlobalState<S, M>, O, T);
+
+/// What a first visit means to the property class.
+pub(crate) enum Visit<N> {
+    /// Expand the state; `N` rides on its frame.
+    Expand(N),
+    /// Nothing below this state can matter: do not expand it.
+    Prune,
+    /// The execution ending here violates the property.
+    Violated(Counterexample),
+}
+
+/// What the end of an exhausted search means to the property class.
+pub(crate) enum End<H> {
+    /// No violation.
+    Verified,
+    /// A violation only visible on the whole explored graph.
+    Violated(Counterexample),
+    /// The quotient graph cannot be judged exactly: repeat the search
+    /// without symmetry, with this fresh mode.
+    ExactRerun(H),
+}
+
+/// What a property class adds to the depth-first core (see the module
+/// docs). The core owns the stack, the store, the proviso, the limits and
+/// the statistics; a mode only interprets the events.
+pub(crate) trait Mode<S, M: Ord, O>: Sized {
+    /// Engine name, the head of the strategy label.
+    const ENGINE: &'static str;
+    /// The path-dependent part of a product state, stored beside
+    /// `(state, observer)`: nothing for invariants, the obligation bit for
+    /// liveness.
+    type Tag: Copy + Eq + Encode;
+    /// Per-frame data of the mode.
+    type Note;
+
+    /// Name of the property under check, for traces and counterexamples.
+    fn property_name(&self) -> &str;
+
+    /// The tag of the initial state.
+    fn initial_tag(&self, state: &GlobalState<S, M>, observer: &O) -> Self::Tag;
+
+    /// The tag of a successor, given its predecessor's.
+    fn step(&self, inherited: Self::Tag, state: &GlobalState<S, M>, observer: &O) -> Self::Tag;
+
+    /// `at` was inserted as new; `stack` is the path to it ([`path`]) and
+    /// `enabled` everything enabled in it.
+    fn first_visit(
+        &mut self,
+        stack: &[Frame<S, M, O, Self>],
+        at: &Key<S, M, O, Self::Tag>,
+        enabled: &[TransitionInstance<M>],
+    ) -> Visit<Self::Note>;
+
+    /// The top frame's last instance led to the product state that
+    /// `stack[entry]` is on the stack with, reached through group element
+    /// `elem`.
+    fn back_edge(
+        &mut self,
+        _stack: &[Frame<S, M, O, Self>],
+        _entry: usize,
+        _elem: usize,
+    ) -> Option<Counterexample> {
+        None
+    }
+
+    /// `top`'s last instance led to `key` (fingerprint `fp`), which is
+    /// visited but not on the stack.
+    fn cross_edge(
+        &mut self,
+        _top: &Frame<S, M, O, Self>,
+        _key: &Key<S, M, O, Self::Tag>,
+        _fp: u64,
+    ) {
+    }
+
+    /// An exhausted frame left the stack.
+    fn leave(&mut self, _frame: Frame<S, M, O, Self>) {}
+
+    /// The stack ran empty without a violation.
+    fn end(&mut self, _trace: &TraceHandle) -> End<Self> {
+        End::Verified
+    }
+}
+
+/// One state on the depth-first stack.
+pub(crate) struct Frame<S, M: Ord, O, H: Mode<S, M, O>> {
+    /// The concrete product state.
+    pub(crate) at: Key<S, M, O, H::Tag>,
+    /// Its canonical orbit representative (`None` when symmetry is off:
+    /// the state is its own key).
+    canon: Option<Key<S, M, O, H::Tag>>,
+    /// The store's fingerprint of [`Frame::key`].
+    pub(crate) fp: u64,
+    /// Index of the group element that canonicalizes `at` (0 = identity).
+    pub(crate) elem: usize,
     /// Instances chosen by the reducer, explored in order.
     explore: Vec<TransitionInstance<M>>,
     /// Instances pruned by the reducer, re-added if the proviso fires.
     pruned: Vec<TransitionInstance<M>>,
     next: usize,
     reduced: bool,
+    /// The mode's own data.
+    pub(crate) note: H::Note,
+}
+
+impl<S, M: Ord, O, H: Mode<S, M, O>> Frame<S, M, O, H> {
+    /// The key this frame is visited and on the stack under.
+    pub(crate) fn key(&self) -> &Key<S, M, O, H::Tag> {
+        self.canon.as_ref().unwrap_or(&self.at)
+    }
+
+    /// [`Frame::key`], by value.
+    pub(crate) fn into_key(self) -> Key<S, M, O, H::Tag> {
+        self.canon.unwrap_or(self.at)
+    }
+
+    /// The instance last executed from this state: the one that leads to
+    /// the frame above, or — on the top frame — to the successor at hand.
+    pub(crate) fn taken(&self) -> &TransitionInstance<M> {
+        &self.explore[self.next - 1]
+    }
+}
+
+/// The instances executed along `stack`, each frame's [`Frame::taken`].
+pub(crate) fn path<S, M: Ord + Clone, O, H: Mode<S, M, O>>(
+    stack: &[Frame<S, M, O, H>],
+) -> Vec<TransitionInstance<M>> {
+    stack.iter().map(|f| f.taken().clone()).collect()
+}
+
+#[allow(clippy::too_many_arguments)] // a DFS frame genuinely has this many parts
+fn make_frame<S, M, O, H>(
+    spec: &ProtocolSpec<S, M>,
+    reducer: &dyn Reducer<S, M>,
+    stats: &mut ExplorationStats,
+    trace: &TraceHandle,
+    at: Key<S, M, O, H::Tag>,
+    canon: Option<Key<S, M, O, H::Tag>>,
+    (fp, elem): (u64, usize),
+    enabled: Vec<TransitionInstance<M>>,
+    note: H::Note,
+) -> Frame<S, M, O, H>
+where
+    S: LocalState,
+    M: Message,
+    H: Mode<S, M, O>,
+{
+    let reduction = reducer.reduce_traced(spec, &at.0, enabled, trace);
+    if reduction.reduced {
+        stats.reduced_states += 1;
+    }
+    Frame {
+        at,
+        canon,
+        fp,
+        elem,
+        explore: reduction.explore,
+        pruned: reduction.pruned,
+        next: 0,
+        reduced: reduction.reduced,
+        note,
+    }
+}
+
+/// Runs the depth-first core under `mode` and returns the report.
+pub(crate) fn search<S, M, O, H>(
+    spec: &ProtocolSpec<S, M>,
+    initial_observer: &O,
+    reducer: &dyn Reducer<S, M>,
+    symmetry: &Arc<dyn Symmetry<S, M, O>>,
+    config: &CheckerConfig,
+    mut mode: H,
+) -> RunReport
+where
+    S: LocalState,
+    M: Message,
+    O: Observer<S, M>,
+    H: Mode<S, M, O>,
+{
+    let start = Instant::now();
+    let mut stats = ExplorationStats::new();
+    let trivial = symmetry.is_trivial();
+    let strategy = if trivial {
+        format!("{}+{}", H::ENGINE, reducer.name())
+    } else {
+        format!("{}+{}+{}", H::ENGINE, reducer.name(), symmetry.label())
+    };
+    let trace = config
+        .trace
+        .begin_run(spec.name(), &strategy, mode.property_name());
+    let store = config.store.build::<Key<S, M, O, H::Tag>>();
+    let mut stack: Vec<Frame<S, M, O, H>> = Vec::new();
+    let mut on_stack = FpIndex::default();
+
+    let verdict = 'search: {
+        let initial = spec.initial_state();
+        let observer = initial_observer.clone();
+        let tag = mode.initial_tag(&initial, &observer);
+        // The product state to look at next: the initial one, then whatever
+        // the top frame's next instance leads to.
+        let mut arrival = Some((initial, observer, tag));
+        loop {
+            let at = match arrival.take() {
+                Some(first) => first,
+                None => {
+                    let depth = stack.len();
+                    let Some(top) = stack.last_mut() else { break };
+                    stats.max_depth = stats.max_depth.max(depth);
+                    trace.add(Counter::Depth, depth as u64);
+                    if top.next >= top.explore.len() {
+                        let frame = stack.pop().expect("stack checked non-empty");
+                        on_stack.remove(frame.fp, depth - 1);
+                        mode.leave(frame);
+                        continue;
+                    }
+                    let _span = trace.span(Phase::Expansion);
+                    let instance = &top.explore[top.next];
+                    let state = execute_enabled(spec, &top.at.0, instance);
+                    let observer = top.at.1.update(spec, &top.at.0, instance, &state);
+                    let tag = mode.step(top.at.2, &state, &observer);
+                    top.next += 1;
+                    stats.transitions_executed += 1;
+                    trace.add(Counter::Transitions, 1);
+                    (state, observer, tag)
+                }
+            };
+
+            // Membership is judged on the canonical orbit representative;
+            // exploration stays concrete.
+            let (canon, elem) = if trivial {
+                (None, 0)
+            } else {
+                let (s, o, elem) = symmetry.canonicalize_traced(&at.0, &at.1, &trace);
+                (Some((s, o, at.2)), elem)
+            };
+            let key = canon.as_ref().unwrap_or(&at);
+            // The one identity query per transition: a duplicate is a store
+            // hit = one revisit, and the fingerprint finds it on the stack.
+            let (new, fp) = {
+                let _span = trace.span(Phase::StoreLookup);
+                store.insert_hashed(key)
+            };
+            if !new {
+                if let Some(entry) = on_stack.find(fp, |i| stack[i].key() == key) {
+                    // Cycle proviso: the successor closes a cycle into the
+                    // stack (exactly, or modulo a symmetry permutation) — a
+                    // reduced expansion may not be left around it.
+                    let top = stack.last_mut().expect("a revisit has a source");
+                    if top.reduced {
+                        top.explore.append(&mut top.pruned);
+                        top.reduced = false;
+                        stats.proviso_expansions += 1;
+                    }
+                    if let Some(cx) = mode.back_edge(&stack, entry, elem) {
+                        break 'search Verdict::Violated(Box::new(cx));
+                    }
+                } else {
+                    let top = stack.last().expect("a revisit has a source");
+                    mode.cross_edge(top, key, fp);
+                }
+                stats.revisits += 1;
+                trace.add(Counter::Revisits, 1);
+                continue;
+            }
+            stats.states += 1;
+            trace.add(Counter::States, 1);
+
+            let enabled = {
+                let _span = trace.span(Phase::Expansion);
+                enabled_instances(spec, &at.0)
+            };
+            let note = match mode.first_visit(&stack, &at, &enabled) {
+                Visit::Expand(note) => note,
+                Visit::Prune => continue,
+                Visit::Violated(cx) => break 'search Verdict::Violated(Box::new(cx)),
+            };
+            if store.len() > config.max_states {
+                break 'search Verdict::LimitReached {
+                    what: format!("state limit of {}", config.max_states),
+                };
+            }
+            if let Some(limit) = config.time_limit.filter(|l| start.elapsed() > *l) {
+                break 'search Verdict::LimitReached {
+                    what: format!("time limit of {limit:?}"),
+                };
+            }
+            stats.expansions += 1;
+            trace.add(Counter::Expansions, 1);
+            on_stack.insert(fp, stack.len());
+            stack.push(make_frame(
+                spec,
+                reducer,
+                &mut stats,
+                &trace,
+                at,
+                canon,
+                (fp, elem),
+                enabled,
+                note,
+            ));
+        }
+
+        match mode.end(&trace) {
+            End::Verified => Verdict::Verified,
+            End::Violated(cx) => Verdict::Violated(Box::new(cx)),
+            End::ExactRerun(fresh) => {
+                // The re-run gets what is left of the caller's wall-clock
+                // budget and its own trace run; close this one first so the
+                // NDJSON stream stays a sequence of complete runs.
+                let spent = start.elapsed();
+                let mut exact = config.clone();
+                if let Some(limit) = config.time_limit {
+                    let Some(remaining) = limit.checked_sub(spent) else {
+                        break 'search Verdict::LimitReached {
+                            what: format!("time limit of {limit:?}"),
+                        };
+                    };
+                    exact.time_limit = Some(remaining);
+                }
+                trace.finish("fallback");
+                let no_symmetry: Arc<dyn Symmetry<S, M, O>> = Arc::new(NoSymmetry);
+                let mut report =
+                    search(spec, initial_observer, reducer, &no_symmetry, &exact, fresh);
+                report.stats.elapsed += spent;
+                report.strategy = format!("{strategy} (scc fallback: {})", report.strategy);
+                return report;
+            }
+        }
+    };
+
+    stats.elapsed = start.elapsed();
+    let store_stats = store.stats();
+    let label = if trivial {
+        store.name()
+    } else {
+        mp_store::canonical_label(store.name())
+    };
+    stats.record_store(label, store_stats);
+    stats.phases = trace.phase_times();
+    // No level structure here, so memory gauges are sampled once at the end
+    // (peak == final for a grow-only store).
+    if trace.is_enabled() {
+        let bytes = store_stats.approx_bytes as u64;
+        trace.sample_gauge(Gauge::StoreBytes, bytes);
+        trace.sample_gauge(Gauge::CanonicalCacheBytes, if trivial { 0 } else { bytes });
+    }
+    trace.finish(match &verdict {
+        Verdict::Verified => "verified",
+        Verdict::Violated(_) => "violated",
+        Verdict::LimitReached { .. } => "limit",
+    });
+    RunReport {
+        verdict,
+        stats,
+        strategy,
+    }
+}
+
+/// The invariant check: every first visit evaluates the invariant (and,
+/// when asked, reports a state with nothing enabled as a deadlock).
+struct Safety<'a, S, M: Ord, O> {
+    spec: &'a ProtocolSpec<S, M>,
+    invariant: &'a Invariant<S, M, O>,
+    check_deadlocks: bool,
+}
+
+impl<S: LocalState, M: Message, O> Mode<S, M, O> for Safety<'_, S, M, O> {
+    const ENGINE: &'static str = "stateful-dfs";
+    type Tag = ();
+    type Note = ();
+
+    fn property_name(&self) -> &str {
+        self.invariant.name()
+    }
+
+    fn initial_tag(&self, _: &GlobalState<S, M>, _: &O) {}
+
+    fn step(&self, (): (), _: &GlobalState<S, M>, _: &O) {}
+
+    fn first_visit(
+        &mut self,
+        stack: &[Frame<S, M, O, Self>],
+        at: &Key<S, M, O, ()>,
+        enabled: &[TransitionInstance<M>],
+    ) -> Visit<()> {
+        let reason = match self.invariant.evaluate(&at.0, &at.1) {
+            PropertyStatus::Violated(reason) => reason,
+            PropertyStatus::Holds if !(self.check_deadlocks && enabled.is_empty()) => {
+                return Visit::Expand(());
+            }
+            PropertyStatus::Holds if stack.is_empty() => "deadlock in the initial state".into(),
+            PropertyStatus::Holds => "deadlock: no transition enabled".into(),
+        };
+        let (name, steps) = (self.invariant.name(), path(stack));
+        Visit::Violated(Counterexample::new(self.spec, name, reason, &steps, &at.0))
+    }
 }
 
 /// Runs a stateful depth-first search and returns the report.
 ///
-/// Dispatches on the property class: safety properties run the invariant
-/// search below (unchanged semantics and state counts); liveness properties
-/// (termination / leads-to) run the fairness-aware lasso search of
-/// [`crate::liveness`], which this engine's on-stack cycle detector was
-/// built for.
-///
-/// With a non-trivial [`Symmetry`], exploration stays concrete but the
-/// visited store and the proviso's on-stack set are keyed by canonical
-/// orbit representatives: a successor whose orbit was already visited is
-/// pruned (a symmetric sibling's subtree covers it), and a successor whose
-/// orbit is on the DFS stack closes a cycle *in the quotient graph*, firing
-/// the cycle proviso. Counterexample paths remain fully concrete.
+/// Dispatches on the property class: a safety property runs the core
+/// with the invariant check; liveness properties (termination / leads-to)
+/// run it with the fairness-aware lasso detector of [`crate::liveness`].
 pub fn run_stateful_dfs<S, M, O>(
     spec: &ProtocolSpec<S, M>,
     property: &Property<S, M, O>,
@@ -77,346 +476,29 @@ where
     M: Message,
     O: Observer<S, M>,
 {
-    if property.is_liveness() {
+    let Some(invariant) = property.as_safety() else {
         return run_liveness_dfs(spec, property, initial_observer, reducer, symmetry, config);
-    }
-    let property = property
-        .as_safety()
-        .expect("a non-liveness property is a safety invariant");
-    let start = Instant::now();
-    let mut stats = ExplorationStats::new();
-    let trivial = symmetry.is_trivial();
-    let strategy = if trivial {
-        format!("stateful-dfs+{}", reducer.name())
-    } else {
-        format!("stateful-dfs+{}+{}", reducer.name(), symmetry.label())
     };
-    let trace = config
-        .trace
-        .begin_run(spec.name(), &strategy, property.name());
-
-    // Keys are canonicalized by this engine (the on-stack proviso needs
-    // them too).
-    let store = config.store.build::<(GlobalState<S, M>, O)>();
-    let store_label = |trivial: bool, name: &'static str| -> &'static str {
-        if trivial {
-            name
-        } else {
-            mp_store::canonical_label(name)
-        }
-    };
-    let mut on_stack: HashSet<(GlobalState<S, M>, O)> = HashSet::new();
-    let mut stack: Vec<Frame<S, M, O>> = Vec::new();
-
-    let initial = spec.initial_state();
-    let initial_observer = initial_observer.clone();
-
-    macro_rules! finish_stats {
-        ($verdict:expr) => {
-            stats.elapsed = start.elapsed();
-            stats.record_store(store_label(trivial, store.name()), store.stats());
-            stats.phases = trace.phase_times();
-            trace.finish($verdict);
-        };
-    }
-
-    // Check the initial state before exploring.
-    if let PropertyStatus::Violated(reason) = property.evaluate(&initial, &initial_observer) {
-        stats.states = 1;
-        trace.add(Counter::States, 1);
-        finish_stats!("violated");
-        let cx = Counterexample::new(spec, property.name(), reason, &[], &initial);
-        return RunReport {
-            verdict: Verdict::Violated(Box::new(cx)),
-            stats,
-            strategy,
-        };
-    }
-
-    // Validated groups fix the initial state, so its canonical form is
-    // itself; canonicalize anyway so the key discipline has no exceptions.
-    let initial_key = if trivial {
-        (initial.clone(), initial_observer.clone())
-    } else {
-        let (s, o, _) = symmetry.canonicalize_traced(&initial, &initial_observer, &trace);
-        (s, o)
-    };
-    store.insert(initial_key.clone());
-    on_stack.insert(initial_key.clone());
-    stats.states = 1;
-    stats.expansions = 1;
-    trace.add(Counter::States, 1);
-    trace.add(Counter::Expansions, 1);
-    let first_frame = make_frame(
+    let mode = Safety {
         spec,
-        reducer,
-        &mut stats,
-        config,
-        initial,
-        initial_observer,
-        initial_key,
-        None,
-        &trace,
-    );
-    if config.check_deadlocks && first_frame.explore.is_empty() && first_frame.pruned.is_empty() {
-        finish_stats!("violated");
-        let cx = Counterexample::new(
-            spec,
-            property.name(),
-            "deadlock in the initial state",
-            &[],
-            &first_frame.state,
-        );
-        return RunReport {
-            verdict: Verdict::Violated(Box::new(cx)),
-            stats,
-            strategy,
-        };
-    }
-    stack.push(first_frame);
-
-    while !stack.is_empty() {
-        stats.max_depth = stats.max_depth.max(stack.len());
-        trace.add(Counter::Depth, stack.len() as u64);
-        let top = stack.last_mut().expect("stack checked non-empty");
-
-        if top.next >= top.explore.len() {
-            // Frame exhausted.
-            let frame = stack.pop().expect("non-empty stack");
-            on_stack.remove(&frame.stack_key);
-            continue;
-        }
-
-        let instance = top.explore[top.next].clone();
-        top.next += 1;
-        let key = {
-            let _span = trace.span(Phase::Expansion);
-            let next_state = execute_enabled(spec, &top.state, &instance);
-            let next_observer = top
-                .observer
-                .update(spec, &top.state, &instance, &next_state);
-            (next_state, next_observer)
-        };
-        stats.transitions_executed += 1;
-        trace.add(Counter::Transitions, 1);
-
-        // With symmetry on, membership and the proviso are judged on the
-        // canonical orbit representative; exploration stays concrete.
-        let canon = (!trivial).then(|| {
-            let (s, o, _) = symmetry.canonicalize_traced(&key.0, &key.1, &trace);
-            (s, o)
-        });
-        let probe = canon.as_ref().unwrap_or(&key);
-
-        // Cycle proviso: the successor closes a cycle into the DFS stack
-        // (exactly, or modulo a symmetry permutation) and the current state
-        // was expanded with a reduced set — re-expand it fully so no enabled
-        // transition is postponed around the cycle.
-        if config.cycle_proviso && top.reduced && on_stack.contains(probe) {
-            top.explore.append(&mut top.pruned);
-            top.reduced = false;
-            stats.proviso_expansions += 1;
-        }
-
-        // A single insert doubles as the membership test (unified hit
-        // accounting: a duplicate is a store hit = one revisit); the
-        // by-reference form clones the key only when it is actually new.
-        let inserted = {
-            let _span = trace.span(Phase::StoreLookup);
-            store.insert_ref(probe)
-        };
-        if !inserted {
-            stats.revisits += 1;
-            trace.add(Counter::Revisits, 1);
-            continue;
-        }
-
-        let stack_key = match canon {
-            Some(c) => c,
-            None => key.clone(),
-        };
-        let (next_state, next_observer) = key;
-
-        // Property check on the newly discovered state.
-        if let PropertyStatus::Violated(reason) = property.evaluate(&next_state, &next_observer) {
-            let mut path: Vec<TransitionInstance<M>> =
-                stack.iter().filter_map(|f| f.incoming.clone()).collect();
-            path.push(instance);
-            stats.states += 1;
-            trace.add(Counter::States, 1);
-            finish_stats!("violated");
-            let cx = Counterexample::new(spec, property.name(), reason, &path, &next_state);
-            return RunReport {
-                verdict: Verdict::Violated(Box::new(cx)),
-                stats,
-                strategy,
-            };
-        }
-
-        if store.len() > config.max_states {
-            finish_stats!("limit");
-            return RunReport {
-                verdict: Verdict::LimitReached {
-                    what: format!("state limit of {}", config.max_states),
-                },
-                stats,
-                strategy,
-            };
-        }
-        if let Some(limit) = config.time_limit {
-            if start.elapsed() > limit {
-                finish_stats!("limit");
-                return RunReport {
-                    verdict: Verdict::LimitReached {
-                        what: format!("time limit of {limit:?}"),
-                    },
-                    stats,
-                    strategy,
-                };
-            }
-        }
-
-        on_stack.insert(stack_key.clone());
-        stats.states += 1;
-        stats.expansions += 1;
-        trace.add(Counter::States, 1);
-        trace.add(Counter::Expansions, 1);
-
-        let frame = make_frame(
-            spec,
-            reducer,
-            &mut stats,
-            config,
-            next_state,
-            next_observer,
-            stack_key,
-            Some(instance.clone()),
-            &trace,
-        );
-
-        if config.check_deadlocks && frame.explore.is_empty() && frame.pruned.is_empty() {
-            let mut path: Vec<TransitionInstance<M>> =
-                stack.iter().filter_map(|f| f.incoming.clone()).collect();
-            path.push(instance);
-            finish_stats!("violated");
-            let cx = Counterexample::new(
-                spec,
-                property.name(),
-                "deadlock: no transition enabled",
-                &path,
-                &frame.state,
-            );
-            return RunReport {
-                verdict: Verdict::Violated(Box::new(cx)),
-                stats,
-                strategy,
-            };
-        }
-
-        stack.push(frame);
-    }
-
-    finish_stats!("verified");
-    RunReport {
-        verdict: Verdict::Verified,
-        stats,
-        strategy,
-    }
-}
-
-#[allow(clippy::too_many_arguments)] // a DFS frame genuinely has this many parts
-fn make_frame<S, M, O>(
-    spec: &ProtocolSpec<S, M>,
-    reducer: &dyn Reducer<S, M>,
-    stats: &mut ExplorationStats,
-    _config: &CheckerConfig,
-    state: GlobalState<S, M>,
-    observer: O,
-    stack_key: (GlobalState<S, M>, O),
-    incoming: Option<TransitionInstance<M>>,
-    trace: &TraceHandle,
-) -> Frame<S, M, O>
-where
-    S: LocalState,
-    M: Message,
-    O: Observer<S, M>,
-{
-    let all = {
-        let _span = trace.span(Phase::Expansion);
-        enabled_instances(spec, &state)
+        invariant,
+        check_deadlocks: config.check_deadlocks,
     };
-    let reduction = reducer.reduce_traced(spec, &state, all, trace);
-    if reduction.reduced {
-        stats.reduced_states += 1;
-    }
-    Frame {
-        state,
-        observer,
-        stack_key,
-        incoming,
-        explore: reduction.explore,
-        pruned: reduction.pruned,
-        next: 0,
-        reduced: reduction.reduced,
-    }
+    search(spec, initial_observer, reducer, symmetry, config, mode)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Invariant, NullObserver};
-    use mp_model::{Kind, Outcome, ProcessId, TransitionSpec};
-    use mp_por::{NoReduction, SporReducer};
-
-    #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-    struct Tok;
-    mp_model::codec!(struct Tok);
-
-    impl Message for Tok {
-        fn kind(&self) -> Kind {
-            "TOK"
-        }
-    }
-
-    fn p(i: usize) -> ProcessId {
-        ProcessId(i)
-    }
-
-    fn no_sym() -> Arc<dyn Symmetry<u8, Tok, NullObserver>> {
-        Arc::new(mp_symmetry::NoSymmetry)
-    }
-
-    /// `n` independent processes each taking `steps` internal steps.
-    fn independent(n: usize, steps: u8) -> ProtocolSpec<u8, Tok> {
-        let mut builder = ProtocolSpec::builder("independent");
-        for i in 0..n {
-            builder = builder.process(format!("w{i}"), 0u8);
-        }
-        for i in 0..n {
-            builder = builder.transition(
-                TransitionSpec::builder(format!("step{i}"), p(i))
-                    .internal()
-                    .guard(move |l, _| *l < steps)
-                    .sends_nothing()
-                    .effect(|l, _| Outcome::new(l + 1))
-                    .build(),
-            );
-        }
-        builder.build().unwrap()
-    }
+    use crate::bfs::tests::{below, independent, toggler_and_mover, verify, Tok};
+    use crate::{Checker, NullObserver};
+    use mp_model::ProcessId;
+    use mp_store::StoreConfig;
 
     #[test]
     fn unreduced_dfs_counts_the_full_product() {
         // 3 processes × 2 steps each: (2+1)^3 = 27 states.
-        let spec = independent(3, 2);
-        let report = run_stateful_dfs(
-            &spec,
-            &Invariant::always_true("true").into(),
-            &NullObserver,
-            &NoReduction,
-            &no_sym(),
-            &CheckerConfig::default(),
-        );
+        let report = verify(&independent(3, 2), CheckerConfig::default());
         assert!(report.verdict.is_verified());
         assert_eq!(report.stats.states, 27);
     }
@@ -424,42 +506,23 @@ mod tests {
     #[test]
     fn spor_dfs_explores_fewer_states() {
         let spec = independent(3, 2);
-        let reducer = SporReducer::new(&spec);
-        let report = run_stateful_dfs(
-            &spec,
-            &Invariant::always_true("true").into(),
-            &NullObserver,
-            &reducer,
-            &no_sym(),
-            &CheckerConfig::default(),
-        );
+        let report = Checker::new(&spec, Invariant::always_true("true"))
+            .spor()
+            .run();
         assert!(report.verdict.is_verified());
-        assert!(
-            report.stats.states < 27,
-            "independent processes must be interleaved in fewer orders, got {}",
-            report.stats.states
-        );
         // Fully independent: one linearisation suffices => 7 states on a line.
         assert_eq!(report.stats.states, 7);
     }
 
     #[test]
     fn all_store_backends_agree_on_the_state_count() {
-        use mp_store::StoreConfig;
-        let spec = independent(3, 2);
         for store in [
             StoreConfig::Exact,
             StoreConfig::sharded(),
             StoreConfig::fingerprint(64),
         ] {
-            let report = run_stateful_dfs(
-                &spec,
-                &Invariant::always_true("true").into(),
-                &NullObserver,
-                &NoReduction,
-                &no_sym(),
-                &CheckerConfig::default().with_store(store),
-            );
+            let config = CheckerConfig::default().with_store(store);
+            let report = verify(&independent(3, 2), config);
             assert!(report.verdict.is_verified(), "{store} failed");
             assert_eq!(report.stats.states, 27, "{store} state count");
             assert_eq!(
@@ -472,23 +535,7 @@ mod tests {
 
     #[test]
     fn violation_is_reported_with_path() {
-        let spec = independent(2, 3);
-        let property: Invariant<u8, Tok, NullObserver> =
-            Invariant::new("below-3", |s: &GlobalState<u8, Tok>, _| {
-                if s.locals.iter().any(|l| *l >= 3) {
-                    Err("a process reached 3".into())
-                } else {
-                    Ok(())
-                }
-            });
-        let report = run_stateful_dfs(
-            &spec,
-            &property.into(),
-            &NullObserver,
-            &NoReduction,
-            &no_sym(),
-            &CheckerConfig::default(),
-        );
+        let report = Checker::new(&independent(2, 3), below(3)).run();
         let cx = report.verdict.counterexample().expect("violation expected");
         assert_eq!(
             cx.len(),
@@ -501,19 +548,7 @@ mod tests {
 
     #[test]
     fn initial_state_violation_gives_empty_counterexample() {
-        let spec = independent(1, 1);
-        let property: Invariant<u8, Tok, NullObserver> =
-            Invariant::new("never", |_: &GlobalState<u8, Tok>, _| {
-                Err("init is bad".into())
-            });
-        let report = run_stateful_dfs(
-            &spec,
-            &property.into(),
-            &NullObserver,
-            &NoReduction,
-            &no_sym(),
-            &CheckerConfig::default(),
-        );
+        let report = Checker::new(&independent(1, 1), below(0)).run();
         let cx = report.verdict.counterexample().unwrap();
         assert!(cx.is_empty());
         // Store stats are recorded even on the initial-state early return.
@@ -522,78 +557,34 @@ mod tests {
 
     #[test]
     fn state_limit_stops_the_search() {
-        let spec = independent(3, 3);
-        let report = run_stateful_dfs(
-            &spec,
-            &Invariant::always_true("true").into(),
-            &NullObserver,
-            &NoReduction,
-            &no_sym(),
-            &CheckerConfig::default().with_max_states(5),
-        );
+        let config = CheckerConfig::default().with_max_states(5);
+        let report = verify(&independent(3, 3), config);
         assert!(matches!(report.verdict, Verdict::LimitReached { .. }));
         assert!(report.stats.states <= 6);
     }
 
     #[test]
     fn deadlock_detection_reports_terminal_states() {
-        let spec = independent(1, 1);
-        let report = run_stateful_dfs(
-            &spec,
-            &Invariant::always_true("true").into(),
-            &NullObserver,
-            &NoReduction,
-            &no_sym(),
-            &CheckerConfig::default().with_deadlock_check(true),
-        );
-        assert!(report.verdict.is_violated());
-        let cx = report.verdict.counterexample().unwrap();
+        let config = CheckerConfig::default().with_deadlock_check(true);
+        let report = verify(&independent(1, 1), config);
+        let cx = report.verdict.counterexample().expect("a deadlock");
         assert!(cx.reason.contains("deadlock"));
     }
 
-    /// A cyclic protocol: one process toggles its bit forever, the other
-    /// makes a single visible move. Without the cycle proviso a naive
-    /// reduction could postpone the second process forever.
+    /// Without the cycle proviso a naive reduction could postpone the mover
+    /// around the toggle cycle forever.
     #[test]
     fn cycle_proviso_keeps_search_sound_on_cycles() {
-        let spec: ProtocolSpec<u8, Tok> = ProtocolSpec::builder("cycle")
-            .process("toggler", 0u8)
-            .process("mover", 0u8)
-            .transition(
-                TransitionSpec::builder("toggle", p(0))
-                    .internal()
-                    .sends_nothing()
-                    .effect(|l, _| Outcome::new(1 - *l))
-                    .build(),
-            )
-            .transition(
-                TransitionSpec::builder("move", p(1))
-                    .internal()
-                    .guard(|l, _| *l == 0)
-                    .sends_nothing()
-                    .visible()
-                    .effect(|_, _| Outcome::new(1))
-                    .build(),
-            )
-            .build()
-            .unwrap();
+        let spec = toggler_and_mover();
         let property: Invariant<u8, Tok, NullObserver> =
             Invariant::new("mover-never-moves", |s: &GlobalState<u8, Tok>, _| {
-                if *s.local(p(1)) == 1 {
+                if *s.local(ProcessId(1)) == 1 {
                     Err("mover moved".into())
                 } else {
                     Ok(())
                 }
             });
-        let reducer = SporReducer::new(&spec);
-        let report = run_stateful_dfs(
-            &spec,
-            &property.into(),
-            &NullObserver,
-            &reducer,
-            &no_sym(),
-            &CheckerConfig::default(),
-        );
+        let report = Checker::new(&spec, property).spor().run();
         assert!(
             report.verdict.is_violated(),
             "the reduced search must still find the mover's step"

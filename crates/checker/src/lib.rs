@@ -6,8 +6,10 @@
 //! `mp-por`, and an [`Invariant`] property, and exhaustively explores the
 //! protocol-level state space:
 //!
-//! * **stateful DFS** — the default engine, with a visited-state store and a
-//!   cycle proviso that keeps partial-order reduction sound for invariants;
+//! * **stateful DFS** — the default engine: one depth-first core ([`dfs`])
+//!   with a visited-state store and a cycle proviso that keeps
+//!   partial-order reduction sound, run as an invariant check or, for
+//!   liveness properties, with the lasso detector of [`liveness`];
 //! * **stateful BFS** — finds shortest counterexamples (useful for the
 //!   paper's debugging experiments);
 //! * **stateless DFS** — no visited set, required by dynamic POR
@@ -97,6 +99,7 @@ pub mod checker;
 pub mod config;
 pub mod counterexample;
 pub mod dfs;
+mod fp_index;
 pub mod liveness;
 mod obs;
 pub mod observer;

@@ -144,17 +144,8 @@ impl<S: LocalState, M: Message> Observer<S, M> for TransitionCountObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mp_model::{Kind, Outcome, ProcessId, ProtocolSpec, TransitionId, TransitionSpec};
-
-    #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-    struct Tok;
-    mp_model::codec!(struct Tok);
-
-    impl Message for Tok {
-        fn kind(&self) -> Kind {
-            "TOK"
-        }
-    }
+    use crate::bfs::tests::Tok;
+    use mp_model::{Outcome, ProcessId, ProtocolSpec, TransitionId, TransitionSpec};
 
     fn tiny_spec() -> ProtocolSpec<u8, Tok> {
         ProtocolSpec::builder("tiny")

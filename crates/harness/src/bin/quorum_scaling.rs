@@ -46,10 +46,7 @@ fn main() {
         "Section II-C: state-space inflation of single-message models.",
         FLAGS,
     );
-    let voters = cli
-        .value("--voters")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4usize);
+    let voters = cli.usize_value("--voters", 4);
     let json_path = cli.json_path("BENCH_quorum_scaling.json");
     let budget = Budget::default().with_trace(cli.tracer());
 

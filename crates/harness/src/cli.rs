@@ -97,6 +97,24 @@ pub enum CliError {
     Invalid(String),
 }
 
+impl CliError {
+    /// Ends the process the way every harness binary does: usage and exit 0
+    /// for `--help`, the message plus usage and exit 2 otherwise.
+    fn exit(self, bin: &str, usage: &str) -> ! {
+        match self {
+            CliError::HelpRequested => {
+                println!("{usage}");
+                std::process::exit(0);
+            }
+            CliError::Invalid(message) => {
+                eprintln!("{bin}: {message}");
+                eprintln!("{usage}");
+                std::process::exit(2);
+            }
+        }
+    }
+}
+
 /// Parsed command line of one harness binary.
 #[derive(Debug)]
 pub struct Cli {
@@ -126,18 +144,8 @@ impl Cli {
         positional_usage: Option<&'static str>,
     ) -> Cli {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        match Self::try_parse(bin, summary, flags, positional_usage, &args) {
-            Ok(cli) => cli,
-            Err(CliError::HelpRequested) => {
-                println!("{}", usage(bin, summary, flags, positional_usage));
-                std::process::exit(0);
-            }
-            Err(CliError::Invalid(message)) => {
-                eprintln!("{bin}: {message}");
-                eprintln!("{}", usage(bin, summary, flags, positional_usage));
-                std::process::exit(2);
-            }
-        }
+        Self::try_parse(bin, summary, flags, positional_usage, &args)
+            .unwrap_or_else(|e| e.exit(bin, &usage(bin, summary, flags, positional_usage)))
     }
 
     /// Pure parsing core (testable; no I/O, no exit).
@@ -218,12 +226,28 @@ impl Cli {
     }
 
     /// The value given with `name` parsed as a `usize`, or `default` when
-    /// the flag is absent or unparsable — the convention of every numeric
-    /// flag ([`THREADS_FLAG`], `--spill-watermark`, …).
+    /// the flag is absent — the convention of every numeric flag
+    /// ([`THREADS_FLAG`], `--spill-watermark`, …). A value that is not a
+    /// number ends the process like any other malformed invocation (usage,
+    /// exit 2) instead of silently running the default.
     pub fn usize_value(&self, name: &str, default: usize) -> usize {
-        self.value(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.try_usize_value(name, default)
+            .unwrap_or_else(|e| e.exit(self.bin, &self.usage()))
+    }
+
+    /// Pure core of [`Cli::usize_value`].
+    ///
+    /// # Errors
+    ///
+    /// [`CliError::Invalid`] naming the flag and the value when the value
+    /// does not parse as a `usize`.
+    pub fn try_usize_value(&self, name: &str, default: usize) -> Result<usize, CliError> {
+        let Some(value) = self.value(name) else {
+            return Ok(default);
+        };
+        value
+            .parse()
+            .map_err(|_| CliError::Invalid(format!("{name} expects a number, got `{value}`")))
     }
 
     /// The shared `--json [PATH]` convention: `None` when the flag is
@@ -366,6 +390,22 @@ mod tests {
             parse(&["stray"]),
             Err(CliError::Invalid(m)) if m.contains("stray")
         ));
+    }
+
+    #[test]
+    fn numeric_values_default_when_absent_and_fail_when_malformed() {
+        const NUMERIC: &[FlagSpec] = &[THREADS_FLAG, FlagSpec::value("--voters", "N", "voters")];
+        let parse = |args: &[&str]| Cli::try_parse("demo", "", NUMERIC, None, &to_args(args));
+        let cli = parse(&["--threads", "3"]).unwrap();
+        assert_eq!(cli.try_usize_value("--threads", 0), Ok(3));
+        assert_eq!(cli.try_usize_value("--voters", 4), Ok(4), "absent: default");
+        let cli = parse(&["--threads", "two", "--voters", "-1"]).unwrap();
+        for (flag, value) in [("--threads", "two"), ("--voters", "-1")] {
+            assert!(matches!(
+                cli.try_usize_value(flag, 9),
+                Err(CliError::Invalid(m)) if m.contains(flag) && m.contains(value)
+            ));
+        }
     }
 
     #[test]

@@ -92,7 +92,17 @@ pub trait StateStoreBackend<K> {
 
     /// Inserts a borrowed key: one encode into the thread's scratch buffer,
     /// one hash, one table probe. Never clones.
-    fn insert_ref(&self, key: &K) -> bool;
+    fn insert_ref(&self, key: &K) -> bool {
+        self.insert_hashed(key).0
+    }
+
+    /// [`StateStoreBackend::insert_ref`] that also hands back the hash the
+    /// backend derived before it probed: the full 64-bit
+    /// [`crate::hash_bytes`] of the key's encoding. Probabilistic backends
+    /// return all 64 bits even when they keep fewer, so a caller can index
+    /// its own per-state data by the value (confirming a match with `==`,
+    /// as two keys may share it) without encoding or hashing the key again.
+    fn insert_hashed(&self, key: &K) -> (bool, u64);
 
     /// Returns `true` if the key is present. Counts a hit when found, a
     /// miss otherwise — the same accounting as [`StateStoreBackend::insert`].

@@ -157,8 +157,8 @@ macro_rules! dispatch {
 }
 
 impl<K: Encode> StateStoreBackend<K> for StoreImpl<K> {
-    fn insert_ref(&self, key: &K) -> bool {
-        dispatch!(self, s => s.insert_ref(key))
+    fn insert_hashed(&self, key: &K) -> (bool, u64) {
+        dispatch!(self, s => s.insert_hashed(key))
     }
 
     fn contains(&self, key: &K) -> bool {

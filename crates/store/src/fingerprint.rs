@@ -61,8 +61,9 @@ impl<K: Encode> FingerprintStore<K> {
         self.bits
     }
 
-    fn fingerprint_and_shard(&self, key: &K) -> (u64, &Mutex<HashSet<u64>>) {
-        let fp = fingerprint(key) & self.mask;
+    /// The kept (masked) fingerprint of a full one, and the shard it lives in.
+    fn kept_and_shard(&self, full: u64) -> (u64, &Mutex<HashSet<u64>>) {
+        let fp = full & self.mask;
         // The shard is derived from the fingerprint itself (Fibonacci
         // mixing of its bits), so equal fingerprints always land in the
         // same shard and membership is purely a function of the w-bit
@@ -85,15 +86,16 @@ impl<K: Encode> FingerprintStore<K> {
 }
 
 impl<K: Encode> StateStoreBackend<K> for FingerprintStore<K> {
-    fn insert_ref(&self, key: &K) -> bool {
-        let (fp, shard) = self.fingerprint_and_shard(key);
+    fn insert_hashed(&self, key: &K) -> (bool, u64) {
+        let full = fingerprint(key);
+        let (fp, shard) = self.kept_and_shard(full);
         let new = shard.lock().expect("shard poisoned").insert(fp);
         self.record(!new);
-        new
+        (new, full)
     }
 
     fn contains(&self, key: &K) -> bool {
-        let (fp, shard) = self.fingerprint_and_shard(key);
+        let (fp, shard) = self.kept_and_shard(fingerprint(key));
         let present = shard.lock().expect("shard poisoned").contains(&fp);
         self.record(present);
         present

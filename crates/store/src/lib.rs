@@ -29,6 +29,14 @@
 //!   bounded by the watermark + bloom front however large the state space
 //!   grows; the omission probability is that of 64-bit fingerprints.
 //!
+//! The hash is an answer too: [`StateStoreBackend::insert_hashed`] returns,
+//! next to new/seen, the full 64 bits of `hash_bytes(encode(key))` — all of
+//! them from every backend, also from one that keeps only w of them or
+//! none. The depth-first engines of `mp-checker` index their stack and
+//! their per-state records by that value (confirming each match with `==`,
+//! since two keys may share it), so a state is encoded and hashed once per
+//! transition, here, and nowhere else.
+//!
 //! Identifying a key by its encoding requires `a == b ⇔ encode(a) ==
 //! encode(b)`. The codec's round-trip contract gives `⇐`; `⇒` holds because
 //! every `Encode` impl writes exactly the fields `Eq` compares, in canonical
@@ -288,12 +296,18 @@ mod tests {
             StoreConfig::Exact,
             StoreConfig::sharded(),
             StoreConfig::fingerprint(64),
+            StoreConfig::fingerprint(32),
             StoreConfig::runs_with_watermark(32),
         ] {
             let by_value = config.build::<u64>();
             let by_ref = config.build::<u64>();
+            let hashed = config.build::<u64>();
             for k in input.iter().chain(input.iter()) {
-                assert_eq!(by_value.insert(*k), by_ref.insert_ref(k), "{config}");
+                let new = by_value.insert(*k);
+                assert_eq!(new, by_ref.insert_ref(k), "{config}");
+                // All 64 bits of the one fingerprint, whatever the backend keeps.
+                let fp = hash_bytes(&mp_model::encode_to_vec(k));
+                assert_eq!(hashed.insert_hashed(k), (new, fp), "{config}");
             }
             assert_eq!(by_value.len(), by_ref.len(), "{config}");
             assert_eq!(by_value.stats().hits, by_ref.stats().hits, "{config}");

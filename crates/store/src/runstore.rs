@@ -387,8 +387,9 @@ impl<K: Encode> RunStore<K> {
 }
 
 impl<K: Encode> StateStoreBackend<K> for RunStore<K> {
-    fn insert_ref(&self, key: &K) -> bool {
-        self.insert_fp(fingerprint(key))
+    fn insert_hashed(&self, key: &K) -> (bool, u64) {
+        let fp = fingerprint(key);
+        (self.insert_fp(fp), fp)
     }
 
     fn contains(&self, key: &K) -> bool {

@@ -213,8 +213,10 @@ impl<K: Encode> ByteStore<K> {
 }
 
 impl<K: Encode> StateStoreBackend<K> for ByteStore<K> {
-    fn insert_ref(&self, key: &K) -> bool {
-        self.with_shard(key, |shard, fp, bytes| shard.insert(fp, bytes, self.hash))
+    fn insert_hashed(&self, key: &K) -> (bool, u64) {
+        self.with_shard(key, |shard, fp, bytes| {
+            (shard.insert(fp, bytes, self.hash), fp)
+        })
     }
 
     fn contains(&self, key: &K) -> bool {

@@ -10,15 +10,15 @@
 use mp_basset::checker::{Checker, CheckerConfig, Counterexample, Property, Verdict};
 use mp_basset::faults::FaultBudget;
 use mp_basset::model::{
-    enabled_instances, execute_enabled, GlobalState, LocalState, Message, ProtocolSpec,
+    enabled_instances, execute_enabled, GlobalState, LocalState, Message, Permutable, ProtocolSpec,
 };
 use mp_basset::protocols::echo_multicast::{
-    delivery_termination_property, faulty_committed_leads_to_delivered,
+    self, delivery_termination_property, faulty_committed_leads_to_delivered,
     faulty_delivery_termination_property, faulty_quorum_model as faulty_multicast,
     quorum_model as multicast, MulticastSetting,
 };
 use mp_basset::protocols::paxos::{
-    accepted_leads_to_learned, faulty_accepted_leads_to_learned,
+    self, accepted_leads_to_learned, faulty_accepted_leads_to_learned,
     faulty_quorum_model as faulty_paxos, faulty_termination_property, quorum_model as paxos,
     termination_property, PaxosSetting, PaxosVariant,
 };
@@ -27,6 +27,8 @@ use mp_basset::protocols::storage::{
     faulty_reading_leads_to_done, quorum_model as storage, read_completion_property,
     reading_leads_to_done, StorageSetting,
 };
+use mp_basset::store::StoreConfig;
+use mp_basset::symmetry::RoleMap;
 
 // ---------------------------------------------------------------------------
 // (a) Termination verified on the seed protocols.
@@ -323,4 +325,109 @@ fn lasso_counterexamples_replay_deterministically() {
     } else {
         assert_eq!(entry, after_cycle);
     }
+}
+
+// ---------------------------------------------------------------------------
+// (e) The liveness search agrees with itself under every store backend, with
+//     symmetry off and on.
+// ---------------------------------------------------------------------------
+
+/// Runs the liveness DFS on one cell under the four store backends (and,
+/// given roles, again under symmetry): within a symmetry setting every
+/// backend must reproduce the exact store's verdict class, counters and
+/// lasso shape; across the two only the verdict class is comparable. Every
+/// reported lasso must replay, and every revisit is one store hit.
+fn backends_agree<S, M>(
+    label: &str,
+    spec: &ProtocolSpec<S, M>,
+    property: &Property<S, M>,
+    roles: Option<&RoleMap>,
+) where
+    S: LocalState + Permutable,
+    M: Message + Permutable,
+{
+    let mut violated = None;
+    let symmetries = if roles.is_some() {
+        vec![None, roles]
+    } else {
+        vec![None]
+    };
+    for roles in symmetries {
+        let mut exact = None;
+        for store in [
+            StoreConfig::Exact,
+            StoreConfig::sharded(),
+            StoreConfig::fingerprint(64),
+            StoreConfig::runs_with_watermark(32),
+        ] {
+            let label = format!("{label}/symmetry={}/{store}", roles.is_some());
+            let checker = Checker::new(spec, property.clone())
+                .config(CheckerConfig::stateful_dfs().with_store(store));
+            let report = match roles {
+                Some(roles) => checker.with_role_symmetry(roles).run(),
+                None => checker.run(),
+            };
+            let stats = &report.stats;
+            assert_eq!(stats.store_hits, stats.revisits, "{label}: {report}");
+            let lasso = report.verdict.counterexample().map(|cx| {
+                let (entry, after_cycle) = replay(spec, cx);
+                if cx.cycle.is_empty() {
+                    assert!(enabled_instances(spec, &entry).is_empty(), "{label}: {cx}");
+                } else {
+                    assert_eq!(entry, after_cycle, "{label}: {cx}");
+                }
+                (cx.steps.len(), cx.cycle.len())
+            });
+            let verified = report.verdict.is_verified();
+            assert_eq!(verified, lasso.is_none(), "{label}: {report}");
+            let row = (lasso, stats.states, stats.transitions_executed);
+            assert_eq!(&row, exact.get_or_insert(row), "{label}: {report}");
+            assert_eq!(&verified, violated.get_or_insert(verified), "{label}");
+        }
+    }
+}
+
+#[test]
+fn liveness_agrees_across_store_backends_and_symmetry() {
+    let setting = PaxosSetting::new(1, 2, 1);
+    for (label, budget) in [
+        ("paxos/none", FaultBudget::none()),
+        ("paxos/crash1", FaultBudget::none().crashes(1)),
+    ] {
+        let spec = faulty_paxos(setting, PaxosVariant::Correct, budget);
+        let roles = paxos::symmetry_roles(setting);
+        let learns = faulty_termination_property(setting);
+        backends_agree(label, &spec, &learns, Some(&roles));
+    }
+
+    let setting = MulticastSetting::new(2, 1, 0, 1);
+    let spec = faulty_multicast(setting, FaultBudget::none().dups(1));
+    let roles = echo_multicast::symmetry_roles(setting);
+    let delivery = faulty_delivery_termination_property(setting);
+    backends_agree("multicast/dup1", &spec, &delivery, Some(&roles));
+
+    // The one-process graph whose only all-pending cycle closes through a
+    // cross edge (locals i=0, u=1, g=2, v=3, w=4; trigger {u, v}, goal {g};
+    // the fair run u→v→w→u never reaches g): the SCC backstop, and with it
+    // the pending-node lookup, under every backend.
+    use mp_basset::model::{Outcome, ProcessId, TransitionSpec};
+    let mut builder = ProtocolSpec::<u8, String>::builder("cross-edge").process("only", 0u8);
+    for (from, to) in [(0u8, 1u8), (1, 2), (1, 3), (2, 3), (3, 4), (4, 1)] {
+        builder = builder.transition(
+            TransitionSpec::builder(format!("{from}{to}"), ProcessId(0))
+                .internal()
+                .guard(move |l: &u8, _| *l == from)
+                .sends_nothing()
+                .visible()
+                .effect(move |_, _| Outcome::new(to))
+                .build(),
+        );
+    }
+    let spec = builder.build().unwrap();
+    let trigger_leads_to_goal = Property::leads_to(
+        "trigger-leads-to-goal",
+        |s: &GlobalState<u8, String>, _| s.locals[0] == 1 || s.locals[0] == 3,
+        |s: &GlobalState<u8, String>, _| s.locals[0] == 2,
+    );
+    backends_agree("cross-edge", &spec, &trigger_leads_to_goal, None);
 }

@@ -126,15 +126,25 @@ fn bfs_level_widths_tile_the_search_exactly() {
 
 #[test]
 fn memory_gauges_reach_the_stream_with_plausible_values() {
-    let (report, summary) = traced_paxos(CheckerConfig::stateful_bfs());
     use mp_basset::trace::Gauge;
-    let store_peak = summary.gauge(Gauge::StoreBytes);
-    assert!(store_peak > 0, "traced BFS must sample the store gauge");
-    assert_eq!(
-        store_peak, report.stats.store_bytes as u64,
-        "peak store gauge equals the final store footprint (grow-only)"
-    );
-    assert!(summary.gauge(Gauge::FrontierBytes) > 0);
-    // Symmetry off: the canonical-cache gauge must stay zero.
-    assert_eq!(summary.gauge(Gauge::CanonicalCacheBytes), 0);
+    for (config, has_frontier) in [
+        (CheckerConfig::stateful_bfs(), true),
+        (CheckerConfig::stateful_dfs(), false),
+    ] {
+        let label = config.strategy.to_string();
+        let (report, summary) = traced_paxos(config);
+        let store_peak = summary.gauge(Gauge::StoreBytes);
+        assert!(store_peak > 0, "traced {label} must sample the store gauge");
+        assert_eq!(
+            store_peak, report.stats.store_bytes as u64,
+            "{label}: peak store gauge equals the final store footprint (grow-only)"
+        );
+        assert_eq!(
+            summary.gauge(Gauge::FrontierBytes) > 0,
+            has_frontier,
+            "{label}"
+        );
+        // Symmetry off: the canonical-cache gauge must stay zero.
+        assert_eq!(summary.gauge(Gauge::CanonicalCacheBytes), 0, "{label}");
+    }
 }
