@@ -24,12 +24,15 @@
 //! connected components at the end.
 //!
 //! **Identity.** The store hands back the 64-bit fingerprint it computed
-//! for the insert ([`StateStoreBackend::insert_hashed`]); the stack is
-//! indexed by it (`FpIndex`) and a match is confirmed with `==` against
-//! the key the frame holds, so on-stack membership is exact under every
+//! for the insert and its own token for the key
+//! ([`StateStoreBackend::insert_hashed`]). The stack is indexed by the
+//! fingerprint (`FpIndex`) and a match is confirmed with `==` against the
+//! key the frame holds, so on-stack membership is exact under every
 //! backend — with a fingerprint store only the *visited* set is
-//! probabilistic, never the proviso or a reported cycle. No state is hashed
-//! or cloned a second time to find out where the search has met it before.
+//! probabilistic, never the proviso or a reported cycle. What a mode
+//! remembers of a state that has left the stack it files under the token.
+//! No state is hashed or cloned a second time to find out where the search
+//! has met it before.
 //!
 //! **Symmetry.** With a non-trivial [`Symmetry`], exploration stays
 //! concrete but store and stack are keyed by canonical orbit
@@ -46,7 +49,7 @@ use mp_model::{
     TransitionInstance,
 };
 use mp_por::Reducer;
-use mp_store::StateStoreBackend;
+use mp_store::{Inserted, StateStoreBackend};
 use mp_symmetry::{NoSymmetry, Symmetry};
 use mp_trace::{Counter, Gauge, Phase, TraceHandle};
 
@@ -104,12 +107,13 @@ pub(crate) trait Mode<S, M: Ord, O>: Sized {
     /// The tag of a successor, given its predecessor's.
     fn step(&self, inherited: Self::Tag, state: &GlobalState<S, M>, observer: &O) -> Self::Tag;
 
-    /// `at` was inserted as new; `stack` is the path to it ([`path`]) and
-    /// `enabled` everything enabled in it.
+    /// `at` was inserted as new, under the store's `token`; `stack` is the
+    /// path to it ([`path`]) and `enabled` everything enabled in it.
     fn first_visit(
         &mut self,
         stack: &[Frame<S, M, O, Self>],
         at: &Key<S, M, O, Self::Tag>,
+        token: u64,
         enabled: &[TransitionInstance<M>],
     ) -> Visit<Self::Note>;
 
@@ -125,22 +129,19 @@ pub(crate) trait Mode<S, M: Ord, O>: Sized {
         None
     }
 
-    /// `top`'s last instance led to `key` (fingerprint `fp`), which is
-    /// visited but not on the stack.
-    fn cross_edge(
-        &mut self,
-        _top: &Frame<S, M, O, Self>,
-        _key: &Key<S, M, O, Self::Tag>,
-        _fp: u64,
-    ) {
-    }
-
-    /// An exhausted frame left the stack.
-    fn leave(&mut self, _frame: Frame<S, M, O, Self>) {}
+    /// `top`'s last instance led to a product state tagged `tag` that the
+    /// store knows as `token` and that is not on the stack.
+    fn cross_edge(&mut self, _top: &Frame<S, M, O, Self>, _tag: Self::Tag, _token: u64) {}
 
     /// The stack ran empty without a violation.
     fn end(&mut self, _trace: &TraceHandle) -> End<Self> {
         End::Verified
+    }
+
+    /// Heap bytes of what the mode remembers beyond the stack and the
+    /// store — the depth-first analogue of the BFS parent log.
+    fn heap_bytes(&self) -> usize {
+        0
     }
 }
 
@@ -152,7 +153,7 @@ pub(crate) struct Frame<S, M: Ord, O, H: Mode<S, M, O>> {
     /// the state is its own key).
     canon: Option<Key<S, M, O, H::Tag>>,
     /// The store's fingerprint of [`Frame::key`].
-    pub(crate) fp: u64,
+    fp: u64,
     /// Index of the group element that canonicalizes `at` (0 = identity).
     pub(crate) elem: usize,
     /// Instances chosen by the reducer, explored in order.
@@ -169,11 +170,6 @@ impl<S, M: Ord, O, H: Mode<S, M, O>> Frame<S, M, O, H> {
     /// The key this frame is visited and on the stack under.
     pub(crate) fn key(&self) -> &Key<S, M, O, H::Tag> {
         self.canon.as_ref().unwrap_or(&self.at)
-    }
-
-    /// [`Frame::key`], by value.
-    pub(crate) fn into_key(self) -> Key<S, M, O, H::Tag> {
-        self.canon.unwrap_or(self.at)
     }
 
     /// The instance last executed from this state: the one that leads to
@@ -272,7 +268,6 @@ where
                     if top.next >= top.explore.len() {
                         let frame = stack.pop().expect("stack checked non-empty");
                         on_stack.remove(frame.fp, depth - 1);
-                        mode.leave(frame);
                         continue;
                     }
                     let _span = trace.span(Phase::Expansion);
@@ -298,7 +293,7 @@ where
             let key = canon.as_ref().unwrap_or(&at);
             // The one identity query per transition: a duplicate is a store
             // hit = one revisit, and the fingerprint finds it on the stack.
-            let (new, fp) = {
+            let Inserted { new, fp, token } = {
                 let _span = trace.span(Phase::StoreLookup);
                 store.insert_hashed(key)
             };
@@ -318,7 +313,7 @@ where
                     }
                 } else {
                     let top = stack.last().expect("a revisit has a source");
-                    mode.cross_edge(top, key, fp);
+                    mode.cross_edge(top, key.2, token);
                 }
                 stats.revisits += 1;
                 trace.add(Counter::Revisits, 1);
@@ -331,12 +326,12 @@ where
                 let _span = trace.span(Phase::Expansion);
                 enabled_instances(spec, &at.0)
             };
-            let note = match mode.first_visit(&stack, &at, &enabled) {
+            let note = match mode.first_visit(&stack, &at, token, &enabled) {
                 Visit::Expand(note) => note,
                 Visit::Prune => continue,
                 Visit::Violated(cx) => break 'search Verdict::Violated(Box::new(cx)),
             };
-            if store.len() > config.max_states {
+            if stats.states > config.max_states {
                 break 'search Verdict::LimitReached {
                     what: format!("state limit of {}", config.max_states),
                 };
@@ -405,6 +400,7 @@ where
         let bytes = store_stats.approx_bytes as u64;
         trace.sample_gauge(Gauge::StoreBytes, bytes);
         trace.sample_gauge(Gauge::CanonicalCacheBytes, if trivial { 0 } else { bytes });
+        trace.sample_gauge(Gauge::ParentLogBytes, mode.heap_bytes() as u64);
     }
     trace.finish(match &verdict {
         Verdict::Verified => "verified",
@@ -443,6 +439,7 @@ impl<S: LocalState, M: Message, O> Mode<S, M, O> for Safety<'_, S, M, O> {
         &mut self,
         stack: &[Frame<S, M, O, Self>],
         at: &Key<S, M, O, ()>,
+        _token: u64,
         enabled: &[TransitionInstance<M>],
     ) -> Visit<()> {
         let reason = match self.invariant.evaluate(&at.0, &at.1) {

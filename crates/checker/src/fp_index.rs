@@ -2,27 +2,29 @@
 //!
 //! The visited store already hashes every key it is asked about
 //! ([`mp_store::StateStoreBackend::insert_hashed`]); this map lets the
-//! engine find *its own* record of a state — the DFS frame it is on, the
-//! pending-graph node it became — from that value, without hashing or
-//! cloning the state a second time. A fingerprint only narrows the search:
-//! every lookup confirms a candidate with `==` against the key its owner
-//! holds, and two keys under one fingerprint are both kept, so the answer
-//! is exact whatever the store keeps of the key.
+//! engine find the DFS frame a state is on from that value, without hashing
+//! or cloning the state a second time. A fingerprint only narrows the
+//! search: every lookup confirms a candidate with `==` against the key its
+//! owner holds, and two keys under one fingerprint are both kept, so the
+//! answer is exact whatever the store keeps of the key.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Fingerprints are already uniformly mixed: hash them with the identity.
+/// The hasher of maps keyed by what the store returned for an insert. A
+/// fingerprint is already uniformly mixed, a token may be an arena offset:
+/// one multiply-and-fold round serves both.
 #[derive(Default)]
-struct PassThrough(u64);
+pub(crate) struct StoreWord(u64);
 
-impl Hasher for PassThrough {
+impl Hasher for StoreWord {
     fn write(&mut self, _: &[u8]) {
-        unreachable!("fingerprints are hashed as one u64");
+        unreachable!("fingerprints and tokens are hashed as one u64");
     }
 
-    fn write_u64(&mut self, fp: u64) {
-        self.0 = fp;
+    fn write_u64(&mut self, word: u64) {
+        let mixed = word.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = mixed ^ (mixed >> 32);
     }
 
     fn finish(&self) -> u64 {
@@ -30,10 +32,13 @@ impl Hasher for PassThrough {
     }
 }
 
+/// A map from fingerprints or tokens.
+pub(crate) type StoreWordMap<V> = HashMap<u64, V, BuildHasherDefault<StoreWord>>;
+
 /// An exact multimap from fingerprints to caller-owned indices.
 #[derive(Default)]
 pub(crate) struct FpIndex {
-    first: HashMap<u64, usize, BuildHasherDefault<PassThrough>>,
+    first: StoreWordMap<usize>,
     /// Entries whose fingerprint another live entry already occupies —
     /// empty unless two different keys collide on all 64 bits.
     collided: Vec<(u64, usize)>,

@@ -41,15 +41,20 @@
 //! edge to an already-visited node. The stateful search therefore runs a
 //! second pass when the DFS finds nothing: it records the **pending
 //! subgraph** (obligation-carrying product states and the edges between
-//! them) during the search and then checks its strongly connected
-//! components (the `scc` submodule). An SCC admits a fair cycle iff every
+//! them — as node numbers filed under the store's token for the state, with
+//! the depth-first tree to re-execute a node's state from) during the
+//! search and then checks its strongly connected components (the `scc`
+//! submodule). An SCC admits a fair cycle iff every
 //! instance the fairness policy requires that is enabled in *every* state
 //! of the SCC is executed by some edge inside it — exact for weak fairness,
 //! because the all-states/all-required-edges covering walk is then itself a
 //! fair cycle, and conversely a globally-enabled-but-never-executed
 //! instance starves every cycle the SCC contains. The pass reconstructs a
 //! concrete lasso (stem via a product BFS, cycle via a covering walk inside
-//! the SCC), so reported counterexamples stay replayable.
+//! the SCC) and re-executes it before reporting it, so reported
+//! counterexamples stay replayable — under a probabilistic store, whose
+//! tokens may conflate two states, a lasso that does not re-execute is
+//! dropped like any other omission of that store.
 //!
 //! **Symmetry.** With a non-trivial [`Symmetry`], store and stack are keyed
 //! by canonical orbit representatives while the exploration stays concrete,
@@ -88,7 +93,7 @@ use crate::{
     CheckerConfig, Counterexample, ExplorationStats, Fairness, Observer, Property, PropertyClass,
     RunReport, Verdict,
 };
-use scc::PendingGraph;
+use scc::{Backstop, PendingGraph};
 use unroll::unroll_symmetric_cycle;
 
 fn violation_reason(class: PropertyClass, quiescent: bool, fairness: Fairness) -> String {
@@ -153,15 +158,74 @@ where
     required.iter().all(|i| executed.contains(i))
 }
 
+/// Re-executes `cycle` from the pending product state `entry`: `true` iff
+/// every instance is enabled where it is taken, the obligation stays
+/// pending throughout, the walk returns exactly to `entry`, and the cycle
+/// is fair on the concrete enabled sets met along the way.
+fn fair_pending_cycle<S, M, O>(
+    spec: &ProtocolSpec<S, M>,
+    property: &Property<S, M, O>,
+    entry: (&GlobalState<S, M>, &O),
+    cycle: &[TransitionInstance<M>],
+) -> bool
+where
+    S: LocalState,
+    M: Message,
+    O: Observer<S, M>,
+{
+    let mut state = entry.0.clone();
+    let mut observer = entry.1.clone();
+    let mut enabled_sets: Vec<Vec<TransitionInstance<M>>> = Vec::new();
+    for instance in cycle {
+        let enabled = enabled_instances(spec, &state);
+        if !enabled.contains(instance) {
+            return false;
+        }
+        let next_state = execute_enabled(spec, &state, instance);
+        let next_observer = observer.update(spec, &state, instance, &next_state);
+        if !property.step_pending(true, &next_state, &next_observer) {
+            return false;
+        }
+        enabled_sets.push(enabled);
+        state = next_state;
+        observer = next_observer;
+    }
+    if state != *entry.0 || observer != *entry.1 {
+        return false;
+    }
+    let enabled_refs: Vec<&[TransitionInstance<M>]> =
+        enabled_sets.iter().map(|v| v.as_slice()).collect();
+    let executed: Vec<&TransitionInstance<M>> = cycle.iter().collect();
+    cycle_fair(spec, property.fairness(), &enabled_refs, &executed)
+}
+
 /// The lasso detector: the [`Mode`] that makes the depth-first core a
-/// liveness search. The tag of a product state is its obligation bit; a
-/// pending frame's note is its node in the recorded pending subgraph.
+/// liveness search. The tag of a product state is its obligation bit.
 struct Lasso<'a, S, M: Ord, O> {
     spec: &'a ProtocolSpec<S, M>,
     property: &'a Property<S, M, O>,
     initial_observer: &'a O,
     symmetry: &'a Arc<dyn Symmetry<S, M, O>>,
-    graph: PendingGraph<S, M, O>,
+    /// The visited store keeps whole keys ([`mp_store::StoreConfig::is_exact`]).
+    exact_store: bool,
+    graph: PendingGraph,
+}
+
+/// What the lasso detector keeps on a frame: the state's node in the
+/// recorded graph and everything enabled in it, before reduction — gone
+/// again when the frame leaves the stack.
+struct Expanded<M> {
+    node: u32,
+    enabled: Vec<TransitionInstance<M>>,
+}
+
+impl<M: PartialEq> Expanded<M> {
+    /// The node, and where `instance` stands in its enabled list.
+    fn edge_by(&self, instance: &TransitionInstance<M>) -> (u32, u32) {
+        let at = self.enabled.iter().position(|i| i == instance);
+        let at = at.expect("a reducer explores enabled instances only");
+        (self.node, at as u32)
+    }
 }
 
 impl<S, M, O> Lasso<'_, S, M, O>
@@ -191,7 +255,7 @@ where
 {
     const ENGINE: &'static str = "liveness-dfs";
     type Tag = bool;
-    type Note = Option<usize>;
+    type Note = Expanded<M>;
 
     fn property_name(&self) -> &str {
         self.property.name()
@@ -209,8 +273,9 @@ where
         &mut self,
         stack: &[Frame<S, M, O, Self>],
         at: &Key<S, M, O, bool>,
+        token: u64,
         enabled: &[TransitionInstance<M>],
-    ) -> Visit<Option<usize>> {
+    ) -> Visit<Expanded<M>> {
         let pending = at.2;
         if enabled.is_empty() && pending {
             // A maximal finite execution with the obligation pending: the
@@ -223,13 +288,15 @@ where
             // branch can ever violate.
             return Visit::Prune;
         }
-        let node = pending.then(|| self.graph.add_node(enabled.to_vec()));
-        if let (Some(to), Some(top)) = (node, stack.last()) {
-            if let Some(from) = top.note {
-                self.graph.add_edge(from, to, top.taken());
-            }
+        let parent = stack
+            .last()
+            .map(|top| (top.note.edge_by(top.taken()), top.at.2));
+        let node = (self.graph).add_node(parent.map(|(edge, _)| edge), pending.then_some(token));
+        if let (true, Some(((from, at), true))) = (pending, parent) {
+            self.graph.add_edge(from, node, at);
         }
-        Visit::Expand(node)
+        let enabled = enabled.to_vec();
+        Visit::Expand(Expanded { node, enabled })
     }
 
     fn back_edge(
@@ -240,8 +307,9 @@ where
     ) -> Option<Counterexample> {
         let cycle = &stack[entry..];
         let top = cycle.last().expect("a cycle has at least one state");
-        if let (Some(from), Some(to)) = (top.note, cycle[0].note) {
-            self.graph.add_edge(from, to, top.taken());
+        if top.at.2 && cycle[0].at.2 {
+            let (from, at) = top.note.edge_by(top.taken());
+            self.graph.add_edge(from, cycle[0].note.node, at);
         }
         // Violating cycle: the obligation is outstanding in every product
         // state of the cycle, and the cycle is fair.
@@ -251,11 +319,8 @@ where
         let executed = if elem == cycle[0].elem {
             // The concrete cycle closes exactly (same canonical key and
             // same canonicalizing element force state equality).
-            let nodes = cycle
-                .iter()
-                .map(|f| f.note.expect("pending frames carry a node"));
             let enabled: Vec<&[TransitionInstance<M>]> =
-                nodes.map(|node| self.graph.enabled(node)).collect();
+                cycle.iter().map(|f| f.note.enabled.as_slice()).collect();
             let executed: Vec<&TransitionInstance<M>> = cycle.iter().map(Frame::taken).collect();
             cycle_fair(self.spec, self.property.fairness(), &enabled, &executed)
                 .then(|| path(cycle))
@@ -275,20 +340,15 @@ where
         Some(self.lasso(false, &path(&stack[..entry]), &executed, &cycle[0].at.0))
     }
 
-    fn cross_edge(&mut self, top: &Frame<S, M, O, Self>, key: &Key<S, M, O, bool>, fp: u64) {
+    fn cross_edge(&mut self, top: &Frame<S, M, O, Self>, pending: bool, token: u64) {
         // A cross or forward edge; if it stays within the pending subgraph,
         // record it — the SCC pass finds the cycles the on-stack detector
         // cannot see from the tree path alone.
-        if let (Some(from), true) = (top.note, key.2) {
-            if let Some(to) = self.graph.find(fp, key) {
-                self.graph.add_edge(from, to, top.taken());
+        if top.at.2 && pending {
+            if let Some(to) = self.graph.find(token) {
+                let (from, at) = top.note.edge_by(top.taken());
+                self.graph.add_edge(from, to, at);
             }
-        }
-    }
-
-    fn leave(&mut self, frame: Frame<S, M, O, Self>) {
-        if let Some(node) = frame.note {
-            self.graph.close(node, frame.fp, frame.into_key());
         }
     }
 
@@ -303,15 +363,24 @@ where
             // when) a cycle candidate exists at all.
             if self.graph.has_cycle_candidate() {
                 return End::ExactRerun(Lasso {
-                    graph: PendingGraph::new(),
+                    graph: PendingGraph::default(),
                     ..*self
                 });
             }
             return End::Verified;
         }
         let _span = trace.span(Phase::SccBackstop);
-        let found = (self.graph).violation(self.spec, self.property, self.initial_observer);
-        found.map_or(End::Verified, End::Violated)
+        let backstop = Backstop {
+            spec: self.spec,
+            property: self.property,
+            initial_observer: self.initial_observer,
+            exact_store: self.exact_store,
+        };
+        (backstop.violation(&self.graph)).map_or(End::Verified, End::Violated)
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.graph.heap_bytes()
     }
 }
 
@@ -338,7 +407,8 @@ where
         property,
         initial_observer,
         symmetry,
-        graph: PendingGraph::new(),
+        exact_store: config.store.is_exact(),
+        graph: PendingGraph::default(),
     };
     search(spec, initial_observer, reducer, symmetry, config, mode)
 }

@@ -1,186 +1,152 @@
-//! The SCC backstop of the stateful liveness search: the pending subgraph
-//! recorded while the lasso detector runs, and the strongly-connected-
-//! component check over it that finds the fair cycles a depth-first tree
-//! path cannot show (see the completeness note in [`crate::liveness`]).
+//! The SCC backstop of the stateful liveness search: the graph recorded
+//! while the lasso detector runs, and the strongly-connected-component
+//! check over it that finds the fair cycles a depth-first tree path cannot
+//! show (see the completeness note in [`crate::liveness`]).
+//!
+//! The graph remembers ids, not states: a node is a number, found again by
+//! the token the visited store names its state with
+//! ([`mp_store::Inserted::token`]). What a node *was* — its state, what was
+//! enabled in it — is rebuilt by re-execution from the initial state, once,
+//! and only for components that can hold a cycle at all.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use mp_model::{
     enabled_instances, execute_enabled, LocalState, Message, ProtocolSpec, TransitionInstance,
 };
 use mp_store::{StateStoreBackend, StoreConfig};
 
-use super::{cycle_fair, required_everywhere, violation_reason};
+use super::{cycle_fair, fair_pending_cycle, required_everywhere, violation_reason};
 use crate::dfs::Key;
-use crate::fp_index::FpIndex;
+use crate::fp_index::StoreWordMap;
 use crate::{Counterexample, Observer, Property};
 
-/// An edge of the pending subgraph: the target node and the position of the
-/// executed instance in the source node's enabled list.
-type Edge = (usize, usize);
+/// `(from, to, position)`: an explored edge, and where the executed
+/// instance stands in `enabled_instances` of the source state.
+type Edge = (u32, u32, u32);
 
-/// One node per obligation-carrying product state the search expanded, with
-/// its full (pre-reduction) enabled set and the explored edges to other
-/// pending product states.
-pub(super) struct PendingGraph<S, M: Ord, O> {
-    /// The key each node is visited under (canonical with symmetry on),
-    /// moved in when the node's frame leaves the stack — until then the
-    /// stack finds the state first.
-    keys: Vec<Option<Key<S, M, O, bool>>>,
-    enabled: Vec<Vec<TransitionInstance<M>>>,
-    edges: Vec<Vec<Edge>>,
-    /// Nodes whose frame has left the stack, by store fingerprint.
-    closed: FpIndex,
+/// The parent of the root.
+const NO_NODE: u32 = u32::MAX;
+
+/// One node per product state the search expanded, and the explored edges
+/// between the obligation-carrying (pending) ones.
+#[derive(Default)]
+pub(super) struct PendingGraph {
+    /// The depth-first tree: each node's parent and the position of the
+    /// instance that led here. These are steps the search executed, so the
+    /// path to a node replays exactly under every store.
+    parents: Vec<(u32, u32)>,
+    /// Edges between pending nodes, in the order the search met them.
+    edges: Vec<Edge>,
+    /// Pending nodes by store token.
+    by_token: StoreWordMap<u32>,
 }
 
-impl<S, M, O> PendingGraph<S, M, O>
+impl PendingGraph {
+    /// Adds the state reached through `parent = (node, position)`; a
+    /// pending state is filed under the store's `token` for it.
+    pub(super) fn add_node(&mut self, parent: Option<(u32, u32)>, token: Option<u64>) -> u32 {
+        let node = u32::try_from(self.parents.len()).ok();
+        let node = node.filter(|n| *n != NO_NODE).expect("2^32 product states");
+        self.parents.push(parent.unwrap_or((NO_NODE, 0)));
+        if let Some(token) = token {
+            self.by_token.insert(token, node);
+        }
+        node
+    }
+
+    pub(super) fn add_edge(&mut self, from: u32, to: u32, position: u32) {
+        self.edges.push((from, to, position));
+    }
+
+    /// The pending node filed under `token`. `None` when the state has no
+    /// node — possible for a pending state only with a hash-compaction
+    /// store, where a collision can report an unseen state as visited; the
+    /// caller then drops the edge, which keeps the (already documented)
+    /// probabilistic-`Verified` contract of that backend.
+    pub(super) fn find(&self, token: u64) -> Option<u32> {
+        self.by_token.get(&token).copied()
+    }
+
+    /// Heap bytes of the three tables (hashbrown keeps one control byte
+    /// beside every slot).
+    pub(super) fn heap_bytes(&self) -> usize {
+        self.parents.capacity() * size_of::<(u32, u32)>()
+            + self.edges.capacity() * size_of::<Edge>()
+            + self.by_token.capacity() * (size_of::<(u64, u32)>() + 1)
+    }
+
+    /// Returns `true` if some strongly connected component of the recorded
+    /// graph contains an internal edge (i.e. a cycle candidate exists).
+    pub(super) fn has_cycle_candidate(&self) -> bool {
+        let sccs = tarjan_sccs(&Adjacency::new(self.parents.len(), &self.edges));
+        let component = |v: u32| sccs.place[v as usize].0;
+        self.edges
+            .iter()
+            .any(|&(v, w, _)| component(v) == component(w))
+    }
+}
+
+/// A recorded edge names no instance of its source state: two states share
+/// a token, which only a probabilistic store lets happen.
+struct Conflated;
+
+/// The SCC check over a finished search's graph, and the re-execution it
+/// rebuilds states with.
+pub(super) struct Backstop<'a, S, M: Ord, O> {
+    pub(super) spec: &'a ProtocolSpec<S, M>,
+    pub(super) property: &'a Property<S, M, O>,
+    pub(super) initial_observer: &'a O,
+    /// The store's tokens are one per state: every recorded edge is real,
+    /// and a component that does not replay is a bug, not an omission.
+    pub(super) exact_store: bool,
+}
+
+impl<S, M, O> Backstop<'_, S, M, O>
 where
     S: LocalState,
     M: Message,
     O: Observer<S, M>,
 {
-    pub(super) fn new() -> Self {
-        PendingGraph {
-            keys: Vec::new(),
-            enabled: Vec::new(),
-            edges: Vec::new(),
-            closed: FpIndex::default(),
-        }
-    }
-
-    pub(super) fn add_node(&mut self, enabled: Vec<TransitionInstance<M>>) -> usize {
-        self.keys.push(None);
-        self.enabled.push(enabled);
-        self.edges.push(Vec::new());
-        self.keys.len() - 1
-    }
-
-    /// Everything enabled in the node's state.
-    pub(super) fn enabled(&self, node: usize) -> &[TransitionInstance<M>] {
-        &self.enabled[node]
-    }
-
-    pub(super) fn add_edge(&mut self, from: usize, to: usize, instance: &TransitionInstance<M>) {
-        let at = self.enabled[from].iter().position(|i| i == instance);
-        let at = at.expect("a reducer explores enabled instances only");
-        self.edges[from].push((to, at));
-    }
-
-    /// The node's frame left the stack: the graph takes over its key.
-    pub(super) fn close(&mut self, node: usize, fp: u64, key: Key<S, M, O, bool>) {
-        self.keys[node] = Some(key);
-        self.closed.insert(fp, node);
-    }
-
-    /// The closed node of `key`. `None` when the state has no node —
-    /// possible for a pending state only with a hash-compaction store,
-    /// where a collision can report an unseen state as visited; the caller
-    /// then drops the edge, which keeps the (already documented)
-    /// probabilistic-`Verified` contract of that backend.
-    pub(super) fn find(&self, fp: u64, key: &Key<S, M, O, bool>) -> Option<usize> {
-        self.closed.find(fp, |n| self.keys[n].as_ref() == Some(key))
-    }
-
-    /// Returns `true` if some strongly connected component of the recorded
-    /// subgraph contains an internal edge (i.e. a cycle candidate exists).
-    pub(super) fn has_cycle_candidate(&self) -> bool {
-        let mut component = vec![usize::MAX; self.edges.len()];
-        for (c, scc) in tarjan_sccs(&self.edges).iter().enumerate() {
-            scc.iter().for_each(|&v| component[v] = c);
-        }
-        let mut all = self.edges.iter().enumerate();
-        all.any(|(v, out)| out.iter().any(|&(w, _)| component[w] == component[v]))
-    }
-
-    /// SCC-based fair-cycle detection over the recorded subgraph, run when
-    /// the on-stack detector found nothing. Returns the reconstructed lasso
-    /// of the first violating component, if any.
-    pub(super) fn violation(
-        &self,
-        spec: &ProtocolSpec<S, M>,
-        property: &Property<S, M, O>,
-        initial_observer: &O,
-    ) -> Option<Counterexample> {
-        let fairness = property.fairness();
-        for scc in tarjan_sccs(&self.edges) {
-            let mut member = vec![false; self.edges.len()];
-            for &v in &scc {
-                member[v] = true;
+    /// SCC-based fair-cycle detection, run when the on-stack detector found
+    /// nothing. Returns the reconstructed lasso of the first violating
+    /// component, if any.
+    pub(super) fn violation(&self, graph: &PendingGraph) -> Option<Counterexample> {
+        let out = Adjacency::new(graph.parents.len(), &graph.edges);
+        let sccs = tarjan_sccs(&out);
+        for (c, scc) in sccs.iter().enumerate() {
+            // Internal edges, on member positions: the cycles of this
+            // component are built from them.
+            let mut internal: Vec<Edge> = Vec::new();
+            for &e in scc.iter().flat_map(|&v| out.of(v)) {
+                let (v, w, position) = graph.edges[e as usize];
+                let ((_, from), (component, to)) = (sccs.place[v as usize], sccs.place[w as usize]);
+                if component == c as u32 {
+                    internal.push((from, to, position));
+                }
             }
-            // Internal edges: the cycles of this component are built from them.
-            let internal: Vec<(usize, usize, &TransitionInstance<M>)> = scc
-                .iter()
-                .flat_map(|&v| {
-                    let inside = self.edges[v].iter().filter(|(w, _)| member[*w]);
-                    inside.map(move |&(w, at)| (v, w, &self.enabled[v][at]))
-                })
-                .collect();
             if internal.is_empty() {
                 continue; // trivial component: no cycle at all
             }
-            let enabled: Vec<&[TransitionInstance<M>]> =
-                scc.iter().map(|&v| self.enabled(v)).collect();
-            let executed: Vec<&TransitionInstance<M>> =
-                internal.iter().map(|&(_, _, i)| i).collect();
-            if !cycle_fair(spec, fairness, &enabled, &executed) {
-                // Some required instance is enabled everywhere in the component
-                // but never executed inside it: every cycle in here is unfair.
-                continue;
-            }
-
-            // A fair cycle exists: the covering walk that visits every state of
-            // the component and executes one edge per required instance. Build
-            // it by stitching BFS paths inside the component.
-            let entry = scc[0];
-            let mut cycle: Vec<TransitionInstance<M>> = Vec::new();
-            let mut at = entry;
-            let mut to_visit: Vec<usize> = scc.clone();
-            // Required instances enabled in every component state, and one
-            // internal edge executing each (they exist: the component is fair).
-            let mut required_edges: Vec<(usize, usize, &TransitionInstance<M>)> =
-                required_everywhere(spec, fairness, &enabled)
-                    .into_iter()
-                    .map(|c| {
-                        let found = internal.iter().find(|(_, _, i)| *i == c);
-                        *found.expect("fair component executes every required instance")
-                    })
-                    .collect();
-            loop {
-                to_visit.retain(|&v| v != at);
-                if let Some(pos) = required_edges.iter().position(|(v, _, _)| *v == at) {
-                    let (_, w, i) = required_edges.remove(pos);
-                    cycle.push(i.clone());
-                    at = w;
+            let goal = self.state_of(graph, scc[0]);
+            // Built from recorded edges, reported only if it re-executes.
+            let entry = (&goal.0, &goal.1);
+            let cycle = match self.covering_cycle(&goal, scc.len(), &internal) {
+                Ok(None) => continue,
+                Ok(Some(cycle)) if fair_pending_cycle(self.spec, self.property, entry, &cycle) => {
+                    cycle
+                }
+                _ => {
+                    assert!(!self.exact_store, "a recorded component does not replay");
                     continue;
                 }
-                if let Some((reached, path)) = self.bfs_within(&member, at, |v| {
-                    to_visit.contains(&v) || required_edges.iter().any(|(from, _, _)| *from == v)
-                }) {
-                    cycle.extend(path);
-                    at = reached;
-                    continue;
-                }
-                break;
-            }
-            // Close the walk back to the entry state.
-            if at != entry {
-                let (_, path) = self
-                    .bfs_within(&member, at, |v| v == entry)
-                    .expect("the component is strongly connected");
-                cycle.extend(path);
-            } else if cycle.is_empty() {
-                // Single-node component: its cycle is a self-loop edge.
-                cycle.push(internal[0].2.clone());
-            }
-
-            // Stem: product-graph BFS from the initial state to the entry node.
-            let goal = self.keys[entry].as_ref();
-            let goal = goal.expect("the search is over: every frame has left the stack");
+            };
+            let property = self.property;
             return Some(Counterexample::lasso(
-                spec,
+                self.spec,
                 property.name(),
-                violation_reason(property.class(), false, fairness),
-                &stem_to(spec, property, initial_observer, goal),
+                violation_reason(property.class(), false, property.fairness()),
+                &self.stem_to(&goal),
                 &cycle,
                 &goal.0,
             ));
@@ -188,131 +154,135 @@ where
         None
     }
 
-    /// Shortest instance-labelled path from `from` to a node satisfying
-    /// `done`, restricted to `allowed` nodes. Returns the node reached and
-    /// the edge path.
-    fn bfs_within(
+    fn initial(&self) -> Key<S, M, O, bool> {
+        let (initial, observer) = (self.spec.initial_state(), self.initial_observer);
+        let pending = self.property.initial_pending(&initial, observer);
+        (initial, observer.clone(), pending)
+    }
+
+    /// The product state `instance` leads to from `from`.
+    fn successor(
         &self,
-        allowed: &[bool],
-        from: usize,
-        done: impl Fn(usize) -> bool,
-    ) -> Option<(usize, Vec<TransitionInstance<M>>)> {
-        if done(from) {
-            return Some((from, Vec::new()));
-        }
-        let mut parent: HashMap<usize, (usize, usize)> = HashMap::new();
-        let mut queue = VecDeque::from([from]);
-        while let Some(v) = queue.pop_front() {
-            for &(w, at) in &self.edges[v] {
-                if !allowed[w] || w == from || parent.contains_key(&w) {
-                    continue;
-                }
-                parent.insert(w, (v, at));
-                if done(w) {
-                    let mut path = Vec::new();
-                    let mut cursor = w;
-                    while cursor != from {
-                        let (prev, at) = parent[&cursor];
-                        path.push(self.enabled[prev][at].clone());
-                        cursor = prev;
-                    }
-                    path.reverse();
-                    return Some((w, path));
-                }
-                queue.push_back(w);
-            }
-        }
-        None
+        from: &Key<S, M, O, bool>,
+        instance: &TransitionInstance<M>,
+    ) -> Key<S, M, O, bool> {
+        let state = execute_enabled(self.spec, &from.0, instance);
+        let observer = from.1.update(self.spec, &from.0, instance, &state);
+        let pending = self.property.step_pending(from.2, &state, &observer);
+        (state, observer, pending)
     }
-}
 
-/// Iterative Tarjan SCC over an adjacency list; returns the components.
-fn tarjan_sccs(edges: &[Vec<Edge>]) -> Vec<Vec<usize>> {
-    let n = edges.len();
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut scc_stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut sccs: Vec<Vec<usize>> = Vec::new();
-
-    for root in 0..n {
-        if index[root] != usize::MAX {
-            continue;
+    /// The product state of `node`, by re-executing its tree path.
+    fn state_of(&self, graph: &PendingGraph, node: u32) -> Key<S, M, O, bool> {
+        let mut path = Vec::new();
+        let mut cursor = graph.parents[node as usize];
+        while cursor.0 != NO_NODE {
+            path.push(cursor.1);
+            cursor = graph.parents[cursor.0 as usize];
         }
-        // (node, next-edge-offset) explicit DFS stack.
-        let mut work: Vec<(usize, usize)> = vec![(root, 0)];
-        while let Some(&mut (v, ref mut edge)) = work.last_mut() {
-            if *edge == 0 {
-                index[v] = next_index;
-                low[v] = next_index;
-                next_index += 1;
-                scc_stack.push(v);
-                on_stack[v] = true;
-            }
-            if let Some(&(w, _)) = edges[v].get(*edge) {
-                *edge += 1;
-                if index[w] == usize::MAX {
-                    work.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
+        path.iter().rev().fold(self.initial(), |at, &position| {
+            let instance = &enabled_instances(self.spec, &at.0)[position as usize];
+            self.successor(&at, instance)
+        })
+    }
+
+    /// Judges one component, given on member positions `0..members` with
+    /// position 0 in state `entry` and `internal` its (one or more) edges.
+    /// If it admits a fair cycle, returns the covering walk that visits
+    /// every state and executes one edge per required instance, stitched
+    /// from shortest paths inside the component.
+    fn covering_cycle(
+        &self,
+        entry: &Key<S, M, O, bool>,
+        members: usize,
+        internal: &[Edge],
+    ) -> Result<Option<Vec<TransitionInstance<M>>>, Conflated> {
+        // Re-execute the component along its own edges: what is enabled in
+        // every member, and with that the instance every edge names.
+        let out = Adjacency::new(members, internal);
+        let mut enabled = vec![Vec::new(); members];
+        let mut reached = vec![false; members];
+        reached[0] = true;
+        let mut queue = VecDeque::from([(0u32, entry.clone())]);
+        while let Some((v, at)) = queue.pop_front() {
+            let here = enabled_instances(self.spec, &at.0);
+            for &e in out.of(v) {
+                let (_, w, position) = internal[e as usize];
+                let instance = here.get(position as usize).ok_or(Conflated)?;
+                if !std::mem::replace(&mut reached[w as usize], true) {
+                    queue.push_back((w, self.successor(&at, instance)));
                 }
+            }
+            enabled[v as usize] = here;
+        }
+        let instance = |&(v, _, position): &Edge| &enabled[v as usize][position as usize];
+        let executed: Vec<&TransitionInstance<M>> = internal.iter().map(instance).collect();
+        let sets: Vec<&[TransitionInstance<M>]> = enabled.iter().map(Vec::as_slice).collect();
+        let fairness = self.property.fairness();
+        if !cycle_fair(self.spec, fairness, &sets, &executed) {
+            // Some required instance is enabled everywhere in the component
+            // but never executed inside it: every cycle in here is unfair.
+            return Ok(None);
+        }
+
+        // Required instances enabled in every component state, and one
+        // internal edge executing each (they exist: the component is
+        // fair); `owed` counts them by source.
+        let mut required: Vec<u32> = required_everywhere(self.spec, fairness, &sets)
+            .into_iter()
+            .map(|c| executed.iter().position(|i| *i == c))
+            .map(|e| e.expect("fair component executes every required instance") as u32)
+            .collect();
+        let source = |e: u32| internal[e as usize].0 as usize;
+        let mut owed = vec![0u32; members];
+        required.iter().for_each(|&e| owed[source(e)] += 1);
+        let mut unvisited = vec![true; members];
+        let mut search = Search::new(&out);
+        let mut walk: Vec<u32> = Vec::new();
+        let mut at = 0u32;
+        loop {
+            unvisited[at as usize] = false;
+            let path = if owed[at as usize] > 0 {
+                owed[at as usize] -= 1;
+                let next = required.iter().position(|&e| source(e) == at as usize);
+                vec![required.remove(next.expect("counted in `owed`"))]
             } else {
-                work.pop();
-                if let Some(&(parent, _)) = work.last() {
-                    low[parent] = low[parent].min(low[v]);
+                let wanted = |v: u32| unvisited[v as usize] || owed[v as usize] > 0;
+                match search.shortest_path(at, wanted) {
+                    Some(path) => path,
+                    None => break,
                 }
-                if low[v] == index[v] {
-                    let mut component = Vec::new();
-                    while let Some(w) = scc_stack.pop() {
-                        on_stack[w] = false;
-                        component.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    sccs.push(component);
-                }
-            }
+            };
+            walk.extend(path);
+            at = internal[walk[walk.len() - 1] as usize].1;
         }
+        // Close the walk back to the entry state.
+        if at != 0 {
+            let home = search.shortest_path(at, |v| v == 0);
+            walk.extend(home.expect("the component is strongly connected"));
+        } else if walk.is_empty() {
+            walk.push(0); // single-node component: its cycle is a self-loop edge
+        }
+        let cycle = walk.iter().map(|&e| executed[e as usize].clone());
+        Ok(Some(cycle.collect()))
     }
-    sccs
-}
 
-/// Breadth-first path from the initial product state to `goal`,
-/// re-executing the protocol (shortest stem for the lasso).
-fn stem_to<S, M, O>(
-    spec: &ProtocolSpec<S, M>,
-    property: &Property<S, M, O>,
-    initial_observer: &O,
-    goal: &Key<S, M, O, bool>,
-) -> Vec<TransitionInstance<M>>
-where
-    S: LocalState,
-    M: Message,
-    O: Observer<S, M>,
-{
-    let initial = spec.initial_state();
-    let observer = initial_observer.clone();
-    let pending = property.initial_pending(&initial, &observer);
-    let start = (initial, observer, pending);
-    if start == *goal {
-        return Vec::new();
-    }
-    let visited = StoreConfig::Exact.build::<Key<S, M, O, bool>>();
-    visited.insert_ref(&start);
-    let mut parents: Vec<(usize, TransitionInstance<M>)> = Vec::new();
-    let mut keys = vec![start];
-    let mut frontier = vec![0usize];
-    while !frontier.is_empty() {
-        let mut next_frontier = Vec::new();
-        for &at in &frontier {
-            let (state, observer, pending) = keys[at].clone();
-            for instance in enabled_instances(spec, &state) {
-                let next_state = execute_enabled(spec, &state, &instance);
-                let next_observer = observer.update(spec, &state, &instance, &next_state);
-                let next_pending = property.step_pending(pending, &next_state, &next_observer);
-                let key = (next_state, next_observer, next_pending);
+    /// Breadth-first path from the initial product state to `goal`,
+    /// re-executing the protocol (shortest stem for the lasso).
+    fn stem_to(&self, goal: &Key<S, M, O, bool>) -> Vec<TransitionInstance<M>> {
+        let start = self.initial();
+        if start == *goal {
+            return Vec::new();
+        }
+        let visited = StoreConfig::Exact.build::<Key<S, M, O, bool>>();
+        visited.insert_ref(&start);
+        // `keys[i]` was reached through `parents[i - 1]`; `keys` is the queue.
+        let mut parents: Vec<(usize, TransitionInstance<M>)> = Vec::new();
+        let mut keys = vec![start];
+        let mut at = 0;
+        while at < keys.len() {
+            for instance in enabled_instances(self.spec, &keys[at].0) {
+                let key = self.successor(&keys[at], &instance);
                 if !visited.insert_ref(&key) {
                     continue;
                 }
@@ -328,13 +298,173 @@ where
                     path.reverse();
                     return path;
                 }
-                next_frontier.push(keys.len());
                 keys.push(key);
             }
+            at += 1;
         }
-        frontier = next_frontier;
+        unreachable!("every pending-graph node was reached during the search")
     }
-    unreachable!("every pending-graph node was reached during the search")
+}
+
+/// Out-edges per node, flat: the ids (indices into `edges`) of node `v`'s
+/// edges, in recording order, are `ids[start[v]..start[v + 1]]`.
+struct Adjacency<'e> {
+    edges: &'e [Edge],
+    start: Vec<usize>,
+    ids: Vec<u32>,
+}
+
+impl<'e> Adjacency<'e> {
+    /// Counting sort of the edge ids by source (stable).
+    fn new(nodes: usize, edges: &'e [Edge]) -> Self {
+        let mut start = vec![0usize; nodes + 1];
+        for &(v, _, _) in edges {
+            start[v as usize + 1] += 1;
+        }
+        for v in 0..nodes {
+            start[v + 1] += start[v];
+        }
+        let mut next = start.clone();
+        let mut ids = vec![0; edges.len()];
+        for (e, &(v, _, _)) in edges.iter().enumerate() {
+            ids[next[v as usize]] = e as u32;
+            next[v as usize] += 1;
+        }
+        Adjacency { edges, start, ids }
+    }
+
+    fn of(&self, v: u32) -> &[u32] {
+        &self.ids[self.start[v as usize]..self.start[v as usize + 1]]
+    }
+}
+
+/// Repeated shortest-path searches over one graph. The marks carry the
+/// number of the search that made them, so a new search clears nothing.
+struct Search<'a> {
+    out: &'a Adjacency<'a>,
+    /// Per node: the search that last reached it, and by which edge.
+    marks: Vec<(u32, u32)>,
+    searches: u32,
+}
+
+impl<'a> Search<'a> {
+    fn new(out: &'a Adjacency<'a>) -> Self {
+        let marks = vec![(0, 0); out.start.len() - 1];
+        Search {
+            out,
+            marks,
+            searches: 0,
+        }
+    }
+
+    /// The edge ids of a shortest path from `from` to another node
+    /// satisfying `done`.
+    fn shortest_path(&mut self, from: u32, done: impl Fn(u32) -> bool) -> Option<Vec<u32>> {
+        self.searches += 1;
+        self.marks[from as usize].0 = self.searches;
+        let mut queue = VecDeque::from([from]);
+        while let Some(v) = queue.pop_front() {
+            for &e in self.out.of(v) {
+                let w = self.out.edges[e as usize].1;
+                if self.marks[w as usize].0 == self.searches {
+                    continue;
+                }
+                self.marks[w as usize] = (self.searches, e);
+                if done(w) {
+                    let mut path = Vec::new();
+                    let mut cursor = w;
+                    while cursor != from {
+                        let by = self.marks[cursor as usize].1;
+                        path.push(by);
+                        cursor = self.out.edges[by as usize].0;
+                    }
+                    path.reverse();
+                    return Some(path);
+                }
+                queue.push_back(w);
+            }
+        }
+        None
+    }
+}
+
+/// The strongly connected components of a graph, in the order Tarjan's
+/// algorithm completes them.
+struct Sccs {
+    /// Every node's component and its position among the members.
+    place: Vec<(u32, u32)>,
+    /// Members of all components, one component after the other.
+    members: Vec<u32>,
+    /// Where each component ends in `members`.
+    ends: Vec<usize>,
+}
+
+impl Sccs {
+    fn iter(&self) -> impl Iterator<Item = &[u32]> {
+        let starts = std::iter::once(&0).chain(&self.ends);
+        starts.zip(&self.ends).map(|(&a, &b)| &self.members[a..b])
+    }
+}
+
+/// Iterative Tarjan SCC.
+fn tarjan_sccs(out: &Adjacency) -> Sccs {
+    const UNSEEN: u32 = u32::MAX;
+    let n = out.start.len() - 1;
+    let mut index = vec![UNSEEN; n];
+    let mut low = vec![0u32; n];
+    let mut on_stack = vec![false; n];
+    let mut scc_stack: Vec<u32> = Vec::new();
+    let mut next_index = 0u32;
+    let mut sccs = Sccs {
+        place: vec![(0, 0); n],
+        members: Vec::with_capacity(n),
+        ends: Vec::new(),
+    };
+
+    for root in 0..n as u32 {
+        if index[root as usize] != UNSEEN {
+            continue;
+        }
+        // (node, next-edge-offset) explicit DFS stack.
+        let mut work: Vec<(u32, usize)> = vec![(root, 0)];
+        while let Some(&mut (v, ref mut edge)) = work.last_mut() {
+            let vi = v as usize;
+            if *edge == 0 {
+                index[vi] = next_index;
+                low[vi] = next_index;
+                next_index += 1;
+                scc_stack.push(v);
+                on_stack[vi] = true;
+            }
+            if let Some(&e) = out.of(v).get(*edge) {
+                let w = out.edges[e as usize].1;
+                *edge += 1;
+                if index[w as usize] == UNSEEN {
+                    work.push((w, 0));
+                } else if on_stack[w as usize] {
+                    low[vi] = low[vi].min(index[w as usize]);
+                }
+            } else {
+                work.pop();
+                if let Some(&(parent, _)) = work.last() {
+                    low[parent as usize] = low[parent as usize].min(low[vi]);
+                }
+                if low[vi] == index[vi] {
+                    let (component, start) = (sccs.ends.len() as u32, sccs.members.len());
+                    while let Some(w) = scc_stack.pop() {
+                        on_stack[w as usize] = false;
+                        sccs.place[w as usize] = (component, (sccs.members.len() - start) as u32);
+                        sccs.members.push(w);
+                        if w == v {
+                            break;
+                        }
+                    }
+                    sccs.ends.push(sccs.members.len());
+                }
+            }
+        }
+    }
+    sccs
 }
 
 #[cfg(test)]
@@ -343,19 +473,34 @@ mod tests {
     use crate::bfs::tests::Tok;
     use crate::liveness::tests::{reaches, toggler};
     use crate::NullObserver;
-    use mp_model::GlobalState;
+    use mp_model::{GlobalState, Outcome, ProcessId, TransitionSpec};
+
+    fn judge<S: LocalState>(
+        graph: &PendingGraph,
+        spec: &ProtocolSpec<S, Tok>,
+        property: &Property<S, Tok, NullObserver>,
+        exact_store: bool,
+    ) -> Option<Counterexample> {
+        let backstop = Backstop {
+            spec,
+            property,
+            initial_observer: &NullObserver,
+            exact_store,
+        };
+        backstop.violation(graph)
+    }
 
     #[test]
     fn tarjan_separates_cycles_from_their_tails() {
         // 0 → 1 → 2 → 0 is one component, its exit 3 → 4 two trivial ones.
-        let edges: Vec<Vec<Edge>> = [vec![1], vec![2], vec![0, 3], vec![4], vec![]]
-            .into_iter()
-            .map(|out| out.into_iter().map(|w| (w, 0)).collect())
-            .collect();
-        let mut sccs = tarjan_sccs(&edges);
+        let edges = [(0, 1, 0), (1, 2, 0), (2, 0, 0), (2, 3, 0), (3, 4, 0)];
+        let found = tarjan_sccs(&Adjacency::new(5, &edges));
+        let mut sccs: Vec<Vec<u32>> = found.iter().map(<[u32]>::to_vec).collect();
         sccs.iter_mut().for_each(|scc| scc.sort_unstable());
         sccs.sort();
         assert_eq!(sccs, [vec![0, 1, 2], vec![3], vec![4]]);
+        assert_eq!(found.place[0].0, found.place[2].0);
+        assert_ne!(found.place[3].0, found.place[4].0);
     }
 
     /// The backstop on its own, over a hand-recorded graph: a toggler's two
@@ -363,36 +508,77 @@ mod tests {
     #[test]
     fn a_recorded_fair_component_becomes_a_replayable_lasso() {
         let (spec, never) = (toggler(), reaches(5));
-        let states = [spec.initial_state(), GlobalState::new(vec![1u8])];
-        let mut graph: PendingGraph<u8, Tok, NullObserver> = PendingGraph::new();
-        for state in &states {
-            graph.add_node(enabled_instances(&spec, state));
-        }
+        let mut graph = PendingGraph::default();
+        let root = graph.add_node(None, Some(70));
+        let flipped = graph.add_node(Some((root, 0)), Some(7));
         assert!(!graph.has_cycle_candidate());
-        for (from, to) in [(0, 1), (1, 0)] {
-            let toggle = graph.enabled(from)[0].clone();
-            graph.add_edge(from, to, &toggle);
-        }
+        graph.add_edge(root, flipped, 0);
+        graph.add_edge(flipped, root, 0);
         assert!(graph.has_cycle_candidate());
-        // Both nodes forced under one fingerprint: found apart by their keys.
-        for (node, state) in states.iter().enumerate() {
-            graph.close(node, 7, (state.clone(), NullObserver, true));
-        }
-        assert_eq!(
-            graph.find(7, &(states[1].clone(), NullObserver, true)),
-            Some(1)
-        );
-        assert_eq!(
-            graph.find(7, &(states[1].clone(), NullObserver, false)),
-            None
-        );
+        // A token is the whole identity: no key is kept to tell nodes apart.
+        assert_eq!(graph.find(70), Some(root));
+        assert_eq!(graph.find(7), Some(flipped));
+        assert_eq!(graph.find(8), None);
+        assert!(graph.heap_bytes() >= 2 * 8 + 2 * 12);
 
-        let cx = graph
-            .violation(&spec, &never, &NullObserver)
-            .expect("the toggle loop is fair and never reaches 5");
+        let cx = judge(&graph, &spec, &never, true);
+        let cx = cx.expect("the toggle loop is fair and never reaches 5");
         assert!(cx.is_lasso);
         assert_eq!(cx.cycle.len(), 2, "{cx}");
         // The stem is the shortest way to whichever state the walk enters at.
         assert!(cx.steps.len() <= 1, "{cx}");
+    }
+
+    /// What a probabilistic store can record when two states share a token:
+    /// an edge that names no instance, and one whose instance leads
+    /// elsewhere. Neither becomes a lasso.
+    #[test]
+    fn a_conflated_edge_is_dropped_not_reported() {
+        let (spec, never) = (toggler(), reaches(5));
+        let mut no_such_instance = PendingGraph::default();
+        let root = no_such_instance.add_node(None, Some(1));
+        let flipped = no_such_instance.add_node(Some((root, 0)), Some(2));
+        no_such_instance.add_edge(root, flipped, 0);
+        no_such_instance.add_edge(flipped, root, 3);
+        let mut leads_elsewhere = PendingGraph::default();
+        let root = leads_elsewhere.add_node(None, Some(1));
+        leads_elsewhere.add_edge(root, root, 0);
+        for graph in [no_such_instance, leads_elsewhere] {
+            assert!(graph.has_cycle_candidate());
+            let found = judge(&graph, &spec, &never, false);
+            assert!(found.is_none(), "{found:?}");
+        }
+    }
+
+    /// A ring of 10⁴ pending states: the covering walk is as long as the
+    /// component and is put together in passes over it, not per step.
+    #[test]
+    fn a_large_component_is_covered_in_linear_passes() {
+        const RING: u32 = 10_000;
+        let spec: ProtocolSpec<u32, Tok> = ProtocolSpec::builder("ring")
+            .process("r", 0u32)
+            .transition(
+                TransitionSpec::builder("next", ProcessId(0))
+                    .internal()
+                    .sends_nothing()
+                    .effect(|l, _| Outcome::new((*l + 1) % RING))
+                    .build(),
+            )
+            .build()
+            .unwrap();
+        let never = Property::termination("never", |_: &GlobalState<u32, Tok>, _| false);
+        let mut graph = PendingGraph::default();
+        for node in 0..RING {
+            let parent = node.checked_sub(1).map(|p| (p, 0));
+            assert_eq!(graph.add_node(parent, Some(node.into())), node);
+            graph.add_edge(node, (node + 1) % RING, 0);
+        }
+        let cx = judge(&graph, &spec, &never, true).expect("the ring never terminates");
+        assert_eq!(cx.cycle.len(), RING as usize);
+        assert_eq!(
+            cx.steps.len(),
+            RING as usize - 1,
+            "entered at the last node"
+        );
     }
 }

@@ -2,13 +2,10 @@
 
 use std::sync::Arc;
 
-use mp_model::{
-    enabled_instances, execute_enabled, GlobalState, LocalState, Message, ProtocolSpec,
-    TransitionInstance,
-};
+use mp_model::{GlobalState, LocalState, Message, ProtocolSpec, TransitionInstance};
 use mp_symmetry::Symmetry;
 
-use super::cycle_fair;
+use super::fair_pending_cycle;
 use crate::{Observer, Property};
 
 /// The DFS found `e →segment→ f` from the product state `entry` = `e` with
@@ -51,30 +48,7 @@ where
     }
 
     // Validate the unrolled lasso by concrete re-execution.
-    let mut state = entry.0.clone();
-    let mut observer = entry.1.clone();
-    let mut enabled_sets: Vec<Vec<TransitionInstance<M>>> = Vec::new();
-    for instance in &unrolled {
-        let enabled = enabled_instances(spec, &state);
-        if !enabled.contains(instance) {
-            return None;
-        }
-        let next_state = execute_enabled(spec, &state, instance);
-        let next_observer = observer.update(spec, &state, instance, &next_state);
-        if !property.step_pending(true, &next_state, &next_observer) {
-            return None;
-        }
-        enabled_sets.push(enabled);
-        state = next_state;
-        observer = next_observer;
-    }
-    if state != *entry.0 || observer != *entry.1 {
-        return None;
-    }
-    let enabled_refs: Vec<&[TransitionInstance<M>]> =
-        enabled_sets.iter().map(|v| v.as_slice()).collect();
-    let executed: Vec<&TransitionInstance<M>> = unrolled.iter().collect();
-    cycle_fair(spec, property.fairness(), &enabled_refs, &executed).then_some(unrolled)
+    fair_pending_cycle(spec, property, entry, &unrolled).then_some(unrolled)
 }
 
 #[cfg(test)]
@@ -82,7 +56,10 @@ mod tests {
     use super::*;
     use crate::bfs::tests::Tok;
     use crate::NullObserver;
-    use mp_model::{Outcome, Permutable, Permutation, ProcessId, TransitionSpec};
+    use mp_model::{
+        enabled_instances, execute_enabled, Outcome, Permutable, Permutation, ProcessId,
+        TransitionSpec,
+    };
     use mp_symmetry::{OrbitReduction, RoleMap, SymmetryGroup};
 
     impl Permutable for Tok {

@@ -75,6 +75,24 @@ impl fmt::Display for StoreStats {
     }
 }
 
+/// The answer of [`StateStoreBackend::insert_hashed`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Inserted {
+    /// The key was not stored before.
+    pub new: bool,
+    /// The full 64-bit [`crate::hash_bytes`] of the key's encoding — all of
+    /// it from every backend, also from one that keeps fewer bits. Two keys
+    /// may share it: a caller that indexes by it confirms a match with `==`.
+    pub fp: u64,
+    /// The store's name for the key: equal for every insert of a stored
+    /// key. The exact backends return where the key's bytes live (shard and
+    /// arena offset), so distinct keys have distinct tokens; the
+    /// probabilistic ones return `fp`, and conflating two keys under one
+    /// token is the omission they already account for
+    /// ([`StoreStats::omission_probability`]).
+    pub token: u64,
+}
+
 /// A visited-state set that search engines insert into and query.
 ///
 /// All methods take `&self`: backends use interior mutability so that the
@@ -93,16 +111,14 @@ pub trait StateStoreBackend<K> {
     /// Inserts a borrowed key: one encode into the thread's scratch buffer,
     /// one hash, one table probe. Never clones.
     fn insert_ref(&self, key: &K) -> bool {
-        self.insert_hashed(key).0
+        self.insert_hashed(key).new
     }
 
-    /// [`StateStoreBackend::insert_ref`] that also hands back the hash the
-    /// backend derived before it probed: the full 64-bit
-    /// [`crate::hash_bytes`] of the key's encoding. Probabilistic backends
-    /// return all 64 bits even when they keep fewer, so a caller can index
-    /// its own per-state data by the value (confirming a match with `==`,
-    /// as two keys may share it) without encoding or hashing the key again.
-    fn insert_hashed(&self, key: &K) -> (bool, u64);
+    /// [`StateStoreBackend::insert_ref`] that also hands back what the
+    /// probe learned about the key (see [`Inserted`]), so a caller can keep
+    /// its own per-state data without encoding, hashing or holding the key
+    /// again.
+    fn insert_hashed(&self, key: &K) -> Inserted;
 
     /// Returns `true` if the key is present. Counts a hit when found, a
     /// miss otherwise — the same accounting as [`StateStoreBackend::insert`].

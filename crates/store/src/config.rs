@@ -5,7 +5,8 @@ use std::fmt;
 use mp_model::Encode;
 
 use crate::{
-    ByteStore, FingerprintStore, RunStore, StateStoreBackend, StoreStats, DEFAULT_RUN_WATERMARK,
+    ByteStore, FingerprintStore, Inserted, RunStore, StateStoreBackend, StoreStats,
+    DEFAULT_RUN_WATERMARK,
 };
 
 /// Default stripe count of the sharded backends.
@@ -157,7 +158,7 @@ macro_rules! dispatch {
 }
 
 impl<K: Encode> StateStoreBackend<K> for StoreImpl<K> {
-    fn insert_hashed(&self, key: &K) -> (bool, u64) {
+    fn insert_hashed(&self, key: &K) -> Inserted {
         dispatch!(self, s => s.insert_hashed(key))
     }
 

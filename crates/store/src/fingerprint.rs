@@ -7,7 +7,7 @@ use std::sync::Mutex;
 
 use mp_model::Encode;
 
-use crate::backend::{birthday_bound, StateStoreBackend, StoreStats};
+use crate::backend::{birthday_bound, Inserted, StateStoreBackend, StoreStats};
 use crate::hash::{fingerprint, K0};
 
 /// A visited-state set that stores only the low w bits of each key's
@@ -86,12 +86,16 @@ impl<K: Encode> FingerprintStore<K> {
 }
 
 impl<K: Encode> StateStoreBackend<K> for FingerprintStore<K> {
-    fn insert_hashed(&self, key: &K) -> (bool, u64) {
+    fn insert_hashed(&self, key: &K) -> Inserted {
         let full = fingerprint(key);
         let (fp, shard) = self.kept_and_shard(full);
         let new = shard.lock().expect("shard poisoned").insert(fp);
         self.record(!new);
-        (new, full)
+        Inserted {
+            new,
+            fp: full,
+            token: full,
+        }
     }
 
     fn contains(&self, key: &K) -> bool {

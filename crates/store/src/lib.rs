@@ -29,13 +29,19 @@
 //!   bounded by the watermark + bloom front however large the state space
 //!   grows; the omission probability is that of 64-bit fingerprints.
 //!
-//! The hash is an answer too: [`StateStoreBackend::insert_hashed`] returns,
-//! next to new/seen, the full 64 bits of `hash_bytes(encode(key))` — all of
-//! them from every backend, also from one that keeps only w of them or
-//! none. The depth-first engines of `mp-checker` index their stack and
-//! their per-state records by that value (confirming each match with `==`,
-//! since two keys may share it), so a state is encoded and hashed once per
-//! transition, here, and nowhere else.
+//! What the probe learned is an answer too: [`StateStoreBackend::insert_hashed`]
+//! returns an [`Inserted`] — next to new/seen, the full 64 bits of
+//! `hash_bytes(encode(key))` (all of them from every backend, also from one
+//! that keeps only w of them or none) and the store's **token** for the
+//! key, the same on every insert of a stored key. [`ByteStore`]'s token is
+//! where the key's bytes live (shard and arena offset), so it names one key
+//! only; the probabilistic backends have nothing but the fingerprint to
+//! give, and two keys under one token is the omission they already bound.
+//! The depth-first engines of `mp-checker` index their stack by the hash
+//! (confirming each match with `==` against the state the frame holds) and
+//! file what they remember of a state that left the stack under the token
+//! alone, so a state is encoded and hashed once per transition, here, and
+//! kept nowhere else.
 //!
 //! Identifying a key by its encoding requires `a == b ⇔ encode(a) ==
 //! encode(b)`. The codec's round-trip contract gives `⇐`; `⇒` holds because
@@ -124,7 +130,7 @@ mod parent_log;
 mod runstore;
 mod table;
 
-pub use backend::{canonical_label, StateStoreBackend, StoreStats};
+pub use backend::{canonical_label, Inserted, StateStoreBackend, StoreStats};
 pub use checkpoint::{
     manifest_exists, CheckpointConfig, CheckpointError, CheckpointWriter, FileMeta, Manifest,
     CHECKPOINT_VERSION,
@@ -305,9 +311,13 @@ mod tests {
             for k in input.iter().chain(input.iter()) {
                 let new = by_value.insert(*k);
                 assert_eq!(new, by_ref.insert_ref(k), "{config}");
-                // All 64 bits of the one fingerprint, whatever the backend keeps.
+                // All 64 bits of the one fingerprint, whatever the backend
+                // keeps — and the probabilistic backends have no other name
+                // for a key.
                 let fp = hash_bytes(&mp_model::encode_to_vec(k));
-                assert_eq!(hashed.insert_hashed(k), (new, fp), "{config}");
+                let inserted = hashed.insert_hashed(k);
+                assert_eq!((inserted.new, inserted.fp), (new, fp), "{config}");
+                assert_eq!(inserted.token == fp, !config.is_exact(), "{config}");
             }
             assert_eq!(by_value.len(), by_ref.len(), "{config}");
             assert_eq!(by_value.stats().hits, by_ref.stats().hits, "{config}");

@@ -52,7 +52,7 @@ use std::sync::Mutex;
 
 use mp_model::{read_varint, write_varint, Encode};
 
-use crate::backend::{birthday_bound, StateStoreBackend, StoreStats};
+use crate::backend::{birthday_bound, Inserted, StateStoreBackend, StoreStats};
 use crate::frontier::SpillFile;
 use crate::hash::fingerprint;
 
@@ -387,9 +387,13 @@ impl<K: Encode> RunStore<K> {
 }
 
 impl<K: Encode> StateStoreBackend<K> for RunStore<K> {
-    fn insert_hashed(&self, key: &K) -> (bool, u64) {
+    fn insert_hashed(&self, key: &K) -> Inserted {
         let fp = fingerprint(key);
-        (self.insert_fp(fp), fp)
+        Inserted {
+            new: self.insert_fp(fp),
+            fp,
+            token: fp,
+        }
     }
 
     fn contains(&self, key: &K) -> bool {

@@ -16,7 +16,7 @@ use std::sync::Mutex;
 
 use mp_model::{read_varint, write_varint, Encode};
 
-use crate::backend::{StateStoreBackend, StoreStats};
+use crate::backend::{Inserted, StateStoreBackend, StoreStats};
 use crate::hash::{hash_bytes, with_encoded};
 
 /// Arena chunks fill up to this many bytes, so growing the arena never
@@ -79,23 +79,24 @@ impl Shard {
         present
     }
 
-    fn insert(&mut self, fp: u64, bytes: &[u8], hash: fn(&[u8]) -> u64) -> bool {
+    /// Returns whether `bytes` was new, and the slot that holds it now.
+    fn insert(&mut self, fp: u64, bytes: &[u8], hash: fn(&[u8]) -> u64) -> (bool, usize) {
         // Grow at 3/4 load, before probing, so the probe's empty slot stays
         // valid for the insert.
         if (self.entries + 1) * 4 > self.slots.len() * 3 {
             self.grow(hash);
         }
-        let new = match self.probe(fp, bytes) {
-            Ok(_) => false,
+        let (new, at) = match self.probe(fp, bytes) {
+            Ok(at) => (false, at),
             Err(at) => {
                 let offset = self.append(bytes);
                 self.slots[at] = tag_of(fp) | (offset + 1);
                 self.entries += 1;
-                true
+                (true, at)
             }
         };
         self.record(!new);
-        new
+        (new, at)
     }
 
     fn record(&mut self, present: bool) {
@@ -179,7 +180,7 @@ impl<K: Encode> ByteStore<K> {
     }
 
     /// A table striped across `shards` locks (rounded up to a power of two,
-    /// minimum 1), reported as `"sharded"`.
+    /// between 1 and 2¹⁶), reported as `"sharded"`.
     pub fn sharded(shards: usize) -> Self {
         Self::with_hash(shards, "sharded", hash_bytes)
     }
@@ -187,7 +188,8 @@ impl<K: Encode> ByteStore<K> {
     /// `hash` is a parameter only so tests can force every key onto one
     /// slot and tag.
     fn with_hash(shards: usize, name: &'static str, hash: fn(&[u8]) -> u64) -> Self {
-        let shards = shards.max(1).next_power_of_two();
+        // 16 shard bits beside a 48-bit arena offset make a 64-bit token.
+        let shards = shards.clamp(1, 1 << (64 - OFFSET_BITS)).next_power_of_two();
         ByteStore {
             shards: (0..shards).map(|_| Mutex::default()).collect(),
             shard_bits: shards.trailing_zeros(),
@@ -198,8 +200,8 @@ impl<K: Encode> ByteStore<K> {
     }
 
     /// Encodes and hashes `key`, then runs `f` under the lock of the shard
-    /// the fingerprint's top bits select.
-    fn with_shard<R>(&self, key: &K, f: impl FnOnce(&mut Shard, u64, &[u8]) -> R) -> R {
+    /// the fingerprint's top bits select, passing that shard's index.
+    fn with_shard<R>(&self, key: &K, f: impl FnOnce(&mut Shard, usize, u64, &[u8]) -> R) -> R {
         with_encoded(key, |bytes| {
             let fp = (self.hash)(bytes);
             let index = match self.shard_bits {
@@ -207,20 +209,24 @@ impl<K: Encode> ByteStore<K> {
                 bits => (fp >> (64 - bits)) as usize,
             };
             let mut shard = self.shards[index].lock().expect("shard poisoned");
-            f(&mut shard, fp, bytes)
+            f(&mut shard, index, fp, bytes)
         })
     }
 }
 
 impl<K: Encode> StateStoreBackend<K> for ByteStore<K> {
-    fn insert_hashed(&self, key: &K) -> (bool, u64) {
-        self.with_shard(key, |shard, fp, bytes| {
-            (shard.insert(fp, bytes, self.hash), fp)
+    fn insert_hashed(&self, key: &K) -> Inserted {
+        self.with_shard(key, |shard, index, fp, bytes| {
+            let (new, slot) = shard.insert(fp, bytes, self.hash);
+            // A record never moves, and no two share an offset of one shard.
+            let offset = (shard.slots[slot] & OFFSET_MASK) - 1;
+            let token = (index as u64) << OFFSET_BITS | offset;
+            Inserted { new, fp, token }
         })
     }
 
     fn contains(&self, key: &K) -> bool {
-        self.with_shard(key, |shard, fp, bytes| shard.contains(fp, bytes))
+        self.with_shard(key, |shard, _, fp, bytes| shard.contains(fp, bytes))
     }
 
     fn len(&self) -> usize {
@@ -266,8 +272,15 @@ mod tests {
         // resize re-threads one long probe chain.
         let store = ByteStore::<(u64, String)>::with_hash(4, "sharded", |_| 0);
         let keys: Vec<(u64, String)> = (0..500).map(|i| (i % 7, format!("key-{i}"))).collect();
+        let mut tokens = Vec::new();
         for (i, key) in keys.iter().enumerate() {
-            assert!(store.insert_ref(key), "{key:?} is new");
+            let first = store.insert_hashed(key);
+            assert!(first.new && first.fp == 0, "{key:?} is new");
+            assert!(
+                !tokens.contains(&first.token),
+                "{key:?} has a token of its own"
+            );
+            tokens.push(first.token);
             assert!(!store.insert_ref(key), "{key:?} is now a hit");
             assert!(keys[..=i].iter().all(|k| store.contains(k)));
             assert!(keys[i + 1..].iter().take(3).all(|k| !store.contains(k)));
@@ -275,6 +288,27 @@ mod tests {
         assert_eq!(store.len(), keys.len());
         let slots = store.shards[0].lock().unwrap().slots.len();
         assert!(slots >= 8 * INITIAL_SLOTS, "{slots} slots: several resizes");
+        // Asking again, after every resize, returns each key's first token.
+        let again = keys.iter().map(|key| store.insert_hashed(key));
+        assert!(again
+            .zip(&tokens)
+            .all(|(hit, first)| !hit.new && hit.token == *first));
+    }
+
+    #[test]
+    fn tokens_tell_shards_apart() {
+        // Every shard's first record sits at arena offset 0.
+        let store = ByteStore::<u64>::sharded(16);
+        let mut tokens: Vec<u64> = (0..200).map(|k| store.insert_hashed(&k).token).collect();
+        let firsts = tokens.iter().filter(|t| *t & OFFSET_MASK == 0).count();
+        assert!(firsts > 1, "{firsts} shards used");
+        tokens.sort_unstable();
+        tokens.dedup();
+        assert_eq!(tokens.len(), 200);
+        assert_eq!(
+            ByteStore::<u64>::sharded(usize::MAX >> 1).shards.len(),
+            1 << 16
+        );
     }
 
     #[test]

@@ -127,7 +127,9 @@ pub enum Gauge {
     /// disk frontier, a `size_of`-based estimate in memory).
     FrontierBytes,
     /// Resident bytes of the parent-pointer path log (offsets + unspilled
-    /// buffer for the disk log, the record vector in memory).
+    /// buffer for the disk log, the record vector in memory); for a
+    /// depth-first liveness run, of the recorded graph its SCC backstop
+    /// judges (tree records, edge list, token index).
     ParentLogBytes,
     /// Bytes of canonical orbit representatives held by the visited store
     /// on behalf of the symmetry reduction (0 on symmetry-off runs, where

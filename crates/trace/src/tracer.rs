@@ -232,17 +232,18 @@ impl RunInner {
 
     fn heartbeat_loop(&self) {
         let mut finished = self.finished.lock().expect("trace run lock poisoned");
-        loop {
+        // A run can finish before this thread first takes the lock: its
+        // wake-up is gone by then, so look before every wait.
+        while !*finished {
             let (guard, _timeout) = self
                 .stop
                 .wait_timeout(finished, self.shared.interval)
                 .expect("trace run lock poisoned");
             finished = guard;
-            if *finished {
-                return;
+            if !*finished {
+                self.emit_progress(false);
+                self.stderr_progress();
             }
-            self.emit_progress(false);
-            self.stderr_progress();
         }
     }
 
