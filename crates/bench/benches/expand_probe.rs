@@ -1,10 +1,12 @@
 //! Per-layer rows for successor construction ("Data flow of a check" steps
-//! 2 to 4): what one `enabled_instances`, one `execute_enabled`, one state
+//! 2 to 5): what one `enabled_instances`, one `execute_enabled`, one state
 //! clone + drop, one `SporReducer::reduce` and one encode cost on real
 //! states — the first [`STATES`] reachable states, breadth first, of regular
 //! storage (3,1) and Paxos (2,3,1) under crash1+drop1, the cells of the
-//! pinned benchmark's `storage-*` and `paxos-1m-ext`/`paxos-sym` workloads.
-//! Every row is the time of one operation.
+//! pinned benchmark's `storage-*` and `paxos-1m-ext`/`paxos-sym` workloads —
+//! and, on the Paxos states under `paxos-sym`'s role group, one
+//! `canonicalize` beside the full sweep it replaced. Every row is the time
+//! of one operation.
 
 use std::collections::{HashSet, VecDeque};
 use std::hint::black_box;
@@ -12,11 +14,13 @@ use std::hint::black_box;
 use mp_bench::micro::Group;
 use mp_faults::FaultBudget;
 use mp_model::{
-    enabled_instances, execute_enabled, Encode, GlobalState, LocalState, Message, ProtocolSpec,
+    enabled_instances, execute_enabled, Encode, GlobalState, LocalState, Message, Permutable,
+    ProtocolSpec,
 };
 use mp_por::{Reducer, SporReducer};
 use mp_protocols::paxos::{self, PaxosSetting, PaxosVariant};
 use mp_protocols::storage::{self, StorageSetting};
+use mp_symmetry::{OrbitReduction, RoleMap, Symmetry, SymmetryGroup};
 
 const STATES: usize = 20_000;
 const SAMPLES: usize = 10;
@@ -42,7 +46,31 @@ fn reachable<S: LocalState, M: Message>(spec: &ProtocolSpec<S, M>) -> Vec<Global
     states
 }
 
-fn probe<S: LocalState, M: Message>(cell: &str, spec: &ProtocolSpec<S, M>) {
+/// The sweep `canonicalize` replaced: every image built in full, the first
+/// strictly smaller one kept.
+fn full_sweep<S, M>(
+    group: &SymmetryGroup<S, M>,
+    state: &GlobalState<S, M>,
+) -> (GlobalState<S, M>, usize)
+where
+    S: LocalState + Permutable,
+    M: Message + Permutable,
+{
+    let mut best = (state.clone(), 0);
+    for (i, elem) in group.elements().iter().enumerate().skip(1) {
+        let image = state.permute(elem.permutation());
+        if image < best.0 {
+            best = (image, i);
+        }
+    }
+    best
+}
+
+fn probe<S, M>(cell: &str, spec: &ProtocolSpec<S, M>, roles: Option<&RoleMap>)
+where
+    S: LocalState + Permutable,
+    M: Message + Permutable,
+{
     let states = reachable(spec);
     let instances: Vec<_> = states.iter().map(|s| enabled_instances(spec, s)).collect();
     let fired: usize = instances.iter().map(Vec::len).sum();
@@ -81,6 +109,26 @@ fn probe<S: LocalState, M: Message>(cell: &str, spec: &ProtocolSpec<S, M>) {
             black_box(reducer.reduce(spec, state, enabled));
         }
     });
+    if let Some(roles) = roles {
+        let reduction: OrbitReduction<S, M, ()> =
+            OrbitReduction::new(SymmetryGroup::build(spec, roles));
+        let validated = reduction.group();
+        for state in &states {
+            let (representative, _, elem) = reduction.canonicalize(state, &());
+            assert_eq!((representative, elem), full_sweep(validated, state));
+        }
+        let order = validated.order();
+        group.bench(format!("canonicalize (order {order})"), || {
+            for state in &states {
+                black_box(reduction.canonicalize(state, &()));
+            }
+        });
+        group.bench("full sweep (the former canonicalize)", || {
+            for state in &states {
+                black_box(full_sweep(validated, state));
+            }
+        });
+    }
     group.per_op(fired);
     group.bench("execute_enabled", || {
         for (state, enabled) in states.iter().zip(&instances) {
@@ -97,9 +145,12 @@ fn main() {
     probe(
         "storage(3,1)",
         &storage::faulty_quorum_model(StorageSetting::new(3, 1), budget),
+        None,
     );
+    let setting = PaxosSetting::new(2, 3, 1);
     probe(
         "paxos(2,3,1)",
-        &paxos::faulty_quorum_model(PaxosSetting::new(2, 3, 1), PaxosVariant::Correct, budget),
+        &paxos::faulty_quorum_model(setting, PaxosVariant::Correct, budget),
+        Some(&paxos::symmetry_roles(setting)),
     );
 }

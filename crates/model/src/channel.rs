@@ -189,25 +189,30 @@ impl<M: Message> Channels<M> {
     where
         M: crate::Permutable,
     {
-        let mut entries: Vec<Pending<M>> = self
-            .entries
-            .iter()
-            .map(|e| Pending {
-                receiver: perm.apply(e.receiver),
-                sender: perm.apply(e.sender),
-                payload: e.payload.permute(perm),
-                count: e.count,
-            })
-            .collect();
+        let mut image = Channels::new(self.num_processes);
+        self.permute_into(perm, &mut image);
+        image
+    }
+
+    /// [`Channels::permute`] written over `out`, reusing its allocation: the
+    /// symmetry sweep builds every candidate's channel image in one buffer.
+    pub fn permute_into(&self, perm: &crate::Permutation, out: &mut Self)
+    where
+        M: crate::Permutable,
+    {
+        out.entries.clear();
+        out.entries.extend(self.entries.iter().map(|e| Pending {
+            receiver: perm.apply(e.receiver),
+            sender: perm.apply(e.sender),
+            payload: e.payload.permute(perm),
+            count: e.count,
+        }));
         // A permutation acts injectively on endpoints and payloads, so the
         // images are distinct and sorting alone restores the canonical form.
-        entries.sort_unstable();
-        debug_assert!(entries.windows(2).all(|w| w[0] < w[1]));
-        Channels {
-            entries,
-            num_processes: self.num_processes,
-            total: self.total,
-        }
+        out.entries.sort_unstable();
+        debug_assert!(out.entries.windows(2).all(|w| w[0] < w[1]));
+        out.num_processes = self.num_processes;
+        out.total = self.total;
     }
 
     /// The non-empty channels as `((sender, receiver), contents)`, for the

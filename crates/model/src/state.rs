@@ -101,14 +101,15 @@ impl<S: LocalState, M: Message> GlobalState<S, M> {
         S: crate::Permutable,
         M: crate::Permutable,
     {
-        assert_eq!(perm.degree(), self.num_processes(), "degree mismatch");
-        // Built through the inverse so each slot is cloned exactly once —
-        // this is the hottest path of symmetry canonicalization (one call
-        // per group element per generated successor).
-        let inverse = perm.inverse();
+        let n = self.num_processes();
+        assert_eq!(perm.degree(), n, "degree mismatch");
+        // Slot `k` of the image is the local that `perm` sends to `k`, so
+        // each slot is rewritten exactly once; processes are few, and a scan
+        // for that preimage costs less than allocating the inverse.
+        let preimage = |k| (0..n).find(|&i| perm.apply_index(i) == k);
         GlobalState {
-            locals: (0..self.locals.len())
-                .map(|slot| self.locals[inverse.apply_index(slot)].permute(perm))
+            locals: (0..n)
+                .map(|k| self.locals[preimage(k).expect("a permutation is onto")].permute(perm))
                 .collect(),
             channels: self.channels.permute(perm),
         }

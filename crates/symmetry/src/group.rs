@@ -1,6 +1,6 @@
 //! Validated symmetry groups over a concrete protocol.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::marker::PhantomData;
 
 use mp_model::{
@@ -61,6 +61,8 @@ impl GroupElement {
 /// identity.
 pub struct SymmetryGroup<S, M: Ord> {
     elements: Vec<GroupElement>,
+    /// `inverses[e]` is the index of `e`'s inverse element.
+    inverses: Vec<usize>,
     _marker: PhantomData<fn() -> (S, M)>,
 }
 
@@ -105,8 +107,16 @@ where
                 elements.push(GroupElement { perm, transitions });
             }
         }
+        // The inverse table, through one map over the elements: O(order).
+        let index: HashMap<&Permutation, usize> = elements
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (&e.perm, i))
+            .collect();
+        let inverses = elements.iter().map(|e| index[&e.perm.inverse()]).collect();
         SymmetryGroup {
             elements,
+            inverses,
             _marker: PhantomData,
         }
     }
@@ -118,6 +128,7 @@ where
                 perm: Permutation::identity(spec.num_processes()),
                 transitions: spec.transition_ids().collect(),
             }],
+            inverses: vec![0],
             _marker: PhantomData,
         }
     }
@@ -156,9 +167,7 @@ where
 
     /// The inverse of element `e`.
     pub fn inverse(&self, e: usize) -> usize {
-        let perm = self.elements[e].perm.inverse();
-        self.element_index(&perm)
-            .expect("a validated group is closed under inverse")
+        self.inverses[e]
     }
 
     /// Applies element `e` to a transition instance: the transition id is

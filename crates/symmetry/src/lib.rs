@@ -18,7 +18,11 @@
 //! * [`OrbitReduction`] / [`Symmetry`] — the engine-facing canonicalizer:
 //!   `mp-checker` inserts the canonical (minimal-under-`Ord`) image of every
 //!   `(state, observer)` pair into the visited store, so only one
-//!   representative per **orbit** is fingerprinted and expanded.
+//!   representative per **orbit** is fingerprinted and expanded. One sweep
+//!   over the group compares each element's image with the current winner
+//!   as it generates it and builds only the winner; the same sweep counts
+//!   the stabilizer, which gives a traced run its orbit-size histogram at
+//!   no extra cost.
 //!
 //! Declaring a role and canonicalizing by hand (the `Checker` facade of
 //! `mp-checker` does all of this behind `with_role_symmetry`):
