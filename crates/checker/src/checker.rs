@@ -12,8 +12,9 @@ use mp_por::{NoReduction, Reducer, SeedHeuristic, SporReducer};
 use mp_symmetry::{NoSymmetry, OrbitReduction, RoleMap, Symmetry, SymmetryGroup};
 
 use crate::{
-    bfs::run_bfs, dfs::run_stateful_dfs, stateless::run_stateless, CheckerConfig, NullObserver,
-    Observer, Property, RunReport, SearchStrategy,
+    bfs::run_bfs,
+    dfs::{run_stateful_dfs, stateless_search},
+    CheckerConfig, NullObserver, Observer, Property, RunReport, SearchStrategy,
 };
 
 /// A configured model-checking run.
@@ -198,7 +199,7 @@ where
             ),
             SearchStrategy::StatefulBfs => bfs(None),
             SearchStrategy::ParallelBfs { threads } => bfs(Some(threads)),
-            SearchStrategy::Stateless { dpor } => run_stateless(
+            SearchStrategy::Stateless { dpor } => stateless_search(
                 self.spec,
                 &self.property,
                 &self.initial_observer,

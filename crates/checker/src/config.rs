@@ -55,10 +55,13 @@ impl fmt::Display for SearchStrategy {
 pub struct CheckerConfig {
     /// Search engine.
     pub strategy: SearchStrategy,
-    /// Abort after storing/expanding this many states.
+    /// State budget: a search stops with a `state limit` verdict once it has
+    /// met this many states for the first time — stored states, or tree
+    /// nodes for a stateless run.
     pub max_states: usize,
-    /// Maximum path depth for the stateless engine (guards against cycles,
-    /// which a stateless search would otherwise follow forever).
+    /// Maximum path depth of the depth-first searches that remember the path
+    /// or nothing of a state (the stateless strategy): without a store they
+    /// would follow a cycle forever. Store-backed searches ignore it.
     pub max_depth: usize,
     /// Treat deadlock states (no enabled transition) as violations. Off by
     /// default because terminating protocols end in technical deadlocks.
@@ -68,18 +71,18 @@ pub struct CheckerConfig {
     pub time_limit: Option<Duration>,
     /// Which visited-state backend the stateful engines use (`mp-store`).
     /// The parallel engine upgrades [`StoreConfig::Exact`] to the sharded
-    /// store so workers never serialise on a global visited-set lock; the
-    /// stateless engine ignores this field. Selecting a fingerprint store
-    /// makes `Verified` verdicts probabilistic — see the `mp-store` crate
-    /// docs for the soundness contract.
+    /// store so workers never serialise on a global visited-set lock; a
+    /// stateless run builds no store and ignores this field. Selecting a
+    /// fingerprint store makes `Verified` verdicts probabilistic — see the
+    /// `mp-store` crate docs for the soundness contract.
     pub store: StoreConfig,
     /// Which frontier the breadth-first engines drive (`mp-store`). The
     /// in-memory frontier is the default; the disk frontier spills encoded
     /// states past its watermark so paper-scale fault sweeps fit in memory
     /// next to the visited set (strategy labels gain a `+spill` suffix).
     /// Exploration order is identical either way, so verdicts and state
-    /// counts are byte-identical. The depth-first and stateless engines
-    /// have no frontier and ignore this field.
+    /// counts are byte-identical. Depth-first runs, stateless ones
+    /// included, have no frontier: they ignore this field.
     pub frontier: FrontierConfig,
     /// Checkpoint/resume directory for the breadth-first engines
     /// (`mp-store`). When set, every completed BFS level is persisted
@@ -88,7 +91,7 @@ pub struct CheckerConfig {
     /// the last committed level with byte-identical verdicts and counters.
     /// The manifest records the spec fingerprint and this configuration's
     /// identity, so resuming under a different protocol or search
-    /// configuration is refused. The depth-first and stateless engines
+    /// configuration is refused. Depth-first runs, stateless ones included,
     /// ignore this field. See `docs/ON_DISK_FORMATS.md` for the layout.
     pub checkpoint: Option<CheckpointConfig>,
     /// Observability sink (`mp-trace`). The default disabled tracer makes

@@ -1,20 +1,30 @@
-//! The one stateful depth-first core.
+//! The one depth-first core.
 //!
 //! This is the workhorse engine of the reproduction (the analogue of
-//! MP-Basset's stateful search inside JPF). `search` is the only
-//! depth-first loop of the crate: it keeps one stack of `Frame`s, asks
-//! the configured [`Reducer`] which enabled instances to explore in each
-//! state and identifies every product state by **one** query of the backend
-//! selected by [`CheckerConfig::store`]. Each iteration pops an exhausted
-//! frame or executes the top frame's next instance, canonicalizes the
-//! successor, inserts it, and then the answer of that one insert decides:
+//! MP-Basset's stateful search inside JPF, and of Basset's stateless one).
+//! `search` is the only depth-first loop of the crate: it keeps one stack
+//! of `Frame`s, asks the configured [`Reducer`] which enabled instances to
+//! explore in each state and asks its **memory** once per transition
+//! whether it has met the successor before. Each iteration pops an
+//! exhausted frame or executes the top frame's next instance,
+//! canonicalizes the successor and looks it up, and then the answer decides:
 //!
-//! * *seen and on the stack* — a **back edge**. The stack (cycle) proviso
+//! * *met, on the stack* — a **back edge**. The stack (cycle) proviso
 //!   fires unconditionally: a frame that was expanded with a reduced set is
 //!   re-expanded fully, so no enabled transition is ignored around a cycle
 //!   (the "ignoring problem" of partial-order reduction);
-//! * *seen, not on the stack* — a **cross edge**;
+//! * *met, not on the stack* — a **cross edge**;
 //! * *new* — a **first visit**: limits are checked and a frame is pushed.
+//!
+//! **Memory.** What the search remembers of a state is the only difference
+//! between stateful and stateless depth-first search. The *store* memory is
+//! the visited store of [`CheckerConfig::store`] (the stateful searches).
+//! The *path* memory meets a successor again only if it `==` the key of a
+//! frame on the stack (stateless liveness, and stateless safety under
+//! symmetry, which cuts a branch whose orbit is on its path). The *nothing*
+//! memory meets every successor for the first time and encodes or hashes
+//! no state (stateless safety). The last two follow cycles around, so they
+//! stop at [`CheckerConfig::max_depth`].
 //!
 //! What those three events and the end of the search *mean* is the only
 //! thing the property classes differ in, and they say it through a
@@ -22,6 +32,11 @@
 //! invariant at every first visit; the lasso detector of [`crate::liveness`]
 //! judges cycles at back edges, records cross edges and checks strongly
 //! connected components at the end.
+//!
+//! **Dynamic POR** is a hook of the invariant check under the nothing
+//! memory. [`DporSeed`] explores a frame's first enabled instance and prunes
+//! the rest, so a frame's unexplored instances are DPOR's backtrack set
+//! minus its done set; a race schedules one of the pruned ones.
 //!
 //! **Identity.** The store hands back the 64-bit fingerprint it computed
 //! for the insert and its own token for the key
@@ -35,7 +50,7 @@
 //! has met it before.
 //!
 //! **Symmetry.** With a non-trivial [`Symmetry`], exploration stays
-//! concrete but store and stack are keyed by canonical orbit
+//! concrete but memory and stack are keyed by canonical orbit
 //! representatives: a successor whose orbit was already visited is pruned
 //! (a symmetric sibling's subtree covers it), and one whose orbit is on the
 //! stack closes a cycle *in the quotient graph*. Counterexample paths remain
@@ -45,24 +60,89 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mp_model::{
-    enabled_instances, execute_enabled, Encode, GlobalState, LocalState, Message, ProtocolSpec,
-    TransitionInstance,
+    enabled_instances, execute_enabled, Encode, GlobalState, LocalState, Message, ProcessId,
+    ProtocolSpec, TransitionInstance,
 };
-use mp_por::Reducer;
-use mp_store::{Inserted, StateStoreBackend};
+use mp_por::{latest_racing_step, DporSeed, ExecutedStep, NoReduction, Reducer, Reduction};
+use mp_store::{Inserted, StateStoreBackend, StoreConfig, StoreImpl};
 use mp_symmetry::{NoSymmetry, Symmetry};
 use mp_trace::{Counter, Gauge, Phase, TraceHandle};
 
 use crate::fp_index::FpIndex;
 use crate::{
-    liveness::run_liveness_dfs, CheckerConfig, Counterexample, ExplorationStats, Invariant,
-    Observer, Property, PropertyStatus, RunReport, Verdict,
+    liveness::{run_liveness_dfs, stateless_lasso},
+    CheckerConfig, Counterexample, ExplorationStats, Invariant, Observer, Property, PropertyStatus,
+    RunReport, Verdict,
 };
 
 /// A product state: protocol state, observer and the mode's path-dependent
 /// tag. This is the visited-store key; with symmetry on, the stored key is
 /// the canonical representative of `(state, observer)` with the same tag.
 pub(crate) type Key<S, M, O, T> = (GlobalState<S, M>, O, T);
+
+/// What the core remembers of the states it has met (see the module docs).
+pub(crate) enum Memory<K> {
+    /// The visited store, and the stack indexed by the fingerprints it
+    /// hands back.
+    Store(StoreImpl<K>, FpIndex),
+    /// The stack alone.
+    Path,
+    /// Nothing.
+    Nothing,
+}
+
+impl<K: Encode> Memory<K> {
+    /// The visited store `config` selects.
+    pub(crate) fn store(config: &StoreConfig) -> Self {
+        Memory::Store(config.build(), FpIndex::default())
+    }
+
+    /// The one question per transition: has the search met `key`, and is
+    /// it on the stack? `depth` frames are, and `is_at(i)` says whether
+    /// `key` is the key of the `i`-th. Without a store, fingerprint and
+    /// token are zero.
+    fn meet(
+        &self,
+        key: &K,
+        depth: usize,
+        is_at: impl Fn(usize) -> bool,
+        trace: &TraceHandle,
+    ) -> (Inserted, Option<usize>) {
+        let entry = match self {
+            Memory::Store(store, on_stack) => {
+                let inserted = {
+                    let _span = trace.span(Phase::StoreLookup);
+                    store.insert_hashed(key)
+                };
+                let entry = if inserted.new {
+                    None
+                } else {
+                    on_stack.find(inserted.fp, is_at)
+                };
+                return (inserted, entry);
+            }
+            Memory::Path => (0..depth).find(|&i| is_at(i)),
+            Memory::Nothing => None,
+        };
+        let new = entry.is_none();
+        (
+            Inserted {
+                new,
+                fp: 0,
+                token: 0,
+            },
+            entry,
+        )
+    }
+
+    /// How many frames the stack may hold: a store meets every cycle.
+    fn depth_limit(&self, config: &CheckerConfig) -> usize {
+        match self {
+            Memory::Store(..) => usize::MAX,
+            Memory::Path | Memory::Nothing => config.max_depth,
+        }
+    }
+}
 
 /// What a first visit means to the property class.
 pub(crate) enum Visit<N> {
@@ -86,10 +166,10 @@ pub(crate) enum End<H> {
 }
 
 /// What a property class adds to the depth-first core (see the module
-/// docs). The core owns the stack, the store, the proviso, the limits and
+/// docs). The core owns the stack, the memory, the proviso, the limits and
 /// the statistics; a mode only interprets the events.
 pub(crate) trait Mode<S, M: Ord, O>: Sized {
-    /// Engine name, the head of the strategy label.
+    /// Engine name, the head of a stateful run's strategy label.
     const ENGINE: &'static str;
     /// The path-dependent part of a product state, stored beside
     /// `(state, observer)`: nothing for invariants, the obligation bit for
@@ -107,8 +187,11 @@ pub(crate) trait Mode<S, M: Ord, O>: Sized {
     /// The tag of a successor, given its predecessor's.
     fn step(&self, inherited: Self::Tag, state: &GlobalState<S, M>, observer: &O) -> Self::Tag;
 
-    /// `at` was inserted as new, under the store's `token`; `stack` is the
-    /// path to it ([`path`]) and `enabled` everything enabled in it.
+    /// The top frame of `stack` just executed its [`Frame::taken`].
+    fn executed(&mut self, _stack: &mut [Frame<S, M, O, Self>]) {}
+
+    /// `at` was met for the first time, under the store's `token`; `stack`
+    /// is the path to it ([`path`]) and `enabled` everything enabled in it.
     fn first_visit(
         &mut self,
         stack: &[Frame<S, M, O, Self>],
@@ -167,7 +250,7 @@ pub(crate) struct Frame<S, M: Ord, O, H: Mode<S, M, O>> {
 }
 
 impl<S, M: Ord, O, H: Mode<S, M, O>> Frame<S, M, O, H> {
-    /// The key this frame is visited and on the stack under.
+    /// The key this frame is met under.
     pub(crate) fn key(&self) -> &Key<S, M, O, H::Tag> {
         self.canon.as_ref().unwrap_or(&self.at)
     }
@@ -186,47 +269,18 @@ pub(crate) fn path<S, M: Ord + Clone, O, H: Mode<S, M, O>>(
     stack.iter().map(|f| f.taken().clone()).collect()
 }
 
-#[allow(clippy::too_many_arguments)] // a DFS frame genuinely has this many parts
-fn make_frame<S, M, O, H>(
-    spec: &ProtocolSpec<S, M>,
-    reducer: &dyn Reducer<S, M>,
-    stats: &mut ExplorationStats,
-    trace: &TraceHandle,
-    at: Key<S, M, O, H::Tag>,
-    canon: Option<Key<S, M, O, H::Tag>>,
-    (fp, elem): (u64, usize),
-    enabled: Vec<TransitionInstance<M>>,
-    note: H::Note,
-) -> Frame<S, M, O, H>
-where
-    S: LocalState,
-    M: Message,
-    H: Mode<S, M, O>,
-{
-    let reduction = reducer.reduce_traced(spec, &at.0, enabled, trace);
-    if reduction.reduced {
-        stats.reduced_states += 1;
-    }
-    Frame {
-        at,
-        canon,
-        fp,
-        elem,
-        explore: reduction.explore,
-        pruned: reduction.pruned,
-        next: 0,
-        reduced: reduction.reduced,
-        note,
-    }
-}
-
-/// Runs the depth-first core under `mode` and returns the report.
+/// Runs the depth-first core under `mode`, remembering what `memory`
+/// does, and returns the report labelled `strategy` — by default the
+/// engine, the reducer and any symmetry.
+#[allow(clippy::too_many_arguments)] // a search genuinely has this many inputs
 pub(crate) fn search<S, M, O, H>(
     spec: &ProtocolSpec<S, M>,
     initial_observer: &O,
     reducer: &dyn Reducer<S, M>,
     symmetry: &Arc<dyn Symmetry<S, M, O>>,
     config: &CheckerConfig,
+    mut memory: Memory<Key<S, M, O, H::Tag>>,
+    strategy: Option<String>,
     mut mode: H,
 ) -> RunReport
 where
@@ -237,18 +291,21 @@ where
 {
     let start = Instant::now();
     let mut stats = ExplorationStats::new();
-    let trivial = symmetry.is_trivial();
-    let strategy = if trivial {
-        format!("{}+{}", H::ENGINE, reducer.name())
-    } else {
-        format!("{}+{}+{}", H::ENGINE, reducer.name(), symmetry.label())
-    };
+    let strategy = strategy.unwrap_or_else(|| {
+        let head = format!("{}+{}", H::ENGINE, reducer.name());
+        if symmetry.is_trivial() {
+            head
+        } else {
+            format!("{head}+{}", symmetry.label())
+        }
+    });
+    // The nothing memory compares no keys, so it needs no canonical ones.
+    let trivial = symmetry.is_trivial() || matches!(memory, Memory::Nothing);
     let trace = config
         .trace
         .begin_run(spec.name(), &strategy, mode.property_name());
-    let store = config.store.build::<Key<S, M, O, H::Tag>>();
+    let max_depth = memory.depth_limit(config);
     let mut stack: Vec<Frame<S, M, O, H>> = Vec::new();
-    let mut on_stack = FpIndex::default();
 
     let verdict = 'search: {
         let initial = spec.initial_state();
@@ -267,7 +324,9 @@ where
                     trace.add(Counter::Depth, depth as u64);
                     if top.next >= top.explore.len() {
                         let frame = stack.pop().expect("stack checked non-empty");
-                        on_stack.remove(frame.fp, depth - 1);
+                        if let Memory::Store(_, on_stack) = &mut memory {
+                            on_stack.remove(frame.fp, depth - 1);
+                        }
                         continue;
                     }
                     let _span = trace.span(Phase::Expansion);
@@ -278,6 +337,7 @@ where
                     top.next += 1;
                     stats.transitions_executed += 1;
                     trace.add(Counter::Transitions, 1);
+                    mode.executed(&mut stack);
                     (state, observer, tag)
                 }
             };
@@ -291,14 +351,13 @@ where
                 (Some((s, o, at.2)), elem)
             };
             let key = canon.as_ref().unwrap_or(&at);
-            // The one identity query per transition: a duplicate is a store
-            // hit = one revisit, and the fingerprint finds it on the stack.
-            let Inserted { new, fp, token } = {
-                let _span = trace.span(Phase::StoreLookup);
-                store.insert_hashed(key)
-            };
+            // The one identity query per transition: a duplicate is one
+            // revisit, and the memory knows whether it is on the stack.
+            let is_at = |i: usize| stack[i].key() == key;
+            let (Inserted { new, fp, token }, on_stack) =
+                memory.meet(key, stack.len(), is_at, &trace);
             if !new {
-                if let Some(entry) = on_stack.find(fp, |i| stack[i].key() == key) {
+                if let Some(entry) = on_stack {
                     // Cycle proviso: the successor closes a cycle into the
                     // stack (exactly, or modulo a symmetry permutation) — a
                     // reduced expansion may not be left around it.
@@ -341,20 +400,33 @@ where
                     what: format!("time limit of {limit:?}"),
                 };
             }
+            if stack.len() >= max_depth {
+                break 'search Verdict::LimitReached {
+                    what: format!("depth limit of {max_depth}"),
+                };
+            }
             stats.expansions += 1;
             trace.add(Counter::Expansions, 1);
-            on_stack.insert(fp, stack.len());
-            stack.push(make_frame(
-                spec,
-                reducer,
-                &mut stats,
-                &trace,
+            if let Memory::Store(_, on_stack) = &mut memory {
+                on_stack.insert(fp, stack.len());
+            }
+            let Reduction {
+                explore,
+                pruned,
+                reduced,
+            } = reducer.reduce_traced(spec, &at.0, enabled, &trace);
+            stats.reduced_states += usize::from(reduced);
+            stack.push(Frame {
                 at,
                 canon,
-                (fp, elem),
-                enabled,
+                fp,
+                elem,
+                explore,
+                pruned,
+                next: 0,
+                reduced,
                 note,
-            ));
+            });
         }
 
         match mode.end(&trace) {
@@ -376,8 +448,16 @@ where
                 }
                 trace.finish("fallback");
                 let no_symmetry: Arc<dyn Symmetry<S, M, O>> = Arc::new(NoSymmetry);
-                let mut report =
-                    search(spec, initial_observer, reducer, &no_symmetry, &exact, fresh);
+                let mut report = search(
+                    spec,
+                    initial_observer,
+                    reducer,
+                    &no_symmetry,
+                    &exact,
+                    Memory::store(&config.store),
+                    None,
+                    fresh,
+                );
                 report.stats.elapsed += spent;
                 report.strategy = format!("{strategy} (scc fallback: {})", report.strategy);
                 return report;
@@ -386,22 +466,26 @@ where
     };
 
     stats.elapsed = start.elapsed();
-    let store_stats = store.stats();
-    let label = if trivial {
-        store.name()
+    if let Memory::Store(store, _) = &memory {
+        let store_stats = store.stats();
+        let label = if trivial {
+            store.name()
+        } else {
+            mp_store::canonical_label(store.name())
+        };
+        stats.record_store(label, store_stats);
+        // No level structure here, so memory gauges are sampled once at the
+        // end (peak == final for a grow-only store).
+        if trace.is_enabled() {
+            let bytes = store_stats.approx_bytes as u64;
+            trace.sample_gauge(Gauge::StoreBytes, bytes);
+            trace.sample_gauge(Gauge::CanonicalCacheBytes, if trivial { 0 } else { bytes });
+            trace.sample_gauge(Gauge::ParentLogBytes, mode.heap_bytes() as u64);
+        }
     } else {
-        mp_store::canonical_label(store.name())
-    };
-    stats.record_store(label, store_stats);
-    stats.phases = trace.phase_times();
-    // No level structure here, so memory gauges are sampled once at the end
-    // (peak == final for a grow-only store).
-    if trace.is_enabled() {
-        let bytes = store_stats.approx_bytes as u64;
-        trace.sample_gauge(Gauge::StoreBytes, bytes);
-        trace.sample_gauge(Gauge::CanonicalCacheBytes, if trivial { 0 } else { bytes });
-        trace.sample_gauge(Gauge::ParentLogBytes, mode.heap_bytes() as u64);
+        stats.store_backend = "none".to_string();
     }
+    stats.phases = trace.phase_times();
     trace.finish(match &verdict {
         Verdict::Verified => "verified",
         Verdict::Violated(_) => "violated",
@@ -420,12 +504,17 @@ struct Safety<'a, S, M: Ord, O> {
     spec: &'a ProtocolSpec<S, M>,
     invariant: &'a Invariant<S, M, O>,
     check_deadlocks: bool,
+    /// Under DPOR, the steps executed along the stack: `steps[i]` left
+    /// `stack[i]`.
+    dpor: Option<Vec<ExecutedStep<M>>>,
 }
 
 impl<S: LocalState, M: Message, O> Mode<S, M, O> for Safety<'_, S, M, O> {
     const ENGINE: &'static str = "stateful-dfs";
     type Tag = ();
-    type Note = ();
+    /// Under DPOR, everything enabled in the state, once a race needs
+    /// enabled-list ranks there.
+    type Note = Option<Vec<TransitionInstance<M>>>;
 
     fn property_name(&self) -> &str {
         self.invariant.name()
@@ -435,17 +524,40 @@ impl<S: LocalState, M: Message, O> Mode<S, M, O> for Safety<'_, S, M, O> {
 
     fn step(&self, (): (), _: &GlobalState<S, M>, _: &O) {}
 
+    fn executed(&mut self, stack: &mut [Frame<S, M, O, Self>]) {
+        let Some(steps) = &mut self.dpor else { return };
+        let (top, below) = stack.split_last_mut().expect("a step has a source");
+        let instance = top.taken();
+        let transition = self.spec.transition(instance.transition);
+        // Effects are pure: re-applying one names the recipients the step
+        // sent to, which DPOR's causality tracking needs.
+        let outcome = transition.apply(top.at.0.local(instance.process), &instance.envelopes);
+        let sent_to = outcome.sends.iter().map(|(to, _)| *to).collect();
+        let annotations = transition.annotations();
+        steps.truncate(below.len());
+        steps.push(
+            ExecutedStep::new(instance.clone(), sent_to)
+                .with_environment(annotations.is_environment)
+                .with_environment_class(annotations.environment_class),
+        );
+        if let Some(racing) = latest_racing_step(steps, below.len()) {
+            // `steps[racing]` left `below[racing]`: the other order must be
+            // explored from there too.
+            schedule(self.spec, &mut below[racing], instance.process);
+        }
+    }
+
     fn first_visit(
         &mut self,
         stack: &[Frame<S, M, O, Self>],
         at: &Key<S, M, O, ()>,
         _token: u64,
         enabled: &[TransitionInstance<M>],
-    ) -> Visit<()> {
+    ) -> Visit<Self::Note> {
         let reason = match self.invariant.evaluate(&at.0, &at.1) {
             PropertyStatus::Violated(reason) => reason,
             PropertyStatus::Holds if !(self.check_deadlocks && enabled.is_empty()) => {
-                return Visit::Expand(());
+                return Visit::Expand(None);
             }
             PropertyStatus::Holds if stack.is_empty() => "deadlock in the initial state".into(),
             PropertyStatus::Holds => "deadlock: no transition enabled".into(),
@@ -453,6 +565,58 @@ impl<S: LocalState, M: Message, O> Mode<S, M, O> for Safety<'_, S, M, O> {
         let (name, steps) = (self.invariant.name(), path(stack));
         Visit::Violated(Counterexample::new(self.spec, name, reason, &steps, &at.0))
     }
+}
+
+/// DPOR: a later step of `process` races with the step `frame` took, so
+/// `frame` must also run `process`'s first instance it has not run yet —
+/// or, with nothing of `process` enabled there, everything. Scheduled
+/// instances run in enabled-list order, which `pruned` keeps; only a frame
+/// with two scheduled instances pending re-lists its enabled instances to
+/// rank them.
+fn schedule<S, M, O>(
+    spec: &ProtocolSpec<S, M>,
+    frame: &mut Frame<S, M, O, Safety<'_, S, M, O>>,
+    process: ProcessId,
+) where
+    S: LocalState,
+    M: Message,
+{
+    let Frame {
+        at,
+        explore,
+        pruned,
+        next,
+        note,
+        ..
+    } = frame;
+    let of_process = |i: &TransitionInstance<M>| i.process == process;
+    match pruned.iter().position(of_process) {
+        // Each instance of `process` here ran or is scheduled.
+        None if explore.iter().any(of_process) => return,
+        None => explore.append(pruned),
+        Some(first) => {
+            let scheduled = explore[*next..].iter().find(|i| of_process(i));
+            if let Some(scheduled) = scheduled {
+                let enabled = note.get_or_insert_with(|| enabled_instances(spec, &at.0));
+                if rank(enabled, scheduled) < rank(enabled, &pruned[first]) {
+                    return;
+                }
+            }
+            explore.push(pruned.remove(first));
+        }
+    }
+    if explore.len() - *next > 1 {
+        let enabled = note.get_or_insert_with(|| enabled_instances(spec, &at.0));
+        explore[*next..].sort_by_key(|i| rank(enabled, i));
+    }
+}
+
+/// Where `instance` stands in `enabled`.
+fn rank<M: PartialEq>(enabled: &[TransitionInstance<M>], i: &TransitionInstance<M>) -> usize {
+    enabled
+        .iter()
+        .position(|e| e == i)
+        .expect("DPOR schedules enabled instances")
 }
 
 /// Runs a stateful depth-first search and returns the report.
@@ -480,8 +644,87 @@ where
         spec,
         invariant,
         check_deadlocks: config.check_deadlocks,
+        dpor: None,
     };
-    search(spec, initial_observer, reducer, symmetry, config, mode)
+    search(
+        spec,
+        initial_observer,
+        reducer,
+        symmetry,
+        config,
+        Memory::store(&config.store),
+        None,
+        mode,
+    )
+}
+
+/// Runs the stateless search ([`crate::SearchStrategy::Stateless`]), with
+/// Flanagan–Godefroid DPOR when `dpor` is `true`; the checker's reducer does
+/// not apply. Safety runs under the nothing memory, which DPOR prunes
+/// through [`DporSeed`] and the invariant check's hook. Liveness runs the
+/// lasso detector under the path memory, fully expanded: DPOR tracks safety
+/// races, not ignored cycles.
+///
+/// **Symmetry** cuts a branch whose orbit is already on the path — the path
+/// memory over canonical keys. Every violating path has an
+/// orbit-repetition-free witness (splice out the segment between the
+/// repetition and map the suffix through the connecting permutation), so
+/// the cut search still finds a violation iff one exists. DPOR installs
+/// backtrack points in ancestors while exploring the subtree below them,
+/// and a cut would drop the races inside it, so DPOR ignores symmetry, as
+/// does the liveness search. The labels say so.
+pub(crate) fn stateless_search<S, M, O>(
+    spec: &ProtocolSpec<S, M>,
+    property: &Property<S, M, O>,
+    initial_observer: &O,
+    dpor: bool,
+    symmetry: &Arc<dyn Symmetry<S, M, O>>,
+    config: &CheckerConfig,
+) -> RunReport
+where
+    S: LocalState,
+    M: Message,
+    O: Observer<S, M>,
+{
+    let mut strategy = String::from("stateless");
+    let Some(invariant) = property.as_safety() else {
+        strategy.push_str("-liveness");
+        if dpor {
+            strategy.push_str(" (dpor falls back to full expansion)");
+        }
+        if !symmetry.is_trivial() {
+            strategy.push_str(" (symmetry ignored)");
+        }
+        return stateless_lasso(spec, property, initial_observer, config, strategy);
+    };
+    let mode = Safety {
+        spec,
+        invariant,
+        check_deadlocks: config.check_deadlocks,
+        dpor: dpor.then(Vec::new),
+    };
+    let (reducer, memory): (&dyn Reducer<S, M>, _) = if dpor {
+        strategy.push_str("+dpor");
+        if !symmetry.is_trivial() {
+            strategy.push_str(" (symmetry ignored)");
+        }
+        (&DporSeed, Memory::Nothing)
+    } else if symmetry.is_trivial() {
+        (&NoReduction, Memory::Nothing)
+    } else {
+        strategy = format!("{strategy}+{}", symmetry.label());
+        (&NoReduction, Memory::Path)
+    };
+    search(
+        spec,
+        initial_observer,
+        reducer,
+        symmetry,
+        config,
+        memory,
+        Some(strategy),
+        mode,
+    )
 }
 
 #[cfg(test)]

@@ -12,8 +12,10 @@
 //!   liveness properties, with the lasso detector of [`liveness`];
 //! * **stateful BFS** — finds shortest counterexamples (useful for the
 //!   paper's debugging experiments);
-//! * **stateless DFS** — no visited set, required by dynamic POR
-//!   (Flanagan–Godefroid), matching the way Basset runs DPOR in the paper;
+//! * **stateless DFS** — the same core remembering only the path
+//!   (liveness, or safety under symmetry) or nothing at all (safety), as
+//!   dynamic POR (Flanagan–Godefroid) requires; DPOR is a hook of the
+//!   invariant check, the way Basset runs it in the paper;
 //! * **parallel BFS** — an extension exploiting the natural parallelism of
 //!   protocol-level models: the same level loop as the stateful BFS (see
 //!   [`bfs`]) with helper threads, same verdicts, counters and shortest
@@ -105,13 +107,12 @@ mod obs;
 pub mod observer;
 mod pool;
 pub mod property;
-pub mod stateless;
 pub mod stats;
 
 pub use checker::Checker;
 pub use config::{CheckerConfig, RunReport, SearchStrategy, Verdict};
 pub use counterexample::{Counterexample, CounterexampleStep};
-pub use liveness::{run_liveness_dfs, run_stateless_liveness};
+pub use liveness::run_liveness_dfs;
 pub use observer::{NullObserver, Observer, TransitionCountObserver};
 pub use property::{
     all_of, Fairness, Invariant, Property, PropertyClass, PropertyStatus, StatePredicate,
@@ -128,7 +129,6 @@ pub use mp_store::{
 pub use mp_trace::{TraceOptions, Tracer};
 
 pub use dfs::run_stateful_dfs;
-pub use stateless::run_stateless;
 
 /// The pooled (`ParallelBfs`) strategy of the breadth-first core in [`bfs`]
 /// against its sequential one, on the fixtures of that module's tests.
@@ -230,6 +230,140 @@ mod parallel {
             assert_eq!(disk.stats.frontier_backend, "disk");
             assert!(disk.stats.frontier_spilled_bytes > 0);
             assert!(disk.strategy.ends_with("+spill"));
+        }
+    }
+}
+
+/// The stateless strategy of the depth-first core in [`dfs`] — the tree of
+/// every path, with and without dynamic POR — through the facade.
+#[cfg(test)]
+mod stateless {
+    mod tests {
+        use crate::bfs::tests::{independent, toggler_and_mover, verify, Tok};
+        use crate::{Checker, CheckerConfig, Invariant, NullObserver, Verdict};
+        use mp_model::{GlobalState, Outcome, ProcessId, ProtocolSpec, TransitionSpec};
+
+        fn p(i: usize) -> ProcessId {
+            ProcessId(i)
+        }
+
+        /// Sender sends to two receivers; receivers consume. The receives
+        /// are independent of each other but dependent on the send.
+        fn fan_out() -> ProtocolSpec<u8, Tok> {
+            ProtocolSpec::builder("fan-out")
+                .process("sender", 0u8)
+                .process("r1", 0u8)
+                .process("r2", 0u8)
+                .transition(
+                    TransitionSpec::builder("SEND", p(0))
+                        .internal()
+                        .guard(|l, _| *l == 0)
+                        .sends(&["TOK"])
+                        .effect(|_, _| Outcome::new(1).send(p(1), Tok).send(p(2), Tok))
+                        .build(),
+                )
+                .transition(
+                    TransitionSpec::builder("RECV_1", p(1))
+                        .single_input("TOK")
+                        .sends_nothing()
+                        .effect(|_, _| Outcome::new(1))
+                        .build(),
+                )
+                .transition(
+                    TransitionSpec::builder("RECV_2", p(2))
+                        .single_input("TOK")
+                        .sends_nothing()
+                        .effect(|_, _| Outcome::new(1))
+                        .build(),
+                )
+                .build()
+                .unwrap()
+        }
+
+        #[test]
+        fn stateless_full_search_counts_all_paths() {
+            // 2 independent processes × 2 steps: the stateless tree has a
+            // node per path prefix, strictly more than the 9 distinct states.
+            let report = verify(&independent(2, 2), CheckerConfig::stateless(false));
+            assert!(report.verdict.is_verified());
+            assert!(report.stats.states > 9);
+        }
+
+        #[test]
+        fn dpor_explores_fewer_nodes_than_full_stateless() {
+            let spec = independent(3, 2);
+            let full = verify(&spec, CheckerConfig::stateless(false));
+            let dpor = verify(&spec, CheckerConfig::stateless(true));
+            assert!(full.verdict.is_verified());
+            assert!(dpor.verdict.is_verified());
+            assert!(
+                dpor.stats.states < full.stats.states,
+                "DPOR ({}) must explore fewer nodes than full stateless ({})",
+                dpor.stats.states,
+                full.stats.states
+            );
+        }
+
+        #[test]
+        fn dpor_explores_dependent_interleavings() {
+            // The two receives are dependent on the send but independent of
+            // each other; DPOR must still execute both of them (in some
+            // order) and reach the terminal state where everyone is done.
+            let property = Invariant::new("not-all-done", |s: &GlobalState<u8, Tok>, _| {
+                if s.locals.iter().all(|l| *l == 1) && s.pending_messages() == 0 {
+                    Err("terminal state reached".into())
+                } else {
+                    Ok(())
+                }
+            });
+            let report = Checker::new(&fan_out(), property)
+                .config(CheckerConfig::stateless(true))
+                .run();
+            assert!(
+                report.verdict.is_violated(),
+                "DPOR must reach the terminal state"
+            );
+            assert_eq!(report.verdict.counterexample().unwrap().len(), 3);
+        }
+
+        #[test]
+        fn dpor_finds_violations_that_need_both_orders() {
+            // A final-state property of two independent steps: DPOR runs
+            // one order only, and must still reach the state both orders
+            // end in, like the full search does.
+            let spec = independent(2, 1);
+            let both_done = || {
+                Invariant::new("both-done", |s: &GlobalState<u8, Tok>, _: &NullObserver| {
+                    if s.locals.iter().all(|l| *l == 1) {
+                        Err("both finished".into())
+                    } else {
+                        Ok(())
+                    }
+                })
+            };
+            for dpor in [false, true] {
+                let report = Checker::new(&spec, both_done())
+                    .config(CheckerConfig::stateless(dpor))
+                    .run();
+                assert!(report.verdict.is_violated(), "dpor={dpor}: {report}");
+            }
+        }
+
+        #[test]
+        fn depth_limit_stops_cyclic_exploration() {
+            // A toggling process never terminates; the stateless search must
+            // be cut off by the depth bound.
+            let config = CheckerConfig::stateless(false).with_max_depth(50);
+            let report = verify(&toggler_and_mover(), config);
+            assert!(matches!(report.verdict, Verdict::LimitReached { .. }));
+            assert_eq!(report.stats.max_depth, 50);
+        }
+
+        #[test]
+        fn expansion_limit_is_respected() {
+            let config = CheckerConfig::stateless(false).with_max_states(10);
+            let report = verify(&independent(3, 3), config);
+            assert!(matches!(report.verdict, Verdict::LimitReached { .. }));
         }
     }
 }

@@ -10,12 +10,12 @@
 //!
 //! The search explores the product of the protocol state, the observer and
 //! one **obligation bit** ("is a goal state still owed on this path?"),
-//! folded by [`Property::step_pending`]. The stateful engine is the
-//! depth-first core of [`crate::dfs`] run with the **lasso detector** of
-//! this module as its mode: every cycle of a directed graph contains a back
-//! edge, so a DFS that is told of each successor it meets on its stack
-//! finds a cycle whenever one exists. A detected cycle is a counterexample
-//! iff
+//! folded by [`Property::step_pending`]. Every engine runs the depth-first
+//! core of [`crate::dfs`] with the **lasso detector** of this module as its
+//! mode (the stateless strategy under the path memory): every cycle of a
+//! directed graph contains a back edge, so a DFS that is told of each
+//! successor it meets on its stack finds a cycle whenever one exists. A
+//! detected cycle is a counterexample iff
 //!
 //! 1. every product state on it carries the obligation bit, and
 //! 2. it is *fair* under the property's [`Fairness`] policy: no transition
@@ -78,20 +78,18 @@ mod scc;
 mod unroll;
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use mp_model::{
     enabled_instances, execute_enabled, GlobalState, LocalState, Message, ProtocolSpec,
     TransitionInstance,
 };
-use mp_por::Reducer;
-use mp_symmetry::Symmetry;
-use mp_trace::{Counter, Phase, TraceHandle};
+use mp_por::{NoReduction, Reducer};
+use mp_symmetry::{NoSymmetry, Symmetry};
+use mp_trace::{Phase, TraceHandle};
 
-use crate::dfs::{path, search, End, Frame, Key, Mode, Visit};
+use crate::dfs::{path, search, End, Frame, Key, Memory, Mode, Visit};
 use crate::{
-    CheckerConfig, Counterexample, ExplorationStats, Fairness, Observer, Property, PropertyClass,
-    RunReport, Verdict,
+    CheckerConfig, Counterexample, Fairness, Observer, Property, PropertyClass, RunReport,
 };
 use scc::{Backstop, PendingGraph};
 use unroll::unroll_symmetric_cycle;
@@ -208,12 +206,14 @@ struct Lasso<'a, S, M: Ord, O> {
     symmetry: &'a Arc<dyn Symmetry<S, M, O>>,
     /// The visited store keeps whole keys ([`mp_store::StoreConfig::is_exact`]).
     exact_store: bool,
-    graph: PendingGraph,
+    /// The pending subgraph for the SCC backstop — none under the path
+    /// memory, which meets every elementary cycle on the stack.
+    graph: Option<PendingGraph>,
 }
 
 /// What the lasso detector keeps on a frame: the state's node in the
-/// recorded graph and everything enabled in it, before reduction — gone
-/// again when the frame leaves the stack.
+/// recorded graph (0 when none is recorded) and everything enabled in it,
+/// before reduction — gone again when the frame leaves the stack.
 struct Expanded<M> {
     node: u32,
     enabled: Vec<TransitionInstance<M>>,
@@ -288,12 +288,15 @@ where
             // branch can ever violate.
             return Visit::Prune;
         }
-        let parent = stack
-            .last()
-            .map(|top| (top.note.edge_by(top.taken()), top.at.2));
-        let node = (self.graph).add_node(parent.map(|(edge, _)| edge), pending.then_some(token));
-        if let (true, Some(((from, at), true))) = (pending, parent) {
-            self.graph.add_edge(from, node, at);
+        let mut node = 0;
+        if let Some(graph) = &mut self.graph {
+            let parent = stack
+                .last()
+                .map(|top| (top.note.edge_by(top.taken()), top.at.2));
+            node = graph.add_node(parent.map(|(edge, _)| edge), pending.then_some(token));
+            if let (true, Some(((from, at), true))) = (pending, parent) {
+                graph.add_edge(from, node, at);
+            }
         }
         let enabled = enabled.to_vec();
         Visit::Expand(Expanded { node, enabled })
@@ -307,9 +310,9 @@ where
     ) -> Option<Counterexample> {
         let cycle = &stack[entry..];
         let top = cycle.last().expect("a cycle has at least one state");
-        if top.at.2 && cycle[0].at.2 {
+        if let (Some(graph), true) = (&mut self.graph, top.at.2 && cycle[0].at.2) {
             let (from, at) = top.note.edge_by(top.taken());
-            self.graph.add_edge(from, cycle[0].note.node, at);
+            graph.add_edge(from, cycle[0].note.node, at);
         }
         // Violating cycle: the obligation is outstanding in every product
         // state of the cycle, and the cycle is fair.
@@ -344,10 +347,11 @@ where
         // A cross or forward edge; if it stays within the pending subgraph,
         // record it — the SCC pass finds the cycles the on-stack detector
         // cannot see from the tree path alone.
+        let Some(graph) = &mut self.graph else { return };
         if top.at.2 && pending {
-            if let Some(to) = self.graph.find(token) {
+            if let Some(to) = graph.find(token) {
                 let (from, at) = top.note.edge_by(top.taken());
-                self.graph.add_edge(from, to, at);
+                graph.add_edge(from, to, at);
             }
         }
     }
@@ -356,14 +360,18 @@ where
         // The on-stack detector saw no fair violating cycle, but it only
         // examines DFS tree segments — check the strongly connected
         // components of the recorded pending subgraph (see the module docs).
+        let Some(graph) = &self.graph else {
+            // The path memory met every elementary cycle on the stack.
+            return End::Verified;
+        };
         if !self.symmetry.is_trivial() {
             // Under symmetry the recorded per-node enabled sets mix orbit
             // members, so the SCC fairness test is not exact on the
             // quotient; fall back to the symmetry-free search when (and only
             // when) a cycle candidate exists at all.
-            if self.graph.has_cycle_candidate() {
+            if graph.has_cycle_candidate() {
                 return End::ExactRerun(Lasso {
-                    graph: PendingGraph::default(),
+                    graph: Some(PendingGraph::default()),
                     ..*self
                 });
             }
@@ -376,11 +384,11 @@ where
             initial_observer: self.initial_observer,
             exact_store: self.exact_store,
         };
-        (backstop.violation(&self.graph)).map_or(End::Verified, End::Violated)
+        (backstop.violation(graph)).map_or(End::Verified, End::Violated)
     }
 
     fn heap_bytes(&self) -> usize {
-        self.graph.heap_bytes()
+        self.graph.as_ref().map_or(0, PendingGraph::heap_bytes)
     }
 }
 
@@ -408,26 +416,30 @@ where
         initial_observer,
         symmetry,
         exact_store: config.store.is_exact(),
-        graph: PendingGraph::default(),
+        graph: Some(PendingGraph::default()),
     };
-    search(spec, initial_observer, reducer, symmetry, config, mode)
+    search(
+        spec,
+        initial_observer,
+        reducer,
+        symmetry,
+        config,
+        Memory::store(&config.store),
+        None,
+        mode,
+    )
 }
 
-/// Runs the stateless liveness search: a depth-first enumeration of paths
-/// with an on-path cycle detector. The stateless engine keeps no visited
-/// set, so every elementary cycle is eventually traversed and checked.
-///
-/// Dynamic POR is a *safety* algorithm (its backtrack sets track races, not
-/// ignored cycles); for liveness the ignoring proviso would force full
-/// expansion around every cycle, so this search conservatively explores the
-/// full tree — the documented fallback when `dpor` is requested. The flag
-/// only changes the strategy label.
-pub fn run_stateless_liveness<S, M, O>(
+/// Runs the stateless liveness search: the lasso detector on the core
+/// remembering only the path, unreduced and concrete. Every elementary
+/// cycle is then met on the stack, so no pending graph is recorded and no
+/// SCC backstop runs.
+pub(crate) fn stateless_lasso<S, M, O>(
     spec: &ProtocolSpec<S, M>,
     property: &Property<S, M, O>,
     initial_observer: &O,
-    dpor: bool,
     config: &CheckerConfig,
+    strategy: String,
 ) -> RunReport
 where
     S: LocalState,
@@ -435,209 +447,25 @@ where
     O: Observer<S, M>,
 {
     debug_assert!(property.is_liveness(), "dispatched on property class");
-    let start = Instant::now();
-    let mut stats = ExplorationStats::new();
-    stats.store_backend = "none".to_string();
-    let strategy = if dpor {
-        "stateless-liveness (dpor falls back to full expansion)".to_string()
-    } else {
-        "stateless-liveness".to_string()
+    let no_symmetry: Arc<dyn Symmetry<S, M, O>> = Arc::new(NoSymmetry);
+    let mode = Lasso {
+        spec,
+        property,
+        initial_observer,
+        symmetry: &no_symmetry,
+        exact_store: false,
+        graph: None,
     };
-    let fairness = property.fairness();
-    let trace = config
-        .trace
-        .begin_run(spec.name(), &strategy, property.name());
-
-    struct PathFrame<S, M: Ord, O> {
-        state: GlobalState<S, M>,
-        observer: O,
-        pending: bool,
-        incoming: Option<TransitionInstance<M>>,
-        enabled: Vec<TransitionInstance<M>>,
-        next: usize,
-    }
-
-    let finish = |mut stats: ExplorationStats, verdict: Verdict| -> RunReport {
-        stats.elapsed = start.elapsed();
-        stats.phases = trace.phase_times();
-        trace.finish(match &verdict {
-            Verdict::Verified => "verified",
-            Verdict::Violated(_) => "violated",
-            Verdict::LimitReached { .. } => "limit",
-        });
-        RunReport {
-            verdict,
-            stats,
-            strategy: strategy.clone(),
-        }
-    };
-
-    let initial = spec.initial_state();
-    let observer = initial_observer.clone();
-    let pending = property.initial_pending(&initial, &observer);
-    stats.states = 1;
-    trace.add(Counter::States, 1);
-
-    let enabled = {
-        let _span = trace.span(Phase::Expansion);
-        enabled_instances(spec, &initial)
-    };
-    if enabled.is_empty() {
-        let verdict = if pending {
-            let cx = Counterexample::lasso(
-                spec,
-                property.name(),
-                violation_reason(property.class(), true, fairness),
-                &[],
-                &[],
-                &initial,
-            );
-            Verdict::Violated(Box::new(cx))
-        } else {
-            Verdict::Verified
-        };
-        return finish(stats, verdict);
-    }
-    if !pending && property.discharged_forever() {
-        return finish(stats, Verdict::Verified);
-    }
-
-    stats.expansions = 1;
-    trace.add(Counter::Expansions, 1);
-    let mut stack: Vec<PathFrame<S, M, O>> = vec![PathFrame {
-        state: initial,
-        observer,
-        pending,
-        incoming: None,
-        enabled,
-        next: 0,
-    }];
-
-    while !stack.is_empty() {
-        stats.max_depth = stats.max_depth.max(stack.len());
-        trace.add(Counter::Depth, stack.len() as u64);
-        let top_index = stack.len() - 1;
-        if stack[top_index].next >= stack[top_index].enabled.len() {
-            stack.pop();
-            continue;
-        }
-        let (instance, next_state, next_observer, next_pending) = {
-            let _span = trace.span(Phase::Expansion);
-            let top = &mut stack[top_index];
-            let instance = top.enabled[top.next].clone();
-            top.next += 1;
-            let next_state = execute_enabled(spec, &top.state, &instance);
-            let next_observer = top
-                .observer
-                .update(spec, &top.state, &instance, &next_state);
-            let next_pending = property.step_pending(top.pending, &next_state, &next_observer);
-            (instance, next_state, next_observer, next_pending)
-        };
-        stats.transitions_executed += 1;
-        trace.add(Counter::Transitions, 1);
-
-        // On-path cycle detection.
-        if let Some(entry) = stack.iter().position(|f| {
-            f.state == next_state && f.observer == next_observer && f.pending == next_pending
-        }) {
-            let cycle_frames = &stack[entry..];
-            let fair = {
-                let enabled: Vec<&[TransitionInstance<M>]> =
-                    cycle_frames.iter().map(|f| f.enabled.as_slice()).collect();
-                let mut executed: Vec<&TransitionInstance<M>> = cycle_frames[1..]
-                    .iter()
-                    .filter_map(|f| f.incoming.as_ref())
-                    .collect();
-                executed.push(&instance);
-                cycle_fair(spec, fairness, &enabled, &executed)
-            };
-            if next_pending && cycle_frames.iter().all(|f| f.pending) && fair {
-                let stem: Vec<TransitionInstance<M>> = stack[..=entry]
-                    .iter()
-                    .filter_map(|f| f.incoming.clone())
-                    .collect();
-                let mut cycle: Vec<TransitionInstance<M>> = stack[entry + 1..]
-                    .iter()
-                    .filter_map(|f| f.incoming.clone())
-                    .collect();
-                cycle.push(instance);
-                let cx = Counterexample::lasso(
-                    spec,
-                    property.name(),
-                    violation_reason(property.class(), false, fairness),
-                    &stem,
-                    &cycle,
-                    &stack[entry].state,
-                );
-                return finish(stats, Verdict::Violated(Box::new(cx)));
-            }
-            // Cut the cycle: re-descending would loop forever.
-            stats.revisits += 1;
-            trace.add(Counter::Revisits, 1);
-            continue;
-        }
-
-        stats.states += 1;
-        trace.add(Counter::States, 1);
-        if stats.expansions >= config.max_states {
-            let verdict = Verdict::LimitReached {
-                what: format!("expansion limit of {}", config.max_states),
-            };
-            return finish(stats, verdict);
-        }
-        if let Some(limit) = config.time_limit {
-            if start.elapsed() > limit {
-                let verdict = Verdict::LimitReached {
-                    what: format!("time limit of {limit:?}"),
-                };
-                return finish(stats, verdict);
-            }
-        }
-        if stack.len() >= config.max_depth {
-            let verdict = Verdict::LimitReached {
-                what: format!("depth limit of {}", config.max_depth),
-            };
-            return finish(stats, verdict);
-        }
-
-        let enabled = {
-            let _span = trace.span(Phase::Expansion);
-            enabled_instances(spec, &next_state)
-        };
-        if enabled.is_empty() {
-            if next_pending {
-                let mut stem: Vec<TransitionInstance<M>> =
-                    stack.iter().filter_map(|f| f.incoming.clone()).collect();
-                stem.push(instance);
-                let cx = Counterexample::lasso(
-                    spec,
-                    property.name(),
-                    violation_reason(property.class(), true, fairness),
-                    &stem,
-                    &[],
-                    &next_state,
-                );
-                return finish(stats, Verdict::Violated(Box::new(cx)));
-            }
-            continue;
-        }
-        if !next_pending && property.discharged_forever() {
-            continue;
-        }
-
-        stats.expansions += 1;
-        trace.add(Counter::Expansions, 1);
-        stack.push(PathFrame {
-            state: next_state,
-            observer: next_observer,
-            pending: next_pending,
-            incoming: Some(instance),
-            enabled,
-            next: 0,
-        });
-    }
-
-    finish(stats, Verdict::Verified)
+    search(
+        spec,
+        initial_observer,
+        &NoReduction,
+        &no_symmetry,
+        config,
+        Memory::Path,
+        Some(strategy),
+        mode,
+    )
 }
 
 #[cfg(test)]
@@ -662,14 +490,14 @@ mod tests {
         Checker::new(spec, property.clone()).run()
     }
 
-    /// The stateless path enumerator on its own.
+    /// The stateless path enumerator through the facade.
     fn stateless(
         spec: &ProtocolSpec<u8, Tok>,
         property: &Property<u8, Tok, NullObserver>,
         dpor: bool,
     ) -> RunReport {
         let config = CheckerConfig::stateless(dpor);
-        run_stateless_liveness(spec, property, &NullObserver, dpor, &config)
+        Checker::new(spec, property.clone()).config(config).run()
     }
 
     /// A process counting 0..=steps; terminates at `steps`.
@@ -803,7 +631,7 @@ mod tests {
                 );
             }
         }
-        // And on the cyclic toggler, where the stateless engine must cut
+        // And on the cyclic toggler, where the stateless search must cut
         // the cycle instead of descending forever.
         let spec = toggler();
         let report = stateless(&spec, &reaches(5), true);

@@ -53,7 +53,7 @@ pub struct ExplorationStats {
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
     /// Name of the visited-state backend used ("exact", "sharded",
-    /// "fingerprint", or "none" for the stateless engine).
+    /// "fingerprint", or "none" for a stateless run).
     pub store_backend: String,
     /// Membership queries that found the state already stored, as counted
     /// uniformly by the backend (`mp-store` unified hit accounting). For
@@ -74,7 +74,7 @@ pub struct ExplorationStats {
     /// verdict and is printed wherever the verdict is.
     pub store_omission_probability: f64,
     /// Name of the frontier backend the BFS engines drove ("mem", "disk";
-    /// empty for the depth-first and stateless engines, which have no
+    /// empty for depth-first runs, stateless ones included, which have no
     /// frontier).
     pub frontier_backend: String,
     /// Peak bytes queued in the BFS frontier: exact encoded bytes for the

@@ -8,9 +8,11 @@
 //!    search instead, because its DPOR does not preserve the property; we do
 //!    the same);
 //! 2. the single-message model under SPOR (stateful);
-//! 3. the quorum model under SPOR (stateful) — "our quorum results".
+//! 3. the quorum model under SPOR (stateful) — "our quorum results", in
+//!    the `SPOR (quorum)` column.
 
-use mp_checker::NullObserver;
+use mp_checker::{Invariant, NullObserver, Observer};
+use mp_model::{LocalState, Message, ProtocolSpec};
 use mp_protocols::echo_multicast::{
     agreement_property, quorum_model as multicast_quorum, single_message_model as multicast_single,
     MulticastSetting,
@@ -27,6 +29,11 @@ use mp_protocols::storage::{
 use crate::runner::run_cell;
 use crate::{Budget, CellStrategy, Measurement};
 
+/// Column label of the third cell. The table finds a cell by protocol,
+/// property and strategy label, so the quorum cell needs a label of its own
+/// next to the single-message SPOR cell.
+const QUORUM_SPOR: &str = "SPOR (quorum)";
+
 /// The Paxos settings used in the default (bounded) and `--full` runs. The
 /// paper's Paxos (2,3,1) is tractable but long; the bounded default uses
 /// (2,2,1) so the whole table finishes in minutes, and the full run uses the
@@ -37,6 +44,43 @@ pub fn paxos_setting(full: bool) -> PaxosSetting {
     } else {
         PaxosSetting::new(2, 2, 1)
     }
+}
+
+/// One protocol row of the table: the single-message model under
+/// `baseline` and under SPOR, then the quorum model under SPOR.
+#[allow(clippy::too_many_arguments)] // a table row genuinely has this many axes
+fn push_row<S, M, O>(
+    rows: &mut Vec<Measurement>,
+    (protocol, property_label): (&str, &str),
+    expect_ce: bool,
+    baseline: CellStrategy,
+    (single, quorum): (&ProtocolSpec<S, M>, &ProtocolSpec<S, M>),
+    property: impl Fn() -> Invariant<S, M, O>,
+    observer: O,
+    budget: &Budget,
+) where
+    S: LocalState,
+    M: Message,
+    O: Observer<S, M>,
+{
+    let cell = |spec: &ProtocolSpec<S, M>, strategy| {
+        let (property, observer) = (property(), observer.clone());
+        run_cell(
+            protocol,
+            property_label,
+            expect_ce,
+            spec,
+            property,
+            observer,
+            strategy,
+            budget,
+        )
+    };
+    rows.push(cell(single, baseline));
+    rows.push(cell(single, CellStrategy::SporStateful));
+    let mut quorum = cell(quorum, CellStrategy::SporStateful);
+    quorum.strategy = QUORUM_SPOR.to_string();
+    rows.push(quorum);
 }
 
 /// Runs every row of Table I and returns the measurements.
@@ -55,140 +99,69 @@ pub fn table_i(budget: &Budget, full: bool) -> Vec<Measurement> {
         (PaxosVariant::Correct, "Consensus", false),
         (PaxosVariant::FaultyLearner, "Consensus (faulty)", true),
     ] {
-        let setting = if expect_ce {
-            PaxosSetting::new(2, 3, 1)
+        let (setting, row_label) = if expect_ce {
+            let setting = PaxosSetting::new(2, 3, 1);
+            (setting, format!("Faulty Paxos {setting}"))
         } else {
-            paxos_setting(full)
+            let setting = paxos_setting(full);
+            (setting, format!("Paxos {setting}"))
         };
-        let single = paxos_single(setting, variant);
-        let quorum = paxos_quorum(setting, variant);
-        let row_label = if expect_ce {
-            format!("Faulty Paxos {setting}")
-        } else {
-            format!("Paxos {setting}")
-        };
-        rows.push(run_cell(
-            &row_label,
-            prop_label,
+        push_row(
+            &mut rows,
+            (&row_label, prop_label),
             expect_ce,
-            &single,
-            consensus_property(setting),
-            NullObserver,
             CellStrategy::DporStateless,
-            budget,
-        ));
-        rows.push(run_cell(
-            &row_label,
-            prop_label,
-            expect_ce,
-            &single,
-            consensus_property(setting),
+            (
+                &paxos_single(setting, variant),
+                &paxos_quorum(setting, variant),
+            ),
+            || consensus_property(setting),
             NullObserver,
-            CellStrategy::SporStateful,
             budget,
-        ));
-        rows.push(run_cell(
-            &row_label,
-            prop_label,
-            expect_ce,
-            &quorum,
-            consensus_property(setting),
-            NullObserver,
-            CellStrategy::SporStateful,
-            budget,
-        ));
+        );
     }
 
     // --- Echo Multicast --------------------------------------------------
-    let multicast_rows: Vec<(MulticastSetting, &str, bool)> = vec![
+    for (setting, prop_label, expect_ce) in [
         (MulticastSetting::new(3, 0, 1, 1), "Agreement", false),
         (MulticastSetting::new(2, 1, 0, 1), "Agreement", false),
         (MulticastSetting::new(2, 1, 2, 1), "Wrong agreement", true),
-    ];
-    for (setting, prop_label, expect_ce) in multicast_rows {
-        let label = format!("Echo Multicast {setting}");
-        let single = multicast_single(setting);
-        let quorum = multicast_quorum(setting);
-        rows.push(run_cell(
-            &label,
-            prop_label,
+    ] {
+        push_row(
+            &mut rows,
+            (&format!("Echo Multicast {setting}"), prop_label),
             expect_ce,
-            &single,
-            agreement_property(setting),
-            NullObserver,
             CellStrategy::DporStateless,
-            budget,
-        ));
-        rows.push(run_cell(
-            &label,
-            prop_label,
-            expect_ce,
-            &single,
-            agreement_property(setting),
+            (&multicast_single(setting), &multicast_quorum(setting)),
+            || agreement_property(setting),
             NullObserver,
-            CellStrategy::SporStateful,
             budget,
-        ));
-        rows.push(run_cell(
-            &label,
-            prop_label,
-            expect_ce,
-            &quorum,
-            agreement_property(setting),
-            NullObserver,
-            CellStrategy::SporStateful,
-            budget,
-        ));
+        );
     }
 
     // --- Regular storage -------------------------------------------------
-    let storage_rows: Vec<(StorageSetting, &str, bool)> = vec![
+    // The paper's DPOR does not preserve this property; like the paper we
+    // fall back to unreduced (stateful) search for the first column.
+    for (setting, prop_label, expect_ce) in [
         (StorageSetting::new(3, 1), "Regularity", false),
         (StorageSetting::new(3, 2), "Wrong regularity", true),
-    ];
-    for (setting, prop_label, expect_ce) in storage_rows {
-        let label = format!("Regular storage {setting}");
-        let single = storage_single(setting);
-        let quorum = storage_quorum(setting);
-        let property = |wrong: bool| {
-            if wrong {
-                wrong_regularity_property(setting)
-            } else {
-                regularity_property(setting)
-            }
-        };
-        // The paper's DPOR does not preserve this property; like the paper we
-        // fall back to unreduced (stateful) search for the first column.
-        rows.push(run_cell(
-            &label,
-            prop_label,
+    ] {
+        push_row(
+            &mut rows,
+            (&format!("Regular storage {setting}"), prop_label),
             expect_ce,
-            &single,
-            property(expect_ce),
-            RegularityObserver::new(setting),
             CellStrategy::UnreducedStateful,
-            budget,
-        ));
-        rows.push(run_cell(
-            &label,
-            prop_label,
-            expect_ce,
-            &single,
-            property(expect_ce),
+            (&storage_single(setting), &storage_quorum(setting)),
+            || {
+                if expect_ce {
+                    wrong_regularity_property(setting)
+                } else {
+                    regularity_property(setting)
+                }
+            },
             RegularityObserver::new(setting),
-            CellStrategy::SporStateful,
             budget,
-        ));
-        rows.push(run_cell(
-            &label,
-            prop_label,
-            expect_ce,
-            &quorum,
-            property(expect_ce),
-            RegularityObserver::new(setting),
-            CellStrategy::SporStateful,
-            budget,
-        ));
+        );
     }
 
     rows

@@ -1,23 +1,59 @@
 //! Dynamic partial-order reduction (Flanagan–Godefroid) support.
 //!
 //! DPOR computes the stubborn set "on the fly" while the successors of a
-//! state are visited (paper, Section III-A). The search itself is the
-//! stateless depth-first engine in `mp-checker`; this module provides the
-//! ingredients it needs:
+//! state are visited (paper, Section III-A). The search itself is the one
+//! depth-first core of `mp-checker`, remembering nothing of the states it
+//! has met; DPOR is a hook of its invariant check, called after each
+//! execution. This module provides the ingredients it needs:
 //!
+//! * [`DporSeed`] — the reducer a DPOR frame starts from: its first enabled
+//!   instance is explored, the rest wait, pruned, until a race schedules
+//!   one of them;
 //! * [`instances_dependent`] — the dependence check between two *concrete*
 //!   transition instances (the dynamic analogue of the static relation in
 //!   [`crate::IndependenceRelation`]);
 //! * [`ExecutedStep`] and [`happens_before`] — the causality bookkeeping used
 //!   to find, for each newly executed instance, the most recent earlier step
-//!   it races with, where a backtrack point has to be added.
+//!   it races with, in whose frame a backtrack point has to be added.
 //!
 //! As in the paper, DPOR is only sound with stateless search (it must see
 //! every path below a state again to install backtrack points), so MP-Basset
 //! applies it to single-message models only; our engine imposes the same
 //! discipline in the harness but the machinery itself is model-agnostic.
 
-use mp_model::{Kind, Message, ProcessId, TransitionInstance};
+use mp_model::{
+    GlobalState, Kind, LocalState, Message, ProcessId, ProtocolSpec, TransitionInstance,
+};
+
+use crate::{Reducer, Reduction};
+
+/// The seed of DPOR's reduction: a state's first enabled instance is
+/// explored, the others stay pruned until a race schedules them (the
+/// backtrack set of Flanagan–Godefroid starts as one instance).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct DporSeed;
+
+impl<S: LocalState, M: Message> Reducer<S, M> for DporSeed {
+    fn reduce(
+        &self,
+        _spec: &ProtocolSpec<S, M>,
+        _state: &GlobalState<S, M>,
+        mut instances: Vec<TransitionInstance<M>>,
+    ) -> Reduction<M> {
+        let pruned = instances.split_off(instances.len().min(1));
+        // Every state with something enabled counts as reduced, even with
+        // nothing pruned: which instances run there is DPOR's to decide.
+        Reduction {
+            reduced: !instances.is_empty(),
+            explore: instances,
+            pruned,
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        "dpor"
+    }
+}
 
 /// One executed step of the current stateless execution, with enough
 /// information to decide races against later steps.

@@ -13,8 +13,9 @@
 //!   packages this as a per-state [`Reducer`] for the search engines in
 //!   `mp-checker`.
 //! * **Dynamic POR (Flanagan–Godefroid)** — the [`dpor`] module supplies the
-//!   instance-level dependence and race detection used by the *stateless*
-//!   search of `mp-checker` to install backtrack points on the fly.
+//!   seed reducer and the instance-level dependence and race detection with
+//!   which the *stateless* search of `mp-checker` installs backtrack points
+//!   on the fly.
 //!
 //! Transition refinement (crate `mp-refine`) does not change these
 //! algorithms; it changes the *inputs* — refined transitions have tighter
@@ -71,7 +72,7 @@ pub mod stubborn;
 pub use bits::TransitionSet;
 pub use canenable::{has_potential_enabler, CanEnable};
 pub use dpor::{
-    happens_before, instances_dependent, latest_racing_step, step_dependent, ExecutedStep,
+    happens_before, instances_dependent, latest_racing_step, step_dependent, DporSeed, ExecutedStep,
 };
 pub use heuristics::SeedHeuristic;
 pub use independence::{

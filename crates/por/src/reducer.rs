@@ -4,9 +4,9 @@
 //! selects the subset that must be explored. [`NoReduction`] explores
 //! everything (the unreduced baseline of the paper's Table I for regular
 //! storage); [`SporReducer`] explores a stubborn set computed by
-//! [`StubbornSets`]; dynamic POR is not a per-state reducer — it lives in the
-//! stateless search of `mp-checker` and uses [`crate::dpor`] for its
-//! dependence checks.
+//! [`StubbornSets`]; dynamic POR only seeds each state with
+//! [`crate::DporSeed`] — the rest of it happens during the stateless search
+//! of `mp-checker`, which schedules pruned instances as races show up.
 
 use mp_model::{GlobalState, LocalState, Message, ProtocolSpec, TransitionId, TransitionInstance};
 use mp_trace::{Histogram, Phase, TraceHandle};

@@ -37,6 +37,20 @@ fn table_i_quorum_models_beat_single_message_models() {
 
     let csv = render_csv(&rows);
     assert_eq!(csv.lines().count(), rows.len() + 1);
+
+    // The table finds a cell by (protocol, property, strategy): two cells
+    // under one key would print one and drop the other, and a strategy
+    // missing from the header would never be printed at all.
+    let header = table.lines().nth(2).expect("a column header");
+    for (i, row) in rows.iter().enumerate() {
+        let key = (&row.protocol, &row.property, &row.strategy);
+        let twin = rows[i + 1..]
+            .iter()
+            .find(|r| (&r.protocol, &r.property, &r.strategy) == key);
+        assert!(twin.is_none(), "two cells under {key:?}");
+        let column = format!("| {:^26}", row.strategy);
+        assert!(header.contains(&column), "no column for {}", row.strategy);
+    }
 }
 
 #[test]

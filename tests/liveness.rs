@@ -7,7 +7,9 @@
 //! * SPOR on and off agree on every liveness verdict (cycle proviso), and
 //! * lasso counterexamples replay deterministically step by step.
 
-use mp_basset::checker::{Checker, CheckerConfig, Counterexample, Property, Verdict};
+use mp_basset::checker::{
+    Checker, CheckerConfig, Counterexample, Property, SearchStrategy, Verdict,
+};
 use mp_basset::faults::FaultBudget;
 use mp_basset::model::{
     enabled_instances, execute_enabled, GlobalState, LocalState, Message, Permutable, ProtocolSpec,
@@ -212,12 +214,19 @@ fn spor_and_unreduced_agree_on_every_liveness_verdict() {
 #[test]
 fn every_engine_produces_the_same_liveness_verdict() {
     // The four engines dispatch on the property class; the BFS engines
-    // route liveness to the lasso DFS, the stateless engine runs its
-    // on-path detector. All must agree.
+    // route liveness to the lasso DFS, the stateless strategy runs it under
+    // the path memory. All must agree. The stateless rows' trees are
+    // pinned: (expansions, transitions, depth, revisits) and the lasso's
+    // (stem, cycle) lengths.
     let setting = PaxosSetting::new(1, 2, 1);
-    for (budget, expect_violation) in [
-        (FaultBudget::none(), false),
-        (FaultBudget::none().crashes(1), true),
+    for (budget, expect_violation, tree, lasso) in [
+        (FaultBudget::none(), false, (16, 19, 7, 0), None),
+        (
+            FaultBudget::none().crashes(1),
+            true,
+            (10, 14, 8, 0),
+            Some((7, 0)),
+        ),
     ] {
         let spec = faulty_paxos(setting, PaxosVariant::Correct, budget);
         for config in [
@@ -236,6 +245,24 @@ fn every_engine_produces_the_same_liveness_verdict() {
                 "strategy {:?} disagrees on budget {budget}: {report}",
                 config.strategy
             );
+            if let SearchStrategy::Stateless { dpor } = config.strategy {
+                let s = &report.stats;
+                let found = (
+                    s.expansions,
+                    s.transitions_executed,
+                    s.max_depth,
+                    s.revisits,
+                );
+                assert_eq!(found, tree, "{report}");
+                let cx = report.verdict.counterexample();
+                assert_eq!(cx.map(|cx| (cx.steps.len(), cx.cycle.len())), lasso);
+                let label = if dpor {
+                    "stateless-liveness (dpor falls back to full expansion)"
+                } else {
+                    "stateless-liveness"
+                };
+                assert_eq!(report.strategy, label);
+            }
         }
     }
 }

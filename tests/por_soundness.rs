@@ -3,7 +3,7 @@
 //! same verdict as the unreduced stateful search, for both correct and
 //! faulty variants.
 
-use mp_basset::checker::{Checker, CheckerConfig, Invariant, NullObserver, Observer};
+use mp_basset::checker::{Checker, CheckerConfig, Invariant, NullObserver, Observer, RunReport};
 use mp_basset::faults::FaultBudget;
 use mp_basset::model::{LocalState, Message, ProtocolSpec};
 use mp_basset::por::{IndependenceRelation, StubbornSets};
@@ -11,7 +11,8 @@ use mp_basset::protocols::echo_multicast::{
     agreement_property, quorum_model as multicast, MulticastSetting,
 };
 use mp_basset::protocols::paxos::{
-    consensus_property, quorum_model as paxos, PaxosSetting, PaxosVariant,
+    consensus_property, quorum_model as paxos, single_message_model as paxos_single, PaxosSetting,
+    PaxosVariant,
 };
 use mp_basset::protocols::paxos::{faulty_consensus_property, faulty_quorum_model};
 use mp_basset::protocols::storage::{
@@ -261,6 +262,19 @@ fn spor_on_fault_augmented_models_never_explores_more_states() {
     assert!(reduced.stats.states <= unreduced.stats.states);
 }
 
+/// A stateless run's tree, node for node: (expansions, transitions, depth,
+/// revisits). DPOR's tree depends on the order it takes its backtrack
+/// points in, so these pins move if that order does.
+fn tree(report: &RunReport) -> (usize, usize, usize, usize) {
+    let s = &report.stats;
+    (
+        s.expansions,
+        s.transitions_executed,
+        s.max_depth,
+        s.revisits,
+    )
+}
+
 #[test]
 fn dpor_stateless_agrees_on_fault_augmented_models() {
     // The stateless DPOR engine tracks environment steps through the
@@ -272,6 +286,7 @@ fn dpor_stateless_agrees_on_fault_augmented_models() {
         .config(CheckerConfig::stateless(true))
         .run();
     assert!(report.verdict.is_verified(), "{report}");
+    assert_eq!(tree(&report), (54, 53, 8, 0), "{report}");
 
     let byzantine = faulty_quorum_model(
         setting,
@@ -282,6 +297,7 @@ fn dpor_stateless_agrees_on_fault_augmented_models() {
         .config(CheckerConfig::stateless(true))
         .run();
     assert!(report.verdict.is_violated(), "{report}");
+    assert_eq!(tree(&report), (15, 15, 9, 0), "{report}");
 }
 
 #[test]
@@ -338,4 +354,23 @@ fn dpor_stateless_agrees_on_small_instances() {
         .config(CheckerConfig::stateless(true))
         .run();
     assert!(report.verdict.is_violated(), "{report}");
+
+    // Paxos (1,3,1) single-message consensus under DPOR: the benchmark's
+    // `quick.paxos-dpor` cell.
+    let single = PaxosSetting::new(1, 3, 1);
+    let spec = paxos_single(single, PaxosVariant::Correct);
+    let report = Checker::new(&spec, consensus_property(single))
+        .config(CheckerConfig::stateless(true))
+        .run();
+    assert!(report.verdict.is_verified(), "{report}");
+    assert_eq!(tree(&report), (47_798, 47_797, 13, 0), "{report}");
+
+    // The plain enumerator's tree on the Paxos (2,2,1) quorum model.
+    let setting = PaxosSetting::new(2, 2, 1);
+    let spec = paxos(setting, PaxosVariant::Correct);
+    let report = Checker::new(&spec, consensus_property(setting))
+        .config(CheckerConfig::stateless(false))
+        .run();
+    assert!(report.verdict.is_verified(), "{report}");
+    assert_eq!(tree(&report), (30_929, 30_928, 15, 0), "{report}");
 }

@@ -10,8 +10,8 @@
 //! same fixed set of cases and failures reproduce exactly.
 
 use mp_basset::checker::{
-    run_stateless_liveness, Checker, CheckerConfig, Counterexample, CounterexampleStep, Fairness,
-    NullObserver, Property, Verdict,
+    Checker, CheckerConfig, Counterexample, CounterexampleStep, Fairness, NullObserver, Property,
+    Verdict,
 };
 use mp_basset::model::{
     enabled_instances, execute_enabled, GlobalState, Outcome, ProcessId, ProtocolSpec,
@@ -210,8 +210,9 @@ fn liveness_on_generated_cyclic_specs_agrees_across_stores_and_with_the_enumerat
     for case in 0..96 {
         let (cell, enumerator_complete) = rng.liveness_cell();
         let (spec, property) = &cell;
-        let stateless = CheckerConfig::stateless(false);
-        let reference = run_stateless_liveness(spec, property, &NullObserver, false, &stateless);
+        let reference = Checker::new(spec, property.clone())
+            .config(CheckerConfig::stateless(false))
+            .run();
         let limit = matches!(reference.verdict, Verdict::LimitReached { .. });
         assert!(!limit, "case {case}: {reference}");
 

@@ -12,7 +12,9 @@
 //! * every engine agrees under symmetry, and
 //! * lasso counterexamples found modulo symmetry still replay concretely.
 
-use mp_basset::checker::{Checker, CheckerConfig, Counterexample, NullObserver, Observer};
+use mp_basset::checker::{
+    Checker, CheckerConfig, Counterexample, NullObserver, Observer, SearchStrategy,
+};
 use mp_basset::faults::FaultBudget;
 use mp_basset::model::{
     enabled_instances, execute_enabled, GlobalState, LocalState, Message, Permutable, ProtocolSpec,
@@ -274,9 +276,17 @@ fn symmetry_on_and_off_agree_on_every_verdict() {
 fn every_engine_agrees_under_symmetry() {
     let setting = paxos_setting();
     let roles = paxos::symmetry_roles(setting);
-    for (budget, expect_violation) in [
-        (FaultBudget::none(), false),
-        (FaultBudget::none().crashes(1), true),
+    // The stateless safety trees (expansions, transitions, depth, revisits)
+    // without and with DPOR. Paxos makes progress on every step, so no
+    // successor's orbit is ever on its path and the orbit cut stays idle
+    // here; the togglers of section (e) are where it fires.
+    for (budget, expect_violation, trees) in [
+        (FaultBudget::none(), false, [(20, 19, 8, 0), (8, 7, 8, 0)]),
+        (
+            FaultBudget::none().crashes(1),
+            true,
+            [(233, 232, 9, 0), (104, 103, 9, 0)],
+        ),
     ] {
         let spec = faulty_paxos(setting, PaxosVariant::Correct, budget);
         for config in [
@@ -306,6 +316,18 @@ fn every_engine_agrees_under_symmetry() {
                 "strategy {:?} with symmetry broke consensus: {report}",
                 config.strategy
             );
+            if let SearchStrategy::Stateless { dpor } = config.strategy {
+                let s = &report.stats;
+                let tree = (
+                    s.expansions,
+                    s.transitions_executed,
+                    s.max_depth,
+                    s.revisits,
+                );
+                assert_eq!(tree, trees[usize::from(dpor)], "{report}");
+                let label = ["stateless+sym(2)", "stateless+dpor (symmetry ignored)"];
+                assert_eq!(report.strategy, label[usize::from(dpor)]);
+            }
         }
     }
 }
@@ -475,4 +497,25 @@ fn non_identity_cycle_closures_unroll_to_concrete_lassos() {
             && cx.cycle.iter().any(|s| s.transition == "flip1"),
         "a weakly-fair cycle must execute both togglers: {cx}"
     );
+
+    // The stateless enumerator cuts a branch whose orbit is already on its
+    // path: [1,0] → [1,1] → [0,1] stops at the swap of [1,0]. Without that
+    // cut the togglers' tree is infinite.
+    let report = Checker::new(
+        &togglers,
+        mp_basset::checker::Invariant::always_true("true"),
+    )
+    .with_role_symmetry(&roles)
+    .config(CheckerConfig::stateless(false))
+    .run();
+    assert!(report.verdict.is_verified(), "{report}");
+    assert_eq!(report.strategy, "stateless+sym(2)");
+    let s = &report.stats;
+    let tree = (
+        s.expansions,
+        s.transitions_executed,
+        s.max_depth,
+        s.revisits,
+    );
+    assert_eq!(tree, (5, 10, 3, 6), "{report}");
 }
