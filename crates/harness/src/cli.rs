@@ -1,15 +1,155 @@
-//! Shared command-line conventions of the harness binaries.
+//! The command line of the `mp-harness` binary.
 //!
-//! Every binary used to hand-roll its own `args.iter().any(...)` scan and
-//! keep a usage line in its module docs, and the two drifted (several docs
-//! still said `--json PATH` when the parser had long accepted `--json`
-//! with an optional path). This module is the single source of truth: a
-//! binary declares its flags once as a [`FlagSpec`] table, and parsing,
-//! the generated `--help` text and the optional [`Tracer`] construction
-//! all derive from that one table — so the help text cannot drift from
-//! what is parsed.
+//! `mp-harness <subcommand> [flags]` runs one experiment. Each subcommand
+//! is one [`Command`] entry: its name, its summary, and its flags declared
+//! once as a [`FlagSpec`] table. Dispatch, the top-level usage
+//! ([`program_usage`]), flag parsing, each subcommand's generated `--help`
+//! and the optional [`Tracer`] construction all derive from that one table
+//! — so the help text cannot drift from what is parsed.
 
 use mp_checker::{TraceOptions, Tracer};
+
+/// The binary's name, as usage lines print it.
+pub const PROGRAM: &str = "mp-harness";
+
+/// One subcommand of the `mp-harness` binary.
+#[derive(Debug)]
+pub struct Command {
+    /// The subcommand's name (`fault_sweep`).
+    pub name: &'static str,
+    /// What `--help` prints under the usage line; the top-level usage shows
+    /// its first line.
+    pub summary: &'static str,
+    /// The flags the subcommand accepts.
+    pub flags: &'static [FlagSpec],
+    /// Usage of its positional arguments, `None` when it takes none.
+    pub positionals: Option<&'static str>,
+    /// Runs the subcommand on its parsed command line.
+    pub run: fn(&Cli),
+}
+
+impl Command {
+    /// Parses the arguments after the subcommand name (no I/O, no exit).
+    ///
+    /// # Errors
+    ///
+    /// [`CliError::HelpRequested`] on `--help`/`-h`;
+    /// [`CliError::Invalid`] on an unknown flag, a missing required value,
+    /// or a positional argument the subcommand does not take.
+    pub fn parse(&'static self, args: &[String]) -> Result<Cli, CliError> {
+        let mut cli = Cli {
+            command: self,
+            found: Vec::new(),
+            positionals: Vec::new(),
+        };
+        let mut it = args.iter().peekable();
+        while let Some(arg) = it.next() {
+            if arg == "--help" || arg == "-h" {
+                return Err(CliError::HelpRequested);
+            }
+            if let Some(spec) = self.flags.iter().find(|f| f.name == arg) {
+                let value = match spec.arg {
+                    FlagArg::None => None,
+                    FlagArg::Required(placeholder) => match it.next() {
+                        Some(v) => Some(v.clone()),
+                        None => {
+                            return Err(CliError::Invalid(format!(
+                                "{arg} requires a {placeholder} value"
+                            )))
+                        }
+                    },
+                    FlagArg::Optional(_) => match it.peek() {
+                        Some(next) if !next.starts_with("--") => {
+                            Some(it.next().expect("peeked argument must be present").clone())
+                        }
+                        _ => None,
+                    },
+                };
+                cli.found.push((spec.name, value));
+            } else if arg.starts_with('-') {
+                return Err(CliError::Invalid(format!("unknown flag `{arg}`")));
+            } else if self.positionals.is_some() {
+                cli.positionals.push(arg.clone());
+            } else {
+                return Err(CliError::Invalid(format!(
+                    "unexpected positional argument `{arg}`"
+                )));
+            }
+        }
+        Ok(cli)
+    }
+
+    /// The generated usage/help text (what `--help` prints).
+    pub fn usage(&self) -> String {
+        let rendered: Vec<String> = self
+            .flags
+            .iter()
+            .map(|spec| match spec.arg {
+                FlagArg::None => spec.name.to_string(),
+                FlagArg::Required(placeholder) => format!("{} {placeholder}", spec.name),
+                FlagArg::Optional(placeholder) => format!("{} [{placeholder}]", spec.name),
+            })
+            .collect();
+        let mut line = format!("usage: {PROGRAM} {}", self.name);
+        for flag in &rendered {
+            line.push_str(&format!(" [{flag}]"));
+        }
+        if let Some(positionals) = self.positionals {
+            line.push_str(&format!(" {positionals}"));
+        }
+        let mut out = format!("{line}\n\n{}\n", self.summary);
+        if !self.flags.is_empty() {
+            out.push_str("\noptions:\n");
+            let width = rendered.iter().map(String::len).max().unwrap_or(0);
+            for (flag, spec) in rendered.iter().zip(self.flags) {
+                out.push_str(&format!("  {flag:<width$}  {}\n", spec.help));
+            }
+        }
+        out
+    }
+}
+
+/// The top-level usage: every subcommand with its summary's first line.
+pub fn program_usage(commands: &[Command]) -> String {
+    let width = commands.iter().map(|c| c.name.len()).max().unwrap_or(0);
+    let mut out = format!(
+        "usage: {PROGRAM} <subcommand> [flags]\n\n\
+         `{PROGRAM} <subcommand> --help` lists a subcommand's flags.\n\nsubcommands:\n"
+    );
+    for command in commands {
+        let summary = command.summary.lines().next().unwrap_or_default();
+        out.push_str(&format!("  {:<width$}  {summary}\n", command.name));
+    }
+    out
+}
+
+/// Picks the subcommand named by `args[0]` and parses the rest of `args`
+/// with its flag table.
+///
+/// # Errors
+///
+/// The error, with the usage text to print beside it: the top-level usage
+/// for `--help`, a missing or an unknown subcommand, the subcommand's own
+/// for anything [`Command::parse`] rejects.
+pub fn dispatch(
+    commands: &'static [Command],
+    args: &[String],
+) -> Result<(&'static Command, Cli), (CliError, String)> {
+    let error = match args.split_first() {
+        None => CliError::Invalid("missing subcommand".to_string()),
+        Some((name, _)) if name == "--help" || name == "-h" => CliError::HelpRequested,
+        Some((name, rest)) => match commands.iter().find(|c| c.name == name) {
+            Some(command) => {
+                return command
+                    .parse(rest)
+                    .map(|cli| (command, cli))
+                    .map_err(|e| (e, command.usage()))
+            }
+            None => CliError::Invalid(format!("unknown subcommand `{name}`")),
+        },
+    };
+    Err((error, program_usage(commands)))
+}
 
 /// Whether (and how) a flag takes a value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -23,7 +163,7 @@ pub enum FlagArg {
     Optional(&'static str),
 }
 
-/// One flag a harness binary accepts.
+/// One flag a subcommand accepts.
 #[derive(Clone, Copy, Debug)]
 pub struct FlagSpec {
     /// The spelling, including the leading dashes (`"--json"`).
@@ -98,9 +238,9 @@ pub enum CliError {
 }
 
 impl CliError {
-    /// Ends the process the way every harness binary does: usage and exit 0
+    /// Ends the process the way every subcommand does: usage and exit 0
     /// for `--help`, the message plus usage and exit 2 otherwise.
-    fn exit(self, bin: &str, usage: &str) -> ! {
+    pub fn exit(self, bin: &str, usage: &str) -> ! {
         match self {
             CliError::HelpRequested => {
                 println!("{usage}");
@@ -115,98 +255,16 @@ impl CliError {
     }
 }
 
-/// Parsed command line of one harness binary.
+/// Parsed command line of one subcommand.
 #[derive(Debug)]
 pub struct Cli {
-    bin: &'static str,
-    summary: &'static str,
-    flags: &'static [FlagSpec],
-    positional_usage: Option<&'static str>,
+    command: &'static Command,
     /// `(flag name, value)` for every flag that appeared.
     found: Vec<(&'static str, Option<String>)>,
     positionals: Vec<String>,
 }
 
 impl Cli {
-    /// Parses `std::env::args()`, printing usage and exiting on `--help` or
-    /// a malformed invocation — the entry point the binaries call.
-    pub fn parse(bin: &'static str, summary: &'static str, flags: &'static [FlagSpec]) -> Cli {
-        Self::parse_with_positionals(bin, summary, flags, None)
-    }
-
-    /// Like [`Cli::parse`], additionally accepting positional arguments
-    /// (described by `positional_usage`, e.g. `"<baseline.json> <fresh.json>
-    /// [...]"`).
-    pub fn parse_with_positionals(
-        bin: &'static str,
-        summary: &'static str,
-        flags: &'static [FlagSpec],
-        positional_usage: Option<&'static str>,
-    ) -> Cli {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::try_parse(bin, summary, flags, positional_usage, &args)
-            .unwrap_or_else(|e| e.exit(bin, &usage(bin, summary, flags, positional_usage)))
-    }
-
-    /// Pure parsing core (testable; no I/O, no exit).
-    ///
-    /// # Errors
-    ///
-    /// [`CliError::HelpRequested`] on `--help`/`-h`;
-    /// [`CliError::Invalid`] on an unknown flag, a missing required value,
-    /// or an unexpected positional argument.
-    pub fn try_parse(
-        bin: &'static str,
-        summary: &'static str,
-        flags: &'static [FlagSpec],
-        positional_usage: Option<&'static str>,
-        args: &[String],
-    ) -> Result<Cli, CliError> {
-        let mut cli = Cli {
-            bin,
-            summary,
-            flags,
-            positional_usage,
-            found: Vec::new(),
-            positionals: Vec::new(),
-        };
-        let mut it = args.iter().peekable();
-        while let Some(arg) = it.next() {
-            if arg == "--help" || arg == "-h" {
-                return Err(CliError::HelpRequested);
-            }
-            if let Some(spec) = flags.iter().find(|f| f.name == arg) {
-                let value = match spec.arg {
-                    FlagArg::None => None,
-                    FlagArg::Required(placeholder) => match it.next() {
-                        Some(v) => Some(v.clone()),
-                        None => {
-                            return Err(CliError::Invalid(format!(
-                                "{arg} requires a {placeholder} value"
-                            )))
-                        }
-                    },
-                    FlagArg::Optional(_) => match it.peek() {
-                        Some(next) if !next.starts_with("--") => {
-                            Some(it.next().expect("peeked argument must be present").clone())
-                        }
-                        _ => None,
-                    },
-                };
-                cli.found.push((spec.name, value));
-            } else if arg.starts_with('-') {
-                return Err(CliError::Invalid(format!("unknown flag `{arg}`")));
-            } else if positional_usage.is_some() {
-                cli.positionals.push(arg.clone());
-            } else {
-                return Err(CliError::Invalid(format!(
-                    "unexpected positional argument `{arg}`"
-                )));
-            }
-        }
-        Ok(cli)
-    }
-
     /// `true` when `name` appeared on the command line.
     pub fn has(&self, name: &str) -> bool {
         self.found.iter().any(|(n, _)| *n == name)
@@ -218,6 +276,12 @@ impl Cli {
             .iter()
             .find(|(n, _)| *n == name)
             .and_then(|(_, v)| v.as_deref())
+    }
+
+    /// Ends the process as a malformed invocation: the message, then the
+    /// usage text, exit 2.
+    pub fn usage_error(&self, message: impl Into<String>) -> ! {
+        CliError::Invalid(message.into()).exit(self.command.name, &self.usage())
     }
 
     /// Positional (non-flag) arguments in order of appearance.
@@ -232,7 +296,7 @@ impl Cli {
     /// exit 2) instead of silently running the default.
     pub fn usize_value(&self, name: &str, default: usize) -> usize {
         self.try_usize_value(name, default)
-            .unwrap_or_else(|e| e.exit(self.bin, &self.usage()))
+            .unwrap_or_else(|e| e.exit(self.command.name, &self.usage()))
     }
 
     /// Pure core of [`Cli::usize_value`].
@@ -254,14 +318,8 @@ impl Cli {
     /// absent, `Some(default)` when it is given bare, `Some(path)`
     /// otherwise.
     pub fn json_path(&self, default: &str) -> Option<String> {
-        if !self.has("--json") {
-            return None;
-        }
-        Some(
-            self.value("--json")
-                .map(str::to_string)
-                .unwrap_or_else(|| default.to_string()),
-        )
+        let path = self.value("--json").unwrap_or(default);
+        self.has("--json").then(|| path.to_string())
     }
 
     /// Builds the tracer selected by [`PROGRESS_FLAG`] and [`TRACE_FLAG`]
@@ -269,8 +327,8 @@ impl Cli {
     ///
     /// # Panics
     ///
-    /// Panics when the `--trace` file cannot be created; the binaries treat
-    /// that as fatal, like an unwritable `--json` path.
+    /// Panics when the `--trace` file cannot be created; the subcommands
+    /// treat that as fatal, like an unwritable `--json` path.
     pub fn tracer(&self) -> Tracer {
         let mut options = TraceOptions::new();
         if self.has(PROGRESS_FLAG.name) {
@@ -280,53 +338,13 @@ impl Cli {
             options = options.with_ndjson(path);
         }
         Tracer::from_options(options)
-            .unwrap_or_else(|e| panic!("{}: cannot open trace sink: {e}", self.bin))
+            .unwrap_or_else(|e| panic!("{}: cannot open trace sink: {e}", self.command.name))
     }
 
-    /// The generated usage/help text (what `--help` prints).
+    /// The subcommand's usage/help text.
     pub fn usage(&self) -> String {
-        usage(self.bin, self.summary, self.flags, self.positional_usage)
+        self.command.usage()
     }
-}
-
-fn usage(bin: &str, summary: &str, flags: &[FlagSpec], positional_usage: Option<&str>) -> String {
-    let mut line = format!("usage: {bin}");
-    for spec in flags {
-        let rendered = match spec.arg {
-            FlagArg::None => spec.name.to_string(),
-            FlagArg::Required(placeholder) => format!("{} {placeholder}", spec.name),
-            FlagArg::Optional(placeholder) => format!("{} [{placeholder}]", spec.name),
-        };
-        line.push_str(&format!(" [{rendered}]"));
-    }
-    if let Some(positional) = positional_usage {
-        line.push_str(&format!(" {positional}"));
-    }
-    let mut out = format!("{line}\n\n{summary}\n");
-    if !flags.is_empty() {
-        out.push_str("\noptions:\n");
-        let width = flags
-            .iter()
-            .map(|f| {
-                f.name.len()
-                    + match f.arg {
-                        FlagArg::None => 0,
-                        FlagArg::Required(p) => p.len() + 1,
-                        FlagArg::Optional(p) => p.len() + 3,
-                    }
-            })
-            .max()
-            .unwrap_or(0);
-        for spec in flags {
-            let rendered = match spec.arg {
-                FlagArg::None => spec.name.to_string(),
-                FlagArg::Required(placeholder) => format!("{} {placeholder}", spec.name),
-                FlagArg::Optional(placeholder) => format!("{} [{placeholder}]", spec.name),
-            };
-            out.push_str(&format!("  {rendered:<width$}  {}\n", spec.help));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -344,8 +362,18 @@ mod tests {
         v.iter().map(|s| s.to_string()).collect()
     }
 
+    fn noop(_: &Cli) {}
+
+    static DEMO: Command = Command {
+        name: "demo",
+        summary: "a demo subcommand",
+        flags: FLAGS,
+        positionals: None,
+        run: noop,
+    };
+
     fn parse(args: &[&str]) -> Result<Cli, CliError> {
-        Cli::try_parse("demo", "a demo binary", FLAGS, None, &to_args(args))
+        DEMO.parse(&to_args(args))
     }
 
     #[test]
@@ -390,12 +418,40 @@ mod tests {
             parse(&["stray"]),
             Err(CliError::Invalid(m)) if m.contains("stray")
         ));
+
+        // Dispatch: a missing or unknown subcommand is a usage error that
+        // prints the subcommand list; a known one parses its own flags.
+        const COMMANDS: &[Command] = &[Command {
+            name: "demo",
+            summary: "a demo subcommand",
+            flags: FLAGS,
+            positionals: None,
+            run: noop,
+        }];
+        for args in [&[][..], &["bogus", "--full"][..]] {
+            let Err((CliError::Invalid(m), usage)) = dispatch(COMMANDS, &to_args(args)) else {
+                panic!("{args:?} must be a usage error");
+            };
+            assert!(m.contains(args.first().unwrap_or(&"missing")), "{m}");
+            assert!(usage.contains("demo  a demo subcommand"), "{usage}");
+        }
+        let Err((e, usage)) = dispatch(COMMANDS, &to_args(&["demo", "--bogus"])) else {
+            panic!("an unknown flag must fail");
+        };
+        assert!(matches!(e, CliError::Invalid(m) if m.contains("--bogus")));
+        assert!(usage.starts_with("usage: mp-harness demo"), "{usage}");
+        let (command, cli) = dispatch(COMMANDS, &to_args(&["demo", "--full"])).unwrap();
+        assert_eq!(command.name, "demo");
+        assert!(cli.has("--full"));
     }
 
     #[test]
     fn numeric_values_default_when_absent_and_fail_when_malformed() {
-        const NUMERIC: &[FlagSpec] = &[THREADS_FLAG, FlagSpec::value("--voters", "N", "voters")];
-        let parse = |args: &[&str]| Cli::try_parse("demo", "", NUMERIC, None, &to_args(args));
+        static NUMERIC: Command = Command {
+            flags: &[THREADS_FLAG, FlagSpec::value("--voters", "N", "voters")],
+            ..DEMO
+        };
+        let parse = |args: &[&str]| NUMERIC.parse(&to_args(args));
         let cli = parse(&["--threads", "3"]).unwrap();
         assert_eq!(cli.try_usize_value("--threads", 0), Ok(3));
         assert_eq!(cli.try_usize_value("--voters", 4), Ok(4), "absent: default");
@@ -410,16 +466,14 @@ mod tests {
 
     #[test]
     fn positionals_are_accepted_when_declared() {
-        const GATE_FLAGS: &[FlagSpec] =
-            &[FlagSpec::value("--tolerance", "T", "relative tolerance")];
-        let cli = Cli::try_parse(
-            "gate",
-            "the gate",
-            GATE_FLAGS,
-            Some("<baseline.json> <fresh.json> [...]"),
-            &to_args(&["a.json", "b.json", "--tolerance", "0.2"]),
-        )
-        .unwrap();
+        static GATE: Command = Command {
+            flags: &[FlagSpec::value("--tolerance", "T", "relative tolerance")],
+            positionals: Some("<baseline.json> <fresh.json> [...]"),
+            ..DEMO
+        };
+        let cli = GATE
+            .parse(&to_args(&["a.json", "b.json", "--tolerance", "0.2"]))
+            .unwrap();
         assert_eq!(cli.positionals(), ["a.json", "b.json"]);
         assert_eq!(cli.value("--tolerance"), Some("0.2"));
         assert!(cli.usage().contains("<baseline.json>"));
@@ -429,11 +483,11 @@ mod tests {
     fn usage_lists_every_flag_exactly_as_parsed() {
         let cli = parse(&[]).unwrap();
         let usage = cli.usage();
-        assert!(usage.starts_with("usage: demo"));
+        assert!(usage.starts_with("usage: mp-harness demo"));
         assert!(usage.contains("[--json [PATH]]"), "{usage}");
         assert!(usage.contains("[--trace PATH]"), "{usage}");
         assert!(usage.contains("--progress"));
-        assert!(usage.contains("a demo binary"));
+        assert!(usage.contains("a demo subcommand"));
     }
 
     #[test]

@@ -17,6 +17,7 @@ use mp_protocols::storage::{
     quorum_model as storage_quorum, wrong_regularity_property, RegularityObserver, StorageSetting,
 };
 
+use crate::report::short_verdict;
 use crate::{Budget, Measurement};
 
 fn measure<S, M, O>(
@@ -33,37 +34,22 @@ where
     M: mp_model::Message,
     O: mp_checker::Observer<S, M>,
 {
-    let mut config = CheckerConfig::stateful_bfs();
-    config.max_states = budget.max_states;
-    config.time_limit = budget.time_limit;
-    config.trace = budget.trace.clone();
+    let config = budget.apply(CheckerConfig::stateful_bfs());
     let checker = Checker::with_observer(spec, prop, observer).config(config);
     let checker = if spor { checker.spor() } else { checker };
     let report = checker.run();
-    let (verdict, completed) = match &report.verdict {
-        Verdict::Violated(cx) => (format!("CE ({} steps)", cx.len()), true),
-        Verdict::Verified => ("verified (unexpected)".to_string(), true),
-        Verdict::LimitReached { what } => (format!("bounded ({what})"), false),
+    let verdict = match &report.verdict {
+        Verdict::Verified => "verified (unexpected)".to_string(),
+        verdict => short_verdict(verdict),
     };
-    Measurement {
-        protocol: protocol.to_string(),
-        property: property.to_string(),
-        strategy: if spor {
-            "SPOR (BFS)"
-        } else {
-            "unreduced (BFS)"
-        }
-        .to_string(),
-        states: report.stats.states,
-        transitions: report.stats.transitions_executed,
-        time: report.stats.elapsed,
-        as_expected: report.verdict.is_violated() || !completed,
-        verdict,
-        completed,
-        frontier_bytes: report.stats.frontier_peak_bytes,
-        threads: report.stats.worker_threads,
-        phases: report.stats.phases.clone(),
-    }
+    let strategy = if spor {
+        "SPOR (BFS)"
+    } else {
+        "unreduced (BFS)"
+    };
+    let mut m = Measurement::of(protocol, property, strategy.to_string(), verdict, &report);
+    m.as_expected = report.verdict.is_violated() || !m.completed;
+    m
 }
 
 /// Runs the bug-finding experiments on the three faulty targets and returns

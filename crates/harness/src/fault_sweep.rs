@@ -9,8 +9,8 @@
 //! "some value eventually learned", multicast delivery, read completion)
 //! is checked under the same budget and strategy, and the verdict
 //! (`verified`, or a fair-cycle/quiescence lasso) is recorded alongside the
-//! safety verdict. Two invariants are machine-checked by the `fault_sweep`
-//! binary (and the integration tests):
+//! safety verdict. These invariants are machine-checked by the
+//! `fault_sweep` subcommand (and the integration tests):
 //!
 //! * all store backends agree on the verdict of every cell,
 //! * the all-zero budget reproduces the seed models' state counts exactly,
@@ -50,6 +50,7 @@ use mp_protocols::storage::{
 use mp_store::{FrontierConfig, StoreConfig};
 use mp_symmetry::RoleMap;
 
+use crate::bench_gate::{insert_phases, row, JsonValue, Row};
 use crate::report::omission_note;
 use crate::Budget;
 
@@ -106,17 +107,47 @@ pub struct FaultCell {
     pub sym_frontier_bytes: usize,
     /// `true` iff the spilled BFS probes (plain and symmetric) reproduced
     /// the in-memory-frontier verdict class and state count exactly. The
-    /// `fault_sweep` binary exits non-zero when any cell disagrees, like
+    /// `fault_sweep` subcommand exits non-zero when any cell disagrees, like
     /// backend and symmetry disagreement.
     pub spill_agrees: bool,
     /// Per-phase wall-clock breakdown of the plain safety run (all zero
-    /// when tracing is disabled — the default for committed baselines).
-    /// Serialised into `BENCH_fault_sweep.json` as flat `phase_<name>_ms`
-    /// fields so the CI gate can watch phase shares drift.
+    /// when tracing is disabled). A traced row carries it as flat
+    /// `phase_<name>_us` fields so the CI gate can watch phase shares drift.
     pub phases: mp_trace::PhaseTimes,
 }
 
 impl FaultCell {
+    /// The cell's `BENCH_fault_sweep.json` fields (phases on traced rows
+    /// only), so external tooling — the CI bench-regression gate included —
+    /// can track the verdict and orbit-collapse trajectory.
+    pub fn row(&self) -> Row {
+        let mut row = row([
+            ("protocol", self.protocol.as_str().into()),
+            ("budget", self.budget.as_str().into()),
+            ("strategy", self.strategy.as_str().into()),
+            ("backend", self.backend.as_str().into()),
+            ("verdict", self.verdict.as_str().into()),
+            ("liveness", self.liveness.as_str().into()),
+            ("states", self.states.into()),
+            ("transitions", self.transitions.into()),
+            ("store_bytes", self.store_bytes.into()),
+            ("store_spilled_bytes", self.store_spilled_bytes.into()),
+            ("store_merge_bytes", self.store_merge_bytes.into()),
+            ("time_ms", JsonValue::millis(self.time)),
+            ("sym_verdict", self.sym_verdict.as_str().into()),
+            ("sym_liveness", self.sym_liveness.as_str().into()),
+            ("sym_states", self.sym_states.into()),
+            ("sym_time_ms", JsonValue::millis(self.sym_time)),
+            ("state_ratio", JsonValue::ratio(self.state_ratio())),
+            ("frontier_bytes", self.frontier_bytes.into()),
+            ("sym_frontier_bytes", self.sym_frontier_bytes.into()),
+            ("frontier_ratio", JsonValue::ratio(self.frontier_ratio())),
+            ("spill_agrees", JsonValue::Bool(self.spill_agrees)),
+        ]);
+        insert_phases(&mut row, &self.phases);
+        row
+    }
+
     /// Orbit-collapse ratio of the cell: plain states per symmetric state
     /// (1.0 = no collapse; the Paxos crash cells sit near the group order).
     pub fn state_ratio(&self) -> f64 {
@@ -235,10 +266,8 @@ fn run_cells<S, M, O>(
         // runs on the exact store): one run per strategy and symmetry
         // setting, recorded in every backend row of the group.
         let liveness_verdict = |symmetry: bool| {
-            let mut config = CheckerConfig::stateful_dfs();
-            config.max_states = run_budget.max_states;
-            config.time_limit = run_budget.time_limit;
-            config.trace = run_budget.trace.clone();
+            let budget = run_budget.clone().with_store(StoreConfig::Exact);
+            let config = budget.apply(CheckerConfig::stateful_dfs());
             let checker =
                 Checker::with_observer(spec, liveness.clone(), NullObserver).config(config);
             let checker = if spor { checker.spor() } else { checker };
@@ -251,6 +280,16 @@ fn run_cells<S, M, O>(
         };
         let liveness_plain = liveness_verdict(false);
         let liveness_sym = liveness_verdict(true);
+        let safety = |config: CheckerConfig, symmetry: bool| {
+            let checker =
+                Checker::with_observer(spec, property.clone(), observer.clone()).config(config);
+            let checker = if spor { checker.spor() } else { checker };
+            if symmetry {
+                checker.with_role_symmetry(roles).run()
+            } else {
+                checker.run()
+            }
+        };
 
         // The disk-frontier probe (one per strategy and symmetry setting,
         // like liveness): a BFS run of the safety property with the
@@ -258,20 +297,8 @@ fn run_cells<S, M, O>(
         // in-memory frontier for verdict-class and state-count agreement.
         let frontier_probe = |symmetry: bool| -> (usize, bool) {
             let run = |frontier: FrontierConfig| {
-                let mut config = CheckerConfig::stateful_bfs();
-                config.max_states = run_budget.max_states;
-                config.time_limit = run_budget.time_limit;
-                config.trace = run_budget.trace.clone();
-                config.frontier = frontier;
-                let checker =
-                    Checker::with_observer(spec, property.clone(), observer.clone()).config(config);
-                let checker = if spor { checker.spor() } else { checker };
-                let checker = if symmetry {
-                    checker.with_role_symmetry(roles)
-                } else {
-                    checker
-                };
-                checker.run()
+                let config = run_budget.clone().with_frontier(frontier);
+                safety(config.apply(CheckerConfig::stateful_bfs()), symmetry)
             };
             let mem = run(FrontierConfig::Mem);
             let disk = run(FrontierConfig::disk_with_watermark(SWEEP_SPILL_WATERMARK));
@@ -286,23 +313,18 @@ fn run_cells<S, M, O>(
 
         for store in sweep_backends() {
             let run = |symmetry: bool| {
-                // A spilling budget (the binary's `--spill` flag) moves the
+                // A spilling budget (the subcommand's `--spill` flag) moves the
                 // safety cells onto the BFS engine so the whole sweep
                 // drives the disk frontier; the models are acyclic, so BFS
                 // and DFS explore the same (reduced) state graph. A
                 // checkpointing budget does the same — checkpoint/resume is
                 // a level-synchronous (BFS) contract.
-                let mut config =
-                    if run_budget.frontier.spills() || run_budget.checkpoint_dir.is_some() {
-                        CheckerConfig::stateful_bfs()
-                    } else {
-                        CheckerConfig::stateful_dfs()
-                    };
-                config.frontier = run_budget.frontier;
-                config.max_states = run_budget.max_states;
-                config.time_limit = run_budget.time_limit;
-                config.trace = run_budget.trace.clone();
-                config.store = store;
+                let bfs = run_budget.frontier.spills() || run_budget.checkpoint_dir.is_some();
+                let mut config = run_budget.clone().with_store(store).apply(if bfs {
+                    CheckerConfig::stateful_bfs()
+                } else {
+                    CheckerConfig::stateful_dfs()
+                });
                 if let Some(root) = &run_budget.checkpoint_dir {
                     // One subdirectory per cell coordinate, so every cell
                     // of a killed sweep resumes from its own manifest.
@@ -318,15 +340,7 @@ fn run_cells<S, M, O>(
                             .with_every_levels(run_budget.checkpoint_every),
                     );
                 }
-                let checker =
-                    Checker::with_observer(spec, property.clone(), observer.clone()).config(config);
-                let checker = if spor { checker.spor() } else { checker };
-                let checker = if symmetry {
-                    checker.with_role_symmetry(roles)
-                } else {
-                    checker
-                };
-                checker.run()
+                safety(config, symmetry)
             };
             let report = run(false);
             let sym_report = run(true);
@@ -366,7 +380,7 @@ pub fn fault_sweep(run_budget: &Budget) -> Vec<FaultCell> {
 
 /// Runs the fault sweep over an explicit budget grid. `with_corruption`
 /// additionally appends the Byzantine-corruption budget to the Paxos rows.
-/// The `fault_sweep` binary's `--smoke` mode uses this with a reduced grid
+/// The `fault_sweep` subcommand's `--smoke` mode uses this with a reduced grid
 /// so CI can watch the verdict/liveness trajectory per PR.
 pub fn fault_sweep_grid(
     run_budget: &Budget,
@@ -436,27 +450,67 @@ pub fn fault_sweep_grid(
     cells
 }
 
-/// Asserts symmetry agreement: within every cell, the symmetric run must
-/// produce the same safety and liveness *verdict class* as the plain run
-/// and must not explore more states. Returns the offending cells, empty
-/// when all agree.
-pub fn symmetry_disagreements(cells: &[FaultCell]) -> Vec<&FaultCell> {
-    cells
-        .iter()
-        .filter(|c| {
-            verdict_class(&c.verdict) != verdict_class(&c.sym_verdict)
-                || verdict_class(&c.liveness) != verdict_class(&c.sym_liveness)
-                || c.sym_states > c.states
-        })
-        .collect()
-}
-
-/// Asserts disk-frontier agreement: the spilled BFS probe of every cell
-/// must have reproduced the in-memory frontier's verdict class and state
-/// count (both with and without symmetry). Returns the offending cells,
-/// empty when all agree.
-pub fn frontier_disagreements(cells: &[FaultCell]) -> Vec<&FaultCell> {
-    cells.iter().filter(|c| !c.spill_agrees).collect()
+/// The sweep's three agreement checks, each as the line it prints when all
+/// cells agree and one message per cell that does not:
+///
+/// * **store backends** — within each (protocol, budget, strategy) group
+///   every backend reports the same safety verdict and state count (the
+///   liveness verdict is computed once per group, so it cannot disagree);
+/// * **symmetry** — the symmetric run has the plain run's safety and
+///   liveness *verdict class* and explores no more states;
+/// * **spill** — the spilled BFS probes reproduced the in-memory
+///   frontier's verdict class and state count, with and without symmetry.
+pub fn agreement_checks(cells: &[FaultCell]) -> [(&'static str, Vec<String>); 3] {
+    let cell = |c: &FaultCell| {
+        format!(
+            "{} / {} / {} / {}",
+            c.protocol, c.budget, c.strategy, c.backend
+        )
+    };
+    let backends = cells.iter().filter(|cell| {
+        let reference = cells.iter().find(|c| {
+            (&c.protocol, &c.budget, &c.strategy) == (&cell.protocol, &cell.budget, &cell.strategy)
+        });
+        reference.is_some_and(|r| (&r.verdict, r.states) != (&cell.verdict, cell.states))
+    });
+    let symmetry = cells.iter().filter(|c| {
+        verdict_class(&c.verdict) != verdict_class(&c.sym_verdict)
+            || verdict_class(&c.liveness) != verdict_class(&c.sym_liveness)
+            || c.sym_states > c.states
+    });
+    let spill = cells.iter().filter(|c| !c.spill_agrees);
+    [
+        (
+            "store-backend agreement: OK (every backend reports the same verdict per cell)",
+            backends
+                .map(|c| format!("BACKEND DISAGREEMENT: {}: {}", cell(c), c.verdict))
+                .collect(),
+        ),
+        (
+            "symmetry agreement: OK (orbit reduction preserves every safety/liveness verdict)",
+            symmetry
+                .map(|c| {
+                    format!(
+                        "SYMMETRY DISAGREEMENT: {}: safety {} vs {}, liveness {} vs {}, \
+                         states {} vs {}",
+                        cell(c),
+                        c.verdict,
+                        c.sym_verdict,
+                        c.liveness,
+                        c.sym_liveness,
+                        c.states,
+                        c.sym_states
+                    )
+                })
+                .collect(),
+        ),
+        (
+            "frontier-spill agreement: OK (disk and in-memory frontiers explore identically)",
+            spill
+                .map(|c| format!("FRONTIER SPILL DISAGREEMENT: {}", cell(c)))
+                .collect(),
+        ),
+    ]
 }
 
 /// A seed-consistency check row: state counts of the base model vs the
@@ -564,30 +618,6 @@ pub fn zero_budget_seed_checks(run_budget: &Budget) -> Vec<SeedCheck> {
     checks
 }
 
-/// Asserts backend agreement: within each (protocol, budget, strategy)
-/// group, every store backend must report the same verdict and state
-/// count. Returns the offending cells, empty when all agree.
-pub fn backend_disagreements(cells: &[FaultCell]) -> Vec<&FaultCell> {
-    let mut bad = Vec::new();
-    for cell in cells {
-        let reference = cells
-            .iter()
-            .find(|c| {
-                c.protocol == cell.protocol
-                    && c.budget == cell.budget
-                    && c.strategy == cell.strategy
-            })
-            .expect("the group contains at least the cell itself");
-        // The liveness verdict is computed once per strategy (it is
-        // backend-independent by construction), so only the safety verdict
-        // and state count can disagree across backends.
-        if cell.verdict != reference.verdict || cell.states != reference.states {
-            bad.push(cell);
-        }
-    }
-    bad
-}
-
 /// Renders the sweep as an aligned text table (with the symmetry on/off
 /// state counts and the orbit-collapse ratio per cell).
 pub fn render_fault_sweep(cells: &[FaultCell]) -> String {
@@ -615,53 +645,6 @@ pub fn render_fault_sweep(cells: &[FaultCell]) -> String {
             c.liveness
         ));
     }
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Serialises the sweep as a JSON array (the `BENCH_fault_sweep.json`
-/// payload) so external tooling — including the CI bench-regression gate —
-/// can track the verdict and orbit-collapse trajectory.
-pub fn fault_sweep_json(cells: &[FaultCell]) -> String {
-    let mut out = String::from("[\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"protocol\":\"{}\",\"budget\":\"{}\",\"strategy\":\"{}\",\"backend\":\"{}\",\
-             \"verdict\":\"{}\",\"liveness\":\"{}\",\"states\":{},\"transitions\":{},\
-             \"store_bytes\":{},\"store_spilled_bytes\":{},\"store_merge_bytes\":{},\
-             \"time_ms\":{},\"sym_verdict\":\"{}\",\"sym_liveness\":\"{}\",\
-             \"sym_states\":{},\"sym_time_ms\":{},\"state_ratio\":{:.3},\
-             \"frontier_bytes\":{},\"sym_frontier_bytes\":{},\"frontier_ratio\":{:.3},\
-             \"spill_agrees\":{}{}}}{}\n",
-            json_escape(&c.protocol),
-            json_escape(&c.budget),
-            json_escape(&c.strategy),
-            json_escape(&c.backend),
-            json_escape(&c.verdict),
-            json_escape(&c.liveness),
-            c.states,
-            c.transitions,
-            c.store_bytes,
-            c.store_spilled_bytes,
-            c.store_merge_bytes,
-            c.time.as_millis(),
-            json_escape(&c.sym_verdict),
-            json_escape(&c.sym_liveness),
-            c.sym_states,
-            c.sym_time.as_millis(),
-            c.state_ratio(),
-            c.frontier_bytes,
-            c.sym_frontier_bytes,
-            c.frontier_ratio(),
-            c.spill_agrees,
-            crate::report::phase_json_fields(&c.phases),
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("]\n");
     out
 }
 
@@ -694,7 +677,7 @@ mod tests {
     #[test]
     fn sweep_backends_agree_on_a_small_grid() {
         // One protocol, two budgets, to keep the unit test fast; the full
-        // grid is exercised by the binary and the integration tests.
+        // grid is exercised by the subcommand and the integration tests.
         let run_budget = tiny_budget();
         let setting = PaxosSetting::new(1, 2, 1);
         let roles = mp_protocols::paxos::symmetry_roles(setting);
@@ -714,9 +697,16 @@ mod tests {
             );
         }
         assert_eq!(cells.len(), 2 * 2 * 4);
-        assert!(backend_disagreements(&cells).is_empty());
-        assert!(symmetry_disagreements(&cells).is_empty());
-        assert!(frontier_disagreements(&cells).is_empty());
+        for (check, disagreements) in agreement_checks(&cells) {
+            assert!(disagreements.is_empty(), "{check}: {disagreements:?}");
+        }
+        // A cell that differs from its group is reported by every check it
+        // breaks, and only by those.
+        let mut broken = cells.clone();
+        broken[1].states += 1;
+        broken[1].spill_agrees = false;
+        let reported = agreement_checks(&broken).map(|(_, bad)| bad.len());
+        assert_eq!(reported, [1, 0, 1]);
         // The spilled-frontier probes ran and recorded real byte counts,
         // and symmetry never grows the frontier.
         assert!(cells.iter().all(|c| c.frontier_bytes > 0));
@@ -744,25 +734,36 @@ mod tests {
             .iter()
             .filter(|c| c.budget != "none")
             .all(|c| c.liveness.contains("lasso") && c.sym_liveness.contains("lasso")));
-        let json = fault_sweep_json(&cells);
-        assert!(json.starts_with("[\n"));
-        assert_eq!(json.matches("\"protocol\"").count(), cells.len());
-        assert_eq!(json.matches("\"liveness\"").count(), cells.len());
-        assert_eq!(json.matches("\"sym_states\"").count(), cells.len());
-        assert_eq!(json.matches("\"state_ratio\"").count(), cells.len());
-        assert_eq!(json.matches("\"frontier_bytes\"").count(), cells.len());
-        assert_eq!(json.matches("\"sym_frontier_bytes\"").count(), cells.len());
-        assert_eq!(json.matches("\"spill_agrees\":true").count(), cells.len());
+        // Every row carries the full column set, and none of these untraced
+        // runs a phase field; a traced cell carries all nine, in µs.
+        let rows: Vec<Row> = cells.iter().map(FaultCell::row).collect();
+        for row in &rows {
+            for field in [
+                "liveness",
+                "sym_states",
+                "state_ratio",
+                "frontier_bytes",
+                "sym_frontier_bytes",
+                "store_spilled_bytes",
+                "store_merge_bytes",
+            ] {
+                assert!(row.contains_key(field), "{field} missing: {row:?}");
+            }
+            assert_eq!(row["spill_agrees"], JsonValue::Bool(true));
+            assert_eq!(crate::report::tests::phase_keys(row), 0);
+        }
+        let mut traced = cells[0].clone();
+        traced.phases = mp_trace::PhaseTimes::from_nanos([1_000; mp_trace::PHASE_COUNT]);
         assert_eq!(
-            json.matches("\"store_spilled_bytes\":").count(),
-            cells.len()
+            crate::report::tests::phase_keys(&traced.row()),
+            mp_trace::PHASE_COUNT
         );
-        assert_eq!(json.matches("\"store_merge_bytes\":").count(), cells.len());
-        assert_eq!(
-            json.matches("\"phase_expansion_ms\":").count(),
-            cells.len(),
-            "every cell carries its flat phase breakdown"
-        );
+        // The rows parse back unchanged and gate clean against themselves.
+        use crate::bench_gate::{compare, parse_rows, render_rows};
+        let parsed = parse_rows(&render_rows(&rows)).unwrap();
+        assert_eq!(parsed, rows);
+        let report = compare("sweep", &parsed, &parsed, 0.10);
+        assert!(report.passed() && report.warnings.is_empty(), "{report:?}");
         let table = render_fault_sweep(&cells);
         assert!(table.contains("fingerprint"));
         assert!(table.contains("runs("));

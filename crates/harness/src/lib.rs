@@ -15,10 +15,11 @@
 //!   over the evaluation protocols, with machine-readable JSON output;
 //! * [`heuristics`] — the seed-heuristic comparison discussed in Section V-B.
 //!
-//! Every experiment produces [`Measurement`] rows which the binaries print
-//! as aligned text tables (and optionally CSV); `EXPERIMENTS.md` in the
-//! repository root records a snapshot of these outputs next to the numbers
-//! the paper reports.
+//! Every experiment produces [`Measurement`] rows (or rows of its own) which
+//! the `mp-harness` binary's subcommands print as aligned text tables (and
+//! optionally CSV), and write with `--json` as the flat [`bench_gate::Row`]s
+//! of a `BENCH_*.json` file — the one schema the CI gate reads. The README's
+//! results section lists the subcommands.
 //!
 //! Absolute state counts and times are not expected to match the paper — the
 //! engine, hardware and protocol-model details differ — but the *shape*
@@ -66,11 +67,9 @@ pub mod table2;
 pub mod trace_report;
 
 pub use cli::{Cli, FlagSpec};
-pub use report::{
-    json_output_path, render_csv, render_json, render_table, write_json_rows, Measurement,
-};
+pub use report::{render_csv, render_table, Measurement};
 pub use runner::{Budget, CellStrategy};
 // Visited-store and frontier selection are part of the experiment surface:
 // a `Budget` carries a `StoreConfig` and a `FrontierConfig`, re-exported
-// here so binaries need one import.
+// here so callers need one import.
 pub use mp_store::{FrontierConfig, StoreConfig};

@@ -25,7 +25,7 @@
 
 use std::time::Duration;
 
-use mp_checker::{Checker, CheckerConfig, NullObserver, Verdict};
+use mp_checker::{Checker, CheckerConfig, NullObserver};
 use mp_protocols::echo_multicast::{
     agreement_property, quorum_model as multicast_quorum, symmetry_roles as multicast_roles,
     MulticastSetting,
@@ -35,7 +35,8 @@ use mp_protocols::paxos::{
     PaxosVariant,
 };
 
-use crate::report::phase_json_fields;
+use crate::bench_gate::{JsonValue, Row};
+use crate::report::short_verdict;
 use crate::{Budget, Measurement};
 
 /// The worker-pool sizes every cell family is swept over.
@@ -59,6 +60,20 @@ pub struct ScalingRow {
     pub agrees: bool,
 }
 
+impl ScalingRow {
+    /// The row's `BENCH_parallel_scaling.json` fields: the measurement's,
+    /// plus the fractional `speedup` and the producing machine's `cores`.
+    /// `speedup` is a gated field (`bench_gate` fails a run whose speedup
+    /// drops beyond the tolerance against the committed baseline); `cores`
+    /// is informational.
+    pub fn row(&self) -> Row {
+        let mut row = self.measurement.row();
+        row.insert("speedup".to_string(), JsonValue::ratio(self.speedup));
+        row.insert("cores".to_string(), self.cores.into());
+        row
+    }
+}
+
 /// Wall-clock ratio with microsecond resolution and a 1 µs floor, so
 /// smoke-scale cells (whole runs inside a millisecond) never divide by
 /// zero.
@@ -80,9 +95,7 @@ fn push_family<S, M>(
     S: mp_model::LocalState + mp_model::Permutable,
     M: mp_model::Message + mp_model::Permutable,
 {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let run = |config: CheckerConfig| {
         let checker = Checker::new(spec, property())
             .spor()
@@ -100,29 +113,13 @@ fn push_family<S, M>(
         let base = *base_time.get_or_insert(report.stats.elapsed);
         let agrees = report.verdict.to_string() == reference.verdict.to_string()
             && report.stats.counters() == reference.stats.counters();
-        let (verdict, completed) = match &report.verdict {
-            Verdict::Verified => ("verified".to_string(), true),
-            Verdict::Violated(cx) => (format!("CE ({} steps)", cx.len()), true),
-            Verdict::LimitReached { what } => (format!("bounded ({what})"), false),
-        };
+        let sym = if roles.is_some() { "+sym" } else { "" };
+        let strategy = format!("parallel-bfs({threads})+SPOR{sym}");
+        let verdict = short_verdict(&report.verdict);
+        let mut measurement = Measurement::of(label, property_label, strategy, verdict, &report);
+        measurement.as_expected = agrees;
         rows.push(ScalingRow {
-            measurement: Measurement {
-                protocol: label.to_string(),
-                property: property_label.to_string(),
-                strategy: match roles {
-                    Some(_) => format!("parallel-bfs({threads})+SPOR+sym"),
-                    None => format!("parallel-bfs({threads})+SPOR"),
-                },
-                states: report.stats.states,
-                transitions: report.stats.transitions_executed,
-                time: report.stats.elapsed,
-                verdict,
-                completed,
-                as_expected: agrees,
-                frontier_bytes: report.stats.frontier_peak_bytes,
-                threads: report.stats.worker_threads,
-                phases: report.stats.phases.clone(),
-            },
+            measurement,
             speedup: ratio(base, report.stats.elapsed),
             cores,
             agrees,
@@ -204,11 +201,11 @@ pub fn smoke_cells() -> (PaxosSetting, MulticastSetting) {
     )
 }
 
-/// Cross-engine agreement probe for the `fault_sweep` binary's
+/// Cross-engine agreement probe for the `fault_sweep` subcommand's
 /// `--threads N` flag: runs the sweep's protocol cells on the pooled
 /// engine at `threads` workers and returns one human-readable line per
 /// cell that *disagrees* with the sequential BFS reference (empty =
-/// everything agrees, the binary prints OK).
+/// everything agrees, the subcommand prints OK).
 pub fn parallel_agreement_probe(threads: usize, budget: &Budget) -> Vec<String> {
     let (paxos, multicast) = smoke_cells();
     parallel_scaling_sweep(&[threads], paxos, multicast, budget)
@@ -252,44 +249,10 @@ pub fn render_parallel_sweep(rows: &[ScalingRow]) -> String {
     out
 }
 
-/// Renders the sweep as the `BENCH_parallel_scaling.json` array: the
-/// shared `Measurement` fields plus a fractional `speedup` and the
-/// producing machine's `cores`. `speedup` is a gated field (`bench_gate`
-/// fails a run whose speedup drops beyond the tolerance against the
-/// committed baseline); `cores` is informational.
-pub fn render_parallel_json(rows: &[ScalingRow]) -> String {
-    let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-    let mut out = String::from("[\n");
-    for (i, row) in rows.iter().enumerate() {
-        let m = &row.measurement;
-        out.push_str(&format!(
-            "  {{\"protocol\":\"{}\",\"property\":\"{}\",\"strategy\":\"{}\",\"states\":{},\
-             \"transitions\":{},\"time_ms\":{},\"verdict\":\"{}\",\"completed\":{},\
-             \"frontier_bytes\":{},\"threads\":{},\"speedup\":{:.3},\"cores\":{}{}}}{}\n",
-            escape(&m.protocol),
-            escape(&m.property),
-            escape(&m.strategy),
-            m.states,
-            m.transitions,
-            m.time.as_millis(),
-            escape(&m.verdict),
-            m.completed,
-            m.frontier_bytes,
-            m.threads,
-            row.speedup,
-            row.cores,
-            phase_json_fields(&m.phases),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("]\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bench_gate::{parse_rows, JsonValue};
+    use crate::bench_gate::{compare, parse_rows, render_rows};
 
     #[test]
     fn sweep_rows_agree_with_sequential_bfs_and_carry_speedups() {
@@ -329,17 +292,30 @@ mod tests {
     fn json_rows_parse_back_through_the_bench_gate() {
         let (paxos, multicast) = smoke_cells();
         let rows = parallel_scaling_sweep(&[1, 2], paxos, multicast, &Budget::small());
-        let parsed = parse_rows(&render_parallel_json(&rows)).expect("gate must parse the emit");
-        assert_eq!(parsed.len(), rows.len());
+        let emitted: Vec<Row> = rows.iter().map(ScalingRow::row).collect();
+        let parsed = parse_rows(&render_rows(&emitted)).expect("gate must parse the emit");
+        assert_eq!(parsed, emitted);
         for row in &parsed {
             assert!(matches!(row.get("speedup"), Some(JsonValue::Num(s)) if *s > 0.0));
             assert!(matches!(row.get("threads"), Some(JsonValue::Num(t)) if *t >= 1.0));
             assert!(matches!(row.get("cores"), Some(JsonValue::Num(c)) if *c >= 1.0));
+            assert_eq!(crate::report::tests::phase_keys(row), 0, "untraced");
         }
-        // Strategy labels keep every row key unique per thread count.
+        // Strategy labels keep every row key unique per thread count, and
+        // the rows gate clean against themselves.
         let keys: std::collections::BTreeSet<String> =
             parsed.iter().map(crate::bench_gate::row_key).collect();
         assert_eq!(keys.len(), parsed.len(), "row keys must be unique");
+        let report = compare("scaling", &parsed, &parsed, 0.10);
+        assert!(report.passed() && report.warnings.is_empty(), "{report:?}");
+        // A traced run's row carries all nine phases, in µs.
+        let mut traced = rows[0].clone();
+        traced.measurement.phases =
+            mp_trace::PhaseTimes::from_nanos([1_000; mp_trace::PHASE_COUNT]);
+        assert_eq!(
+            crate::report::tests::phase_keys(&traced.row()),
+            mp_trace::PHASE_COUNT
+        );
     }
 
     #[test]

@@ -1,9 +1,12 @@
-//! Measurement rows and plain-text/CSV rendering.
+//! Measurement rows and their text, CSV and bench-row renderings.
 
 use std::fmt;
 use std::time::Duration;
 
+use mp_checker::{RunReport, Verdict};
 use mp_trace::PhaseTimes;
+
+use crate::bench_gate::{insert_phases, row, JsonValue, Row};
 
 /// One cell of an evaluation table: a protocol/property/strategy combination
 /// with the measured state count and time.
@@ -39,13 +42,60 @@ pub struct Measurement {
     /// omit it.
     pub threads: usize,
     /// Per-phase wall-clock breakdown of the run (all zero when tracing is
-    /// disabled, which is the default for every bench baseline). Emitted
-    /// into `BENCH_*.json` as flat `phase_<name>_ms` fields so the CI gate
-    /// can watch a phase's *share* of the traced time drift.
+    /// disabled). A traced row carries it as flat `phase_<name>_us` fields
+    /// so the CI gate can watch a phase's *share* of the traced time drift.
     pub phases: PhaseTimes,
 }
 
 impl Measurement {
+    /// The measurement of one run under the given labels: its counters,
+    /// wall time, frontier peak, pool size and phases. `completed` is
+    /// whether it finished within its budget; `as_expected` is `true`.
+    pub(crate) fn of(
+        protocol: &str,
+        property: &str,
+        strategy: String,
+        verdict: String,
+        report: &RunReport,
+    ) -> Self {
+        let stats = &report.stats;
+        Measurement {
+            protocol: protocol.to_string(),
+            property: property.to_string(),
+            strategy,
+            states: stats.states,
+            transitions: stats.transitions_executed,
+            time: stats.elapsed,
+            verdict,
+            completed: !matches!(report.verdict, Verdict::LimitReached { .. }),
+            as_expected: true,
+            frontier_bytes: stats.frontier_peak_bytes,
+            threads: stats.worker_threads,
+            phases: stats.phases.clone(),
+        }
+    }
+
+    /// The row's `BENCH_*.json` fields. `threads` appears on parallel-engine
+    /// rows only, the phase fields on traced rows only.
+    pub fn row(&self) -> Row {
+        let mut row = row([
+            ("protocol", self.protocol.as_str().into()),
+            ("property", self.property.as_str().into()),
+            ("strategy", self.strategy.as_str().into()),
+            ("states", self.states.into()),
+            ("transitions", self.transitions.into()),
+            ("time_ms", JsonValue::millis(self.time)),
+            ("verdict", self.verdict.as_str().into()),
+            ("completed", JsonValue::Bool(self.completed)),
+            ("frontier_bytes", self.frontier_bytes.into()),
+        ]);
+        if self.threads > 0 {
+            row.insert("threads".to_string(), self.threads.into());
+        }
+        insert_phases(&mut row, &self.phases);
+        row
+    }
+
     /// Human-readable duration (e.g. `1.2s`, `350ms`).
     pub fn time_label(&self) -> String {
         let secs = self.time.as_secs_f64();
@@ -71,6 +121,15 @@ impl fmt::Display for Measurement {
             self.time_label(),
             self.verdict
         )
+    }
+}
+
+/// The tables' short verdict: `verified`, `CE (n steps)` or `bounded (why)`.
+pub(crate) fn short_verdict(verdict: &Verdict) -> String {
+    match verdict {
+        Verdict::Verified => "verified".to_string(),
+        Verdict::Violated(cx) => format!("CE ({} steps)", cx.len()),
+        Verdict::LimitReached { what } => format!("bounded ({what})"),
     }
 }
 
@@ -161,87 +220,6 @@ pub fn render_table(title: &str, rows: &[Measurement]) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Renders the flat phase-time JSON fields of a phase breakdown (leading
-/// comma included), shared by every `BENCH_*.json` emitter. Each phase gets
-/// a `phase_<name>_ms` field (the historical unit, kept for old baselines)
-/// and a `phase_<name>_us` sibling — smoke-scale runs finish whole phases
-/// inside a millisecond, so the `_ms` column reads all-zero exactly where
-/// the share-drift gate needs signal most. `bench_gate` prefers the `_us`
-/// family when both sides of a comparison carry it.
-pub fn phase_json_fields(phases: &PhaseTimes) -> String {
-    let mut out = String::new();
-    for (phase, time) in phases.iter() {
-        out.push_str(&format!(
-            ",\"phase_{}_ms\":{},\"phase_{}_us\":{}",
-            phase.name(),
-            time.as_millis(),
-            phase.name(),
-            time.as_micros()
-        ));
-    }
-    out
-}
-
-/// Renders measurements as a JSON array (for the `BENCH_*.json` files the
-/// binaries can emit so the bench trajectory is machine-readable).
-pub fn render_json(rows: &[Measurement]) -> String {
-    let mut out = String::from("[\n");
-    for (i, m) in rows.iter().enumerate() {
-        let threads_field = if m.threads > 0 {
-            format!(",\"threads\":{}", m.threads)
-        } else {
-            String::new()
-        };
-        out.push_str(&format!(
-            "  {{\"protocol\":\"{}\",\"property\":\"{}\",\"strategy\":\"{}\",\"states\":{},\
-             \"transitions\":{},\"time_ms\":{},\"verdict\":\"{}\",\"completed\":{},\
-             \"frontier_bytes\":{}{}{}}}{}\n",
-            json_escape(&m.protocol),
-            json_escape(&m.property),
-            json_escape(&m.strategy),
-            m.states,
-            m.transitions,
-            m.time.as_millis(),
-            json_escape(&m.verdict),
-            m.completed,
-            m.frontier_bytes,
-            threads_field,
-            phase_json_fields(&m.phases),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("]\n");
-    out
-}
-
-/// Parses the shared `--json [PATH]` CLI convention of the harness
-/// binaries: returns `None` when `--json` is absent, `Some(default)` when it
-/// is given without a path (the next argument is another flag or missing),
-/// and `Some(path)` otherwise. Keeping the convention in one place is what
-/// lets every binary emit its `BENCH_*.json`.
-pub fn json_output_path(args: &[String], default: &str) -> Option<String> {
-    let at = args.iter().position(|a| a == "--json")?;
-    match args.get(at + 1) {
-        Some(next) if !next.starts_with("--") => Some(next.clone()),
-        _ => Some(default.to_string()),
-    }
-}
-
-/// Writes measurement rows as a JSON array to `path` and reports the write
-/// on stderr — the shared tail of every binary's `--json` handling.
-///
-/// # Panics
-///
-/// Panics when the file cannot be written; the binaries treat that as fatal.
-pub fn write_json_rows(path: &str, rows: &[Measurement]) {
-    std::fs::write(path, render_json(rows)).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    eprintln!("wrote {} rows to {path}", rows.len());
-}
-
 /// Renders measurements as CSV (one row per measurement).
 pub fn render_csv(rows: &[Measurement]) -> String {
     let mut out =
@@ -263,7 +241,7 @@ pub fn render_csv(rows: &[Measurement]) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn sample(protocol: &str, strategy: &str, states: usize) -> Measurement {
@@ -287,9 +265,8 @@ mod tests {
     fn threads_field_marks_parallel_rows_only() {
         let mut pooled = sample("p", "parallel-bfs(4)+SPOR", 10);
         pooled.threads = 4;
-        let json = render_json(&[sample("p", "SPOR", 10), pooled]);
-        assert_eq!(json.matches("\"threads\":").count(), 1, "{json}");
-        assert!(json.contains("\"threads\":4"), "{json}");
+        assert_eq!(sample("p", "SPOR", 10).row().get("threads"), None);
+        assert_eq!(pooled.row().get("threads"), Some(&JsonValue::Num(4.0)));
     }
 
     #[test]
@@ -322,8 +299,11 @@ mod tests {
 
     #[test]
     fn json_is_an_array_of_objects() {
-        let rows = vec![sample("p1", "s1", 10), sample("p2", "s2", 20)];
-        let json = render_json(&rows);
+        let rows: Vec<Row> = [sample("p1", "s1", 10), sample("p2", "s2", 20)]
+            .iter()
+            .map(Measurement::row)
+            .collect();
+        let json = crate::bench_gate::render_rows(&rows);
         assert!(json.starts_with("[\n"));
         assert!(json.trim_end().ends_with(']'));
         assert_eq!(json.matches("\"protocol\"").count(), 2);
@@ -331,26 +311,37 @@ mod tests {
         assert!(json.contains("\"time_ms\":1500"));
         // Exactly one separating comma between the two objects.
         assert_eq!(json.matches("},\n").count(), 1);
-        // Every row carries the full flat phase breakdown (zeros when
-        // tracing was disabled).
-        assert_eq!(json.matches("\"phase_expansion_ms\":").count(), 2);
-        assert_eq!(json.matches("\"phase_expansion_us\":").count(), 2);
-        assert_eq!(json.matches("\"phase_scc_backstop_ms\":0").count(), 2);
+        // The rows parse back unchanged and gate clean against themselves.
+        let parsed = crate::bench_gate::parse_rows(&json).unwrap();
+        assert_eq!(parsed, rows);
+        let report = crate::bench_gate::compare("t", &parsed, &parsed, 0.10);
+        assert!(report.passed() && report.warnings.is_empty());
+    }
+
+    /// The phase keys of a row, asserting they are the microsecond family.
+    pub(crate) fn phase_keys(row: &Row) -> usize {
+        let keys: Vec<&String> = row.keys().filter(|k| k.starts_with("phase_")).collect();
+        assert!(keys.iter().all(|k| k.ends_with("_us")), "{keys:?}");
+        keys.len()
     }
 
     #[test]
-    fn phase_fields_report_milliseconds_and_microseconds() {
+    fn phase_fields_are_microseconds_on_traced_rows_only() {
+        let mut m = sample("p", "s", 1);
+        assert_eq!(
+            phase_keys(&m.row()),
+            0,
+            "an untraced row has no phase field"
+        );
         let mut nanos = [0u64; mp_trace::PHASE_COUNT];
         nanos[0] = 7_000_000; // 7 ms of expansion
-        nanos[1] = 250_000; // 250 µs of store lookup — invisible in ms
-        let mut m = sample("p", "s", 1);
+        nanos[1] = 250_000; // 250 µs of store lookup
         m.phases = PhaseTimes::from_nanos(nanos);
-        let json = render_json(&[m]);
-        assert!(json.contains("\"phase_expansion_ms\":7"), "{json}");
-        assert!(json.contains("\"phase_expansion_us\":7000"), "{json}");
-        // The sub-millisecond phase only shows up in the _us column.
-        assert!(json.contains("\"phase_store_lookup_ms\":0"), "{json}");
-        assert!(json.contains("\"phase_store_lookup_us\":250"), "{json}");
+        let row = m.row();
+        assert_eq!(phase_keys(&row), mp_trace::PHASE_COUNT);
+        assert_eq!(row["phase_expansion_us"], JsonValue::Num(7000.0));
+        assert_eq!(row["phase_store_lookup_us"], JsonValue::Num(250.0));
+        assert_eq!(row["phase_scc_backstop_us"], JsonValue::Num(0.0));
     }
 
     #[test]
@@ -360,24 +351,6 @@ mod tests {
         assert!(csv.starts_with("protocol,"));
         assert_eq!(csv.lines().count(), 2);
         assert!(csv.contains("p1,p,s1,10,20,1500,verified,true"));
-    }
-
-    #[test]
-    fn json_output_path_follows_the_flag_convention() {
-        let to_args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(json_output_path(&to_args(&["bin"]), "d.json"), None);
-        assert_eq!(
-            json_output_path(&to_args(&["bin", "--json"]), "d.json"),
-            Some("d.json".to_string())
-        );
-        assert_eq!(
-            json_output_path(&to_args(&["bin", "--json", "out.json"]), "d.json"),
-            Some("out.json".to_string())
-        );
-        assert_eq!(
-            json_output_path(&to_args(&["bin", "--json", "--full"]), "d.json"),
-            Some("d.json".to_string())
-        );
     }
 
     #[test]

@@ -8,10 +8,10 @@ use mp_model::{LocalState, Message, ProtocolSpec};
 use mp_por::SeedHeuristic;
 use mp_store::{FrontierConfig, StoreConfig};
 
-use crate::report::Measurement;
+use crate::report::{short_verdict, Measurement};
 
 /// Resource budget applied to every experiment cell. The defaults keep the
-/// whole table runnable on a laptop in minutes; `--full` in the binaries
+/// whole table runnable on a laptop in minutes; `--full` on the subcommands
 /// lifts them to paper-scale.
 #[derive(Clone, Debug)]
 pub struct Budget {
@@ -30,7 +30,7 @@ pub struct Budget {
     pub frontier: FrontierConfig,
     /// Observability sink (`mp-trace`) forwarded into every cell's
     /// [`CheckerConfig`]. The default disabled tracer keeps every
-    /// instrumentation point a no-op; the binaries' `--progress` /
+    /// instrumentation point a no-op; the subcommands' `--progress` /
     /// `--trace PATH` flags install an enabled one.
     pub trace: Tracer,
     /// Root directory for per-cell checkpoint/resume state (`None` runs
@@ -196,27 +196,20 @@ where
             .config(budget.apply(CheckerConfig::parallel_bfs(threads))),
     };
     let report = checker.run();
-
-    let (verdict, completed, as_expected) = match &report.verdict {
-        Verdict::Verified => ("verified".to_string(), true, !expect_violation),
-        Verdict::Violated(cx) => (format!("CE ({} steps)", cx.len()), true, expect_violation),
-        Verdict::LimitReached { what } => (format!("bounded ({what})"), false, true),
-    };
-
-    Measurement {
-        protocol: protocol_label.to_string(),
-        property: property_label.to_string(),
-        strategy: strategy.label(),
-        states: report.stats.states,
-        transitions: report.stats.transitions_executed,
-        time: report.stats.elapsed,
+    let verdict = short_verdict(&report.verdict);
+    let mut m = Measurement::of(
+        protocol_label,
+        property_label,
+        strategy.label(),
         verdict,
-        completed,
-        as_expected,
-        frontier_bytes: report.stats.frontier_peak_bytes,
-        threads: report.stats.worker_threads,
-        phases: report.stats.phases.clone(),
-    }
+        &report,
+    );
+    m.as_expected = match report.verdict {
+        Verdict::Verified => !expect_violation,
+        Verdict::Violated(_) => expect_violation,
+        Verdict::LimitReached { .. } => true,
+    };
+    m
 }
 
 #[cfg(test)]

@@ -140,7 +140,7 @@ impl SymmetryPoint {
 /// acceptor set grows: the validated group order is `acceptors!`, so the
 /// reduction compounds with the quorum-model savings. Returns the per-point
 /// ratios plus `Measurement` rows (strategy-labelled by the engine, e.g.
-/// `SPOR+sym(6)`) that the `quorum_scaling` binary appends to
+/// `SPOR+sym(6)`) that the `quorum_scaling` subcommand appends to
 /// `BENCH_quorum_scaling.json` so the trajectory is gated in CI.
 pub fn paxos_symmetry_sweep(
     max_acceptors: usize,
@@ -179,20 +179,10 @@ pub fn paxos_symmetry_sweep(
             verdicts_agree: plain.verdict.is_violated() == sym.verdict.is_violated()
                 && plain.verdict.is_verified() == sym.verdict.is_verified(),
         });
-        rows.push(Measurement {
-            protocol: label,
-            property: "Consensus".to_string(),
-            strategy: format!("SPOR+sym({group_order})"),
-            states: sym.stats.states,
-            transitions: sym.stats.transitions_executed,
-            time: sym.stats.elapsed,
-            verdict: sym.verdict.to_string(),
-            completed: !matches!(sym.verdict, mp_checker::Verdict::LimitReached { .. }),
-            as_expected: sym.verdict.is_verified(),
-            frontier_bytes: sym.stats.frontier_peak_bytes,
-            threads: sym.stats.worker_threads,
-            phases: sym.stats.phases.clone(),
-        });
+        let strategy = format!("SPOR+sym({group_order})");
+        let mut m = Measurement::of(&label, "Consensus", strategy, sym.verdict.to_string(), &sym);
+        m.as_expected = sym.verdict.is_verified();
+        rows.push(m);
     }
     (points, rows)
 }
@@ -252,7 +242,7 @@ pub const SCALING_SPILL_WATERMARK: usize = 64;
 /// to force multi-segment spilling) — and asserts exact verdict/state
 /// agreement. Returns the per-point byte accounting plus
 /// `Measurement` rows (strategy `"SPOR (BFS+spill)"`, `frontier_bytes`
-/// recorded) that the `quorum_scaling` binary appends to
+/// recorded) that the `quorum_scaling` subcommand appends to
 /// `BENCH_quorum_scaling.json` so the spill trajectory is gated in CI.
 pub fn paxos_frontier_sweep(
     max_acceptors: usize,
@@ -287,20 +277,16 @@ pub fn paxos_frontier_sweep(
             agrees: mem.verdict.to_string() == disk.verdict.to_string()
                 && mem.stats.states == disk.stats.states,
         });
-        rows.push(Measurement {
-            protocol: label,
-            property: "Consensus".to_string(),
-            strategy: "SPOR (BFS+spill)".to_string(),
-            states: disk.stats.states,
-            transitions: disk.stats.transitions_executed,
-            time: disk.stats.elapsed,
-            verdict: disk.verdict.to_string(),
-            completed: !matches!(disk.verdict, mp_checker::Verdict::LimitReached { .. }),
-            as_expected: disk.verdict.is_verified(),
-            frontier_bytes: disk.stats.frontier_peak_bytes,
-            threads: disk.stats.worker_threads,
-            phases: disk.stats.phases.clone(),
-        });
+        let strategy = "SPOR (BFS+spill)".to_string();
+        let mut m = Measurement::of(
+            &label,
+            "Consensus",
+            strategy,
+            disk.verdict.to_string(),
+            &disk,
+        );
+        m.as_expected = disk.verdict.is_verified();
+        rows.push(m);
     }
     (points, rows)
 }

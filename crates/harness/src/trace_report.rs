@@ -1,4 +1,4 @@
-//! Markdown rendering behind the `trace_report` binary.
+//! Markdown rendering behind the `trace_report` subcommand.
 //!
 //! `mp_trace::analyze` turns an NDJSON trace into [`RunSummary`] values;
 //! this module turns those into the human-facing artifacts CI publishes:
@@ -25,7 +25,7 @@ pub fn load_runs(path: &str) -> Result<Vec<RunSummary>, String> {
 
 /// `protocol · strategy · property`, the run identity used in headings and
 /// for pairing runs across two traces.
-fn run_label(run: &RunSummary) -> String {
+pub(crate) fn run_label(run: &RunSummary) -> String {
     format!("{} · {} · {}", run.protocol, run.strategy, run.property)
 }
 
@@ -115,7 +115,7 @@ pub fn summary_markdown(path: &str, runs: &[RunSummary]) -> String {
 /// Pairs runs of two traces by identity label in order of appearance
 /// (duplicate labels match positionally), returning the pairs plus the
 /// labels left unmatched on each side.
-fn pair_runs<'a>(
+pub(crate) fn pair_runs<'a>(
     a: &'a [RunSummary],
     b: &'a [RunSummary],
 ) -> (

@@ -6,8 +6,8 @@
 //! roughly `(k + l)²` where `l` is the quorum size. This module provides the
 //! smallest protocol family exhibiting that effect: `c` independent
 //! collectors each waiting for a quorum of `q` votes from `n` voters. The
-//! `quorum_scaling` harness binary and benchmark sweep `n` and `q` over this
-//! family and report the measured ratio between the two modelling styles.
+//! harness's `quorum_scaling` subcommand sweeps `n` and `q` over this
+//! family and reports the measured ratio between the two modelling styles.
 
 use std::collections::BTreeSet;
 

@@ -5,8 +5,8 @@
 //! that quorum-split satisfies this; this module *checks* it on concrete
 //! (small) protocol instances by materialising both state graphs and
 //! comparing reachable states and the transition relation Δ. It is used by
-//! the test suite and by the `refinement_overhead` benchmark, and it is also
-//! a useful safety net for hand-written split models.
+//! the test suite, and it is also a useful safety net for hand-written split
+//! models.
 
 use mp_model::{LocalState, Message, ModelError, ProtocolSpec, StateGraph};
 

@@ -772,7 +772,7 @@ mod tests {
 
         // The `paxos-sym` cell. Its whole quotient (185 372 representatives,
         // 845 511 successors) takes most of a minute unoptimized; the first
-        // 20 000 expansions, breadth first, are `expand_probe`'s sample size.
+        // 20 000 expansions, breadth first, are the benchmark probes' sample size.
         let setting = paxos::PaxosSetting::new(2, 3, 1);
         let spec =
             paxos::faulty_quorum_model(setting, paxos::PaxosVariant::Correct, crash1.drops(1));

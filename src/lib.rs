@@ -9,7 +9,7 @@
 //!   quorum transitions (the paper's MP language analogue);
 //! * [`trace`] (`mp-trace`) — zero-dependency observability: phase timers,
 //!   an atomic metrics registry, progress heartbeats and NDJSON run traces
-//!   shared by every engine and harness binary;
+//!   shared by every engine and the harness;
 //! * [`por`] (`mp-por`) — static (stubborn-set / MP-LPOR style) and dynamic
 //!   partial-order reduction;
 //! * [`store`] (`mp-store`) — pluggable visited-state backends (exact,
