@@ -14,19 +14,19 @@
 //!
 //! The calling thread owns the frontier, the parent log and the checkpoint
 //! writer, and is itself a worker. It cuts the current level into chunks
-//! of `CHUNK_ENTRIES` (64) entries and offers each to the bounded queue of
-//! `pool.rs`, which `threads − 1` helper threads — spawned once per run —
-//! serve. Whenever the queue is full the caller expands the chunk
-//! itself, so at most `2 × helpers` chunks wait, and with zero helpers
-//! (the sequential strategy, or `parallel_bfs(1)`) every chunk is expanded
-//! in place, in FIFO order: sequential BFS is this loop without helpers,
-//! not a second engine. One `expand_chunk` serves caller and helpers; it
-//! returns the chunk's first-visit successors and a plain tally, and only
-//! the caller `admit`s them — assigns the node index, appends the parent
-//! record, tees the checkpoint, pushes the frontier. A level ends when the
-//! frontier's current level is drained and every chunk has come back, so
-//! verdicts, counters and peak depth do not depend on the thread count;
-//! with helpers only the order *within* a level does.
+//! of `CHUNK_ENTRIES` (64) frontier records and offers each to the bounded
+//! queue of `pool.rs`, which `threads − 1` helper threads — spawned once
+//! per run — serve. Whenever the queue is full the caller expands the
+//! chunk itself, so at most `2 × helpers` chunks wait, and with zero
+//! helpers (the sequential strategy, or `parallel_bfs(1)`) every chunk is
+//! expanded in place, in FIFO order: sequential BFS is this loop without
+//! helpers, not a second engine. One `expand_chunk` serves caller and
+//! helpers; it returns the chunk's first-visit successors, encoded, and a
+//! plain tally, and only the caller `admit`s them — assigns the node index,
+//! appends the parent record, tees the checkpoint, pushes the frontier. A
+//! level ends when the frontier's current level is drained and every chunk
+//! has come back, so verdicts, counters and peak depth do not depend on the
+//! thread count; with helpers only the order *within* a level does.
 //!
 //! The pooled strategy upgrades a single-lock visited store to its
 //! lock-striped equivalent
@@ -35,17 +35,19 @@
 //!
 //! # Frontier, spill and symmetry
 //!
-//! The level queues are a `mp-store` [`FrontierBackend`]: with
+//! The level queues are a `mp-store` [`Frontier`] of byte records
+//! `varint(node) varint(δ) key`, `key` being the bytes the visited store
+//! was probed with: a state is encoded once, by the worker that finds it,
+//! and decoded once, by the worker that expands it. With
 //! [`FrontierConfig::Disk`](mp_store::FrontierConfig) (strategy suffix
-//! `+spill`) encoded entries and the parent log spill past the watermark
-//! and are read back level by level, with byte-identical verdicts and
-//! counts (both frontiers are strictly FIFO). With a non-trivial
-//! [`Symmetry`] each successor is canonicalized **once**; the canonical
-//! pair `(ŝ, ô)` is both the visited-store key and the frontier payload,
-//! alongside the group element δ that produced it. On dequeue the concrete
-//! state is recovered as `apply_element(δ⁻¹, ŝ)`, so frontier (and spill)
-//! bytes shrink with the orbit collapse while exploration, properties and
-//! counterexample paths all stay concrete.
+//! `+spill`) the records and the parent log spill past the watermark, with
+//! byte-identical verdicts and counts (the order is FIFO either way). With a
+//! non-trivial [`Symmetry`] each successor is canonicalized **once**; the
+//! canonical pair `(ŝ, ô)` is the key, alongside the group element δ that
+//! produced it. On dequeue the concrete state is recovered as
+//! `apply_element(δ⁻¹, ŝ)`, so frontier (and spill) bytes shrink with the
+//! orbit collapse while exploration, properties and counterexample paths
+//! all stay concrete.
 //!
 //! # Partial-order reduction
 //!
@@ -56,18 +58,19 @@
 //! reduced BFS can postpone a transition forever — check cyclic models
 //! with the DFS engine, whose proviso covers them.
 
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
 use mp_store::{
-    canonical_label, manifest_exists, CheckpointError, CheckpointWriter, FrontierBackend,
-    FrontierImpl, ItemCodec, Manifest, ParentLog, ParentRecord, StateStoreBackend, StoreImpl,
+    canonical_label, manifest_exists, CheckpointError, CheckpointWriter, Frontier, Manifest,
+    ParentLog, ParentRecord, PlainCodec, StateStoreBackend, StoreImpl,
 };
 
 use mp_model::{
-    enabled_instances, execute_enabled, DecodeError, Encode, GlobalState, LocalState, Message,
-    ProtocolSpec, TransitionInstance,
+    enabled_instances, execute_enabled, read_varint, write_varint, Decode, DecodeError, Encode,
+    GlobalState, LocalState, Message, ProtocolSpec, TransitionInstance,
 };
 use mp_por::Reducer;
 use mp_symmetry::Symmetry;
@@ -81,46 +84,24 @@ use crate::{
     RunReport, Verdict,
 };
 
-/// A frontier entry: `(node index in the parent log, δ, state, observer)`,
-/// where the state/observer pair is the canonical orbit representative and
-/// δ the group element that produced it (0 = identity, so symmetry-free
-/// runs carry the concrete state unchanged).
-type Entry<S, M, O> = (usize, usize, GlobalState<S, M>, O);
-
-type Store<S, M, O> = StoreImpl<(GlobalState<S, M>, O)>;
-
-/// A first-visit successor on its way to `admit`: `(parent's node index,
-/// ordinal in the parent's explore set, δ, state, observer)`.
-type Fresh<S, M, O> = (usize, usize, usize, GlobalState<S, M>, O);
-
-/// The frontier item codec: plain data goes through the `mp-model` codec,
-/// the observer is rebuilt with the run's initial observer as the decode
-/// template (see [`Observer::decode_like`]).
-struct EntryCodec<O> {
-    template: O,
-}
-
-impl<S, M, O> ItemCodec<Entry<S, M, O>> for EntryCodec<O>
-where
-    S: LocalState,
-    M: Message,
-    O: Observer<S, M>,
-{
-    fn encode_item(&self, item: &Entry<S, M, O>, out: &mut Vec<u8>) {
-        item.0.encode(out);
-        item.1.encode(out);
-        item.2.encode(out);
-        item.3.encode(out);
-    }
-
-    fn decode_item(&self, input: &mut &[u8]) -> Result<Entry<S, M, O>, DecodeError> {
-        Ok((
-            mp_model::Decode::decode(input)?,
-            mp_model::Decode::decode(input)?,
-            mp_model::Decode::decode(input)?,
-            self.template.decode_like(input)?,
-        ))
-    }
+/// Decodes the frontier record `varint(len) varint(node) varint(δ) state
+/// observer` at the front of `records` and steps past it: the node index
+/// in the parent log, the group element δ that produced the canonical
+/// orbit representative (0 = identity), and the representative's store
+/// key, its observer rebuilt from the run's initial one as the template
+/// (see [`Observer::decode_like`]).
+fn decode_record<S: LocalState, M: Message, O: Observer<S, M>>(
+    template: &O,
+    records: &mut &[u8],
+) -> Result<(usize, usize, GlobalState<S, M>, O), DecodeError> {
+    // The frontier checked the length; the fields consume exactly that.
+    read_varint(records)?;
+    Ok((
+        Decode::decode(records)?,
+        Decode::decode(records)?,
+        Decode::decode(records)?,
+        template.decode_like(records)?,
+    ))
 }
 
 /// The first violation a chunk met, which ended it.
@@ -135,8 +116,14 @@ struct Violation<S, M: Ord> {
 }
 
 /// What expanding one chunk produced.
-struct Expanded<S, M: Ord, O> {
-    fresh: Vec<Fresh<S, M, O>>,
+struct Expanded<S, M: Ord> {
+    /// First-visit successors, in generation order: `(parent's node index,
+    /// ordinal in the parent's explore set, its range of `bodies`)`.
+    fresh: Vec<(usize, usize, Range<usize>)>,
+    /// Each one's `varint(δ) key`: its frontier record but the node index.
+    bodies: Vec<u8>,
+    /// Bytes of the chunk, which the frontier counts until `admit`.
+    chunk_bytes: usize,
     violation: Option<Violation<S, M>>,
     expansions: usize,
     transitions: usize,
@@ -152,9 +139,11 @@ struct Expander<'a, S, M: Ord, O> {
     symmetry: &'a dyn Symmetry<S, M, O>,
     /// `symmetry.is_trivial()`, hoisted so the hot loop skips the dyn call.
     trivial: bool,
-    store: &'a Store<S, M, O>,
+    /// The decode template of observers (the run's initial observer).
+    template: &'a O,
+    store: &'a StoreImpl<(GlobalState<S, M>, O)>,
     check_deadlocks: bool,
-    pool: &'a Pool<Entry<S, M, O>, Expanded<S, M, O>>,
+    pool: &'a Pool<u8, Expanded<S, M>>,
     trace: TraceHandle,
 }
 
@@ -164,24 +153,33 @@ where
     M: Message,
     O: Observer<S, M>,
 {
-    /// Expands the entries of one chunk in order. Per successor: execute,
-    /// update the observer, canonicalize, insert the visited-store key,
-    /// and — on a first visit only — evaluate the property.
-    fn expand_chunk(&self, chunk: Vec<Entry<S, M, O>>) -> Expanded<S, M, O> {
+    /// Decodes and expands the records of one chunk in order. Per
+    /// successor: execute, update the observer, canonicalize, encode the
+    /// store key, insert it, and — on a first visit only — evaluate the
+    /// property and keep the encoding for the frontier.
+    fn expand_chunk(&self, chunk: Vec<u8>) -> Expanded<S, M> {
         let (spec, trace) = (self.spec, &self.trace);
         let mut out = Expanded {
             // At least one successor per entry is the common case.
-            fresh: Vec::with_capacity(chunk.len()),
+            fresh: Vec::with_capacity(CHUNK_ENTRIES),
+            bodies: Vec::with_capacity(chunk.len()),
+            chunk_bytes: chunk.len(),
             violation: None,
             expansions: 0,
             transitions: 0,
             reduced: 0,
             revisits: 0,
         };
-        for (node, delta, key_state, key_observer) in chunk {
+        let mut records = chunk.as_slice();
+        while !records.is_empty() {
             if self.pool.stopped() {
                 break;
             }
+            let (node, delta, key_state, key_observer) = {
+                let _span = trace.span(Phase::FrontierDecode);
+                decode_record(self.template, &mut records)
+                    .unwrap_or_else(|e| panic!("corrupted frontier record: {e}"))
+            };
             // δ⁻¹ maps the stored orbit representative back to the concrete
             // state this entry was generated as.
             let (state, observer) = if delta == 0 {
@@ -216,8 +214,7 @@ where
                     (next_state, next_observer)
                 };
                 out.transitions += 1;
-                // `None` = the concrete pair is its own representative and
-                // moves into the entry without a clone.
+                // `None` = the concrete pair is its own representative.
                 let (delta, canonical) = if self.trivial {
                     (0, None)
                 } else {
@@ -226,12 +223,21 @@ where
                             .canonicalize_traced(&concrete.0, &concrete.1, trace);
                     (e, Some((cs, co)))
                 };
+                // The successor's one encoding: the store probes its key
+                // part, and a first visit keeps it whole as its body.
+                let start = out.bodies.len();
                 let first_visit = {
                     let _lookup = trace.span(Phase::StoreLookup);
-                    self.store
-                        .insert_ref(canonical.as_ref().unwrap_or(&concrete))
+                    write_varint(delta as u64, &mut out.bodies);
+                    let key = out.bodies.len();
+                    canonical
+                        .as_ref()
+                        .unwrap_or(&concrete)
+                        .encode(&mut out.bodies);
+                    self.store.insert_bytes(&out.bodies[key..]).new
                 };
                 if !first_visit {
+                    out.bodies.truncate(start);
                     out.revisits += 1;
                     continue;
                 }
@@ -246,9 +252,7 @@ where
                     });
                     return out;
                 }
-                let (entry_state, entry_observer) = canonical.unwrap_or(concrete);
-                out.fresh
-                    .push((node, ordinal, delta, entry_state, entry_observer));
+                out.fresh.push((node, ordinal, start..out.bodies.len()));
             }
         }
         out
@@ -300,7 +304,7 @@ enum Stop {
 
 /// The caller-owned half of a run: everything `admit` and the level loop
 /// write.
-struct Search<'a, S, M: Ord, O> {
+struct Search<'a, S, M: Ord> {
     spec: &'a ProtocolSpec<S, M>,
     reducer: &'a dyn Reducer<S, M>,
     property_name: &'a str,
@@ -310,10 +314,10 @@ struct Search<'a, S, M: Ord, O> {
     /// The last completed level.
     depth: usize,
     nodes: ParentLog,
-    frontier: FrontierImpl<Entry<S, M, O>, EntryCodec<O>>,
+    frontier: Frontier,
     ckpt: Option<CheckpointWriter>,
-    codec: EntryCodec<O>,
-    scratch: Vec<u8>,
+    /// The frontier record being enqueued.
+    record: Vec<u8>,
     trace: TraceHandle,
     /// What a checkpoint manifest pins besides the configuration: the
     /// protocol structure and the full strategy label (strategy + thread
@@ -324,38 +328,32 @@ struct Search<'a, S, M: Ord, O> {
     identity: String,
 }
 
-impl<S, M, O> Search<'_, S, M, O>
+impl<S, M> Search<'_, S, M>
 where
     S: LocalState,
     M: Message,
-    O: Observer<S, M>,
 {
     /// The one place a state enters the search: assigns its node index,
-    /// appends its parent record, tees both into the checkpoint and pushes
-    /// the frontier.
-    fn enqueue(
-        &mut self,
-        record: ParentRecord,
-        delta: usize,
-        state: GlobalState<S, M>,
-        observer: O,
-    ) {
-        let index = self.nodes.push(record).unwrap_or_else(|e| panic!("{e}"));
-        let entry = (index, delta, state, observer);
+    /// appends its parent record, and writes its frontier record —
+    /// `varint(node)` before the `varint(δ) key` body its worker encoded —
+    /// unchanged into the checkpoint tee and the frontier.
+    fn enqueue(&mut self, parent: ParentRecord, body: &[u8]) {
+        let index = self.nodes.push(parent).unwrap_or_else(|e| panic!("{e}"));
+        self.record.clear();
+        write_varint(index as u64, &mut self.record);
+        self.record.extend_from_slice(body);
         if let Some(writer) = self.ckpt.as_mut() {
-            let bytes = ParentLog::encode(record).expect("the log just took this record");
+            let bytes = ParentLog::encode(parent).expect("the log just took this record");
             ckpt_ok(writer.push_parent(&bytes));
-            self.scratch.clear();
-            self.codec.encode_item(&entry, &mut self.scratch);
-            ckpt_ok(writer.push_entry(&self.scratch));
+            ckpt_ok(writer.push_entry(&self.record));
         }
-        self.frontier.push(entry);
+        self.frontier.push_record(&self.record);
         self.stats.states += 1;
         self.trace.add(Counter::States, 1);
     }
 
     /// Folds one chunk's result into the search, in generation order.
-    fn admit(&mut self, out: Expanded<S, M, O>) -> Result<(), Stop> {
+    fn admit(&mut self, out: Expanded<S, M>) -> Result<(), Stop> {
         self.stats.expansions += out.expansions;
         self.stats.transitions_executed += out.transitions;
         self.stats.reduced_states += out.reduced;
@@ -363,13 +361,14 @@ where
         self.trace.add(Counter::Expansions, out.expansions as u64);
         self.trace.add(Counter::Transitions, out.transitions as u64);
         self.trace.add(Counter::Revisits, out.revisits as u64);
-        for (parent, ordinal, delta, state, observer) in out.fresh {
+        for (parent, ordinal, body) in out.fresh {
             if self.stats.states >= self.config.max_states {
                 let what = format!("state limit of {}", self.config.max_states);
                 return Err(Stop::Limit(what));
             }
-            self.enqueue(Some((parent, ordinal)), delta, state, observer);
+            self.enqueue(Some((parent, ordinal)), &out.bodies[body]);
         }
+        self.frontier.release(out.chunk_bytes);
         let Some(violation) = out.violation else {
             return Ok(());
         };
@@ -418,27 +417,26 @@ where
         }
     }
 
-    /// Rebuilds the search from a committed checkpoint and returns the
-    /// store hits of the committed part (the rebuild inserts are all
-    /// misses, so the caller folds them back in at the end).
-    fn resume(&mut self, dir: &Path, manifest: &Manifest, store: &Store<S, M, O>) -> usize {
-        // Rebuild the visited set from every committed level; the last one
-        // also re-seeds the frontier, exactly as the original run left it.
+    /// Rebuilds the search from a committed checkpoint. The rebuild
+    /// inserts are all store misses, so the caller folds the committed
+    /// part's hits (`stats.revisits`) back in at the end.
+    fn resume<K: Encode>(&mut self, dir: &Path, manifest: &Manifest, store: &StoreImpl<K>) {
+        // Rebuild the visited set from every committed level's keys; the
+        // last level's entries — frontier records' payloads, `varint(node)
+        // varint(δ) key` — also re-seed the frontier as they are.
         for level in 0..=manifest.level {
             let raws = manifest
                 .read_level(dir, level)
                 .unwrap_or_else(|e| panic!("checkpoint in {}: {e}", dir.display()));
             let last = level == manifest.level;
             for raw in raws {
-                let entry = self
-                    .codec
-                    .decode_item(&mut raw.as_slice())
+                let mut key = raw.as_slice();
+                read_varint(&mut key)
+                    .and_then(|_| read_varint(&mut key))
                     .unwrap_or_else(|e| panic!("corrupted checkpoint entry: {e}"));
+                store.insert_bytes(key);
                 if last {
-                    store.insert((entry.2.clone(), entry.3.clone()));
-                    self.frontier.push(entry);
-                } else {
-                    store.insert((entry.2, entry.3));
+                    self.frontier.push_record(&raw);
                 }
             }
         }
@@ -467,11 +465,10 @@ where
         );
         self.trace
             .resume(self.depth as u64, self.stats.states as u64);
-        self.stats.revisits
     }
 
     /// The level loop: runs until the frontier is empty or a [`Stop`].
-    fn levels(&mut self, expander: &Expander<'_, S, M, O>) -> Result<(), Stop> {
+    fn levels<O: Observer<S, M>>(&mut self, expander: &Expander<'_, S, M, O>) -> Result<(), Stop> {
         let (store, pool, trace) = (expander.store, expander.pool, self.trace.clone());
         let every = self
             .config
@@ -497,8 +494,8 @@ where
             }
 
             loop {
-                let mut chunk = Vec::with_capacity(CHUNK_ENTRIES);
-                chunk.extend(std::iter::from_fn(|| self.frontier.pop()).take(CHUNK_ENTRIES));
+                let mut chunk = Vec::new();
+                let entries = self.frontier.pop_records(CHUNK_ENTRIES, &mut chunk);
                 // Block only once the level has nothing left to hand out;
                 // it is complete when nothing is outstanding either.
                 let finished = pool.collect(chunk.is_empty());
@@ -509,7 +506,7 @@ where
                     self.admit(out)?;
                 }
                 if !chunk.is_empty() {
-                    trace.record(Histogram::BatchOccupancy, chunk.len() as u64);
+                    trace.record(Histogram::BatchOccupancy, entries as u64);
                     if let Err(chunk) = pool.submit(chunk) {
                         self.admit(expander.expand_chunk(chunk))?;
                     }
@@ -621,8 +618,8 @@ where
         .trace
         .begin_run(spec.name(), &strategy, property.name());
 
-    // Keys are canonicalized by `expand_chunk` (one canonicalization per
-    // successor, shared between the store key and the frontier entry).
+    // Keys are canonicalized and encoded by `expand_chunk` (one of each per
+    // successor, shared between the store key and the frontier record).
     let store = store_config.build::<(GlobalState<S, M>, O)>();
     let store_name = if trivial {
         store.name()
@@ -642,15 +639,10 @@ where
         start,
         stats,
         depth: 0,
-        nodes: ParentLog::new(config.frontier, trace.handle()),
-        frontier: config.frontier.build(EntryCodec {
-            template: initial_observer.clone(),
-        }),
+        nodes: ParentLog::new(config.frontier.watermark(), trace.handle()),
+        frontier: config.frontier.build(PlainCodec),
         ckpt: None,
-        codec: EntryCodec {
-            template: initial_observer.clone(),
-        },
-        scratch: Vec::new(),
+        record: Vec::new(),
         trace: trace.handle(),
         spec_fp: spec.structure_fingerprint(),
         strategy,
@@ -667,7 +659,8 @@ where
             manifest
                 .validate(search.spec_fp, &search.strategy, &search.identity)
                 .unwrap_or_else(|e| panic!("refusing to resume from {}: {e}", c.dir.display()));
-            resumed_hits = search.resume(&c.dir, &manifest, &store);
+            search.resume(&c.dir, &manifest, &store);
+            resumed_hits = search.stats.revisits;
         }
         checkpoint => {
             let initial = spec.initial_state();
@@ -687,7 +680,11 @@ where
                 } else {
                     symmetry.canonicalize_traced(&initial, &initial_observer, &trace)
                 };
-                store.insert((root_state.clone(), root_observer.clone()));
+                let mut body = Vec::new();
+                write_varint(root_delta as u64, &mut body);
+                let key = body.len();
+                (root_state, root_observer).encode(&mut body);
+                store.insert_bytes(&body[key..]);
                 if let Some(c) = checkpoint {
                     let mut writer = CheckpointWriter::new(&c.dir).unwrap_or_else(|e| {
                         panic!("cannot start checkpoint in {}: {e}", c.dir.display())
@@ -695,7 +692,7 @@ where
                     ckpt_ok(writer.begin_level(0));
                     search.ckpt = Some(writer);
                 }
-                search.enqueue(None, root_delta, root_state, root_observer);
+                search.enqueue(None, &body);
                 search.seal_level(true);
             }
         }
@@ -708,6 +705,7 @@ where
         reducer,
         symmetry: symmetry.as_ref(),
         trivial,
+        template: initial_observer,
         store: &store,
         check_deadlocks: config.check_deadlocks,
         pool: &pool,
@@ -888,6 +886,24 @@ pub(crate) mod tests {
         let report = verify(&independent(1, 1), config);
         let cx = report.verdict.counterexample().expect("the end state");
         assert_eq!(cx.len(), 1, "the path to the deadlocked state");
+    }
+
+    #[test]
+    fn frontier_peak_counts_the_chunk_in_flight() {
+        // Level 1 is the root alone, one chunk: it is still held while its
+        // one successor is pushed, so the peak is both records.
+        let spec = independent(1, 1);
+        let report = verify(&spec, CheckerConfig::stateful_bfs());
+        let record = |node: usize, local: u8| {
+            let mut state = spec.initial_state();
+            state.locals = vec![local];
+            1 + mp_model::encode_to_vec(&(node, 0usize, state, NullObserver)).len()
+        };
+        assert_eq!(report.stats.states, 2);
+        assert_eq!(
+            report.stats.frontier_peak_bytes,
+            record(0, 0) + record(1, 1)
+        );
     }
 
     #[test]

@@ -76,13 +76,14 @@ pub struct CheckerConfig {
     /// fingerprint store makes `Verified` verdicts probabilistic — see the
     /// `mp-store` crate docs for the soundness contract.
     pub store: StoreConfig,
-    /// Which frontier the breadth-first engines drive (`mp-store`). The
-    /// in-memory frontier is the default; the disk frontier spills encoded
-    /// states past its watermark so paper-scale fault sweeps fit in memory
-    /// next to the visited set (strategy labels gain a `+spill` suffix).
-    /// Exploration order is identical either way, so verdicts and state
-    /// counts are byte-identical. Depth-first runs, stateless ones
-    /// included, have no frontier: they ignore this field.
+    /// Where the breadth-first engines keep their frontier (`mp-store`).
+    /// Either way a queued state is the exact bytes its worker encoded for
+    /// the visited store. The in-memory frontier, the default, keeps them
+    /// all; the disk frontier spills them past its watermark so paper-scale
+    /// fault sweeps fit in memory next to the visited set (strategy labels
+    /// gain a `+spill` suffix). Exploration order is identical either way,
+    /// so verdicts and state counts are byte-identical. Depth-first runs,
+    /// stateless ones included, have no frontier: they ignore this field.
     pub frontier: FrontierConfig,
     /// Checkpoint/resume directory for the breadth-first engines
     /// (`mp-store`). When set, every completed BFS level is persisted
@@ -315,8 +316,7 @@ mod tests {
         assert_eq!(
             c.frontier,
             FrontierConfig::Disk {
-                watermark_bytes: 1024,
-                delta: false
+                watermark_bytes: 1024
             }
         );
     }

@@ -2,7 +2,7 @@
 //!
 //! The calling thread of [`run_bfs`](crate::bfs) owns the frontier, so it
 //! is the single producer: it cuts the current level into chunks of
-//! [`CHUNK_ENTRIES`] entries and [`submit`](Pool::submit)s them; helper
+//! [`CHUNK_ENTRIES`] records and [`submit`](Pool::submit)s them; helper
 //! threads [`serve`](Pool::serve) the queue and hand each chunk's result
 //! back for the caller to [`collect`](Pool::collect). The queue holds at
 //! most two chunks per helper. A full queue — always, with zero helpers —
@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
-/// Frontier entries per chunk: large enough that the queue's one lock is
+/// Frontier records per chunk: large enough that the queue's one lock is
 /// taken a few thousand times a second, small enough that a level a few
 /// hundred entries wide still spreads over every thread.
 pub(crate) const CHUNK_ENTRIES: usize = 64;
@@ -26,7 +26,8 @@ struct Shared<T, R> {
     outstanding: usize,
 }
 
-/// See the module docs. `T` is a frontier entry, `R` a chunk's result.
+/// See the module docs. A chunk is a `Vec<T>` — the BFS core's are the
+/// bytes of framed frontier records — and `R` a chunk's result.
 pub(crate) struct Pool<T, R> {
     shared: Mutex<Shared<T, R>>,
     /// Helpers park here while the queue is empty.

@@ -77,9 +77,9 @@ pub struct ExplorationStats {
     /// empty for depth-first runs, stateless ones included, which have no
     /// frontier).
     pub frontier_backend: String,
-    /// Peak bytes queued in the BFS frontier: exact encoded bytes for the
-    /// disk backend, an item-count approximation for the in-memory one
-    /// (see [`mp_store::FrontierStats::peak_bytes`]). With symmetry
+    /// Peak bytes held by the BFS frontier: the exact framed records of
+    /// both levels plus the chunks being expanded (see
+    /// [`mp_store::FrontierStats::peak_bytes`]). With symmetry
     /// reduction the frontier holds canonical orbit representatives, so
     /// this number shrinks with the orbit collapse.
     pub frontier_peak_bytes: usize,

@@ -1,11 +1,12 @@
 //! Compact binary state serialization ([`Encode`] / [`Decode`]).
 //!
-//! The disk-backed BFS frontier of `mp-store` spills encoded global states
-//! to fixed-size segments and reads them back level by level; this module
-//! is the codec it runs on. The format is deliberately minimal — no
-//! framing, no versioning, no self-description — because encoded states
-//! are always written and read by the same binary checking the same model,
-//! so the Rust types *are* the schema. Spill files never outlive their
+//! A breadth-first search encodes each new state once with this codec: the
+//! same bytes are the visited store's key, the `mp-store` frontier's record
+//! (in memory or spilled to segments) and a checkpoint's level entry. The
+//! format is deliberately minimal — no framing, no versioning, no
+//! self-description — because encoded states are always written and read
+//! by the same binary checking the same model, so the Rust types *are* the
+//! schema. Spill files never outlive their
 //! run; checkpoint files (`mp-store`) do outlive the writing *process*,
 //! but their manifest pins the build's format version and the model/config
 //! identity, so the same-schema premise holds there too (see
@@ -24,8 +25,8 @@
 //!   variant's fields.
 //!
 //! Every value round-trips: `decode(encode(v)) == v`. Decoding consumes
-//! exactly the bytes encoding produced, so records can be concatenated
-//! without separators (which is how frontier segments are laid out).
+//! exactly the bytes encoding produced, so values can be concatenated
+//! without separators (which is how a frontier record lays out its fields).
 //!
 //! Protocol crates implement the traits for their state and message types
 //! with the [`codec!`](crate::codec!) macro:
@@ -584,62 +585,6 @@ impl Default for Fnv64 {
     }
 }
 
-/// Length of the longest common prefix of two byte strings.
-pub fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
-    a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count()
-}
-
-/// Appends a delta record: `cur` encoded against the previous record of the
-/// same stream as `varint(shared) varint(suffix_len) suffix`, where
-/// `shared` is the longest common prefix with `prev` and `suffix` the rest
-/// of `cur`. BFS-neighbouring states share most of their locals, so this
-/// shrinks spill segments substantially on top of the varint codec; the
-/// first record of a segment passes an empty `prev` and degrades to a
-/// length-prefixed raw record.
-///
-/// ```
-/// use mp_model::{read_delta_record, write_delta_record};
-///
-/// let mut out = Vec::new();
-/// write_delta_record(b"", b"paxos-state-1", &mut out);
-/// write_delta_record(b"paxos-state-1", b"paxos-state-2", &mut out);
-/// let mut input = out.as_slice();
-/// let first = read_delta_record(b"", &mut input).unwrap();
-/// let second = read_delta_record(&first, &mut input).unwrap();
-/// assert_eq!(second, b"paxos-state-2");
-/// assert!(input.is_empty());
-/// ```
-pub fn write_delta_record(prev: &[u8], cur: &[u8], out: &mut Vec<u8>) {
-    let shared = common_prefix_len(prev, cur);
-    write_varint(shared as u64, out);
-    write_varint((cur.len() - shared) as u64, out);
-    out.extend_from_slice(&cur[shared..]);
-}
-
-/// Reads one delta record written by [`write_delta_record`] and rebuilds
-/// the full byte string against `prev` (the previously reconstructed
-/// record of the same stream).
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on truncation or when the record claims a
-/// longer shared prefix than `prev` provides (a corrupted stream).
-pub fn read_delta_record(prev: &[u8], input: &mut &[u8]) -> Result<Vec<u8>, DecodeError> {
-    let shared = read_varint(input)? as usize;
-    let suffix_len = read_varint(input)? as usize;
-    if shared > prev.len() {
-        return Err(DecodeError::new("delta record exceeds previous record"));
-    }
-    if input.len() < suffix_len {
-        return Err(DecodeError::new("truncated delta record suffix"));
-    }
-    let mut full = Vec::with_capacity(shared + suffix_len);
-    full.extend_from_slice(&prev[..shared]);
-    full.extend_from_slice(&input[..suffix_len]);
-    *input = &input[suffix_len..];
-    Ok(full)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -795,51 +740,5 @@ mod delta_tests {
         assert_eq!(digest(b""), 0xcbf29ce484222325);
         assert_eq!(digest(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(digest(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn delta_records_roundtrip_and_shrink_similar_payloads() {
-        let records: Vec<Vec<u8>> = (0u8..20)
-            .map(|i| {
-                let mut r = vec![7u8; 60];
-                r.push(i);
-                r
-            })
-            .collect();
-        let mut out = Vec::new();
-        let mut prev: Vec<u8> = Vec::new();
-        for r in &records {
-            write_delta_record(&prev, r, &mut out);
-            prev = r.clone();
-        }
-        let raw: usize = records.iter().map(Vec::len).sum();
-        assert!(
-            out.len() < raw / 4,
-            "61-byte records sharing 60 bytes must compress: {} vs {raw}",
-            out.len()
-        );
-        let mut input = out.as_slice();
-        let mut prev: Vec<u8> = Vec::new();
-        for r in &records {
-            let back = read_delta_record(&prev, &mut input).expect("decode");
-            assert_eq!(&back, r);
-            prev = back;
-        }
-        assert!(input.is_empty());
-    }
-
-    #[test]
-    fn corrupt_delta_records_are_rejected() {
-        // Shared prefix longer than the previous record.
-        let mut out = Vec::new();
-        write_varint(5, &mut out);
-        write_varint(0, &mut out);
-        assert!(read_delta_record(b"ab", &mut out.as_slice()).is_err());
-        // Truncated suffix.
-        let mut out = Vec::new();
-        write_varint(0, &mut out);
-        write_varint(9, &mut out);
-        out.push(1);
-        assert!(read_delta_record(b"", &mut out.as_slice()).is_err());
     }
 }

@@ -84,8 +84,7 @@ pub mod transition;
 
 pub use channel::Channels;
 pub use codec::{
-    common_prefix_len, decode_from_slice, encode_to_vec, read_delta_record, read_varint,
-    write_delta_record, write_varint, Decode, DecodeError, Encode, Fnv64,
+    decode_from_slice, encode_to_vec, read_varint, write_varint, Decode, DecodeError, Encode, Fnv64,
 };
 pub use enabled::{
     enabled_instances, enabled_instances_of, enabled_instances_with_limits, is_enabled,

@@ -2,6 +2,10 @@
 
 use std::fmt;
 
+use mp_model::Encode;
+
+use crate::hash::with_encoded;
+
 /// A snapshot of one backend's counters.
 ///
 /// All backends use the unified accounting scheme: every membership query —
@@ -75,7 +79,8 @@ impl fmt::Display for StoreStats {
     }
 }
 
-/// The answer of [`StateStoreBackend::insert_hashed`].
+/// The answer of [`StateStoreBackend::insert_bytes`] and
+/// [`StateStoreBackend::insert_hashed`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Inserted {
     /// The key was not stored before.
@@ -95,21 +100,35 @@ pub struct Inserted {
 
 /// A visited-state set that search engines insert into and query.
 ///
+/// A backend identifies a key by its [`Encode`] bytes and implements only
+/// the byte-level calls; the typed ones encode the key once into the
+/// thread's scratch buffer and delegate.
+///
 /// All methods take `&self`: backends use interior mutability so that the
 /// parallel engine can share one store across worker threads (all provided
 /// backends are `Send + Sync`; the sequential engines simply pay one
 /// uncontended lock per operation on the exact backend).
-pub trait StateStoreBackend<K> {
-    /// Inserts a key; returns `true` if it was new. Counts a hit when the
-    /// key was already present, a miss otherwise. No backend keeps the key
-    /// value itself (only its encoded bytes or their fingerprint), so this
-    /// is [`StateStoreBackend::insert_ref`] for callers that own the key.
+pub trait StateStoreBackend<K: Encode> {
+    /// Inserts the key whose encoding is `bytes`: one hash, one table
+    /// probe. Counts a hit when the key was already present, a miss
+    /// otherwise, and reports what the probe learned (see [`Inserted`]).
+    fn insert_bytes(&self, bytes: &[u8]) -> Inserted;
+
+    /// Returns `true` if the key whose encoding is `bytes` is present.
+    /// Counts a hit when found, a miss otherwise — the same accounting as
+    /// [`StateStoreBackend::insert_bytes`].
+    fn contains_bytes(&self, bytes: &[u8]) -> bool;
+
+    /// Inserts a key; returns `true` if it was new. No backend keeps the
+    /// key value itself (only its encoded bytes or their fingerprint), so
+    /// this is [`StateStoreBackend::insert_ref`] for callers that own the
+    /// key.
     fn insert(&self, key: K) -> bool {
         self.insert_ref(&key)
     }
 
     /// Inserts a borrowed key: one encode into the thread's scratch buffer,
-    /// one hash, one table probe. Never clones.
+    /// then [`StateStoreBackend::insert_bytes`]. Never clones.
     fn insert_ref(&self, key: &K) -> bool {
         self.insert_hashed(key).new
     }
@@ -118,11 +137,14 @@ pub trait StateStoreBackend<K> {
     /// probe learned about the key (see [`Inserted`]), so a caller can keep
     /// its own per-state data without encoding, hashing or holding the key
     /// again.
-    fn insert_hashed(&self, key: &K) -> Inserted;
+    fn insert_hashed(&self, key: &K) -> Inserted {
+        with_encoded(key, |bytes| self.insert_bytes(bytes))
+    }
 
-    /// Returns `true` if the key is present. Counts a hit when found, a
-    /// miss otherwise — the same accounting as [`StateStoreBackend::insert`].
-    fn contains(&self, key: &K) -> bool;
+    /// [`StateStoreBackend::contains_bytes`] of the key's encoding.
+    fn contains(&self, key: &K) -> bool {
+        with_encoded(key, |bytes| self.contains_bytes(bytes))
+    }
 
     /// Number of distinct entries stored.
     fn len(&self) -> usize;

@@ -158,12 +158,12 @@ macro_rules! dispatch {
 }
 
 impl<K: Encode> StateStoreBackend<K> for StoreImpl<K> {
-    fn insert_hashed(&self, key: &K) -> Inserted {
-        dispatch!(self, s => s.insert_hashed(key))
+    fn insert_bytes(&self, bytes: &[u8]) -> Inserted {
+        dispatch!(self, s => s.insert_bytes(bytes))
     }
 
-    fn contains(&self, key: &K) -> bool {
-        dispatch!(self, s => s.contains(key))
+    fn contains_bytes(&self, bytes: &[u8]) -> bool {
+        dispatch!(self, s => s.contains_bytes(bytes))
     }
 
     fn len(&self) -> usize {

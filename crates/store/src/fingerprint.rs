@@ -8,7 +8,7 @@ use std::sync::Mutex;
 use mp_model::Encode;
 
 use crate::backend::{birthday_bound, Inserted, StateStoreBackend, StoreStats};
-use crate::hash::{fingerprint, K0};
+use crate::hash::{hash_bytes, K0};
 
 /// A visited-state set that stores only the low w bits of each key's
 /// fingerprint ([`crate::hash_bytes`] of its encoding) instead of the key.
@@ -86,8 +86,8 @@ impl<K: Encode> FingerprintStore<K> {
 }
 
 impl<K: Encode> StateStoreBackend<K> for FingerprintStore<K> {
-    fn insert_hashed(&self, key: &K) -> Inserted {
-        let full = fingerprint(key);
+    fn insert_bytes(&self, bytes: &[u8]) -> Inserted {
+        let full = hash_bytes(bytes);
         let (fp, shard) = self.kept_and_shard(full);
         let new = shard.lock().expect("shard poisoned").insert(fp);
         self.record(!new);
@@ -98,8 +98,8 @@ impl<K: Encode> StateStoreBackend<K> for FingerprintStore<K> {
         }
     }
 
-    fn contains(&self, key: &K) -> bool {
-        let (fp, shard) = self.kept_and_shard(fingerprint(key));
+    fn contains_bytes(&self, bytes: &[u8]) -> bool {
+        let (fp, shard) = self.kept_and_shard(hash_bytes(bytes));
         let present = shard.lock().expect("shard poisoned").contains(&fp);
         self.record(present);
         present

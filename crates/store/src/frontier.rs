@@ -1,24 +1,24 @@
-//! Spillable BFS frontiers.
+//! The BFS frontier: two level queues of framed byte records.
 //!
 //! Breadth-first search keeps two level queues alive at once — the level
 //! being expanded and the level being generated — and on fault-augmented
 //! models those levels grow with the state space (the crash1+drop1 sweep
-//! cells are ~20x the seed models). The visited set already has compact
-//! backends (hash compaction); this module gives the *frontier* the same
-//! treatment so paper-scale budgets fit in memory:
+//! cells are ~20x the seed models). [`Frontier`] holds both as byte
+//! records, `record := varint(len) payload` — the framing of checkpoint
+//! level files — appended to an in-memory buffer. Whenever the buffer
+//! reaches the configured **watermark** it is written to a temporary spill
+//! file as one segment, and segments are read back sequentially, level by
+//! level, when the level is dequeued. Memory held per level is bounded by
+//! the watermark regardless of frontier size. [`FrontierConfig::Mem`] is the
+//! same queue with an unbounded watermark: it never writes a segment and
+//! never opens a file.
 //!
-//! * [`MemFrontier`] — two in-memory `VecDeque`s, the default; byte-for-byte
-//!   the behaviour the engines had before the frontier became pluggable;
-//! * [`DiskFrontier`] — items are encoded (`mp-model`'s [`Encode`]/
-//!   [`Decode`] codec) into an in-memory buffer; whenever the buffer
-//!   reaches the configured **watermark** it is written to a temporary
-//!   spill file as one fixed-size segment, and segments are read back
-//!   sequentially, level by level, when the level is dequeued. Memory held
-//!   per level is bounded by the watermark regardless of frontier size.
-//!
-//! Both implement [`FrontierBackend`] and preserve strict FIFO order, so an
-//! engine driving either explores states in the identical order — spill on
-//! and spill off produce byte-identical verdicts and state counts.
+//! The payload is the caller's. The BFS engines of `mp-checker` push the
+//! bytes their worker already encoded for the visited store, so a state is
+//! encoded once; typed callers push and pop items through an [`ItemCodec`]
+//! ([`FrontierBackend`]). Order is strictly FIFO whatever the watermark, so
+//! an engine explores states in the identical order with spilling on or
+//! off — byte-identical verdicts and state counts.
 //!
 //! Symmetry interaction is the engines' job: with orbit reduction active
 //! they enqueue the *canonical representative* plus the permutation index δ
@@ -31,50 +31,44 @@ use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mp_model::{read_delta_record, write_delta_record, Decode, DecodeError, Encode};
+use mp_model::{read_varint, write_varint, Decode, DecodeError, Encode};
 use mp_trace::{Histogram, Phase, TraceHandle};
 
 /// Default in-memory watermark (and segment size) of the disk frontier:
 /// one segment's worth of encoded states is buffered before it is spilled.
 pub const DEFAULT_FRONTIER_WATERMARK: usize = 32 << 20;
 
-/// Which frontier implementation the BFS engines should drive.
+/// Where the BFS frontier may keep its records.
 ///
 /// Carried by `CheckerConfig` in `mp-checker` next to [`StoreConfig`]
 /// (visited set and frontier are the two memory-critical structures of a
 /// stateful breadth-first run); `Copy` so configurations stay cheap to pass
-/// around. Spill files are created under [`std::env::temp_dir`] and removed
-/// when the frontier is dropped.
+/// around. Both variants build the one [`Frontier`]; they differ only in its
+/// watermark. Spill files are created under [`std::env::temp_dir`] on the
+/// first spilled segment and removed when the frontier is dropped.
 ///
 /// [`StoreConfig`]: crate::StoreConfig
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FrontierConfig {
-    /// Keep every frontier entry in memory (the default).
+    /// Keep every record in memory (the default): an unbounded watermark.
     #[default]
     Mem,
-    /// Spill encoded entries to disk in watermark-sized segments.
+    /// Spill records to disk in watermark-sized segments.
     Disk {
-        /// Bytes of encoded entries buffered in memory per level queue
-        /// before a segment is written out (also the segment size).
+        /// Bytes of records buffered in memory per level queue before a
+        /// segment is written out (also the segment size).
         watermark_bytes: usize,
-        /// Delta-encode each record against the previous record of its
-        /// segment (BFS neighbours share most of their bytes, so segments
-        /// shrink several-fold). Each segment stays self-contained: its
-        /// first record is stored whole. See `docs/ON_DISK_FORMATS.md`.
-        delta: bool,
     },
 }
 
 impl FrontierConfig {
     /// The disk-backed frontier with the default watermark.
     pub fn disk() -> Self {
-        FrontierConfig::Disk {
-            watermark_bytes: DEFAULT_FRONTIER_WATERMARK,
-            delta: false,
-        }
+        Self::disk_with_watermark(DEFAULT_FRONTIER_WATERMARK)
     }
 
     /// The disk-backed frontier with an explicit watermark (tiny watermarks
@@ -83,17 +77,6 @@ impl FrontierConfig {
     pub fn disk_with_watermark(watermark_bytes: usize) -> Self {
         FrontierConfig::Disk {
             watermark_bytes: watermark_bytes.max(1),
-            delta: false,
-        }
-    }
-
-    /// Like [`FrontierConfig::disk_with_watermark`], with delta-compressed
-    /// segments (each record stored as its difference from the previous
-    /// record of the segment).
-    pub fn disk_delta_with_watermark(watermark_bytes: usize) -> Self {
-        FrontierConfig::Disk {
-            watermark_bytes: watermark_bytes.max(1),
-            delta: true,
         }
     }
 
@@ -103,20 +86,19 @@ impl FrontierConfig {
         matches!(self, FrontierConfig::Disk { .. })
     }
 
-    /// Builds the frontier for item type `T` (enum dispatch, like
-    /// [`StoreConfig::build`](crate::StoreConfig::build)).
-    pub fn build<T, C: ItemCodec<T>>(&self, codec: C) -> FrontierImpl<T, C> {
+    /// Bytes buffered per level queue before a segment is spilled:
+    /// `usize::MAX`, never, for [`FrontierConfig::Mem`]. The BFS parent log
+    /// spills past the same watermark.
+    pub fn watermark(&self) -> usize {
         match *self {
-            FrontierConfig::Mem => FrontierImpl::Mem(MemFrontier::new()),
-            FrontierConfig::Disk {
-                watermark_bytes,
-                delta,
-            } => FrontierImpl::Disk(Box::new(DiskFrontier::with_options(
-                watermark_bytes,
-                delta,
-                codec,
-            ))),
+            FrontierConfig::Mem => usize::MAX,
+            FrontierConfig::Disk { watermark_bytes } => watermark_bytes,
         }
+    }
+
+    /// Builds the frontier, typed for items `T` encoded by `codec`.
+    pub fn build<T, C>(&self, codec: C) -> Frontier<T, C> {
+        Frontier::new(self.watermark(), codec)
     }
 }
 
@@ -124,12 +106,8 @@ impl std::fmt::Display for FrontierConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FrontierConfig::Mem => write!(f, "mem"),
-            FrontierConfig::Disk {
-                watermark_bytes,
-                delta,
-            } => {
-                let delta = if *delta { ", delta" } else { "" };
-                write!(f, "disk({} KiB watermark{delta})", watermark_bytes / 1024)
+            FrontierConfig::Disk { watermark_bytes } => {
+                write!(f, "disk({} KiB watermark)", watermark_bytes / 1024)
             }
         }
     }
@@ -137,11 +115,10 @@ impl std::fmt::Display for FrontierConfig {
 
 /// Encodes and decodes one frontier item.
 ///
-/// The disk frontier is generic over the codec instead of bounding `T`
-/// directly because some items carry non-serializable *configuration* next
-/// to their data — an observer holding a spec handle, say. The engine
-/// supplies a codec that knows how to rebuild such items from a template;
-/// plain data uses [`PlainCodec`].
+/// The frontier is generic over the codec instead of bounding `T` directly
+/// because some items carry non-serializable *configuration* next to their
+/// data — an observer holding a spec handle, say. Plain data uses
+/// [`PlainCodec`].
 pub trait ItemCodec<T> {
     /// Appends the encoding of `item` to `out`.
     fn encode_item(&self, item: &T, out: &mut Vec<u8>);
@@ -172,12 +149,9 @@ impl<T: Encode + Decode> ItemCodec<T> for PlainCodec {
 /// A snapshot of a frontier's counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FrontierStats {
-    /// Peak number of items queued at once (both level queues together).
-    pub peak_items: usize,
-    /// Peak bytes of queued payload: exact encoded bytes for the disk
-    /// frontier, `peak_items * size_of::<T>()` for the in-memory frontier
-    /// (an underestimate when items own heap data — the number exists for
-    /// trend comparisons, not absolute accounting).
+    /// Peak bytes of records held at once: both level queues plus the
+    /// records a caller popped and has not yet
+    /// [released](Frontier::release) — exact framed bytes.
     pub peak_bytes: usize,
     /// Total bytes written to the spill file over the run (0 in memory).
     pub spilled_bytes: usize,
@@ -185,15 +159,16 @@ pub struct FrontierStats {
     pub segments: usize,
 }
 
-/// A two-level BFS frontier: [`push`](FrontierBackend::push) enqueues into
-/// the *next* level, [`pop`](FrontierBackend::pop) dequeues the *current*
-/// level in FIFO order, and [`advance_level`](FrontierBackend::advance_level)
-/// promotes next to current when the current level is exhausted.
+/// A two-level BFS frontier of typed items: [`push`](FrontierBackend::push)
+/// enqueues into the *next* level, [`pop`](FrontierBackend::pop) dequeues
+/// the *current* level in FIFO order, and
+/// [`advance_level`](FrontierBackend::advance_level) promotes next to
+/// current when the current level is exhausted.
 pub trait FrontierBackend<T> {
-    /// Enqueues an item into the next level.
+    /// Encodes an item into the next level.
     fn push(&mut self, item: T);
 
-    /// Dequeues the next item of the current level (FIFO), or `None` when
+    /// Decodes the next item of the current level (FIFO), or `None` when
     /// the level is exhausted.
     fn pop(&mut self) -> Option<T>;
 
@@ -206,129 +181,6 @@ pub trait FrontierBackend<T> {
 
     /// Snapshot of the counters.
     fn stats(&self) -> FrontierStats;
-
-    /// Short backend name (`"mem"`, `"disk"`).
-    fn name(&self) -> &'static str;
-
-    /// Attaches a run's [`TraceHandle`] so the backend can attribute its
-    /// encode/decode work and spill I/O to the trace phases
-    /// ([`Phase::FrontierEncode`], [`Phase::FrontierDecode`],
-    /// [`Phase::SpillIo`]) and record spilled segment sizes. The in-memory
-    /// frontier does no such work, so the default is a no-op.
-    fn set_trace(&mut self, _trace: TraceHandle) {}
-}
-
-/// A frontier built from a [`FrontierConfig`].
-#[derive(Debug)]
-pub enum FrontierImpl<T, C> {
-    /// See [`MemFrontier`].
-    Mem(MemFrontier<T>),
-    /// See [`DiskFrontier`] (boxed: the disk frontier carries files,
-    /// buffers and segment lists the in-memory variant has no use for).
-    Disk(Box<DiskFrontier<T, C>>),
-}
-
-impl<T, C: ItemCodec<T>> FrontierBackend<T> for FrontierImpl<T, C> {
-    fn push(&mut self, item: T) {
-        match self {
-            FrontierImpl::Mem(f) => f.push(item),
-            FrontierImpl::Disk(f) => f.push(item),
-        }
-    }
-
-    fn pop(&mut self) -> Option<T> {
-        match self {
-            FrontierImpl::Mem(f) => f.pop(),
-            FrontierImpl::Disk(f) => f.pop(),
-        }
-    }
-
-    fn advance_level(&mut self) -> usize {
-        match self {
-            FrontierImpl::Mem(f) => f.advance_level(),
-            FrontierImpl::Disk(f) => f.advance_level(),
-        }
-    }
-
-    fn stats(&self) -> FrontierStats {
-        match self {
-            FrontierImpl::Mem(f) => FrontierBackend::stats(f),
-            FrontierImpl::Disk(f) => f.stats(),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            FrontierImpl::Mem(f) => FrontierBackend::name(f),
-            FrontierImpl::Disk(f) => f.name(),
-        }
-    }
-
-    fn set_trace(&mut self, trace: TraceHandle) {
-        match self {
-            FrontierImpl::Mem(f) => FrontierBackend::<T>::set_trace(f, trace),
-            FrontierImpl::Disk(f) => f.set_trace(trace),
-        }
-    }
-}
-
-/// The in-memory frontier: two `VecDeque` level queues.
-#[derive(Debug)]
-pub struct MemFrontier<T> {
-    current: VecDeque<T>,
-    next: VecDeque<T>,
-    peak_items: usize,
-}
-
-impl<T> MemFrontier<T> {
-    /// Creates an empty frontier.
-    pub fn new() -> Self {
-        MemFrontier {
-            current: VecDeque::new(),
-            next: VecDeque::new(),
-            peak_items: 0,
-        }
-    }
-}
-
-impl<T> Default for MemFrontier<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> FrontierBackend<T> for MemFrontier<T> {
-    fn push(&mut self, item: T) {
-        self.next.push_back(item);
-        self.peak_items = self.peak_items.max(self.current.len() + self.next.len());
-    }
-
-    fn pop(&mut self) -> Option<T> {
-        self.current.pop_front()
-    }
-
-    fn advance_level(&mut self) -> usize {
-        assert!(
-            self.current.is_empty(),
-            "advance_level with {} items still queued in the current level",
-            self.current.len()
-        );
-        std::mem::swap(&mut self.current, &mut self.next);
-        self.current.len()
-    }
-
-    fn stats(&self) -> FrontierStats {
-        FrontierStats {
-            peak_items: self.peak_items,
-            peak_bytes: self.peak_items * std::mem::size_of::<T>(),
-            spilled_bytes: 0,
-            segments: 0,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "mem"
-    }
 }
 
 /// Names spill files uniquely within the process.
@@ -384,45 +236,55 @@ impl Drop for SpillFile {
     }
 }
 
-/// One contiguous run of encoded records in the spill file.
+/// One contiguous run of framed records in the spill file.
 #[derive(Clone, Copy, Debug)]
 struct Segment {
     offset: u64,
     len: usize,
-    items: usize,
 }
 
-/// The disk-backed frontier. See the module docs for the layout; the write
-/// path appends watermark-sized segments of concatenated encoded records,
-/// the read path streams them back in write order, so FIFO order is
-/// preserved exactly.
+/// Bytes of the LEB128 varint of `n`.
+fn varint_len(n: usize) -> usize {
+    (usize::BITS - (n | 1).leading_zeros()).div_ceil(7) as usize
+}
+
+/// The BFS frontier. See the module docs for the layout: the write path
+/// appends framed records to a buffer that is spilled as one segment when
+/// the next record would take it past the watermark, the read path streams
+/// segments back in write order, so FIFO order is preserved exactly. A
+/// segment is larger than the watermark only when it holds a single record
+/// that is.
 ///
 /// Two spill files alternate, one per live level: the next level's
 /// segments are written to one file while the current level's are read
-/// from the other, and [`advance_level`](FrontierBackend::advance_level)
-/// swaps their roles and truncates the fully-consumed one — so disk usage
-/// stays bounded by the two live levels no matter how many levels the run
-/// spills in total.
+/// from the other, and [`advance_level`](Frontier::advance_level) swaps
+/// their roles and truncates the fully-consumed one — so disk usage stays
+/// bounded by the two live levels no matter how many levels the run spills
+/// in total. Both are opened by the first spilled segment.
+///
+/// `T` and `C` type the [`FrontierBackend`] interface; the record interface
+/// ([`push_record`](Frontier::push_record),
+/// [`pop_records`](Frontier::pop_records)) ignores them, and the default
+/// `Frontier` is the record queue alone.
 ///
 /// # Panics
 ///
-/// I/O errors on the spill files and decode failures panic: the spill
+/// I/O errors on the spill files and malformed records panic: the spill
 /// files are process-private scratch space, so either indicates a broken
 /// environment (disk full) or a codec bug, and the engines have no partial
 /// verdict to salvage.
 #[derive(Debug)]
-pub struct DiskFrontier<T, C> {
+pub struct Frontier<T = (), C = PlainCodec> {
     codec: C,
+    watermark: usize,
     /// The two alternating spill files; `files[write_file]` receives the
     /// next level's segments, the other one holds the current level's.
-    files: [SpillFile; 2],
+    files: Option<[SpillFile; 2]>,
     write_file: usize,
     write_len: u64,
-    watermark: usize,
-    // The next level, being written: encoded records buffered until the
-    // watermark, then spilled as one segment.
+    // The next level, being written: records buffered until the watermark,
+    // then spilled as one segment.
     next_buf: Vec<u8>,
-    next_buf_items: usize,
     next_segments: Vec<Segment>,
     next_items: usize,
     next_bytes: usize,
@@ -430,57 +292,38 @@ pub struct DiskFrontier<T, C> {
     // in-memory tail that never reached the watermark.
     cur_chunk: Vec<u8>,
     cur_pos: usize,
-    cur_chunk_items: usize,
     cur_segments: VecDeque<Segment>,
     cur_tail: Vec<u8>,
-    cur_tail_items: usize,
     cur_items: usize,
     cur_bytes: usize,
-    // Delta compression (see `FrontierConfig::Disk { delta }`): the encoded
-    // previous record of the write chain / read chain, and a scratch buffer
-    // the next record is encoded into before it is delta-framed. Both
-    // chains restart empty at every segment boundary, so each segment (and
-    // the in-memory tail) decodes without its neighbours.
-    delta: bool,
-    prev_write: Vec<u8>,
-    prev_read: Vec<u8>,
+    /// Bytes popped by `pop_records` and not yet released.
+    lent: usize,
+    /// The typed `push` encodes here before framing.
     scratch: Vec<u8>,
     stats: FrontierStats,
     trace: TraceHandle,
     _marker: PhantomData<fn() -> T>,
 }
 
-impl<T, C: ItemCodec<T>> DiskFrontier<T, C> {
-    /// Creates a disk frontier spilling past `watermark` bytes per level.
-    pub fn new(watermark: usize, codec: C) -> Self {
-        Self::with_options(watermark, false, codec)
-    }
-
-    /// Creates a disk frontier, optionally delta-compressing each record
-    /// against its predecessor in the segment (`delta = true`).
-    pub fn with_options(watermark: usize, delta: bool, codec: C) -> Self {
-        DiskFrontier {
+impl<T, C> Frontier<T, C> {
+    fn new(watermark: usize, codec: C) -> Self {
+        Frontier {
             codec,
-            files: [(); 2].map(|()| SpillFile::create("mp-frontier")),
+            watermark: watermark.max(1),
+            files: None,
             write_file: 0,
             write_len: 0,
-            watermark: watermark.max(1),
             next_buf: Vec::new(),
-            next_buf_items: 0,
             next_segments: Vec::new(),
             next_items: 0,
             next_bytes: 0,
             cur_chunk: Vec::new(),
             cur_pos: 0,
-            cur_chunk_items: 0,
             cur_segments: VecDeque::new(),
             cur_tail: Vec::new(),
-            cur_tail_items: 0,
             cur_items: 0,
             cur_bytes: 0,
-            delta,
-            prev_write: Vec::new(),
-            prev_read: Vec::new(),
+            lent: 0,
             scratch: Vec::new(),
             stats: FrontierStats::default(),
             trace: TraceHandle::disabled(),
@@ -488,109 +331,50 @@ impl<T, C: ItemCodec<T>> DiskFrontier<T, C> {
         }
     }
 
-    fn flush_next_buf(&mut self) {
-        if self.next_buf.is_empty() {
-            return;
-        }
-        let _io = self.trace.span(Phase::SpillIo);
-        self.trace
-            .record(Histogram::SpillSegmentBytes, self.next_buf.len() as u64);
-        self.files[self.write_file].write_at(self.write_len, &self.next_buf);
-        self.next_segments.push(Segment {
-            offset: self.write_len,
-            len: self.next_buf.len(),
-            items: self.next_buf_items,
-        });
-        self.write_len += self.next_buf.len() as u64;
-        self.stats.spilled_bytes += self.next_buf.len();
-        self.stats.segments += 1;
-        self.next_buf.clear();
-        self.next_buf_items = 0;
-        // Each segment is self-contained: the delta chain restarts, so the
-        // next record is stored whole.
-        self.prev_write.clear();
-    }
-
-    fn refill_chunk(&mut self) -> bool {
-        // The read chain restarts with each segment (and with the tail),
-        // mirroring the write side.
-        self.prev_read.clear();
-        if let Some(segment) = self.cur_segments.pop_front() {
-            let _io = self.trace.span(Phase::SpillIo);
-            self.cur_chunk.resize(segment.len, 0);
-            self.files[1 - self.write_file].read_at(segment.offset, &mut self.cur_chunk);
-            self.cur_pos = 0;
-            self.cur_chunk_items = segment.items;
-            return true;
-        }
-        if self.cur_tail_items > 0 {
-            self.cur_chunk = std::mem::take(&mut self.cur_tail);
-            self.cur_pos = 0;
-            self.cur_chunk_items = self.cur_tail_items;
-            self.cur_tail_items = 0;
-            return true;
-        }
-        false
-    }
-}
-
-impl<T, C: ItemCodec<T>> FrontierBackend<T> for DiskFrontier<T, C> {
-    fn push(&mut self, item: T) {
-        let start = self.next_buf.len();
-        {
-            let _span = self.trace.span(Phase::FrontierEncode);
-            if self.delta {
-                self.scratch.clear();
-                self.codec.encode_item(&item, &mut self.scratch);
-                write_delta_record(&self.prev_write, &self.scratch, &mut self.next_buf);
-                std::mem::swap(&mut self.prev_write, &mut self.scratch);
-            } else {
-                self.codec.encode_item(&item, &mut self.next_buf);
-            }
-        }
-        let record = self.next_buf.len() - start;
-        self.next_buf_items += 1;
-        self.next_items += 1;
-        self.next_bytes += record;
-        self.stats.peak_items = self.stats.peak_items.max(self.cur_items + self.next_items);
-        self.stats.peak_bytes = self.stats.peak_bytes.max(self.cur_bytes + self.next_bytes);
-        if self.next_buf.len() >= self.watermark {
+    /// Enqueues one record, `varint(payload.len()) payload`, into the next
+    /// level.
+    pub fn push_record(&mut self, payload: &[u8]) {
+        let framed = varint_len(payload.len()) + payload.len();
+        if !self.next_buf.is_empty() && self.next_buf.len() + framed > self.watermark {
             self.flush_next_buf();
         }
+        write_varint(payload.len() as u64, &mut self.next_buf);
+        self.next_buf.extend_from_slice(payload);
+        self.next_items += 1;
+        self.next_bytes += framed;
+        let held = self.cur_bytes + self.next_bytes + self.lent;
+        self.stats.peak_bytes = self.stats.peak_bytes.max(held);
     }
 
-    fn pop(&mut self) -> Option<T> {
-        if self.cur_chunk_items == 0 && !self.refill_chunk() {
-            return None;
+    /// Moves up to `max` records of the current level, framed as pushed, to
+    /// the end of `out` and returns how many it moved. Their bytes stay in
+    /// [`FrontierStats::peak_bytes`] until the caller
+    /// [releases](Frontier::release) them.
+    pub fn pop_records(&mut self, max: usize, out: &mut Vec<u8>) -> usize {
+        let mut popped = 0;
+        while popped < max {
+            let Some((start, payload)) = self.next_record() else {
+                break;
+            };
+            out.extend_from_slice(&self.cur_chunk[start..payload.end]);
+            self.lent += payload.end - start;
+            popped += 1;
         }
-        let mut slice = &self.cur_chunk[self.cur_pos..];
-        let before = slice.len();
-        let item = {
-            let _span = self.trace.span(Phase::FrontierDecode);
-            if self.delta {
-                let full = read_delta_record(&self.prev_read, &mut slice)
-                    .unwrap_or_else(|e| panic!("corrupted frontier spill record: {e}"));
-                let mut full_slice = full.as_slice();
-                let item = self
-                    .codec
-                    .decode_item(&mut full_slice)
-                    .unwrap_or_else(|e| panic!("corrupted frontier spill record: {e}"));
-                self.prev_read = full;
-                item
-            } else {
-                self.codec
-                    .decode_item(&mut slice)
-                    .unwrap_or_else(|e| panic!("corrupted frontier spill record: {e}"))
-            }
-        };
-        self.cur_pos += before - slice.len();
-        self.cur_chunk_items -= 1;
-        self.cur_items -= 1;
-        self.cur_bytes -= before - slice.len();
-        Some(item)
+        popped
     }
 
-    fn advance_level(&mut self) -> usize {
+    /// Hands back `bytes` of records taken by
+    /// [`pop_records`](Frontier::pop_records): the caller is done with them.
+    pub fn release(&mut self, bytes: usize) {
+        self.lent -= bytes;
+    }
+
+    /// Promotes the next level to current and returns its record count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the current level has not been fully dequeued.
+    pub fn advance_level(&mut self) -> usize {
         assert!(
             self.cur_items == 0,
             "advance_level with {} items still queued in the current level",
@@ -601,33 +385,125 @@ impl<T, C: ItemCodec<T>> FrontierBackend<T> for DiskFrontier<T, C> {
         // becomes the write side — disk stays bounded by two live levels.
         self.write_file = 1 - self.write_file;
         self.write_len = 0;
-        let _ = self.files[self.write_file].file.set_len(0);
+        if let Some(files) = &mut self.files {
+            let _ = files[self.write_file].file.set_len(0);
+        }
         self.cur_segments = std::mem::take(&mut self.next_segments).into();
         self.cur_tail = std::mem::take(&mut self.next_buf);
-        self.cur_tail_items = self.next_buf_items;
-        self.next_buf_items = 0;
         self.cur_chunk.clear();
         self.cur_pos = 0;
-        self.cur_chunk_items = 0;
-        self.prev_write.clear();
-        self.prev_read.clear();
-        self.cur_items = self.next_items;
-        self.cur_bytes = self.next_bytes;
-        self.next_items = 0;
-        self.next_bytes = 0;
+        self.cur_items = std::mem::take(&mut self.next_items);
+        self.cur_bytes = std::mem::take(&mut self.next_bytes);
         self.cur_items
     }
 
-    fn stats(&self) -> FrontierStats {
+    /// Snapshot of the counters.
+    pub fn stats(&self) -> FrontierStats {
         self.stats
     }
 
-    fn name(&self) -> &'static str {
-        "disk"
+    /// Short backend name: `"mem"` for an unbounded watermark, `"disk"`
+    /// otherwise.
+    pub fn name(&self) -> &'static str {
+        if self.watermark == usize::MAX {
+            "mem"
+        } else {
+            "disk"
+        }
     }
 
-    fn set_trace(&mut self, trace: TraceHandle) {
+    /// Attaches a run's [`TraceHandle`]: spill I/O is timed under
+    /// [`Phase::SpillIo`], typed pushes and pops under
+    /// [`Phase::FrontierEncode`] / [`Phase::FrontierDecode`], and spilled
+    /// segment sizes are recorded.
+    pub fn set_trace(&mut self, trace: TraceHandle) {
         self.trace = trace;
+    }
+
+    fn flush_next_buf(&mut self) {
+        let _io = self.trace.span(Phase::SpillIo);
+        self.trace
+            .record(Histogram::SpillSegmentBytes, self.next_buf.len() as u64);
+        let files = self
+            .files
+            .get_or_insert_with(|| [(); 2].map(|()| SpillFile::create("mp-frontier")));
+        files[self.write_file].write_at(self.write_len, &self.next_buf);
+        self.next_segments.push(Segment {
+            offset: self.write_len,
+            len: self.next_buf.len(),
+        });
+        self.write_len += self.next_buf.len() as u64;
+        self.stats.spilled_bytes += self.next_buf.len();
+        self.stats.segments += 1;
+        self.next_buf.clear();
+    }
+
+    /// Makes the next segment (or the in-memory tail) of the current level
+    /// the chunk being read; `false` when the level has nothing left.
+    fn refill_chunk(&mut self) -> bool {
+        if let Some(segment) = self.cur_segments.pop_front() {
+            let _io = self.trace.span(Phase::SpillIo);
+            self.cur_chunk.resize(segment.len, 0);
+            let files = self.files.as_mut().expect("a spilled segment has a file");
+            files[1 - self.write_file].read_at(segment.offset, &mut self.cur_chunk);
+        } else if !self.cur_tail.is_empty() {
+            self.cur_chunk = std::mem::take(&mut self.cur_tail);
+        } else {
+            return false;
+        }
+        self.cur_pos = 0;
+        true
+    }
+
+    /// Steps past the next record of the current level and returns where it
+    /// lies in the chunk being read: its first byte and its payload.
+    fn next_record(&mut self) -> Option<(usize, Range<usize>)> {
+        if self.cur_pos == self.cur_chunk.len() && !self.refill_chunk() {
+            return None;
+        }
+        let start = self.cur_pos;
+        let mut rest = &self.cur_chunk[start..];
+        let len = read_varint(&mut rest)
+            .ok()
+            .and_then(|len| usize::try_from(len).ok())
+            .filter(|&len| len <= rest.len())
+            .unwrap_or_else(|| panic!("corrupted frontier record at byte {start} of a segment"));
+        let payload = self.cur_chunk.len() - rest.len();
+        self.cur_pos = payload + len;
+        self.cur_items -= 1;
+        self.cur_bytes -= self.cur_pos - start;
+        Some((start, payload..self.cur_pos))
+    }
+}
+
+impl<T, C: ItemCodec<T>> FrontierBackend<T> for Frontier<T, C> {
+    fn push(&mut self, item: T) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        {
+            let _span = self.trace.span(Phase::FrontierEncode);
+            self.codec.encode_item(&item, &mut scratch);
+        }
+        self.push_record(&scratch);
+        self.scratch = scratch;
+    }
+
+    fn pop(&mut self) -> Option<T> {
+        let (_, payload) = self.next_record()?;
+        let _span = self.trace.span(Phase::FrontierDecode);
+        let item = self
+            .codec
+            .decode_item(&mut &self.cur_chunk[payload])
+            .unwrap_or_else(|e| panic!("corrupted frontier record: {e}"));
+        Some(item)
+    }
+
+    fn advance_level(&mut self) -> usize {
+        Frontier::advance_level(self)
+    }
+
+    fn stats(&self) -> FrontierStats {
+        Frontier::stats(self)
     }
 }
 
@@ -661,10 +537,11 @@ mod tests {
 
     #[test]
     fn mem_and_disk_pop_in_identical_fifo_order() {
+        // The unbounded watermark against one of 64 bytes, which forces
+        // many segments per level.
         let levels = [1, 7, 40, 3, 25];
-        let mut mem = MemFrontier::new();
-        // A watermark of 64 bytes forces many segments per level.
-        let mut disk = DiskFrontier::new(64, PlainCodec);
+        let mut mem = FrontierConfig::Mem.build(PlainCodec);
+        let mut disk = FrontierConfig::disk_with_watermark(64).build(PlainCodec);
         let from_mem = drive(&mut mem, &levels);
         let from_disk = drive(&mut disk, &levels);
         assert_eq!(from_mem, from_disk);
@@ -672,8 +549,8 @@ mod tests {
         let stats = disk.stats();
         assert!(stats.segments > 1, "tiny watermark must multi-segment");
         assert!(stats.spilled_bytes > 0);
-        assert_eq!(FrontierBackend::<Item>::name(&disk), "disk");
-        assert_eq!(FrontierBackend::<Item>::name(&mem), "mem");
+        assert_eq!(mem.stats().peak_bytes, stats.peak_bytes, "exact bytes");
+        assert_eq!((disk.name(), mem.name()), ("disk", "mem"));
     }
 
     #[test]
@@ -702,12 +579,14 @@ mod tests {
 
     #[test]
     fn disk_frontier_accounts_bytes_and_reclaims() {
-        let mut disk: DiskFrontier<Item, _> = DiskFrontier::new(48, PlainCodec);
+        let mut disk = Frontier::<Item, _>::new(48, PlainCodec);
+        let mut framed = 0;
         for i in 0..100 {
+            framed += 1 + mp_model::encode_to_vec(&item(i)).len();
             disk.push(item(i));
         }
         let peak = disk.stats().peak_bytes;
-        assert!(peak > 0);
+        assert_eq!(peak, framed, "exact framed bytes");
         assert_eq!(disk.advance_level(), 100);
         while disk.pop().is_some() {}
         // Everything was dequeued; the peak stays, the queue is empty.
@@ -720,7 +599,7 @@ mod tests {
         // Every level spills (watermark far below the level size); the two
         // alternating files must keep on-disk bytes bounded by the two
         // live levels even though the cumulative spill keeps growing.
-        let mut disk: DiskFrontier<Item, _> = DiskFrontier::new(64, PlainCodec);
+        let mut disk = Frontier::<Item, _>::new(64, PlainCodec);
         let mut resident_peak = 0u64;
         for level in 0..10 {
             for i in 0..50 {
@@ -731,6 +610,7 @@ mod tests {
             let resident: u64 = disk
                 .files
                 .iter()
+                .flatten()
                 .filter_map(|f| std::fs::metadata(&f.path).ok())
                 .map(|m| m.len())
                 .sum();
@@ -745,58 +625,88 @@ mod tests {
     }
 
     #[test]
-    fn delta_disk_frontier_pops_in_identical_fifo_order() {
-        let levels = [1, 7, 40, 3, 25];
-        let mut mem = MemFrontier::new();
-        let mut delta: DiskFrontier<Item, _> = DiskFrontier::with_options(64, true, PlainCodec);
-        let from_mem = drive(&mut mem, &levels);
-        let from_delta = drive(&mut delta, &levels);
-        assert_eq!(from_mem, from_delta);
-        let stats = delta.stats();
-        assert!(stats.segments > 1, "tiny watermark must multi-segment");
-        assert!(stats.spilled_bytes > 0);
+    fn an_unbounded_frontier_opens_no_file() {
+        let mut mem = FrontierConfig::Mem.build::<u64, _>(PlainCodec);
+        for level in 0..2 {
+            for i in 0..10_000u64 {
+                mem.push(i);
+            }
+            assert_eq!(mem.advance_level(), 10_000, "level {level}");
+            assert!((0..10_000).all(|i| mem.pop() == Some(i)));
+        }
+        assert_eq!(mem.stats().segments, 0);
+        assert_eq!(mem.stats().spilled_bytes, 0);
+        assert!(mem.files.is_none(), "no spill file was opened");
     }
 
     #[test]
-    fn delta_segments_shrink_when_records_share_prefixes() {
-        // Records with a long shared prefix (the common case for encoded
-        // BFS neighbours): delta framing should cut the spill several-fold.
-        type Rec = (Vec<u8>, usize);
-        fn rec(i: usize) -> Rec {
-            (vec![0xAB; 48], i)
-        }
-        let mut plain: DiskFrontier<Rec, _> = DiskFrontier::new(256, PlainCodec);
-        let mut delta: DiskFrontier<Rec, _> = DiskFrontier::with_options(256, true, PlainCodec);
-        for i in 0..200 {
-            plain.push(rec(i));
-            delta.push(rec(i));
-        }
-        assert_eq!(plain.advance_level(), 200);
-        assert_eq!(delta.advance_level(), 200);
-        let mut popped = 0;
-        loop {
-            match (plain.pop(), delta.pop()) {
-                (Some(a), Some(b)) => {
-                    assert_eq!(a, b);
-                    popped += 1;
-                }
-                (None, None) => break,
-                _ => panic!("plain and delta frontiers disagree on length"),
+    fn a_record_longer_than_the_watermark_gets_a_segment_of_its_own() {
+        let mut disk = Frontier::<(), PlainCodec>::new(16, PlainCodec);
+        let long = [7u8; 40];
+        disk.push_record(b"ab");
+        disk.push_record(&long);
+        disk.push_record(b"cd");
+        // "ab" alone, then the long record alone; "cd" is the unspilled tail.
+        let lens: Vec<usize> = disk.next_segments.iter().map(|s| s.len).collect();
+        assert_eq!(lens, [3, 41]);
+        assert_eq!(disk.advance_level(), 3);
+        let mut out = Vec::new();
+        assert_eq!(disk.pop_records(8, &mut out), 3);
+        let mut expected = vec![2, b'a', b'b', 40];
+        expected.extend_from_slice(&long);
+        expected.extend_from_slice(&[2, b'c', b'd']);
+        assert_eq!(out, expected, "records come back framed, in order");
+    }
+
+    #[test]
+    fn empty_payloads_round_trip() {
+        for config in [FrontierConfig::Mem, FrontierConfig::disk_with_watermark(2)] {
+            let mut frontier = config.build::<(), _>(PlainCodec);
+            for _ in 0..5 {
+                frontier.push(());
             }
+            frontier.push_record(&[]);
+            assert_eq!(frontier.stats().peak_bytes, 6, "{config}: one byte each");
+            assert_eq!(frontier.advance_level(), 6);
+            assert_eq!(std::iter::from_fn(|| frontier.pop()).count(), 6, "{config}");
+            assert_eq!(frontier.advance_level(), 0);
         }
-        assert_eq!(popped, 200);
-        let (plain_spill, delta_spill) = (plain.stats().spilled_bytes, delta.stats().spilled_bytes);
-        assert!(
-            delta_spill * 2 < plain_spill,
-            "delta spill ({delta_spill}B) must substantially undercut the \
-             plain spill ({plain_spill}B)"
-        );
+    }
+
+    #[test]
+    fn typed_items_stay_fifo_across_segment_boundaries() {
+        // Records of 2–18 bytes against a 20-byte watermark: segments end
+        // between records of every size.
+        let mut disk = Frontier::<Item, _>::new(20, PlainCodec);
+        let items: Vec<Item> = (0..200).map(item).collect();
+        for it in &items {
+            disk.push(it.clone());
+        }
+        assert!(disk.stats().segments > 50);
+        assert_eq!(disk.advance_level(), items.len());
+        let popped: Vec<Item> = std::iter::from_fn(|| disk.pop()).collect();
+        assert_eq!(popped, items);
+    }
+
+    #[test]
+    fn popped_records_count_until_released() {
+        let mut mem = FrontierConfig::Mem.build::<(), _>(PlainCodec);
+        mem.push_record(&[1; 9]);
+        assert_eq!(mem.advance_level(), 1);
+        let mut chunk = Vec::new();
+        assert_eq!(mem.pop_records(64, &mut chunk), 1);
+        // The chunk is still held while its successor is pushed.
+        mem.push_record(&[2; 9]);
+        assert_eq!(mem.stats().peak_bytes, 20);
+        mem.release(chunk.len());
+        mem.push_record(&[3; 9]);
+        assert_eq!(mem.stats().peak_bytes, 20);
     }
 
     #[test]
     #[should_panic(expected = "advance_level")]
     fn advancing_a_non_exhausted_level_panics() {
-        let mut mem = MemFrontier::new();
+        let mut mem = FrontierConfig::Mem.build(PlainCodec);
         mem.push(item(1));
         mem.advance_level();
         mem.push(item(2));
@@ -809,9 +719,8 @@ mod tests {
         assert!(FrontierConfig::disk().to_string().starts_with("disk("));
         assert!(!FrontierConfig::Mem.spills());
         assert!(FrontierConfig::disk().spills());
-        let delta = FrontierConfig::disk_delta_with_watermark(4096);
-        assert!(delta.to_string().contains("delta"), "{delta}");
-        assert!(delta.spills());
+        assert_eq!(FrontierConfig::Mem.watermark(), usize::MAX);
+        assert_eq!(FrontierConfig::disk_with_watermark(0).watermark(), 1);
         assert_eq!(FrontierConfig::default(), FrontierConfig::Mem);
     }
 }

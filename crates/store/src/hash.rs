@@ -72,11 +72,6 @@ pub(crate) fn with_encoded<K: Encode, R>(key: &K, f: impl FnOnce(&[u8]) -> R) ->
     })
 }
 
-/// The 64-bit fingerprint of `key`: [`hash_bytes`] of its encoding.
-pub(crate) fn fingerprint<K: Encode>(key: &K) -> u64 {
-    with_encoded(key, hash_bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,6 +130,5 @@ mod tests {
             (a.to_vec(), inner)
         });
         assert_eq!(outer, (vec![7], vec![9]));
-        assert_eq!(fingerprint(&7u64), hash_bytes(&[7]));
     }
 }

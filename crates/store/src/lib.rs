@@ -6,10 +6,13 @@
 //! the whole checker. This crate turns it into a first-class subsystem: the
 //! search engines of `mp-checker` program against the
 //! [`StateStoreBackend`] trait and a [`StoreConfig`] selects a backend at
-//! run time. Every backend answers a query the same way up to the probe:
-//! the key is encoded **once** into a per-thread scratch buffer with the
-//! `mp-model` codec, the bytes are hashed **once** with [`hash_bytes`], and
-//! only then is a lock taken. What is kept per visited state differs:
+//! run time. A backend takes a key as its `mp-model` encoding
+//! ([`StateStoreBackend::insert_bytes`]); the typed calls encode the key
+//! **once** into a per-thread scratch buffer, and a caller that already
+//! holds the bytes — the BFS worker, which keeps them as the state's
+//! frontier record — passes them straight through. Every backend then
+//! hashes the bytes **once** with [`hash_bytes`] and only then takes a
+//! lock. What is kept per visited state differs:
 //!
 //! * [`ByteStore`] (`StoreConfig::Exact`, `StoreConfig::Sharded`) — the
 //!   encoded bytes themselves, in an open-addressing table (a 16-bit tag
@@ -84,15 +87,14 @@
 //!
 //! The visited set is one of the two memory-critical structures of a
 //! breadth-first run; the other is the **frontier** (two whole BFS levels
-//! alive at once). [`FrontierConfig`] makes it pluggable the same way:
-//! [`MemFrontier`] is the in-memory default and [`DiskFrontier`] spills
-//! encoded states (`mp-model`'s `Encode`/`Decode` codec) to a temporary
-//! file in watermark-sized segments, reading them back level by level.
-//! Both preserve strict FIFO order, so spill-on and spill-off runs explore
-//! identically. [`ParentLog`] keeps the BFS parent-pointer table as
-//! fixed-width records under the same watermark, so counterexample paths
-//! stay reconstructible. See the [`frontier`](self::FrontierBackend) module
-//! types for the details.
+//! alive at once). [`Frontier`] queues each state as one framed byte record
+//! — in the BFS engines the exact bytes the visited store was probed with —
+//! and [`FrontierConfig`] sets its watermark: unbounded for the in-memory
+//! default, or a size past which records are spilled to a temporary file
+//! in segments and read back level by level. The order is strictly FIFO
+//! either way, so spill-on and spill-off runs explore identically.
+//! [`ParentLog`] keeps the BFS parent-pointer table as fixed-width records
+//! under the same watermark, so counterexample paths stay reconstructible.
 //!
 //! ## Checkpoint/resume
 //!
@@ -138,8 +140,8 @@ pub use checkpoint::{
 pub use config::{StoreConfig, StoreImpl, DEFAULT_FINGERPRINT_BITS, DEFAULT_SHARDS};
 pub use fingerprint::FingerprintStore;
 pub use frontier::{
-    DiskFrontier, FrontierBackend, FrontierConfig, FrontierImpl, FrontierStats, ItemCodec,
-    MemFrontier, PlainCodec, DEFAULT_FRONTIER_WATERMARK,
+    Frontier, FrontierBackend, FrontierConfig, FrontierStats, ItemCodec, PlainCodec,
+    DEFAULT_FRONTIER_WATERMARK,
 };
 pub use hash::hash_bytes;
 pub use parent_log::{ParentLog, ParentRecord};
@@ -308,16 +310,21 @@ mod tests {
             let by_value = config.build::<u64>();
             let by_ref = config.build::<u64>();
             let hashed = config.build::<u64>();
+            let by_bytes = config.build::<u64>();
             for k in input.iter().chain(input.iter()) {
                 let new = by_value.insert(*k);
                 assert_eq!(new, by_ref.insert_ref(k), "{config}");
                 // All 64 bits of the one fingerprint, whatever the backend
                 // keeps — and the probabilistic backends have no other name
                 // for a key.
-                let fp = hash_bytes(&mp_model::encode_to_vec(k));
+                let encoded = mp_model::encode_to_vec(k);
+                let fp = hash_bytes(&encoded);
                 let inserted = hashed.insert_hashed(k);
                 assert_eq!((inserted.new, inserted.fp), (new, fp), "{config}");
                 assert_eq!(inserted.token == fp, !config.is_exact(), "{config}");
+                // The typed call is the byte-level one after one encode.
+                assert_eq!(by_bytes.insert_bytes(&encoded), inserted, "{config}");
+                assert!(by_bytes.contains_bytes(&encoded), "{config}");
             }
             assert_eq!(by_value.len(), by_ref.len(), "{config}");
             assert_eq!(by_value.stats().hits, by_ref.stats().hits, "{config}");

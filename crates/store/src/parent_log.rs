@@ -9,13 +9,14 @@
 //!
 //! Records are [`ParentLog::WIDTH`] bytes, so record *i* lives at byte
 //! `WIDTH × i` and random access needs no offset table. In memory the log
-//! is one byte vector; under [`FrontierConfig::Disk`] the vector is only
-//! the unflushed tail — past the frontier's watermark it is appended to a
-//! scratch file (`temp_dir()`, deleted on drop) and read back by `seek`.
+//! is one byte vector; under a bounded watermark the vector is only the
+//! unflushed tail — past the watermark it is appended to a scratch file
+//! (`temp_dir()`, opened by the first flush, deleted on drop) and read back
+//! by `seek`.
 
 use mp_trace::{Histogram, Phase, TraceHandle};
 
-use crate::frontier::{FrontierConfig, SpillFile};
+use crate::frontier::SpillFile;
 
 /// One parent-log record: `None` for the root, otherwise `(parent index,
 /// ordinal of the successor in the parent's explore set)`.
@@ -33,10 +34,12 @@ const ROOT: u64 = u64::MAX;
 /// naming the offending index, record or length; I/O errors on the scratch
 /// file panic, like the disk frontier's.
 pub struct ParentLog {
-    /// Every record in memory mode; the unflushed tail when spilling.
+    /// The records not yet written to the scratch file.
     buf: Vec<u8>,
-    /// When spilling: the scratch file and the flush watermark.
-    spill: Option<(SpillFile, usize)>,
+    /// Bytes of `buf` that trigger a flush.
+    watermark: usize,
+    /// The scratch file, opened by the first flush.
+    file: Option<SpillFile>,
     /// Records already written to the scratch file.
     flushed: usize,
     trace: TraceHandle,
@@ -46,20 +49,15 @@ impl ParentLog {
     /// Bytes per record (one little-endian `u64`).
     pub const WIDTH: usize = 8;
 
-    /// Creates the log that accompanies a frontier of this configuration:
-    /// resident for [`FrontierConfig::Mem`], spilling past the same
-    /// watermark for [`FrontierConfig::Disk`]. Spill writes and read-backs
-    /// are timed under `trace`'s [`Phase::SpillIo`].
-    pub fn new(config: FrontierConfig, trace: TraceHandle) -> Self {
-        let spill = match config {
-            FrontierConfig::Mem => None,
-            FrontierConfig::Disk {
-                watermark_bytes, ..
-            } => Some((SpillFile::create("mp-parents"), watermark_bytes.max(1))),
-        };
+    /// Creates a log that spills past `watermark` bytes of records — the
+    /// frontier's (`FrontierConfig::watermark`), so an in-memory frontier's
+    /// `usize::MAX` keeps it resident. Spill writes and read-backs are
+    /// timed under `trace`'s [`Phase::SpillIo`].
+    pub fn new(watermark: usize, trace: TraceHandle) -> Self {
         ParentLog {
             buf: Vec::new(),
-            spill,
+            watermark: watermark.max(1),
+            file: None,
             flushed: 0,
             trace,
         }
@@ -102,15 +100,16 @@ impl ParentLog {
     /// [`ParentLog::encode`] does.
     pub fn push(&mut self, record: ParentRecord) -> Result<usize, String> {
         self.buf.extend_from_slice(&Self::encode(record)?);
-        if let Some((file, watermark)) = &mut self.spill {
-            if self.buf.len() >= *watermark {
-                let _io = self.trace.span(Phase::SpillIo);
-                self.trace
-                    .record(Histogram::SpillSegmentBytes, self.buf.len() as u64);
-                file.write_at((self.flushed * Self::WIDTH) as u64, &self.buf);
-                self.flushed += self.buf.len() / Self::WIDTH;
-                self.buf.clear();
-            }
+        if self.buf.len() >= self.watermark {
+            let _io = self.trace.span(Phase::SpillIo);
+            self.trace
+                .record(Histogram::SpillSegmentBytes, self.buf.len() as u64);
+            let file = self
+                .file
+                .get_or_insert_with(|| SpillFile::create("mp-parents"));
+            file.write_at((self.flushed * Self::WIDTH) as u64, &self.buf);
+            self.flushed += self.buf.len() / Self::WIDTH;
+            self.buf.clear();
         }
         Ok(self.len() - 1)
     }
@@ -127,7 +126,7 @@ impl ParentLog {
             let start = (index - self.flushed) * Self::WIDTH;
             return Self::decode(&self.buf[start..start + Self::WIDTH]);
         }
-        let (file, _) = self.spill.as_mut().expect("flushed records imply a file");
+        let file = self.file.as_mut().expect("flushed records imply a file");
         let _io = self.trace.span(Phase::SpillIo);
         let mut record = [0u8; Self::WIDTH];
         file.read_at((index * Self::WIDTH) as u64, &mut record);
@@ -182,25 +181,26 @@ mod tests {
     fn records_round_trip_in_memory_and_across_watermark_flushes() {
         // 40 bytes = 5 records per flush, so 203 records leave 40 flushed
         // segments and a 3-record unflushed tail.
-        for config in [FrontierConfig::Mem, FrontierConfig::disk_with_watermark(40)] {
-            let mut log = ParentLog::new(config, TraceHandle::disabled());
+        for watermark in [usize::MAX, 40] {
+            let mut log = ParentLog::new(watermark, TraceHandle::disabled());
             for i in 0..203 {
                 assert_eq!(log.push(record(i)), Ok(i));
             }
             for i in [202, 0, 57, 199, 133, 1, 200] {
-                assert_eq!(log.get(i), Ok(record(i)), "{config} record {i}");
+                assert_eq!(log.get(i), Ok(record(i)), "{watermark} record {i}");
             }
             // 202 → 101 → 50 → 25 → 12 → 6 → 3 → 1 → root.
             assert_eq!(log.ordinals_to(202), Ok(vec![1, 3, 1, 2, 0, 0, 1, 2]));
-            let flushed = if config.spills() { 200 } else { 0 };
+            let flushed = if watermark == 40 { 200 } else { 0 };
             assert_eq!(log.spilled_bytes(), flushed * ParentLog::WIDTH);
             assert_eq!(log.approx_bytes(), (203 - flushed) * ParentLog::WIDTH);
+            assert_eq!(log.file.is_some(), flushed > 0, "opened by a flush");
         }
     }
 
     #[test]
     fn out_of_range_and_malformed_accesses_fail_by_name() {
-        let mut log = ParentLog::new(FrontierConfig::Mem, TraceHandle::disabled());
+        let mut log = ParentLog::new(usize::MAX, TraceHandle::disabled());
         log.push(None).unwrap();
         let err = log.get(1).unwrap_err();
         assert!(err.contains("index 1 out of range (1 records)"), "{err}");

@@ -54,7 +54,7 @@ use mp_model::{read_varint, write_varint, Encode};
 
 use crate::backend::{birthday_bound, Inserted, StateStoreBackend, StoreStats};
 use crate::frontier::SpillFile;
-use crate::hash::fingerprint;
+use crate::hash::hash_bytes;
 
 /// Default run-flush watermark: fingerprints buffered in RAM before a
 /// sorted run is written out (~24 MiB of buffer at `BTreeSet` overheads).
@@ -387,8 +387,8 @@ impl<K: Encode> RunStore<K> {
 }
 
 impl<K: Encode> StateStoreBackend<K> for RunStore<K> {
-    fn insert_hashed(&self, key: &K) -> Inserted {
-        let fp = fingerprint(key);
+    fn insert_bytes(&self, bytes: &[u8]) -> Inserted {
+        let fp = hash_bytes(bytes);
         Inserted {
             new: self.insert_fp(fp),
             fp,
@@ -396,8 +396,8 @@ impl<K: Encode> StateStoreBackend<K> for RunStore<K> {
         }
     }
 
-    fn contains(&self, key: &K) -> bool {
-        let fp = fingerprint(key);
+    fn contains_bytes(&self, bytes: &[u8]) -> bool {
+        let fp = hash_bytes(bytes);
         let mut inner = self.inner.lock().expect("run store poisoned");
         let present = inner.buffer.contains(&fp) || inner.spilled_contains(fp);
         drop(inner);

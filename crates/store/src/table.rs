@@ -8,8 +8,7 @@
 //! `tests/store_backends.rs` checks it on every protocol's reachable keys).
 //! [`StoreConfig::Exact`](crate::StoreConfig) is this table with one shard,
 //! [`StoreConfig::Sharded`](crate::StoreConfig) with N shards picked by the
-//! fingerprint's top bits; encoding and hashing happen before a shard's
-//! lock is taken.
+//! fingerprint's top bits; hashing happens before a shard's lock is taken.
 
 use std::marker::PhantomData;
 use std::sync::Mutex;
@@ -17,7 +16,7 @@ use std::sync::Mutex;
 use mp_model::{read_varint, write_varint, Encode};
 
 use crate::backend::{Inserted, StateStoreBackend, StoreStats};
-use crate::hash::{hash_bytes, with_encoded};
+use crate::hash::hash_bytes;
 
 /// Arena chunks fill up to this many bytes, so growing the arena never
 /// copies (or briefly doubles) more than one chunk.
@@ -199,24 +198,22 @@ impl<K: Encode> ByteStore<K> {
         }
     }
 
-    /// Encodes and hashes `key`, then runs `f` under the lock of the shard
-    /// the fingerprint's top bits select, passing that shard's index.
-    fn with_shard<R>(&self, key: &K, f: impl FnOnce(&mut Shard, usize, u64, &[u8]) -> R) -> R {
-        with_encoded(key, |bytes| {
-            let fp = (self.hash)(bytes);
-            let index = match self.shard_bits {
-                0 => 0,
-                bits => (fp >> (64 - bits)) as usize,
-            };
-            let mut shard = self.shards[index].lock().expect("shard poisoned");
-            f(&mut shard, index, fp, bytes)
-        })
+    /// Hashes `bytes`, then runs `f` under the lock of the shard the
+    /// fingerprint's top bits select, passing that shard's index.
+    fn with_shard<R>(&self, bytes: &[u8], f: impl FnOnce(&mut Shard, usize, u64) -> R) -> R {
+        let fp = (self.hash)(bytes);
+        let index = match self.shard_bits {
+            0 => 0,
+            bits => (fp >> (64 - bits)) as usize,
+        };
+        let mut shard = self.shards[index].lock().expect("shard poisoned");
+        f(&mut shard, index, fp)
     }
 }
 
 impl<K: Encode> StateStoreBackend<K> for ByteStore<K> {
-    fn insert_hashed(&self, key: &K) -> Inserted {
-        self.with_shard(key, |shard, index, fp, bytes| {
+    fn insert_bytes(&self, bytes: &[u8]) -> Inserted {
+        self.with_shard(bytes, |shard, index, fp| {
             let (new, slot) = shard.insert(fp, bytes, self.hash);
             // A record never moves, and no two share an offset of one shard.
             let offset = (shard.slots[slot] & OFFSET_MASK) - 1;
@@ -225,8 +222,8 @@ impl<K: Encode> StateStoreBackend<K> for ByteStore<K> {
         })
     }
 
-    fn contains(&self, key: &K) -> bool {
-        self.with_shard(key, |shard, _, fp, bytes| shard.contains(fp, bytes))
+    fn contains_bytes(&self, bytes: &[u8]) -> bool {
+        self.with_shard(bytes, |shard, _, fp| shard.contains(fp, bytes))
     }
 
     fn len(&self) -> usize {

@@ -12,7 +12,9 @@
 //! * the external-memory `runs` visited store checkpoints and resumes like
 //!   the in-memory backends while spilling sorted runs to disk,
 //! * resuming a *completed* run is a no-op that reproduces the final
-//!   verdict and counters, and
+//!   verdict and counters,
+//! * a level file holds each entry as `encode((node, δ, state, observer))`,
+//!   byte for byte, and
 //! * resume **refuses** manifests from a different configuration, a
 //!   corrupted manifest, a tampered level file, and every other format
 //!   version, the retired v1 included (the versioning policy of
@@ -22,9 +24,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mp_basset::checker::{
-    Checker, CheckerConfig, CheckpointConfig, RunReport, SearchStrategy, Verdict,
+    Checker, CheckerConfig, CheckpointConfig, Manifest, NullObserver, RunReport, SearchStrategy,
+    Verdict,
 };
 use mp_basset::faults::FaultBudget;
+use mp_basset::model::{enabled_instances, encode_to_vec, execute_enabled};
 use mp_basset::protocols::paxos::{
     self, consensus_property, faulty_consensus_property, faulty_quorum_model as faulty_paxos,
     quorum_model as paxos_quorum, PaxosSetting, PaxosVariant,
@@ -158,7 +162,7 @@ fn resumed_run_reproduces_the_identical_counterexample() {
         let run = |checkpoint: Option<CheckpointConfig>, max_states: Option<usize>| {
             let mut config = mode
                 .clone()
-                .with_frontier(FrontierConfig::disk_delta_with_watermark(512));
+                .with_frontier(FrontierConfig::disk_with_watermark(512));
             if let Some(checkpoint) = checkpoint {
                 config = config.with_checkpoint(checkpoint);
             }
@@ -256,6 +260,44 @@ fn resuming_a_completed_run_reproduces_its_result() {
     let again = run_plain_cell(&dir, None);
     assert_eq!(first.verdict.to_string(), again.verdict.to_string());
     assert_eq!(first.stats.counters(), again.stats.counters());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn level_files_hold_each_entry_as_its_encoded_tuple() {
+    // An unreduced sequential run: level 1 is the root's successors in
+    // explore order, nodes 1, 2, …, and with symmetry off every δ is 0.
+    // These are the bytes format v2 has always written, now copied
+    // unchanged from the frontier record.
+    // Two proposers: two root successors. The state limit stops the run
+    // after level 1 was committed.
+    let setting = PaxosSetting::new(2, 3, 1);
+    let spec = paxos_quorum(setting, PaxosVariant::Correct);
+    let dir = temp_dir("golden");
+    let config = CheckerConfig::stateful_bfs()
+        .with_checkpoint(CheckpointConfig::new(&dir))
+        .with_max_states(30);
+    Checker::new(&spec, consensus_property(setting))
+        .config(config)
+        .run();
+    let manifest = Manifest::load(&dir).unwrap();
+    assert!(manifest.level >= 1);
+    let root = spec.initial_state();
+    let level_1: Vec<Vec<u8>> = enabled_instances(&spec, &root)
+        .iter()
+        .enumerate()
+        .map(|(i, instance)| {
+            let state = execute_enabled(&spec, &root, instance);
+            encode_to_vec(&(i + 1, 0usize, state, NullObserver))
+        })
+        .collect();
+    assert!(level_1.len() > 1);
+    assert_eq!(manifest.read_level(&dir, 1).unwrap(), level_1);
+    assert_eq!(
+        manifest.read_level(&dir, 0).unwrap(),
+        [encode_to_vec(&(0usize, 0usize, root, NullObserver))]
+    );
+    assert_eq!(mp_basset::store::CHECKPOINT_VERSION, 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
