@@ -1,6 +1,5 @@
 //! The hash-compaction (fingerprint) backend.
 
-use std::collections::HashSet;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -8,25 +7,27 @@ use std::sync::Mutex;
 use mp_model::Encode;
 
 use crate::backend::{birthday_bound, Inserted, StateStoreBackend, StoreStats};
+use crate::fptable::FpTable;
 use crate::hash::{hash_bytes, K0};
 
 /// A visited-state set that stores only the low w bits of each key's
 /// fingerprint ([`crate::hash_bytes`] of its encoding) instead of the key.
 ///
-/// Memory per visited state drops from the full key size to ~9 bytes
-/// regardless of how large the protocol state is, which is what makes the
-/// Table I/II protocol runs fit in memory at larger parameters. The price
-/// is a bounded **omission probability**: two distinct states whose hashes
-/// agree on the stored w bits are conflated, and the subtree below the
-/// second one is silently skipped. See the crate-level documentation
-/// ([`crate`]) for the exact soundness contract; in short, `Verified`
-/// becomes probabilistic while counterexamples stay exact.
+/// Memory per visited state drops from the full key size to one 8-byte
+/// slot (11–21 bytes at 3/8–3/4 load) regardless of how large the protocol
+/// state is, which is what makes the Table I/II protocol runs fit in memory
+/// at larger parameters. The price is a bounded **omission probability**:
+/// two distinct states whose hashes agree on the stored w bits are
+/// conflated, and the subtree below the second one is silently skipped. See
+/// the crate-level documentation ([`crate`]) for the exact soundness
+/// contract; in short, `Verified` becomes probabilistic while
+/// counterexamples stay exact.
 ///
 /// The store is lock-striped like the sharded [`crate::ByteStore`], so it
 /// is also safe (and fast) under the parallel engine.
 #[derive(Debug)]
 pub struct FingerprintStore<K> {
-    shards: Vec<Mutex<HashSet<u64>>>,
+    shards: Vec<Mutex<FpTable>>,
     shard_bits: u32,
     mask: u64,
     bits: u32,
@@ -42,7 +43,7 @@ impl<K: Encode> FingerprintStore<K> {
         let bits = bits.clamp(8, 64);
         let shards = shards.max(1).next_power_of_two();
         FingerprintStore {
-            shards: (0..shards).map(|_| Mutex::new(HashSet::new())).collect(),
+            shards: (0..shards).map(|_| Mutex::default()).collect(),
             shard_bits: shards.trailing_zeros(),
             mask: if bits == 64 {
                 u64::MAX
@@ -62,7 +63,7 @@ impl<K: Encode> FingerprintStore<K> {
     }
 
     /// The kept (masked) fingerprint of a full one, and the shard it lives in.
-    fn kept_and_shard(&self, full: u64) -> (u64, &Mutex<HashSet<u64>>) {
+    fn kept_and_shard(&self, full: u64) -> (u64, &Mutex<FpTable>) {
         let fp = full & self.mask;
         // The shard is derived from the fingerprint itself (Fibonacci
         // mixing of its bits), so equal fingerprints always land in the
@@ -100,7 +101,7 @@ impl<K: Encode> StateStoreBackend<K> for FingerprintStore<K> {
 
     fn contains_bytes(&self, bytes: &[u8]) -> bool {
         let (fp, shard) = self.kept_and_shard(hash_bytes(bytes));
-        let present = shard.lock().expect("shard poisoned").contains(&fp);
+        let present = shard.lock().expect("shard poisoned").contains(fp);
         self.record(present);
         present
     }
@@ -118,8 +119,7 @@ impl<K: Encode> StateStoreBackend<K> for FingerprintStore<K> {
         for shard in &self.shards {
             let shard = shard.lock().expect("shard poisoned");
             entries += shard.len();
-            // hashbrown: one control byte beside every 8-byte slot.
-            approx_bytes += shard.capacity() * (size_of::<u64>() + 1) + size_of::<HashSet<u64>>();
+            approx_bytes += shard.heap_bytes();
         }
         StoreStats {
             entries,

@@ -126,6 +126,7 @@ mod backend;
 mod checkpoint;
 mod config;
 mod fingerprint;
+mod fptable;
 mod frontier;
 mod hash;
 mod parent_log;
@@ -249,12 +250,16 @@ mod tests {
 
     #[test]
     fn narrow_fingerprints_collide_and_wide_ones_do_not() {
-        // An 8-bit fingerprint can hold at most 256 distinct values.
+        // An 8-bit fingerprint can hold at most 256 distinct values, zero
+        // among them: the store keeps exactly the distinct kept ones.
         let store = FingerprintStore::<u64>::new(8, 4);
+        let mut kept = std::collections::BTreeSet::new();
         for k in keys(4_096, 3) {
+            kept.insert(hash_bytes(&mp_model::encode_to_vec(&k)) & 0xff);
             store.insert(k);
         }
-        assert!(store.len() <= 256);
+        assert!(kept.contains(&0), "4 096 keys reach the zero fingerprint");
+        assert_eq!(store.len(), kept.len());
         assert!(store.stats().omission_probability > 0.99);
 
         let wide = FingerprintStore::<u64>::new(64, 4);

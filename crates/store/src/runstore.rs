@@ -5,22 +5,24 @@
 //! certification sweeps — every backend in this crate so far keeps at least
 //! one word *per visited state* resident. [`RunStore`] breaks that bound:
 //!
-//! * recent fingerprints live in an in-memory **buffer** (a sorted set);
-//! * when the buffer reaches the configured **watermark** it is flushed to
-//!   a temporary file as one **sorted run** of delta-encoded fingerprints
-//!   (see `docs/ON_DISK_FORMATS.md` in the repository for the exact byte
-//!   layout);
+//! * recent fingerprints live in an in-memory **buffer**, an open-addressing
+//!   table of 8-byte slots, two per entry at a power-of-two watermark;
+//! * when the buffer reaches the configured **watermark** it is drained,
+//!   sorted, to a temporary file as one **sorted run** of delta-encoded
+//!   fingerprints (see `docs/ON_DISK_FORMATS.md` in the repository for the
+//!   exact byte layout);
 //! * a **bloom filter** over everything spilled screens lookups: a bloom
 //!   miss proves the fingerprint was never spilled, so the common case — a
 //!   genuinely new state — touches no disk at all;
 //! * a bloom *maybe* falls through to a binary search over each run's
-//!   in-memory block index, reading back exactly one block per run.
+//!   in-memory block index, newest run first, reading back at most one
+//!   block per run and decoding it up to the first fingerprint ≥ the key.
 //!
 //! Lookup cost is O(runs) block reads in the worst case, so the engines
 //! call [`StateStoreBackend::maintain`] at BFS level boundaries, which
 //! merges all runs into one — lookups between boundaries stay cheap and
 //! resident memory stays bounded by the bloom front, the buffer and one
-//! block per run during the merge.
+//! block per run.
 //!
 //! Like [`crate::FingerprintStore`] at 64 bits, membership is decided on
 //! the key's 64-bit fingerprint ([`crate::hash_bytes`] of its encoding):
@@ -45,7 +47,6 @@
 //! assert!(stats.merge_bytes > 0, "maintain rewrote them as one run");
 //! ```
 
-use std::collections::BTreeSet;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -53,11 +54,12 @@ use std::sync::Mutex;
 use mp_model::{read_varint, write_varint, Encode};
 
 use crate::backend::{birthday_bound, Inserted, StateStoreBackend, StoreStats};
+use crate::fptable::FpTable;
 use crate::frontier::SpillFile;
 use crate::hash::hash_bytes;
 
 /// Default run-flush watermark: fingerprints buffered in RAM before a
-/// sorted run is written out (~24 MiB of buffer at `BTreeSet` overheads).
+/// sorted run is written out (a table of 2 Mi slots, 16 MiB of buffer).
 pub const DEFAULT_RUN_WATERMARK: usize = 1 << 20;
 
 /// Fingerprints per encoded block of a sorted run. One block is the unit
@@ -82,16 +84,18 @@ struct Run {
     file: SpillFile,
     index: Vec<Block>,
     entries: usize,
+    /// The buffer every probe of this run reads its block into.
+    raw: Vec<u8>,
 }
 
 impl Run {
     fn read_block(&mut self, block: Block) -> Vec<u64> {
         let mut raw = vec![0u8; block.len];
         self.file.read_at(block.offset, &mut raw);
-        decode_block(&raw, block.count)
+        decode_block(&raw, block.count).collect()
     }
 
-    /// Binary-searches the block index and reads back at most one block.
+    /// Reads back at most one block, decoding it only up to `fp`.
     fn contains(&mut self, fp: u64) -> bool {
         // Last block whose first fingerprint is <= fp.
         let at = self.index.partition_point(|b| b.first_fp <= fp);
@@ -99,23 +103,26 @@ impl Run {
             return false;
         }
         let block = self.index[at - 1];
-        self.read_block(block).binary_search(&fp).is_ok()
+        #[cfg(test)]
+        tests::BLOCK_READS.with(|reads| reads.set(reads.get() + 1));
+        self.raw.resize(block.len, 0);
+        self.file.read_at(block.offset, &mut self.raw);
+        decode_block(&self.raw, block.count).find(|&stored| stored >= fp) == Some(fp)
     }
 }
 
-fn decode_block(raw: &[u8], expected: usize) -> Vec<u64> {
+/// The ascending fingerprints of one encoded block, decoded lazily.
+fn decode_block(raw: &[u8], expected: usize) -> impl Iterator<Item = u64> + '_ {
     let mut input = raw;
-    let count =
-        read_varint(&mut input).unwrap_or_else(|e| panic!("corrupted run block: {e}")) as usize;
+    let mut next =
+        move || read_varint(&mut input).unwrap_or_else(|e| panic!("corrupted run block: {e}"));
+    let count = next() as usize;
     assert_eq!(count, expected, "run block count disagrees with the index");
-    let mut fps = Vec::with_capacity(count);
-    let mut fp = 0u64;
-    for i in 0..count {
-        let delta = read_varint(&mut input).unwrap_or_else(|e| panic!("corrupted run block: {e}"));
-        fp = if i == 0 { delta } else { fp + delta };
-        fps.push(fp);
-    }
-    fps
+    let mut fp = 0u64; // the first entry is absolute: a gap from zero
+    (0..count).map(move |_| {
+        fp += next();
+        fp
+    })
 }
 
 /// Streams sorted fingerprints into a new run file, block by block, so a
@@ -180,6 +187,7 @@ impl RunWriter {
                 file: self.file,
                 index: self.index,
                 entries: self.entries,
+                raw: Vec::new(),
             },
             bytes,
         )
@@ -207,10 +215,7 @@ impl RunCursor {
 
     fn peek(&mut self) -> Option<u64> {
         while self.pos >= self.fps.len() {
-            if self.block_at >= self.run.index.len() {
-                return None;
-            }
-            let block = self.run.index[self.block_at];
+            let block = *self.run.index.get(self.block_at)?;
             self.block_at += 1;
             self.fps = self.run.read_block(block);
             self.pos = 0;
@@ -225,10 +230,10 @@ impl RunCursor {
 
 #[derive(Debug)]
 struct RunInner {
-    /// Fingerprints not yet spilled, kept sorted for the next run flush.
-    buffer: BTreeSet<u64>,
+    /// Fingerprints not yet spilled, drained sorted at the next run flush.
+    buffer: FpTable,
     /// Bit array over everything spilled; a clear probe proves absence.
-    bloom: Vec<u64>,
+    bloom: Box<[u64]>,
     bloom_mask: u64,
     runs: Vec<Run>,
     watermark: usize,
@@ -255,29 +260,31 @@ impl RunInner {
             .all(|slot| self.bloom[slot >> 6] & (1u64 << (slot & 63)) != 0)
     }
 
+    /// Probes newest run first: a revisit is most often of a recent state.
     fn spilled_contains(&mut self, fp: u64) -> bool {
         if !self.bloom_maybe(fp) {
             return false;
         }
-        self.runs.iter_mut().any(|run| run.contains(fp))
+        self.runs.iter_mut().rev().any(|run| run.contains(fp))
     }
 
+    /// Drains the buffer, sorted, into one new run and the bloom filter.
     fn flush_run(&mut self) {
-        if self.buffer.is_empty() {
-            return;
-        }
         let mut writer = RunWriter::new();
-        for fp in std::mem::take(&mut self.buffer) {
+        let mut buffer = std::mem::take(&mut self.buffer);
+        buffer.drain_sorted(|fp| {
+            self.bloom_set(fp);
             writer.push(fp);
-        }
+        });
+        self.buffer = buffer; // empty, its slot array kept for the next fill
         let (run, bytes) = writer.finish();
         self.spilled_bytes += bytes;
         self.runs.push(run);
     }
 
-    fn merge_runs(&mut self) -> usize {
+    fn merge_runs(&mut self) {
         if self.runs.len() <= 1 {
-            return 0;
+            return;
         }
         let mut cursors: Vec<RunCursor> = std::mem::take(&mut self.runs)
             .into_iter()
@@ -308,7 +315,6 @@ impl RunInner {
         let (run, bytes) = writer.finish();
         self.merge_bytes += bytes;
         self.runs.push(run);
-        bytes
     }
 }
 
@@ -331,8 +337,8 @@ impl<K: Encode> RunStore<K> {
         let bloom_bits = (watermark * 64).next_power_of_two().max(1 << 12);
         RunStore {
             inner: Mutex::new(RunInner {
-                buffer: BTreeSet::new(),
-                bloom: vec![0u64; bloom_bits / 64],
+                buffer: FpTable::default(),
+                bloom: vec![0u64; bloom_bits / 64].into_boxed_slice(),
                 bloom_mask: (bloom_bits - 1) as u64,
                 runs: Vec::new(),
                 watermark,
@@ -366,23 +372,16 @@ impl<K: Encode> RunStore<K> {
 
     fn insert_fp(&self, fp: u64) -> bool {
         let mut inner = self.inner.lock().expect("run store poisoned");
-        if inner.buffer.contains(&fp) || inner.spilled_contains(fp) {
-            drop(inner);
-            self.record(true);
-            return false;
-        }
-        inner.buffer.insert(fp);
-        if inner.buffer.len() >= inner.watermark {
-            // Set the bloom bits before the flush consumes the buffer.
-            let fps: Vec<u64> = inner.buffer.iter().copied().collect();
-            for fp in fps {
-                inner.bloom_set(fp);
+        let new = !inner.buffer.contains(fp) && !inner.spilled_contains(fp);
+        if new {
+            inner.buffer.insert(fp);
+            if inner.buffer.len() >= inner.watermark {
+                inner.flush_run();
             }
-            inner.flush_run();
         }
         drop(inner);
-        self.record(false);
-        true
+        self.record(!new);
+        new
     }
 }
 
@@ -399,7 +398,7 @@ impl<K: Encode> StateStoreBackend<K> for RunStore<K> {
     fn contains_bytes(&self, bytes: &[u8]) -> bool {
         let fp = hash_bytes(bytes);
         let mut inner = self.inner.lock().expect("run store poisoned");
-        let present = inner.buffer.contains(&fp) || inner.spilled_contains(fp);
+        let present = inner.buffer.contains(fp) || inner.spilled_contains(fp);
         drop(inner);
         self.record(present);
         present
@@ -413,16 +412,16 @@ impl<K: Encode> StateStoreBackend<K> for RunStore<K> {
     fn stats(&self) -> StoreStats {
         let inner = self.inner.lock().expect("run store poisoned");
         let entries = inner.buffer.len() + inner.runs.iter().map(|r| r.entries).sum::<usize>();
-        // Resident bytes: the bloom bit array, the buffered fingerprints
-        // (BTreeSet nodes cost roughly three words per u64 entry), and the
-        // block indices. The run payloads themselves live on disk and are
+        // Resident bytes: the bloom bit array, the buffer table's slot
+        // array (kept across flushes), and each run's block index and probe
+        // buffer. The run payloads themselves live on disk and are
         // deliberately *not* counted here — that is the whole point.
         let approx_bytes = inner.bloom.len() * 8
-            + inner.buffer.len() * 3 * std::mem::size_of::<u64>()
+            + inner.buffer.heap_bytes()
             + inner
                 .runs
                 .iter()
-                .map(|r| r.index.len() * std::mem::size_of::<Block>())
+                .map(|r| r.index.len() * std::mem::size_of::<Block>() + r.raw.capacity())
                 .sum::<usize>();
         StoreStats {
             entries,
@@ -448,6 +447,11 @@ impl<K: Encode> StateStoreBackend<K> for RunStore<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    thread_local! {
+        /// Blocks this thread has read back from run files.
+        pub(super) static BLOCK_READS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
 
     fn keys(n: usize, seed: u64) -> Vec<u64> {
         let mut s = seed;
@@ -558,9 +562,60 @@ mod tests {
             decoded.extend(run.read_block(block));
         }
         assert_eq!(decoded, fps);
+        // The early-stopping probe finds every member and no key between
+        // two members.
         for fp in &fps {
             assert!(run.contains(*fp));
+            assert!(!run.contains(fp + 1));
         }
         assert!(!run.contains(3));
+        assert!(!run.contains(u64::MAX));
+    }
+
+    #[test]
+    fn random_interleavings_agree_with_a_fingerprint_set() {
+        use std::collections::BTreeSet;
+        for watermark in [1, 7, 64] {
+            let store: RunStore<u64> = RunStore::new(watermark);
+            let mut reference = BTreeSet::new();
+            // A small key domain, so inserts and queries revisit keys in
+            // the buffer, in unmerged runs and in merged ones.
+            let draws = keys(6_000, watermark as u64);
+            for (i, draw) in draws.iter().enumerate() {
+                let key = (draw >> 8) % 1_500;
+                let fp = hash_bytes(&mp_model::encode_to_vec(&key));
+                match draw % 16 {
+                    0 => store.maintain(),
+                    1..=6 => assert_eq!(
+                        store.contains(&key),
+                        reference.contains(&fp),
+                        "watermark {watermark}, step {i}: contains({key})"
+                    ),
+                    _ => assert_eq!(
+                        store.insert(key),
+                        reference.insert(fp),
+                        "watermark {watermark}, step {i}: insert({key})"
+                    ),
+                }
+                assert_eq!(store.len(), reference.len(), "watermark {watermark}");
+            }
+            assert!(store.stats().merge_bytes > 0, "watermark {watermark}");
+        }
+    }
+
+    #[test]
+    fn a_key_of_the_newest_run_costs_one_block_read() {
+        let store: RunStore<u64> = RunStore::new(64);
+        let input = keys(3 * 64, 31);
+        for k in &input {
+            store.insert(*k);
+        }
+        assert_eq!(store.run_count(), 3, "three flushes, nothing buffered");
+        let reads = || BLOCK_READS.with(|reads| reads.get());
+        for k in &input[2 * 64..] {
+            let before = reads();
+            assert!(store.contains(k));
+            assert_eq!(reads() - before, 1, "{k} is found in the first run probed");
+        }
     }
 }
