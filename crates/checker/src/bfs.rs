@@ -171,6 +171,8 @@ where
             revisits: 0,
         };
         let mut records = chunk.as_slice();
+        // A symmetric successor's canonical key, reused across the chunk.
+        let mut key = Vec::new();
         while !records.is_empty() {
             if self.pool.stopped() {
                 break;
@@ -214,27 +216,33 @@ where
                     (next_state, next_observer)
                 };
                 out.transitions += 1;
-                // `None` = the concrete pair is its own representative.
-                let (delta, canonical) = if self.trivial {
-                    (0, None)
-                } else {
-                    let (cs, co, e) =
-                        self.symmetry
-                            .canonicalize_traced(&concrete.0, &concrete.1, trace);
-                    (e, Some((cs, co)))
-                };
                 // The successor's one encoding: the store probes its key
                 // part, and a first visit keeps it whole as its body.
                 let start = out.bodies.len();
-                let first_visit = {
+                let first_visit = if self.trivial {
                     let _lookup = trace.span(Phase::StoreLookup);
-                    write_varint(delta as u64, &mut out.bodies);
+                    write_varint(0, &mut out.bodies);
                     let key = out.bodies.len();
-                    canonical
-                        .as_ref()
-                        .unwrap_or(&concrete)
-                        .encode(&mut out.bodies);
+                    concrete.encode(&mut out.bodies);
                     self.store.insert_bytes(&out.bodies[key..]).new
+                } else {
+                    // The representative is encoded straight from the
+                    // concrete pair; δ, which precedes it in the body, is
+                    // known only once it is written.
+                    key.clear();
+                    let delta = self.symmetry.canonical_encode_traced(
+                        &concrete.0,
+                        &concrete.1,
+                        &mut key,
+                        trace,
+                    );
+                    let _lookup = trace.span(Phase::StoreLookup);
+                    let new = self.store.insert_bytes(&key).new;
+                    if new {
+                        write_varint(delta as u64, &mut out.bodies);
+                        out.bodies.extend_from_slice(&key);
+                    }
+                    new
                 };
                 if !first_visit {
                     out.bodies.truncate(start);
@@ -626,10 +634,12 @@ where
     } else {
         canonical_label(store.name())
     };
+    // The canonicalizer is part of a symmetric run's identity: another one
+    // may store other representatives, so its checkpoints must not resume.
     let sym_label = if trivial {
         "off".to_string()
     } else {
-        symmetry.label()
+        format!("{}/{}", symmetry.label(), symmetry.canonicalizer())
     };
     let mut search = Search {
         spec,
@@ -675,16 +685,17 @@ where
                 // Validated groups fix the initial state, so its canonical
                 // form is itself; canonicalize anyway so the key discipline
                 // has no exceptions (mirrors the DFS engine).
-                let (root_state, root_observer, root_delta) = if trivial {
-                    (initial, initial_observer, 0)
+                let mut key = Vec::new();
+                let root_delta = if trivial {
+                    (initial, initial_observer).encode(&mut key);
+                    0
                 } else {
-                    symmetry.canonicalize_traced(&initial, &initial_observer, &trace)
+                    symmetry.canonical_encode_traced(&initial, &initial_observer, &mut key, &trace)
                 };
+                store.insert_bytes(&key);
                 let mut body = Vec::new();
                 write_varint(root_delta as u64, &mut body);
-                let key = body.len();
-                (root_state, root_observer).encode(&mut body);
-                store.insert_bytes(&body[key..]);
+                body.extend_from_slice(&key);
                 if let Some(c) = checkpoint {
                     let mut writer = CheckpointWriter::new(&c.dir).unwrap_or_else(|e| {
                         panic!("cannot start checkpoint in {}: {e}", c.dir.display())

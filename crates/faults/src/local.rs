@@ -68,6 +68,16 @@ impl<S: Permutable> Permutable for FaultLocal<S> {
             corruptions: self.corruptions,
         }
     }
+
+    fn signature(&self) -> u64 {
+        mp_model::plain_signature(&(
+            self.inner.signature(),
+            self.crashed,
+            self.drops,
+            self.dups,
+            self.corruptions,
+        ))
+    }
 }
 
 // Fault-augmented states travel through the disk-backed BFS frontier like

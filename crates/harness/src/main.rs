@@ -295,7 +295,7 @@ fn quorum_scaling(cli: &Cli) {
     print!("{}", render_table("Paxos acceptor sweep", &rows));
     println!("\nSymmetry (orbit) reduction on the quorum models — the validated");
     println!("group is the acceptor+learner role symmetry, order acceptors!:");
-    let (points, sym_rows) = paxos_symmetry_sweep(3, &budget);
+    let (points, sym_rows) = paxos_symmetry_sweep(5, &budget);
     print!("{}", render_symmetry_sweep(&points));
     if points.iter().any(|p| !p.verdicts_agree) {
         eprintln!("SYMMETRY DISAGREEMENT in the acceptor sweep");

@@ -81,9 +81,13 @@ impl<M: Ord> Channels<M> {
     /// The non-empty channels in `(receiver, sender)` order, each as the run
     /// of its distinct messages.
     fn runs(&self) -> impl Iterator<Item = &[Pending<M>]> {
-        self.entries
-            .chunk_by(|a, b| (a.receiver, a.sender) == (b.receiver, b.sender))
+        runs(&self.entries)
     }
+}
+
+/// The runs of equal `(receiver, sender)` in sorted `entries`.
+fn runs<M>(entries: &[Pending<M>]) -> impl Iterator<Item = &[Pending<M>]> {
+    entries.chunk_by(|a, b| (a.receiver, a.sender) == (b.receiver, b.sender))
 }
 
 impl<M: Message> Channels<M> {
@@ -201,7 +205,29 @@ impl<M: Message> Channels<M> {
         M: crate::Permutable,
     {
         out.entries.clear();
-        out.entries.extend(self.entries.iter().map(|e| Pending {
+        self.permute_entries(perm, &mut out.entries);
+        out.num_processes = self.num_processes;
+        out.total = self.total;
+    }
+
+    /// Appends the encoding of `self.permute(perm)` to `out` without
+    /// building the image's `Channels`: the symmetry reduction writes a
+    /// canonical key this way.
+    pub fn encode_permuted(&self, perm: &crate::Permutation, out: &mut Vec<u8>)
+    where
+        M: crate::Permutable,
+    {
+        let mut image = Vec::with_capacity(self.entries.len());
+        self.permute_entries(perm, &mut image);
+        encode_entries(self.num_processes, &image, out);
+    }
+
+    /// Appends the image's entries, in canonical order, to the empty `out`.
+    fn permute_entries(&self, perm: &crate::Permutation, out: &mut Vec<Pending<M>>)
+    where
+        M: crate::Permutable,
+    {
+        out.extend(self.entries.iter().map(|e| Pending {
             receiver: perm.apply(e.receiver),
             sender: perm.apply(e.sender),
             payload: e.payload.permute(perm),
@@ -209,10 +235,8 @@ impl<M: Message> Channels<M> {
         }));
         // A permutation acts injectively on endpoints and payloads, so the
         // images are distinct and sorting alone restores the canonical form.
-        out.entries.sort_unstable();
-        debug_assert!(out.entries.windows(2).all(|w| w[0] < w[1]));
-        out.num_processes = self.num_processes;
-        out.total = self.total;
+        out.sort_unstable();
+        debug_assert!(out.windows(2).all(|w| w[0] < w[1]));
     }
 
     /// The non-empty channels as `((sender, receiver), contents)`, for the
@@ -235,16 +259,21 @@ impl<M: Message> Channels<M> {
 // worse than one that fails.
 impl<M: Ord + Encode> Encode for Channels<M> {
     fn encode(&self, out: &mut Vec<u8>) {
-        write_varint(self.num_processes as u64, out);
-        write_varint(self.runs().count() as u64, out);
-        for run in self.runs() {
-            run[0].receiver.encode(out);
-            run[0].sender.encode(out);
-            write_varint(run.len() as u64, out);
-            for entry in run {
-                entry.payload.encode(out);
-                write_varint(entry.count as u64, out);
-            }
+        encode_entries(self.num_processes, &self.entries, out);
+    }
+}
+
+/// The one encoder of channel contents, given as canonical `entries`.
+fn encode_entries<M: Encode>(num_processes: usize, entries: &[Pending<M>], out: &mut Vec<u8>) {
+    write_varint(num_processes as u64, out);
+    write_varint(runs(entries).count() as u64, out);
+    for run in runs(entries) {
+        run[0].receiver.encode(out);
+        run[0].sender.encode(out);
+        write_varint(run.len() as u64, out);
+        for entry in run {
+            entry.payload.encode(out);
+            write_varint(entry.count as u64, out);
         }
     }
 }
@@ -504,6 +533,13 @@ mod tests {
         expected.send(p(0), p(1), Msg::Req(8));
         assert_eq!(ch.permute(&swap), expected);
         assert_eq!(ch.permute(&swap).permute(&swap), ch);
+        let mut bytes = Vec::new();
+        ch.encode_permuted(&swap, &mut bytes);
+        assert_eq!(
+            bytes,
+            encode_to_vec(&expected),
+            "the image's encoding, unbuilt"
+        );
     }
 
     /// The hand-built streams below spell out the layout of

@@ -94,7 +94,7 @@ pub use error::ModelError;
 pub use graph::StateGraph;
 pub use ids::{ProcessId, TransitionId};
 pub use message::{Envelope, Kind, Message};
-pub use permute::{Permutable, Permutation};
+pub use permute::{combine, plain_signature, Permutable, Permutation};
 pub use protocol::{EnableFilter, ProtocolBuilder, ProtocolSpec};
 pub use semantics::{execute, execute_enabled, is_deadlock, successors};
 pub use state::{GlobalState, LocalState};

@@ -12,7 +12,11 @@
 //! * [`Permutable`] — "this value can be rewritten under a process
 //!   permutation". Local states and messages that embed [`ProcessId`]s
 //!   (reply buffers, initiator fields, ...) must map them; plain data is
-//!   invariant.
+//!   invariant. Its [`signature`](Permutable::signature) is a hash that a
+//!   permutation cannot change, which is what lets canonicalization sort
+//!   processes instead of trying every permutation;
+//! * [`combine`] and [`plain_signature`] — the building blocks of
+//!   signatures.
 //!
 //! [`GlobalState::permute`](crate::GlobalState::permute) and
 //! [`Channels::permute`](crate::Channels::permute) lift a permutation to
@@ -20,6 +24,7 @@
 //! channel endpoints are remapped, payloads are rewritten.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{Hash, Hasher};
 
 use crate::ProcessId;
 
@@ -122,24 +127,111 @@ impl Permutation {
 /// permutation and leave everything else untouched. Types with no embedded
 /// process ids implement it as the identity (the blanket impls below cover
 /// the common plain-data types).
+///
+/// [`signature`](Permutable::signature) must not see the permutation:
+/// `x.permute(p).signature() == x.signature()` for every `p`. So it hashes
+/// what `permute` leaves alone and skips the process ids themselves (the
+/// impl for [`ProcessId`] is a constant). `mp-symmetry` sorts the members
+/// of a role by signature and tries permutations only among members whose
+/// signatures tie. A type that keeps the default `0` ties every member, so
+/// its runs fall back to trying every permutation: still correct, only
+/// slower. A collision between different values likewise only adds a tie.
 pub trait Permutable: Sized {
     /// Rewrites every embedded process id through `perm`.
     fn permute(&self, perm: &Permutation) -> Self;
+
+    /// A hash of `self` that every permutation preserves (see the trait
+    /// docs); `0`, the default, is always valid.
+    fn signature(&self) -> u64 {
+        0
+    }
 }
 
+/// The SplitMix64 finalizer: spreads every input bit over the output.
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Folds the signature `part` into `seed` by position: the result depends
+/// on the order of the parts, as a struct's fields or a tuple's do.
+pub fn combine(seed: u64, part: u64) -> u64 {
+    mix(seed.rotate_left(23) ^ part.wrapping_add(0x9e37_79b9_7f4a_7c15))
+}
+
+/// The signature of plain data, which no permutation changes: its [`Hash`],
+/// one cheap multiply per written word, then one [`combine`]-grade mix.
+/// Stable within one build, which is all a signature needs.
+pub fn plain_signature<T: Hash + ?Sized>(value: &T) -> u64 {
+    let mut hasher = SignatureHasher(0);
+    value.hash(&mut hasher);
+    mix(hasher.0)
+}
+
+/// A [`Hasher`] that folds each written word in with one multiply (the
+/// FxHash step); [`plain_signature`] mixes the result once.
+struct SignatureHasher(u64);
+
+impl SignatureHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for SignatureHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+// A process id is exactly what a permutation rewrites: its signature says
+// only that there is one.
 impl Permutable for ProcessId {
     fn permute(&self, perm: &Permutation) -> Self {
         perm.apply(*self)
     }
+
+    fn signature(&self) -> u64 {
+        0x243f_6a88_85a3_08d3
+    }
 }
 
 /// Identity implementations for plain-data types that cannot embed a
-/// process id.
+/// process id; their signature hashes the value.
 macro_rules! identity_permutable {
     ($($t:ty),* $(,)?) => {
         $(impl Permutable for $t {
             fn permute(&self, _perm: &Permutation) -> Self {
                 self.clone()
+            }
+
+            fn signature(&self) -> u64 {
+                plain_signature(self)
             }
         })*
     };
@@ -165,9 +257,19 @@ identity_permutable!(
     &'static str,
 );
 
+// Containers whose order a permutation keeps combine their parts by
+// position; sets and maps, which a permutation may reorder, by a wrapping
+// sum.
 impl<T: Permutable> Permutable for Option<T> {
     fn permute(&self, perm: &Permutation) -> Self {
         self.as_ref().map(|v| v.permute(perm))
+    }
+
+    fn signature(&self) -> u64 {
+        match self {
+            None => combine(0, 0),
+            Some(v) => combine(1, v.signature()),
+        }
     }
 }
 
@@ -175,11 +277,23 @@ impl<T: Permutable> Permutable for Vec<T> {
     fn permute(&self, perm: &Permutation) -> Self {
         self.iter().map(|v| v.permute(perm)).collect()
     }
+
+    fn signature(&self) -> u64 {
+        self.iter()
+            .fold(self.len() as u64, |seed, v| combine(seed, v.signature()))
+    }
 }
 
 impl<T: Permutable + Ord> Permutable for BTreeSet<T> {
     fn permute(&self, perm: &Permutation) -> Self {
         self.iter().map(|v| v.permute(perm)).collect()
+    }
+
+    fn signature(&self) -> u64 {
+        let sum = self
+            .iter()
+            .fold(0u64, |sum, v| sum.wrapping_add(v.signature()));
+        combine(self.len() as u64, sum)
     }
 }
 
@@ -189,11 +303,22 @@ impl<K: Permutable + Ord, V: Permutable> Permutable for BTreeMap<K, V> {
             .map(|(k, v)| (k.permute(perm), v.permute(perm)))
             .collect()
     }
+
+    fn signature(&self) -> u64 {
+        let sum = self.iter().fold(0u64, |sum, (k, v)| {
+            sum.wrapping_add(combine(k.signature(), v.signature()))
+        });
+        combine(self.len() as u64, sum)
+    }
 }
 
 impl<A: Permutable, B: Permutable> Permutable for (A, B) {
     fn permute(&self, perm: &Permutation) -> Self {
         (self.0.permute(perm), self.1.permute(perm))
+    }
+
+    fn signature(&self) -> u64 {
+        combine(self.0.signature(), self.1.signature())
     }
 }
 
@@ -203,6 +328,13 @@ impl<A: Permutable, B: Permutable, C: Permutable> Permutable for (A, B, C) {
             self.0.permute(perm),
             self.1.permute(perm),
             self.2.permute(perm),
+        )
+    }
+
+    fn signature(&self) -> u64 {
+        combine(
+            combine(self.0.signature(), self.1.signature()),
+            self.2.signature(),
         )
     }
 }
@@ -247,5 +379,24 @@ mod tests {
         assert_eq!(5u32.permute(&swap), 5);
         assert_eq!(Some(ProcessId(0)).permute(&swap), Some(ProcessId(1)));
         assert_eq!("x".to_string().permute(&swap), "x");
+    }
+
+    #[test]
+    fn signatures_ignore_the_permutation_but_not_the_data() {
+        let cycle = Permutation::from_map(vec![1, 2, 0]).unwrap();
+        let set: BTreeSet<(ProcessId, u8)> = [(ProcessId(0), 7u8), (ProcessId(2), 9u8)]
+            .into_iter()
+            .collect();
+        let map: BTreeMap<ProcessId, u8> = [(ProcessId(0), 1), (ProcessId(1), 2)].into();
+        let list = vec![Some(ProcessId(1)), None];
+        assert_eq!(set.permute(&cycle).signature(), set.signature());
+        assert_eq!(map.permute(&cycle).signature(), map.signature());
+        assert_eq!(list.permute(&cycle).signature(), list.signature());
+        assert_eq!(ProcessId(0).signature(), ProcessId(2).signature());
+        // The data still tells values apart: the payloads, the positions.
+        let other: BTreeSet<(ProcessId, u8)> = [(ProcessId(0), 7u8)].into_iter().collect();
+        assert_ne!(other.signature(), set.signature());
+        assert_ne!((1u8, 2u8).signature(), (2u8, 1u8).signature());
+        assert_ne!(list.signature(), vec![None, Some(ProcessId(1))].signature());
     }
 }

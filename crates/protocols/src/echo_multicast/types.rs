@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use mp_model::{Kind, Message, Permutable, Permutation, ProcessId};
+use mp_model::{combine, plain_signature, Kind, Message, Permutable, Permutation, ProcessId};
 
 /// Multicast payload values. Honest initiator `i` multicasts `10 + i`;
 /// Byzantine initiator `b` equivocates between `100 + 2b` and `101 + 2b`.
@@ -234,6 +234,14 @@ impl Permutable for MulticastMessage {
             },
         }
     }
+
+    // The kind and the value; the initiator is what a permutation moves.
+    fn signature(&self) -> u64 {
+        let (MulticastMessage::Init { value, .. }
+        | MulticastMessage::Echo { value, .. }
+        | MulticastMessage::Commit { value, .. }) = self;
+        plain_signature(&(self.kind(), value))
+    }
 }
 
 /// Phases of an honest initiator.
@@ -336,6 +344,25 @@ impl Permutable for MulticastState {
                 })
             }
             MulticastState::ByzantineReceiver => MulticastState::ByzantineReceiver,
+        }
+    }
+
+    // The role tag and plain data, plus the per-initiator bookkeeping's
+    // own signatures.
+    fn signature(&self) -> u64 {
+        match self {
+            MulticastState::HonestInitiator(s) => {
+                combine(plain_signature(&(0u8, s.phase)), s.echo_buffer.signature())
+            }
+            MulticastState::ByzantineInitiator(s) => combine(
+                plain_signature(&(1u8, s.sent, s.committed_first, s.committed_second)),
+                s.echo_buffer.signature(),
+            ),
+            MulticastState::HonestReceiver(s) => combine(
+                combine(plain_signature(&2u8), s.echoed.signature()),
+                s.delivered.signature(),
+            ),
+            MulticastState::ByzantineReceiver => plain_signature(&3u8),
         }
     }
 }

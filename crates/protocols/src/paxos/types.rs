@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use mp_model::{Kind, Message, Permutable, Permutation, ProcessId};
+use mp_model::{combine, plain_signature, Kind, Message, Permutable, Permutation, ProcessId};
 
 /// Ballot numbers; proposer `i` always uses ballot `i + 1`, so one ballot per
 /// proposer keeps the model finite (the standard protocol-level abstraction
@@ -179,6 +179,10 @@ impl Permutable for PaxosMessage {
     fn permute(&self, _perm: &Permutation) -> Self {
         self.clone()
     }
+
+    fn signature(&self) -> u64 {
+        plain_signature(self)
+    }
 }
 
 /// Proposer phases.
@@ -260,6 +264,20 @@ impl Permutable for PaxosState {
                 learned: l.learned.clone(),
                 accept_buffer: l.accept_buffer.permute(perm),
             }),
+        }
+    }
+
+    // The role tag and plain data, plus the buffers' own signatures.
+    fn signature(&self) -> u64 {
+        match self {
+            PaxosState::Proposer(p) => {
+                combine(plain_signature(&(0u8, p.phase)), p.read_replies.signature())
+            }
+            PaxosState::Acceptor(a) => plain_signature(&(1u8, a)),
+            PaxosState::Learner(l) => combine(
+                plain_signature(&(2u8, &l.learned)),
+                l.accept_buffer.signature(),
+            ),
         }
     }
 }

@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use mp_model::{Kind, Message, Permutable, Permutation, ProcessId};
+use mp_model::{combine, plain_signature, Kind, Message, Permutable, Permutation, ProcessId};
 
 /// Timestamps of write operations (write `k` has timestamp `k`, the initial
 /// value has timestamp 0).
@@ -160,6 +160,10 @@ impl Permutable for StorageMessage {
     fn permute(&self, _perm: &Permutation) -> Self {
         self.clone()
     }
+
+    fn signature(&self) -> u64 {
+        plain_signature(self)
+    }
 }
 
 /// Local state of the writer.
@@ -245,6 +249,21 @@ impl Permutable for StorageState {
                 result: r.result,
                 resp_buffer: r.resp_buffer.permute(perm),
             }),
+        }
+    }
+
+    // The role tag and plain data, plus the buffers' own signatures.
+    fn signature(&self) -> u64 {
+        match self {
+            StorageState::Writer(w) => combine(
+                plain_signature(&(0u8, w.writes_done, w.writing)),
+                w.ack_buffer.signature(),
+            ),
+            StorageState::BaseObject(b) => plain_signature(&(1u8, b)),
+            StorageState::Reader(r) => combine(
+                plain_signature(&(2u8, r.phase, r.result)),
+                r.resp_buffer.signature(),
+            ),
         }
     }
 }

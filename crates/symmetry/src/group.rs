@@ -11,7 +11,8 @@ use mp_model::{
 use crate::RoleMap;
 
 /// Hard cap on the candidate group order; declarations beyond this are a
-/// modelling mistake (canonicalization enumerates the whole group per state).
+/// modelling mistake (the group's elements are listed, and a group that is
+/// not a full product of its roles is swept element by element per state).
 pub const MAX_GROUP_ORDER: usize = 40_320; // 8!
 
 /// One validated element of a [`SymmetryGroup`]: a process permutation plus
@@ -59,11 +60,117 @@ impl GroupElement {
 /// The validated set is closed under composition and inverse (both preserve
 /// every check), so it is a genuine subgroup; element `0` is always the
 /// identity.
+///
+/// Validation first tries each role's adjacent transpositions. They
+/// generate the role's symmetric group, so if all of them pass, the group
+/// is the full product of the roles' symmetric groups: its elements are
+/// then listed in rank order (a mixed-radix Lehmer code of the role
+/// arrangements, identity first) without checking each one,
+/// and canonicalization sorts role members instead of sweeping the group.
+/// If any fails, every candidate is checked on its own.
 pub struct SymmetryGroup<S, M: Ord> {
     elements: Vec<GroupElement>,
     /// `inverses[e]` is the index of `e`'s inverse element.
     inverses: Vec<usize>,
+    /// The roles, when the group is their full product.
+    roles: Option<Roles>,
     _marker: PhantomData<fn() -> (S, M)>,
+}
+
+/// The roles of a group that is their full product, and the rank that
+/// indexes its elements.
+///
+/// Slot `j` of a role is its `j`-th declared member. An element `π` is
+/// described per role by its *arrangement* `τ`: slot `j` of the image holds
+/// what slot `τ[j]` held, i.e. `π(member τ[j]) = member j`. Its rank is the
+/// mixed-radix number whose digits are the roles' arrangements in Lehmer
+/// code, the first role least significant; the identity has rank 0.
+#[derive(Clone, Debug)]
+pub(crate) struct Roles {
+    /// Each role's members in declaration order.
+    pub(crate) members: Vec<Vec<ProcessId>>,
+    /// Per process: its `(role, slot)`, or `None` if no role moves it.
+    pub(crate) of: Vec<Option<(usize, usize)>>,
+    /// Per role: the product of the earlier roles' orders.
+    weights: Vec<usize>,
+}
+
+impl Roles {
+    fn new(roles: &RoleMap) -> Self {
+        let mut of = vec![None; roles.num_processes()];
+        let mut weights = Vec::new();
+        let mut weight = 1;
+        for (r, members) in roles.roles().iter().enumerate() {
+            for (slot, p) in members.iter().enumerate() {
+                of[p.index()] = Some((r, slot));
+            }
+            weights.push(weight);
+            weight *= (1..=members.len()).product::<usize>();
+        }
+        Roles {
+            members: roles.roles().to_vec(),
+            of,
+            weights,
+        }
+    }
+
+    /// The rank of the element whose arrangements, role after role, are
+    /// concatenated in `arrangement`.
+    pub(crate) fn rank(&self, arrangement: &[usize]) -> usize {
+        let mut rank = 0;
+        let mut start = 0;
+        for (members, weight) in self.members.iter().zip(&self.weights) {
+            let tau = &arrangement[start..start + members.len()];
+            start += members.len();
+            let mut digit = 0;
+            for (i, &t) in tau.iter().enumerate() {
+                let smaller = tau[i + 1..].iter().filter(|&&u| u < t).count();
+                digit = digit * (tau.len() - i) + smaller;
+            }
+            rank += digit * weight;
+        }
+        rank
+    }
+
+    /// The rank of `perm`, or `None` if it moves a process out of its role.
+    fn rank_of(&self, perm: &Permutation) -> Option<usize> {
+        let mut arrangement = Vec::with_capacity(self.of.len());
+        for (role, members) in self.members.iter().enumerate() {
+            let start = arrangement.len();
+            arrangement.resize(start + members.len(), 0);
+            for (slot, &p) in members.iter().enumerate() {
+                match self.of[perm.apply(p).index()] {
+                    Some((r, image)) if r == role => arrangement[start + image] = slot,
+                    _ => return None,
+                }
+            }
+        }
+        let fixed = (0..self.of.len()).all(|i| self.of[i].is_some() || perm.apply_index(i) == i);
+        fixed.then(|| self.rank(&arrangement))
+    }
+
+    /// The permutation of rank `rank` on `n` processes.
+    fn unrank(&self, mut rank: usize, n: usize) -> Permutation {
+        let mut map: Vec<usize> = (0..n).collect();
+        for members in &self.members {
+            let k = members.len();
+            let order: usize = (1..=k).product();
+            let mut digit = rank % order;
+            rank /= order;
+            // Lehmer digits, least significant last.
+            let mut digits = vec![0; k];
+            for (i, d) in digits.iter_mut().enumerate().rev() {
+                *d = digit % (k - i);
+                digit /= k - i;
+            }
+            let mut free: Vec<usize> = (0..k).collect();
+            for (j, d) in digits.into_iter().enumerate() {
+                let slot = free.remove(d);
+                map[members[slot].index()] = members[j].index();
+            }
+        }
+        Permutation::from_map(map).expect("a product of role arrangements is a bijection")
+    }
 }
 
 impl<S, M> SymmetryGroup<S, M>
@@ -92,18 +199,52 @@ where
         );
 
         let initial = spec.initial_state();
+        let n = spec.num_processes();
+        let valid = |perm: &Permutation| {
+            if initial.permute(perm) != initial {
+                return None;
+            }
+            transition_map(spec, perm)
+        };
+        let full = roles.roles().iter().all(|members| {
+            members.windows(2).all(|pair| {
+                let mut map: Vec<usize> = (0..n).collect();
+                map.swap(pair[0].index(), pair[1].index());
+                valid(&Permutation::from_map(map).expect("a transposition")).is_some()
+            })
+        });
+        if full {
+            let order = roles.candidate_order();
+            let roles = Roles::new(roles);
+            let elements: Vec<GroupElement> = (0..order)
+                .map(|rank| {
+                    let perm = roles.unrank(rank, n);
+                    let transitions = positional_map(spec, &perm)
+                        .expect("products of valid transpositions align transitions");
+                    GroupElement { perm, transitions }
+                })
+                .collect();
+            let inverses = elements
+                .iter()
+                .map(|e| roles.rank_of(&e.perm.inverse()).expect("closed"))
+                .collect();
+            return SymmetryGroup {
+                elements,
+                inverses,
+                roles: Some(roles),
+                _marker: PhantomData,
+            };
+        }
+
         let mut elements = vec![GroupElement {
-            perm: Permutation::identity(spec.num_processes()),
+            perm: Permutation::identity(n),
             transitions: spec.transition_ids().collect(),
         }];
         for perm in candidate_permutations(roles) {
             if perm.is_identity() {
                 continue;
             }
-            if initial.permute(&perm) != initial {
-                continue;
-            }
-            if let Some(transitions) = transition_map(spec, &perm) {
+            if let Some(transitions) = valid(&perm) {
                 elements.push(GroupElement { perm, transitions });
             }
         }
@@ -117,6 +258,7 @@ where
         SymmetryGroup {
             elements,
             inverses,
+            roles: None,
             _marker: PhantomData,
         }
     }
@@ -129,8 +271,21 @@ where
                 transitions: spec.transition_ids().collect(),
             }],
             inverses: vec![0],
+            roles: None,
             _marker: PhantomData,
         }
+    }
+
+    /// The roles, if the group is the full product of their symmetric
+    /// groups (its elements are then in rank order).
+    pub(crate) fn roles(&self) -> Option<&Roles> {
+        self.roles.as_ref()
+    }
+
+    /// `true` if the group is the full product of its roles' symmetric
+    /// groups, so canonical forms are computed by sorting role members.
+    pub fn is_full_product(&self) -> bool {
+        self.roles.is_some()
     }
 
     /// Number of validated elements (1 = identity only, no reduction).
@@ -150,7 +305,10 @@ where
 
     /// Index of the element whose permutation equals `perm`, if validated.
     pub fn element_index(&self, perm: &Permutation) -> Option<usize> {
-        self.elements.iter().position(|e| &e.perm == perm)
+        match &self.roles {
+            Some(roles) => roles.rank_of(perm),
+            None => self.elements.iter().position(|e| &e.perm == perm),
+        }
     }
 
     /// The composition `a ∘ b` (apply `b` first) as an element index.
@@ -245,6 +403,19 @@ where
     S: LocalState,
     M: Message,
 {
+    let map = positional_map(spec, perm)?;
+    spec.transition_ids()
+        .all(|t| corresponds(spec.transition(t), spec.transition(map[t.index()]), perm))
+        .then_some(map)
+}
+
+/// The relabelling that pairs each process's transitions with its image's
+/// by position, unchecked; `None` if two lists differ in length.
+fn positional_map<S, M>(spec: &ProtocolSpec<S, M>, perm: &Permutation) -> Option<Vec<TransitionId>>
+where
+    S: LocalState,
+    M: Message,
+{
     let mut map = vec![TransitionId(0); spec.num_transitions()];
     for p in spec.processes() {
         let from = spec.transitions_of(p);
@@ -253,9 +424,6 @@ where
             return None;
         }
         for (&t, &u) in from.iter().zip(to.iter()) {
-            if !corresponds(spec.transition(t), spec.transition(u), perm) {
-                return None;
-            }
             map[t.index()] = u;
         }
     }
@@ -344,6 +512,40 @@ mod tests {
             let inv = group.inverse(a);
             assert_eq!(group.compose(a, inv), 0, "e ∘ e⁻¹ = identity");
         }
+    }
+
+    #[test]
+    fn a_full_product_lists_its_elements_in_rank_order() {
+        let spec = counters(&[0, 0, 0, 0, 0]);
+        let roles = RoleMap::new(5).role([p(0), p(1), p(2)]).role([p(3), p(4)]);
+        let group = SymmetryGroup::build(&spec, &roles);
+        assert!(group.is_full_product());
+        assert_eq!(group.order(), 12);
+        assert!(group.elements()[0].permutation().is_identity());
+        let distinct: BTreeSet<&Permutation> =
+            group.elements().iter().map(|e| e.permutation()).collect();
+        assert_eq!(distinct.len(), 12);
+        for (i, e) in group.elements().iter().enumerate() {
+            assert_eq!(group.element_index(e.permutation()), Some(i));
+            let inverse = group.elements()[group.inverse(i)].permutation();
+            assert!(e.permutation().compose(inverse).is_identity());
+            for t in spec.transition_ids() {
+                let u = e.map_transition(t);
+                assert_eq!(
+                    spec.transition(u).process(),
+                    e.permutation().apply(spec.transition(t).process())
+                );
+            }
+        }
+        // A permutation across roles is no element.
+        let across = Permutation::from_map(vec![3, 1, 2, 0, 4]).unwrap();
+        assert_eq!(group.element_index(&across), None);
+        // A partial group keeps the per-element check.
+        assert!(!SymmetryGroup::build(
+            &counters(&[0, 0, 1]),
+            &RoleMap::new(3).role([p(0), p(1), p(2)])
+        )
+        .is_full_product());
     }
 
     #[test]

@@ -16,13 +16,18 @@
 //!   acceptors seeded with distinct accepted values) degenerates to the
 //!   identity group and the reduction becomes a no-op instead of unsound;
 //! * [`OrbitReduction`] / [`Symmetry`] — the engine-facing canonicalizer:
-//!   `mp-checker` inserts the canonical (minimal-under-`Ord`) image of every
-//!   `(state, observer)` pair into the visited store, so only one
-//!   representative per **orbit** is fingerprinted and expanded. One sweep
-//!   over the group compares each element's image with the current winner
-//!   as it generates it and builds only the winner; the same sweep counts
-//!   the stabilizer, which gives a traced run its orbit-size histogram at
-//!   no extra cost.
+//!   `mp-checker` inserts the canonical image of every `(state, observer)`
+//!   pair into the visited store, so only one representative per **orbit**
+//!   is fingerprinted and expanded. On a group that is the full product of
+//!   its roles' symmetric groups, role members are sorted by a signature no
+//!   permutation changes ([`mp_model::Permutable::signature`] plus their
+//!   channel entries) and only members whose signatures tie are tried in
+//!   every order; any other group is swept element by element. Candidate
+//!   images are compared with the current winner as they are generated,
+//!   the candidates that tie with the winner give the stabilizer (a traced
+//!   run's orbit-size histogram at no extra cost), and the breadth-first
+//!   engine has the winner encoded straight into its store key
+//!   ([`Symmetry::canonical_encode`]) instead of built.
 //!
 //! Declaring a role and canonicalizing by hand (the `Checker` facade of
 //! `mp-checker` does all of this behind `with_role_symmetry`):

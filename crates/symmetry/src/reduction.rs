@@ -23,11 +23,16 @@
 
 use std::cmp::Ordering;
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::Arc;
 
-use mp_model::{Channels, GlobalState, LocalState, Message, Permutable, TransitionInstance};
+use mp_model::{
+    combine, write_varint, Channels, Encode, GlobalState, LocalState, Message, Permutable,
+    ProcessId, TransitionInstance,
+};
 use mp_trace::{Histogram, Phase, TraceHandle};
 
+use crate::group::Roles;
 use crate::SymmetryGroup;
 
 /// Object-safe symmetry interface consumed by the search engines.
@@ -42,20 +47,22 @@ pub trait Symmetry<S, M: Ord, O>: Send + Sync {
     /// Order of the validated group (1 = trivial).
     fn order(&self) -> usize;
 
-    /// Returns the canonical (minimal under `Ord`) image of
-    /// `(state, observer)` over the whole group, together with the index of
-    /// the element that produced it.
+    /// Returns the canonical image of `(state, observer)`, together with
+    /// the index of the element that produced it: the orbit representative,
+    /// the same for every member of the orbit. Which member that is belongs
+    /// to the implementation (see [`OrbitReduction`] and
+    /// [`Symmetry::canonicalizer`]).
     fn canonicalize(
         &self,
         state: &GlobalState<S, M>,
         observer: &O,
     ) -> (GlobalState<S, M>, O, usize);
 
-    /// [`Symmetry::canonicalize`] with observability: times the group sweep
-    /// under [`Phase::Canonicalize`]. [`OrbitReduction`] also records the
-    /// orbit size, which its sweep counts on the way, into the orbit
-    /// histogram. A disabled handle makes this identical to `canonicalize`
-    /// (no clock read).
+    /// [`Symmetry::canonicalize`] with observability: times it under
+    /// [`Phase::Canonicalize`]. [`OrbitReduction`] also records the orbit
+    /// size, which it counts on the way, into the orbit histogram. A
+    /// disabled handle makes this identical to `canonicalize` (no clock
+    /// read).
     fn canonicalize_traced(
         &self,
         state: &GlobalState<S, M>,
@@ -64,6 +71,47 @@ pub trait Symmetry<S, M: Ord, O>: Send + Sync {
     ) -> (GlobalState<S, M>, O, usize) {
         let _span = trace.span(Phase::Canonicalize);
         self.canonicalize(state, observer)
+    }
+
+    /// Appends the encoding of the canonical pair, `(ŝ, ô).encode(out)`,
+    /// and returns the element that produced it, as
+    /// [`Symmetry::canonicalize`] would. This default canonicalizes, then
+    /// encodes; [`OrbitReduction`] writes the image without building it.
+    fn canonical_encode(&self, state: &GlobalState<S, M>, observer: &O, out: &mut Vec<u8>) -> usize
+    where
+        S: Encode,
+        M: Message,
+        O: Encode,
+    {
+        let (state, observer, elem) = self.canonicalize(state, observer);
+        state.encode(out);
+        observer.encode(out);
+        elem
+    }
+
+    /// [`Symmetry::canonical_encode`] timed, encoding included, under
+    /// [`Phase::Canonicalize`], as [`Symmetry::canonicalize_traced`] is.
+    fn canonical_encode_traced(
+        &self,
+        state: &GlobalState<S, M>,
+        observer: &O,
+        out: &mut Vec<u8>,
+        trace: &TraceHandle,
+    ) -> usize
+    where
+        S: Encode,
+        M: Message,
+        O: Encode,
+    {
+        let _span = trace.span(Phase::Canonicalize);
+        self.canonical_encode(state, observer, out)
+    }
+
+    /// Names how representatives are chosen. Two runs whose names differ
+    /// may store different members of one orbit, so a checkpoint of one
+    /// must not be resumed by the other.
+    fn canonicalizer(&self) -> &'static str {
+        "ord-min"
     }
 
     /// The composition `a ∘ b` (apply `b` first) as an element index.
@@ -153,9 +201,22 @@ where
 
 /// Orbit canonicalization under a validated [`SymmetryGroup`].
 ///
-/// The canonical representative of a pair is its minimal image under `Ord`
-/// across all group elements — a total, deterministic choice, so two states
-/// of the same orbit always produce the same key.
+/// The canonical representative of a pair is the `Ord`-minimal image over
+/// a set of *candidate* elements that is the same for every member of the
+/// orbit, so two states of one orbit always produce the same key:
+///
+/// * on a group that is the full product of its roles' symmetric groups
+///   (the scalarset case, [`SymmetryGroup::is_full_product`]), the
+///   candidates are the elements that sort each role's members by a
+///   permutation-invariant signature — the member's
+///   [`Permutable::signature`] plus a multiset hash of its channel entries.
+///   Only members whose signatures tie are tried in every order, so the
+///   cost follows the ties, not the group order;
+/// * on any other group, every element is a candidate (the sweep), and the
+///   representative is the `Ord`-minimal image over the whole group.
+///
+/// Either way the candidates that produce the representative number
+/// |Stab|, which gives the orbit size.
 pub struct OrbitReduction<S, M: Ord, O> {
     group: Arc<SymmetryGroup<S, M>>,
     _marker: PhantomData<fn() -> O>,
@@ -186,38 +247,57 @@ where
     M: Message + Permutable,
     O: Permutable + Ord + Clone,
 {
-    /// The one group sweep: the `Ord`-minimal image of `(state, observer)`,
-    /// the first element that produces it, and how many elements produce it
-    /// (|Stab|, so the orbit has `order / |Stab|` members).
+    /// The canonical image of `(state, observer)`: the least image over the
+    /// sorted candidates on a full product, over the whole group otherwise.
+    fn canonical(&self, state: &GlobalState<S, M>, observer: &O) -> Winner<S, M, O> {
+        match self.group.roles() {
+            Some(roles) => self.least_image(state, observer, sorted_candidates(roles, state)),
+            None => self.sweep(state, observer),
+        }
+    }
+
+    /// The sweep: every element is a candidate, the identity first.
+    fn sweep(&self, state: &GlobalState<S, M>, observer: &O) -> Winner<S, M, O> {
+        self.least_image(state, observer, 0..self.group.order())
+    }
+
+    /// The `Ord`-minimal image of `(state, observer)` under `candidates`,
+    /// the first candidate that produces it, and how many produce it.
     ///
     /// The derived `Ord` reads locals slot by slot, then channels, then the
-    /// observer; each element's image is compared with the winner's in that
-    /// order as it is generated, so most lose at a local slot with nothing
-    /// past it built. Channel and observer images are built only on ties,
-    /// and only the final winner is completed.
-    fn sweep(
+    /// observer; each candidate's image is compared with the winner's in
+    /// that order as it is generated, so most lose at a local slot with
+    /// nothing past it built. Channel and observer images are built only on
+    /// ties, and a lone candidate builds nothing.
+    fn least_image(
         &self,
         state: &GlobalState<S, M>,
         observer: &O,
-    ) -> (GlobalState<S, M>, O, usize, usize) {
+        candidates: impl IntoIterator<Item = usize>,
+    ) -> Winner<S, M, O> {
         let elements = self.group.elements();
         let n = state.locals.len();
-        // The winner so far. The identity's image is `(state, observer)`
-        // itself; a later winner's channel and observer images are `None`
-        // until built.
-        let (mut best, mut stabilizer) = (0, 1);
-        let (mut best_locals, mut best_channels, mut best_observer) = (Vec::new(), None, None);
+        let mut candidates = candidates.into_iter();
+        let mut best = Winner {
+            elem: candidates.next().expect("a group has an element"),
+            stabilizer: 1,
+            locals: None,
+            channels: None,
+            observer: None,
+        };
         // Candidate buffers, swapped with the winner's when a candidate wins.
-        let (mut locals, mut channels) = (Vec::with_capacity(n), None);
-        for (i, elem) in elements.iter().enumerate().skip(1) {
-            let (perm, best_perm) = (elem.permutation(), elements[best].permutation());
-            let inverse = elements[self.group.inverse(i)].permutation();
-            let image = |k: usize| state.locals[inverse.apply_index(k)].permute(perm);
-            let winner_locals = if best == 0 {
-                &state.locals
-            } else {
-                &best_locals
-            };
+        let (mut locals, mut channels) = (Vec::new(), None);
+        for i in candidates {
+            let (perm, best_perm) = (elements[i].permutation(), elements[best.elem].permutation());
+            let image = |k: usize| self.image_local(state, i, k);
+            if best.elem != 0 && best.locals.is_none() {
+                best.locals = Some(
+                    (0..n)
+                        .map(|k| self.image_local(state, best.elem, k))
+                        .collect(),
+                );
+            }
+            let winner_locals = best.locals.as_ref().unwrap_or(&state.locals);
             locals.clear();
             let mut order = Ordering::Equal;
             for (k, winner) in winner_locals.iter().enumerate() {
@@ -236,20 +316,22 @@ where
             if tied_locals {
                 let candidate = channels.get_or_insert_with(|| Channels::new(n));
                 state.channels.permute_into(perm, candidate);
-                let winner: &Channels<M> = if best == 0 {
+                let winner: &Channels<M> = if best.elem == 0 {
                     &state.channels
                 } else {
-                    best_channels.get_or_insert_with(|| state.channels.permute(best_perm))
+                    best.channels
+                        .get_or_insert_with(|| state.channels.permute(best_perm))
                 };
                 order = (*candidate).cmp(winner);
             }
             let mut observer_image = None;
             if order.is_eq() {
                 let candidate = observer.permute(perm);
-                let winner: &O = if best == 0 {
+                let winner: &O = if best.elem == 0 {
                     observer
                 } else {
-                    best_observer.get_or_insert_with(|| observer.permute(best_perm))
+                    best.observer
+                        .get_or_insert_with(|| observer.permute(best_perm))
                 };
                 order = candidate.cmp(winner);
                 observer_image = Some(candidate);
@@ -257,32 +339,209 @@ where
 
             match order {
                 Ordering::Less => {
-                    best = i;
-                    std::mem::swap(&mut best_locals, &mut locals);
-                    if tied_locals {
-                        std::mem::swap(&mut best_channels, &mut channels);
-                    } else {
-                        best_channels = None;
+                    best.elem = i;
+                    if let Some(previous) = best.locals.replace(std::mem::take(&mut locals)) {
+                        locals = previous;
                     }
-                    best_observer = observer_image;
-                    stabilizer = 1;
+                    if tied_locals {
+                        std::mem::swap(&mut best.channels, &mut channels);
+                    } else {
+                        best.channels = None;
+                    }
+                    best.observer = observer_image;
+                    best.stabilizer = 1;
                 }
-                Ordering::Equal => stabilizer += 1,
+                Ordering::Equal => best.stabilizer += 1,
                 Ordering::Greater => {}
             }
         }
-
-        if best == 0 {
-            return (state.clone(), observer.clone(), 0, stabilizer);
-        }
-        let perm = elements[best].permutation();
-        let representative = GlobalState {
-            locals: best_locals,
-            channels: best_channels.unwrap_or_else(|| state.channels.permute(perm)),
-        };
-        let observer = best_observer.unwrap_or_else(|| observer.permute(perm));
-        (representative, observer, best, stabilizer)
+        best
     }
+
+    /// Slot `k` of element `e`'s image of the locals.
+    fn image_local(&self, state: &GlobalState<S, M>, e: usize, k: usize) -> S {
+        let elements = self.group.elements();
+        let inverse = elements[self.group.inverse(e)].permutation();
+        state.locals[inverse.apply_index(k)].permute(elements[e].permutation())
+    }
+
+    /// The winner's image, completed.
+    fn build(
+        &self,
+        state: &GlobalState<S, M>,
+        observer: &O,
+        winner: Winner<S, M, O>,
+    ) -> (GlobalState<S, M>, O) {
+        if winner.elem == 0 {
+            return (state.clone(), observer.clone());
+        }
+        let perm = self.group.elements()[winner.elem].permutation();
+        let n = state.locals.len();
+        let representative = GlobalState {
+            locals: winner.locals.unwrap_or_else(|| {
+                (0..n)
+                    .map(|k| self.image_local(state, winner.elem, k))
+                    .collect()
+            }),
+            channels: winner
+                .channels
+                .unwrap_or_else(|| state.channels.permute(perm)),
+        };
+        let observer = winner.observer.unwrap_or_else(|| observer.permute(perm));
+        (representative, observer)
+    }
+
+    /// Appends `build(winner).encode(out)` without building the parts no
+    /// comparison built; the identity's are the concrete pair's own.
+    fn encode_image(
+        &self,
+        state: &GlobalState<S, M>,
+        observer: &O,
+        winner: &Winner<S, M, O>,
+        out: &mut Vec<u8>,
+    ) where
+        O: Encode,
+    {
+        if winner.elem == 0 {
+            state.encode(out);
+            observer.encode(out);
+            return;
+        }
+        let perm = self.group.elements()[winner.elem].permutation();
+        match &winner.locals {
+            Some(locals) => locals.encode(out),
+            None => {
+                // The layout of `Vec<S>`: the length, then each slot.
+                let n = state.locals.len();
+                write_varint(n as u64, out);
+                for k in 0..n {
+                    self.image_local(state, winner.elem, k).encode(out);
+                }
+            }
+        }
+        match &winner.channels {
+            Some(channels) => channels.encode(out),
+            None => state.channels.encode_permuted(perm, out),
+        }
+        match &winner.observer {
+            Some(image) => image.encode(out),
+            None => observer.permute(perm).encode(out),
+        }
+    }
+}
+
+/// The least image a comparison of candidates found, and what it built of
+/// it.
+struct Winner<S, M: Ord, O> {
+    /// The first candidate that produced it.
+    elem: usize,
+    /// How many candidates produced it: |Stab|, so the orbit has
+    /// `order / stabilizer` members.
+    stabilizer: usize,
+    /// Its parts where a comparison built them (`None` otherwise; the
+    /// identity's are the concrete pair's own).
+    locals: Option<Vec<S>>,
+    channels: Option<Channels<M>>,
+    observer: Option<O>,
+}
+
+/// The candidates of a full product: the elements, as ranks, whose images
+/// list each role's members in ascending signature order — one per
+/// ordering of each block of tied members.
+///
+/// For `t = g·s` the candidates are those of `s` composed with `g⁻¹` (the
+/// signatures move with `g`), so `s` and `t` have the same candidate
+/// images, and the least of them is canonical. The stabilizer permutes
+/// members only within blocks, so the candidates that produce the least
+/// image number |Stab|, as in the sweep.
+fn sorted_candidates<S, M>(roles: &Roles, state: &GlobalState<S, M>) -> Vec<usize>
+where
+    S: LocalState + Permutable,
+    M: Message + Permutable,
+{
+    let signature = signatures(roles, state);
+    // Per role, `arrangement[j]` is the slot whose member goes to slot `j`.
+    let mut arrangement = Vec::with_capacity(state.locals.len());
+    let mut blocks: Vec<Range<usize>> = Vec::new();
+    for members in &roles.members {
+        let start = arrangement.len();
+        arrangement.extend(0..members.len());
+        let key = |slot: usize| signature[members[slot].index()];
+        arrangement[start..].sort_unstable_by_key(|&slot| (key(slot), slot));
+        let mut i = start;
+        while i < arrangement.len() {
+            let tied = key(arrangement[i]);
+            let len = arrangement[i..]
+                .iter()
+                .take_while(|&&slot| key(slot) == tied)
+                .count();
+            if len > 1 {
+                blocks.push(i..i + len);
+            }
+            i += len;
+        }
+    }
+    let mut candidates = vec![roles.rank(&arrangement)];
+    // Every ordering of every block, odometer-style: a block that wraps
+    // back to ascending order carries into the next.
+    while blocks
+        .iter()
+        .any(|block| next_permutation(&mut arrangement[block.clone()]))
+    {
+        candidates.push(roles.rank(&arrangement));
+    }
+    candidates
+}
+
+/// Each role member's signature: its local's, plus a wrapping sum over its
+/// channel entries of a hash of the entry's direction, its other endpoint
+/// (a fixed process by id, a role member by role and whether it is the
+/// member itself), its payload's signature and its count. Every part is
+/// invariant under the group, so `g` moves signatures with the members.
+/// Processes no role moves keep 0.
+fn signatures<S, M>(roles: &Roles, state: &GlobalState<S, M>) -> Vec<u64>
+where
+    S: LocalState + Permutable,
+    M: Message + Permutable,
+{
+    let mut signature: Vec<u64> = state
+        .locals
+        .iter()
+        .zip(&roles.of)
+        .map(|(local, role)| role.map_or(0, |_| local.signature()))
+        .collect();
+    // One word per (direction, other endpoint): the direction in bit 40, a
+    // role member flagged in bit 32.
+    let endpoint = |other: ProcessId, me: ProcessId| match roles.of[other.index()] {
+        None => other.index() as u64,
+        Some((role, _)) => (1 << 32) | (role as u64) << 1 | u64::from(other == me),
+    };
+    for ((sender, receiver), payload, count) in state.channels.iter() {
+        let content = combine(payload.signature(), count as u64);
+        for (me, other, direction) in [(receiver, sender, 1u64), (sender, receiver, 2)] {
+            if roles.of[me.index()].is_some() {
+                let entry = combine(direction << 40 | endpoint(other, me), content);
+                signature[me.index()] = signature[me.index()].wrapping_add(entry);
+            }
+        }
+    }
+    signature
+}
+
+/// Steps `items` to its next ordering in lexicographic order; the last
+/// wraps to the first (ascending) and returns `false`.
+fn next_permutation(items: &mut [usize]) -> bool {
+    let Some(i) = (1..items.len()).rev().find(|&i| items[i - 1] < items[i]) else {
+        items.reverse();
+        return false;
+    };
+    let j = (i..items.len())
+        .rev()
+        .find(|&j| items[j] > items[i - 1])
+        .expect("items[i] is larger");
+    items.swap(i - 1, j);
+    items[i..].reverse();
+    true
 }
 
 impl<S, M, O> Clone for OrbitReduction<S, M, O>
@@ -316,7 +575,9 @@ where
         state: &GlobalState<S, M>,
         observer: &O,
     ) -> (GlobalState<S, M>, O, usize) {
-        let (state, observer, elem, _) = self.sweep(state, observer);
+        let winner = self.canonical(state, observer);
+        let elem = winner.elem;
+        let (state, observer) = self.build(state, observer, winner);
         (state, observer, elem)
     }
 
@@ -326,15 +587,64 @@ where
         observer: &O,
         trace: &TraceHandle,
     ) -> (GlobalState<S, M>, O, usize) {
-        let (state, observer, elem, stabilizer) = {
+        let (elem, stabilizer, (state, observer)) = {
             let _span = trace.span(Phase::Canonicalize);
-            self.sweep(state, observer)
+            let winner = self.canonical(state, observer);
+            (
+                winner.elem,
+                winner.stabilizer,
+                self.build(state, observer, winner),
+            )
         };
         trace.record(
             Histogram::OrbitSize,
             (self.group.order() / stabilizer) as u64,
         );
         (state, observer, elem)
+    }
+
+    fn canonical_encode(&self, state: &GlobalState<S, M>, observer: &O, out: &mut Vec<u8>) -> usize
+    where
+        S: Encode,
+        M: Message,
+        O: Encode,
+    {
+        let winner = self.canonical(state, observer);
+        self.encode_image(state, observer, &winner, out);
+        winner.elem
+    }
+
+    fn canonical_encode_traced(
+        &self,
+        state: &GlobalState<S, M>,
+        observer: &O,
+        out: &mut Vec<u8>,
+        trace: &TraceHandle,
+    ) -> usize
+    where
+        S: Encode,
+        M: Message,
+        O: Encode,
+    {
+        let winner = {
+            let _span = trace.span(Phase::Canonicalize);
+            let winner = self.canonical(state, observer);
+            self.encode_image(state, observer, &winner, out);
+            winner
+        };
+        trace.record(
+            Histogram::OrbitSize,
+            (self.group.order() / winner.stabilizer) as u64,
+        );
+        winner.elem
+    }
+
+    fn canonicalizer(&self) -> &'static str {
+        if self.group.is_full_product() {
+            "sorted"
+        } else {
+            "ord-min"
+        }
     }
 
     fn compose(&self, a: usize, b: usize) -> usize {
@@ -473,12 +783,19 @@ mod tests {
         assert_eq!(snap.histogram(Histogram::OrbitSize).count, 1);
         assert_eq!(snap.histogram(Histogram::OrbitSize).max, 2);
         assert!(snap.phases.nanos(Phase::Canonicalize) > 0);
-        // The sweep counted the swap as a second image of the symmetric
-        // state: one stabilizer of order 2, orbit 1.
+        // The swap's image ties with the identity's on the symmetric state:
+        // one stabilizer of order 2, orbit 1.
         sym.canonicalize_traced(&symmetric, &(), &run.handle());
         let snap = run.snapshot();
         assert_eq!(snap.histogram(Histogram::OrbitSize).count, 2);
         assert_eq!(snap.histogram(Histogram::OrbitSize).sum, 2 + 1);
+        // The fused encode records the same orbit size.
+        let mut key = Vec::new();
+        let e3 = sym.canonical_encode_traced(&asymmetric, &(), &mut key, &run.handle());
+        assert_eq!((e3, key), (e1, mp_model::encode_to_vec(&(c1, ()))));
+        let snap = run.snapshot();
+        assert_eq!(snap.histogram(Histogram::OrbitSize).count, 3);
+        assert_eq!(snap.histogram(Histogram::OrbitSize).sum, 2 + 1 + 2);
         run.finish("verified");
     }
 
@@ -540,22 +857,22 @@ mod tests {
     }
 
     /// The lazy sweep's representative, element and orbit size are the
-    /// references' exactly. Returns the representative.
+    /// references' exactly, on any group.
     fn assert_matches_reference<S, M, O>(
         reduction: &OrbitReduction<S, M, O>,
         state: &GlobalState<S, M>,
         observer: &O,
-    ) -> (GlobalState<S, M>, O)
-    where
+    ) where
         S: LocalState + Permutable,
         M: Message + Permutable,
         O: Permutable + Ord + Clone + std::fmt::Debug,
     {
         let group = reduction.group();
-        let (representative, image, elem, stabilizer) = reduction.sweep(state, observer);
-        let swept = (representative, image, elem);
+        let winner = reduction.sweep(state, observer);
+        let (elem, stabilizer) = (winner.elem, winner.stabilizer);
+        let (representative, image) = reduction.build(state, observer, winner);
         assert_eq!(
-            swept,
+            (representative, image, elem),
             reference_canonicalize(group, state, observer),
             "{state:?} / {observer:?}"
         );
@@ -565,7 +882,53 @@ mod tests {
             reference_orbit_size(group, state, observer),
             "{state:?} / {observer:?}"
         );
-        (swept.0, swept.1)
+    }
+
+    /// The partition oracle: whichever member [`Symmetry::canonicalize`]
+    /// picks, every image `g·s` gets the same one, the returned element
+    /// maps `s` to it, the orbit size is the reference's, and the fused
+    /// encode writes its encoding. Returns the representative.
+    fn assert_canonical<S, M, O>(
+        reduction: &OrbitReduction<S, M, O>,
+        state: &GlobalState<S, M>,
+        observer: &O,
+    ) -> (GlobalState<S, M>, O)
+    where
+        S: LocalState + Permutable,
+        M: Message + Permutable,
+        O: Permutable + Ord + Clone + Encode + Send + Sync + std::fmt::Debug + 'static,
+    {
+        let group = reduction.group();
+        let winner = reduction.canonical(state, observer);
+        let stabilizer = winner.stabilizer;
+        let (representative, image, elem) = reduction.canonicalize(state, observer);
+        assert_eq!(elem, winner.elem);
+        assert_eq!(
+            reduction.apply_element(elem, state, observer),
+            (representative.clone(), image.clone()),
+            "the element maps {state:?} / {observer:?} to its representative"
+        );
+        assert_eq!(
+            group.order() / stabilizer,
+            reference_orbit_size(group, state, observer),
+            "{state:?} / {observer:?}"
+        );
+        let mut key = Vec::new();
+        assert_eq!(reduction.canonical_encode(state, observer, &mut key), elem);
+        assert_eq!(
+            key,
+            mp_model::encode_to_vec(&(representative.clone(), image.clone()))
+        );
+        for g in 0..group.order() {
+            let (moved, moved_observer) = reduction.apply_element(g, state, observer);
+            let (other, other_image, _) = reduction.canonicalize(&moved, &moved_observer);
+            assert_eq!(
+                (&other, &other_image),
+                (&representative, &image),
+                "element {g} moves {state:?} / {observer:?} to another representative"
+            );
+        }
+        (representative, image)
     }
 
     /// A message that names a process, so channel images differ in payload
@@ -632,16 +995,18 @@ mod tests {
         let reduction: OrbitReduction<u8, Note, ()> =
             OrbitReduction::new(SymmetryGroup::build(&spec, &role_over_all(3)));
         assert_eq!(reduction.group().order(), 6);
-        // Equal locals: every element ties on them, the channels decide.
+        assert!(reduction.group().is_full_product());
+        // Equal locals: only the channels tell the members apart.
         let mut state = spec.initial_state();
         state.channels.send(p(2), p(0), Note::From(p(2)));
         state.channels.send(p(0), p(1), Note::Tok);
-        assert_matches_reference(&reduction, &state, &());
-        let (representative, _, elem) = reduction.canonicalize(&state, &());
-        assert_ne!(elem, 0, "only an image has p0 hear from p1 first");
+        let (representative, _) = assert_canonical(&reduction, &state, &());
         assert_eq!(representative.locals, state.locals);
+        assert_eq!(reduction.canonical(&state, &()).stabilizer, 1);
+        assert_matches_reference(&reduction, &state, &());
         // Locals that tie under the swap of p0 and p1 only.
         state.locals = vec![1, 1, 0];
+        assert_canonical(&reduction, &state, &());
         assert_matches_reference(&reduction, &state, &());
         // Channels that tie too: the swap fixes the whole state, so the
         // stabilizer has order 2 and the orbit three members.
@@ -649,8 +1014,9 @@ mod tests {
         fixed.locals = vec![1, 1, 0];
         fixed.channels.send(p(2), p(0), Note::Tok);
         fixed.channels.send(p(2), p(1), Note::Tok);
+        assert_canonical(&reduction, &fixed, &());
         assert_matches_reference(&reduction, &fixed, &());
-        assert_eq!(reduction.sweep(&fixed, &()).3, 2);
+        assert_eq!(reduction.canonical(&fixed, &()).stabilizer, 2);
     }
 
     #[test]
@@ -661,49 +1027,107 @@ mod tests {
         let mut state = spec.initial_state();
         state.channels.send(p(0), p(1), Note::Tok);
         state.channels.send(p(1), p(0), Note::Tok);
-        // {0, 1} tie on everything but the observer, which names p1: the
-        // swap's image names p0 and wins.
+        // {0, 1} tie on everything but the observer: naming p0 and naming
+        // p1 are one orbit, and the observer leaves no tie.
+        let named_p1 = assert_canonical(&reduction, &state, &p(1));
+        assert_eq!(assert_canonical(&reduction, &state, &p(0)), named_p1);
+        assert_eq!(reduction.canonical(&state, &p(1)).stabilizer, 1);
         assert_matches_reference(&reduction, &state, &p(1));
-        let (_, observer, elem) = reduction.canonicalize(&state, &p(1));
-        assert_eq!(observer, p(0));
-        assert_ne!(elem, 0);
-        // Naming p2 breaks no tie the state left: the swap fixes the pair.
+        // Naming p2, the member with no channels, is another orbit; it
+        // breaks no tie the state left, so the swap fixes the pair.
+        let named_p2 = assert_canonical(&reduction, &state, &p(2));
+        assert_ne!(named_p2, named_p1);
+        assert_eq!(reduction.canonical(&state, &p(2)).stabilizer, 2);
         assert_matches_reference(&reduction, &state, &p(2));
-        assert_eq!(reduction.sweep(&state, &p(2)).3, 2);
-        // And naming p0 keeps the identity.
-        assert_eq!(reduction.canonicalize(&state, &p(0)).2, 0);
+    }
+
+    /// A random state of `spec` over tiny domains, its locals made by
+    /// `local`, and a random observer: most images tie on a prefix of the
+    /// locals, many on all of them and on the channels.
+    fn random_tied_state<S: LocalState>(
+        spec: &ProtocolSpec<S, Note>,
+        local: fn(u8) -> S,
+        rng: &mut u64,
+    ) -> (GlobalState<S, Note>, Option<ProcessId>) {
+        let n = spec.num_processes();
+        let mut state = spec.initial_state();
+        for slot in &mut state.locals {
+            *slot = local((next(rng) % 2) as u8);
+        }
+        for _ in 0..next(rng) % 4 {
+            let from = p(next(rng) as usize % n);
+            let to = p(next(rng) as usize % n);
+            let note = if next(rng).is_multiple_of(2) {
+                Note::Tok
+            } else {
+                Note::From(from)
+            };
+            state.channels.send(from, to, note);
+        }
+        let observer = match next(rng) % 3 {
+            0 => None,
+            _ => Some(p(next(rng) as usize % n)),
+        };
+        (state, observer)
     }
 
     #[test]
     fn lazy_sweep_matches_the_full_sweep_on_random_tied_states() {
-        // Three or four processes over tiny domains: most images tie on a
-        // prefix of the locals, many on all of them and on the channels.
         let mut rng = 25;
         for n in [3, 4] {
             let spec = counters(&vec![0; n]);
             let reduction: OrbitReduction<u8, Note, Option<ProcessId>> =
                 OrbitReduction::new(SymmetryGroup::build(&spec, &role_over_all(n)));
             for _ in 0..2000 {
-                let mut state = spec.initial_state();
-                for local in &mut state.locals {
-                    *local = (next(&mut rng) % 2) as u8;
-                }
-                for _ in 0..next(&mut rng) % 4 {
-                    let from = p(next(&mut rng) as usize % n);
-                    let to = p(next(&mut rng) as usize % n);
-                    let note = if next(&mut rng).is_multiple_of(2) {
-                        Note::Tok
-                    } else {
-                        Note::From(from)
-                    };
-                    state.channels.send(from, to, note);
-                }
-                let observer = match next(&mut rng) % 3 {
-                    0 => None,
-                    _ => Some(p(next(&mut rng) as usize % n)),
-                };
+                let (state, observer) = random_tied_state(&spec, |v| v, &mut rng);
                 assert_matches_reference(&reduction, &state, &observer);
+                assert_canonical(&reduction, &state, &observer);
             }
+        }
+    }
+
+    /// A local that keeps the default signature `0`.
+    #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+    struct Level(u8);
+    mp_model::codec!(struct Level(n));
+
+    impl Permutable for Level {
+        fn permute(&self, _perm: &Permutation) -> Self {
+            self.clone()
+        }
+    }
+
+    #[test]
+    fn default_signatures_tie_every_member_and_still_canonicalize() {
+        assert_eq!(Level(1).signature(), 0);
+        assert_eq!(Note::From(p(0)).signature(), 0);
+        let mut builder = ProtocolSpec::builder("levels");
+        for i in 0..3 {
+            builder = builder.process(format!("l{i}"), Level(0));
+        }
+        for i in 0..3 {
+            builder = builder.transition(
+                TransitionSpec::builder(format!("step{i}"), p(i))
+                    .internal()
+                    .guard(|l: &Level, _| l.0 < 2)
+                    .sends_nothing()
+                    .effect(|l: &Level, _| Outcome::new(Level(l.0 + 1)))
+                    .build(),
+            );
+        }
+        let spec = builder.build().unwrap();
+        let reduction: OrbitReduction<Level, Note, Option<ProcessId>> =
+            OrbitReduction::new(SymmetryGroup::build(&spec, &role_over_all(3)));
+        let roles = reduction.group().roles().expect("a full product");
+        // Locals that differ, and nothing else: every ordering is tried.
+        let mut state = spec.initial_state();
+        state.locals = vec![Level(2), Level(0), Level(1)];
+        assert_eq!(sorted_candidates(roles, &state).len(), 6);
+        assert_canonical(&reduction, &state, &None);
+        let mut rng = 31;
+        for _ in 0..1000 {
+            let (state, observer) = random_tied_state(&spec, Level, &mut rng);
+            assert_canonical(&reduction, &state, &observer);
         }
     }
 
@@ -714,17 +1138,21 @@ mod tests {
         let reduction: OrbitReduction<u8, Note, ()> =
             OrbitReduction::new(SymmetryGroup::build(&spec, &role_over_all(3)));
         assert_eq!(reduction.group().order(), 2);
+        assert!(!reduction.group().is_full_product());
         let graph = mp_model::StateGraph::build(&spec, 1000).unwrap();
         for i in 0..graph.num_states() {
             assert_matches_reference(&reduction, graph.state(i), &());
+            assert_canonical(&reduction, graph.state(i), &());
         }
     }
 
     /// Walks the orbit quotient of `spec` from its initial pair the way the
     /// engines do — expand a representative, canonicalize every successor —
-    /// checking every successor against the references, until `expansions`
-    /// representatives are expanded or none is left. Returns the group
-    /// order, the representatives found and the successors checked.
+    /// checking every successor against the partition oracle, until
+    /// `expansions` representatives are expanded or none is left. Then
+    /// checks the signature contract on every local and message the
+    /// successors held. Returns the group order, the representatives found
+    /// and the successors checked.
     fn check_quotient<S, M, O>(
         spec: &ProtocolSpec<S, M>,
         (n, roles): (usize, &[Vec<ProcessId>]),
@@ -742,9 +1170,13 @@ mod tests {
             .iter()
             .fold(RoleMap::new(n), |map, role| map.role(role.iter().copied()));
         let reduction = OrbitReduction::new(SymmetryGroup::build(spec, &roles));
-        let root = assert_matches_reference(&reduction, &spec.initial_state(), &observer);
+        let root = assert_canonical(&reduction, &spec.initial_state(), &observer);
         let mut seen = std::collections::HashSet::from([root.clone()]);
         let mut queue = std::collections::VecDeque::from([root]);
+        let (mut locals, mut messages) = (
+            std::collections::HashSet::new(),
+            std::collections::HashSet::new(),
+        );
         let mut checked = 0;
         for _ in 0..expansions {
             let Some((state, observer)) = queue.pop_front() else {
@@ -753,18 +1185,43 @@ mod tests {
             for instance in mp_model::enabled_instances(spec, &state) {
                 let post = mp_model::execute_enabled(spec, &state, &instance);
                 let observed = observer.update(spec, &state, &instance, &post);
-                let representative = assert_matches_reference(&reduction, &post, &observed);
+                let representative = assert_canonical(&reduction, &post, &observed);
                 checked += 1;
-                if seen.insert(representative.clone()) {
-                    queue.push_back(representative);
+                // Expand the sweep's member of each orbit, so the walk, and
+                // with it the counts, are the same whichever member the
+                // canonical form picks; they match the sweep's walk exactly
+                // when the two forms partition the successors alike.
+                let winner = reduction.sweep(&post, &observed);
+                let least = reduction.build(&post, &observed, winner);
+                locals.extend(post.locals.iter().cloned());
+                messages.extend(post.channels.iter().map(|(_, payload, _)| payload.clone()));
+                if seen.insert(representative) {
+                    queue.push_back(least);
                 }
+            }
+        }
+        for elem in reduction.group().elements() {
+            let perm = elem.permutation();
+            for local in &locals {
+                assert_eq!(
+                    local.permute(perm).signature(),
+                    local.signature(),
+                    "{local:?}"
+                );
+            }
+            for message in &messages {
+                assert_eq!(
+                    message.permute(perm).signature(),
+                    message.signature(),
+                    "{message:?}"
+                );
             }
         }
         (reduction.group().order(), seen.len(), checked)
     }
 
     #[test]
-    fn lazy_sweep_matches_the_full_sweep_on_the_protocols() {
+    fn canonical_forms_partition_the_protocol_quotients() {
         use mp_checker::NullObserver;
         use mp_faults::FaultBudget;
         use mp_protocols::{echo_multicast, paxos, storage};

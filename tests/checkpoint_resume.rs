@@ -329,6 +329,24 @@ fn resume_under_a_different_configuration_is_refused() {
 
 #[test]
 #[should_panic(expected = "refusing to resume")]
+fn resume_under_another_canonicalizer_is_refused() {
+    let dir = temp_dir("canonicalizer");
+    let mode = CheckerConfig::stateful_bfs();
+    let ckpt = || Some(CheckpointConfig::new(&dir));
+    let interrupted = run_crash_cell(&mode, true, FrontierConfig::Mem, None, ckpt(), Some(30));
+    assert!(matches!(interrupted.verdict, Verdict::LimitReached { .. }));
+    // A symmetric checkpoint names how its representatives were chosen...
+    let manifest = dir.join("MANIFEST");
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    assert!(text.contains(" sym=sym(2)/sorted\n"), "{text}");
+    // ...so one whose identity names none, as builds that stored the
+    // `Ord`-minimal image wrote it, stores other keys and is refused.
+    std::fs::write(&manifest, text.replace(" sym=sym(2)/sorted", " sym=sym(2)")).unwrap();
+    run_crash_cell(&mode, true, FrontierConfig::Mem, None, ckpt(), None);
+}
+
+#[test]
+#[should_panic(expected = "refusing to resume")]
 fn resume_under_a_different_thread_count_is_refused() {
     let dir = temp_dir("threads");
     seed_checkpoint(&dir);
