@@ -4,18 +4,10 @@ use std::fmt;
 
 use mp_model::Encode;
 
-use crate::{
-    ByteStore, FingerprintStore, Inserted, RunStore, StateStoreBackend, StoreStats,
-    DEFAULT_RUN_WATERMARK,
-};
+use crate::{ByteStore, Inserted, RunStore, StateStoreBackend, StoreStats, DEFAULT_RUN_WATERMARK};
 
 /// Default stripe count of the sharded backends.
 pub const DEFAULT_SHARDS: usize = 64;
-
-/// Default fingerprint width: keeps the omission probability below 1e-6 up
-/// to ~23 thousand stored states and below 2% up to ~3 million; widen
-/// toward 64 bits for larger sweeps (see the crate docs).
-pub const DEFAULT_FINGERPRINT_BITS: u32 = 48;
 
 /// Which visited-state backend a run should use.
 ///
@@ -32,68 +24,79 @@ pub enum StoreConfig {
         /// Stripe count (rounded up to a power of two).
         shards: usize,
     },
-    /// Hash compaction: only a `bits`-wide fingerprint per state is kept.
+    /// Hash compaction ([`RunStore`]): a `bits`-wide fingerprint per state,
+    /// in RAM up to the watermark and in sorted on-disk runs past it.
     /// `Verified` verdicts become probabilistic; see the `mp-store` crate
     /// docs for the soundness contract.
     Fingerprint {
-        /// Fingerprint width in bits (clamped to `8..=64`).
+        /// Fingerprint width in bits (`8..=64`).
         bits: u32,
         /// Stripe count (rounded up to a power of two).
         shards: usize,
-    },
-    /// External-memory hash compaction: a small in-RAM buffer + bloom
-    /// front, with full 64-bit fingerprints spilled to sorted on-disk runs
-    /// past the watermark (see [`RunStore`]). Probabilistic like
-    /// [`StoreConfig::Fingerprint`], but resident memory stays bounded by
-    /// the watermark however large the state space grows.
-    Runs {
-        /// Fingerprints buffered in RAM before a sorted run is spilled.
+        /// Fingerprints buffered in RAM, over all stripes, before sorted
+        /// runs are spilled; `usize::MAX` never spills.
         watermark_entries: usize,
     },
 }
 
 impl StoreConfig {
     /// The sharded backend with the default stripe count.
-    pub fn sharded() -> Self {
+    pub const fn sharded() -> Self {
         StoreConfig::Sharded {
             shards: DEFAULT_SHARDS,
         }
     }
 
-    /// The fingerprint backend with the given width and a single stripe —
-    /// the compact layout for the sequential engines (per-shard tables
-    /// carry a fixed overhead that defeats compaction on small runs).
-    /// [`StoreConfig::for_parallel`] widens it for concurrent use.
-    pub fn fingerprint(bits: u32) -> Self {
-        StoreConfig::Fingerprint { bits, shards: 1 }
-    }
-
-    /// The external-memory runs backend with the default watermark.
-    pub fn runs() -> Self {
-        StoreConfig::Runs {
-            watermark_entries: DEFAULT_RUN_WATERMARK,
+    /// In-RAM hash compaction: `bits`-wide fingerprints (clamped to
+    /// `8..=64`), one stripe (per-stripe tables carry a fixed overhead that
+    /// defeats compaction on small runs), never spilled.
+    pub const fn fingerprint(bits: u32) -> Self {
+        StoreConfig::Fingerprint {
+            bits: match bits {
+                ..8 => 8,
+                65.. => 64,
+                kept => kept,
+            },
+            shards: 1,
+            watermark_entries: usize::MAX,
         }
     }
 
-    /// The external-memory runs backend with an explicit watermark (tiny
-    /// watermarks force multi-run spilling on small models, which is how
-    /// the tests and the smoke sweep exercise the merge machinery).
-    pub fn runs_with_watermark(watermark_entries: usize) -> Self {
-        StoreConfig::Runs {
-            watermark_entries: watermark_entries.max(1),
+    /// External-memory hash compaction with the default watermark.
+    pub const fn runs() -> Self {
+        StoreConfig::runs_with_watermark(DEFAULT_RUN_WATERMARK)
+    }
+
+    /// External-memory hash compaction: 64-bit fingerprints, one stripe, a
+    /// sorted run spilled every `watermark_entries` (at least 1) buffered
+    /// fingerprints.
+    pub const fn runs_with_watermark(watermark_entries: usize) -> Self {
+        StoreConfig::Fingerprint {
+            bits: 64,
+            shards: 1,
+            watermark_entries: match watermark_entries {
+                0 => 1,
+                n => n,
+            },
         }
     }
 
     /// The configuration the parallel engine actually uses: a single-lock
     /// store would serialise every worker on one mutex, so the exact store
     /// and single-stripe fingerprint stores are upgraded to their
-    /// lock-striped equivalents; explicitly-striped choices pass through.
+    /// lock-striped equivalents (the watermark stays the total, so each
+    /// stripe buffers its share); explicitly-striped choices pass through.
     pub fn for_parallel(&self) -> StoreConfig {
         match *self {
             StoreConfig::Exact => StoreConfig::sharded(),
-            StoreConfig::Fingerprint { bits, shards: 1 } => StoreConfig::Fingerprint {
+            StoreConfig::Fingerprint {
+                bits,
+                shards: 1,
+                watermark_entries,
+            } => StoreConfig::Fingerprint {
                 bits,
                 shards: DEFAULT_SHARDS,
+                watermark_entries,
             },
             other => other,
         }
@@ -101,10 +104,7 @@ impl StoreConfig {
 
     /// Returns `true` if the backend stores full keys (no omissions).
     pub fn is_exact(&self) -> bool {
-        !matches!(
-            self,
-            StoreConfig::Fingerprint { .. } | StoreConfig::Runs { .. }
-        )
+        !matches!(self, StoreConfig::Fingerprint { .. })
     }
 
     /// Builds the backend for key type `K`. Every backend identifies a key
@@ -114,23 +114,29 @@ impl StoreConfig {
         match *self {
             StoreConfig::Exact => StoreImpl::Bytes(ByteStore::exact()),
             StoreConfig::Sharded { shards } => StoreImpl::Bytes(ByteStore::sharded(shards)),
-            StoreConfig::Fingerprint { bits, shards } => {
-                StoreImpl::Fingerprint(FingerprintStore::new(bits, shards))
-            }
-            StoreConfig::Runs { watermark_entries } => {
-                StoreImpl::Runs(RunStore::new(watermark_entries))
-            }
+            StoreConfig::Fingerprint {
+                bits,
+                shards,
+                watermark_entries,
+            } => StoreImpl::Runs(RunStore::new(bits, shards, watermark_entries)),
         }
     }
 }
 
 impl fmt::Display for StoreConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
+        match *self {
             StoreConfig::Exact => write!(f, "exact"),
             StoreConfig::Sharded { shards } => write!(f, "sharded({shards})"),
-            StoreConfig::Fingerprint { bits, .. } => write!(f, "fingerprint({bits}-bit)"),
-            StoreConfig::Runs { watermark_entries } => write!(f, "runs({watermark_entries})"),
+            StoreConfig::Fingerprint {
+                bits,
+                watermark_entries,
+                ..
+            } => match (watermark_entries, bits) {
+                (usize::MAX, _) => write!(f, "fingerprint({bits}-bit)"),
+                (n, 64) => write!(f, "runs({n})"),
+                (n, _) => write!(f, "runs({n}, {bits}-bit)"),
+            },
         }
     }
 }
@@ -141,9 +147,7 @@ impl fmt::Display for StoreConfig {
 pub enum StoreImpl<K> {
     /// See [`ByteStore`] (the exact and sharded configurations).
     Bytes(ByteStore<K>),
-    /// See [`FingerprintStore`].
-    Fingerprint(FingerprintStore<K>),
-    /// See [`RunStore`].
+    /// See [`RunStore`] (the fingerprint configuration).
     Runs(RunStore<K>),
 }
 
@@ -151,7 +155,6 @@ macro_rules! dispatch {
     ($self:ident, $store:ident => $call:expr) => {
         match $self {
             StoreImpl::Bytes($store) => $call,
-            StoreImpl::Fingerprint($store) => $call,
             StoreImpl::Runs($store) => $call,
         }
     };

@@ -1,5 +1,5 @@
-//! The in-RAM set of 64-bit fingerprints under the `fingerprint` backend's
-//! shards and the `runs` backend's buffer: open addressing that grows at
+//! The in-RAM set of fingerprints in each shard of the probabilistic
+//! store, its buffer before a run flush: open addressing that grows at
 //! 3/4 load, probing linearly from the fingerprint's low bits (`fold64`
 //! already mixed every input bit into them, so there is no second hash).
 

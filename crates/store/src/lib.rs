@@ -20,17 +20,16 @@
 //!   One shard is the default for the sequential engines; N shards,
 //!   selected by the fingerprint's top bits, let the parallel BFS engine
 //!   insert without a global mutex on the visited set.
-//! * [`FingerprintStore`] — **hash compaction** (Holzmann-style bitstate
-//!   cousin): only the low w bits of the fingerprint are stored. Memory per
-//!   visited state drops from the encoded key size (a hundred bytes for
-//!   protocol states) to a few bytes, at the price of a bounded *omission*
-//!   probability (see below).
-//! * [`RunStore`] — **external-memory** hash compaction: full 64-bit
-//!   fingerprints, buffered in RAM up to a watermark and then spilled to
-//!   sorted on-disk runs fronted by a bloom filter, merged at BFS level
-//!   boundaries ([`StateStoreBackend::maintain`]). Resident memory stays
-//!   bounded by the watermark + bloom front however large the state space
-//!   grows; the omission probability is that of 64-bit fingerprints.
+//! * [`RunStore`] (`StoreConfig::Fingerprint`) — **hash compaction**: only
+//!   the low w bits of the fingerprint are kept, a few bytes per visited
+//!   state instead of the encoded key (a hundred bytes for protocol
+//!   states), at the price of a bounded *omission* probability (see
+//!   below). The fingerprints live in RAM up to a watermark and are then
+//!   spilled to sorted on-disk runs fronted by a bloom filter, merged at
+//!   BFS level boundaries ([`StateStoreBackend::maintain`]), so resident
+//!   memory stays bounded however large the state space grows; an
+//!   unbounded watermark keeps them all in RAM. It is sharded like
+//!   [`ByteStore`], by the kept fingerprint's top bits.
 //!
 //! What the probe learned is an answer too: [`StateStoreBackend::insert_hashed`]
 //! returns an [`Inserted`] — next to new/seen, the full 64 bits of
@@ -125,7 +124,6 @@
 mod backend;
 mod checkpoint;
 mod config;
-mod fingerprint;
 mod fptable;
 mod frontier;
 mod hash;
@@ -138,8 +136,7 @@ pub use checkpoint::{
     manifest_exists, CheckpointConfig, CheckpointError, CheckpointWriter, FileMeta, Manifest,
     CHECKPOINT_VERSION,
 };
-pub use config::{StoreConfig, StoreImpl, DEFAULT_FINGERPRINT_BITS, DEFAULT_SHARDS};
-pub use fingerprint::FingerprintStore;
+pub use config::{StoreConfig, StoreImpl, DEFAULT_SHARDS};
 pub use frontier::{
     Frontier, FrontierBackend, FrontierConfig, FrontierStats, ItemCodec, PlainCodec,
     DEFAULT_FRONTIER_WATERMARK,
@@ -165,6 +162,15 @@ mod tests {
                 z ^ (z >> 31)
             })
             .collect()
+    }
+
+    /// The probabilistic store at the given width, stripes and watermark.
+    fn layout(bits: u32, shards: usize, watermark_entries: usize) -> StoreConfig {
+        StoreConfig::Fingerprint {
+            bits,
+            shards,
+            watermark_entries,
+        }
     }
 
     #[test]
@@ -202,7 +208,13 @@ mod tests {
         // contain exactly the union, and hits+misses must equal the total
         // number of insert calls.
         let input = keys(10_000, 99);
-        for config in [StoreConfig::sharded(), StoreConfig::Sharded { shards: 2 }] {
+        for config in [
+            StoreConfig::sharded(),
+            StoreConfig::Sharded { shards: 2 },
+            StoreConfig::fingerprint(64).for_parallel(),
+            // About a dozen runs per shard, probed while other threads spill.
+            StoreConfig::runs_with_watermark(input.len() / 12).for_parallel(),
+        ] {
             let store = config.build::<u64>();
             std::thread::scope(|scope| {
                 for t in 0..8 {
@@ -250,37 +262,88 @@ mod tests {
 
     #[test]
     fn narrow_fingerprints_collide_and_wide_ones_do_not() {
+        // The insert results of the key stream, and the store they leave.
+        let fill = |config: StoreConfig| {
+            let store = config.build::<u64>();
+            let new: Vec<bool> = keys(4_096, 3)
+                .into_iter()
+                .map(|k| store.insert(k))
+                .collect();
+            (store, new)
+        };
         // An 8-bit fingerprint can hold at most 256 distinct values, zero
         // among them: the store keeps exactly the distinct kept ones.
-        let store = FingerprintStore::<u64>::new(8, 4);
-        let mut kept = std::collections::BTreeSet::new();
-        for k in keys(4_096, 3) {
-            kept.insert(hash_bytes(&mp_model::encode_to_vec(&k)) & 0xff);
-            store.insert(k);
-        }
+        let kept: std::collections::BTreeSet<u64> = keys(4_096, 3)
+            .iter()
+            .map(|k| hash_bytes(&mp_model::encode_to_vec(k)) & 0xff)
+            .collect();
         assert!(kept.contains(&0), "4 096 keys reach the zero fingerprint");
-        assert_eq!(store.len(), kept.len());
-        assert!(store.stats().omission_probability > 0.99);
-
-        let wide = FingerprintStore::<u64>::new(64, 4);
-        for k in keys(4_096, 3) {
-            wide.insert(k);
-        }
+        let (narrow, _) = fill(layout(8, 4, usize::MAX));
+        assert_eq!(narrow.len(), kept.len());
+        assert!(narrow.stats().omission_probability > 0.99);
+        // A spilling 16-bit store keeps the same set as an in-RAM one: the
+        // mask applies before the shard, the buffer and the runs.
+        let (in_ram, in_ram_new) = fill(layout(16, 4, usize::MAX));
+        let (spilling, spilling_new) = fill(layout(16, 4, 64));
+        assert_eq!(spilling_new, in_ram_new);
+        assert!(in_ram.len() < 4_096, "16-bit fingerprints collide here");
+        assert!(spilling.stats().spilled_bytes > 0);
+        // 64 bits keep every key, spilled or not, under the same bound; the
+        // exact backends omit nothing.
+        let (wide, _) = fill(layout(64, 4, usize::MAX));
+        let (runs, _) = fill(StoreConfig::runs_with_watermark(64));
         assert_eq!(wide.len(), 4_096);
         assert!(wide.stats().omission_probability < 1e-6);
-        // The exact backends omit nothing; the runs backend reports the
-        // bound of its 64-bit fingerprints.
-        let runs = RunStore::<u64>::new(64);
-        let exact = ByteStore::<u64>::exact();
-        for k in keys(4_096, 3) {
-            runs.insert(k);
-            exact.insert(k);
-        }
         assert_eq!(
             runs.stats().omission_probability,
             wide.stats().omission_probability
         );
-        assert_eq!(exact.stats().omission_probability, 0.0);
+        assert_eq!(fill(StoreConfig::Exact).0.stats().omission_probability, 0.0);
+    }
+
+    #[test]
+    fn an_unbounded_watermark_is_the_in_ram_fingerprint_store() {
+        // The bloom front is sized at the first flush, which never comes.
+        let unbounded = StoreConfig::runs_with_watermark(usize::MAX);
+        assert_eq!(unbounded, StoreConfig::fingerprint(64));
+        let runs = unbounded.build::<u64>();
+        let fingerprint = StoreConfig::fingerprint(64).build::<u64>();
+        let input = keys(4_096, 3);
+        for k in input.iter().chain(&input) {
+            assert_eq!(runs.insert(*k), fingerprint.insert(*k));
+            assert!(runs.contains(k) && fingerprint.contains(k));
+        }
+        assert_eq!(runs.stats(), fingerprint.stats());
+        assert_eq!(runs.stats().spilled_bytes, 0);
+        assert_eq!(runs.name(), "fingerprint");
+    }
+
+    #[test]
+    fn width_is_clamped() {
+        for (bits, kept) in [(1, 8), (8, 8), (48, 48), (64, 64), (200, 64)] {
+            assert_eq!(StoreConfig::fingerprint(bits), layout(kept, 1, usize::MAX));
+        }
+    }
+
+    #[test]
+    fn distinct_keys_with_distinct_fingerprints_are_distinct() {
+        let store = layout(64, 8, usize::MAX).build::<String>();
+        assert!(store.insert("a".to_string()));
+        assert!(store.insert("b".to_string()));
+        assert!(!store.insert("a".to_string()));
+        assert!(store.contains(&"b".to_string()));
+        assert_eq!(store.len(), 2);
+    }
+
+    #[test]
+    fn omission_probability_is_zero_when_empty_and_grows() {
+        let store = StoreConfig::fingerprint(16).build::<u64>();
+        assert_eq!(store.stats().omission_probability, 0.0);
+        for k in 0u64..200 {
+            store.insert(k);
+        }
+        let p = store.stats().omission_probability;
+        assert!(p > 0.0 && p < 1.0, "p = {p}");
     }
 
     #[test]
@@ -348,29 +411,34 @@ mod tests {
             StoreConfig::fingerprint(32).to_string(),
             "fingerprint(32-bit)"
         );
+        // A width the store cannot keep is clamped, so the label (and the
+        // checkpoint identity) names the width actually kept.
+        assert_eq!(
+            StoreConfig::fingerprint(200).to_string(),
+            "fingerprint(64-bit)"
+        );
         // The parallel engine silently upgrades single-lock stores.
         assert_eq!(StoreConfig::Exact.for_parallel(), StoreConfig::sharded());
         assert_eq!(
             StoreConfig::fingerprint(40).for_parallel(),
-            StoreConfig::Fingerprint {
-                bits: 40,
-                shards: DEFAULT_SHARDS
-            }
+            layout(40, DEFAULT_SHARDS, usize::MAX)
         );
-        let striped = StoreConfig::Fingerprint {
-            bits: 40,
-            shards: 8,
-        };
+        let striped = layout(40, 8, usize::MAX);
         assert_eq!(striped.for_parallel(), striped);
         assert!(StoreConfig::Exact.is_exact());
         assert!(!StoreConfig::fingerprint(32).is_exact());
-        // The external-memory backend: probabilistic (64-bit fingerprints),
-        // already thread-safe, labelled by its watermark.
+        // A spilling store: probabilistic, labelled by its watermark (the
+        // total over all stripes, so the parallel upgrade keeps the label),
+        // and by its width only below 64 bits.
         assert_eq!(
             StoreConfig::runs_with_watermark(512).to_string(),
             "runs(512)"
         );
-        assert_eq!(StoreConfig::runs().for_parallel(), StoreConfig::runs());
+        let parallel = StoreConfig::runs_with_watermark(512).for_parallel();
+        assert_eq!(parallel, layout(64, DEFAULT_SHARDS, 512));
+        assert_eq!(parallel.to_string(), "runs(512)");
+        assert_eq!(parallel.build::<u64>().name(), "runs");
+        assert_eq!(layout(16, 1, 512).to_string(), "runs(512, 16-bit)");
         assert!(!StoreConfig::runs().is_exact());
     }
 }

@@ -24,11 +24,8 @@ use mp_basset::protocols::paxos::{
 
 const BACKENDS: [StoreConfig; 3] = [
     StoreConfig::Exact,
-    StoreConfig::Sharded { shards: 64 },
-    StoreConfig::Fingerprint {
-        bits: 48,
-        shards: 1,
-    },
+    StoreConfig::sharded(),
+    StoreConfig::fingerprint(48),
 ];
 
 /// SplitMix64.

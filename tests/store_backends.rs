@@ -30,13 +30,13 @@ use mp_basset::protocols::storage;
 use mp_basset::protocols::sweep::CollectSetting;
 use mp_basset::store::hash_bytes;
 
-const BACKENDS: [StoreConfig; 3] = [
+const BACKENDS: [StoreConfig; 4] = [
     StoreConfig::Exact,
-    StoreConfig::Sharded { shards: 64 },
-    StoreConfig::Fingerprint {
-        bits: 48,
-        shards: 1,
-    },
+    StoreConfig::sharded(),
+    StoreConfig::fingerprint(48),
+    // Spills runs on these models, and under `parallel_bfs(2)` each of
+    // the 64 shards spills its own.
+    StoreConfig::runs_with_watermark(64),
 ];
 
 fn engines() -> [CheckerConfig; 3] {
@@ -235,7 +235,8 @@ fn assert_fingerprints_spread<K: Encode + Eq + Hash>(name: &str, stream: &[K]) {
 
 /// All four backends answer the stream exactly as a `HashSet` of the keys
 /// does — insert-result sequence, cardinality, hits and misses — and the
-/// sharded one stays exact when four threads race over overlapping slices.
+/// sharded stores (exact, in-RAM fingerprints, spilling runs) stay exact
+/// when four threads race over overlapping slices.
 fn assert_backends_agree<K: Encode + Eq + Hash + Sync>(name: &str, stream: &[K]) {
     let mut reference = HashSet::new();
     let expected: Vec<bool> = stream.iter().map(|key| reference.insert(key)).collect();
@@ -265,33 +266,46 @@ fn assert_backends_agree<K: Encode + Eq + Hash + Sync>(name: &str, stream: &[K])
     }
 
     let threads = 4;
-    let store = StoreConfig::sharded().build::<K>();
-    let start = Barrier::new(threads);
     let stride = stream.len() / (threads + 1);
-    let new: usize = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|t| {
-                let (store, start) = (&store, &start);
-                // Neighbouring slices overlap by half.
-                let slice = &stream[t * stride..(t + 2) * stride];
-                scope.spawn(move || {
-                    start.wait();
-                    slice.iter().filter(|key| store.insert_ref(key)).count()
-                })
-            })
-            .collect();
-        workers.into_iter().map(|w| w.join().unwrap()).sum()
-    });
     let covered: HashSet<&K> = stream[..(threads + 1) * stride].iter().collect();
-    assert_eq!(
-        new,
-        covered.len(),
-        "{name}: a racing insert won twice or never"
-    );
-    assert_eq!(store.len(), covered.len(), "{name}");
-    let stats = store.stats();
-    assert_eq!(stats.hits + stats.misses, threads * 2 * stride, "{name}");
-    assert!(covered.iter().all(|key| store.contains(key)), "{name}");
+    for config in [
+        StoreConfig::sharded(),
+        StoreConfig::fingerprint(64).for_parallel(),
+        StoreConfig::runs_with_watermark(reference.len() / 12).for_parallel(),
+    ] {
+        let store = config.build::<K>();
+        let start = Barrier::new(threads);
+        let new: usize = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|t| {
+                    let (store, start) = (&store, &start);
+                    // Neighbouring slices overlap by half.
+                    let slice = &stream[t * stride..(t + 2) * stride];
+                    scope.spawn(move || {
+                        start.wait();
+                        slice.iter().filter(|key| store.insert_ref(key)).count()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        assert_eq!(
+            new,
+            covered.len(),
+            "{name}: {config}: a racing insert won twice or never"
+        );
+        assert_eq!(store.len(), covered.len(), "{name}: {config}");
+        let stats = store.stats();
+        assert_eq!(
+            stats.hits + stats.misses,
+            threads * 2 * stride,
+            "{name}: {config}"
+        );
+        assert!(
+            covered.iter().all(|key| store.contains(key)),
+            "{name}: {config}"
+        );
+    }
 }
 
 fn check_keys<K: Encode + Eq + Hash + Sync>(name: &str, stream: &[K]) {
