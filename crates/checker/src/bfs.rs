@@ -634,12 +634,13 @@ where
     } else {
         canonical_label(store.name())
     };
-    // The canonicalizer is part of a symmetric run's identity: another one
-    // may store other representatives, so its checkpoints must not resume.
+    // The canonicalizer is part of a symmetric run's identity: a build that
+    // chose representatives another way stored other keys, so its
+    // checkpoints must not resume. Every group is canonicalized by sorting.
     let sym_label = if trivial {
         "off".to_string()
     } else {
-        format!("{}/{}", symmetry.label(), symmetry.canonicalizer())
+        format!("{}/sorted", symmetry.label())
     };
     let mut search = Search {
         spec,

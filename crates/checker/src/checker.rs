@@ -156,9 +156,10 @@ where
     }
 
     /// Builds and installs the orbit reduction of a role declaration
-    /// (builder style): the candidate permutations are validated against
-    /// the protocol, so an asymmetric model degenerates to the identity
-    /// group and the run is unaffected.
+    /// (builder style): each role is split into blocks of members whose
+    /// swaps validate against the protocol, and the group is the product of
+    /// the blocks' symmetric groups, so an asymmetric model degenerates to
+    /// the identity group and the run is unaffected.
     pub fn with_role_symmetry(self, roles: &RoleMap) -> Self
     where
         S: Permutable,

@@ -60,12 +60,21 @@ impl Permutation {
     /// `0..map.len()`.
     pub fn from_map(map: Vec<usize>) -> Option<Self> {
         let n = map.len();
-        let mut seen = vec![false; n];
+        // One bit per image seen: a word on the stack up to 64 processes.
+        let (mut word, mut words);
+        let seen: &mut [u64] = if n <= 64 {
+            word = [0];
+            &mut word
+        } else {
+            words = vec![0; n.div_ceil(64)];
+            &mut words
+        };
         for &image in &map {
-            if image >= n || seen[image] {
+            let bit = 1 << (image % 64);
+            if image >= n || seen[image / 64] & bit != 0 {
                 return None;
             }
-            seen[image] = true;
+            seen[image / 64] |= bit;
         }
         Some(Permutation { map })
     }
@@ -96,6 +105,16 @@ impl Permutation {
     /// Panics if the process is out of range.
     pub fn apply(&self, process: ProcessId) -> ProcessId {
         ProcessId(self.map[process.index()])
+    }
+
+    /// Exchanges the images of `a` and `b`, making `self` the composition
+    /// `self ∘ (a b)`: still a bijection, with no check and no allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range.
+    pub fn swap(&mut self, a: usize, b: usize) {
+        self.map.swap(a, b);
     }
 
     /// The composition "`self` after `other`": the result maps `i` to
@@ -347,6 +366,10 @@ mod tests {
     fn from_map_rejects_non_bijections() {
         assert!(Permutation::from_map(vec![0, 0]).is_none());
         assert!(Permutation::from_map(vec![0, 2]).is_none());
+        let mut wide: Vec<usize> = (0..70).rev().collect();
+        assert!(Permutation::from_map(wide.clone()).is_some());
+        wide[0] = 3;
+        assert!(Permutation::from_map(wide).is_none());
         assert!(Permutation::from_map(vec![1, 0]).is_some());
     }
 
@@ -358,6 +381,10 @@ mod tests {
         let composed = swap.compose(&cycle);
         // i -> swap(cycle(i)): 0->swap(1)=0, 1->swap(2)=2, 2->swap(0)=1.
         assert_eq!(composed, Permutation::from_map(vec![0, 2, 1]).unwrap());
+        // Swapping two images composes with their transposition first.
+        let mut swapped = cycle.clone();
+        swapped.swap(0, 1);
+        assert_eq!(swapped, cycle.compose(&swap));
     }
 
     #[test]

@@ -1,53 +1,36 @@
 //! Validated symmetry groups over a concrete protocol.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::marker::PhantomData;
+use std::ops::Range;
 
 use mp_model::{
-    LocalState, Message, Permutable, Permutation, ProcessId, ProtocolSpec, RecipientSet,
-    TransitionId, TransitionInstance, TransitionSpec,
+    GlobalState, LocalState, Message, Permutable, Permutation, ProcessId, ProtocolSpec,
+    RecipientSet, TransitionId, TransitionInstance, TransitionSpec,
 };
 
+use crate::roles::times_factorial;
 use crate::RoleMap;
-
-/// Hard cap on the candidate group order; declarations beyond this are a
-/// modelling mistake (the group's elements are listed, and a group that is
-/// not a full product of its roles is swept element by element per state).
-pub const MAX_GROUP_ORDER: usize = 40_320; // 8!
-
-/// One validated element of a [`SymmetryGroup`]: a process permutation plus
-/// the induced transition-id relabelling (`transitions[t]` is the transition
-/// of the image process that corresponds to `t`).
-#[derive(Clone, Debug)]
-pub struct GroupElement {
-    pub(crate) perm: Permutation,
-    pub(crate) transitions: Vec<TransitionId>,
-}
-
-impl GroupElement {
-    /// The process permutation of this element.
-    pub fn permutation(&self) -> &Permutation {
-        &self.perm
-    }
-
-    /// The transition `t` corresponds to under this element.
-    pub fn map_transition(&self, t: TransitionId) -> TransitionId {
-        self.transitions[t.index()]
-    }
-}
 
 /// A group of process permutations validated against one protocol.
 ///
-/// Built by [`SymmetryGroup::build`] from a [`RoleMap`] declaration: every
-/// candidate permutation (a product of within-role permutations) is kept
-/// only if it maps the protocol onto itself **structurally**:
+/// Built by [`SymmetryGroup::build`] from a [`RoleMap`] declaration, which
+/// splits each role into **blocks**: two members share a block when their
+/// transposition maps the protocol onto itself **structurally**:
 ///
 /// * the initial state is a fixed point (distinct initial local states of
 ///   role members — e.g. acceptors seeded with different accepted values —
-///   degenerate the group toward identity);
+///   put them in different blocks);
 /// * the transition lists of a process and its image align positionally,
 ///   with equal inputs, quorums and annotations, and with sender/recipient
 ///   sets mapped through the permutation.
+///
+/// Sharing a block is an equivalence: structural automorphisms compose,
+/// and `(i k) = (i j)(j k)(i j)`. So a member joins the first block whose
+/// first member it swaps with, at one check per block. Transpositions
+/// generate the symmetric group, so the group is the full product of the
+/// blocks' symmetric groups (see [`RoleMap`] for a protocol whose
+/// automorphisms are not such a product).
 ///
 /// Structural validation catches asymmetric wiring and asymmetric initial
 /// states. It cannot inspect guard/effect closures, so declaring a role
@@ -57,120 +40,31 @@ impl GroupElement {
 /// `tests/symmetry.rs` check the declarations shipped with `mp-protocols`
 /// by comparing reduced and unreduced verdicts.
 ///
-/// The validated set is closed under composition and inverse (both preserve
-/// every check), so it is a genuine subgroup; element `0` is always the
-/// identity.
-///
-/// Validation first tries each role's adjacent transpositions. They
-/// generate the role's symmetric group, so if all of them pass, the group
-/// is the full product of the roles' symmetric groups: its elements are
-/// then listed in rank order (a mixed-radix Lehmer code of the role
-/// arrangements, identity first) without checking each one,
-/// and canonicalization sorts role members instead of sweeping the group.
-/// If any fails, every candidate is checked on its own.
+/// The elements are never listed. The blocks' members stand in a row,
+/// block after block; an element `π` is described by its *arrangement* `τ`
+/// of that row (position `i` of the image holds what position `τ[i]` held,
+/// i.e. `π(members[τ[i]]) = members[i]`), and is indexed by its **rank**:
+/// the mixed-radix number whose digits are the blocks' arrangements in
+/// Lehmer code, the first block least significant. The identity has rank
+/// 0. [`permutation`](Self::permutation), [`compose`](Self::compose),
+/// [`inverse`](Self::inverse) and [`permute_instance`](Self::permute_instance)
+/// unrank on demand.
 pub struct SymmetryGroup<S, M: Ord> {
-    elements: Vec<GroupElement>,
-    /// `inverses[e]` is the index of `e`'s inverse element.
-    inverses: Vec<usize>,
-    /// The roles, when the group is their full product.
-    roles: Option<Roles>,
-    _marker: PhantomData<fn() -> (S, M)>,
-}
-
-/// The roles of a group that is their full product, and the rank that
-/// indexes its elements.
-///
-/// Slot `j` of a role is its `j`-th declared member. An element `π` is
-/// described per role by its *arrangement* `τ`: slot `j` of the image holds
-/// what slot `τ[j]` held, i.e. `π(member τ[j]) = member j`. Its rank is the
-/// mixed-radix number whose digits are the roles' arrangements in Lehmer
-/// code, the first role least significant; the identity has rank 0.
-#[derive(Clone, Debug)]
-pub(crate) struct Roles {
-    /// Each role's members in declaration order.
-    pub(crate) members: Vec<Vec<ProcessId>>,
-    /// Per process: its `(role, slot)`, or `None` if no role moves it.
+    /// The blocks' members, block after block, each in declaration order.
+    pub(crate) members: Vec<ProcessId>,
+    /// Each block's range of `members`.
+    pub(crate) blocks: Vec<Range<usize>>,
+    /// Per process: its block and its position in `members`, or `None` if
+    /// the group fixes it.
     pub(crate) of: Vec<Option<(usize, usize)>>,
-    /// Per role: the product of the earlier roles' orders.
+    /// Per block: the product of the earlier blocks' orders.
     weights: Vec<usize>,
-}
-
-impl Roles {
-    fn new(roles: &RoleMap) -> Self {
-        let mut of = vec![None; roles.num_processes()];
-        let mut weights = Vec::new();
-        let mut weight = 1;
-        for (r, members) in roles.roles().iter().enumerate() {
-            for (slot, p) in members.iter().enumerate() {
-                of[p.index()] = Some((r, slot));
-            }
-            weights.push(weight);
-            weight *= (1..=members.len()).product::<usize>();
-        }
-        Roles {
-            members: roles.roles().to_vec(),
-            of,
-            weights,
-        }
-    }
-
-    /// The rank of the element whose arrangements, role after role, are
-    /// concatenated in `arrangement`.
-    pub(crate) fn rank(&self, arrangement: &[usize]) -> usize {
-        let mut rank = 0;
-        let mut start = 0;
-        for (members, weight) in self.members.iter().zip(&self.weights) {
-            let tau = &arrangement[start..start + members.len()];
-            start += members.len();
-            let mut digit = 0;
-            for (i, &t) in tau.iter().enumerate() {
-                let smaller = tau[i + 1..].iter().filter(|&&u| u < t).count();
-                digit = digit * (tau.len() - i) + smaller;
-            }
-            rank += digit * weight;
-        }
-        rank
-    }
-
-    /// The rank of `perm`, or `None` if it moves a process out of its role.
-    fn rank_of(&self, perm: &Permutation) -> Option<usize> {
-        let mut arrangement = Vec::with_capacity(self.of.len());
-        for (role, members) in self.members.iter().enumerate() {
-            let start = arrangement.len();
-            arrangement.resize(start + members.len(), 0);
-            for (slot, &p) in members.iter().enumerate() {
-                match self.of[perm.apply(p).index()] {
-                    Some((r, image)) if r == role => arrangement[start + image] = slot,
-                    _ => return None,
-                }
-            }
-        }
-        let fixed = (0..self.of.len()).all(|i| self.of[i].is_some() || perm.apply_index(i) == i);
-        fixed.then(|| self.rank(&arrangement))
-    }
-
-    /// The permutation of rank `rank` on `n` processes.
-    fn unrank(&self, mut rank: usize, n: usize) -> Permutation {
-        let mut map: Vec<usize> = (0..n).collect();
-        for members in &self.members {
-            let k = members.len();
-            let order: usize = (1..=k).product();
-            let mut digit = rank % order;
-            rank /= order;
-            // Lehmer digits, least significant last.
-            let mut digits = vec![0; k];
-            for (i, d) in digits.iter_mut().enumerate().rev() {
-                *d = digit % (k - i);
-                digit /= k - i;
-            }
-            let mut free: Vec<usize> = (0..k).collect();
-            for (j, d) in digits.into_iter().enumerate() {
-                let slot = free.remove(d);
-                map[members[slot].index()] = members[j].index();
-            }
-        }
-        Permutation::from_map(map).expect("a product of role arrangements is a bijection")
-    }
+    order: usize,
+    /// `transitions_of[p]`: the transitions of process `p`, in order.
+    transitions_of: Vec<Vec<TransitionId>>,
+    /// Per transition: its process and its position in that process's list.
+    positions: Vec<(ProcessId, usize)>,
+    _marker: PhantomData<fn() -> (S, M)>,
 }
 
 impl<S, M> SymmetryGroup<S, M>
@@ -183,7 +77,7 @@ where
     /// # Panics
     ///
     /// Panics if the role map's process count does not match the protocol,
-    /// or if the candidate order exceeds [`MAX_GROUP_ORDER`].
+    /// or if the group's order does not fit `usize`.
     pub fn build(spec: &ProtocolSpec<S, M>, roles: &RoleMap) -> Self {
         assert_eq!(
             roles.num_processes(),
@@ -192,242 +86,187 @@ where
             roles.num_processes(),
             spec.num_processes()
         );
-        assert!(
-            roles.candidate_order() <= MAX_GROUP_ORDER,
-            "candidate group order {} exceeds the {MAX_GROUP_ORDER} cap",
-            roles.candidate_order()
-        );
-
         let initial = spec.initial_state();
         let n = spec.num_processes();
-        let valid = |perm: &Permutation| {
-            if initial.permute(perm) != initial {
-                return None;
-            }
-            transition_map(spec, perm)
+        let swaps = |a: ProcessId, b: ProcessId| {
+            let mut map: Vec<usize> = (0..n).collect();
+            map.swap(a.index(), b.index());
+            validates(
+                spec,
+                &initial,
+                &Permutation::from_map(map).expect("a transposition"),
+            )
         };
-        let full = roles.roles().iter().all(|members| {
-            members.windows(2).all(|pair| {
-                let mut map: Vec<usize> = (0..n).collect();
-                map.swap(pair[0].index(), pair[1].index());
-                valid(&Permutation::from_map(map).expect("a transposition")).is_some()
-            })
-        });
-        if full {
-            let order = roles.candidate_order();
-            let roles = Roles::new(roles);
-            let elements: Vec<GroupElement> = (0..order)
-                .map(|rank| {
-                    let perm = roles.unrank(rank, n);
-                    let transitions = positional_map(spec, &perm)
-                        .expect("products of valid transpositions align transitions");
-                    GroupElement { perm, transitions }
-                })
-                .collect();
-            let inverses = elements
-                .iter()
-                .map(|e| roles.rank_of(&e.perm.inverse()).expect("closed"))
-                .collect();
-            return SymmetryGroup {
-                elements,
-                inverses,
-                roles: Some(roles),
-                _marker: PhantomData,
-            };
-        }
-
-        let mut elements = vec![GroupElement {
-            perm: Permutation::identity(n),
-            transitions: spec.transition_ids().collect(),
-        }];
-        for perm in candidate_permutations(roles) {
-            if perm.is_identity() {
-                continue;
-            }
-            if let Some(transitions) = valid(&perm) {
-                elements.push(GroupElement { perm, transitions });
+        let mut blocks: Vec<Vec<ProcessId>> = Vec::new();
+        for role in roles.roles() {
+            let first = blocks.len();
+            for &p in role {
+                match blocks[first..].iter_mut().find(|block| swaps(block[0], p)) {
+                    Some(block) => block.push(p),
+                    None => blocks.push(vec![p]),
+                }
             }
         }
-        // The inverse table, through one map over the elements: O(order).
-        let index: HashMap<&Permutation, usize> = elements
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (&e.perm, i))
-            .collect();
-        let inverses = elements.iter().map(|e| index[&e.perm.inverse()]).collect();
-        SymmetryGroup {
-            elements,
-            inverses,
-            roles: None,
+        blocks.retain(|block| block.len() >= 2);
+        let mut group = SymmetryGroup {
+            members: Vec::new(),
+            blocks: Vec::new(),
+            of: vec![None; n],
+            weights: Vec::new(),
+            order: 1,
+            transitions_of: spec
+                .processes()
+                .map(|p| spec.transitions_of(p).to_vec())
+                .collect(),
+            positions: vec![(ProcessId(0), 0); spec.num_transitions()],
             _marker: PhantomData,
+        };
+        for (b, block) in blocks.into_iter().enumerate() {
+            let start = group.members.len();
+            for p in block {
+                group.of[p.index()] = Some((b, group.members.len()));
+                group.members.push(p);
+            }
+            group.blocks.push(start..group.members.len());
+            group.weights.push(group.order);
+            group.order = times_factorial(group.order, group.members.len() - start);
         }
-    }
-
-    /// The trivial (identity-only) group for a system of `n` processes.
-    pub fn identity(spec: &ProtocolSpec<S, M>) -> Self {
-        SymmetryGroup {
-            elements: vec![GroupElement {
-                perm: Permutation::identity(spec.num_processes()),
-                transitions: spec.transition_ids().collect(),
-            }],
-            inverses: vec![0],
-            roles: None,
-            _marker: PhantomData,
+        for (p, transitions) in group.transitions_of.iter().enumerate() {
+            for (position, &t) in transitions.iter().enumerate() {
+                group.positions[t.index()] = (ProcessId(p), position);
+            }
         }
+        group
     }
 
-    /// The roles, if the group is the full product of their symmetric
-    /// groups (its elements are then in rank order).
-    pub(crate) fn roles(&self) -> Option<&Roles> {
-        self.roles.as_ref()
-    }
-
-    /// `true` if the group is the full product of its roles' symmetric
-    /// groups, so canonical forms are computed by sorting role members.
-    pub fn is_full_product(&self) -> bool {
-        self.roles.is_some()
-    }
-
-    /// Number of validated elements (1 = identity only, no reduction).
+    /// Number of elements (1 = identity only, no reduction).
     pub fn order(&self) -> usize {
-        self.elements.len()
+        self.order
     }
 
     /// Returns `true` if only the identity survived validation.
     pub fn is_trivial(&self) -> bool {
-        self.elements.len() == 1
+        self.order == 1
     }
 
-    /// The validated elements; element `0` is the identity.
-    pub fn elements(&self) -> &[GroupElement] {
-        &self.elements
-    }
-
-    /// Index of the element whose permutation equals `perm`, if validated.
-    pub fn element_index(&self, perm: &Permutation) -> Option<usize> {
-        match &self.roles {
-            Some(roles) => roles.rank_of(perm),
-            None => self.elements.iter().position(|e| &e.perm == perm),
-        }
+    /// The permutation of element `e`.
+    pub fn permutation(&self, e: usize) -> Permutation {
+        self.permutation_of(&self.arrangement(e))
     }
 
     /// The composition `a ∘ b` (apply `b` first) as an element index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the composition is not in the group — impossible for
-    /// elements of the same validated group (it is closed).
     pub fn compose(&self, a: usize, b: usize) -> usize {
-        let perm = self.elements[a].perm.compose(&self.elements[b].perm);
-        self.element_index(&perm)
-            .expect("a validated group is closed under composition")
+        let (first, second) = (self.arrangement(b), self.arrangement(a));
+        // `a` sends `members[second[i]]` to `members[i]`, and `b` sends
+        // `members[first[second[i]]]` to `members[second[i]]`.
+        let composed: Vec<usize> = second.iter().map(|&j| first[j]).collect();
+        self.rank(&composed)
     }
 
     /// The inverse of element `e`.
     pub fn inverse(&self, e: usize) -> usize {
-        self.inverses[e]
+        let mut inverse = vec![0; self.members.len()];
+        for (i, from) in self.arrangement(e).into_iter().enumerate() {
+            inverse[from] = i;
+        }
+        self.rank(&inverse)
     }
 
     /// Applies element `e` to a transition instance: the transition id is
-    /// relabelled to the image process's corresponding transition, the
-    /// executing process and envelope senders are mapped, payloads are
+    /// relabelled to the image process's transition at the same position,
+    /// the executing process and envelope senders are mapped, payloads are
     /// rewritten.
     pub fn permute_instance(
         &self,
         e: usize,
         instance: &TransitionInstance<M>,
     ) -> TransitionInstance<M> {
-        let elem = &self.elements[e];
+        let perm = self.permutation(e);
+        let (process, position) = self.positions[instance.transition.index()];
         TransitionInstance::new(
-            elem.map_transition(instance.transition),
-            elem.perm.apply(instance.process),
+            self.transitions_of[perm.apply(process).index()][position],
+            perm.apply(instance.process),
             instance
                 .envelopes
                 .iter()
                 .map(|env| {
-                    mp_model::Envelope::new(
-                        elem.perm.apply(env.sender),
-                        env.payload.permute(&elem.perm),
-                    )
+                    mp_model::Envelope::new(perm.apply(env.sender), env.payload.permute(&perm))
                 })
                 .collect(),
         )
     }
-}
 
-/// All products of within-role permutations (including the identity).
-fn candidate_permutations(roles: &RoleMap) -> Vec<Permutation> {
-    let n = roles.num_processes();
-    let mut out = vec![Permutation::identity(n)];
-    for role in roles.roles() {
-        let orders = permutations_of(role.len());
-        let mut next = Vec::with_capacity(out.len() * orders.len());
-        for base in &out {
-            for order in &orders {
-                // Rearrange the role's slots according to `order`: member i
-                // moves to the slot of member order[i].
-                let mut map: Vec<usize> = (0..n).collect();
-                for (i, &slot) in order.iter().enumerate() {
-                    map[role[i].index()] = role[slot].index();
-                }
-                let perm = Permutation::from_map(map).expect("role rearrangement is a bijection");
-                next.push(perm.compose(base));
+    /// The rank of the element with arrangement `arrangement`.
+    pub(crate) fn rank(&self, arrangement: &[usize]) -> usize {
+        let mut rank = 0;
+        for (block, weight) in self.blocks.iter().zip(&self.weights) {
+            let tau = &arrangement[block.clone()];
+            let mut digit = 0;
+            for (i, &t) in tau.iter().enumerate() {
+                let smaller = tau[i + 1..].iter().filter(|&&u| u < t).count();
+                digit = digit * (tau.len() - i) + smaller;
             }
+            rank += digit * weight;
         }
-        out = next;
+        rank
     }
-    out
+
+    /// The arrangement of the element of rank `rank`.
+    fn arrangement(&self, mut rank: usize) -> Vec<usize> {
+        let mut arrangement = vec![0; self.members.len()];
+        for block in &self.blocks {
+            let tau = &mut arrangement[block.clone()];
+            // The Lehmer digits, least significant last...
+            for (i, d) in tau.iter_mut().enumerate().rev() {
+                let radix = block.len() - i;
+                *d = rank % radix;
+                rank /= radix;
+            }
+            // ...each the count of smaller entries to its right: decoded
+            // from the right, every entry at or above a new one moves up.
+            for i in (0..tau.len()).rev() {
+                for j in i + 1..tau.len() {
+                    if tau[j] >= tau[i] {
+                        tau[j] += 1;
+                    }
+                }
+            }
+            tau.iter_mut().for_each(|t| *t += block.start);
+        }
+        arrangement
+    }
+
+    /// The permutation with arrangement `arrangement`.
+    pub(crate) fn permutation_of(&self, arrangement: &[usize]) -> Permutation {
+        let mut map: Vec<usize> = (0..self.of.len()).collect();
+        for (i, &from) in arrangement.iter().enumerate() {
+            map[self.members[from].index()] = self.members[i].index();
+        }
+        Permutation::from_map(map).expect("an arrangement within blocks is a bijection")
+    }
 }
 
-/// All orderings of `0..k` (plain recursive enumeration; role sizes are
-/// bounded by [`MAX_GROUP_ORDER`]).
-fn permutations_of(k: usize) -> Vec<Vec<usize>> {
-    if k == 0 {
-        return vec![Vec::new()];
-    }
-    let mut out = Vec::new();
-    for smaller in permutations_of(k - 1) {
-        for slot in 0..=smaller.len() {
-            let mut next = smaller.clone();
-            next.insert(slot, k - 1);
-            out.push(next);
-        }
-    }
-    out
-}
-
-/// Builds the transition relabelling induced by `perm`, or `None` if some
-/// transition has no structural correspondent.
-fn transition_map<S, M>(spec: &ProtocolSpec<S, M>, perm: &Permutation) -> Option<Vec<TransitionId>>
+/// Whether `perm` maps the protocol onto itself structurally: `initial` is
+/// a fixed point, and each process's transitions correspond, position by
+/// position, to its image's.
+fn validates<S, M>(
+    spec: &ProtocolSpec<S, M>,
+    initial: &GlobalState<S, M>,
+    perm: &Permutation,
+) -> bool
 where
-    S: LocalState,
-    M: Message,
+    S: LocalState + Permutable,
+    M: Message + Permutable,
 {
-    let map = positional_map(spec, perm)?;
-    spec.transition_ids()
-        .all(|t| corresponds(spec.transition(t), spec.transition(map[t.index()]), perm))
-        .then_some(map)
-}
-
-/// The relabelling that pairs each process's transitions with its image's
-/// by position, unchecked; `None` if two lists differ in length.
-fn positional_map<S, M>(spec: &ProtocolSpec<S, M>, perm: &Permutation) -> Option<Vec<TransitionId>>
-where
-    S: LocalState,
-    M: Message,
-{
-    let mut map = vec![TransitionId(0); spec.num_transitions()];
-    for p in spec.processes() {
-        let from = spec.transitions_of(p);
-        let to = spec.transitions_of(perm.apply(p));
-        if from.len() != to.len() {
-            return None;
-        }
-        for (&t, &u) in from.iter().zip(to.iter()) {
-            map[t.index()] = u;
-        }
-    }
-    Some(map)
+    initial.permute(perm) == *initial
+        && spec.processes().all(|p| {
+            let (from, to) = (spec.transitions_of(p), spec.transitions_of(perm.apply(p)));
+            from.len() == to.len()
+                && from
+                    .iter()
+                    .zip(to)
+                    .all(|(&t, &u)| corresponds(spec.transition(t), spec.transition(u), perm))
+        })
 }
 
 /// Structural correspondence of two transitions under `perm`: equal inputs
@@ -456,46 +295,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mp_model::{Kind, Outcome, TransitionSpec};
-
-    #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-    struct Tok;
-    mp_model::codec!(struct Tok);
-
-    impl Message for Tok {
-        fn kind(&self) -> Kind {
-            "TOK"
-        }
-    }
-
-    impl Permutable for Tok {
-        fn permute(&self, _perm: &Permutation) -> Self {
-            Tok
-        }
-    }
-
-    fn p(i: usize) -> ProcessId {
-        ProcessId(i)
-    }
-
-    /// `n` interchangeable counters with the given initial values.
-    fn counters(initials: &[u8]) -> ProtocolSpec<u8, Tok> {
-        let mut builder = ProtocolSpec::builder("counters");
-        for (i, &init) in initials.iter().enumerate() {
-            builder = builder.process(format!("c{i}"), init);
-        }
-        for i in 0..initials.len() {
-            builder = builder.transition(
-                TransitionSpec::builder(format!("step{i}"), p(i))
-                    .internal()
-                    .guard(|l, _| *l < 2)
-                    .sends_nothing()
-                    .effect(|l, _| Outcome::new(l + 1))
-                    .build(),
-            );
-        }
-        builder.build().unwrap()
-    }
+    use crate::reduction::tests::{counters, p, Note};
+    use mp_faults::{FaultBudget, FaultLocal};
+    use mp_model::{Outcome, TransitionSpec};
 
     #[test]
     fn symmetric_counters_validate_the_full_role_group() {
@@ -519,33 +321,38 @@ mod tests {
         let spec = counters(&[0, 0, 0, 0, 0]);
         let roles = RoleMap::new(5).role([p(0), p(1), p(2)]).role([p(3), p(4)]);
         let group = SymmetryGroup::build(&spec, &roles);
-        assert!(group.is_full_product());
         assert_eq!(group.order(), 12);
-        assert!(group.elements()[0].permutation().is_identity());
-        let distinct: BTreeSet<&Permutation> =
-            group.elements().iter().map(|e| e.permutation()).collect();
-        assert_eq!(distinct.len(), 12);
-        for (i, e) in group.elements().iter().enumerate() {
-            assert_eq!(group.element_index(e.permutation()), Some(i));
-            let inverse = group.elements()[group.inverse(i)].permutation();
-            assert!(e.permutation().compose(inverse).is_identity());
+        let elements: Vec<Permutation> = (0..12).map(|e| group.permutation(e)).collect();
+        assert!(elements[0].is_identity());
+        // The first block's Lehmer digit is the least significant.
+        assert_eq!(
+            elements[1],
+            Permutation::from_map(vec![0, 2, 1, 3, 4]).unwrap()
+        );
+        assert_eq!(
+            elements[6],
+            Permutation::from_map(vec![0, 1, 2, 4, 3]).unwrap()
+        );
+        assert_eq!(elements.iter().collect::<BTreeSet<_>>().len(), 12);
+        for (a, perm) in elements.iter().enumerate() {
+            assert!(perm.compose(&elements[group.inverse(a)]).is_identity());
+            for (b, other) in elements.iter().enumerate() {
+                assert_eq!(elements[group.compose(a, b)], perm.compose(other));
+            }
             for t in spec.transition_ids() {
-                let u = e.map_transition(t);
-                assert_eq!(
-                    spec.transition(u).process(),
-                    e.permutation().apply(spec.transition(t).process())
-                );
+                let process = spec.transition(t).process();
+                let instance = TransitionInstance::<Note>::new(t, process, Vec::new());
+                let u = group.permute_instance(a, &instance).transition;
+                assert_eq!(spec.transition(u).process(), perm.apply(process));
             }
         }
-        // A permutation across roles is no element.
-        let across = Permutation::from_map(vec![3, 1, 2, 0, 4]).unwrap();
-        assert_eq!(group.element_index(&across), None);
-        // A partial group keeps the per-element check.
-        assert!(!SymmetryGroup::build(
-            &counters(&[0, 0, 1]),
-            &RoleMap::new(3).role([p(0), p(1), p(2)])
-        )
-        .is_full_product());
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit usize")]
+    fn a_group_order_past_usize_panics() {
+        // 21! > 2^64; unchecked, the order wrapped (to 0 from 66 members).
+        let _ = SymmetryGroup::build(&counters(&[0; 21]), &RoleMap::new(21).role((0..21).map(p)));
     }
 
     #[test]
@@ -567,12 +374,13 @@ mod tests {
         let roles = RoleMap::new(3).role([p(0), p(1), p(2)]);
         let group = SymmetryGroup::build(&spec, &roles);
         assert_eq!(group.order(), 2);
+        assert_eq!((group.members, group.blocks.len()), (vec![p(0), p(1)], 1));
     }
 
     #[test]
     fn asymmetric_transition_structure_is_rejected() {
         // p1 has an extra transition: the swap cannot align the lists.
-        let spec: ProtocolSpec<u8, Tok> = ProtocolSpec::builder("uneven")
+        let spec: ProtocolSpec<u8, Note> = ProtocolSpec::builder("uneven")
             .process("a", 0u8)
             .process("b", 0u8)
             .transition(
@@ -612,7 +420,7 @@ mod tests {
         let group = SymmetryGroup::build(&spec, &roles);
         assert_eq!(group.order(), 2);
         let swap = 1usize;
-        let inst = TransitionInstance::<Tok>::new(TransitionId(0), p(0), Vec::new());
+        let inst = TransitionInstance::<Note>::new(TransitionId(0), p(0), Vec::new());
         let mapped = group.permute_instance(swap, &inst);
         assert_eq!(mapped.process, p(1));
         assert_eq!(mapped.transition, TransitionId(1));
@@ -621,5 +429,142 @@ mod tests {
             "step1",
             "step0@p0 maps to step1@p1"
         );
+    }
+
+    // --- The reference group ----------------------------------------------
+
+    /// All products of within-role permutations, the identity included:
+    /// member `i` of each role swaps its image with one of members `0..=i`.
+    fn candidate_permutations(roles: &RoleMap) -> Vec<Permutation> {
+        let mut maps = vec![(0..roles.num_processes()).collect::<Vec<_>>()];
+        for role in roles.roles() {
+            for i in 1..role.len() {
+                maps = maps
+                    .into_iter()
+                    .flat_map(|map| {
+                        (0..=i).map(move |j| {
+                            let mut map = map.clone();
+                            map.swap(role[i].index(), role[j].index());
+                            map
+                        })
+                    })
+                    .collect();
+            }
+        }
+        maps.into_iter()
+            .map(|map| Permutation::from_map(map).unwrap())
+            .collect()
+    }
+
+    /// Builds the group of `roles` (declared by the library build of this
+    /// crate; rebuilt here) over `spec` and checks that its elements are
+    /// exactly the candidates that validate one by one.
+    fn assert_block_product_is_the_reference<S, M>(
+        spec: &ProtocolSpec<S, M>,
+        roles: &[Vec<ProcessId>],
+        cell: &str,
+    ) -> SymmetryGroup<S, M>
+    where
+        S: LocalState + Permutable,
+        M: Message + Permutable,
+    {
+        let roles = roles
+            .iter()
+            .fold(RoleMap::new(spec.num_processes()), |map, role| {
+                map.role(role.iter().copied())
+            });
+        let group = SymmetryGroup::build(spec, &roles);
+        let elements: BTreeSet<Permutation> =
+            (0..group.order()).map(|e| group.permutation(e)).collect();
+        assert_eq!(elements.len(), group.order(), "{cell}");
+        let initial = spec.initial_state();
+        let reference: BTreeSet<Permutation> = candidate_permutations(&roles)
+            .into_iter()
+            .filter(|perm| validates(spec, &initial, perm))
+            .collect();
+        assert_eq!(elements, reference, "{cell}");
+        group
+    }
+
+    /// [`assert_block_product_is_the_reference`] on a setting's model with
+    /// no fault layer and under each of five fault budgets: six cells.
+    /// Returns the group of the model with no fault layer.
+    fn assert_setting_is_a_block_product<S, M>(
+        setting: &str,
+        plain: ProtocolSpec<S, M>,
+        faulty: impl Fn(FaultBudget) -> ProtocolSpec<FaultLocal<S>, M>,
+        roles: &[Vec<ProcessId>],
+    ) -> SymmetryGroup<S, M>
+    where
+        S: LocalState + Permutable,
+        M: Message + Permutable,
+    {
+        let crash1 = FaultBudget::none().crashes(1);
+        let budgets = [
+            ("none", FaultBudget::none()),
+            ("crash1", crash1),
+            ("drop1", FaultBudget::none().drops(1)),
+            ("dup1", FaultBudget::none().dups(1)),
+            ("crash1+drop1", crash1.drops(1)),
+        ];
+        for (name, budget) in budgets {
+            let cell = format!("{setting} {name}");
+            assert_block_product_is_the_reference(&faulty(budget), roles, &cell);
+        }
+        assert_block_product_is_the_reference(&plain, roles, setting)
+    }
+
+    #[test]
+    fn block_products_are_the_reference_groups_of_the_protocol_cells() {
+        use mp_protocols::{echo_multicast as mc, paxos, storage};
+        let mut cells = 0;
+        let paxos = [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3)];
+        for (proposers, acceptors) in paxos {
+            let setting = paxos::PaxosSetting::new(proposers, acceptors, 1);
+            let variant = paxos::PaxosVariant::Correct;
+            assert_setting_is_a_block_product(
+                &format!("{setting:?}"),
+                paxos::quorum_model(setting, variant),
+                |budget| paxos::faulty_quorum_model(setting, variant, budget),
+                paxos::symmetry_roles(setting).roles(),
+            );
+            cells += 6;
+        }
+        for base_objects in [2, 3] {
+            let setting = storage::StorageSetting::new(base_objects, 1);
+            assert_setting_is_a_block_product(
+                &format!("{setting:?}"),
+                storage::quorum_model(setting),
+                |budget| storage::faulty_quorum_model(setting, budget),
+                storage::symmetry_roles(setting).roles(),
+            );
+            cells += 6;
+        }
+        let multicast = [
+            (2, 1, 0),
+            (3, 1, 1),
+            (2, 1, 2),
+            (3, 0, 1),
+            (4, 1, 1),
+            (4, 0, 2),
+        ];
+        for (honest, initiators, byzantine) in multicast {
+            let setting = mc::MulticastSetting::new(honest, initiators, byzantine, 1);
+            let group = assert_setting_is_a_block_product(
+                &format!("{setting:?}"),
+                mc::quorum_model(setting),
+                |budget| mc::faulty_quorum_model(setting, budget),
+                mc::symmetry_roles(setting).roles(),
+            );
+            if (honest, initiators, byzantine) == (3, 1, 1) {
+                // The honest receivers p2, p3, p4 split into {p2, p3} and
+                // {p4}; a lone member moves nowhere and is dropped.
+                assert_eq!(group.order(), 2);
+                let blocks = (group.members, group.blocks.len());
+                assert_eq!(blocks, (vec![p(2), p(3)], 1));
+            }
+            cells += 6;
+        }
+        assert_eq!(cells, 90);
     }
 }

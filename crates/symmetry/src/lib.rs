@@ -9,24 +9,25 @@
 //!
 //! * [`RoleMap`] — declares which processes a protocol treats as
 //!   interchangeable *roles*;
-//! * [`SymmetryGroup`] — the declared candidate permutations **validated**
-//!   against the concrete protocol (initial state a fixed point, transition
-//!   structure aligned with sender/recipient sets mapped). Invalid
-//!   candidates are dropped, so a deliberately-asymmetric model (say,
-//!   acceptors seeded with distinct accepted values) degenerates to the
-//!   identity group and the reduction becomes a no-op instead of unsound;
+//! * [`SymmetryGroup`] — the declared roles **validated** against the
+//!   concrete protocol (initial state a fixed point, transition structure
+//!   aligned with sender/recipient sets mapped): each role splits into
+//!   blocks of members whose swaps validate, and the group is the product
+//!   of the blocks' symmetric groups, its elements ranks that are never
+//!   listed. A deliberately-asymmetric model (say, acceptors seeded with
+//!   distinct accepted values) degenerates to the identity group and the
+//!   reduction becomes a no-op instead of unsound;
 //! * [`OrbitReduction`] / [`Symmetry`] — the engine-facing canonicalizer:
 //!   `mp-checker` inserts the canonical image of every `(state, observer)`
 //!   pair into the visited store, so only one representative per **orbit**
-//!   is fingerprinted and expanded. On a group that is the full product of
-//!   its roles' symmetric groups, role members are sorted by a signature no
-//!   permutation changes ([`mp_model::Permutable::signature`] plus their
+//!   is fingerprinted and expanded. Block members are sorted by a signature
+//!   no permutation changes ([`mp_model::Permutable::signature`] plus their
 //!   channel entries) and only members whose signatures tie are tried in
-//!   every order; any other group is swept element by element. Candidate
-//!   images are compared with the current winner as they are generated,
-//!   the candidates that tie with the winner give the stabilizer (a traced
-//!   run's orbit-size histogram at no extra cost), and the breadth-first
-//!   engine has the winner encoded straight into its store key
+//!   every order, whatever the group order. Candidate images are compared
+//!   with the current winner as they are generated, the candidates that
+//!   tie with the winner give the stabilizer (a traced run's orbit-size
+//!   histogram at no extra cost), and the breadth-first engine has the
+//!   winner encoded straight into its store key
 //!   ([`Symmetry::canonical_encode`]) instead of built.
 //!
 //! Declaring a role and canonicalizing by hand (the `Checker` facade of
@@ -103,6 +104,6 @@ mod group;
 mod reduction;
 mod roles;
 
-pub use group::{GroupElement, SymmetryGroup, MAX_GROUP_ORDER};
+pub use group::SymmetryGroup;
 pub use reduction::{NoSymmetry, OrbitReduction, Symmetry};
 pub use roles::RoleMap;

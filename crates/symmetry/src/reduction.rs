@@ -28,11 +28,10 @@ use std::sync::Arc;
 
 use mp_model::{
     combine, write_varint, Channels, Encode, GlobalState, LocalState, Message, Permutable,
-    ProcessId, TransitionInstance,
+    Permutation, ProcessId, TransitionInstance,
 };
 use mp_trace::{Histogram, Phase, TraceHandle};
 
-use crate::group::Roles;
 use crate::SymmetryGroup;
 
 /// Object-safe symmetry interface consumed by the search engines.
@@ -50,8 +49,7 @@ pub trait Symmetry<S, M: Ord, O>: Send + Sync {
     /// Returns the canonical image of `(state, observer)`, together with
     /// the index of the element that produced it: the orbit representative,
     /// the same for every member of the orbit. Which member that is belongs
-    /// to the implementation (see [`OrbitReduction`] and
-    /// [`Symmetry::canonicalizer`]).
+    /// to the implementation (see [`OrbitReduction`]).
     fn canonicalize(
         &self,
         state: &GlobalState<S, M>,
@@ -105,13 +103,6 @@ pub trait Symmetry<S, M: Ord, O>: Send + Sync {
     {
         let _span = trace.span(Phase::Canonicalize);
         self.canonical_encode(state, observer, out)
-    }
-
-    /// Names how representatives are chosen. Two runs whose names differ
-    /// may store different members of one orbit, so a checkpoint of one
-    /// must not be resumed by the other.
-    fn canonicalizer(&self) -> &'static str {
-        "ord-min"
     }
 
     /// The composition `a ∘ b` (apply `b` first) as an element index.
@@ -203,20 +194,14 @@ where
 ///
 /// The canonical representative of a pair is the `Ord`-minimal image over
 /// a set of *candidate* elements that is the same for every member of the
-/// orbit, so two states of one orbit always produce the same key:
-///
-/// * on a group that is the full product of its roles' symmetric groups
-///   (the scalarset case, [`SymmetryGroup::is_full_product`]), the
-///   candidates are the elements that sort each role's members by a
-///   permutation-invariant signature — the member's
-///   [`Permutable::signature`] plus a multiset hash of its channel entries.
-///   Only members whose signatures tie are tried in every order, so the
-///   cost follows the ties, not the group order;
-/// * on any other group, every element is a candidate (the sweep), and the
-///   representative is the `Ord`-minimal image over the whole group.
-///
-/// Either way the candidates that produce the representative number
-/// |Stab|, which gives the orbit size.
+/// orbit, so two states of one orbit always produce the same key. The
+/// candidates are the elements that sort each block's members by a
+/// permutation-invariant signature — the member's
+/// [`Permutable::signature`] plus a multiset hash of its channel entries
+/// (the scalarset construction). Only members whose signatures tie are
+/// tried in every order, so the cost follows the ties, not the group
+/// order. The candidates that produce the representative number |Stab|,
+/// which gives the orbit size.
 pub struct OrbitReduction<S, M: Ord, O> {
     group: Arc<SymmetryGroup<S, M>>,
     _marker: PhantomData<fn() -> O>,
@@ -248,52 +233,63 @@ where
     O: Permutable + Ord + Clone,
 {
     /// The canonical image of `(state, observer)`: the least image over the
-    /// sorted candidates on a full product, over the whole group otherwise.
+    /// sorted candidates, its rank and its stabilizer.
     fn canonical(&self, state: &GlobalState<S, M>, observer: &O) -> Winner<S, M, O> {
-        match self.group.roles() {
-            Some(roles) => self.least_image(state, observer, sorted_candidates(roles, state)),
-            None => self.sweep(state, observer),
-        }
-    }
-
-    /// The sweep: every element is a candidate, the identity first.
-    fn sweep(&self, state: &GlobalState<S, M>, observer: &O) -> Winner<S, M, O> {
-        self.least_image(state, observer, 0..self.group.order())
-    }
-
-    /// The `Ord`-minimal image of `(state, observer)` under `candidates`,
-    /// the first candidate that produces it, and how many produce it.
-    ///
-    /// The derived `Ord` reads locals slot by slot, then channels, then the
-    /// observer; each candidate's image is compared with the winner's in
-    /// that order as it is generated, so most lose at a local slot with
-    /// nothing past it built. Channel and observer images are built only on
-    /// ties, and a lone candidate builds nothing.
-    fn least_image(
-        &self,
-        state: &GlobalState<S, M>,
-        observer: &O,
-        candidates: impl IntoIterator<Item = usize>,
-    ) -> Winner<S, M, O> {
-        let elements = self.group.elements();
-        let n = state.locals.len();
-        let mut candidates = candidates.into_iter();
+        let (arrangement, ties) = sorted_arrangement(&self.group, state);
+        let identity = arrangement.iter().enumerate().all(|(i, &from)| i == from);
         let mut best = Winner {
-            elem: candidates.next().expect("a group has an element"),
+            elem: 0,
+            perm: (!identity).then(|| self.group.permutation_of(&arrangement)),
+            arrangement,
             stabilizer: 1,
             locals: None,
             channels: None,
             observer: None,
         };
-        // Candidate buffers, swapped with the winner's when a candidate wins.
+        if !ties.is_empty() {
+            self.least_image(state, observer, &ties, &mut best);
+        }
+        best.elem = self.group.rank(&best.arrangement);
+        best
+    }
+
+    /// Replaces `best`, the first candidate, with the `Ord`-minimal image
+    /// over every ordering of the `ties`, the first candidate that produces
+    /// it, and counts how many do.
+    ///
+    /// The derived `Ord` reads locals slot by slot, then channels, then the
+    /// observer; each candidate's image is compared with the winner's in
+    /// that order as it is generated, so most lose at a local slot with
+    /// nothing past it built. Channel and observer images are built only on
+    /// ties.
+    fn least_image(
+        &self,
+        state: &GlobalState<S, M>,
+        observer: &O,
+        ties: &[Range<usize>],
+        best: &mut Winner<S, M, O>,
+    ) {
+        let n = state.locals.len();
+        let members = &self.group.members;
+        // The candidate, stepped through every ordering of every tie
+        // odometer-style (a tie that wraps back to ascending order carries
+        // into the next), and its buffers, swapped with the winner's when it
+        // wins.
+        let mut candidate = Candidate {
+            arrangement: best.arrangement.clone(),
+            perm: best
+                .perm
+                .clone()
+                .unwrap_or_else(|| Permutation::identity(n)),
+        };
         let (mut locals, mut channels) = (Vec::new(), None);
-        for i in candidates {
-            let (perm, best_perm) = (elements[i].permutation(), elements[best.elem].permutation());
-            let image = |k: usize| self.image_local(state, i, k);
-            if best.elem != 0 && best.locals.is_none() {
+        while ties.iter().any(|tie| candidate.next(members, tie.clone())) {
+            let Candidate { arrangement, perm } = &candidate;
+            let image = |k: usize| self.image_local(state, arrangement, perm, k);
+            if let (Some(best_perm), None) = (&best.perm, &best.locals) {
                 best.locals = Some(
                     (0..n)
-                        .map(|k| self.image_local(state, best.elem, k))
+                        .map(|k| self.image_local(state, &best.arrangement, best_perm, k))
                         .collect(),
                 );
             }
@@ -316,22 +312,22 @@ where
             if tied_locals {
                 let candidate = channels.get_or_insert_with(|| Channels::new(n));
                 state.channels.permute_into(perm, candidate);
-                let winner: &Channels<M> = if best.elem == 0 {
-                    &state.channels
-                } else {
-                    best.channels
-                        .get_or_insert_with(|| state.channels.permute(best_perm))
+                let winner: &Channels<M> = match &best.perm {
+                    None => &state.channels,
+                    Some(best_perm) => best
+                        .channels
+                        .get_or_insert_with(|| state.channels.permute(best_perm)),
                 };
                 order = (*candidate).cmp(winner);
             }
             let mut observer_image = None;
             if order.is_eq() {
                 let candidate = observer.permute(perm);
-                let winner: &O = if best.elem == 0 {
-                    observer
-                } else {
-                    best.observer
-                        .get_or_insert_with(|| observer.permute(best_perm))
+                let winner: &O = match &best.perm {
+                    None => observer,
+                    Some(best_perm) => best
+                        .observer
+                        .get_or_insert_with(|| observer.permute(best_perm)),
                 };
                 order = candidate.cmp(winner);
                 observer_image = Some(candidate);
@@ -339,7 +335,8 @@ where
 
             match order {
                 Ordering::Less => {
-                    best.elem = i;
+                    best.arrangement.copy_from_slice(arrangement);
+                    best.perm = Some(perm.clone());
                     if let Some(previous) = best.locals.replace(std::mem::take(&mut locals)) {
                         locals = previous;
                     }
@@ -355,14 +352,22 @@ where
                 Ordering::Greater => {}
             }
         }
-        best
     }
 
-    /// Slot `k` of element `e`'s image of the locals.
-    fn image_local(&self, state: &GlobalState<S, M>, e: usize, k: usize) -> S {
-        let elements = self.group.elements();
-        let inverse = elements[self.group.inverse(e)].permutation();
-        state.locals[inverse.apply_index(k)].permute(elements[e].permutation())
+    /// Slot `k` of the image of the locals under the element with
+    /// `arrangement` and permutation `perm`.
+    fn image_local(
+        &self,
+        state: &GlobalState<S, M>,
+        arrangement: &[usize],
+        perm: &Permutation,
+        k: usize,
+    ) -> S {
+        let source = match self.group.of[k] {
+            Some((_, i)) => self.group.members[arrangement[i]].index(),
+            None => k,
+        };
+        state.locals[source].permute(perm)
     }
 
     /// The winner's image, completed.
@@ -372,15 +377,14 @@ where
         observer: &O,
         winner: Winner<S, M, O>,
     ) -> (GlobalState<S, M>, O) {
-        if winner.elem == 0 {
+        let Some(perm) = &winner.perm else {
             return (state.clone(), observer.clone());
-        }
-        let perm = self.group.elements()[winner.elem].permutation();
+        };
         let n = state.locals.len();
         let representative = GlobalState {
             locals: winner.locals.unwrap_or_else(|| {
                 (0..n)
-                    .map(|k| self.image_local(state, winner.elem, k))
+                    .map(|k| self.image_local(state, &winner.arrangement, perm, k))
                     .collect()
             }),
             channels: winner
@@ -402,12 +406,11 @@ where
     ) where
         O: Encode,
     {
-        if winner.elem == 0 {
+        let Some(perm) = &winner.perm else {
             state.encode(out);
             observer.encode(out);
             return;
-        }
-        let perm = self.group.elements()[winner.elem].permutation();
+        };
         match &winner.locals {
             Some(locals) => locals.encode(out),
             None => {
@@ -415,7 +418,8 @@ where
                 let n = state.locals.len();
                 write_varint(n as u64, out);
                 for k in 0..n {
-                    self.image_local(state, winner.elem, k).encode(out);
+                    self.image_local(state, &winner.arrangement, perm, k)
+                        .encode(out);
                 }
             }
         }
@@ -433,73 +437,67 @@ where
 /// The least image a comparison of candidates found, and what it built of
 /// it.
 struct Winner<S, M: Ord, O> {
-    /// The first candidate that produced it.
+    /// The rank of the first candidate that produced it.
     elem: usize,
+    /// That candidate's arrangement and permutation; `None` for the
+    /// identity, whose parts are the concrete pair's own.
+    arrangement: Vec<usize>,
+    perm: Option<Permutation>,
     /// How many candidates produced it: |Stab|, so the orbit has
     /// `order / stabilizer` members.
     stabilizer: usize,
-    /// Its parts where a comparison built them (`None` otherwise; the
-    /// identity's are the concrete pair's own).
+    /// Its parts where a comparison built them (`None` otherwise).
     locals: Option<Vec<S>>,
     channels: Option<Channels<M>>,
     observer: Option<O>,
 }
 
-/// The candidates of a full product: the elements, as ranks, whose images
-/// list each role's members in ascending signature order — one per
-/// ordering of each block of tied members.
+/// The first candidate's arrangement — each block's members in ascending
+/// signature order — and the ranges of it where signatures tie. Every
+/// ordering of every tie is a candidate.
 ///
 /// For `t = g·s` the candidates are those of `s` composed with `g⁻¹` (the
 /// signatures move with `g`), so `s` and `t` have the same candidate
 /// images, and the least of them is canonical. The stabilizer permutes
-/// members only within blocks, so the candidates that produce the least
-/// image number |Stab|, as in the sweep.
-fn sorted_candidates<S, M>(roles: &Roles, state: &GlobalState<S, M>) -> Vec<usize>
+/// members only within ties, so the candidates that produce the least
+/// image number |Stab|.
+fn sorted_arrangement<S, M>(
+    group: &SymmetryGroup<S, M>,
+    state: &GlobalState<S, M>,
+) -> (Vec<usize>, Vec<Range<usize>>)
 where
     S: LocalState + Permutable,
     M: Message + Permutable,
 {
-    let signature = signatures(roles, state);
-    // Per role, `arrangement[j]` is the slot whose member goes to slot `j`.
-    let mut arrangement = Vec::with_capacity(state.locals.len());
-    let mut blocks: Vec<Range<usize>> = Vec::new();
-    for members in &roles.members {
-        let start = arrangement.len();
-        arrangement.extend(0..members.len());
-        let key = |slot: usize| signature[members[slot].index()];
-        arrangement[start..].sort_unstable_by_key(|&slot| (key(slot), slot));
-        let mut i = start;
-        while i < arrangement.len() {
+    let signature = signatures(group, state);
+    let key = |i: usize| signature[group.members[i].index()];
+    let mut arrangement: Vec<usize> = (0..group.members.len()).collect();
+    let mut ties = Vec::new();
+    for block in &group.blocks {
+        arrangement[block.clone()].sort_unstable_by_key(|&i| (key(i), i));
+        let mut i = block.start;
+        while i < block.end {
             let tied = key(arrangement[i]);
-            let len = arrangement[i..]
+            let len = arrangement[i..block.end]
                 .iter()
-                .take_while(|&&slot| key(slot) == tied)
+                .take_while(|&&j| key(j) == tied)
                 .count();
             if len > 1 {
-                blocks.push(i..i + len);
+                ties.push(i..i + len);
             }
             i += len;
         }
     }
-    let mut candidates = vec![roles.rank(&arrangement)];
-    // Every ordering of every block, odometer-style: a block that wraps
-    // back to ascending order carries into the next.
-    while blocks
-        .iter()
-        .any(|block| next_permutation(&mut arrangement[block.clone()]))
-    {
-        candidates.push(roles.rank(&arrangement));
-    }
-    candidates
+    (arrangement, ties)
 }
 
-/// Each role member's signature: its local's, plus a wrapping sum over its
+/// Each block member's signature: its local's, plus a wrapping sum over its
 /// channel entries of a hash of the entry's direction, its other endpoint
-/// (a fixed process by id, a role member by role and whether it is the
+/// (a fixed process by id, a block member by block and whether it is the
 /// member itself), its payload's signature and its count. Every part is
 /// invariant under the group, so `g` moves signatures with the members.
-/// Processes no role moves keep 0.
-fn signatures<S, M>(roles: &Roles, state: &GlobalState<S, M>) -> Vec<u64>
+/// Processes the group fixes keep 0.
+fn signatures<S, M>(group: &SymmetryGroup<S, M>, state: &GlobalState<S, M>) -> Vec<u64>
 where
     S: LocalState + Permutable,
     M: Message + Permutable,
@@ -507,19 +505,19 @@ where
     let mut signature: Vec<u64> = state
         .locals
         .iter()
-        .zip(&roles.of)
-        .map(|(local, role)| role.map_or(0, |_| local.signature()))
+        .zip(&group.of)
+        .map(|(local, block)| block.map_or(0, |_| local.signature()))
         .collect();
     // One word per (direction, other endpoint): the direction in bit 40, a
-    // role member flagged in bit 32.
-    let endpoint = |other: ProcessId, me: ProcessId| match roles.of[other.index()] {
+    // block member flagged in bit 32.
+    let endpoint = |other: ProcessId, me: ProcessId| match group.of[other.index()] {
         None => other.index() as u64,
-        Some((role, _)) => (1 << 32) | (role as u64) << 1 | u64::from(other == me),
+        Some((block, _)) => (1 << 32) | (block as u64) << 1 | u64::from(other == me),
     };
     for ((sender, receiver), payload, count) in state.channels.iter() {
         let content = combine(payload.signature(), count as u64);
         for (me, other, direction) in [(receiver, sender, 1u64), (sender, receiver, 2)] {
-            if roles.of[me.index()].is_some() {
+            if group.of[me.index()].is_some() {
                 let entry = combine(direction << 40 | endpoint(other, me), content);
                 signature[me.index()] = signature[me.index()].wrapping_add(entry);
             }
@@ -528,20 +526,46 @@ where
     signature
 }
 
-/// Steps `items` to its next ordering in lexicographic order; the last
-/// wraps to the first (ascending) and returns `false`.
-fn next_permutation(items: &mut [usize]) -> bool {
-    let Some(i) = (1..items.len()).rev().find(|&i| items[i - 1] < items[i]) else {
-        items.reverse();
-        return false;
-    };
-    let j = (i..items.len())
-        .rev()
-        .find(|&j| items[j] > items[i - 1])
-        .expect("items[i] is larger");
-    items.swap(i - 1, j);
-    items[i..].reverse();
-    true
+/// An element as the candidates step through the group: its arrangement
+/// and its permutation, kept in step.
+struct Candidate {
+    arrangement: Vec<usize>,
+    perm: Permutation,
+}
+
+impl Candidate {
+    /// Steps `tie` of the arrangement to its next ordering in lexicographic
+    /// order; the last wraps to the first (ascending) and returns `false`.
+    fn next(&mut self, members: &[ProcessId], tie: Range<usize>) -> bool {
+        let items = &self.arrangement;
+        let pivot = (tie.start + 1..tie.end)
+            .rev()
+            .find(|&i| items[i - 1] < items[i]);
+        if let Some(i) = pivot {
+            let j = (i..tie.end)
+                .rev()
+                .find(|&j| items[j] > items[i - 1])
+                .expect("items[i] is larger");
+            self.swap(members, i - 1, j);
+        }
+        // What follows the pivot (all of the tie, if there is none) is in
+        // descending order: reversed, it ascends.
+        let (mut start, mut end) = (pivot.unwrap_or(tie.start), tie.end);
+        while start + 1 < end {
+            end -= 1;
+            self.swap(members, start, end);
+            start += 1;
+        }
+        pivot.is_some()
+    }
+
+    /// Swaps positions `p` and `q` of the arrangement, and with them the
+    /// images of the members those positions hold.
+    fn swap(&mut self, members: &[ProcessId], p: usize, q: usize) {
+        let (a, b) = (self.arrangement[p], self.arrangement[q]);
+        self.perm.swap(members[a].index(), members[b].index());
+        self.arrangement.swap(p, q);
+    }
 }
 
 impl<S, M, O> Clone for OrbitReduction<S, M, O>
@@ -639,14 +663,6 @@ where
         winner.elem
     }
 
-    fn canonicalizer(&self) -> &'static str {
-        if self.group.is_full_product() {
-            "sorted"
-        } else {
-            "ord-min"
-        }
-    }
-
     fn compose(&self, a: usize, b: usize) -> usize {
         self.group.compose(a, b)
     }
@@ -661,8 +677,8 @@ where
         state: &GlobalState<S, M>,
         observer: &O,
     ) -> (GlobalState<S, M>, O) {
-        let perm = self.group.elements()[e].permutation();
-        (state.permute(perm), observer.permute(perm))
+        let perm = self.group.permutation(e);
+        (state.permute(&perm), observer.permute(&perm))
     }
 
     fn permute_instance(
@@ -679,73 +695,39 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::RoleMap;
     use mp_model::{Kind, Outcome, Permutation, ProcessId, ProtocolSpec, TransitionSpec};
 
-    #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-    struct Tok;
-    mp_model::codec!(struct Tok);
-
-    impl Message for Tok {
-        fn kind(&self) -> Kind {
-            "TOK"
-        }
-    }
-
-    impl Permutable for Tok {
-        fn permute(&self, _perm: &Permutation) -> Self {
-            Tok
-        }
-    }
-
-    fn p(i: usize) -> ProcessId {
+    pub(crate) fn p(i: usize) -> ProcessId {
         ProcessId(i)
-    }
-
-    fn twins() -> ProtocolSpec<u8, Tok> {
-        let mut builder = ProtocolSpec::builder("twins");
-        for i in 0..2 {
-            builder = builder.process(format!("t{i}"), 0u8);
-        }
-        for i in 0..2 {
-            builder = builder.transition(
-                TransitionSpec::builder(format!("step{i}"), p(i))
-                    .internal()
-                    .guard(|l, _| *l < 3)
-                    .sends_nothing()
-                    .effect(|l, _| Outcome::new(l + 1))
-                    .build(),
-            );
-        }
-        builder.build().unwrap()
     }
 
     #[test]
     fn canonical_keys_identify_orbit_members() {
-        let spec = twins();
+        let spec = counters(&[0, 0]);
         let group = SymmetryGroup::build(&spec, &RoleMap::new(2).role([p(0), p(1)]));
-        let reduction: OrbitReduction<u8, Tok, ()> = OrbitReduction::new(group);
+        let reduction: OrbitReduction<u8, Note, ()> = OrbitReduction::new(group);
         let mut a = spec.initial_state();
         a.locals = vec![2, 0];
         let mut b = spec.initial_state();
         b.locals = vec![0, 2];
-        let (ca, _, ea) = Symmetry::<u8, Tok, ()>::canonicalize(&reduction, &a, &());
-        let (cb, _, eb) = Symmetry::<u8, Tok, ()>::canonicalize(&reduction, &b, &());
+        let (ca, _, ea) = Symmetry::<u8, Note, ()>::canonicalize(&reduction, &a, &());
+        let (cb, _, eb) = Symmetry::<u8, Note, ()>::canonicalize(&reduction, &b, &());
         assert_eq!(ca, cb, "orbit members share a canonical representative");
         assert_ne!(ea, eb, "one of the two needed the swap");
         // The representative is itself a member of the orbit.
         assert!(ca == a || ca == b);
-        assert!(Symmetry::<u8, Tok, ()>::label(&reduction).contains("sym(2)"));
+        assert!(Symmetry::<u8, Note, ()>::label(&reduction).contains("sym(2)"));
     }
 
     #[test]
     fn apply_inverse_element_undoes_canonicalization() {
-        let spec = twins();
+        let spec = counters(&[0, 0]);
         let group = SymmetryGroup::build(&spec, &RoleMap::new(2).role([p(0), p(1)]));
-        let reduction: OrbitReduction<u8, Tok, ()> = OrbitReduction::new(group);
-        let sym: &dyn Symmetry<u8, Tok, ()> = &reduction;
+        let reduction: OrbitReduction<u8, Note, ()> = OrbitReduction::new(group);
+        let sym: &dyn Symmetry<u8, Note, ()> = &reduction;
         let mut concrete = spec.initial_state();
         concrete.locals = vec![3, 1];
         let (canonical, _, delta) = sym.canonicalize(&concrete, &());
@@ -754,7 +736,7 @@ mod tests {
         let (back, _) = sym.apply_element(sym.inverse(delta), &canonical, &());
         assert_eq!(back, concrete);
         // NoSymmetry's apply is the identity.
-        let nosym: &dyn Symmetry<u8, Tok, ()> = &NoSymmetry;
+        let nosym: &dyn Symmetry<u8, Note, ()> = &NoSymmetry;
         let (same, _) = nosym.apply_element(0, &concrete, &());
         assert_eq!(same, concrete);
     }
@@ -762,16 +744,16 @@ mod tests {
     #[test]
     fn orbit_size_counts_distinct_images_and_traced_form_records_it() {
         use mp_trace::{Histogram, Phase, SharedBuffer, Tracer};
-        let spec = twins();
+        let spec = counters(&[0, 0]);
         let group = SymmetryGroup::build(&spec, &RoleMap::new(2).role([p(0), p(1)]));
-        let reduction: OrbitReduction<u8, Tok, ()> = OrbitReduction::new(group);
-        let sym: &dyn Symmetry<u8, Tok, ()> = &reduction;
+        let reduction: OrbitReduction<u8, Note, ()> = OrbitReduction::new(group);
+        let sym: &dyn Symmetry<u8, Note, ()> = &reduction;
         let mut asymmetric = spec.initial_state();
         asymmetric.locals = vec![2, 0];
-        assert_eq!(reference_orbit_size(reduction.group(), &asymmetric, &()), 2);
+        assert_eq!(reference(reduction.group(), &asymmetric, &()).1, 2);
         // The all-equal state is fixed by the swap: a singleton orbit.
         let symmetric = spec.initial_state();
-        assert_eq!(reference_orbit_size(reduction.group(), &symmetric, &()), 1);
+        assert_eq!(reference(reduction.group(), &symmetric, &()).1, 1);
 
         let tracer = Tracer::to_writer(false, Box::new(SharedBuffer::new()));
         let run = tracer.begin_run("twins", "test", "p");
@@ -799,89 +781,55 @@ mod tests {
         run.finish("verified");
     }
 
-    // --- The sweep against the one it replaced ---------------------------
+    // --- The references --------------------------------------------------
 
-    /// The sweep as it was before it compared lazily: every image built in
-    /// full, the first strictly smaller one kept. The reference the lazy
-    /// sweep is checked against.
-    fn reference_canonicalize<S, M, O>(
+    /// The reference: every image built in full, the `Ord`-minimal one —
+    /// the representative the canonical forms are checked against — and
+    /// the number of distinct ones, the orbit size.
+    fn reference<S, M, O>(
         group: &SymmetryGroup<S, M>,
         state: &GlobalState<S, M>,
         observer: &O,
-    ) -> (GlobalState<S, M>, O, usize)
-    where
-        S: LocalState + Permutable,
-        M: Message + Permutable,
-        O: Permutable + Ord + Clone,
-    {
-        let mut best_state = state.clone();
-        let mut best_observer = observer.clone();
-        let mut best = 0usize;
-        for (i, elem) in group.elements().iter().enumerate().skip(1) {
-            let candidate_state = state.permute(elem.permutation());
-            let candidate_observer = observer.permute(elem.permutation());
-            if (&candidate_state, &candidate_observer) < (&best_state, &best_observer) {
-                best_state = candidate_state;
-                best_observer = candidate_observer;
-                best = i;
-            }
-        }
-        (best_state, best_observer, best)
-    }
-
-    /// The orbit size as the second sweep of a traced run used to count it:
-    /// the number of distinct images.
-    fn reference_orbit_size<S, M, O>(
-        group: &SymmetryGroup<S, M>,
-        state: &GlobalState<S, M>,
-        observer: &O,
-    ) -> usize
+    ) -> ((GlobalState<S, M>, O), usize)
     where
         S: LocalState + Permutable,
         M: Message + Permutable,
         O: Permutable + Ord,
     {
-        let mut images: Vec<(GlobalState<S, M>, O)> = group
-            .elements()
-            .iter()
-            .map(|elem| {
-                (
-                    state.permute(elem.permutation()),
-                    observer.permute(elem.permutation()),
-                )
+        let mut images: Vec<(GlobalState<S, M>, O)> = (0..group.order())
+            .map(|e| {
+                let perm = group.permutation(e);
+                (state.permute(&perm), observer.permute(&perm))
             })
             .collect();
         images.sort_unstable();
         images.dedup();
-        images.len()
+        let orbit_size = images.len();
+        (images.swap_remove(0), orbit_size)
     }
 
-    /// The lazy sweep's representative, element and orbit size are the
-    /// references' exactly, on any group.
-    fn assert_matches_reference<S, M, O>(
+    /// The partition test: every input passes [`assert_canonical`], and two
+    /// inputs get one representative exactly when they get one [`reference`]
+    /// representative.
+    fn assert_partitions_like_the_reference<S, M, O>(
         reduction: &OrbitReduction<S, M, O>,
-        state: &GlobalState<S, M>,
-        observer: &O,
+        inputs: &[(GlobalState<S, M>, O)],
     ) where
         S: LocalState + Permutable,
         M: Message + Permutable,
-        O: Permutable + Ord + Clone + std::fmt::Debug,
+        O: Permutable + Ord + Clone + Encode + Send + Sync + std::fmt::Debug + 'static,
     {
-        let group = reduction.group();
-        let winner = reduction.sweep(state, observer);
-        let (elem, stabilizer) = (winner.elem, winner.stabilizer);
-        let (representative, image) = reduction.build(state, observer, winner);
-        assert_eq!(
-            (representative, image, elem),
-            reference_canonicalize(group, state, observer),
-            "{state:?} / {observer:?}"
-        );
-        assert_eq!(group.order() % stabilizer, 0, "|Stab| divides |G|");
-        assert_eq!(
-            group.order() / stabilizer,
-            reference_orbit_size(group, state, observer),
-            "{state:?} / {observer:?}"
-        );
+        let mut ours = std::collections::BTreeMap::new();
+        let mut theirs = std::collections::BTreeMap::new();
+        for (state, observer) in inputs {
+            let mine = assert_canonical(reduction, state, observer);
+            let (reference, _) = reference(reduction.group(), state, observer);
+            let paired = ours
+                .entry(mine.clone())
+                .or_insert_with(|| reference.clone());
+            assert_eq!(*paired, reference, "{state:?} / {observer:?}");
+            assert_eq!(*theirs.entry(reference).or_insert(mine.clone()), mine);
+        }
     }
 
     /// The partition oracle: whichever member [`Symmetry::canonicalize`]
@@ -910,7 +858,7 @@ mod tests {
         );
         assert_eq!(
             group.order() / stabilizer,
-            reference_orbit_size(group, state, observer),
+            reference(group, state, observer).1,
             "{state:?} / {observer:?}"
         );
         let mut key = Vec::new();
@@ -934,7 +882,7 @@ mod tests {
     /// A message that names a process, so channel images differ in payload
     /// as well as in endpoints.
     #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-    enum Note {
+    pub(crate) enum Note {
         Tok,
         From(ProcessId),
     }
@@ -958,7 +906,7 @@ mod tests {
     /// `initials.len()` counters stepping to 2, one role over all of them:
     /// equal initials validate the full symmetric group, unequal ones a
     /// subgroup.
-    fn counters(initials: &[u8]) -> ProtocolSpec<u8, Note> {
+    pub(crate) fn counters(initials: &[u8]) -> ProtocolSpec<u8, Note> {
         let mut builder = ProtocolSpec::builder("counters");
         for (i, &initial) in initials.iter().enumerate() {
             builder = builder.process(format!("c{i}"), initial);
@@ -995,7 +943,6 @@ mod tests {
         let reduction: OrbitReduction<u8, Note, ()> =
             OrbitReduction::new(SymmetryGroup::build(&spec, &role_over_all(3)));
         assert_eq!(reduction.group().order(), 6);
-        assert!(reduction.group().is_full_product());
         // Equal locals: only the channels tell the members apart.
         let mut state = spec.initial_state();
         state.channels.send(p(2), p(0), Note::From(p(2)));
@@ -1003,20 +950,20 @@ mod tests {
         let (representative, _) = assert_canonical(&reduction, &state, &());
         assert_eq!(representative.locals, state.locals);
         assert_eq!(reduction.canonical(&state, &()).stabilizer, 1);
-        assert_matches_reference(&reduction, &state, &());
         // Locals that tie under the swap of p0 and p1 only.
-        state.locals = vec![1, 1, 0];
-        assert_canonical(&reduction, &state, &());
-        assert_matches_reference(&reduction, &state, &());
+        let mut swapped = state.clone();
+        swapped.locals = vec![1, 1, 0];
         // Channels that tie too: the swap fixes the whole state, so the
         // stabilizer has order 2 and the orbit three members.
         let mut fixed = spec.initial_state();
         fixed.locals = vec![1, 1, 0];
         fixed.channels.send(p(2), p(0), Note::Tok);
         fixed.channels.send(p(2), p(1), Note::Tok);
-        assert_canonical(&reduction, &fixed, &());
-        assert_matches_reference(&reduction, &fixed, &());
         assert_eq!(reduction.canonical(&fixed, &()).stabilizer, 2);
+        assert_partitions_like_the_reference(
+            &reduction,
+            &[(state, ()), (swapped, ()), (fixed, ())],
+        );
     }
 
     #[test]
@@ -1032,13 +979,13 @@ mod tests {
         let named_p1 = assert_canonical(&reduction, &state, &p(1));
         assert_eq!(assert_canonical(&reduction, &state, &p(0)), named_p1);
         assert_eq!(reduction.canonical(&state, &p(1)).stabilizer, 1);
-        assert_matches_reference(&reduction, &state, &p(1));
         // Naming p2, the member with no channels, is another orbit; it
         // breaks no tie the state left, so the swap fixes the pair.
         let named_p2 = assert_canonical(&reduction, &state, &p(2));
         assert_ne!(named_p2, named_p1);
         assert_eq!(reduction.canonical(&state, &p(2)).stabilizer, 2);
-        assert_matches_reference(&reduction, &state, &p(2));
+        let inputs = [(state.clone(), p(0)), (state.clone(), p(1)), (state, p(2))];
+        assert_partitions_like_the_reference(&reduction, &inputs);
     }
 
     /// A random state of `spec` over tiny domains, its locals made by
@@ -1072,17 +1019,16 @@ mod tests {
     }
 
     #[test]
-    fn lazy_sweep_matches_the_full_sweep_on_random_tied_states() {
+    fn canonical_forms_partition_random_tied_states_like_the_reference() {
         let mut rng = 25;
         for n in [3, 4] {
             let spec = counters(&vec![0; n]);
             let reduction: OrbitReduction<u8, Note, Option<ProcessId>> =
                 OrbitReduction::new(SymmetryGroup::build(&spec, &role_over_all(n)));
-            for _ in 0..2000 {
-                let (state, observer) = random_tied_state(&spec, |v| v, &mut rng);
-                assert_matches_reference(&reduction, &state, &observer);
-                assert_canonical(&reduction, &state, &observer);
-            }
+            let inputs: Vec<_> = (0..2000)
+                .map(|_| random_tied_state(&spec, |v| v, &mut rng))
+                .collect();
+            assert_partitions_like_the_reference(&reduction, &inputs);
         }
     }
 
@@ -1118,11 +1064,10 @@ mod tests {
         let spec = builder.build().unwrap();
         let reduction: OrbitReduction<Level, Note, Option<ProcessId>> =
             OrbitReduction::new(SymmetryGroup::build(&spec, &role_over_all(3)));
-        let roles = reduction.group().roles().expect("a full product");
         // Locals that differ, and nothing else: every ordering is tried.
         let mut state = spec.initial_state();
         state.locals = vec![Level(2), Level(0), Level(1)];
-        assert_eq!(sorted_candidates(roles, &state).len(), 6);
+        assert_eq!(candidates(reduction.group(), &state), 6);
         assert_canonical(&reduction, &state, &None);
         let mut rng = 31;
         for _ in 0..1000 {
@@ -1131,18 +1076,51 @@ mod tests {
         }
     }
 
+    /// How many candidates `state` has: every ordering of every tie.
+    fn candidates<S, M>(group: &SymmetryGroup<S, M>, state: &GlobalState<S, M>) -> usize
+    where
+        S: LocalState + Permutable,
+        M: Message + Permutable,
+    {
+        let (_, ties) = sorted_arrangement(group, state);
+        ties.iter()
+            .map(|tie| (1..=tie.len()).product::<usize>())
+            .product()
+    }
+
     #[test]
-    fn lazy_sweep_matches_the_full_sweep_on_a_partial_group() {
+    fn canonical_forms_partition_a_partial_group_like_the_reference() {
         // p2 starts elsewhere, so only the swap of p0 and p1 validates.
         let spec = counters(&[0, 0, 1]);
         let reduction: OrbitReduction<u8, Note, ()> =
             OrbitReduction::new(SymmetryGroup::build(&spec, &role_over_all(3)));
         assert_eq!(reduction.group().order(), 2);
-        assert!(!reduction.group().is_full_product());
         let graph = mp_model::StateGraph::build(&spec, 1000).unwrap();
-        for i in 0..graph.num_states() {
-            assert_matches_reference(&reduction, graph.state(i), &());
-            assert_canonical(&reduction, graph.state(i), &());
+        let inputs: Vec<_> = (0..graph.num_states())
+            .map(|i| (graph.state(i).clone(), ()))
+            .collect();
+        assert_partitions_like_the_reference(&reduction, &inputs);
+    }
+
+    #[test]
+    fn a_role_past_eight_members_sorts_without_listing_its_group() {
+        let spec = counters(&[0; 9]);
+        let reduction: OrbitReduction<u8, Note, ()> =
+            OrbitReduction::new(SymmetryGroup::build(&spec, &role_over_all(9)));
+        assert_eq!(reduction.group().order(), 362_880);
+        // Distinct locals have distinct signatures: one candidate, a
+        // trivial stabilizer, and every image sorts back to it.
+        let mut state = spec.initial_state();
+        state.locals = vec![4, 7, 0, 8, 2, 5, 1, 6, 3];
+        state.channels.send(p(3), p(5), Note::From(p(3)));
+        assert_eq!(candidates(reduction.group(), &state), 1);
+        let (representative, (), elem) = reduction.canonicalize(&state, &());
+        assert_eq!(reduction.canonical(&state, &()).stabilizer, 1);
+        assert_eq!(reduction.apply_element(elem, &state, &()).0, representative);
+        for g in [1, 2, 5_039, 40_320, 181_440, 362_879] {
+            let (moved, ()) = reduction.apply_element(g, &state, &());
+            assert_ne!(moved, state);
+            assert_eq!(reduction.canonicalize(&moved, &()).0, representative);
         }
     }
 
@@ -1187,12 +1165,11 @@ mod tests {
                 let observed = observer.update(spec, &state, &instance, &post);
                 let representative = assert_canonical(&reduction, &post, &observed);
                 checked += 1;
-                // Expand the sweep's member of each orbit, so the walk, and
-                // with it the counts, are the same whichever member the
-                // canonical form picks; they match the sweep's walk exactly
-                // when the two forms partition the successors alike.
-                let winner = reduction.sweep(&post, &observed);
-                let least = reduction.build(&post, &observed, winner);
+                // Expand the reference member of each orbit, so the walk,
+                // and with it the counts, are the same whichever member the
+                // canonical form picks; they match the reference walk
+                // exactly when the two forms partition the successors alike.
+                let (least, _) = reference(reduction.group(), &post, &observed);
                 locals.extend(post.locals.iter().cloned());
                 messages.extend(post.channels.iter().map(|(_, payload, _)| payload.clone()));
                 if seen.insert(representative) {
@@ -1200,8 +1177,8 @@ mod tests {
                 }
             }
         }
-        for elem in reduction.group().elements() {
-            let perm = elem.permutation();
+        for e in 0..reduction.group().order() {
+            let perm = &reduction.group().permutation(e);
             for local in &locals {
                 assert_eq!(
                     local.permute(perm).signature(),
@@ -1270,9 +1247,9 @@ mod tests {
 
     #[test]
     fn no_symmetry_is_trivial_and_identity() {
-        let spec = twins();
+        let spec = counters(&[0, 0]);
         let state = spec.initial_state();
-        let sym: &dyn Symmetry<u8, Tok, ()> = &NoSymmetry;
+        let sym: &dyn Symmetry<u8, Note, ()> = &NoSymmetry;
         assert!(sym.is_trivial());
         let (c, _, e) = sym.canonicalize(&state, &());
         assert_eq!(c, state);

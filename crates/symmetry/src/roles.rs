@@ -10,11 +10,17 @@ use mp_model::ProcessId;
 /// acceptors of Paxos, the base objects of a replicated register. Processes
 /// not mentioned in any role are fixed points (the Paxos proposer and
 /// learner stay where they are). The candidate symmetry group is the direct
-/// product of the full symmetric groups on each role; the
-/// [`SymmetryGroup`](crate::SymmetryGroup) *validates* every candidate
-/// against the actual protocol structure and silently drops the invalid
-/// ones, so an over-eager declaration degenerates instead of corrupting the
-/// search.
+/// product of the full symmetric groups on each role;
+/// [`SymmetryGroup::build`](crate::SymmetryGroup::build) splits each role
+/// into *blocks* of members whose swap it validates against the actual
+/// protocol structure, and keeps the product of the blocks' symmetric
+/// groups, so an over-eager declaration degenerates instead of corrupting
+/// the search.
+///
+/// Every group the bundled protocols validate is such a block product. A
+/// protocol whose structural automorphisms within a role are not (say, the
+/// rotations of a ring, with no swap among them) is reduced by the block
+/// product alone, a smaller subgroup: sound, but it reduces less.
 ///
 /// # Examples
 ///
@@ -82,12 +88,22 @@ impl RoleMap {
 
     /// Order of the *candidate* group (the product of the factorials of the
     /// role sizes) — an upper bound on the validated group's order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the order does not fit `usize`.
     pub fn candidate_order(&self) -> usize {
         self.roles
             .iter()
-            .map(|r| (1..=r.len()).product::<usize>())
-            .product()
+            .fold(1, |order, role| times_factorial(order, role.len()))
     }
+}
+
+/// `order · k!`; panics if that does not fit `usize`.
+pub(crate) fn times_factorial(order: usize, k: usize) -> usize {
+    (1..=k)
+        .try_fold(order, usize::checked_mul)
+        .unwrap_or_else(|| panic!("group order {order} · {k}! does not fit usize"))
 }
 
 #[cfg(test)]

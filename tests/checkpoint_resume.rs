@@ -339,10 +339,17 @@ fn resume_under_another_canonicalizer_is_refused() {
     let manifest = dir.join("MANIFEST");
     let text = std::fs::read_to_string(&manifest).unwrap();
     assert!(text.contains(" sym=sym(2)/sorted\n"), "{text}");
-    // ...so one whose identity names none, as builds that stored the
-    // `Ord`-minimal image wrote it, stores other keys and is refused.
-    std::fs::write(&manifest, text.replace(" sym=sym(2)/sorted", " sym=sym(2)")).unwrap();
-    run_crash_cell(&mode, true, FrontierConfig::Mem, None, ckpt(), None);
+    // ...so one whose identity names another way stores other keys and is
+    // refused: `/ord-min`, as builds that swept partial groups wrote it, or
+    // none, as builds that stored the `Ord`-minimal image wrote it.
+    let resume = |label| {
+        std::fs::write(&manifest, text.replace(" sym=sym(2)/sorted", label)).unwrap();
+        run_crash_cell(&mode, true, FrontierConfig::Mem, None, ckpt(), None)
+    };
+    let refused = std::panic::catch_unwind(|| resume(" sym=sym(2)/ord-min")).unwrap_err();
+    let message = refused.downcast_ref::<String>().expect("a formatted panic");
+    assert!(message.contains("refusing to resume"), "{message}");
+    resume(" sym=sym(2)");
 }
 
 #[test]
