@@ -15,16 +15,17 @@
 //! * **warnings** (annotate, don't fail): wall-time and store-byte noise,
 //!   and rows that are new in the fresh file (schema growth is deliberate).
 //!
-//! The parser below handles exactly the JSON the harness emits — flat
-//! arrays of flat objects with string / number / boolean values — and
-//! rejects anything else loudly rather than guessing (no external JSON
-//! dependency in this offline workspace).
+//! [`parse_rows`] reads exactly the layout [`render_rows`] writes, one
+//! object per line through the trace parser `mp_trace::validate::
+//! parse_flat_object`, and rejects anything else loudly rather than
+//! guessing (no external JSON dependency in this offline workspace).
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write};
 use std::time::Duration;
 
 use mp_trace::analyze::{diff as trace_diff, RunSummary};
+use mp_trace::validate::{parse_flat_object, Value};
 use mp_trace::{Phase, PhaseTimes};
 
 use crate::fault_sweep::verdict_class;
@@ -41,8 +42,8 @@ pub enum JsonValue {
     Bool(bool),
 }
 
-/// Renders the value as a JSON literal. A string escapes exactly what
-/// [`parse_rows`] unescapes.
+/// Renders the value as a JSON literal. A string escapes `"`, `\`, newline
+/// and tab, all of which [`parse_rows`] unescapes.
 impl fmt::Display for JsonValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -132,124 +133,36 @@ pub fn render_rows(rows: &[Row]) -> String {
     out
 }
 
-/// Parses a flat JSON array of flat objects (the `BENCH_*.json` format).
+/// Parses a `BENCH_*.json` file in the layout [`render_rows`] writes: `[`,
+/// one flat object per line with a `,` after every one but the last, then
+/// `]` and nothing after it. Each object is read by the trace's
+/// [`parse_flat_object`], which refuses nesting, `null` and duplicate keys.
 ///
 /// # Errors
 ///
-/// Returns a description of the first structural problem; nested arrays or
-/// objects are rejected.
+/// Returns the first structural problem, prefixed with its line number.
 pub fn parse_rows(input: &str) -> Result<Vec<Row>, String> {
-    let mut chars = input.char_indices().peekable();
-    let mut rows = Vec::new();
-
-    fn skip_ws(chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>) {
-        while matches!(chars.peek(), Some((_, c)) if c.is_whitespace()) {
-            chars.next();
-        }
-    }
-    fn expect(
-        chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>,
-        want: char,
-    ) -> Result<(), String> {
-        skip_ws(chars);
-        match chars.next() {
-            Some((_, c)) if c == want => Ok(()),
-            Some((at, c)) => Err(format!("expected `{want}` at byte {at}, found `{c}`")),
-            None => Err(format!("expected `{want}`, found end of input")),
-        }
-    }
-    fn parse_string(
-        chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>,
-    ) -> Result<String, String> {
-        expect(chars, '"')?;
-        let mut out = String::new();
-        loop {
-            match chars.next() {
-                Some((_, '"')) => return Ok(out),
-                Some((_, '\\')) => match chars.next() {
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    Some((_, 'n')) => out.push('\n'),
-                    Some((_, 't')) => out.push('\t'),
-                    Some((at, other)) => {
-                        return Err(format!("unsupported escape `\\{other}` at byte {at}"))
-                    }
-                    None => return Err("unterminated escape".to_string()),
-                },
-                Some((_, c)) => out.push(c),
-                None => return Err("unterminated string".to_string()),
-            }
-        }
-    }
-
-    expect(&mut chars, '[')?;
-    skip_ws(&mut chars);
-    if matches!(chars.peek(), Some((_, ']'))) {
-        return Ok(rows);
-    }
-    loop {
-        expect(&mut chars, '{')?;
-        let mut row = Row::new();
-        skip_ws(&mut chars);
-        if !matches!(chars.peek(), Some((_, '}'))) {
-            loop {
-                let key = parse_string(&mut chars)?;
-                expect(&mut chars, ':')?;
-                skip_ws(&mut chars);
-                let value = match chars.peek() {
-                    Some((_, '"')) => JsonValue::Str(parse_string(&mut chars)?),
-                    Some((_, 't')) | Some((_, 'f')) => {
-                        let mut word = String::new();
-                        while matches!(chars.peek(), Some((_, c)) if c.is_ascii_alphabetic()) {
-                            word.push(chars.next().expect("peeked").1);
-                        }
-                        match word.as_str() {
-                            "true" => JsonValue::Bool(true),
-                            "false" => JsonValue::Bool(false),
-                            other => return Err(format!("unsupported literal `{other}`")),
-                        }
-                    }
-                    Some(&(at, c)) if c == '-' || c.is_ascii_digit() => {
-                        let mut num = String::new();
-                        while matches!(
-                            chars.peek(),
-                            Some((_, c)) if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E')
-                        ) {
-                            num.push(chars.next().expect("peeked").1);
-                        }
-                        JsonValue::Num(
-                            num.parse::<f64>()
-                                .map_err(|e| format!("bad number `{num}` at byte {at}: {e}"))?,
-                        )
-                    }
-                    Some(&(at, c)) => {
-                        return Err(format!(
-                            "unsupported value starting with `{c}` at byte {at}"
-                        ))
-                    }
-                    None => return Err("unexpected end of input in object".to_string()),
-                };
-                row.insert(key, value);
-                skip_ws(&mut chars);
-                match chars.next() {
-                    Some((_, ',')) => skip_ws(&mut chars),
-                    Some((_, '}')) => break,
-                    other => {
-                        return Err(format!("expected `,` or `}}` in object, found {other:?}"))
-                    }
-                }
-            }
-        } else {
-            chars.next();
-        }
-        rows.push(row);
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some((_, ',')) => continue,
-            Some((_, ']')) => return Ok(rows),
-            other => return Err(format!("expected `,` or `]` after object, found {other:?}")),
-        }
-    }
+    let lines: Vec<&str> = input.trim_end().lines().map(str::trim).collect();
+    let ["[", body @ .., "]"] = lines.as_slice() else {
+        return Err("expected `[` on the first line and `]` on the last".to_string());
+    };
+    let row = |(i, line): (usize, &&str)| {
+        let lineno = i + 2;
+        let object = match line.strip_suffix(',') {
+            Some(object) if i + 1 < body.len() => object,
+            _ if i + 1 < body.len() => return Err(format!("line {lineno}: expected `,`")),
+            _ => line,
+        };
+        let fields = parse_flat_object(object).map_err(|e| format!("line {lineno}: {e}"))?;
+        let value = |value| match value {
+            Value::Str(s) => JsonValue::Str(s),
+            Value::Int(n) => JsonValue::Num(n as f64),
+            Value::Float(x) => JsonValue::Num(x),
+            Value::Bool(b) => JsonValue::Bool(b),
+        };
+        Ok(fields.into_iter().map(|(k, v)| (k, value(v))).collect())
+    };
+    body.iter().enumerate().map(row).collect()
 }
 
 /// Field names whose string values are verdicts (compared by class, and
@@ -511,6 +424,11 @@ mod tests {
   {"protocol":"Paxos (1,2,1)","budget":"crashes=1","strategy":"SPOR","backend":"exact","verdict":"verified","liveness":"fair lasso (7 stem + 0 cycle steps)","states":50,"transitions":84,"store_bytes":3688,"time_ms":2,"sym_verdict":"verified","sym_liveness":"fair lasso (7 stem + 0 cycle steps)","sym_states":30,"sym_time_ms":1,"state_ratio":1.667}
 ]"#;
 
+    /// Parses flat objects laid out one per line, as `render_rows` writes.
+    fn rows(objects: &[&str]) -> Vec<Row> {
+        parse_rows(&format!("[\n{}\n]\n", objects.join(",\n"))).unwrap()
+    }
+
     #[test]
     fn parses_the_bench_format() {
         let rows = parse_rows(SAMPLE).unwrap();
@@ -523,10 +441,10 @@ mod tests {
         assert_eq!(rows[1].get("state_ratio"), Some(&JsonValue::Num(1.667)));
         assert!(row_key(&rows[0]).contains("budget=none"));
         assert!(!row_key(&rows[0]).contains("verdict"));
-        assert!(parse_rows("[]").unwrap().is_empty());
+        assert!(parse_rows("[\n]\n").unwrap().is_empty());
         assert!(parse_rows("{\"oops\":1}").is_err());
         assert!(
-            parse_rows("[{\"a\":[1]}]").is_err(),
+            parse_rows("[\n{\"a\":[1]}\n]\n").is_err(),
             "nested arrays rejected"
         );
 
@@ -540,6 +458,57 @@ mod tests {
         assert_eq!(parse_rows(&render_rows(&tricky)).unwrap(), tricky);
         assert_eq!(render_rows(&[]), "[\n]\n");
         assert!(parse_rows(&render_rows(&[])).unwrap().is_empty());
+    }
+
+    #[test]
+    fn duplicate_keys_and_data_after_the_array_are_refused() {
+        for (input, problem) in [
+            (
+                "[\n  {\"a\":1,\"a\":2}\n]\n",
+                "line 2: duplicate field \"a\"",
+            ),
+            ("[\n  {\"a\":1}\n]\n{\"a\":2}\n", "`]` on the last"),
+            ("[\n  {\"a\":1}\n]\n]\n", "line 2: expected `,`"),
+            ("[\n  {\"a\":1}\n  {\"a\":2}\n]\n", "line 2: expected `,`"),
+            ("[\n  {\"a\":1},\n]\n", "line 2: trailing data ','"),
+            ("[{\"a\":1}]\n", "`[` on the first line"),
+        ] {
+            let err = parse_rows(input).unwrap_err();
+            assert!(err.contains(problem), "{input:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn committed_bench_files_round_trip_byte_for_byte() {
+        let files = [
+            (
+                "BENCH_debugging",
+                include_str!("../../../BENCH_debugging.json"),
+                6,
+            ),
+            (
+                "BENCH_fault_sweep",
+                include_str!("../../../BENCH_fault_sweep.json"),
+                72,
+            ),
+            (
+                "BENCH_parallel_scaling",
+                include_str!("../../../BENCH_parallel_scaling.json"),
+                16,
+            ),
+            (
+                "BENCH_quorum_scaling",
+                include_str!("../../../BENCH_quorum_scaling.json"),
+                14,
+            ),
+        ];
+        for (label, text, count) in files {
+            let rows = parse_rows(text).unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_eq!(rows.len(), count, "{label}");
+            assert_eq!(render_rows(&rows), text, "{label}");
+            let report = compare(label, &rows, &rows, 0.10);
+            assert!(report.passed(), "{label}: {:?}", report.errors);
+        }
     }
 
     #[test]
@@ -603,10 +572,9 @@ mod tests {
 
     #[test]
     fn speedup_drops_fail_and_gains_only_warn() {
-        let baseline = parse_rows(
-            r#"[{"protocol":"Paxos (1,3,1) quorum","strategy":"parallel-bfs(4)+SPOR","states":100,"speedup":2.8,"cores":8,"time_ms":10}]"#,
-        )
-        .unwrap();
+        let baseline = rows(&[
+            r#"{"protocol":"Paxos (1,3,1) quorum","strategy":"parallel-bfs(4)+SPOR","states":100,"speedup":2.8,"cores":8,"time_ms":10}"#,
+        ]);
 
         // Identical speedup: silent.
         assert!(compare("scaling", &baseline, &baseline, 0.10).passed());
@@ -670,15 +638,13 @@ mod tests {
     #[test]
     fn phase_share_drift_warns_but_never_fails() {
         // 90/10 split between two phases in the baseline...
-        let baseline = parse_rows(
-            r#"[{"protocol":"p","time_ms":100,"phase_expansion_us":900,"phase_store_lookup_us":100}]"#,
-        )
-        .unwrap();
+        let baseline = rows(&[
+            r#"{"protocol":"p","time_ms":100,"phase_expansion_us":900,"phase_store_lookup_us":100}"#,
+        ]);
         // ...vs a 50/50 split in the fresh file: a 40-point share shift.
-        let fresh = parse_rows(
-            r#"[{"protocol":"p","time_ms":100,"phase_expansion_us":500,"phase_store_lookup_us":500}]"#,
-        )
-        .unwrap();
+        let fresh = rows(&[
+            r#"{"protocol":"p","time_ms":100,"phase_expansion_us":500,"phase_store_lookup_us":500}"#,
+        ]);
         let report = compare("sweep", &baseline, &fresh, 0.10);
         assert!(report.passed(), "{:?}", report.errors);
         let shares: Vec<_> = report
@@ -694,10 +660,9 @@ mod tests {
         assert!(shares[0].contains("phase_expansion_us share"), "{shares:?}");
 
         // Doubling every phase together keeps the shares put: no warning.
-        let scaled = parse_rows(
-            r#"[{"protocol":"p","time_ms":200,"phase_expansion_us":1800,"phase_store_lookup_us":200}]"#,
-        )
-        .unwrap();
+        let scaled = rows(&[
+            r#"{"protocol":"p","time_ms":200,"phase_expansion_us":1800,"phase_store_lookup_us":200}"#,
+        ]);
         let report = compare("sweep", &baseline, &scaled, 0.10);
         assert!(report.passed());
         assert!(!report.warnings.iter().any(|w| w.contains("share")));
@@ -705,7 +670,7 @@ mod tests {
         // An untraced row carries no phase fields and is inert on either
         // side: tracing landing later, or a traced baseline gated against
         // an untraced run, neither warns nor fails.
-        let untraced = parse_rows(r#"[{"protocol":"p","time_ms":100}]"#).unwrap();
+        let untraced = rows(&[r#"{"protocol":"p","time_ms":100}"#]);
         for (base, fresh) in [(&untraced, &fresh), (&baseline, &untraced)] {
             let report = compare("sweep", base, fresh, 0.10);
             assert!(report.passed(), "{:?}", report.errors);
@@ -743,13 +708,19 @@ mod tests {
     fn duplicate_keys_match_in_order() {
         // Two baseline rows with the same key but different counts must
         // match the fresh rows positionally.
-        let baseline =
-            parse_rows(r#"[{"protocol":"p","states":10},{"protocol":"p","states":100}]"#).unwrap();
-        let fresh =
-            parse_rows(r#"[{"protocol":"p","states":10},{"protocol":"p","states":100}]"#).unwrap();
+        let baseline = rows(&[
+            r#"{"protocol":"p","states":10}"#,
+            r#"{"protocol":"p","states":100}"#,
+        ]);
+        let fresh = rows(&[
+            r#"{"protocol":"p","states":10}"#,
+            r#"{"protocol":"p","states":100}"#,
+        ]);
         assert!(compare("dup", &baseline, &fresh, 0.10).passed());
-        let swapped =
-            parse_rows(r#"[{"protocol":"p","states":200},{"protocol":"p","states":100}]"#).unwrap();
+        let swapped = rows(&[
+            r#"{"protocol":"p","states":200}"#,
+            r#"{"protocol":"p","states":100}"#,
+        ]);
         assert!(!compare("dup", &baseline, &swapped, 0.10).passed());
     }
 }

@@ -32,7 +32,7 @@ use mp_harness::scaling::{
     render_store_sweep, render_sweep, render_symmetry_sweep, store_backend_sweep,
 };
 use mp_harness::trace_report::{
-    diff_markdown, flame_text, load_runs, summary_markdown, timeline_markdown,
+    check, diff_markdown, flame_text, load_runs, summary_markdown, timeline_markdown, Class,
 };
 use mp_harness::{
     debugging, fault_sweep, heuristics, render_csv, render_table, table1, table2, Budget,
@@ -181,15 +181,18 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "trace_report",
-        summary: "Markdown reports of --trace NDJSON streams.
+        summary: "Markdown reports of --trace NDJSON streams, and their check.
 
 reports:
   summary FILE...   per-run counters, phase shares, memory-gauge peaks
   diff A B          cross-run deltas (runs paired by protocol · strategy · property)
   timeline FILE...  per-level `level_summary` time-series tables
-  flame FILE...     folded engine;phase stacks (speedscope/inferno input)",
+  flame FILE...     folded engine;phase stacks (speedscope/inferno input)
+  check FILE...     schema and per-run event order, one line per file; exits with the
+                    worst file's class: 0 clean, 1 invalid or unreadable, 2 truncated,
+                    3 aborted (2 is also every usage error's exit code)",
         flags: &[],
-        positionals: Some("<summary|diff|timeline|flame> <file.ndjson> [...]"),
+        positionals: Some("<summary|diff|timeline|flame|check> <file.ndjson> [...]"),
         run: trace_report,
     },
 ];
@@ -555,14 +558,34 @@ fn bench_gate(cli: &Cli) {
     }
 }
 
-/// Exits 2 on usage errors and 1 when a trace cannot be read or fails
-/// validation. `flame` emits collapsed-stack text, the others markdown.
+/// Exits 2 on usage errors. `check` exits with the worst [`Class`] of its
+/// files; the other reports exit 1 when a trace cannot be read or is
+/// refused. `flame` emits collapsed-stack text, `check` one line per file,
+/// the others markdown.
 fn trace_report(cli: &Cli) {
     let Some((report, files)) = cli.positionals().split_first() else {
-        cli.usage_error("missing report (summary, diff, timeline or flame)");
+        cli.usage_error("missing report (summary, diff, timeline, flame or check)");
     };
     if files.is_empty() {
         cli.usage_error("missing trace file argument(s)");
+    }
+    if report == "check" {
+        let mut worst = Class::Clean;
+        let mut output = String::new();
+        for path in files {
+            let (class, line) = match std::fs::read_to_string(path) {
+                Ok(contents) => check(path, &contents),
+                Err(e) => (
+                    Class::Invalid,
+                    format!("{path}: INVALID — cannot read: {e}"),
+                ),
+            };
+            worst = worst.max(class);
+            output += &line;
+            output.push('\n');
+        }
+        let _ = std::io::stdout().write_all(output.as_bytes());
+        std::process::exit(worst.exit_code());
     }
     let each = |render: &dyn Fn(&str) -> Result<String, String>| {
         files

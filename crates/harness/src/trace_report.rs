@@ -6,9 +6,10 @@
 //! the gate's phase-drift evidence), the per-level timeline, and the
 //! folded-stack flamegraph text. Everything renders to GitHub-flavoured
 //! markdown except [`flame_text`], which is the raw collapsed-stack format
-//! speedscope and inferno ingest.
+//! speedscope and inferno ingest, and [`check`], one line per file naming
+//! its [`Class`].
 
-use mp_trace::analyze::{analyze_stream, diff, RunSummary};
+use mp_trace::analyze::{analyze_stream, diff, RunSummary, StreamError};
 use mp_trace::{Gauge, Phase};
 
 /// Reads and folds a whole trace file.
@@ -21,6 +22,62 @@ pub fn load_runs(path: &str) -> Result<Vec<RunSummary>, String> {
     let contents =
         std::fs::read_to_string(path).map_err(|e| format!("{path}: cannot read: {e}"))?;
     analyze_stream(contents.lines()).map_err(|e| format!("{path}: {e}"))
+}
+
+/// What `trace_report check` finds in one trace file, least severe first;
+/// the process exits with the worst class across its files. Invalid ranks
+/// above truncated because a corrupt byte stream is a worse sign than a
+/// run that was cut off, and both above a run that honestly reported its
+/// own abort.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Class {
+    /// Every run completed with `clean:true`.
+    Clean,
+    /// Well-formed, but at least one run ended `clean:false`: its producer
+    /// panicked or was dropped mid-run.
+    Aborted,
+    /// Ends inside a run or holds no completed run.
+    Truncated,
+    /// A schema or event-order violation, or an unreadable file.
+    Invalid,
+}
+
+impl Class {
+    /// The process exit code: 0 clean, 1 invalid, 2 truncated, 3 aborted.
+    pub fn exit_code(self) -> i32 {
+        match self {
+            Class::Clean => 0,
+            Class::Invalid => 1,
+            Class::Truncated => 2,
+            Class::Aborted => 3,
+        }
+    }
+}
+
+/// Classifies one trace's `contents` and renders its report line.
+pub fn check(path: &str, contents: &str) -> (Class, String) {
+    match analyze_stream(contents.lines()) {
+        Ok(runs) => {
+            let aborted = runs.iter().filter(|r| !r.clean).count();
+            if aborted > 0 {
+                let line = format!(
+                    "{path}: ABORTED — {aborted} of {} run(s) ended with clean:false \
+                     (the checker stopped early and said so); the stream is schema-valid",
+                    runs.len()
+                );
+                return (Class::Aborted, line);
+            }
+            (
+                Class::Clean,
+                format!("{path}: OK — {} clean run(s)", runs.len()),
+            )
+        }
+        Err(StreamError::Truncated(e)) => (
+            Class::Truncated,
+            format!("{path}: TRUNCATED — {e} (killed process, filled disk, or an incomplete copy)"),
+        ),
+        Err(StreamError::Invalid(e)) => (Class::Invalid, format!("{path}: INVALID — {e}")),
+    }
 }
 
 /// `protocol · strategy · property`, the run identity used in headings and
@@ -377,5 +434,76 @@ mod tests {
         let runs = analyze_stream(text.lines()).unwrap();
         let md = summary_markdown("t.ndjson", &runs);
         assert!(md.contains("| worker_busy_us | 1234 µs |"), "{md}");
+    }
+
+    fn one_run(finish: bool) -> String {
+        let buf = SharedBuffer::new();
+        let tracer = Tracer::to_writer(false, Box::new(buf.clone()));
+        let run = tracer.begin_run("p", "s", "prop");
+        run.add(Counter::States, 7);
+        if finish {
+            run.finish("verified");
+        }
+        drop(run); // without finish(), Drop flushes the aborted tail
+        buf.contents()
+    }
+
+    fn class_of(contents: &str) -> Class {
+        check("test.ndjson", contents).0
+    }
+
+    #[test]
+    fn clean_stream_exits_zero() {
+        let class = class_of(&one_run(true));
+        assert_eq!((class, class.exit_code()), (Class::Clean, 0));
+    }
+
+    #[test]
+    fn invalid_stream_exits_one() {
+        let class = class_of("{\"event\":\"mystery\"}\n");
+        assert_eq!((class, class.exit_code()), (Class::Invalid, 1));
+        // A run with no progress event breaks the event order.
+        let no_progress: String = one_run(true)
+            .lines()
+            .filter(|l| !l.contains("\"event\":\"progress\""))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_eq!(class_of(&no_progress), Class::Invalid);
+    }
+
+    #[test]
+    fn truncated_stream_exits_two() {
+        let header = one_run(true).lines().next().unwrap().to_owned();
+        let class = class_of(&header);
+        assert_eq!((class, class.exit_code()), (Class::Truncated, 2));
+        // The empty stream is truncation too — no completed run to speak of.
+        assert_eq!(class_of(""), Class::Truncated);
+    }
+
+    #[test]
+    fn aborted_run_exits_three() {
+        let class = class_of(&one_run(false));
+        assert_eq!((class, class.exit_code()), (Class::Aborted, 3));
+    }
+
+    #[test]
+    fn messages_name_the_failure_class() {
+        let (_, line) = check("t", &one_run(true));
+        assert!(line.starts_with("t: OK — 1 clean run(s)"), "{line}");
+        let (_, line) = check("t", &one_run(false));
+        assert!(line.contains("ABORTED"), "{line}");
+        let header = one_run(true).lines().next().unwrap().to_owned();
+        let (_, line) = check("t", &header);
+        assert!(line.contains("TRUNCATED"), "{line}");
+        let (_, line) = check("t", "not json");
+        assert!(line.contains("INVALID"), "{line}");
+        assert!(!line.contains('\n'), "one line per file: {line}");
+    }
+
+    #[test]
+    fn severity_order_prefers_invalid() {
+        assert!(Class::Invalid > Class::Truncated);
+        assert!(Class::Truncated > Class::Aborted);
+        assert!(Class::Aborted > Class::Clean);
     }
 }

@@ -12,8 +12,9 @@
 //! exactly `q` messages from `q` distinct senders; for those the enumeration
 //! walks combinations of senders instead of the full powerset. Unbounded
 //! [`QuorumSpec::AtLeast`]/[`QuorumSpec::Between`] transitions fall back to
-//! enumerating all admissible sender-set sizes and are subject to the
-//! [`EnumerationLimits`] safety valve.
+//! enumerating all admissible sender-set sizes and are subject to a safety
+//! valve: more than 2²⁰ candidate message sets for one transition in one
+//! state panics.
 
 use std::fmt;
 
@@ -98,23 +99,11 @@ impl<M: fmt::Debug> fmt::Debug for TransitionInstance<M> {
     }
 }
 
-/// Limits applied while enumerating enabled instances, protecting against the
-/// exponential worst case of unbounded quorum specifications.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct EnumerationLimits {
-    /// Maximum number of candidate message sets generated per transition per
-    /// state before enumeration aborts with a panic (indicating a modelling
-    /// mistake rather than silently dropping behaviours).
-    pub max_candidates_per_transition: usize,
-}
-
-impl Default for EnumerationLimits {
-    fn default() -> Self {
-        EnumerationLimits {
-            max_candidates_per_transition: 1 << 20,
-        }
-    }
-}
+/// Candidate message sets one quorum transition may generate in one state
+/// before enumeration panics: the exponential worst case of an unbounded
+/// quorum specification is a modelling mistake, and silently dropping
+/// behaviours would be worse.
+const MAX_CANDIDATES_PER_TRANSITION: usize = 1 << 20;
 
 /// Enumerates all enabled instances of all transitions in `state`.
 ///
@@ -124,19 +113,10 @@ pub fn enabled_instances<S: LocalState, M: Message>(
     spec: &ProtocolSpec<S, M>,
     state: &GlobalState<S, M>,
 ) -> Vec<TransitionInstance<M>> {
-    enabled_instances_with_limits(spec, state, EnumerationLimits::default())
-}
-
-/// Enumerates all enabled instances with explicit [`EnumerationLimits`].
-pub fn enabled_instances_with_limits<S: LocalState, M: Message>(
-    spec: &ProtocolSpec<S, M>,
-    state: &GlobalState<S, M>,
-    limits: EnumerationLimits,
-) -> Vec<TransitionInstance<M>> {
     let mut out = Vec::new();
     let mut scratch = QuorumScratch::default();
     for (id, _) in spec.transitions() {
-        enabled_instances_of_into(spec, state, id, limits, &mut scratch, &mut out);
+        enabled_instances_of_into(spec, state, id, &mut scratch, &mut out);
     }
     out
 }
@@ -152,7 +132,6 @@ pub fn enabled_instances_of<S: LocalState, M: Message>(
         spec,
         state,
         transition,
-        EnumerationLimits::default(),
         &mut QuorumScratch::default(),
         &mut out,
     );
@@ -173,7 +152,6 @@ fn enabled_instances_of_into<'a, S: LocalState, M: Message>(
     spec: &ProtocolSpec<S, M>,
     state: &'a GlobalState<S, M>,
     transition: TransitionId,
-    limits: EnumerationLimits,
     scratch: &mut QuorumScratch<'a, M>,
     out: &mut Vec<TransitionInstance<M>>,
 ) {
@@ -220,7 +198,7 @@ fn enabled_instances_of_into<'a, S: LocalState, M: Message>(
         }
         InputSpec::Quorum { kind, quorum } => {
             scratch.group_by_sender(consumable(kind));
-            scratch.enumerate(t, transition, local, *quorum, limits, out);
+            scratch.enumerate(t, transition, local, *quorum, out);
         }
     }
 }
@@ -278,7 +256,6 @@ impl<'a, M: Message> QuorumScratch<'a, M> {
         transition: TransitionId,
         local: &S,
         quorum: QuorumSpec,
-        limits: EnumerationLimits,
         out: &mut Vec<TransitionInstance<M>>,
     ) {
         let QuorumScratch {
@@ -299,11 +276,11 @@ impl<'a, M: Message> QuorumScratch<'a, M> {
             loop {
                 candidates_generated += 1;
                 assert!(
-                    candidates_generated <= limits.max_candidates_per_transition,
+                    candidates_generated <= MAX_CANDIDATES_PER_TRANSITION,
                     "transition `{}` generated more than {} candidate message sets in one state; \
-                     tighten its quorum specification or raise EnumerationLimits",
+                     tighten its quorum specification",
                     t.name(),
-                    limits.max_candidates_per_transition
+                    MAX_CANDIDATES_PER_TRANSITION
                 );
                 let envelopes: Vec<Envelope<M>> = chosen
                     .iter()

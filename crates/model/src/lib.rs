@@ -86,10 +86,7 @@ pub use channel::Channels;
 pub use codec::{
     decode_from_slice, encode_to_vec, read_varint, write_varint, Decode, DecodeError, Encode, Fnv64,
 };
-pub use enabled::{
-    enabled_instances, enabled_instances_of, enabled_instances_with_limits, is_enabled,
-    EnumerationLimits, TransitionInstance,
-};
+pub use enabled::{enabled_instances, enabled_instances_of, is_enabled, TransitionInstance};
 pub use error::ModelError;
 pub use graph::StateGraph;
 pub use ids::{ProcessId, TransitionId};

@@ -1,10 +1,10 @@
 //! The consumption side of the trace stream: fold NDJSON into answers.
 //!
-//! [`analyze_stream`] reads a validated event stream (reusing the
-//! [`validate`](crate::validate) parser line by line) and folds every
-//! completed run into a [`RunSummary`]: final counters, per-phase
-//! microseconds and shares, throughput percentiles over the progress
-//! samples, the per-level time series, reconstructed histograms and peak
+//! [`analyze_stream`] is the one pass over a trace: it checks every line
+//! against the [`validate`](crate::validate) schema and every run against
+//! the event order, and folds each completed run into a [`RunSummary`]:
+//! final counters, per-phase microseconds and shares, throughput
+//! percentiles over the progress samples, the per-level time series, reconstructed histograms and peak
 //! memory gauges. On top of that sit [`diff`] — the cross-run comparison
 //! (phase-share deltas, counter deltas, throughput ratio) behind
 //! `trace_report diff` and the bench gate's phase-drift decisions — and
@@ -13,6 +13,7 @@
 //! directly.
 
 use std::collections::HashMap;
+use std::fmt;
 
 use crate::metrics::{
     bucket_index, Gauge, Histogram, HistogramSummary, GAUGE_COUNT, HISTOGRAM_COUNT,
@@ -239,76 +240,97 @@ fn parse_histogram(fields: &HashMap<String, Value>, name: &str) -> HistogramSumm
     summary
 }
 
+/// Why [`analyze_stream`] refused a stream. Both carry a message, prefixed
+/// with the offending line number where one exists.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum StreamError {
+    /// A line failed the schema or the per-run event order: an emitter bug
+    /// or a corrupted file.
+    Invalid(String),
+    /// Every line validates, but the stream ends inside a run or holds no
+    /// completed run: a killed process, a filled disk or an incomplete
+    /// copy.
+    Truncated(String),
+}
+
+impl fmt::Display for StreamError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StreamError::Invalid(e) | StreamError::Truncated(e) => f.write_str(e),
+        }
+    }
+}
+
 /// Folds a whole NDJSON stream into one [`RunSummary`] per completed run,
-/// in stream order. Validation is strict — the reader refuses what the
-/// validator refuses — and a stream that ends inside an open run is an
-/// error (partial runs have no verdict to summarize).
+/// in stream order. Every line must pass [`validate_line`], and every run
+/// must read `run_header → (progress | level_summary | resume)* →
+/// phase_summary → verdict` with at least one `progress` event; runs are
+/// sequential, so no event stands outside a run. A run that ended in the
+/// `Drop`-flushed tail is a summary with `clean == false`, not an error.
 ///
 /// # Errors
 ///
-/// The first schema/ordering violation, or truncation, as a message
-/// prefixed with the offending line number where one exists.
-pub fn analyze_stream<'a, I>(lines: I) -> Result<Vec<RunSummary>, String>
+/// [`StreamError::Invalid`] at the first schema or order violation;
+/// [`StreamError::Truncated`] when the stream ends inside a run or holds no
+/// completed run.
+pub fn analyze_stream<'a, I>(lines: I) -> Result<Vec<RunSummary>, StreamError>
 where
     I: IntoIterator<Item = &'a str>,
 {
     let mut runs = Vec::new();
     let mut current: Option<RunSummary> = None;
     let mut throughput_samples: Vec<u64> = Vec::new();
+    let mut summarized = false;
     for (idx, line) in lines.into_iter().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let lineno = idx + 1;
-        let (kind, fields) = validate_line(line).map_err(|e| format!("line {lineno}: {e}"))?;
-        match kind {
-            EventKind::RunHeader => {
-                if current.is_some() {
-                    return Err(format!(
-                        "line {lineno}: run_header while the previous run is still open"
-                    ));
-                }
-                throughput_samples.clear();
-                current = Some(RunSummary {
-                    protocol: get_str(&fields, "protocol"),
-                    strategy: get_str(&fields, "strategy"),
-                    property: get_str(&fields, "property"),
-                    ..Default::default()
-                });
+        let invalid = |msg: &str| StreamError::Invalid(format!("line {}: {msg}", idx + 1));
+        let (kind, fields) = validate_line(line).map_err(|e| invalid(&e))?;
+        let event = || get_str(&fields, "event");
+        if kind == EventKind::RunHeader {
+            if current.is_some() {
+                return Err(invalid("run_header while the previous run is still open"));
             }
+            throughput_samples.clear();
+            summarized = false;
+            current = Some(RunSummary {
+                protocol: get_str(&fields, "protocol"),
+                strategy: get_str(&fields, "strategy"),
+                property: get_str(&fields, "property"),
+                ..Default::default()
+            });
+            continue;
+        }
+        let Some(run) = current.as_mut() else {
+            return Err(invalid(&format!("{} outside a run", event())));
+        };
+        match kind {
+            EventKind::Progress | EventKind::LevelSummary | EventKind::Resume if summarized => {
+                return Err(invalid(&format!("{} after the phase_summary", event())));
+            }
+            EventKind::RunHeader => unreachable!("handled above"),
             EventKind::Progress => {
-                let run = current
-                    .as_mut()
-                    .ok_or_else(|| format!("line {lineno}: progress outside a run"))?;
                 throughput_samples.push(get_int(&fields, "states_per_sec"));
                 run.peak_depth = run.peak_depth.max(get_int(&fields, "depth"));
                 for (i, gauge) in Gauge::ALL.iter().enumerate() {
                     run.gauges[i] = run.gauges[i].max(get_int(&fields, gauge.name()));
                 }
             }
-            EventKind::LevelSummary => {
-                let run = current
-                    .as_mut()
-                    .ok_or_else(|| format!("line {lineno}: level_summary outside a run"))?;
-                run.levels.push(LevelSummary {
-                    level: get_int(&fields, "level"),
-                    width: get_int(&fields, "width"),
-                    new_states: get_int(&fields, "new_states"),
-                    store_hits: get_int(&fields, "store_hits"),
-                    frontier_bytes: get_int(&fields, "frontier_bytes"),
-                    duration_us: get_int(&fields, "duration_us"),
-                });
-            }
-            EventKind::Resume => {
-                let run = current
-                    .as_mut()
-                    .ok_or_else(|| format!("line {lineno}: resume outside a run"))?;
-                run.resumed_from = Some(get_int(&fields, "level"));
-            }
+            EventKind::LevelSummary => run.levels.push(LevelSummary {
+                level: get_int(&fields, "level"),
+                width: get_int(&fields, "width"),
+                new_states: get_int(&fields, "new_states"),
+                store_hits: get_int(&fields, "store_hits"),
+                frontier_bytes: get_int(&fields, "frontier_bytes"),
+                duration_us: get_int(&fields, "duration_us"),
+            }),
+            EventKind::Resume => run.resumed_from = Some(get_int(&fields, "level")),
             EventKind::PhaseSummary => {
-                let run = current
-                    .as_mut()
-                    .ok_or_else(|| format!("line {lineno}: phase_summary outside a run"))?;
+                if summarized {
+                    return Err(invalid("duplicate phase_summary"));
+                }
+                summarized = true;
                 for (i, phase) in Phase::ALL.iter().enumerate() {
                     run.phases_us[i] = get_int(&fields, &format!("{}_us", phase.name()));
                 }
@@ -317,9 +339,12 @@ where
                 }
             }
             EventKind::Verdict => {
-                let mut run = current
-                    .take()
-                    .ok_or_else(|| format!("line {lineno}: verdict outside a run"))?;
+                if throughput_samples.is_empty() {
+                    return Err(invalid("verdict without a progress event"));
+                }
+                if !summarized {
+                    return Err(invalid("verdict without a phase_summary"));
+                }
                 run.verdict = get_str(&fields, "verdict");
                 run.clean = matches!(fields.get("clean"), Some(Value::Bool(true)));
                 run.states = get_int(&fields, "states");
@@ -327,14 +352,16 @@ where
                 run.elapsed_ms = get_int(&fields, "elapsed_ms");
                 run.throughput =
                     ThroughputStats::from_samples(std::mem::take(&mut throughput_samples));
-                runs.push(run);
+                runs.extend(current.take());
             }
         }
     }
-    if current.is_some() {
-        return Err("stream ends inside an open run (missing verdict)".to_string());
-    }
-    Ok(runs)
+    let truncated = match (&current, runs.is_empty()) {
+        (Some(_), _) => "stream ends inside an open run (missing verdict)",
+        (None, true) => "stream contains no completed run",
+        (None, false) => return Ok(runs),
+    };
+    Err(StreamError::Truncated(truncated.to_string()))
 }
 
 #[cfg(test)]
@@ -465,7 +492,10 @@ mod tests {
         let text = buf.contents();
         let partial: Vec<&str> = text.lines().take(2).collect();
         let err = analyze_stream(partial).unwrap_err();
-        assert!(err.contains("missing verdict"), "{err}");
+        assert!(
+            matches!(&err, StreamError::Truncated(e) if e.contains("missing verdict")),
+            "{err}"
+        );
     }
 
     #[test]

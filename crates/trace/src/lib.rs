@@ -16,9 +16,11 @@
 //! * **Progress heartbeat** — a sampler thread snapshots the registry
 //!   periodically and emits human-readable stderr lines and/or
 //!   machine-readable NDJSON events (`run_header`, `progress`,
-//!   `phase_summary`, `verdict`); [`validate`] checks a stream against that
-//!   schema with no external JSON dependency, and the `trace_check` binary
-//!   wraps it for CI.
+//!   `phase_summary`, `verdict`); [`validate`] holds that schema, with no
+//!   external JSON dependency, and [`analyze`] reads a stream back: one
+//!   pass that checks the schema and the per-run event order and folds each
+//!   run into a summary. `mp-harness trace_report` renders those summaries
+//!   and `trace_report check` classifies streams for CI.
 //!
 //! A run that panics or returns early still flushes its tail: dropping the
 //! [`RunTrace`] guard emits the final progress, phase summary and an
@@ -39,9 +41,10 @@
 //!
 //! let text = buf.contents();
 //! assert!(text.starts_with("{\"event\":\"run_header\""));
-//! let summary = mp_trace::validate::validate_stream(text.lines()).unwrap();
-//! assert_eq!(summary.runs, 1);
-//! assert_eq!(summary.clean_runs, 1);
+//! let runs = mp_trace::analyze::analyze_stream(text.lines()).unwrap();
+//! assert_eq!(runs.len(), 1);
+//! assert!(runs[0].clean);
+//! assert_eq!(runs[0].states, 42);
 //! ```
 
 #![warn(missing_docs)]

@@ -15,7 +15,7 @@
 
 use std::fmt;
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -52,8 +52,6 @@ pub struct TraceOptions {
     /// Write machine-readable NDJSON events to this file (created or
     /// truncated).
     pub ndjson: Option<PathBuf>,
-    /// Heartbeat sampling interval; `None` selects the 1 s default.
-    pub interval: Option<Duration>,
 }
 
 impl TraceOptions {
@@ -71,12 +69,6 @@ impl TraceOptions {
     /// Routes NDJSON events to `path` (builder style).
     pub fn with_ndjson(mut self, path: impl Into<PathBuf>) -> Self {
         self.ndjson = Some(path.into());
-        self
-    }
-
-    /// Sets the heartbeat interval (builder style).
-    pub fn with_interval(mut self, interval: Duration) -> Self {
-        self.interval = Some(interval);
         self
     }
 }
@@ -145,16 +137,11 @@ impl Tracer {
         Ok(Tracer {
             shared: Some(Arc::new(Shared {
                 progress: options.progress,
-                interval: options.interval.unwrap_or(DEFAULT_INTERVAL),
+                interval: DEFAULT_INTERVAL,
                 sink,
                 seq: AtomicU64::new(0),
             })),
         })
-    }
-
-    /// Tracer that writes NDJSON to `path` (no stderr heartbeat).
-    pub fn to_file(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::from_options(TraceOptions::new().with_ndjson(path.as_ref()))
     }
 
     /// Tracer that writes NDJSON lines to an arbitrary writer — the test

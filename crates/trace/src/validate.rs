@@ -1,18 +1,19 @@
 //! Schema validation for the NDJSON trace stream — no external JSON crate.
 //!
 //! The emitter writes *flat* objects only (string / integer / boolean
-//! values, no nesting), so the parser here accepts exactly that shape and
-//! rejects everything else. [`validate_line`] checks one event against the
-//! schema; [`validate_stream`] additionally enforces the per-run event
-//! order the acceptance contract names: a `run_header`, at least one
-//! `progress` event, exactly one `phase_summary`, and a final `verdict`.
+//! values, no nesting). [`parse_flat_object`] reads exactly that shape plus
+//! decimal numbers, which the bench rows of `mp-harness` use, and rejects
+//! everything else. [`validate_line`] checks one event against the schema
+//! and refuses decimals; the per-run event order is enforced by the one
+//! pass over a stream, [`analyze_stream`](crate::analyze::analyze_stream).
 
 use std::collections::HashMap;
 
 use crate::metrics::Histogram;
 use crate::phase::Phase;
 
-/// A value of a flat trace event: the only three shapes the emitter writes.
+/// A value of a flat JSON object: the three shapes the trace emitter
+/// writes, plus the decimals a bench row may hold.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// A JSON string.
@@ -20,6 +21,9 @@ pub enum Value {
     /// A non-negative integer (every numeric trace field is a count or a
     /// duration).
     Int(u64),
+    /// Any other JSON number: a fraction, an exponent or a sign. No trace
+    /// event holds one.
+    Float(f64),
     /// A JSON boolean.
     Bool(bool),
 }
@@ -29,6 +33,7 @@ impl Value {
         match self {
             Value::Str(_) => "string",
             Value::Int(_) => "integer",
+            Value::Float(_) => "float",
             Value::Bool(_) => "boolean",
         }
     }
@@ -52,16 +57,15 @@ pub enum EventKind {
     Verdict,
 }
 
-/// Parses one flat JSON object (the only shape trace events use). Rejects
-/// nested arrays/objects, floats, null and trailing garbage.
+/// Parses one flat JSON object (the shape of a trace event and of a bench
+/// row). Rejects nested arrays/objects, null, duplicate keys and trailing
+/// garbage.
 pub fn parse_flat_object(line: &str) -> Result<HashMap<String, Value>, String> {
     let mut chars = line.char_indices().peekable();
     let mut fields = HashMap::new();
 
     let skip_ws = |chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>| {
-        while matches!(chars.peek(), Some((_, c)) if c.is_ascii_whitespace()) {
-            chars.next();
-        }
+        while chars.next_if(|(_, c)| c.is_ascii_whitespace()).is_some() {}
     };
 
     fn parse_string(
@@ -119,37 +123,29 @@ pub fn parse_flat_object(line: &str) -> Result<HashMap<String, Value>, String> {
             skip_ws(&mut chars);
             let value = match chars.peek() {
                 Some((_, '"')) => Value::Str(parse_string(&mut chars)?),
-                Some((_, 't')) => {
-                    for expected in "true".chars() {
-                        match chars.next() {
-                            Some((_, c)) if c == expected => {}
-                            other => return Err(format!("bad literal near {other:?}")),
+                Some((_, 't' | 'f' | '-' | '0'..='9')) => {
+                    let mut token = String::new();
+                    while let Some((_, c)) = chars
+                        .next_if(|(_, c)| c.is_ascii_alphanumeric() || matches!(c, '-' | '+' | '.'))
+                    {
+                        token.push(c);
+                    }
+                    let is_number = |extra: &[u8]| {
+                        token
+                            .bytes()
+                            .all(|b| b.is_ascii_digit() || extra.contains(&b))
+                    };
+                    match token.as_str() {
+                        "true" => Value::Bool(true),
+                        "false" => Value::Bool(false),
+                        digits if is_number(b"") => {
+                            Value::Int(digits.parse().map_err(|e| format!("field {key:?}: {e}"))?)
                         }
+                        number => match number.parse() {
+                            Ok(x) if is_number(b"-+.eE") => Value::Float(x),
+                            _ => return Err(format!("field {key:?}: bad literal {number:?}")),
+                        },
                     }
-                    Value::Bool(true)
-                }
-                Some((_, 'f')) => {
-                    for expected in "false".chars() {
-                        match chars.next() {
-                            Some((_, c)) if c == expected => {}
-                            other => return Err(format!("bad literal near {other:?}")),
-                        }
-                    }
-                    Value::Bool(false)
-                }
-                Some((_, c)) if c.is_ascii_digit() => {
-                    let mut digits = String::new();
-                    while matches!(chars.peek(), Some((_, c)) if c.is_ascii_digit()) {
-                        digits.push(chars.next().unwrap().1);
-                    }
-                    if matches!(chars.peek(), Some((_, '.' | 'e' | 'E'))) {
-                        return Err(format!("field {key:?}: floats are not part of the schema"));
-                    }
-                    Value::Int(
-                        digits
-                            .parse::<u64>()
-                            .map_err(|e| format!("field {key:?}: {e}"))?,
-                    )
                 }
                 Some((_, '{' | '[')) => {
                     return Err(format!(
@@ -224,6 +220,12 @@ fn require_bool(fields: &HashMap<String, Value>, event: &str, key: &str) -> Resu
 /// event kind plus parsed fields.
 pub fn validate_line(line: &str) -> Result<(EventKind, HashMap<String, Value>), String> {
     let fields = parse_flat_object(line)?;
+    if let Some(key) = fields
+        .keys()
+        .find(|k| matches!(fields[*k], Value::Float(_)))
+    {
+        return Err(format!("field {key:?}: floats are not part of the schema"));
+    }
     let event = require_str(&fields, "event", "event")?.to_string();
     require_int(&fields, &event, "seq")?;
     require_str(&fields, &event, "protocol")?;
@@ -311,164 +313,52 @@ pub fn validate_line(line: &str) -> Result<(EventKind, HashMap<String, Value>), 
     Ok((kind, fields))
 }
 
-/// What [`validate_stream`] found in a valid stream.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct StreamSummary {
-    /// Completed runs (header through verdict).
-    pub runs: usize,
-    /// Total progress events.
-    pub progress_events: usize,
-    /// Total level_summary events.
-    pub level_summaries: usize,
-    /// Total resume events (checkpoint-resumed runs).
-    pub resume_events: usize,
-    /// Runs whose verdict carried `clean:true`.
-    pub clean_runs: usize,
-    /// Runs that ended in the `Drop`-flushed `"aborted"` verdict.
-    pub aborted_runs: usize,
-}
-
-/// The classified outcome of checking a whole stream — what `trace_check`
-/// maps to its distinct exit codes. The three failure classes mean three
-/// different things operationally: `Invalid` is an emitter/validator bug,
-/// `Truncated` is a killed process or a filled disk, and `Aborted` is a
-/// well-formed stream whose producer panicked or was dropped mid-run
-/// (the `Drop` tail flushed `clean:false`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum StreamVerdict {
-    /// Well-formed, every run completed with `clean:true`.
-    Clean(StreamSummary),
-    /// Well-formed, but at least one run ended `clean:false`.
-    Aborted(StreamSummary),
-    /// Every line validates, but the stream stops mid-run (missing
-    /// verdict) or holds no completed run at all.
-    Truncated(String),
-    /// A line failed schema validation or the per-run ordering contract.
-    Invalid(String),
-}
-
-/// Classifies a whole NDJSON stream: every line against the schema, plus
-/// the per-run ordering contract (header → (progress | level_summary)⁺ →
-/// phase_summary → verdict, with at least one progress event). Runs are
-/// sequential — engines never interleave events of two runs in one sink.
-pub fn classify_stream<'a, I>(lines: I) -> StreamVerdict
-where
-    I: IntoIterator<Item = &'a str>,
-{
-    let mut summary = StreamSummary::default();
-    let mut open = false;
-    let mut progress_in_run = 0usize;
-    let mut summaries_in_run = 0usize;
-    for (idx, line) in lines.into_iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let lineno = idx + 1;
-        let (kind, fields) = match validate_line(line) {
-            Ok(parsed) => parsed,
-            Err(e) => return StreamVerdict::Invalid(format!("line {lineno}: {e}")),
-        };
-        let ordering_error = |msg: String| StreamVerdict::Invalid(format!("line {lineno}: {msg}"));
-        match kind {
-            EventKind::RunHeader => {
-                if open {
-                    return ordering_error(
-                        "run_header while the previous run is still open".to_string(),
-                    );
-                }
-                open = true;
-                progress_in_run = 0;
-                summaries_in_run = 0;
-            }
-            EventKind::Progress => {
-                if !open {
-                    return ordering_error("progress outside a run".to_string());
-                }
-                if summaries_in_run > 0 {
-                    return ordering_error("progress after the phase_summary".to_string());
-                }
-                progress_in_run += 1;
-                summary.progress_events += 1;
-            }
-            EventKind::LevelSummary => {
-                if !open {
-                    return ordering_error("level_summary outside a run".to_string());
-                }
-                if summaries_in_run > 0 {
-                    return ordering_error("level_summary after the phase_summary".to_string());
-                }
-                summary.level_summaries += 1;
-            }
-            EventKind::Resume => {
-                if !open {
-                    return ordering_error("resume outside a run".to_string());
-                }
-                if summaries_in_run > 0 {
-                    return ordering_error("resume after the phase_summary".to_string());
-                }
-                summary.resume_events += 1;
-            }
-            EventKind::PhaseSummary => {
-                if !open {
-                    return ordering_error("phase_summary outside a run".to_string());
-                }
-                summaries_in_run += 1;
-                if summaries_in_run > 1 {
-                    return ordering_error("duplicate phase_summary".to_string());
-                }
-            }
-            EventKind::Verdict => {
-                if !open {
-                    return ordering_error("verdict outside a run".to_string());
-                }
-                if progress_in_run == 0 {
-                    return ordering_error("verdict without a progress event".to_string());
-                }
-                if summaries_in_run != 1 {
-                    return ordering_error("verdict without a phase_summary".to_string());
-                }
-                open = false;
-                summary.runs += 1;
-                match fields.get("clean") {
-                    Some(Value::Bool(true)) => summary.clean_runs += 1,
-                    _ => summary.aborted_runs += 1,
-                }
-            }
-        }
-    }
-    if open {
-        return StreamVerdict::Truncated(
-            "stream ends inside an open run (missing verdict)".to_string(),
-        );
-    }
-    if summary.runs == 0 {
-        return StreamVerdict::Truncated("stream contains no completed run".to_string());
-    }
-    if summary.aborted_runs > 0 {
-        StreamVerdict::Aborted(summary)
-    } else {
-        StreamVerdict::Clean(summary)
-    }
-}
-
-/// Validates a whole NDJSON stream (see [`classify_stream`] for the exact
-/// contract), flattening the classification: both well-formed classes pass
-/// — aborted runs are a fact about the *producer*, not a stream defect —
-/// while truncation and schema violations are errors.
-pub fn validate_stream<'a, I>(lines: I) -> Result<StreamSummary, String>
-where
-    I: IntoIterator<Item = &'a str>,
-{
-    match classify_stream(lines) {
-        StreamVerdict::Clean(summary) | StreamVerdict::Aborted(summary) => Ok(summary),
-        StreamVerdict::Truncated(e) | StreamVerdict::Invalid(e) => Err(e),
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    //! The per-run ordering contract is checked here through
+    //! [`analyze_stream`], the one pass over a stream.
     use super::*;
+    use crate::analyze::{analyze_stream, StreamError};
     use crate::{Counter, SharedBuffer, Tracer};
+
+    fn is_invalid(result: Result<Vec<crate::analyze::RunSummary>, StreamError>, what: &str) {
+        assert!(
+            matches!(&result, Err(StreamError::Invalid(e)) if e.contains(what)),
+            "expected Invalid({what}), got {result:?}"
+        );
+    }
+
+    /// A schema-valid `phase_summary` line with every phase and histogram
+    /// field zero.
+    fn phase_summary(seq: u64) -> String {
+        let mut line = format!(
+            r#"{{"event":"phase_summary","seq":{seq},"protocol":"p","strategy":"s","elapsed_ms":0"#
+        );
+        for p in Phase::ALL {
+            line.push_str(&format!(",\"{}_us\":0", p.name()));
+        }
+        for h in Histogram::ALL {
+            line.push_str(&format!(
+                ",\"{n}_count\":0,\"{n}_sum\":0,\"{n}_max\":0,\"{n}_buckets\":\"\"",
+                n = h.name()
+            ));
+        }
+        line.push('}');
+        line
+    }
+
+    /// The emitter's output for one run, finished or dropped.
+    fn emitted(finish: bool) -> String {
+        let buf = SharedBuffer::new();
+        let tracer = Tracer::to_writer(false, Box::new(buf.clone()));
+        let run = tracer.begin_run("p", "s", "prop");
+        run.add(Counter::States, 1);
+        if finish {
+            run.finish("verified");
+        }
+        drop(run);
+        buf.contents()
+    }
 
     #[test]
     fn parser_accepts_flat_objects_only() {
@@ -478,10 +368,17 @@ mod tests {
         assert_eq!(ok.get("c"), Some(&Value::Bool(true)));
         assert!(parse_flat_object(r#"{"a":{"nested":1}}"#).is_err());
         assert!(parse_flat_object(r#"{"a":[1,2]}"#).is_err());
-        assert!(parse_flat_object(r#"{"a":1.5}"#).is_err());
         assert!(parse_flat_object(r#"{"a":null}"#).is_err());
         assert!(parse_flat_object(r#"{"a":1} trailing"#).is_err());
         assert!(parse_flat_object(r#"{"a":1,"a":2}"#).is_err());
+        assert!(parse_flat_object(r#"{"a":1.2.3}"#).is_err());
+        // Decimals parse (bench rows hold ratios); the trace schema refuses
+        // them in `validate_line`.
+        let numbers = parse_flat_object(r#"{"a":1.5,"b":-2,"c":2.5e3,"d":0}"#).unwrap();
+        assert_eq!(numbers.get("a"), Some(&Value::Float(1.5)));
+        assert_eq!(numbers.get("b"), Some(&Value::Float(-2.0)));
+        assert_eq!(numbers.get("c"), Some(&Value::Float(2500.0)));
+        assert_eq!(numbers.get("d"), Some(&Value::Int(0)));
     }
 
     #[test]
@@ -495,21 +392,11 @@ mod tests {
 
     #[test]
     fn real_emitter_output_validates() {
-        let buf = SharedBuffer::new();
-        let tracer = Tracer::to_writer(false, Box::new(buf.clone()));
-        let run = tracer.begin_run("paxos", "stateful-bfs+spor", "agreement");
-        run.add(Counter::States, 12);
-        run.finish("verified");
-        drop(run);
-        let aborted = tracer.begin_run("paxos", "stateful-dfs", "agreement");
-        aborted.add(Counter::States, 2);
-        drop(aborted);
-        let text = buf.contents();
-        let summary = validate_stream(text.lines()).unwrap();
-        assert_eq!(summary.runs, 2);
-        assert_eq!(summary.clean_runs, 1);
-        assert_eq!(summary.aborted_runs, 1);
-        assert!(summary.progress_events >= 2);
+        let text = emitted(true) + &emitted(false);
+        let runs = analyze_stream(text.lines()).unwrap();
+        let clean: Vec<bool> = runs.iter().map(|r| r.clean).collect();
+        assert_eq!(clean, [true, false]);
+        assert!(runs.iter().all(|r| r.throughput.samples >= 1));
     }
 
     #[test]
@@ -517,16 +404,49 @@ mod tests {
         let header = r#"{"event":"run_header","seq":0,"protocol":"p","strategy":"s","schema":1,"property":"x"}"#;
         let verdict = r#"{"event":"verdict","seq":1,"protocol":"p","strategy":"s","verdict":"verified","clean":true,"states":1,"transitions":0,"elapsed_ms":0}"#;
         // Verdict without progress/summary events.
-        let err = validate_stream([header, verdict]).unwrap_err();
-        assert!(err.contains("without a progress event"), "{err}");
+        is_invalid(
+            analyze_stream([header, verdict]),
+            "without a progress event",
+        );
         // Verdict before any header.
-        let err = validate_stream([verdict]).unwrap_err();
-        assert!(err.contains("outside a run"), "{err}");
+        is_invalid(analyze_stream([verdict]), "outside a run");
+        // A header inside an open run.
+        is_invalid(analyze_stream([header, header]), "still open");
         // Truncated stream.
-        let err = validate_stream([header]).unwrap_err();
-        assert!(err.contains("missing verdict"), "{err}");
+        let err = analyze_stream([header]).unwrap_err();
+        assert!(
+            matches!(&err, StreamError::Truncated(e) if e.contains("missing verdict")),
+            "{err:?}"
+        );
         // Empty stream.
-        assert!(validate_stream([]).is_err());
+        assert!(matches!(analyze_stream([]), Err(StreamError::Truncated(_))));
+    }
+
+    #[test]
+    fn a_run_needs_one_progress_and_exactly_one_phase_summary() {
+        let text = emitted(true);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(analyze_stream(lines.iter().copied()).unwrap().len(), 1);
+        let is_event = |line: &&str, event: &str| line.contains(&format!("\"event\":\"{event}\""));
+
+        // The progress event dropped.
+        let no_progress = lines.iter().copied().filter(|l| !is_event(l, "progress"));
+        is_invalid(analyze_stream(no_progress), "without a progress event");
+        // The phase_summary doubled.
+        let doubled = lines.iter().copied().flat_map(|l| {
+            let copies = if is_event(&l, "phase_summary") { 2 } else { 1 };
+            std::iter::repeat_n(l, copies)
+        });
+        is_invalid(analyze_stream(doubled), "duplicate phase_summary");
+        // The phase_summary dropped.
+        let no_summary = lines
+            .iter()
+            .copied()
+            .filter(|l| !is_event(l, "phase_summary"));
+        is_invalid(analyze_stream(no_summary), "without a phase_summary");
+        // No run at all.
+        let none = StreamError::Truncated("stream contains no completed run".to_string());
+        assert_eq!(analyze_stream("\n\n".lines()), Err(none));
     }
 
     #[test]
@@ -534,38 +454,19 @@ mod tests {
         let header = r#"{"event":"run_header","seq":0,"protocol":"p","strategy":"s","schema":2,"property":"x"}"#;
         let level = r#"{"event":"level_summary","seq":1,"protocol":"p","strategy":"s","level":1,"width":3,"new_states":2,"store_hits":1,"frontier_bytes":96,"duration_us":40}"#;
         let progress = r#"{"event":"progress","seq":2,"protocol":"p","strategy":"s","elapsed_ms":0,"elapsed_us":120,"states":3,"transitions":2,"depth":1,"states_per_sec":25000,"store_bytes":64,"frontier_bytes":96,"parent_log_bytes":24,"canonical_cache_bytes":0,"final":true}"#;
-        let phase = {
-            let mut line = String::from(
-                r#"{"event":"phase_summary","seq":3,"protocol":"p","strategy":"s","elapsed_ms":0"#,
-            );
-            for p in Phase::ALL {
-                line.push_str(&format!(",\"{}_us\":0", p.name()));
-            }
-            for h in Histogram::ALL {
-                line.push_str(&format!(
-                    ",\"{n}_count\":0,\"{n}_sum\":0,\"{n}_max\":0,\"{n}_buckets\":\"\"",
-                    n = h.name()
-                ));
-            }
-            line.push('}');
-            line
-        };
+        let phase = phase_summary(3);
         let verdict = r#"{"event":"verdict","seq":4,"protocol":"p","strategy":"s","verdict":"verified","clean":true,"states":3,"transitions":2,"elapsed_ms":0}"#;
-        let summary = validate_stream([header, level, progress, phase.as_str(), verdict]).unwrap();
-        assert_eq!(summary.runs, 1);
-        assert_eq!(summary.level_summaries, 1);
+        let runs = analyze_stream([header, level, progress, phase.as_str(), verdict]).unwrap();
+        assert_eq!(runs.len(), 1);
+        assert_eq!(runs[0].levels.len(), 1);
 
         // A level_summary after the phase_summary violates the ordering.
-        let verdict_order = classify_stream([header, progress, phase.as_str(), level, verdict]);
-        assert!(
-            matches!(&verdict_order, StreamVerdict::Invalid(e) if e.contains("after the phase_summary")),
-            "{verdict_order:?}"
+        is_invalid(
+            analyze_stream([header, progress, phase.as_str(), level, verdict]),
+            "after the phase_summary",
         );
         // ...and outside a run it is rejected outright.
-        assert!(matches!(
-            classify_stream([level]),
-            StreamVerdict::Invalid(_)
-        ));
+        is_invalid(analyze_stream([level]), "outside a run");
         // A missing field is a schema error.
         let bad = r#"{"event":"level_summary","seq":1,"protocol":"p","strategy":"s","level":1}"#;
         assert!(validate_line(bad).unwrap_err().contains("width"));
@@ -577,38 +478,24 @@ mod tests {
         let resume =
             r#"{"event":"resume","seq":1,"protocol":"p","strategy":"s","level":4,"states":1234}"#;
         let progress = r#"{"event":"progress","seq":2,"protocol":"p","strategy":"s","elapsed_ms":0,"states":3,"transitions":2,"depth":1,"states_per_sec":25000,"final":true}"#;
-        let phase = {
-            let mut line = String::from(
-                r#"{"event":"phase_summary","seq":3,"protocol":"p","strategy":"s","elapsed_ms":0"#,
-            );
-            for p in Phase::ALL {
-                line.push_str(&format!(",\"{}_us\":0", p.name()));
-            }
-            for h in Histogram::ALL {
-                line.push_str(&format!(
-                    ",\"{n}_count\":0,\"{n}_sum\":0,\"{n}_max\":0,\"{n}_buckets\":\"\"",
-                    n = h.name()
-                ));
-            }
-            line.push('}');
-            line
-        };
+        let phase = phase_summary(3);
         let verdict = r#"{"event":"verdict","seq":4,"protocol":"p","strategy":"s","verdict":"verified","clean":true,"states":3,"transitions":2,"elapsed_ms":0}"#;
-        let summary = validate_stream([header, resume, progress, phase.as_str(), verdict]).unwrap();
-        assert_eq!(summary.runs, 1);
-        assert_eq!(summary.resume_events, 1);
+        let runs = analyze_stream([header, resume, progress, phase.as_str(), verdict]).unwrap();
+        assert_eq!(runs.len(), 1);
+        assert_eq!(runs[0].resumed_from, Some(4));
 
         // A resume after the phase_summary violates the ordering.
-        let order = classify_stream([header, progress, phase.as_str(), resume, verdict]);
-        assert!(
-            matches!(&order, StreamVerdict::Invalid(e) if e.contains("after the phase_summary")),
-            "{order:?}"
+        is_invalid(
+            analyze_stream([header, progress, phase.as_str(), resume, verdict]),
+            "after the phase_summary",
+        );
+        // ...as does a progress event.
+        is_invalid(
+            analyze_stream([header, progress, phase.as_str(), progress, verdict]),
+            "after the phase_summary",
         );
         // ...and outside a run it is rejected outright.
-        assert!(matches!(
-            classify_stream([resume]),
-            StreamVerdict::Invalid(_)
-        ));
+        is_invalid(analyze_stream([resume]), "outside a run");
         // A missing field is a schema error, as is an unsupported version.
         let bad = r#"{"event":"resume","seq":1,"protocol":"p","strategy":"s","level":1}"#;
         assert!(validate_line(bad).unwrap_err().contains("states"));
@@ -620,43 +507,30 @@ mod tests {
 
     #[test]
     fn classification_separates_truncated_aborted_and_invalid() {
-        let buf = SharedBuffer::new();
-        let tracer = Tracer::to_writer(false, Box::new(buf.clone()));
-        let run = tracer.begin_run("p", "s", "prop");
-        run.add(Counter::States, 1);
-        run.finish("verified");
-        drop(run);
-        let clean_text = buf.contents();
-        assert!(matches!(
-            classify_stream(clean_text.lines()),
-            StreamVerdict::Clean(_)
-        ));
+        let clean_text = emitted(true);
+        let runs = analyze_stream(clean_text.lines()).unwrap();
+        assert!(runs.iter().all(|r| r.clean));
 
         // Dropping without finish -> well-formed but aborted.
-        let aborted = tracer.begin_run("p", "s", "prop");
-        aborted.add(Counter::States, 1);
-        drop(aborted);
-        let text = buf.contents();
-        match classify_stream(text.lines()) {
-            StreamVerdict::Aborted(summary) => {
-                assert_eq!(summary.aborted_runs, 1);
-                assert_eq!(summary.clean_runs, 1);
-            }
-            other => panic!("expected Aborted, got {other:?}"),
-        }
+        let text = clean_text.clone() + &emitted(false);
+        let runs = analyze_stream(text.lines()).unwrap();
+        assert_eq!(runs.len(), 2);
+        assert!(runs[0].clean);
+        assert!(!runs[1].clean);
+        assert_eq!(runs[1].verdict, "aborted");
 
         // Cutting the stream mid-run -> truncated, not invalid.
         let truncated: Vec<&str> = clean_text.lines().take(1).collect();
         assert!(matches!(
-            classify_stream(truncated),
-            StreamVerdict::Truncated(_)
+            analyze_stream(truncated),
+            Err(StreamError::Truncated(_))
         ));
-        assert!(matches!(classify_stream([]), StreamVerdict::Truncated(_)));
+        assert!(matches!(analyze_stream([]), Err(StreamError::Truncated(_))));
 
         // Garbage -> invalid.
         assert!(matches!(
-            classify_stream(["{\"event\":\"nope\"}"]),
-            StreamVerdict::Invalid(_)
+            analyze_stream(["{\"event\":\"nope\"}"]),
+            Err(StreamError::Invalid(_))
         ));
     }
 
@@ -670,5 +544,14 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("must be an integer"), "{err}");
+        // A decimal anywhere in a trace line is refused.
+        let err = validate_line(
+            r#"{"event":"progress","seq":0,"protocol":"p","strategy":"s","elapsed_ms":1.5,"states":1,"transitions":1,"depth":1,"states_per_sec":1,"final":true}"#,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            "field \"elapsed_ms\": floats are not part of the schema"
+        );
     }
 }

@@ -2,14 +2,15 @@
 //! through the real engines: the parallel-BFS worker threads must
 //! contribute to the shared atomic counters so that their sum equals the
 //! sequential totals exactly, and a traced engine run must emit an NDJSON
-//! stream that passes the schema/ordering validator (`trace_check`'s
-//! library core).
+//! stream that passes the schema and event-order check of
+//! `analyze_stream` (what `mp-harness trace_report check` runs).
 
 use mp_basset::checker::{Checker, CheckerConfig};
 use mp_basset::protocols::paxos::{
     consensus_property, quorum_model as paxos, PaxosSetting, PaxosVariant,
 };
-use mp_basset::trace::validate::{parse_flat_object, validate_stream, Value};
+use mp_basset::trace::analyze::analyze_stream;
+use mp_basset::trace::validate::{parse_flat_object, Value};
 use mp_basset::trace::{SharedBuffer, Tracer};
 
 /// Runs correct Paxos under `config`, returning the report. With `trace`
@@ -97,11 +98,10 @@ fn traced_engine_runs_emit_schema_valid_ndjson() {
         assert!(report.verdict.is_verified(), "{label}");
 
         let ndjson = buf.contents();
-        let summary = validate_stream(ndjson.lines())
+        let runs = analyze_stream(ndjson.lines())
             .unwrap_or_else(|e| panic!("{label}: invalid trace: {e}\n{ndjson}"));
-        assert_eq!(summary.runs, 1, "{label}: exactly one traced run");
-        assert_eq!(summary.clean_runs, 1, "{label}: the run must end cleanly");
-        assert_eq!(summary.aborted_runs, 0, "{label}");
+        assert_eq!(runs.len(), 1, "{label}: exactly one traced run");
+        assert!(runs[0].clean, "{label}: the run must end cleanly");
         assert_eq!(
             last_event_int(&ndjson, "verdict", "states"),
             report.stats.states as u64,
