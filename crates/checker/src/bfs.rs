@@ -13,7 +13,7 @@
 //! # One loop, `threads` workers
 //!
 //! The calling thread owns the frontier, the parent log and the checkpoint
-//! writer, and is itself a worker. It cuts the current level into chunks
+//! manifest, and is itself a worker. It cuts the current level into chunks
 //! of `CHUNK_ENTRIES` (64) frontier records and offers each to the bounded
 //! queue of `pool.rs`, which `threads − 1` helper threads — spawned once
 //! per run — serve. Whenever the queue is full the caller expands the
@@ -23,7 +23,7 @@
 //! helpers, not a second engine. One `expand_chunk` serves caller and
 //! helpers; it returns the chunk's first-visit successors, encoded, and a
 //! plain tally, and only the caller `admit`s them — assigns the node index,
-//! appends the parent record, tees the checkpoint, pushes the frontier. A
+//! appends the parent record, pushes the frontier record. A
 //! level ends when the frontier's current level is drained and every chunk
 //! has come back, so verdicts, counters and peak depth do not depend on the
 //! thread count; with helpers only the order *within* a level does.
@@ -42,6 +42,10 @@
 //! [`FrontierConfig::Disk`](mp_store::FrontierConfig) (strategy suffix
 //! `+spill`) the records and the parent log spill past the watermark, with
 //! byte-identical verdicts and counts (the order is FIFO either way). With a
+//! checkpoint, the frontier's level files and the parent log's
+//! `parents.log` live in the checkpoint directory, and each completed level
+//! seals both and commits the manifest naming them: the checkpoint is the
+//! run's own files, written once. With a
 //! non-trivial [`Symmetry`] each successor is canonicalized **once**; the
 //! canonical pair `(ŝ, ô)` is the key, alongside the group element δ that
 //! produced it. On dequeue the concrete state is recovered as
@@ -59,13 +63,13 @@
 //! with the DFS engine, whose proviso covers them.
 
 use std::ops::Range;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
 use mp_store::{
-    canonical_label, manifest_exists, CheckpointError, CheckpointWriter, Frontier, Manifest,
-    ParentLog, ParentRecord, PlainCodec, StateStoreBackend, StoreImpl,
+    canonical_label, manifest_exists, Frontier, Manifest, ParentLog, ParentRecord, PlainCodec,
+    StateStoreBackend, StoreImpl,
 };
 
 use mp_model::{
@@ -300,8 +304,17 @@ fn replay<S: LocalState, M: Message>(
     Ok(path)
 }
 
-fn ckpt_ok<T>(result: Result<T, CheckpointError>) -> T {
-    result.unwrap_or_else(|e| panic!("checkpoint write failed: {e}"))
+/// The counters a checkpoint commits, by their manifest names.
+fn counters(stats: &mut ExplorationStats) -> [(&'static str, &mut usize); 7] {
+    [
+        ("states", &mut stats.states),
+        ("expansions", &mut stats.expansions),
+        ("transitions", &mut stats.transitions_executed),
+        ("revisits", &mut stats.revisits),
+        ("reduced_states", &mut stats.reduced_states),
+        ("proviso_expansions", &mut stats.proviso_expansions),
+        ("max_depth", &mut stats.max_depth),
+    ]
 }
 
 /// Why a run ended before the frontier ran dry.
@@ -323,17 +336,12 @@ struct Search<'a, S, M: Ord> {
     depth: usize,
     nodes: ParentLog,
     frontier: Frontier,
-    ckpt: Option<CheckpointWriter>,
+    /// The checkpoint directory and the manifest its next commit extends.
+    ckpt: Option<(PathBuf, Manifest)>,
     /// The frontier record being enqueued.
     record: Vec<u8>,
     trace: TraceHandle,
-    /// What a checkpoint manifest pins besides the configuration: the
-    /// protocol structure and the full strategy label (strategy + thread
-    /// count + reducer + symmetry + spill), so a resume under anything
-    /// that would explore a different state space is refused.
-    spec_fp: u64,
     strategy: String,
-    identity: String,
 }
 
 impl<S, M> Search<'_, S, M>
@@ -342,19 +350,13 @@ where
     M: Message,
 {
     /// The one place a state enters the search: assigns its node index,
-    /// appends its parent record, and writes its frontier record —
-    /// `varint(node)` before the `varint(δ) key` body its worker encoded —
-    /// unchanged into the checkpoint tee and the frontier.
+    /// appends its parent record, and pushes its frontier record —
+    /// `varint(node)` before the `varint(δ) key` body its worker encoded.
     fn enqueue(&mut self, parent: ParentRecord, body: &[u8]) {
         let index = self.nodes.push(parent).unwrap_or_else(|e| panic!("{e}"));
         self.record.clear();
         write_varint(index as u64, &mut self.record);
         self.record.extend_from_slice(body);
-        if let Some(writer) = self.ckpt.as_mut() {
-            let bytes = ParentLog::encode(parent).expect("the log just took this record");
-            ckpt_ok(writer.push_parent(&bytes));
-            ckpt_ok(writer.push_entry(&self.record));
-        }
         self.frontier.push_record(&self.record);
         self.stats.states += 1;
         self.trace.add(Counter::States, 1);
@@ -397,80 +399,45 @@ where
         Err(Stop::Violated(Box::new(cx)))
     }
 
-    /// Seals the checkpoint's open level file and, with `commit`, publishes
-    /// a manifest naming `self.depth` as the last complete level.
-    fn seal_level(&mut self, commit: bool) {
-        let Some(writer) = self.ckpt.as_mut() else {
+    /// Publishes `self.depth` as the last complete level of a checkpointed
+    /// run: seals its level file and the parent log, then commits the
+    /// manifest naming them.
+    fn commit(&mut self) {
+        let Some((dir, manifest)) = self.ckpt.as_mut() else {
             return;
         };
-        ckpt_ok(writer.seal_level());
-        if commit {
-            let stats = &self.stats;
-            let counters = [
-                ("states", stats.states as u64),
-                ("expansions", stats.expansions as u64),
-                ("transitions", stats.transitions_executed as u64),
-                ("revisits", stats.revisits as u64),
-                ("reduced_states", stats.reduced_states as u64),
-                ("proviso_expansions", stats.proviso_expansions as u64),
-                ("max_depth", stats.max_depth as u64),
-            ];
-            ckpt_ok(writer.commit(
-                self.depth,
-                self.spec_fp,
-                &self.strategy,
-                &self.identity,
-                &counters,
-            ));
-        }
+        let (level, parents) = (self.frontier.seal_level(), self.nodes.commit());
+        let counters = counters(&mut self.stats).map(|(name, value)| (name, *value as u64));
+        manifest
+            .commit(dir, level, parents, &counters)
+            .unwrap_or_else(|e| panic!("checkpoint write failed: {e}"));
     }
 
-    /// Rebuilds the search from a committed checkpoint. The rebuild
-    /// inserts are all store misses, so the caller folds the committed
-    /// part's hits (`stats.revisits`) back in at the end.
-    fn resume<K: Encode>(&mut self, dir: &Path, manifest: &Manifest, store: &StoreImpl<K>) {
-        // Rebuild the visited set from every committed level's keys; the
-        // last level's entries — frontier records' payloads, `varint(node)
-        // varint(δ) key` — also re-seed the frontier as they are.
-        for level in 0..=manifest.level {
-            let raws = manifest
-                .read_level(dir, level)
-                .unwrap_or_else(|e| panic!("checkpoint in {}: {e}", dir.display()));
-            let last = level == manifest.level;
-            for raw in raws {
-                let mut key = raw.as_slice();
-                read_varint(&mut key)
-                    .and_then(|_| read_varint(&mut key))
-                    .unwrap_or_else(|e| panic!("corrupted checkpoint entry: {e}"));
-                store.insert_bytes(key);
-                if last {
-                    self.frontier.push_record(&raw);
-                }
-            }
-        }
-        // Replay the parent log so node indices keep their meaning for
-        // counterexample reconstruction.
-        for raw in manifest
-            .read_parents(dir)
-            .unwrap_or_else(|e| panic!("checkpoint in {}: {e}", dir.display()))
-        {
-            ParentLog::decode(&raw)
-                .and_then(|record| self.nodes.push(record))
-                .unwrap_or_else(|e| panic!("corrupted checkpoint parent record: {e}"));
-        }
+    /// Reopens the checkpoint in `dir` at its last committed level: the
+    /// visited set is rebuilt from every committed level file's keys, that
+    /// level's file becomes the next level as it is, and the parent log
+    /// continues at its committed prefix. The rebuild inserts are all store
+    /// misses, so the caller folds the committed part's hits
+    /// (`stats.revisits`) back in at the end.
+    fn resume<K: Encode>(&mut self, dir: &Path, manifest: Manifest, store: &StoreImpl<K>) {
+        // A level file's payloads are frontier records, `varint(node)
+        // varint(δ) key`.
+        let insert = |mut key: &[u8]| {
+            read_varint(&mut key)
+                .and_then(|_| read_varint(&mut key))
+                .unwrap_or_else(|e| panic!("corrupted checkpoint entry: {e}"));
+            store.insert_bytes(key);
+        };
+        let watermark = self.config.frontier.watermark();
+        let nodes = self.frontier.resume(dir, &manifest, insert).and_then(|()| {
+            ParentLog::in_checkpoint(dir, Some(&manifest), watermark, self.trace.clone())
+        });
+        self.nodes = nodes.unwrap_or_else(|e| panic!("checkpoint in {}: {e}", dir.display()));
         self.depth = manifest.level;
-        let stats = &mut self.stats;
-        stats.states = manifest.counter("states") as usize;
-        stats.expansions = manifest.counter("expansions") as usize;
-        stats.transitions_executed = manifest.counter("transitions") as usize;
-        stats.revisits = manifest.counter("revisits") as usize;
-        stats.reduced_states = manifest.counter("reduced_states") as usize;
-        stats.proviso_expansions = manifest.counter("proviso_expansions") as usize;
-        stats.max_depth = manifest.counter("max_depth") as usize;
-        self.ckpt = Some(
-            CheckpointWriter::resume(dir, manifest)
-                .unwrap_or_else(|e| panic!("cannot resume checkpoint in {}: {e}", dir.display())),
-        );
+        for (name, value) in counters(&mut self.stats) {
+            *value = manifest.counter(name) as usize;
+        }
+        self.ckpt = Some((dir.to_path_buf(), manifest));
         self.trace
             .resume(self.depth as u64, self.stats.states as u64);
     }
@@ -478,11 +445,6 @@ where
     /// The level loop: runs until the frontier is empty or a [`Stop`].
     fn levels<O: Observer<S, M>>(&mut self, expander: &Expander<'_, S, M, O>) -> Result<(), Stop> {
         let (store, pool, trace) = (expander.store, expander.pool, self.trace.clone());
-        let every = self
-            .config
-            .checkpoint
-            .as_ref()
-            .map_or(1, |c| c.every_levels.max(1));
         let mut level_obs = LevelObserver::new(&trace);
         if level_obs.enabled() {
             level_obs.seed(store.len() as u64, store.stats().hits as u64);
@@ -497,9 +459,6 @@ where
             self.stats.max_depth = self.stats.max_depth.max(self.depth);
             trace.add(Counter::Depth, self.depth as u64);
             level_obs.begin_level();
-            if let Some(writer) = self.ckpt.as_mut() {
-                ckpt_ok(writer.begin_level(self.depth));
-            }
 
             loop {
                 let mut chunk = Vec::new();
@@ -533,7 +492,7 @@ where
                 let _span = trace.span(Phase::RunMerge);
                 store.maintain();
             }
-            self.seal_level(self.depth.is_multiple_of(every));
+            self.commit();
 
             // Per-level time-series and memory gauges (the helpers are idle
             // at a level boundary, so the cumulative store figures are
@@ -642,6 +601,12 @@ where
     } else {
         format!("{}/sorted", symmetry.label())
     };
+    // What a checkpoint manifest pins besides the configuration: the
+    // protocol structure and the full strategy label (strategy + thread
+    // count + reducer + symmetry + spill), so a resume under anything that
+    // would explore a different state space is refused.
+    let identity = format!("{} sym={sym_label}", config.checkpoint_identity());
+    let fresh = Manifest::new(spec.structure_fingerprint(), &strategy, &identity);
     let mut search = Search {
         spec,
         reducer,
@@ -655,9 +620,7 @@ where
         ckpt: None,
         record: Vec::new(),
         trace: trace.handle(),
-        spec_fp: spec.structure_fingerprint(),
         strategy,
-        identity: format!("{} sym={sym_label}", config.checkpoint_identity()),
     };
     search.frontier.set_trace(trace.handle());
 
@@ -668,9 +631,9 @@ where
             let manifest = Manifest::load(&c.dir)
                 .unwrap_or_else(|e| panic!("checkpoint manifest in {}: {e}", c.dir.display()));
             manifest
-                .validate(search.spec_fp, &search.strategy, &search.identity)
+                .validate(fresh.spec_fingerprint, &fresh.engine, &fresh.config)
                 .unwrap_or_else(|e| panic!("refusing to resume from {}: {e}", c.dir.display()));
-            search.resume(&c.dir, &manifest, &store);
+            search.resume(&c.dir, manifest, &store);
             resumed_hits = search.stats.revisits;
         }
         checkpoint => {
@@ -698,14 +661,17 @@ where
                 write_varint(root_delta as u64, &mut body);
                 body.extend_from_slice(&key);
                 if let Some(c) = checkpoint {
-                    let mut writer = CheckpointWriter::new(&c.dir).unwrap_or_else(|e| {
-                        panic!("cannot start checkpoint in {}: {e}", c.dir.display())
-                    });
-                    ckpt_ok(writer.begin_level(0));
-                    search.ckpt = Some(writer);
+                    let watermark = config.frontier.watermark();
+                    search.nodes =
+                        ParentLog::in_checkpoint(&c.dir, None, watermark, trace.handle())
+                            .unwrap_or_else(|e| {
+                                panic!("cannot start checkpoint in {}: {e}", c.dir.display())
+                            });
+                    search.frontier.keep_levels_in(&c.dir);
+                    search.ckpt = Some((c.dir.clone(), fresh));
                 }
                 search.enqueue(None, &body);
-                search.seal_level(true);
+                search.commit();
             }
         }
     }

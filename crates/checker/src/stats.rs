@@ -173,8 +173,8 @@ impl ExplorationStats {
 
     /// Copies the frontier's counters into this record (called by the BFS
     /// engines just before they return). `extra_spilled` folds in the
-    /// bytes the path-reconstruction log wrote next to the frontier's own
-    /// segments.
+    /// bytes the path-reconstruction log wrote next to the frontier's level
+    /// files; under a checkpoint the sum is the data files' bytes.
     pub fn record_frontier(&mut self, name: &str, frontier: FrontierStats, extra_spilled: usize) {
         self.frontier_backend = name.to_string();
         self.frontier_peak_bytes = frontier.peak_bytes;

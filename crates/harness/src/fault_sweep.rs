@@ -166,8 +166,8 @@ impl FaultCell {
 }
 
 /// Watermark of the sweep's disk-frontier probes: small enough that every
-/// non-trivial cell writes multiple spill segments, so the sweep exercises
-/// the segment machinery on every run.
+/// non-trivial cell spills its levels many times, so the sweep exercises
+/// the level files on every run.
 pub const SWEEP_SPILL_WATERMARK: usize = 4096;
 
 /// Buffer watermark (in entries) of the sweep's external-memory `runs`
@@ -335,10 +335,7 @@ fn run_cells<S, M, O>(
                         &store.to_string(),
                         if symmetry { "sym" } else { "plain" },
                     ]);
-                    config.checkpoint = Some(
-                        CheckpointConfig::new(root.join(slug))
-                            .with_every_levels(run_budget.checkpoint_every),
-                    );
+                    config.checkpoint = Some(CheckpointConfig::new(root.join(slug)));
                 }
                 safety(config, symmetry)
             };

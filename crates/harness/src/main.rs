@@ -123,11 +123,6 @@ const COMMANDS: &[Command] = &[
                 "DIR",
                 "checkpoint every safety cell under DIR and resume from it if present",
             ),
-            FlagSpec::value(
-                "--checkpoint-every",
-                "K",
-                "commit a checkpoint every K completed BFS levels (default 1)",
-            ),
             json_flag("write the sweep as a JSON array (default BENCH_fault_sweep.json)"),
             THREADS_FLAG,
             PROGRESS_FLAG,
@@ -384,9 +379,7 @@ fn fault_sweep(cli: &Cli) {
         budget = budget.with_frontier(FrontierConfig::disk_with_watermark(watermark));
     }
     if let Some(dir) = cli.value("--checkpoint-dir") {
-        budget = budget
-            .with_checkpoint_dir(dir)
-            .with_checkpoint_every(cli.usize_value("--checkpoint-every", 1));
+        budget = budget.with_checkpoint_dir(dir);
     }
     budget = budget.with_trace(cli.tracer());
 
@@ -397,10 +390,9 @@ fn fault_sweep(cli: &Cli) {
     }
     if let Some(dir) = &budget.checkpoint_dir {
         println!(
-            "(checkpointing safety cells under {} every {} level(s); \
+            "(checkpointing safety cells under {} at every level; \
              an existing manifest resumes the cell)",
-            dir.display(),
-            budget.checkpoint_every
+            dir.display()
         );
     }
     println!();
@@ -640,7 +632,6 @@ mod tests {
                     "--spill",
                     "--spill-watermark",
                     "--checkpoint-dir",
-                    "--checkpoint-every",
                     "--json",
                     "--threads",
                     "--progress",

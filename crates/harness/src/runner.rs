@@ -40,8 +40,6 @@ pub struct Budget {
     /// the sweep derives the per-cell [`mp_checker::CheckpointConfig`]
     /// itself.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Commit a checkpoint every this-many BFS levels (min 1).
-    pub checkpoint_every: usize,
 }
 
 impl Default for Budget {
@@ -53,7 +51,6 @@ impl Default for Budget {
             frontier: FrontierConfig::Mem,
             trace: Tracer::disabled(),
             checkpoint_dir: None,
-            checkpoint_every: 1,
         }
     }
 }
@@ -100,12 +97,6 @@ impl Budget {
     /// Roots per-cell checkpoint directories under `dir` (builder style).
     pub fn with_checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.checkpoint_dir = Some(dir.into());
-        self
-    }
-
-    /// Sets the checkpoint cadence in BFS levels (builder style; min 1).
-    pub fn with_checkpoint_every(mut self, every: usize) -> Self {
-        self.checkpoint_every = every.max(1);
         self
     }
 

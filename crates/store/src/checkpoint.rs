@@ -1,48 +1,52 @@
-//! Checkpoint/resume: level-granular snapshots of a BFS run's persistent
-//! state, behind a versioned manifest.
+//! Checkpoint/resume: a BFS run's own files, named by a versioned
+//! manifest.
 //!
 //! A breadth-first run has a natural quiescent point — the level boundary —
-//! at which its whole exploration state is three byte streams: the frontier
-//! entries of the level just completed, the parent records pushed so far,
-//! and the visited set (which the engines rebuild from the level files, so
-//! it needs no file of its own). [`CheckpointWriter`] tees those streams
-//! into a checkpoint directory as the engine runs and, at each boundary,
+//! at which its whole exploration state is already on disk in its run
+//! directory: the level files its [`Frontier`](crate::Frontier) writes and
+//! the [`ParentLog`](crate::ParentLog)'s `parents.log` (the visited set is
+//! rebuilt from the level files, so it needs no file of its own). With a
+//! checkpoint, the run directory is the checkpoint directory, and at each
+//! boundary the engine seals the completed level and the parent log and
 //! atomically publishes a [`Manifest`] naming what is valid:
 //!
 //! * `level_<k>.front` — one file per BFS level, holding the level's
-//!   frontier entries as `varint(len) payload` records (the payload bytes
-//!   are the engine's own entry encoding; this module never interprets
-//!   them);
-//! * `parents.log` — one append-only file of parent records (the
-//!   [`ParentLog`](crate::ParentLog)'s fixed-width bytes) in push order,
-//!   framed the same way;
+//!   frontier records `varint(len) payload` (the payload bytes are the
+//!   engine's own entry encoding; this crate never interprets them);
+//! * `parents.log` — the parent log's fixed-width 8-byte records, unframed,
+//!   in push order;
 //! * `MANIFEST` — a line-oriented text file carrying the format version,
 //!   the protocol's structure fingerprint, the engine/config identity
 //!   strings, the last completed level, the engine's counters, and a
 //!   `(items, bytes, FNV-64)` record per data file. It is written to a
-//!   temporary file, fsynced and renamed, so a crash never leaves a
-//!   half-written manifest — resume either sees the previous complete
-//!   checkpoint or this one.
+//!   temporary file, fsynced and renamed after the data files are fsynced,
+//!   so a crash never leaves a half-written manifest — resume either sees
+//!   the previous complete checkpoint or this one.
 //!
 //! On resume, [`Manifest::load`] + [`Manifest::validate`] refuse manifests
-//! of a different format version, protocol, engine or configuration, and
-//! [`Manifest::read_level`]/[`Manifest::read_parents`] verify length and
-//! checksum before handing the records back. `docs/ON_DISK_FORMATS.md` in
-//! the repository specifies every byte of the formats and the versioning
-//! policy.
+//! of a different format version, protocol, engine or configuration;
+//! [`Frontier::resume`](crate::Frontier::resume) streams each committed
+//! level file once, checking its length first and its checksum as it goes,
+//! and [`ParentLog::in_checkpoint`](crate::ParentLog::in_checkpoint)
+//! verifies and truncates `parents.log` to its committed prefix.
+//! `docs/ON_DISK_FORMATS.md` in the repository specifies every byte of the
+//! formats and the versioning policy.
 //!
 //! ```
-//! use mp_store::{manifest_exists, CheckpointWriter, Manifest};
+//! use mp_store::{manifest_exists, FrontierConfig, Manifest, ParentLog, PlainCodec};
 //!
 //! let dir = std::env::temp_dir().join(format!("ckpt-doc-{}", std::process::id()));
-//! let mut ckpt = CheckpointWriter::new(&dir).unwrap();
+//! let mut frontier = FrontierConfig::Mem.build::<(), _>(PlainCodec);
+//! frontier.keep_levels_in(&dir);
+//! let trace = mp_trace::TraceHandle::disabled();
+//! let mut parents = ParentLog::in_checkpoint(&dir, None, usize::MAX, trace).unwrap();
 //!
-//! // Level 0 is the root; every level seals before the next begins.
-//! ckpt.begin_level(0).unwrap();
-//! ckpt.push_entry(b"root-entry").unwrap();
-//! ckpt.push_parent(b"no-parent").unwrap();
-//! ckpt.seal_level().unwrap();
-//! ckpt.commit(0, 42, "stateful-bfs", "store=exact", &[("states", 1)]).unwrap();
+//! // Level 0 is the root; every level commits before the next begins.
+//! frontier.push_record(b"root-entry");
+//! parents.push(None).unwrap();
+//! let mut manifest = Manifest::new(42, "stateful-bfs", "store=exact");
+//! let (level, log) = (frontier.seal_level(), parents.commit());
+//! manifest.commit(&dir, level, log, &[("states", 1)]).unwrap();
 //!
 //! assert!(manifest_exists(&dir));
 //! let manifest = Manifest::load(&dir).unwrap();
@@ -55,50 +59,38 @@
 //! ```
 
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use mp_model::{read_varint, write_varint, Fnv64};
+use crate::files::{RunDir, SpillFile};
+use crate::frontier::scan_level;
 
 /// The manifest format version this build writes and accepts. Bump it on
 /// any incompatible change to the manifest or data-file layouts; resume
 /// refuses other versions (see `docs/ON_DISK_FORMATS.md` for the policy).
-pub const CHECKPOINT_VERSION: u32 = 2;
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 const MANIFEST_NAME: &str = "MANIFEST";
-const PARENTS_NAME: &str = "parents.log";
+pub(crate) const PARENTS_NAME: &str = "parents.log";
 
-fn level_name(level: usize) -> String {
+pub(crate) fn level_name(level: usize) -> String {
     format!("level_{level}.front")
 }
 
-/// Where (and how often) a run should checkpoint. Carried by
+/// Where a run checkpoints: every completed BFS level commits. Carried by
 /// `CheckerConfig` in `mp-checker`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CheckpointConfig {
     /// The checkpoint directory (created if missing). One directory holds
     /// exactly one run's checkpoint.
     pub dir: PathBuf,
-    /// Commit the manifest every N completed levels (level 0 always
-    /// commits, so a fresh run is resumable as soon as it has a root).
-    pub every_levels: usize,
 }
 
 impl CheckpointConfig {
     /// Checkpoint into `dir` at every level boundary.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        CheckpointConfig {
-            dir: dir.into(),
-            every_levels: 1,
-        }
-    }
-
-    /// Commit the manifest only every `n` levels (minimum 1; the data
-    /// files are still teed continuously, only the publish is batched).
-    pub fn with_every_levels(mut self, n: usize) -> Self {
-        self.every_levels = n.max(1);
-        self
+        CheckpointConfig { dir: dir.into() }
     }
 }
 
@@ -138,12 +130,37 @@ impl From<io::Error> for CheckpointError {
 pub struct FileMeta {
     /// File name within the checkpoint directory.
     pub name: String,
-    /// Number of framed records in the valid prefix.
+    /// Number of records in the valid prefix.
     pub items: usize,
     /// Byte length of the valid prefix.
     pub bytes: u64,
     /// FNV-64 checksum of the valid prefix.
     pub fnv: u64,
+}
+
+impl FileMeta {
+    /// Checks the record against `file` before anything is read or
+    /// allocated: the file holds at least the recorded bytes.
+    pub(crate) fn check_len(&self, file: &SpillFile) -> Result<(), CheckpointError> {
+        let (name, bytes, len) = (&self.name, self.bytes, file.len());
+        if len >= bytes {
+            return Ok(());
+        }
+        Err(CheckpointError::Corrupt(format!(
+            "{name}: {len} bytes, shorter than the {bytes} bytes the manifest records"
+        )))
+    }
+
+    /// Checks what a read of the prefix found against the record.
+    pub(crate) fn check(&self, items: usize, fnv: u64) -> Result<(), CheckpointError> {
+        if (items, fnv) == (self.items, self.fnv) {
+            return Ok(());
+        }
+        Err(CheckpointError::Corrupt(format!(
+            "{}: {items} records, checksum {fnv:016x}; the manifest records {}, {:016x}",
+            self.name, self.items, self.fnv
+        )))
+    }
 }
 
 /// A parsed checkpoint manifest. See the module docs for the file layout
@@ -173,6 +190,18 @@ pub fn manifest_exists(dir: &Path) -> bool {
 }
 
 impl Manifest {
+    /// The manifest of a fresh run, before its first commit.
+    pub fn new(spec_fingerprint: u64, engine: &str, config: &str) -> Manifest {
+        Manifest {
+            spec_fingerprint,
+            engine: engine.to_string(),
+            config: config.to_string(),
+            level: 0,
+            counters: Vec::new(),
+            files: Vec::new(),
+        }
+    }
+
     /// Loads and parses `dir/MANIFEST`.
     ///
     /// # Errors
@@ -329,323 +358,66 @@ impl Manifest {
             .unwrap_or(0)
     }
 
-    /// Reads back the frontier entries of `level`, verifying the file's
-    /// recorded length and checksum first.
+    /// Reads back the frontier records' payloads of `level`, checking the
+    /// file's length against its record first and its item count and
+    /// checksum as it is read.
     ///
     /// # Errors
     ///
     /// [`CheckpointError::Corrupt`] when the file is shorter than recorded,
     /// fails its checksum, or holds malformed framing.
     pub fn read_level(&self, dir: &Path, level: usize) -> Result<Vec<Vec<u8>>, CheckpointError> {
-        let name = level_name(level);
-        let meta = self
-            .file(&name)
-            .ok_or_else(|| CheckpointError::Corrupt(format!("no manifest record for {name}")))?;
-        read_records(&dir.join(&name), meta)
+        let mut records = Vec::new();
+        let mut push = |record: &[u8]| records.push(record.to_vec());
+        scan_level(&RunDir::kept(dir), self, level, &mut push)?;
+        Ok(records)
     }
 
-    /// Reads back every committed parent record, in push order, verifying
-    /// length and checksum first.
-    ///
-    /// # Errors
-    ///
-    /// As [`Manifest::read_level`].
-    pub fn read_parents(&self, dir: &Path) -> Result<Vec<Vec<u8>>, CheckpointError> {
-        let meta = self.file(PARENTS_NAME).ok_or_else(|| {
-            CheckpointError::Corrupt(format!("no manifest record for {PARENTS_NAME}"))
-        })?;
-        read_records(&dir.join(PARENTS_NAME), meta)
-    }
-}
-
-/// Reads the valid prefix of a framed-record file, checks it against its
-/// manifest record, and splits it into payloads.
-fn read_records(path: &Path, meta: &FileMeta) -> Result<Vec<Vec<u8>>, CheckpointError> {
-    let mut file = File::open(path)?;
-    let mut raw = vec![0u8; meta.bytes as usize];
-    file.read_exact(&mut raw).map_err(|e| {
-        CheckpointError::Corrupt(format!(
-            "{}: shorter than the {} bytes the manifest records ({e})",
-            path.display(),
-            meta.bytes
-        ))
-    })?;
-    let mut hash = Fnv64::new();
-    hash.write(&raw);
-    if hash.finish() != meta.fnv {
-        return Err(CheckpointError::Corrupt(format!(
-            "{}: checksum {:016x} does not match the manifest's {:016x}",
-            path.display(),
-            hash.finish(),
-            meta.fnv
-        )));
-    }
-    let mut records = Vec::with_capacity(meta.items);
-    let mut input = &raw[..];
-    while !input.is_empty() {
-        let len = read_varint(&mut input)
-            .map_err(|e| CheckpointError::Corrupt(format!("{}: {e}", path.display())))?
-            as usize;
-        if input.len() < len {
-            return Err(CheckpointError::Corrupt(format!(
-                "{}: truncated record",
-                path.display()
-            )));
-        }
-        records.push(input[..len].to_vec());
-        input = &input[len..];
-    }
-    if records.len() != meta.items {
-        return Err(CheckpointError::Corrupt(format!(
-            "{}: {} records, the manifest records {}",
-            path.display(),
-            records.len(),
-            meta.items
-        )));
-    }
-    Ok(records)
-}
-
-/// Tees a BFS run's frontier entries and parent records into a checkpoint
-/// directory and commits versioned manifests at level boundaries. The
-/// writer is pure-bytes: engines encode entries with their own codecs and
-/// hand over the encoded payloads. See the module docs for the protocol.
-#[derive(Debug)]
-pub struct CheckpointWriter {
-    dir: PathBuf,
-    /// The open level file: `(file, hash, items, bytes, level)`.
-    current: Option<(File, Fnv64, usize, u64, usize)>,
-    /// Sealed level files, dense from level 0.
-    sealed: Vec<FileMeta>,
-    parents: File,
-    parents_hash: Fnv64,
-    parents_items: usize,
-    parents_bytes: u64,
-    scratch: Vec<u8>,
-}
-
-impl CheckpointWriter {
-    /// Starts a fresh checkpoint in `dir` (created if missing; existing
-    /// data files are truncated as their levels are re-reached).
-    ///
-    /// # Errors
-    ///
-    /// Any filesystem failure creating the directory or `parents.log`.
-    pub fn new(dir: impl Into<PathBuf>) -> Result<Self, CheckpointError> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        let parents = OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .read(true)
-            .write(true)
-            .open(dir.join(PARENTS_NAME))?;
-        Ok(CheckpointWriter {
-            dir,
-            current: None,
-            sealed: Vec::new(),
-            parents,
-            parents_hash: Fnv64::new(),
-            parents_items: 0,
-            parents_bytes: 0,
-            scratch: Vec::new(),
-        })
-    }
-
-    /// Reopens a checkpoint to continue past `manifest.level`: truncates
-    /// `parents.log` back to its committed prefix (dropping records pushed
-    /// after the last commit), re-verifies that prefix's checksum, and
-    /// adopts the committed level files. The next [`begin_level`] call must
-    /// be for `manifest.level + 1`.
-    ///
-    /// [`begin_level`]: CheckpointWriter::begin_level
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Corrupt`] when the parents prefix fails its
-    /// checksum, plus any filesystem failure.
-    pub fn resume(dir: impl Into<PathBuf>, manifest: &Manifest) -> Result<Self, CheckpointError> {
-        let dir = dir.into();
-        let meta = manifest.file(PARENTS_NAME).ok_or_else(|| {
-            CheckpointError::Corrupt(format!("no manifest record for {PARENTS_NAME}"))
-        })?;
-        let mut parents = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(dir.join(PARENTS_NAME))?;
-        let mut prefix = vec![0u8; meta.bytes as usize];
-        parents.read_exact(&mut prefix).map_err(|e| {
-            CheckpointError::Corrupt(format!(
-                "{PARENTS_NAME}: shorter than the {} bytes the manifest records ({e})",
-                meta.bytes
-            ))
-        })?;
-        let mut parents_hash = Fnv64::new();
-        parents_hash.write(&prefix);
-        if parents_hash.finish() != meta.fnv {
-            return Err(CheckpointError::Corrupt(format!(
-                "{PARENTS_NAME}: checksum {:016x} does not match the manifest's {:016x}",
-                parents_hash.finish(),
-                meta.fnv
-            )));
-        }
-        parents.set_len(meta.bytes)?;
-        parents.seek(SeekFrom::Start(meta.bytes))?;
-        let mut sealed = Vec::with_capacity(manifest.level + 1);
-        for k in 0..=manifest.level {
-            let name = level_name(k);
-            let file_meta = manifest
-                .file(&name)
-                .ok_or_else(|| {
-                    CheckpointError::Corrupt(format!("missing file record for level {k}"))
-                })?
-                .clone();
-            sealed.push(file_meta);
-        }
-        Ok(CheckpointWriter {
-            dir,
-            current: None,
-            sealed,
-            parents,
-            parents_hash,
-            parents_items: meta.items,
-            parents_bytes: meta.bytes,
-            scratch: Vec::new(),
-        })
-    }
-
-    /// Opens (and truncates) `level_<level>.front` for the level about to
-    /// be generated. Levels are dense: `level` must be the number of
-    /// already-sealed levels.
-    ///
-    /// # Errors
-    ///
-    /// Any filesystem failure creating the file.
-    ///
-    /// # Panics
-    ///
-    /// If a level is still open or `level` is out of order.
-    pub fn begin_level(&mut self, level: usize) -> Result<(), CheckpointError> {
-        assert!(self.current.is_none(), "begin_level with an open level");
-        assert_eq!(level, self.sealed.len(), "levels must be dense");
-        let file = File::create(self.dir.join(level_name(level)))?;
-        self.current = Some((file, Fnv64::new(), 0, 0, level));
-        Ok(())
-    }
-
-    /// Tees one encoded frontier entry into the open level file.
+    /// Publishes the next level as the last complete one: records `level`
+    /// (its sealed file) and `parents` (the parent log's committed prefix)
+    /// with the engine's `counters`, then atomically replaces
+    /// `dir/MANIFEST` — written to `MANIFEST.tmp`, fsynced, renamed. The
+    /// data files must already be on stable storage.
     ///
     /// # Errors
     ///
     /// Any filesystem failure.
-    ///
-    /// # Panics
-    ///
-    /// If no level is open.
-    pub fn push_entry(&mut self, payload: &[u8]) -> Result<(), CheckpointError> {
-        self.scratch.clear();
-        write_varint(payload.len() as u64, &mut self.scratch);
-        self.scratch.extend_from_slice(payload);
-        let (file, hash, items, bytes, _) =
-            self.current.as_mut().expect("push_entry without a level");
-        file.write_all(&self.scratch)?;
-        hash.write(&self.scratch);
-        *items += 1;
-        *bytes += self.scratch.len() as u64;
-        Ok(())
-    }
-
-    /// Appends one encoded parent record to `parents.log`.
-    ///
-    /// # Errors
-    ///
-    /// Any filesystem failure.
-    pub fn push_parent(&mut self, payload: &[u8]) -> Result<(), CheckpointError> {
-        self.scratch.clear();
-        write_varint(payload.len() as u64, &mut self.scratch);
-        self.scratch.extend_from_slice(payload);
-        self.parents.write_all(&self.scratch)?;
-        self.parents_hash.write(&self.scratch);
-        self.parents_items += 1;
-        self.parents_bytes += self.scratch.len() as u64;
-        Ok(())
-    }
-
-    /// Seals the open level file: flushes it to stable storage and records
-    /// its `(items, bytes, checksum)` for the next manifest.
-    ///
-    /// # Errors
-    ///
-    /// Any filesystem failure.
-    ///
-    /// # Panics
-    ///
-    /// If no level is open.
-    pub fn seal_level(&mut self) -> Result<(), CheckpointError> {
-        let (file, hash, items, bytes, level) =
-            self.current.take().expect("seal_level without a level");
-        file.sync_all()?;
-        self.sealed.push(FileMeta {
-            name: level_name(level),
-            items,
-            bytes,
-            fnv: hash.finish(),
-        });
-        Ok(())
-    }
-
-    /// Atomically publishes a manifest naming levels `0..=level` and the
-    /// current parents prefix as the valid checkpoint: writes
-    /// `MANIFEST.tmp`, fsyncs and renames over `MANIFEST`.
-    ///
-    /// # Errors
-    ///
-    /// Any filesystem failure.
-    ///
-    /// # Panics
-    ///
-    /// If `level` has not been sealed.
     pub fn commit(
         &mut self,
-        level: usize,
-        spec_fingerprint: u64,
-        engine: &str,
-        config: &str,
+        dir: &Path,
+        level: FileMeta,
+        parents: FileMeta,
         counters: &[(&str, u64)],
     ) -> Result<(), CheckpointError> {
-        assert!(
-            level < self.sealed.len(),
-            "commit of level {level} before it was sealed"
-        );
-        self.parents.sync_all()?;
+        self.level = if self.files.is_empty() {
+            0
+        } else {
+            self.level + 1
+        };
+        self.files.retain(|f| f.name != PARENTS_NAME);
+        self.files.extend([level, parents]);
+        self.counters = counters.iter().map(|&(n, v)| (n.to_string(), v)).collect();
         let mut text = format!("mp-basset-checkpoint v{CHECKPOINT_VERSION}\n");
-        text.push_str(&format!("spec_fingerprint {spec_fingerprint}\n"));
-        text.push_str(&format!("engine {engine}\n"));
-        text.push_str(&format!("config {config}\n"));
-        text.push_str(&format!("level {level}\n"));
-        for (name, value) in counters {
+        text.push_str(&format!("spec_fingerprint {}\n", self.spec_fingerprint));
+        text.push_str(&format!("engine {}\n", self.engine));
+        text.push_str(&format!("config {}\n", self.config));
+        text.push_str(&format!("level {}\n", self.level));
+        for (name, value) in &self.counters {
             text.push_str(&format!("counter {name} {value}\n"));
         }
-        for meta in &self.sealed[..=level] {
+        for meta in &self.files {
             text.push_str(&format!(
                 "file {} {} {} {:016x}\n",
                 meta.name, meta.items, meta.bytes, meta.fnv
             ));
         }
-        text.push_str(&format!(
-            "file {} {} {} {:016x}\n",
-            PARENTS_NAME,
-            self.parents_items,
-            self.parents_bytes,
-            self.parents_hash.finish()
-        ));
         text.push_str("end\n");
-        let tmp = self.dir.join("MANIFEST.tmp");
+        let tmp = dir.join("MANIFEST.tmp");
         let mut file = File::create(&tmp)?;
         file.write_all(text.as_bytes())?;
         file.sync_all()?;
         drop(file);
-        std::fs::rename(&tmp, self.dir.join(MANIFEST_NAME))?;
+        std::fs::rename(&tmp, dir.join(MANIFEST_NAME))?;
         Ok(())
     }
 }
@@ -653,6 +425,8 @@ impl CheckpointWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Frontier, FrontierConfig, ParentLog};
+    use mp_trace::TraceHandle;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -661,29 +435,33 @@ mod tests {
         dir
     }
 
-    fn write_two_levels(dir: &Path) -> CheckpointWriter {
-        let mut ckpt = CheckpointWriter::new(dir).unwrap();
-        ckpt.begin_level(0).unwrap();
-        ckpt.push_entry(b"root").unwrap();
-        ckpt.push_parent(b"p0").unwrap();
-        ckpt.seal_level().unwrap();
-        ckpt.commit(0, 7, "bfs", "store=exact", &[("states", 1)])
-            .unwrap();
-        ckpt.begin_level(1).unwrap();
-        ckpt.push_entry(b"alpha").unwrap();
-        ckpt.push_entry(b"beta").unwrap();
-        ckpt.push_parent(b"p1").unwrap();
-        ckpt.push_parent(b"p2").unwrap();
-        ckpt.seal_level().unwrap();
-        ckpt.commit(1, 7, "bfs", "store=exact", &[("states", 3)])
-            .unwrap();
-        ckpt
+    /// Commits level 0 (the root) and level 1 (two children of it) the way
+    /// the BFS does: frontier records and parent records into the run's own
+    /// files, then the manifest over them.
+    fn write_two_levels(dir: &Path) -> (Frontier, ParentLog) {
+        let mut frontier = FrontierConfig::Mem.build(crate::PlainCodec);
+        frontier.keep_levels_in(dir);
+        let trace = TraceHandle::disabled();
+        let mut parents = ParentLog::in_checkpoint(dir, None, usize::MAX, trace).unwrap();
+        let mut manifest = Manifest::new(7, "bfs", "store=exact");
+        frontier.push_record(b"root");
+        parents.push(None).unwrap();
+        let (level, log) = (frontier.seal_level(), parents.commit());
+        manifest.commit(dir, level, log, &[("states", 1)]).unwrap();
+        assert_eq!(frontier.advance_level(), 1);
+        frontier.push_record(b"alpha");
+        frontier.push_record(b"beta");
+        parents.push(Some((0, 0))).unwrap();
+        parents.push(Some((0, 1))).unwrap();
+        let (level, log) = (frontier.seal_level(), parents.commit());
+        manifest.commit(dir, level, log, &[("states", 3)]).unwrap();
+        (frontier, parents)
     }
 
     #[test]
     fn round_trips_levels_parents_and_counters() {
         let dir = temp_dir("roundtrip");
-        let _ckpt = write_two_levels(&dir);
+        let _run = write_two_levels(&dir);
         assert!(manifest_exists(&dir));
         let manifest = Manifest::load(&dir).unwrap();
         assert_eq!(manifest.level, 1);
@@ -697,17 +475,21 @@ mod tests {
             manifest.read_level(&dir, 1).unwrap(),
             vec![b"alpha".to_vec(), b"beta".to_vec()]
         );
-        assert_eq!(
-            manifest.read_parents(&dir).unwrap(),
-            vec![b"p0".to_vec(), b"p1".to_vec(), b"p2".to_vec()]
-        );
+        // `parents.log` is the three records as little-endian words.
+        let parents = manifest.file(PARENTS_NAME).unwrap();
+        assert_eq!((parents.items, parents.bytes), (3, 24));
+        let words: Vec<u8> = [None, Some((0, 0)), Some((0, 1))]
+            .into_iter()
+            .flat_map(|record| ParentLog::encode(record).unwrap())
+            .collect();
+        assert_eq!(std::fs::read(dir.join(PARENTS_NAME)).unwrap(), words);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn validate_rejects_every_identity_mismatch() {
         let dir = temp_dir("identity");
-        let _ckpt = write_two_levels(&dir);
+        let _run = write_two_levels(&dir);
         let manifest = Manifest::load(&dir).unwrap();
         assert!(manifest.validate(7, "bfs", "store=exact").is_ok());
         for (fp, engine, config) in [
@@ -724,14 +506,15 @@ mod tests {
     #[test]
     fn version_bumps_and_corruption_are_refused() {
         let dir = temp_dir("corruption");
-        let _ckpt = write_two_levels(&dir);
+        let _run = write_two_levels(&dir);
         let manifest_path = dir.join(MANIFEST_NAME);
         let good = std::fs::read_to_string(&manifest_path).unwrap();
 
-        // Any other format version — the retired v1 as much as a future
-        // one — is a mismatch, not a parse attempt.
-        for other in ["checkpoint v1", "checkpoint v99"] {
-            std::fs::write(&manifest_path, good.replace("checkpoint v2", other)).unwrap();
+        // Any other format version — the retired v1 and v2 as much as a
+        // future one — is a mismatch, not a parse attempt.
+        let this = format!("checkpoint v{CHECKPOINT_VERSION}");
+        for other in ["checkpoint v1", "checkpoint v2", "checkpoint v99"] {
+            std::fs::write(&manifest_path, good.replace(&this, other)).unwrap();
             assert!(matches!(
                 Manifest::load(&dir).unwrap_err(),
                 CheckpointError::Mismatch(_)
@@ -761,66 +544,11 @@ mod tests {
 
         // A data file shorter than recorded is also corrupt.
         std::fs::write(dir.join(level_name(1)), b"x").unwrap();
-        assert!(matches!(
-            manifest.read_level(&dir, 1).unwrap_err(),
-            CheckpointError::Corrupt(_)
-        ));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn resume_truncates_uncommitted_parents_and_continues() {
-        let dir = temp_dir("resume");
-        let mut ckpt = write_two_levels(&dir);
-        // Push past the last commit — a crash would leave these bytes.
-        ckpt.begin_level(2).unwrap();
-        ckpt.push_entry(b"gamma").unwrap();
-        ckpt.push_parent(b"p-uncommitted").unwrap();
-        drop(ckpt);
-
-        let manifest = Manifest::load(&dir).unwrap();
-        assert_eq!(manifest.level, 1, "the crashy tail never committed");
-        let mut resumed = CheckpointWriter::resume(&dir, &manifest).unwrap();
-        resumed.begin_level(2).unwrap();
-        resumed.push_entry(b"gamma").unwrap();
-        resumed.push_parent(b"p3").unwrap();
-        resumed.seal_level().unwrap();
-        resumed
-            .commit(2, 7, "bfs", "store=exact", &[("states", 4)])
-            .unwrap();
-
-        let manifest = Manifest::load(&dir).unwrap();
-        assert_eq!(manifest.level, 2);
-        assert_eq!(
-            manifest.read_parents(&dir).unwrap(),
-            vec![
-                b"p0".to_vec(),
-                b"p1".to_vec(),
-                b"p2".to_vec(),
-                b"p3".to_vec()
-            ],
-            "the uncommitted parent record was dropped, the new one kept"
+        let err = manifest.read_level(&dir, 1).unwrap_err();
+        assert!(
+            err.to_string().contains("shorter than the 11 bytes"),
+            "{err}"
         );
-        assert_eq!(
-            manifest.read_level(&dir, 2).unwrap(),
-            vec![b"gamma".to_vec()]
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn resume_refuses_a_tampered_parents_prefix() {
-        let dir = temp_dir("tampered-parents");
-        let _ckpt = write_two_levels(&dir);
-        let manifest = Manifest::load(&dir).unwrap();
-        let parents = dir.join(PARENTS_NAME);
-        let mut bytes = std::fs::read(&parents).unwrap();
-        bytes[1] ^= 0x01;
-        std::fs::write(&parents, bytes).unwrap();
-        assert!(matches!(
-            CheckpointWriter::resume(&dir, &manifest).unwrap_err(),
-            CheckpointError::Corrupt(_)
-        ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

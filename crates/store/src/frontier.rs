@@ -1,17 +1,20 @@
-//! The BFS frontier: two level queues of framed byte records.
+//! The BFS frontier: two level queues of framed byte records, one file per
+//! level.
 //!
-//! Breadth-first search keeps two level queues alive at once — the level
-//! being expanded and the level being generated — and on fault-augmented
-//! models those levels grow with the state space (the crash1+drop1 sweep
-//! cells are ~20x the seed models). [`Frontier`] holds both as byte
-//! records, `record := varint(len) payload` — the framing of checkpoint
-//! level files — appended to an in-memory buffer. Whenever the buffer
-//! reaches the configured **watermark** it is written to a temporary spill
-//! file as one segment, and segments are read back sequentially, level by
-//! level, when the level is dequeued. Memory held per level is bounded by
-//! the watermark regardless of frontier size. [`FrontierConfig::Mem`] is the
-//! same queue with an unbounded watermark: it never writes a segment and
-//! never opens a file.
+//! Breadth-first search keeps two levels alive at once — the level being
+//! expanded and the level being generated — and on fault-augmented models
+//! those levels grow with the state space (the crash1+drop1 sweep cells are
+//! ~20x the seed models). [`Frontier`] holds each level as byte records,
+//! `record := varint(len) payload`, appended to an in-memory tail. Whenever
+//! the tail reaches the configured **watermark** it is appended to the
+//! level's file, `level_<k>.front` in the run directory, and the level is
+//! read back front to back — file, then tail — when it is dequeued, so
+//! memory held per level is bounded by the watermark. The run directory is
+//! a scratch directory under [`std::env::temp_dir`] (a consumed level's
+//! file is deleted when the next level is promoted), or the checkpoint
+//! directory, where every level is sealed and kept as the checkpoint's data
+//! ([`Frontier::keep_levels_in`], `crate::checkpoint`).
+//! [`FrontierConfig::Mem`] is the same queue with an unbounded watermark.
 //!
 //! The payload is the caller's. The BFS engines of `mp-checker` push the
 //! bytes their worker already encoded for the visited store, so a state is
@@ -27,19 +30,19 @@
 //! exploration and counterexamples stay concrete (see `mp-checker`'s BFS
 //! engines).
 
-use std::collections::VecDeque;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
 use std::marker::PhantomData;
 use std::ops::Range;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 
-use mp_model::{read_varint, write_varint, Decode, DecodeError, Encode};
+use mp_model::{read_varint, write_varint, Decode, DecodeError, Encode, Fnv64};
 use mp_trace::{Histogram, Phase, TraceHandle};
 
-/// Default in-memory watermark (and segment size) of the disk frontier:
-/// one segment's worth of encoded states is buffered before it is spilled.
+use crate::checkpoint::{level_name, CheckpointError, FileMeta, Manifest};
+use crate::files::{RunDir, SpillFile};
+
+/// Default in-memory watermark of the disk frontier: bytes of a level's
+/// records buffered before they are spilled, and the size of a read-back
+/// chunk.
 pub const DEFAULT_FRONTIER_WATERMARK: usize = 32 << 20;
 
 /// Where the BFS frontier may keep its records.
@@ -48,8 +51,7 @@ pub const DEFAULT_FRONTIER_WATERMARK: usize = 32 << 20;
 /// (visited set and frontier are the two memory-critical structures of a
 /// stateful breadth-first run); `Copy` so configurations stay cheap to pass
 /// around. Both variants build the one [`Frontier`]; they differ only in its
-/// watermark. Spill files are created under [`std::env::temp_dir`] on the
-/// first spilled segment and removed when the frontier is dropped.
+/// watermark.
 ///
 /// [`StoreConfig`]: crate::StoreConfig
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -57,10 +59,10 @@ pub enum FrontierConfig {
     /// Keep every record in memory (the default): an unbounded watermark.
     #[default]
     Mem,
-    /// Spill records to disk in watermark-sized segments.
+    /// Spill records to disk past a watermark.
     Disk {
-        /// Bytes of records buffered in memory per level queue before a
-        /// segment is written out (also the segment size).
+        /// Bytes of records buffered in memory per level before they are
+        /// appended to the level's file.
         watermark_bytes: usize,
     },
 }
@@ -72,8 +74,8 @@ impl FrontierConfig {
     }
 
     /// The disk-backed frontier with an explicit watermark (tiny watermarks
-    /// force multi-segment spilling, which is how the tests exercise the
-    /// segment machinery on small models).
+    /// force many spills per level, which is how the tests exercise the
+    /// file path on small models).
     pub fn disk_with_watermark(watermark_bytes: usize) -> Self {
         FrontierConfig::Disk {
             watermark_bytes: watermark_bytes.max(1),
@@ -86,9 +88,9 @@ impl FrontierConfig {
         matches!(self, FrontierConfig::Disk { .. })
     }
 
-    /// Bytes buffered per level queue before a segment is spilled:
-    /// `usize::MAX`, never, for [`FrontierConfig::Mem`]. The BFS parent log
-    /// spills past the same watermark.
+    /// Bytes buffered per level before they are spilled: `usize::MAX`,
+    /// never, for [`FrontierConfig::Mem`]. The BFS parent log spills past
+    /// the same watermark.
     pub fn watermark(&self) -> usize {
         match *self {
             FrontierConfig::Mem => usize::MAX,
@@ -149,13 +151,14 @@ impl<T: Encode + Decode> ItemCodec<T> for PlainCodec {
 /// A snapshot of a frontier's counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FrontierStats {
-    /// Peak bytes of records held at once: both level queues plus the
-    /// records a caller popped and has not yet
-    /// [released](Frontier::release) — exact framed bytes.
+    /// Peak bytes of records held at once: both levels plus the records a
+    /// caller popped and has not yet [released](Frontier::release) — exact
+    /// framed bytes.
     pub peak_bytes: usize,
-    /// Total bytes written to the spill file over the run (0 in memory).
+    /// Total bytes written to level files over the run: the spilled records
+    /// (0 in memory) and, in a checkpoint, every sealed level's tail.
     pub spilled_bytes: usize,
-    /// Number of segments written to the spill file (0 in memory).
+    /// Number of times a level's tail was spilled at the watermark.
     pub segments: usize,
 }
 
@@ -183,84 +186,144 @@ pub trait FrontierBackend<T> {
     fn stats(&self) -> FrontierStats;
 }
 
-/// Names spill files uniquely within the process.
-static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-/// A process-private scratch file under [`std::env::temp_dir`], deleted on
-/// drop. I/O errors panic: nothing else writes the file, so they mean a
-/// broken environment (disk full, `TMPDIR` gone).
-#[derive(Debug)]
-pub(crate) struct SpillFile {
-    file: File,
-    path: PathBuf,
-}
-
-impl SpillFile {
-    pub(crate) fn create(prefix: &str) -> Self {
-        let path = std::env::temp_dir().join(format!(
-            "{prefix}-{}-{}.bin",
-            std::process::id(),
-            SPILL_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        let file = OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .read(true)
-            .write(true)
-            .open(&path)
-            .unwrap_or_else(|e| panic!("cannot create spill file {}: {e}", path.display()));
-        SpillFile { file, path }
-    }
-
-    /// Writes `bytes` at `offset` (reads move the cursor, so every access
-    /// seeks).
-    pub(crate) fn write_at(&mut self, offset: u64, bytes: &[u8]) {
-        self.file
-            .seek(SeekFrom::Start(offset))
-            .and_then(|_| self.file.write_all(bytes))
-            .unwrap_or_else(|e| panic!("spill write to {}: {e}", self.path.display()));
-    }
-
-    /// Fills `buf` from `offset`.
-    pub(crate) fn read_at(&mut self, offset: u64, buf: &mut [u8]) {
-        self.file
-            .seek(SeekFrom::Start(offset))
-            .and_then(|_| self.file.read_exact(buf))
-            .unwrap_or_else(|e| panic!("spill read from {}: {e}", self.path.display()));
-    }
-}
-
-impl Drop for SpillFile {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-/// One contiguous run of framed records in the spill file.
-#[derive(Clone, Copy, Debug)]
-struct Segment {
-    offset: u64,
-    len: usize,
-}
-
 /// Bytes of the LEB128 varint of `n`.
 fn varint_len(n: usize) -> usize {
     (usize::BITS - (n | 1).leading_zeros()).div_ceil(7) as usize
 }
 
+/// The payload of the record at the front of `bytes`, if it is whole.
+fn frame(bytes: &[u8]) -> Option<Range<usize>> {
+    let mut rest = bytes;
+    let len = usize::try_from(read_varint(&mut rest).ok()?).ok()?;
+    let start = bytes.len() - rest.len();
+    (len <= rest.len()).then_some(start..start + len)
+}
+
+/// One level: the records spilled to its file, then the RAM tail of those
+/// under the watermark. The next level appends to it; the current one
+/// streams the file back in chunks (a record may straddle two), then the
+/// tail.
+#[derive(Debug, Default)]
+pub(crate) struct Level {
+    /// `level_<k>.front`, opened by the first spill (or by sealing).
+    file: Option<SpillFile>,
+    /// Bytes of records in the file ahead of `tail`, and how many are read.
+    spilled: u64,
+    read: u64,
+    tail: Vec<u8>,
+    /// Records and framed bytes queued.
+    items: usize,
+    bytes: usize,
+    /// Bytes read back; those from `at` on are not yet stepped past.
+    buf: Vec<u8>,
+    at: usize,
+    /// FNV-64 of the file bytes written or read, when a checkpoint asks.
+    hash: Option<Fnv64>,
+}
+
+impl Level {
+    /// Writes the tail after the spilled records, creating the file
+    /// `level_<number>.front` in `dir` first, and returns its length.
+    fn write_tail(&mut self, dir: &RunDir, number: usize) -> usize {
+        let file = self
+            .file
+            .get_or_insert_with(|| dir.create(&level_name(number)));
+        file.write_at(self.spilled, &self.tail);
+        if let Some(hash) = &mut self.hash {
+            hash.write(&self.tail);
+        }
+        self.tail.len()
+    }
+
+    /// Steps past the next record and returns where it lies in `buf`: its
+    /// first byte and its payload; `None` at the end of the level. Fails if
+    /// the level ends inside a record.
+    fn next(
+        &mut self,
+        chunk: usize,
+        trace: &TraceHandle,
+    ) -> Result<Option<(usize, Range<usize>)>, String> {
+        loop {
+            if let Some(payload) = frame(&self.buf[self.at..]) {
+                let start = self.at;
+                self.at += payload.end;
+                return Ok(Some((start, start + payload.start..self.at)));
+            }
+            if self.read < self.spilled {
+                let _io = trace.span(Phase::SpillIo);
+                self.buf.drain(..self.at);
+                self.at = 0;
+                let old = self.buf.len();
+                let n = (self.spilled - self.read).min(chunk as u64) as usize;
+                self.buf.resize(old + n, 0);
+                let file = self.file.as_mut().expect("a spilled level has a file");
+                file.read_at(self.read, &mut self.buf[old..]);
+                if let Some(hash) = &mut self.hash {
+                    hash.write(&self.buf[old..]);
+                }
+                self.read += n as u64;
+            } else if self.at < self.buf.len() {
+                let left = self.buf.len() - self.at;
+                return Err(format!(
+                    "the level ends inside a record ({left} bytes left)"
+                ));
+            } else if self.tail.is_empty() {
+                return Ok(None);
+            } else {
+                self.buf = std::mem::take(&mut self.tail);
+                self.at = 0;
+            }
+        }
+    }
+}
+
+/// Streams the file of `level` that `manifest` records, checking its
+/// length before anything is read and its item count and checksum after,
+/// and hands every record's payload to `each`. Returns the level, unread.
+pub(crate) fn scan_level(
+    dir: &RunDir,
+    manifest: &Manifest,
+    level: usize,
+    each: &mut dyn FnMut(&[u8]),
+) -> Result<Level, CheckpointError> {
+    let name = level_name(level);
+    let corrupt = |msg: String| CheckpointError::Corrupt(format!("{name}: {msg}"));
+    let meta = manifest
+        .file(&name)
+        .ok_or_else(|| corrupt("no record".into()))?;
+    let file = dir.open(&name)?;
+    meta.check_len(&file)?;
+    let (spilled, items, bytes) = (meta.bytes, meta.items, meta.bytes as usize);
+    let hash = Some(Fnv64::new());
+    let mut scan = Level {
+        file: Some(file),
+        spilled,
+        hash,
+        ..Level::default()
+    };
+    let (mut found, trace) = (0, TraceHandle::disabled());
+    while let Some((_, payload)) = scan
+        .next(DEFAULT_FRONTIER_WATERMARK, &trace)
+        .map_err(corrupt)?
+    {
+        each(&scan.buf[payload]);
+        found += 1;
+    }
+    meta.check(found, scan.hash.map_or(0, |h| h.finish()))?;
+    Ok(Level {
+        file: scan.file,
+        spilled,
+        items,
+        bytes,
+        ..Level::default()
+    })
+}
+
 /// The BFS frontier. See the module docs for the layout: the write path
-/// appends framed records to a buffer that is spilled as one segment when
-/// the next record would take it past the watermark, the read path streams
-/// segments back in write order, so FIFO order is preserved exactly. A
-/// segment is larger than the watermark only when it holds a single record
-/// that is.
-///
-/// Two spill files alternate, one per live level: the next level's
-/// segments are written to one file while the current level's are read
-/// from the other, and [`advance_level`](Frontier::advance_level) swaps
-/// their roles and truncates the fully-consumed one — so disk usage stays
-/// bounded by the two live levels no matter how many levels the run spills
-/// in total. Both are opened by the first spilled segment.
+/// appends framed records to the next level's tail, which is spilled to the
+/// level's file when the next record would take it past the watermark; the
+/// read path streams the file back and then the tail, so FIFO order is
+/// preserved exactly.
 ///
 /// `T` and `C` type the [`FrontierBackend`] interface; the record interface
 /// ([`push_record`](Frontier::push_record),
@@ -269,33 +332,22 @@ fn varint_len(n: usize) -> usize {
 ///
 /// # Panics
 ///
-/// I/O errors on the spill files and malformed records panic: the spill
-/// files are process-private scratch space, so either indicates a broken
+/// I/O errors on the level files and malformed records panic: the files
+/// are written by this process alone, so either indicates a broken
 /// environment (disk full) or a codec bug, and the engines have no partial
 /// verdict to salvage.
 #[derive(Debug)]
 pub struct Frontier<T = (), C = PlainCodec> {
     codec: C,
     watermark: usize,
-    /// The two alternating spill files; `files[write_file]` receives the
-    /// next level's segments, the other one holds the current level's.
-    files: Option<[SpillFile; 2]>,
-    write_file: usize,
-    write_len: u64,
-    // The next level, being written: records buffered until the watermark,
-    // then spilled as one segment.
-    next_buf: Vec<u8>,
-    next_segments: Vec<Segment>,
-    next_items: usize,
-    next_bytes: usize,
-    // The current level, being read: pending on-disk segments, then the
-    // in-memory tail that never reached the watermark.
-    cur_chunk: Vec<u8>,
-    cur_pos: usize,
-    cur_segments: VecDeque<Segment>,
-    cur_tail: Vec<u8>,
-    cur_items: usize,
-    cur_bytes: usize,
+    /// The level being written, its number (the levels promoted so far),
+    /// and the level being read.
+    next: Level,
+    number: usize,
+    cur: Level,
+    /// Declared after the levels, so their files close before a scratch
+    /// directory is removed.
+    dir: RunDir,
     /// Bytes popped by `pop_records` and not yet released.
     lent: usize,
     /// The typed `push` encodes here before framing.
@@ -310,19 +362,10 @@ impl<T, C> Frontier<T, C> {
         Frontier {
             codec,
             watermark: watermark.max(1),
-            files: None,
-            write_file: 0,
-            write_len: 0,
-            next_buf: Vec::new(),
-            next_segments: Vec::new(),
-            next_items: 0,
-            next_bytes: 0,
-            cur_chunk: Vec::new(),
-            cur_pos: 0,
-            cur_segments: VecDeque::new(),
-            cur_tail: Vec::new(),
-            cur_items: 0,
-            cur_bytes: 0,
+            next: Level::default(),
+            number: 0,
+            cur: Level::default(),
+            dir: RunDir::scratch(),
             lent: 0,
             scratch: Vec::new(),
             stats: FrontierStats::default(),
@@ -331,18 +374,62 @@ impl<T, C> Frontier<T, C> {
         }
     }
 
+    /// Keeps every level file, from the next one on, in the checkpoint
+    /// directory `dir` and checksums them for
+    /// [`seal_level`](Frontier::seal_level). Call it on a fresh frontier.
+    pub fn keep_levels_in(&mut self, dir: &Path) {
+        self.dir = RunDir::kept(dir);
+        self.next.hash = Some(Fnv64::new());
+    }
+
+    /// Reopens the levels of the checkpoint in `dir` on a fresh frontier:
+    /// streams each committed level file once, checking it against
+    /// `manifest`, and hands every record's payload to `each` (the engines
+    /// rebuild their visited set from them). The last committed level's
+    /// file then becomes the next level as it is, and later levels are
+    /// written into `dir` as under [`keep_levels_in`](Frontier::keep_levels_in).
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Corrupt`] when a level file is shorter than its
+    /// record, fails its checksum or item count, or ends inside a record;
+    /// [`CheckpointError::Io`] when one cannot be opened.
+    pub fn resume(
+        &mut self,
+        dir: &Path,
+        manifest: &Manifest,
+        mut each: impl FnMut(&[u8]),
+    ) -> Result<(), CheckpointError> {
+        self.dir = RunDir::kept(dir);
+        // Every level is scanned; the last one scanned stays the next level.
+        for level in 0..=manifest.level {
+            self.next = scan_level(&self.dir, manifest, level, &mut each)?;
+        }
+        self.number = manifest.level;
+        self.stats.peak_bytes = self.stats.peak_bytes.max(self.next.bytes);
+        Ok(())
+    }
+
     /// Enqueues one record, `varint(payload.len()) payload`, into the next
     /// level.
     pub fn push_record(&mut self, payload: &[u8]) {
         let framed = varint_len(payload.len()) + payload.len();
-        if !self.next_buf.is_empty() && self.next_buf.len() + framed > self.watermark {
-            self.flush_next_buf();
+        let next = &mut self.next;
+        if !next.tail.is_empty() && next.tail.len() + framed > self.watermark {
+            let _io = self.trace.span(Phase::SpillIo);
+            let spilled = next.write_tail(&self.dir, self.number);
+            self.trace
+                .record(Histogram::SpillSegmentBytes, spilled as u64);
+            self.stats.spilled_bytes += spilled;
+            self.stats.segments += 1;
+            next.spilled += spilled as u64;
+            next.tail.clear();
         }
-        write_varint(payload.len() as u64, &mut self.next_buf);
-        self.next_buf.extend_from_slice(payload);
-        self.next_items += 1;
-        self.next_bytes += framed;
-        let held = self.cur_bytes + self.next_bytes + self.lent;
+        write_varint(payload.len() as u64, &mut next.tail);
+        next.tail.extend_from_slice(payload);
+        next.items += 1;
+        next.bytes += framed;
+        let held = self.cur.bytes + next.bytes + self.lent;
         self.stats.peak_bytes = self.stats.peak_bytes.max(held);
     }
 
@@ -356,7 +443,7 @@ impl<T, C> Frontier<T, C> {
             let Some((start, payload)) = self.next_record() else {
                 break;
             };
-            out.extend_from_slice(&self.cur_chunk[start..payload.end]);
+            out.extend_from_slice(&self.cur.buf[start..payload.end]);
             self.lent += payload.end - start;
             popped += 1;
         }
@@ -369,32 +456,45 @@ impl<T, C> Frontier<T, C> {
         self.lent -= bytes;
     }
 
+    /// Seals the next level in the checkpoint directory: writes its tail
+    /// after the spilled records, fsyncs the file, and returns its record
+    /// for the manifest. The tail stays in RAM as the level's read cache.
+    pub fn seal_level(&mut self) -> FileMeta {
+        let _io = self.trace.span(Phase::SpillIo);
+        let next = &mut self.next;
+        let tail = next.write_tail(&self.dir, self.number);
+        self.stats.spilled_bytes += tail;
+        next.file
+            .as_ref()
+            .expect("write_tail opens the file")
+            .sync();
+        FileMeta {
+            name: level_name(self.number),
+            items: next.items,
+            bytes: next.spilled + tail as u64,
+            fnv: next.hash.map_or(0, |h| h.finish()),
+        }
+    }
+
     /// Promotes the next level to current and returns its record count.
+    /// The consumed level's file is deleted, unless a checkpoint keeps it.
     ///
     /// # Panics
     ///
     /// Panics if the current level has not been fully dequeued.
     pub fn advance_level(&mut self) -> usize {
+        let queued = self.cur.items;
         assert!(
-            self.cur_items == 0,
-            "advance_level with {} items still queued in the current level",
-            self.cur_items
+            queued == 0,
+            "advance_level with {queued} items still queued in the current level"
         );
-        // Swap the two spill files: the one just written becomes the read
-        // side, and the fully-consumed old read file is truncated and
-        // becomes the write side — disk stays bounded by two live levels.
-        self.write_file = 1 - self.write_file;
-        self.write_len = 0;
-        if let Some(files) = &mut self.files {
-            let _ = files[self.write_file].file.set_len(0);
-        }
-        self.cur_segments = std::mem::take(&mut self.next_segments).into();
-        self.cur_tail = std::mem::take(&mut self.next_buf);
-        self.cur_chunk.clear();
-        self.cur_pos = 0;
-        self.cur_items = std::mem::take(&mut self.next_items);
-        self.cur_bytes = std::mem::take(&mut self.next_bytes);
-        self.cur_items
+        let mut buf = std::mem::take(&mut self.cur.buf);
+        buf.clear();
+        self.cur = std::mem::take(&mut self.next);
+        (self.cur.buf, self.cur.hash) = (buf, None);
+        self.next.hash = self.dir.keep.then(Fnv64::new);
+        self.number += 1;
+        self.cur.items
     }
 
     /// Snapshot of the counters.
@@ -415,64 +515,22 @@ impl<T, C> Frontier<T, C> {
     /// Attaches a run's [`TraceHandle`]: spill I/O is timed under
     /// [`Phase::SpillIo`], typed pushes and pops under
     /// [`Phase::FrontierEncode`] / [`Phase::FrontierDecode`], and spilled
-    /// segment sizes are recorded.
+    /// tail sizes are recorded.
     pub fn set_trace(&mut self, trace: TraceHandle) {
         self.trace = trace;
     }
 
-    fn flush_next_buf(&mut self) {
-        let _io = self.trace.span(Phase::SpillIo);
-        self.trace
-            .record(Histogram::SpillSegmentBytes, self.next_buf.len() as u64);
-        let files = self
-            .files
-            .get_or_insert_with(|| [(); 2].map(|()| SpillFile::create("mp-frontier")));
-        files[self.write_file].write_at(self.write_len, &self.next_buf);
-        self.next_segments.push(Segment {
-            offset: self.write_len,
-            len: self.next_buf.len(),
-        });
-        self.write_len += self.next_buf.len() as u64;
-        self.stats.spilled_bytes += self.next_buf.len();
-        self.stats.segments += 1;
-        self.next_buf.clear();
-    }
-
-    /// Makes the next segment (or the in-memory tail) of the current level
-    /// the chunk being read; `false` when the level has nothing left.
-    fn refill_chunk(&mut self) -> bool {
-        if let Some(segment) = self.cur_segments.pop_front() {
-            let _io = self.trace.span(Phase::SpillIo);
-            self.cur_chunk.resize(segment.len, 0);
-            let files = self.files.as_mut().expect("a spilled segment has a file");
-            files[1 - self.write_file].read_at(segment.offset, &mut self.cur_chunk);
-        } else if !self.cur_tail.is_empty() {
-            self.cur_chunk = std::mem::take(&mut self.cur_tail);
-        } else {
-            return false;
-        }
-        self.cur_pos = 0;
-        true
-    }
-
     /// Steps past the next record of the current level and returns where it
-    /// lies in the chunk being read: its first byte and its payload.
+    /// lies in the read buffer: its first byte and its payload.
     fn next_record(&mut self) -> Option<(usize, Range<usize>)> {
-        if self.cur_pos == self.cur_chunk.len() && !self.refill_chunk() {
-            return None;
-        }
-        let start = self.cur_pos;
-        let mut rest = &self.cur_chunk[start..];
-        let len = read_varint(&mut rest)
-            .ok()
-            .and_then(|len| usize::try_from(len).ok())
-            .filter(|&len| len <= rest.len())
-            .unwrap_or_else(|| panic!("corrupted frontier record at byte {start} of a segment"));
-        let payload = self.cur_chunk.len() - rest.len();
-        self.cur_pos = payload + len;
-        self.cur_items -= 1;
-        self.cur_bytes -= self.cur_pos - start;
-        Some((start, payload..self.cur_pos))
+        let chunk = self.watermark.min(DEFAULT_FRONTIER_WATERMARK);
+        let (start, payload) = self
+            .cur
+            .next(chunk, &self.trace)
+            .unwrap_or_else(|e| panic!("corrupted frontier level: {e}"))?;
+        self.cur.items -= 1;
+        self.cur.bytes -= payload.end - start;
+        Some((start, payload))
     }
 }
 
@@ -493,7 +551,7 @@ impl<T, C: ItemCodec<T>> FrontierBackend<T> for Frontier<T, C> {
         let _span = self.trace.span(Phase::FrontierDecode);
         let item = self
             .codec
-            .decode_item(&mut &self.cur_chunk[payload])
+            .decode_item(&mut &self.cur.buf[payload])
             .unwrap_or_else(|e| panic!("corrupted frontier record: {e}"));
         Some(item)
     }
@@ -596,9 +654,9 @@ mod tests {
 
     #[test]
     fn spill_files_stay_bounded_by_two_live_levels() {
-        // Every level spills (watermark far below the level size); the two
-        // alternating files must keep on-disk bytes bounded by the two
-        // live levels even though the cumulative spill keeps growing.
+        // Every level spills (watermark far below the level size); deleting
+        // each consumed level's file must keep on-disk bytes bounded by the
+        // two live levels even though the cumulative spill keeps growing.
         let mut disk = Frontier::<Item, _>::new(64, PlainCodec);
         let mut resident_peak = 0u64;
         for level in 0..10 {
@@ -607,12 +665,9 @@ mod tests {
             }
             assert_eq!(disk.advance_level(), 50, "level {level}");
             while disk.pop().is_some() {}
-            let resident: u64 = disk
-                .files
-                .iter()
-                .flatten()
-                .filter_map(|f| std::fs::metadata(&f.path).ok())
-                .map(|m| m.len())
+            let resident: u64 = std::fs::read_dir(&disk.dir.path)
+                .unwrap()
+                .map(|entry| entry.unwrap().metadata().unwrap().len())
                 .sum();
             resident_peak = resident_peak.max(resident);
         }
@@ -636,7 +691,7 @@ mod tests {
         }
         assert_eq!(mem.stats().segments, 0);
         assert_eq!(mem.stats().spilled_bytes, 0);
-        assert!(mem.files.is_none(), "no spill file was opened");
+        assert!(!mem.dir.path.exists(), "no spill file was opened");
     }
 
     #[test]
@@ -647,8 +702,8 @@ mod tests {
         disk.push_record(&long);
         disk.push_record(b"cd");
         // "ab" alone, then the long record alone; "cd" is the unspilled tail.
-        let lens: Vec<usize> = disk.next_segments.iter().map(|s| s.len).collect();
-        assert_eq!(lens, [3, 41]);
+        assert_eq!(disk.stats().segments, 2);
+        assert_eq!((disk.next.spilled, disk.next.tail.len()), (3 + 41, 3));
         assert_eq!(disk.advance_level(), 3);
         let mut out = Vec::new();
         assert_eq!(disk.pop_records(8, &mut out), 3);

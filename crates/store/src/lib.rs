@@ -89,24 +89,27 @@
 //! alive at once). [`Frontier`] queues each state as one framed byte record
 //! — in the BFS engines the exact bytes the visited store was probed with —
 //! and [`FrontierConfig`] sets its watermark: unbounded for the in-memory
-//! default, or a size past which records are spilled to a temporary file
-//! in segments and read back level by level. The order is strictly FIFO
-//! either way, so spill-on and spill-off runs explore identically.
-//! [`ParentLog`] keeps the BFS parent-pointer table as fixed-width records
-//! under the same watermark, so counterexample paths stay reconstructible.
+//! default, or a size past which a level's records are appended to that
+//! level's file, one file per level, and read back front to back. The order
+//! is strictly FIFO either way, so spill-on and spill-off runs explore
+//! identically. [`ParentLog`] keeps the BFS parent-pointer table as
+//! fixed-width records under the same watermark, so counterexample paths
+//! stay reconstructible.
 //!
 //! ## Checkpoint/resume
 //!
-//! Long sweeps survive being killed: the BFS engines can persist every
-//! completed level (frontier entries, parent records, counters) through a
-//! [`CheckpointWriter`] and resume from the [`Manifest`] at the last
-//! committed level, producing byte-identical verdicts and statistics. All
-//! persisted byte layouts are specified in `docs/ON_DISK_FORMATS.md`.
+//! Long sweeps survive being killed. A checkpointed run keeps its level
+//! files and `parents.log` in the checkpoint directory — one copy of the
+//! run's files — and at every completed level seals them and commits a
+//! [`Manifest`] naming their valid prefixes, the counters and the run's
+//! identity; resume reopens the same files at the last committed level,
+//! producing byte-identical verdicts and statistics. All persisted byte
+//! layouts are specified in `docs/ON_DISK_FORMATS.md`.
 //!
 //! ```
 //! use mp_store::{FrontierBackend, FrontierConfig, PlainCodec};
 //!
-//! // A 1-byte watermark forces a spill segment per pushed state.
+//! // A 1-byte watermark spills the tail at every pushed state.
 //! let config = FrontierConfig::disk_with_watermark(1);
 //! let mut frontier = config.build::<(u32, Vec<u8>), _>(PlainCodec);
 //! for i in 0..10 {
@@ -124,6 +127,7 @@
 mod backend;
 mod checkpoint;
 mod config;
+mod files;
 mod fptable;
 mod frontier;
 mod hash;
@@ -133,8 +137,7 @@ mod table;
 
 pub use backend::{canonical_label, Inserted, StateStoreBackend, StoreStats};
 pub use checkpoint::{
-    manifest_exists, CheckpointConfig, CheckpointError, CheckpointWriter, FileMeta, Manifest,
-    CHECKPOINT_VERSION,
+    manifest_exists, CheckpointConfig, CheckpointError, FileMeta, Manifest, CHECKPOINT_VERSION,
 };
 pub use config::{StoreConfig, StoreImpl, DEFAULT_SHARDS};
 pub use frontier::{

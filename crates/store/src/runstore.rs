@@ -51,8 +51,8 @@ use std::sync::{Mutex, MutexGuard};
 use mp_model::{read_varint, write_varint, Encode};
 
 use crate::backend::{birthday_bound, Inserted, StateStoreBackend, StoreStats};
+use crate::files::SpillFile;
 use crate::fptable::FpTable;
-use crate::frontier::SpillFile;
 use crate::hash::{hash_bytes, K0};
 
 /// Default run-flush watermark: fingerprints buffered in RAM before a

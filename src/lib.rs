@@ -15,7 +15,7 @@
 //! * [`store`] (`mp-store`) — pluggable visited-state backends (exact,
 //!   sharded lock-striped concurrent, hash-compaction fingerprints, each
 //!   optionally behind canonical-key insertion) and spillable BFS
-//!   frontiers (in-memory or disk-backed segmented);
+//!   frontiers (in-memory, or one file per level on disk);
 //! * [`symmetry`] (`mp-symmetry`) — process-symmetry (orbit) reduction:
 //!   validated role permutation groups and the canonicalization every
 //!   engine applies at store-insertion time;

@@ -14,11 +14,15 @@
 //! * resuming a *completed* run is a no-op that reproduces the final
 //!   verdict and counters,
 //! * a level file holds each entry as `encode((node, δ, state, observer))`,
-//!   byte for byte, and
+//!   byte for byte,
+//! * the checkpoint is the run's own files, written once: the frontier's
+//!   spilled bytes are the level files plus `parents.log`, and a resume
+//!   truncates `parents.log` and rewrites the partial level a kill left,
+//!   and
 //! * resume **refuses** manifests from a different configuration, a
-//!   corrupted manifest, a tampered level file, and every other format
-//!   version, the retired v1 included (the versioning policy of
-//!   `docs/ON_DISK_FORMATS.md`).
+//!   corrupted manifest, a tampered or overstated level file or parent
+//!   log, and every other format version, the retired v1 and v2 included
+//!   (the versioning policy of `docs/ON_DISK_FORMATS.md`).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -267,8 +271,8 @@ fn resuming_a_completed_run_reproduces_its_result() {
 fn level_files_hold_each_entry_as_its_encoded_tuple() {
     // An unreduced sequential run: level 1 is the root's successors in
     // explore order, nodes 1, 2, …, and with symmetry off every δ is 0.
-    // These are the bytes format v2 has always written, now copied
-    // unchanged from the frontier record.
+    // These are the bytes format v2 has always written, now the frontier
+    // records themselves.
     // Two proposers: two root successors. The state limit stops the run
     // after level 1 was committed.
     let setting = PaxosSetting::new(2, 3, 1);
@@ -297,7 +301,7 @@ fn level_files_hold_each_entry_as_its_encoded_tuple() {
         manifest.read_level(&dir, 0).unwrap(),
         [encode_to_vec(&(0usize, 0usize, root, NullObserver))]
     );
-    assert_eq!(mp_basset::store::CHECKPOINT_VERSION, 2);
+    assert_eq!(mp_basset::store::CHECKPOINT_VERSION, 3);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -398,6 +402,37 @@ fn a_tampered_level_file_is_refused() {
     run_plain_cell(&dir, None);
 }
 
+/// Rewrites the manifest's record of `file` to `items bytes` and resumes.
+fn resume_with_overstated(file: &str, items: usize, bytes: u64) {
+    let dir = temp_dir("overstated");
+    seed_checkpoint(&dir);
+    let manifest = dir.join("MANIFEST");
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    let prefix = format!("file {file} ");
+    let line = text.lines().find(|l| l.starts_with(&prefix)).unwrap();
+    let fnv = line.rsplit(' ').next().unwrap();
+    let overstated = format!("{prefix}{items} {bytes} {fnv}");
+    std::fs::write(&manifest, text.replace(line, &overstated)).unwrap();
+    run_plain_cell(&dir, None);
+}
+
+#[test]
+#[should_panic(
+    expected = "corrupt checkpoint: level_0.front: 34 bytes, shorter than the \
+                           1099511627776 bytes the manifest records"
+)]
+fn an_overstated_level_file_is_refused_before_any_allocation() {
+    // A terabyte recorded for the root level's 34 bytes is a named
+    // refusal, not an allocation of a terabyte.
+    resume_with_overstated("level_0.front", 1, 1 << 40);
+}
+
+#[test]
+#[should_panic(expected = "corrupt checkpoint: parents.log: ")]
+fn an_overstated_parent_log_is_refused_before_any_allocation() {
+    resume_with_overstated("parents.log", 1 << 37, 1 << 40);
+}
+
 /// Rewrites the version in the header of `dir`'s manifest and resumes.
 fn resume_under_manifest_version(tag: &str, version: u32) {
     let dir = temp_dir(tag);
@@ -418,15 +453,97 @@ fn resume_under_manifest_version(tag: &str, version: u32) {
 }
 
 #[test]
-#[should_panic(expected = "checkpoint mismatch: manifest version 3, this build reads 2")]
+#[should_panic(expected = "checkpoint mismatch: manifest version 4, this build reads 3")]
 fn a_future_manifest_version_is_refused() {
-    resume_under_manifest_version("version", 3);
+    resume_under_manifest_version("version", 4);
 }
 
 #[test]
-#[should_panic(expected = "checkpoint mismatch: manifest version 1, this build reads 2")]
+#[should_panic(expected = "checkpoint mismatch: manifest version 2, this build reads 3")]
+fn a_version_2_manifest_is_refused() {
+    // v2 `parents.log` framed each 8-byte record with `varint(len)`; v3
+    // records are unframed, so the directory is refused whole.
+    resume_under_manifest_version("version-2", 2);
+}
+
+#[test]
+#[should_panic(expected = "checkpoint mismatch: manifest version 1, this build reads 3")]
 fn a_version_1_manifest_is_refused() {
     // v1 `parents.log` records held codec-encoded transition instances;
     // they are not parent-log records, so the directory is refused whole.
     resume_under_manifest_version("version-1", 1);
+}
+
+// ---------------------------------------------------------------------------
+// (f) The checkpoint is the run's own files, written once.
+// ---------------------------------------------------------------------------
+
+/// Data bytes of the checkpoint in `dir`: its level files and `parents.log`.
+fn data_bytes(dir: &PathBuf) -> u64 {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap())
+        .filter(|entry| entry.file_name() != "MANIFEST")
+        .map(|entry| entry.metadata().unwrap().len())
+        .sum()
+}
+
+#[test]
+fn a_checkpointed_spill_writes_each_byte_once() {
+    for mode in &modes() {
+        let dir = temp_dir("once");
+        let frontier = FrontierConfig::disk_with_watermark(64);
+        let checkpoint = Some(CheckpointConfig::new(&dir));
+        let report = run_crash_cell(mode, false, frontier, None, checkpoint, None);
+        assert!(report.verdict.is_verified());
+        let spilled = report.stats.frontier_spilled_bytes as u64;
+        assert_eq!(spilled, data_bytes(&dir), "{}", mode.strategy);
+        let uncheckpointed = run_crash_cell(mode, false, frontier, None, None, None);
+        assert!(uncheckpointed.stats.frontier_spilled_bytes > 0);
+        assert!(uncheckpointed.stats.frontier_spilled_bytes as u64 <= spilled);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn resume_truncates_the_parent_log_and_rewrites_the_partial_level() {
+    let frontier = FrontierConfig::disk_with_watermark(64);
+    let mode = CheckerConfig::stateful_bfs();
+    let whole = temp_dir("whole");
+    let checkpoint = |dir: &PathBuf| Some(CheckpointConfig::new(dir));
+    run_crash_cell(&mode, false, frontier, None, checkpoint(&whole), None);
+
+    // The state limit stops the run inside a level: its file and
+    // `parents.log` hold records no manifest names.
+    let killed = temp_dir("killed");
+    let interrupted = run_crash_cell(&mode, false, frontier, None, checkpoint(&killed), Some(30));
+    assert!(matches!(interrupted.verdict, Verdict::LimitReached { .. }));
+    let manifest = Manifest::load(&killed).unwrap();
+    let partial = killed.join(format!("level_{}.front", manifest.level + 1));
+    assert!(partial.exists(), "the watermark spilled the partial level");
+    let parents = manifest.file("parents.log").unwrap().bytes;
+    let on_disk = |name: &str| std::fs::metadata(killed.join(name)).unwrap().len();
+    assert!(
+        on_disk("parents.log") > parents,
+        "uncommitted parent records"
+    );
+
+    let resumed = run_crash_cell(&mode, false, frontier, None, checkpoint(&killed), None);
+    assert!(resumed.verdict.is_verified());
+    // Every file of the resumed checkpoint is the uninterrupted run's.
+    let names = |dir: &PathBuf| {
+        let mut names: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        names.sort();
+        names
+    };
+    assert_eq!(names(&whole), names(&killed));
+    for name in names(&whole) {
+        let read = |dir: &PathBuf| std::fs::read(dir.join(&name)).unwrap();
+        assert!(read(&whole) == read(&killed), "{name:?} differs");
+    }
+    let _ = std::fs::remove_dir_all(&whole);
+    let _ = std::fs::remove_dir_all(&killed);
 }
