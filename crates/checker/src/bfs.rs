@@ -112,9 +112,8 @@ fn decode_record<S: LocalState, M: Message, O: Observer<S, M>>(
 struct Violation<S, M: Ord> {
     /// The node being expanded.
     node: usize,
-    /// The violating successor's ordinal; a deadlock has none — the
-    /// expanded state itself violates.
-    ordinal: Option<usize>,
+    /// The violating successor's ordinal.
+    ordinal: usize,
     reason: String,
     state: GlobalState<S, M>,
 }
@@ -160,7 +159,10 @@ where
     /// Decodes and expands the records of one chunk in order. Per
     /// successor: execute, update the observer, canonicalize, encode the
     /// store key, insert it, and — on a first visit only — evaluate the
-    /// property and keep the encoding for the frontier.
+    /// property (and, when asked, report a successor with nothing enabled
+    /// as a deadlock) and keep the encoding for the frontier. Judging both
+    /// where a state is generated keeps a deadlock's path as short as an
+    /// invariant violation's.
     fn expand_chunk(&self, chunk: Vec<u8>) -> Expanded<S, M> {
         let (spec, trace) = (self.spec, &self.trace);
         let mut out = Expanded {
@@ -200,15 +202,6 @@ where
                 let _span = trace.span(Phase::Expansion);
                 enabled_instances(spec, &state)
             };
-            if self.check_deadlocks && all.is_empty() {
-                out.violation = Some(Violation {
-                    node,
-                    ordinal: None,
-                    reason: "deadlock: no transition enabled".to_string(),
-                    state,
-                });
-                return out;
-            }
             let reduction = self.reducer.reduce_traced(spec, &state, all, trace);
             out.reduced += usize::from(reduction.reduced);
 
@@ -253,12 +246,20 @@ where
                     out.revisits += 1;
                     continue;
                 }
-                if let PropertyStatus::Violated(reason) =
-                    self.property.evaluate(&concrete.0, &concrete.1)
-                {
+                let reason = match self.property.evaluate(&concrete.0, &concrete.1) {
+                    PropertyStatus::Violated(reason) => Some(reason),
+                    PropertyStatus::Holds if self.check_deadlocks => {
+                        let _span = trace.span(Phase::Expansion);
+                        enabled_instances(spec, &concrete.0)
+                            .is_empty()
+                            .then(|| "deadlock: no transition enabled".to_string())
+                    }
+                    PropertyStatus::Holds => None,
+                };
+                if let Some(reason) = reason {
                     out.violation = Some(Violation {
                         node,
-                        ordinal: Some(ordinal),
+                        ordinal,
                         reason,
                         state: concrete.0,
                     });
@@ -382,16 +383,14 @@ where
         let Some(violation) = out.violation else {
             return Ok(());
         };
-        if violation.ordinal.is_some() {
-            // The violating successor was stored, though never enqueued.
-            self.stats.states += 1;
-            self.trace.add(Counter::States, 1);
-        }
+        // The violating successor was stored, though never enqueued.
+        self.stats.states += 1;
+        self.trace.add(Counter::States, 1);
         let mut ordinals = self
             .nodes
             .ordinals_to(violation.node)
             .unwrap_or_else(|e| panic!("{e}"));
-        ordinals.extend(violation.ordinal);
+        ordinals.push(violation.ordinal);
         let Violation { reason, state, .. } = violation;
         let path =
             replay(self.spec, self.reducer, &ordinals, &state).unwrap_or_else(|e| panic!("{e}"));
@@ -639,8 +638,13 @@ where
         checkpoint => {
             let initial = spec.initial_state();
             let initial_observer = initial_observer.clone();
-            if let PropertyStatus::Violated(reason) = property.evaluate(&initial, &initial_observer)
-            {
+            let violated = match property.evaluate(&initial, &initial_observer) {
+                PropertyStatus::Violated(reason) => Some(reason),
+                PropertyStatus::Holds => (config.check_deadlocks
+                    && enabled_instances(spec, &initial).is_empty())
+                .then(|| "deadlock in the initial state".to_string()),
+            };
+            if let Some(reason) = violated {
                 search.stats.states = 1;
                 trace.add(Counter::States, 1);
                 let cx = Counterexample::new(spec, property.name(), reason, &[], &initial);

@@ -34,9 +34,10 @@
 //! connected components at the end.
 //!
 //! **Dynamic POR** is a hook of the invariant check under the nothing
-//! memory. [`DporSeed`] explores a frame's first enabled instance and prunes
-//! the rest, so a frame's unexplored instances are DPOR's backtrack set
-//! minus its done set; a race schedules one of the pruned ones.
+//! memory. [`DporSeed`] explores every enabled instance of a frame's first
+//! enabled process and prunes the rest, so a frame's unexplored instances
+//! are DPOR's backtrack set minus its done set; a race schedules one of the
+//! pruned ones.
 //!
 //! **Identity.** The store hands back the 64-bit fingerprint it computed
 //! for the insert and its own token for the key

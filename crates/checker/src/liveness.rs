@@ -204,6 +204,9 @@ struct Lasso<'a, S, M: Ord, O> {
     property: &'a Property<S, M, O>,
     initial_observer: &'a O,
     symmetry: &'a Arc<dyn Symmetry<S, M, O>>,
+    /// The search keys states by their canonical orbit representatives:
+    /// `symmetry` is non-trivial and this is not the symmetry-free re-run.
+    quotient: bool,
     /// The visited store keeps whole keys ([`mp_store::StoreConfig::is_exact`]).
     exact_store: bool,
     /// The pending subgraph for the SCC backstop — none under the path
@@ -364,13 +367,14 @@ where
             // The path memory met every elementary cycle on the stack.
             return End::Verified;
         };
-        if !self.symmetry.is_trivial() {
+        if self.quotient {
             // Under symmetry the recorded per-node enabled sets mix orbit
             // members, so the SCC fairness test is not exact on the
             // quotient; fall back to the symmetry-free search when (and only
             // when) a cycle candidate exists at all.
             if graph.has_cycle_candidate() {
                 return End::ExactRerun(Lasso {
+                    quotient: false,
                     graph: Some(PendingGraph::default()),
                     ..*self
                 });
@@ -415,6 +419,7 @@ where
         property,
         initial_observer,
         symmetry,
+        quotient: !symmetry.is_trivial(),
         exact_store: config.store.is_exact(),
         graph: Some(PendingGraph::default()),
     };
@@ -453,6 +458,7 @@ where
         property,
         initial_observer,
         symmetry: &no_symmetry,
+        quotient: false,
         exact_store: false,
         graph: None,
     };

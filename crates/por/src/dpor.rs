@@ -6,9 +6,11 @@
 //! has met; DPOR is a hook of its invariant check, called after each
 //! execution. This module provides the ingredients it needs:
 //!
-//! * [`DporSeed`] — the reducer a DPOR frame starts from: its first enabled
-//!   instance is explored, the rest wait, pruned, until a race schedules
-//!   one of them;
+//! * [`DporSeed`] — the reducer a DPOR frame starts from: every enabled
+//!   instance of the first enabled instance's process is explored (a
+//!   process is Flanagan–Godefroid's backtrack unit, and a race only ever
+//!   schedules instances of *another* process), the rest wait, pruned,
+//!   until a race schedules one of them;
 //! * [`instances_dependent`] — the dependence check between two *concrete*
 //!   transition instances (the dynamic analogue of the static relation in
 //!   [`crate::IndependenceRelation`]);
@@ -27,9 +29,12 @@ use mp_model::{
 
 use crate::{Reducer, Reduction};
 
-/// The seed of DPOR's reduction: a state's first enabled instance is
-/// explored, the others stay pruned until a race schedules them (the
-/// backtrack set of Flanagan–Godefroid starts as one instance).
+/// The seed of DPOR's reduction: the enabled instances of the first
+/// enabled instance's process are explored, in enabled-list order, the
+/// others stay pruned until a race schedules them (the backtrack set of
+/// Flanagan–Godefroid starts as one process). A race schedules another
+/// process, so a process's choice between its own instances — two local
+/// moves, or one transition over different messages — is made here.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DporSeed;
 
@@ -40,7 +45,10 @@ impl<S: LocalState, M: Message> Reducer<S, M> for DporSeed {
         _state: &GlobalState<S, M>,
         mut instances: Vec<TransitionInstance<M>>,
     ) -> Reduction<M> {
-        let pruned = instances.split_off(instances.len().min(1));
+        let process = instances.first().map(|i| i.process);
+        let others = instances.iter().filter(|i| Some(i.process) != process);
+        let mut pruned = Vec::with_capacity(others.count());
+        pruned.extend(instances.extract_if(.., |i| Some(i.process) != process));
         // Every state with something enabled counts as reduced, even with
         // nothing pruned: which instances run there is DPOR's to decide.
         Reduction {

@@ -36,9 +36,10 @@ use crate::RoleMap;
 /// states. It cannot inspect guard/effect closures, so declaring a role
 /// asserts that the members' transition *semantics* are interchangeable too
 /// (which holds for roles built in a loop over the role's processes, the
-/// construction every bundled protocol uses). The soundness tests in
-/// `tests/symmetry.rs` check the declarations shipped with `mp-protocols`
-/// by comparing reduced and unreduced verdicts.
+/// construction every bundled protocol uses). The differential driver,
+/// `tests/differential.rs`, checks the declarations shipped with
+/// `mp-protocols` by judging reduced verdicts against unreduced ground
+/// truth.
 ///
 /// The elements are never listed. The blocks' members stand in a row,
 /// block after block; an element `π` is described by its *arrangement* `τ`

@@ -1,90 +1,23 @@
-//! Integration tests for the `mp-faults` subsystem: store-backend
-//! agreement on fault-augmented models, exact zero-budget equivalence with
-//! the seed models, and deterministic-PRNG property tests showing the
-//! fault wrapper never *removes* behaviours — every unfaulted trace is
-//! still executable under an all-zero budget (and under any budget, since
-//! budgets only gate the environment's extra transitions).
+//! Integration tests for the `mp-faults` subsystem: exact zero-budget
+//! equivalence with the seed models, and deterministic-PRNG property tests
+//! showing the fault wrapper never *removes* behaviours — every unfaulted
+//! trace is still executable under an all-zero budget (and under any
+//! budget, since budgets only gate the environment's extra transitions).
+//! Whether every engine and store keeps the verdicts of fault-augmented
+//! models is `tests/differential.rs`'s to judge.
 //!
-//! The random traces are drawn by a small deterministic PRNG instead of
-//! `proptest` (this build environment is offline), so every run checks the
-//! same fixed set of cases and failures reproduce exactly.
+//! The random traces are drawn by the shared seeded [`Rng`], so every run
+//! checks the same fixed set of cases and failures reproduce exactly.
 
-use mp_basset::checker::{Checker, CheckerConfig, StoreConfig};
+mod common;
+
+use common::Rng;
 use mp_basset::faults::{inject, project_state, FaultBudget};
 use mp_basset::harness::fault_sweep::zero_budget_seed_checks;
 use mp_basset::harness::Budget;
 use mp_basset::model::{enabled_instances, execute_enabled};
-use mp_basset::protocols::echo_multicast::{
-    faulty_agreement_property, faulty_quorum_model as faulty_multicast, MulticastSetting,
-};
-use mp_basset::protocols::paxos::{
-    faulty_consensus_property, faulty_quorum_model as faulty_paxos, quorum_model as paxos,
-    PaxosSetting, PaxosVariant,
-};
-
-const BACKENDS: [StoreConfig; 3] = [
-    StoreConfig::Exact,
-    StoreConfig::sharded(),
-    StoreConfig::fingerprint(48),
-];
-
-/// SplitMix64.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: usize) -> usize {
-        (self.next() % bound as u64) as usize
-    }
-}
-
-#[test]
-fn all_backends_agree_on_fault_augmented_paxos() {
-    // A verifying budget (benign faults) and a violating one (corruption):
-    // every stateful engine × backend combination must agree.
-    let setting = PaxosSetting::new(1, 2, 1);
-    for (budget, expect_violation) in [
-        (FaultBudget::none().crashes(1).drops(1), false),
-        (FaultBudget::none().corruptions(2), true),
-    ] {
-        let spec = faulty_paxos(setting, PaxosVariant::Correct, budget);
-        for engine in [
-            CheckerConfig::stateful_dfs(),
-            CheckerConfig::stateful_bfs(),
-            CheckerConfig::parallel_bfs(2),
-        ] {
-            let mut states = None;
-            for store in BACKENDS {
-                let report = Checker::new(&spec, faulty_consensus_property(setting))
-                    .spor()
-                    .config(engine.clone().with_store(store))
-                    .run();
-                assert_eq!(
-                    report.verdict.is_violated(),
-                    expect_violation,
-                    "budget {budget} under {} with {store}: {report}",
-                    report.strategy
-                );
-                if expect_violation {
-                    continue; // early-stop state counts may differ per order
-                }
-                let expected = *states.get_or_insert(report.stats.states);
-                assert_eq!(
-                    report.stats.states, expected,
-                    "state count differs under {} with {store}",
-                    report.strategy
-                );
-            }
-        }
-    }
-}
+use mp_basset::protocols::echo_multicast::MulticastSetting;
+use mp_basset::protocols::paxos::{quorum_model as paxos, PaxosSetting, PaxosVariant};
 
 #[test]
 fn zero_budget_reproduces_every_seed_model_exactly() {
@@ -178,23 +111,5 @@ fn random_faultfree_faulted_traces_project_onto_base() {
             base_state = execute_enabled(&base, &base_state, instance);
             assert_eq!(project_state(&state), base_state);
         }
-    }
-}
-
-#[test]
-fn faulted_multicast_attack_survives_all_backends() {
-    // The over-threshold Byzantine configuration keeps its counterexample
-    // when the environment may also duplicate one message.
-    let setting = MulticastSetting::new(2, 1, 2, 1);
-    let spec = faulty_multicast(setting, FaultBudget::none().dups(1));
-    for store in BACKENDS {
-        let report = Checker::new(&spec, faulty_agreement_property(setting))
-            .spor()
-            .config(CheckerConfig::stateful_dfs().with_store(store))
-            .run();
-        assert!(
-            report.verdict.is_violated(),
-            "the attack must survive under {store}: {report}"
-        );
     }
 }

@@ -1,122 +1,28 @@
-//! Integration test for the `mp-store` subsystem: every visited-store
-//! backend must return the identical verdict (and, at these state counts,
-//! identical state counts) on the tier-1 evaluation models, across the
-//! stateful engines; hash compaction must measurably shrink the store on a
-//! quorum-scaling configuration; and on real protocol keys the encoding the
-//! stores compare must identify keys exactly as `Eq` does, spread evenly
-//! under the fingerprint hash, and drive all four backends to the same
-//! answers as a `HashSet` of the keys themselves.
+//! Integration test for the `mp-store` subsystem on real protocol keys:
+//! hash compaction must measurably shrink the store on a quorum-scaling
+//! configuration, and the encoding the stores compare must identify keys
+//! exactly as `Eq` does, spread evenly under the fingerprint hash, and
+//! drive all four backends to the same answers as a `HashSet` of the keys
+//! themselves. Whether every backend keeps every engine's verdicts and
+//! counts is `tests/differential.rs`'s to judge.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+mod common;
+
+use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::sync::Barrier;
 
-use mp_basset::checker::{
-    Checker, CheckerConfig, NullObserver, Observer, StateStoreBackend, StoreConfig,
-};
+use common::Reference;
+use mp_basset::checker::{NullObserver, StateStoreBackend, StoreConfig};
 use mp_basset::faults::FaultBudget;
 use mp_basset::harness::scaling::store_backend_sweep;
 use mp_basset::harness::Budget;
-use mp_basset::model::{
-    encode_to_vec, successors, Encode, GlobalState, LocalState, Message, ProtocolSpec,
-};
-use mp_basset::protocols::echo_multicast::{
-    agreement_property, quorum_model as multicast, MulticastSetting,
-};
-use mp_basset::protocols::paxos::{
-    consensus_property, quorum_model as paxos, PaxosSetting, PaxosVariant,
-};
+use mp_basset::model::{encode_to_vec, Encode};
+use mp_basset::protocols::echo_multicast::MulticastSetting;
+use mp_basset::protocols::paxos::{PaxosSetting, PaxosVariant};
 use mp_basset::protocols::storage;
 use mp_basset::protocols::sweep::CollectSetting;
 use mp_basset::store::hash_bytes;
-
-const BACKENDS: [StoreConfig; 4] = [
-    StoreConfig::Exact,
-    StoreConfig::sharded(),
-    StoreConfig::fingerprint(48),
-    // Spills runs on these models, and under `parallel_bfs(2)` each of
-    // the 64 shards spills its own.
-    StoreConfig::runs_with_watermark(64),
-];
-
-fn engines() -> [CheckerConfig; 3] {
-    [
-        CheckerConfig::stateful_dfs(),
-        CheckerConfig::stateful_bfs(),
-        CheckerConfig::parallel_bfs(2),
-    ]
-}
-
-#[test]
-fn all_backends_verify_correct_paxos_identically() {
-    let setting = PaxosSetting::new(1, 2, 1);
-    let spec = paxos(setting, PaxosVariant::Correct);
-    for engine in engines() {
-        let mut states = None;
-        for store in BACKENDS {
-            let report = Checker::new(&spec, consensus_property(setting))
-                .spor()
-                .config(engine.clone().with_store(store))
-                .run();
-            assert!(
-                report.verdict.is_verified(),
-                "paxos must verify under {} with {store}",
-                report.strategy
-            );
-            let expected = *states.get_or_insert(report.stats.states);
-            assert_eq!(
-                report.stats.states, expected,
-                "state count differs under {} with {store}",
-                report.strategy
-            );
-        }
-    }
-}
-
-#[test]
-fn all_backends_find_the_paxos_bug() {
-    let setting = PaxosSetting::new(2, 3, 1);
-    let spec = paxos(setting, PaxosVariant::FaultyLearner);
-    for engine in engines() {
-        for store in BACKENDS {
-            let report = Checker::new(&spec, consensus_property(setting))
-                .spor()
-                .config(engine.clone().with_store(store))
-                .run();
-            assert!(
-                report.verdict.is_violated(),
-                "the injected bug must be found under {} with {store}",
-                report.strategy
-            );
-        }
-    }
-}
-
-#[test]
-fn all_backends_agree_on_echo_multicast() {
-    // A correct setting (verified) and the wrong-agreement setting
-    // (violated), both from the paper's evaluation.
-    for (setting, expect_violation) in [
-        (MulticastSetting::new(3, 0, 1, 1), false),
-        (MulticastSetting::new(2, 1, 2, 1), true),
-    ] {
-        let spec = multicast(setting);
-        for engine in engines() {
-            for store in BACKENDS {
-                let report = Checker::new(&spec, agreement_property(setting))
-                    .spor()
-                    .config(engine.clone().with_store(store))
-                    .run();
-                assert_eq!(
-                    report.verdict.is_violated(),
-                    expect_violation,
-                    "multicast{setting} under {} with {store}",
-                    report.strategy
-                );
-            }
-        }
-    }
-}
 
 #[test]
 fn fingerprints_shrink_the_store_on_the_quorum_scaling_run() {
@@ -136,39 +42,6 @@ fn fingerprints_shrink_the_store_on_the_quorum_scaling_run() {
         fingerprint.store_bytes,
         exact.store_bytes
     );
-}
-
-/// Every `(state, observer)` pair a breadth-first search of `spec`
-/// generates, revisits included, until `distinct` different ones were seen —
-/// the query stream an engine sends its visited store.
-fn query_stream<S, M, O>(
-    spec: &ProtocolSpec<S, M>,
-    observer: O,
-    distinct: usize,
-) -> Vec<(GlobalState<S, M>, O)>
-where
-    S: LocalState,
-    M: Message,
-    O: Observer<S, M>,
-{
-    let root = (spec.initial_state(), observer);
-    let mut seen = HashSet::from([root.clone()]);
-    let mut queue = VecDeque::from([root.clone()]);
-    let mut stream = vec![root];
-    while let Some((state, observer)) = queue.pop_front() {
-        if seen.len() >= distinct {
-            break;
-        }
-        for (instance, successor) in successors(spec, &state) {
-            let observed = observer.update(spec, &state, &instance, &successor);
-            let pair = (successor, observed);
-            if seen.insert(pair.clone()) {
-                queue.push_back(pair.clone());
-            }
-            stream.push(pair);
-        }
-    }
-    stream
 }
 
 /// For every query, the index of the first `Eq`-equal key in the stream,
@@ -334,14 +207,20 @@ fn paxos_keys_are_stored_by_their_encoding() {
     let setting = PaxosSetting::new(2, 3, 1);
     let spec =
         mp_basset::protocols::paxos::faulty_quorum_model(setting, PaxosVariant::Correct, faults());
-    check_keys("paxos", &query_stream(&spec, NullObserver, KEYS));
+    check_keys(
+        "paxos",
+        &Reference::search(&spec, NullObserver, KEYS).stream(),
+    );
 }
 
 #[test]
 fn multicast_keys_are_stored_by_their_encoding() {
     let setting = MulticastSetting::new(3, 1, 1, 1);
     let spec = mp_basset::protocols::echo_multicast::faulty_quorum_model(setting, faults());
-    check_keys("multicast", &query_stream(&spec, NullObserver, KEYS));
+    check_keys(
+        "multicast",
+        &Reference::search(&spec, NullObserver, KEYS).stream(),
+    );
 }
 
 #[test]
@@ -351,5 +230,5 @@ fn storage_keys_with_their_history_observer_are_stored_by_their_encoding() {
     let setting = storage::StorageSetting::new(3, 1);
     let spec = storage::faulty_quorum_model(setting, faults());
     let history = storage::faulty_regularity_observer(setting);
-    check_keys("storage", &query_stream(&spec, history, KEYS));
+    check_keys("storage", &Reference::search(&spec, history, KEYS).stream());
 }

@@ -1,37 +1,31 @@
 //! Integration tests for the process-symmetry (orbit) reduction
-//! (`mp-symmetry`) across the evaluation protocols, the fault layer, the
-//! property classes, the reduction strategies and the store backends:
+//! (`mp-symmetry`) on the evaluation protocols:
 //!
 //! * the validated groups have the expected orders (and the deliberately
 //!   asymmetric Paxos variant — acceptors seeded with distinct accepted
 //!   values — degenerates to identity),
-//! * symmetry-on and symmetry-off agree on **every** safety and liveness
-//!   verdict across the fault-budget grid, with SPOR on and off and with
-//!   every store backend, while symmetry-on explores at most as many (and
-//!   on the Paxos/storage crash cells strictly fewer) states,
-//! * every engine agrees under symmetry, and
+//! * the stateless trees under symmetry are pinned, and
 //! * lasso counterexamples found modulo symmetry still replay concretely.
+//!
+//! Symmetry on against off, under every engine, reduction and store, is
+//! `tests/differential.rs`'s to judge.
 
-use mp_basset::checker::{
-    Checker, CheckerConfig, Counterexample, NullObserver, Observer, SearchStrategy,
-};
+mod common;
+
+use common::lasso_is_genuine;
+use mp_basset::checker::{Checker, CheckerConfig, NullObserver};
 use mp_basset::faults::FaultBudget;
-use mp_basset::model::{
-    enabled_instances, execute_enabled, GlobalState, LocalState, Message, Permutable, ProtocolSpec,
-};
+use mp_basset::model::{GlobalState, Message, Permutable, ProtocolSpec};
 use mp_basset::protocols::echo_multicast::{
-    self, faulty_agreement_property, faulty_delivery_termination_property,
-    faulty_quorum_model as faulty_multicast, MulticastSetting,
+    self, faulty_quorum_model as faulty_multicast, MulticastSetting,
 };
 use mp_basset::protocols::paxos::{
     self, faulty_consensus_property, faulty_quorum_model as faulty_paxos,
     faulty_termination_property, quorum_model_with_acceptor_values, PaxosSetting, PaxosVariant,
 };
 use mp_basset::protocols::storage::{
-    self, faulty_quorum_model as faulty_storage, faulty_read_completion_property,
-    faulty_regularity_observer, faulty_regularity_property, StorageSetting,
+    self, faulty_quorum_model as faulty_storage, faulty_read_completion_property, StorageSetting,
 };
-use mp_basset::store::StoreConfig;
 use mp_basset::symmetry::{RoleMap, SymmetryGroup};
 
 fn paxos_setting() -> PaxosSetting {
@@ -44,14 +38,6 @@ fn multicast_setting() -> MulticastSetting {
 
 fn storage_setting() -> StorageSetting {
     StorageSetting::new(2, 1)
-}
-
-fn budgets() -> [(&'static str, FaultBudget); 3] {
-    [
-        ("none", FaultBudget::none()),
-        ("crash1", FaultBudget::none().crashes(1)),
-        ("drop1", FaultBudget::none().drops(1)),
-    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -128,247 +114,48 @@ fn asymmetric_acceptor_values_degenerate_to_identity() {
 }
 
 // ---------------------------------------------------------------------------
-// (b) Symmetry-on/off verdict agreement across the whole matrix.
-// ---------------------------------------------------------------------------
-
-/// Runs safety + liveness with and without symmetry under one strategy and
-/// backend; asserts verdict agreement and returns (states_off, states_on)
-/// of the safety run.
-#[allow(clippy::too_many_arguments)]
-fn agree_cell<S, M, O>(
-    label: &str,
-    spec: &ProtocolSpec<S, M>,
-    roles: &RoleMap,
-    safety: mp_basset::checker::Invariant<S, M, O>,
-    liveness: &mp_basset::checker::Property<S, M, NullObserver>,
-    observer: O,
-    spor: bool,
-    store: StoreConfig,
-) -> (usize, usize)
-where
-    S: LocalState + Permutable,
-    M: Message + Permutable,
-    O: Observer<S, M> + Permutable + Ord,
-{
-    let config = CheckerConfig::stateful_dfs().with_store(store);
-    let liveness_run = |symmetry: bool| {
-        let checker =
-            Checker::with_observer(spec, liveness.clone(), NullObserver).config(config.clone());
-        let checker = if spor { checker.spor() } else { checker };
-        if symmetry {
-            checker.with_role_symmetry(roles).run()
-        } else {
-            checker.run()
-        }
-    };
-
-    // Safety.
-    let safety_run = |symmetry: bool| {
-        let checker =
-            Checker::with_observer(spec, safety.clone(), observer.clone()).config(config.clone());
-        let checker = if spor { checker.spor() } else { checker };
-        if symmetry {
-            checker.with_role_symmetry(roles).run()
-        } else {
-            checker.run()
-        }
-    };
-    let safety_off = safety_run(false);
-    let safety_on = safety_run(true);
-    assert_eq!(
-        safety_off.verdict.is_violated(),
-        safety_on.verdict.is_violated(),
-        "{label}: safety verdicts disagree ({} vs {})",
-        safety_off.verdict,
-        safety_on.verdict
-    );
-    assert!(
-        safety_on.stats.states <= safety_off.stats.states,
-        "{label}: symmetry must not grow the explored set ({} vs {})",
-        safety_on.stats.states,
-        safety_off.stats.states
-    );
-
-    // Liveness.
-    let liveness_off = liveness_run(false);
-    let liveness_on = liveness_run(true);
-    assert_eq!(
-        liveness_off.verdict.is_violated(),
-        liveness_on.verdict.is_violated(),
-        "{label}: liveness verdicts disagree ({} vs {})",
-        liveness_off.verdict,
-        liveness_on.verdict
-    );
-
-    (safety_off.stats.states, safety_on.stats.states)
-}
-
-#[test]
-fn symmetry_on_and_off_agree_on_every_verdict() {
-    let stores = [
-        StoreConfig::Exact,
-        StoreConfig::sharded(),
-        StoreConfig::fingerprint(48),
-    ];
-    let mut paxos_crash_collapsed = false;
-    for (budget_label, budget) in budgets() {
-        for spor in [false, true] {
-            for store in stores {
-                let label =
-                    |proto: &str| format!("{proto}/{budget_label}/spor={spor}/store={store}");
-
-                let setting = paxos_setting();
-                let spec = faulty_paxos(setting, PaxosVariant::Correct, budget);
-                let (off, on) = agree_cell(
-                    &label("paxos"),
-                    &spec,
-                    &paxos::symmetry_roles(setting),
-                    faulty_consensus_property(setting),
-                    &faulty_termination_property(setting),
-                    NullObserver,
-                    spor,
-                    store,
-                );
-                if budget_label == "crash1" {
-                    assert!(
-                        on < off,
-                        "paxos crash cells must collapse orbits ({on} vs {off})"
-                    );
-                    paxos_crash_collapsed = true;
-                }
-
-                let setting = multicast_setting();
-                let spec = faulty_multicast(setting, budget);
-                agree_cell(
-                    &label("multicast"),
-                    &spec,
-                    &echo_multicast::symmetry_roles(setting),
-                    faulty_agreement_property(setting),
-                    &faulty_delivery_termination_property(setting),
-                    NullObserver,
-                    spor,
-                    store,
-                );
-
-                let setting = storage_setting();
-                let spec = faulty_storage(setting, budget);
-                agree_cell(
-                    &label("storage"),
-                    &spec,
-                    &storage::symmetry_roles(setting),
-                    faulty_regularity_property(setting),
-                    &faulty_read_completion_property(setting),
-                    faulty_regularity_observer(setting),
-                    spor,
-                    store,
-                );
-            }
-        }
-    }
-    assert!(paxos_crash_collapsed);
-}
-
-// ---------------------------------------------------------------------------
-// (c) Every engine agrees under symmetry.
+// (b) The stateless trees under symmetry.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn every_engine_agrees_under_symmetry() {
+fn stateless_trees_under_symmetry_are_pinned() {
     let setting = paxos_setting();
     let roles = paxos::symmetry_roles(setting);
     // The stateless safety trees (expansions, transitions, depth, revisits)
     // without and with DPOR. Paxos makes progress on every step, so no
     // successor's orbit is ever on its path and the orbit cut stays idle
-    // here; the togglers of section (e) are where it fires.
-    for (budget, expect_violation, trees) in [
-        (FaultBudget::none(), false, [(20, 19, 8, 0), (8, 7, 8, 0)]),
+    // here; the togglers of section (d) are where it fires.
+    for (budget, trees) in [
+        (FaultBudget::none(), [(20, 19, 8, 0), (8, 7, 8, 0)]),
         (
             FaultBudget::none().crashes(1),
-            true,
-            [(233, 232, 9, 0), (104, 103, 9, 0)],
+            [(233, 232, 9, 0), (108, 107, 9, 0)],
         ),
     ] {
         let spec = faulty_paxos(setting, PaxosVariant::Correct, budget);
-        for config in [
-            CheckerConfig::stateful_dfs(),
-            CheckerConfig::stateful_bfs(),
-            CheckerConfig::parallel_bfs(2),
-            CheckerConfig::stateless(false),
-            CheckerConfig::stateless(true),
-        ] {
-            let report = Checker::new(&spec, faulty_termination_property(setting))
-                .with_role_symmetry(&roles)
-                .config(config.clone())
-                .run();
-            assert_eq!(
-                report.verdict.is_violated(),
-                expect_violation,
-                "strategy {:?} with symmetry disagrees on budget {budget}: {report}",
-                config.strategy
-            );
-            // Safety too.
+        for dpor in [false, true] {
             let report = Checker::new(&spec, faulty_consensus_property(setting))
                 .with_role_symmetry(&roles)
-                .config(config.clone())
+                .config(CheckerConfig::stateless(dpor))
                 .run();
-            assert!(
-                report.verdict.is_verified(),
-                "strategy {:?} with symmetry broke consensus: {report}",
-                config.strategy
+            assert!(report.verdict.is_verified(), "{report}");
+            let s = &report.stats;
+            let tree = (
+                s.expansions,
+                s.transitions_executed,
+                s.max_depth,
+                s.revisits,
             );
-            if let SearchStrategy::Stateless { dpor } = config.strategy {
-                let s = &report.stats;
-                let tree = (
-                    s.expansions,
-                    s.transitions_executed,
-                    s.max_depth,
-                    s.revisits,
-                );
-                assert_eq!(tree, trees[usize::from(dpor)], "{report}");
-                let label = ["stateless+sym(2)", "stateless+dpor (symmetry ignored)"];
-                assert_eq!(report.strategy, label[usize::from(dpor)]);
-            }
+            assert_eq!(tree, trees[usize::from(dpor)], "{report}");
+            let label = ["stateless+sym(2)", "stateless+dpor (symmetry ignored)"];
+            assert_eq!(report.strategy, label[usize::from(dpor)]);
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// (d) Counterexamples stay concrete and replayable.
+// (c) Counterexamples stay concrete and replayable.
 // ---------------------------------------------------------------------------
-
-/// Replays a counterexample by matching names/processes/senders against the
-/// enabled instances (same helper as tests/liveness.rs).
-fn replay<S: LocalState, M: Message>(
-    spec: &ProtocolSpec<S, M>,
-    cx: &Counterexample,
-) -> (GlobalState<S, M>, GlobalState<S, M>) {
-    let step = |state: &GlobalState<S, M>,
-                step: &mp_basset::checker::CounterexampleStep|
-     -> GlobalState<S, M> {
-        let matching: Vec<_> = enabled_instances(spec, state)
-            .into_iter()
-            .filter(|i| {
-                spec.transition(i.transition).name() == step.transition
-                    && i.process == step.process
-                    && i.senders() == step.consumed_from
-            })
-            .collect();
-        assert!(
-            !matching.is_empty(),
-            "step `{step}` has no matching enabled instance during replay"
-        );
-        execute_enabled(spec, state, &matching[0])
-    };
-    let mut state = spec.initial_state();
-    for s in &cx.steps {
-        state = step(&state, s);
-    }
-    let entry = state.clone();
-    for s in &cx.cycle {
-        state = step(&state, s);
-    }
-    (entry, state)
-}
 
 #[test]
 fn symmetric_lassos_replay_concretely() {
@@ -394,15 +181,7 @@ fn symmetric_lassos_replay_concretely() {
             .any(|s| s.transition.starts_with("FAULT_CRASH")),
         "the stem names a concrete crash victim: {cx}"
     );
-    let (entry, after_cycle) = replay(&spec, cx);
-    if cx.cycle.is_empty() {
-        assert!(
-            enabled_instances(&spec, &entry).is_empty(),
-            "a quiescent lasso ends with nothing enabled"
-        );
-    } else {
-        assert_eq!(entry, after_cycle, "one cycle unrolling returns to entry");
-    }
+    lasso_is_genuine(&spec, &faulty_termination_property(setting), cx);
 
     // Storage under loss: same check on the second protocol family.
     let setting = storage_setting();
@@ -414,16 +193,11 @@ fn symmetric_lassos_replay_concretely() {
         .verdict
         .counterexample()
         .expect("loss blocks the read");
-    let (entry, after_cycle) = replay(&lossy, cx);
-    if cx.cycle.is_empty() {
-        assert!(enabled_instances(&lossy, &entry).is_empty());
-    } else {
-        assert_eq!(entry, after_cycle);
-    }
+    lasso_is_genuine(&lossy, &faulty_read_completion_property(setting), cx);
 }
 
 // ---------------------------------------------------------------------------
-// (e) A cyclic model where the lasso closes modulo a non-identity
+// (d) A cyclic model where the lasso closes modulo a non-identity
 //     permutation: the reported cycle must be the unrolled concrete one.
 // ---------------------------------------------------------------------------
 
@@ -479,7 +253,7 @@ fn non_identity_cycle_closures_unroll_to_concrete_lassos() {
         s.locals.contains(&2)
     });
     let off = Checker::new(&togglers, never.clone()).run();
-    let on = Checker::new(&togglers, never)
+    let on = Checker::new(&togglers, never.clone())
         .with_role_symmetry(&roles)
         .run();
     assert!(off.verdict.is_violated(), "{off}");
@@ -490,8 +264,7 @@ fn non_identity_cycle_closures_unroll_to_concrete_lassos() {
     let cx = on.verdict.counterexample().unwrap();
     assert!(cx.is_lasso);
     assert!(!cx.cycle.is_empty(), "the togglers never quiesce: {cx}");
-    let (entry, after_cycle) = replay(&togglers, cx);
-    assert_eq!(entry, after_cycle, "the unrolled cycle closes exactly");
+    lasso_is_genuine(&togglers, &never, cx);
     assert!(
         cx.cycle.iter().any(|s| s.transition == "flip0")
             && cx.cycle.iter().any(|s| s.transition == "flip1"),
