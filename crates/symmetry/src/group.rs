@@ -37,7 +37,7 @@ use crate::RoleMap;
 /// asserts that the members' transition *semantics* are interchangeable too
 /// (which holds for roles built in a loop over the role's processes, the
 /// construction every bundled protocol uses). The differential driver,
-/// `tests/differential.rs`, checks the declarations shipped with
+/// `tests/common/differential.rs`, checks the declarations shipped with
 /// `mp-protocols` by judging reduced verdicts against unreduced ground
 /// truth.
 ///

@@ -1,10 +1,14 @@
 //! What the integration tests share: the one SplitMix64 [`Rng`], the spec
-//! generator [`GenSpec`], the unreduced reference search [`Reference`] and
-//! the one counterexample replay checker ([`replay`], with
-//! [`lasso_is_genuine`] and [`rejects`] judging what it replays to).
+//! generator [`GenSpec`], the unreduced reference search [`Reference`], the
+//! one counterexample replay checker ([`replay`], with
+//! [`lasso_is_genuine`] and [`rejects`] judging what it replays to), and
+//! the one [`differential`] driver that judges every engine row of a cell
+//! against the reference.
 //!
 //! Every test binary compiles this module and uses a part of it.
 #![allow(dead_code)]
+
+pub mod differential;
 
 use std::collections::HashMap;
 

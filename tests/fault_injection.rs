@@ -3,14 +3,15 @@
 //! showing the fault wrapper never *removes* behaviours — every unfaulted
 //! trace is still executable under an all-zero budget (and under any
 //! budget, since budgets only gate the environment's extra transitions).
-//! Whether every engine and store keeps the verdicts of fault-augmented
-//! models is `tests/differential.rs`'s to judge.
+//! Every engine and store keeps the verdicts of fault-augmented Paxos and
+//! of the multicast attack, judged by [`common::differential`].
 //!
 //! The random traces are drawn by the shared seeded [`Rng`], so every run
 //! checks the same fixed set of cases and failures reproduce exactly.
 
 mod common;
 
+use common::differential::{faulted_multicast_cell, faulted_paxos_cell, Tally};
 use common::Rng;
 use mp_basset::faults::{inject, project_state, FaultBudget};
 use mp_basset::harness::fault_sweep::zero_budget_seed_checks;
@@ -18,6 +19,23 @@ use mp_basset::harness::Budget;
 use mp_basset::model::{enabled_instances, execute_enabled};
 use mp_basset::protocols::echo_multicast::MulticastSetting;
 use mp_basset::protocols::paxos::{quorum_model as paxos, PaxosSetting, PaxosVariant};
+
+#[test]
+fn all_backends_agree_on_fault_augmented_paxos() {
+    let mut tally = Tally::default();
+    faulted_paxos_cell(FaultBudget::none(), &mut tally);
+    assert_eq!((tally.verified, tally.liveness), (1, 2), "{tally:?}");
+}
+
+#[test]
+fn faulted_multicast_attack_survives_all_backends() {
+    // The over-threshold attack keeps its counterexample when the
+    // environment may also duplicate one message.
+    let mut tally = Tally::default();
+    let attack = MulticastSetting::new(2, 0, 2, 1);
+    faulted_multicast_cell(attack, FaultBudget::none().dups(1), &mut tally);
+    assert_eq!(tally.violated, 1, "{tally:?}");
+}
 
 #[test]
 fn zero_budget_reproduces_every_seed_model_exactly() {

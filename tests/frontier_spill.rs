@@ -9,17 +9,18 @@
 //!   as the in-memory run and replay step by step from the initial state,
 //!   and
 //! * a tiny watermark forces multi-segment spilling and the run still
-//!   reproduces the in-memory result.
-//!
-//! Spill against the in-memory frontier on every cell, and pooled
-//! counterexamples as short as the sequential ones, are
-//! `tests/differential.rs`'s to judge.
+//!   reproduces the in-memory result, and
+//! * spilled runs explore exactly as in-memory ones, and pooled
+//!   counterexamples are as short as the sequential ones, across protocols,
+//!   budgets and symmetry, judged by [`common::differential`].
 
 mod common;
 
+use common::differential::{faulted_multicast_cell, faulted_storage_cell, Tally};
 use common::rejects;
 use mp_basset::checker::{Checker, CheckerConfig, NullObserver};
 use mp_basset::faults::FaultBudget;
+use mp_basset::protocols::echo_multicast::MulticastSetting;
 use mp_basset::protocols::paxos::{
     self, consensus_property, faulty_consensus_property, faulty_quorum_model as faulty_paxos,
     quorum_model as paxos_quorum, PaxosSetting, PaxosVariant,
@@ -134,4 +135,26 @@ fn tiny_watermark_forces_multi_segment_spilling() {
         .run();
     assert_eq!(mem.stats.states, report.stats.states);
     assert_eq!(mem.verdict.to_string(), report.verdict.to_string());
+}
+
+// ---------------------------------------------------------------------------
+// (d) Spill against the in-memory frontier, and pooled counterexamples.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn spill_matches_mem_across_protocols_budgets_and_symmetry() {
+    let mut tally = Tally::default();
+    let drop1 = FaultBudget::none().drops(1);
+    faulted_multicast_cell(MulticastSetting::new(2, 1, 0, 1), drop1, &mut tally);
+    faulted_storage_cell(drop1, &mut tally);
+    assert_eq!((tally.cells, tally.symmetric), (2, 1), "{tally:?}");
+}
+
+#[test]
+fn pooled_counterexamples_are_shortest_paths_to_a_violation() {
+    // The over-threshold multicast attack, with one message drop.
+    let mut tally = Tally::default();
+    let attack = MulticastSetting::new(2, 0, 2, 1);
+    faulted_multicast_cell(attack, FaultBudget::none().drops(1), &mut tally);
+    assert_eq!(tally.violated, 1, "{tally:?}");
 }

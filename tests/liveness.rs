@@ -5,13 +5,14 @@
 //! * a crashed majority yields a **fair non-terminating lasso** for Paxos,
 //! * every engine routes liveness to a search that agrees, with the
 //!   stateless trees pinned, and
-//! * lasso counterexamples replay deterministically step by step.
-//!
-//! SPOR, store and symmetry rows of the liveness search are
-//! `tests/differential.rs`'s to judge.
+//! * lasso counterexamples replay deterministically step by step, and
+//! * SPOR on and off, every store backend and symmetry on and off agree on
+//!   every liveness verdict, judged by [`common::differential`].
 
 mod common;
 
+use common::differential::{faulted_multicast_cell, faulted_paxos_cell};
+use common::differential::{faulted_storage_cell, Tally};
 use common::lasso_is_genuine;
 use mp_basset::checker::{Checker, CheckerConfig, SearchStrategy};
 use mp_basset::faults::FaultBudget;
@@ -219,4 +220,30 @@ fn lasso_counterexamples_replay_deterministically() {
         &faulty_read_completion_property(storage_setting),
         cx,
     );
+}
+
+// ---------------------------------------------------------------------------
+// (d) SPOR, stores and symmetry agree on every liveness verdict.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn spor_and_unreduced_agree_on_every_liveness_verdict() {
+    let mut tally = Tally::default();
+    let setting = MulticastSetting::new(2, 1, 0, 1);
+    let none = FaultBudget::none();
+    for budget in [none, none.crashes(1)] {
+        faulted_multicast_cell(setting, budget, &mut tally);
+    }
+    faulted_storage_cell(none, &mut tally);
+    assert_eq!(tally.liveness, 6, "{tally:?}");
+    assert!(tally.liveness_violated > 0, "{tally:?}");
+}
+
+#[test]
+fn liveness_agrees_across_store_backends_and_symmetry() {
+    let mut tally = Tally::default();
+    let setting = MulticastSetting::new(2, 1, 0, 1);
+    faulted_multicast_cell(setting, FaultBudget::none().dups(1), &mut tally);
+    faulted_paxos_cell(FaultBudget::none().drops(1), &mut tally);
+    assert_eq!((tally.liveness, tally.symmetric), (4, 1), "{tally:?}");
 }

@@ -1,10 +1,15 @@
-//! The reduction strategies' own pins: the independence rule for
-//! environment transitions, and the stateless enumerator's and DPOR's
-//! trees, node for node. Whether every engine × reduction combination
-//! keeps the unreduced verdict is `tests/differential.rs`'s to judge.
+//! The soundness of the reduction strategies on the evaluation protocols:
+//! every engine × reduction combination keeps the verdict of the reference
+//! search on the Paxos, multicast and storage cells, correct and faulty,
+//! and SPOR never stores more states than the unreduced search (both
+//! judged by [`common::differential`]); and the reductions' own pins: the
+//! independence rule for environment transitions, and the stateless
+//! enumerator's and DPOR's trees, node for node.
 
 mod common;
 
+use common::differential::{faulted_multicast_cell, faulted_paxos_cell, multicast_cell};
+use common::differential::{paxos_cell, storage_cell, Tally};
 use common::rejects;
 use mp_basset::checker::{Checker, CheckerConfig, NullObserver, RunReport};
 use mp_basset::faults::FaultBudget;
@@ -17,6 +22,78 @@ use mp_basset::protocols::paxos::{
     PaxosVariant,
 };
 use mp_basset::protocols::paxos::{faulty_consensus_property, faulty_quorum_model};
+use mp_basset::refine::SplitStrategy;
+
+#[test]
+fn paxos_verdicts_agree_across_engines() {
+    let mut tally = Tally::default();
+    paxos_cell((2, 2, 1), PaxosVariant::Correct, &mut tally);
+    assert_eq!((tally.verified, tally.symmetric), (1, 1), "{tally:?}");
+}
+
+#[test]
+fn multicast_verdicts_agree_across_engines() {
+    // The safe setting, and the over-threshold attack.
+    let mut tally = Tally::default();
+    for setting in [
+        MulticastSetting::new(2, 1, 0, 1),
+        MulticastSetting::new(2, 0, 2, 1),
+    ] {
+        multicast_cell(setting, &mut tally);
+    }
+    assert_eq!((tally.verified, tally.violated), (1, 1), "{tally:?}");
+}
+
+#[test]
+fn storage_verdicts_agree_across_engines() {
+    // Regularity holds; the wrong regularity is violated.
+    let mut tally = Tally::default();
+    for wrong in [false, true] {
+        storage_cell(wrong, &mut tally);
+    }
+    assert_eq!((tally.verified, tally.violated), (1, 1), "{tally:?}");
+}
+
+#[test]
+fn refined_models_keep_the_same_verdicts_under_spor() {
+    // Every split strategy, under SPOR, on the faulty-learner Paxos quorum
+    // model (which needs three acceptors to go wrong).
+    let mut tally = Tally::default();
+    paxos_cell((2, 2, 1), PaxosVariant::FaultyLearner, &mut tally);
+    assert_eq!(tally.splits, SplitStrategy::ALL.len(), "{tally:?}");
+    assert_eq!(tally.verified, 1, "{tally:?}");
+}
+
+#[test]
+fn spor_never_explores_more_states_than_unreduced_dfs() {
+    let mut tally = Tally::default();
+    paxos_cell((1, 3, 1), PaxosVariant::Correct, &mut tally);
+    assert_eq!(tally.verified, 1, "{tally:?}");
+}
+
+#[test]
+fn fault_augmented_verdicts_agree_across_engines() {
+    // Benign faults: consensus holds; a crash does not stop the
+    // over-threshold multicast attack.
+    let mut tally = Tally::default();
+    let none = FaultBudget::none();
+    faulted_paxos_cell(none.crashes(1).drops(1), &mut tally);
+    let attack = MulticastSetting::new(2, 0, 2, 1);
+    faulted_multicast_cell(attack, none.crashes(1), &mut tally);
+    assert_eq!((tally.verified, tally.violated), (1, 1), "{tally:?}");
+}
+
+#[test]
+fn spor_on_fault_augmented_models_never_explores_more_states() {
+    // One duplication, or one corruption, which consensus survives (two
+    // break validity).
+    let mut tally = Tally::default();
+    let none = FaultBudget::none();
+    for budget in [none.dups(1), none.corruptions(1)] {
+        faulted_paxos_cell(budget, &mut tally);
+    }
+    assert_eq!(tally.verified, 2, "{tally:?}");
+}
 
 #[test]
 fn environment_transitions_depend_by_budget_class() {
@@ -170,4 +247,13 @@ fn dpor_stateless_agrees_on_small_instances() {
         .run();
     assert!(report.verdict.is_verified(), "{report}");
     assert_eq!(tree(&report), (30_929, 30_928, 15, 0), "{report}");
+}
+
+#[test]
+fn disjoint_class_independence_is_sound() {
+    // Crash and duplication budgets active at once: disjoint classes, each
+    // with its own counter, are independent across processes.
+    let mut tally = Tally::default();
+    faulted_paxos_cell(FaultBudget::none().crashes(1).dups(1), &mut tally);
+    assert_eq!(tally.verified, 1, "{tally:?}");
 }

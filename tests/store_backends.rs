@@ -3,8 +3,8 @@
 //! configuration, and the encoding the stores compare must identify keys
 //! exactly as `Eq` does, spread evenly under the fingerprint hash, and
 //! drive all four backends to the same answers as a `HashSet` of the keys
-//! themselves. Whether every backend keeps every engine's verdicts and
-//! counts is `tests/differential.rs`'s to judge.
+//! themselves. Every backend keeps every engine's verdicts and counts on
+//! Paxos and echo multicast, judged by [`common::differential`].
 
 mod common;
 
@@ -12,6 +12,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::sync::Barrier;
 
+use common::differential::{faulted_paxos_cell, multicast_cell, paxos_cell, Tally};
 use common::Reference;
 use mp_basset::checker::{NullObserver, StateStoreBackend, StoreConfig};
 use mp_basset::faults::FaultBudget;
@@ -23,6 +24,28 @@ use mp_basset::protocols::paxos::{PaxosSetting, PaxosVariant};
 use mp_basset::protocols::storage;
 use mp_basset::protocols::sweep::CollectSetting;
 use mp_basset::store::hash_bytes;
+
+#[test]
+fn all_backends_verify_correct_paxos_identically() {
+    let mut tally = Tally::default();
+    paxos_cell((1, 2, 1), PaxosVariant::Correct, &mut tally);
+    assert_eq!(tally.verified, 1, "{tally:?}");
+}
+
+#[test]
+fn all_backends_find_the_paxos_bug() {
+    // Two corrupted messages break validity.
+    let mut tally = Tally::default();
+    faulted_paxos_cell(FaultBudget::none().corruptions(2), &mut tally);
+    assert_eq!(tally.violated, 1, "{tally:?}");
+}
+
+#[test]
+fn all_backends_agree_on_echo_multicast() {
+    let mut tally = Tally::default();
+    multicast_cell(MulticastSetting::new(3, 0, 1, 1), &mut tally);
+    assert_eq!(tally.verified, 1, "{tally:?}");
+}
 
 #[test]
 fn fingerprints_shrink_the_store_on_the_quorum_scaling_run() {

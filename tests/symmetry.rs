@@ -5,13 +5,16 @@
 //!   asymmetric Paxos variant — acceptors seeded with distinct accepted
 //!   values — degenerates to identity),
 //! * the stateless trees under symmetry are pinned, and
-//! * lasso counterexamples found modulo symmetry still replay concretely.
-//!
-//! Symmetry on against off, under every engine, reduction and store, is
-//! `tests/differential.rs`'s to judge.
+//! * lasso counterexamples found modulo symmetry still replay concretely,
+//!   and
+//! * symmetry on and off agree on every safety and liveness verdict, under
+//!   every engine, reduction and store, with symmetry on storing at most as
+//!   many states (strictly fewer on the Paxos crash cell), judged by
+//!   [`common::differential`].
 
 mod common;
 
+use common::differential::{faulted_paxos_cell, faulted_storage_cell, Tally};
 use common::lasso_is_genuine;
 use mp_basset::checker::{Checker, CheckerConfig, NullObserver};
 use mp_basset::faults::FaultBudget;
@@ -291,4 +294,22 @@ fn non_identity_cycle_closures_unroll_to_concrete_lassos() {
         s.revisits,
     );
     assert_eq!(tree, (5, 10, 3, 6), "{report}");
+}
+
+// ---------------------------------------------------------------------------
+// (e) Symmetry on and off agree on every verdict.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn symmetry_on_and_off_agree_on_every_verdict() {
+    let crash1 = FaultBudget::none().crashes(1);
+    let mut paxos = Tally::default();
+    faulted_paxos_cell(crash1, &mut paxos);
+    assert_eq!(
+        paxos.symmetry_strict, 1,
+        "the crash cell collapses orbits: {paxos:?}"
+    );
+    let mut tally = Tally::default();
+    faulted_storage_cell(crash1, &mut tally);
+    assert_eq!(tally.symmetric, 1, "{tally:?}");
 }
