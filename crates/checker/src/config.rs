@@ -204,11 +204,21 @@ impl CheckerConfig {
     /// and observability settings — resuming with a bigger budget or a
     /// different tracer is exactly the point. The trailing `proviso=true`
     /// is a fixed literal of checkpoint format v2: the cycle proviso was a
-    /// field once, and no run ever wrote another value.
+    /// field once, and no run ever wrote another value. With the deadlock
+    /// check on, the field reads `deadlocks=first-visit`: a deadlock is
+    /// judged when a state is first generated, so a committed level holds
+    /// judged states only. Builds that judged at dequeue wrote
+    /// `deadlocks=true` and left their last level unjudged; such a
+    /// checkpoint is refused.
     pub fn checkpoint_identity(&self) -> String {
+        let deadlocks = if self.check_deadlocks {
+            "first-visit"
+        } else {
+            "false"
+        };
         format!(
-            "strategy={} store={} frontier={} deadlocks={} proviso=true",
-            self.strategy, self.store, self.frontier, self.check_deadlocks
+            "strategy={} store={} frontier={} deadlocks={deadlocks} proviso=true",
+            self.strategy, self.store, self.frontier
         )
     }
 
@@ -350,7 +360,11 @@ mod tests {
                 .checkpoint_identity(),
             id
         );
-        assert_ne!(base.with_deadlock_check(true).checkpoint_identity(), id);
+        let deadlocks = base.with_deadlock_check(true).checkpoint_identity();
+        assert_eq!(
+            deadlocks,
+            id.replace("deadlocks=false", "deadlocks=first-visit")
+        );
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   log, and every other format version, the retired v1 and v2 included
 //!   (the versioning policy of `docs/ON_DISK_FORMATS.md`).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mp_basset::checker::{
@@ -111,30 +111,15 @@ fn killed_and_resumed_run_matches_uninterrupted() {
             assert!(uninterrupted.verdict.is_verified(), "{label}");
 
             let dir = temp_dir("equiv");
+            let ckpt = || Some(CheckpointConfig::new(&dir));
             // A tight state limit stops the search mid-level, leaving the
             // directory exactly as a kill at that point would: the
             // manifest still names the last *committed* level.
-            let interrupted = run_crash_cell(
-                mode,
-                symmetry,
-                frontier,
-                None,
-                Some(CheckpointConfig::new(&dir)),
-                Some(30),
-            );
-            assert!(
-                matches!(interrupted.verdict, Verdict::LimitReached { .. }),
-                "{label}: the tight limit must interrupt the run"
-            );
+            let interrupted = run_crash_cell(mode, symmetry, frontier, None, ckpt(), Some(30));
+            let limited = matches!(interrupted.verdict, Verdict::LimitReached { .. });
+            assert!(limited, "{label}: the tight limit must interrupt the run");
 
-            let resumed = run_crash_cell(
-                mode,
-                symmetry,
-                frontier,
-                None,
-                Some(CheckpointConfig::new(&dir)),
-                None,
-            );
+            let resumed = run_crash_cell(mode, symmetry, frontier, None, ckpt(), None);
             assert_eq!(
                 uninterrupted.verdict.to_string(),
                 resumed.verdict.to_string(),
@@ -163,38 +148,24 @@ fn resumed_run_reproduces_the_identical_counterexample() {
     let setting = PaxosSetting::new(2, 3, 1);
     let spec = paxos_quorum(setting, PaxosVariant::FaultyLearner);
     for mode in modes() {
-        let run = |checkpoint: Option<CheckpointConfig>, max_states: Option<usize>| {
-            let mut config = mode
-                .clone()
-                .with_frontier(FrontierConfig::disk_with_watermark(512));
-            if let Some(checkpoint) = checkpoint {
-                config = config.with_checkpoint(checkpoint);
-            }
-            if let Some(max_states) = max_states {
-                config.max_states = max_states;
-            }
-            Checker::new(&spec, consensus_property(setting))
-                .spor()
-                .config(config)
-                .run()
-        };
-        let uninterrupted = run(None, None);
-        let full_cx = uninterrupted
-            .verdict
-            .counterexample()
-            .expect("the injected bug must be found");
-
         let dir = temp_dir("cx");
-        let interrupted = run(Some(CheckpointConfig::new(&dir)), Some(100));
-        assert!(
-            matches!(interrupted.verdict, Verdict::LimitReached { .. }),
-            "the limit must fire before the violating depth"
-        );
-        let resumed = run(Some(CheckpointConfig::new(&dir)), None);
-        let resumed_cx = resumed
-            .verdict
-            .counterexample()
-            .expect("the resumed run must find the bug");
+        let run = |checkpoint: bool, max_states: usize| {
+            let disk = FrontierConfig::disk_with_watermark(512);
+            let mut config = mode.clone().with_frontier(disk).with_max_states(max_states);
+            if checkpoint {
+                config = config.with_checkpoint(CheckpointConfig::new(&dir));
+            }
+            let checker = Checker::new(&spec, consensus_property(setting)).spor();
+            checker.config(config).run()
+        };
+        let uninterrupted = run(false, usize::MAX);
+        let full_cx = uninterrupted.verdict.counterexample().expect("the bug");
+
+        // The limit fires before the violating depth.
+        let interrupted = run(true, 100);
+        assert!(matches!(interrupted.verdict, Verdict::LimitReached { .. }));
+        let resumed = run(true, usize::MAX);
+        let resumed_cx = resumed.verdict.counterexample().expect("the bug");
         assert_eq!(full_cx.len(), resumed_cx.len(), "{}", mode.strategy);
         assert!(!resumed_cx.is_empty(), "a real path, not just a state");
         if mode.strategy == SearchStrategy::StatefulBfs {
@@ -220,20 +191,16 @@ fn runs_store_checkpoints_and_resumes_with_spilled_runs() {
     for mode in &modes() {
         let uninterrupted = run_crash_cell(mode, false, frontier, store, None, None);
         assert!(uninterrupted.verdict.is_verified());
-        assert!(
-            uninterrupted.stats.store_spilled_bytes > 0,
-            "the tiny watermark must spill sorted runs"
-        );
+        // The tiny watermark spills sorted runs.
+        assert!(uninterrupted.stats.store_spilled_bytes > 0);
 
         let dir = temp_dir("runs");
         let checkpoint = || Some(CheckpointConfig::new(&dir));
         let interrupted = run_crash_cell(mode, false, frontier, store, checkpoint(), Some(30));
         assert!(matches!(interrupted.verdict, Verdict::LimitReached { .. }));
         let resumed = run_crash_cell(mode, false, frontier, store, checkpoint(), None);
-        assert_eq!(
-            uninterrupted.verdict.to_string(),
-            resumed.verdict.to_string()
-        );
+        let verdicts = [&uninterrupted, &resumed].map(|r| r.verdict.to_string());
+        assert_eq!(verdicts[0], verdicts[1]);
         assert_eq!(uninterrupted.stats.counters(), resumed.stats.counters());
         assert!(resumed.stats.store_spilled_bytes > 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -246,12 +213,13 @@ fn runs_store_checkpoints_and_resumes_with_spilled_runs() {
 
 /// The plain cell of (d) and (e): sequential, sym off, in-memory frontier.
 fn run_plain_cell(dir: &PathBuf, max_states: Option<usize>) -> RunReport {
+    let (mode, ckpt) = (CheckerConfig::stateful_bfs(), CheckpointConfig::new(dir));
     run_crash_cell(
-        &CheckerConfig::stateful_bfs(),
+        &mode,
         false,
         FrontierConfig::Mem,
         None,
-        Some(CheckpointConfig::new(dir)),
+        Some(ckpt),
         max_states,
     )
 }
@@ -315,20 +283,22 @@ fn seed_checkpoint(dir: &PathBuf) {
     assert!(matches!(interrupted.verdict, Verdict::LimitReached { .. }));
 }
 
+/// Replaces `from` by `to` in the manifest in `dir`.
+fn edit_manifest(dir: &Path, from: &str, to: &str) {
+    let manifest = dir.join("MANIFEST");
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    assert!(text.contains(from), "{text}");
+    std::fs::write(&manifest, text.replace(from, to)).unwrap();
+}
+
 #[test]
 #[should_panic(expected = "refusing to resume")]
 fn resume_under_a_different_configuration_is_refused() {
     let dir = temp_dir("mismatch");
     seed_checkpoint(&dir);
     // Same protocol, but symmetry on: a different search identity.
-    run_crash_cell(
-        &CheckerConfig::stateful_bfs(),
-        true,
-        FrontierConfig::Mem,
-        None,
-        Some(CheckpointConfig::new(&dir)),
-        None,
-    );
+    let (mode, ckpt) = (CheckerConfig::stateful_bfs(), CheckpointConfig::new(&dir));
+    run_crash_cell(&mode, true, FrontierConfig::Mem, None, Some(ckpt), None);
 }
 
 #[test]
@@ -362,14 +332,27 @@ fn resume_under_a_different_thread_count_is_refused() {
     let dir = temp_dir("threads");
     seed_checkpoint(&dir);
     // The strategy label, thread count included, is part of the identity.
-    run_crash_cell(
-        &CheckerConfig::parallel_bfs(1),
-        false,
-        FrontierConfig::Mem,
-        None,
-        Some(CheckpointConfig::new(&dir)),
-        None,
+    let (mode, ckpt) = (CheckerConfig::parallel_bfs(1), CheckpointConfig::new(&dir));
+    run_crash_cell(&mode, false, FrontierConfig::Mem, None, Some(ckpt), None);
+}
+
+#[test]
+#[should_panic(expected = "refusing to resume")]
+fn a_checkpoint_judged_for_deadlocks_at_dequeue_is_refused() {
+    let dir = temp_dir("deadlocks");
+    let mode = CheckerConfig::stateful_bfs().with_deadlock_check(true);
+    let ckpt = || Some(CheckpointConfig::new(&dir));
+    // The cell deadlocks one step in, so the run stops at its root.
+    let interrupted = run_crash_cell(&mode, false, FrontierConfig::Mem, None, ckpt(), Some(1));
+    assert!(
+        matches!(interrupted.verdict, Verdict::LimitReached { .. }),
+        "{interrupted}"
     );
+    // Builds that judged a deadlock at dequeue wrote `deadlocks=true`, and
+    // the last level they committed was never judged: resuming it would
+    // miss a deadlock there.
+    edit_manifest(&dir, " deadlocks=first-visit ", " deadlocks=true ");
+    run_crash_cell(&mode, false, FrontierConfig::Mem, None, ckpt(), None);
 }
 
 #[test]
@@ -377,13 +360,7 @@ fn resume_under_a_different_thread_count_is_refused() {
 fn a_corrupted_manifest_is_refused() {
     let dir = temp_dir("corrupt-manifest");
     seed_checkpoint(&dir);
-    let manifest = dir.join("MANIFEST");
-    let text = std::fs::read_to_string(&manifest).unwrap();
-    std::fs::write(
-        &manifest,
-        text.replace("spec_fingerprint", "spec_fingerprnt"),
-    )
-    .unwrap();
+    edit_manifest(&dir, "spec_fingerprint", "spec_fingerprnt");
     run_plain_cell(&dir, None);
 }
 
@@ -437,18 +414,9 @@ fn an_overstated_parent_log_is_refused_before_any_allocation() {
 fn resume_under_manifest_version(tag: &str, version: u32) {
     let dir = temp_dir(tag);
     seed_checkpoint(&dir);
-    let manifest = dir.join("MANIFEST");
-    let text = std::fs::read_to_string(&manifest).unwrap();
-    let header = format!(
-        "mp-basset-checkpoint v{}",
-        mp_basset::store::CHECKPOINT_VERSION
-    );
-    assert!(text.starts_with(&header), "{text}");
-    std::fs::write(
-        &manifest,
-        text.replace(&header, &format!("mp-basset-checkpoint v{version}")),
-    )
-    .unwrap();
+    let header = |v| format!("mp-basset-checkpoint v{v}\n");
+    let current = mp_basset::store::CHECKPOINT_VERSION;
+    edit_manifest(&dir, &header(current), &header(version));
     run_plain_cell(&dir, None);
 }
 
@@ -523,10 +491,7 @@ fn resume_truncates_the_parent_log_and_rewrites_the_partial_level() {
     assert!(partial.exists(), "the watermark spilled the partial level");
     let parents = manifest.file("parents.log").unwrap().bytes;
     let on_disk = |name: &str| std::fs::metadata(killed.join(name)).unwrap().len();
-    assert!(
-        on_disk("parents.log") > parents,
-        "uncommitted parent records"
-    );
+    assert!(on_disk("parents.log") > parents, "uncommitted records");
 
     let resumed = run_crash_cell(&mode, false, frontier, None, checkpoint(&killed), None);
     assert!(resumed.verdict.is_verified());

@@ -17,7 +17,8 @@
 //! stores; the sequential BFS ± SPOR on the in-memory and a
 //! one-byte-watermark disk frontier, `parallel_bfs(1)`, and
 //! `parallel_bfs(2)` (SPOR under the four stores); a kill and resume of the
-//! sequential BFS; the stateless enumerator and DPOR on acyclic cells;
+//! unreduced sequential BFS; the stateless enumerator and DPOR on acyclic
+//! cells;
 //! every split strategy under SPOR on cells with exact quorum transitions;
 //! and the liveness DFS ± SPOR ± symmetry under the four stores, plus the
 //! stateless path enumerator. A deadlock is judged in the engine core, so
@@ -52,6 +53,7 @@ use mp_basset::model::{LocalState, Message, Permutable, ProtocolSpec};
 use mp_basset::protocols::echo_multicast::{self, MulticastSetting};
 use mp_basset::protocols::paxos::{self, PaxosSetting, PaxosVariant};
 use mp_basset::protocols::storage::{self, RegularityObserver, StorageSetting};
+use mp_basset::protocols::sweep::{collect_model, collect_soundness_property, CollectSetting};
 use mp_basset::refine::{check_refinement, SplitStrategy};
 use mp_basset::store::{FrontierConfig, StoreConfig};
 use mp_basset::symmetry::{RoleMap, SymmetryGroup};
@@ -104,9 +106,11 @@ pub struct Tally {
     pub symmetry_strict: usize,
     /// Split-strategy rows.
     pub splits: usize,
-    /// Liveness properties judged, and those violated.
+    /// Liveness properties judged, those violated, and those the complete
+    /// stateless enumerator judged too.
     pub liveness: usize,
     pub liveness_violated: usize,
+    pub enumerated: usize,
 }
 
 /// One cell: a spec, its invariant and observer, its roles and its
@@ -116,11 +120,22 @@ pub struct Cell<S, M: Ord, O> {
     spec: ProtocolSpec<S, M>,
     invariant: Invariant<S, M, O>,
     observer: O,
-    roles: Option<RoleMap>,
+    roles: Option<Roles<S, M, O>>,
     liveness: Vec<Property<S, M>>,
     /// The invariant relates two or more processes' states.
     relating: bool,
 }
+
+/// A cell's roles: the order of the group they validate, and how they
+/// configure a safety and a liveness checker. Only cells with roles need
+/// [`Permutable`] types.
+struct Roles<S, M: Ord, O> {
+    order: usize,
+    safety: Configure<S, M, O>,
+    liveness: Configure<S, M, NullObserver>,
+}
+
+type Configure<S, M, O> = Box<dyn for<'a> Fn(Checker<'a, S, M, O>) -> Checker<'a, S, M, O>>;
 
 impl<S, M, O> Cell<S, M, O>
 where
@@ -128,6 +143,23 @@ where
     M: Message + Permutable,
     O: Observer<S, M> + Permutable + Ord,
 {
+    /// Declares the cell's roles: the symmetry rows run if they validate a
+    /// group of order > 1.
+    pub fn roles(self, roles: Option<RoleMap>) -> Self {
+        let roles = roles.map(|map| {
+            let order = SymmetryGroup::build(&self.spec, &map).order();
+            let twin = map.clone();
+            Roles {
+                order,
+                safety: Box::new(move |checker| checker.with_role_symmetry(&map)),
+                liveness: Box::new(move |checker| checker.with_role_symmetry(&twin)),
+            }
+        });
+        Cell { roles, ..self }
+    }
+}
+
+impl<S: LocalState, M: Message, O: Observer<S, M> + Ord> Cell<S, M, O> {
     pub fn new(
         name: String,
         spec: ProtocolSpec<S, M>,
@@ -146,14 +178,6 @@ where
         }
     }
 
-    pub fn roles(self, roles: Option<RoleMap>) -> Self {
-        Cell { roles, ..self }
-    }
-
-    pub fn relating(self, relating: bool) -> Self {
-        Cell { relating, ..self }
-    }
-
     pub fn liveness(self, liveness: Vec<Property<S, M>>) -> Self {
         Cell { liveness, ..self }
     }
@@ -168,37 +192,29 @@ where
 /// One `(deadlock check, symmetry)` setting of a cell and its truth.
 struct Rows<'a, S, M: Ord, O> {
     cell: &'a Cell<S, M, O>,
+    truth: &'a Reference<S, M, O>,
     deadlocks: bool,
     symmetry: bool,
     /// The shortest violation depth under this deadlock setting.
     shortest: Option<usize>,
-    cyclic: bool,
-    pairs: usize,
 }
 
-impl<'a, S, M, O> Rows<'a, S, M, O>
-where
-    S: LocalState + Permutable,
-    M: Message + Permutable,
-    O: Observer<S, M> + Permutable + Ord,
-{
+impl<'a, S: LocalState, M: Message, O: Observer<S, M> + Ord> Rows<'a, S, M, O> {
     fn new(
         cell: &'a Cell<S, M, O>,
-        truth: &Reference<S, M, O>,
+        truth: &'a Reference<S, M, O>,
         deadlocks: bool,
         symmetry: bool,
     ) -> Self {
         let violation = truth.violation(&cell.invariant);
         let deadlock = truth.deadlock().filter(|_| deadlocks);
         let shortest = violation.into_iter().chain(deadlock).min();
-        let (cyclic, pairs) = (truth.cyclic(), truth.pairs.len());
         Rows {
             cell,
+            truth,
             deadlocks,
             symmetry,
             shortest,
-            cyclic,
-            pairs,
         }
     }
 
@@ -209,19 +225,12 @@ where
 
     /// Runs one row.
     fn report(&self, config: CheckerConfig, spor: bool) -> RunReport {
-        let Cell {
-            spec,
-            invariant,
-            observer,
-            roles,
-            ..
-        } = self.cell;
-        let config = config.with_deadlock_check(self.deadlocks);
-        let checker =
-            Checker::with_observer(spec, invariant.clone(), observer.clone()).config(config);
+        let (cell, config) = (self.cell, config.with_deadlock_check(self.deadlocks));
+        let (invariant, observer) = (cell.invariant.clone(), cell.observer.clone());
+        let checker = Checker::with_observer(&cell.spec, invariant, observer).config(config);
         let checker = if spor { checker.spor() } else { checker };
-        match roles {
-            Some(roles) if self.symmetry => checker.with_role_symmetry(roles).run(),
+        match &cell.roles {
+            Some(roles) if self.symmetry => (roles.safety)(checker).run(),
             _ => checker.run(),
         }
     }
@@ -248,7 +257,7 @@ where
             // The BFS applies SPOR without a cycle proviso; DPOR orders
             // dependent steps only and tracks no visibility, so it may skip
             // a state two processes reach together.
-            let bfs_spor = bfs && spor && self.cyclic;
+            let bfs_spor = bfs && spor && self.truth.cyclic();
             let dpor_relating = dpor && self.cell.relating;
             let excused = truth && verdict.is_verified() && (bfs_spor || dpor_relating);
             assert!(excused, "{label}: {report}; truth: {:?}", self.shortest);
@@ -258,13 +267,10 @@ where
         if let Some(cx) = verdict.counterexample() {
             let cell = self.cell;
             rejects(&cell.spec, &cell.invariant, cell.observer.clone(), cx);
-            let shortest = self.shortest.expect("a violated truth");
+            let (len, shortest) = (cx.len(), self.shortest.expect("a violated truth"));
+            assert!(len >= shortest, "{label}: shorter than the truth: {cx}");
             assert!(
-                cx.len() >= shortest,
-                "{label}: shorter than the truth: {cx}"
-            );
-            assert!(
-                !bfs || spor || cx.len() == shortest,
+                !bfs || spor || len == shortest,
                 "{label}: not shortest: {cx}"
             );
         }
@@ -275,7 +281,8 @@ where
     fn stores(&self, row: &str, config: CheckerConfig, spor: bool, tally: &mut Tally) -> RunReport {
         let exact = self.run(row, config.clone(), spor, tally);
         let pooled = matches!(config.strategy, SearchStrategy::ParallelBfs { .. });
-        let others = match (self.deadlocks, pooled && self.pairs > POOLED_RUNS_PAIRS) {
+        let large = self.truth.pairs.len() > POOLED_RUNS_PAIRS;
+        let others = match (self.deadlocks, pooled && large) {
             (true, _) => &[][..],
             (false, true) => &STORES[1..3],
             (false, false) => &STORES[1..],
@@ -295,15 +302,15 @@ where
 
     /// A checkpointed sequential BFS stopped halfway and resumed ends as
     /// the uninterrupted `mem` run did.
-    fn kill_and_resume(&self, spor: bool, mem: &RunReport, tally: &mut Tally) {
+    fn kill_and_resume(&self, mem: &RunReport, tally: &mut Tally) {
         static NEXT: AtomicUsize = AtomicUsize::new(0);
         let n = NEXT.fetch_add(1, Ordering::SeqCst);
         let name = format!("mp-basset-differential-{}-{n}", std::process::id());
         let dir = std::env::temp_dir().join(name);
         let config = CheckerConfig::stateful_bfs().with_checkpoint(CheckpointConfig::new(&dir));
         let half = (mem.stats.states / 2).max(1);
-        self.report(config.clone().with_max_states(half), spor);
-        self.same_as("bfs resumed", config, spor, mem, tally);
+        self.report(config.clone().with_max_states(half), false);
+        self.same_as("bfs resumed", config, false, mem, tally);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -337,12 +344,11 @@ fn splittable<S: LocalState, M: Message>(spec: &ProtocolSpec<S, M>) -> bool {
 }
 
 /// Judges every row of `cell` against its reference graph `truth`.
-pub fn judge<S, M, O>(cell: &Cell<S, M, O>, truth: &Reference<S, M, O>, tally: &mut Tally)
-where
-    S: LocalState + Permutable,
-    M: Message + Permutable,
-    O: Observer<S, M> + Permutable + Ord,
-{
+pub fn judge<S: LocalState, M: Message, O: Observer<S, M> + Ord>(
+    cell: &Cell<S, M, O>,
+    truth: &Reference<S, M, O>,
+    tally: &mut Tally,
+) {
     assert!(truth.complete(), "{}: no reference", cell.name);
     let violation = truth.violation(&cell.invariant);
     let reachable = (truth.pairs.len(), truth.transitions());
@@ -352,8 +358,7 @@ where
     tally.violated += usize::from(violation.is_some());
     tally.verified += usize::from(violation.is_none());
     // Symmetry rows run where the declared roles validate a group.
-    let order = |roles| SymmetryGroup::build(&cell.spec, roles).order();
-    let symmetric = cell.roles.as_ref().is_some_and(|roles| order(roles) > 1);
+    let symmetric = cell.roles.as_ref().is_some_and(|roles| roles.order > 1);
     tally.symmetric += usize::from(symmetric);
     let symmetries: &[bool] = if symmetric { &[false, true] } else { &[false] };
     let counted = |r: &RunReport| (r.stats.states, r.stats.transitions_executed);
@@ -416,8 +421,9 @@ where
                 if verified(&pool) {
                     assert_eq!(counted(&pool), counted(&mem), "{}", rows.label(&row));
                 }
-                if !deadlocks && !symmetry {
-                    rows.kill_and_resume(spor, &mem, tally);
+                // `checkpoint_resume.rs` kills and resumes SPOR runs.
+                if !deadlocks && !symmetry && !spor {
+                    rows.kill_and_resume(&mem, tally);
                 }
                 mems.push(mem);
             }
@@ -440,10 +446,7 @@ where
             let label = format!("{} [{}]", cell.name, strategy.label());
             let split = strategy.apply(&cell.spec).expect("a split");
             let check = check_refinement(&cell.spec, &split, truth.pairs.len()).expect("a graph");
-            assert!(
-                check.equivalent,
-                "{label}: the split changed the state graph"
-            );
+            assert!(check.equivalent, "{label}: the split changed the graph");
             let checker =
                 Checker::with_observer(&split, cell.invariant.clone(), cell.observer.clone());
             let report = checker.spor().run();
@@ -463,15 +466,12 @@ where
 }
 
 /// Judges the liveness rows of one property of `cell`.
-fn judge_liveness<S, M, O>(
+fn judge_liveness<S: LocalState, M: Message, O>(
     cell: &Cell<S, M, O>,
     property: &Property<S, M>,
     symmetries: &[bool],
     tally: &mut Tally,
-) where
-    S: LocalState + Permutable,
-    M: Message + Permutable,
-{
+) {
     let spec = &cell.spec;
     let name = format!("{} / {}", cell.name, property.name());
     let buffer = SharedBuffer::new();
@@ -500,19 +500,20 @@ fn judge_liveness<S, M, O>(
                 let checker = Checker::new(spec, property.clone()).config(config);
                 let checker = if spor { checker.spor() } else { checker };
                 let report = match &cell.roles {
-                    Some(roles) if symmetry => checker.with_role_symmetry(roles).run(),
+                    Some(roles) if symmetry => (roles.liveness)(checker).run(),
                     _ => checker.run(),
                 };
                 tally.rows += 1;
                 assert_eq!(report.verdict.is_violated(), violated, "{label}: {report}");
-                // Every revisit is one store hit; a lasso closed at a back
-                // edge ends the search before that revisit is counted.
-                let uncounted = report.stats.store_hits - report.stats.revisits;
-                assert!(uncounted <= usize::from(violated), "{label}: {report}");
                 let lasso = report.verdict.counterexample().map(|cx| {
                     lasso_is_genuine(spec, property, cx);
                     (cx.steps.len(), cx.cycle.len())
                 });
+                // Every revisit is one store hit, but a lasso closed at a
+                // back edge ends the search before that one is counted.
+                let closed = lasso.is_some_and(|(_, cycle)| cycle > 0);
+                let uncounted = report.stats.store_hits - report.stats.revisits;
+                assert!(uncounted <= usize::from(closed), "{label}: {report}");
                 let stats = &report.stats;
                 let row = (lasso, stats.states, stats.transitions_executed);
                 assert_eq!(&row, exact.get_or_insert(row), "{label}: {report}");
@@ -536,19 +537,17 @@ fn judge_liveness<S, M, O>(
         }
         Verdict::Verified => assert!(!complete || !violated, "{label}: {report}"),
     }
+    let capped = matches!(report.verdict, Verdict::LimitReached { .. });
+    tally.enumerated += usize::from(complete && !capped);
 }
 
 /// Conservative annotations only weaken the reduction: the SPOR rows of
 /// a cell with them keep their verdicts.
-pub fn judge_conservative<S, M, O>(
+pub fn judge_conservative<S: LocalState, M: Message, O: Observer<S, M> + Ord>(
     cell: &Cell<S, M, O>,
     truth: &Reference<S, M, O>,
     tally: &mut Tally,
-) where
-    S: LocalState + Permutable,
-    M: Message + Permutable,
-    O: Observer<S, M> + Permutable + Ord,
-{
+) {
     for deadlocks in [false, true] {
         let rows = Rows::new(cell, truth, deadlocks, false);
         rows.run("dfs+spor", CheckerConfig::stateful_dfs(), true, tally);
@@ -567,11 +566,8 @@ pub fn generated(name: String, gen: &GenSpec) -> Option<Cell<FaultLocal<u8>, Msg
     let built = gen.build().ok()?;
     let cell = Cell::new(name, built.spec, built.invariant, NullObserver);
     let relating = gen.watch.processes.len() > 1;
-    Some(
-        cell.liveness(vec![built.liveness])
-            .relating(relating)
-            .roles(built.roles),
-    )
+    let cell = Cell { relating, ..cell };
+    Some(cell.liveness(vec![built.liveness]).roles(built.roles))
 }
 
 // ---------------------------------------------------------------------------
@@ -623,11 +619,8 @@ pub fn faulted_paxos_cell(budget: FaultBudget, tally: &mut Tally) {
     let name = format!("paxos{setting} {budget}");
     let cell = Cell::new(name, spec, invariant, NullObserver);
     let terminates = paxos::faulty_termination_property(setting);
-    let liveness = vec![terminates, paxos::faulty_accepted_leads_to_learned(setting)];
-    let liveness = liveness
-        .into_iter()
-        .filter(|_| budget.total() <= 1)
-        .collect();
+    let mut liveness = vec![terminates, paxos::faulty_accepted_leads_to_learned(setting)];
+    liveness.retain(|_| budget.total() <= 1);
     let cell = cell.roles(Some(paxos::symmetry_roles(setting)));
     cell.liveness(liveness).judge(tally);
 }
@@ -660,6 +653,25 @@ pub fn faulted_storage_cell(budget: FaultBudget, tally: &mut Tally) {
     let liveness = vec![completes, storage::faulty_reading_leads_to_done(setting)];
     let cell = cell.roles(Some(storage::symmetry_roles(setting)));
     cell.liveness(liveness).judge(tally);
+}
+
+/// Judges the soundness of the collection protocol in its settings with
+/// 1–2 collectors and a quorum of 1–3 of 2–4 voters (of 2–3 voters with
+/// single messages, whose 4-voter graphs take seconds unoptimised).
+pub fn collect_cells(quorum: bool, tally: &mut Tally) {
+    for voters in 2..4 + usize::from(quorum) {
+        for size in 1..=voters.min(3) {
+            for collectors in 1..3 {
+                let setting = CollectSetting::new(voters, size, collectors);
+                let name = format!("collect{setting:?} quorum={quorum}");
+                let (spec, invariant) = (
+                    collect_model(setting, quorum),
+                    collect_soundness_property(setting),
+                );
+                Cell::new(name, spec, invariant, NullObserver).judge(tally);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

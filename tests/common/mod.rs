@@ -12,6 +12,7 @@ pub mod differential;
 
 use std::collections::HashMap;
 
+use mp_basset::checker::RunReport;
 use mp_basset::checker::{Counterexample, Fairness, Invariant, NullObserver, Observer, Property};
 use mp_basset::checker::{CounterexampleStep, PropertyStatus};
 use mp_basset::faults::{inject, lift_invariant, lift_property, FaultBudget, FaultLocal};
@@ -105,10 +106,10 @@ pub struct GenLiveness {
 /// Every process starts at local value 0 and moves only by its
 /// transitions' `from → to` guards. Below its *send threshold* a process
 /// only moves up, and only those moves send; at or above it, it moves
-/// freely but never below it again. So each process sends a bounded
-/// number of messages and every spec is finite, while the moves above the
-/// threshold (for a process that never sends, every move) may close
-/// cycles.
+/// freely (in half the specs to its own value too) but never below it
+/// again. So each process sends a bounded number of messages and every
+/// spec is finite, while the moves above the threshold (for a process that
+/// never sends, every move) may close cycles.
 #[derive(Clone, Debug)]
 pub struct GenSpec {
     /// Each process's number of local values.
@@ -143,15 +144,10 @@ impl GenSpec {
             2 + rng.below(3)
         };
         let members: Vec<usize> = if role { (1..n).collect() } else { Vec::new() };
-        let member = 2 + rng.below(4) as u8;
+        let mut domain = || 2 + rng.below(4) as u8;
+        let member = domain();
         let locals: Vec<u8> = (0..n)
-            .map(|p| {
-                if p > 0 && role {
-                    member
-                } else {
-                    2 + rng.below(4) as u8
-                }
-            })
+            .map(|p| if p > 0 && role { member } else { domain() })
             .collect();
         let mut transitions: Vec<GenTransition> = Vec::new();
         for (p, &values) in locals.iter().enumerate() {
@@ -224,19 +220,17 @@ impl GenSpec {
                         }
                     }
                 }
-                if to != from {
-                    let (from, to) = (from as u8, to as u8);
-                    let senders = senders.filter(|_| !internal);
-                    transitions.push(GenTransition {
-                        process: p,
-                        from,
-                        to,
-                        input,
-                        senders,
-                        payload,
-                        sends,
-                    });
-                }
+                let (from, to) = (from as u8, to as u8);
+                let senders = senders.filter(|_| !internal);
+                transitions.push(GenTransition {
+                    process: p,
+                    from,
+                    to,
+                    input,
+                    senders,
+                    payload,
+                    sends,
+                });
             }
         }
         // The properties read processes the group fixes, or all members.
@@ -248,29 +242,33 @@ impl GenSpec {
         let values = usize::from(locals[watched[0]]);
         let value = 1 + rng.below(values - 1) as u8;
         let at_least = watched.len().min(2);
-        let watch = Watch {
-            processes: watched,
-            value,
-            at_least,
-        };
         let process = if role { 0 } else { rng.below(n) };
         let values = usize::from(locals[process]);
         let trigger = (rng.below(2) == 0).then(|| rng.third_of(values));
         let (goal, unfair) = (rng.third_of(values), rng.below(2) == 0);
-        let liveness = GenLiveness {
-            process,
-            trigger,
-            goal,
-            unfair,
-        };
         let none = FaultBudget::none();
         let budget = [none, none.crashes(1), none.drops(1), none.dups(1)][rng.below(4)];
+        // Half the specs keep their self-loops: under weak fairness a cycle
+        // must then take another process's self-loop too, a figure-eight
+        // only the SCC backstop finds.
+        if rng.below(2) == 0 {
+            transitions.retain(|t| t.from != t.to);
+        }
         GenSpec {
             locals,
             transitions,
             members,
-            watch,
-            liveness,
+            watch: Watch {
+                processes: watched,
+                value,
+                at_least,
+            },
+            liveness: GenLiveness {
+                process,
+                trigger,
+                goal,
+                unfair,
+            },
             budget,
             conservative: false,
         }
@@ -469,6 +467,19 @@ impl<S: LocalState, M: Message, O: Observer<S, M>> Reference<S, M, O> {
     }
 }
 
+/// A run's tree, node for node: (expansions, transitions, depth,
+/// revisits). The stateless trees are pinned by it; DPOR's depends on the
+/// order it takes its backtrack points in.
+pub fn tree(report: &RunReport) -> (usize, usize, usize, usize) {
+    let s = &report.stats;
+    (
+        s.expansions,
+        s.transitions_executed,
+        s.max_depth,
+        s.revisits,
+    )
+}
+
 // ---------------------------------------------------------------------------
 // The replay checker.
 // ---------------------------------------------------------------------------
@@ -487,16 +498,11 @@ type Run<S, M, O> = (Vec<TransitionInstance<M>>, (GlobalState<S, M>, O));
 /// Follows `steps` from `runs`. A step names its transition, process and
 /// consumed senders but not the payloads, so every enabled instance that
 /// matches is followed; runs that reach the same pair merge.
-fn follow<S, M, O>(
+fn follow<S: LocalState, M: Message, O: Observer<S, M>>(
     spec: &ProtocolSpec<S, M>,
     mut runs: Vec<Run<S, M, O>>,
     steps: &[CounterexampleStep],
-) -> Vec<Run<S, M, O>>
-where
-    S: LocalState,
-    M: Message,
-    O: Observer<S, M>,
-{
+) -> Vec<Run<S, M, O>> {
     for step in steps {
         let mut next: Vec<Run<S, M, O>> = Vec::new();
         for (path, (state, observer)) in &runs {
@@ -526,16 +532,11 @@ where
 /// runs whose stem ends in a state rendered as `cx.violating_state` and,
 /// for a lasso, whose cycle returns to that same pair. Panics if there is
 /// none.
-pub fn replay<S, M, O>(
+pub fn replay<S: LocalState, M: Message, O: Observer<S, M>>(
     spec: &ProtocolSpec<S, M>,
     cx: &Counterexample,
     observer: O,
-) -> Vec<Replayed<S, M, O>>
-where
-    S: LocalState,
-    M: Message,
-    O: Observer<S, M>,
-{
+) -> Vec<Replayed<S, M, O>> {
     let start = vec![(Vec::new(), (spec.initial_state(), observer))];
     let mut replayed = Vec::new();
     for (stem, end) in follow(spec, start, &cx.steps) {
@@ -557,16 +558,12 @@ where
 /// Asserts that the safety counterexample `cx` replays to a pair
 /// `invariant` rejects or, for a deadlock, to a state with nothing
 /// enabled.
-pub fn rejects<S, M, O>(
+pub fn rejects<S: LocalState, M: Message, O: Observer<S, M>>(
     spec: &ProtocolSpec<S, M>,
     invariant: &Invariant<S, M, O>,
     observer: O,
     cx: &Counterexample,
-) where
-    S: LocalState,
-    M: Message,
-    O: Observer<S, M>,
-{
+) {
     assert!(!cx.is_lasso, "{cx}");
     let deadlock = cx.reason.starts_with("deadlock");
     let rejected = replay(spec, cx, observer)

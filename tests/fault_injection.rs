@@ -16,7 +16,7 @@ use common::Rng;
 use mp_basset::faults::{inject, project_state, FaultBudget};
 use mp_basset::harness::fault_sweep::zero_budget_seed_checks;
 use mp_basset::harness::Budget;
-use mp_basset::model::{enabled_instances, execute_enabled};
+use mp_basset::model::{enabled_instances, execute_enabled, TransitionInstance};
 use mp_basset::protocols::echo_multicast::MulticastSetting;
 use mp_basset::protocols::paxos::{quorum_model as paxos, PaxosSetting, PaxosVariant};
 
@@ -59,10 +59,8 @@ fn zero_budget_reproduces_every_seed_model_exactly() {
 fn random_base_traces_replay_under_injection() {
     let setting = PaxosSetting::new(1, 2, 1);
     let base = paxos(setting, PaxosVariant::Correct);
-    let budgets = [
-        FaultBudget::none(),
-        FaultBudget::none().crashes(2).drops(2).dups(1),
-    ];
+    let none = FaultBudget::none();
+    let budgets = [none, none.crashes(2).drops(2).dups(1)];
     let faulted: Vec<_> = budgets.iter().map(|b| inject(&base, *b).unwrap()).collect();
 
     let mut rng = Rng(7);
@@ -79,21 +77,13 @@ fn random_base_traces_replay_under_injection() {
             for (f, fs) in faulted.iter().zip(fault_states.iter_mut()) {
                 // Wrapped protocol transitions keep ids and inputs, so the
                 // *same* instance must be enabled on the faulted model.
-                let mirrored = enabled_instances(f, fs)
-                    .into_iter()
-                    .find(|i| {
-                        i.transition == instance.transition && i.envelopes == instance.envelopes
-                    })
-                    .unwrap_or_else(|| {
-                        panic!("base instance {instance:?} not executable on {}", f.name())
-                    });
+                let same = |i: &TransitionInstance<_>| {
+                    i.transition == instance.transition && i.envelopes == instance.envelopes
+                };
+                let mirrored = enabled_instances(f, fs).into_iter().find(same);
+                let mirrored = mirrored.expect("the base instance is executable");
                 *fs = execute_enabled(f, fs, &mirrored);
-                assert_eq!(
-                    project_state(fs),
-                    base_state,
-                    "projection diverged on {}",
-                    f.name()
-                );
+                assert_eq!(project_state(fs), base_state, "{}", f.name());
             }
         }
     }
@@ -112,15 +102,14 @@ fn random_faultfree_faulted_traces_project_onto_base() {
         let mut state = faulted.initial_state();
         let mut base_state = base.initial_state();
         for _step in 0..40 {
-            let protocol_options: Vec<_> = enabled_instances(&faulted, &state)
-                .into_iter()
-                .filter(|i| {
-                    !faulted
-                        .transition(i.transition)
-                        .annotations()
-                        .is_environment
-                })
-                .collect();
+            let protocol = |i: &TransitionInstance<_>| {
+                !faulted
+                    .transition(i.transition)
+                    .annotations()
+                    .is_environment
+            };
+            let enabled = enabled_instances(&faulted, &state).into_iter();
+            let protocol_options: Vec<_> = enabled.filter(protocol).collect();
             if protocol_options.is_empty() {
                 break;
             }

@@ -30,6 +30,10 @@ use mp_basset::store::FrontierConfig;
 /// Small enough that every run writes several spill segments.
 const TINY_WATERMARK: usize = 512;
 
+fn tiny() -> FrontierConfig {
+    FrontierConfig::disk_with_watermark(TINY_WATERMARK)
+}
+
 // ---------------------------------------------------------------------------
 // (a) Orbit collapse is visible in the spilled frontier bytes.
 // ---------------------------------------------------------------------------
@@ -37,38 +41,25 @@ const TINY_WATERMARK: usize = 512;
 #[test]
 fn symmetry_shrinks_spilled_frontier_bytes_on_paxos_crash_cells() {
     let setting = PaxosSetting::new(1, 2, 1);
-    let roles = paxos::symmetry_roles(setting);
-    let spec = faulty_paxos(
-        setting,
-        PaxosVariant::Correct,
-        FaultBudget::none().crashes(1),
-    );
-    let run = |symmetry: bool| {
-        let checker = Checker::new(&spec, faulty_consensus_property(setting))
-            .spor()
-            .config(
-                CheckerConfig::stateful_bfs()
-                    .with_frontier(FrontierConfig::disk_with_watermark(TINY_WATERMARK)),
-            );
-        let checker = if symmetry {
-            checker.with_role_symmetry(&roles)
-        } else {
-            checker
-        };
-        checker.run()
-    };
-    let plain = run(false);
-    let sym = run(true);
+    let crash1 = FaultBudget::none().crashes(1);
+    let spec = faulty_paxos(setting, PaxosVariant::Correct, crash1);
+    let config = CheckerConfig::stateful_bfs().with_frontier(tiny());
+    let checker = Checker::new(&spec, faulty_consensus_property(setting))
+        .spor()
+        .config(config);
+    let plain = checker.run();
+    let sym = checker
+        .with_role_symmetry(&paxos::symmetry_roles(setting))
+        .run();
     assert!(plain.verdict.is_verified() && sym.verdict.is_verified());
-    let ratio =
-        plain.stats.frontier_peak_bytes as f64 / sym.stats.frontier_peak_bytes.max(1) as f64;
-    assert!(
-        ratio >= 1.4,
-        "spilling canonical representatives must shrink the crash-cell \
-         frontier by the orbit collapse: {}B plain vs {}B symmetric ({ratio:.2}x)",
+    // Spilling canonical representatives shrinks the frontier by the orbit
+    // collapse.
+    let peak = (
         plain.stats.frontier_peak_bytes,
-        sym.stats.frontier_peak_bytes
+        sym.stats.frontier_peak_bytes,
     );
+    let ratio = peak.0 as f64 / peak.1.max(1) as f64;
+    assert!(ratio >= 1.4, "{peak:?} bytes: {ratio:.2}x");
 }
 
 // ---------------------------------------------------------------------------
@@ -89,7 +80,7 @@ fn spilled_counterexample_replays_concretely() {
             .run()
     };
     let mem = run(FrontierConfig::Mem);
-    let disk = run(FrontierConfig::disk_with_watermark(TINY_WATERMARK));
+    let disk = run(tiny());
     assert!(disk.stats.frontier_spilled_bytes > 0);
 
     let mem_cx = mem.verdict.counterexample().expect("bug must be found");
@@ -110,29 +101,20 @@ fn spilled_counterexample_replays_concretely() {
 #[test]
 fn tiny_watermark_forces_multi_segment_spilling() {
     let setting = PaxosSetting::new(1, 2, 1);
-    let spec = faulty_paxos(
-        setting,
-        PaxosVariant::Correct,
-        FaultBudget::none().crashes(1).drops(1),
-    );
-    let report = Checker::new(&spec, faulty_consensus_property(setting))
-        .config(
-            CheckerConfig::stateful_bfs()
-                .with_frontier(FrontierConfig::disk_with_watermark(TINY_WATERMARK)),
-        )
-        .run();
+    let budget = FaultBudget::none().crashes(1).drops(1);
+    let spec = faulty_paxos(setting, PaxosVariant::Correct, budget);
+    let run = |config| {
+        let checker = Checker::new(&spec, faulty_consensus_property(setting));
+        checker.config(config).run()
+    };
+    let report = run(CheckerConfig::stateful_bfs().with_frontier(tiny()));
     assert!(report.verdict.is_verified());
     // Multiple segments: total spilled bytes are several watermarks' worth.
-    assert!(
-        report.stats.frontier_spilled_bytes >= 4 * TINY_WATERMARK,
-        "expected at least 4 segments, spilled only {} bytes",
-        report.stats.frontier_spilled_bytes
-    );
+    let spilled = report.stats.frontier_spilled_bytes;
+    assert!(spilled >= 4 * TINY_WATERMARK, "{spilled} bytes");
     // The mem run agrees (the unreduced crash1+drop1 cell is the largest
     // in the sweep — exactly the shape the spill exists for).
-    let mem = Checker::new(&spec, faulty_consensus_property(setting))
-        .config(CheckerConfig::stateful_bfs())
-        .run();
+    let mem = run(CheckerConfig::stateful_bfs());
     assert_eq!(mem.stats.states, report.stats.states);
     assert_eq!(mem.verdict.to_string(), report.verdict.to_string());
 }

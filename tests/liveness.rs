@@ -13,9 +13,10 @@ mod common;
 
 use common::differential::{faulted_multicast_cell, faulted_paxos_cell};
 use common::differential::{faulted_storage_cell, Tally};
-use common::lasso_is_genuine;
-use mp_basset::checker::{Checker, CheckerConfig, SearchStrategy};
+use common::{lasso_is_genuine, tree};
+use mp_basset::checker::{Checker, CheckerConfig, CounterexampleStep, Property, SearchStrategy};
 use mp_basset::faults::FaultBudget;
+use mp_basset::model::{LocalState, Message, ProtocolSpec};
 use mp_basset::protocols::echo_multicast::{
     delivery_termination_property, quorum_model as multicast, MulticastSetting,
 };
@@ -32,54 +33,27 @@ use mp_basset::protocols::storage::{
 // (a) Termination verified on the seed protocols.
 // ---------------------------------------------------------------------------
 
+/// Whether `property` holds on `spec`, by the default search.
+fn holds<S: LocalState, M: Message>(spec: &ProtocolSpec<S, M>, property: Property<S, M>) -> bool {
+    Checker::new(spec, property).run().verdict.is_verified()
+}
+
 #[test]
 fn seed_protocols_satisfy_their_liveness_properties() {
-    let paxos_setting = PaxosSetting::new(1, 2, 1);
-    let spec = paxos(paxos_setting, PaxosVariant::Correct);
-    assert!(
-        Checker::new(&spec, termination_property(paxos_setting))
-            .run()
-            .verdict
-            .is_verified(),
-        "seed Paxos must always learn a value"
-    );
-    assert!(
-        Checker::new(&spec, accepted_leads_to_learned(paxos_setting))
-            .run()
-            .verdict
-            .is_verified()
-    );
-
-    let multicast_setting = MulticastSetting::new(2, 1, 0, 1);
-    assert!(
-        Checker::new(
-            &multicast(multicast_setting),
-            delivery_termination_property(multicast_setting)
-        )
-        .run()
-        .verdict
-        .is_verified(),
-        "seed multicast must always deliver the honest initiator's value"
-    );
-
-    let storage_setting = StorageSetting::new(2, 1);
-    assert!(
-        Checker::new(
-            &storage(storage_setting),
-            read_completion_property(storage_setting)
-        )
-        .run()
-        .verdict
-        .is_verified(),
-        "seed storage reads must always complete"
-    );
-    assert!(Checker::new(
-        &storage(storage_setting),
-        reading_leads_to_done(storage_setting)
-    )
-    .run()
-    .verdict
-    .is_verified());
+    // Paxos always learns a value, multicast always delivers the honest
+    // initiator's value, and storage reads always complete.
+    let setting = PaxosSetting::new(1, 2, 1);
+    let spec = paxos(setting, PaxosVariant::Correct);
+    assert!(holds(&spec, termination_property(setting)));
+    assert!(holds(&spec, accepted_leads_to_learned(setting)));
+    let setting = MulticastSetting::new(2, 1, 0, 1);
+    assert!(holds(
+        &multicast(setting),
+        delivery_termination_property(setting)
+    ));
+    let setting = StorageSetting::new(2, 1);
+    assert!(holds(&storage(setting), read_completion_property(setting)));
+    assert!(holds(&storage(setting), reading_leads_to_done(setting)));
 }
 
 // ---------------------------------------------------------------------------
@@ -95,31 +69,16 @@ fn paxos_crashed_majority_yields_fair_lasso() {
     let setting = PaxosSetting::new(1, 2, 1);
 
     let zero = faulty_paxos(setting, PaxosVariant::Correct, FaultBudget::none());
-    assert!(
-        Checker::new(&zero, faulty_termination_property(setting))
-            .run()
-            .verdict
-            .is_verified(),
-        "Paxos terminates with crash budget 0"
-    );
+    assert!(holds(&zero, faulty_termination_property(setting)));
 
-    let crashy = faulty_paxos(
-        setting,
-        PaxosVariant::Correct,
-        FaultBudget::none().crashes(1),
-    );
+    let crash1 = FaultBudget::none().crashes(1);
+    let crashy = faulty_paxos(setting, PaxosVariant::Correct, crash1);
     let report = Checker::new(&crashy, faulty_termination_property(setting)).run();
-    let cx = report
-        .verdict
-        .counterexample()
-        .expect("crash budget 1 must break termination");
+    let cx = report.verdict.counterexample().expect("no termination");
     assert!(cx.is_lasso, "liveness counterexamples are lassos: {cx}");
-    assert!(
-        cx.steps
-            .iter()
-            .any(|s| s.transition.starts_with("FAULT_CRASH")),
-        "the stem must contain the crash that kills the majority: {cx}"
-    );
+    // The stem holds the crash that kills the majority.
+    let crash = |s: &CounterexampleStep| s.transition.starts_with("FAULT_CRASH");
+    assert!(cx.steps.iter().any(crash), "{cx}");
     // The crash is fairness-exempt: the violation is not "the environment
     // was forced to act" but "after it acted, the fair remainder of the run
     // cannot learn".
@@ -133,15 +92,10 @@ fn every_engine_produces_the_same_liveness_verdict() {
     // the path memory. All must agree. The stateless rows' trees are
     // pinned: (expansions, transitions, depth, revisits) and the lasso's
     // (stem, cycle) lengths.
-    let setting = PaxosSetting::new(1, 2, 1);
-    for (budget, expect_violation, tree, lasso) in [
-        (FaultBudget::none(), false, (16, 19, 7, 0), None),
-        (
-            FaultBudget::none().crashes(1),
-            true,
-            (10, 14, 8, 0),
-            Some((7, 0)),
-        ),
+    let (setting, none) = (PaxosSetting::new(1, 2, 1), FaultBudget::none());
+    for (budget, expect_violation, pinned, lasso) in [
+        (none, false, (16, 19, 7, 0), None),
+        (none.crashes(1), true, (10, 14, 8, 0), Some((7, 0))),
     ] {
         let spec = faulty_paxos(setting, PaxosVariant::Correct, budget);
         for config in [
@@ -154,28 +108,14 @@ fn every_engine_produces_the_same_liveness_verdict() {
             let report = Checker::new(&spec, faulty_termination_property(setting))
                 .config(config.clone())
                 .run();
-            assert_eq!(
-                report.verdict.is_violated(),
-                expect_violation,
-                "strategy {:?} disagrees on budget {budget}: {report}",
-                config.strategy
-            );
+            let label = format!("{:?} on {budget}: {report}", config.strategy);
+            assert_eq!(report.verdict.is_violated(), expect_violation, "{label}");
             if let SearchStrategy::Stateless { dpor } = config.strategy {
-                let s = &report.stats;
-                let found = (
-                    s.expansions,
-                    s.transitions_executed,
-                    s.max_depth,
-                    s.revisits,
-                );
-                assert_eq!(found, tree, "{report}");
+                assert_eq!(tree(&report), pinned, "{report}");
                 let cx = report.verdict.counterexample();
                 assert_eq!(cx.map(|cx| (cx.steps.len(), cx.cycle.len())), lasso);
-                let label = if dpor {
-                    "stateless-liveness (dpor falls back to full expansion)"
-                } else {
-                    "stateless-liveness"
-                };
+                let fallback = dpor.then_some(" (dpor falls back to full expansion)");
+                let label = format!("stateless-liveness{}", fallback.unwrap_or(""));
                 assert_eq!(report.strategy, label);
             }
         }
@@ -189,11 +129,8 @@ fn every_engine_produces_the_same_liveness_verdict() {
 #[test]
 fn lasso_counterexamples_replay_deterministically() {
     let setting = PaxosSetting::new(1, 2, 1);
-    let spec = faulty_paxos(
-        setting,
-        PaxosVariant::Correct,
-        FaultBudget::none().crashes(1),
-    );
+    let crash1 = FaultBudget::none().crashes(1);
+    let spec = faulty_paxos(setting, PaxosVariant::Correct, crash1);
 
     // Two runs of the same configuration produce the identical lasso.
     let first = Checker::new(&spec, faulty_termination_property(setting)).run();
@@ -208,18 +145,12 @@ fn lasso_counterexamples_replay_deterministically() {
     lasso_is_genuine(&spec, &faulty_termination_property(setting), cx1);
 
     // The storage model under loss produces a quiescent lasso too.
-    let storage_setting = StorageSetting::new(2, 1);
-    let lossy = faulty_storage(storage_setting, FaultBudget::none().drops(1));
-    let report = Checker::new(&lossy, faulty_read_completion_property(storage_setting)).run();
-    let cx = report
-        .verdict
-        .counterexample()
-        .expect("loss blocks the read");
-    lasso_is_genuine(
-        &lossy,
-        &faulty_read_completion_property(storage_setting),
-        cx,
-    );
+    let setting = StorageSetting::new(2, 1);
+    let lossy = faulty_storage(setting, FaultBudget::none().drops(1));
+    let completes = faulty_read_completion_property(setting);
+    let report = Checker::new(&lossy, completes.clone()).run();
+    let cx = report.verdict.counterexample().expect("a blocked read");
+    lasso_is_genuine(&lossy, &completes, cx);
 }
 
 // ---------------------------------------------------------------------------

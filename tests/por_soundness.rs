@@ -10,9 +10,10 @@ mod common;
 
 use common::differential::{faulted_multicast_cell, faulted_paxos_cell, multicast_cell};
 use common::differential::{paxos_cell, storage_cell, Tally};
-use common::rejects;
-use mp_basset::checker::{Checker, CheckerConfig, NullObserver, RunReport};
+use common::{rejects, tree};
+use mp_basset::checker::{Checker, CheckerConfig, Invariant, NullObserver, RunReport};
 use mp_basset::faults::FaultBudget;
+use mp_basset::model::{LocalState, Message, ProtocolSpec};
 use mp_basset::por::{IndependenceRelation, StubbornSets};
 use mp_basset::protocols::echo_multicast::{
     agreement_property, quorum_model as multicast, MulticastSetting,
@@ -105,44 +106,26 @@ fn environment_transitions_depend_by_budget_class() {
     // duplication, each with its own counter) cannot interfere through the
     // budget, so across processes they are independent.
     let setting = PaxosSetting::new(1, 2, 1);
-    let spec = faulty_quorum_model(
-        setting,
-        PaxosVariant::Correct,
-        FaultBudget::none().crashes(1).drops(1).dups(1),
-    );
+    let budget = FaultBudget::none().crashes(1).drops(1).dups(1);
+    let spec = faulty_quorum_model(setting, PaxosVariant::Correct, budget);
     let rel = IndependenceRelation::compute(&spec);
-    let environment: Vec<_> = spec
+    let environment = spec
         .transitions()
-        .filter(|(_, t)| t.annotations().is_environment)
-        .map(|(id, _)| id)
-        .collect();
-    assert!(
-        environment.len() >= 6,
-        "crash per process + message faults expected, got {}",
-        environment.len()
-    );
+        .filter(|(_, t)| t.annotations().is_environment);
+    let environment: Vec<_> = environment.map(|(id, _)| id).collect();
+    // A crash per process, and the message faults.
+    assert!(environment.len() >= 6, "{environment:?}");
     let mut cross_class_independent = 0usize;
     for &a in &environment {
         for &b in &environment {
             let (ta, tb) = (spec.transition(a), spec.transition(b));
             let same_class =
                 ta.annotations().environment_class == tb.annotations().environment_class;
+            let pair = format!("{} and {}", ta.name(), tb.name());
             if same_class || ta.process() == tb.process() {
-                assert!(
-                    rel.dependent(a, b),
-                    "environment transitions {} and {} share a budget counter or a \
-                     process and must be dependent",
-                    ta.name(),
-                    tb.name()
-                );
+                assert!(rel.dependent(a, b), "{pair} must be dependent");
             } else {
-                assert!(
-                    rel.independent(a, b),
-                    "environment transitions {} and {} draw on disjoint budgets at \
-                     different processes and must be independent",
-                    ta.name(),
-                    tb.name()
-                );
+                assert!(rel.independent(a, b), "{pair} must be independent");
                 cross_class_independent += 1;
             }
         }
@@ -157,31 +140,22 @@ fn environment_transitions_depend_by_budget_class() {
     let sets = StubbornSets::new(&spec);
     for &e in &environment {
         let process = spec.transition(e).process();
-        for co in spec.transitions_of(process) {
-            if *co == e {
-                continue;
-            }
-            assert!(
-                sets.can_enable().enablers_of(*co).contains(&e),
-                "{} must count as a potential enabler of {}",
-                spec.transition(e).name(),
-                spec.transition(*co).name()
-            );
+        for &co in spec.transitions_of(process).iter().filter(|&&co| co != e) {
+            let pair = (spec.transition(e).name(), spec.transition(co).name());
+            let enables = sets.can_enable().enablers_of(co).contains(&e);
+            assert!(enables, "{pair:?}: the first may enable the second");
         }
     }
 }
 
-/// A stateless run's tree, node for node: (expansions, transitions, depth,
-/// revisits). DPOR's tree depends on the order it takes its backtrack
-/// points in, so these pins move if that order does.
-fn tree(report: &RunReport) -> (usize, usize, usize, usize) {
-    let s = &report.stats;
-    (
-        s.expansions,
-        s.transitions_executed,
-        s.max_depth,
-        s.revisits,
-    )
+/// A stateless run of `invariant` on `spec`, with DPOR or without.
+fn stateless<S: LocalState, M: Message>(
+    spec: &ProtocolSpec<S, M>,
+    invariant: Invariant<S, M>,
+    dpor: bool,
+) -> RunReport {
+    let config = CheckerConfig::stateless(dpor);
+    Checker::new(spec, invariant).config(config).run()
 }
 
 #[test]
@@ -189,23 +163,15 @@ fn dpor_stateless_agrees_on_fault_augmented_models() {
     // The stateless DPOR engine tracks environment steps through the
     // executed-step dependence; it must find the corruption bug and verify
     // the benign-budget model like the stateful engines do.
-    let setting = PaxosSetting::new(1, 2, 1);
-    let benign = faulty_quorum_model(setting, PaxosVariant::Correct, FaultBudget::none().drops(1));
-    let report = Checker::new(&benign, faulty_consensus_property(setting))
-        .config(CheckerConfig::stateless(true))
-        .run();
+    let (setting, none) = (PaxosSetting::new(1, 2, 1), FaultBudget::none());
+    let property = faulty_consensus_property(setting);
+    let benign = faulty_quorum_model(setting, PaxosVariant::Correct, none.drops(1));
+    let report = stateless(&benign, property.clone(), true);
     assert!(report.verdict.is_verified(), "{report}");
     assert_eq!(tree(&report), (62, 61, 8, 0), "{report}");
 
-    let byzantine = faulty_quorum_model(
-        setting,
-        PaxosVariant::Correct,
-        FaultBudget::none().corruptions(2),
-    );
-    let property = faulty_consensus_property(setting);
-    let report = Checker::new(&byzantine, property.clone())
-        .config(CheckerConfig::stateless(true))
-        .run();
+    let byzantine = faulty_quorum_model(setting, PaxosVariant::Correct, none.corruptions(2));
+    let report = stateless(&byzantine, property.clone(), true);
     let cx = report.verdict.counterexample().expect("the corruption bug");
     rejects(&byzantine, &property, NullObserver, cx);
     assert_eq!(tree(&report), (11, 11, 9, 0), "{report}");
@@ -216,16 +182,12 @@ fn dpor_stateless_agrees_on_small_instances() {
     // Stateless search revisits states, so keep the instance tiny.
     let setting = PaxosSetting::new(1, 2, 1);
     let spec = paxos(setting, PaxosVariant::Correct);
-    let report = Checker::new(&spec, consensus_property(setting))
-        .config(CheckerConfig::stateless(true))
-        .run();
+    let report = stateless(&spec, consensus_property(setting), true);
     assert!(report.verdict.is_verified(), "{report}");
 
     let broken = MulticastSetting::new(2, 1, 2, 1);
     let spec = multicast(broken);
-    let report = Checker::new(&spec, agreement_property(broken))
-        .config(CheckerConfig::stateless(true))
-        .run();
+    let report = stateless(&spec, agreement_property(broken), true);
     let cx = report.verdict.counterexample().expect("the attack");
     rejects(&spec, &agreement_property(broken), NullObserver, cx);
 
@@ -233,18 +195,14 @@ fn dpor_stateless_agrees_on_small_instances() {
     // `quick.paxos-dpor` cell.
     let single = PaxosSetting::new(1, 3, 1);
     let spec = paxos_single(single, PaxosVariant::Correct);
-    let report = Checker::new(&spec, consensus_property(single))
-        .config(CheckerConfig::stateless(true))
-        .run();
+    let report = stateless(&spec, consensus_property(single), true);
     assert!(report.verdict.is_verified(), "{report}");
     assert_eq!(tree(&report), (47_798, 47_797, 13, 0), "{report}");
 
     // The plain enumerator's tree on the Paxos (2,2,1) quorum model.
     let setting = PaxosSetting::new(2, 2, 1);
     let spec = paxos(setting, PaxosVariant::Correct);
-    let report = Checker::new(&spec, consensus_property(setting))
-        .config(CheckerConfig::stateless(false))
-        .run();
+    let report = stateless(&spec, consensus_property(setting), false);
     assert!(report.verdict.is_verified(), "{report}");
     assert_eq!(tree(&report), (30_929, 30_928, 15, 0), "{report}");
 }

@@ -19,8 +19,12 @@ use mp_basset::faults::FaultBudget;
 use mp_basset::harness::scaling::store_backend_sweep;
 use mp_basset::harness::Budget;
 use mp_basset::model::{encode_to_vec, Encode};
-use mp_basset::protocols::echo_multicast::MulticastSetting;
-use mp_basset::protocols::paxos::{PaxosSetting, PaxosVariant};
+use mp_basset::protocols::echo_multicast::{
+    faulty_quorum_model as faulty_multicast, MulticastSetting,
+};
+use mp_basset::protocols::paxos::{
+    faulty_quorum_model as faulty_paxos, PaxosSetting, PaxosVariant,
+};
 use mp_basset::protocols::storage;
 use mp_basset::protocols::sweep::CollectSetting;
 use mp_basset::store::hash_bytes;
@@ -53,17 +57,15 @@ fn fingerprints_shrink_the_store_on_the_quorum_scaling_run() {
     // with every backend; the fingerprint store must complete it with the
     // same verdict and measurably lower peak state-storage bytes.
     let points = store_backend_sweep(CollectSetting::new(4, 2, 1), false, &Budget::small());
-    let exact = &points[0];
-    let fingerprint = &points[2];
+    let (exact, fingerprint) = (&points[0], &points[2]);
     assert_eq!(exact.backend, "exact");
     assert_eq!(fingerprint.backend, "fingerprint(48-bit)");
     assert_eq!(exact.verdict, fingerprint.verdict);
     assert_eq!(exact.states, fingerprint.states);
+    let bytes = (fingerprint.store_bytes, exact.store_bytes);
     assert!(
-        fingerprint.store_bytes * 2 < exact.store_bytes,
-        "fingerprint store ({} B) must be well under the exact store ({} B)",
-        fingerprint.store_bytes,
-        exact.store_bytes
+        bytes.0 * 2 < bytes.1,
+        "well under the exact store: {bytes:?}"
     );
 }
 
@@ -112,21 +114,14 @@ fn assert_uniform(what: &str, hashes: &[u64], buckets: usize, bucket: impl Fn(u6
 /// ranges the byte table reads must each still look uniform.
 fn assert_fingerprints_spread<K: Encode + Eq + Hash>(name: &str, stream: &[K]) {
     let distinct: HashSet<&K> = stream.iter().collect();
-    let hashes: Vec<u64> = distinct
-        .iter()
-        .map(|key| hash_bytes(&encode_to_vec(*key)))
-        .collect();
+    let hash = |key: &&K| hash_bytes(&encode_to_vec(*key));
+    let hashes: Vec<u64> = distinct.iter().map(hash).collect();
     let unique: HashSet<u64> = hashes.iter().copied().collect();
     assert_eq!(unique.len(), hashes.len(), "{name}: 64-bit collision");
-    assert_uniform(&format!("{name} shard bits"), &hashes, 64, |h| {
-        (h >> 58) as usize
-    });
-    assert_uniform(&format!("{name} slot bits"), &hashes, 1024, |h| {
-        (h & 1023) as usize
-    });
-    assert_uniform(&format!("{name} tag bits"), &hashes, 256, |h| {
-        (h >> 32 & 255) as usize
-    });
+    let bits = |range: &str| format!("{name} {range} bits");
+    assert_uniform(&bits("shard"), &hashes, 64, |h| (h >> 58) as usize);
+    assert_uniform(&bits("slot"), &hashes, 1024, |h| (h & 1023) as usize);
+    assert_uniform(&bits("tag"), &hashes, 256, |h| (h >> 32 & 255) as usize);
 }
 
 /// All four backends answer the stream exactly as a `HashSet` of the keys
@@ -146,19 +141,12 @@ fn assert_backends_agree<K: Encode + Eq + Hash + Sync>(name: &str, stream: &[K])
         let store = config.build::<K>();
         let got: Vec<bool> = stream.iter().map(|key| store.insert_ref(key)).collect();
         assert!(got == expected, "{name}: {config} disagrees with HashSet");
-        let stats = store.stats();
-        assert_eq!(store.len(), reference.len(), "{name}: {config}");
-        assert_eq!(stats.misses, reference.len(), "{name}: {config}");
-        assert_eq!(
-            stats.hits,
-            stream.len() - reference.len(),
-            "{name}: {config}"
-        );
-        assert_eq!(
-            stats.omission_probability > 0.0,
-            !config.is_exact(),
-            "{name}: {config}"
-        );
+        let (stats, label) = (store.stats(), format!("{name}: {config}"));
+        let (distinct, revisits) = (reference.len(), stream.len() - reference.len());
+        assert_eq!((store.len(), stats.misses), (distinct, distinct), "{label}");
+        assert_eq!(stats.hits, revisits, "{label}");
+        let exact = stats.omission_probability == 0.0;
+        assert_eq!(exact, config.is_exact(), "{label}");
     }
 
     let threads = 4;
@@ -185,32 +173,22 @@ fn assert_backends_agree<K: Encode + Eq + Hash + Sync>(name: &str, stream: &[K])
                 .collect();
             workers.into_iter().map(|w| w.join().unwrap()).sum()
         });
+        // A racing insert wins once, never twice or never.
+        let (stats, label) = (store.stats(), format!("{name}: {config}"));
         assert_eq!(
-            new,
-            covered.len(),
-            "{name}: {config}: a racing insert won twice or never"
+            (new, store.len()),
+            (covered.len(), covered.len()),
+            "{label}"
         );
-        assert_eq!(store.len(), covered.len(), "{name}: {config}");
-        let stats = store.stats();
-        assert_eq!(
-            stats.hits + stats.misses,
-            threads * 2 * stride,
-            "{name}: {config}"
-        );
-        assert!(
-            covered.iter().all(|key| store.contains(key)),
-            "{name}: {config}"
-        );
+        assert_eq!(stats.hits + stats.misses, threads * 2 * stride, "{label}");
+        assert!(covered.iter().all(|key| store.contains(key)), "{label}");
     }
 }
 
 fn check_keys<K: Encode + Eq + Hash + Sync>(name: &str, stream: &[K]) {
     let distinct: HashSet<&K> = stream.iter().collect();
     assert!(distinct.len() >= KEYS, "{name}: {} keys", distinct.len());
-    assert!(
-        stream.len() > 2 * distinct.len(),
-        "{name}: too few revisits"
-    );
+    assert!(stream.len() > 2 * distinct.len(), "{name}: few revisits");
     assert_encoding_matches_eq(name, stream);
     assert_fingerprints_spread(name, stream);
     assert_backends_agree(name, stream);
@@ -228,22 +206,17 @@ fn faults() -> FaultBudget {
 #[test]
 fn paxos_keys_are_stored_by_their_encoding() {
     let setting = PaxosSetting::new(2, 3, 1);
-    let spec =
-        mp_basset::protocols::paxos::faulty_quorum_model(setting, PaxosVariant::Correct, faults());
-    check_keys(
-        "paxos",
-        &Reference::search(&spec, NullObserver, KEYS).stream(),
-    );
+    let spec = faulty_paxos(setting, PaxosVariant::Correct, faults());
+    let stream = Reference::search(&spec, NullObserver, KEYS).stream();
+    check_keys("paxos", &stream);
 }
 
 #[test]
 fn multicast_keys_are_stored_by_their_encoding() {
     let setting = MulticastSetting::new(3, 1, 1, 1);
-    let spec = mp_basset::protocols::echo_multicast::faulty_quorum_model(setting, faults());
-    check_keys(
-        "multicast",
-        &Reference::search(&spec, NullObserver, KEYS).stream(),
-    );
+    let spec = faulty_multicast(setting, faults());
+    let stream = Reference::search(&spec, NullObserver, KEYS).stream();
+    check_keys("multicast", &stream);
 }
 
 #[test]

@@ -15,10 +15,11 @@
 mod common;
 
 use common::differential::{faulted_paxos_cell, faulted_storage_cell, Tally};
-use common::lasso_is_genuine;
-use mp_basset::checker::{Checker, CheckerConfig, NullObserver};
+use common::{lasso_is_genuine, tree, Msg};
+use mp_basset::checker::Property;
+use mp_basset::checker::{Checker, CheckerConfig, CounterexampleStep, Invariant, NullObserver};
 use mp_basset::faults::FaultBudget;
-use mp_basset::model::{GlobalState, Message, Permutable, ProtocolSpec};
+use mp_basset::model::{GlobalState, Outcome, ProcessId, ProtocolSpec, TransitionSpec};
 use mp_basset::protocols::echo_multicast::{
     self, faulty_quorum_model as faulty_multicast, MulticastSetting,
 };
@@ -31,18 +32,6 @@ use mp_basset::protocols::storage::{
 };
 use mp_basset::symmetry::{RoleMap, SymmetryGroup};
 
-fn paxos_setting() -> PaxosSetting {
-    PaxosSetting::new(1, 2, 1)
-}
-
-fn multicast_setting() -> MulticastSetting {
-    MulticastSetting::new(2, 1, 0, 1)
-}
-
-fn storage_setting() -> StorageSetting {
-    StorageSetting::new(2, 1)
-}
-
 // ---------------------------------------------------------------------------
 // (a) Validated group orders.
 // ---------------------------------------------------------------------------
@@ -50,24 +39,23 @@ fn storage_setting() -> StorageSetting {
 #[test]
 fn validated_groups_have_expected_orders() {
     // Paxos (1,2,1): 2 interchangeable acceptors, 1 learner -> order 2.
-    let spec = faulty_paxos(
-        paxos_setting(),
-        PaxosVariant::Correct,
-        FaultBudget::none().crashes(1),
-    );
-    let group = SymmetryGroup::build(&spec, &paxos::symmetry_roles(paxos_setting()));
+    let (setting, crash1) = (PaxosSetting::new(1, 2, 1), FaultBudget::none().crashes(1));
+    let spec = faulty_paxos(setting, PaxosVariant::Correct, crash1);
+    let group = SymmetryGroup::build(&spec, &paxos::symmetry_roles(setting));
     assert_eq!(group.order(), 2, "two acceptors swap");
 
     // Regular storage (2,1): 2 interchangeable base objects -> order 2.
-    let spec = faulty_storage(storage_setting(), FaultBudget::none().crashes(1));
-    let group = SymmetryGroup::build(&spec, &storage::symmetry_roles(storage_setting()));
+    let setting = StorageSetting::new(2, 1);
+    let spec = faulty_storage(setting, crash1);
+    let group = SymmetryGroup::build(&spec, &storage::symmetry_roles(setting));
     assert_eq!(group.order(), 2, "two base objects swap");
 
     // Echo multicast (2,1,0,1): the equivocation attack splits the two
     // honest receivers into different attack groups, so the declared role
     // degenerates — the correct answer, not a missed optimisation.
-    let spec = faulty_multicast(multicast_setting(), FaultBudget::none());
-    let group = SymmetryGroup::build(&spec, &echo_multicast::symmetry_roles(multicast_setting()));
+    let setting = MulticastSetting::new(2, 1, 0, 1);
+    let spec = faulty_multicast(setting, FaultBudget::none());
+    let group = SymmetryGroup::build(&spec, &echo_multicast::symmetry_roles(setting));
     assert!(group.is_trivial(), "attack groups break receiver symmetry");
 
     // The wrong-agreement setting (2,1,2,1) has two interchangeable
@@ -80,7 +68,7 @@ fn validated_groups_have_expected_orders() {
 
 #[test]
 fn asymmetric_acceptor_values_degenerate_to_identity() {
-    let setting = paxos_setting();
+    let setting = PaxosSetting::new(1, 2, 1);
     let roles = paxos::symmetry_roles(setting);
 
     // Equal seeds: the swap is still a symmetry.
@@ -101,17 +89,9 @@ fn asymmetric_acceptor_values_degenerate_to_identity() {
 
     // And the degenerate reduction is a no-op: identical verdict and state
     // count with symmetry nominally on.
-    let off = Checker::new(
-        &asymmetric,
-        mp_basset::protocols::paxos::consensus_property(setting),
-    )
-    .run();
-    let on = Checker::new(
-        &asymmetric,
-        mp_basset::protocols::paxos::consensus_property(setting),
-    )
-    .with_role_symmetry(&roles)
-    .run();
+    let checker = Checker::new(&asymmetric, paxos::consensus_property(setting));
+    let off = checker.run();
+    let on = checker.with_role_symmetry(&roles).run();
     assert_eq!(off.verdict.is_violated(), on.verdict.is_violated());
     assert_eq!(off.stats.states, on.stats.states, "identity group = no-op");
 }
@@ -122,18 +102,16 @@ fn asymmetric_acceptor_values_degenerate_to_identity() {
 
 #[test]
 fn stateless_trees_under_symmetry_are_pinned() {
-    let setting = paxos_setting();
+    let setting = PaxosSetting::new(1, 2, 1);
     let roles = paxos::symmetry_roles(setting);
     // The stateless safety trees (expansions, transitions, depth, revisits)
     // without and with DPOR. Paxos makes progress on every step, so no
     // successor's orbit is ever on its path and the orbit cut stays idle
     // here; the togglers of section (d) are where it fires.
+    let none = FaultBudget::none();
     for (budget, trees) in [
-        (FaultBudget::none(), [(20, 19, 8, 0), (8, 7, 8, 0)]),
-        (
-            FaultBudget::none().crashes(1),
-            [(233, 232, 9, 0), (108, 107, 9, 0)],
-        ),
+        (none, [(20, 19, 8, 0), (8, 7, 8, 0)]),
+        (none.crashes(1), [(233, 232, 9, 0), (108, 107, 9, 0)]),
     ] {
         let spec = faulty_paxos(setting, PaxosVariant::Correct, budget);
         for dpor in [false, true] {
@@ -142,14 +120,7 @@ fn stateless_trees_under_symmetry_are_pinned() {
                 .config(CheckerConfig::stateless(dpor))
                 .run();
             assert!(report.verdict.is_verified(), "{report}");
-            let s = &report.stats;
-            let tree = (
-                s.expansions,
-                s.transitions_executed,
-                s.max_depth,
-                s.revisits,
-            );
-            assert_eq!(tree, trees[usize::from(dpor)], "{report}");
+            assert_eq!(tree(&report), trees[usize::from(dpor)], "{report}");
             let label = ["stateless+sym(2)", "stateless+dpor (symmetry ignored)"];
             assert_eq!(report.strategy, label[usize::from(dpor)]);
         }
@@ -164,39 +135,32 @@ fn stateless_trees_under_symmetry_are_pinned() {
 fn symmetric_lassos_replay_concretely() {
     // Paxos (1,2,1) + crash budget 1: the lasso's crash targets a concrete
     // acceptor even though only one crash orbit was explored.
-    let setting = paxos_setting();
+    let setting = PaxosSetting::new(1, 2, 1);
     let spec = faulty_paxos(
         setting,
         PaxosVariant::Correct,
         FaultBudget::none().crashes(1),
     );
-    let report = Checker::new(&spec, faulty_termination_property(setting))
+    let terminates = faulty_termination_property(setting);
+    let report = Checker::new(&spec, terminates.clone())
         .with_role_symmetry(&paxos::symmetry_roles(setting))
         .run();
-    let cx = report
-        .verdict
-        .counterexample()
-        .expect("crash budget 1 breaks termination");
+    let cx = report.verdict.counterexample().expect("no termination");
     assert!(cx.is_lasso);
-    assert!(
-        cx.steps
-            .iter()
-            .any(|s| s.transition.starts_with("FAULT_CRASH")),
-        "the stem names a concrete crash victim: {cx}"
-    );
-    lasso_is_genuine(&spec, &faulty_termination_property(setting), cx);
+    // The stem names a concrete crash victim.
+    let crash = |s: &CounterexampleStep| s.transition.starts_with("FAULT_CRASH");
+    assert!(cx.steps.iter().any(crash), "{cx}");
+    lasso_is_genuine(&spec, &terminates, cx);
 
     // Storage under loss: same check on the second protocol family.
-    let setting = storage_setting();
+    let setting = StorageSetting::new(2, 1);
     let lossy = faulty_storage(setting, FaultBudget::none().drops(1));
-    let report = Checker::new(&lossy, faulty_read_completion_property(setting))
+    let completes = faulty_read_completion_property(setting);
+    let report = Checker::new(&lossy, completes.clone())
         .with_role_symmetry(&storage::symmetry_roles(setting))
         .run();
-    let cx = report
-        .verdict
-        .counterexample()
-        .expect("loss blocks the read");
-    lasso_is_genuine(&lossy, &faulty_read_completion_property(setting), cx);
+    let cx = report.verdict.counterexample().expect("a blocked read");
+    lasso_is_genuine(&lossy, &completes, cx);
 }
 
 // ---------------------------------------------------------------------------
@@ -206,45 +170,22 @@ fn symmetric_lassos_replay_concretely() {
 
 #[test]
 fn non_identity_cycle_closures_unroll_to_concrete_lassos() {
-    use mp_basset::checker::Property;
-    use mp_basset::model::{Outcome, ProcessId, TransitionSpec};
-
-    #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-    struct Tok;
-    mp_model::codec!(struct Tok);
-    impl Message for Tok {
-        fn kind(&self) -> &'static str {
-            "TOK"
-        }
-    }
-    impl Permutable for Tok {
-        fn permute(&self, _perm: &mp_basset::model::Permutation) -> Self {
-            Tok
-        }
-    }
-
     // A symmetric toggler pair: both processes flip a bit forever. The
     // concrete graph is the 4-cycle square over {0,1}²; the orbit {[0,1],
     // [1,0]} means the DFS closes cycles *modulo the swap* (e.g. reaching
     // [0,1] while [1,0] is on the stack), so a reported lasso must be the
     // δ-unrolled concrete cycle, not the quotient segment.
-    let togglers: ProtocolSpec<u8, Tok> = ProtocolSpec::builder("togglers")
+    let flip = |p: usize| {
+        let flip = TransitionSpec::builder(format!("flip{p}"), ProcessId(p)).internal();
+        flip.sends_nothing()
+            .effect(|l, _| Outcome::new(1 - *l))
+            .build()
+    };
+    let togglers: ProtocolSpec<u8, Msg> = ProtocolSpec::builder("togglers")
         .process("a", 0u8)
         .process("b", 0u8)
-        .transition(
-            TransitionSpec::builder("flip0", ProcessId(0))
-                .internal()
-                .sends_nothing()
-                .effect(|l, _| Outcome::new(1 - *l))
-                .build(),
-        )
-        .transition(
-            TransitionSpec::builder("flip1", ProcessId(1))
-                .internal()
-                .sends_nothing()
-                .effect(|l, _| Outcome::new(1 - *l))
-                .build(),
-        )
+        .transition(flip(0))
+        .transition(flip(1))
         .build()
         .unwrap();
     let roles = RoleMap::new(2).role([ProcessId(0), ProcessId(1)]);
@@ -252,7 +193,7 @@ fn non_identity_cycle_closures_unroll_to_concrete_lassos() {
 
     // "some local reaches 2" never holds, and a fair cycle exists (the full
     // square executes both flips), so termination is violated either way.
-    let never = Property::termination("reaches-2", |s: &GlobalState<u8, Tok>, _: &NullObserver| {
+    let never = Property::termination("reaches-2", |s: &GlobalState<u8, Msg>, _: &NullObserver| {
         s.locals.contains(&2)
     });
     let off = Checker::new(&togglers, never.clone()).run();
@@ -277,23 +218,13 @@ fn non_identity_cycle_closures_unroll_to_concrete_lassos() {
     // The stateless enumerator cuts a branch whose orbit is already on its
     // path: [1,0] → [1,1] → [0,1] stops at the swap of [1,0]. Without that
     // cut the togglers' tree is infinite.
-    let report = Checker::new(
-        &togglers,
-        mp_basset::checker::Invariant::always_true("true"),
-    )
-    .with_role_symmetry(&roles)
-    .config(CheckerConfig::stateless(false))
-    .run();
+    let report = Checker::new(&togglers, Invariant::always_true("true"))
+        .with_role_symmetry(&roles)
+        .config(CheckerConfig::stateless(false))
+        .run();
     assert!(report.verdict.is_verified(), "{report}");
     assert_eq!(report.strategy, "stateless+sym(2)");
-    let s = &report.stats;
-    let tree = (
-        s.expansions,
-        s.transitions_executed,
-        s.max_depth,
-        s.revisits,
-    );
-    assert_eq!(tree, (5, 10, 3, 6), "{report}");
+    assert_eq!(tree(&report), (5, 10, 3, 6), "{report}");
 }
 
 // ---------------------------------------------------------------------------
