@@ -73,8 +73,8 @@ use mp_store::{
 };
 
 use mp_model::{
-    enabled_instances, execute_enabled, read_varint, write_varint, Decode, DecodeError, Encode,
-    GlobalState, LocalState, Message, ProtocolSpec, TransitionInstance,
+    read_varint, write_varint, Decode, DecodeError, Encode, GlobalState, LocalState, Message,
+    ProtocolSpec,
 };
 use mp_por::Reducer;
 use mp_symmetry::Symmetry;
@@ -84,6 +84,7 @@ use crate::{
     liveness::run_liveness_dfs,
     obs::LevelObserver,
     pool::{Pool, StopOnDrop, CHUNK_ENTRIES},
+    successors::Successors,
     CheckerConfig, Counterexample, ExplorationStats, Invariant, Observer, Property, PropertyStatus,
     RunReport, Verdict,
 };
@@ -136,18 +137,13 @@ struct Expanded<S, M: Ord> {
 
 /// The read-only half of a run, shared by the caller and the helpers.
 struct Expander<'a, S, M: Ord, O> {
-    spec: &'a ProtocolSpec<S, M>,
+    successors: &'a Successors<'a, S, M, O>,
     property: &'a Invariant<S, M, O>,
-    reducer: &'a dyn Reducer<S, M>,
-    symmetry: &'a dyn Symmetry<S, M, O>,
-    /// `symmetry.is_trivial()`, hoisted so the hot loop skips the dyn call.
-    trivial: bool,
     /// The decode template of observers (the run's initial observer).
     template: &'a O,
     store: &'a StoreImpl<(GlobalState<S, M>, O)>,
     check_deadlocks: bool,
     pool: &'a Pool<u8, Expanded<S, M>>,
-    trace: TraceHandle,
 }
 
 impl<S, M, O> Expander<'_, S, M, O>
@@ -157,14 +153,13 @@ where
     O: Observer<S, M>,
 {
     /// Decodes and expands the records of one chunk in order. Per
-    /// successor: execute, update the observer, canonicalize, encode the
-    /// store key, insert it, and — on a first visit only — evaluate the
-    /// property (and, when asked, report a successor with nothing enabled
-    /// as a deadlock) and keep the encoding for the frontier. Judging both
-    /// where a state is generated keeps a deadlock's path as short as an
-    /// invariant violation's.
+    /// successor: execute, encode its key, insert it, and — on a first
+    /// visit only — evaluate the property (and, when asked, report a
+    /// successor with nothing enabled as a deadlock) and keep the encoding
+    /// for the frontier. Judging both where a state is generated keeps a
+    /// deadlock's path as short as an invariant violation's.
     fn expand_chunk(&self, chunk: Vec<u8>) -> Expanded<S, M> {
-        let (spec, trace) = (self.spec, &self.trace);
+        let (successors, trace) = (self.successors, &self.successors.trace);
         let mut out = Expanded {
             // At least one successor per entry is the common case.
             fresh: Vec::with_capacity(CHUNK_ENTRIES),
@@ -177,7 +172,7 @@ where
             revisits: 0,
         };
         let mut records = chunk.as_slice();
-        // A symmetric successor's canonical key, reused across the chunk.
+        // A successor's key, reused across the chunk.
         let mut key = Vec::new();
         while !records.is_empty() {
             if self.pool.stopped() {
@@ -190,70 +185,37 @@ where
             };
             // δ⁻¹ maps the stored orbit representative back to the concrete
             // state this entry was generated as.
-            let (state, observer) = if delta == 0 {
-                (key_state, key_observer)
-            } else {
-                let inverse = self.symmetry.inverse(delta);
-                self.symmetry
-                    .apply_element(inverse, &key_state, &key_observer)
+            let (state, observer) = match successors.symmetry {
+                Some(symmetry) if delta != 0 => {
+                    symmetry.apply_element(symmetry.inverse(delta), &key_state, &key_observer)
+                }
+                _ => (key_state, key_observer),
             };
             out.expansions += 1;
-            let all = {
-                let _span = trace.span(Phase::Expansion);
-                enabled_instances(spec, &state)
-            };
-            let reduction = self.reducer.reduce_traced(spec, &state, all, trace);
+            let reduction = successors.reduce(&state, successors.enabled(&state));
             out.reduced += usize::from(reduction.reduced);
 
             for (ordinal, instance) in reduction.explore.into_iter().enumerate() {
-                let concrete = {
-                    let _span = trace.span(Phase::Expansion);
-                    let next_state = execute_enabled(spec, &state, &instance);
-                    let next_observer = observer.update(spec, &state, &instance, &next_state);
-                    (next_state, next_observer)
-                };
+                let concrete = successors.execute(&state, &observer, &instance);
                 out.transitions += 1;
-                // The successor's one encoding: the store probes its key
-                // part, and a first visit keeps it whole as its body.
-                let start = out.bodies.len();
-                let first_visit = if self.trivial {
+                // The successor's one encoding: the store probes it, and a
+                // first visit keeps it, after its δ, as its body.
+                key.clear();
+                let delta = successors.key(&concrete.0, &concrete.1, &mut key);
+                let first_visit = {
                     let _lookup = trace.span(Phase::StoreLookup);
-                    write_varint(0, &mut out.bodies);
-                    let key = out.bodies.len();
-                    concrete.encode(&mut out.bodies);
-                    self.store.insert_bytes(&out.bodies[key..]).new
-                } else {
-                    // The representative is encoded straight from the
-                    // concrete pair; δ, which precedes it in the body, is
-                    // known only once it is written.
-                    key.clear();
-                    let delta = self.symmetry.canonical_encode_traced(
-                        &concrete.0,
-                        &concrete.1,
-                        &mut key,
-                        trace,
-                    );
-                    let _lookup = trace.span(Phase::StoreLookup);
-                    let new = self.store.insert_bytes(&key).new;
-                    if new {
-                        write_varint(delta as u64, &mut out.bodies);
-                        out.bodies.extend_from_slice(&key);
-                    }
-                    new
+                    self.store.insert_bytes(&key).new
                 };
                 if !first_visit {
-                    out.bodies.truncate(start);
                     out.revisits += 1;
                     continue;
                 }
                 let reason = match self.property.evaluate(&concrete.0, &concrete.1) {
                     PropertyStatus::Violated(reason) => Some(reason),
-                    PropertyStatus::Holds if self.check_deadlocks => {
-                        let _span = trace.span(Phase::Expansion);
-                        enabled_instances(spec, &concrete.0)
-                            .is_empty()
-                            .then(|| "deadlock: no transition enabled".to_string())
-                    }
+                    PropertyStatus::Holds if self.check_deadlocks => successors
+                        .enabled(&concrete.0)
+                        .is_empty()
+                        .then(|| "deadlock: no transition enabled".to_string()),
                     PropertyStatus::Holds => None,
                 };
                 if let Some(reason) = reason {
@@ -265,44 +227,14 @@ where
                     });
                     return out;
                 }
+                let start = out.bodies.len();
+                write_varint(delta as u64, &mut out.bodies);
+                out.bodies.extend_from_slice(&key);
                 out.fresh.push((node, ordinal, start..out.bodies.len()));
             }
         }
         out
     }
-}
-
-/// Re-executes a parent-log path: step *k* takes the `ordinals[k]`-th
-/// member of the explore set the reducer selects in the state reached so
-/// far — the enumeration `expand_chunk` numbered the successors by — and
-/// the path must arrive at `end`. Anything else is a named failure, never
-/// a wrong path.
-fn replay<S: LocalState, M: Message>(
-    spec: &ProtocolSpec<S, M>,
-    reducer: &dyn Reducer<S, M>,
-    ordinals: &[usize],
-    end: &GlobalState<S, M>,
-) -> Result<Vec<TransitionInstance<M>>, String> {
-    let mut state = spec.initial_state();
-    let mut path = Vec::with_capacity(ordinals.len());
-    for (step, &ordinal) in ordinals.iter().enumerate() {
-        let explore = reducer
-            .reduce(spec, &state, enabled_instances(spec, &state))
-            .explore;
-        let available = explore.len();
-        let instance = explore.into_iter().nth(ordinal).ok_or_else(|| {
-            format!(
-                "parent-log replay: ordinal {ordinal} outside the explore set \
-                 ({available} instances) at step {step}"
-            )
-        })?;
-        state = execute_enabled(spec, &state, &instance);
-        path.push(instance);
-    }
-    if state != *end {
-        return Err("parent-log replay: the path does not end in the violating state".into());
-    }
-    Ok(path)
 }
 
 /// The counters a checkpoint commits, by their manifest names.
@@ -326,9 +258,10 @@ enum Stop {
 
 /// The caller-owned half of a run: everything `admit` and the level loop
 /// write.
-struct Search<'a, S, M: Ord> {
-    spec: &'a ProtocolSpec<S, M>,
-    reducer: &'a dyn Reducer<S, M>,
+struct Search<'a, S, M: Ord, O> {
+    successors: &'a Successors<'a, S, M, O>,
+    /// The run's initial observer, where a replay starts.
+    initial_observer: &'a O,
     property_name: &'a str,
     config: &'a CheckerConfig,
     start: Instant,
@@ -345,11 +278,7 @@ struct Search<'a, S, M: Ord> {
     strategy: String,
 }
 
-impl<S, M> Search<'_, S, M>
-where
-    S: LocalState,
-    M: Message,
-{
+impl<S: LocalState, M: Message, O: Observer<S, M>> Search<'_, S, M, O> {
     /// The one place a state enters the search: assigns its node index,
     /// appends its parent record, and pushes its frontier record —
     /// `varint(node)` before the `varint(δ) key` body its worker encoded.
@@ -392,9 +321,19 @@ where
             .unwrap_or_else(|e| panic!("{e}"));
         ordinals.push(violation.ordinal);
         let Violation { reason, state, .. } = violation;
-        let path =
-            replay(self.spec, self.reducer, &ordinals, &state).unwrap_or_else(|e| panic!("{e}"));
-        let cx = Counterexample::new(self.spec, self.property_name, reason, &path, &state);
+        let successors = self.successors;
+        let mut end = (
+            successors.spec.initial_state(),
+            self.initial_observer.clone(),
+        );
+        let path = successors
+            .replay(&mut end, &ordinals)
+            .unwrap_or_else(|e| panic!("parent-log {e}"));
+        assert!(
+            end.0 == state,
+            "parent-log replay: the path does not end in the violating state"
+        );
+        let cx = Counterexample::new(successors.spec, self.property_name, reason, &path, &state);
         Err(Stop::Violated(Box::new(cx)))
     }
 
@@ -442,7 +381,7 @@ where
     }
 
     /// The level loop: runs until the frontier is empty or a [`Stop`].
-    fn levels<O: Observer<S, M>>(&mut self, expander: &Expander<'_, S, M, O>) -> Result<(), Stop> {
+    fn levels(&mut self, expander: &Expander<'_, S, M, O>) -> Result<(), Stop> {
         let (store, pool, trace) = (expander.store, expander.pool, self.trace.clone());
         let mut level_obs = LevelObserver::new(&trace);
         if level_obs.enabled() {
@@ -514,10 +453,10 @@ where
                 // With symmetry on, the visited store *is* the canonical-
                 // representative cache (keys are pre-canonicalized orbit
                 // reps).
-                let canon_bytes = if expander.trivial {
-                    0
-                } else {
+                let canon_bytes = if expander.successors.symmetry.is_some() {
                     store_stats.approx_bytes
+                } else {
+                    0
                 };
                 trace.sample_gauge(Gauge::CanonicalCacheBytes, canon_bytes as u64);
             }
@@ -583,9 +522,10 @@ where
     let trace = config
         .trace
         .begin_run(spec.name(), &strategy, property.name());
+    let successors = Successors::new(spec, reducer, symmetry, trace.handle());
 
-    // Keys are canonicalized and encoded by `expand_chunk` (one of each per
-    // successor, shared between the store key and the frontier record).
+    // Keys are encoded by `expand_chunk`, once per successor, and shared
+    // between the store probe and the frontier record.
     let store = store_config.build::<(GlobalState<S, M>, O)>();
     let store_name = if trivial {
         store.name()
@@ -607,8 +547,8 @@ where
     let identity = format!("{} sym={sym_label}", config.checkpoint_identity());
     let fresh = Manifest::new(spec.structure_fingerprint(), &strategy, &identity);
     let mut search = Search {
-        spec,
-        reducer,
+        successors: &successors,
+        initial_observer,
         property_name: property.name(),
         config,
         start,
@@ -641,7 +581,7 @@ where
             let violated = match property.evaluate(&initial, &initial_observer) {
                 PropertyStatus::Violated(reason) => Some(reason),
                 PropertyStatus::Holds => (config.check_deadlocks
-                    && enabled_instances(spec, &initial).is_empty())
+                    && successors.enabled(&initial).is_empty())
                 .then(|| "deadlock in the initial state".to_string()),
             };
             if let Some(reason) = violated {
@@ -651,15 +591,10 @@ where
                 stop = Some(Stop::Violated(Box::new(cx)));
             } else {
                 // Validated groups fix the initial state, so its canonical
-                // form is itself; canonicalize anyway so the key discipline
-                // has no exceptions (mirrors the DFS engine).
+                // form is itself; the root is keyed like every successor
+                // anyway, so the key discipline has no exceptions.
                 let mut key = Vec::new();
-                let root_delta = if trivial {
-                    (initial, initial_observer).encode(&mut key);
-                    0
-                } else {
-                    symmetry.canonical_encode_traced(&initial, &initial_observer, &mut key, &trace)
-                };
+                let root_delta = successors.key(&initial, &initial_observer, &mut key);
                 store.insert_bytes(&key);
                 let mut body = Vec::new();
                 write_varint(root_delta as u64, &mut body);
@@ -682,16 +617,12 @@ where
 
     let pool = Pool::new(threads - 1);
     let expander = Expander {
-        spec,
+        successors: &successors,
         property,
-        reducer,
-        symmetry: symmetry.as_ref(),
-        trivial,
         template: initial_observer,
         store: &store,
         check_deadlocks: config.check_deadlocks,
         pool: &pool,
-        trace: trace.handle(),
     };
     let stop = stop.or_else(|| {
         std::thread::scope(|scope| {
@@ -702,11 +633,12 @@ where
                 let helper = move || {
                     let mut busy_us = 0u64;
                     expander.pool.serve(|chunk| {
-                        let started = expander.trace.is_enabled().then(Instant::now);
+                        let trace = &expander.successors.trace;
+                        let started = trace.is_enabled().then(Instant::now);
                         let out = expander.expand_chunk(chunk);
                         if let Some(started) = started {
                             busy_us += started.elapsed().as_micros() as u64;
-                            expander.trace.sample_gauge(Gauge::WorkerBusyUs, busy_us);
+                            trace.sample_gauge(Gauge::WorkerBusyUs, busy_us);
                         }
                         out
                     });
@@ -751,7 +683,6 @@ pub(crate) mod tests {
     use super::*;
     use crate::{Checker, NullObserver};
     use mp_model::{Kind, Outcome, ProcessId, TransitionSpec};
-    use mp_por::NoReduction;
     use mp_store::FrontierConfig;
 
     #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -939,21 +870,5 @@ pub(crate) mod tests {
                 sequential.verdict.counterexample().map(|cx| &cx.steps),
             );
         }
-    }
-
-    #[test]
-    fn replaying_an_ordinal_outside_the_explore_set_fails_by_name() {
-        let spec = independent(2, 1);
-        let mut end = spec.initial_state();
-        end.locals = vec![1, 1];
-        assert_eq!(replay(&spec, &NoReduction, &[1, 0], &end).unwrap().len(), 2);
-        // After `step1` only `step0` is left: ordinal 1 no longer exists.
-        let err = replay(&spec, &NoReduction, &[1, 1], &end).unwrap_err();
-        assert!(
-            err.contains("ordinal 1 outside the explore set (1 instances) at step 1"),
-            "{err}"
-        );
-        let err = replay(&spec, &NoReduction, &[1], &end).unwrap_err();
-        assert!(err.contains("does not end in the violating state"), "{err}");
     }
 }

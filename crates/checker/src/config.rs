@@ -135,6 +135,11 @@ impl CheckerConfig {
     }
 
     /// Configuration for a stateless run, optionally with dynamic POR.
+    ///
+    /// DPOR orders dependent steps only and tracks no visibility, so it is
+    /// sound only for invariants that read one process's state: on
+    /// generated specs whose invariant relates two processes it answers
+    /// `verified` on two violated cells, which the differential tests pin.
     pub fn stateless(dpor: bool) -> Self {
         CheckerConfig {
             strategy: SearchStrategy::Stateless { dpor },

@@ -3,11 +3,11 @@
 //! This is the workhorse engine of the reproduction (the analogue of
 //! MP-Basset's stateful search inside JPF, and of Basset's stateless one).
 //! `search` is the only depth-first loop of the crate: it keeps one stack
-//! of `Frame`s, asks the configured [`Reducer`] which enabled instances to
-//! explore in each state and asks its **memory** once per transition
-//! whether it has met the successor before. Each iteration pops an
-//! exhausted frame or executes the top frame's next instance,
-//! canonicalizes the successor and looks it up, and then the answer decides:
+//! of `Frame`s, steps through the run's `Successors` (the configured
+//! [`Reducer`] picks what to explore) and asks its **memory** once per
+//! transition whether it has met the successor before. Each iteration pops
+//! an exhausted frame or executes the top frame's next instance, encodes
+//! the successor's key and looks it up, and then the answer decides:
 //!
 //! * *met, on the stack* — a **back edge**. The stack (cycle) proviso
 //!   fires unconditionally: a frame that was expanded with a reduced set is
@@ -39,11 +39,11 @@
 //! are DPOR's backtrack set minus its done set; a race schedules one of the
 //! pruned ones.
 //!
-//! **Identity.** The store hands back the 64-bit fingerprint it computed
-//! for the insert and its own token for the key
-//! ([`StateStoreBackend::insert_hashed`]). The stack is indexed by the
-//! fingerprint (`FpIndex`) and a match is confirmed with `==` against the
-//! key the frame holds, so on-stack membership is exact under every
+//! **Identity.** The frames' keys lie back to back in one byte stack. The
+//! store hands back the 64-bit fingerprint it computed for the insert and
+//! its own token for the key ([`StateStoreBackend::insert_bytes`]). The
+//! stack is indexed by the fingerprint (`FpIndex`) and a match is confirmed
+//! against the frame's key bytes, so on-stack membership is exact under every
 //! backend — with a fingerprint store only the *visited* set is
 //! probabilistic, never the proviso or a reported cycle. What a mode
 //! remembers of a state that has left the stack it files under the token.
@@ -52,17 +52,18 @@
 //!
 //! **Symmetry.** With a non-trivial [`Symmetry`], exploration stays
 //! concrete but memory and stack are keyed by canonical orbit
-//! representatives: a successor whose orbit was already visited is pruned
+//! representatives, encoded straight from the concrete state and never
+//! built: a successor whose orbit was already visited is pruned
 //! (a symmetric sibling's subtree covers it), and one whose orbit is on the
 //! stack closes a cycle *in the quotient graph*. Counterexample paths remain
 //! fully concrete.
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
 use mp_model::{
-    enabled_instances, execute_enabled, Encode, GlobalState, LocalState, Message, ProcessId,
-    ProtocolSpec, TransitionInstance,
+    Encode, GlobalState, LocalState, Message, ProcessId, ProtocolSpec, TransitionInstance,
 };
 use mp_por::{latest_racing_step, DporSeed, ExecutedStep, NoReduction, Reducer, Reduction};
 use mp_store::{Inserted, StateStoreBackend, StoreConfig, StoreImpl};
@@ -70,6 +71,7 @@ use mp_symmetry::{NoSymmetry, Symmetry};
 use mp_trace::{Counter, Gauge, Phase, TraceHandle};
 
 use crate::fp_index::FpIndex;
+use crate::successors::Successors;
 use crate::{
     liveness::{run_liveness_dfs, stateless_lasso},
     CheckerConfig, Counterexample, ExplorationStats, Invariant, Observer, Property, PropertyStatus,
@@ -98,13 +100,13 @@ impl<K: Encode> Memory<K> {
         Memory::Store(config.build(), FpIndex::default())
     }
 
-    /// The one question per transition: has the search met `key`, and is
-    /// it on the stack? `depth` frames are, and `is_at(i)` says whether
-    /// `key` is the key of the `i`-th. Without a store, fingerprint and
-    /// token are zero.
+    /// The one question per transition: has the search met the key
+    /// encoded as `key`, and is it on the stack? `depth` frames are, and
+    /// `is_at(i)` says whether `key` is the key of the `i`-th. Without a
+    /// store, fingerprint and token are zero.
     fn meet(
         &self,
-        key: &K,
+        key: &[u8],
         depth: usize,
         is_at: impl Fn(usize) -> bool,
         trace: &TraceHandle,
@@ -113,7 +115,7 @@ impl<K: Encode> Memory<K> {
             Memory::Store(store, on_stack) => {
                 let inserted = {
                     let _span = trace.span(Phase::StoreLookup);
-                    store.insert_hashed(key)
+                    store.insert_bytes(key)
                 };
                 let entry = if inserted.new {
                     None
@@ -189,7 +191,7 @@ pub(crate) trait Mode<S, M: Ord, O>: Sized {
     fn step(&self, inherited: Self::Tag, state: &GlobalState<S, M>, observer: &O) -> Self::Tag;
 
     /// The top frame of `stack` just executed its [`Frame::taken`].
-    fn executed(&mut self, _stack: &mut [Frame<S, M, O, Self>]) {}
+    fn executed(&mut self, _: &mut [Frame<S, M, O, Self>], _: &Successors<'_, S, M, O>) {}
 
     /// `at` was met for the first time, under the store's `token`; `stack`
     /// is the path to it ([`path`]) and `enabled` everything enabled in it.
@@ -233,10 +235,9 @@ pub(crate) trait Mode<S, M: Ord, O>: Sized {
 pub(crate) struct Frame<S, M: Ord, O, H: Mode<S, M, O>> {
     /// The concrete product state.
     pub(crate) at: Key<S, M, O, H::Tag>,
-    /// Its canonical orbit representative (`None` when symmetry is off:
-    /// the state is its own key).
-    canon: Option<Key<S, M, O, H::Tag>>,
-    /// The store's fingerprint of [`Frame::key`].
+    /// Where the encoding of its key lies in the search's key stack.
+    key: Range<usize>,
+    /// The store's fingerprint of that key.
     fp: u64,
     /// Index of the group element that canonicalizes `at` (0 = identity).
     pub(crate) elem: usize,
@@ -251,11 +252,6 @@ pub(crate) struct Frame<S, M: Ord, O, H: Mode<S, M, O>> {
 }
 
 impl<S, M: Ord, O, H: Mode<S, M, O>> Frame<S, M, O, H> {
-    /// The key this frame is met under.
-    pub(crate) fn key(&self) -> &Key<S, M, O, H::Tag> {
-        self.canon.as_ref().unwrap_or(&self.at)
-    }
-
     /// The instance last executed from this state: the one that leads to
     /// the frame above, or — on the top frame — to the successor at hand.
     pub(crate) fn taken(&self) -> &TransitionInstance<M> {
@@ -268,6 +264,20 @@ pub(crate) fn path<S, M: Ord + Clone, O, H: Mode<S, M, O>>(
     stack: &[Frame<S, M, O, H>],
 ) -> Vec<TransitionInstance<M>> {
     stack.iter().map(|f| f.taken().clone()).collect()
+}
+
+/// The strategy label of a stateful run: the engine, the reducer and any
+/// symmetry.
+pub(crate) fn label<S, M: Ord, O>(
+    engine: &str,
+    reducer: &str,
+    symmetry: &Arc<dyn Symmetry<S, M, O>>,
+) -> String {
+    if symmetry.is_trivial() {
+        format!("{engine}+{reducer}")
+    } else {
+        format!("{engine}+{reducer}+{}", symmetry.label())
+    }
 }
 
 /// Runs the depth-first core under `mode`, remembering what `memory`
@@ -292,21 +302,18 @@ where
 {
     let start = Instant::now();
     let mut stats = ExplorationStats::new();
-    let strategy = strategy.unwrap_or_else(|| {
-        let head = format!("{}+{}", H::ENGINE, reducer.name());
-        if symmetry.is_trivial() {
-            head
-        } else {
-            format!("{head}+{}", symmetry.label())
-        }
-    });
-    // The nothing memory compares no keys, so it needs no canonical ones.
-    let trivial = symmetry.is_trivial() || matches!(memory, Memory::Nothing);
+    let strategy = strategy.unwrap_or_else(|| label(H::ENGINE, reducer.name(), symmetry));
     let trace = config
         .trace
         .begin_run(spec.name(), &strategy, mode.property_name());
+    let successors = Successors::new(spec, reducer, symmetry, trace.handle());
+    // The nothing memory compares no keys, so it encodes none.
+    let keyed = !matches!(memory, Memory::Nothing);
     let max_depth = memory.depth_limit(config);
     let mut stack: Vec<Frame<S, M, O, H>> = Vec::new();
+    // The frames' keys, encoded back to back; the key of the product state
+    // at hand follows the top frame's.
+    let mut keys: Vec<u8> = Vec::new();
 
     let verdict = 'search: {
         let initial = spec.initial_state();
@@ -330,34 +337,38 @@ where
                         }
                         continue;
                     }
-                    let _span = trace.span(Phase::Expansion);
                     let instance = &top.explore[top.next];
-                    let state = execute_enabled(spec, &top.at.0, instance);
-                    let observer = top.at.1.update(spec, &top.at.0, instance, &state);
+                    let (state, observer) = successors.execute(&top.at.0, &top.at.1, instance);
                     let tag = mode.step(top.at.2, &state, &observer);
                     top.next += 1;
                     stats.transitions_executed += 1;
                     trace.add(Counter::Transitions, 1);
-                    mode.executed(&mut stack);
+                    mode.executed(&mut stack, &successors);
                     (state, observer, tag)
                 }
             };
 
-            // Membership is judged on the canonical orbit representative;
-            // exploration stays concrete.
-            let (canon, elem) = if trivial {
-                (None, 0)
+            // Membership is judged on the key — under symmetry the encoded
+            // canonical orbit representative; exploration stays concrete.
+            let here = stack.last().map_or(0, |top| top.key.end);
+            keys.truncate(here);
+            let elem = if keyed {
+                let elem = successors.key(&at.0, &at.1, &mut keys);
+                at.2.encode(&mut keys);
+                elem
             } else {
-                let (s, o, elem) = symmetry.canonicalize_traced(&at.0, &at.1, &trace);
-                (Some((s, o, at.2)), elem)
+                0
             };
-            let key = canon.as_ref().unwrap_or(&at);
+            let key = &keys[here..];
             // The one identity query per transition: a duplicate is one
             // revisit, and the memory knows whether it is on the stack.
-            let is_at = |i: usize| stack[i].key() == key;
+            let is_at = |i: usize| keys[stack[i].key.clone()] == *key;
             let (Inserted { new, fp, token }, on_stack) =
                 memory.meet(key, stack.len(), is_at, &trace);
             if !new {
+                // Counted first: a lasso closed at this edge ends the search.
+                stats.revisits += 1;
+                trace.add(Counter::Revisits, 1);
                 if let Some(entry) = on_stack {
                     // Cycle proviso: the successor closes a cycle into the
                     // stack (exactly, or modulo a symmetry permutation) — a
@@ -373,19 +384,14 @@ where
                     }
                 } else {
                     let top = stack.last().expect("a revisit has a source");
-                    mode.cross_edge(top, key.2, token);
+                    mode.cross_edge(top, at.2, token);
                 }
-                stats.revisits += 1;
-                trace.add(Counter::Revisits, 1);
                 continue;
             }
             stats.states += 1;
             trace.add(Counter::States, 1);
 
-            let enabled = {
-                let _span = trace.span(Phase::Expansion);
-                enabled_instances(spec, &at.0)
-            };
+            let enabled = successors.enabled(&at.0);
             let note = match mode.first_visit(&stack, &at, token, &enabled) {
                 Visit::Expand(note) => note,
                 Visit::Prune => continue,
@@ -415,11 +421,11 @@ where
                 explore,
                 pruned,
                 reduced,
-            } = reducer.reduce_traced(spec, &at.0, enabled, &trace);
+            } = successors.reduce(&at.0, enabled);
             stats.reduced_states += usize::from(reduced);
             stack.push(Frame {
                 at,
-                canon,
+                key: here..keys.len(),
                 fp,
                 elem,
                 explore,
@@ -469,6 +475,7 @@ where
     stats.elapsed = start.elapsed();
     if let Memory::Store(store, _) = &memory {
         let store_stats = store.stats();
+        let trivial = successors.symmetry.is_none();
         let label = if trivial {
             store.name()
         } else {
@@ -510,7 +517,7 @@ struct Safety<'a, S, M: Ord, O> {
     dpor: Option<Vec<ExecutedStep<M>>>,
 }
 
-impl<S: LocalState, M: Message, O> Mode<S, M, O> for Safety<'_, S, M, O> {
+impl<S: LocalState, M: Message, O: Observer<S, M>> Mode<S, M, O> for Safety<'_, S, M, O> {
     const ENGINE: &'static str = "stateful-dfs";
     type Tag = ();
     /// Under DPOR, everything enabled in the state, once a race needs
@@ -525,7 +532,11 @@ impl<S: LocalState, M: Message, O> Mode<S, M, O> for Safety<'_, S, M, O> {
 
     fn step(&self, (): (), _: &GlobalState<S, M>, _: &O) {}
 
-    fn executed(&mut self, stack: &mut [Frame<S, M, O, Self>]) {
+    fn executed(
+        &mut self,
+        stack: &mut [Frame<S, M, O, Self>],
+        successors: &Successors<'_, S, M, O>,
+    ) {
         let Some(steps) = &mut self.dpor else { return };
         let (top, below) = stack.split_last_mut().expect("a step has a source");
         let instance = top.taken();
@@ -544,7 +555,7 @@ impl<S: LocalState, M: Message, O> Mode<S, M, O> for Safety<'_, S, M, O> {
         if let Some(racing) = latest_racing_step(steps, below.len()) {
             // `steps[racing]` left `below[racing]`: the other order must be
             // explored from there too.
-            schedule(self.spec, &mut below[racing], instance.process);
+            schedule(successors, &mut below[racing], instance.process);
         }
     }
 
@@ -575,12 +586,13 @@ impl<S: LocalState, M: Message, O> Mode<S, M, O> for Safety<'_, S, M, O> {
 /// with two scheduled instances pending re-lists its enabled instances to
 /// rank them.
 fn schedule<S, M, O>(
-    spec: &ProtocolSpec<S, M>,
+    successors: &Successors<'_, S, M, O>,
     frame: &mut Frame<S, M, O, Safety<'_, S, M, O>>,
     process: ProcessId,
 ) where
     S: LocalState,
     M: Message,
+    O: Observer<S, M>,
 {
     let Frame {
         at,
@@ -598,7 +610,7 @@ fn schedule<S, M, O>(
         Some(first) => {
             let scheduled = explore[*next..].iter().find(|i| of_process(i));
             if let Some(scheduled) = scheduled {
-                let enabled = note.get_or_insert_with(|| enabled_instances(spec, &at.0));
+                let enabled = note.get_or_insert_with(|| successors.enabled(&at.0));
                 if rank(enabled, scheduled) < rank(enabled, &pruned[first]) {
                     return;
                 }
@@ -607,7 +619,7 @@ fn schedule<S, M, O>(
         }
     }
     if explore.len() - *next > 1 {
-        let enabled = note.get_or_insert_with(|| enabled_instances(spec, &at.0));
+        let enabled = note.get_or_insert_with(|| successors.enabled(&at.0));
         explore[*next..].sort_by_key(|i| rank(enabled, i));
     }
 }

@@ -1,11 +1,11 @@
 //! Fingerprint → index map of the depth-first engines.
 //!
 //! The visited store already hashes every key it is asked about
-//! ([`mp_store::StateStoreBackend::insert_hashed`]); this map lets the
+//! ([`mp_store::StateStoreBackend::insert_bytes`]); this map lets the
 //! engine find the DFS frame a state is on from that value, without hashing
 //! or cloning the state a second time. A fingerprint only narrows the
-//! search: every lookup confirms a candidate with `==` against the key its
-//! owner holds, and two keys under one fingerprint are both kept, so the
+//! search: every lookup confirms a candidate against the key its owner
+//! holds, and two keys under one fingerprint are both kept, so the
 //! answer is exact whatever the store keeps of the key.
 
 use std::collections::HashMap;

@@ -108,6 +108,7 @@ pub mod observer;
 mod pool;
 pub mod property;
 pub mod stats;
+mod successors;
 
 pub use checker::Checker;
 pub use config::{CheckerConfig, RunReport, SearchStrategy, Verdict};

@@ -32,7 +32,11 @@
 //! that can change the property's trigger/goal predicates to be annotated
 //! *visible* (as the bundled protocols do); the integration tests assert
 //! that SPOR on and off agree on every liveness verdict across the
-//! evaluation protocols.
+//! evaluation protocols. Without fairness that is not enough: the stubborn
+//! sets lack the visibility condition of LTL-X, and a reduced search can
+//! answer `verified` on a violated generated cell. A property with
+//! [`Fairness::Unfair`] therefore runs unreduced, and its strategy label
+//! says that the reducer fell back to full expansion.
 //!
 //! **Completeness.** The on-stack detector alone is sound but not
 //! complete: the stack segment closed by a back edge is the DFS *tree*
@@ -79,15 +83,13 @@ mod unroll;
 
 use std::sync::Arc;
 
-use mp_model::{
-    enabled_instances, execute_enabled, GlobalState, LocalState, Message, ProtocolSpec,
-    TransitionInstance,
-};
+use mp_model::{GlobalState, LocalState, Message, ProtocolSpec, TransitionInstance};
 use mp_por::{NoReduction, Reducer};
 use mp_symmetry::{NoSymmetry, Symmetry};
 use mp_trace::{Phase, TraceHandle};
 
-use crate::dfs::{path, search, End, Frame, Key, Memory, Mode, Visit};
+use crate::dfs::{label, path, search, End, Frame, Key, Memory, Mode, Visit};
+use crate::successors::Successors;
 use crate::{
     CheckerConfig, Counterexample, Fairness, Observer, Property, PropertyClass, RunReport,
 };
@@ -161,7 +163,7 @@ where
 /// pending throughout, the walk returns exactly to `entry`, and the cycle
 /// is fair on the concrete enabled sets met along the way.
 fn fair_pending_cycle<S, M, O>(
-    spec: &ProtocolSpec<S, M>,
+    successors: &Successors<'_, S, M, O>,
     property: &Property<S, M, O>,
     entry: (&GlobalState<S, M>, &O),
     cycle: &[TransitionInstance<M>],
@@ -175,18 +177,15 @@ where
     let mut observer = entry.1.clone();
     let mut enabled_sets: Vec<Vec<TransitionInstance<M>>> = Vec::new();
     for instance in cycle {
-        let enabled = enabled_instances(spec, &state);
+        let enabled = successors.enabled(&state);
         if !enabled.contains(instance) {
             return false;
         }
-        let next_state = execute_enabled(spec, &state, instance);
-        let next_observer = observer.update(spec, &state, instance, &next_state);
-        if !property.step_pending(true, &next_state, &next_observer) {
+        (state, observer) = successors.execute(&state, &observer, instance);
+        if !property.step_pending(true, &state, &observer) {
             return false;
         }
         enabled_sets.push(enabled);
-        state = next_state;
-        observer = next_observer;
     }
     if state != *entry.0 || observer != *entry.1 {
         return false;
@@ -194,7 +193,8 @@ where
     let enabled_refs: Vec<&[TransitionInstance<M>]> =
         enabled_sets.iter().map(|v| v.as_slice()).collect();
     let executed: Vec<&TransitionInstance<M>> = cycle.iter().collect();
-    cycle_fair(spec, property.fairness(), &enabled_refs, &executed)
+    let fairness = property.fairness();
+    cycle_fair(successors.spec, fairness, &enabled_refs, &executed)
 }
 
 /// The lasso detector: the [`Mode`] that makes the depth-first core a
@@ -335,7 +335,7 @@ where
             // un-canonicalize by unrolling the closing element and validate
             // the concrete lasso by re-execution.
             unroll_symmetric_cycle(
-                self.spec,
+                &Successors::exact(self.spec),
                 self.property,
                 self.symmetry,
                 (&cycle[0].at.0, &cycle[0].at.1),
@@ -383,7 +383,7 @@ where
         }
         let _span = trace.span(Phase::SccBackstop);
         let backstop = Backstop {
-            spec: self.spec,
+            successors: Successors::exact(self.spec),
             property: self.property,
             initial_observer: self.initial_observer,
             exact_store: self.exact_store,
@@ -399,7 +399,9 @@ where
 /// Runs the stateful liveness search: the depth-first core of
 /// [`crate::dfs`] over `(state, observer, obligation)` product states with
 /// the lasso detector of this module. Called by every stateful engine when
-/// the property is a liveness property.
+/// the property is a liveness property. A property without fairness runs
+/// unreduced, whatever `reducer` is (see the module docs); the strategy
+/// label then says that the reducer fell back to full expansion.
 pub fn run_liveness_dfs<S, M, O>(
     spec: &ProtocolSpec<S, M>,
     property: &Property<S, M, O>,
@@ -423,6 +425,15 @@ where
         exact_store: config.store.is_exact(),
         graph: Some(PendingGraph::default()),
     };
+    let unreduced = Reducer::<S, M>::name(&NoReduction);
+    let (reducer, strategy): (&dyn Reducer<S, M>, _) =
+        if property.fairness() == Fairness::Unfair && reducer.name() != unreduced {
+            let head = label(Lasso::<S, M, O>::ENGINE, unreduced, symmetry);
+            let note = format!("({} falls back to full expansion)", reducer.name());
+            (&NoReduction, Some(format!("{head} {note}")))
+        } else {
+            (reducer, None)
+        };
     search(
         spec,
         initial_observer,
@@ -430,7 +441,7 @@ where
         symmetry,
         config,
         Memory::store(&config.store),
-        None,
+        strategy,
         mode,
     )
 }

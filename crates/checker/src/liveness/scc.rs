@@ -11,14 +11,13 @@
 
 use std::collections::VecDeque;
 
-use mp_model::{
-    enabled_instances, execute_enabled, LocalState, Message, ProtocolSpec, TransitionInstance,
-};
+use mp_model::{LocalState, Message, TransitionInstance};
 use mp_store::{StateStoreBackend, StoreConfig};
 
 use super::{cycle_fair, fair_pending_cycle, required_everywhere, violation_reason};
 use crate::dfs::Key;
 use crate::fp_index::StoreWordMap;
+use crate::successors::Successors;
 use crate::{Counterexample, Observer, Property};
 
 /// `(from, to, position)`: an explored edge, and where the executed
@@ -94,7 +93,8 @@ struct Conflated;
 /// The SCC check over a finished search's graph, and the re-execution it
 /// rebuilds states with.
 pub(super) struct Backstop<'a, S, M: Ord, O> {
-    pub(super) spec: &'a ProtocolSpec<S, M>,
+    /// The exact step: recorded positions number enabled lists.
+    pub(super) successors: Successors<'a, S, M, O>,
     pub(super) property: &'a Property<S, M, O>,
     pub(super) initial_observer: &'a O,
     /// The store's tokens are one per state: every recorded edge is real,
@@ -133,7 +133,9 @@ where
             let entry = (&goal.0, &goal.1);
             let cycle = match self.covering_cycle(&goal, scc.len(), &internal) {
                 Ok(None) => continue,
-                Ok(Some(cycle)) if fair_pending_cycle(self.spec, self.property, entry, &cycle) => {
+                Ok(Some(cycle))
+                    if fair_pending_cycle(&self.successors, self.property, entry, &cycle) =>
+                {
                     cycle
                 }
                 _ => {
@@ -143,7 +145,7 @@ where
             };
             let property = self.property;
             return Some(Counterexample::lasso(
-                self.spec,
+                self.successors.spec,
                 property.name(),
                 violation_reason(property.class(), false, property.fairness()),
                 &self.stem_to(&goal),
@@ -155,7 +157,7 @@ where
     }
 
     fn initial(&self) -> Key<S, M, O, bool> {
-        let (initial, observer) = (self.spec.initial_state(), self.initial_observer);
+        let (initial, observer) = (self.successors.spec.initial_state(), self.initial_observer);
         let pending = self.property.initial_pending(&initial, observer);
         (initial, observer.clone(), pending)
     }
@@ -166,13 +168,13 @@ where
         from: &Key<S, M, O, bool>,
         instance: &TransitionInstance<M>,
     ) -> Key<S, M, O, bool> {
-        let state = execute_enabled(self.spec, &from.0, instance);
-        let observer = from.1.update(self.spec, &from.0, instance, &state);
+        let (state, observer) = self.successors.execute(&from.0, &from.1, instance);
         let pending = self.property.step_pending(from.2, &state, &observer);
         (state, observer, pending)
     }
 
-    /// The product state of `node`, by re-executing its tree path.
+    /// The product state of `node`, by re-executing its tree path: its
+    /// positions are ordinals of the exact step.
     fn state_of(&self, graph: &PendingGraph, node: u32) -> Key<S, M, O, bool> {
         let mut path = Vec::new();
         let mut cursor = graph.parents[node as usize];
@@ -181,7 +183,7 @@ where
             cursor = graph.parents[cursor.0 as usize];
         }
         path.iter().rev().fold(self.initial(), |at, &position| {
-            let instance = &enabled_instances(self.spec, &at.0)[position as usize];
+            let instance = &self.successors.enabled(&at.0)[position as usize];
             self.successor(&at, instance)
         })
     }
@@ -205,7 +207,7 @@ where
         reached[0] = true;
         let mut queue = VecDeque::from([(0u32, entry.clone())]);
         while let Some((v, at)) = queue.pop_front() {
-            let here = enabled_instances(self.spec, &at.0);
+            let here = self.successors.enabled(&at.0);
             for &e in out.of(v) {
                 let (_, w, position) = internal[e as usize];
                 let instance = here.get(position as usize).ok_or(Conflated)?;
@@ -218,8 +220,8 @@ where
         let instance = |&(v, _, position): &Edge| &enabled[v as usize][position as usize];
         let executed: Vec<&TransitionInstance<M>> = internal.iter().map(instance).collect();
         let sets: Vec<&[TransitionInstance<M>]> = enabled.iter().map(Vec::as_slice).collect();
-        let fairness = self.property.fairness();
-        if !cycle_fair(self.spec, fairness, &sets, &executed) {
+        let (spec, fairness) = (self.successors.spec, self.property.fairness());
+        if !cycle_fair(spec, fairness, &sets, &executed) {
             // Some required instance is enabled everywhere in the component
             // but never executed inside it: every cycle in here is unfair.
             return Ok(None);
@@ -228,7 +230,7 @@ where
         // Required instances enabled in every component state, and one
         // internal edge executing each (they exist: the component is
         // fair); `owed` counts them by source.
-        let mut required: Vec<u32> = required_everywhere(self.spec, fairness, &sets)
+        let mut required: Vec<u32> = required_everywhere(spec, fairness, &sets)
             .into_iter()
             .map(|c| executed.iter().position(|i| *i == c))
             .map(|e| e.expect("fair component executes every required instance") as u32)
@@ -281,7 +283,7 @@ where
         let mut keys = vec![start];
         let mut at = 0;
         while at < keys.len() {
-            for instance in enabled_instances(self.spec, &keys[at].0) {
+            for instance in self.successors.enabled(&keys[at].0) {
                 let key = self.successor(&keys[at], &instance);
                 if !visited.insert_ref(&key) {
                     continue;
@@ -473,7 +475,7 @@ mod tests {
     use crate::bfs::tests::Tok;
     use crate::liveness::tests::{reaches, toggler};
     use crate::NullObserver;
-    use mp_model::{GlobalState, Outcome, ProcessId, TransitionSpec};
+    use mp_model::{GlobalState, Outcome, ProcessId, ProtocolSpec, TransitionSpec};
 
     fn judge<S: LocalState>(
         graph: &PendingGraph,
@@ -482,7 +484,7 @@ mod tests {
         exact_store: bool,
     ) -> Option<Counterexample> {
         let backstop = Backstop {
-            spec,
+            successors: Successors::exact(spec),
             property,
             initial_observer: &NullObserver,
             exact_store,

@@ -2,10 +2,11 @@
 
 use std::sync::Arc;
 
-use mp_model::{GlobalState, LocalState, Message, ProtocolSpec, TransitionInstance};
+use mp_model::{GlobalState, LocalState, Message, TransitionInstance};
 use mp_symmetry::Symmetry;
 
 use super::fair_pending_cycle;
+use crate::successors::Successors;
 use crate::{Observer, Property};
 
 /// The DFS found `e →segment→ f` from the product state `entry` = `e` with
@@ -21,7 +22,7 @@ use crate::{Observer, Property};
 /// semantically asymmetric role declaration makes a permuted instance
 /// non-executable — the conservative answer).
 pub(super) fn unroll_symmetric_cycle<S, M, O>(
-    spec: &ProtocolSpec<S, M>,
+    successors: &Successors<'_, S, M, O>,
     property: &Property<S, M, O>,
     symmetry: &Arc<dyn Symmetry<S, M, O>>,
     entry: (&GlobalState<S, M>, &O),
@@ -48,7 +49,7 @@ where
     }
 
     // Validate the unrolled lasso by concrete re-execution.
-    fair_pending_cycle(spec, property, entry, &unrolled).then_some(unrolled)
+    fair_pending_cycle(successors, property, entry, &unrolled).then_some(unrolled)
 }
 
 #[cfg(test)]
@@ -58,7 +59,7 @@ mod tests {
     use crate::NullObserver;
     use mp_model::{
         enabled_instances, execute_enabled, Outcome, Permutable, Permutation, ProcessId,
-        TransitionSpec,
+        ProtocolSpec, TransitionSpec,
     };
     use mp_symmetry::{OrbitReduction, RoleMap, SymmetryGroup};
 
@@ -104,7 +105,8 @@ mod tests {
         let unroll = |property: &Property<u8, Tok, NullObserver>| {
             let elems = (entry_elem, closing_elem);
             let at = (&entry, &NullObserver);
-            unroll_symmetric_cycle(&spec, property, &symmetry, at, elems, &segment)
+            let successors = Successors::exact(&spec);
+            unroll_symmetric_cycle(&successors, property, &symmetry, at, elems, &segment)
         };
         let never = Property::termination("reaches-2", |s: &GlobalState<u8, Tok>, _| {
             s.locals.contains(&2)

@@ -1,0 +1,153 @@
+//! The successor step: every search of the crate reaches a state's
+//! successors through one [`Successors`], built once per run from the spec,
+//! the reducer, the symmetry and the trace handle — the enabled instances,
+//! the reducer's explore set, execution with the observer update, the store
+//! key, and the replay of recorded ordinals.
+
+use std::sync::Arc;
+
+use mp_model::{
+    enabled_instances, execute_enabled, Encode, GlobalState, LocalState, Message, ProtocolSpec,
+    TransitionInstance,
+};
+use mp_por::{NoReduction, Reducer, Reduction};
+use mp_symmetry::Symmetry;
+use mp_trace::{Phase, TraceHandle};
+
+use crate::Observer;
+
+/// The successor step of one run (see the module docs).
+pub(crate) struct Successors<'a, S, M: Ord, O> {
+    pub(crate) spec: &'a ProtocolSpec<S, M>,
+    reducer: &'a dyn Reducer<S, M>,
+    /// `None` for the trivial group: keys are then plain encodings.
+    pub(crate) symmetry: Option<&'a dyn Symmetry<S, M, O>>,
+    pub(crate) trace: TraceHandle,
+}
+
+impl<'a, S, M, O> Successors<'a, S, M, O>
+where
+    S: LocalState,
+    M: Message,
+    O: Observer<S, M>,
+{
+    pub(crate) fn new(
+        spec: &'a ProtocolSpec<S, M>,
+        reducer: &'a dyn Reducer<S, M>,
+        symmetry: &'a Arc<dyn Symmetry<S, M, O>>,
+        trace: TraceHandle,
+    ) -> Self {
+        Successors {
+            spec,
+            reducer,
+            symmetry: (!symmetry.is_trivial()).then_some(symmetry.as_ref()),
+            trace,
+        }
+    }
+
+    /// The unreduced, symmetry-free step, off the run's clock: what
+    /// re-executing a recorded cycle or component uses. Its ordinals are
+    /// positions in the enabled list.
+    pub(crate) fn exact(spec: &'a ProtocolSpec<S, M>) -> Self {
+        Successors {
+            spec,
+            reducer: &NoReduction,
+            symmetry: None,
+            trace: TraceHandle::disabled(),
+        }
+    }
+
+    /// Everything enabled in `state`, in [`enabled_instances`] order.
+    pub(crate) fn enabled(&self, state: &GlobalState<S, M>) -> Vec<TransitionInstance<M>> {
+        let _span = self.trace.span(Phase::Expansion);
+        enabled_instances(self.spec, state)
+    }
+
+    /// The reducer's split of `enabled`, everything enabled in `state`.
+    pub(crate) fn reduce(
+        &self,
+        state: &GlobalState<S, M>,
+        enabled: Vec<TransitionInstance<M>>,
+    ) -> Reduction<M> {
+        self.reducer
+            .reduce_traced(self.spec, state, enabled, &self.trace)
+    }
+
+    /// The pair the enabled `instance` leads to from `(state, observer)`.
+    pub(crate) fn execute(
+        &self,
+        state: &GlobalState<S, M>,
+        observer: &O,
+        instance: &TransitionInstance<M>,
+    ) -> (GlobalState<S, M>, O) {
+        let _span = self.trace.span(Phase::Expansion);
+        let next = execute_enabled(self.spec, state, instance);
+        let next_observer = observer.update(self.spec, state, instance, &next);
+        (next, next_observer)
+    }
+
+    /// Appends the store key of `(state, observer)` to `out` and returns
+    /// the group element that maps the pair to the one the key encodes.
+    /// Under a non-trivial group the key is the canonical representative's
+    /// encoding, written without building it
+    /// ([`Symmetry::canonical_encode`]); without one it is the plain
+    /// encoding, element 0, timed as the store lookup it is for.
+    pub(crate) fn key(&self, state: &GlobalState<S, M>, observer: &O, out: &mut Vec<u8>) -> usize {
+        if let Some(symmetry) = self.symmetry {
+            return symmetry.canonical_encode(state, observer, out, &self.trace);
+        }
+        let _span = self.trace.span(Phase::StoreLookup);
+        state.encode(out);
+        observer.encode(out);
+        0
+    }
+
+    /// Re-executes recorded ordinals from the pair `at`, leaving it at the
+    /// pair they end in: step *k* takes the `ordinals[k]`-th member of the
+    /// explore set of the state reached so far. Returns the path; an
+    /// ordinal outside the explore set is a named failure, never a wrong
+    /// path.
+    pub(crate) fn replay(
+        &self,
+        at: &mut (GlobalState<S, M>, O),
+        ordinals: &[usize],
+    ) -> Result<Vec<TransitionInstance<M>>, String> {
+        let mut path = Vec::with_capacity(ordinals.len());
+        for (step, &ordinal) in ordinals.iter().enumerate() {
+            let explore = self.reduce(&at.0, self.enabled(&at.0)).explore;
+            let available = explore.len();
+            let instance = explore.into_iter().nth(ordinal).ok_or_else(|| {
+                format!(
+                    "replay: ordinal {ordinal} outside the explore set \
+                     ({available} instances) at step {step}"
+                )
+            })?;
+            *at = self.execute(&at.0, &at.1, &instance);
+            path.push(instance);
+        }
+        Ok(path)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bfs::tests::{independent, Tok};
+    use crate::NullObserver;
+
+    #[test]
+    fn replaying_an_ordinal_outside_the_explore_set_fails_by_name() {
+        let spec = independent(2, 1);
+        let step = Successors::<u8, Tok, NullObserver>::exact(&spec);
+        let initial = || (spec.initial_state(), NullObserver);
+        let mut end = initial();
+        let path = step.replay(&mut end, &[1, 0]).unwrap();
+        assert_eq!((path.len(), end.0.locals), (2, vec![1, 1]));
+        // After `step1` only `step0` is left: ordinal 1 no longer exists.
+        let err = step.replay(&mut initial(), &[1, 1]).unwrap_err();
+        assert!(
+            err.contains("ordinal 1 outside the explore set (1 instances) at step 1"),
+            "{err}"
+        );
+    }
+}

@@ -56,40 +56,14 @@ pub trait Symmetry<S, M: Ord, O>: Send + Sync {
         observer: &O,
     ) -> (GlobalState<S, M>, O, usize);
 
-    /// [`Symmetry::canonicalize`] with observability: times it under
-    /// [`Phase::Canonicalize`]. [`OrbitReduction`] also records the orbit
-    /// size, which it counts on the way, into the orbit histogram. A
-    /// disabled handle makes this identical to `canonicalize` (no clock
-    /// read).
-    fn canonicalize_traced(
-        &self,
-        state: &GlobalState<S, M>,
-        observer: &O,
-        trace: &TraceHandle,
-    ) -> (GlobalState<S, M>, O, usize) {
-        let _span = trace.span(Phase::Canonicalize);
-        self.canonicalize(state, observer)
-    }
-
     /// Appends the encoding of the canonical pair, `(ŝ, ô).encode(out)`,
     /// and returns the element that produced it, as
-    /// [`Symmetry::canonicalize`] would. This default canonicalizes, then
-    /// encodes; [`OrbitReduction`] writes the image without building it.
-    fn canonical_encode(&self, state: &GlobalState<S, M>, observer: &O, out: &mut Vec<u8>) -> usize
-    where
-        S: Encode,
-        M: Message,
-        O: Encode,
-    {
-        let (state, observer, elem) = self.canonicalize(state, observer);
-        state.encode(out);
-        observer.encode(out);
-        elem
-    }
-
-    /// [`Symmetry::canonical_encode`] timed, encoding included, under
-    /// [`Phase::Canonicalize`], as [`Symmetry::canonicalize_traced`] is.
-    fn canonical_encode_traced(
+    /// [`Symmetry::canonicalize`] would, timed, encoding included, under
+    /// [`Phase::Canonicalize`] (a disabled handle reads no clock). This
+    /// default canonicalizes, then encodes; [`OrbitReduction`] writes the
+    /// image without building it and records the orbit size, which it
+    /// counts on the way, into the orbit histogram.
+    fn canonical_encode(
         &self,
         state: &GlobalState<S, M>,
         observer: &O,
@@ -102,7 +76,10 @@ pub trait Symmetry<S, M: Ord, O>: Send + Sync {
         O: Encode,
     {
         let _span = trace.span(Phase::Canonicalize);
-        self.canonical_encode(state, observer, out)
+        let (state, observer, elem) = self.canonicalize(state, observer);
+        state.encode(out);
+        observer.encode(out);
+        elem
     }
 
     /// The composition `a ∘ b` (apply `b` first) as an element index.
@@ -605,40 +582,7 @@ where
         (state, observer, elem)
     }
 
-    fn canonicalize_traced(
-        &self,
-        state: &GlobalState<S, M>,
-        observer: &O,
-        trace: &TraceHandle,
-    ) -> (GlobalState<S, M>, O, usize) {
-        let (elem, stabilizer, (state, observer)) = {
-            let _span = trace.span(Phase::Canonicalize);
-            let winner = self.canonical(state, observer);
-            (
-                winner.elem,
-                winner.stabilizer,
-                self.build(state, observer, winner),
-            )
-        };
-        trace.record(
-            Histogram::OrbitSize,
-            (self.group.order() / stabilizer) as u64,
-        );
-        (state, observer, elem)
-    }
-
-    fn canonical_encode(&self, state: &GlobalState<S, M>, observer: &O, out: &mut Vec<u8>) -> usize
-    where
-        S: Encode,
-        M: Message,
-        O: Encode,
-    {
-        let winner = self.canonical(state, observer);
-        self.encode_image(state, observer, &winner, out);
-        winner.elem
-    }
-
-    fn canonical_encode_traced(
+    fn canonical_encode(
         &self,
         state: &GlobalState<S, M>,
         observer: &O,
@@ -758,26 +702,19 @@ pub(crate) mod tests {
         let tracer = Tracer::to_writer(false, Box::new(SharedBuffer::new()));
         let run = tracer.begin_run("twins", "test", "p");
         let (c1, _, e1) = sym.canonicalize(&asymmetric, &());
-        let (c2, _, e2) = sym.canonicalize_traced(&asymmetric, &(), &run.handle());
-        assert_eq!(c1, c2, "traced form must not change the representative");
-        assert_eq!(e1, e2);
+        let mut key = Vec::new();
+        let e2 = sym.canonical_encode(&asymmetric, &(), &mut key, &run.handle());
+        assert_eq!((e2, key), (e1, mp_model::encode_to_vec(&(c1, ()))));
         let snap = run.snapshot();
         assert_eq!(snap.histogram(Histogram::OrbitSize).count, 1);
         assert_eq!(snap.histogram(Histogram::OrbitSize).max, 2);
         assert!(snap.phases.nanos(Phase::Canonicalize) > 0);
         // The swap's image ties with the identity's on the symmetric state:
         // one stabilizer of order 2, orbit 1.
-        sym.canonicalize_traced(&symmetric, &(), &run.handle());
+        sym.canonical_encode(&symmetric, &(), &mut Vec::new(), &run.handle());
         let snap = run.snapshot();
         assert_eq!(snap.histogram(Histogram::OrbitSize).count, 2);
         assert_eq!(snap.histogram(Histogram::OrbitSize).sum, 2 + 1);
-        // The fused encode records the same orbit size.
-        let mut key = Vec::new();
-        let e3 = sym.canonical_encode_traced(&asymmetric, &(), &mut key, &run.handle());
-        assert_eq!((e3, key), (e1, mp_model::encode_to_vec(&(c1, ()))));
-        let snap = run.snapshot();
-        assert_eq!(snap.histogram(Histogram::OrbitSize).count, 3);
-        assert_eq!(snap.histogram(Histogram::OrbitSize).sum, 2 + 1 + 2);
         run.finish("verified");
     }
 
@@ -862,7 +799,11 @@ pub(crate) mod tests {
             "{state:?} / {observer:?}"
         );
         let mut key = Vec::new();
-        assert_eq!(reduction.canonical_encode(state, observer, &mut key), elem);
+        let trace = TraceHandle::disabled();
+        assert_eq!(
+            reduction.canonical_encode(state, observer, &mut key, &trace),
+            elem
+        );
         assert_eq!(
             key,
             mp_model::encode_to_vec(&(representative.clone(), image.clone()))

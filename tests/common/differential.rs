@@ -24,10 +24,13 @@
 //! stateless path enumerator. A deadlock is judged in the engine core, so
 //! with the check on only the exact store and the in-memory frontier run.
 //!
-//! **Checks.** Every row's verdict class is the truth's. The one exception
-//! is a SPOR BFS row on a cyclic cell: the BFS applies the reducer without
-//! a cycle proviso, so it may answer `verified` against a violated truth,
-//! never the reverse; such rows are counted. Every counterexample replays
+//! **Checks.** Every row's verdict class is the truth's, with two
+//! documented exceptions, both of which may answer `verified` against a
+//! violated truth, never the reverse, and are counted: a SPOR BFS row on a
+//! cyclic cell, because the BFS applies the reducer without a cycle
+//! proviso; and a DPOR row on a cell whose invariant relates two or more
+//! processes, because DPOR orders dependent steps only and tracks no
+//! visibility. Every counterexample replays
 //! to a pair the property rejects, to a deadlock, or is a genuine fair
 //! lasso. An unreduced BFS row's counterexample is a shortest one, a SPOR
 //! BFS row's is no shorter, and the pooled one is as long as the
@@ -509,12 +512,10 @@ fn judge_liveness<S: LocalState, M: Message, O>(
                     lasso_is_genuine(spec, property, cx);
                     (cx.steps.len(), cx.cycle.len())
                 });
-                // Every revisit is one store hit, but a lasso closed at a
-                // back edge ends the search before that one is counted.
-                let closed = lasso.is_some_and(|(_, cycle)| cycle > 0);
-                let uncounted = report.stats.store_hits - report.stats.revisits;
-                assert!(uncounted <= usize::from(closed), "{label}: {report}");
+                // Every revisit is one store hit, the one a lasso closes on
+                // included.
                 let stats = &report.stats;
+                assert_eq!(stats.store_hits, stats.revisits, "{label}: {report}");
                 let row = (lasso, stats.states, stats.transitions_executed);
                 assert_eq!(&row, exact.get_or_insert(row), "{label}: {report}");
             }

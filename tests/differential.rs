@@ -8,7 +8,8 @@
 mod common;
 
 use common::differential::{generated, Tally};
-use common::{GenLiveness, GenSpec, GenTransition, Watch};
+use common::{GenLiveness, GenSpec, GenTransition, Rng, Watch};
+use mp_basset::checker::Checker;
 use mp_basset::faults::FaultBudget;
 use mp_basset::model::InputSpec;
 
@@ -93,4 +94,30 @@ fn cross_edge_lasso_is_found_by_the_scc_backstop() {
     let moves = [(0, 1), (1, 2), (1, 3), (2, 3), (3, 4), (4, 1)].map(|(from, to)| (0, from, to));
     let tally = internal(&[5], &moves, &[], 5, Some(vec![1, 3]), &[2]);
     assert_eq!(tally.backstop, 1);
+}
+
+#[test]
+fn liveness_without_fairness_runs_unreduced() {
+    // Violated without fairness; the stubborn sets, which lack the LTL-X
+    // visibility condition, answered `verified` on each under SPOR.
+    let mut tally = Tally::default();
+    for seed in [1699, 1710, 2450, 2618, 2726] {
+        let gen = GenSpec::generate(&mut Rng(seed));
+        assert!(gen.liveness.unfair, "seed {seed}: {gen:?}");
+        let cell = generated(format!("seed {seed}: {gen:?}"), &gen).expect("a valid spec");
+        cell.judge(&mut tally);
+        let built = gen.build().expect("a valid spec");
+        let report = Checker::new(&built.spec, built.liveness).spor().run();
+        let label = &report.strategy;
+        assert!(!label.contains("+spor"), "seed {seed}: {label}");
+        assert!(
+            label.ends_with("(spor falls back to full expansion)"),
+            "{label}"
+        );
+    }
+    assert_eq!(
+        (tally.liveness, tally.liveness_violated),
+        (5, 5),
+        "{tally:?}"
+    );
 }
