@@ -190,7 +190,8 @@ pub(crate) trait Mode<S, M: Ord, O>: Sized {
     /// The tag of a successor, given its predecessor's.
     fn step(&self, inherited: Self::Tag, state: &GlobalState<S, M>, observer: &O) -> Self::Tag;
 
-    /// The top frame of `stack` just executed its [`Frame::taken`].
+    /// The top frame of `stack` just executed its [`Frame::taken`]. Every
+    /// hook that steps or reports gets the run's `successors`.
     fn executed(&mut self, _: &mut [Frame<S, M, O, Self>], _: &Successors<'_, S, M, O>) {}
 
     /// `at` was met for the first time, under the store's `token`; `stack`
@@ -201,6 +202,7 @@ pub(crate) trait Mode<S, M: Ord, O>: Sized {
         at: &Key<S, M, O, Self::Tag>,
         token: u64,
         enabled: &[TransitionInstance<M>],
+        successors: &Successors<'_, S, M, O>,
     ) -> Visit<Self::Note>;
 
     /// The top frame's last instance led to the product state that
@@ -211,6 +213,7 @@ pub(crate) trait Mode<S, M: Ord, O>: Sized {
         _stack: &[Frame<S, M, O, Self>],
         _entry: usize,
         _elem: usize,
+        _successors: &Successors<'_, S, M, O>,
     ) -> Option<Counterexample> {
         None
     }
@@ -220,7 +223,7 @@ pub(crate) trait Mode<S, M: Ord, O>: Sized {
     fn cross_edge(&mut self, _top: &Frame<S, M, O, Self>, _tag: Self::Tag, _token: u64) {}
 
     /// The stack ran empty without a violation.
-    fn end(&mut self, _trace: &TraceHandle) -> End<Self> {
+    fn end(&mut self, _successors: &Successors<'_, S, M, O>) -> End<Self> {
         End::Verified
     }
 
@@ -255,7 +258,14 @@ impl<S, M: Ord, O, H: Mode<S, M, O>> Frame<S, M, O, H> {
     /// The instance last executed from this state: the one that leads to
     /// the frame above, or — on the top frame — to the successor at hand.
     pub(crate) fn taken(&self) -> &TransitionInstance<M> {
-        &self.explore[self.next - 1]
+        &self.explore[self.ordinal()]
+    }
+
+    /// Where [`Frame::taken`] stands among the state's choices
+    /// ([`Successors::choices`]) — under every reducer but DPOR, whose
+    /// scheduling reorders what is left to explore.
+    pub(crate) fn ordinal(&self) -> usize {
+        self.next - 1
     }
 }
 
@@ -379,7 +389,7 @@ where
                         top.reduced = false;
                         stats.proviso_expansions += 1;
                     }
-                    if let Some(cx) = mode.back_edge(&stack, entry, elem) {
+                    if let Some(cx) = mode.back_edge(&stack, entry, elem, &successors) {
                         break 'search Verdict::Violated(Box::new(cx));
                     }
                 } else {
@@ -392,7 +402,7 @@ where
             trace.add(Counter::States, 1);
 
             let enabled = successors.enabled(&at.0);
-            let note = match mode.first_visit(&stack, &at, token, &enabled) {
+            let note = match mode.first_visit(&stack, &at, token, &enabled, &successors) {
                 Visit::Expand(note) => note,
                 Visit::Prune => continue,
                 Visit::Violated(cx) => break 'search Verdict::Violated(Box::new(cx)),
@@ -436,7 +446,7 @@ where
             });
         }
 
-        match mode.end(&trace) {
+        match mode.end(&successors) {
             End::Verified => Verdict::Verified,
             End::Violated(cx) => Verdict::Violated(Box::new(cx)),
             End::ExactRerun(fresh) => {
@@ -509,7 +519,6 @@ where
 /// The invariant check: every first visit evaluates the invariant (and,
 /// when asked, reports a state with nothing enabled as a deadlock).
 struct Safety<'a, S, M: Ord, O> {
-    spec: &'a ProtocolSpec<S, M>,
     invariant: &'a Invariant<S, M, O>,
     check_deadlocks: bool,
     /// Under DPOR, the steps executed along the stack: `steps[i]` left
@@ -520,9 +529,7 @@ struct Safety<'a, S, M: Ord, O> {
 impl<S: LocalState, M: Message, O: Observer<S, M>> Mode<S, M, O> for Safety<'_, S, M, O> {
     const ENGINE: &'static str = "stateful-dfs";
     type Tag = ();
-    /// Under DPOR, everything enabled in the state, once a race needs
-    /// enabled-list ranks there.
-    type Note = Option<Vec<TransitionInstance<M>>>;
+    type Note = ();
 
     fn property_name(&self) -> &str {
         self.invariant.name()
@@ -540,7 +547,7 @@ impl<S: LocalState, M: Message, O: Observer<S, M>> Mode<S, M, O> for Safety<'_, 
         let Some(steps) = &mut self.dpor else { return };
         let (top, below) = stack.split_last_mut().expect("a step has a source");
         let instance = top.taken();
-        let transition = self.spec.transition(instance.transition);
+        let transition = successors.spec.transition(instance.transition);
         // Effects are pure: re-applying one names the recipients the step
         // sent to, which DPOR's causality tracking needs.
         let outcome = transition.apply(top.at.0.local(instance.process), &instance.envelopes);
@@ -555,7 +562,7 @@ impl<S: LocalState, M: Message, O: Observer<S, M>> Mode<S, M, O> for Safety<'_, 
         if let Some(racing) = latest_racing_step(steps, below.len()) {
             // `steps[racing]` left `below[racing]`: the other order must be
             // explored from there too.
-            schedule(successors, &mut below[racing], instance.process);
+            schedule(&mut below[racing], instance.process);
         }
     }
 
@@ -565,41 +572,39 @@ impl<S: LocalState, M: Message, O: Observer<S, M>> Mode<S, M, O> for Safety<'_, 
         at: &Key<S, M, O, ()>,
         _token: u64,
         enabled: &[TransitionInstance<M>],
+        successors: &Successors<'_, S, M, O>,
     ) -> Visit<Self::Note> {
         let reason = match self.invariant.evaluate(&at.0, &at.1) {
             PropertyStatus::Violated(reason) => reason,
             PropertyStatus::Holds if !(self.check_deadlocks && enabled.is_empty()) => {
-                return Visit::Expand(None);
+                return Visit::Expand(());
             }
             PropertyStatus::Holds if stack.is_empty() => "deadlock in the initial state".into(),
             PropertyStatus::Holds => "deadlock: no transition enabled".into(),
         };
         let (name, steps) = (self.invariant.name(), path(stack));
-        Visit::Violated(Counterexample::new(self.spec, name, reason, &steps, &at.0))
+        let spec = successors.spec;
+        Visit::Violated(Counterexample::new(spec, name, reason, &steps, &at.0))
     }
 }
 
 /// DPOR: a later step of `process` races with the step `frame` took, so
 /// `frame` must also run `process`'s first instance it has not run yet —
 /// or, with nothing of `process` enabled there, everything. Scheduled
-/// instances run in enabled-list order, which `pruned` keeps; only a frame
-/// with two scheduled instances pending re-lists its enabled instances to
-/// rank them.
-fn schedule<S, M, O>(
-    successors: &Successors<'_, S, M, O>,
-    frame: &mut Frame<S, M, O, Safety<'_, S, M, O>>,
-    process: ProcessId,
-) where
+/// instances run in enabled-list order, which is transition order and,
+/// among one transition's instances, the order `explore` and `pruned` keep
+/// them in: a stable sort by transition restores it, and an instance of
+/// `process` already scheduled was taken off `pruned` ahead of the rest.
+fn schedule<S, M, O>(frame: &mut Frame<S, M, O, Safety<'_, S, M, O>>, process: ProcessId)
+where
     S: LocalState,
     M: Message,
     O: Observer<S, M>,
 {
     let Frame {
-        at,
         explore,
         pruned,
         next,
-        note,
         ..
     } = frame;
     let of_process = |i: &TransitionInstance<M>| i.process == process;
@@ -609,27 +614,13 @@ fn schedule<S, M, O>(
         None => explore.append(pruned),
         Some(first) => {
             let scheduled = explore[*next..].iter().find(|i| of_process(i));
-            if let Some(scheduled) = scheduled {
-                let enabled = note.get_or_insert_with(|| successors.enabled(&at.0));
-                if rank(enabled, scheduled) < rank(enabled, &pruned[first]) {
-                    return;
-                }
+            if scheduled.is_some_and(|i| i.transition <= pruned[first].transition) {
+                return;
             }
             explore.push(pruned.remove(first));
         }
     }
-    if explore.len() - *next > 1 {
-        let enabled = note.get_or_insert_with(|| successors.enabled(&at.0));
-        explore[*next..].sort_by_key(|i| rank(enabled, i));
-    }
-}
-
-/// Where `instance` stands in `enabled`.
-fn rank<M: PartialEq>(enabled: &[TransitionInstance<M>], i: &TransitionInstance<M>) -> usize {
-    enabled
-        .iter()
-        .position(|e| e == i)
-        .expect("DPOR schedules enabled instances")
+    explore[*next..].sort_by_key(|i| i.transition);
 }
 
 /// Runs a stateful depth-first search and returns the report.
@@ -654,7 +645,6 @@ where
         return run_liveness_dfs(spec, property, initial_observer, reducer, symmetry, config);
     };
     let mode = Safety {
-        spec,
         invariant,
         check_deadlocks: config.check_deadlocks,
         dpor: None,
@@ -711,7 +701,6 @@ where
         return stateless_lasso(spec, property, initial_observer, config, strategy);
     };
     let mode = Safety {
-        spec,
         invariant,
         check_deadlocks: config.check_deadlocks,
         dpor: dpor.then(Vec::new),

@@ -24,6 +24,14 @@
 //!    in it. Environment (fault) transitions are exempt by default, so a
 //!    crash is never "unfairly required" to happen.
 //!
+//! Every candidate cycle — closed exactly, unrolled under symmetry, or
+//! stitched from a strongly connected component — is judged the same way:
+//! it is re-executed from its entry state (`fair_pending_cycle`), which
+//! checks both conditions on the enabled sets met along the way. No frame
+//! keeps an enabled set: a frame's note is its node in the recorded graph,
+//! and a recorded step is an ordinal into its state's choices
+//! (`Successors::choices`), the order the core runs them in.
+//!
 //! **Partial-order reduction.** The core applies the cycle/ignoring proviso
 //! at every back edge: whenever a reduced expansion closes a cycle back
 //! into the DFS stack, the state is re-expanded with the pruned instances
@@ -45,20 +53,23 @@
 //! edge to an already-visited node. The stateful search therefore runs a
 //! second pass when the DFS finds nothing: it records the **pending
 //! subgraph** (obligation-carrying product states and the edges between
-//! them — as node numbers filed under the store's token for the state, with
-//! the depth-first tree to re-execute a node's state from) during the
-//! search and then checks its strongly connected components (the `scc`
-//! submodule). An SCC admits a fair cycle iff every
+//! them — as node numbers filed under the store's token for the state and
+//! ordinals into the source state's choices, with the depth-first tree to
+//! replay a node's state from) during the search and then checks its
+//! strongly connected components (the `scc` submodule). An SCC admits a
+//! fair cycle iff every
 //! instance the fairness policy requires that is enabled in *every* state
 //! of the SCC is executed by some edge inside it — exact for weak fairness,
 //! because the all-states/all-required-edges covering walk is then itself a
 //! fair cycle, and conversely a globally-enabled-but-never-executed
 //! instance starves every cycle the SCC contains. The pass reconstructs a
-//! concrete lasso (stem via a product BFS, cycle via a covering walk inside
-//! the SCC) and re-executes it before reporting it, so reported
-//! counterexamples stay replayable — under a probabilistic store, whose
-//! tokens may conflate two states, a lasso that does not re-execute is
-//! dropped like any other omission of that store.
+//! concrete lasso — the stem is the entry node's depth-first tree path,
+//! replayed by `Successors::replay`, as an on-stack lasso's stem is the
+//! stack; the cycle is a covering walk inside the SCC — and re-executes the
+//! cycle before reporting it, so reported counterexamples stay replayable.
+//! The stem is a path the search took, not a shortest one. Under a
+//! probabilistic store, whose tokens may conflate two states, a lasso that
+//! does not re-execute is dropped like any other omission of that store.
 //!
 //! **Symmetry.** With a non-trivial [`Symmetry`], store and stack are keyed
 //! by canonical orbit representatives while the exploration stays concrete,
@@ -67,7 +78,7 @@
 //! usual pending/fairness checks apply; otherwise the cycle is
 //! **un-canonicalized** by unrolling the closing element `δ` until it
 //! returns to the identity (`e →A→ δ(e) →δ(A)→ δ²(e) → … → e`, by
-//! equivariance of the transition relation; the `unroll` submodule), and
+//! equivariance of the transition relation; `unroll_symmetric_cycle`), and
 //! the unrolled concrete lasso is re-executed to validate enabledness, the
 //! pending obligation and fairness before it is reported — reported lassos
 //! are always genuine concrete executions with concrete process ids. The
@@ -79,14 +90,13 @@
 //! so verified runs record no pending cycles and never pay the fallback).
 
 mod scc;
-mod unroll;
 
 use std::sync::Arc;
 
 use mp_model::{GlobalState, LocalState, Message, ProtocolSpec, TransitionInstance};
 use mp_por::{NoReduction, Reducer};
 use mp_symmetry::{NoSymmetry, Symmetry};
-use mp_trace::{Phase, TraceHandle};
+use mp_trace::Phase;
 
 use crate::dfs::{label, path, search, End, Frame, Key, Memory, Mode, Visit};
 use crate::successors::Successors;
@@ -94,7 +104,6 @@ use crate::{
     CheckerConfig, Counterexample, Fairness, Observer, Property, PropertyClass, RunReport,
 };
 use scc::{Backstop, PendingGraph};
-use unroll::unroll_symmetric_cycle;
 
 fn violation_reason(class: PropertyClass, quiescent: bool, fairness: Fairness) -> String {
     match (class, quiescent) {
@@ -197,38 +206,53 @@ where
     cycle_fair(successors.spec, fairness, &enabled_refs, &executed)
 }
 
+/// Un-canonicalizes a cycle that closed modulo a permutation. The DFS
+/// found `e →segment→ f` with `canon(e) = canon(f)` via elements
+/// `g_e(e) = c = g_f(f)`, so `f = δ(e)` with `δ = g_f⁻¹ ∘ g_e`. By
+/// equivariance, repeating the segment with `δ`-powers applied walks
+/// `e → δ(e) → δ²(e) → … → δᵏ(e) = e` where `k` is the order of `δ` — a
+/// genuine concrete cycle when the role declaration is semantically
+/// symmetric, and the segment itself when `δ` is the identity. Returns the
+/// unrolled instance list; the caller validates it by re-execution
+/// ([`fair_pending_cycle`]), which rejects a permuted instance that
+/// a structurally-validated but semantically asymmetric role declaration
+/// makes non-executable — the conservative answer.
+fn unroll_symmetric_cycle<S, M, O>(
+    symmetry: &dyn Symmetry<S, M, O>,
+    (entry_elem, closing_elem): (usize, usize),
+    segment: &[TransitionInstance<M>],
+) -> Vec<TransitionInstance<M>>
+where
+    S: LocalState,
+    M: Message,
+{
+    // δ = g_f⁻¹ ∘ g_e; its order is bounded by the group order.
+    let delta = symmetry.compose(symmetry.inverse(closing_elem), entry_elem);
+    let mut unrolled: Vec<TransitionInstance<M>> = Vec::new();
+    let mut power = 0usize; // identity
+    loop {
+        for instance in segment {
+            unrolled.push(symmetry.permute_instance(power, instance));
+        }
+        power = symmetry.compose(delta, power);
+        if power == 0 {
+            return unrolled;
+        }
+    }
+}
+
 /// The lasso detector: the [`Mode`] that makes the depth-first core a
-/// liveness search. The tag of a product state is its obligation bit.
+/// liveness search. The tag of a product state is its obligation bit, and
+/// its frame note is its node in the recorded graph (0 when none is
+/// recorded): an edge is that node and the frame's [`Frame::ordinal`].
 struct Lasso<'a, S, M: Ord, O> {
-    spec: &'a ProtocolSpec<S, M>,
     property: &'a Property<S, M, O>,
     initial_observer: &'a O,
-    symmetry: &'a Arc<dyn Symmetry<S, M, O>>,
-    /// The search keys states by their canonical orbit representatives:
-    /// `symmetry` is non-trivial and this is not the symmetry-free re-run.
-    quotient: bool,
     /// The visited store keeps whole keys ([`mp_store::StoreConfig::is_exact`]).
     exact_store: bool,
     /// The pending subgraph for the SCC backstop — none under the path
     /// memory, which meets every elementary cycle on the stack.
     graph: Option<PendingGraph>,
-}
-
-/// What the lasso detector keeps on a frame: the state's node in the
-/// recorded graph (0 when none is recorded) and everything enabled in it,
-/// before reduction — gone again when the frame leaves the stack.
-struct Expanded<M> {
-    node: u32,
-    enabled: Vec<TransitionInstance<M>>,
-}
-
-impl<M: PartialEq> Expanded<M> {
-    /// The node, and where `instance` stands in its enabled list.
-    fn edge_by(&self, instance: &TransitionInstance<M>) -> (u32, u32) {
-        let at = self.enabled.iter().position(|i| i == instance);
-        let at = at.expect("a reducer explores enabled instances only");
-        (self.node, at as u32)
-    }
 }
 
 impl<S, M, O> Lasso<'_, S, M, O>
@@ -239,6 +263,7 @@ where
 {
     fn lasso(
         &self,
+        spec: &ProtocolSpec<S, M>,
         quiescent: bool,
         stem: &[TransitionInstance<M>],
         cycle: &[TransitionInstance<M>],
@@ -246,7 +271,7 @@ where
     ) -> Counterexample {
         let property = self.property;
         let reason = violation_reason(property.class(), quiescent, property.fairness());
-        Counterexample::lasso(self.spec, property.name(), reason, stem, cycle, entry)
+        Counterexample::lasso(spec, property.name(), reason, stem, cycle, entry)
     }
 }
 
@@ -258,7 +283,7 @@ where
 {
     const ENGINE: &'static str = "liveness-dfs";
     type Tag = bool;
-    type Note = Expanded<M>;
+    type Note = u32;
 
     fn property_name(&self) -> &str {
         self.property.name()
@@ -278,12 +303,13 @@ where
         at: &Key<S, M, O, bool>,
         token: u64,
         enabled: &[TransitionInstance<M>],
-    ) -> Visit<Expanded<M>> {
+        successors: &Successors<'_, S, M, O>,
+    ) -> Visit<u32> {
         let pending = at.2;
         if enabled.is_empty() && pending {
             // A maximal finite execution with the obligation pending: the
             // system stutters in this quiescent state forever.
-            return Visit::Violated(self.lasso(true, &path(stack), &[], &at.0));
+            return Visit::Violated(self.lasso(successors.spec, true, &path(stack), &[], &at.0));
         }
         if enabled.is_empty() || !pending && self.property.discharged_forever() {
             // Quiescent and discharged: a satisfying maximal execution. Or
@@ -291,18 +317,17 @@ where
             // branch can ever violate.
             return Visit::Prune;
         }
-        let mut node = 0;
-        if let Some(graph) = &mut self.graph {
-            let parent = stack
-                .last()
-                .map(|top| (top.note.edge_by(top.taken()), top.at.2));
-            node = graph.add_node(parent.map(|(edge, _)| edge), pending.then_some(token));
-            if let (true, Some(((from, at), true))) = (pending, parent) {
-                graph.add_edge(from, node, at);
-            }
+        let Some(graph) = &mut self.graph else {
+            return Visit::Expand(0);
+        };
+        let node = graph.add_node(
+            stack.last().map(|top| (top.note, top.ordinal())),
+            pending.then_some(token),
+        );
+        if let Some(top) = stack.last().filter(|top| pending && top.at.2) {
+            graph.add_edge(top.note, node, top.ordinal());
         }
-        let enabled = enabled.to_vec();
-        Visit::Expand(Expanded { node, enabled })
+        Visit::Expand(node)
     }
 
     fn back_edge(
@@ -310,40 +335,30 @@ where
         stack: &[Frame<S, M, O, Self>],
         entry: usize,
         elem: usize,
+        successors: &Successors<'_, S, M, O>,
     ) -> Option<Counterexample> {
         let cycle = &stack[entry..];
         let top = cycle.last().expect("a cycle has at least one state");
         if let (Some(graph), true) = (&mut self.graph, top.at.2 && cycle[0].at.2) {
-            let (from, at) = top.note.edge_by(top.taken());
-            graph.add_edge(from, cycle[0].note.node, at);
+            graph.add_edge(top.note, cycle[0].note, top.ordinal());
         }
         // Violating cycle: the obligation is outstanding in every product
         // state of the cycle, and the cycle is fair.
         if !cycle.iter().all(|f| f.at.2) {
             return None;
         }
-        let executed = if elem == cycle[0].elem {
-            // The concrete cycle closes exactly (same canonical key and
-            // same canonicalizing element force state equality).
-            let enabled: Vec<&[TransitionInstance<M>]> =
-                cycle.iter().map(|f| f.note.enabled.as_slice()).collect();
-            let executed: Vec<&TransitionInstance<M>> = cycle.iter().map(Frame::taken).collect();
-            cycle_fair(self.spec, self.property.fairness(), &enabled, &executed)
-                .then(|| path(cycle))
-        } else {
-            // The cycle closes through a non-identity permutation:
-            // un-canonicalize by unrolling the closing element and validate
-            // the concrete lasso by re-execution.
-            unroll_symmetric_cycle(
-                &Successors::exact(self.spec),
-                self.property,
-                self.symmetry,
-                (&cycle[0].at.0, &cycle[0].at.1),
-                (cycle[0].elem, elem),
-                &path(cycle),
-            )
-        }?;
-        Some(self.lasso(false, &path(&stack[..entry]), &executed, &cycle[0].at.0))
+        let mut steps = path(cycle);
+        if let Some(symmetry) = successors.symmetry {
+            // Closed modulo the group: un-canonicalize by unrolling the
+            // closing element (the segment itself when it closes exactly).
+            steps = unroll_symmetric_cycle(symmetry, (cycle[0].elem, elem), &steps);
+        }
+        let entry_pair = (&cycle[0].at.0, &cycle[0].at.1);
+        if !fair_pending_cycle(&successors.untimed(), self.property, entry_pair, &steps) {
+            return None;
+        }
+        let stem = path(&stack[..entry]);
+        Some(self.lasso(successors.spec, false, &stem, &steps, &cycle[0].at.0))
     }
 
     fn cross_edge(&mut self, top: &Frame<S, M, O, Self>, pending: bool, token: u64) {
@@ -353,13 +368,12 @@ where
         let Some(graph) = &mut self.graph else { return };
         if top.at.2 && pending {
             if let Some(to) = graph.find(token) {
-                let (from, at) = top.note.edge_by(top.taken());
-                graph.add_edge(from, to, at);
+                graph.add_edge(top.note, to, top.ordinal());
             }
         }
     }
 
-    fn end(&mut self, trace: &TraceHandle) -> End<Self> {
+    fn end(&mut self, successors: &Successors<'_, S, M, O>) -> End<Self> {
         // The on-stack detector saw no fair violating cycle, but it only
         // examines DFS tree segments — check the strongly connected
         // components of the recorded pending subgraph (see the module docs).
@@ -367,23 +381,23 @@ where
             // The path memory met every elementary cycle on the stack.
             return End::Verified;
         };
-        if self.quotient {
+        if successors.symmetry.is_some() {
             // Under symmetry the recorded per-node enabled sets mix orbit
             // members, so the SCC fairness test is not exact on the
-            // quotient; fall back to the symmetry-free search when (and only
-            // when) a cycle candidate exists at all.
+            // quotient; fall back to the symmetry-free search — whose step
+            // has no symmetry — when (and only when) a cycle candidate
+            // exists at all.
             if graph.has_cycle_candidate() {
                 return End::ExactRerun(Lasso {
-                    quotient: false,
                     graph: Some(PendingGraph::default()),
                     ..*self
                 });
             }
             return End::Verified;
         }
-        let _span = trace.span(Phase::SccBackstop);
+        let _span = successors.trace.span(Phase::SccBackstop);
         let backstop = Backstop {
-            successors: Successors::exact(self.spec),
+            successors: successors.untimed(),
             property: self.property,
             initial_observer: self.initial_observer,
             exact_store: self.exact_store,
@@ -417,11 +431,8 @@ where
 {
     debug_assert!(property.is_liveness(), "dispatched on property class");
     let mode = Lasso {
-        spec,
         property,
         initial_observer,
-        symmetry,
-        quotient: !symmetry.is_trivial(),
         exact_store: config.store.is_exact(),
         graph: Some(PendingGraph::default()),
     };
@@ -465,11 +476,8 @@ where
     debug_assert!(property.is_liveness(), "dispatched on property class");
     let no_symmetry: Arc<dyn Symmetry<S, M, O>> = Arc::new(NoSymmetry);
     let mode = Lasso {
-        spec,
         property,
         initial_observer,
-        symmetry: &no_symmetry,
-        quotient: false,
         exact_store: false,
         graph: None,
     };
@@ -490,9 +498,13 @@ mod tests {
     use super::*;
     use crate::bfs::tests::{toggler_and_mover, Tok};
     use crate::{Checker, NullObserver, Property};
-    use mp_model::{Outcome, ProcessId, TransitionSpec};
+    use mp_model::{
+        enabled_instances, execute_enabled, Outcome, Permutable, Permutation, ProcessId,
+        TransitionSpec,
+    };
     use mp_por::NoReduction;
-    use mp_symmetry::NoSymmetry;
+    use mp_symmetry::{NoSymmetry, OrbitReduction, RoleMap, SymmetryGroup};
+    use mp_trace::TraceHandle;
 
     fn p(i: usize) -> ProcessId {
         ProcessId(i)
@@ -755,5 +767,71 @@ mod tests {
         let report = dfs(&spec, &reaches(0));
         assert!(report.verdict.is_verified());
         assert_eq!(report.stats.states, 1, "goal states are closed: no search");
+    }
+
+    impl Permutable for Tok {
+        fn permute(&self, _: &Permutation) -> Self {
+            Tok
+        }
+    }
+
+    /// Two interchangeable processes, each flipping its own bit forever.
+    #[test]
+    fn a_swap_closed_segment_unrolls_to_the_concrete_square() {
+        let mut builder = ProtocolSpec::builder("togglers");
+        for i in 0..2 {
+            builder = builder.process(format!("t{i}"), 0u8).transition(
+                TransitionSpec::builder(format!("flip{i}"), ProcessId(i))
+                    .internal()
+                    .sends_nothing()
+                    .effect(|l, _| Outcome::new(1 - *l))
+                    .build(),
+            );
+        }
+        let spec: ProtocolSpec<u8, Tok> = builder.build().unwrap();
+        let roles = RoleMap::new(2).role([ProcessId(0), ProcessId(1)]);
+        let symmetry: Arc<dyn Symmetry<u8, Tok, NullObserver>> =
+            Arc::new(OrbitReduction::new(SymmetryGroup::build(&spec, &roles)));
+
+        // [1,0] →flip0→ [0,0] →flip1→ [0,1]: the segment ends in the swap
+        // image of where it began, not in the state itself.
+        let entry = GlobalState::new(vec![1u8, 0]);
+        let segment = enabled_instances(&spec, &entry); // flip0, flip1
+        let run = |from: &GlobalState<u8, Tok>, instances: &[TransitionInstance<Tok>]| {
+            let step = |s, i| execute_enabled(&spec, &s, i);
+            instances.iter().fold(from.clone(), step)
+        };
+        let state = run(&entry, &segment);
+        assert_eq!(state, GlobalState::new(vec![0u8, 1]));
+        let (canon_entry, _, entry_elem) = symmetry.canonicalize(&entry, &NullObserver);
+        let (canon_end, _, closing_elem) = symmetry.canonicalize(&state, &NullObserver);
+        assert_eq!(canon_entry, canon_end);
+        assert_ne!(entry_elem, closing_elem, "closed by the swap only");
+
+        let successors = Successors::new(&spec, &NoReduction, &symmetry, TraceHandle::disabled());
+        let unroll = |property: &Property<u8, Tok, NullObserver>| {
+            let cycle = unroll_symmetric_cycle(&*symmetry, (entry_elem, closing_elem), &segment);
+            let at = (&entry, &NullObserver);
+            fair_pending_cycle(&successors, property, at, &cycle).then_some(cycle)
+        };
+        let never = Property::termination("reaches-2", |s: &GlobalState<u8, Tok>, _| {
+            s.locals.contains(&2)
+        });
+        let exact = unroll_symmetric_cycle(&*symmetry, (entry_elem, entry_elem), &segment);
+        assert_eq!(exact, segment, "a cycle that closes exactly is its segment");
+        let cycle = unroll(&never).expect("the square is a fair all-pending cycle");
+        let processes: Vec<usize> = cycle.iter().map(|i| i.process.0).collect();
+        assert_eq!(processes, [0, 1, 1, 0], "the segment, then its swap image");
+        assert_eq!(
+            run(&entry, &cycle),
+            entry,
+            "the unrolled cycle closes exactly"
+        );
+
+        // The same walk passes through [0,0]: a goal there discharges the
+        // obligation and the cycle is no violation.
+        let both_zero =
+            Property::termination("both-0", |s: &GlobalState<u8, Tok>, _| s.locals == [0, 0]);
+        assert_eq!(unroll(&both_zero), None);
     }
 }

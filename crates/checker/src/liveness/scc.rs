@@ -5,23 +5,23 @@
 //!
 //! The graph remembers ids, not states: a node is a number, found again by
 //! the token the visited store names its state with
-//! ([`mp_store::Inserted::token`]). What a node *was* — its state, what was
-//! enabled in it — is rebuilt by re-execution from the initial state, once,
-//! and only for components that can hold a cycle at all.
+//! ([`mp_store::Inserted::token`]), and a step is an ordinal into its source
+//! state's choices ([`Successors::choices`]). What a node *was* — its
+//! state, the path to it, what was enabled in it — is rebuilt by replaying
+//! the ordinals of the depth-first tree from the initial state, once, and
+//! only for components that can hold a cycle at all.
 
 use std::collections::VecDeque;
 
-use mp_model::{LocalState, Message, TransitionInstance};
-use mp_store::{StateStoreBackend, StoreConfig};
+use mp_model::{GlobalState, LocalState, Message, TransitionInstance};
 
 use super::{cycle_fair, fair_pending_cycle, required_everywhere, violation_reason};
-use crate::dfs::Key;
 use crate::fp_index::StoreWordMap;
 use crate::successors::Successors;
 use crate::{Counterexample, Observer, Property};
 
-/// `(from, to, position)`: an explored edge, and where the executed
-/// instance stands in `enabled_instances` of the source state.
+/// `(from, to, ordinal)`: an explored edge, and where the executed instance
+/// stands among the choices of the source state.
 type Edge = (u32, u32, u32);
 
 /// The parent of the root.
@@ -31,7 +31,7 @@ const NO_NODE: u32 = u32::MAX;
 /// between the obligation-carrying (pending) ones.
 #[derive(Default)]
 pub(super) struct PendingGraph {
-    /// The depth-first tree: each node's parent and the position of the
+    /// The depth-first tree: each node's parent and the ordinal of the
     /// instance that led here. These are steps the search executed, so the
     /// path to a node replays exactly under every store.
     parents: Vec<(u32, u32)>,
@@ -42,20 +42,33 @@ pub(super) struct PendingGraph {
 }
 
 impl PendingGraph {
-    /// Adds the state reached through `parent = (node, position)`; a
+    /// Adds the state reached through `parent = (node, ordinal)`; a
     /// pending state is filed under the store's `token` for it.
-    pub(super) fn add_node(&mut self, parent: Option<(u32, u32)>, token: Option<u64>) -> u32 {
+    pub(super) fn add_node(&mut self, parent: Option<(u32, usize)>, token: Option<u64>) -> u32 {
         let node = u32::try_from(self.parents.len()).ok();
         let node = node.filter(|n| *n != NO_NODE).expect("2^32 product states");
-        self.parents.push(parent.unwrap_or((NO_NODE, 0)));
+        let (parent, ordinal) = parent.unwrap_or((NO_NODE, 0));
+        self.parents.push((parent, ordinal as u32));
         if let Some(token) = token {
             self.by_token.insert(token, node);
         }
         node
     }
 
-    pub(super) fn add_edge(&mut self, from: u32, to: u32, position: u32) {
-        self.edges.push((from, to, position));
+    pub(super) fn add_edge(&mut self, from: u32, to: u32, ordinal: usize) {
+        self.edges.push((from, to, ordinal as u32));
+    }
+
+    /// The ordinals of the depth-first tree path from the root to `node`.
+    fn ordinals_to(&self, node: u32) -> Vec<usize> {
+        let mut ordinals = Vec::new();
+        let mut cursor = self.parents[node as usize];
+        while cursor.0 != NO_NODE {
+            ordinals.push(cursor.1 as usize);
+            cursor = self.parents[cursor.0 as usize];
+        }
+        ordinals.reverse();
+        ordinals
     }
 
     /// The pending node filed under `token`. `None` when the state has no
@@ -93,7 +106,7 @@ struct Conflated;
 /// The SCC check over a finished search's graph, and the re-execution it
 /// rebuilds states with.
 pub(super) struct Backstop<'a, S, M: Ord, O> {
-    /// The exact step: recorded positions number enabled lists.
+    /// The run's step, off its clock: recorded ordinals index its choices.
     pub(super) successors: Successors<'a, S, M, O>,
     pub(super) property: &'a Property<S, M, O>,
     pub(super) initial_observer: &'a O,
@@ -119,23 +132,28 @@ where
             // component are built from them.
             let mut internal: Vec<Edge> = Vec::new();
             for &e in scc.iter().flat_map(|&v| out.of(v)) {
-                let (v, w, position) = graph.edges[e as usize];
+                let (v, w, ordinal) = graph.edges[e as usize];
                 let ((_, from), (component, to)) = (sccs.place[v as usize], sccs.place[w as usize]);
                 if component == c as u32 {
-                    internal.push((from, to, position));
+                    internal.push((from, to, ordinal));
                 }
             }
             if internal.is_empty() {
                 continue; // trivial component: no cycle at all
             }
-            let goal = self.state_of(graph, scc[0]);
+            // The entry's tree path: steps the search executed.
+            let successors = &self.successors;
+            let mut goal = (
+                successors.spec.initial_state(),
+                self.initial_observer.clone(),
+            );
+            let stem = successors.replay(&mut goal, &graph.ordinals_to(scc[0]));
+            let stem = stem.unwrap_or_else(|e| panic!("tree-path {e}"));
             // Built from recorded edges, reported only if it re-executes.
             let entry = (&goal.0, &goal.1);
             let cycle = match self.covering_cycle(&goal, scc.len(), &internal) {
                 Ok(None) => continue,
-                Ok(Some(cycle))
-                    if fair_pending_cycle(&self.successors, self.property, entry, &cycle) =>
-                {
+                Ok(Some(cycle)) if fair_pending_cycle(successors, self.property, entry, &cycle) => {
                     cycle
                 }
                 _ => {
@@ -145,47 +163,15 @@ where
             };
             let property = self.property;
             return Some(Counterexample::lasso(
-                self.successors.spec,
+                successors.spec,
                 property.name(),
                 violation_reason(property.class(), false, property.fairness()),
-                &self.stem_to(&goal),
+                &stem,
                 &cycle,
                 &goal.0,
             ));
         }
         None
-    }
-
-    fn initial(&self) -> Key<S, M, O, bool> {
-        let (initial, observer) = (self.successors.spec.initial_state(), self.initial_observer);
-        let pending = self.property.initial_pending(&initial, observer);
-        (initial, observer.clone(), pending)
-    }
-
-    /// The product state `instance` leads to from `from`.
-    fn successor(
-        &self,
-        from: &Key<S, M, O, bool>,
-        instance: &TransitionInstance<M>,
-    ) -> Key<S, M, O, bool> {
-        let (state, observer) = self.successors.execute(&from.0, &from.1, instance);
-        let pending = self.property.step_pending(from.2, &state, &observer);
-        (state, observer, pending)
-    }
-
-    /// The product state of `node`, by re-executing its tree path: its
-    /// positions are ordinals of the exact step.
-    fn state_of(&self, graph: &PendingGraph, node: u32) -> Key<S, M, O, bool> {
-        let mut path = Vec::new();
-        let mut cursor = graph.parents[node as usize];
-        while cursor.0 != NO_NODE {
-            path.push(cursor.1);
-            cursor = graph.parents[cursor.0 as usize];
-        }
-        path.iter().rev().fold(self.initial(), |at, &position| {
-            let instance = &self.successors.enabled(&at.0)[position as usize];
-            self.successor(&at, instance)
-        })
     }
 
     /// Judges one component, given on member positions `0..members` with
@@ -195,29 +181,30 @@ where
     /// from shortest paths inside the component.
     fn covering_cycle(
         &self,
-        entry: &Key<S, M, O, bool>,
+        entry: &(GlobalState<S, M>, O),
         members: usize,
         internal: &[Edge],
     ) -> Result<Option<Vec<TransitionInstance<M>>>, Conflated> {
         // Re-execute the component along its own edges: what is enabled in
-        // every member, and with that the instance every edge names.
+        // every member (its choices), and with that the instance every edge
+        // names.
         let out = Adjacency::new(members, internal);
         let mut enabled = vec![Vec::new(); members];
         let mut reached = vec![false; members];
         reached[0] = true;
         let mut queue = VecDeque::from([(0u32, entry.clone())]);
         while let Some((v, at)) = queue.pop_front() {
-            let here = self.successors.enabled(&at.0);
+            let here = self.successors.choices(&at.0);
             for &e in out.of(v) {
-                let (_, w, position) = internal[e as usize];
-                let instance = here.get(position as usize).ok_or(Conflated)?;
+                let (_, w, ordinal) = internal[e as usize];
+                let instance = here.get(ordinal as usize).ok_or(Conflated)?;
                 if !std::mem::replace(&mut reached[w as usize], true) {
-                    queue.push_back((w, self.successor(&at, instance)));
+                    queue.push_back((w, self.successors.execute(&at.0, &at.1, instance)));
                 }
             }
             enabled[v as usize] = here;
         }
-        let instance = |&(v, _, position): &Edge| &enabled[v as usize][position as usize];
+        let instance = |&(v, _, ordinal): &Edge| &enabled[v as usize][ordinal as usize];
         let executed: Vec<&TransitionInstance<M>> = internal.iter().map(instance).collect();
         let sets: Vec<&[TransitionInstance<M>]> = enabled.iter().map(Vec::as_slice).collect();
         let (spec, fairness) = (self.successors.spec, self.property.fairness());
@@ -267,44 +254,6 @@ where
         }
         let cycle = walk.iter().map(|&e| executed[e as usize].clone());
         Ok(Some(cycle.collect()))
-    }
-
-    /// Breadth-first path from the initial product state to `goal`,
-    /// re-executing the protocol (shortest stem for the lasso).
-    fn stem_to(&self, goal: &Key<S, M, O, bool>) -> Vec<TransitionInstance<M>> {
-        let start = self.initial();
-        if start == *goal {
-            return Vec::new();
-        }
-        let visited = StoreConfig::Exact.build::<Key<S, M, O, bool>>();
-        visited.insert_ref(&start);
-        // `keys[i]` was reached through `parents[i - 1]`; `keys` is the queue.
-        let mut parents: Vec<(usize, TransitionInstance<M>)> = Vec::new();
-        let mut keys = vec![start];
-        let mut at = 0;
-        while at < keys.len() {
-            for instance in self.successors.enabled(&keys[at].0) {
-                let key = self.successor(&keys[at], &instance);
-                if !visited.insert_ref(&key) {
-                    continue;
-                }
-                parents.push((at, instance));
-                if key == *goal {
-                    let mut path = Vec::new();
-                    let mut cursor = keys.len();
-                    while cursor != 0 {
-                        let (prev, inst) = parents[cursor - 1].clone();
-                        path.push(inst);
-                        cursor = prev;
-                    }
-                    path.reverse();
-                    return path;
-                }
-                keys.push(key);
-            }
-            at += 1;
-        }
-        unreachable!("every pending-graph node was reached during the search")
     }
 }
 
@@ -471,20 +420,28 @@ fn tarjan_sccs(out: &Adjacency) -> Sccs {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::bfs::tests::Tok;
     use crate::liveness::tests::{reaches, toggler};
-    use crate::NullObserver;
-    use mp_model::{GlobalState, Outcome, ProcessId, ProtocolSpec, TransitionSpec};
+    use crate::{CounterexampleStep, NullObserver};
+    use mp_model::{Outcome, ProcessId, ProtocolSpec, TransitionSpec};
+    use mp_por::{NoReduction, Reducer, SporReducer};
+    use mp_symmetry::{NoSymmetry, Symmetry};
+    use mp_trace::TraceHandle;
 
+    /// The backstop over `graph` with `reducer`'s step.
     fn judge<S: LocalState>(
+        reducer: &dyn Reducer<S, Tok>,
         graph: &PendingGraph,
         spec: &ProtocolSpec<S, Tok>,
         property: &Property<S, Tok, NullObserver>,
         exact_store: bool,
     ) -> Option<Counterexample> {
+        let no_symmetry: Arc<dyn Symmetry<S, Tok, NullObserver>> = Arc::new(NoSymmetry);
         let backstop = Backstop {
-            successors: Successors::exact(spec),
+            successors: Successors::new(spec, reducer, &no_symmetry, TraceHandle::disabled()),
             property,
             initial_observer: &NullObserver,
             exact_store,
@@ -523,12 +480,60 @@ mod tests {
         assert_eq!(graph.find(8), None);
         assert!(graph.heap_bytes() >= 2 * 8 + 2 * 12);
 
-        let cx = judge(&graph, &spec, &never, true);
+        let cx = judge(&NoReduction, &graph, &spec, &never, true);
         let cx = cx.expect("the toggle loop is fair and never reaches 5");
         assert!(cx.is_lasso);
         assert_eq!(cx.cycle.len(), 2, "{cx}");
-        // The stem is the shortest way to whichever state the walk enters at.
+        // The stem is the tree path to whichever state the walk enters at.
         assert!(cx.steps.len() <= 1, "{cx}");
+    }
+
+    /// Recorded ordinals index the choices of the run's step, not enabled
+    /// lists. Under SPOR, `(t, 0)` has the choices `[crash, toggle]` (the
+    /// stubborn set is the crash; the proviso appends the toggle) against
+    /// the enabled order `[toggle, crash]`: the tree and both edges of the
+    /// toggle loop take ordinal 1. The loop is fair, since a crash is an
+    /// environment step.
+    #[test]
+    fn a_component_recorded_past_the_explore_set_replays() {
+        let spec: ProtocolSpec<u8, Tok> = ProtocolSpec::builder("toggle+crash")
+            .process("toggler", 0u8)
+            .process("crasher", 0u8)
+            .transition(
+                TransitionSpec::builder("toggle", ProcessId(0))
+                    .internal()
+                    .sends_nothing()
+                    .effect(|l, _| Outcome::new(1 - *l))
+                    .build(),
+            )
+            .transition(
+                TransitionSpec::builder("crash", ProcessId(1))
+                    .internal()
+                    .guard(|l, _| *l == 0)
+                    .sends_nothing()
+                    .environment()
+                    .priority(1)
+                    .effect(|_, _| Outcome::new(1))
+                    .build(),
+            )
+            .build()
+            .unwrap();
+        let mut graph = PendingGraph::default();
+        let root = graph.add_node(None, Some(1));
+        let flipped = graph.add_node(Some((root, 1)), Some(2));
+        graph.add_edge(root, flipped, 1);
+        graph.add_edge(flipped, root, 1);
+        let spor = SporReducer::new(&spec);
+        let cx = judge(&spor, &graph, &spec, &reaches(5), true);
+        let cx = cx.expect("the toggle loop is fair and never reaches 5");
+        // Entered at `(1, 0)` through the toggle; the loop toggles back.
+        let names = |steps: &[CounterexampleStep]| -> Vec<String> {
+            steps.iter().map(|s| s.transition.clone()).collect()
+        };
+        assert_eq!(names(&cx.steps), ["toggle"], "{cx}");
+        assert_eq!(names(&cx.cycle), ["toggle", "toggle"], "{cx}");
+        let entry = GlobalState::<u8, Tok>::new(vec![1, 0]);
+        assert_eq!(cx.violating_state, format!("{entry:#?}"));
     }
 
     /// What a probabilistic store can record when two states share a token:
@@ -547,7 +552,7 @@ mod tests {
         leads_elsewhere.add_edge(root, root, 0);
         for graph in [no_such_instance, leads_elsewhere] {
             assert!(graph.has_cycle_candidate());
-            let found = judge(&graph, &spec, &never, false);
+            let found = judge(&NoReduction, &graph, &spec, &never, false);
             assert!(found.is_none(), "{found:?}");
         }
     }
@@ -575,7 +580,8 @@ mod tests {
             assert_eq!(graph.add_node(parent, Some(node.into())), node);
             graph.add_edge(node, (node + 1) % RING, 0);
         }
-        let cx = judge(&graph, &spec, &never, true).expect("the ring never terminates");
+        let cx =
+            judge(&NoReduction, &graph, &spec, &never, true).expect("the ring never terminates");
         assert_eq!(cx.cycle.len(), RING as usize);
         assert_eq!(
             cx.steps.len(),

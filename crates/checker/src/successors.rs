@@ -2,7 +2,15 @@
 //! successors through one [`Successors`], built once per run from the spec,
 //! the reducer, the symmetry and the trace handle — the enabled instances,
 //! the reducer's explore set, execution with the observer update, the store
-//! key, and the replay of recorded ordinals.
+//! key, and the replay of recorded steps.
+//!
+//! A recorded step is an **ordinal into the state's choices**: the
+//! reducer's explore set followed by the instances it pruned, the order the
+//! depth-first core runs them in once the cycle proviso has appended the
+//! pruned ones. The BFS parent log records ordinals inside the explore set;
+//! the liveness search's tree and pending graph record them past it too.
+//! Every recorded path, whoever recorded it, is rebuilt by
+//! [`Successors::replay`].
 
 use std::sync::Arc;
 
@@ -10,7 +18,7 @@ use mp_model::{
     enabled_instances, execute_enabled, Encode, GlobalState, LocalState, Message, ProtocolSpec,
     TransitionInstance,
 };
-use mp_por::{NoReduction, Reducer, Reduction};
+use mp_por::{Reducer, Reduction};
 use mp_symmetry::Symmetry;
 use mp_trace::{Phase, TraceHandle};
 
@@ -45,15 +53,12 @@ where
         }
     }
 
-    /// The unreduced, symmetry-free step, off the run's clock: what
-    /// re-executing a recorded cycle or component uses. Its ordinals are
-    /// positions in the enabled list.
-    pub(crate) fn exact(spec: &'a ProtocolSpec<S, M>) -> Self {
+    /// This step off the run's clock: what re-executing a recorded cycle
+    /// or component uses.
+    pub(crate) fn untimed(&self) -> Self {
         Successors {
-            spec,
-            reducer: &NoReduction,
-            symmetry: None,
             trace: TraceHandle::disabled(),
+            ..*self
         }
     }
 
@@ -71,6 +76,18 @@ where
     ) -> Reduction<M> {
         self.reducer
             .reduce_traced(self.spec, state, enabled, &self.trace)
+    }
+
+    /// The choices of `state` (see the module docs): the explore set, then
+    /// the pruned instances — everything enabled, each once.
+    pub(crate) fn choices(&self, state: &GlobalState<S, M>) -> Vec<TransitionInstance<M>> {
+        let Reduction {
+            mut explore,
+            mut pruned,
+            ..
+        } = self.reduce(state, self.enabled(state));
+        explore.append(&mut pruned);
+        explore
     }
 
     /// The pair the enabled `instance` leads to from `(state, observer)`.
@@ -103,9 +120,9 @@ where
     }
 
     /// Re-executes recorded ordinals from the pair `at`, leaving it at the
-    /// pair they end in: step *k* takes the `ordinals[k]`-th member of the
-    /// explore set of the state reached so far. Returns the path; an
-    /// ordinal outside the explore set is a named failure, never a wrong
+    /// pair they end in: step *k* takes the `ordinals[k]`-th of the
+    /// [`choices`](Self::choices) of the state reached so far. Returns the
+    /// path; an ordinal past the choices is a named failure, never a wrong
     /// path.
     pub(crate) fn replay(
         &self,
@@ -114,11 +131,11 @@ where
     ) -> Result<Vec<TransitionInstance<M>>, String> {
         let mut path = Vec::with_capacity(ordinals.len());
         for (step, &ordinal) in ordinals.iter().enumerate() {
-            let explore = self.reduce(&at.0, self.enabled(&at.0)).explore;
-            let available = explore.len();
-            let instance = explore.into_iter().nth(ordinal).ok_or_else(|| {
+            let choices = self.choices(&at.0);
+            let available = choices.len();
+            let instance = choices.into_iter().nth(ordinal).ok_or_else(|| {
                 format!(
-                    "replay: ordinal {ordinal} outside the explore set \
+                    "replay: ordinal {ordinal} outside the choices \
                      ({available} instances) at step {step}"
                 )
             })?;
@@ -134,19 +151,33 @@ mod tests {
     use super::*;
     use crate::bfs::tests::{independent, Tok};
     use crate::NullObserver;
+    use mp_por::SporReducer;
+    use mp_symmetry::NoSymmetry;
 
     #[test]
-    fn replaying_an_ordinal_outside_the_explore_set_fails_by_name() {
+    fn replaying_an_ordinal_outside_the_choices_fails_by_name() {
         let spec = independent(2, 1);
-        let step = Successors::<u8, Tok, NullObserver>::exact(&spec);
+        let spor = SporReducer::new(&spec);
+        let no_symmetry: Arc<dyn Symmetry<u8, Tok, NullObserver>> = Arc::new(NoSymmetry);
+        let step = Successors::new(&spec, &spor, &no_symmetry, TraceHandle::disabled());
         let initial = || (spec.initial_state(), NullObserver);
+        let reduced = step.reduce(&spec.initial_state(), step.enabled(&spec.initial_state()));
+        assert_eq!((reduced.explore.len(), reduced.pruned.len()), (1, 1));
+        // Ordinal 1 is past the explore set: the first pruned instance,
+        // `step1`, which the proviso would have appended.
         let mut end = initial();
         let path = step.replay(&mut end, &[1, 0]).unwrap();
+        assert_eq!(path[0], reduced.pruned[0]);
         assert_eq!((path.len(), end.0.locals), (2, vec![1, 1]));
-        // After `step1` only `step0` is left: ordinal 1 no longer exists.
+        // Two choices at the root, one after `step1`.
+        let err = step.replay(&mut initial(), &[2]).unwrap_err();
+        assert!(
+            err.contains("ordinal 2 outside the choices (2 instances) at step 0"),
+            "{err}"
+        );
         let err = step.replay(&mut initial(), &[1, 1]).unwrap_err();
         assert!(
-            err.contains("ordinal 1 outside the explore set (1 instances) at step 1"),
+            err.contains("ordinal 1 outside the choices (1 instances) at step 1"),
             "{err}"
         );
     }
