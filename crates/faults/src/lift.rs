@@ -8,8 +8,9 @@
 //! safety *and* liveness — works unchanged under fault injection.
 //!
 //! Liveness interacts with fault injection through **fairness**: the
-//! injected environment transitions are [`Annotations::is_environment`]
-//! (mp_model::Annotations), which the default
+//! injected environment transitions are
+//! [`Annotations::is_environment`](mp_model::Annotations::is_environment),
+//! which the default
 //! [`Fairness::WeakProtocol`](mp_checker::Fairness) policy of a lifted
 //! liveness property exempts — an execution on which no fault happens is
 //! fair, so a crash is never "unfairly required", while an execution that

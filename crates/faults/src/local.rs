@@ -83,6 +83,7 @@ impl<S: Permutable> Permutable for FaultLocal<S> {
 // Fault-augmented states travel through the disk-backed BFS frontier like
 // any other: the wrapped protocol state followed by the bookkeeping.
 impl<S: mp_model::Encode> mp_model::Encode for FaultLocal<S> {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         self.inner.encode(out);
         self.crashed.encode(out);
@@ -93,6 +94,7 @@ impl<S: mp_model::Encode> mp_model::Encode for FaultLocal<S> {
 }
 
 impl<S: mp_model::Decode> mp_model::Decode for FaultLocal<S> {
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, mp_model::DecodeError> {
         Ok(FaultLocal {
             inner: S::decode(input)?,

@@ -258,16 +258,26 @@ impl<M: Message> Channels<M> {
 // because a record that decodes into a *different* valid-looking state is
 // worse than one that fails.
 impl<M: Ord + Encode> Encode for Channels<M> {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         encode_entries(self.num_processes, &self.entries, out);
     }
 }
 
 /// The one encoder of channel contents, given as canonical `entries`.
+///
+/// One pass over the runs: the channel count is written as a one-byte
+/// placeholder, counted while the runs are written, then patched. A count
+/// of 0x80 or more takes a longer varint, which is spliced in; the bytes
+/// are those of writing the count first.
+#[inline]
 fn encode_entries<M: Encode>(num_processes: usize, entries: &[Pending<M>], out: &mut Vec<u8>) {
     write_varint(num_processes as u64, out);
-    write_varint(runs(entries).count() as u64, out);
+    let count_at = out.len();
+    out.push(0);
+    let mut channels = 0u64;
     for run in runs(entries) {
+        channels += 1;
         run[0].receiver.encode(out);
         run[0].sender.encode(out);
         write_varint(run.len() as u64, out);
@@ -276,9 +286,17 @@ fn encode_entries<M: Encode>(num_processes: usize, entries: &[Pending<M>], out: 
             write_varint(entry.count as u64, out);
         }
     }
+    if channels < 0x80 {
+        out[count_at] = channels as u8;
+    } else {
+        let mut count = Vec::with_capacity(10);
+        write_varint(channels, &mut count);
+        out.splice(count_at..=count_at, count);
+    }
 }
 
 impl<M: Ord + Decode> Decode for Channels<M> {
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         let num_processes = usize::decode(input)?;
         let num_channels = read_len(input, "truncated channel count")?;
@@ -540,6 +558,47 @@ mod tests {
             encode_to_vec(&expected),
             "the image's encoding, unbuilt"
         );
+    }
+
+    /// The two-pass encoder the one-pass `encode_entries` replaced: the
+    /// channel count first, then the channels.
+    fn two_pass_reference(ch: &Channels<Msg>) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_varint(ch.num_processes as u64, &mut out);
+        write_varint(runs(&ch.entries).count() as u64, &mut out);
+        for run in runs(&ch.entries) {
+            run[0].receiver.encode(&mut out);
+            run[0].sender.encode(&mut out);
+            write_varint(run.len() as u64, &mut out);
+            for entry in run {
+                entry.payload.encode(&mut out);
+                write_varint(entry.count as u64, &mut out);
+            }
+        }
+        out
+    }
+
+    /// 127 channels fit the one-byte count placeholder; 128 and 300 need
+    /// the patched two-byte count, which no protocol cell reaches.
+    #[test]
+    fn channel_counts_past_one_byte_encode_as_the_two_pass_reference() {
+        for channels in [127, 128, 300] {
+            let n = 20;
+            let mut ch: Channels<Msg> = Channels::new(n);
+            for k in 0..channels {
+                let (receiver, sender) = (p(k / n), p(k % n));
+                ch.send(sender, receiver, Msg::Req(k as u8));
+                if k % 3 == 0 {
+                    ch.send(sender, receiver, Msg::Ack(1));
+                    ch.send(sender, receiver, Msg::Ack(1));
+                }
+            }
+            assert_eq!(ch.runs().count(), channels);
+            let bytes = encode_to_vec(&ch);
+            assert_eq!(bytes, two_pass_reference(&ch), "{channels} channels");
+            assert_eq!(bytes[1] < 0x80, channels < 128, "count varint width");
+            assert_eq!(decode(&bytes), Ok(ch), "{channels} channels round-trip");
+        }
     }
 
     /// The hand-built streams below spell out the layout of

@@ -28,6 +28,14 @@
 //! exactly the bytes encoding produced, so values can be concatenated
 //! without separators (which is how a frontier record lays out its fields).
 //!
+//! Encoders write in one pass. A varint below 0x80 — almost every counter,
+//! id, tag and length — takes an inlined one-byte path, and the codec impls
+//! every record goes through are `#[inline]`, so a key or frontier record
+//! costs little more than its bytes. [`Channels`](crate::Channels) writes
+//! a placeholder for its channel count and patches it once the channels
+//! are written. The bytes are those of writing every count first: the
+//! format has not changed.
+//!
 //! Protocol crates implement the traits for their state and message types
 //! with the [`codec!`](crate::codec!) macro:
 //!
@@ -120,15 +128,34 @@ pub fn decode_from_slice<T: Decode>(mut input: &[u8]) -> Result<T, DecodeError> 
 }
 
 /// Appends a LEB128 varint.
-pub fn write_varint(mut value: u64, out: &mut Vec<u8>) {
+#[inline]
+pub fn write_varint(value: u64, out: &mut Vec<u8>) {
+    // Almost every counter, id, tag and length is below 0x80: one byte.
+    if value < 0x80 {
+        out.push(value as u8);
+        return;
+    }
+    write_varint_slow(value, out);
+}
+
+/// [`write_varint`] of a value that takes two bytes or more.
+#[inline(never)]
+fn write_varint_slow(value: u64, out: &mut Vec<u8>) {
+    leb128(value, |byte| out.push(byte));
+}
+
+/// Hands the LEB128 bytes of `value` to `emit`, low seven bits first: the
+/// one varint loop, behind both [`write_varint`] and [`Fnv64::write_u64`].
+#[inline(always)]
+fn leb128(mut value: u64, mut emit: impl FnMut(u8)) {
     loop {
         let byte = (value & 0x7f) as u8;
         value >>= 7;
         if value == 0 {
-            out.push(byte);
+            emit(byte);
             return;
         }
-        out.push(byte | 0x80);
+        emit(byte | 0x80);
     }
 }
 
@@ -137,30 +164,38 @@ pub fn write_varint(mut value: u64, out: &mut Vec<u8>) {
 /// # Errors
 ///
 /// Returns a [`DecodeError`] on truncation or a varint longer than 64 bits.
+#[inline]
 pub fn read_varint(input: &mut &[u8]) -> Result<u64, DecodeError> {
-    let mut value = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let Some((&byte, rest)) = input.split_first() else {
-            return Err(DecodeError::new("truncated varint"));
-        };
-        *input = rest;
-        if shift >= 64 {
-            return Err(DecodeError::new("varint overflows 64 bits"));
+    if let Some((&byte, rest)) = input.split_first() {
+        if byte < 0x80 {
+            *input = rest;
+            return Ok(u64::from(byte));
         }
-        // The 10th byte sits at shift 63: only its lowest payload bit fits,
-        // anything above would be shifted out and silently lost.
-        if shift == 63 && byte & 0x7e != 0 {
-            return Err(DecodeError::new("varint overflows 64 bits"));
-        }
-        value |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(value);
-        }
-        shift += 7;
     }
+    read_varint_slow(input)
 }
 
+/// [`read_varint`] of a varint that is empty or longer than one byte.
+#[inline(never)]
+fn read_varint_slow(input: &mut &[u8]) -> Result<u64, DecodeError> {
+    let mut value = 0u64;
+    for (i, &byte) in input.iter().enumerate() {
+        // The 10th byte sits at shift 63: only its lowest payload bit fits,
+        // anything above would be shifted out and silently lost; an 11th
+        // byte never fits.
+        if i == 10 || (i == 9 && byte & 0x7e != 0) {
+            return Err(DecodeError::new("varint overflows 64 bits"));
+        }
+        value |= u64::from(byte & 0x7f) << (7 * i);
+        if byte & 0x80 == 0 {
+            *input = &input[i + 1..];
+            return Ok(value);
+        }
+    }
+    Err(DecodeError::new("truncated varint"))
+}
+
+#[inline]
 fn read_byte(input: &mut &[u8], context: &'static str) -> Result<u8, DecodeError> {
     let Some((&byte, rest)) = input.split_first() else {
         return Err(DecodeError::new(context));
@@ -169,6 +204,7 @@ fn read_byte(input: &mut &[u8], context: &'static str) -> Result<u8, DecodeError
     Ok(byte)
 }
 
+#[inline]
 pub(crate) fn read_len(input: &mut &[u8], context: &'static str) -> Result<usize, DecodeError> {
     let len = read_varint(input)?;
     // A sequence cannot be longer than the remaining input (every element
@@ -181,22 +217,26 @@ pub(crate) fn read_len(input: &mut &[u8], context: &'static str) -> Result<usize
 }
 
 impl Encode for () {
+    #[inline]
     fn encode(&self, _out: &mut Vec<u8>) {}
 }
 
 impl Decode for () {
+    #[inline]
     fn decode(_input: &mut &[u8]) -> Result<Self, DecodeError> {
         Ok(())
     }
 }
 
 impl Encode for bool {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(u8::from(*self));
     }
 }
 
 impl Decode for bool {
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         match read_byte(input, "truncated bool")? {
             0 => Ok(false),
@@ -207,12 +247,14 @@ impl Decode for bool {
 }
 
 impl Encode for u8 {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(*self);
     }
 }
 
 impl Decode for u8 {
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         read_byte(input, "truncated u8")
     }
@@ -222,11 +264,13 @@ macro_rules! varint_codec {
     ($($t:ty),* $(,)?) => {
         $(
             impl Encode for $t {
+                #[inline]
                 fn encode(&self, out: &mut Vec<u8>) {
                     write_varint(*self as u64, out);
                 }
             }
             impl Decode for $t {
+                #[inline]
                 fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
                     let raw = read_varint(input)?;
                     <$t>::try_from(raw).map_err(|_| DecodeError::new("varint out of range"))
@@ -242,12 +286,14 @@ macro_rules! zigzag_codec {
     ($($t:ty as $wide:ty),* $(,)?) => {
         $(
             impl Encode for $t {
+                #[inline]
                 fn encode(&self, out: &mut Vec<u8>) {
                     let wide = *self as $wide as i64;
                     write_varint(((wide << 1) ^ (wide >> 63)) as u64, out);
                 }
             }
             impl Decode for $t {
+                #[inline]
                 fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
                     let raw = read_varint(input)?;
                     let wide = ((raw >> 1) as i64) ^ -((raw & 1) as i64);
@@ -261,12 +307,14 @@ macro_rules! zigzag_codec {
 zigzag_codec!(i8 as i64, i16 as i64, i32 as i64, i64 as i64, isize as i64);
 
 impl Encode for u128 {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_le_bytes());
     }
 }
 
 impl Decode for u128 {
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         let Some((bytes, rest)) = input.split_first_chunk::<16>() else {
             return Err(DecodeError::new("truncated u128"));
@@ -277,24 +325,28 @@ impl Decode for u128 {
 }
 
 impl Encode for i128 {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         (*self as u128).encode(out);
     }
 }
 
 impl Decode for i128 {
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         Ok(u128::decode(input)? as i128)
     }
 }
 
 impl Encode for char {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         write_varint(u64::from(*self as u32), out);
     }
 }
 
 impl Decode for char {
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         let raw = u32::try_from(read_varint(input)?)
             .map_err(|_| DecodeError::new("char out of range"))?;
@@ -303,6 +355,7 @@ impl Decode for char {
 }
 
 impl Encode for String {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         write_varint(self.len() as u64, out);
         out.extend_from_slice(self.as_bytes());
@@ -310,6 +363,7 @@ impl Encode for String {
 }
 
 impl Decode for String {
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         let len = read_len(input, "truncated string")?;
         let (bytes, rest) = input.split_at(len);
@@ -319,6 +373,7 @@ impl Decode for String {
 }
 
 impl<T: Encode> Encode for Option<T> {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
             None => out.push(0),
@@ -331,6 +386,7 @@ impl<T: Encode> Encode for Option<T> {
 }
 
 impl<T: Decode> Decode for Option<T> {
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         match read_byte(input, "truncated option")? {
             0 => Ok(None),
@@ -341,6 +397,7 @@ impl<T: Decode> Decode for Option<T> {
 }
 
 impl<T: Encode> Encode for Vec<T> {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         write_varint(self.len() as u64, out);
         for item in self {
@@ -350,6 +407,7 @@ impl<T: Encode> Encode for Vec<T> {
 }
 
 impl<T: Decode> Decode for Vec<T> {
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         let len = read_len(input, "truncated vec length")?;
         let mut out = Vec::with_capacity(len);
@@ -361,6 +419,7 @@ impl<T: Decode> Decode for Vec<T> {
 }
 
 impl<T: Encode + Ord> Encode for BTreeSet<T> {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         write_varint(self.len() as u64, out);
         for item in self {
@@ -370,6 +429,7 @@ impl<T: Encode + Ord> Encode for BTreeSet<T> {
 }
 
 impl<T: Decode + Ord> Decode for BTreeSet<T> {
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         let len = read_len(input, "truncated set length")?;
         let mut out = BTreeSet::new();
@@ -381,6 +441,7 @@ impl<T: Decode + Ord> Decode for BTreeSet<T> {
 }
 
 impl<K: Encode + Ord, V: Encode> Encode for BTreeMap<K, V> {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         write_varint(self.len() as u64, out);
         for (key, value) in self {
@@ -391,6 +452,7 @@ impl<K: Encode + Ord, V: Encode> Encode for BTreeMap<K, V> {
 }
 
 impl<K: Decode + Ord, V: Decode> Decode for BTreeMap<K, V> {
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         let len = read_len(input, "truncated map length")?;
         let mut out = BTreeMap::new();
@@ -406,11 +468,13 @@ macro_rules! tuple_codec {
     ($(($($name:ident : $idx:tt),+)),* $(,)?) => {
         $(
             impl<$($name: Encode),+> Encode for ($($name,)+) {
+                #[inline]
                 fn encode(&self, out: &mut Vec<u8>) {
                     $(self.$idx.encode(out);)+
                 }
             }
             impl<$($name: Decode),+> Decode for ($($name,)+) {
+                #[inline]
                 fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
                     Ok(($($name::decode(input)?,)+))
                 }
@@ -452,9 +516,11 @@ tuple_codec!(
 macro_rules! codec {
     (struct $name:ident) => {
         impl $crate::Encode for $name {
+            #[inline]
             fn encode(&self, _out: &mut Vec<u8>) {}
         }
         impl $crate::Decode for $name {
+            #[inline]
             fn decode(_input: &mut &[u8]) -> Result<Self, $crate::DecodeError> {
                 Ok($name)
             }
@@ -462,12 +528,14 @@ macro_rules! codec {
     };
     (struct $name:ident ( $($field:ident),+ $(,)? )) => {
         impl $crate::Encode for $name {
+            #[inline]
             fn encode(&self, out: &mut Vec<u8>) {
                 let $name($($field),+) = self;
                 $($crate::Encode::encode($field, out);)+
             }
         }
         impl $crate::Decode for $name {
+            #[inline]
             fn decode(input: &mut &[u8]) -> Result<Self, $crate::DecodeError> {
                 Ok($name($({ let $field = $crate::Decode::decode(input)?; $field }),+))
             }
@@ -475,11 +543,13 @@ macro_rules! codec {
     };
     (struct $name:ident { $($field:ident),* $(,)? }) => {
         impl $crate::Encode for $name {
+            #[inline]
             fn encode(&self, out: &mut Vec<u8>) {
                 $($crate::Encode::encode(&self.$field, out);)*
             }
         }
         impl $crate::Decode for $name {
+            #[inline]
             fn decode(input: &mut &[u8]) -> Result<Self, $crate::DecodeError> {
                 Ok($name { $($field: $crate::Decode::decode(input)?),* })
             }
@@ -492,6 +562,7 @@ macro_rules! codec {
         ),* $(,)?
     }) => {
         impl $crate::Encode for $name {
+            #[inline]
             fn encode(&self, out: &mut Vec<u8>) {
                 match self {
                     $(
@@ -505,6 +576,7 @@ macro_rules! codec {
             }
         }
         impl $crate::Decode for $name {
+            #[inline]
             fn decode(input: &mut &[u8]) -> Result<Self, $crate::DecodeError> {
                 let Some((&tag, rest)) = input.split_first() else {
                     return Err($crate::DecodeError::new("truncated enum tag"));
@@ -568,9 +640,9 @@ impl Fnv64 {
     /// Feeds a varint-encoded integer into the digest (used to hash
     /// structured values without allocating).
     pub fn write_u64(&mut self, value: u64) {
-        let mut buf = Vec::with_capacity(10);
-        write_varint(value, &mut buf);
-        self.write(&buf);
+        // FNV-1a is byte-wise, so one byte at a time is the digest of the
+        // whole varint.
+        leb128(value, |byte| self.write(&[byte]));
     }
 
     /// Returns the digest of everything written so far.
@@ -674,6 +746,54 @@ mod tests {
         assert!(decode_from_slice::<u64>(&eleven).is_err());
     }
 
+    /// The LEB128 bytes of the boundaries of the one-byte fast path and of
+    /// the widest values, written out by hand.
+    const VARINT_VECTORS: [(u64, &[u8]); 7] = [
+        (0, &[0x00]),
+        (127, &[0x7f]),
+        (128, &[0x80, 0x01]),
+        (16_383, &[0xff, 0x7f]),
+        (16_384, &[0x80, 0x80, 0x01]),
+        (u32::MAX as u64, &[0xff, 0xff, 0xff, 0xff, 0x0f]),
+        (
+            u64::MAX,
+            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01],
+        ),
+    ];
+
+    #[test]
+    fn fast_and_slow_varint_paths_emit_and_read_the_same_bytes() {
+        for (value, bytes) in VARINT_VECTORS {
+            let mut fast = Vec::new();
+            write_varint(value, &mut fast);
+            let mut slow = Vec::new();
+            write_varint_slow(value, &mut slow);
+            assert_eq!(fast, bytes, "write_varint({value})");
+            assert_eq!(slow, bytes, "write_varint_slow({value})");
+            for read in [read_varint, read_varint_slow] {
+                let mut input = bytes;
+                assert_eq!(read(&mut input), Ok(value));
+                assert!(input.is_empty(), "{value} consumes exactly its bytes");
+            }
+        }
+    }
+
+    #[test]
+    fn both_varint_readers_refuse_bad_input_by_name() {
+        let overlong: &[u8] = &[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02];
+        let eleven: &[u8] = &[
+            0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01,
+        ];
+        for read in [read_varint, read_varint_slow] {
+            let context = |mut input: &[u8]| read(&mut input).unwrap_err().context;
+            assert_eq!(context(&[]), "truncated varint");
+            assert_eq!(context(&[0x80]), "truncated varint");
+            assert_eq!(context(&[0xff, 0xff]), "truncated varint");
+            assert_eq!(context(overlong), "varint overflows 64 bits");
+            assert_eq!(context(eleven), "varint overflows 64 bits");
+        }
+    }
+
     #[test]
     fn truncated_and_malformed_inputs_error() {
         assert!(decode_from_slice::<u64>(&[0x80]).is_err()); // dangling varint
@@ -740,5 +860,20 @@ mod delta_tests {
         assert_eq!(digest(b""), 0xcbf29ce484222325);
         assert_eq!(digest(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(digest(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn fnv64_write_u64_hashes_the_varint_bytes() {
+        // FNV-1a of the LEB128 bytes `00 ac 02 ff ff ff ff ff ff ff ff ff 01`.
+        let mut h = Fnv64::new();
+        for value in [0, 300, u64::MAX] {
+            h.write_u64(value);
+        }
+        assert_eq!(h.finish(), 0x6ac454940806ffb9);
+        let mut bytes = Fnv64::new();
+        bytes.write(&[0x00, 0xac, 0x02]);
+        bytes.write(&[0xff; 9]);
+        bytes.write(&[0x01]);
+        assert_eq!(bytes.finish(), h.finish());
     }
 }

@@ -33,12 +33,14 @@ impl ProcessId {
 }
 
 impl crate::Encode for ProcessId {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         self.0.encode(out);
     }
 }
 
 impl crate::Decode for ProcessId {
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, crate::DecodeError> {
         Ok(ProcessId(usize::decode(input)?))
     }

@@ -110,6 +110,7 @@ impl<M: Message> Envelope<M> {
 }
 
 impl<M: Encode> Encode for Envelope<M> {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         self.sender.encode(out);
         self.payload.encode(out);
@@ -117,6 +118,7 @@ impl<M: Encode> Encode for Envelope<M> {
 }
 
 impl<M: Decode> Decode for Envelope<M> {
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, crate::DecodeError> {
         Ok(Envelope {
             sender: ProcessId::decode(input)?,

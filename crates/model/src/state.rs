@@ -119,6 +119,7 @@ impl<S: LocalState, M: Message> GlobalState<S, M> {
 // States are the payload of the disk-backed BFS frontier: locals in index
 // order, then the canonical channel contents.
 impl<S: crate::Encode, M: Message + crate::Encode> crate::Encode for GlobalState<S, M> {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         self.locals.encode(out);
         self.channels.encode(out);
@@ -126,6 +127,7 @@ impl<S: crate::Encode, M: Message + crate::Encode> crate::Encode for GlobalState
 }
 
 impl<S: crate::Decode, M: Message + crate::Decode> crate::Decode for GlobalState<S, M> {
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, crate::DecodeError> {
         Ok(GlobalState {
             locals: Vec::decode(input)?,

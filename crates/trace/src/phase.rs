@@ -1,9 +1,9 @@
 //! The fixed phase taxonomy of a model-checking run.
 //!
-//! Every span opened through [`crate::RunTrace::span`] is attributed to one
-//! of the phases below; the accumulated wall-clock per phase is what the
-//! `phase_summary` NDJSON event and the harness's `phase_*_ms` bench fields
-//! report. The set is closed on purpose: a fixed enum keeps the accumulator
+//! Every span opened through [`crate::TraceHandle::span`] is attributed to
+//! one of the phases below; the accumulated wall-clock per phase is what the
+//! `phase_summary` NDJSON event and the harness's `phase_<name>_us` bench
+//! fields report. The set is closed on purpose: a fixed enum keeps the accumulator
 //! a plain array of atomics (no string interning, no hashing on the hot
 //! path) and keeps every consumer — engines, bench gate, validator — in
 //! agreement about what exists.
