@@ -196,7 +196,7 @@ where
             out.reduced += usize::from(reduction.reduced);
 
             for (ordinal, instance) in reduction.explore.into_iter().enumerate() {
-                let concrete = successors.execute(&state, &observer, &instance);
+                let concrete = successors.execute(&state, &observer, &instance).0;
                 out.transitions += 1;
                 // The successor's one encoding: the store probes it, and a
                 // first visit keeps it, after its δ, as its body.

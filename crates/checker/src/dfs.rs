@@ -190,9 +190,15 @@ pub(crate) trait Mode<S, M: Ord, O>: Sized {
     /// The tag of a successor, given its predecessor's.
     fn step(&self, inherited: Self::Tag, state: &GlobalState<S, M>, observer: &O) -> Self::Tag;
 
-    /// The top frame of `stack` just executed its [`Frame::taken`]. Every
-    /// hook that steps or reports gets the run's `successors`.
-    fn executed(&mut self, _: &mut [Frame<S, M, O, Self>], _: &Successors<'_, S, M, O>) {}
+    /// The top frame of `stack` just executed its [`Frame::taken`], sending
+    /// to `sent_to`. Every hook that steps or reports gets the run's `successors`.
+    fn executed(
+        &mut self,
+        _stack: &mut [Frame<S, M, O, Self>],
+        _sent_to: Vec<ProcessId>,
+        _successors: &Successors<'_, S, M, O>,
+    ) {
+    }
 
     /// `at` was met for the first time, under the store's `token`; `stack`
     /// is the path to it ([`path`]) and `enabled` everything enabled in it.
@@ -348,12 +354,13 @@ where
                         continue;
                     }
                     let instance = &top.explore[top.next];
-                    let (state, observer) = successors.execute(&top.at.0, &top.at.1, instance);
+                    let ((state, observer), sent_to) =
+                        successors.execute(&top.at.0, &top.at.1, instance);
                     let tag = mode.step(top.at.2, &state, &observer);
                     top.next += 1;
                     stats.transitions_executed += 1;
                     trace.add(Counter::Transitions, 1);
-                    mode.executed(&mut stack, &successors);
+                    mode.executed(&mut stack, sent_to, &successors);
                     (state, observer, tag)
                 }
             };
@@ -542,23 +549,16 @@ impl<S: LocalState, M: Message, O: Observer<S, M>> Mode<S, M, O> for Safety<'_, 
     fn executed(
         &mut self,
         stack: &mut [Frame<S, M, O, Self>],
+        sent_to: Vec<ProcessId>,
         successors: &Successors<'_, S, M, O>,
     ) {
         let Some(steps) = &mut self.dpor else { return };
         let (top, below) = stack.split_last_mut().expect("a step has a source");
         let instance = top.taken();
         let transition = successors.spec.transition(instance.transition);
-        // Effects are pure: re-applying one names the recipients the step
-        // sent to, which DPOR's causality tracking needs.
-        let outcome = transition.apply(top.at.0.local(instance.process), &instance.envelopes);
-        let sent_to = outcome.sends.iter().map(|(to, _)| *to).collect();
-        let annotations = transition.annotations();
+        let step = ExecutedStep::new(instance.clone(), sent_to, transition.annotations());
         steps.truncate(below.len());
-        steps.push(
-            ExecutedStep::new(instance.clone(), sent_to)
-                .with_environment(annotations.is_environment)
-                .with_environment_class(annotations.environment_class),
-        );
+        steps.push(step);
         if let Some(racing) = latest_racing_step(steps, below.len()) {
             // `steps[racing]` left `below[racing]`: the other order must be
             // explored from there too.

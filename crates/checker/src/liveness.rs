@@ -190,7 +190,7 @@ where
         if !enabled.contains(instance) {
             return false;
         }
-        (state, observer) = successors.execute(&state, &observer, instance);
+        (state, observer) = successors.execute(&state, &observer, instance).0;
         if !property.step_pending(true, &state, &observer) {
             return false;
         }

@@ -199,7 +199,7 @@ where
                 let (_, w, ordinal) = internal[e as usize];
                 let instance = here.get(ordinal as usize).ok_or(Conflated)?;
                 if !std::mem::replace(&mut reached[w as usize], true) {
-                    queue.push_back((w, self.successors.execute(&at.0, &at.1, instance)));
+                    queue.push_back((w, self.successors.execute(&at.0, &at.1, instance).0));
                 }
             }
             enabled[v as usize] = here;

@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use mp_model::{
-    enabled_instances, execute_enabled, Encode, GlobalState, LocalState, Message, ProtocolSpec,
+    enabled_instances, execute, Encode, GlobalState, LocalState, Message, ProcessId, ProtocolSpec,
     TransitionInstance,
 };
 use mp_por::{Reducer, Reduction};
@@ -90,17 +90,18 @@ where
         explore
     }
 
-    /// The pair the enabled `instance` leads to from `(state, observer)`.
+    /// The pair the enabled `instance` leads to from `(state, observer)`,
+    /// and the recipients of its sends ([`mp_model::execute`]).
     pub(crate) fn execute(
         &self,
         state: &GlobalState<S, M>,
         observer: &O,
         instance: &TransitionInstance<M>,
-    ) -> (GlobalState<S, M>, O) {
+    ) -> ((GlobalState<S, M>, O), Vec<ProcessId>) {
         let _span = self.trace.span(Phase::Expansion);
-        let next = execute_enabled(self.spec, state, instance);
+        let (next, sent_to) = execute(self.spec, state, instance).expect("an enabled instance");
         let next_observer = observer.update(self.spec, state, instance, &next);
-        (next, next_observer)
+        ((next, next_observer), sent_to)
     }
 
     /// Appends the store key of `(state, observer)` to `out` and returns
@@ -139,7 +140,7 @@ where
                      ({available} instances) at step {step}"
                 )
             })?;
-            *at = self.execute(&at.0, &at.1, &instance);
+            *at = self.execute(&at.0, &at.1, &instance).0;
             path.push(instance);
         }
         Ok(path)

@@ -93,7 +93,7 @@ pub use ids::{ProcessId, TransitionId};
 pub use message::{Envelope, Kind, Message};
 pub use permute::{combine, plain_signature, Permutable, Permutation};
 pub use protocol::{EnableFilter, ProtocolBuilder, ProtocolSpec};
-pub use semantics::{execute, execute_enabled, is_deadlock, successors};
+pub use semantics::{execute, execute_enabled, successors};
 pub use state::{GlobalState, LocalState};
 pub use transition::{
     Annotations, Effect, Guard, InputSpec, Outcome, QuorumSpec, RecipientSet, TransitionBuilder,

@@ -7,11 +7,13 @@
 //! added to outgoing channels (paper, Section II-A).
 
 use crate::{
-    enabled_instances, GlobalState, LocalState, Message, ModelError, ProtocolSpec,
+    enabled_instances, GlobalState, LocalState, Message, ModelError, ProcessId, ProtocolSpec,
     TransitionInstance,
 };
 
-/// Executes a transition instance in `state`, returning the successor state.
+/// Executes a transition instance in `state`, returning the successor state
+/// and the recipients of the step's sends in send order, one per send;
+/// reinjected messages go back to the executing process and are not listed.
 ///
 /// # Errors
 ///
@@ -23,7 +25,7 @@ pub fn execute<S: LocalState, M: Message>(
     spec: &ProtocolSpec<S, M>,
     state: &GlobalState<S, M>,
     instance: &TransitionInstance<M>,
-) -> Result<GlobalState<S, M>, ModelError> {
+) -> Result<(GlobalState<S, M>, Vec<ProcessId>), ModelError> {
     let t = spec
         .get(instance.transition)
         .ok_or(ModelError::UnknownTransition {
@@ -47,13 +49,19 @@ pub fn execute<S: LocalState, M: Message>(
     }
     let outcome = t.apply(local, &instance.envelopes);
     *next.local_mut(process) = outcome.next_local;
-    for (recipient, message) in outcome.sends {
-        next.channels.send(process, recipient, message);
-    }
+    // Collected in place: the recipients reuse the sends' buffer.
+    let sent_to = outcome
+        .sends
+        .into_iter()
+        .map(|(recipient, message)| {
+            next.channels.send(process, recipient, message);
+            recipient
+        })
+        .collect();
     for (sender, message) in outcome.reinjects {
         next.channels.send(sender, process, message);
     }
-    Ok(next)
+    Ok((next, sent_to))
 }
 
 /// Executes an instance that is known to be enabled.
@@ -67,9 +75,9 @@ pub fn execute_enabled<S: LocalState, M: Message>(
     state: &GlobalState<S, M>,
     instance: &TransitionInstance<M>,
 ) -> GlobalState<S, M> {
-    execute(spec, state, instance).unwrap_or_else(|e| {
-        panic!("instance {instance:?} expected to be enabled: {e}");
-    })
+    execute(spec, state, instance)
+        .unwrap_or_else(|e| panic!("instance {instance:?} expected to be enabled: {e}"))
+        .0
 }
 
 /// Returns every `(instance, successor)` pair reachable from `state` in one
@@ -85,16 +93,6 @@ pub fn successors<S: LocalState, M: Message>(
             (inst, next)
         })
         .collect()
-}
-
-/// Returns `true` if `state` is a deadlock: no transition instance is
-/// enabled. In terminating protocols the final "everything delivered" states
-/// are deadlocks in this technical sense.
-pub fn is_deadlock<S: LocalState, M: Message>(
-    spec: &ProtocolSpec<S, M>,
-    state: &GlobalState<S, M>,
-) -> bool {
-    enabled_instances(spec, state).is_empty()
 }
 
 #[cfg(test)]
@@ -171,9 +169,41 @@ mod tests {
         let s0 = proto.initial_state();
         let insts = enabled_instances(&proto, &s0);
         assert_eq!(insts.len(), 1);
-        let s1 = execute(&proto, &s0, &insts[0]).unwrap();
+        let (s1, sent_to) = execute(&proto, &s0, &insts[0]).unwrap();
+        assert_eq!(sent_to, [p(1), p(2)]);
         assert_eq!(*s1.local(p(0)), 1);
         assert_eq!(s1.pending_messages(), 2);
+    }
+
+    #[test]
+    fn reinjects_are_not_reported_as_recipients() {
+        let proto = ProtocolSpec::builder("send-and-reinject")
+            .process("p0", 0u8)
+            .process("p1", 0u8)
+            .process("p2", 0u8)
+            .transition(
+                TransitionSpec::builder("FAN_OUT", p(0))
+                    .internal()
+                    .guard(|l, _| *l == 0)
+                    .sends(&["REQ"])
+                    .effect(|_, _| {
+                        Outcome::new(1)
+                            .send(p(2), Msg::Req)
+                            .reinject(p(1), Msg::Ack(1))
+                            .send(p(1), Msg::Req)
+                    })
+                    .build(),
+            )
+            .build()
+            .unwrap();
+        let s0 = proto.initial_state();
+        let insts = enabled_instances(&proto, &s0);
+        let (s1, sent_to) = execute(&proto, &s0, &insts[0]).unwrap();
+        assert_eq!(sent_to, [p(2), p(1)], "the sends, in send order");
+        // The reinject went back to p0, attributed to p1.
+        let reinjected: Vec<_> = s1.channels.pending_for(p(0)).collect();
+        assert_eq!(reinjected, [Envelope::new(p(1), Msg::Ack(1))]);
+        assert_eq!(s1.pending_messages(), 3);
     }
 
     #[test]
@@ -190,7 +220,7 @@ mod tests {
             steps += 1;
             assert!(steps < 10, "protocol should terminate quickly");
         }
-        assert!(is_deadlock(&proto, &state));
+        assert!(enabled_instances(&proto, &state).is_empty(), "a deadlock");
         assert_eq!(*state.local(p(0)), 2, "client collected the ack quorum");
         assert_eq!(*state.local(p(1)), 1);
         assert_eq!(*state.local(p(2)), 1);
@@ -248,7 +278,8 @@ mod tests {
             .find(|i| i.transition == TransitionId(3))
             .expect("collect enabled");
         assert!(collect.is_quorum_execution());
-        let done = execute(&proto, &state, collect).unwrap();
+        let (done, sent_to) = execute(&proto, &state, collect).unwrap();
         assert_eq!(done.pending_messages(), 0);
+        assert!(sent_to.is_empty());
     }
 }

@@ -4,19 +4,19 @@
 //! state are visited (paper, Section III-A). The search itself is the one
 //! depth-first core of `mp-checker`, remembering nothing of the states it
 //! has met; DPOR is a hook of its invariant check, called after each
-//! execution. This module provides the ingredients it needs:
+//! execution with the recipients of its sends ([`mp_model::execute`]).
+//! This module provides the ingredients it needs:
 //!
 //! * [`DporSeed`] — the reducer a DPOR frame starts from: every enabled
 //!   instance of the first enabled instance's process is explored (a
 //!   process is Flanagan–Godefroid's backtrack unit, and a race only ever
 //!   schedules instances of *another* process), the rest wait, pruned,
 //!   until a race schedules one of them;
-//! * [`instances_dependent`] — the dependence check between two *concrete*
-//!   transition instances (the dynamic analogue of the static relation in
-//!   [`crate::IndependenceRelation`]);
-//! * [`ExecutedStep`] and [`happens_before`] — the causality bookkeeping used
-//!   to find, for each newly executed instance, the most recent earlier step
-//!   it races with, in whose frame a backtrack point has to be added.
+//! * [`ExecutedStep`] — a step recorded from its instance, those recipients
+//!   and its transition's annotations — and [`latest_racing_step`], which
+//!   finds the most recent earlier step a new one races with (the dynamic
+//!   analogue of [`crate::IndependenceRelation`]), in whose frame a
+//!   backtrack point has to be added.
 //!
 //! As in the paper, DPOR is only sound with stateless search (it must see
 //! every path below a state again to install backtrack points), so MP-Basset
@@ -24,7 +24,8 @@
 //! discipline in the harness but the machinery itself is model-agnostic.
 
 use mp_model::{
-    GlobalState, Kind, LocalState, Message, ProcessId, ProtocolSpec, TransitionInstance,
+    Annotations, GlobalState, Kind, LocalState, Message, ProcessId, ProtocolSpec,
+    TransitionInstance,
 };
 
 use crate::{Reducer, Reduction};
@@ -69,50 +70,37 @@ impl<S: LocalState, M: Message> Reducer<S, M> for DporSeed {
 pub struct ExecutedStep<M> {
     /// The instance that was executed.
     pub instance: TransitionInstance<M>,
-    /// The processes that received messages sent by this step.
+    /// The recipients of the step's sends, in send order, as the execution
+    /// reported them. Reinjected messages (duplication, corruption) go
+    /// back to the executing process and are not listed.
     pub sent_to: Vec<ProcessId>,
     /// `true` if the executed transition is an environment transition
     /// (fault injection). Environment steps of the same budget class share
     /// the global fault budget, so they race with each other even without
-    /// a message between them; see [`step_dependent`].
+    /// a message between them.
     pub is_environment: bool,
     /// The budget class of an environment step (mirrors
-    /// [`Annotations::environment_class`](mp_model::Annotations)): steps of
-    /// *disjoint* classes draw on disjoint budget counters and do not race
-    /// through the budget. `None` means unknown — conservatively racing
-    /// with every other environment step.
+    /// [`Annotations::environment_class`]): steps of *disjoint* classes
+    /// draw on disjoint budget counters and do not race through the
+    /// budget. `None` means unknown — conservatively racing with every
+    /// other environment step.
     pub environment_class: Option<Kind>,
 }
 
 impl<M: Message> ExecutedStep<M> {
-    /// Creates an executed step record (protocol step; use
-    /// [`ExecutedStep::with_environment`] for fault-injection steps).
-    pub fn new(instance: TransitionInstance<M>, sent_to: Vec<ProcessId>) -> Self {
+    /// Records the step that executed `instance`, sent to `sent_to` and
+    /// whose transition carries `annotations`.
+    pub fn new(
+        instance: TransitionInstance<M>,
+        sent_to: Vec<ProcessId>,
+        annotations: &Annotations,
+    ) -> Self {
         ExecutedStep {
             instance,
             sent_to,
-            is_environment: false,
-            environment_class: None,
+            is_environment: annotations.is_environment,
+            environment_class: annotations.environment_class,
         }
-    }
-
-    /// Flags whether this step executed an environment transition
-    /// (builder style).
-    pub fn with_environment(mut self, is_environment: bool) -> Self {
-        self.is_environment = is_environment;
-        self
-    }
-
-    /// Records the environment step's budget class (builder style); see
-    /// [`ExecutedStep::environment_class`].
-    pub fn with_environment_class(mut self, class: Option<Kind>) -> Self {
-        self.environment_class = class;
-        self
-    }
-
-    /// The process that executed the step.
-    pub fn process(&self) -> ProcessId {
-        self.instance.process
     }
 }
 
@@ -121,7 +109,7 @@ impl<M: Message> ExecutedStep<M> {
 /// Two instances are dependent iff they are executed by the same process
 /// (they compete for its local state and incoming channels), or one of them
 /// consumed a message sent by the other's process (a direct communication).
-pub fn instances_dependent<M: Message>(
+pub(crate) fn instances_dependent<M: Message>(
     a: &TransitionInstance<M>,
     b: &TransitionInstance<M>,
 ) -> bool {
@@ -138,7 +126,11 @@ pub fn instances_dependent<M: Message>(
 ///
 /// `steps` is the executed prefix in order; `earlier` and `later` are indices
 /// into it with `earlier < later`.
-pub fn happens_before<M: Message>(steps: &[ExecutedStep<M>], earlier: usize, later: usize) -> bool {
+pub(crate) fn happens_before<M: Message>(
+    steps: &[ExecutedStep<M>],
+    earlier: usize,
+    later: usize,
+) -> bool {
     debug_assert!(earlier < later && later < steps.len());
     // Standard transitive closure over the dependence relation restricted to
     // the execution order. Executions explored by the stateless search are
@@ -163,7 +155,7 @@ pub fn happens_before<M: Message>(steps: &[ExecutedStep<M>], earlier: usize, lat
 /// "message delivery" causality (a step that sent a message to process `p`
 /// causally precedes any later step of `p` that consumed it; conservatively,
 /// any later step of `p`).
-pub fn step_dependent<M: Message>(a: &ExecutedStep<M>, b: &ExecutedStep<M>) -> bool {
+pub(crate) fn step_dependent<M: Message>(a: &ExecutedStep<M>, b: &ExecutedStep<M>) -> bool {
     if instances_dependent(&a.instance, &b.instance) {
         return true;
     }
@@ -178,7 +170,7 @@ pub fn step_dependent<M: Message>(a: &ExecutedStep<M>, b: &ExecutedStep<M>) -> b
             _ => return true,
         }
     }
-    a.sent_to.contains(&b.process()) || b.sent_to.contains(&a.process())
+    a.sent_to.contains(&b.instance.process) || b.sent_to.contains(&a.instance.process)
 }
 
 /// Finds the most recent earlier step that *races* with `latest`: it is
@@ -239,6 +231,25 @@ mod tests {
         )
     }
 
+    /// A protocol step of `instance` that sent to `sent_to`.
+    fn step(instance: TransitionInstance<Msg>, sent_to: Vec<ProcessId>) -> ExecutedStep<Msg> {
+        ExecutedStep::new(instance, sent_to, &Annotations::default())
+    }
+
+    /// An environment step of `instance`, of budget class `class`, that
+    /// sent nothing.
+    fn environment_step(
+        instance: TransitionInstance<Msg>,
+        class: Option<Kind>,
+    ) -> ExecutedStep<Msg> {
+        let annotations = Annotations {
+            is_environment: true,
+            environment_class: class,
+            ..Annotations::default()
+        };
+        ExecutedStep::new(instance, vec![], &annotations)
+    }
+
     #[test]
     fn same_process_instances_are_dependent() {
         let a = internal_instance(0, 1);
@@ -265,9 +276,9 @@ mod tests {
     fn happens_before_follows_dependence_chains() {
         // p0 sends to p1; p1 receives (dependent on step 0); p2 acts alone.
         let steps = vec![
-            ExecutedStep::new(internal_instance(0, 0), vec![p(1)]),
-            ExecutedStep::new(receive_instance(1, 1, 0), vec![]),
-            ExecutedStep::new(internal_instance(2, 2), vec![]),
+            step(internal_instance(0, 0), vec![p(1)]),
+            step(receive_instance(1, 1, 0), vec![]),
+            step(internal_instance(2, 2), vec![]),
         ];
         assert!(happens_before(&steps, 0, 1));
         assert!(!happens_before(&steps, 0, 2));
@@ -278,9 +289,9 @@ mod tests {
     fn happens_before_is_transitive() {
         // 0: p0 sends to p1; 1: p1 receives and sends to p2; 2: p2 receives.
         let steps = vec![
-            ExecutedStep::new(internal_instance(0, 0), vec![p(1)]),
-            ExecutedStep::new(receive_instance(1, 1, 0), vec![p(2)]),
-            ExecutedStep::new(receive_instance(2, 2, 1), vec![]),
+            step(internal_instance(0, 0), vec![p(1)]),
+            step(receive_instance(1, 1, 0), vec![p(2)]),
+            step(receive_instance(2, 2, 1), vec![]),
         ];
         assert!(happens_before(&steps, 0, 2));
     }
@@ -291,9 +302,9 @@ mod tests {
         // the same-process pair races (its order is not forced by anything
         // in between).
         let steps = vec![
-            ExecutedStep::new(internal_instance(0, 1), vec![]),
-            ExecutedStep::new(internal_instance(1, 2), vec![]),
-            ExecutedStep::new(internal_instance(2, 1), vec![]),
+            step(internal_instance(0, 1), vec![]),
+            step(internal_instance(1, 2), vec![]),
+            step(internal_instance(2, 1), vec![]),
         ];
         assert_eq!(latest_racing_step(&steps, 2), Some(0));
         assert_eq!(latest_racing_step(&steps, 1), None);
@@ -305,25 +316,19 @@ mod tests {
         // 2: p2 receives from p1. Step 0 and step 2 are causally ordered via
         // step 1, so the only race candidate for step 2 is step 1.
         let steps = vec![
-            ExecutedStep::new(internal_instance(0, 0), vec![p(1)]),
-            ExecutedStep::new(receive_instance(1, 1, 0), vec![p(2)]),
-            ExecutedStep::new(receive_instance(2, 2, 1), vec![]),
+            step(internal_instance(0, 0), vec![p(1)]),
+            step(receive_instance(1, 1, 0), vec![p(2)]),
+            step(receive_instance(2, 2, 1), vec![]),
         ];
         assert_eq!(latest_racing_step(&steps, 2), Some(1));
     }
 
     #[test]
     fn environment_steps_race_by_budget_class() {
-        let crash0 = ExecutedStep::new(internal_instance(0, 0), vec![])
-            .with_environment(true)
-            .with_environment_class(Some("crash"));
-        let crash1 = ExecutedStep::new(internal_instance(1, 1), vec![])
-            .with_environment(true)
-            .with_environment_class(Some("crash"));
-        let dup2 = ExecutedStep::new(internal_instance(2, 2), vec![])
-            .with_environment(true)
-            .with_environment_class(Some("dup"));
-        let unknown3 = ExecutedStep::new(internal_instance(3, 3), vec![]).with_environment(true);
+        let crash0 = environment_step(internal_instance(0, 0), Some("crash"));
+        let crash1 = environment_step(internal_instance(1, 1), Some("crash"));
+        let dup2 = environment_step(internal_instance(2, 2), Some("dup"));
+        let unknown3 = environment_step(internal_instance(3, 3), None);
         // Same class: shared budget, always a race.
         assert!(step_dependent(&crash0, &crash1));
         // Disjoint classes, no communication: no race.
@@ -335,9 +340,9 @@ mod tests {
     #[test]
     fn independent_steps_have_no_race() {
         let steps = vec![
-            ExecutedStep::new(internal_instance(0, 0), vec![]),
-            ExecutedStep::new(internal_instance(1, 1), vec![]),
-            ExecutedStep::new(internal_instance(2, 2), vec![]),
+            step(internal_instance(0, 0), vec![]),
+            step(internal_instance(1, 1), vec![]),
+            step(internal_instance(2, 2), vec![]),
         ];
         assert_eq!(latest_racing_step(&steps, 2), None);
         assert_eq!(latest_racing_step(&steps, 1), None);

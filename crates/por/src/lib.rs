@@ -71,9 +71,7 @@ pub mod stubborn;
 
 pub use bits::TransitionSet;
 pub use canenable::{has_potential_enabler, CanEnable};
-pub use dpor::{
-    happens_before, instances_dependent, latest_racing_step, step_dependent, DporSeed, ExecutedStep,
-};
+pub use dpor::{latest_racing_step, DporSeed, ExecutedStep};
 pub use heuristics::SeedHeuristic;
 pub use independence::{
     can_communicate, may_emit_kind, transitions_dependent, IndependenceRelation,

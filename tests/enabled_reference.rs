@@ -10,14 +10,18 @@
 //! three protocols' small settings, with and without injected faults
 //! (duplication puts multiplicities above one into the channels, crash and
 //! drop exercise the enable filter).
+//!
+//! The recipients `execute` reports for a step are checked the same way,
+//! against the definition: the receivers of the effect's sends, in order,
+//! with reinjected messages left out.
 
 use std::collections::BTreeSet;
 
 use mp_basset::faults::FaultBudget;
 use mp_basset::model::message::senders;
 use mp_basset::model::{
-    enabled_instances, Envelope, GlobalState, InputSpec, LocalState, Message, ProtocolSpec,
-    QuorumSpec, StateGraph, TransitionInstance,
+    enabled_instances, execute, Envelope, GlobalState, InputSpec, LocalState, Message,
+    ProtocolSpec, QuorumSpec, StateGraph, TransitionInstance,
 };
 use mp_basset::protocols::echo_multicast::{self, MulticastSetting};
 use mp_basset::protocols::paxos::{self, PaxosSetting, PaxosVariant};
@@ -116,4 +120,42 @@ fn storage_enumeration_matches_the_definition() {
         FaultBudget::none().crashes(1).dups(1),
     ));
     assert!(states >= 100, "{states}");
+}
+
+/// Checks on every state of the state graph of `spec` that `execute`
+/// reports, for every enabled instance, the receivers of its effect's
+/// sends in send order. Returns how many instances were checked and how
+/// many of them reinjected a message.
+fn recipients_are_the_sends<S: LocalState, M: Message>(
+    spec: &ProtocolSpec<S, M>,
+) -> (usize, usize) {
+    let graph = StateGraph::build(spec, 100_000).expect("a small setting");
+    let (mut checked, mut reinjecting) = (0, 0);
+    for state in (0..graph.num_states()).map(|i| graph.state(i)) {
+        for instance in enabled_instances(spec, state) {
+            let transition = spec.transition(instance.transition);
+            let outcome = transition.apply(state.local(instance.process), &instance.envelopes);
+            let receivers: Vec<_> = outcome.sends.iter().map(|(to, _)| *to).collect();
+            let (_, sent_to) = execute(spec, state, &instance).expect("an enabled instance");
+            assert_eq!(sent_to, receivers, "{instance:?} in {state:?}");
+            checked += 1;
+            reinjecting += usize::from(!outcome.reinjects.is_empty());
+        }
+    }
+    (checked, reinjecting)
+}
+
+#[test]
+fn execute_reports_the_receivers_of_the_sends() {
+    let setting = PaxosSetting::new(1, 2, 1);
+    let (checked, _) =
+        recipients_are_the_sends(&paxos::single_message_model(setting, PaxosVariant::Correct));
+    assert!(checked >= 20, "{checked}");
+    // The two fault kinds whose outcomes reinject.
+    let none = FaultBudget::none();
+    for budget in [none.dups(1), none.corruptions(1)] {
+        let spec = paxos::faulty_quorum_model(setting, PaxosVariant::Correct, budget);
+        let (checked, reinjecting) = recipients_are_the_sends(&spec);
+        assert!(checked >= 20 && reinjecting > 0, "{checked}, {reinjecting}");
+    }
 }
