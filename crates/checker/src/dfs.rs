@@ -37,7 +37,9 @@
 //! memory. [`DporSeed`] explores every enabled instance of a frame's first
 //! enabled process and prunes the rest, so a frame's unexplored instances
 //! are DPOR's backtrack set minus its done set; a race schedules one of the
-//! pruned ones.
+//! pruned ones. DPOR keeps no path of its own: a frame's note holds the
+//! recipients of the step it took, and the race check reads each step off
+//! the stack as an [`ExecutedStep`] view.
 //!
 //! **Identity.** The frames' keys lie back to back in one byte stack. The
 //! store hands back the 64-bit fingerprint it computed for the insert and
@@ -191,7 +193,9 @@ pub(crate) trait Mode<S, M: Ord, O>: Sized {
     fn step(&self, inherited: Self::Tag, state: &GlobalState<S, M>, observer: &O) -> Self::Tag;
 
     /// The top frame of `stack` just executed its [`Frame::taken`], sending
-    /// to `sent_to`. Every hook that steps or reports gets the run's `successors`.
+    /// to `sent_to`; a mode that needs them later keeps them in that
+    /// frame's note (DPOR does). Every hook that steps or reports gets the
+    /// run's `successors`.
     fn executed(
         &mut self,
         _stack: &mut [Frame<S, M, O, Self>],
@@ -524,19 +528,19 @@ where
 }
 
 /// The invariant check: every first visit evaluates the invariant (and,
-/// when asked, reports a state with nothing enabled as a deadlock).
+/// when asked, reports a state with nothing enabled as a deadlock). Under
+/// DPOR each frame's note holds the recipients of the step it took, so the
+/// race check reads every step of the execution off the stack.
 struct Safety<'a, S, M: Ord, O> {
     invariant: &'a Invariant<S, M, O>,
     check_deadlocks: bool,
-    /// Under DPOR, the steps executed along the stack: `steps[i]` left
-    /// `stack[i]`.
-    dpor: Option<Vec<ExecutedStep<M>>>,
+    dpor: bool,
 }
 
 impl<S: LocalState, M: Message, O: Observer<S, M>> Mode<S, M, O> for Safety<'_, S, M, O> {
     const ENGINE: &'static str = "stateful-dfs";
     type Tag = ();
-    type Note = ();
+    type Note = Vec<ProcessId>;
 
     fn property_name(&self) -> &str {
         self.invariant.name()
@@ -546,23 +550,35 @@ impl<S: LocalState, M: Message, O: Observer<S, M>> Mode<S, M, O> for Safety<'_, 
 
     fn step(&self, (): (), _: &GlobalState<S, M>, _: &O) {}
 
+    /// Under DPOR: records `sent_to` on the top frame and schedules the
+    /// other order in the frame whose step races with the one just taken.
     fn executed(
         &mut self,
         stack: &mut [Frame<S, M, O, Self>],
         sent_to: Vec<ProcessId>,
         successors: &Successors<'_, S, M, O>,
     ) {
-        let Some(steps) = &mut self.dpor else { return };
-        let (top, below) = stack.split_last_mut().expect("a step has a source");
-        let instance = top.taken();
-        let transition = successors.spec.transition(instance.transition);
-        let step = ExecutedStep::new(instance.clone(), sent_to, transition.annotations());
-        steps.truncate(below.len());
-        steps.push(step);
-        if let Some(racing) = latest_racing_step(steps, below.len()) {
-            // `steps[racing]` left `below[racing]`: the other order must be
+        if !self.dpor {
+            return;
+        }
+        let _span = successors.trace.span(Phase::StubbornSet);
+        let latest = stack.len() - 1;
+        stack[latest].note = sent_to;
+        let spec = successors.spec;
+        let step = |i: usize| {
+            let frame = &stack[i];
+            let instance = frame.taken();
+            ExecutedStep {
+                instance,
+                sent_to: &frame.note,
+                annotations: spec.transition(instance.transition).annotations(),
+            }
+        };
+        if let Some(racing) = latest_racing_step(step, latest) {
+            // The step `stack[racing]` took: the other order must be
             // explored from there too.
-            schedule(&mut below[racing], instance.process);
+            let process = stack[latest].taken().process;
+            schedule(&mut stack[racing], process);
         }
     }
 
@@ -577,7 +593,7 @@ impl<S: LocalState, M: Message, O: Observer<S, M>> Mode<S, M, O> for Safety<'_, 
         let reason = match self.invariant.evaluate(&at.0, &at.1) {
             PropertyStatus::Violated(reason) => reason,
             PropertyStatus::Holds if !(self.check_deadlocks && enabled.is_empty()) => {
-                return Visit::Expand(());
+                return Visit::Expand(Vec::new());
             }
             PropertyStatus::Holds if stack.is_empty() => "deadlock in the initial state".into(),
             PropertyStatus::Holds => "deadlock: no transition enabled".into(),
@@ -647,7 +663,7 @@ where
     let mode = Safety {
         invariant,
         check_deadlocks: config.check_deadlocks,
-        dpor: None,
+        dpor: false,
     };
     search(
         spec,
@@ -703,7 +719,7 @@ where
     let mode = Safety {
         invariant,
         check_deadlocks: config.check_deadlocks,
-        dpor: dpor.then(Vec::new),
+        dpor,
     };
     let (reducer, memory): (&dyn Reducer<S, M>, _) = if dpor {
         strategy.push_str("+dpor");

@@ -12,11 +12,13 @@
 //!   process is Flanagan–Godefroid's backtrack unit, and a race only ever
 //!   schedules instances of *another* process), the rest wait, pruned,
 //!   until a race schedules one of them;
-//! * [`ExecutedStep`] — a step recorded from its instance, those recipients
-//!   and its transition's annotations — and [`latest_racing_step`], which
-//!   finds the most recent earlier step a new one races with (the dynamic
-//!   analogue of [`crate::IndependenceRelation`]), in whose frame a
-//!   backtrack point has to be added.
+//! * [`ExecutedStep`] — a step read off the depth-first stack: a borrowed
+//!   view of the instance a frame took, those recipients (kept in the
+//!   frame) and its transition's annotations; DPOR keeps no step list of
+//!   its own — and [`latest_racing_step`], which finds the most recent
+//!   earlier step a new one races with (the dynamic analogue of
+//!   [`crate::IndependenceRelation`]) in one backward scan of the stack, in
+//!   whose frame a backtrack point has to be added.
 //!
 //! As in the paper, DPOR is only sound with stateless search (it must see
 //! every path below a state again to install backtrack points), so MP-Basset
@@ -24,8 +26,7 @@
 //! discipline in the harness but the machinery itself is model-agnostic.
 
 use mp_model::{
-    Annotations, GlobalState, Kind, LocalState, Message, ProcessId, ProtocolSpec,
-    TransitionInstance,
+    Annotations, GlobalState, LocalState, Message, ProcessId, ProtocolSpec, TransitionInstance,
 };
 
 use crate::{Reducer, Reduction};
@@ -64,45 +65,30 @@ impl<S: LocalState, M: Message> Reducer<S, M> for DporSeed {
     }
 }
 
-/// One executed step of the current stateless execution, with enough
-/// information to decide races against later steps.
-#[derive(Clone, Debug)]
-pub struct ExecutedStep<M> {
+/// One executed step of the current stateless execution, read off the
+/// depth-first stack: the instance a frame took, the recipients of its
+/// sends in send order as the execution reported them (reinjected messages
+/// go back to the executing process and are not listed), and its
+/// transition's annotations. A view borrows all three; nothing is copied.
+#[derive(Debug)]
+pub struct ExecutedStep<'a, M> {
     /// The instance that was executed.
-    pub instance: TransitionInstance<M>,
-    /// The recipients of the step's sends, in send order, as the execution
-    /// reported them. Reinjected messages (duplication, corruption) go
-    /// back to the executing process and are not listed.
-    pub sent_to: Vec<ProcessId>,
-    /// `true` if the executed transition is an environment transition
-    /// (fault injection). Environment steps of the same budget class share
-    /// the global fault budget, so they race with each other even without
-    /// a message between them.
-    pub is_environment: bool,
-    /// The budget class of an environment step (mirrors
-    /// [`Annotations::environment_class`]): steps of *disjoint* classes
-    /// draw on disjoint budget counters and do not race through the
-    /// budget. `None` means unknown — conservatively racing with every
-    /// other environment step.
-    pub environment_class: Option<Kind>,
+    pub instance: &'a TransitionInstance<M>,
+    /// The recipients of the step's sends.
+    pub sent_to: &'a [ProcessId],
+    /// The executed transition's annotations: environment steps (fault
+    /// injection) of one budget class share the global fault budget, so
+    /// they race with each other even without a message between them.
+    pub annotations: &'a Annotations,
 }
 
-impl<M: Message> ExecutedStep<M> {
-    /// Records the step that executed `instance`, sent to `sent_to` and
-    /// whose transition carries `annotations`.
-    pub fn new(
-        instance: TransitionInstance<M>,
-        sent_to: Vec<ProcessId>,
-        annotations: &Annotations,
-    ) -> Self {
-        ExecutedStep {
-            instance,
-            sent_to,
-            is_environment: annotations.is_environment,
-            environment_class: annotations.environment_class,
-        }
+impl<M> Clone for ExecutedStep<'_, M> {
+    fn clone(&self) -> Self {
+        *self
     }
 }
+
+impl<M> Copy for ExecutedStep<'_, M> {}
 
 /// Returns `true` if the two concrete instances are dependent.
 ///
@@ -120,43 +106,12 @@ pub(crate) fn instances_dependent<M: Message>(
         || b.envelopes.iter().any(|e| e.sender == a.process)
 }
 
-/// Returns `true` if step `earlier` happens-before step `later` in the given
-/// execution, i.e. there is a causal chain of dependent steps from `earlier`
-/// to `later`.
-///
-/// `steps` is the executed prefix in order; `earlier` and `later` are indices
-/// into it with `earlier < later`.
-pub(crate) fn happens_before<M: Message>(
-    steps: &[ExecutedStep<M>],
-    earlier: usize,
-    later: usize,
-) -> bool {
-    debug_assert!(earlier < later && later < steps.len());
-    // Standard transitive closure over the dependence relation restricted to
-    // the execution order. Executions explored by the stateless search are
-    // short (bounded by the protocol's terminating runs), so the quadratic
-    // scan is acceptable and keeps the code auditable.
-    let mut reachable = vec![false; steps.len()];
-    reachable[earlier] = true;
-    for idx in (earlier + 1)..=later {
-        if reachable[idx] {
-            continue;
-        }
-        let depends_on_reachable =
-            (earlier..idx).any(|prev| reachable[prev] && step_dependent(&steps[prev], &steps[idx]));
-        if depends_on_reachable {
-            reachable[idx] = true;
-        }
-    }
-    reachable[later]
-}
-
 /// Dependence between executed steps: instance dependence plus the
 /// "message delivery" causality (a step that sent a message to process `p`
 /// causally precedes any later step of `p` that consumed it; conservatively,
 /// any later step of `p`).
-pub(crate) fn step_dependent<M: Message>(a: &ExecutedStep<M>, b: &ExecutedStep<M>) -> bool {
-    if instances_dependent(&a.instance, &b.instance) {
+pub(crate) fn step_dependent<M: Message>(a: ExecutedStep<'_, M>, b: ExecutedStep<'_, M>) -> bool {
+    if instances_dependent(a.instance, b.instance) {
         return true;
     }
     // Environment steps of the same (or unknown) budget class share a fault
@@ -164,8 +119,9 @@ pub(crate) fn step_dependent<M: Message>(a: &ExecutedStep<M>, b: &ExecutedStep<M
     // orders are never equivalent. Disjoint classes (e.g. a crash and a
     // duplication with separate budgets) cannot interfere through the
     // budget and fall through to the message-causality test.
-    if a.is_environment && b.is_environment {
-        match (a.environment_class, b.environment_class) {
+    let (a_env, b_env) = (a.annotations, b.annotations);
+    if a_env.is_environment && b_env.is_environment {
+        match (a_env.environment_class, b_env.environment_class) {
             (Some(ca), Some(cb)) if ca != cb => {}
             _ => return true,
         }
@@ -173,31 +129,25 @@ pub(crate) fn step_dependent<M: Message>(a: &ExecutedStep<M>, b: &ExecutedStep<M
     a.sent_to.contains(&b.instance.process) || b.sent_to.contains(&a.instance.process)
 }
 
-/// Finds the most recent earlier step that *races* with `latest`: it is
-/// dependent with `latest` and not ordered before it by happens-before
-/// through intermediate steps. Returns its index, if any.
+/// Finds the most recent earlier step that *races* with step `latest`: it
+/// is dependent with `latest` and not ordered before it through a chain of
+/// dependent steps between them. Returns its index, if any; `step(i)` reads
+/// the `i`-th step of the execution off the stack.
+///
+/// That is the most recent step dependent with `latest`, so one backward
+/// scan from `latest − 1` finds it: a chain that orders an earlier step
+/// before `latest` ends in a step dependent with `latest`, and no such
+/// step lies between the most recent one and `latest`. Each call costs at
+/// most `latest` dependence tests.
 ///
 /// This is the point where the Flanagan–Godefroid algorithm installs a
 /// backtrack obligation.
-pub fn latest_racing_step<M: Message>(steps: &[ExecutedStep<M>], latest: usize) -> Option<usize> {
-    debug_assert!(latest < steps.len());
-    (0..latest).rev().find(|&candidate| {
-        step_dependent(&steps[candidate], &steps[latest])
-            && !intermediate_ordering(steps, candidate, latest)
-    })
-}
-
-/// Returns `true` if `earlier` is ordered before `latest` through a chain of
-/// dependent steps strictly between them (in which case the pair is not a
-/// race: their order is already forced).
-fn intermediate_ordering<M: Message>(
-    steps: &[ExecutedStep<M>],
-    earlier: usize,
+pub fn latest_racing_step<'a, M: Message>(
+    step: impl Fn(usize) -> ExecutedStep<'a, M>,
     latest: usize,
-) -> bool {
-    ((earlier + 1)..latest).any(|mid| {
-        step_dependent(&steps[earlier], &steps[mid]) && happens_before(steps, mid, latest)
-    })
+) -> Option<usize> {
+    let last = step(latest);
+    (0..latest).rev().find(|&i| step_dependent(step(i), last))
 }
 
 #[cfg(test)]
@@ -231,23 +181,94 @@ mod tests {
         )
     }
 
+    /// What the stack holds of one step, owned.
+    struct Recorded {
+        instance: TransitionInstance<Msg>,
+        sent_to: Vec<ProcessId>,
+        annotations: Annotations,
+    }
+
+    impl Recorded {
+        fn view(&self) -> ExecutedStep<'_, Msg> {
+            ExecutedStep {
+                instance: &self.instance,
+                sent_to: &self.sent_to,
+                annotations: &self.annotations,
+            }
+        }
+    }
+
     /// A protocol step of `instance` that sent to `sent_to`.
-    fn step(instance: TransitionInstance<Msg>, sent_to: Vec<ProcessId>) -> ExecutedStep<Msg> {
-        ExecutedStep::new(instance, sent_to, &Annotations::default())
+    fn step(instance: TransitionInstance<Msg>, sent_to: Vec<ProcessId>) -> Recorded {
+        Recorded {
+            instance,
+            sent_to,
+            annotations: Annotations::default(),
+        }
     }
 
     /// An environment step of `instance`, of budget class `class`, that
     /// sent nothing.
-    fn environment_step(
-        instance: TransitionInstance<Msg>,
-        class: Option<Kind>,
-    ) -> ExecutedStep<Msg> {
+    fn environment_step(instance: TransitionInstance<Msg>, class: Option<Kind>) -> Recorded {
         let annotations = Annotations {
             is_environment: true,
             environment_class: class,
             ..Annotations::default()
         };
-        ExecutedStep::new(instance, vec![], &annotations)
+        Recorded {
+            instance,
+            sent_to: vec![],
+            annotations,
+        }
+    }
+
+    fn views(steps: &[Recorded]) -> Vec<ExecutedStep<'_, Msg>> {
+        steps.iter().map(Recorded::view).collect()
+    }
+
+    /// The backward scan over `steps`, checked against the reference.
+    fn racing(steps: &[Recorded], latest: usize) -> Option<usize> {
+        let views = views(steps);
+        let race = latest_racing_step(|i| views[i], latest);
+        assert_eq!(race, reference_racing_step(&views, latest));
+        race
+    }
+
+    // The reference relation: the race check as first written, with a
+    // transitive closure per intermediate step.
+
+    /// Returns `true` if step `earlier` happens-before step `later`: there
+    /// is a causal chain of dependent steps from `earlier` to `later`.
+    fn happens_before(steps: &[ExecutedStep<'_, Msg>], earlier: usize, later: usize) -> bool {
+        assert!(earlier < later && later < steps.len());
+        let mut reachable = vec![false; steps.len()];
+        reachable[earlier] = true;
+        for idx in (earlier + 1)..=later {
+            reachable[idx] = (earlier..idx)
+                .any(|prev| reachable[prev] && step_dependent(steps[prev], steps[idx]));
+        }
+        reachable[later]
+    }
+
+    /// Returns `true` if `earlier` is ordered before `latest` through a
+    /// chain of dependent steps strictly between them.
+    fn intermediate_ordering(
+        steps: &[ExecutedStep<'_, Msg>],
+        earlier: usize,
+        latest: usize,
+    ) -> bool {
+        ((earlier + 1)..latest).any(|mid| {
+            step_dependent(steps[earlier], steps[mid]) && happens_before(steps, mid, latest)
+        })
+    }
+
+    /// The most recent earlier step dependent with `latest` and not
+    /// ordered before it through intermediate steps.
+    fn reference_racing_step(steps: &[ExecutedStep<'_, Msg>], latest: usize) -> Option<usize> {
+        (0..latest).rev().find(|&candidate| {
+            step_dependent(steps[candidate], steps[latest])
+                && !intermediate_ordering(steps, candidate, latest)
+        })
     }
 
     #[test]
@@ -275,11 +296,12 @@ mod tests {
     #[test]
     fn happens_before_follows_dependence_chains() {
         // p0 sends to p1; p1 receives (dependent on step 0); p2 acts alone.
-        let steps = vec![
+        let steps = [
             step(internal_instance(0, 0), vec![p(1)]),
             step(receive_instance(1, 1, 0), vec![]),
             step(internal_instance(2, 2), vec![]),
         ];
+        let steps = views(&steps);
         assert!(happens_before(&steps, 0, 1));
         assert!(!happens_before(&steps, 0, 2));
         assert!(!happens_before(&steps, 1, 2));
@@ -288,12 +310,12 @@ mod tests {
     #[test]
     fn happens_before_is_transitive() {
         // 0: p0 sends to p1; 1: p1 receives and sends to p2; 2: p2 receives.
-        let steps = vec![
+        let steps = [
             step(internal_instance(0, 0), vec![p(1)]),
             step(receive_instance(1, 1, 0), vec![p(2)]),
             step(receive_instance(2, 2, 1), vec![]),
         ];
-        assert!(happens_before(&steps, 0, 2));
+        assert!(happens_before(&views(&steps), 0, 2));
     }
 
     #[test]
@@ -301,13 +323,13 @@ mod tests {
         // Two steps of the same process with an unrelated step in between:
         // the same-process pair races (its order is not forced by anything
         // in between).
-        let steps = vec![
+        let steps = [
             step(internal_instance(0, 1), vec![]),
             step(internal_instance(1, 2), vec![]),
             step(internal_instance(2, 1), vec![]),
         ];
-        assert_eq!(latest_racing_step(&steps, 2), Some(0));
-        assert_eq!(latest_racing_step(&steps, 1), None);
+        assert_eq!(racing(&steps, 2), Some(0));
+        assert_eq!(racing(&steps, 1), None);
     }
 
     #[test]
@@ -315,12 +337,12 @@ mod tests {
         // 0: p0 sends to p1; 1: p1 receives from p0 and sends to p2;
         // 2: p2 receives from p1. Step 0 and step 2 are causally ordered via
         // step 1, so the only race candidate for step 2 is step 1.
-        let steps = vec![
+        let steps = [
             step(internal_instance(0, 0), vec![p(1)]),
             step(receive_instance(1, 1, 0), vec![p(2)]),
             step(receive_instance(2, 2, 1), vec![]),
         ];
-        assert_eq!(latest_racing_step(&steps, 2), Some(1));
+        assert_eq!(racing(&steps, 2), Some(1));
     }
 
     #[test]
@@ -330,21 +352,84 @@ mod tests {
         let dup2 = environment_step(internal_instance(2, 2), Some("dup"));
         let unknown3 = environment_step(internal_instance(3, 3), None);
         // Same class: shared budget, always a race.
-        assert!(step_dependent(&crash0, &crash1));
+        assert!(step_dependent(crash0.view(), crash1.view()));
         // Disjoint classes, no communication: no race.
-        assert!(!step_dependent(&crash0, &dup2));
+        assert!(!step_dependent(crash0.view(), dup2.view()));
         // Unknown class: conservatively racing.
-        assert!(step_dependent(&crash0, &unknown3));
+        assert!(step_dependent(crash0.view(), unknown3.view()));
     }
 
     #[test]
     fn independent_steps_have_no_race() {
-        let steps = vec![
+        let steps = [
             step(internal_instance(0, 0), vec![]),
             step(internal_instance(1, 1), vec![]),
             step(internal_instance(2, 2), vec![]),
         ];
-        assert_eq!(latest_racing_step(&steps, 2), None);
-        assert_eq!(latest_racing_step(&steps, 1), None);
+        assert_eq!(racing(&steps, 2), None);
+        assert_eq!(racing(&steps, 1), None);
+    }
+
+    /// SplitMix64, as in the other deterministic property tests.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e3779b97f4a7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+        z ^ (z >> 31)
+    }
+
+    /// A random step of one of four processes: at most one consumed
+    /// envelope, at most two recipients, and one in four an environment
+    /// step of class crash, dup or unknown.
+    fn random_step(rng: &mut u64) -> Recorded {
+        let process = (next(rng) % 4) as usize;
+        let envelopes = (0..next(rng) % 3 / 2)
+            .map(|_| Envelope::new(p((next(rng) % 4) as usize), Msg(0)))
+            .collect();
+        let sent_to = (0..next(rng) % 5 / 2)
+            .map(|_| p((next(rng) % 4) as usize))
+            .collect();
+        let is_environment = next(rng).is_multiple_of(4);
+        let environment_class = [Some("crash"), Some("dup"), None][(next(rng) % 3) as usize];
+        Recorded {
+            instance: TransitionInstance::new(TransitionId(0), p(process), envelopes),
+            sent_to,
+            annotations: Annotations {
+                is_environment,
+                environment_class,
+                ..Annotations::default()
+            },
+        }
+    }
+
+    #[test]
+    fn the_backward_scan_finds_the_reference_race() {
+        let mut rng = 0x5eed_d902;
+        let (mut latests, mut races, mut passed_over) = (0, 0, 0);
+        for _ in 0..10_000 {
+            let len = 1 + (next(&mut rng) % 20) as usize;
+            let steps: Vec<Recorded> = (0..len).map(|_| random_step(&mut rng)).collect();
+            let views = views(&steps);
+            for latest in 0..len {
+                let race = latest_racing_step(|i| views[i], latest);
+                assert_eq!(
+                    race,
+                    reference_racing_step(&views, latest),
+                    "latest {latest} of {views:?}"
+                );
+                latests += 1;
+                races += usize::from(race.is_some());
+                // Older steps dependent with `latest` that the race hides.
+                let dependent = |i: &usize| step_dependent(views[*i], views[latest]);
+                passed_over += race.map_or(0, |r| (0..r).filter(dependent).count());
+            }
+        }
+        assert!(latests > 100_000, "{latests} steps judged");
+        assert!(races > latests / 2, "{races} races in {latests} steps");
+        assert!(
+            passed_over > latests,
+            "{passed_over} dependent steps passed over"
+        );
     }
 }

@@ -26,7 +26,8 @@ pub enum Phase {
     FrontierDecode,
     /// Spill-file reads and writes of the disk frontier and spill log.
     SpillIo,
-    /// Stubborn-set computation inside the partial-order reducer.
+    /// Stubborn-set computation inside the partial-order reducer, and
+    /// DPOR's on-the-fly one (its race check and scheduling).
     StubbornSet,
     /// The Tarjan SCC backstop pass of the liveness engine.
     SccBackstop,

@@ -44,6 +44,7 @@
 //! spec is a [`GenSpec`] literal.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use super::{lasso_is_genuine, rejects, GenSpec, Msg, Reference, Rng};
@@ -98,8 +99,9 @@ pub struct Tally {
     /// SPOR BFS rows that answered `verified` on a violated cyclic cell.
     pub bfs_spor_misses: usize,
     /// DPOR rows that answered `verified` on a violated cell whose
-    /// invariant relates processes.
+    /// invariant relates processes, and the names of their cells.
     pub dpor_misses: usize,
+    pub dpor_missed: Vec<String>,
     /// Stateless rows that met [`STATELESS_CAP`].
     pub capped: usize,
     /// Liveness truths whose lasso the SCC backstop found.
@@ -266,6 +268,10 @@ impl<'a, S: LocalState, M: Message, O: Observer<S, M> + Ord> Rows<'a, S, M, O> {
             assert!(excused, "{label}: {report}; truth: {:?}", self.shortest);
             tally.bfs_spor_misses += usize::from(bfs_spor);
             tally.dpor_misses += usize::from(!bfs_spor);
+            let name = &self.cell.name;
+            if !bfs_spor && tally.dpor_missed.last() != Some(name) {
+                tally.dpor_missed.push(name.clone());
+            }
         }
         if let Some(cx) = verdict.counterexample() {
             let cell = self.cell;
@@ -680,7 +686,7 @@ pub fn collect_cells(quorum: bool, tally: &mut Tally) {
 // ---------------------------------------------------------------------------
 
 /// The seeds of the tier-1 set.
-const SEEDS: u64 = 200;
+pub const SEEDS: Range<u64> = 0..200;
 
 /// Generated specs whose reference graph has more pairs are skipped.
 const GENERATED_LIMIT: usize = 400;
@@ -696,12 +702,12 @@ pub enum Part {
     Plain,
 }
 
-/// Judges every generated cell of the tier-1 seed set in `part`, and each
-/// one's conservative twin on its SPOR rows.
-pub fn generated_cells(part: Part) -> Tally {
+/// Judges every generated cell of `seeds` in `part`, and each one's
+/// conservative twin on its SPOR rows.
+pub fn generated_cells(part: Part, seeds: Range<u64>) -> Tally {
     let mut tally = Tally::default();
     let (mut refused, mut large) = (0, 0);
-    for seed in 0..SEEDS {
+    for seed in seeds {
         let gen = GenSpec::generate(&mut Rng(seed));
         let Some(cell) = generated(format!("seed {seed}: {gen:?}"), &gen) else {
             refused += 1;
