@@ -475,7 +475,7 @@ impl<S: LocalState, M: Message, O: Observer<S, M>> Search<'_, S, M, O> {
 /// frontier has no stack to detect lassos against — so they are routed to
 /// the fairness-aware liveness DFS of [`crate::liveness`] (the report's
 /// strategy label says so).
-pub fn run_bfs<S, M, O>(
+pub(crate) fn run_bfs<S, M, O>(
     spec: &ProtocolSpec<S, M>,
     property: &Property<S, M, O>,
     initial_observer: &O,

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use mp_model::{LocalState, Message, Permutable, ProtocolSpec};
-use mp_por::{NoReduction, Reducer, SeedHeuristic, SporReducer};
+use mp_por::{NoReduction, Reducer, SporReducer};
 use mp_symmetry::{NoSymmetry, OrbitReduction, RoleMap, Symmetry, SymmetryGroup};
 
 use crate::{
@@ -110,28 +110,9 @@ where
         }
     }
 
-    /// Returns the protocol under verification.
-    pub fn spec(&self) -> &ProtocolSpec<S, M> {
-        self.spec
-    }
-
-    /// Uses the given reducer (builder style).
-    pub fn reducer(mut self, reducer: impl Reducer<S, M> + 'static) -> Self {
-        self.reducer = Arc::new(reducer);
-        self
-    }
-
-    /// Uses static partial-order reduction with the default seed heuristic
-    /// (builder style).
+    /// Uses static partial-order reduction (builder style).
     pub fn spor(mut self) -> Self {
         self.reducer = Arc::new(SporReducer::new(self.spec));
-        self
-    }
-
-    /// Uses static partial-order reduction with an explicit seed heuristic
-    /// (builder style).
-    pub fn spor_with_heuristic(mut self, heuristic: SeedHeuristic) -> Self {
-        self.reducer = Arc::new(SporReducer::with_heuristic(self.spec, heuristic));
         self
     }
 
@@ -146,12 +127,6 @@ where
     /// visited store; see `mp-symmetry` for the soundness contract.
     pub fn symmetry(mut self, symmetry: impl Symmetry<S, M, O> + 'static) -> Self {
         self.symmetry = Arc::new(symmetry);
-        self
-    }
-
-    /// Disables symmetry reduction (builder style; the default).
-    pub fn no_symmetry(mut self) -> Self {
-        self.symmetry = Arc::new(NoSymmetry);
         self
     }
 
@@ -280,15 +255,6 @@ mod tests {
         assert_eq!(unreduced.stats.states, 16);
         assert!(reduced.stats.states < unreduced.stats.states);
         assert!(reduced.verdict.is_verified());
-    }
-
-    #[test]
-    fn heuristic_variant_is_available() {
-        let spec = independent(3, 1);
-        let report = Checker::new(&spec, Invariant::always_true("true"))
-            .spor_with_heuristic(SeedHeuristic::Transaction)
-            .run();
-        assert!(report.verdict.is_verified());
     }
 
     #[test]

@@ -161,18 +161,6 @@ impl CheckerConfig {
         self
     }
 
-    /// Sets the depth limit (builder style).
-    pub fn with_max_depth(mut self, max_depth: usize) -> Self {
-        self.max_depth = max_depth;
-        self
-    }
-
-    /// Sets the wall-clock budget (builder style).
-    pub fn with_time_limit(mut self, limit: Duration) -> Self {
-        self.time_limit = Some(limit);
-        self
-    }
-
     /// Enables or disables deadlock checking (builder style).
     pub fn with_deadlock_check(mut self, check: bool) -> Self {
         self.check_deadlocks = check;
@@ -215,7 +203,7 @@ impl CheckerConfig {
     /// judged states only. Builds that judged at dequeue wrote
     /// `deadlocks=true` and left their last level unjudged; such a
     /// checkpoint is refused.
-    pub fn checkpoint_identity(&self) -> String {
+    pub(crate) fn checkpoint_identity(&self) -> String {
         let deadlocks = if self.check_deadlocks {
             "first-visit"
         } else {
@@ -315,13 +303,13 @@ mod tests {
 
     #[test]
     fn builder_methods_compose() {
-        let c = CheckerConfig::stateless(true)
+        let mut c = CheckerConfig::stateless(true)
             .with_max_states(10)
-            .with_max_depth(20)
-            .with_time_limit(Duration::from_secs(1))
             .with_deadlock_check(true)
             .with_store(StoreConfig::fingerprint(32))
             .with_frontier(FrontierConfig::disk_with_watermark(1024));
+        c.max_depth = 20;
+        c.time_limit = Some(Duration::from_secs(1));
         assert_eq!(c.strategy, SearchStrategy::Stateless { dpor: true });
         assert_eq!(c.max_states, 10);
         assert_eq!(c.max_depth, 20);

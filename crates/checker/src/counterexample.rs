@@ -33,7 +33,7 @@ pub struct CounterexampleStep {
 
 impl CounterexampleStep {
     /// Builds a step record from a transition instance.
-    pub fn from_instance<S: LocalState, M: Message>(
+    pub(crate) fn from_instance<S: LocalState, M: Message>(
         spec: &ProtocolSpec<S, M>,
         instance: &TransitionInstance<M>,
     ) -> Self {
@@ -109,7 +109,7 @@ impl Counterexample {
     /// Builds a lasso counterexample: `stem` leads from the initial state to
     /// `entry_state`, and `cycle` (possibly empty, meaning the execution
     /// ends and stutters there) returns to it.
-    pub fn lasso<S: LocalState, M: Message>(
+    pub(crate) fn lasso<S: LocalState, M: Message>(
         spec: &ProtocolSpec<S, M>,
         property: impl Into<String>,
         reason: impl Into<String>,

@@ -644,7 +644,7 @@ where
 /// Dispatches on the property class: a safety property runs the core
 /// with the invariant check; liveness properties (termination / leads-to)
 /// run it with the fairness-aware lasso detector of [`crate::liveness`].
-pub fn run_stateful_dfs<S, M, O>(
+pub(crate) fn run_stateful_dfs<S, M, O>(
     spec: &ProtocolSpec<S, M>,
     property: &Property<S, M, O>,
     initial_observer: &O,

@@ -6,10 +6,10 @@
 //! `mp-por`, and an [`Invariant`] property, and exhaustively explores the
 //! protocol-level state space:
 //!
-//! * **stateful DFS** — the default engine: one depth-first core ([`dfs`])
+//! * **stateful DFS** — the default engine: one depth-first core (`dfs`)
 //!   with a visited-state store and a cycle proviso that keeps
 //!   partial-order reduction sound, run as an invariant check or, for
-//!   liveness properties, with the lasso detector of [`liveness`];
+//!   liveness properties, with the lasso detector of `liveness`;
 //! * **stateful BFS** — finds shortest counterexamples (useful for the
 //!   paper's debugging experiments);
 //! * **stateless DFS** — the same core remembering only the path
@@ -18,7 +18,7 @@
 //!   invariant check, the way Basset runs it in the paper;
 //! * **parallel BFS** — an extension exploiting the natural parallelism of
 //!   protocol-level models: the same level loop as the stateful BFS (see
-//!   [`bfs`]) with helper threads, same verdicts, counters and shortest
+//!   `bfs`) with helper threads, same verdicts, counters and shortest
 //!   counterexamples.
 //!
 //! The stateful engines store visited `(state, observer)` pairs in a
@@ -40,7 +40,7 @@
 //! carry a [`Fairness`] policy that by default exempts environment (fault)
 //! transitions — a crash is never "unfairly required" to happen — and their
 //! counterexamples are **lassos** (stem + repeatable cycle, or stem +
-//! stutter for premature quiescence); see the [`liveness`] module. Every
+//! stutter for premature quiescence); see the `liveness` module. Every
 //! engine dispatches on the property class, so the same protocol, fault
 //! configuration and reducer answer both "can this go wrong?" and "does
 //! this always finish?".
@@ -96,28 +96,25 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bfs;
+mod bfs;
 pub mod checker;
 pub mod config;
-pub mod counterexample;
-pub mod dfs;
+mod counterexample;
+mod dfs;
 mod fp_index;
-pub mod liveness;
+mod liveness;
 mod obs;
-pub mod observer;
+mod observer;
 mod pool;
-pub mod property;
+mod property;
 pub mod stats;
 mod successors;
 
 pub use checker::Checker;
 pub use config::{CheckerConfig, RunReport, SearchStrategy, Verdict};
 pub use counterexample::{Counterexample, CounterexampleStep};
-pub use liveness::run_liveness_dfs;
 pub use observer::{NullObserver, Observer, TransitionCountObserver};
-pub use property::{
-    all_of, Fairness, Invariant, Property, PropertyClass, PropertyStatus, StatePredicate,
-};
+pub use property::{Fairness, Invariant, Property, PropertyClass, PropertyStatus};
 pub use stats::{ExplorationStats, StatsCounters};
 // Visited-state storage lives in the `mp-store` subsystem; the most-used
 // names are re-exported here so engine callers need only one import.
@@ -129,9 +126,7 @@ pub use mp_store::{
 // direct dependency.
 pub use mp_trace::{TraceOptions, Tracer};
 
-pub use dfs::run_stateful_dfs;
-
-/// The pooled (`ParallelBfs`) strategy of the breadth-first core in [`bfs`]
+/// The pooled (`ParallelBfs`) strategy of the breadth-first core in `bfs`
 /// against its sequential one, on the fixtures of that module's tests.
 #[cfg(test)]
 mod parallel {
@@ -235,7 +230,7 @@ mod parallel {
     }
 }
 
-/// The stateless strategy of the depth-first core in [`dfs`] — the tree of
+/// The stateless strategy of the depth-first core in `dfs` — the tree of
 /// every path, with and without dynamic POR — through the facade.
 #[cfg(test)]
 mod stateless {
@@ -354,7 +349,8 @@ mod stateless {
         fn depth_limit_stops_cyclic_exploration() {
             // A toggling process never terminates; the stateless search must
             // be cut off by the depth bound.
-            let config = CheckerConfig::stateless(false).with_max_depth(50);
+            let mut config = CheckerConfig::stateless(false);
+            config.max_depth = 50;
             let report = verify(&toggler_and_mover(), config);
             assert!(matches!(report.verdict, Verdict::LimitReached { .. }));
             assert_eq!(report.stats.max_depth, 50);

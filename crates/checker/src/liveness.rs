@@ -416,7 +416,7 @@ where
 /// the property is a liveness property. A property without fairness runs
 /// unreduced, whatever `reducer` is (see the module docs); the strategy
 /// label then says that the reducer fell back to full expansion.
-pub fn run_liveness_dfs<S, M, O>(
+pub(crate) fn run_liveness_dfs<S, M, O>(
     spec: &ProtocolSpec<S, M>,
     property: &Property<S, M, O>,
     initial_observer: &O,

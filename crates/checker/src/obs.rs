@@ -36,7 +36,7 @@ impl LevelObserver {
 
     /// `true` when the run is traced — callers gate their stats reads on
     /// this so untraced runs skip the bookkeeping entirely.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.enabled
     }
 
@@ -51,7 +51,7 @@ impl LevelObserver {
     }
 
     /// Marks the start of a level (reads the clock only when enabled).
-    pub fn begin_level(&mut self) {
+    pub(crate) fn begin_level(&mut self) {
         if self.enabled {
             self.level_start = Some(Instant::now());
         }
@@ -61,7 +61,7 @@ impl LevelObserver {
     /// per-level deltas, advancing the rolling baseline. `store_states` and
     /// `store_hits` are cumulative; `frontier_bytes` is reported as given
     /// (the engines pass the frontier's peak so far).
-    pub fn end_level(
+    pub(crate) fn end_level(
         &mut self,
         level: u64,
         width: u64,

@@ -27,8 +27,6 @@ use std::sync::Arc;
 
 use mp_model::{GlobalState, LocalState, Message};
 
-use crate::Observer;
-
 /// The outcome of evaluating a property in one state.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum PropertyStatus {
@@ -127,25 +125,9 @@ impl<S, M: Ord, O> fmt::Debug for Invariant<S, M, O> {
     }
 }
 
-/// Conjunction of several invariants, evaluated left to right; the first
-/// violation wins.
-pub fn all_of<S: LocalState, M: Message, O: Observer<S, M>>(
-    name: impl Into<String>,
-    invariants: Vec<Invariant<S, M, O>>,
-) -> Invariant<S, M, O> {
-    Invariant::new(name, move |state, observer| {
-        for inv in &invariants {
-            if let PropertyStatus::Violated(reason) = inv.evaluate(state, observer) {
-                return Err(format!("{}: {}", inv.name(), reason));
-            }
-        }
-        Ok(())
-    })
-}
-
 /// A named boolean predicate over a global state and an observer value, used
 /// as the trigger (`p`) and goal (`q`) predicates of liveness properties.
-pub type StatePredicate<S, M, O> = Arc<dyn Fn(&GlobalState<S, M>, &O) -> bool + Send + Sync>;
+pub(crate) type StatePredicate<S, M, O> = Arc<dyn Fn(&GlobalState<S, M>, &O) -> bool + Send + Sync>;
 
 /// Which class a [`Property`] belongs to; the engines dispatch on this.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -187,10 +169,6 @@ pub enum Fairness {
     /// never "unfairly required" to happen. This is the default.
     #[default]
     WeakProtocol,
-    /// Weak fairness over every transition, environment included: even
-    /// faults must eventually fire while continuously enabled. Rarely what
-    /// you want — it makes crashes *mandatory* — but useful to compare.
-    WeakAll,
 }
 
 impl Fairness {
@@ -200,7 +178,6 @@ impl Fairness {
         match self {
             Fairness::Unfair => false,
             Fairness::WeakProtocol => !is_environment,
-            Fairness::WeakAll => true,
         }
     }
 }
@@ -210,7 +187,6 @@ impl fmt::Display for Fairness {
         match self {
             Fairness::Unfair => write!(f, "unfair"),
             Fairness::WeakProtocol => write!(f, "weak-fair (environment exempt)"),
-            Fairness::WeakAll => write!(f, "weak-fair (all transitions)"),
         }
     }
 }
@@ -288,7 +264,7 @@ impl<S: LocalState, M: Message, O> From<Invariant<S, M, O>> for Property<S, M, O
 
 impl<S: LocalState, M: Message, O> Property<S, M, O> {
     /// Wraps an invariant as a safety property (also available via `From`).
-    pub fn safety(invariant: Invariant<S, M, O>) -> Self {
+    pub(crate) fn safety(invariant: Invariant<S, M, O>) -> Self {
         Property {
             name: invariant.name().to_string(),
             fairness: Fairness::default(),
@@ -367,7 +343,7 @@ impl<S: LocalState, M: Message, O> Property<S, M, O> {
     }
 
     /// Returns `true` for the liveness classes (termination / leads-to).
-    pub fn is_liveness(&self) -> bool {
+    pub(crate) fn is_liveness(&self) -> bool {
         !matches!(self.kind, PropertyKind::Safety(_))
     }
 
@@ -401,7 +377,7 @@ impl<S: LocalState, M: Message, O> Property<S, M, O> {
     /// Returns `true` if a discharged obligation can never re-arm on any
     /// extension of the execution — exactly the termination class, whose
     /// goal states are closed: the search may prune below them.
-    pub fn discharged_forever(&self) -> bool {
+    pub(crate) fn discharged_forever(&self) -> bool {
         matches!(self.kind, PropertyKind::Termination { .. })
     }
 
@@ -521,21 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn conjunction_reports_first_violation() {
-        let both = all_of("both", vec![no_big(5), no_big(100)]);
-        assert!(both
-            .evaluate(&GlobalState::new(vec![1]), &NullObserver)
-            .holds());
-        let status = both.evaluate(&GlobalState::new(vec![7]), &NullObserver);
-        match status {
-            PropertyStatus::Violated(reason) => {
-                assert!(reason.contains("no-local-above-5"));
-            }
-            PropertyStatus::Holds => panic!("expected violation"),
-        }
-    }
-
-    #[test]
     fn debug_shows_name() {
         let inv = no_big(1);
         assert!(format!("{inv:?}").contains("no-local-above-1"));
@@ -595,7 +556,6 @@ mod tests {
         assert!(!Fairness::Unfair.requires(true));
         assert!(Fairness::WeakProtocol.requires(false));
         assert!(!Fairness::WeakProtocol.requires(true));
-        assert!(Fairness::WeakAll.requires(true));
         let prop: Property<u32, String, NullObserver> =
             Property::termination("t", |_: &St, _| false).with_fairness(Fairness::Unfair);
         assert_eq!(prop.fairness(), Fairness::Unfair);

@@ -142,7 +142,7 @@ impl ExplorationStats {
     }
 
     /// Throughput in states per second (0 if the run was instantaneous).
-    pub fn states_per_second(&self) -> f64 {
+    pub(crate) fn states_per_second(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
         if secs > 0.0 {
             self.states as f64 / secs
@@ -152,7 +152,7 @@ impl ExplorationStats {
     }
 
     /// Fraction of expanded states in which a reduction was achieved.
-    pub fn reduction_ratio(&self) -> f64 {
+    pub(crate) fn reduction_ratio(&self) -> f64 {
         if self.expansions == 0 {
             0.0
         } else {
@@ -162,7 +162,7 @@ impl ExplorationStats {
 
     /// Copies the backend's counters into this record (called by every
     /// stateful engine just before it returns).
-    pub fn record_store(&mut self, name: &str, store: StoreStats) {
+    pub(crate) fn record_store(&mut self, name: &str, store: StoreStats) {
         self.store_backend = name.to_string();
         self.store_hits = store.hits;
         self.store_bytes = store.approx_bytes;
@@ -175,7 +175,12 @@ impl ExplorationStats {
     /// engines just before they return). `extra_spilled` folds in the
     /// bytes the path-reconstruction log wrote next to the frontier's level
     /// files; under a checkpoint the sum is the data files' bytes.
-    pub fn record_frontier(&mut self, name: &str, frontier: FrontierStats, extra_spilled: usize) {
+    pub(crate) fn record_frontier(
+        &mut self,
+        name: &str,
+        frontier: FrontierStats,
+        extra_spilled: usize,
+    ) {
         self.frontier_backend = name.to_string();
         self.frontier_peak_bytes = frontier.peak_bytes;
         self.frontier_spilled_bytes = frontier.spilled_bytes + extra_spilled;

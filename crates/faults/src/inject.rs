@@ -8,31 +8,32 @@ use mp_model::{
     TransitionSpec,
 };
 
-use crate::{corruptions_used, crashes_used, drops_used, dups_used, FaultBudget, FaultLocal};
+use crate::local::{corruptions_used, crashes_used, drops_used, dups_used};
+use crate::{FaultBudget, FaultLocal};
 
 /// Name prefix of crash environment transitions (`FAULT_CRASH@p1`).
-pub const CRASH_PREFIX: &str = "FAULT_CRASH@";
+pub(crate) const CRASH_PREFIX: &str = "FAULT_CRASH@";
 /// Budget class of crash transitions ([`Annotations::environment_class`](mp_model::Annotations)).
-pub const CRASH_CLASS: Kind = "crash";
+pub(crate) const CRASH_CLASS: Kind = "crash";
 /// Budget class of message-loss transitions.
-pub const DROP_CLASS: Kind = "drop";
+pub(crate) const DROP_CLASS: Kind = "drop";
 /// Budget class of duplication transitions.
-pub const DUP_CLASS: Kind = "dup";
+pub(crate) const DUP_CLASS: Kind = "dup";
 /// Budget class of corruption transitions.
-pub const CORRUPT_CLASS: Kind = "corrupt";
+pub(crate) const CORRUPT_CLASS: Kind = "corrupt";
 /// Name prefix of message-loss environment transitions (`FAULT_DROP_ACK@p0`).
-pub const DROP_PREFIX: &str = "FAULT_DROP_";
+pub(crate) const DROP_PREFIX: &str = "FAULT_DROP_";
 /// Name prefix of duplication environment transitions (`FAULT_DUP_ACK@p0`).
-pub const DUP_PREFIX: &str = "FAULT_DUP_";
+pub(crate) const DUP_PREFIX: &str = "FAULT_DUP_";
 /// Name prefix of corruption environment transitions
 /// (`FAULT_CORRUPT_ACK_v0@p0`).
-pub const CORRUPT_PREFIX: &str = "FAULT_CORRUPT_";
+pub(crate) const CORRUPT_PREFIX: &str = "FAULT_CORRUPT_";
 
 /// A pluggable Byzantine message mutation: given a pending envelope, returns
 /// the corrupted payload candidates the environment may replace it with.
 /// Returning an empty vector means the message is not corruptible. The
-/// function must be deterministic — candidate `i` is bound to corruption
-/// variant `i` of the generated environment transition, and counterexample
+/// function must be deterministic — the first candidate is the one the
+/// generated environment transition (`…_v0`) applies, and counterexample
 /// replay re-applies effects.
 pub type Mutator<M> = Arc<dyn Fn(&Envelope<M>) -> Vec<M> + Send + Sync>;
 
@@ -105,10 +106,7 @@ pub type Mutator<M> = Arc<dyn Fn(&Envelope<M>) -> Vec<M> + Send + Sync>;
 /// ```
 pub struct FaultInjector<M: Message> {
     budget: FaultBudget,
-    targets: Option<BTreeSet<ProcessId>>,
-    kinds: Option<Vec<Kind>>,
     mutator: Option<Mutator<M>>,
-    max_variants: usize,
 }
 
 impl<M: Message> FaultInjector<M> {
@@ -119,25 +117,8 @@ impl<M: Message> FaultInjector<M> {
     pub fn new(budget: FaultBudget) -> Self {
         FaultInjector {
             budget,
-            targets: None,
-            kinds: None,
             mutator: None,
-            max_variants: 1,
         }
-    }
-
-    /// Restricts fault injection to the given processes (builder style).
-    pub fn targets<I: IntoIterator<Item = ProcessId>>(mut self, targets: I) -> Self {
-        self.targets = Some(targets.into_iter().collect());
-        self
-    }
-
-    /// Restricts message faults to the given kinds (builder style). The
-    /// per-process inference still applies on top: a kind is only targeted
-    /// at processes that consume it.
-    pub fn kinds(mut self, kinds: &[Kind]) -> Self {
-        self.kinds = Some(kinds.to_vec());
-        self
     }
 
     /// Installs the Byzantine mutation function (builder style). Without a
@@ -148,18 +129,6 @@ impl<M: Message> FaultInjector<M> {
     {
         self.mutator = Some(Arc::new(mutator));
         self
-    }
-
-    /// Bounds how many mutation candidates per message become corruption
-    /// variants (builder style; default 1).
-    pub fn max_variants(mut self, n: usize) -> Self {
-        self.max_variants = n.max(1);
-        self
-    }
-
-    /// Returns the budget this injector applies.
-    pub fn budget(&self) -> FaultBudget {
-        self.budget
     }
 
     /// Wraps `base` into the fault-augmented model.
@@ -192,11 +161,6 @@ impl<M: Message> FaultInjector<M> {
         }
 
         for p in base.processes() {
-            if let Some(targets) = &self.targets {
-                if !targets.contains(&p) {
-                    continue;
-                }
-            }
             if self.budget.max_crashes > 0 {
                 builder = builder.transition(crash_transition(p));
             }
@@ -209,14 +173,7 @@ impl<M: Message> FaultInjector<M> {
                 }
                 if self.budget.max_corruptions > 0 {
                     if let Some(mutator) = &self.mutator {
-                        for variant in 0..self.max_variants {
-                            builder = builder.transition(corrupt_transition(
-                                p,
-                                kind,
-                                variant,
-                                mutator.clone(),
-                            ));
-                        }
+                        builder = builder.transition(corrupt_transition(p, kind, mutator.clone()));
                     }
                 }
             }
@@ -254,13 +211,7 @@ impl<M: Message> FaultInjector<M> {
             .iter()
             .filter_map(|id| base.transition(*id).input_kind())
             .collect();
-        consumed
-            .into_iter()
-            .filter(|k| match &self.kinds {
-                Some(allowed) => allowed.contains(k),
-                None => true,
-            })
-            .collect()
+        consumed.into_iter().collect()
     }
 }
 
@@ -365,11 +316,10 @@ fn dup_transition<S: LocalState, M: Message>(
 fn corrupt_transition<S: LocalState, M: Message>(
     p: ProcessId,
     kind: Kind,
-    variant: usize,
     mutator: Mutator<M>,
 ) -> TransitionSpec<FaultLocal<S>, M> {
     let guard_mutator = mutator.clone();
-    TransitionSpec::builder(format!("{CORRUPT_PREFIX}{kind}_v{variant}@{p}"), p)
+    TransitionSpec::builder(format!("{CORRUPT_PREFIX}{kind}_v0@{p}"), p)
         .single_input(kind)
         // Mutations may change the message kind, so leave `messages_out`
         // unspecified (conservatively "any kind") but pin the recipient to
@@ -377,10 +327,10 @@ fn corrupt_transition<S: LocalState, M: Message>(
         .sends_to([p])
         .priority(-100)
         .environment_class(CORRUPT_CLASS)
-        .guard(move |_: &FaultLocal<S>, msgs| guard_mutator(&msgs[0]).len() > variant)
+        .guard(move |_: &FaultLocal<S>, msgs| !guard_mutator(&msgs[0]).is_empty())
         .effect(move |local: &FaultLocal<S>, msgs| {
             let env = &msgs[0];
-            let mutated = mutator(env)[variant].clone();
+            let mutated = mutator(env)[0].clone();
             let mut next = local.clone();
             next.corruptions += 1;
             Outcome::new(next).reinject(env.sender, mutated)
@@ -589,20 +539,6 @@ mod tests {
             .unwrap();
         let graph = StateGraph::build(&faulty, 100_000).unwrap();
         assert!(graph.num_states() > 0);
-    }
-
-    #[test]
-    fn targets_restrict_fault_locations() {
-        let spec = base();
-        let faulty = FaultInjector::new(FaultBudget::none().crashes(1))
-            .targets([p(1)])
-            .inject(&spec)
-            .unwrap();
-        let names: Vec<&str> = faulty.transition_names();
-        assert!(names.contains(&"FAULT_CRASH@p1"));
-        assert!(!names
-            .iter()
-            .any(|n| n.ends_with("@p0") && n.starts_with("FAULT_")));
     }
 
     #[test]

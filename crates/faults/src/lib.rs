@@ -79,9 +79,6 @@ mod lift;
 mod local;
 
 pub use budget::FaultBudget;
-pub use inject::{
-    inject, FaultInjector, Mutator, CORRUPT_CLASS, CORRUPT_PREFIX, CRASH_CLASS, CRASH_PREFIX,
-    DROP_CLASS, DROP_PREFIX, DUP_CLASS, DUP_PREFIX,
-};
+pub use inject::{inject, FaultInjector, Mutator};
 pub use lift::{lift_invariant, lift_observed_invariant, lift_property, LiftedObserver};
-pub use local::{corruptions_used, crashes_used, drops_used, dups_used, project_state, FaultLocal};
+pub use local::{project_state, FaultLocal};

@@ -32,7 +32,7 @@ pub struct FaultLocal<S> {
 
 impl<S> FaultLocal<S> {
     /// Wraps a protocol local state with a clean fault record.
-    pub fn healthy(inner: S) -> Self {
+    pub(crate) fn healthy(inner: S) -> Self {
         FaultLocal {
             inner,
             crashed: false,
@@ -40,11 +40,6 @@ impl<S> FaultLocal<S> {
             dups: 0,
             corruptions: 0,
         }
-    }
-
-    /// Total number of message faults injected at this process.
-    pub fn message_faults(&self) -> u32 {
-        self.drops + self.dups + self.corruptions
     }
 }
 
@@ -116,22 +111,26 @@ impl<S: fmt::Display> fmt::Display for FaultLocal<S> {
 }
 
 /// Number of processes that have crash-stopped in `state`.
-pub fn crashes_used<S: LocalState, M: Message>(state: &GlobalState<FaultLocal<S>, M>) -> u32 {
+pub(crate) fn crashes_used<S: LocalState, M: Message>(
+    state: &GlobalState<FaultLocal<S>, M>,
+) -> u32 {
     state.locals.iter().filter(|l| l.crashed).count() as u32
 }
 
 /// Total messages dropped in `state` (summed over all processes).
-pub fn drops_used<S: LocalState, M: Message>(state: &GlobalState<FaultLocal<S>, M>) -> u32 {
+pub(crate) fn drops_used<S: LocalState, M: Message>(state: &GlobalState<FaultLocal<S>, M>) -> u32 {
     state.locals.iter().map(|l| l.drops).sum()
 }
 
 /// Total messages duplicated in `state`.
-pub fn dups_used<S: LocalState, M: Message>(state: &GlobalState<FaultLocal<S>, M>) -> u32 {
+pub(crate) fn dups_used<S: LocalState, M: Message>(state: &GlobalState<FaultLocal<S>, M>) -> u32 {
     state.locals.iter().map(|l| l.dups).sum()
 }
 
 /// Total messages mutated in `state`.
-pub fn corruptions_used<S: LocalState, M: Message>(state: &GlobalState<FaultLocal<S>, M>) -> u32 {
+pub(crate) fn corruptions_used<S: LocalState, M: Message>(
+    state: &GlobalState<FaultLocal<S>, M>,
+) -> u32 {
     state.locals.iter().map(|l| l.corruptions).sum()
 }
 
@@ -166,7 +165,6 @@ mod tests {
         let l = FaultLocal::healthy(7u8);
         assert_eq!(l.inner, 7);
         assert!(!l.crashed);
-        assert_eq!(l.message_faults(), 0);
     }
 
     #[test]

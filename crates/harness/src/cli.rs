@@ -3,7 +3,7 @@
 //! `mp-harness <subcommand> [flags]` runs one experiment. Each subcommand
 //! is one [`Command`] entry: its name, its summary, and its flags declared
 //! once as a [`FlagSpec`] table. Dispatch, the top-level usage
-//! ([`program_usage`]), flag parsing, each subcommand's generated `--help`
+//! (`program_usage`), flag parsing, each subcommand's generated `--help`
 //! and the optional [`Tracer`] construction all derive from that one table
 //! — so the help text cannot drift from what is parsed.
 
@@ -80,7 +80,7 @@ impl Command {
     }
 
     /// The generated usage/help text (what `--help` prints).
-    pub fn usage(&self) -> String {
+    pub(crate) fn usage(&self) -> String {
         let rendered: Vec<String> = self
             .flags
             .iter()
@@ -110,7 +110,7 @@ impl Command {
 }
 
 /// The top-level usage: every subcommand with its summary's first line.
-pub fn program_usage(commands: &[Command]) -> String {
+pub(crate) fn program_usage(commands: &[Command]) -> String {
     let width = commands.iter().map(|c| c.name.len()).max().unwrap_or(0);
     let mut out = format!(
         "usage: {PROGRAM} <subcommand> [flags]\n\n\
@@ -305,7 +305,7 @@ impl Cli {
     ///
     /// [`CliError::Invalid`] naming the flag and the value when the value
     /// does not parse as a `usize`.
-    pub fn try_usize_value(&self, name: &str, default: usize) -> Result<usize, CliError> {
+    pub(crate) fn try_usize_value(&self, name: &str, default: usize) -> Result<usize, CliError> {
         let Some(value) = self.value(name) else {
             return Ok(default);
         };
@@ -342,7 +342,7 @@ impl Cli {
     }
 
     /// The subcommand's usage/help text.
-    pub fn usage(&self) -> String {
+    pub(crate) fn usage(&self) -> String {
         self.command.usage()
     }
 }
@@ -467,15 +467,15 @@ mod tests {
     #[test]
     fn positionals_are_accepted_when_declared() {
         static GATE: Command = Command {
-            flags: &[FlagSpec::value("--tolerance", "T", "relative tolerance")],
+            flags: &[FlagSpec::value("--trace-fresh", "PATH", "fresh trace")],
             positionals: Some("<baseline.json> <fresh.json> [...]"),
             ..DEMO
         };
         let cli = GATE
-            .parse(&to_args(&["a.json", "b.json", "--tolerance", "0.2"]))
+            .parse(&to_args(&["a.json", "b.json", "--trace-fresh", "t.ndjson"]))
             .unwrap();
         assert_eq!(cli.positionals(), ["a.json", "b.json"]);
-        assert_eq!(cli.value("--tolerance"), Some("0.2"));
+        assert_eq!(cli.value("--trace-fresh"), Some("t.ndjson"));
         assert!(cli.usage().contains("<baseline.json>"));
     }
 

@@ -150,7 +150,7 @@ impl FaultCell {
 
     /// Orbit-collapse ratio of the cell: plain states per symmetric state
     /// (1.0 = no collapse; the Paxos crash cells sit near the group order).
-    pub fn state_ratio(&self) -> f64 {
+    pub(crate) fn state_ratio(&self) -> f64 {
         self.states as f64 / self.sym_states.max(1) as f64
     }
 
@@ -160,7 +160,7 @@ impl FaultCell {
     /// orbit size, not just the visited set).
     ///
     /// [`state_ratio`]: FaultCell::state_ratio
-    pub fn frontier_ratio(&self) -> f64 {
+    pub(crate) fn frontier_ratio(&self) -> f64 {
         self.frontier_bytes as f64 / self.sym_frontier_bytes.max(1) as f64
     }
 }
@@ -173,7 +173,7 @@ pub const SWEEP_SPILL_WATERMARK: usize = 4096;
 /// Buffer watermark (in entries) of the sweep's external-memory `runs`
 /// visited-store backend: small enough that the larger fault cells spill
 /// sorted fingerprint runs to disk and merge them at level boundaries.
-pub const SWEEP_RUN_WATERMARK: usize = 4096;
+pub(crate) const SWEEP_RUN_WATERMARK: usize = 4096;
 
 /// Flattens one sweep-cell coordinate into a filesystem-safe checkpoint
 /// subdirectory name: lowercase, alphanumerics kept, everything else
@@ -195,12 +195,15 @@ fn cell_slug(parts: &[&str]) -> String {
     slug.trim_matches('-').to_string()
 }
 
-/// The comparison class of a verdict string: `"verified"`, `"violated"` or
-/// `"bounded"`. Symmetric and plain runs may legitimately report different
-/// counterexample *shapes* (a different path or lasso of the same orbit),
-/// so agreement is judged on the class, never on the rendered string.
-pub fn verdict_class(verdict: &str) -> &'static str {
-    if verdict.contains("counterexample") || verdict.contains("lasso") {
+/// The comparison class of a verdict string — a `Verdict`'s display or a
+/// measurement row's short form (`CE (n steps)`, `bounded (…)`):
+/// `"verified"`, `"violated"` or `"bounded"`. Symmetric and plain runs may
+/// legitimately report different counterexample *shapes* (a different path
+/// or lasso of the same orbit), so agreement is judged on the class, never
+/// on the rendered string.
+pub(crate) fn verdict_class(verdict: &str) -> &'static str {
+    if verdict.contains("counterexample") || verdict.contains("lasso") || verdict.starts_with("CE ")
+    {
         "violated"
     } else if verdict.contains("verified") {
         "verified"
@@ -212,7 +215,7 @@ pub fn verdict_class(verdict: &str) -> &'static str {
 /// The visited-store backends every cell is run with. The `runs` backend
 /// is the external-memory visited set: a bloom front in RAM plus sorted
 /// fingerprint runs on disk, merged at BFS level boundaries.
-pub fn sweep_backends() -> Vec<StoreConfig> {
+pub(crate) fn sweep_backends() -> Vec<StoreConfig> {
     vec![
         StoreConfig::Exact,
         StoreConfig::sharded(),
@@ -223,7 +226,7 @@ pub fn sweep_backends() -> Vec<StoreConfig> {
 
 /// The default budget grid: no faults, one fault of each class alone, and
 /// one mixed budget.
-pub fn budget_grid() -> Vec<FaultBudget> {
+pub(crate) fn budget_grid() -> Vec<FaultBudget> {
     vec![
         FaultBudget::none(),
         FaultBudget::none().crashes(1),
@@ -759,7 +762,7 @@ mod tests {
         use crate::bench_gate::{compare, parse_rows, render_rows};
         let parsed = parse_rows(&render_rows(&rows)).unwrap();
         assert_eq!(parsed, rows);
-        let report = compare("sweep", &parsed, &parsed, 0.10);
+        let report = compare("sweep", &parsed, &parsed);
         assert!(report.passed() && report.warnings.is_empty(), "{report:?}");
         let table = render_fault_sweep(&cells);
         assert!(table.contains("fingerprint"));
@@ -787,5 +790,7 @@ mod tests {
             "violated"
         );
         assert_eq!(verdict_class("limit reached: state limit of 10"), "bounded");
+        assert_eq!(verdict_class("CE (11 steps)"), "violated");
+        assert_eq!(verdict_class("bounded (state limit of 10)"), "bounded");
     }
 }

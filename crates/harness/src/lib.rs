@@ -12,8 +12,7 @@
 //! * [`debugging`] — the "fast debugging" experiments: resources needed to
 //!   find the first counterexample in the faulty variants;
 //! * [`fault_sweep`] — budgeted generic fault injection (`mp-faults`) swept
-//!   over the evaluation protocols, with machine-readable JSON output;
-//! * [`heuristics`] — the seed-heuristic comparison discussed in Section V-B.
+//!   over the evaluation protocols, with machine-readable JSON output.
 //!
 //! Every experiment produces [`Measurement`] rows (or rows of its own) which
 //! the `mp-harness` binary's subcommands print as aligned text tables (and
@@ -57,9 +56,8 @@ pub mod bench_gate;
 pub mod cli;
 pub mod debugging;
 pub mod fault_sweep;
-pub mod heuristics;
 pub mod parallel_scaling;
-pub mod report;
+mod report;
 pub mod runner;
 pub mod scaling;
 pub mod table1;

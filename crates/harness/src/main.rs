@@ -35,8 +35,8 @@ use mp_harness::trace_report::{
     check, diff_markdown, flame_text, load_runs, summary_markdown, timeline_markdown, Class,
 };
 use mp_harness::{
-    debugging, fault_sweep, heuristics, render_csv, render_table, table1, table2, Budget,
-    CellStrategy, FrontierConfig, Measurement,
+    debugging, fault_sweep, render_csv, render_table, table1, table2, Budget, CellStrategy,
+    FrontierConfig, Measurement,
 };
 use mp_protocols::paxos::{consensus_property, quorum_model, PaxosSetting, PaxosVariant};
 use mp_protocols::sweep::CollectSetting;
@@ -64,12 +64,11 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "table_ii",
-        summary: "Table II — transition refinement in action, then Section V-B's seed \
-                  heuristics (DSN 2011).",
+        summary: "Table II — transition refinement in action (DSN 2011).",
         flags: &[
             FULL_FLAG,
             CSV_FLAG,
-            json_flag("write the Table II rows as a JSON array (default BENCH_table_ii.json)"),
+            json_flag("write the rows as a JSON array (default BENCH_table_ii.json)"),
         ],
         positionals: None,
         run: table_ii,
@@ -156,11 +155,6 @@ const COMMANDS: &[Command] = &[
         summary: "Bench-regression gate over committed BENCH_*.json baselines.",
         flags: &[
             FlagSpec::value(
-                "--tolerance",
-                "T",
-                "relative state-count drift that fails the gate (default 0.10)",
-            ),
-            FlagSpec::value(
                 "--trace-baseline",
                 "PATH",
                 "baseline NDJSON trace for the phase-drift check (needs --trace-fresh)",
@@ -236,13 +230,8 @@ fn print_rows(cli: &Cli, title: &str, rows: &[Measurement]) {
 }
 
 /// The shared body of `table_i` and `table_ii`: bounded by default,
-/// paper-scale and unbudgeted with `--full`. Returns the mode and budget.
-fn paper_table(
-    cli: &Cli,
-    title: &str,
-    json: &str,
-    table: fn(&Budget, bool) -> Vec<Measurement>,
-) -> (bool, Budget) {
+/// paper-scale and unbudgeted with `--full`.
+fn paper_table(cli: &Cli, title: &str, json: &str, table: fn(&Budget, bool) -> Vec<Measurement>) {
     let full = cli.has(FULL_FLAG.name);
     let budget = if full {
         Budget::unbounded()
@@ -256,7 +245,6 @@ fn paper_table(
     let rows = table(&budget, full);
     print_rows(cli, title, &rows);
     write_json(cli, json, &measurement_rows(&rows));
-    (full, budget)
 }
 
 fn table_i(cli: &Cli) {
@@ -269,16 +257,12 @@ fn table_i(cli: &Cli) {
 }
 
 fn table_ii(cli: &Cli) {
-    let (full, budget) = paper_table(
+    paper_table(
         cli,
         "Table II — transition refinement in action",
         "BENCH_table_ii.json",
         table2::table_ii,
     );
-    // Section V-B discusses the seed transition of these SPOR runs.
-    let rows = heuristics::heuristic_comparison(table1::paxos_setting(full), &budget);
-    println!();
-    print_rows(cli, "Seed-transition heuristics (Paxos, SPOR)", &rows);
 }
 
 fn quorum_scaling(cli: &Cli) {
@@ -486,10 +470,6 @@ fn parallel_scaling(cli: &Cli) {
 }
 
 fn bench_gate(cli: &Cli) {
-    let tolerance = cli
-        .value("--tolerance")
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.10);
     let trace_pair = match (cli.value("--trace-baseline"), cli.value("--trace-fresh")) {
         (Some(a), Some(b)) => Some((a, b)),
         (None, None) => None,
@@ -511,7 +491,7 @@ fn bench_gate(cli: &Cli) {
         let stem = Path::new(baseline_path).file_stem();
         let label = stem.and_then(|s| s.to_str()).unwrap_or(baseline_path);
         let baseline = read(baseline_path);
-        let report = compare(label, &baseline, &read(fresh_path), tolerance);
+        let report = compare(label, &baseline, &read(fresh_path));
         for warning in &report.warnings {
             println!("::warning::{warning}");
         }
@@ -642,10 +622,7 @@ mod tests {
                 "parallel_scaling",
                 &["--smoke", "--acceptors", "--json", "--progress", "--trace"],
             ),
-            (
-                "bench_gate",
-                &["--tolerance", "--trace-baseline", "--trace-fresh"],
-            ),
+            ("bench_gate", &["--trace-baseline", "--trace-fresh"]),
             ("trace_report", &[]),
         ];
         assert_eq!(COMMANDS.len(), expected.len());

@@ -97,7 +97,7 @@ impl Measurement {
     }
 
     /// Human-readable duration (e.g. `1.2s`, `350ms`).
-    pub fn time_label(&self) -> String {
+    pub(crate) fn time_label(&self) -> String {
         let secs = self.time.as_secs_f64();
         if secs >= 60.0 {
             format!("{:.0}m{:02.0}s", (secs / 60.0).floor(), secs % 60.0)
@@ -137,7 +137,7 @@ pub(crate) fn short_verdict(verdict: &Verdict) -> String {
 /// probabilistic (`ExplorationStats::store_omission_probability`): nothing
 /// for the exact backends, the omission bound that qualifies `verified`
 /// for `fingerprint` and `runs`.
-pub fn omission_note(probability: f64) -> String {
+pub(crate) fn omission_note(probability: f64) -> String {
     if probability > 0.0 {
         format!(" (omission ≤ {probability:.1e})")
     } else {
@@ -314,7 +314,7 @@ pub(crate) mod tests {
         // The rows parse back unchanged and gate clean against themselves.
         let parsed = crate::bench_gate::parse_rows(&json).unwrap();
         assert_eq!(parsed, rows);
-        let report = crate::bench_gate::compare("t", &parsed, &parsed, 0.10);
+        let report = crate::bench_gate::compare("t", &parsed, &parsed);
         assert!(report.passed() && report.warnings.is_empty());
     }
 

@@ -5,7 +5,6 @@ use std::time::Duration;
 
 use mp_checker::{Checker, CheckerConfig, Invariant, Observer, Tracer, Verdict};
 use mp_model::{LocalState, Message, ProtocolSpec};
-use mp_por::SeedHeuristic;
 use mp_store::{FrontierConfig, StoreConfig};
 
 use crate::report::{short_verdict, Measurement};
@@ -120,12 +119,8 @@ pub enum CellStrategy {
     UnreducedStateful,
     /// Stateful depth-first search with static POR (the MP-LPOR analogue).
     SporStateful,
-    /// Stateful DFS with static POR and an explicit seed heuristic.
-    SporWithHeuristic(SeedHeuristic),
     /// Stateless depth-first search with dynamic POR (the Basset baseline).
     DporStateless,
-    /// Stateless depth-first search without reduction.
-    UnreducedStateless,
     /// SPOR-reduced breadth-first search on the persistent worker pool
     /// (extension; `0` threads = available CPUs). Verdicts and counter
     /// sums match the sequential cells; only the wall clock moves.
@@ -141,9 +136,7 @@ impl CellStrategy {
         match self {
             CellStrategy::UnreducedStateful => "unreduced".to_string(),
             CellStrategy::SporStateful => "SPOR".to_string(),
-            CellStrategy::SporWithHeuristic(h) => format!("SPOR[{}]", h.name()),
             CellStrategy::DporStateless => "DPOR (stateless)".to_string(),
-            CellStrategy::UnreducedStateless => "stateless".to_string(),
             CellStrategy::ParallelBfs { threads } => format!("parallel-bfs({threads})+SPOR"),
         }
     }
@@ -175,13 +168,7 @@ where
         CellStrategy::SporStateful => checker
             .spor()
             .config(budget.apply(CheckerConfig::stateful_dfs())),
-        CellStrategy::SporWithHeuristic(h) => checker
-            .spor_with_heuristic(h)
-            .config(budget.apply(CheckerConfig::stateful_dfs())),
         CellStrategy::DporStateless => checker.config(budget.apply(CheckerConfig::stateless(true))),
-        CellStrategy::UnreducedStateless => {
-            checker.config(budget.apply(CheckerConfig::stateless(false)))
-        }
         CellStrategy::ParallelBfs { threads } => checker
             .spor()
             .config(budget.apply(CheckerConfig::parallel_bfs(threads))),
@@ -285,8 +272,5 @@ mod tests {
     fn strategy_labels() {
         assert_eq!(CellStrategy::SporStateful.label(), "SPOR");
         assert_eq!(CellStrategy::DporStateless.label(), "DPOR (stateless)");
-        assert!(CellStrategy::SporWithHeuristic(SeedHeuristic::Transaction)
-            .label()
-            .contains("transaction"));
     }
 }

@@ -120,13 +120,13 @@ pub struct SymmetryPoint {
 
 impl SymmetryPoint {
     /// The orbit-collapse ratio (plain states per symmetric state).
-    pub fn state_ratio(&self) -> f64 {
+    pub(crate) fn state_ratio(&self) -> f64 {
         self.states as f64 / self.sym_states.max(1) as f64
     }
 
     /// The wall-time ratio (plain time per symmetric time; > 1 means the
     /// reduction also paid for itself in time).
-    pub fn time_ratio(&self) -> f64 {
+    pub(crate) fn time_ratio(&self) -> f64 {
         let sym = self.sym_time.as_secs_f64();
         if sym == 0.0 {
             1.0
@@ -234,11 +234,11 @@ pub struct FrontierPoint {
 /// quorum models have frontier levels of a few hundred bytes to a few KiB,
 /// so this is small enough that every point past the trivial one writes
 /// real spill segments.
-pub const SCALING_SPILL_WATERMARK: usize = 64;
+pub(crate) const SCALING_SPILL_WATERMARK: usize = 64;
 
 /// Measures the disk-backed BFS frontier on the growing-acceptor Paxos
 /// quorum models: every point runs the consensus check twice — in-memory
-/// frontier vs disk frontier at [`SCALING_SPILL_WATERMARK`] (small enough
+/// frontier vs disk frontier at `SCALING_SPILL_WATERMARK` (small enough
 /// to force multi-segment spilling) — and asserts exact verdict/state
 /// agreement. Returns the per-point byte accounting plus
 /// `Measurement` rows (strategy `"SPOR (BFS+spill)"`, `frontier_bytes`

@@ -38,7 +38,7 @@ const QUORUM_SPOR: &str = "SPOR (quorum)";
 /// paper's Paxos (2,3,1) is tractable but long; the bounded default uses
 /// (2,2,1) so the whole table finishes in minutes, and the full run uses the
 /// paper's setting.
-pub fn paxos_setting(full: bool) -> PaxosSetting {
+pub(crate) fn paxos_setting(full: bool) -> PaxosSetting {
     if full {
         PaxosSetting::new(2, 3, 1)
     } else {

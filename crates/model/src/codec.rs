@@ -639,7 +639,7 @@ impl Fnv64 {
 
     /// Feeds a varint-encoded integer into the digest (used to hash
     /// structured values without allocating).
-    pub fn write_u64(&mut self, value: u64) {
+    pub(crate) fn write_u64(&mut self, value: u64) {
         // FNV-1a is byte-wise, so one byte at a time is the digest of the
         // whole varint.
         leb128(value, |byte| self.write(&[byte]));

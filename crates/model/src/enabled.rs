@@ -60,13 +60,6 @@ impl<M: Message> TransitionInstance<M> {
     pub fn senders(&self) -> Vec<ProcessId> {
         crate::message::senders(&self.envelopes)
     }
-
-    /// Returns `true` if this instance consumes messages from more than one
-    /// sender, i.e. it is an execution of a quorum transition in the sense
-    /// of Section II-A.
-    pub fn is_quorum_execution(&self) -> bool {
-        self.senders().len() > 1
-    }
 }
 
 // Instances are the payload of the spillable parent-pointer tables the BFS
@@ -122,7 +115,7 @@ pub fn enabled_instances<S: LocalState, M: Message>(
 }
 
 /// Enumerates the enabled instances of a single transition in `state`.
-pub fn enabled_instances_of<S: LocalState, M: Message>(
+pub(crate) fn enabled_instances_of<S: LocalState, M: Message>(
     spec: &ProtocolSpec<S, M>,
     state: &GlobalState<S, M>,
     transition: TransitionId,
@@ -487,7 +480,7 @@ mod tests {
         // Three acceptor pairs: {1,2}, {1,3}, {2,3}; the NOOP guard is false.
         assert_eq!(instances.len(), 3);
         assert!(instances.iter().all(|i| i.envelopes.len() == 2));
-        assert!(instances.iter().all(|i| i.is_quorum_execution()));
+        assert!(instances.iter().all(|i| i.senders().len() > 1));
     }
 
     #[test]

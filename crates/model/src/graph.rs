@@ -17,7 +17,6 @@ pub struct StateGraph<S, M: Message> {
     states: Vec<GlobalState<S, M>>,
     index: HashMap<GlobalState<S, M>, usize>,
     edges: Vec<Vec<(TransitionId, usize)>>,
-    initial: usize,
 }
 
 impl<S: LocalState, M: Message> StateGraph<S, M> {
@@ -33,7 +32,6 @@ impl<S: LocalState, M: Message> StateGraph<S, M> {
             states: vec![initial_state.clone()],
             index: HashMap::from([(initial_state, 0)]),
             edges: vec![Vec::new()],
-            initial: 0,
         };
         let mut queue = VecDeque::from([0usize]);
         while let Some(current) = queue.pop_front() {
@@ -73,17 +71,8 @@ impl<S: LocalState, M: Message> StateGraph<S, M> {
         self.edge_set().len()
     }
 
-    /// Returns the number of `(state, transition, state)` triples.
-    pub fn num_labelled_edges(&self) -> usize {
-        self.edges.iter().map(Vec::len).sum()
-    }
-
-    /// Returns the index of the initial state.
-    pub fn initial(&self) -> usize {
-        self.initial
-    }
-
-    /// Returns the state with the given index.
+    /// Returns the state with the given index; index 0 is the initial
+    /// state.
     ///
     /// # Panics
     ///
@@ -92,16 +81,11 @@ impl<S: LocalState, M: Message> StateGraph<S, M> {
         &self.states[index]
     }
 
-    /// Returns the outgoing edges of a state as `(transition, successor)`.
-    pub fn outgoing(&self, index: usize) -> &[(TransitionId, usize)] {
-        &self.edges[index]
-    }
-
     /// Returns the set of state pairs `Δ ⊆ S × S`, ignoring transition
     /// labels. Two protocols generate the same state graph iff they have the
     /// same reachable states and the same Δ — which is exactly the condition
     /// of Definition 1 (transition refinement).
-    pub fn edge_set(&self) -> BTreeSet<(usize, usize)> {
+    pub(crate) fn edge_set(&self) -> BTreeSet<(usize, usize)> {
         let mut set = BTreeSet::new();
         for (from, outs) in self.edges.iter().enumerate() {
             for (_, to) in outs {
@@ -109,16 +93,6 @@ impl<S: LocalState, M: Message> StateGraph<S, M> {
             }
         }
         set
-    }
-
-    /// Returns the indices of deadlock states (states with no outgoing edge).
-    pub fn deadlocks(&self) -> Vec<usize> {
-        self.edges
-            .iter()
-            .enumerate()
-            .filter(|(_, outs)| outs.is_empty())
-            .map(|(i, _)| i)
-            .collect()
     }
 
     /// Checks whether this graph and `other` are isomorphic *as state
@@ -144,29 +118,6 @@ impl<S: LocalState, M: Message> StateGraph<S, M> {
             .map(|(a, b)| (mapping[a], mapping[b]))
             .collect();
         ours == other.edge_set()
-    }
-
-    /// Returns every reachable state as a set, useful for comparing the
-    /// coverage of reduced searches against the ground truth.
-    pub fn state_set(&self) -> BTreeSet<GlobalState<S, M>> {
-        self.states.iter().cloned().collect()
-    }
-
-    /// Renders the graph in Graphviz DOT format with transition names as
-    /// edge labels (for debugging small models).
-    pub fn to_dot(&self, spec: &ProtocolSpec<S, M>) -> String {
-        let mut out = String::from("digraph state_graph {\n  rankdir=LR;\n");
-        out.push_str(&format!("  s{} [shape=doublecircle];\n", self.initial));
-        for (from, outs) in self.edges.iter().enumerate() {
-            for (tid, to) in outs {
-                out.push_str(&format!(
-                    "  s{from} -> s{to} [label=\"{}\"];\n",
-                    spec.transition(*tid).name()
-                ));
-            }
-        }
-        out.push_str("}\n");
-        out
     }
 }
 
@@ -220,8 +171,6 @@ mod tests {
         let graph = StateGraph::build(&diamond(), 1000).unwrap();
         assert_eq!(graph.num_states(), 4);
         assert_eq!(graph.num_edges(), 4);
-        assert_eq!(graph.num_labelled_edges(), 4);
-        assert_eq!(graph.deadlocks().len(), 1);
     }
 
     #[test]
@@ -291,21 +240,9 @@ mod tests {
     }
 
     #[test]
-    fn dot_output_mentions_transition_names() {
-        let proto = diamond();
-        let graph = StateGraph::build(&proto, 1000).unwrap();
-        let dot = graph.to_dot(&proto);
-        assert!(dot.contains("digraph"));
-        assert!(dot.contains("t1"));
-        assert!(dot.contains("t2"));
-    }
-
-    #[test]
     fn state_set_contains_initial_state() {
         let proto = diamond();
         let graph = StateGraph::build(&proto, 1000).unwrap();
-        assert!(graph.state_set().contains(&proto.initial_state()));
-        assert_eq!(graph.state(graph.initial()), &proto.initial_state());
-        assert_eq!(graph.outgoing(graph.initial()).len(), 2);
+        assert_eq!(graph.state(0), &proto.initial_state());
     }
 }

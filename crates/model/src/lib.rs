@@ -69,33 +69,32 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod channel;
-pub mod codec;
-pub mod enabled;
+mod channel;
+mod codec;
+mod enabled;
 pub mod error;
-pub mod graph;
-pub mod ids;
+mod graph;
+mod ids;
 pub mod message;
-pub mod permute;
-pub mod protocol;
-pub mod semantics;
-pub mod state;
-pub mod transition;
+mod permute;
+mod protocol;
+mod semantics;
+mod state;
+mod transition;
 
 pub use channel::Channels;
 pub use codec::{
     decode_from_slice, encode_to_vec, read_varint, write_varint, Decode, DecodeError, Encode, Fnv64,
 };
-pub use enabled::{enabled_instances, enabled_instances_of, is_enabled, TransitionInstance};
+pub use enabled::{enabled_instances, is_enabled, TransitionInstance};
 pub use error::ModelError;
 pub use graph::StateGraph;
 pub use ids::{ProcessId, TransitionId};
 pub use message::{Envelope, Kind, Message};
 pub use permute::{combine, plain_signature, Permutable, Permutation};
-pub use protocol::{EnableFilter, ProtocolBuilder, ProtocolSpec};
+pub use protocol::{ProtocolBuilder, ProtocolSpec};
 pub use semantics::{execute, execute_enabled, successors};
 pub use state::{GlobalState, LocalState};
 pub use transition::{
-    Annotations, Effect, Guard, InputSpec, Outcome, QuorumSpec, RecipientSet, TransitionBuilder,
-    TransitionSpec,
+    Annotations, InputSpec, Outcome, QuorumSpec, RecipientSet, TransitionBuilder, TransitionSpec,
 };

@@ -80,7 +80,7 @@ impl Permutation {
     }
 
     /// Number of process indices the permutation acts on.
-    pub fn degree(&self) -> usize {
+    pub(crate) fn degree(&self) -> usize {
         self.map.len()
     }
 
@@ -94,7 +94,7 @@ impl Permutation {
     /// # Panics
     ///
     /// Panics if `index` is out of range.
-    pub fn apply_index(&self, index: usize) -> usize {
+    pub(crate) fn apply_index(&self, index: usize) -> usize {
         self.map[index]
     }
 

@@ -32,7 +32,7 @@ use crate::{
 /// The filter receives the transition *spec* (not its id) so that it stays
 /// valid across [`ProtocolSpec::with_transitions`] (refinement renumbers
 /// ids but preserves names and annotations).
-pub type EnableFilter<S, M> =
+pub(crate) type EnableFilter<S, M> =
     Arc<dyn Fn(&GlobalState<S, M>, &TransitionSpec<S, M>) -> bool + Send + Sync>;
 
 /// A complete protocol model.
@@ -157,7 +157,7 @@ impl<S: LocalState, M: Message> ProtocolSpec<S, M> {
         Ok(spec)
     }
 
-    /// Installs a global [`EnableFilter`] (builder style). The filter is
+    /// Installs a global `EnableFilter` (builder style). The filter is
     /// consulted by [`enabled_instances`](crate::enabled_instances) before a
     /// transition's instances are enumerated; returning `false` makes the
     /// transition disabled in that state.
@@ -167,11 +167,6 @@ impl<S: LocalState, M: Message> ProtocolSpec<S, M> {
     {
         self.enable_filter = Some(Arc::new(filter));
         self
-    }
-
-    /// Returns the installed enable filter, if any.
-    pub fn enable_filter(&self) -> Option<&EnableFilter<S, M>> {
-        self.enable_filter.as_ref()
     }
 
     /// Returns `true` if `transition` passes the enable filter in `state`
@@ -287,14 +282,6 @@ impl<S: LocalState, M: Message> ProtocolBuilder<S, M> {
         self.process_names.push(name.into());
         self.initial_locals.push(initial);
         self
-    }
-
-    /// Declares a process and returns its id (useful when transition
-    /// definitions need to mention the id).
-    pub fn add_process(&mut self, name: impl Into<String>, initial: S) -> ProcessId {
-        self.process_names.push(name.into());
-        self.initial_locals.push(initial);
-        ProcessId(self.process_names.len() - 1)
     }
 
     /// Adds a transition.
@@ -520,17 +507,5 @@ mod tests {
         let renamed = proto.renamed("p-split");
         assert_eq!(renamed.name(), "p-split");
         assert_eq!(renamed.num_transitions(), proto.num_transitions());
-    }
-
-    #[test]
-    fn add_process_returns_sequential_ids() {
-        let mut b = ProtocolBuilder::<S, M>::new("p");
-        let a = b.add_process("a", 0);
-        let c = b.add_process("c", 1);
-        assert_eq!(a, ProcessId(0));
-        assert_eq!(c, ProcessId(1));
-        b.add_transition(internal("t", 0));
-        let proto = b.build().unwrap();
-        assert_eq!(proto.num_processes(), 2);
     }
 }

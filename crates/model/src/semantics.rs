@@ -277,7 +277,7 @@ mod tests {
             .iter()
             .find(|i| i.transition == TransitionId(3))
             .expect("collect enabled");
-        assert!(collect.is_quorum_execution());
+        assert!(collect.senders().len() > 1, "a quorum execution");
         let (done, sent_to) = execute(&proto, &state, collect).unwrap();
         assert_eq!(done.pending_messages(), 0);
         assert!(sent_to.is_empty());

@@ -47,7 +47,7 @@ pub enum QuorumSpec {
 
 impl QuorumSpec {
     /// Returns the exact quorum size if this is an exact quorum.
-    pub fn exact_size(&self) -> Option<usize> {
+    pub(crate) fn exact_size(&self) -> Option<usize> {
         match self {
             QuorumSpec::Exact(q) => Some(*q),
             _ => None,
@@ -55,7 +55,7 @@ impl QuorumSpec {
     }
 
     /// Returns the smallest number of senders any execution may involve.
-    pub fn min_senders(&self) -> usize {
+    pub(crate) fn min_senders(&self) -> usize {
         match self {
             QuorumSpec::Exact(q) => *q,
             QuorumSpec::AtLeast(q) => *q,
@@ -65,7 +65,7 @@ impl QuorumSpec {
 
     /// Returns the largest number of senders any execution may involve, if
     /// bounded.
-    pub fn max_senders(&self) -> Option<usize> {
+    pub(crate) fn max_senders(&self) -> Option<usize> {
         match self {
             QuorumSpec::Exact(q) => Some(*q),
             QuorumSpec::AtLeast(_) => None,
@@ -130,14 +130,6 @@ impl InputSpec {
     pub fn is_quorum(&self) -> bool {
         matches!(self, InputSpec::Quorum { .. })
     }
-
-    /// Returns the quorum specification, if this is a quorum input.
-    pub fn quorum(&self) -> Option<QuorumSpec> {
-        match self {
-            InputSpec::Quorum { quorum, .. } => Some(*quorum),
-            _ => None,
-        }
-    }
 }
 
 /// The recipients a transition may send messages to, described
@@ -159,34 +151,10 @@ pub enum RecipientSet {
 }
 
 impl RecipientSet {
-    /// Resolves the set of processes this transition may send to, given the
-    /// set of processes it may receive from (`allowed_senders`, used by
-    /// refined transitions) and the total number of processes.
-    ///
-    /// Returns `None` to mean "any process".
-    pub fn resolve(
-        &self,
-        allowed_senders: Option<&BTreeSet<ProcessId>>,
-        num_processes: usize,
-    ) -> Option<BTreeSet<ProcessId>> {
-        match self {
-            RecipientSet::None => Some(BTreeSet::new()),
-            RecipientSet::All => None,
-            RecipientSet::Only(set) => Some(set.clone()),
-            RecipientSet::SendersOfInput => match allowed_senders {
-                Some(set) => Some(set.clone()),
-                None => {
-                    // Unrestricted reply transition: may reply to anyone who
-                    // could have sent to it, i.e. any process.
-                    let _ = num_processes;
-                    None
-                }
-            },
-        }
-    }
-
-    /// Returns `true` if the transition may send some message to `target`,
-    /// under the same resolution rules as [`RecipientSet::resolve`].
+    /// Returns `true` if the transition may send some message to `target`.
+    /// A reply transition restricted to a fixed sender set
+    /// (`allowed_senders`, set by the splits) replies only within it; an
+    /// unrestricted one may reply to any process.
     pub fn may_send_to(
         &self,
         target: ProcessId,
@@ -334,11 +302,11 @@ impl<S, M> Outcome<S, M> {
 
 /// Guard function type: decides whether a transition is enabled for a given
 /// local state and candidate message set (paper: `g_t`).
-pub type Guard<S, M> = Arc<dyn Fn(&S, &[Envelope<M>]) -> bool + Send + Sync>;
+pub(crate) type Guard<S, M> = Arc<dyn Fn(&S, &[Envelope<M>]) -> bool + Send + Sync>;
 
 /// Effect function type: the local state transition function `ls_t` together
 /// with the messages to send.
-pub type Effect<S, M> = Arc<dyn Fn(&S, &[Envelope<M>]) -> Outcome<S, M> + Send + Sync>;
+pub(crate) type Effect<S, M> = Arc<dyn Fn(&S, &[Envelope<M>]) -> Outcome<S, M> + Send + Sync>;
 
 /// A transition specification.
 ///
@@ -602,18 +570,6 @@ impl<S: LocalState, M: Message> TransitionBuilder<S, M> {
         self
     }
 
-    /// Declares whether the guard reads the local state (defaults to true).
-    pub fn reads_local(mut self, reads: bool) -> Self {
-        self.annotations.reads_local = reads;
-        self
-    }
-
-    /// Declares whether the effect writes the local state (defaults to true).
-    pub fn writes_local(mut self, writes: bool) -> Self {
-        self.annotations.writes_local = writes;
-        self
-    }
-
     /// Marks the transition as an environment transition (fault injection);
     /// see [`Annotations::is_environment`].
     pub fn environment(mut self) -> Self {
@@ -753,11 +709,9 @@ mod tests {
     #[test]
     fn recipient_set_resolution() {
         let none = RecipientSet::None;
-        assert_eq!(none.resolve(None, 4), Some(BTreeSet::new()));
         assert!(!none.may_send_to(ProcessId(0), None));
 
         let all = RecipientSet::All;
-        assert_eq!(all.resolve(None, 4), None);
         assert!(all.may_send_to(ProcessId(3), None));
 
         let only: RecipientSet = RecipientSet::Only([ProcessId(1)].into_iter().collect());
@@ -765,9 +719,7 @@ mod tests {
         assert!(!only.may_send_to(ProcessId(2), None));
 
         let reply = RecipientSet::SendersOfInput;
-        assert_eq!(reply.resolve(None, 4), None);
         let senders: BTreeSet<ProcessId> = [ProcessId(2)].into_iter().collect();
-        assert_eq!(reply.resolve(Some(&senders), 4), Some(senders.clone()));
         assert!(reply.may_send_to(ProcessId(2), Some(&senders)));
         assert!(!reply.may_send_to(ProcessId(1), Some(&senders)));
     }
@@ -780,16 +732,12 @@ mod tests {
             .sends(&["STRING"])
             .priority(7)
             .visible()
-            .reads_local(false)
-            .writes_local(false)
             .effect(|l, _| Outcome::new(*l))
             .build();
         let a = t.annotations();
         assert!(a.is_reply);
         assert_eq!(a.priority, 7);
         assert!(a.is_visible);
-        assert!(!a.reads_local);
-        assert!(!a.writes_local);
         assert_eq!(a.messages_out, vec!["STRING"]);
         assert_eq!(a.recipients, RecipientSet::SendersOfInput);
     }

@@ -148,11 +148,6 @@ impl BitRows {
     pub(crate) fn members(&self, row: TransitionId) -> impl Iterator<Item = TransitionId> + '_ {
         members(self.row(row))
     }
-
-    /// Number of `(row, member)` pairs.
-    pub(crate) fn len(&self) -> usize {
-        count(&self.words)
-    }
 }
 
 #[cfg(test)]
@@ -206,6 +201,5 @@ mod tests {
         assert!(!rows.contains(TransitionId(1), TransitionId(69)));
         let last: Vec<usize> = rows.members(TransitionId(69)).map(|t| t.index()).collect();
         assert_eq!(last, vec![0, 64]);
-        assert_eq!(rows.len(), 3);
     }
 }

@@ -13,17 +13,16 @@
 //! transitions of processes in `Q_k`, and a reply-split transition can in
 //! addition only *enable* transitions of its peers (Section III-D).
 
-use mp_model::{InputSpec, LocalState, Message, ProtocolSpec, TransitionId};
+use mp_model::{LocalState, Message, ProtocolSpec, TransitionId};
 
 use crate::bits::BitRows;
-use crate::independence::{can_communicate, may_emit_kind};
+use crate::independence::can_communicate;
 
 /// Pre-computed can-enable relation: row `t` of `enablers` holds every
 /// transition that may turn `t` from disabled to enabled.
 #[derive(Clone, Debug)]
 pub struct CanEnable {
     enablers: BitRows,
-    enabled_by: Vec<Vec<TransitionId>>,
 }
 
 impl CanEnable {
@@ -31,7 +30,6 @@ impl CanEnable {
     pub fn compute<S: LocalState, M: Message>(spec: &ProtocolSpec<S, M>) -> Self {
         let n = spec.num_transitions();
         let mut enablers = BitRows::empty(n);
-        let mut enabled_by = vec![Vec::new(); n];
         for (a_id, a) in spec.transitions() {
             for (b_id, b) in spec.transitions() {
                 if a_id == b_id {
@@ -61,14 +59,10 @@ impl CanEnable {
                 }
                 if can_enable {
                     enablers.insert(b_id, a_id);
-                    enabled_by[a_id.index()].push(b_id);
                 }
             }
         }
-        CanEnable {
-            enablers,
-            enabled_by,
-        }
+        CanEnable { enablers }
     }
 
     /// Returns the transitions that may enable `t` (its necessary enabling
@@ -80,41 +74,6 @@ impl CanEnable {
     /// The set [`Self::enablers_of`] lists, as the words of a bitset.
     pub(crate) fn enablers_row(&self, t: TransitionId) -> &[u64] {
         self.enablers.row(t)
-    }
-
-    /// Returns the transitions that `t` may enable.
-    pub fn may_enable(&self, t: TransitionId) -> &[TransitionId] {
-        &self.enabled_by[t.index()]
-    }
-
-    /// Returns the total number of `(enabler, enabled)` pairs — a summary
-    /// statistic showing how refinement tightens the relation.
-    pub fn num_pairs(&self) -> usize {
-        self.enablers.len()
-    }
-}
-
-/// Returns `true` if `spec` contains a transition that can send the input
-/// kind of `t` to `t`'s process — used to warn about transitions that can
-/// never fire (likely modelling mistakes).
-pub fn has_potential_enabler<S: LocalState, M: Message>(
-    spec: &ProtocolSpec<S, M>,
-    t: TransitionId,
-) -> bool {
-    let target = spec.transition(t);
-    match target.input() {
-        InputSpec::Internal => true,
-        InputSpec::Single { kind } | InputSpec::Quorum { kind, .. } => {
-            spec.transitions().any(|(other_id, other)| {
-                other_id != t
-                    && target.may_receive_from(other.process())
-                    && other
-                        .annotations()
-                        .recipients
-                        .may_send_to(target.process(), other.allowed_senders())
-                    && may_emit_kind(other, kind)
-            })
-        }
     }
 }
 
@@ -195,7 +154,6 @@ mod tests {
         let ce = CanEnable::compute(&spec);
         assert!(ce.enablers_of(TransitionId(1)).contains(&TransitionId(0)));
         assert!(ce.enablers_of(TransitionId(2)).contains(&TransitionId(0)));
-        assert!(ce.may_enable(TransitionId(0)).contains(&TransitionId(1)));
     }
 
     #[test]
@@ -239,38 +197,21 @@ mod tests {
     #[test]
     fn num_pairs_decreases_with_refinement() {
         let spec = proto();
-        let before = CanEnable::compute(&spec).num_pairs();
+        let num_pairs = |spec: &ProtocolSpec<u8, Msg>| {
+            let ce = CanEnable::compute(spec);
+            let sizes = spec.transition_ids().map(|t| ce.enablers_of(t).len());
+            sizes.sum::<usize>()
+        };
+        let before = num_pairs(&spec);
         let collect = spec.transition(TransitionId(4));
         let split = collect.restricted_copy("COLLECT_12", [p(1), p(2)].into_iter().collect());
         let mut transitions: Vec<_> = spec.transitions().map(|(_, t)| t.clone()).collect();
         transitions[4] = split;
         let split_spec = spec.with_transitions(transitions).unwrap();
-        let after = CanEnable::compute(&split_spec).num_pairs();
+        let after = num_pairs(&split_spec);
         assert!(
             after < before,
             "refinement must shrink the can-enable relation"
         );
-    }
-
-    #[test]
-    fn potential_enabler_detection() {
-        let spec = proto();
-        for t in spec.transition_ids() {
-            assert!(
-                has_potential_enabler(&spec, t),
-                "{t} should have an enabler"
-            );
-        }
-        // A transition waiting for a kind nobody sends has no enabler.
-        let orphan: TransitionSpec<u8, Msg> = TransitionSpec::builder("ORPHAN", p(0))
-            .single_input("NEVER_SENT")
-            .effect(|l, _| Outcome::new(*l))
-            .build();
-        let with_orphan = {
-            let mut ts: Vec<_> = spec.transitions().map(|(_, t)| t.clone()).collect();
-            ts.push(orphan);
-            spec.with_transitions(ts).unwrap()
-        };
-        assert!(!has_potential_enabler(&with_orphan, TransitionId(5)));
     }
 }

@@ -71,28 +71,10 @@ impl IndependenceRelation {
         !self.dependent(a, b)
     }
 
-    /// Returns all transitions dependent on `t` (including `t` itself).
-    pub fn dependents_of(&self, t: TransitionId) -> Vec<TransitionId> {
-        self.dependent.members(t).collect()
-    }
-
-    /// The set [`Self::dependents_of`] lists, as the words of a bitset.
+    /// The transitions dependent on `t` (including `t` itself), as the words
+    /// of a bitset.
     pub(crate) fn dependents_row(&self, t: TransitionId) -> &[u64] {
         self.dependent.row(t)
-    }
-
-    /// Returns the number of dependent (unordered) pairs, a useful summary
-    /// statistic when comparing refined against unrefined models.
-    pub fn num_dependent_pairs(&self) -> usize {
-        (0..self.num_transitions)
-            .map(TransitionId)
-            .map(|t| {
-                self.dependent
-                    .members(t)
-                    .filter(|other| *other >= t)
-                    .count()
-            })
-            .sum()
     }
 }
 
@@ -103,7 +85,7 @@ impl IndependenceRelation {
 /// `a`'s process. Annotations are interpreted conservatively: a transition
 /// with an unknown output alphabet is assumed to possibly send `b`'s input
 /// kind.
-pub fn can_communicate<S: LocalState, M: Message>(
+pub(crate) fn can_communicate<S: LocalState, M: Message>(
     a: &TransitionSpec<S, M>,
     b: &TransitionSpec<S, M>,
 ) -> bool {
@@ -127,7 +109,10 @@ pub fn can_communicate<S: LocalState, M: Message>(
 /// Returns `true` if transition `a` may emit a message of kind `kind`,
 /// according to its `messages_out` annotation (conservatively `true` when the
 /// annotation is absent and the transition is not declared send-free).
-pub fn may_emit_kind<S: LocalState, M: Message>(a: &TransitionSpec<S, M>, kind: Kind) -> bool {
+pub(crate) fn may_emit_kind<S: LocalState, M: Message>(
+    a: &TransitionSpec<S, M>,
+    kind: Kind,
+) -> bool {
     let ann = a.annotations();
     if matches!(ann.recipients, mp_model::RecipientSet::None) {
         return false;
@@ -157,7 +142,7 @@ pub fn may_emit_kind<S: LocalState, M: Message>(a: &TransitionSpec<S, M>, kind: 
 /// counter) cannot disable each other through the budget; for those the
 /// ordinary communication test decides, so a crash at one process and a
 /// message drop at another commute and POR may prune one of the two orders.
-pub fn transitions_dependent<S: LocalState, M: Message>(
+pub(crate) fn transitions_dependent<S: LocalState, M: Message>(
     a: &TransitionSpec<S, M>,
     b: &TransitionSpec<S, M>,
 ) -> bool {
@@ -291,7 +276,10 @@ mod tests {
     fn dependents_of_lists_expected_transitions() {
         let spec = proto();
         let rel = IndependenceRelation::compute(&spec);
-        let deps = rel.dependents_of(TransitionId(1));
+        let deps: Vec<TransitionId> = spec
+            .transition_ids()
+            .filter(|t| rel.dependent(TransitionId(1), *t))
+            .collect();
         assert!(deps.contains(&TransitionId(0)));
         assert!(deps.contains(&TransitionId(1)));
         assert!(deps.contains(&TransitionId(3)));
@@ -377,6 +365,10 @@ mod tests {
         let rel = IndependenceRelation::compute(&spec);
         // Pairs (unordered, incl. diagonal): t0-t0, t1-t1, t2-t2, t3-t3,
         // t0-t1, t0-t2, t0-t3, t1-t3, t2-t3 => 9.
-        assert_eq!(rel.num_dependent_pairs(), 9);
+        let ids: Vec<TransitionId> = spec.transition_ids().collect();
+        let pairs = ids
+            .iter()
+            .flat_map(|a| ids.iter().filter(move |b| *b >= a).map(move |b| (*a, *b)));
+        assert_eq!(pairs.filter(|(a, b)| rel.dependent(*a, *b)).count(), 9);
     }
 }

@@ -9,10 +9,11 @@
 //!   a state-unconditional [`IndependenceRelation`] and [`CanEnable`]
 //!   (necessary enabling transitions) from the Table-IV style annotations of
 //!   the model, then computes a stubborn set in every visited state starting
-//!   from a [`SeedHeuristic`]-chosen seed transition. [`SporReducer`]
+//!   from the seed that the paper's opposite transaction heuristic picks
+//!   (Section V-B: the highest `priority` annotation). [`SporReducer`]
 //!   packages this as a per-state [`Reducer`] for the search engines in
 //!   `mp-checker`.
-//! * **Dynamic POR (Flanagan–Godefroid)** — the [`dpor`] module supplies the
+//! * **Dynamic POR (Flanagan–Godefroid)** — the `dpor` module supplies the
 //!   seed reducer and the instance-level dependence and race detection with
 //!   which the *stateless* search of `mp-checker` installs backtrack points
 //!   on the fly.
@@ -62,19 +63,15 @@
 #![forbid(unsafe_code)]
 
 mod bits;
-pub mod canenable;
-pub mod dpor;
-pub mod heuristics;
-pub mod independence;
-pub mod reducer;
-pub mod stubborn;
+mod canenable;
+mod dpor;
+mod independence;
+mod reducer;
+mod stubborn;
 
 pub use bits::TransitionSet;
-pub use canenable::{has_potential_enabler, CanEnable};
+pub use canenable::CanEnable;
 pub use dpor::{latest_racing_step, DporSeed, ExecutedStep};
-pub use heuristics::SeedHeuristic;
-pub use independence::{
-    can_communicate, may_emit_kind, transitions_dependent, IndependenceRelation,
-};
+pub use independence::IndependenceRelation;
 pub use reducer::{NoReduction, Reducer, Reduction, SporReducer};
 pub use stubborn::{StubbornSet, StubbornSets};

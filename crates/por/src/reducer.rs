@@ -11,7 +11,7 @@
 use mp_model::{GlobalState, LocalState, Message, ProtocolSpec, TransitionId, TransitionInstance};
 use mp_trace::{Histogram, Phase, TraceHandle};
 
-use crate::{SeedHeuristic, StubbornSets};
+use crate::StubbornSets;
 
 /// Decision of a reducer for one state.
 #[derive(Clone, Debug)]
@@ -101,27 +101,12 @@ pub struct SporReducer {
 }
 
 impl SporReducer {
-    /// Builds the reducer for `spec` with the default
-    /// (opposite-transaction) seed heuristic.
+    /// Builds the reducer for `spec`: the relations of its stubborn sets
+    /// are computed once, here.
     pub fn new<S: LocalState, M: Message>(spec: &ProtocolSpec<S, M>) -> Self {
         SporReducer {
             sets: StubbornSets::new(spec),
         }
-    }
-
-    /// Builds the reducer with an explicit seed heuristic.
-    pub fn with_heuristic<S: LocalState, M: Message>(
-        spec: &ProtocolSpec<S, M>,
-        heuristic: SeedHeuristic,
-    ) -> Self {
-        SporReducer {
-            sets: StubbornSets::with_heuristic(spec, heuristic),
-        }
-    }
-
-    /// Returns the underlying pre-computed stubborn-set data.
-    pub fn stubborn_sets(&self) -> &StubbornSets {
-        &self.sets
     }
 }
 

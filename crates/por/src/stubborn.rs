@@ -6,8 +6,11 @@
 //! algorithm" whose independence information is pre-computed and
 //! state-unconditional; this module implements that scheme:
 //!
-//! 1. pick a **seed transition** among the enabled ones (heuristics in
-//!    [`crate::SeedHeuristic`]);
+//! 1. pick a **seed transition** among the enabled ones by MP-Basset's
+//!    *opposite transaction heuristic* (paper, Section V-B): the highest
+//!    `priority` annotation wins — the transitions that start a protocol
+//!    instance or keep one open — and a tie goes to the smaller transition
+//!    id;
 //! 2. close the working set: for every *enabled* transition in the set add
 //!    all statically dependent transitions; for every *disabled* transition
 //!    in the set add its necessary enabling transitions (the NET relation);
@@ -35,7 +38,7 @@
 use mp_model::{LocalState, Message, ProtocolSpec, TransitionId};
 
 use crate::bits::{self, TransitionSet};
-use crate::{CanEnable, IndependenceRelation, SeedHeuristic};
+use crate::{CanEnable, IndependenceRelation};
 
 /// Pre-computed data driving stubborn-set computation for one protocol.
 #[derive(Clone, Debug)]
@@ -43,7 +46,6 @@ pub struct StubbornSets {
     independence: IndependenceRelation,
     can_enable: CanEnable,
     visible: TransitionSet,
-    heuristic: SeedHeuristic,
 }
 
 /// The result of a stubborn-set computation in one state.
@@ -60,14 +62,6 @@ pub struct StubbornSet {
 impl StubbornSets {
     /// Pre-computes the independence and can-enable relations of `spec`.
     pub fn new<S: LocalState, M: Message>(spec: &ProtocolSpec<S, M>) -> Self {
-        Self::with_heuristic(spec, SeedHeuristic::default())
-    }
-
-    /// Pre-computes the relations and uses the given seed heuristic.
-    pub fn with_heuristic<S: LocalState, M: Message>(
-        spec: &ProtocolSpec<S, M>,
-        heuristic: SeedHeuristic,
-    ) -> Self {
         let independence = IndependenceRelation::compute(spec);
         let can_enable = CanEnable::compute(spec);
         let mut visible = TransitionSet::empty(spec.num_transitions());
@@ -80,28 +74,12 @@ impl StubbornSets {
             independence,
             can_enable,
             visible,
-            heuristic,
         }
-    }
-
-    /// Returns the pre-computed independence relation.
-    pub fn independence(&self) -> &IndependenceRelation {
-        &self.independence
     }
 
     /// Returns the pre-computed can-enable relation.
     pub fn can_enable(&self) -> &CanEnable {
         &self.can_enable
-    }
-
-    /// Returns the seed heuristic in use.
-    pub fn heuristic(&self) -> SeedHeuristic {
-        self.heuristic
-    }
-
-    /// Returns `true` if the transition is annotated visible.
-    pub fn is_visible(&self, t: TransitionId) -> bool {
-        self.visible.contains(t)
     }
 
     /// Computes a stubborn set for a state in which exactly the transitions
@@ -117,8 +95,12 @@ impl StubbornSets {
         if enabled.is_empty() {
             return None;
         }
-        let seed = self.heuristic.choose(spec, &self.independence, enabled);
+        Some(self.close_from(enabled, seed(spec, enabled)))
+    }
 
+    /// The stubborn set of a state enabling exactly `enabled`, closed from
+    /// `seed` (one of `enabled`).
+    fn close_from(&self, enabled: &[TransitionId], seed: TransitionId) -> StubbornSet {
         // One buffer, three sets side by side: `work` is the stubborn set
         // under construction, `todo` its members whose closure rule has not
         // been applied yet.
@@ -154,11 +136,11 @@ impl StubbornSets {
         }
         let reduced = work != enabled_set;
         buffer.truncate(words);
-        Some(StubbornSet {
+        StubbornSet {
             explore: TransitionSet::from_words(buffer),
             reduced,
             seed,
-        })
+        }
     }
 
     /// Saturates `work` under the stubborn-set rules, applying them to the
@@ -180,15 +162,34 @@ impl StubbornSets {
     }
 }
 
-/// The closure as it was before the bitsets: ordered sets, a work queue and
-/// the relations read through their list accessors. Kept as the reference
-/// the word-wise closure above is compared against.
-#[cfg(test)]
-fn reference_compute<S: LocalState, M: Message>(
-    sets: &StubbornSets,
+/// The opposite transaction heuristic: the enabled transition with the
+/// highest `priority` annotation, a tie going to the smaller id (the one
+/// declared first). `enabled` is non-empty.
+fn seed<S: LocalState, M: Message>(
     spec: &ProtocolSpec<S, M>,
     enabled: &[TransitionId],
-) -> Option<(std::collections::BTreeSet<TransitionId>, bool, TransitionId)> {
+) -> TransitionId {
+    *enabled
+        .iter()
+        .max_by_key(|t| {
+            (
+                spec.transition(**t).annotations().priority,
+                std::cmp::Reverse(t.index()),
+            )
+        })
+        .expect("a seed is chosen among enabled transitions")
+}
+
+/// The closure as it was before the bitsets: ordered sets, a work queue and
+/// the relations read pair by pair or through their list accessors. Kept as
+/// the reference the word-wise closure above is compared against; returns
+/// the explore set and whether it reduces.
+#[cfg(test)]
+fn reference_close_from(
+    sets: &StubbornSets,
+    enabled: &[TransitionId],
+    seed: TransitionId,
+) -> (std::collections::BTreeSet<TransitionId>, bool) {
     use std::collections::BTreeSet;
 
     fn close(
@@ -202,8 +203,11 @@ fn reference_compute<S: LocalState, M: Message>(
             queue.push(start);
         }
         while let Some(t) = queue.pop() {
-            let pulled_in = if enabled_set.contains(&t) {
-                sets.independence.dependents_of(t)
+            let pulled_in: Vec<TransitionId> = if enabled_set.contains(&t) {
+                (0..sets.independence.num_transitions())
+                    .map(TransitionId)
+                    .filter(|u| sets.independence.dependent(t, *u))
+                    .collect()
             } else {
                 sets.can_enable.enablers_of(t)
             };
@@ -215,11 +219,7 @@ fn reference_compute<S: LocalState, M: Message>(
         }
     }
 
-    if enabled.is_empty() {
-        return None;
-    }
     let enabled_set: BTreeSet<TransitionId> = enabled.iter().copied().collect();
-    let seed = sets.heuristic.choose(spec, &sets.independence, enabled);
     let mut work: BTreeSet<TransitionId> = BTreeSet::new();
     close(sets, seed, &enabled_set, &mut work);
     let mut explore: BTreeSet<TransitionId> = work.intersection(&enabled_set).copied().collect();
@@ -227,7 +227,7 @@ fn reference_compute<S: LocalState, M: Message>(
         let visible_enabled: Vec<TransitionId> = enabled_set
             .iter()
             .copied()
-            .filter(|t| sets.is_visible(*t))
+            .filter(|t| sets.visible.contains(*t))
             .collect();
         if visible_enabled.iter().any(|t| !explore.contains(t)) {
             for t in visible_enabled {
@@ -237,7 +237,7 @@ fn reference_compute<S: LocalState, M: Message>(
         }
     }
     let reduced = explore.len() < enabled_set.len();
-    Some((explore, reduced, seed))
+    (explore, reduced)
 }
 
 #[cfg(test)]
@@ -345,15 +345,46 @@ mod tests {
     }
 
     #[test]
-    fn seed_heuristic_controls_the_seed() {
+    fn opposite_transaction_prefers_highest_priority() {
+        // REQ_* have priority 10, SERVE_* 0 and COLLECT_* -10.
         let spec = two_pairs();
-        let enabled = [TransitionId(0), TransitionId(2)];
-        let opposite = StubbornSets::with_heuristic(&spec, SeedHeuristic::OppositeTransaction);
-        let result = opposite.compute(&spec, &enabled).unwrap();
+        let all: Vec<TransitionId> = spec.transition_ids().collect();
+        assert_eq!(seed(&spec, &all), TransitionId(0), "a tie goes to REQ_A");
+        assert_eq!(
+            seed(&spec, &[TransitionId(3), TransitionId(0)]),
+            TransitionId(0)
+        );
+        assert_eq!(
+            seed(&spec, &[TransitionId(2), TransitionId(4)]),
+            TransitionId(4),
+            "SERVE_B outranks the earlier COLLECT_A"
+        );
+        assert_eq!(
+            seed(&spec, &[TransitionId(5), TransitionId(2)]),
+            TransitionId(2)
+        );
+    }
+
+    #[test]
+    fn priority_decides_the_seed() {
+        let spec = two_pairs();
+        let sets = StubbornSets::new(&spec);
+        let result = sets
+            .compute(&spec, &[TransitionId(0), TransitionId(2)])
+            .unwrap();
         assert_eq!(result.seed, TransitionId(0), "REQ_A has priority 10");
-        let transaction = StubbornSets::with_heuristic(&spec, SeedHeuristic::Transaction);
-        let result = transaction.compute(&spec, &enabled).unwrap();
-        assert_eq!(result.seed, TransitionId(2), "COLLECT_A has priority -10");
+        let mut transitions: Vec<_> = spec.transitions().map(|(_, t)| t.clone()).collect();
+        transitions[2].annotations_mut().priority = 20;
+        let spec = spec.with_transitions(transitions).unwrap();
+        let sets = StubbornSets::new(&spec);
+        let result = sets
+            .compute(&spec, &[TransitionId(0), TransitionId(2)])
+            .unwrap();
+        assert_eq!(
+            result.seed,
+            TransitionId(2),
+            "COLLECT_A now has priority 20"
+        );
     }
 
     #[test]
@@ -376,9 +407,12 @@ mod tests {
 
     #[test]
     fn closure_includes_enablers_of_disabled_dependents() {
+        // Force the seed to SERVE_A by ranking it above REQ_B's 10.
         let spec = two_pairs();
-        // Force the seed to SERVE_A by using the declaration-order heuristic.
-        let sets = StubbornSets::with_heuristic(&spec, SeedHeuristic::FirstEnabled);
+        let mut transitions: Vec<_> = spec.transitions().map(|(_, t)| t.clone()).collect();
+        transitions[1].annotations_mut().priority = 20;
+        let spec = spec.with_transitions(transitions).unwrap();
+        let sets = StubbornSets::new(&spec);
         // Enabled: SERVE_A (t1) and REQ_B (t3). COLLECT_A (t2) is dependent
         // on SERVE_A but disabled, so its enablers (SERVE_A itself, REQ_A)
         // join the closure; since REQ_A is disabled too the closure stays on
@@ -403,27 +437,33 @@ mod tests {
         assert!(!result.explore.is_empty());
     }
 
-    const HEURISTICS: [SeedHeuristic; 4] = [
-        SeedHeuristic::OppositeTransaction,
-        SeedHeuristic::Transaction,
-        SeedHeuristic::FirstEnabled,
-        SeedHeuristic::FewestDependents,
-    ];
-
+    /// Checks the word-wise closure against the reference from every
+    /// enabled transition as the seed, and `compute` against the reference
+    /// from the seed it chooses.
     fn assert_matches_reference<S: LocalState, M: Message>(
         sets: &StubbornSets,
         spec: &ProtocolSpec<S, M>,
         enabled: &[TransitionId],
     ) {
-        let expected = reference_compute(sets, spec, enabled);
-        let actual = sets.compute(spec, enabled).map(|stubborn| {
-            (
-                stubborn.explore.iter().collect(),
-                stubborn.reduced,
-                stubborn.seed,
-            )
-        });
-        assert_eq!(actual, expected, "enabled: {enabled:?}");
+        let actual = |stubborn: StubbornSet| (stubborn.explore.iter().collect(), stubborn.reduced);
+        for &from in enabled {
+            assert_eq!(
+                actual(sets.close_from(enabled, from)),
+                reference_close_from(sets, enabled, from),
+                "enabled: {enabled:?}, seed: {from:?}"
+            );
+        }
+        match sets.compute(spec, enabled) {
+            None => assert!(enabled.is_empty()),
+            Some(stubborn) => {
+                assert_eq!(stubborn.seed, seed(spec, enabled));
+                assert_eq!(
+                    actual(stubborn),
+                    reference_close_from(sets, enabled, seed(spec, enabled)),
+                    "enabled: {enabled:?}"
+                );
+            }
+        }
     }
 
     /// SplitMix64, as in the other deterministic property tests.
@@ -462,15 +502,13 @@ mod tests {
         let with_visible = plain.with_transitions(transitions).unwrap();
         for spec in [&plain, &with_visible] {
             let n = spec.num_transitions();
-            for heuristic in HEURISTICS {
-                let sets = StubbornSets::with_heuristic(spec, heuristic);
-                for mask in 0u32..1 << n {
-                    let enabled: Vec<TransitionId> = (0..n)
-                        .filter(|t| mask & (1 << t) != 0)
-                        .map(TransitionId)
-                        .collect();
-                    assert_matches_reference(&sets, spec, &enabled);
-                }
+            let sets = StubbornSets::new(spec);
+            for mask in 0u32..1 << n {
+                let enabled: Vec<TransitionId> = (0..n)
+                    .filter(|t| mask & (1 << t) != 0)
+                    .map(TransitionId)
+                    .collect();
+                assert_matches_reference(&sets, spec, &enabled);
             }
         }
     }
@@ -511,22 +549,19 @@ mod tests {
     fn bitmask_closure_matches_reference_beyond_one_word() {
         let spec = ring();
         assert!(spec.num_transitions() > 64);
-        for heuristic in HEURISTICS {
-            let sets = StubbornSets::with_heuristic(&spec, heuristic);
-            for enabled in random_subsets(&spec, 11, 500) {
-                assert_matches_reference(&sets, &spec, &enabled);
-            }
+        let sets = StubbornSets::new(&spec);
+        for enabled in random_subsets(&spec, 11, 500) {
+            assert_matches_reference(&sets, &spec, &enabled);
         }
         // The relations themselves, bit for bit against the pairwise tests.
-        let sets = StubbornSets::new(&spec);
         for (a_id, a) in spec.transitions() {
             for (b_id, b) in spec.transitions() {
                 assert_eq!(
-                    sets.independence().dependent(a_id, b_id),
-                    crate::transitions_dependent(a, b)
+                    sets.independence.dependent(a_id, b_id),
+                    crate::independence::transitions_dependent(a, b)
                 );
             }
-            assert_eq!(sets.is_visible(a_id), a.annotations().is_visible);
+            assert_eq!(sets.visible.contains(a_id), a.annotations().is_visible);
         }
     }
 

@@ -20,7 +20,7 @@
 //!
 //! The "wrong agreement" debugging configuration of Table I is simply a
 //! setting whose actual number of Byzantine receivers exceeds the tolerated
-//! threshold ([`MulticastSetting::exceeds_threshold`]); agreement is then
+//! threshold ([`MulticastSetting::tolerated_faults`]); agreement is then
 //! violated and the checker returns a counterexample.
 
 mod faults;
@@ -34,10 +34,7 @@ pub use faults::{
     faulty_delivery_termination_property, faulty_quorum_model,
 };
 pub use model::quorum_model;
-pub use properties::{
-    agreement_property, all_honest_delivered, committed_leads_to_delivered,
-    deliveries_per_initiator, delivery_termination_property,
-};
+pub use properties::{agreement_property, delivery_termination_property};
 pub use single::single_message_model;
 pub use types::{
     ByzantineInitiatorState, HonestInitiatorState, HonestReceiverState, InitiatorPhase,
@@ -95,7 +92,7 @@ mod tests {
         // Byzantine receivers exceed the tolerated threshold and the
         // equivocating initiator gets certificates for both values.
         let setting = MulticastSetting::new(2, 1, 2, 1);
-        assert!(setting.exceeds_threshold());
+        assert!(setting.byzantine_receivers > setting.tolerated_faults());
         let spec = quorum_model(setting);
         let report = Checker::new(&spec, agreement_property(setting))
             .config(CheckerConfig::stateful_bfs())

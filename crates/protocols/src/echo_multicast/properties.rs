@@ -10,7 +10,7 @@ use super::types::{InitiatorPhase, MulticastMessage, MulticastSetting, Multicast
 
 /// Returns, per initiator, the set of distinct values delivered by honest
 /// receivers in `state`.
-pub fn deliveries_per_initiator(
+pub(crate) fn deliveries_per_initiator(
     setting: MulticastSetting,
     state: &GlobalState<MulticastState, MulticastMessage>,
 ) -> BTreeMap<ProcessId, BTreeSet<Value>> {
@@ -48,7 +48,7 @@ pub fn agreement_property(
 /// Returns `true` if every honest receiver has delivered a value from every
 /// *honest* initiator (Byzantine initiators are under no obligation to get
 /// their equivocation delivered).
-pub fn all_honest_delivered(
+pub(crate) fn all_honest_delivered(
     setting: MulticastSetting,
     state: &GlobalState<MulticastState, MulticastMessage>,
 ) -> bool {
@@ -81,7 +81,7 @@ pub fn delivery_termination_property(
 /// delivers it (for all committed honest initiators). Vacuous on executions
 /// where no honest initiator assembles its echo certificate, so it isolates
 /// the commit-to-delivery half of the protocol.
-pub fn committed_leads_to_delivered(
+pub(crate) fn committed_leads_to_delivered(
     setting: MulticastSetting,
 ) -> Property<MulticastState, MulticastMessage, NullObserver> {
     let committed: Vec<usize> = (0..setting.honest_initiators).collect();

@@ -59,7 +59,7 @@ impl MulticastSetting {
     }
 
     /// Total number of initiator processes.
-    pub fn num_initiators(&self) -> usize {
+    pub(crate) fn num_initiators(&self) -> usize {
         self.honest_initiators + self.byzantine_initiators
     }
 
@@ -84,76 +84,65 @@ impl MulticastSetting {
         (self.num_receivers() + self.tolerated_faults()) / 2 + 1
     }
 
-    /// Returns `true` if the actual number of Byzantine receivers exceeds the
-    /// tolerated threshold (the "wrong agreement" configurations).
-    pub fn exceeds_threshold(&self) -> bool {
-        self.byzantine_receivers > self.tolerated_faults()
-    }
-
     /// Process id of honest initiator `i`.
-    pub fn honest_initiator(&self, i: usize) -> ProcessId {
+    pub(crate) fn honest_initiator(&self, i: usize) -> ProcessId {
         assert!(i < self.honest_initiators);
         ProcessId(i)
     }
 
     /// Process id of Byzantine initiator `i`.
-    pub fn byzantine_initiator(&self, i: usize) -> ProcessId {
+    pub(crate) fn byzantine_initiator(&self, i: usize) -> ProcessId {
         assert!(i < self.byzantine_initiators);
         ProcessId(self.honest_initiators + i)
     }
 
     /// Process id of honest receiver `i`.
-    pub fn honest_receiver(&self, i: usize) -> ProcessId {
+    pub(crate) fn honest_receiver(&self, i: usize) -> ProcessId {
         assert!(i < self.honest_receivers);
         ProcessId(self.num_initiators() + i)
     }
 
     /// Process id of Byzantine receiver `i`.
-    pub fn byzantine_receiver(&self, i: usize) -> ProcessId {
+    pub(crate) fn byzantine_receiver(&self, i: usize) -> ProcessId {
         assert!(i < self.byzantine_receivers);
         ProcessId(self.num_initiators() + self.honest_receivers + i)
     }
 
-    /// All initiator ids (honest first, then Byzantine).
-    pub fn initiator_ids(&self) -> Vec<ProcessId> {
-        (0..self.num_initiators()).map(ProcessId).collect()
-    }
-
     /// All receiver ids (honest first, then Byzantine).
-    pub fn receiver_ids(&self) -> Vec<ProcessId> {
+    pub(crate) fn receiver_ids(&self) -> Vec<ProcessId> {
         (self.num_initiators()..self.num_processes())
             .map(ProcessId)
             .collect()
     }
 
     /// All honest receiver ids.
-    pub fn honest_receiver_ids(&self) -> Vec<ProcessId> {
+    pub(crate) fn honest_receiver_ids(&self) -> Vec<ProcessId> {
         (0..self.honest_receivers)
             .map(|i| self.honest_receiver(i))
             .collect()
     }
 
     /// All Byzantine receiver ids.
-    pub fn byzantine_receiver_ids(&self) -> Vec<ProcessId> {
+    pub(crate) fn byzantine_receiver_ids(&self) -> Vec<ProcessId> {
         (0..self.byzantine_receivers)
             .map(|i| self.byzantine_receiver(i))
             .collect()
     }
 
     /// The value multicast by honest initiator `i`.
-    pub fn honest_value(&self, i: usize) -> Value {
+    pub(crate) fn honest_value(&self, i: usize) -> Value {
         10 + i as Value
     }
 
     /// The two values a Byzantine initiator `i` equivocates between.
-    pub fn byzantine_values(&self, i: usize) -> (Value, Value) {
+    pub(crate) fn byzantine_values(&self, i: usize) -> (Value, Value) {
         (100 + 2 * i as Value, 101 + 2 * i as Value)
     }
 
     /// The two halves of the honest receivers targeted by the equivocation
     /// attack: the first group receives the first value, the second group
     /// the other.
-    pub fn attack_groups(&self) -> (Vec<ProcessId>, Vec<ProcessId>) {
+    pub(crate) fn attack_groups(&self) -> (Vec<ProcessId>, Vec<ProcessId>) {
         let honest = self.honest_receiver_ids();
         let split = honest.len().div_ceil(2);
         (honest[..split].to_vec(), honest[split..].to_vec())
@@ -373,7 +362,7 @@ impl MulticastState {
     /// # Panics
     ///
     /// Panics if this is a different role.
-    pub fn as_honest_initiator(&self) -> &HonestInitiatorState {
+    pub(crate) fn as_honest_initiator(&self) -> &HonestInitiatorState {
         match self {
             MulticastState::HonestInitiator(s) => s,
             other => panic!("expected an honest initiator, found {other:?}"),
@@ -385,7 +374,7 @@ impl MulticastState {
     /// # Panics
     ///
     /// Panics if this is a different role.
-    pub fn as_byzantine_initiator(&self) -> &ByzantineInitiatorState {
+    pub(crate) fn as_byzantine_initiator(&self) -> &ByzantineInitiatorState {
         match self {
             MulticastState::ByzantineInitiator(s) => s,
             other => panic!("expected a Byzantine initiator, found {other:?}"),
@@ -397,7 +386,7 @@ impl MulticastState {
     /// # Panics
     ///
     /// Panics if this is a different role.
-    pub fn as_honest_receiver(&self) -> &HonestReceiverState {
+    pub(crate) fn as_honest_receiver(&self) -> &HonestReceiverState {
         match self {
             MulticastState::HonestReceiver(s) => s,
             other => panic!("expected an honest receiver, found {other:?}"),
@@ -416,15 +405,15 @@ mod tests {
         assert_eq!(s.num_receivers(), 4);
         assert_eq!(s.tolerated_faults(), 1);
         assert_eq!(s.echo_quorum(), 3);
-        assert!(!s.exceeds_threshold());
+        assert!(s.byzantine_receivers <= s.tolerated_faults());
         // (2,1,0,1): 2 receivers, f = 0, quorum = 2 (all receivers).
         let s = MulticastSetting::new(2, 1, 0, 1);
         assert_eq!(s.echo_quorum(), 2);
-        assert!(!s.exceeds_threshold());
+        assert!(s.byzantine_receivers <= s.tolerated_faults());
         // (2,1,2,1): 4 receivers, f = 1 but 2 actual Byzantine receivers.
         let s = MulticastSetting::new(2, 1, 2, 1);
         assert_eq!(s.echo_quorum(), 3);
-        assert!(s.exceeds_threshold());
+        assert!(s.byzantine_receivers > s.tolerated_faults());
         assert_eq!(s.to_string(), "(2,1,2,1)");
     }
 
@@ -439,7 +428,6 @@ mod tests {
         assert_eq!(s.byzantine_receiver(0), ProcessId(4));
         assert_eq!(s.byzantine_receiver(1), ProcessId(5));
         assert_eq!(s.receiver_ids().len(), 4);
-        assert_eq!(s.initiator_ids().len(), 2);
     }
 
     #[test]

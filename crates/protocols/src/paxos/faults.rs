@@ -16,13 +16,13 @@ use super::types::{PaxosMessage, PaxosSetting, PaxosState, PaxosVariant};
 /// The offset added to corrupted Paxos values. Proposed values are small
 /// (`i + 1` per proposer), so any corrupted value is recognisably
 /// unproposed and trips the validity half of the consensus property.
-pub const CORRUPT_VALUE_OFFSET: u8 = 100;
+pub(crate) const CORRUPT_VALUE_OFFSET: u8 = 100;
 
 /// The default Byzantine mutation for Paxos: shift the value carried by a
 /// `WRITE` or `ACCEPT` message out of the proposed range, leaving the
 /// ballot untouched. `READ`/`READ_REPL` messages are not corrupted — the
 /// interesting lies are about values.
-pub fn value_mutator() -> Mutator<PaxosMessage> {
+pub(crate) fn value_mutator() -> Mutator<PaxosMessage> {
     std::sync::Arc::new(|env: &Envelope<PaxosMessage>| match &env.payload {
         PaxosMessage::Write { ballot, value } => vec![PaxosMessage::Write {
             ballot: *ballot,
@@ -37,7 +37,7 @@ pub fn value_mutator() -> Mutator<PaxosMessage> {
 }
 
 /// The quorum-transition Paxos model wrapped with a fault budget. The
-/// corruption class uses [`value_mutator`].
+/// corruption class uses `value_mutator`.
 pub fn faulty_quorum_model(
     setting: PaxosSetting,
     variant: PaxosVariant,

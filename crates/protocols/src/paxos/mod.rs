@@ -34,7 +34,7 @@ mod types;
 
 pub use faults::{
     faulty_accepted_leads_to_learned, faulty_consensus_property, faulty_quorum_model,
-    faulty_termination_property, value_mutator, CORRUPT_VALUE_OFFSET,
+    faulty_termination_property,
 };
 pub use model::{quorum_model, quorum_model_with_acceptor_values};
 
@@ -53,9 +53,7 @@ pub fn symmetry_roles(setting: PaxosSetting) -> mp_symmetry::RoleMap {
         .role(setting.acceptor_ids())
         .role(setting.learner_ids())
 }
-pub use properties::{
-    accepted_leads_to_learned, consensus_property, termination_property, values_learned,
-};
+pub use properties::{accepted_leads_to_learned, consensus_property, termination_property};
 pub use single::single_message_model;
 pub use types::{
     AcceptorState, LearnerState, PaxosMessage, PaxosSetting, PaxosState, PaxosVariant,

@@ -9,7 +9,7 @@ use mp_model::GlobalState;
 use super::types::{PaxosMessage, PaxosSetting, PaxosState, Value};
 
 /// Returns the set of values learned by any learner in `state`.
-pub fn values_learned(
+pub(crate) fn values_learned(
     setting: PaxosSetting,
     state: &GlobalState<PaxosState, PaxosMessage>,
 ) -> BTreeSet<Value> {

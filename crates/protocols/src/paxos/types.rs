@@ -8,7 +8,7 @@ use mp_model::{combine, plain_signature, Kind, Message, Permutable, Permutation,
 /// Ballot numbers; proposer `i` always uses ballot `i + 1`, so one ballot per
 /// proposer keeps the model finite (the standard protocol-level abstraction
 /// for single-decree Paxos).
-pub type Ballot = u8;
+pub(crate) type Ballot = u8;
 
 /// Proposed values; proposer `i` proposes value `i + 1`.
 pub type Value = u8;
@@ -57,45 +57,40 @@ impl PaxosSetting {
     }
 
     /// Process id of proposer `i`.
-    pub fn proposer(&self, i: usize) -> ProcessId {
+    pub(crate) fn proposer(&self, i: usize) -> ProcessId {
         assert!(i < self.proposers);
         ProcessId(i)
     }
 
     /// Process id of acceptor `i`.
-    pub fn acceptor(&self, i: usize) -> ProcessId {
+    pub(crate) fn acceptor(&self, i: usize) -> ProcessId {
         assert!(i < self.acceptors);
         ProcessId(self.proposers + i)
     }
 
     /// Process id of learner `i`.
-    pub fn learner(&self, i: usize) -> ProcessId {
+    pub(crate) fn learner(&self, i: usize) -> ProcessId {
         assert!(i < self.learners);
         ProcessId(self.proposers + self.acceptors + i)
     }
 
-    /// All proposer ids.
-    pub fn proposer_ids(&self) -> Vec<ProcessId> {
-        (0..self.proposers).map(|i| self.proposer(i)).collect()
-    }
-
     /// All acceptor ids.
-    pub fn acceptor_ids(&self) -> Vec<ProcessId> {
+    pub(crate) fn acceptor_ids(&self) -> Vec<ProcessId> {
         (0..self.acceptors).map(|i| self.acceptor(i)).collect()
     }
 
     /// All learner ids.
-    pub fn learner_ids(&self) -> Vec<ProcessId> {
+    pub(crate) fn learner_ids(&self) -> Vec<ProcessId> {
         (0..self.learners).map(|i| self.learner(i)).collect()
     }
 
     /// The ballot used by proposer `i`.
-    pub fn ballot_of(&self, i: usize) -> Ballot {
+    pub(crate) fn ballot_of(&self, i: usize) -> Ballot {
         (i + 1) as Ballot
     }
 
     /// The value proposed by proposer `i`.
-    pub fn value_of(&self, i: usize) -> Value {
+    pub(crate) fn value_of(&self, i: usize) -> Value {
         (i + 1) as Value
     }
 }
@@ -288,7 +283,7 @@ impl PaxosState {
     /// # Panics
     ///
     /// Panics if this is not a proposer.
-    pub fn as_proposer(&self) -> &ProposerState {
+    pub(crate) fn as_proposer(&self) -> &ProposerState {
         match self {
             PaxosState::Proposer(p) => p,
             other => panic!("expected a proposer state, found {other:?}"),
@@ -300,7 +295,7 @@ impl PaxosState {
     /// # Panics
     ///
     /// Panics if this is not an acceptor.
-    pub fn as_acceptor(&self) -> &AcceptorState {
+    pub(crate) fn as_acceptor(&self) -> &AcceptorState {
         match self {
             PaxosState::Acceptor(a) => a,
             other => panic!("expected an acceptor state, found {other:?}"),
@@ -312,7 +307,7 @@ impl PaxosState {
     /// # Panics
     ///
     /// Panics if this is not a learner.
-    pub fn as_learner(&self) -> &LearnerState {
+    pub(crate) fn as_learner(&self) -> &LearnerState {
         match self {
             PaxosState::Learner(l) => l,
             other => panic!("expected a learner state, found {other:?}"),

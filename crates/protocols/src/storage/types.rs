@@ -7,7 +7,7 @@ use mp_model::{combine, plain_signature, Kind, Message, Permutable, Permutation,
 
 /// Timestamps of write operations (write `k` has timestamp `k`, the initial
 /// value has timestamp 0).
-pub type Timestamp = u8;
+pub(crate) type Timestamp = u8;
 
 /// Stored values; write `k` writes value `k`.
 pub type Value = u8;
@@ -42,7 +42,7 @@ impl StorageSetting {
     /// # Panics
     ///
     /// Panics if there are no base objects, no readers, or no writes.
-    pub fn with_writes(base_objects: usize, readers: usize, writes: usize) -> Self {
+    pub(crate) fn with_writes(base_objects: usize, readers: usize, writes: usize) -> Self {
         assert!(
             base_objects > 0 && readers > 0 && writes > 0,
             "a storage setting needs base objects, readers and at least one write"
@@ -66,36 +66,36 @@ impl StorageSetting {
     }
 
     /// The writer's process id.
-    pub fn writer(&self) -> ProcessId {
+    pub(crate) fn writer(&self) -> ProcessId {
         ProcessId(0)
     }
 
     /// Process id of base object `i`.
-    pub fn base_object(&self, i: usize) -> ProcessId {
+    pub(crate) fn base_object(&self, i: usize) -> ProcessId {
         assert!(i < self.base_objects);
         ProcessId(1 + i)
     }
 
     /// Process id of reader `i`.
-    pub fn reader(&self, i: usize) -> ProcessId {
+    pub(crate) fn reader(&self, i: usize) -> ProcessId {
         assert!(i < self.readers);
         ProcessId(1 + self.base_objects + i)
     }
 
     /// All base object ids.
-    pub fn base_object_ids(&self) -> Vec<ProcessId> {
+    pub(crate) fn base_object_ids(&self) -> Vec<ProcessId> {
         (0..self.base_objects)
             .map(|i| self.base_object(i))
             .collect()
     }
 
     /// All reader ids.
-    pub fn reader_ids(&self) -> Vec<ProcessId> {
+    pub(crate) fn reader_ids(&self) -> Vec<ProcessId> {
         (0..self.readers).map(|i| self.reader(i)).collect()
     }
 
     /// Returns the reader index of a process id, if it is a reader.
-    pub fn reader_index(&self, process: ProcessId) -> Option<usize> {
+    pub(crate) fn reader_index(&self, process: ProcessId) -> Option<usize> {
         let first = 1 + self.base_objects;
         if process.index() >= first && process.index() < first + self.readers {
             Some(process.index() - first)
@@ -274,7 +274,7 @@ impl StorageState {
     /// # Panics
     ///
     /// Panics if this is a different role.
-    pub fn as_writer(&self) -> &WriterState {
+    pub(crate) fn as_writer(&self) -> &WriterState {
         match self {
             StorageState::Writer(w) => w,
             other => panic!("expected the writer, found {other:?}"),
@@ -286,7 +286,7 @@ impl StorageState {
     /// # Panics
     ///
     /// Panics if this is a different role.
-    pub fn as_base_object(&self) -> &BaseObjectState {
+    pub(crate) fn as_base_object(&self) -> &BaseObjectState {
         match self {
             StorageState::BaseObject(b) => b,
             other => panic!("expected a base object, found {other:?}"),
@@ -298,7 +298,7 @@ impl StorageState {
     /// # Panics
     ///
     /// Panics if this is a different role.
-    pub fn as_reader(&self) -> &ReaderState {
+    pub(crate) fn as_reader(&self) -> &ReaderState {
         match self {
             StorageState::Reader(r) => r,
             other => panic!("expected a reader, found {other:?}"),

@@ -84,12 +84,12 @@ impl CollectSetting {
     }
 
     /// Process id of collector `i`.
-    pub fn collector(&self, i: usize) -> ProcessId {
+    pub(crate) fn collector(&self, i: usize) -> ProcessId {
         ProcessId(i)
     }
 
     /// Process id of voter `i`.
-    pub fn voter(&self, i: usize) -> ProcessId {
+    pub(crate) fn voter(&self, i: usize) -> ProcessId {
         ProcessId(self.collectors + i)
     }
 }

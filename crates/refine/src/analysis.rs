@@ -50,7 +50,7 @@ pub fn candidate_senders<S: LocalState, M: Message>(
 
 /// Returns `true` if transition `t` may send a message of `kind` to
 /// `recipient`, interpreting missing annotations conservatively.
-pub fn may_send_kind_to<S: LocalState, M: Message>(
+pub(crate) fn may_send_kind_to<S: LocalState, M: Message>(
     t: &TransitionSpec<S, M>,
     kind: Kind,
     recipient: ProcessId,
@@ -71,7 +71,7 @@ pub fn may_send_kind_to<S: LocalState, M: Message>(
 /// Returns `true` if `t` is a single-message reply transition in the sense
 /// of Definition 4, detectable from its annotations: it consumes exactly one
 /// message and only sends to the senders of its input.
-pub fn is_reply_transition<S: LocalState, M: Message>(t: &TransitionSpec<S, M>) -> bool {
+pub(crate) fn is_reply_transition<S: LocalState, M: Message>(t: &TransitionSpec<S, M>) -> bool {
     t.annotations().is_reply
         && matches!(
             t.annotations().recipients,

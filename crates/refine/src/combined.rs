@@ -12,7 +12,7 @@ use crate::{quorum_split_all, reply_split_all};
 
 /// Applies reply-split to every reply transition and quorum-split to every
 /// other exact quorum transition.
-pub fn combined_split<S: LocalState, M: Message>(
+pub(crate) fn combined_split<S: LocalState, M: Message>(
     spec: &ProtocolSpec<S, M>,
 ) -> Result<ProtocolSpec<S, M>, ModelError> {
     let replies = reply_split_all(spec)?;

@@ -6,13 +6,13 @@
 //! the state space (Theorem 1 guarantees that any POR-preserved property is
 //! unaffected). The paper introduces two strategies, both implemented here:
 //!
-//! * [`quorum_split_all`] / [`quorum_split_transition`] — replace an exact
+//! * [`quorum_split_all`] / `quorum_split_transition` — replace an exact
 //!   quorum transition by one copy per possible quorum of senders
 //!   (Section III-C, Definition 3);
-//! * [`reply_split_all`] / [`reply_split_transition`] — the same split for
+//! * `reply_split_all` / `reply_split_transition` — the same split for
 //!   *reply transitions* (Definition 4), which additionally restricts whom
 //!   the split copies can enable (Section III-D);
-//! * [`combined_split`] — both, corresponding to the "combined-split" column
+//! * `combined_split` — both, corresponding to the "combined-split" column
 //!   of Table II. [`SplitStrategy`] enumerates all four table columns for
 //!   the experiment harness.
 //!
@@ -64,14 +64,15 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod analysis;
-pub mod combined;
-pub mod quorum_split;
-pub mod reply_split;
+mod analysis;
+mod combined;
+mod quorum_split;
+mod reply_split;
 pub mod validate;
 
-pub use analysis::{candidate_senders, is_reply_transition, may_send_kind_to};
-pub use combined::{combined_split, SplitStrategy};
-pub use quorum_split::{exact_quorum_size, quorum_split_all, quorum_split_transition};
-pub use reply_split::{reply_split_all, reply_split_transition};
+pub use analysis::candidate_senders;
+pub(crate) use analysis::is_reply_transition;
+pub use combined::SplitStrategy;
+pub use quorum_split::{exact_quorum_size, quorum_split_all};
+pub(crate) use reply_split::reply_split_all;
 pub use validate::{assert_refinement, check_refinement, RefinementCheck};

@@ -23,7 +23,7 @@ use crate::candidate_senders;
 ///
 /// Returns an error if no transition has that name, the transition is not an
 /// exact quorum transition, or the resulting protocol fails validation.
-pub fn quorum_split_transition<S: LocalState, M: Message>(
+pub(crate) fn quorum_split_transition<S: LocalState, M: Message>(
     spec: &ProtocolSpec<S, M>,
     transition_name: &str,
 ) -> Result<ProtocolSpec<S, M>, ModelError> {
@@ -107,7 +107,10 @@ pub fn exact_quorum_size<S: LocalState, M: Message>(t: &TransitionSpec<S, M>) ->
 }
 
 /// Enumerates all subsets of `items` with exactly `size` elements.
-pub fn subsets_of_size(items: &BTreeSet<ProcessId>, size: usize) -> Vec<BTreeSet<ProcessId>> {
+pub(crate) fn subsets_of_size(
+    items: &BTreeSet<ProcessId>,
+    size: usize,
+) -> Vec<BTreeSet<ProcessId>> {
     let items: Vec<ProcessId> = items.iter().copied().collect();
     let mut out = Vec::new();
     let mut current = Vec::new();

@@ -22,7 +22,7 @@ use crate::{
 /// Returns an error if no transition has that name, the transition is not a
 /// reply transition with an exact quorum size, or the resulting protocol
 /// fails validation.
-pub fn reply_split_transition<S: LocalState, M: Message>(
+pub(crate) fn reply_split_transition<S: LocalState, M: Message>(
     spec: &ProtocolSpec<S, M>,
     transition_name: &str,
 ) -> Result<ProtocolSpec<S, M>, ModelError> {
@@ -72,7 +72,7 @@ pub fn reply_split_transition<S: LocalState, M: Message>(
 
 /// Splits every unrestricted reply transition of the protocol that has more
 /// than one candidate partner — the paper's "reply-split" table column.
-pub fn reply_split_all<S: LocalState, M: Message>(
+pub(crate) fn reply_split_all<S: LocalState, M: Message>(
     spec: &ProtocolSpec<S, M>,
 ) -> Result<ProtocolSpec<S, M>, ModelError> {
     let targets: Vec<String> = spec

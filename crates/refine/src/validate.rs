@@ -77,7 +77,8 @@ pub fn assert_refinement<S: LocalState, M: Message>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{combined_split, quorum_split_all, reply_split_all};
+    use crate::combined::combined_split;
+    use crate::{quorum_split_all, reply_split_all};
     use mp_model::{Kind, Outcome, ProcessId, QuorumSpec, TransitionSpec};
 
     #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]

@@ -52,17 +52,8 @@ pub(crate) fn birthday_bound(entries: usize, bits: u32) -> f64 {
 
 impl StoreStats {
     /// Total number of membership queries answered.
-    pub fn queries(&self) -> usize {
+    pub(crate) fn queries(&self) -> usize {
         self.hits + self.misses
-    }
-
-    /// Fraction of queries that were hits (0 if no queries were made).
-    pub fn hit_rate(&self) -> f64 {
-        if self.queries() == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.queries() as f64
-        }
     }
 }
 
@@ -194,9 +185,7 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(s.queries(), 12);
-        assert!((s.hit_rate() - 0.25).abs() < 1e-12);
         assert!(s.to_string().contains("10 entries"));
-        assert_eq!(StoreStats::default().hit_rate(), 0.0);
     }
 
     #[test]

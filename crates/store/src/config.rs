@@ -4,10 +4,11 @@ use std::fmt;
 
 use mp_model::Encode;
 
-use crate::{ByteStore, Inserted, RunStore, StateStoreBackend, StoreStats, DEFAULT_RUN_WATERMARK};
+use crate::runstore::DEFAULT_RUN_WATERMARK;
+use crate::{ByteStore, Inserted, RunStore, StateStoreBackend, StoreStats};
 
 /// Default stripe count of the sharded backends.
-pub const DEFAULT_SHARDS: usize = 64;
+pub(crate) const DEFAULT_SHARDS: usize = 64;
 
 /// Which visited-state backend a run should use.
 ///

@@ -43,7 +43,7 @@ use crate::files::{RunDir, SpillFile};
 /// Default in-memory watermark of the disk frontier: bytes of a level's
 /// records buffered before they are spilled, and the size of a read-back
 /// chunk.
-pub const DEFAULT_FRONTIER_WATERMARK: usize = 32 << 20;
+pub(crate) const DEFAULT_FRONTIER_WATERMARK: usize = 32 << 20;
 
 /// Where the BFS frontier may keep its records.
 ///

@@ -139,19 +139,19 @@ pub use backend::{canonical_label, Inserted, StateStoreBackend, StoreStats};
 pub use checkpoint::{
     manifest_exists, CheckpointConfig, CheckpointError, FileMeta, Manifest, CHECKPOINT_VERSION,
 };
-pub use config::{StoreConfig, StoreImpl, DEFAULT_SHARDS};
+pub use config::{StoreConfig, StoreImpl};
 pub use frontier::{
     Frontier, FrontierBackend, FrontierConfig, FrontierStats, ItemCodec, PlainCodec,
-    DEFAULT_FRONTIER_WATERMARK,
 };
 pub use hash::hash_bytes;
 pub use parent_log::{ParentLog, ParentRecord};
-pub use runstore::{RunStore, DEFAULT_RUN_WATERMARK};
+pub use runstore::RunStore;
 pub use table::ByteStore;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DEFAULT_SHARDS;
 
     /// A deterministic pseudo-random key stream (SplitMix64).
     fn keys(n: usize, seed: u64) -> Vec<u64> {

@@ -58,7 +58,7 @@ pub struct ParentLog {
 
 impl ParentLog {
     /// Bytes per record (one little-endian `u64`).
-    pub const WIDTH: usize = 8;
+    pub(crate) const WIDTH: usize = 8;
 
     /// Creates a log that spills past `watermark` bytes of records — the
     /// frontier's (`FrontierConfig::watermark`), so an in-memory frontier's

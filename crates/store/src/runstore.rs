@@ -57,7 +57,7 @@ use crate::hash::{hash_bytes, K0};
 
 /// Default run-flush watermark: fingerprints buffered in RAM before a
 /// sorted run is written out (a table of 2 Mi slots, 16 MiB of buffer).
-pub const DEFAULT_RUN_WATERMARK: usize = 1 << 20;
+pub(crate) const DEFAULT_RUN_WATERMARK: usize = 1 << 20;
 
 /// Fingerprints per encoded block of a sorted run. One block is the unit
 /// of disk read on a lookup and the granularity of the in-memory block

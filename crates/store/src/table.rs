@@ -174,7 +174,7 @@ pub struct ByteStore<K> {
 
 impl<K: Encode> ByteStore<K> {
     /// The single-shard table, reported as `"exact"`.
-    pub fn exact() -> Self {
+    pub(crate) fn exact() -> Self {
         Self::with_hash(1, "exact", hash_bytes)
     }
 

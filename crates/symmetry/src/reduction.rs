@@ -196,11 +196,6 @@ where
             _marker: PhantomData,
         }
     }
-
-    /// The underlying group.
-    pub fn group(&self) -> &SymmetryGroup<S, M> {
-        &self.group
-    }
 }
 
 impl<S, M, O> OrbitReduction<S, M, O>
@@ -694,10 +689,10 @@ pub(crate) mod tests {
         let sym: &dyn Symmetry<u8, Note, ()> = &reduction;
         let mut asymmetric = spec.initial_state();
         asymmetric.locals = vec![2, 0];
-        assert_eq!(reference(reduction.group(), &asymmetric, &()).1, 2);
+        assert_eq!(reference(&reduction.group, &asymmetric, &()).1, 2);
         // The all-equal state is fixed by the swap: a singleton orbit.
         let symmetric = spec.initial_state();
-        assert_eq!(reference(reduction.group(), &symmetric, &()).1, 1);
+        assert_eq!(reference(&reduction.group, &symmetric, &()).1, 1);
 
         let tracer = Tracer::to_writer(false, Box::new(SharedBuffer::new()));
         let run = tracer.begin_run("twins", "test", "p");
@@ -760,7 +755,7 @@ pub(crate) mod tests {
         let mut theirs = std::collections::BTreeMap::new();
         for (state, observer) in inputs {
             let mine = assert_canonical(reduction, state, observer);
-            let (reference, _) = reference(reduction.group(), state, observer);
+            let (reference, _) = reference(&reduction.group, state, observer);
             let paired = ours
                 .entry(mine.clone())
                 .or_insert_with(|| reference.clone());
@@ -783,7 +778,7 @@ pub(crate) mod tests {
         M: Message + Permutable,
         O: Permutable + Ord + Clone + Encode + Send + Sync + std::fmt::Debug + 'static,
     {
-        let group = reduction.group();
+        let group = &reduction.group;
         let winner = reduction.canonical(state, observer);
         let stabilizer = winner.stabilizer;
         let (representative, image, elem) = reduction.canonicalize(state, observer);
@@ -883,7 +878,7 @@ pub(crate) mod tests {
         let spec = counters(&[0, 0, 0]);
         let reduction: OrbitReduction<u8, Note, ()> =
             OrbitReduction::new(SymmetryGroup::build(&spec, &role_over_all(3)));
-        assert_eq!(reduction.group().order(), 6);
+        assert_eq!(reduction.group.order(), 6);
         // Equal locals: only the channels tell the members apart.
         let mut state = spec.initial_state();
         state.channels.send(p(2), p(0), Note::From(p(2)));
@@ -1008,7 +1003,7 @@ pub(crate) mod tests {
         // Locals that differ, and nothing else: every ordering is tried.
         let mut state = spec.initial_state();
         state.locals = vec![Level(2), Level(0), Level(1)];
-        assert_eq!(candidates(reduction.group(), &state), 6);
+        assert_eq!(candidates(&reduction.group, &state), 6);
         assert_canonical(&reduction, &state, &None);
         let mut rng = 31;
         for _ in 0..1000 {
@@ -1035,7 +1030,7 @@ pub(crate) mod tests {
         let spec = counters(&[0, 0, 1]);
         let reduction: OrbitReduction<u8, Note, ()> =
             OrbitReduction::new(SymmetryGroup::build(&spec, &role_over_all(3)));
-        assert_eq!(reduction.group().order(), 2);
+        assert_eq!(reduction.group.order(), 2);
         let graph = mp_model::StateGraph::build(&spec, 1000).unwrap();
         let inputs: Vec<_> = (0..graph.num_states())
             .map(|i| (graph.state(i).clone(), ()))
@@ -1048,13 +1043,13 @@ pub(crate) mod tests {
         let spec = counters(&[0; 9]);
         let reduction: OrbitReduction<u8, Note, ()> =
             OrbitReduction::new(SymmetryGroup::build(&spec, &role_over_all(9)));
-        assert_eq!(reduction.group().order(), 362_880);
+        assert_eq!(reduction.group.order(), 362_880);
         // Distinct locals have distinct signatures: one candidate, a
         // trivial stabilizer, and every image sorts back to it.
         let mut state = spec.initial_state();
         state.locals = vec![4, 7, 0, 8, 2, 5, 1, 6, 3];
         state.channels.send(p(3), p(5), Note::From(p(3)));
-        assert_eq!(candidates(reduction.group(), &state), 1);
+        assert_eq!(candidates(&reduction.group, &state), 1);
         let (representative, (), elem) = reduction.canonicalize(&state, &());
         assert_eq!(reduction.canonical(&state, &()).stabilizer, 1);
         assert_eq!(reduction.apply_element(elem, &state, &()).0, representative);
@@ -1110,7 +1105,7 @@ pub(crate) mod tests {
                 // and with it the counts, are the same whichever member the
                 // canonical form picks; they match the reference walk
                 // exactly when the two forms partition the successors alike.
-                let (least, _) = reference(reduction.group(), &post, &observed);
+                let (least, _) = reference(&reduction.group, &post, &observed);
                 locals.extend(post.locals.iter().cloned());
                 messages.extend(post.channels.iter().map(|(_, payload, _)| payload.clone()));
                 if seen.insert(representative) {
@@ -1118,8 +1113,8 @@ pub(crate) mod tests {
                 }
             }
         }
-        for e in 0..reduction.group().order() {
-            let perm = &reduction.group().permutation(e);
+        for e in 0..reduction.group.order() {
+            let perm = &reduction.group.permutation(e);
             for local in &locals {
                 assert_eq!(
                     local.permute(perm).signature(),
@@ -1135,7 +1130,7 @@ pub(crate) mod tests {
                 );
             }
         }
-        (reduction.group().order(), seen.len(), checked)
+        (reduction.group.order(), seen.len(), checked)
     }
 
     #[test]

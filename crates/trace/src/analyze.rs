@@ -262,7 +262,7 @@ impl fmt::Display for StreamError {
 }
 
 /// Folds a whole NDJSON stream into one [`RunSummary`] per completed run,
-/// in stream order. Every line must pass [`validate_line`], and every run
+/// in stream order. Every line must pass `validate_line`, and every run
 /// must read `run_header → (progress | level_summary | resume)* →
 /// phase_summary → verdict` with at least one `progress` event; runs are
 /// sequential, so no event stands outside a run. A run that ended in the

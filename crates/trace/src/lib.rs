@@ -56,10 +56,7 @@ mod phase;
 mod tracer;
 pub mod validate;
 
-pub use metrics::{
-    bucket_index, bucket_lower_bound, Counter, Gauge, Histogram, HistogramSummary, Snapshot,
-    BUCKETS, COUNTER_COUNT, GAUGE_COUNT, HISTOGRAM_COUNT,
-};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, Snapshot};
 pub use phase::{Phase, PhaseTimes, PHASE_COUNT};
 pub use tracer::{
     LevelSummary, RunTrace, SharedBuffer, SpanGuard, TraceHandle, TraceOptions, Tracer,

@@ -27,7 +27,7 @@ pub enum Counter {
 }
 
 /// Number of counters in [`Counter::ALL`].
-pub const COUNTER_COUNT: usize = 5;
+pub(crate) const COUNTER_COUNT: usize = 5;
 
 impl Counter {
     /// Every counter, in emission order.
@@ -77,7 +77,7 @@ pub enum Histogram {
 }
 
 /// Number of histograms in [`Histogram::ALL`].
-pub const HISTOGRAM_COUNT: usize = 5;
+pub(crate) const HISTOGRAM_COUNT: usize = 5;
 
 impl Histogram {
     /// Every histogram, in emission order.
@@ -143,7 +143,7 @@ pub enum Gauge {
 }
 
 /// Number of gauges in [`Gauge::ALL`].
-pub const GAUGE_COUNT: usize = 5;
+pub(crate) const GAUGE_COUNT: usize = 5;
 
 impl Gauge {
     /// Every gauge, in emission order.
@@ -180,10 +180,10 @@ impl Gauge {
 /// Number of log₂ buckets per histogram: bucket 0 holds the value 0,
 /// bucket `i ≥ 1` holds values in `[2^(i-1), 2^i)`, and the last bucket
 /// absorbs everything above.
-pub const BUCKETS: usize = 33;
+pub(crate) const BUCKETS: usize = 33;
 
 /// Maps a value to its log₂ bucket.
-pub fn bucket_index(value: u64) -> usize {
+pub(crate) fn bucket_index(value: u64) -> usize {
     if value == 0 {
         0
     } else {
@@ -193,7 +193,7 @@ pub fn bucket_index(value: u64) -> usize {
 
 /// Smallest value that lands in bucket `index` (the label the summary
 /// string uses).
-pub fn bucket_lower_bound(index: usize) -> u64 {
+pub(crate) fn bucket_lower_bound(index: usize) -> u64 {
     if index == 0 {
         0
     } else {
@@ -226,18 +226,9 @@ impl Default for HistogramSummary {
 }
 
 impl HistogramSummary {
-    /// Mean of the recorded values (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// Compact `lower_bound:count` rendering of the non-empty buckets
     /// (e.g. `"1:3,2:5,4:1"`), used in the NDJSON `<name>_buckets` field.
-    pub fn buckets_compact(&self) -> String {
+    pub(crate) fn buckets_compact(&self) -> String {
         let mut out = String::new();
         for (i, n) in self.buckets.iter().enumerate() {
             if *n == 0 {
@@ -396,7 +387,6 @@ mod tests {
         assert_eq!(h.buckets[2], 2);
         assert_eq!(h.buckets[4], 1);
         assert_eq!(h.buckets_compact(), "0:1,1:1,2:2,8:1");
-        assert!((h.mean() - 2.8).abs() < 1e-9);
     }
 
     #[test]

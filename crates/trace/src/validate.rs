@@ -3,7 +3,7 @@
 //! The emitter writes *flat* objects only (string / integer / boolean
 //! values, no nesting). [`parse_flat_object`] reads exactly that shape plus
 //! decimal numbers, which the bench rows of `mp-harness` use, and rejects
-//! everything else. [`validate_line`] checks one event against the schema
+//! everything else. `validate_line` checks one event against the schema
 //! and refuses decimals; the per-run event order is enforced by the one
 //! pass over a stream, [`analyze_stream`](crate::analyze::analyze_stream).
 
@@ -41,7 +41,7 @@ impl Value {
 
 /// The event class of a validated line.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EventKind {
+pub(crate) enum EventKind {
     /// Run start: protocol, strategy, property, schema version.
     RunHeader,
     /// Periodic or final progress sample.
@@ -218,7 +218,7 @@ fn require_bool(fields: &HashMap<String, Value>, event: &str, key: &str) -> Resu
 
 /// Validates one NDJSON line against the event schema and returns its
 /// event kind plus parsed fields.
-pub fn validate_line(line: &str) -> Result<(EventKind, HashMap<String, Value>), String> {
+pub(crate) fn validate_line(line: &str) -> Result<(EventKind, HashMap<String, Value>), String> {
     let fields = parse_flat_object(line)?;
     if let Some(key) = fields
         .keys()

@@ -4,10 +4,9 @@
 
 use mp_basset::harness::scaling::collect_sweep;
 use mp_basset::harness::{
-    debugging::debugging_experiments, heuristics::heuristic_comparison, render_csv, render_table,
-    table1::table_i, table2::table_ii, Budget,
+    debugging::debugging_experiments, render_csv, render_table, table1::table_i, table2::table_ii,
+    Budget,
 };
-use mp_basset::protocols::paxos::PaxosSetting;
 
 #[test]
 fn table_i_quorum_models_beat_single_message_models() {
@@ -93,10 +92,4 @@ fn debugging_experiments_find_all_bugs() {
         rows.iter().all(|r| r.verdict.starts_with("CE")),
         "{rows:#?}"
     );
-}
-
-#[test]
-fn seed_heuristics_all_verify() {
-    let rows = heuristic_comparison(PaxosSetting::new(1, 3, 1), &Budget::default());
-    assert!(rows.iter().all(|r| r.verdict == "verified"));
 }
