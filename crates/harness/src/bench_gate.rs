@@ -26,7 +26,7 @@ use std::time::Duration;
 
 use mp_trace::analyze::{diff as trace_diff, RunSummary};
 use mp_trace::validate::{parse_flat_object, Value};
-use mp_trace::{Phase, PhaseTimes};
+use mp_trace::Phase;
 
 use crate::fault_sweep::verdict_class;
 use crate::trace_report::{pair_runs, run_label};
@@ -72,6 +72,12 @@ impl From<&str> for JsonValue {
     }
 }
 
+impl From<String> for JsonValue {
+    fn from(s: String) -> Self {
+        JsonValue::Str(s)
+    }
+}
+
 impl From<usize> for JsonValue {
     fn from(n: usize) -> Self {
         JsonValue::Num(n as f64)
@@ -100,21 +106,6 @@ pub(crate) fn row<const N: usize>(fields: [(&str, JsonValue); N]) -> Row {
         .into_iter()
         .map(|(k, v)| (k.to_string(), v))
         .collect()
-}
-
-/// Adds a run's phase breakdown as one `phase_<name>_us` field per phase —
-/// or nothing when the run was untraced, since a disabled tracer reports
-/// all-zero phase times.
-pub(crate) fn insert_phases(row: &mut Row, phases: &PhaseTimes) {
-    if phases.is_zero() {
-        return;
-    }
-    for (phase, time) in phases.iter() {
-        row.insert(
-            format!("phase_{}_us", phase.name()),
-            JsonValue::Num(time.as_micros() as f64),
-        );
-    }
 }
 
 /// Renders rows as a `BENCH_*.json` array, one flat object per line —
@@ -508,6 +499,16 @@ mod tests {
                 "BENCH_quorum_scaling",
                 include_str!("../../../BENCH_quorum_scaling.json"),
                 14,
+            ),
+            (
+                "BENCH_table_i",
+                include_str!("../../../BENCH_table_i.json"),
+                21,
+            ),
+            (
+                "BENCH_table_ii",
+                include_str!("../../../BENCH_table_ii.json"),
+                28,
             ),
         ];
         for (label, text, count) in files {

@@ -17,8 +17,9 @@ use mp_protocols::storage::{
     quorum_model as storage_quorum, wrong_regularity_property, RegularityObserver, StorageSetting,
 };
 
-use crate::report::short_verdict;
-use crate::{Budget, Measurement};
+use crate::bench_gate::Row;
+use crate::report::{contradicted, run_row, short_verdict, Outcome};
+use crate::Budget;
 
 fn measure<S, M, O>(
     protocol: &str,
@@ -28,7 +29,7 @@ fn measure<S, M, O>(
     observer: O,
     spor: bool,
     budget: &Budget,
-) -> Measurement
+) -> Row
 where
     S: mp_model::LocalState,
     M: mp_model::Message,
@@ -47,14 +48,12 @@ where
     } else {
         "unreduced (BFS)"
     };
-    let mut m = Measurement::of(protocol, property, strategy.to_string(), verdict, &report);
-    m.as_expected = report.verdict.is_violated() || !m.completed;
-    m
+    run_row(protocol, property, strategy, &verdict, &report)
 }
 
-/// Runs the bug-finding experiments on the three faulty targets and returns
-/// one measurement per (target, strategy).
-pub fn debugging_experiments(budget: &Budget) -> Vec<Measurement> {
+/// Runs the bug-finding experiments on the three faulty targets: one row
+/// per (target, strategy), and one line per target that verified.
+pub fn debugging_experiments(budget: &Budget) -> Outcome {
     let mut rows = Vec::new();
 
     let paxos_setting = PaxosSetting::new(2, 3, 1);
@@ -99,31 +98,36 @@ pub fn debugging_experiments(budget: &Budget) -> Vec<Measurement> {
         ));
     }
 
-    rows
+    let failures = rows.iter().filter_map(|r| contradicted(r, true)).collect();
+    (rows, failures)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{num, text};
 
     #[test]
     fn every_faulty_target_yields_a_counterexample_quickly() {
-        let rows = debugging_experiments(&Budget::default());
+        let (rows, failures) = debugging_experiments(&Budget::default());
         assert_eq!(rows.len(), 6);
+        assert!(failures.is_empty(), "{failures:?}");
         for row in &rows {
+            let (protocol, verdict) = (text(row, "protocol"), text(row, "verdict"));
             assert!(
-                row.verdict.starts_with("CE"),
-                "{} / {} should produce a counterexample, got {}",
-                row.protocol,
-                row.strategy,
-                row.verdict
+                verdict.starts_with("CE"),
+                "{protocol} / {} should produce a counterexample, got {verdict}",
+                text(row, "strategy"),
             );
             assert!(
-                row.states < 150_000,
-                "bug finding should need few states, {} needed {}",
-                row.protocol,
-                row.states
+                num(row, "states") < 150_000.0,
+                "bug finding should need few states, {protocol} needed {}",
+                num(row, "states")
             );
         }
+        crate::report::tests::assert_baseline_fields(
+            include_str!("../../../BENCH_debugging.json"),
+            &rows,
+        );
     }
 }

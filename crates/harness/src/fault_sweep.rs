@@ -27,8 +27,6 @@
 //!   state-count ratio are recorded per cell, so the orbit-collapse
 //!   trajectory lands in `BENCH_fault_sweep.json` alongside the verdicts).
 
-use std::time::Duration;
-
 use mp_checker::{
     Checker, CheckerConfig, CheckpointConfig, Invariant, NullObserver, Observer, Property,
 };
@@ -50,119 +48,13 @@ use mp_protocols::storage::{
 use mp_store::{FrontierConfig, StoreConfig};
 use mp_symmetry::RoleMap;
 
-use crate::bench_gate::{insert_phases, row, JsonValue, Row};
-use crate::report::omission_note;
+use crate::bench_gate::{row, JsonValue, Row};
+use crate::report::{insert_optional_fields, num, text, Outcome};
 use crate::Budget;
 
-/// One cell of the fault sweep.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FaultCell {
-    /// Protocol and setting, e.g. "Paxos (1,2,1)".
-    pub protocol: String,
-    /// The fault budget label, e.g. "crashes=1,drops=1" or "none".
-    pub budget: String,
-    /// "SPOR" or "unreduced" (both stateful DFS).
-    pub strategy: String,
-    /// Visited-store backend label.
-    pub backend: String,
-    /// Verdict string of the safety (invariant) run.
-    pub verdict: String,
-    /// The safety run's store omission bound (0 for the exact backends);
-    /// the text table prints it beside the verdict.
-    pub omission_probability: f64,
-    /// Verdict string of the liveness (termination) run under the same
-    /// budget and strategy: `"verified"`, or a lasso description such as
-    /// `"fair lasso (4 stem + 0 cycle steps)"`.
-    pub liveness: String,
-    /// States stored by the safety run.
-    pub states: usize,
-    /// Transitions executed.
-    pub transitions: usize,
-    /// Approximate peak bytes held by the visited-state store.
-    pub store_bytes: usize,
-    /// Bytes of visited-set data the store spilled to disk as sorted runs
-    /// (non-zero only for the external-memory `runs` backend).
-    pub store_spilled_bytes: usize,
-    /// Bytes the store wrote while merging its sorted runs at level
-    /// boundaries (non-zero only for the `runs` backend).
-    pub store_merge_bytes: usize,
-    /// Wall-clock time of the run.
-    pub time: Duration,
-    /// Verdict string of the safety run with symmetry reduction on.
-    pub sym_verdict: String,
-    /// Verdict string of the liveness run with symmetry reduction on.
-    pub sym_liveness: String,
-    /// States stored by the symmetric safety run (orbit representatives).
-    pub sym_states: usize,
-    /// Wall-clock time of the symmetric safety run.
-    pub sym_time: Duration,
-    /// Peak frontier bytes of the disk-spilled BFS probe of this cell
-    /// (safety property, `FrontierConfig::disk` at the sweep watermark,
-    /// symmetry off). One probe per (protocol, budget, strategy) group —
-    /// the number is backend-independent, like the liveness column.
-    pub frontier_bytes: usize,
-    /// Peak frontier bytes of the disk-spilled BFS probe with symmetry on:
-    /// the frontier then holds canonical orbit representatives, so this
-    /// shrinks by roughly the orbit collapse.
-    pub sym_frontier_bytes: usize,
-    /// `true` iff the spilled BFS probes (plain and symmetric) reproduced
-    /// the in-memory-frontier verdict class and state count exactly. The
-    /// `fault_sweep` subcommand exits non-zero when any cell disagrees, like
-    /// backend and symmetry disagreement.
-    pub spill_agrees: bool,
-    /// Per-phase wall-clock breakdown of the plain safety run (all zero
-    /// when tracing is disabled). A traced row carries it as flat
-    /// `phase_<name>_us` fields so the CI gate can watch phase shares drift.
-    pub phases: mp_trace::PhaseTimes,
-}
-
-impl FaultCell {
-    /// The cell's `BENCH_fault_sweep.json` fields (phases on traced rows
-    /// only), so external tooling — the CI bench-regression gate included —
-    /// can track the verdict and orbit-collapse trajectory.
-    pub fn row(&self) -> Row {
-        let mut row = row([
-            ("protocol", self.protocol.as_str().into()),
-            ("budget", self.budget.as_str().into()),
-            ("strategy", self.strategy.as_str().into()),
-            ("backend", self.backend.as_str().into()),
-            ("verdict", self.verdict.as_str().into()),
-            ("liveness", self.liveness.as_str().into()),
-            ("states", self.states.into()),
-            ("transitions", self.transitions.into()),
-            ("store_bytes", self.store_bytes.into()),
-            ("store_spilled_bytes", self.store_spilled_bytes.into()),
-            ("store_merge_bytes", self.store_merge_bytes.into()),
-            ("time_ms", JsonValue::millis(self.time)),
-            ("sym_verdict", self.sym_verdict.as_str().into()),
-            ("sym_liveness", self.sym_liveness.as_str().into()),
-            ("sym_states", self.sym_states.into()),
-            ("sym_time_ms", JsonValue::millis(self.sym_time)),
-            ("state_ratio", JsonValue::ratio(self.state_ratio())),
-            ("frontier_bytes", self.frontier_bytes.into()),
-            ("sym_frontier_bytes", self.sym_frontier_bytes.into()),
-            ("frontier_ratio", JsonValue::ratio(self.frontier_ratio())),
-            ("spill_agrees", JsonValue::Bool(self.spill_agrees)),
-        ]);
-        insert_phases(&mut row, &self.phases);
-        row
-    }
-
-    /// Orbit-collapse ratio of the cell: plain states per symmetric state
-    /// (1.0 = no collapse; the Paxos crash cells sit near the group order).
-    pub(crate) fn state_ratio(&self) -> f64 {
-        self.states as f64 / self.sym_states.max(1) as f64
-    }
-
-    /// Frontier-collapse ratio of the cell: plain spilled frontier bytes
-    /// per symmetric spilled frontier bytes. Tracks [`state_ratio`]
-    /// (spilling canonical representatives shrinks the frontier by the
-    /// orbit size, not just the visited set).
-    ///
-    /// [`state_ratio`]: FaultCell::state_ratio
-    pub(crate) fn frontier_ratio(&self) -> f64 {
-        self.frontier_bytes as f64 / self.sym_frontier_bytes.max(1) as f64
-    }
+/// The ratio of two counts, with the denominator floored at 1.
+fn count_ratio(a: usize, b: usize) -> JsonValue {
+    JsonValue::ratio(a as f64 / b.max(1) as f64)
 }
 
 /// Watermark of the sweep's disk-frontier probes: small enough that every
@@ -258,7 +150,7 @@ fn run_cells<S, M, O>(
     liveness: &Property<S, M, NullObserver>,
     observer: O,
     run_budget: &Budget,
-    out: &mut Vec<FaultCell>,
+    out: &mut Vec<Row>,
 ) where
     S: LocalState + Permutable,
     M: Message + Permutable,
@@ -344,29 +236,37 @@ fn run_cells<S, M, O>(
             };
             let report = run(false);
             let sym_report = run(true);
-            out.push(FaultCell {
-                protocol: protocol.to_string(),
-                budget: budget_label.to_string(),
-                strategy: if spor { "SPOR" } else { "unreduced" }.to_string(),
-                backend: store.to_string(),
-                verdict: report.verdict.to_string(),
-                omission_probability: report.stats.store_omission_probability,
-                liveness: liveness_plain.clone(),
-                states: report.stats.states,
-                transitions: report.stats.transitions_executed,
-                store_bytes: report.stats.store_bytes,
-                store_spilled_bytes: report.stats.store_spilled_bytes,
-                store_merge_bytes: report.stats.store_merge_bytes,
-                time: report.stats.elapsed,
-                sym_verdict: sym_report.verdict.to_string(),
-                sym_liveness: liveness_sym.clone(),
-                sym_states: sym_report.stats.states,
-                sym_time: sym_report.stats.elapsed,
-                frontier_bytes,
-                sym_frontier_bytes,
-                spill_agrees,
-                phases: report.stats.phases.clone(),
-            });
+            let (stats, sym_stats) = (&report.stats, &sym_report.stats);
+            // One row per cell: the plain safety run, its symmetric twin,
+            // the group's liveness verdicts and disk-frontier probes.
+            let mut cell = row([
+                ("protocol", protocol.into()),
+                ("budget", budget_label.into()),
+                ("strategy", if spor { "SPOR" } else { "unreduced" }.into()),
+                ("backend", store.to_string().into()),
+                ("verdict", report.verdict.to_string().into()),
+                ("liveness", liveness_plain.as_str().into()),
+                ("states", stats.states.into()),
+                ("transitions", stats.transitions_executed.into()),
+                ("store_bytes", stats.store_bytes.into()),
+                ("store_spilled_bytes", stats.store_spilled_bytes.into()),
+                ("store_merge_bytes", stats.store_merge_bytes.into()),
+                ("time_ms", JsonValue::millis(stats.elapsed)),
+                ("sym_verdict", sym_report.verdict.to_string().into()),
+                ("sym_liveness", liveness_sym.as_str().into()),
+                ("sym_states", sym_stats.states.into()),
+                ("sym_time_ms", JsonValue::millis(sym_stats.elapsed)),
+                ("state_ratio", count_ratio(stats.states, sym_stats.states)),
+                ("frontier_bytes", frontier_bytes.into()),
+                ("sym_frontier_bytes", sym_frontier_bytes.into()),
+                (
+                    "frontier_ratio",
+                    count_ratio(frontier_bytes, sym_frontier_bytes),
+                ),
+                ("spill_agrees", JsonValue::Bool(spill_agrees)),
+            ]);
+            insert_optional_fields(&mut cell, stats);
+            out.push(cell);
         }
     }
 }
@@ -374,19 +274,21 @@ fn run_cells<S, M, O>(
 /// Runs the full fault sweep: each protocol under every budget of the grid
 /// (plus a corruption budget for Paxos, which has a Byzantine mutator),
 /// SPOR on/off, every store backend.
-pub fn fault_sweep(run_budget: &Budget) -> Vec<FaultCell> {
+pub fn fault_sweep(run_budget: &Budget) -> Outcome {
     fault_sweep_grid(run_budget, &budget_grid(), true)
 }
 
 /// Runs the fault sweep over an explicit budget grid. `with_corruption`
 /// additionally appends the Byzantine-corruption budget to the Paxos rows.
 /// The `fault_sweep` subcommand's `--smoke` mode uses this with a reduced grid
-/// so CI can watch the verdict/liveness trajectory per PR.
+/// so CI can watch the verdict/liveness trajectory per PR. Returns one row
+/// per cell and the failures of the sweep's agreement checks over them
+/// (`agreement_failures`).
 pub fn fault_sweep_grid(
     run_budget: &Budget,
     budgets: &[FaultBudget],
     with_corruption: bool,
-) -> Vec<FaultCell> {
+) -> Outcome {
     let mut cells = Vec::new();
 
     let paxos_setting = PaxosSetting::new(1, 2, 1);
@@ -447,11 +349,12 @@ pub fn fault_sweep_grid(
         );
     }
 
-    cells
+    let failures = agreement_failures(&cells);
+    (cells, failures)
 }
 
-/// The sweep's three agreement checks, each as the line it prints when all
-/// cells agree and one message per cell that does not:
+/// The sweep's three agreement checks, one failure line per cell that
+/// breaks one:
 ///
 /// * **store backends** — within each (protocol, budget, strategy) group
 ///   every backend reports the same safety verdict and state count (the
@@ -460,83 +363,49 @@ pub fn fault_sweep_grid(
 ///   liveness *verdict class* and explores no more states;
 /// * **spill** — the spilled BFS probes reproduced the in-memory
 ///   frontier's verdict class and state count, with and without symmetry.
-pub fn agreement_checks(cells: &[FaultCell]) -> [(&'static str, Vec<String>); 3] {
-    let cell = |c: &FaultCell| {
-        format!(
-            "{} / {} / {} / {}",
-            c.protocol, c.budget, c.strategy, c.backend
-        )
+pub(crate) fn agreement_failures(cells: &[Row]) -> Vec<String> {
+    let cell = |c: &Row| {
+        let [protocol, budget, strategy, backend] =
+            ["protocol", "budget", "strategy", "backend"].map(|f| text(c, f));
+        format!("{protocol} / {budget} / {strategy} / {backend}")
     };
-    let backends = cells.iter().filter(|cell| {
-        let reference = cells.iter().find(|c| {
-            (&c.protocol, &c.budget, &c.strategy) == (&cell.protocol, &cell.budget, &cell.strategy)
-        });
-        reference.is_some_and(|r| (&r.verdict, r.states) != (&cell.verdict, cell.states))
+    let group = |c: &Row| ["protocol", "budget", "strategy"].map(|f| c[f].clone());
+    let outcome = |c: &Row| (c["verdict"].clone(), c["states"].clone());
+    let class = |c: &Row, field: &str| verdict_class(text(c, field));
+    let backends = cells.iter().filter(|c| {
+        let reference = cells.iter().find(|r| group(r) == group(c));
+        reference.is_some_and(|r| outcome(r) != outcome(c))
     });
     let symmetry = cells.iter().filter(|c| {
-        verdict_class(&c.verdict) != verdict_class(&c.sym_verdict)
-            || verdict_class(&c.liveness) != verdict_class(&c.sym_liveness)
-            || c.sym_states > c.states
+        class(c, "verdict") != class(c, "sym_verdict")
+            || class(c, "liveness") != class(c, "sym_liveness")
+            || num(c, "sym_states") > num(c, "states")
     });
-    let spill = cells.iter().filter(|c| !c.spill_agrees);
-    [
-        (
-            "store-backend agreement: OK (every backend reports the same verdict per cell)",
-            backends
-                .map(|c| format!("BACKEND DISAGREEMENT: {}: {}", cell(c), c.verdict))
-                .collect(),
-        ),
-        (
-            "symmetry agreement: OK (orbit reduction preserves every safety/liveness verdict)",
-            symmetry
-                .map(|c| {
-                    format!(
-                        "SYMMETRY DISAGREEMENT: {}: safety {} vs {}, liveness {} vs {}, \
-                         states {} vs {}",
-                        cell(c),
-                        c.verdict,
-                        c.sym_verdict,
-                        c.liveness,
-                        c.sym_liveness,
-                        c.states,
-                        c.sym_states
-                    )
-                })
-                .collect(),
-        ),
-        (
-            "frontier-spill agreement: OK (disk and in-memory frontiers explore identically)",
-            spill
-                .map(|c| format!("FRONTIER SPILL DISAGREEMENT: {}", cell(c)))
-                .collect(),
-        ),
-    ]
-}
-
-/// A seed-consistency check row: state counts of the base model vs the
-/// all-zero-budget fault-augmented model under the same strategy.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SeedCheck {
-    /// Protocol label.
-    pub protocol: String,
-    /// "SPOR" or "unreduced".
-    pub strategy: String,
-    /// States of the seed (base) model.
-    pub base_states: usize,
-    /// States of the zero-budget fault-augmented model.
-    pub faulted_states: usize,
-}
-
-impl SeedCheck {
-    /// `true` if the zero budget reproduced the seed exactly.
-    pub fn matches(&self) -> bool {
-        self.base_states == self.faulted_states
-    }
+    let spill = cells
+        .iter()
+        .filter(|c| c["spill_agrees"] != JsonValue::Bool(true));
+    let backends =
+        backends.map(|c| format!("BACKEND DISAGREEMENT: {}: {}", cell(c), text(c, "verdict")));
+    let symmetry = symmetry.map(|c| {
+        let [verdict, sym_verdict, liveness, sym_liveness] =
+            ["verdict", "sym_verdict", "liveness", "sym_liveness"].map(|f| text(c, f));
+        format!(
+            "SYMMETRY DISAGREEMENT: {}: safety {verdict} vs {sym_verdict}, liveness {liveness} \
+             vs {sym_liveness}, states {} vs {}",
+            cell(c),
+            c["states"],
+            c["sym_states"]
+        )
+    });
+    let spill = spill.map(|c| format!("FRONTIER SPILL DISAGREEMENT: {}", cell(c)));
+    backends.chain(symmetry).chain(spill).collect()
 }
 
 /// Verifies that injecting an all-zero budget reproduces the seed models'
-/// state counts exactly, under both the unreduced and the SPOR search.
-pub fn zero_budget_seed_checks(run_budget: &Budget) -> Vec<SeedCheck> {
+/// state counts exactly, under both the unreduced and the SPOR search: one
+/// row per (protocol, strategy) with `base_states` and `faulted_states`,
+/// and one failure line per row where they differ.
+pub fn zero_budget_seed_checks(run_budget: &Budget) -> Outcome {
     #[allow(clippy::too_many_arguments)] // one spec/property/observer triple per side
     fn pair<S, M, O, FS, FM, FO2>(
         protocol: &str,
@@ -547,7 +416,7 @@ pub fn zero_budget_seed_checks(run_budget: &Budget) -> Vec<SeedCheck> {
         faulted_property: impl Fn() -> Invariant<FS, FM, FO2>,
         faulted_observer: impl Fn() -> FO2,
         run_budget: &Budget,
-        out: &mut Vec<SeedCheck>,
+        out: &mut Vec<Row>,
     ) where
         S: LocalState,
         M: Message,
@@ -565,12 +434,12 @@ pub fn zero_budget_seed_checks(run_budget: &Budget) -> Vec<SeedCheck> {
                 Checker::with_observer(faulted_spec, faulted_property(), faulted_observer())
                     .config(config);
             let faulted = if spor { faulted.spor() } else { faulted };
-            out.push(SeedCheck {
-                protocol: protocol.to_string(),
-                strategy: if spor { "SPOR" } else { "unreduced" }.to_string(),
-                base_states: base.run().stats.states,
-                faulted_states: faulted.run().stats.states,
-            });
+            out.push(row([
+                ("protocol", protocol.into()),
+                ("strategy", if spor { "SPOR" } else { "unreduced" }.into()),
+                ("base_states", base.run().stats.states.into()),
+                ("faulted_states", faulted.run().stats.states.into()),
+            ]));
         }
     }
 
@@ -615,42 +484,26 @@ pub fn zero_budget_seed_checks(run_budget: &Budget) -> Vec<SeedCheck> {
         &mut checks,
     );
 
-    checks
-}
-
-/// Renders the sweep as an aligned text table (with the symmetry on/off
-/// state counts and the orbit-collapse ratio per cell).
-pub fn render_fault_sweep(cells: &[FaultCell]) -> String {
-    let mut out = String::from(
-        "protocol                  | budget              | strategy  | backend             |   states | sym stat | ratio | store KiB | front KiB | sym front | time     | verdict                        | liveness\n",
-    );
-    out.push_str(
-        "--------------------------+---------------------+-----------+---------------------+----------+----------+-------+-----------+-----------+-----------+----------+--------------------------------+---------\n",
-    );
-    for c in cells {
-        out.push_str(&format!(
-            "{:<25} | {:<19} | {:<9} | {:<19} | {:>8} | {:>8} | {:>5.2} | {:>9} | {:>9} | {:>9} | {:>8} | {:<30} | {}\n",
-            c.protocol,
-            c.budget,
-            c.strategy,
-            c.backend,
-            c.states,
-            c.sym_states,
-            c.state_ratio(),
-            c.store_bytes / 1024,
-            c.frontier_bytes / 1024,
-            c.sym_frontier_bytes / 1024,
-            format!("{:.1?}", c.time),
-            format!("{}{}", c.verdict, omission_note(c.omission_probability)),
-            c.liveness
-        ));
-    }
-    out
+    let failures = checks
+        .iter()
+        .filter(|c| c["base_states"] != c["faulted_states"])
+        .map(|c| {
+            format!(
+                "SEED MISMATCH: {} [{}]: base {} states, zero-budget {} states",
+                text(c, "protocol"),
+                text(c, "strategy"),
+                c["base_states"],
+                c["faulted_states"]
+            )
+        })
+        .collect();
+    (checks, failures)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn tiny_budget() -> Budget {
         Budget {
@@ -662,15 +515,11 @@ mod tests {
 
     #[test]
     fn zero_budget_reproduces_seed_state_counts() {
-        for check in zero_budget_seed_checks(&tiny_budget()) {
-            assert!(
-                check.matches(),
-                "{} [{}]: base {} vs faulted {}",
-                check.protocol,
-                check.strategy,
-                check.base_states,
-                check.faulted_states
-            );
+        let (checks, failures) = zero_budget_seed_checks(&tiny_budget());
+        assert_eq!(checks.len(), 6);
+        assert!(failures.is_empty(), "{failures:?}");
+        for check in &checks {
+            assert_eq!(num(check, "base_states"), num(check, "faulted_states"));
         }
     }
 
@@ -697,79 +546,91 @@ mod tests {
             );
         }
         assert_eq!(cells.len(), 2 * 2 * 4);
-        for (check, disagreements) in agreement_checks(&cells) {
-            assert!(disagreements.is_empty(), "{check}: {disagreements:?}");
-        }
+        let failures = agreement_failures(&cells);
+        assert!(failures.is_empty(), "{failures:?}");
         // A cell that differs from its group is reported by every check it
         // breaks, and only by those.
         let mut broken = cells.clone();
-        broken[1].states += 1;
-        broken[1].spill_agrees = false;
-        let reported = agreement_checks(&broken).map(|(_, bad)| bad.len());
-        assert_eq!(reported, [1, 0, 1]);
+        let states = num(&broken[1], "states");
+        broken[1].insert("states".to_string(), JsonValue::Num(states + 1.0));
+        broken[1].insert("spill_agrees".to_string(), JsonValue::Bool(false));
+        let reported = agreement_failures(&broken);
+        let count = |prefix: &str| reported.iter().filter(|l| l.starts_with(prefix)).count();
+        assert_eq!(
+            [count("BACKEND"), count("SYMMETRY"), count("FRONTIER SPILL")],
+            [1, 0, 1],
+            "{reported:?}"
+        );
         // The spilled-frontier probes ran and recorded real byte counts,
         // and symmetry never grows the frontier.
-        assert!(cells.iter().all(|c| c.frontier_bytes > 0));
+        assert!(cells.iter().all(|c| num(c, "frontier_bytes") > 0.0));
         assert!(cells
             .iter()
-            .all(|c| c.sym_frontier_bytes <= c.frontier_bytes));
-        assert!(cells.iter().all(|c| c.verdict == "verified"));
+            .all(|c| num(c, "sym_frontier_bytes") <= num(c, "frontier_bytes")));
+        assert!(cells.iter().all(|c| text(c, "verdict") == "verified"));
         // Symmetry never grows the explored set, and the fault cells (two
         // interchangeable acceptors) must genuinely collapse orbits.
-        assert!(cells.iter().all(|c| c.sym_states <= c.states));
+        assert!(cells
+            .iter()
+            .all(|c| num(c, "sym_states") <= num(c, "states")));
         assert!(
             cells
                 .iter()
-                .filter(|c| c.budget != "none")
-                .all(|c| c.state_ratio() > 1.0),
+                .filter(|c| text(c, "budget") != "none")
+                .all(|c| num(c, "state_ratio") > 1.0),
             "drop cells must collapse: {cells:?}"
         );
         // The liveness column: zero-budget Paxos terminates; a single lost
         // message can strand a quorum, a fair quiescent lasso.
-        assert!(cells
-            .iter()
-            .filter(|c| c.budget == "none")
-            .all(|c| c.liveness == "verified" && c.sym_liveness == "verified"));
-        assert!(cells
-            .iter()
-            .filter(|c| c.budget != "none")
-            .all(|c| c.liveness.contains("lasso") && c.sym_liveness.contains("lasso")));
-        // Every row carries the full column set, and none of these untraced
-        // runs a phase field; a traced cell carries all nine, in µs.
-        let rows: Vec<Row> = cells.iter().map(FaultCell::row).collect();
-        for row in &rows {
-            for field in [
-                "liveness",
-                "sym_states",
-                "state_ratio",
-                "frontier_bytes",
-                "sym_frontier_bytes",
-                "store_spilled_bytes",
-                "store_merge_bytes",
-            ] {
-                assert!(row.contains_key(field), "{field} missing: {row:?}");
-            }
-            assert_eq!(row["spill_agrees"], JsonValue::Bool(true));
-            assert_eq!(crate::report::tests::phase_keys(row), 0);
+        fn liveness(c: &Row) -> [&str; 2] {
+            [text(c, "liveness"), text(c, "sym_liveness")]
         }
-        let mut traced = cells[0].clone();
-        traced.phases = mp_trace::PhaseTimes::from_nanos([1_000; mp_trace::PHASE_COUNT]);
-        assert_eq!(
-            crate::report::tests::phase_keys(&traced.row()),
-            mp_trace::PHASE_COUNT
+        assert!(cells
+            .iter()
+            .filter(|c| text(c, "budget") == "none")
+            .all(|c| liveness(c) == ["verified"; 2]));
+        assert!(cells
+            .iter()
+            .filter(|c| text(c, "budget") != "none")
+            .all(|c| liveness(c).iter().all(|l| l.contains("lasso"))));
+        // Every row carries the committed baseline's columns — the omission
+        // bound on the probabilistic stores' rows only — and none of these
+        // untraced runs a phase field.
+        crate::report::tests::assert_baseline_fields(
+            include_str!("../../../BENCH_fault_sweep.json"),
+            &cells,
         );
+        for c in &cells {
+            let probabilistic = ["fingerprint", "runs"]
+                .iter()
+                .any(|b| text(c, "backend").starts_with(b));
+            assert_eq!(c.contains_key("omission_probability"), probabilistic);
+            assert_eq!(c["spill_agrees"], JsonValue::Bool(true));
+            assert_eq!(crate::report::tests::phase_keys(c), 0);
+        }
+        // A traced cell carries all nine phases, in µs.
+        let sink = mp_checker::Tracer::to_writer(false, Box::new(std::io::sink()));
+        let mut traced = Vec::new();
+        run_cells(
+            "Paxos",
+            "none",
+            &faulty_paxos(setting, PaxosVariant::Correct, FaultBudget::none()),
+            &roles,
+            faulty_consensus_property(setting),
+            &faulty_termination_property(setting),
+            NullObserver,
+            &run_budget.clone().with_trace(sink),
+            &mut traced,
+        );
+        assert!(traced
+            .iter()
+            .all(|c| crate::report::tests::phase_keys(c) == mp_trace::PHASE_COUNT));
         // The rows parse back unchanged and gate clean against themselves.
         use crate::bench_gate::{compare, parse_rows, render_rows};
-        let parsed = parse_rows(&render_rows(&rows)).unwrap();
-        assert_eq!(parsed, rows);
+        let parsed = parse_rows(&render_rows(&cells)).unwrap();
+        assert_eq!(parsed, cells);
         let report = compare("sweep", &parsed, &parsed);
         assert!(report.passed() && report.warnings.is_empty(), "{report:?}");
-        let table = render_fault_sweep(&cells);
-        assert!(table.contains("fingerprint"));
-        assert!(table.contains("runs("));
-        assert!(table.contains("liveness"));
-        assert!(table.contains("ratio"));
-        assert!(table.contains("front KiB"));
     }
 
     #[test]

@@ -14,11 +14,12 @@
 //! * [`fault_sweep`] — budgeted generic fault injection (`mp-faults`) swept
 //!   over the evaluation protocols, with machine-readable JSON output.
 //!
-//! Every experiment produces [`Measurement`] rows (or rows of its own) which
-//! the `mp-harness` binary's subcommands print as aligned text tables (and
-//! optionally CSV), and write with `--json` as the flat [`bench_gate::Row`]s
-//! of a `BENCH_*.json` file — the one schema the CI gate reads. The README's
-//! results section lists the subcommands.
+//! Every experiment returns its results as flat [`bench_gate::Row`]s — the
+//! one schema of the `BENCH_*.json` files the CI gate reads — plus one
+//! line for each self-check it failed. The `mp-harness` binary's
+//! subcommands print the rows with [`render_text`], write them with
+//! `--json`, and exit 1 on any failure line; [`num`] and [`text`] read a
+//! row's fields. The README's results section lists the subcommands.
 //!
 //! Absolute state counts and times are not expected to match the paper — the
 //! engine, hardware and protocol-model details differ — but the *shape*
@@ -29,24 +30,25 @@
 //!
 //! ```
 //! use mp_checker::NullObserver;
-//! use mp_harness::{Budget, CellStrategy};
+//! use mp_harness::bench_gate::JsonValue;
 //! use mp_harness::runner::run_cell;
+//! use mp_harness::{num, text, Budget, CellStrategy};
 //! use mp_protocols::sweep::{collect_model, collect_soundness_property, CollectSetting};
 //!
 //! let setting = CollectSetting::new(3, 2, 1);
 //! let spec = collect_model(setting, true);
-//! let m = run_cell(
+//! let row = run_cell(
 //!     "collect(3,2,1)",
 //!     "soundness",
-//!     false, // no violation expected
 //!     &spec,
 //!     collect_soundness_property(setting),
 //!     NullObserver,
 //!     CellStrategy::SporStateful,
 //!     &Budget::small(),
 //! );
-//! assert!(m.completed && m.as_expected);
-//! assert_eq!(m.verdict, "verified");
+//! assert_eq!(row["completed"], JsonValue::Bool(true));
+//! assert_eq!(text(&row, "verdict"), "verified");
+//! assert!(num(&row, "states") > 1.0);
 //! ```
 
 #![warn(missing_docs)]
@@ -65,7 +67,7 @@ pub mod table2;
 pub mod trace_report;
 
 pub use cli::{Cli, FlagSpec};
-pub use report::{render_csv, render_table, Measurement};
+pub use report::{num, render_text, text, Outcome};
 pub use runner::{Budget, CellStrategy};
 // Visited-store and frontier selection are part of the experiment surface:
 // a `Budget` carries a `StoreConfig` and a `FrontierConfig`, re-exported

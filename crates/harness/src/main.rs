@@ -2,48 +2,50 @@
 //!
 //! `mp-harness <subcommand> [flags]` runs one experiment; `mp-harness
 //! --help` lists the subcommands and `mp-harness <subcommand> --help` the
-//! flags of one, both generated from [`COMMANDS`]. Results print as text
-//! tables on stdout. `--json [PATH]` additionally writes a subcommand's
-//! bench rows (default `BENCH_<subcommand>.json`); without it nothing is
-//! written, so no run from the repository root overwrites a committed
-//! baseline.
+//! flags of one, both generated from [`COMMANDS`]. An experiment's rows
+//! print as text tables on stdout (`render_text`). `--json [PATH]`
+//! additionally writes them (default `BENCH_<subcommand>.json`); without
+//! it nothing is written, so no run from the repository root overwrites a
+//! committed baseline. Every experiment then exits through [`gate`]: 1 if
+//! any of its self-checks failed.
 
 use std::io::Write;
 use std::path::Path;
 use std::time::Duration;
 
-use mp_checker::NullObserver;
 use mp_faults::FaultBudget;
 use mp_harness::bench_gate::{compare, parse_rows, render_rows, trace_phase_drift, Row};
 use mp_harness::cli::{
     dispatch, Cli, Command, FlagSpec, PROGRAM, PROGRESS_FLAG, THREADS_FLAG, TRACE_FLAG,
 };
-use mp_harness::fault_sweep::{
-    agreement_checks, fault_sweep_grid, render_fault_sweep, zero_budget_seed_checks, FaultCell,
-    SWEEP_SPILL_WATERMARK,
-};
-use mp_harness::parallel_scaling::{
-    bench_cells, parallel_agreement_probe, parallel_scaling_sweep, render_parallel_sweep,
-    smoke_cells, ScalingRow, THREAD_GRID,
-};
-use mp_harness::runner::run_cell;
+use mp_harness::fault_sweep::{fault_sweep_grid, zero_budget_seed_checks, SWEEP_SPILL_WATERMARK};
+use mp_harness::parallel_scaling::{bench_cells, parallel_scaling_sweep, smoke_cells, THREAD_GRID};
 use mp_harness::scaling::{
-    collect_sweep, paxos_frontier_sweep, paxos_sweep, paxos_symmetry_sweep, render_frontier_sweep,
-    render_store_sweep, render_sweep, render_symmetry_sweep, store_backend_sweep,
+    collect_sweep, paxos_frontier_sweep, paxos_sweep, paxos_symmetry_sweep, pooled_paxos_sweep,
+    store_backend_sweep,
 };
 use mp_harness::trace_report::{
     check, diff_markdown, flame_text, load_runs, summary_markdown, timeline_markdown, Class,
 };
 use mp_harness::{
-    debugging, fault_sweep, render_csv, render_table, table1, table2, Budget, CellStrategy,
-    FrontierConfig, Measurement,
+    debugging, fault_sweep, render_text, table1, table2, Budget, FrontierConfig, Outcome,
 };
-use mp_protocols::paxos::{consensus_property, quorum_model, PaxosSetting, PaxosVariant};
 use mp_protocols::sweep::CollectSetting;
 
 const FULL_FLAG: FlagSpec =
     FlagSpec::switch("--full", "paper-scale settings, per-cell budgets removed");
-const CSV_FLAG: FlagSpec = FlagSpec::switch("--csv", "print CSV instead of the aligned text table");
+
+/// The text-table columns of a checker run's row.
+const RUN_COLUMNS: &[&str] = &[
+    "protocol",
+    "property",
+    "strategy",
+    "states",
+    "transitions",
+    "time_ms",
+    "verdict",
+    "completed",
+];
 
 const fn json_flag(help: &'static str) -> FlagSpec {
     FlagSpec::optional_value("--json", "PATH", help)
@@ -56,7 +58,6 @@ const COMMANDS: &[Command] = &[
         summary: "Table I — quorum semantics results (DSN 2011).",
         flags: &[
             FULL_FLAG,
-            CSV_FLAG,
             json_flag("write the rows as a JSON array (default BENCH_table_i.json)"),
         ],
         positionals: None,
@@ -67,7 +68,6 @@ const COMMANDS: &[Command] = &[
         summary: "Table II — transition refinement in action (DSN 2011).",
         flags: &[
             FULL_FLAG,
-            CSV_FLAG,
             json_flag("write the rows as a JSON array (default BENCH_table_ii.json)"),
         ],
         positionals: None,
@@ -77,11 +77,6 @@ const COMMANDS: &[Command] = &[
         name: "quorum_scaling",
         summary: "Section II-C: state-space inflation of single-message models.",
         flags: &[
-            FlagSpec::value(
-                "--voters",
-                "N",
-                "voters of the quorum-collection sweep (default 4)",
-            ),
             json_flag("write the Paxos sweeps as a JSON array (default BENCH_quorum_scaling.json)"),
             THREADS_FLAG,
             PROGRESS_FLAG,
@@ -137,11 +132,6 @@ const COMMANDS: &[Command] = &[
             FlagSpec::switch(
                 "--smoke",
                 "reduced cell sizes under tight limits (the per-PR CI smoke test)",
-            ),
-            FlagSpec::value(
-                "--acceptors",
-                "N",
-                "acceptors of the Paxos scaling cell (default 3; ignored by --smoke)",
             ),
             json_flag("write the sweep as a JSON array (default BENCH_parallel_scaling.json)"),
             PROGRESS_FLAG,
@@ -203,35 +193,22 @@ fn write_json(cli: &Cli, default: &str, rows: &[Row]) {
     }
 }
 
-fn measurement_rows(rows: &[Measurement]) -> Vec<Row> {
-    rows.iter().map(Measurement::row).collect()
-}
-
-/// An agreement gate: prints `ok` when nothing disagrees, otherwise every
-/// disagreement on stderr and exits 1.
-fn gate(ok: &str, disagreements: Vec<String>) {
-    if disagreements.is_empty() {
+/// The one exit of an experiment: prints `ok` when none of its self-checks
+/// failed, otherwise every failure line on stderr and exits 1.
+fn gate(ok: &str, failures: Vec<String>) {
+    if failures.is_empty() {
         println!("{ok}");
         return;
     }
-    for line in disagreements {
+    for line in failures {
         eprintln!("{line}");
     }
     std::process::exit(1);
 }
 
-/// Prints rows as CSV (`--csv`) or as an aligned table titled `title`.
-fn print_rows(cli: &Cli, title: &str, rows: &[Measurement]) {
-    if cli.has(CSV_FLAG.name) {
-        print!("{}", render_csv(rows));
-    } else {
-        print!("{}", render_table(title, rows));
-    }
-}
-
 /// The shared body of `table_i` and `table_ii`: bounded by default,
 /// paper-scale and unbudgeted with `--full`.
-fn paper_table(cli: &Cli, title: &str, json: &str, table: fn(&Budget, bool) -> Vec<Measurement>) {
+fn paper_table(cli: &Cli, title: &str, json: &str, table: fn(&Budget, bool) -> Outcome) {
     let full = cli.has(FULL_FLAG.name);
     let budget = if full {
         Budget::unbounded()
@@ -239,12 +216,17 @@ fn paper_table(cli: &Cli, title: &str, json: &str, table: fn(&Budget, bool) -> V
         Budget::default()
     };
     eprintln!(
-        "running {title} ({} mode); cells marked with '>' hit the per-cell budget",
+        "running {title} ({} mode); a row with completed = false hit the per-cell budget",
         if full { "full/paper-scale" } else { "bounded" }
     );
-    let rows = table(&budget, full);
-    print_rows(cli, title, &rows);
-    write_json(cli, json, &measurement_rows(&rows));
+    let (rows, failures) = table(&budget, full);
+    println!("{title}\n");
+    print!("{}", render_text(RUN_COLUMNS, &rows));
+    write_json(cli, json, &rows);
+    gate(
+        "expectations: OK (no verdict contradicts its row's expectation)",
+        failures,
+    );
 }
 
 fn table_i(cli: &Cli) {
@@ -266,86 +248,110 @@ fn table_ii(cli: &Cli) {
 }
 
 fn quorum_scaling(cli: &Cli) {
-    let voters = cli.usize_value("--voters", 4);
+    const COLUMNS: &[&str] = &[
+        "protocol",
+        "strategy",
+        "threads",
+        "states",
+        "transitions",
+        "frontier_bytes",
+        "time_ms",
+        "verdict",
+    ];
     let budget = Budget::default().with_trace(cli.tracer());
 
     println!("Section II-C: state-space inflation of single-message models\n");
-    println!("Quorum-collection protocol ({voters} voters, 1 collector):");
-    print!("{}", render_sweep(&collect_sweep(voters, 1, 5_000_000)));
-    println!("\nPaxos with growing acceptor sets (1 proposer, 1 learner, SPOR):");
-    let rows = paxos_sweep(3, &budget);
-    print!("{}", render_table("Paxos acceptor sweep", &rows));
-    println!("\nSymmetry (orbit) reduction on the quorum models — the validated");
-    println!("group is the acceptor+learner role symmetry, order acceptors!:");
-    let (points, sym_rows) = paxos_symmetry_sweep(5, &budget);
-    print!("{}", render_symmetry_sweep(&points));
-    if points.iter().any(|p| !p.verdicts_agree) {
-        eprintln!("SYMMETRY DISAGREEMENT in the acceptor sweep");
-        std::process::exit(1);
-    }
-    println!("\nDisk-backed BFS frontier (spill) on the quorum models — the");
-    println!("spilled run must reproduce the in-memory run exactly:");
-    let (frontier_points, frontier_rows) = paxos_frontier_sweep(3, &budget);
-    print!("{}", render_frontier_sweep(&frontier_points));
-    if frontier_points.iter().any(|p| !p.agrees) {
-        eprintln!("FRONTIER SPILL DISAGREEMENT in the acceptor sweep");
-        std::process::exit(1);
-    }
-    println!();
-    // With `--threads N`: the acceptor sweep again, on the worker pool. Its
-    // rows carry a `threads` field and a strategy label of their own, so
-    // they join the bench file without perturbing the sequential keys.
-    let mut pooled = Vec::new();
+    println!("Quorum-collection protocol (4 voters, 1 collector):");
+    let inflation = ["quorum", "quorum_states", "single_states", "inflation"];
+    print!(
+        "{}",
+        render_text(&inflation, &collect_sweep(4, 1, 5_000_000))
+    );
+    let mut sweeps = vec![
+        (
+            "Paxos with growing acceptor sets (1 proposer, 1 learner, SPOR):".to_string(),
+            paxos_sweep(3, &budget),
+        ),
+        (
+            "Symmetry (orbit) reduction on the quorum models — the validated\n\
+             group is the acceptor+learner role symmetry, order acceptors!:"
+                .to_string(),
+            paxos_symmetry_sweep(5, &budget),
+        ),
+        (
+            "Disk-backed BFS frontier (spill) on the quorum models — the\n\
+             spilled run must reproduce the in-memory run exactly:"
+                .to_string(),
+            paxos_frontier_sweep(3, &budget),
+        ),
+    ];
+    // With `--threads N`: the acceptor sweep again, on the worker pool.
     if cli.has(THREADS_FLAG.name) {
         let threads = cli.usize_value(THREADS_FLAG.name, 0);
-        println!("Paxos acceptor sweep on the parallel BFS worker pool ({threads} thread(s)):");
-        pooled = (1..=3)
-            .map(|acceptors| {
-                let setting = PaxosSetting::new(1, acceptors, 1);
-                run_cell(
-                    &format!("Paxos {setting} quorum"),
-                    "Consensus",
-                    false,
-                    &quorum_model(setting, PaxosVariant::Correct),
-                    consensus_property(setting),
-                    NullObserver,
-                    CellStrategy::ParallelBfs { threads },
-                    &budget,
-                )
-            })
-            .collect();
-        println!("{}", render_table("Parallel acceptor sweep", &pooled));
+        sweeps.push((
+            format!("Paxos acceptor sweep on the parallel BFS worker pool ({threads} thread(s)):"),
+            pooled_paxos_sweep(3, threads, &budget),
+        ));
     }
     // One array: the plain sweep rows plus the symmetry, frontier and
     // (with `--threads`) worker-pool rows — distinct strategy labels keep
     // the bench-gate keys unique.
-    let json: Vec<Row> = [rows, sym_rows, frontier_rows, pooled]
-        .iter()
-        .flatten()
-        .map(Measurement::row)
-        .collect();
-    write_json(cli, "BENCH_quorum_scaling.json", &json);
-    println!(
-        "Visited-store backends on the single-message collect model ({voters} voters, quorum 2):"
-    );
+    let (mut json, mut failures) = (Vec::new(), Vec::new());
+    for (caption, (rows, sweep_failures)) in sweeps {
+        println!("\n{caption}");
+        print!("{}", render_text(COLUMNS, &rows));
+        json.extend(rows);
+        failures.extend(sweep_failures);
+    }
+    println!("\nVisited-store backends on the single-message collect model (4 voters, quorum 2):");
     println!("(fingerprint verdicts are probabilistic; see the mp-store docs)");
-    let setting = CollectSetting::new(voters, 2.min(voters), 1);
-    print!(
-        "{}",
-        render_store_sweep(&store_backend_sweep(setting, false, &budget))
+    let (stores, store_failures) =
+        store_backend_sweep(CollectSetting::new(4, 2, 1), false, &budget);
+    let columns = [
+        "backend",
+        "states",
+        "store_bytes",
+        "verdict",
+        "omission_probability",
+    ];
+    print!("{}", render_text(&columns, &stores));
+    failures.extend(store_failures);
+    write_json(cli, "BENCH_quorum_scaling.json", &json);
+    gate(
+        "agreement: OK (symmetry on/off, spilled vs in-memory frontier and every store \
+         backend agree; every run verified)",
+        failures,
     );
 }
 
 fn debugging(cli: &Cli) {
-    let rows = debugging::debugging_experiments(&Budget::default());
-    print!(
-        "{}",
-        render_table("Debugging: first counterexample in faulty variants", &rows)
+    let (rows, failures) = debugging::debugging_experiments(&Budget::default());
+    println!("Debugging: first counterexample in faulty variants\n");
+    print!("{}", render_text(RUN_COLUMNS, &rows));
+    write_json(cli, "BENCH_debugging.json", &rows);
+    gate(
+        "expectations: OK (every faulty variant yields a counterexample)",
+        failures,
     );
-    write_json(cli, "BENCH_debugging.json", &measurement_rows(&rows));
 }
 
 fn fault_sweep(cli: &Cli) {
+    const COLUMNS: &[&str] = &[
+        "protocol",
+        "budget",
+        "strategy",
+        "backend",
+        "states",
+        "sym_states",
+        "state_ratio",
+        "store_bytes",
+        "frontier_bytes",
+        "sym_frontier_bytes",
+        "time_ms",
+        "verdict",
+        "omission_probability",
+        "liveness",
+    ];
     let smoke = cli.has("--smoke");
     let spill = cli.has("--spill");
     let mut budget = if cli.has("--full") {
@@ -381,66 +387,39 @@ fn fault_sweep(cli: &Cli) {
     }
     println!();
 
-    let cells = if smoke {
+    let (cells, mut failures) = if smoke {
         let none = FaultBudget::none();
         fault_sweep_grid(&budget, &[none, none.crashes(1), none.drops(1)], false)
     } else {
         fault_sweep::fault_sweep(&budget)
     };
-    println!("{}", render_fault_sweep(&cells));
-
-    for (ok, disagreements) in agreement_checks(&cells) {
-        gate(ok, disagreements);
-    }
+    print!("{}", render_text(COLUMNS, &cells));
+    let mut ok = "store backends, symmetry on/off, spilled vs in-memory frontier".to_string();
     // With `--threads N`, the pooled mode of the BFS core at N threads
     // against the sequential reference on the sweep's protocol cells.
     if cli.has(THREADS_FLAG.name) {
         let threads = cli.usize_value(THREADS_FLAG.name, 0);
-        gate(
-            &format!(
-                "parallel-engine agreement: OK (worker pool at {threads} thread(s) matches \
-                 sequential BFS)"
-            ),
-            parallel_agreement_probe(threads, &budget)
-                .into_iter()
-                .map(|line| format!("PARALLEL ENGINE DISAGREEMENT: {line}"))
-                .collect(),
-        );
+        let (paxos, multicast) = smoke_cells();
+        failures.extend(parallel_scaling_sweep(&[threads], paxos, multicast, &budget).1);
+        ok += &format!(", worker pool at {threads} thread(s) vs sequential BFS");
     }
 
     println!("\nall-zero budget vs seed models:");
-    let mut seed_ok = true;
-    for check in zero_budget_seed_checks(&budget) {
-        println!(
-            "  {:<28} [{:<9}] base {:>7} states, zero-budget {:>7} states  {}",
-            check.protocol,
-            check.strategy,
-            check.base_states,
-            check.faulted_states,
-            if check.matches() { "==" } else { "MISMATCH" }
-        );
-        seed_ok &= check.matches();
-    }
-    if !seed_ok {
-        eprintln!("zero-budget injection failed to reproduce the seed state counts");
-        std::process::exit(1);
-    }
-    let rows: Vec<Row> = cells.iter().map(FaultCell::row).collect();
-    write_json(cli, "BENCH_fault_sweep.json", &rows);
+    let (seeds, seed_failures) = zero_budget_seed_checks(&budget);
+    let columns = ["protocol", "strategy", "base_states", "faulted_states"];
+    print!("{}", render_text(&columns, &seeds));
+    failures.extend(seed_failures);
+    write_json(cli, "BENCH_fault_sweep.json", &cells);
+    gate(
+        &format!("agreement: OK ({ok} and zero-budget vs seed models agree)"),
+        failures,
+    );
 }
 
 fn parallel_scaling(cli: &Cli) {
-    let (paxos, multicast) = if cli.has("--smoke") {
-        smoke_cells()
-    } else {
-        let (paxos, multicast) = bench_cells();
-        let acceptors = cli.usize_value("--acceptors", paxos.acceptors);
-        (
-            PaxosSetting::new(paxos.proposers, acceptors, paxos.learners),
-            multicast,
-        )
-    };
-    let budget = if cli.has("--smoke") {
+    let smoke = cli.has("--smoke");
+    let (paxos, multicast) = if smoke { smoke_cells() } else { bench_cells() };
+    let budget = if smoke {
         Budget::small()
     } else {
         Budget::default()
@@ -451,22 +430,16 @@ fn parallel_scaling(cli: &Cli) {
     println!("Thread scaling of the parallel BFS worker pool ({cores} core(s) available)");
     println!("(speedup is wall-clock vs each family's own 1-thread pooled run;");
     println!(" it is bounded by the machine's physical parallelism)\n");
-    let rows = parallel_scaling_sweep(&THREAD_GRID, paxos, multicast, &budget);
-    println!("{}", render_parallel_sweep(&rows));
+    let (rows, failures) = parallel_scaling_sweep(&THREAD_GRID, paxos, multicast, &budget);
+    let columns = [
+        "protocol", "strategy", "threads", "states", "time_ms", "speedup", "verdict",
+    ];
+    print!("{}", render_text(&columns, &rows));
+    write_json(cli, "BENCH_parallel_scaling.json", &rows);
     gate(
         "cross-engine agreement: OK (every pooled run matches sequential BFS)",
-        rows.iter()
-            .filter(|r| !r.agrees)
-            .map(|r| {
-                format!(
-                    "PARALLEL ENGINE DISAGREEMENT: {} [{}] diverged from sequential BFS",
-                    r.measurement.protocol, r.measurement.strategy
-                )
-            })
-            .collect(),
+        failures,
     );
-    let json: Vec<Row> = rows.iter().map(ScalingRow::row).collect();
-    write_json(cli, "BENCH_parallel_scaling.json", &json);
 }
 
 fn bench_gate(cli: &Cli) {
@@ -597,11 +570,11 @@ mod tests {
     #[test]
     fn every_subcommand_keeps_its_flags_and_has_generated_help() {
         let expected: &[(&str, &[&str])] = &[
-            ("table_i", &["--full", "--csv", "--json"]),
-            ("table_ii", &["--full", "--csv", "--json"]),
+            ("table_i", &["--full", "--json"]),
+            ("table_ii", &["--full", "--json"]),
             (
                 "quorum_scaling",
-                &["--voters", "--json", "--threads", "--progress", "--trace"],
+                &["--json", "--threads", "--progress", "--trace"],
             ),
             ("debugging", &["--json"]),
             (
@@ -620,7 +593,7 @@ mod tests {
             ),
             (
                 "parallel_scaling",
-                &["--smoke", "--acceptors", "--json", "--progress", "--trace"],
+                &["--smoke", "--json", "--progress", "--trace"],
             ),
             ("bench_gate", &["--trace-baseline", "--trace-fresh"]),
             ("trace_report", &[]),

@@ -36,43 +36,11 @@ use mp_protocols::paxos::{
 };
 
 use crate::bench_gate::{JsonValue, Row};
-use crate::report::short_verdict;
-use crate::{Budget, Measurement};
+use crate::report::{run_row, short_verdict, Outcome};
+use crate::Budget;
 
 /// The worker-pool sizes every cell family is swept over.
 pub const THREAD_GRID: [usize; 4] = [1, 2, 4, 8];
-
-/// One row of the thread-scaling sweep: a pooled run at one thread count,
-/// with its speedup relative to the 1-thread run of the same cell family
-/// and its agreement with the sequential BFS reference.
-#[derive(Clone, Debug)]
-pub struct ScalingRow {
-    /// The pooled run's measurement (strategy label
-    /// `parallel-bfs(N)+SPOR[+sym]`, `threads` set by the engine).
-    pub measurement: Measurement,
-    /// Wall-clock speedup vs the 1-thread run of the same family
-    /// (1.0 by definition for the 1-thread row).
-    pub speedup: f64,
-    /// Available parallelism of the machine that produced the row.
-    pub cores: usize,
-    /// `true` when verdict, states, transitions and max depth all match
-    /// the sequential BFS reference run.
-    pub agrees: bool,
-}
-
-impl ScalingRow {
-    /// The row's `BENCH_parallel_scaling.json` fields: the measurement's,
-    /// plus the fractional `speedup` and the producing machine's `cores`.
-    /// `speedup` is a gated field (`bench_gate` fails a run whose speedup
-    /// drops by more than 35% against the committed baseline); `cores`
-    /// is informational.
-    pub fn row(&self) -> Row {
-        let mut row = self.measurement.row();
-        row.insert("speedup".to_string(), JsonValue::ratio(self.speedup));
-        row.insert("cores".to_string(), self.cores.into());
-        row
-    }
-}
 
 /// Wall-clock ratio with microsecond resolution and a 1 µs floor, so
 /// smoke-scale cells (whole runs inside a millisecond) never divide by
@@ -90,7 +58,7 @@ fn push_family<S, M>(
     roles: Option<&mp_symmetry::RoleMap>,
     thread_grid: &[usize],
     budget: &Budget,
-    rows: &mut Vec<ScalingRow>,
+    (rows, failures): (&mut Vec<Row>, &mut Vec<String>),
 ) where
     S: mp_model::LocalState + mp_model::Permutable,
     M: mp_model::Message + mp_model::Permutable,
@@ -116,20 +84,28 @@ fn push_family<S, M>(
         let sym = if roles.is_some() { "+sym" } else { "" };
         let strategy = format!("parallel-bfs({threads})+SPOR{sym}");
         let verdict = short_verdict(&report.verdict);
-        let mut measurement = Measurement::of(label, property_label, strategy, verdict, &report);
-        measurement.as_expected = agrees;
-        rows.push(ScalingRow {
-            measurement,
-            speedup: ratio(base, report.stats.elapsed),
-            cores,
-            agrees,
-        });
+        if !agrees {
+            failures.push(format!(
+                "PARALLEL ENGINE DISAGREEMENT: {label} / {property_label} / {strategy}: pooled run \
+                 diverged from sequential BFS ({verdict}, {} states)",
+                report.stats.states
+            ));
+        }
+        let mut row = run_row(label, property_label, &strategy, &verdict, &report);
+        let speedup = ratio(base, report.stats.elapsed);
+        row.insert("speedup".to_string(), JsonValue::ratio(speedup));
+        row.insert("cores".to_string(), cores.into());
+        rows.push(row);
     }
 }
 
 /// Sweeps the pooled engine over `thread_grid` on a Paxos and an echo
-/// multicast quorum cell, each with symmetry off and on. Rows come back
-/// in family-major order: all thread counts of one family before the
+/// multicast quorum cell, each with symmetry off and on: one row per
+/// pooled run (`threads`, the fractional `speedup` vs the family's
+/// 1-thread run, which `bench_gate` fails on a drop beyond 35%, and the
+/// producing machine's `cores`), and one failure line per run whose
+/// verdict or counters differ from the sequential BFS reference. Rows come
+/// back in family-major order: all thread counts of one family before the
 /// next. Cell sizes matter here: wall-clock ratios on cells that finish
 /// in a millisecond are pure scheduler noise, so the benchmark default
 /// ([`bench_cells`]) picks models in the tens of thousands of states
@@ -140,8 +116,8 @@ pub fn parallel_scaling_sweep(
     paxos: PaxosSetting,
     multicast: MulticastSetting,
     budget: &Budget,
-) -> Vec<ScalingRow> {
-    let mut rows = Vec::new();
+) -> Outcome {
+    let (mut rows, mut failures) = (Vec::new(), Vec::new());
 
     let setting = paxos;
     let spec = paxos_quorum(setting, PaxosVariant::Correct);
@@ -156,7 +132,7 @@ pub fn parallel_scaling_sweep(
             sym.then_some(&roles),
             thread_grid,
             budget,
-            &mut rows,
+            (&mut rows, &mut failures),
         );
     }
 
@@ -173,11 +149,11 @@ pub fn parallel_scaling_sweep(
             sym.then_some(&roles),
             thread_grid,
             budget,
-            &mut rows,
+            (&mut rows, &mut failures),
         );
     }
 
-    rows
+    (rows, failures)
 }
 
 /// The benchmark-scale cell pair: Paxos `(2,3,1)` (~27k states, hundreds
@@ -201,106 +177,51 @@ pub fn smoke_cells() -> (PaxosSetting, MulticastSetting) {
     )
 }
 
-/// Cross-engine agreement probe for the `fault_sweep` subcommand's
-/// `--threads N` flag: runs the sweep's protocol cells on the pooled
-/// engine at `threads` workers and returns one human-readable line per
-/// cell that *disagrees* with the sequential BFS reference (empty =
-/// everything agrees, the subcommand prints OK).
-pub fn parallel_agreement_probe(threads: usize, budget: &Budget) -> Vec<String> {
-    let (paxos, multicast) = smoke_cells();
-    parallel_scaling_sweep(&[threads], paxos, multicast, budget)
-        .into_iter()
-        .filter(|row| !row.agrees)
-        .map(|row| {
-            format!(
-                "{} / {} / {}: pooled run diverged from sequential BFS ({}, {} states)",
-                row.measurement.protocol,
-                row.measurement.property,
-                row.measurement.strategy,
-                row.measurement.verdict,
-                row.measurement.states
-            )
-        })
-        .collect()
-}
-
-/// Renders the scaling sweep as a small text table.
-pub fn render_parallel_sweep(rows: &[ScalingRow]) -> String {
-    let mut out = String::from(
-        "configuration                                  | thr |   states |     time | speedup | vs sequential\n",
-    );
-    out.push_str(
-        "-----------------------------------------------+-----+----------+----------+---------+--------------\n",
-    );
-    for row in rows {
-        out.push_str(&format!(
-            "{:<46} | {:>3} | {:>8} | {:>8} | {:>6.2}x | {}\n",
-            format!(
-                "{} [{}]",
-                row.measurement.protocol, row.measurement.strategy
-            ),
-            row.measurement.threads,
-            row.measurement.states,
-            row.measurement.time_label(),
-            row.speedup,
-            if row.agrees { "agree" } else { "DISAGREE" }
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bench_gate::{compare, parse_rows, render_rows};
+    use crate::report::{num, text};
 
     #[test]
     fn sweep_rows_agree_with_sequential_bfs_and_carry_speedups() {
         let (paxos, multicast) = smoke_cells();
-        let rows = parallel_scaling_sweep(&[1, 2], paxos, multicast, &Budget::small());
+        let (rows, failures) = parallel_scaling_sweep(&[1, 2], paxos, multicast, &Budget::small());
         // 2 protocols × sym off/on × 2 thread counts.
         assert_eq!(rows.len(), 8);
+        assert!(failures.is_empty(), "{failures:?}");
         for row in &rows {
-            assert!(row.agrees, "{}", render_parallel_sweep(&rows));
-            assert!(row.measurement.completed);
-            assert!(row.speedup > 0.0);
-            assert!(row.cores >= 1);
-            assert_eq!(
-                row.measurement.threads,
-                if row.measurement.strategy.contains("(1)") {
-                    1
-                } else {
-                    2
-                }
-            );
+            assert_eq!(row["completed"], JsonValue::Bool(true));
+            assert!(num(row, "speedup") > 0.0);
+            assert!(num(row, "cores") >= 1.0);
+            let one = text(row, "strategy").contains("(1)");
+            assert_eq!(num(row, "threads"), if one { 1.0 } else { 2.0 });
         }
         // The 1-thread row of each family defines the baseline: speedup 1.
         for family in rows.chunks(2) {
-            assert_eq!(family[0].speedup, 1.0);
+            assert_eq!(num(&family[0], "speedup"), 1.0);
         }
         // Symmetry rows are labelled apart from the plain rows so the
         // bench gate keys them separately.
-        assert!(rows
-            .iter()
-            .any(|r| r.measurement.strategy.ends_with("+sym")));
-        let rendered = render_parallel_sweep(&rows);
-        assert!(rendered.contains("speedup"));
-        assert!(rendered.contains("agree"));
+        assert!(rows.iter().any(|r| text(r, "strategy").ends_with("+sym")));
     }
 
     #[test]
     fn json_rows_parse_back_through_the_bench_gate() {
         let (paxos, multicast) = smoke_cells();
-        let rows = parallel_scaling_sweep(&[1, 2], paxos, multicast, &Budget::small());
-        let emitted: Vec<Row> = rows.iter().map(ScalingRow::row).collect();
-        let parsed = parse_rows(&render_rows(&emitted)).expect("gate must parse the emit");
-        assert_eq!(parsed, emitted);
+        let (rows, _) = parallel_scaling_sweep(&[1, 2], paxos, multicast, &Budget::small());
+        let parsed = parse_rows(&render_rows(&rows)).expect("gate must parse the emit");
+        assert_eq!(parsed, rows);
         for row in &parsed {
-            assert!(matches!(row.get("speedup"), Some(JsonValue::Num(s)) if *s > 0.0));
-            assert!(matches!(row.get("threads"), Some(JsonValue::Num(t)) if *t >= 1.0));
-            assert!(matches!(row.get("cores"), Some(JsonValue::Num(c)) if *c >= 1.0));
+            assert!(num(row, "speedup") > 0.0);
+            assert!(num(row, "threads") >= 1.0);
+            assert!(num(row, "cores") >= 1.0);
             assert_eq!(crate::report::tests::phase_keys(row), 0, "untraced");
         }
+        crate::report::tests::assert_baseline_fields(
+            include_str!("../../../BENCH_parallel_scaling.json"),
+            &rows,
+        );
         // Strategy labels keep every row key unique per thread count, and
         // the rows gate clean against themselves.
         let keys: std::collections::BTreeSet<String> =
@@ -309,18 +230,22 @@ mod tests {
         let report = compare("scaling", &parsed, &parsed);
         assert!(report.passed() && report.warnings.is_empty(), "{report:?}");
         // A traced run's row carries all nine phases, in µs.
-        let mut traced = rows[0].clone();
-        traced.measurement.phases =
-            mp_trace::PhaseTimes::from_nanos([1_000; mp_trace::PHASE_COUNT]);
+        let traced = Budget::small().with_trace(mp_checker::Tracer::to_writer(
+            false,
+            Box::new(std::io::sink()),
+        ));
+        let (rows, _) = parallel_scaling_sweep(&[1], paxos, multicast, &traced);
         assert_eq!(
-            crate::report::tests::phase_keys(&traced.row()),
+            crate::report::tests::phase_keys(&rows[0]),
             mp_trace::PHASE_COUNT
         );
     }
 
     #[test]
     fn probe_is_silent_when_engines_agree() {
-        assert!(parallel_agreement_probe(2, &Budget::small()).is_empty());
+        let (paxos, multicast) = smoke_cells();
+        let (_, failures) = parallel_scaling_sweep(&[2], paxos, multicast, &Budget::small());
+        assert!(failures.is_empty(), "{failures:?}");
     }
 
     /// The full agreement matrix: every thread count of the grid × all
@@ -342,15 +267,9 @@ mod tests {
             // Paxos and echo multicast (NullObserver cells) through the
             // sweep itself.
             let (paxos, multicast) = smoke_cells();
-            let rows = parallel_scaling_sweep(&THREAD_GRID, paxos, multicast, &budget);
+            let (rows, failures) = parallel_scaling_sweep(&THREAD_GRID, paxos, multicast, &budget);
             assert_eq!(rows.len(), 2 * 2 * THREAD_GRID.len());
-            for row in &rows {
-                assert!(
-                    row.agrees,
-                    "disagreement under {frontier:?}:\n{}",
-                    render_parallel_sweep(&rows)
-                );
-            }
+            assert!(failures.is_empty(), "under {frontier:?}: {failures:?}");
 
             // Regular storage carries a history-variable observer, which
             // the pooled engine must permute and thread exactly like the

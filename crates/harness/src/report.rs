@@ -1,126 +1,91 @@
-//! Measurement rows and their text, CSV and bench-row renderings.
+//! The one result shape of every experiment: a bench [`Row`]. The fields
+//! of a checker run, the two field accessors and the one text table.
 
-use std::fmt;
-use std::time::Duration;
+use mp_checker::{ExplorationStats, RunReport, Verdict};
 
-use mp_checker::{RunReport, Verdict};
-use mp_trace::PhaseTimes;
+use crate::bench_gate::{row, JsonValue, Row};
+use crate::fault_sweep::verdict_class;
 
-use crate::bench_gate::{insert_phases, row, JsonValue, Row};
+/// What an experiment returns: its rows, and one line for each self-check
+/// it failed (none when every check passed).
+pub type Outcome = (Vec<Row>, Vec<String>);
 
-/// One cell of an evaluation table: a protocol/property/strategy combination
-/// with the measured state count and time.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Measurement {
-    /// Protocol and setting, e.g. "Paxos (2,3,1)".
-    pub protocol: String,
-    /// Property under verification, e.g. "Consensus".
-    pub property: String,
-    /// Search strategy label, e.g. "SPOR" or "DPOR (stateless)".
-    pub strategy: String,
-    /// Number of states stored/expanded.
-    pub states: usize,
-    /// Number of transitions executed.
-    pub transitions: usize,
-    /// Wall-clock time of the run.
-    pub time: Duration,
-    /// The verdict string ("verified", "CE (n steps)", "bounded (...)" ).
-    pub verdict: String,
-    /// `false` if the run hit its budget before finishing.
-    pub completed: bool,
-    /// `true` if the verdict matches the expectation for the row (verified
-    /// vs counterexample), or the run was bounded.
-    pub as_expected: bool,
-    /// Peak bytes queued in the BFS frontier, when the row was produced by
-    /// a breadth-first engine (0 for the depth-first and stateless rows,
-    /// which have no frontier). Recorded in `BENCH_*.json` so the CI gate
-    /// can watch the spill trajectory.
-    pub frontier_bytes: usize,
-    /// Worker-pool size when the row was produced by the parallel BFS
-    /// engine (0 for the sequential rows). Every parallel-engine row in a
-    /// `BENCH_*.json` carries this as a `threads` field; sequential rows
-    /// omit it.
-    pub threads: usize,
-    /// Per-phase wall-clock breakdown of the run (all zero when tracing is
-    /// disabled). A traced row carries it as flat `phase_<name>_us` fields
-    /// so the CI gate can watch a phase's *share* of the traced time drift.
-    pub phases: PhaseTimes,
+/// The row of one checker run under the given labels: `protocol`,
+/// `property`, `strategy`, `states`, `transitions`, `time_ms`, `verdict`,
+/// `completed` (the run finished within its budget) and `frontier_bytes`
+/// (the BFS frontier's peak; 0 for the depth-first and stateless runs),
+/// plus the [`insert_optional_fields`] that apply.
+pub(crate) fn run_row(
+    protocol: &str,
+    property: &str,
+    strategy: &str,
+    verdict: &str,
+    report: &RunReport,
+) -> Row {
+    let stats = &report.stats;
+    let mut row = row([
+        ("protocol", protocol.into()),
+        ("property", property.into()),
+        ("strategy", strategy.into()),
+        ("states", stats.states.into()),
+        ("transitions", stats.transitions_executed.into()),
+        ("time_ms", JsonValue::millis(stats.elapsed)),
+        ("verdict", verdict.into()),
+        (
+            "completed",
+            JsonValue::Bool(!matches!(report.verdict, Verdict::LimitReached { .. })),
+        ),
+        ("frontier_bytes", stats.frontier_peak_bytes.into()),
+    ]);
+    insert_optional_fields(&mut row, stats);
+    row
 }
 
-impl Measurement {
-    /// The measurement of one run under the given labels: its counters,
-    /// wall time, frontier peak, pool size and phases. `completed` is
-    /// whether it finished within its budget; `as_expected` is `true`.
-    pub(crate) fn of(
-        protocol: &str,
-        property: &str,
-        strategy: String,
-        verdict: String,
-        report: &RunReport,
-    ) -> Self {
-        let stats = &report.stats;
-        Measurement {
-            protocol: protocol.to_string(),
-            property: property.to_string(),
-            strategy,
-            states: stats.states,
-            transitions: stats.transitions_executed,
-            time: stats.elapsed,
-            verdict,
-            completed: !matches!(report.verdict, Verdict::LimitReached { .. }),
-            as_expected: true,
-            frontier_bytes: stats.frontier_peak_bytes,
-            threads: stats.worker_threads,
-            phases: stats.phases.clone(),
-        }
+/// Adds the fields a run carries only where they apply: `threads` on a
+/// worker-pool run, `omission_probability` under a probabilistic visited
+/// store (`fingerprint`, `runs`), and one `phase_<name>_us` field per
+/// phase on a traced run (a disabled tracer reports all-zero phases).
+pub(crate) fn insert_optional_fields(row: &mut Row, stats: &ExplorationStats) {
+    if stats.worker_threads > 0 {
+        row.insert("threads".to_string(), stats.worker_threads.into());
     }
-
-    /// The row's `BENCH_*.json` fields. `threads` appears on parallel-engine
-    /// rows only, the phase fields on traced rows only.
-    pub fn row(&self) -> Row {
-        let mut row = row([
-            ("protocol", self.protocol.as_str().into()),
-            ("property", self.property.as_str().into()),
-            ("strategy", self.strategy.as_str().into()),
-            ("states", self.states.into()),
-            ("transitions", self.transitions.into()),
-            ("time_ms", JsonValue::millis(self.time)),
-            ("verdict", self.verdict.as_str().into()),
-            ("completed", JsonValue::Bool(self.completed)),
-            ("frontier_bytes", self.frontier_bytes.into()),
-        ]);
-        if self.threads > 0 {
-            row.insert("threads".to_string(), self.threads.into());
-        }
-        insert_phases(&mut row, &self.phases);
-        row
+    if stats.store_omission_probability > 0.0 {
+        row.insert(
+            "omission_probability".to_string(),
+            JsonValue::Num(stats.store_omission_probability),
+        );
     }
-
-    /// Human-readable duration (e.g. `1.2s`, `350ms`).
-    pub(crate) fn time_label(&self) -> String {
-        let secs = self.time.as_secs_f64();
-        if secs >= 60.0 {
-            format!("{:.0}m{:02.0}s", (secs / 60.0).floor(), secs % 60.0)
-        } else if secs >= 1.0 {
-            format!("{secs:.2}s")
-        } else {
-            format!("{:.0}ms", secs * 1000.0)
+    if !stats.phases.is_zero() {
+        for (phase, time) in stats.phases.iter() {
+            row.insert(
+                format!("phase_{}_us", phase.name()),
+                JsonValue::Num(time.as_micros() as f64),
+            );
         }
     }
 }
 
-impl fmt::Display for Measurement {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} / {} / {}: {} states in {} ({})",
-            self.protocol,
-            self.property,
-            self.strategy,
-            self.states,
-            self.time_label(),
-            self.verdict
-        )
+/// The number in a row's `field`.
+///
+/// # Panics
+///
+/// If the row has no such field or it is not a number.
+pub fn num(row: &Row, field: &str) -> f64 {
+    match row.get(field) {
+        Some(JsonValue::Num(n)) => *n,
+        other => panic!("field `{field}` is not a number: {other:?} in {row:?}"),
+    }
+}
+
+/// The text in a row's `field`.
+///
+/// # Panics
+///
+/// If the row has no such field or it is not a string.
+pub fn text<'a>(row: &'a Row, field: &str) -> &'a str {
+    match row.get(field) {
+        Some(JsonValue::Str(s)) => s,
+        other => panic!("field `{field}` is not a string: {other:?} in {row:?}"),
     }
 }
 
@@ -133,109 +98,65 @@ pub(crate) fn short_verdict(verdict: &Verdict) -> String {
     }
 }
 
-/// What a verdict line appends when the run's visited store was
-/// probabilistic (`ExplorationStats::store_omission_probability`): nothing
-/// for the exact backends, the omission bound that qualifies `verified`
-/// for `fingerprint` and `runs`.
-pub(crate) fn omission_note(probability: f64) -> String {
-    if probability > 0.0 {
-        format!(" (omission ≤ {probability:.1e})")
+/// The failure line of a run row whose verdict contradicts its
+/// expectation (a counterexample, or none); a bounded run contradicts
+/// nothing.
+pub(crate) fn contradicted(row: &Row, expect_violation: bool) -> Option<String> {
+    let verdict = text(row, "verdict");
+    let expected = if expect_violation {
+        "violated"
     } else {
-        String::new()
-    }
+        "verified"
+    };
+    let class = verdict_class(verdict);
+    (class != "bounded" && class != expected).then(|| {
+        format!(
+            "UNEXPECTED VERDICT: {} / {} / {}: {verdict}, expected {expected}",
+            text(row, "protocol"),
+            text(row, "property"),
+            text(row, "strategy")
+        )
+    })
 }
 
-/// Renders measurements as an aligned text table grouped the way the paper's
-/// tables are: one line per protocol row, one column pair (states, time) per
-/// strategy.
-pub fn render_table(title: &str, rows: &[Measurement]) -> String {
-    let mut out = String::new();
-    out.push_str(title);
-    out.push('\n');
-    out.push_str(&"=".repeat(title.len()));
-    out.push('\n');
-
-    // Preserve first-appearance order of protocols and strategies.
-    let mut protocols: Vec<(String, String)> = Vec::new();
-    let mut strategies: Vec<String> = Vec::new();
-    for row in rows {
-        let key = (row.protocol.clone(), row.property.clone());
-        if !protocols.contains(&key) {
-            protocols.push(key);
-        }
-        if !strategies.contains(&row.strategy) {
-            strategies.push(row.strategy.clone());
-        }
-    }
-
-    let proto_width = protocols
+/// Renders `rows` as a text table of `columns`: a header, a rule, then one
+/// line per row. Each column is as wide as its widest cell; numbers align
+/// right, text left, and a field the row lacks prints as `-`.
+pub fn render_text(columns: &[&str], rows: &[Row]) -> String {
+    let cell = |row: &Row, column: &str| match row.get(column) {
+        Some(JsonValue::Str(s)) => (s.clone(), false),
+        Some(JsonValue::Num(n)) if n.fract() != 0.0 && n.abs() < 1e-3 => (format!("{n:.1e}"), true),
+        Some(value) => (value.to_string(), matches!(value, JsonValue::Num(_))),
+        None => ("-".to_string(), false),
+    };
+    let cells: Vec<Vec<(String, bool)>> = rows
         .iter()
-        .map(|(p, prop)| p.len() + prop.len() + 3)
-        .chain(["protocol / property".len()])
-        .max()
-        .unwrap_or(20);
-    let col_width = 26usize;
-
-    out.push_str(&format!("{:<proto_width$}", "protocol / property"));
-    for s in &strategies {
-        out.push_str(&format!(" | {s:^col_width$}"));
-    }
-    out.push('\n');
-    out.push_str(&format!("{:<proto_width$}", ""));
-    for _ in &strategies {
-        out.push_str(&format!(" | {:^col_width$}", "states / time / verdict"));
-    }
-    out.push('\n');
-    out.push_str(&"-".repeat(proto_width + strategies.len() * (col_width + 3)));
-    out.push('\n');
-
-    for (protocol, property) in &protocols {
-        out.push_str(&format!(
-            "{:<proto_width$}",
-            format!("{protocol} [{property}]")
-        ));
-        for strategy in &strategies {
-            let cell = rows.iter().find(|r| {
-                &r.protocol == protocol && &r.property == property && &r.strategy == strategy
-            });
-            match cell {
-                Some(m) => {
-                    let marker = if m.completed { "" } else { ">" };
-                    out.push_str(&format!(
-                        " | {:^col_width$}",
-                        format!(
-                            "{}{} / {} / {}",
-                            marker,
-                            m.states,
-                            m.time_label(),
-                            m.verdict
-                        )
-                    ));
-                }
-                None => out.push_str(&format!(" | {:^col_width$}", "-")),
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Renders measurements as CSV (one row per measurement).
-pub fn render_csv(rows: &[Measurement]) -> String {
-    let mut out =
-        String::from("protocol,property,strategy,states,transitions,time_ms,verdict,completed\n");
-    for m in rows {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{}\n",
-            m.protocol,
-            m.property,
-            m.strategy,
-            m.states,
-            m.transitions,
-            m.time.as_millis(),
-            m.verdict.replace(',', ";"),
-            m.completed
-        ));
+        .map(|row| columns.iter().map(|c| cell(row, c)).collect())
+        .collect();
+    let widths: Vec<usize> = (0..columns.len())
+        .map(|i| {
+            cells
+                .iter()
+                .map(|line| line[i].0.chars().count())
+                .fold(columns[i].len(), usize::max)
+        })
+        .collect();
+    let line = |values: Vec<(String, bool)>| {
+        let padded: Vec<String> = values
+            .iter()
+            .zip(&widths)
+            .map(|((value, right), &width)| match right {
+                true => format!("{value:>width$}"),
+                false => format!("{value:<width$}"),
+            })
+            .collect();
+        padded.join(" | ").trim_end().to_string() + "\n"
+    };
+    let mut out = line(columns.iter().map(|c| (c.to_string(), false)).collect());
+    let rule: Vec<String> = widths.iter().map(|&w| "-".repeat(w)).collect();
+    out += &(rule.join("-+-") + "\n");
+    for values in cells {
+        out += &line(values);
     }
     out
 }
@@ -243,66 +164,111 @@ pub fn render_csv(rows: &[Measurement]) -> String {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use mp_trace::PhaseTimes;
+    use std::time::Duration;
 
-    fn sample(protocol: &str, strategy: &str, states: usize) -> Measurement {
-        Measurement {
-            protocol: protocol.to_string(),
-            property: "p".to_string(),
-            strategy: strategy.to_string(),
-            states,
-            transitions: states * 2,
-            time: Duration::from_millis(1500),
-            verdict: "verified".to_string(),
-            completed: true,
-            as_expected: true,
-            frontier_bytes: 0,
-            threads: 0,
-            phases: PhaseTimes::default(),
+    fn sample(states: usize) -> RunReport {
+        RunReport {
+            verdict: Verdict::Verified,
+            stats: ExplorationStats {
+                states,
+                transitions_executed: states * 2,
+                elapsed: Duration::from_millis(1500),
+                ..ExplorationStats::default()
+            },
+            strategy: String::new(),
         }
     }
 
     #[test]
     fn threads_field_marks_parallel_rows_only() {
-        let mut pooled = sample("p", "parallel-bfs(4)+SPOR", 10);
-        pooled.threads = 4;
-        assert_eq!(sample("p", "SPOR", 10).row().get("threads"), None);
-        assert_eq!(pooled.row().get("threads"), Some(&JsonValue::Num(4.0)));
+        let mut pooled = sample(10);
+        pooled.stats.worker_threads = 4;
+        let sequential = run_row("p", "q", "SPOR", "verified", &sample(10));
+        assert_eq!(sequential.get("threads"), None);
+        let pooled = run_row("p", "q", "parallel-bfs(4)+SPOR", "verified", &pooled);
+        assert_eq!(pooled.get("threads"), Some(&JsonValue::Num(4.0)));
+        // The omission bound likewise marks the probabilistic stores only.
+        assert_eq!(sequential.get("omission_probability"), None);
+        let mut fingerprint = sample(10);
+        fingerprint.stats.store_omission_probability = 2.5e-12;
+        let row = run_row("p", "q", "SPOR", "verified", &fingerprint);
+        assert_eq!(num(&row, "omission_probability"), 2.5e-12);
     }
 
     #[test]
-    fn time_labels() {
-        let mut m = sample("a", "s", 1);
-        assert_eq!(m.time_label(), "1.50s");
-        m.time = Duration::from_millis(20);
-        assert_eq!(m.time_label(), "20ms");
-        m.time = Duration::from_secs(90);
-        assert_eq!(m.time_label(), "1m30s");
+    fn a_contradicted_expectation_is_a_failure_line() {
+        let row = |verdict: &str| run_row("p", "q", "s", verdict, &sample(1));
+        assert_eq!(contradicted(&row("verified"), false), None);
+        assert_eq!(contradicted(&row("CE (3 steps)"), true), None);
+        let line = contradicted(&row("verified (unexpected)"), true).unwrap();
+        assert_eq!(
+            line,
+            "UNEXPECTED VERDICT: p / q / s: verified (unexpected), expected violated"
+        );
+        assert!(contradicted(&row("CE (3 steps)"), false).is_some());
+        // A bounded run contradicts neither expectation.
+        for expect_violation in [false, true] {
+            assert_eq!(contradicted(&row("bounded (time)"), expect_violation), None);
+        }
     }
 
     #[test]
     fn table_contains_all_cells() {
-        let rows = vec![
-            sample("Paxos (2,3,1)", "SPOR", 100),
-            sample("Paxos (2,3,1)", "DPOR (stateless)", 400),
-            sample("Storage (3,1)", "SPOR", 50),
+        let mut rows: Vec<Row> = [
+            ("Paxos (2,3,1)", "SPOR", 100),
+            ("Storage (3,1)", "SPOR", 50),
+        ]
+        .iter()
+        .map(|(p, s, n)| run_row(p, "q", s, "verified", &sample(*n)))
+        .collect();
+        // A cell wider than any other and a twin of the first row's key.
+        let mut wide = sample(150_001);
+        wide.verdict = Verdict::LimitReached {
+            what: "state limit of 150000".to_string(),
+        };
+        rows.push(run_row(
+            "Paxos (2,3,1)",
+            "q",
+            "DPOR (stateless)",
+            "bounded (state limit of 150000)",
+            &wide,
+        ));
+        rows.push(rows[0].clone());
+        let columns = [
+            "protocol",
+            "strategy",
+            "states",
+            "verdict",
+            "completed",
+            "threads",
         ];
-        let table = render_table("Table I", &rows);
-        assert!(table.contains("Table I"));
-        assert!(table.contains("Paxos (2,3,1)"));
-        assert!(table.contains("Storage (3,1)"));
-        assert!(table.contains("SPOR"));
-        assert!(table.contains("DPOR (stateless)"));
-        assert!(table.contains("100"));
-        // The storage row has no DPOR cell: rendered as '-'.
-        assert!(table.contains('-'));
+        let table = render_text(&columns, &rows);
+        let lines: Vec<&str> = table.lines().collect();
+        assert_eq!(lines.len(), 2 + rows.len(), "{table}");
+        assert!(lines[0].starts_with("protocol "));
+        for (line, row) in lines[2..].iter().zip(&rows) {
+            assert!(line.contains(text(row, "strategy")), "{line}");
+            assert!(line.contains(&num(row, "states").to_string()), "{line}");
+            assert!(line.ends_with('-'), "a missing field prints as `-`: {line}");
+        }
+        assert!(lines[4].contains("150001 | bounded (state limit of 150000) | false"));
+        // Every column separator sits at the same offset on every line.
+        let bars =
+            |line: &str| -> Vec<usize> { line.match_indices(" | ").map(|(i, _)| i).collect() };
+        assert!(
+            lines[2..].iter().all(|l| bars(l) == bars(lines[0])),
+            "{table}"
+        );
+        assert!(render_text(&["a"], &[]).ends_with("a\n-\n"));
     }
 
     #[test]
     fn json_is_an_array_of_objects() {
-        let rows: Vec<Row> = [sample("p1", "s1", 10), sample("p2", "s2", 20)]
-            .iter()
-            .map(Measurement::row)
-            .collect();
+        let rows = vec![
+            run_row("p1", "q", "s1", "verified", &sample(10)),
+            run_row("p2", "q", "s2", "verified", &sample(20)),
+        ];
         let json = crate::bench_gate::render_rows(&rows);
         assert!(json.starts_with("[\n"));
         assert!(json.trim_end().ends_with(']'));
@@ -325,37 +291,39 @@ pub(crate) mod tests {
         keys.len()
     }
 
+    /// Asserts that `rows` come in the field-name shapes, phases aside, of
+    /// the committed baseline `baseline`: a misspelt, lost or extra field
+    /// fails here instead of in the CI gate.
+    pub(crate) fn assert_baseline_fields(baseline: &str, rows: &[Row]) {
+        use std::collections::BTreeSet;
+        let shapes = |rows: &[Row]| -> BTreeSet<Vec<String>> {
+            rows.iter()
+                .map(|row| {
+                    let fields = row.keys().filter(|k| !k.starts_with("phase_"));
+                    fields.cloned().collect()
+                })
+                .collect()
+        };
+        let committed = crate::bench_gate::parse_rows(baseline).unwrap();
+        assert_eq!(shapes(rows), shapes(&committed));
+    }
+
     #[test]
     fn phase_fields_are_microseconds_on_traced_rows_only() {
-        let mut m = sample("p", "s", 1);
+        let mut report = sample(1);
         assert_eq!(
-            phase_keys(&m.row()),
+            phase_keys(&run_row("p", "q", "s", "verified", &report)),
             0,
             "an untraced row has no phase field"
         );
         let mut nanos = [0u64; mp_trace::PHASE_COUNT];
         nanos[0] = 7_000_000; // 7 ms of expansion
         nanos[1] = 250_000; // 250 µs of store lookup
-        m.phases = PhaseTimes::from_nanos(nanos);
-        let row = m.row();
+        report.stats.phases = PhaseTimes::from_nanos(nanos);
+        let row = run_row("p", "q", "s", "verified", &report);
         assert_eq!(phase_keys(&row), mp_trace::PHASE_COUNT);
         assert_eq!(row["phase_expansion_us"], JsonValue::Num(7000.0));
         assert_eq!(row["phase_store_lookup_us"], JsonValue::Num(250.0));
         assert_eq!(row["phase_scc_backstop_us"], JsonValue::Num(0.0));
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let rows = vec![sample("p1", "s1", 10)];
-        let csv = render_csv(&rows);
-        assert!(csv.starts_with("protocol,"));
-        assert_eq!(csv.lines().count(), 2);
-        assert!(csv.contains("p1,p,s1,10,20,1500,verified,true"));
-    }
-
-    #[test]
-    fn display_is_one_line() {
-        let m = sample("p", "s", 5);
-        assert_eq!(m.to_string().lines().count(), 1);
     }
 }

@@ -3,11 +3,12 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use mp_checker::{Checker, CheckerConfig, Invariant, Observer, Tracer, Verdict};
+use mp_checker::{Checker, CheckerConfig, Invariant, Observer, Tracer};
 use mp_model::{LocalState, Message, ProtocolSpec};
 use mp_store::{FrontierConfig, StoreConfig};
 
-use crate::report::{short_verdict, Measurement};
+use crate::bench_gate::Row;
+use crate::report::{run_row, short_verdict};
 
 /// Resource budget applied to every experiment cell. The defaults keep the
 /// whole table runnable on a laptop in minutes; `--full` on the subcommands
@@ -143,18 +144,16 @@ impl CellStrategy {
 }
 
 /// Runs one experiment cell: a protocol + property + observer under a
-/// strategy and budget, returning a [`Measurement`] row.
-#[allow(clippy::too_many_arguments)] // an experiment cell genuinely has this many axes
+/// strategy and budget, returning its row (`report::run_row`).
 pub fn run_cell<S, M, O>(
     protocol_label: &str,
     property_label: &str,
-    expect_violation: bool,
     spec: &ProtocolSpec<S, M>,
     property: Invariant<S, M, O>,
     observer: O,
     strategy: CellStrategy,
     budget: &Budget,
-) -> Measurement
+) -> Row
 where
     S: LocalState,
     M: Message,
@@ -175,24 +174,20 @@ where
     };
     let report = checker.run();
     let verdict = short_verdict(&report.verdict);
-    let mut m = Measurement::of(
+    run_row(
         protocol_label,
         property_label,
-        strategy.label(),
-        verdict,
+        &strategy.label(),
+        &verdict,
         &report,
-    );
-    m.as_expected = match report.verdict {
-        Verdict::Verified => !expect_violation,
-        Verdict::Violated(_) => expect_violation,
-        Verdict::LimitReached { .. } => true,
-    };
-    m
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bench_gate::JsonValue;
+    use crate::report::{num, text};
     use mp_checker::NullObserver;
     use mp_protocols::sweep::{collect_model, collect_soundness_property, CollectSetting};
 
@@ -203,18 +198,17 @@ mod tests {
         let m = run_cell(
             "collect(3,2,1)",
             "soundness",
-            false,
             &spec,
             collect_soundness_property(setting),
             NullObserver,
             CellStrategy::SporStateful,
             &Budget::small(),
         );
-        assert!(m.completed);
-        assert!(m.as_expected);
-        assert_eq!(m.verdict, "verified");
-        assert!(m.states > 1);
-        assert_eq!(m.strategy, "SPOR");
+        assert_eq!(m["completed"], JsonValue::Bool(true));
+        assert_eq!(crate::report::contradicted(&m, false), None);
+        assert_eq!(text(&m, "verdict"), "verified");
+        assert!(num(&m, "states") > 1.0);
+        assert_eq!(text(&m, "strategy"), "SPOR");
     }
 
     #[test]
@@ -229,15 +223,14 @@ mod tests {
         let m = run_cell(
             "collect",
             "true",
-            false,
             &spec,
             mp_protocols::sweep::collect_true_property(),
             NullObserver,
             CellStrategy::UnreducedStateful,
             &tiny,
         );
-        assert!(!m.completed);
-        assert!(m.verdict.contains("bounded"));
+        assert_eq!(m["completed"], JsonValue::Bool(false));
+        assert!(text(&m, "verdict").contains("bounded"));
     }
 
     #[test]
@@ -247,7 +240,6 @@ mod tests {
         let exact = run_cell(
             "collect(3,2,1)",
             "soundness",
-            false,
             &spec,
             collect_soundness_property(setting),
             NullObserver,
@@ -257,15 +249,14 @@ mod tests {
         let fp = run_cell(
             "collect(3,2,1)",
             "soundness",
-            false,
             &spec,
             collect_soundness_property(setting),
             NullObserver,
             CellStrategy::SporStateful,
             &Budget::small().with_store(mp_store::StoreConfig::fingerprint(48)),
         );
-        assert_eq!(exact.verdict, fp.verdict);
-        assert_eq!(exact.states, fp.states);
+        assert_eq!(text(&exact, "verdict"), text(&fp, "verdict"));
+        assert_eq!(num(&exact, "states"), num(&fp, "states"));
     }
 
     #[test]

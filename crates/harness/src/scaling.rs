@@ -16,53 +16,43 @@ use mp_protocols::paxos::{
     PaxosVariant,
 };
 use mp_protocols::sweep::{collect_model, collect_soundness_property, CollectSetting};
-use mp_store::StoreConfig;
+use mp_store::{FrontierConfig, StoreConfig};
 
-use crate::report::omission_note;
+use crate::bench_gate::{row, JsonValue, Row};
+use crate::fault_sweep::verdict_class;
+use crate::report::{contradicted, insert_optional_fields, run_row, text, Outcome};
 use crate::runner::run_cell;
-use crate::{Budget, CellStrategy, Measurement};
+use crate::{Budget, CellStrategy};
 
-/// One point of the quorum-size sweep.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ScalingPoint {
-    /// Description of the configuration (voters, quorum).
-    pub label: String,
-    /// Quorum size of the collect transition.
-    pub quorum: usize,
-    /// Reachable states of the quorum-transition model.
-    pub quorum_states: usize,
-    /// Reachable states of the single-message model.
-    pub single_states: usize,
-}
-
-impl ScalingPoint {
-    /// The measured inflation factor (single-message / quorum states).
-    pub fn inflation(&self) -> f64 {
-        self.single_states as f64 / self.quorum_states as f64
-    }
-}
-
-/// Sweeps the quorum size of the collection protocol and returns the state
-/// counts of both modelling styles (full state graphs, no reduction — this
-/// measures model size, not search quality).
-pub fn collect_sweep(voters: usize, collectors: usize, max_states: usize) -> Vec<ScalingPoint> {
-    let mut points = Vec::new();
-    for quorum in 1..=voters {
-        let setting = CollectSetting::new(voters, quorum, collectors);
-        let quorum_states = StateGraph::build(&collect_model(setting, true), max_states)
-            .map(|g| g.num_states())
-            .unwrap_or(max_states);
-        let single_states = StateGraph::build(&collect_model(setting, false), max_states)
-            .map(|g| g.num_states())
-            .unwrap_or(max_states);
-        points.push(ScalingPoint {
-            label: format!("collect: {voters} voters, quorum {quorum}, {collectors} collector(s)"),
-            quorum,
-            quorum_states,
-            single_states,
-        });
-    }
-    points
+/// Sweeps the quorum size of the collection protocol: one row per quorum
+/// size with the reachable states of both modelling styles
+/// (`quorum_states`, `single_states`) and their ratio, `inflation` (full
+/// state graphs, no reduction — this measures model size, not search
+/// quality).
+pub fn collect_sweep(voters: usize, collectors: usize, max_states: usize) -> Vec<Row> {
+    (1..=voters)
+        .map(|quorum| {
+            let setting = CollectSetting::new(voters, quorum, collectors);
+            let states = |quorum_style| {
+                StateGraph::build(&collect_model(setting, quorum_style), max_states)
+                    .map_or(max_states, |g| g.num_states())
+            };
+            let (quorum_states, single_states) = (states(true), states(false));
+            row([
+                (
+                    "protocol",
+                    format!("collect: {voters} voters, {collectors} collector(s)").into(),
+                ),
+                ("quorum", quorum.into()),
+                ("quorum_states", quorum_states.into()),
+                ("single_states", single_states.into()),
+                (
+                    "inflation",
+                    JsonValue::ratio(single_states as f64 / quorum_states as f64),
+                ),
+            ])
+        })
+        .collect()
 }
 
 /// Measures quorum vs single-message Paxos as the number of acceptors (and
@@ -70,86 +60,67 @@ pub fn collect_sweep(voters: usize, collectors: usize, max_states: usize) -> Vec
 /// matches Table I's middle and right columns. The two modelling styles get
 /// distinct protocol labels so every row has a unique
 /// (protocol, property, strategy) key — which is what the CI bench gate
-/// matches baseline rows on.
-pub fn paxos_sweep(max_acceptors: usize, budget: &Budget) -> Vec<Measurement> {
+/// matches baseline rows on. A failure line names each run that did not
+/// verify.
+pub fn paxos_sweep(max_acceptors: usize, budget: &Budget) -> Outcome {
     let mut rows = Vec::new();
     for acceptors in 1..=max_acceptors {
         let setting = PaxosSetting::new(1, acceptors, 1);
-        rows.push(run_cell(
-            &format!("Paxos {setting} single-message"),
-            "Consensus",
-            false,
-            &single_message_model(setting, PaxosVariant::Correct),
-            consensus_property(setting),
-            NullObserver,
-            CellStrategy::SporStateful,
-            budget,
-        ));
-        rows.push(run_cell(
-            &format!("Paxos {setting} quorum"),
-            "Consensus",
-            false,
-            &quorum_model(setting, PaxosVariant::Correct),
-            consensus_property(setting),
-            NullObserver,
-            CellStrategy::SporStateful,
-            budget,
-        ));
-    }
-    rows
-}
-
-/// One row of the symmetry (orbit-reduction) scaling comparison.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SymmetryPoint {
-    /// Configuration label, e.g. "Paxos (1,3,1) quorum".
-    pub label: String,
-    /// Order of the validated symmetry group (acceptors! × learners!).
-    pub group_order: usize,
-    /// States of the plain SPOR run.
-    pub states: usize,
-    /// States of the SPOR+symmetry run (orbit representatives).
-    pub sym_states: usize,
-    /// Wall time of the plain run.
-    pub time: std::time::Duration,
-    /// Wall time of the symmetric run.
-    pub sym_time: std::time::Duration,
-    /// `true` if both runs produced the same verdict class.
-    pub verdicts_agree: bool,
-}
-
-impl SymmetryPoint {
-    /// The orbit-collapse ratio (plain states per symmetric state).
-    pub(crate) fn state_ratio(&self) -> f64 {
-        self.states as f64 / self.sym_states.max(1) as f64
-    }
-
-    /// The wall-time ratio (plain time per symmetric time; > 1 means the
-    /// reduction also paid for itself in time).
-    pub(crate) fn time_ratio(&self) -> f64 {
-        let sym = self.sym_time.as_secs_f64();
-        if sym == 0.0 {
-            1.0
-        } else {
-            self.time.as_secs_f64() / sym
+        for (style, spec) in [
+            (
+                "single-message",
+                single_message_model(setting, PaxosVariant::Correct),
+            ),
+            ("quorum", quorum_model(setting, PaxosVariant::Correct)),
+        ] {
+            rows.push(run_cell(
+                &format!("Paxos {setting} {style}"),
+                "Consensus",
+                &spec,
+                consensus_property(setting),
+                NullObserver,
+                CellStrategy::SporStateful,
+                budget,
+            ));
         }
     }
+    let failures = rows.iter().filter_map(|r| contradicted(r, false)).collect();
+    (rows, failures)
+}
+
+/// The quorum half of [`paxos_sweep`] on the parallel BFS worker pool at
+/// `threads` workers: its rows carry a `threads` field and a strategy
+/// label of their own (`parallel-bfs(N)+SPOR`), so they join the bench
+/// file without perturbing the sequential keys.
+pub fn pooled_paxos_sweep(max_acceptors: usize, threads: usize, budget: &Budget) -> Outcome {
+    let rows: Vec<Row> = (1..=max_acceptors)
+        .map(|acceptors| {
+            let setting = PaxosSetting::new(1, acceptors, 1);
+            run_cell(
+                &format!("Paxos {setting} quorum"),
+                "Consensus",
+                &quorum_model(setting, PaxosVariant::Correct),
+                consensus_property(setting),
+                NullObserver,
+                CellStrategy::ParallelBfs { threads },
+                budget,
+            )
+        })
+        .collect();
+    let failures = rows.iter().filter_map(|r| contradicted(r, false)).collect();
+    (rows, failures)
 }
 
 /// Measures the orbit collapse of the Paxos acceptor symmetry as the
 /// acceptor set grows: the validated group order is `acceptors!`, so the
-/// reduction compounds with the quorum-model savings. Returns the per-point
-/// ratios plus `Measurement` rows (strategy-labelled by the engine, e.g.
-/// `SPOR+sym(6)`) that the `quorum_scaling` subcommand appends to
-/// `BENCH_quorum_scaling.json` so the trajectory is gated in CI.
-pub fn paxos_symmetry_sweep(
-    max_acceptors: usize,
-    budget: &Budget,
-) -> (Vec<SymmetryPoint>, Vec<Measurement>) {
+/// reduction compounds with the quorum-model savings. Each point runs SPOR
+/// with and without symmetry; the row is the symmetric run's (strategy
+/// `SPOR+sym(k)`, k the group order), and a failure line names each point
+/// whose two runs disagree on the verdict class or that did not verify.
+pub fn paxos_symmetry_sweep(max_acceptors: usize, budget: &Budget) -> Outcome {
     use mp_symmetry::SymmetryGroup;
 
-    let mut points = Vec::new();
-    let mut rows = Vec::new();
+    let (mut rows, mut failures) = (Vec::new(), Vec::new());
     for acceptors in 1..=max_acceptors {
         let setting = PaxosSetting::new(1, acceptors, 1);
         let label = format!("Paxos {setting} quorum");
@@ -167,67 +138,25 @@ pub fn paxos_symmetry_sweep(
             };
             checker.run()
         };
-        let plain = run(false);
-        let sym = run(true);
-        points.push(SymmetryPoint {
-            label: label.clone(),
-            group_order,
-            states: plain.stats.states,
-            sym_states: sym.stats.states,
-            time: plain.stats.elapsed,
-            sym_time: sym.stats.elapsed,
-            verdicts_agree: plain.verdict.is_violated() == sym.verdict.is_violated()
-                && plain.verdict.is_verified() == sym.verdict.is_verified(),
-        });
         let strategy = format!("SPOR+sym({group_order})");
-        let mut m = Measurement::of(&label, "Consensus", strategy, sym.verdict.to_string(), &sym);
-        m.as_expected = sym.verdict.is_verified();
-        rows.push(m);
+        let (plain, sym) = (run(false).verdict.to_string(), run(true));
+        let row = run_row(
+            &label,
+            "Consensus",
+            &strategy,
+            &sym.verdict.to_string(),
+            &sym,
+        );
+        if verdict_class(&plain) != verdict_class(text(&row, "verdict")) {
+            failures.push(format!(
+                "SYMMETRY DISAGREEMENT: {label}: {plain} without symmetry, {} with",
+                sym.verdict
+            ));
+        }
+        failures.extend(contradicted(&row, false));
+        rows.push(row);
     }
-    (points, rows)
-}
-
-/// Renders the symmetry scaling comparison as a small text table.
-pub fn render_symmetry_sweep(points: &[SymmetryPoint]) -> String {
-    let mut out = String::from(
-        "configuration                |  |G| |   states | sym states | state ratio | time ratio | verdicts\n",
-    );
-    out.push_str(
-        "-----------------------------+------+----------+------------+-------------+------------+---------\n",
-    );
-    for p in points {
-        out.push_str(&format!(
-            "{:<28} | {:>4} | {:>8} | {:>10} | {:>10.2}x | {:>9.2}x | {}\n",
-            p.label,
-            p.group_order,
-            p.states,
-            p.sym_states,
-            p.state_ratio(),
-            p.time_ratio(),
-            if p.verdicts_agree {
-                "agree"
-            } else {
-                "DISAGREE"
-            }
-        ));
-    }
-    out
-}
-
-/// One row of the disk-frontier (spill) scaling comparison.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FrontierPoint {
-    /// Configuration label, e.g. "Paxos (1,3,1) quorum".
-    pub label: String,
-    /// States explored (identical for both frontiers by construction).
-    pub states: usize,
-    /// Peak frontier bytes of the spilled run (exact encoded bytes).
-    pub disk_peak_bytes: usize,
-    /// Total bytes the spilled run wrote to disk.
-    pub spilled_bytes: usize,
-    /// `true` if the spilled run reproduced the in-memory run's verdict
-    /// and state count exactly.
-    pub agrees: bool,
+    (rows, failures)
 }
 
 /// Watermark of the scaling sweep's spilled runs. The growing-acceptor
@@ -239,19 +168,12 @@ pub(crate) const SCALING_SPILL_WATERMARK: usize = 64;
 /// Measures the disk-backed BFS frontier on the growing-acceptor Paxos
 /// quorum models: every point runs the consensus check twice — in-memory
 /// frontier vs disk frontier at `SCALING_SPILL_WATERMARK` (small enough
-/// to force multi-segment spilling) — and asserts exact verdict/state
-/// agreement. Returns the per-point byte accounting plus
-/// `Measurement` rows (strategy `"SPOR (BFS+spill)"`, `frontier_bytes`
-/// recorded) that the `quorum_scaling` subcommand appends to
-/// `BENCH_quorum_scaling.json` so the spill trajectory is gated in CI.
-pub fn paxos_frontier_sweep(
-    max_acceptors: usize,
-    budget: &Budget,
-) -> (Vec<FrontierPoint>, Vec<Measurement>) {
-    use mp_store::FrontierConfig;
-
-    let mut points = Vec::new();
-    let mut rows = Vec::new();
+/// to force multi-segment spilling). The row is the spilled run's
+/// (strategy `"SPOR (BFS+spill)"`, its peak in `frontier_bytes`), and a
+/// failure line names each point whose spilled run did not reproduce the
+/// in-memory run's verdict and state count exactly, or did not verify.
+pub fn paxos_frontier_sweep(max_acceptors: usize, budget: &Budget) -> Outcome {
+    let (mut rows, mut failures) = (Vec::new(), Vec::new());
     for acceptors in 1..=max_acceptors {
         let setting = PaxosSetting::new(1, acceptors, 1);
         let label = format!("Paxos {setting} quorum");
@@ -269,76 +191,42 @@ pub fn paxos_frontier_sweep(
         };
         let mem = run(FrontierConfig::Mem);
         let disk = run(FrontierConfig::disk_with_watermark(SCALING_SPILL_WATERMARK));
-        points.push(FrontierPoint {
-            label: label.clone(),
-            states: disk.stats.states,
-            disk_peak_bytes: disk.stats.frontier_peak_bytes,
-            spilled_bytes: disk.stats.frontier_spilled_bytes,
-            agrees: mem.verdict.to_string() == disk.verdict.to_string()
-                && mem.stats.states == disk.stats.states,
-        });
-        let strategy = "SPOR (BFS+spill)".to_string();
-        let mut m = Measurement::of(
+        let (mem_verdict, disk_verdict) = (mem.verdict.to_string(), disk.verdict.to_string());
+        if (&mem_verdict, mem.stats.states) != (&disk_verdict, disk.stats.states) {
+            failures.push(format!(
+                "FRONTIER SPILL DISAGREEMENT: {label}: in memory {mem_verdict} ({} states), \
+                 spilled {disk_verdict} ({} states)",
+                mem.stats.states, disk.stats.states
+            ));
+        }
+        let row = run_row(
             &label,
             "Consensus",
-            strategy,
-            disk.verdict.to_string(),
+            "SPOR (BFS+spill)",
+            &disk_verdict,
             &disk,
         );
-        m.as_expected = disk.verdict.is_verified();
-        rows.push(m);
+        failures.extend(contradicted(&row, false));
+        rows.push(row);
     }
-    (points, rows)
-}
-
-/// Renders the frontier scaling comparison as a small text table.
-pub fn render_frontier_sweep(points: &[FrontierPoint]) -> String {
-    let mut out = String::from(
-        "configuration                |   states | frontier peak | spilled bytes | mem vs disk\n",
-    );
-    out.push_str(
-        "-----------------------------+----------+---------------+---------------+------------\n",
-    );
-    for p in points {
-        out.push_str(&format!(
-            "{:<28} | {:>8} | {:>12}B | {:>12}B | {}\n",
-            p.label,
-            p.states,
-            p.disk_peak_bytes,
-            p.spilled_bytes,
-            if p.agrees { "agree" } else { "DISAGREE" }
-        ));
-    }
-    out
-}
-
-/// One row of the visited-store backend comparison.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StorePoint {
-    /// Backend label ("exact", "sharded(64)", "fingerprint(48-bit)").
-    pub backend: String,
-    /// States explored.
-    pub states: usize,
-    /// Approximate peak bytes held by the visited-state store.
-    pub store_bytes: usize,
-    /// Verdict string of the run.
-    pub verdict: String,
-    /// The store's omission bound (0 for the exact backends).
-    pub omission_probability: f64,
+    (rows, failures)
 }
 
 /// Verifies one quorum-scaling configuration of the collection protocol
 /// with each `mp-store` backend under stateful DFS, so the memory savings
-/// of hash compaction are measurable on the same workload. All backends
-/// must report the same verdict (the fingerprint verdict is probabilistic
-/// in theory, exact in practice at these state counts).
+/// of hash compaction are measurable on the same workload: one row per
+/// backend (`backend`, `states`, `store_bytes`, `verdict`, and
+/// `omission_probability` for the probabilistic one). A failure line names
+/// each backend whose verdict or state count differs from the exact
+/// store's (the fingerprint verdict is probabilistic in theory, exact in
+/// practice at these state counts).
 pub fn store_backend_sweep(
     setting: CollectSetting,
     quorum_style: bool,
     budget: &Budget,
-) -> Vec<StorePoint> {
+) -> Outcome {
     let spec = collect_model(setting, quorum_style);
-    [
+    let rows: Vec<Row> = [
         StoreConfig::Exact,
         StoreConfig::sharded(),
         StoreConfig::fingerprint(48),
@@ -353,107 +241,106 @@ pub fn store_backend_sweep(
                     .apply(CheckerConfig::stateful_dfs()),
             )
             .run();
-        StorePoint {
-            backend: store.to_string(),
-            states: report.stats.states,
-            store_bytes: report.stats.store_bytes,
-            verdict: report.verdict.to_string(),
-            omission_probability: report.stats.store_omission_probability,
-        }
+        let mut row = row([
+            ("backend", store.to_string().into()),
+            ("states", report.stats.states.into()),
+            ("store_bytes", report.stats.store_bytes.into()),
+            ("verdict", report.verdict.to_string().into()),
+        ]);
+        insert_optional_fields(&mut row, &report.stats);
+        row
     })
-    .collect()
-}
-
-/// Renders the store comparison as a small text table.
-pub fn render_store_sweep(points: &[StorePoint]) -> String {
-    let mut out = String::from("backend              |    states | store bytes | verdict\n");
-    out.push_str("---------------------+-----------+-------------+---------\n");
-    for p in points {
-        out.push_str(&format!(
-            "{:<20} | {:>9} | {:>11} | {}{}\n",
-            p.backend,
-            p.states,
-            p.store_bytes,
-            p.verdict,
-            omission_note(p.omission_probability)
-        ));
-    }
-    out
-}
-
-/// Renders the collect sweep as a small text table.
-pub fn render_sweep(points: &[ScalingPoint]) -> String {
-    let mut out =
-        String::from("quorum size | quorum-model states | single-message states | inflation\n");
-    out.push_str("------------+---------------------+-----------------------+----------\n");
-    for p in points {
-        out.push_str(&format!(
-            "{:>11} | {:>19} | {:>21} | {:>8.2}x\n",
-            p.quorum,
-            p.quorum_states,
-            p.single_states,
-            p.inflation()
-        ));
-    }
-    out
+    .collect();
+    let agrees =
+        |r: &Row| (&r["verdict"], &r["states"]) == (&rows[0]["verdict"], &rows[0]["states"]);
+    let failures = rows
+        .iter()
+        .filter(|r| !agrees(r))
+        .map(|r| {
+            format!(
+                "BACKEND DISAGREEMENT: {}: {}",
+                text(r, "backend"),
+                text(r, "verdict")
+            )
+        })
+        .collect();
+    (rows, failures)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::num;
 
     #[test]
     fn inflation_grows_with_quorum_size() {
-        let points = collect_sweep(3, 1, 1_000_000);
-        assert_eq!(points.len(), 3);
-        assert!(points.iter().all(|p| p.single_states >= p.quorum_states));
+        let rows = collect_sweep(3, 1, 1_000_000);
+        assert_eq!(rows.len(), 3);
+        assert!(rows
+            .iter()
+            .all(|r| num(r, "single_states") >= num(r, "quorum_states")));
         assert!(
-            points.last().unwrap().inflation() >= points.first().unwrap().inflation(),
-            "inflation must not shrink as the quorum grows: {points:?}"
+            num(&rows[2], "inflation") >= num(&rows[0], "inflation"),
+            "inflation must not shrink as the quorum grows: {rows:?}"
         );
-        let rendered = render_sweep(&points);
-        assert!(rendered.contains("inflation"));
-        assert_eq!(rendered.lines().count(), 2 + points.len());
     }
 
     #[test]
     fn store_sweep_saves_memory_without_changing_the_verdict() {
-        let points = store_backend_sweep(CollectSetting::new(3, 2, 1), false, &Budget::small());
-        assert_eq!(points.len(), 3);
-        let exact = &points[0];
-        let fingerprint = &points[2];
-        assert!(points.iter().all(|p| p.verdict == exact.verdict));
-        assert!(points.iter().all(|p| p.states == exact.states));
+        let (rows, failures) =
+            store_backend_sweep(CollectSetting::new(3, 2, 1), false, &Budget::small());
+        assert_eq!(rows.len(), 3);
+        assert!(failures.is_empty(), "{failures:?}");
+        let (exact, fingerprint) = (&rows[0], &rows[2]);
+        assert!(rows.iter().all(|r| r["verdict"] == exact["verdict"]));
+        assert!(rows.iter().all(|r| r["states"] == exact["states"]));
         assert!(
-            fingerprint.store_bytes < exact.store_bytes,
-            "hash compaction must shrink the store: {points:?}"
+            num(fingerprint, "store_bytes") < num(exact, "store_bytes"),
+            "hash compaction must shrink the store: {rows:?}"
         );
-        let rendered = render_store_sweep(&points);
-        assert!(rendered.contains("fingerprint"));
+        // The omission bound rides on the probabilistic row only.
+        assert!(num(fingerprint, "omission_probability") > 0.0);
+        assert!(!exact.contains_key("omission_probability"));
     }
 
     #[test]
     fn frontier_sweep_spills_and_agrees() {
-        let (points, rows) = paxos_frontier_sweep(2, &Budget::small());
-        assert_eq!(points.len(), 2);
+        let (rows, failures) = paxos_frontier_sweep(2, &Budget::small());
         assert_eq!(rows.len(), 2);
-        assert!(points.iter().all(|p| p.agrees), "{points:?}");
-        assert!(points.iter().all(|p| p.disk_peak_bytes > 0));
-        assert!(rows.iter().all(|r| r.strategy == "SPOR (BFS+spill)"));
-        assert!(rows.iter().all(|r| r.frontier_bytes > 0));
-        let rendered = render_frontier_sweep(&points);
-        assert!(rendered.contains("frontier peak"));
-        assert!(rendered.contains("agree"));
+        assert!(failures.is_empty(), "{failures:?}");
+        assert!(rows
+            .iter()
+            .all(|r| text(r, "strategy") == "SPOR (BFS+spill)"));
+        assert!(rows.iter().all(|r| num(r, "frontier_bytes") > 0.0));
     }
 
     #[test]
     fn paxos_sweep_prefers_quorum_models() {
-        let rows = paxos_sweep(2, &Budget::small());
+        let (rows, failures) = paxos_sweep(2, &Budget::small());
         assert_eq!(rows.len(), 4);
+        assert!(failures.is_empty(), "{failures:?}");
         // For each acceptor count the quorum model (odd rows) must not be
         // larger than the single-message model (even rows).
         for pair in rows.chunks(2) {
-            assert!(pair[1].states <= pair[0].states, "{pair:?}");
+            assert!(
+                num(&pair[1], "states") <= num(&pair[0], "states"),
+                "{pair:?}"
+            );
         }
+    }
+
+    #[test]
+    fn quorum_scaling_rows_carry_the_baseline_fields() {
+        let budget = Budget::small();
+        let (mut rows, _) = paxos_sweep(2, &budget);
+        let (sym, failures) = paxos_symmetry_sweep(3, &budget);
+        assert!(failures.is_empty(), "{failures:?}");
+        assert_eq!(text(&sym[2], "strategy"), "SPOR+sym(6)");
+        rows.extend(sym);
+        rows.extend(paxos_frontier_sweep(2, &budget).0);
+        crate::report::tests::assert_baseline_fields(
+            include_str!("../../../BENCH_quorum_scaling.json"),
+            &rows,
+        );
     }
 }

@@ -26,8 +26,10 @@ use mp_protocols::storage::{
     wrong_regularity_property, RegularityObserver, StorageSetting,
 };
 
+use crate::bench_gate::{JsonValue, Row};
+use crate::report::{contradicted, Outcome};
 use crate::runner::run_cell;
-use crate::{Budget, CellStrategy, Measurement};
+use crate::{Budget, CellStrategy};
 
 /// Column label of the third cell. The table finds a cell by protocol,
 /// property and strategy label, so the quorum cell needs a label of its own
@@ -47,10 +49,11 @@ pub(crate) fn paxos_setting(full: bool) -> PaxosSetting {
 }
 
 /// One protocol row of the table: the single-message model under
-/// `baseline` and under SPOR, then the quorum model under SPOR.
+/// `baseline` and under SPOR, then the quorum model under SPOR. A verdict
+/// that contradicts `expect_ce` adds a line to `failures`.
 #[allow(clippy::too_many_arguments)] // a table row genuinely has this many axes
 fn push_row<S, M, O>(
-    rows: &mut Vec<Measurement>,
+    (rows, failures): (&mut Vec<Row>, &mut Vec<String>),
     (protocol, property_label): (&str, &str),
     expect_ce: bool,
     baseline: CellStrategy,
@@ -63,32 +66,37 @@ fn push_row<S, M, O>(
     M: Message,
     O: Observer<S, M>,
 {
-    let cell = |spec: &ProtocolSpec<S, M>, strategy| {
+    let cells = [
+        (single, baseline, None),
+        (single, CellStrategy::SporStateful, None),
+        (quorum, CellStrategy::SporStateful, Some(QUORUM_SPOR)),
+    ];
+    for (spec, strategy, label) in cells {
         let (property, observer) = (property(), observer.clone());
-        run_cell(
+        let mut row = run_cell(
             protocol,
             property_label,
-            expect_ce,
             spec,
             property,
             observer,
             strategy,
             budget,
-        )
-    };
-    rows.push(cell(single, baseline));
-    rows.push(cell(single, CellStrategy::SporStateful));
-    let mut quorum = cell(quorum, CellStrategy::SporStateful);
-    quorum.strategy = QUORUM_SPOR.to_string();
-    rows.push(quorum);
+        );
+        if let Some(label) = label {
+            row.insert("strategy".to_string(), JsonValue::from(label));
+        }
+        failures.extend(contradicted(&row, expect_ce));
+        rows.push(row);
+    }
 }
 
-/// Runs every row of Table I and returns the measurements.
+/// Runs every row of Table I: its rows, and one line per verdict that
+/// contradicts the row's expectation.
 ///
 /// `full` selects the paper-scale protocol settings; the default uses
 /// slightly smaller instances so that the entire table completes quickly.
-pub fn table_i(budget: &Budget, full: bool) -> Vec<Measurement> {
-    let mut rows = Vec::new();
+pub fn table_i(budget: &Budget, full: bool) -> Outcome {
+    let (mut rows, mut failures) = (Vec::new(), Vec::new());
 
     // --- Paxos ----------------------------------------------------------
     // The faulty-learner bug needs at least three acceptors to manifest
@@ -107,7 +115,7 @@ pub fn table_i(budget: &Budget, full: bool) -> Vec<Measurement> {
             (setting, format!("Paxos {setting}"))
         };
         push_row(
-            &mut rows,
+            (&mut rows, &mut failures),
             (&row_label, prop_label),
             expect_ce,
             CellStrategy::DporStateless,
@@ -128,7 +136,7 @@ pub fn table_i(budget: &Budget, full: bool) -> Vec<Measurement> {
         (MulticastSetting::new(2, 1, 2, 1), "Wrong agreement", true),
     ] {
         push_row(
-            &mut rows,
+            (&mut rows, &mut failures),
             (&format!("Echo Multicast {setting}"), prop_label),
             expect_ce,
             CellStrategy::DporStateless,
@@ -147,7 +155,7 @@ pub fn table_i(budget: &Budget, full: bool) -> Vec<Measurement> {
         (StorageSetting::new(3, 2), "Wrong regularity", true),
     ] {
         push_row(
-            &mut rows,
+            (&mut rows, &mut failures),
             (&format!("Regular storage {setting}"), prop_label),
             expect_ce,
             CellStrategy::UnreducedStateful,
@@ -164,33 +172,33 @@ pub fn table_i(budget: &Budget, full: bool) -> Vec<Measurement> {
         );
     }
 
-    rows
+    (rows, failures)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::text;
 
     #[test]
     fn bounded_table_i_has_all_rows_and_expected_verdicts() {
-        let rows = table_i(&Budget::small(), false);
+        let (rows, failures) = table_i(&Budget::small(), false);
         // 7 protocol rows × 3 strategies.
         assert_eq!(rows.len(), 21);
-        for row in &rows {
-            assert!(
-                row.as_expected,
-                "unexpected verdict for {} / {} / {}: {}",
-                row.protocol, row.property, row.strategy, row.verdict
-            );
-        }
+        assert!(failures.is_empty(), "{failures:?}");
         // At least the cheap debugging rows (Faulty Paxos, wrong agreement)
         // must find their counterexamples even under the small budget; the
         // storage wrong-regularity cells may legitimately hit the bound.
         assert!(
             rows.iter()
-                .filter(|r| r.protocol.contains("Faulty Paxos") || r.property == "Wrong agreement")
-                .any(|r| r.verdict.starts_with("CE")),
+                .filter(|r| text(r, "protocol").contains("Faulty Paxos")
+                    || text(r, "property") == "Wrong agreement")
+                .any(|r| text(r, "verdict").starts_with("CE")),
             "no counterexample found in the debugging rows"
+        );
+        crate::report::tests::assert_baseline_fields(
+            include_str!("../../../BENCH_table_i.json"),
+            &rows,
         );
     }
 }

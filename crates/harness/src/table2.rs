@@ -17,16 +17,24 @@ use mp_protocols::storage::{
 };
 use mp_refine::SplitStrategy;
 
+use crate::bench_gate::{JsonValue, Row};
+use crate::report::{contradicted, Outcome};
 use crate::runner::run_cell;
-use crate::{Budget, CellStrategy, Measurement};
+use crate::{Budget, CellStrategy};
 
-/// Runs every row of Table II and returns the measurements.
+/// Runs every row of Table II: its rows, and one line per verdict that
+/// contradicts the row's expectation.
 ///
 /// `full` selects the paper-scale settings (Paxos (2,3,1) and Echo Multicast
 /// (3,1,1,1)); the bounded default replaces them with smaller instances so
 /// the table finishes quickly.
-pub fn table_ii(budget: &Budget, full: bool) -> Vec<Measurement> {
-    let mut rows = Vec::new();
+pub fn table_ii(budget: &Budget, full: bool) -> Outcome {
+    let (mut rows, mut failures) = (Vec::new(), Vec::new());
+    let mut push = |mut row: Row, strategy: SplitStrategy, expect_ce: bool| {
+        row.insert("strategy".to_string(), JsonValue::from(strategy.label()));
+        failures.extend(contradicted(&row, expect_ce));
+        rows.push(row);
+    };
 
     // --- Paxos ----------------------------------------------------------
     // As in Table I, the faulty-learner row always uses the paper's (2,3,1)
@@ -50,18 +58,16 @@ pub fn table_ii(budget: &Budget, full: bool) -> Vec<Measurement> {
             let split = strategy
                 .apply(&base)
                 .expect("refinement of the Paxos model succeeds");
-            let mut m = run_cell(
+            let row = run_cell(
                 &label,
                 prop_label,
-                expect_ce,
                 &split,
                 consensus_property(setting),
                 NullObserver,
                 CellStrategy::SporStateful,
                 budget,
             );
-            m.strategy = strategy.label().to_string();
-            rows.push(m);
+            push(row, strategy, expect_ce);
         }
     }
 
@@ -81,18 +87,16 @@ pub fn table_ii(budget: &Budget, full: bool) -> Vec<Measurement> {
             let split = strategy
                 .apply(&base)
                 .expect("refinement of the multicast model succeeds");
-            let mut m = run_cell(
+            let row = run_cell(
                 &label,
                 prop_label,
-                expect_ce,
                 &split,
                 agreement_property(setting),
                 NullObserver,
                 CellStrategy::SporStateful,
                 budget,
             );
-            m.strategy = strategy.label().to_string();
-            rows.push(m);
+            push(row, strategy, expect_ce);
         }
     }
 
@@ -113,42 +117,39 @@ pub fn table_ii(budget: &Budget, full: bool) -> Vec<Measurement> {
             } else {
                 regularity_property(setting)
             };
-            let mut m = run_cell(
+            let row = run_cell(
                 &label,
                 prop_label,
-                expect_ce,
                 &split,
                 property,
                 RegularityObserver::new(setting),
                 CellStrategy::SporStateful,
                 budget,
             );
-            m.strategy = strategy.label().to_string();
-            rows.push(m);
+            push(row, strategy, expect_ce);
         }
     }
 
-    rows
+    (rows, failures)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::text;
 
     #[test]
     fn bounded_table_ii_has_all_rows_and_expected_verdicts() {
-        let rows = table_ii(&Budget::small(), false);
+        let (rows, failures) = table_ii(&Budget::small(), false);
         // 7 protocol rows × 4 split strategies.
         assert_eq!(rows.len(), 28);
-        for row in &rows {
-            assert!(
-                row.as_expected,
-                "unexpected verdict for {} / {} / {}: {}",
-                row.protocol, row.property, row.strategy, row.verdict
-            );
-        }
+        assert!(failures.is_empty(), "{failures:?}");
+        crate::report::tests::assert_baseline_fields(
+            include_str!("../../../BENCH_table_ii.json"),
+            &rows,
+        );
         let strategies: std::collections::BTreeSet<&str> =
-            rows.iter().map(|r| r.strategy.as_str()).collect();
+            rows.iter().map(|r| text(r, "strategy")).collect();
         assert!(strategies.contains("combined-split"));
         assert!(strategies.contains("reply-split"));
         assert!(strategies.contains("quorum-split"));

@@ -2,16 +2,22 @@
 //! table/figure experiment run end to end and reproduce the qualitative
 //! shape of the paper's results.
 
+use mp_basset::harness::bench_gate::{JsonValue, Row};
 use mp_basset::harness::scaling::collect_sweep;
 use mp_basset::harness::{
-    debugging::debugging_experiments, render_csv, render_table, table1::table_i, table2::table_ii,
+    debugging::debugging_experiments, num, render_text, table1::table_i, table2::table_ii, text,
     Budget,
 };
 
+fn completed(row: &Row) -> bool {
+    row["completed"] == JsonValue::Bool(true)
+}
+
 #[test]
 fn table_i_quorum_models_beat_single_message_models() {
-    let rows = table_i(&Budget::small(), false);
-    let table = render_table("Table I", &rows);
+    let (rows, failures) = table_i(&Budget::small(), false);
+    assert!(failures.is_empty(), "{failures:?}");
+    let table = render_text(&["protocol", "property", "strategy", "states"], &rows);
     assert!(table.contains("Paxos"));
     assert!(table.contains("Echo Multicast"));
     assert!(table.contains("Regular storage"));
@@ -23,50 +29,44 @@ fn table_i_quorum_models_beat_single_message_models() {
         let [_, single_spor, quorum_spor] = chunk else {
             panic!("each protocol row has exactly three cells");
         };
-        if single_spor.completed && quorum_spor.completed {
+        if completed(single_spor) && completed(quorum_spor) {
             assert!(
-                quorum_spor.states <= single_spor.states,
+                num(quorum_spor, "states") <= num(single_spor, "states"),
                 "{}: quorum SPOR explored {} states but single-message SPOR {}",
-                quorum_spor.protocol,
-                quorum_spor.states,
-                single_spor.states
+                text(quorum_spor, "protocol"),
+                num(quorum_spor, "states"),
+                num(single_spor, "states")
             );
         }
     }
 
-    let csv = render_csv(&rows);
-    assert_eq!(csv.lines().count(), rows.len() + 1);
-
-    // The table finds a cell by (protocol, property, strategy): two cells
-    // under one key would print one and drop the other, and a strategy
-    // missing from the header would never be printed at all.
-    let header = table.lines().nth(2).expect("a column header");
+    // Every cell is a row of its own (the bench gate keys rows by
+    // protocol, property and strategy, so no two may share that key), and
+    // the table prints one line per row.
+    assert_eq!(table.lines().count(), rows.len() + 2);
     for (i, row) in rows.iter().enumerate() {
-        let key = (&row.protocol, &row.property, &row.strategy);
-        let twin = rows[i + 1..]
-            .iter()
-            .find(|r| (&r.protocol, &r.property, &r.strategy) == key);
-        assert!(twin.is_none(), "two cells under {key:?}");
-        let column = format!("| {:^26}", row.strategy);
-        assert!(header.contains(&column), "no column for {}", row.strategy);
+        let key = |r: &Row| ["protocol", "property", "strategy"].map(|f| text(r, f).to_string());
+        let twin = rows[i + 1..].iter().find(|r| key(r) == key(row));
+        assert!(twin.is_none(), "two cells under {:?}", key(row));
     }
 }
 
 #[test]
 fn table_ii_combined_split_is_never_worse_than_unsplit() {
-    let rows = table_ii(&Budget::small(), false);
+    let (rows, failures) = table_ii(&Budget::small(), false);
+    assert!(failures.is_empty(), "{failures:?}");
     for chunk in rows.chunks(4) {
         let unsplit = &chunk[0];
         let combined = &chunk[3];
-        assert_eq!(unsplit.strategy, "quorum (unsplit)");
-        assert_eq!(combined.strategy, "combined-split");
-        if unsplit.completed && combined.completed {
+        assert_eq!(text(unsplit, "strategy"), "quorum (unsplit)");
+        assert_eq!(text(combined, "strategy"), "combined-split");
+        if completed(unsplit) && completed(combined) {
             assert!(
-                combined.states <= unsplit.states,
+                num(combined, "states") <= num(unsplit, "states"),
                 "{}: combined-split explored {} states, unsplit {}",
-                combined.protocol,
-                combined.states,
-                unsplit.states
+                text(combined, "protocol"),
+                num(combined, "states"),
+                num(unsplit, "states")
             );
         }
     }
@@ -77,19 +77,20 @@ fn section_ii_c_inflation_grows_with_quorum_size() {
     let points = collect_sweep(4, 1, 2_000_000);
     assert_eq!(points.len(), 4);
     for p in &points {
-        assert!(p.single_states >= p.quorum_states, "{p:?}");
+        assert!(num(p, "single_states") >= num(p, "quorum_states"), "{p:?}");
     }
     assert!(
-        points.last().unwrap().inflation() > points.first().unwrap().inflation(),
+        num(&points[3], "inflation") > num(&points[0], "inflation"),
         "inflation must grow with the quorum size: {points:?}"
     );
 }
 
 #[test]
 fn debugging_experiments_find_all_bugs() {
-    let rows = debugging_experiments(&Budget::default());
+    let (rows, failures) = debugging_experiments(&Budget::default());
+    assert!(failures.is_empty(), "{failures:?}");
     assert!(
-        rows.iter().all(|r| r.verdict.starts_with("CE")),
+        rows.iter().all(|r| text(r, "verdict").starts_with("CE")),
         "{rows:#?}"
     );
 }

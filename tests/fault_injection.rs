@@ -15,7 +15,7 @@ use common::differential::{faulted_multicast_cell, faulted_paxos_cell, Tally};
 use common::Rng;
 use mp_basset::faults::{inject, project_state, FaultBudget};
 use mp_basset::harness::fault_sweep::zero_budget_seed_checks;
-use mp_basset::harness::Budget;
+use mp_basset::harness::{num, text, Budget};
 use mp_basset::model::{enabled_instances, execute_enabled, TransitionInstance};
 use mp_basset::protocols::echo_multicast::MulticastSetting;
 use mp_basset::protocols::paxos::{quorum_model as paxos, PaxosSetting, PaxosVariant};
@@ -39,14 +39,15 @@ fn faulted_multicast_attack_survives_all_backends() {
 
 #[test]
 fn zero_budget_reproduces_every_seed_model_exactly() {
-    for check in zero_budget_seed_checks(&Budget::small()) {
-        assert!(
-            check.matches(),
-            "{} [{}]: base explored {} states, zero-budget injection {}",
-            check.protocol,
-            check.strategy,
-            check.base_states,
-            check.faulted_states
+    let (checks, failures) = zero_budget_seed_checks(&Budget::small());
+    assert!(failures.is_empty(), "{failures:?}");
+    for check in &checks {
+        assert_eq!(
+            num(check, "base_states"),
+            num(check, "faulted_states"),
+            "{} [{}]: base explored vs zero-budget injection",
+            text(check, "protocol"),
+            text(check, "strategy"),
         );
     }
 }

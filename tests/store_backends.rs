@@ -17,7 +17,7 @@ use common::Reference;
 use mp_basset::checker::{NullObserver, StateStoreBackend, StoreConfig};
 use mp_basset::faults::FaultBudget;
 use mp_basset::harness::scaling::store_backend_sweep;
-use mp_basset::harness::Budget;
+use mp_basset::harness::{num, text, Budget};
 use mp_basset::model::{encode_to_vec, Encode};
 use mp_basset::protocols::echo_multicast::{
     faulty_quorum_model as faulty_multicast, MulticastSetting,
@@ -56,15 +56,17 @@ fn fingerprints_shrink_the_store_on_the_quorum_scaling_run() {
     // The acceptance configuration: a quorum-scaling sweep point verified
     // with every backend; the fingerprint store must complete it with the
     // same verdict and measurably lower peak state-storage bytes.
-    let points = store_backend_sweep(CollectSetting::new(4, 2, 1), false, &Budget::small());
+    let (points, failures) =
+        store_backend_sweep(CollectSetting::new(4, 2, 1), false, &Budget::small());
+    assert!(failures.is_empty(), "{failures:?}");
     let (exact, fingerprint) = (&points[0], &points[2]);
-    assert_eq!(exact.backend, "exact");
-    assert_eq!(fingerprint.backend, "fingerprint(48-bit)");
-    assert_eq!(exact.verdict, fingerprint.verdict);
-    assert_eq!(exact.states, fingerprint.states);
-    let bytes = (fingerprint.store_bytes, exact.store_bytes);
+    assert_eq!(text(exact, "backend"), "exact");
+    assert_eq!(text(fingerprint, "backend"), "fingerprint(48-bit)");
+    assert_eq!(text(exact, "verdict"), text(fingerprint, "verdict"));
+    assert_eq!(num(exact, "states"), num(fingerprint, "states"));
+    let bytes = (num(fingerprint, "store_bytes"), num(exact, "store_bytes"));
     assert!(
-        bytes.0 * 2 < bytes.1,
+        bytes.0 * 2.0 < bytes.1,
         "well under the exact store: {bytes:?}"
     );
 }
