@@ -78,7 +78,7 @@ use mp_model::{
 };
 use mp_por::Reducer;
 use mp_symmetry::Symmetry;
-use mp_trace::{Counter, Gauge, Histogram, Phase, TraceHandle};
+use mp_trace::{Counter, Gauge, Phase, TraceHandle};
 
 use crate::{
     liveness::run_liveness_dfs,
@@ -298,9 +298,7 @@ impl<S: LocalState, M: Message, O: Observer<S, M>> Search<'_, S, M, O> {
         self.stats.transitions_executed += out.transitions;
         self.stats.reduced_states += out.reduced;
         self.stats.revisits += out.revisits;
-        self.trace.add(Counter::Expansions, out.expansions as u64);
         self.trace.add(Counter::Transitions, out.transitions as u64);
-        self.trace.add(Counter::Revisits, out.revisits as u64);
         for (parent, ordinal, body) in out.fresh {
             if self.stats.states >= self.config.max_states {
                 let what = format!("state limit of {}", self.config.max_states);
@@ -392,7 +390,6 @@ impl<S: LocalState, M: Message, O: Observer<S, M>> Search<'_, S, M, O> {
             if width == 0 {
                 return Ok(());
             }
-            trace.record(Histogram::LevelWidth, width as u64);
             self.depth += 1;
             self.stats.max_depth = self.stats.max_depth.max(self.depth);
             trace.add(Counter::Depth, self.depth as u64);
@@ -400,7 +397,7 @@ impl<S: LocalState, M: Message, O: Observer<S, M>> Search<'_, S, M, O> {
 
             loop {
                 let mut chunk = Vec::new();
-                let entries = self.frontier.pop_records(CHUNK_ENTRIES, &mut chunk);
+                self.frontier.pop_records(CHUNK_ENTRIES, &mut chunk);
                 // Block only once the level has nothing left to hand out;
                 // it is complete when nothing is outstanding either.
                 let finished = pool.collect(chunk.is_empty());
@@ -411,7 +408,6 @@ impl<S: LocalState, M: Message, O: Observer<S, M>> Search<'_, S, M, O> {
                     self.admit(out)?;
                 }
                 if !chunk.is_empty() {
-                    trace.record(Histogram::BatchOccupancy, entries as u64);
                     if let Err(chunk) = pool.submit(chunk) {
                         self.admit(expander.expand_chunk(chunk))?;
                     }

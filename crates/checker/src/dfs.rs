@@ -389,7 +389,6 @@ where
             if !new {
                 // Counted first: a lasso closed at this edge ends the search.
                 stats.revisits += 1;
-                trace.add(Counter::Revisits, 1);
                 if let Some(entry) = on_stack {
                     // Cycle proviso: the successor closes a cycle into the
                     // stack (exactly, or modulo a symmetry permutation) — a
@@ -434,7 +433,6 @@ where
                 };
             }
             stats.expansions += 1;
-            trace.add(Counter::Expansions, 1);
             if let Memory::Store(_, on_stack) = &mut memory {
                 on_stack.insert(fp, stack.len());
             }

@@ -124,7 +124,7 @@ pub use mp_store::{
 // Observability lives in the `mp-trace` subsystem; the tracer and its
 // options are re-exported so harnesses can configure tracing without a
 // direct dependency.
-pub use mp_trace::{TraceOptions, Tracer};
+pub use mp_trace::Tracer;
 
 /// The pooled (`ParallelBfs`) strategy of the breadth-first core in `bfs`
 /// against its sequential one, on the fixtures of that module's tests.

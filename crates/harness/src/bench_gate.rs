@@ -16,7 +16,7 @@
 //!   and rows that are new in the fresh file (schema growth is deliberate).
 //!
 //! [`parse_rows`] reads exactly the layout [`render_rows`] writes, one
-//! object per line through the trace parser `mp_trace::validate::
+//! object per line through the trace parser `mp_trace::event::
 //! parse_flat_object`, and rejects anything else loudly rather than
 //! guessing (no external JSON dependency in this offline workspace).
 
@@ -24,12 +24,9 @@ use std::collections::BTreeMap;
 use std::fmt::{self, Write};
 use std::time::Duration;
 
-use mp_trace::analyze::{diff as trace_diff, RunSummary};
-use mp_trace::validate::{parse_flat_object, Value};
-use mp_trace::Phase;
+use mp_trace::event::{parse_flat_object, Value};
 
 use crate::fault_sweep::verdict_class;
-use crate::trace_report::{pair_runs, run_label};
 
 /// A scalar JSON value of a bench row.
 #[derive(Clone, Debug, PartialEq)]
@@ -198,44 +195,7 @@ fn is_phase_field(field: &str) -> bool {
 /// Absolute share-of-traced-time drift (in fractional points) beyond which
 /// a phase field warns: 0.20 = a phase moved by more than 20 percentage
 /// points of the traced total.
-pub(crate) const PHASE_SHARE_DRIFT: f64 = 0.20;
-
-/// Trace-level phase-drift check (behind `bench_gate --trace-baseline` /
-/// `--trace-fresh`): pairs the runs of two analyzed NDJSON traces by
-/// `protocol · strategy · property` identity and returns one warning per
-/// phase whose share of traced time moved by more than
-/// `PHASE_SHARE_DRIFT`. Traces see every phase at full µs resolution and
-/// per run rather than per aggregated bench row, so this catches drifts the
-/// row-level gate smooths over; like the row-level share rule it only ever
-/// warns.
-pub fn trace_phase_drift(
-    label: &str,
-    baseline: &[RunSummary],
-    fresh: &[RunSummary],
-) -> Vec<String> {
-    let (pairs, unpaired, _) = pair_runs(baseline, fresh);
-    let mut warnings = Vec::new();
-    for (base_run, fresh_run) in pairs {
-        let d = trace_diff(base_run, fresh_run);
-        for (p, phase) in Phase::ALL.iter().enumerate() {
-            if d.phase_share_delta[p].abs() > PHASE_SHARE_DRIFT {
-                warnings.push(format!(
-                    "{label}: {} share of traced time drifted on {}: {:.0}% -> {:.0}%",
-                    phase.name(),
-                    run_label(base_run),
-                    base_run.phase_share(*phase) * 100.0,
-                    fresh_run.phase_share(*phase) * 100.0
-                ));
-            }
-        }
-    }
-    warnings.extend(
-        unpaired
-            .into_iter()
-            .map(|key| format!("{label}: trace run has no fresh counterpart: {key}")),
-    );
-    warnings
-}
+const PHASE_SHARE_DRIFT: f64 = 0.20;
 
 /// Numeric fields that only warn (wall-time and memory noise). Frontier
 /// bytes are hardware-independent in principle but track encoded-state
@@ -697,32 +657,6 @@ mod tests {
             assert!(report.passed(), "{:?}", report.errors);
             assert!(report.warnings.is_empty(), "{:?}", report.warnings);
         }
-    }
-
-    #[test]
-    fn trace_phase_drift_pairs_runs_and_warns_on_share_moves() {
-        use mp_trace::PHASE_COUNT;
-        let run = |strategy: &str, phases_us: [u64; PHASE_COUNT]| RunSummary {
-            protocol: "paxos".to_string(),
-            strategy: strategy.to_string(),
-            property: "agreement".to_string(),
-            phases_us,
-            ..Default::default()
-        };
-        let mut even = [0u64; PHASE_COUNT];
-        even[0] = 500;
-        even[1] = 500;
-        let mut skewed = [0u64; PHASE_COUNT];
-        skewed[0] = 900;
-        skewed[1] = 100;
-        // Same shares → silent; a 40-point move → one warning per phase.
-        assert!(trace_phase_drift("t", &[run("bfs", even)], &[run("bfs", even)]).is_empty());
-        let warnings = trace_phase_drift("t", &[run("bfs", even)], &[run("bfs", skewed)]);
-        assert_eq!(warnings.len(), 2, "{warnings:?}");
-        assert!(warnings[0].contains("expansion share"), "{warnings:?}");
-        // Unpaired baseline runs are surfaced, not silently skipped.
-        let unpaired = trace_phase_drift("t", &[run("bfs", even)], &[run("dfs", even)]);
-        assert!(unpaired[0].contains("no fresh counterpart"), "{unpaired:?}");
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! and the optional [`Tracer`] construction all derive from that one table
 //! — so the help text cannot drift from what is parsed.
 
-use mp_checker::{TraceOptions, Tracer};
+use std::path::Path;
+
+use mp_checker::Tracer;
 
 /// The binary's name, as usage lines print it.
 pub const PROGRAM: &str = "mp-harness";
@@ -35,7 +37,8 @@ impl Command {
     ///
     /// [`CliError::HelpRequested`] on `--help`/`-h`;
     /// [`CliError::Invalid`] on an unknown flag, a missing required value,
-    /// or a positional argument the subcommand does not take.
+    /// a numeric flag's value that is not a number, or a positional
+    /// argument the subcommand does not take.
     pub fn parse(&'static self, args: &[String]) -> Result<Cli, CliError> {
         let mut cli = Cli {
             command: self,
@@ -50,14 +53,19 @@ impl Command {
             if let Some(spec) = self.flags.iter().find(|f| f.name == arg) {
                 let value = match spec.arg {
                     FlagArg::None => None,
-                    FlagArg::Required(placeholder) => match it.next() {
-                        Some(v) => Some(v.clone()),
-                        None => {
+                    FlagArg::Required(placeholder) | FlagArg::Number(placeholder) => {
+                        let Some(v) = it.next() else {
                             return Err(CliError::Invalid(format!(
                                 "{arg} requires a {placeholder} value"
-                            )))
+                            )));
+                        };
+                        if spec.arg == FlagArg::Number(placeholder) && v.parse::<usize>().is_err() {
+                            return Err(CliError::Invalid(format!(
+                                "{arg} expects a number, got `{v}`"
+                            )));
                         }
-                    },
+                        Some(v.clone())
+                    }
                     FlagArg::Optional(_) => match it.peek() {
                         Some(next) if !next.starts_with("--") => {
                             Some(it.next().expect("peeked argument must be present").clone())
@@ -86,7 +94,9 @@ impl Command {
             .iter()
             .map(|spec| match spec.arg {
                 FlagArg::None => spec.name.to_string(),
-                FlagArg::Required(placeholder) => format!("{} {placeholder}", spec.name),
+                FlagArg::Required(placeholder) | FlagArg::Number(placeholder) => {
+                    format!("{} {placeholder}", spec.name)
+                }
                 FlagArg::Optional(placeholder) => format!("{} [{placeholder}]", spec.name),
             })
             .collect();
@@ -158,6 +168,9 @@ pub enum FlagArg {
     None,
     /// A required value (`--trace PATH`); parsing fails when it is missing.
     Required(&'static str),
+    /// A required `usize` value (`--threads N`); parsing also fails when it
+    /// is not a number, whether or not the subcommand goes on to read it.
+    Number(&'static str),
     /// An optional value (`--json [PATH]`): the next argument is consumed
     /// as the value unless it is absent or another `--flag`.
     Optional(&'static str),
@@ -193,6 +206,15 @@ impl FlagSpec {
         }
     }
 
+    /// A flag with a required `usize` value.
+    pub const fn number(name: &'static str, placeholder: &'static str, help: &'static str) -> Self {
+        FlagSpec {
+            name,
+            arg: FlagArg::Number(placeholder),
+            help,
+        }
+    }
+
     /// A flag with an optional value.
     pub const fn optional_value(
         name: &'static str,
@@ -221,7 +243,7 @@ pub const TRACE_FLAG: FlagSpec = FlagSpec::value(
 );
 
 /// The shared `--threads N` flag (parallel BFS worker-pool size).
-pub const THREADS_FLAG: FlagSpec = FlagSpec::value(
+pub const THREADS_FLAG: FlagSpec = FlagSpec::number(
     "--threads",
     "N",
     "worker threads for the parallel BFS engine (0 = available CPUs)",
@@ -289,29 +311,20 @@ impl Cli {
         &self.positionals
     }
 
-    /// The value given with `name` parsed as a `usize`, or `default` when
-    /// the flag is absent — the convention of every numeric flag
-    /// ([`THREADS_FLAG`], `--spill-watermark`, …). A value that is not a
-    /// number ends the process like any other malformed invocation (usage,
-    /// exit 2) instead of silently running the default.
+    /// The value of the numeric flag `name` ([`FlagSpec::number`]), or
+    /// `default` when the flag is absent. [`Command::parse`] has already
+    /// refused a value that is not a number.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `name` is not declared numeric and its value is not a
+    /// number.
     pub fn usize_value(&self, name: &str, default: usize) -> usize {
-        self.try_usize_value(name, default)
-            .unwrap_or_else(|e| e.exit(self.command.name, &self.usage()))
-    }
-
-    /// Pure core of [`Cli::usize_value`].
-    ///
-    /// # Errors
-    ///
-    /// [`CliError::Invalid`] naming the flag and the value when the value
-    /// does not parse as a `usize`.
-    pub(crate) fn try_usize_value(&self, name: &str, default: usize) -> Result<usize, CliError> {
-        let Some(value) = self.value(name) else {
-            return Ok(default);
-        };
-        value
-            .parse()
-            .map_err(|_| CliError::Invalid(format!("{name} expects a number, got `{value}`")))
+        self.value(name).map_or(default, |value| {
+            value
+                .parse()
+                .unwrap_or_else(|_| panic!("{name} is not declared as a numeric flag"))
+        })
     }
 
     /// The shared `--json [PATH]` convention: `None` when the flag is
@@ -330,14 +343,8 @@ impl Cli {
     /// Panics when the `--trace` file cannot be created; the subcommands
     /// treat that as fatal, like an unwritable `--json` path.
     pub fn tracer(&self) -> Tracer {
-        let mut options = TraceOptions::new();
-        if self.has(PROGRESS_FLAG.name) {
-            options = options.with_progress();
-        }
-        if let Some(path) = self.value(TRACE_FLAG.name) {
-            options = options.with_ndjson(path);
-        }
-        Tracer::from_options(options)
+        let ndjson = self.value(TRACE_FLAG.name).map(Path::new);
+        Tracer::new(self.has(PROGRESS_FLAG.name), ndjson)
             .unwrap_or_else(|e| panic!("{}: cannot open trace sink: {e}", self.command.name))
     }
 
@@ -448,20 +455,20 @@ mod tests {
     #[test]
     fn numeric_values_default_when_absent_and_fail_when_malformed() {
         static NUMERIC: Command = Command {
-            flags: &[THREADS_FLAG, FlagSpec::value("--voters", "N", "voters")],
+            flags: &[THREADS_FLAG, FlagSpec::number("--voters", "N", "voters")],
             ..DEMO
         };
         let parse = |args: &[&str]| NUMERIC.parse(&to_args(args));
         let cli = parse(&["--threads", "3"]).unwrap();
-        assert_eq!(cli.try_usize_value("--threads", 0), Ok(3));
-        assert_eq!(cli.try_usize_value("--voters", 4), Ok(4), "absent: default");
-        let cli = parse(&["--threads", "two", "--voters", "-1"]).unwrap();
+        assert_eq!(cli.usize_value("--threads", 0), 3);
+        assert_eq!(cli.usize_value("--voters", 4), 4, "absent: default");
         for (flag, value) in [("--threads", "two"), ("--voters", "-1")] {
             assert!(matches!(
-                cli.try_usize_value(flag, 9),
+                parse(&[flag, value]),
                 Err(CliError::Invalid(m)) if m.contains(flag) && m.contains(value)
             ));
         }
+        assert!(NUMERIC.usage().contains("[--threads N]"));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::path::Path;
 use std::time::Duration;
 
 use mp_faults::FaultBudget;
-use mp_harness::bench_gate::{compare, parse_rows, render_rows, trace_phase_drift, Row};
+use mp_harness::bench_gate::{compare, parse_rows, render_rows, Row};
 use mp_harness::cli::{
     dispatch, Cli, Command, FlagSpec, PROGRAM, PROGRESS_FLAG, THREADS_FLAG, TRACE_FLAG,
 };
@@ -107,7 +107,7 @@ const COMMANDS: &[Command] = &[
                 "--spill",
                 "force the disk-backed BFS frontier on for the safety cells",
             ),
-            FlagSpec::value(
+            FlagSpec::number(
                 "--spill-watermark",
                 "BYTES",
                 "disk-frontier spill watermark used with --spill (default 4096)",
@@ -143,18 +143,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "bench_gate",
         summary: "Bench-regression gate over committed BENCH_*.json baselines.",
-        flags: &[
-            FlagSpec::value(
-                "--trace-baseline",
-                "PATH",
-                "baseline NDJSON trace for the phase-drift check (needs --trace-fresh)",
-            ),
-            FlagSpec::value(
-                "--trace-fresh",
-                "PATH",
-                "fresh NDJSON trace compared against --trace-baseline (warnings only)",
-            ),
-        ],
+        flags: &[],
         positionals: Some("<baseline.json> <fresh.json> [more pairs...]"),
         run: bench_gate,
     },
@@ -443,13 +432,8 @@ fn parallel_scaling(cli: &Cli) {
 }
 
 fn bench_gate(cli: &Cli) {
-    let trace_pair = match (cli.value("--trace-baseline"), cli.value("--trace-fresh")) {
-        (Some(a), Some(b)) => Some((a, b)),
-        (None, None) => None,
-        _ => cli.usage_error("--trace-baseline and --trace-fresh must be given together"),
-    };
     let files = cli.positionals();
-    if (files.is_empty() && trace_pair.is_none()) || !files.len().is_multiple_of(2) {
+    if files.is_empty() || !files.len().is_multiple_of(2) {
         cli.usage_error("expects pairs of <baseline.json> <fresh.json>");
     }
 
@@ -481,22 +465,6 @@ fn bench_gate(cli: &Cli) {
             println!("{label}: FAILED ({errors} error(s), {warnings} warning(s))");
             failed = true;
         }
-    }
-    // Trace-level phase-drift evidence (warnings only — never fails the
-    // gate, matching the row-level share rule).
-    if let Some((baseline_path, fresh_path)) = trace_pair {
-        let load =
-            |path: &str| load_runs(path).unwrap_or_else(|e| panic!("cannot analyze trace: {e}"));
-        let baseline = load(baseline_path);
-        let warnings = trace_phase_drift("trace", &baseline, &load(fresh_path));
-        for warning in &warnings {
-            println!("::warning::{warning}");
-        }
-        println!(
-            "trace: {} baseline run(s) checked for phase drift, {} warning(s)",
-            baseline.len(),
-            warnings.len()
-        );
     }
     if failed {
         std::process::exit(1);
@@ -595,7 +563,7 @@ mod tests {
                 "parallel_scaling",
                 &["--smoke", "--json", "--progress", "--trace"],
             ),
-            ("bench_gate", &["--trace-baseline", "--trace-fresh"]),
+            ("bench_gate", &[]),
             ("trace_report", &[]),
         ];
         assert_eq!(COMMANDS.len(), expected.len());
@@ -619,5 +587,28 @@ mod tests {
         };
         assert!(m.contains("seed_heuristics"), "{m}");
         assert!(COMMANDS.iter().all(|c| usage.contains(c.name)), "{usage}");
+    }
+
+    #[test]
+    fn a_malformed_number_is_refused_whatever_else_is_given() {
+        for args in [
+            &["fault_sweep", "--spill-watermark", "x"][..],
+            &[
+                "fault_sweep",
+                "--smoke",
+                "--spill",
+                "--spill-watermark",
+                "x",
+            ][..],
+            &["fault_sweep", "--threads", "two"][..],
+            &["quorum_scaling", "--threads", "two"][..],
+        ] {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            let Err((CliError::Invalid(m), usage)) = dispatch(COMMANDS, &args) else {
+                panic!("{args:?} must be a usage error");
+            };
+            assert!(m.contains("expects a number"), "{m}");
+            assert!(usage.starts_with(&format!("usage: mp-harness {}", args[0])));
+        }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! `mp_trace::analyze` turns an NDJSON trace into [`RunSummary`] values;
 //! this module turns those into the human-facing artifacts CI publishes:
-//! per-run summary tables, cross-run diff tables (the `diff` subcommand and
-//! the gate's phase-drift evidence), the per-level timeline, and the
+//! per-run summary tables, cross-run diff tables (the `diff` subcommand),
+//! the per-level timeline, and the
 //! folded-stack flamegraph text. Everything renders to GitHub-flavoured
 //! markdown except [`flame_text`], which is the raw collapsed-stack format
 //! speedscope and inferno ingest, and [`check`], one line per file naming
@@ -82,7 +82,7 @@ pub fn check(path: &str, contents: &str) -> (Class, String) {
 
 /// `protocol · strategy · property`, the run identity used in headings and
 /// for pairing runs across two traces.
-pub(crate) fn run_label(run: &RunSummary) -> String {
+fn run_label(run: &RunSummary) -> String {
     format!("{} · {} · {}", run.protocol, run.strategy, run.property)
 }
 
@@ -103,8 +103,9 @@ fn fmt_gauge(gauge: Gauge, peak: u64) -> String {
     }
 }
 
-/// Renders one run's summary tables (verdict/counters, then the non-zero
-/// phases with their shares, then the non-zero memory gauges).
+/// Renders one run's summary tables (verdict/counters and the checkpoint it
+/// resumed from, then the non-zero phases with their shares, then the
+/// non-zero memory gauges).
 fn run_summary_markdown(run: &RunSummary) -> String {
     let mut out = format!("### {}\n\n", run_label(run));
     out.push_str("| metric | value |\n|---|---|\n");
@@ -123,6 +124,11 @@ fn run_summary_markdown(run: &RunSummary) -> String {
     ));
     if !run.levels.is_empty() {
         out.push_str(&format!("| BFS levels recorded | {} |\n", run.levels.len()));
+    }
+    if let Some((level, states)) = run.resumed_from {
+        out.push_str(&format!(
+            "| resumed from level | {level} ({states} states) |\n"
+        ));
     }
 
     let total_us = run.phase_total_us();
@@ -172,7 +178,7 @@ pub fn summary_markdown(path: &str, runs: &[RunSummary]) -> String {
 /// Pairs runs of two traces by identity label in order of appearance
 /// (duplicate labels match positionally), returning the pairs plus the
 /// labels left unmatched on each side.
-pub(crate) fn pair_runs<'a>(
+fn pair_runs<'a>(
     a: &'a [RunSummary],
     b: &'a [RunSummary],
 ) -> (
@@ -365,6 +371,24 @@ mod tests {
         assert!(md.contains("| states | 10 |"));
         assert!(md.contains("| expansion |"));
         assert!(md.contains("| store_bytes | 1000 B |"), "{md}");
+    }
+
+    #[test]
+    fn summary_reports_the_resume_level() {
+        let buf = SharedBuffer::new();
+        let tracer = Tracer::to_writer(false, Box::new(buf.clone()));
+        let run = tracer.begin_run("paxos", "stateful-bfs", "agreement");
+        run.resume(4, 1234);
+        run.finish("verified");
+        drop(run);
+        let runs = analyze_stream(buf.contents().lines()).unwrap();
+        let md = summary_markdown("t.ndjson", &runs);
+        assert!(
+            md.contains("| resumed from level | 4 (1234 states) |"),
+            "{md}"
+        );
+        let fresh = summary_markdown("t.ndjson", &traced_runs(&[("bfs", 1)]));
+        assert!(!fresh.contains("resumed"), "{fresh}");
     }
 
     #[test]

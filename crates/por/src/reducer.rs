@@ -9,7 +9,7 @@
 //! of `mp-checker`, which schedules pruned instances as races show up.
 
 use mp_model::{GlobalState, LocalState, Message, ProtocolSpec, TransitionId, TransitionInstance};
-use mp_trace::{Histogram, Phase, TraceHandle};
+use mp_trace::{Phase, TraceHandle};
 
 use crate::StubbornSets;
 
@@ -45,10 +45,9 @@ pub trait Reducer<S: LocalState, M: Message>: Send + Sync {
         instances: Vec<TransitionInstance<M>>,
     ) -> Reduction<M>;
 
-    /// [`Reducer::reduce`] with observability: times the computation under
-    /// [`Phase::StubbornSet`] and records the size of the selected explore
-    /// set into the stubborn-set histogram. Engines call this form; a
-    /// disabled handle makes it identical to `reduce` (no clock read).
+    /// [`Reducer::reduce`] timed under [`Phase::StubbornSet`]. Engines call
+    /// this form; a disabled handle makes it identical to `reduce` (no
+    /// clock read).
     fn reduce_traced(
         &self,
         spec: &ProtocolSpec<S, M>,
@@ -56,14 +55,8 @@ pub trait Reducer<S: LocalState, M: Message>: Send + Sync {
         instances: Vec<TransitionInstance<M>>,
         trace: &TraceHandle,
     ) -> Reduction<M> {
-        let reduction = {
-            let _span = trace.span(Phase::StubbornSet);
-            self.reduce(spec, state, instances)
-        };
-        if trace.is_enabled() && !reduction.explore.is_empty() {
-            trace.record(Histogram::StubbornSetSize, reduction.explore.len() as u64);
-        }
-        reduction
+        let _span = trace.span(Phase::StubbornSet);
+        self.reduce(spec, state, instances)
     }
 
     /// Human-readable name used in reports.
@@ -242,7 +235,7 @@ mod tests {
     }
 
     #[test]
-    fn traced_reduce_records_the_stubborn_set_histogram() {
+    fn traced_reduce_times_the_stubborn_set_phase() {
         use mp_trace::{SharedBuffer, Tracer};
         let spec = diamond();
         let state = spec.initial_state();
@@ -250,14 +243,15 @@ mod tests {
         let reducer = SporReducer::new(&spec);
         let tracer = Tracer::to_writer(false, Box::new(SharedBuffer::new()));
         let run = tracer.begin_run("diamond", "test", "p");
-        let red = reducer.reduce_traced(&spec, &state, instances, &run.handle());
+        let red = reducer.reduce_traced(&spec, &state, instances.clone(), &run.handle());
+        assert_eq!(
+            red.explore,
+            reducer.reduce(&spec, &state, instances).explore
+        );
         assert_eq!(red.explore.len(), 1);
-        let hist = run.snapshot();
-        let h = hist.histogram(Histogram::StubbornSetSize);
-        assert_eq!(h.count, 1);
-        assert_eq!(h.max, 1);
+        assert!(run.phase_times().nanos(Phase::StubbornSet) > 0);
         run.finish("verified");
-        // The disabled handle records nothing and stays free.
+        // The disabled handle times nothing and stays free.
         let red = reducer.reduce_traced(
             &spec,
             &state,

@@ -35,7 +35,7 @@ use std::ops::Range;
 use std::path::Path;
 
 use mp_model::{read_varint, write_varint, Decode, DecodeError, Encode, Fnv64};
-use mp_trace::{Histogram, Phase, TraceHandle};
+use mp_trace::{Phase, TraceHandle};
 
 use crate::checkpoint::{level_name, CheckpointError, FileMeta, Manifest};
 use crate::files::{RunDir, SpillFile};
@@ -418,8 +418,6 @@ impl<T, C> Frontier<T, C> {
         if !next.tail.is_empty() && next.tail.len() + framed > self.watermark {
             let _io = self.trace.span(Phase::SpillIo);
             let spilled = next.write_tail(&self.dir, self.number);
-            self.trace
-                .record(Histogram::SpillSegmentBytes, spilled as u64);
             self.stats.spilled_bytes += spilled;
             self.stats.segments += 1;
             next.spilled += spilled as u64;

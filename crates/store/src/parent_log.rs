@@ -20,7 +20,7 @@
 use std::path::Path;
 
 use mp_model::Fnv64;
-use mp_trace::{Histogram, Phase, TraceHandle};
+use mp_trace::{Phase, TraceHandle};
 
 use crate::checkpoint::{CheckpointError, FileMeta, Manifest, PARENTS_NAME};
 use crate::files::{RunDir, SpillFile};
@@ -158,8 +158,6 @@ impl ParentLog {
     pub fn push(&mut self, record: ParentRecord) -> Result<usize, String> {
         self.buf.extend_from_slice(&Self::encode(record)?);
         if self.buf.len() >= self.watermark {
-            self.trace
-                .record(Histogram::SpillSegmentBytes, self.buf.len() as u64);
             self.flush();
         }
         Ok(self.len() - 1)

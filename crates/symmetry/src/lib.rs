@@ -24,10 +24,8 @@
 //!   no permutation changes ([`mp_model::Permutable::signature`] plus their
 //!   channel entries) and only members whose signatures tie are tried in
 //!   every order, whatever the group order. Candidate images are compared
-//!   with the current winner as they are generated, the candidates that
-//!   tie with the winner give the stabilizer (a traced run's orbit-size
-//!   histogram at no extra cost), and the breadth-first engine has the
-//!   winner encoded straight into its store key
+//!   with the current winner as they are generated, and the breadth-first
+//!   engine has the winner encoded straight into its store key
 //!   ([`Symmetry::canonical_encode`]) instead of built.
 //!
 //! Declaring a role and canonicalizing by hand (the `Checker` facade of

@@ -30,7 +30,7 @@ use mp_model::{
     combine, write_varint, Channels, Encode, GlobalState, LocalState, Message, Permutable,
     Permutation, ProcessId, TransitionInstance,
 };
-use mp_trace::{Histogram, Phase, TraceHandle};
+use mp_trace::{Phase, TraceHandle};
 
 use crate::SymmetryGroup;
 
@@ -61,8 +61,7 @@ pub trait Symmetry<S, M: Ord, O>: Send + Sync {
     /// [`Symmetry::canonicalize`] would, timed, encoding included, under
     /// [`Phase::Canonicalize`] (a disabled handle reads no clock). This
     /// default canonicalizes, then encodes; [`OrbitReduction`] writes the
-    /// image without building it and records the orbit size, which it
-    /// counts on the way, into the orbit histogram.
+    /// image without building it.
     fn canonical_encode(
         &self,
         state: &GlobalState<S, M>,
@@ -177,8 +176,7 @@ where
 /// [`Permutable::signature`] plus a multiset hash of its channel entries
 /// (the scalarset construction). Only members whose signatures tie are
 /// tried in every order, so the cost follows the ties, not the group
-/// order. The candidates that produce the representative number |Stab|,
-/// which gives the orbit size.
+/// order.
 pub struct OrbitReduction<S, M: Ord, O> {
     group: Arc<SymmetryGroup<S, M>>,
     _marker: PhantomData<fn() -> O>,
@@ -205,7 +203,7 @@ where
     O: Permutable + Ord + Clone,
 {
     /// The canonical image of `(state, observer)`: the least image over the
-    /// sorted candidates, its rank and its stabilizer.
+    /// sorted candidates, and its rank.
     fn canonical(&self, state: &GlobalState<S, M>, observer: &O) -> Winner<S, M, O> {
         let (arrangement, ties) = sorted_arrangement(&self.group, state);
         let identity = arrangement.iter().enumerate().all(|(i, &from)| i == from);
@@ -213,7 +211,6 @@ where
             elem: 0,
             perm: (!identity).then(|| self.group.permutation_of(&arrangement)),
             arrangement,
-            stabilizer: 1,
             locals: None,
             channels: None,
             observer: None,
@@ -226,8 +223,8 @@ where
     }
 
     /// Replaces `best`, the first candidate, with the `Ord`-minimal image
-    /// over every ordering of the `ties`, the first candidate that produces
-    /// it, and counts how many do.
+    /// over every ordering of the `ties`, and the first candidate that
+    /// produces it.
     ///
     /// The derived `Ord` reads locals slot by slot, then channels, then the
     /// observer; each candidate's image is compared with the winner's in
@@ -318,10 +315,8 @@ where
                         best.channels = None;
                     }
                     best.observer = observer_image;
-                    best.stabilizer = 1;
                 }
-                Ordering::Equal => best.stabilizer += 1,
-                Ordering::Greater => {}
+                Ordering::Equal | Ordering::Greater => {}
             }
         }
     }
@@ -415,9 +410,6 @@ struct Winner<S, M: Ord, O> {
     /// identity, whose parts are the concrete pair's own.
     arrangement: Vec<usize>,
     perm: Option<Permutation>,
-    /// How many candidates produced it: |Stab|, so the orbit has
-    /// `order / stabilizer` members.
-    stabilizer: usize,
     /// Its parts where a comparison built them (`None` otherwise).
     locals: Option<Vec<S>>,
     channels: Option<Channels<M>>,
@@ -430,9 +422,7 @@ struct Winner<S, M: Ord, O> {
 ///
 /// For `t = g·s` the candidates are those of `s` composed with `g⁻¹` (the
 /// signatures move with `g`), so `s` and `t` have the same candidate
-/// images, and the least of them is canonical. The stabilizer permutes
-/// members only within ties, so the candidates that produce the least
-/// image number |Stab|.
+/// images, and the least of them is canonical.
 fn sorted_arrangement<S, M>(
     group: &SymmetryGroup<S, M>,
     state: &GlobalState<S, M>,
@@ -589,16 +579,9 @@ where
         M: Message,
         O: Encode,
     {
-        let winner = {
-            let _span = trace.span(Phase::Canonicalize);
-            let winner = self.canonical(state, observer);
-            self.encode_image(state, observer, &winner, out);
-            winner
-        };
-        trace.record(
-            Histogram::OrbitSize,
-            (self.group.order() / winner.stabilizer) as u64,
-        );
+        let _span = trace.span(Phase::Canonicalize);
+        let winner = self.canonical(state, observer);
+        self.encode_image(state, observer, &winner, out);
         winner.elem
     }
 
@@ -681,18 +664,14 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn orbit_size_counts_distinct_images_and_traced_form_records_it() {
-        use mp_trace::{Histogram, Phase, SharedBuffer, Tracer};
+    fn traced_canonical_encode_times_the_canonicalize_phase() {
+        use mp_trace::{SharedBuffer, Tracer};
         let spec = counters(&[0, 0]);
         let group = SymmetryGroup::build(&spec, &RoleMap::new(2).role([p(0), p(1)]));
         let reduction: OrbitReduction<u8, Note, ()> = OrbitReduction::new(group);
         let sym: &dyn Symmetry<u8, Note, ()> = &reduction;
         let mut asymmetric = spec.initial_state();
         asymmetric.locals = vec![2, 0];
-        assert_eq!(reference(&reduction.group, &asymmetric, &()).1, 2);
-        // The all-equal state is fixed by the swap: a singleton orbit.
-        let symmetric = spec.initial_state();
-        assert_eq!(reference(&reduction.group, &symmetric, &()).1, 1);
 
         let tracer = Tracer::to_writer(false, Box::new(SharedBuffer::new()));
         let run = tracer.begin_run("twins", "test", "p");
@@ -700,44 +679,31 @@ pub(crate) mod tests {
         let mut key = Vec::new();
         let e2 = sym.canonical_encode(&asymmetric, &(), &mut key, &run.handle());
         assert_eq!((e2, key), (e1, mp_model::encode_to_vec(&(c1, ()))));
-        let snap = run.snapshot();
-        assert_eq!(snap.histogram(Histogram::OrbitSize).count, 1);
-        assert_eq!(snap.histogram(Histogram::OrbitSize).max, 2);
-        assert!(snap.phases.nanos(Phase::Canonicalize) > 0);
-        // The swap's image ties with the identity's on the symmetric state:
-        // one stabilizer of order 2, orbit 1.
-        sym.canonical_encode(&symmetric, &(), &mut Vec::new(), &run.handle());
-        let snap = run.snapshot();
-        assert_eq!(snap.histogram(Histogram::OrbitSize).count, 2);
-        assert_eq!(snap.histogram(Histogram::OrbitSize).sum, 2 + 1);
+        assert!(run.phase_times().nanos(Phase::Canonicalize) > 0);
         run.finish("verified");
     }
 
     // --- The references --------------------------------------------------
 
-    /// The reference: every image built in full, the `Ord`-minimal one —
-    /// the representative the canonical forms are checked against — and
-    /// the number of distinct ones, the orbit size.
+    /// The reference: every image built in full, and the `Ord`-minimal one
+    /// — the representative the canonical forms are checked against.
     fn reference<S, M, O>(
         group: &SymmetryGroup<S, M>,
         state: &GlobalState<S, M>,
         observer: &O,
-    ) -> ((GlobalState<S, M>, O), usize)
+    ) -> (GlobalState<S, M>, O)
     where
         S: LocalState + Permutable,
         M: Message + Permutable,
         O: Permutable + Ord,
     {
-        let mut images: Vec<(GlobalState<S, M>, O)> = (0..group.order())
+        (0..group.order())
             .map(|e| {
                 let perm = group.permutation(e);
                 (state.permute(&perm), observer.permute(&perm))
             })
-            .collect();
-        images.sort_unstable();
-        images.dedup();
-        let orbit_size = images.len();
-        (images.swap_remove(0), orbit_size)
+            .min()
+            .expect("the identity is an element")
     }
 
     /// The partition test: every input passes [`assert_canonical`], and two
@@ -755,7 +721,7 @@ pub(crate) mod tests {
         let mut theirs = std::collections::BTreeMap::new();
         for (state, observer) in inputs {
             let mine = assert_canonical(reduction, state, observer);
-            let (reference, _) = reference(&reduction.group, state, observer);
+            let reference = reference(&reduction.group, state, observer);
             let paired = ours
                 .entry(mine.clone())
                 .or_insert_with(|| reference.clone());
@@ -766,8 +732,8 @@ pub(crate) mod tests {
 
     /// The partition oracle: whichever member [`Symmetry::canonicalize`]
     /// picks, every image `g·s` gets the same one, the returned element
-    /// maps `s` to it, the orbit size is the reference's, and the fused
-    /// encode writes its encoding. Returns the representative.
+    /// maps `s` to it, and the fused encode writes its encoding. Returns
+    /// the representative.
     fn assert_canonical<S, M, O>(
         reduction: &OrbitReduction<S, M, O>,
         state: &GlobalState<S, M>,
@@ -780,18 +746,12 @@ pub(crate) mod tests {
     {
         let group = &reduction.group;
         let winner = reduction.canonical(state, observer);
-        let stabilizer = winner.stabilizer;
         let (representative, image, elem) = reduction.canonicalize(state, observer);
         assert_eq!(elem, winner.elem);
         assert_eq!(
             reduction.apply_element(elem, state, observer),
             (representative.clone(), image.clone()),
             "the element maps {state:?} / {observer:?} to its representative"
-        );
-        assert_eq!(
-            group.order() / stabilizer,
-            reference(group, state, observer).1,
-            "{state:?} / {observer:?}"
         );
         let mut key = Vec::new();
         let trace = TraceHandle::disabled();
@@ -885,17 +845,14 @@ pub(crate) mod tests {
         state.channels.send(p(0), p(1), Note::Tok);
         let (representative, _) = assert_canonical(&reduction, &state, &());
         assert_eq!(representative.locals, state.locals);
-        assert_eq!(reduction.canonical(&state, &()).stabilizer, 1);
         // Locals that tie under the swap of p0 and p1 only.
         let mut swapped = state.clone();
         swapped.locals = vec![1, 1, 0];
-        // Channels that tie too: the swap fixes the whole state, so the
-        // stabilizer has order 2 and the orbit three members.
+        // Channels that tie too: the swap fixes the whole state.
         let mut fixed = spec.initial_state();
         fixed.locals = vec![1, 1, 0];
         fixed.channels.send(p(2), p(0), Note::Tok);
         fixed.channels.send(p(2), p(1), Note::Tok);
-        assert_eq!(reduction.canonical(&fixed, &()).stabilizer, 2);
         assert_partitions_like_the_reference(
             &reduction,
             &[(state, ()), (swapped, ()), (fixed, ())],
@@ -914,12 +871,10 @@ pub(crate) mod tests {
         // p1 are one orbit, and the observer leaves no tie.
         let named_p1 = assert_canonical(&reduction, &state, &p(1));
         assert_eq!(assert_canonical(&reduction, &state, &p(0)), named_p1);
-        assert_eq!(reduction.canonical(&state, &p(1)).stabilizer, 1);
         // Naming p2, the member with no channels, is another orbit; it
         // breaks no tie the state left, so the swap fixes the pair.
         let named_p2 = assert_canonical(&reduction, &state, &p(2));
         assert_ne!(named_p2, named_p1);
-        assert_eq!(reduction.canonical(&state, &p(2)).stabilizer, 2);
         let inputs = [(state.clone(), p(0)), (state.clone(), p(1)), (state, p(2))];
         assert_partitions_like_the_reference(&reduction, &inputs);
     }
@@ -1044,14 +999,13 @@ pub(crate) mod tests {
         let reduction: OrbitReduction<u8, Note, ()> =
             OrbitReduction::new(SymmetryGroup::build(&spec, &role_over_all(9)));
         assert_eq!(reduction.group.order(), 362_880);
-        // Distinct locals have distinct signatures: one candidate, a
-        // trivial stabilizer, and every image sorts back to it.
+        // Distinct locals have distinct signatures: one candidate, and
+        // every image sorts back to it.
         let mut state = spec.initial_state();
         state.locals = vec![4, 7, 0, 8, 2, 5, 1, 6, 3];
         state.channels.send(p(3), p(5), Note::From(p(3)));
         assert_eq!(candidates(&reduction.group, &state), 1);
         let (representative, (), elem) = reduction.canonicalize(&state, &());
-        assert_eq!(reduction.canonical(&state, &()).stabilizer, 1);
         assert_eq!(reduction.apply_element(elem, &state, &()).0, representative);
         for g in [1, 2, 5_039, 40_320, 181_440, 362_879] {
             let (moved, ()) = reduction.apply_element(g, &state, &());
@@ -1105,7 +1059,7 @@ pub(crate) mod tests {
                 // and with it the counts, are the same whichever member the
                 // canonical form picks; they match the reference walk
                 // exactly when the two forms partition the successors alike.
-                let (least, _) = reference(&reduction.group, &post, &observed);
+                let least = reference(&reduction.group, &post, &observed);
                 locals.extend(post.locals.iter().cloned());
                 messages.extend(post.channels.iter().map(|(_, payload, _)| payload.clone()));
                 if seen.insert(representative) {

@@ -1,30 +1,26 @@
 //! The consumption side of the trace stream: fold NDJSON into answers.
 //!
-//! [`analyze_stream`] is the one pass over a trace: it checks every line
-//! against the [`validate`](crate::validate) schema and every run against
-//! the event order, and folds each completed run into a [`RunSummary`]:
-//! final counters, per-phase microseconds and shares, throughput
-//! percentiles over the progress samples, the per-level time series, reconstructed histograms and peak
-//! memory gauges. On top of that sit [`diff`] — the cross-run comparison
-//! (phase-share deltas, counter deltas, throughput ratio) behind
-//! `trace_report diff` and the bench gate's phase-drift decisions — and
+//! [`analyze_stream`] is the one pass over a trace: it reads every line
+//! into an [`Event`] (reading is the schema check), checks every run
+//! against the event order, and folds each completed run into a
+//! [`RunSummary`]: final counters, per-phase microseconds and shares,
+//! throughput percentiles over the progress samples, the per-level time
+//! series, the resume point and peak memory gauges. On top of that sit
+//! [`diff`] — the cross-run comparison (phase-share deltas, counter deltas,
+//! throughput ratio) behind `trace_report diff` — and
 //! [`RunSummary::folded_stacks`], the `engine;phase <µs>` folded-stack
 //! export that speedscope and inferno-style flamegraph tools consume
 //! directly.
 
-use std::collections::HashMap;
 use std::fmt;
 
-use crate::metrics::{
-    bucket_index, Gauge, Histogram, HistogramSummary, GAUGE_COUNT, HISTOGRAM_COUNT,
-};
+use crate::event::{Body, Event, LevelSummary};
+use crate::metrics::{Gauge, GAUGE_COUNT};
 use crate::phase::{Phase, PHASE_COUNT};
-use crate::tracer::LevelSummary;
-use crate::validate::{validate_line, EventKind, Value};
 
-/// Percentiles of the `states_per_sec` figures across a run's progress
-/// events (nearest-rank; all zero when the run emitted no samples, which
-/// cannot happen for a well-formed stream).
+/// Percentiles of the states/second of a run's progress events, each
+/// `states · 10⁶ / elapsed_us` (nearest-rank; all zero when the run emitted
+/// no samples, which cannot happen for a well-formed stream).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ThroughputStats {
     /// Number of progress samples folded in.
@@ -76,16 +72,14 @@ pub struct RunSummary {
     pub peak_depth: u64,
     /// Accumulated microseconds per phase, indexed like [`Phase::ALL`].
     pub phases_us: [u64; PHASE_COUNT],
-    /// Reconstructed histograms, indexed like [`Histogram::ALL`].
-    pub histograms: [HistogramSummary; HISTOGRAM_COUNT],
-    /// Peak memory gauges, indexed like [`Gauge::ALL`] (all zero for
-    /// schema-1 streams, which predate the gauges).
+    /// Peak memory gauges, indexed like [`Gauge::ALL`].
     pub gauges: [u64; GAUGE_COUNT],
     /// The per-level time series (empty for non-BFS engines).
     pub levels: Vec<LevelSummary>,
-    /// The BFS level this run resumed from when it was rebuilt from a
-    /// checkpoint (`None` for uninterrupted runs and pre-schema-3 streams).
-    pub resumed_from: Option<u64>,
+    /// `(level, states)` of the checkpoint this run was rebuilt from: the
+    /// manifest's last completed BFS level and the visited-store size
+    /// after the rebuild (`None` for uninterrupted runs).
+    pub resumed_from: Option<(u64, u64)>,
     /// Throughput percentiles over the progress samples.
     pub throughput: ThroughputStats,
 }
@@ -116,11 +110,6 @@ impl RunSummary {
     /// Peak value of `gauge`.
     pub fn gauge(&self, gauge: Gauge) -> u64 {
         self.gauges[gauge.index()]
-    }
-
-    /// Reconstructed summary of `histogram`.
-    pub fn histogram(&self, histogram: Histogram) -> &HistogramSummary {
-        &self.histograms[histogram.index()]
     }
 
     /// The run's phase breakdown as folded-stack lines — one
@@ -204,42 +193,6 @@ pub fn diff(a: &RunSummary, b: &RunSummary) -> RunDiff {
     }
 }
 
-fn get_int(fields: &HashMap<String, Value>, key: &str) -> u64 {
-    match fields.get(key) {
-        Some(Value::Int(n)) => *n,
-        _ => 0,
-    }
-}
-
-fn get_str(fields: &HashMap<String, Value>, key: &str) -> String {
-    match fields.get(key) {
-        Some(Value::Str(s)) => s.clone(),
-        _ => String::new(),
-    }
-}
-
-/// Rebuilds a [`HistogramSummary`] from its four `phase_summary` fields
-/// (the compact `lower_bound:count` bucket string plus count/sum/max).
-fn parse_histogram(fields: &HashMap<String, Value>, name: &str) -> HistogramSummary {
-    let mut summary = HistogramSummary {
-        count: get_int(fields, &format!("{name}_count")),
-        sum: get_int(fields, &format!("{name}_sum")),
-        max: get_int(fields, &format!("{name}_max")),
-        ..Default::default()
-    };
-    let compact = get_str(fields, &format!("{name}_buckets"));
-    for pair in compact.split(',').filter(|p| !p.is_empty()) {
-        let Some((lb, n)) = pair.split_once(':') else {
-            continue;
-        };
-        let (Ok(lb), Ok(n)) = (lb.parse::<u64>(), n.parse::<u64>()) else {
-            continue;
-        };
-        summary.buckets[bucket_index(lb)] += n;
-    }
-    summary
-}
-
 /// Why [`analyze_stream`] refused a stream. Both carry a message, prefixed
 /// with the offending line number where one exists.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -247,7 +200,7 @@ pub enum StreamError {
     /// A line failed the schema or the per-run event order: an emitter bug
     /// or a corrupted file.
     Invalid(String),
-    /// Every line validates, but the stream ends inside a run or holds no
+    /// Every line reads as an event, but the stream ends inside a run or holds no
     /// completed run: a killed process, a filled disk or an incomplete
     /// copy.
     Truncated(String),
@@ -262,7 +215,7 @@ impl fmt::Display for StreamError {
 }
 
 /// Folds a whole NDJSON stream into one [`RunSummary`] per completed run,
-/// in stream order. Every line must pass `validate_line`, and every run
+/// in stream order. Every line must read as an [`Event`], and every run
 /// must read `run_header → (progress | level_summary | resume)* →
 /// phase_summary → verdict` with at least one `progress` event; runs are
 /// sequential, so no event stands outside a run. A run that ended in the
@@ -286,70 +239,70 @@ where
             continue;
         }
         let invalid = |msg: &str| StreamError::Invalid(format!("line {}: {msg}", idx + 1));
-        let (kind, fields) = validate_line(line).map_err(|e| invalid(&e))?;
-        let event = || get_str(&fields, "event");
-        if kind == EventKind::RunHeader {
+        let event = Event::parse(line).map_err(|e| invalid(&e))?;
+        let name = event.body.name();
+        if let Body::RunHeader { property } = event.body {
             if current.is_some() {
                 return Err(invalid("run_header while the previous run is still open"));
             }
             throughput_samples.clear();
             summarized = false;
             current = Some(RunSummary {
-                protocol: get_str(&fields, "protocol"),
-                strategy: get_str(&fields, "strategy"),
-                property: get_str(&fields, "property"),
+                protocol: event.protocol,
+                strategy: event.strategy,
+                property,
                 ..Default::default()
             });
             continue;
         }
         let Some(run) = current.as_mut() else {
-            return Err(invalid(&format!("{} outside a run", event())));
+            return Err(invalid(&format!("{name} outside a run")));
         };
-        match kind {
-            EventKind::Progress | EventKind::LevelSummary | EventKind::Resume if summarized => {
-                return Err(invalid(&format!("{} after the phase_summary", event())));
+        match event.body {
+            Body::Progress { .. } | Body::LevelSummary(_) | Body::Resume { .. } if summarized => {
+                return Err(invalid(&format!("{name} after the phase_summary")));
             }
-            EventKind::RunHeader => unreachable!("handled above"),
-            EventKind::Progress => {
-                throughput_samples.push(get_int(&fields, "states_per_sec"));
-                run.peak_depth = run.peak_depth.max(get_int(&fields, "depth"));
-                for (i, gauge) in Gauge::ALL.iter().enumerate() {
-                    run.gauges[i] = run.gauges[i].max(get_int(&fields, gauge.name()));
+            Body::RunHeader { .. } => unreachable!("handled above"),
+            Body::Progress {
+                elapsed_us,
+                states,
+                depth,
+                gauges,
+                ..
+            } => {
+                throughput_samples.push(states.saturating_mul(1_000_000) / elapsed_us.max(1));
+                run.peak_depth = run.peak_depth.max(depth);
+                for (peak, sample) in run.gauges.iter_mut().zip(gauges) {
+                    *peak = (*peak).max(sample);
                 }
             }
-            EventKind::LevelSummary => run.levels.push(LevelSummary {
-                level: get_int(&fields, "level"),
-                width: get_int(&fields, "width"),
-                new_states: get_int(&fields, "new_states"),
-                store_hits: get_int(&fields, "store_hits"),
-                frontier_bytes: get_int(&fields, "frontier_bytes"),
-                duration_us: get_int(&fields, "duration_us"),
-            }),
-            EventKind::Resume => run.resumed_from = Some(get_int(&fields, "level")),
-            EventKind::PhaseSummary => {
+            Body::LevelSummary(level) => run.levels.push(level),
+            Body::Resume { level, states } => run.resumed_from = Some((level, states)),
+            Body::PhaseSummary { phases_us } => {
                 if summarized {
                     return Err(invalid("duplicate phase_summary"));
                 }
                 summarized = true;
-                for (i, phase) in Phase::ALL.iter().enumerate() {
-                    run.phases_us[i] = get_int(&fields, &format!("{}_us", phase.name()));
-                }
-                for (i, hist) in Histogram::ALL.iter().enumerate() {
-                    run.histograms[i] = parse_histogram(&fields, hist.name());
-                }
+                run.phases_us = phases_us;
             }
-            EventKind::Verdict => {
+            Body::Verdict {
+                verdict,
+                clean,
+                states,
+                transitions,
+                elapsed_ms,
+            } => {
                 if throughput_samples.is_empty() {
                     return Err(invalid("verdict without a progress event"));
                 }
                 if !summarized {
                     return Err(invalid("verdict without a phase_summary"));
                 }
-                run.verdict = get_str(&fields, "verdict");
-                run.clean = matches!(fields.get("clean"), Some(Value::Bool(true)));
-                run.states = get_int(&fields, "states");
-                run.transitions = get_int(&fields, "transitions");
-                run.elapsed_ms = get_int(&fields, "elapsed_ms");
+                run.verdict = verdict;
+                run.clean = clean;
+                run.states = states;
+                run.transitions = transitions;
+                run.elapsed_ms = elapsed_ms;
                 run.throughput =
                     ThroughputStats::from_samples(std::mem::take(&mut throughput_samples));
                 runs.extend(current.take());
@@ -375,7 +328,6 @@ mod tests {
         run.add(Counter::Transitions, states * 2);
         run.add(Counter::Depth, 3);
         run.sample_gauge(Gauge::StoreBytes, 4096);
-        run.record(Histogram::LevelWidth, states);
         {
             let _g = run.span(Phase::Expansion);
             std::thread::sleep(std::time::Duration::from_millis(1));
@@ -419,8 +371,6 @@ mod tests {
         assert_eq!(summary.levels[0].new_states, 9);
         assert!(summary.phase_us(Phase::Expansion) >= 1_000);
         assert!(summary.phase_share(Phase::Expansion) > 0.99);
-        assert_eq!(summary.histogram(Histogram::LevelWidth).count, 1);
-        assert_eq!(summary.histogram(Histogram::LevelWidth).sum, 10);
         assert!(summary.throughput.samples >= 1);
         assert!(summary.throughput.max >= summary.throughput.p50);
     }
@@ -467,21 +417,6 @@ mod tests {
             assert!(count.parse::<u64>().is_ok(), "{line}");
         }
         assert!(stacks.iter().any(|l| l.contains(";expansion ")));
-    }
-
-    #[test]
-    fn histogram_buckets_round_trip_through_the_compact_string() {
-        let mut fields = HashMap::new();
-        fields.insert("h_count".to_string(), Value::Int(5));
-        fields.insert("h_sum".to_string(), Value::Int(14));
-        fields.insert("h_max".to_string(), Value::Int(8));
-        fields.insert(
-            "h_buckets".to_string(),
-            Value::Str("0:1,1:1,2:2,8:1".into()),
-        );
-        let h = parse_histogram(&fields, "h");
-        assert_eq!(h.count, 5);
-        assert_eq!(h.buckets_compact(), "0:1,1:1,2:2,8:1");
     }
 
     #[test]

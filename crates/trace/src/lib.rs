@@ -9,18 +9,19 @@
 //!   [`Phase`] taxonomy (expansion, store lookup, canonicalization,
 //!   frontier encode/decode, spill I/O, stubborn-set computation, SCC
 //!   backstop). A disabled tracer reads no clock at all.
-//! * **Metrics registry** — atomic [`Counter`]s and log₂-bucket
-//!   [`Histogram`]s (orbit sizes, stubborn-set sizes, BFS level widths,
-//!   spill segment sizes, parallel-batch occupancy), safely shared across
-//!   the parallel engine's worker threads by `&`-borrow.
+//! * **Metrics registry** — atomic [`Counter`]s (states, transitions,
+//!   depth) and peak [`Gauge`]s, safely shared across the parallel
+//!   engine's worker threads by `&`-borrow.
 //! * **Progress heartbeat** — a sampler thread snapshots the registry
 //!   periodically and emits human-readable stderr lines and/or
-//!   machine-readable NDJSON events (`run_header`, `progress`,
-//!   `phase_summary`, `verdict`); [`validate`] holds that schema, with no
-//!   external JSON dependency, and [`analyze`] reads a stream back: one
-//!   pass that checks the schema and the per-run event order and folds each
-//!   run into a summary. `mp-harness trace_report` renders those summaries
-//!   and `trace_report check` classifies streams for CI.
+//!   machine-readable NDJSON events. Every line is one [`event::Event`]
+//!   (`run_header`, `progress`, `level_summary`, `resume`,
+//!   `phase_summary`, `verdict`), written and read through one field list
+//!   with no external JSON dependency; [`analyze`] reads a stream back:
+//!   one pass that reads each line into an event, checks the per-run event
+//!   order and folds each run into a summary. `mp-harness trace_report`
+//!   renders those summaries and `trace_report check` classifies streams
+//!   for CI.
 //!
 //! A run that panics or returns early still flushes its tail: dropping the
 //! [`RunTrace`] guard emits the final progress, phase summary and an
@@ -51,13 +52,14 @@
 #![forbid(unsafe_code)]
 
 pub mod analyze;
+pub mod event;
 mod metrics;
 mod phase;
 mod tracer;
-pub mod validate;
+#[cfg(test)]
+mod validate;
 
-pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, Snapshot};
+pub use event::LevelSummary;
+pub use metrics::{Counter, Gauge};
 pub use phase::{Phase, PhaseTimes, PHASE_COUNT};
-pub use tracer::{
-    LevelSummary, RunTrace, SharedBuffer, SpanGuard, TraceHandle, TraceOptions, Tracer,
-};
+pub use tracer::{RunTrace, SharedBuffer, SpanGuard, TraceHandle, Tracer};

@@ -53,7 +53,7 @@ impl Phase {
     ];
 
     /// Stable snake_case name used in NDJSON fields (`<name>_us`) and the
-    /// harness's bench rows (`phase_<name>_ms`).
+    /// harness's bench rows (`phase_<name>_us`).
     pub const fn name(self) -> &'static str {
         match self {
             Phase::Expansion => "expansion",
@@ -70,17 +70,7 @@ impl Phase {
 
     /// Index into per-phase accumulator arrays.
     pub(crate) const fn index(self) -> usize {
-        match self {
-            Phase::Expansion => 0,
-            Phase::StoreLookup => 1,
-            Phase::Canonicalize => 2,
-            Phase::FrontierEncode => 3,
-            Phase::FrontierDecode => 4,
-            Phase::SpillIo => 5,
-            Phase::StubbornSet => 6,
-            Phase::SccBackstop => 7,
-            Phase::RunMerge => 8,
-        }
+        self as usize
     }
 }
 
@@ -98,11 +88,6 @@ pub struct PhaseTimes {
 }
 
 impl PhaseTimes {
-    /// All-zero phase times (what a disabled tracer reports).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Builds from raw per-phase nanosecond totals (indexed like
     /// [`Phase::ALL`]). Mostly useful for constructing fixtures in tests
     /// of code that consumes phase breakdowns.
@@ -176,6 +161,6 @@ mod tests {
         assert_eq!(t.get(Phase::SpillIo), Duration::from_micros(500));
         assert_eq!(t.total(), Duration::from_nanos(2_500_000));
         assert!(!t.is_zero());
-        assert!(PhaseTimes::new().is_zero());
+        assert!(PhaseTimes::default().is_zero());
     }
 }

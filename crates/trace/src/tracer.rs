@@ -3,11 +3,12 @@
 //! A [`Tracer`] is a cheap, cloneable handle configured once per process
 //! (or per sweep) and carried by value inside `CheckerConfig`. Calling
 //! [`Tracer::begin_run`] opens one **run** — a single engine invocation —
-//! and returns a [`RunTrace`] guard that owns the run's metrics
-//! [`Registry`](crate::Snapshot) and, when enabled, a heartbeat sampler
-//! thread. Dropping the guard without [`TraceHandle::finish`] still flushes
-//! a final progress/phase-summary/verdict tail (verdict `"aborted"`,
-//! `clean:false`), so a panicking or killed run leaves a usable trace.
+//! and returns a [`RunTrace`] guard that owns the run's metrics registry
+//! and, when enabled, a heartbeat sampler thread. Every line it writes is
+//! one [`Event`]. Dropping the guard without [`TraceHandle::finish`] still
+//! flushes a final progress/phase-summary/verdict tail (verdict
+//! `"aborted"`, `clean:false`), so a panicking or killed run leaves a
+//! usable trace.
 //!
 //! The disabled tracer ([`Tracer::disabled`], also `Default`) costs one
 //! branch per call: no clock is read, no atomics touched, no thread
@@ -15,63 +16,15 @@
 
 use std::fmt;
 use std::io::{self, Write};
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::metrics::{Counter, Gauge, Histogram, Registry, Snapshot};
+use crate::event::{Body, Event, LevelSummary};
+use crate::metrics::{Counter, Gauge, Registry};
 use crate::phase::{Phase, PhaseTimes};
-
-/// One BFS level's worth of time-series data, emitted as a `level_summary`
-/// NDJSON event by the breadth-first engines at the end of every level.
-/// Together the events form the per-run time series the `trace_report
-/// timeline` subcommand renders.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LevelSummary {
-    /// The BFS level (1-based; level 1 expands the initial state).
-    pub level: u64,
-    /// Number of frontier entries the level started with.
-    pub width: u64,
-    /// States first inserted into the visited store during this level.
-    pub new_states: u64,
-    /// Visited-store hits (revisited successors) during this level.
-    pub store_hits: u64,
-    /// Peak bytes queued in the frontier so far.
-    pub frontier_bytes: u64,
-    /// Wall-clock the level took, in microseconds.
-    pub duration_us: u64,
-}
-
-/// How a [`Tracer`] reports: stderr heartbeat lines, NDJSON events, or both.
-#[derive(Debug, Default)]
-pub struct TraceOptions {
-    /// Emit human-readable progress lines to stderr.
-    pub progress: bool,
-    /// Write machine-readable NDJSON events to this file (created or
-    /// truncated).
-    pub ndjson: Option<PathBuf>,
-}
-
-impl TraceOptions {
-    /// Options with everything off (yields a disabled tracer).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Enables stderr progress lines (builder style).
-    pub fn with_progress(mut self) -> Self {
-        self.progress = true;
-        self
-    }
-
-    /// Routes NDJSON events to `path` (builder style).
-    pub fn with_ndjson(mut self, path: impl Into<PathBuf>) -> Self {
-        self.ndjson = Some(path.into());
-        self
-    }
-}
 
 const DEFAULT_INTERVAL: Duration = Duration::from_secs(1);
 
@@ -120,23 +73,23 @@ impl Tracer {
         Tracer { shared: None }
     }
 
-    /// Builds a tracer from [`TraceOptions`]; opens (and truncates) the
-    /// NDJSON file if one was requested. All-off options yield a disabled
-    /// tracer.
-    pub fn from_options(options: TraceOptions) -> io::Result<Self> {
-        let sink: Option<Mutex<Box<dyn Write + Send>>> = match &options.ndjson {
+    /// A tracer that writes stderr heartbeat lines when `progress` is set
+    /// and NDJSON events to `ndjson` (created or truncated) when given;
+    /// with neither, the disabled tracer.
+    pub fn new(progress: bool, ndjson: Option<&Path>) -> io::Result<Self> {
+        let sink: Option<Mutex<Box<dyn Write + Send>>> = match ndjson {
             Some(path) => {
                 let file = std::fs::File::create(path)?;
                 Some(Mutex::new(Box::new(io::BufWriter::new(file))))
             }
             None => None,
         };
-        if !options.progress && sink.is_none() {
+        if !progress && sink.is_none() {
             return Ok(Self::disabled());
         }
         Ok(Tracer {
             shared: Some(Arc::new(Shared {
-                progress: options.progress,
+                progress,
                 interval: DEFAULT_INTERVAL,
                 sink,
                 seq: AtomicU64::new(0),
@@ -178,11 +131,12 @@ impl Tracer {
             start: Instant::now(),
             protocol: protocol.to_string(),
             strategy: strategy.to_string(),
-            property: property.to_string(),
             finished: Mutex::new(false),
             stop: Condvar::new(),
         });
-        inner.emit_header();
+        inner.emit(Body::RunHeader {
+            property: property.to_string(),
+        });
         let heartbeat = {
             let inner = inner.clone();
             std::thread::Builder::new()
@@ -203,7 +157,6 @@ struct RunInner {
     start: Instant,
     protocol: String,
     strategy: String,
-    property: String,
     /// `true` once the final tail (progress + phase_summary + verdict) was
     /// emitted. Guarded by a mutex — not an atomic — so the heartbeat can
     /// never slip a progress event after the verdict, and so the condvar
@@ -213,10 +166,6 @@ struct RunInner {
 }
 
 impl RunInner {
-    fn next_seq(&self) -> u64 {
-        self.shared.seq.fetch_add(1, Ordering::Relaxed)
-    }
-
     fn heartbeat_loop(&self) {
         let mut finished = self.finished.lock().expect("trace run lock poisoned");
         // A run can finish before this thread first takes the lock: its
@@ -234,144 +183,61 @@ impl RunInner {
         }
     }
 
-    fn header(&self, event: &str, line: &mut String) {
-        line.push_str("{\"event\":\"");
-        line.push_str(event);
-        line.push_str("\",\"seq\":");
-        line.push_str(&self.next_seq().to_string());
-        push_str_field(line, "protocol", &self.protocol);
-        push_str_field(line, "strategy", &self.strategy);
-    }
-
-    fn emit_header(&self) {
-        let mut line = String::new();
-        self.header("run_header", &mut line);
-        line.push_str(",\"schema\":3");
-        push_str_field(&mut line, "property", &self.property);
-        line.push('}');
-        self.shared.write_line(&line);
+    fn emit(&self, body: Body) {
+        let event = Event {
+            seq: self.shared.seq.fetch_add(1, Ordering::Relaxed),
+            protocol: self.protocol.clone(),
+            strategy: self.strategy.clone(),
+            body,
+        };
+        self.shared.write_line(&event.to_line());
     }
 
     /// Emits one `progress` event. Callers hold the `finished` lock or run
     /// before any finish can happen, so ordering relative to the verdict is
     /// safe.
     fn emit_progress(&self, is_final: bool) {
-        let snap = self.registry.snapshot();
-        let elapsed_us = (self.start.elapsed().as_micros() as u64).max(1);
-        let states = snap.counter(Counter::States);
-        let mut line = String::new();
-        self.header("progress", &mut line);
-        push_u64_field(&mut line, "elapsed_ms", elapsed_us / 1_000);
-        push_u64_field(&mut line, "elapsed_us", elapsed_us);
-        push_u64_field(&mut line, "states", states);
-        push_u64_field(&mut line, "transitions", snap.counter(Counter::Transitions));
-        push_u64_field(&mut line, "depth", snap.counter(Counter::Depth));
-        // Throughput from microseconds: the old `states*1000/elapsed_ms`
-        // over-reported by up to 1000x on sub-millisecond runs.
-        push_u64_field(
-            &mut line,
-            "states_per_sec",
-            states.saturating_mul(1_000_000) / elapsed_us,
-        );
-        for gauge in Gauge::ALL {
-            push_u64_field(&mut line, gauge.name(), snap.gauge(gauge));
-        }
-        line.push_str(",\"final\":");
-        line.push_str(if is_final { "true" } else { "false" });
-        line.push('}');
-        self.shared.write_line(&line);
+        let registry = &self.registry;
+        self.emit(Body::Progress {
+            elapsed_us: (self.start.elapsed().as_micros() as u64).max(1),
+            states: registry.counter(Counter::States),
+            transitions: registry.counter(Counter::Transitions),
+            depth: registry.counter(Counter::Depth),
+            gauges: registry.gauges(),
+            is_final,
+        });
     }
 
-    /// Emits one `level_summary` event, unless the run already finished
-    /// (the tail's ordering contract puts every level before the
-    /// phase_summary).
-    fn emit_level_summary(&self, level: &LevelSummary) {
+    /// Emits `body` unless the run already finished: the tail's ordering
+    /// contract puts every `level_summary` and `resume` before the
+    /// `phase_summary`.
+    fn emit_unless_finished(&self, body: Body) {
         let finished = self.finished.lock().expect("trace run lock poisoned");
-        if *finished {
-            return;
+        if !*finished {
+            self.emit(body);
         }
-        let mut line = String::new();
-        self.header("level_summary", &mut line);
-        push_u64_field(&mut line, "level", level.level);
-        push_u64_field(&mut line, "width", level.width);
-        push_u64_field(&mut line, "new_states", level.new_states);
-        push_u64_field(&mut line, "store_hits", level.store_hits);
-        push_u64_field(&mut line, "frontier_bytes", level.frontier_bytes);
-        push_u64_field(&mut line, "duration_us", level.duration_us);
-        line.push('}');
-        self.shared.write_line(&line);
     }
 
-    /// Emits one `resume` event, unless the run already finished. The BFS
-    /// engines call this exactly once, before the first resumed level, when
-    /// a checkpoint manifest rebuilt their state.
-    fn emit_resume(&self, level: u64, states: u64) {
-        let finished = self.finished.lock().expect("trace run lock poisoned");
-        if *finished {
-            return;
-        }
-        let mut line = String::new();
-        self.header("resume", &mut line);
-        push_u64_field(&mut line, "level", level);
-        push_u64_field(&mut line, "states", states);
-        line.push('}');
-        self.shared.write_line(&line);
-    }
-
-    fn emit_phase_summary(&self, snap: &Snapshot) {
-        let mut line = String::new();
-        self.header("phase_summary", &mut line);
-        push_u64_field(
-            &mut line,
-            "elapsed_ms",
-            self.start.elapsed().as_millis() as u64,
-        );
-        for phase in Phase::ALL {
-            push_u64_field(
-                &mut line,
-                &format!("{}_us", phase.name()),
-                snap.phases.nanos(phase) / 1_000,
-            );
-        }
-        for hist in Histogram::ALL {
-            let h = snap.histogram(hist);
-            push_u64_field(&mut line, &format!("{}_count", hist.name()), h.count);
-            push_u64_field(&mut line, &format!("{}_sum", hist.name()), h.sum);
-            push_u64_field(&mut line, &format!("{}_max", hist.name()), h.max);
-            push_str_field(
-                &mut line,
-                &format!("{}_buckets", hist.name()),
-                &h.buckets_compact(),
-            );
-        }
-        line.push('}');
-        self.shared.write_line(&line);
-    }
-
-    fn emit_verdict(&self, verdict: &str, clean: bool, snap: &Snapshot) {
-        let mut line = String::new();
-        self.header("verdict", &mut line);
-        push_str_field(&mut line, "verdict", verdict);
-        line.push_str(",\"clean\":");
-        line.push_str(if clean { "true" } else { "false" });
-        push_u64_field(&mut line, "states", snap.counter(Counter::States));
-        push_u64_field(&mut line, "transitions", snap.counter(Counter::Transitions));
-        push_u64_field(
-            &mut line,
-            "elapsed_ms",
-            self.start.elapsed().as_millis() as u64,
-        );
-        line.push('}');
-        self.shared.write_line(&line);
+    fn emit_tail(&self, verdict: &str, clean: bool) {
+        let phases = self.registry.phase_times();
+        self.emit(Body::PhaseSummary {
+            phases_us: Phase::ALL.map(|phase| phases.nanos(phase) / 1_000),
+        });
+        self.emit(Body::Verdict {
+            verdict: verdict.to_string(),
+            clean,
+            states: self.registry.counter(Counter::States),
+            transitions: self.registry.counter(Counter::Transitions),
+            elapsed_ms: self.start.elapsed().as_millis() as u64,
+        });
     }
 
     fn stderr_progress(&self) {
         if !self.shared.progress {
             return;
         }
-        let snap = self.registry.snapshot();
         let elapsed = self.start.elapsed();
-        let states = snap.counter(Counter::States);
+        let states = self.registry.counter(Counter::States);
         let sps = states as f64 / elapsed.as_secs_f64().max(1e-9);
         eprintln!(
             "[mp-trace] {}/{}: {} states ({:.0}/s), {} transitions, depth {}, {:.1}s",
@@ -379,8 +245,8 @@ impl RunInner {
             self.strategy,
             states,
             sps,
-            snap.counter(Counter::Transitions),
-            snap.counter(Counter::Depth),
+            self.registry.counter(Counter::Transitions),
+            self.registry.counter(Counter::Depth),
             elapsed.as_secs_f64()
         );
     }
@@ -389,13 +255,12 @@ impl RunInner {
         if !self.shared.progress {
             return;
         }
-        let snap = self.registry.snapshot();
         eprintln!(
             "[mp-trace] {}/{}: {} — {} states in {:.1}s",
             self.protocol,
             self.strategy,
             verdict,
-            snap.counter(Counter::States),
+            self.registry.counter(Counter::States),
             self.start.elapsed().as_secs_f64()
         );
     }
@@ -413,38 +278,9 @@ impl RunInner {
         // Every run gets at least one progress event, even sub-interval
         // ones — the acceptance contract of the NDJSON stream.
         self.emit_progress(true);
-        let snap = self.registry.snapshot();
-        self.emit_phase_summary(&snap);
-        self.emit_verdict(verdict, clean, &snap);
+        self.emit_tail(verdict, clean);
         self.stderr_verdict(verdict);
     }
-}
-
-fn push_str_field(line: &mut String, key: &str, value: &str) {
-    line.push_str(",\"");
-    line.push_str(key);
-    line.push_str("\":\"");
-    for c in value.chars() {
-        match c {
-            '"' => line.push_str("\\\""),
-            '\\' => line.push_str("\\\\"),
-            '\n' => line.push_str("\\n"),
-            '\r' => line.push_str("\\r"),
-            '\t' => line.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                line.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => line.push(c),
-        }
-    }
-    line.push('"');
-}
-
-fn push_u64_field(line: &mut String, key: &str, value: u64) {
-    line.push_str(",\"");
-    line.push_str(key);
-    line.push_str("\":");
-    line.push_str(&value.to_string());
 }
 
 /// A cheap, cloneable view of one traced run, shared with subsystems that
@@ -493,13 +329,6 @@ impl TraceHandle {
         }
     }
 
-    /// Records one `value` sample into `histogram`.
-    pub fn record(&self, histogram: Histogram, value: u64) {
-        if let Some(inner) = &self.inner {
-            inner.registry.record(histogram, value);
-        }
-    }
-
     /// Samples `bytes` into `gauge`; the registry keeps the peak, which the
     /// heartbeat and every later progress line then report.
     pub fn sample_gauge(&self, gauge: Gauge, bytes: u64) {
@@ -512,7 +341,7 @@ impl TraceHandle {
     /// run finished). The BFS engines call this at the end of every level.
     pub fn level_summary(&self, level: &LevelSummary) {
         if let Some(inner) = &self.inner {
-            inner.emit_level_summary(level);
+            inner.emit_unless_finished(Body::LevelSummary(*level));
         }
     }
 
@@ -522,7 +351,7 @@ impl TraceHandle {
     /// when disabled or after the run finished.
     pub fn resume(&self, level: u64, states: u64) {
         if let Some(inner) = &self.inner {
-            inner.emit_resume(level, states);
+            inner.emit_unless_finished(Body::Resume { level, states });
         }
     }
 
@@ -530,15 +359,7 @@ impl TraceHandle {
     pub fn phase_times(&self) -> PhaseTimes {
         match &self.inner {
             Some(inner) => inner.registry.phase_times(),
-            None => PhaseTimes::new(),
-        }
-    }
-
-    /// Current registry snapshot (all zero when disabled).
-    pub fn snapshot(&self) -> Snapshot {
-        match &self.inner {
-            Some(inner) => inner.registry.snapshot(),
-            None => Snapshot::default(),
+            None => PhaseTimes::default(),
         }
     }
 
@@ -665,9 +486,8 @@ mod tests {
         {
             let _g = run.span(Phase::Expansion);
         }
-        run.record(Histogram::LevelWidth, 3);
+        assert!(!run.is_enabled());
         assert!(run.phase_times().is_zero());
-        assert_eq!(run.snapshot().counter(Counter::States), 0);
         run.finish("verified");
     }
 
@@ -850,36 +670,20 @@ mod tests {
         run.add(Counter::States, 100);
         run.finish("verified");
         drop(run);
-        let progress = buf
-            .contents()
+        let text = buf.contents();
+        let elapsed_us = text
             .lines()
-            .find(|l| l.contains("\"event\":\"progress\""))
-            .unwrap()
-            .to_string();
-        let sps: u64 = progress
-            .split("\"states_per_sec\":")
-            .nth(1)
-            .unwrap()
-            .split(|c: char| !c.is_ascii_digit())
-            .next()
-            .unwrap()
-            .parse()
+            .find_map(|line| match Event::parse(line).unwrap().body {
+                Body::Progress { elapsed_us, .. } => Some(elapsed_us),
+                _ => None,
+            })
             .unwrap();
-        // 100 states in a few microseconds is millions/s, far below the
-        // 100 states * 1000 = 100_000/s floor the old ms-based formula
-        // reported for *any* sub-millisecond run... but crucially it must
-        // not exceed the physical bound of 100 states per elapsed_us
-        // microseconds scaled to a second.
-        let elapsed_us: u64 = progress
-            .split("\"elapsed_us\":")
-            .nth(1)
-            .unwrap()
-            .split(|c: char| !c.is_ascii_digit())
-            .next()
-            .unwrap()
-            .parse()
-            .unwrap();
-        assert_eq!(sps, 100 * 1_000_000 / elapsed_us.max(1));
+        // The analyzer derives throughput from microseconds: 100 states in
+        // a few of them is millions per second, where the old
+        // `states*1000/elapsed_ms` reported 100 000/s for *any*
+        // sub-millisecond run.
+        let runs = crate::analyze::analyze_stream(text.lines()).unwrap();
+        assert_eq!(runs[0].throughput.max, 100 * 1_000_000 / elapsed_us);
     }
 
     #[test]

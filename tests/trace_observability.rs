@@ -1,16 +1,19 @@
 //! Integration tests for the `mp-trace` observability subsystem as wired
 //! through the real engines: the parallel-BFS worker threads must
 //! contribute to the shared atomic counters so that their sum equals the
-//! sequential totals exactly, and a traced engine run must emit an NDJSON
-//! stream that passes the schema and event-order check of
+//! sequential totals exactly, and every engine's traced run must emit an
+//! NDJSON stream whose lines each read into the one `Event` type and write
+//! back byte for byte, and which passes the event-order check of
 //! `analyze_stream` (what `mp-harness trace_report check` runs).
 
-use mp_basset::checker::{Checker, CheckerConfig};
+use mp_basset::checker::{Checker, CheckerConfig, CheckpointConfig};
+use mp_basset::faults::FaultBudget;
 use mp_basset::protocols::paxos::{
-    consensus_property, quorum_model as paxos, PaxosSetting, PaxosVariant,
+    consensus_property, faulty_consensus_property, faulty_quorum_model,
+    faulty_termination_property, quorum_model as paxos, PaxosSetting, PaxosVariant,
 };
-use mp_basset::trace::analyze::analyze_stream;
-use mp_basset::trace::validate::{parse_flat_object, Value};
+use mp_basset::trace::analyze::{analyze_stream, RunSummary};
+use mp_basset::trace::event::{Body, Event};
 use mp_basset::trace::{SharedBuffer, Tracer};
 
 /// Runs correct Paxos under `config`, returning the report. With `trace`
@@ -24,24 +27,33 @@ fn run_paxos(config: CheckerConfig, trace: Tracer) -> mp_basset::checker::RunRep
         .run()
 }
 
-/// The integer value of `field` in the stream's last event of kind
-/// `event` (the verdict event, for the fields this test reads).
-fn last_event_int(ndjson: &str, event: &str, field: &str) -> u64 {
-    let line = ndjson
-        .lines()
-        .rfind(|l| {
-            parse_flat_object(l)
-                .map(|f| f.get("event") == Some(&Value::Str(event.to_string())))
-                .unwrap_or(false)
-        })
-        .unwrap_or_else(|| panic!("no {event} event in the stream:\n{ndjson}"));
-    match parse_flat_object(line)
-        .expect("verdict line parses")
-        .get(field)
-    {
-        Some(Value::Int(n)) => *n,
-        other => panic!("field {field} of {event} is {other:?}"),
+/// The `(states, transitions)` of the stream's last verdict event.
+fn verdict_counts(ndjson: &str) -> (u64, u64) {
+    let verdict = ndjson.lines().rev().find_map(|line| {
+        match Event::parse(line).expect("the line reads").body {
+            Body::Verdict {
+                states,
+                transitions,
+                ..
+            } => Some((states, transitions)),
+            _ => None,
+        }
+    });
+    verdict.unwrap_or_else(|| panic!("no verdict event in the stream:\n{ndjson}"))
+}
+
+/// Reads every line of `ndjson` into an [`Event`], checks that it writes
+/// back byte for byte, and folds the stream into its one run.
+fn round_trip(label: &str, ndjson: &str) -> RunSummary {
+    for line in ndjson.lines() {
+        let event = Event::parse(line).unwrap_or_else(|e| panic!("{label}: {e}\n{line}"));
+        assert_eq!(event.to_line(), line, "{label}: byte-for-byte round trip");
     }
+    let mut runs = analyze_stream(ndjson.lines())
+        .unwrap_or_else(|e| panic!("{label}: invalid trace: {e}\n{ndjson}"));
+    assert_eq!(runs.len(), 1, "{label}: exactly one traced run");
+    assert!(runs[0].clean, "{label}: the run must end cleanly");
+    runs.remove(0)
 }
 
 #[test]
@@ -69,16 +81,14 @@ fn parallel_bfs_thread_contributions_sum_to_the_sequential_totals() {
 
         // Trace-level exactness: the trace counters must hold the same
         // totals the report does.
-        let ndjson = buf.contents();
-        assert_eq!(
-            last_event_int(&ndjson, "verdict", "states"),
+        let expected = (
             sequential.stats.states as u64,
-            "traced state counter under parallel-bfs({threads})"
+            sequential.stats.transitions_executed as u64,
         );
         assert_eq!(
-            last_event_int(&ndjson, "verdict", "transitions"),
-            sequential.stats.transitions_executed as u64,
-            "traced transition counter under parallel-bfs({threads})"
+            verdict_counts(&buf.contents()),
+            expected,
+            "traced counters under parallel-bfs({threads})"
         );
     }
 }
@@ -98,16 +108,61 @@ fn traced_engine_runs_emit_schema_valid_ndjson() {
         assert!(report.verdict.is_verified(), "{label}");
 
         let ndjson = buf.contents();
-        let runs = analyze_stream(ndjson.lines())
-            .unwrap_or_else(|e| panic!("{label}: invalid trace: {e}\n{ndjson}"));
-        assert_eq!(runs.len(), 1, "{label}: exactly one traced run");
-        assert!(runs[0].clean, "{label}: the run must end cleanly");
+        let run = round_trip(&label, &ndjson);
         assert_eq!(
-            last_event_int(&ndjson, "verdict", "states"),
-            report.stats.states as u64,
+            (run.states, verdict_counts(&ndjson).0),
+            (report.stats.states as u64, report.stats.states as u64),
             "{label}: verdict event must carry the engine's state count"
         );
     }
+}
+
+#[test]
+fn liveness_and_resumed_runs_write_lines_of_the_one_schema() {
+    // The liveness DFS, on the crash cell whose termination fails.
+    let setting = PaxosSetting::new(1, 2, 1);
+    let crash = FaultBudget::none().crashes(1);
+    let spec = faulty_quorum_model(setting, PaxosVariant::Correct, crash);
+    let buf = SharedBuffer::new();
+    let report = Checker::new(&spec, faulty_termination_property(setting))
+        .config(
+            CheckerConfig::stateful_dfs()
+                .with_trace(Tracer::to_writer(false, Box::new(buf.clone()))),
+        )
+        .run();
+    assert!(
+        report.strategy.contains("liveness-dfs"),
+        "{}",
+        report.strategy
+    );
+    let run = round_trip(&report.strategy, &buf.contents());
+    assert_eq!(run.verdict, "violated");
+
+    // A BFS killed by a state limit, then resumed from its checkpoint.
+    let dir = std::env::temp_dir().join(format!("mp-basset-trace-resume-{}", std::process::id()));
+    let budget = FaultBudget::none().crashes(1).drops(1);
+    let spec = faulty_quorum_model(setting, PaxosVariant::Correct, budget);
+    let bfs = |max_states: usize, trace: Tracer| {
+        let config = CheckerConfig::stateful_bfs()
+            .with_checkpoint(CheckpointConfig::new(&dir))
+            .with_max_states(max_states)
+            .with_trace(trace);
+        Checker::new(&spec, faulty_consensus_property(setting))
+            .spor()
+            .config(config)
+            .run()
+    };
+    assert!(!bfs(30, Tracer::disabled()).verdict.is_verified());
+    let buf = SharedBuffer::new();
+    let resumed = bfs(usize::MAX, Tracer::to_writer(false, Box::new(buf.clone())));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(resumed.verdict.is_verified());
+    let run = round_trip("resumed stateful-bfs", &buf.contents());
+    let (level, states) = run.resumed_from.expect("a resume event");
+    assert!(level > 0, "{level}");
+    // The run's own counters hold this session's work; with the states the
+    // checkpoint restored they make up the report's total.
+    assert_eq!(states + run.states, resumed.stats.states as u64);
 }
 
 #[test]
